@@ -324,7 +324,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := server.HTTPServer(srv.Handler())
 	fmt.Printf("sdbd: listening on http://%s\n", ln.Addr())
 	mode := "micro-batched"
 	if *serial {

@@ -175,7 +175,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	hs := &http.Server{Handler: rt.Handler()}
+	hs := server.HTTPServer(rt.Handler())
 	fmt.Printf("sdbrouter: listening on http://%s\n", ln.Addr())
 	if *pprof {
 		fmt.Printf("sdbrouter: pprof profiling at http://%s/debug/pprof/\n", ln.Addr())

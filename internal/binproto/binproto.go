@@ -19,10 +19,12 @@
 //	knn response    0x82: candidates u32 | n u32 | n×id u64 | n×dist f64
 //	mutate response 0x83: existed u8               (2 bytes)
 //
-// Every decoder is exact-length: trailing bytes are an error, truncation is
-// an error, and no input can panic the decoder (the fuzz targets in this
-// package enforce that). Errors travel as plain HTTP status codes with a
-// text/plain body — only success bodies are binary.
+// Any message may travel inside the trace envelope of traced.go, which the
+// receiver strips before it decodes. Every decoder is exact-length: trailing
+// bytes are an error, truncation is an error, and no input can panic the
+// decoder (the fuzz targets in this package enforce that). Errors travel as
+// HTTP status codes with the JSON API's error body — only success bodies are
+// binary.
 //
 // Encoding appends to caller buffers; GetBuf/PutBuf pool the scratch so the
 // serving hot path allocates nothing per request beyond the answer slice the

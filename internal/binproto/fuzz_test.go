@@ -20,14 +20,26 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(AppendMutateReq(nil, KindInsert, obj, &[4]float64{0, 0, 1, 1}))
 	f.Add(AppendMutateReq(nil, KindUpdate, obj, nil))
 	f.Add(AppendDeleteReq(nil, 99))
-	f.Add(AppendTracedWindowReq(nil, [4]float64{0, 0, 1, 1}, store.TechComplete, 77))
-	f.Add(AppendTracedPointReq(nil, [2]float64{0.5, 0.5}, 0))
-	f.Add(AppendTracedKNNReq(nil, [2]float64{0.5, 0.5}, 10, 1<<40))
+	f.Add(TraceReq(AppendWindowReq(nil, [4]float64{0, 0, 1, 1}, store.TechComplete), 77))
+	f.Add(TraceReq(AppendPointReq(nil, [2]float64{0.5, 0.5}), 0))
+	f.Add(TraceReq(AppendKNNReq(nil, [2]float64{0.5, 0.5}, 10), 1<<40))
 	f.Add([]byte{})
 	f.Add([]byte{KindWindow})
-	f.Add([]byte{KindTracedWindow})
+	f.Add([]byte{KindWindow | KindTraceBit})
 
-	f.Fuzz(func(t *testing.T, p []byte) {
+	f.Fuzz(func(t *testing.T, orig []byte) {
+		// The receiver strips the trace envelope first (in place, hence the
+		// copy); wrapping what is left must give the input back, and the
+		// message decoders below see what a receiver would hand them.
+		p, tid, traced, err := UntraceReq(append([]byte(nil), orig...))
+		if err != nil {
+			return
+		}
+		if traced {
+			if got := TraceReq(append([]byte(nil), p...), tid); string(got) != string(orig) {
+				t.Fatalf("trace envelope re-wrap mismatch: %x vs %x", got, orig)
+			}
+		}
 		if win, tech, err := DecodeWindowReq(p); err == nil {
 			if got := AppendWindowReq(nil, win, tech); string(got) != string(p) {
 				t.Fatalf("window re-encode mismatch: %x vs %x", got, p)
@@ -55,21 +67,6 @@ func FuzzDecodeRequests(f *testing.F) {
 				t.Fatalf("delete re-encode mismatch: %x vs %x", got, p)
 			}
 		}
-		if win, tech, tid, err := DecodeTracedWindowReq(p); err == nil {
-			if got := AppendTracedWindowReq(nil, win, tech, tid); string(got) != string(p) {
-				t.Fatalf("traced window re-encode mismatch: %x vs %x", got, p)
-			}
-		}
-		if pt, tid, err := DecodeTracedPointReq(p); err == nil {
-			if got := AppendTracedPointReq(nil, pt, tid); string(got) != string(p) {
-				t.Fatalf("traced point re-encode mismatch: %x vs %x", got, p)
-			}
-		}
-		if pt, k, tid, err := DecodeTracedKNNReq(p); err == nil {
-			if got := AppendTracedKNNReq(nil, pt, k, tid); string(got) != string(p) {
-				t.Fatalf("traced knn re-encode mismatch: %x vs %x", got, p)
-			}
-		}
 	})
 }
 
@@ -85,13 +82,23 @@ func FuzzDecodeResponses(f *testing.F) {
 		{ID: 2, Parent: 1, Stage: "execute", StartMS: 0.5, DurMS: 1,
 			IO: &obs.IO{BufferHits: 3, ModelMS: 0.25}},
 	}
-	f.Add(AppendTracedQueryResp(nil, []object.ID{1, 2}, 4, 99, 3.5, spans))
-	f.Add(AppendTracedKNNResp(nil, []object.ID{4}, []float64{0.25}, 2, 7, 1.5, spans))
-	f.Add(AppendTracedQueryResp(nil, nil, 0, 0, 0, nil))
+	f.Add(TraceResp(AppendQueryResp(nil, []object.ID{1, 2}, 4), 99, 3.5, spans))
+	f.Add(TraceResp(AppendKNNResp(nil, []object.ID{4}, []float64{0.25}, 2), 7, 1.5, spans))
+	f.Add(TraceResp(AppendQueryResp(nil, nil, 0), 0, 0, nil))
+	f.Add(TraceResp(AppendMutateResp(nil, true), 5, 0.5, spans))
 	f.Add([]byte{KindQueryResp, 0, 0, 0, 0, 255, 255, 255, 255})
 	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, p []byte) {
+	f.Fuzz(func(t *testing.T, orig []byte) {
+		p, traced, tid, total, spans, err := UntraceResp(append([]byte(nil), orig...))
+		if err != nil {
+			return
+		}
+		if traced {
+			if got := TraceResp(append([]byte(nil), p...), tid, total, spans); string(got) != string(orig) {
+				t.Fatalf("trace envelope re-wrap mismatch: %x vs %x", got, orig)
+			}
+		}
 		if ids, cand, err := DecodeQueryResp(p, nil); err == nil {
 			oids := make([]object.ID, len(ids))
 			for i, id := range ids {
@@ -113,24 +120,6 @@ func FuzzDecodeResponses(f *testing.F) {
 		if existed, err := DecodeMutateResp(p); err == nil {
 			if got := AppendMutateResp(nil, existed); string(got) != string(p) {
 				t.Fatalf("mutate resp re-encode mismatch: %x vs %x", got, p)
-			}
-		}
-		if ids, cand, tid, total, spans, err := DecodeTracedQueryResp(p, nil); err == nil {
-			oids := make([]object.ID, len(ids))
-			for i, id := range ids {
-				oids[i] = object.ID(id)
-			}
-			if got := AppendTracedQueryResp(nil, oids, cand, tid, total, spans); string(got) != string(p) {
-				t.Fatalf("traced query resp re-encode mismatch: %x vs %x", got, p)
-			}
-		}
-		if ids, dists, cand, tid, total, spans, err := DecodeTracedKNNResp(p, nil, nil); err == nil {
-			oids := make([]object.ID, len(ids))
-			for i, id := range ids {
-				oids[i] = object.ID(id)
-			}
-			if got := AppendTracedKNNResp(nil, oids, dists, cand, tid, total, spans); string(got) != string(p) {
-				t.Fatalf("traced knn resp re-encode mismatch: %x vs %x", got, p)
 			}
 		}
 	})

@@ -1,195 +1,94 @@
 package binproto
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 
-	"spatialcluster/internal/object"
 	"spatialcluster/internal/obs"
-	"spatialcluster/internal/store"
 )
 
-// Traced message kinds. Setting KindTraceBit on a query request kind asks the
-// receiver to trace the request and answer with the matching traced response
-// kind; the trace ID travels immediately after the kind byte so a gateway can
-// propagate one identity across its whole fan-out:
+// The trace envelope. Setting KindTraceBit on a message's kind byte wraps the
+// message — any kind — without touching its own layout. A traced request
+// asks the receiver to trace it and carries the trace ID right after the
+// kind byte, so a gateway can propagate one identity across its fan-out
+// (0 lets the receiver mint one); a traced response carries the
+// obs.AppendTrace encoding (trace ID, total wall ms, span tree) after its
+// body, to the end of the payload:
 //
 //	traced window  0x41: traceID u64 | tech u8 | x1 y1 x2 y2 f64   (42 bytes)
-//	traced point   0x42: traceID u64 | x y f64                     (25 bytes)
-//	traced knn     0x43: traceID u64 | x y f64 | k u32             (29 bytes)
-//
 //	traced query response 0xc1: candidates u32 | n u32 | n×id u64 | trace
-//	traced knn response   0xc2: candidates u32 | n u32 | n×id u64 | n×dist f64 | trace
 //
-// where trace is the obs.AppendTrace encoding (trace ID, total wall ms and
-// the span tree), consuming the remainder of the payload. Mutations have no
-// traced binary kind; traced mutations ride the JSON protocol.
-const (
-	// KindTraceBit distinguishes a traced query message from its untraced
-	// base kind (response kinds keep their 0x80 bit as well).
-	KindTraceBit byte = 0x40
+// The four functions below add and strip the envelope; the message codecs
+// never see it, so a sender traces by wrapping what it encoded and a
+// receiver decodes what is left after unwrapping.
+const KindTraceBit byte = 0x40
 
-	KindTracedWindow byte = KindWindow | KindTraceBit // 0x41
-	KindTracedPoint  byte = KindPoint | KindTraceBit  // 0x42
-	KindTracedKNN    byte = KindKNN | KindTraceBit    // 0x43
-
-	KindTracedQueryResp byte = KindQueryResp | KindTraceBit // 0xc1
-	KindTracedKNNResp   byte = KindKNNResp | KindTraceBit   // 0xc2
-)
-
-// Traced reports whether a payload leads with a traced message kind — the
-// one-byte sniff the servers use to route a /bin/* body to the traced
-// decoders.
-func Traced(p []byte) bool {
-	return len(p) > 0 && p[0]&KindTraceBit != 0
+// TraceReq wraps an encoded request — msg must be the whole message — into
+// its traced form.
+func TraceReq(msg []byte, traceID uint64) []byte {
+	msg = appendU64(msg, 0)
+	copy(msg[9:], msg[1:])
+	binary.LittleEndian.PutUint64(msg[1:], traceID)
+	msg[0] |= KindTraceBit
+	return msg
 }
 
-// AppendTracedWindowReq encodes a traced window query request. traceID 0
-// asks the receiver to mint its own trace identity.
-func AppendTracedWindowReq(dst []byte, win [4]float64, tech store.Technique, traceID uint64) []byte {
-	dst = appendU64(append(dst, KindTracedWindow), traceID)
-	dst = append(dst, byte(tech))
-	for _, v := range win {
-		dst = appendF64(dst, v)
+// UntraceReq strips the envelope of a request. An untraced msg comes back as
+// it is; a traced one comes back as the plain message it wraps, rewritten in
+// place (the kind byte moves up against the body, so plain shares msg's
+// memory and msg is consumed).
+func UntraceReq(msg []byte) (plain []byte, traceID uint64, traced bool, err error) {
+	if len(msg) == 0 || msg[0]&KindTraceBit == 0 {
+		return msg, 0, false, nil
 	}
-	return dst
+	if len(msg) < 9 {
+		return nil, 0, false, fmt.Errorf("binproto: truncated trace id in a %d-byte traced message", len(msg))
+	}
+	traceID = binary.LittleEndian.Uint64(msg[1:])
+	msg[8] = msg[0] &^ KindTraceBit
+	return msg[8:], traceID, true, nil
 }
 
-// DecodeTracedWindowReq decodes a traced window query request.
-func DecodeTracedWindowReq(p []byte) (win [4]float64, tech store.Technique, traceID uint64, err error) {
-	r := &reader{p: p}
-	r.checkKind(KindTracedWindow, "traced window")
-	traceID = r.u64("trace id")
-	t := r.u8("technique")
-	for i := range win {
-		win[i] = r.f64("window coordinate")
-	}
-	if err = r.done("traced window"); err != nil {
-		return win, 0, 0, err
-	}
-	tech = store.Technique(t)
-	if tech < store.TechComplete || tech > store.TechPageByPage {
-		return win, 0, 0, fmt.Errorf("binproto: unknown technique %d", t)
-	}
-	return win, tech, traceID, nil
+// TraceResp wraps an encoded response — msg must be the whole message — into
+// its traced form.
+func TraceResp(msg []byte, traceID uint64, totalMS float64, spans []obs.Span) []byte {
+	msg[0] |= KindTraceBit
+	return obs.AppendTrace(msg, traceID, totalMS, spans)
 }
 
-// AppendTracedPointReq encodes a traced point query request.
-func AppendTracedPointReq(dst []byte, pt [2]float64, traceID uint64) []byte {
-	dst = appendU64(append(dst, KindTracedPoint), traceID)
-	dst = appendF64(dst, pt[0])
-	return appendF64(dst, pt[1])
-}
-
-// DecodeTracedPointReq decodes a traced point query request.
-func DecodeTracedPointReq(p []byte) (pt [2]float64, traceID uint64, err error) {
-	r := &reader{p: p}
-	r.checkKind(KindTracedPoint, "traced point")
-	traceID = r.u64("trace id")
-	pt[0] = r.f64("point x")
-	pt[1] = r.f64("point y")
-	return pt, traceID, r.done("traced point")
-}
-
-// AppendTracedKNNReq encodes a traced k-nearest-neighbor request.
-func AppendTracedKNNReq(dst []byte, pt [2]float64, k int, traceID uint64) []byte {
-	dst = appendU64(append(dst, KindTracedKNN), traceID)
-	dst = appendF64(dst, pt[0])
-	dst = appendF64(dst, pt[1])
-	return appendU32(dst, uint32(k))
-}
-
-// DecodeTracedKNNReq decodes a traced k-nearest-neighbor request.
-func DecodeTracedKNNReq(p []byte) (pt [2]float64, k int, traceID uint64, err error) {
-	r := &reader{p: p}
-	r.checkKind(KindTracedKNN, "traced knn")
-	traceID = r.u64("trace id")
-	pt[0] = r.f64("point x")
-	pt[1] = r.f64("point y")
-	kk := r.u32("k")
-	if err = r.done("traced knn"); err != nil {
-		return pt, 0, 0, err
+// UntraceResp strips the envelope of a response: plain is the message
+// without trace bit and trace (msg's own memory, the kind byte cleared in
+// place), and the decoded trace comes back beside it when traced is set.
+func UntraceResp(msg []byte) (plain []byte, traced bool, traceID uint64, totalMS float64, spans []obs.Span, err error) {
+	if len(msg) == 0 || msg[0]&KindTraceBit == 0 {
+		return msg, false, 0, 0, nil, nil
 	}
-	if kk == 0 || kk > math.MaxInt32 {
-		return pt, 0, 0, fmt.Errorf("binproto: implausible k %d", kk)
+	// The trace has no length prefix of its own: it starts where the body,
+	// whose length the kind and the ID count fix, ends.
+	body, per := 2, 0
+	switch msg[0] &^ KindTraceBit {
+	case KindQueryResp:
+		body, per = 9, 8
+	case KindKNNResp:
+		body, per = 9, 16
+	case KindMutateResp:
+	default:
+		return nil, false, 0, 0, nil, fmt.Errorf("binproto: message kind 0x%02x is no traced response", msg[0])
 	}
-	return pt, int(kk), traceID, nil
-}
-
-// AppendTracedQueryResp encodes a window/point answer plus its trace.
-func AppendTracedQueryResp(dst []byte, ids []object.ID, candidates int, traceID uint64, totalMS float64, spans []obs.Span) []byte {
-	dst = append(dst, KindTracedQueryResp)
-	dst = appendU32(dst, uint32(candidates))
-	dst = appendU32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		dst = appendU64(dst, uint64(id))
+	if len(msg) < body {
+		return nil, false, 0, 0, nil, fmt.Errorf("binproto: truncated traced response of %d bytes", len(msg))
 	}
-	return obs.AppendTrace(dst, traceID, totalMS, spans)
-}
-
-// DecodeTracedQueryResp decodes a traced window/point answer: the IDs append
-// to ids[:0], and the embedded trace comes back decoded.
-func DecodeTracedQueryResp(p []byte, ids []uint64) (out []uint64, candidates int, traceID uint64, totalMS float64, spans []obs.Span, err error) {
-	r := &reader{p: p}
-	r.checkKind(KindTracedQueryResp, "traced query response")
-	cand := r.u32("candidate count")
-	n := r.u32("id count")
-	if r.err == nil && int(n) > (len(p)-r.off)/8 {
-		r.err = fmt.Errorf("binproto: id count %d exceeds remaining payload", n)
+	if per > 0 {
+		n := int(binary.LittleEndian.Uint32(msg[5:]))
+		if n > (len(msg)-body)/per {
+			return nil, false, 0, 0, nil, fmt.Errorf("binproto: id count %d exceeds remaining payload", n)
+		}
+		body += n * per
 	}
-	out = ids[:0]
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		out = append(out, r.u64("object id"))
-	}
-	trace := r.rest()
-	if r.err != nil {
-		return nil, 0, 0, 0, nil, r.err
-	}
-	traceID, totalMS, spans, err = obs.DecodeTrace(trace)
+	traceID, totalMS, spans, err = obs.DecodeTrace(msg[body:])
 	if err != nil {
-		return nil, 0, 0, 0, nil, err
+		return nil, false, 0, 0, nil, err
 	}
-	return out, int(cand), traceID, totalMS, spans, nil
-}
-
-// AppendTracedKNNResp encodes a k-NN answer plus its trace.
-func AppendTracedKNNResp(dst []byte, ids []object.ID, dists []float64, candidates int, traceID uint64, totalMS float64, spans []obs.Span) []byte {
-	dst = append(dst, KindTracedKNNResp)
-	dst = appendU32(dst, uint32(candidates))
-	dst = appendU32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		dst = appendU64(dst, uint64(id))
-	}
-	for _, d := range dists {
-		dst = appendF64(dst, d)
-	}
-	return obs.AppendTrace(dst, traceID, totalMS, spans)
-}
-
-// DecodeTracedKNNResp decodes a traced k-NN answer into ids[:0] and
-// dists[:0] plus the embedded trace.
-func DecodeTracedKNNResp(p []byte, ids []uint64, dists []float64) (outIDs []uint64, outDists []float64, candidates int, traceID uint64, totalMS float64, spans []obs.Span, err error) {
-	r := &reader{p: p}
-	r.checkKind(KindTracedKNNResp, "traced knn response")
-	cand := r.u32("candidate count")
-	n := r.u32("id count")
-	if r.err == nil && int(n) > (len(p)-r.off)/16 {
-		r.err = fmt.Errorf("binproto: id count %d exceeds remaining payload", n)
-	}
-	outIDs, outDists = ids[:0], dists[:0]
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		outIDs = append(outIDs, r.u64("object id"))
-	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		outDists = append(outDists, r.f64("distance"))
-	}
-	trace := r.rest()
-	if r.err != nil {
-		return nil, nil, 0, 0, 0, nil, r.err
-	}
-	traceID, totalMS, spans, err = obs.DecodeTrace(trace)
-	if err != nil {
-		return nil, nil, 0, 0, 0, nil, err
-	}
-	return outIDs, outDists, int(cand), traceID, totalMS, spans, nil
+	msg[0] &^= KindTraceBit
+	return msg[:body], true, traceID, totalMS, spans, nil
 }

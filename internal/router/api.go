@@ -1,13 +1,6 @@
 package router
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-
-	"spatialcluster/internal/server"
-)
+import "spatialcluster/internal/server"
 
 // The router speaks the server's wire types for everything a single store
 // answers (server.WindowRequest, server.QueryResponse, ...), so a client
@@ -23,18 +16,6 @@ type StatsResponse struct {
 	Bytes   int64 `json:"object_bytes"`
 	// PerShard holds each shard's /stats answer, shard order.
 	PerShard []server.StatsResponse `json:"per_shard"`
-}
-
-// EndpointMetrics are the router's own per-endpoint counters and latency
-// quantiles (the shards keep their own; the router reports what it added).
-type EndpointMetrics struct {
-	Count    int64   `json:"count"`
-	Errors   int64   `json:"errors"`
-	Rejected int64   `json:"rejected"`
-	TotalMS  float64 `json:"total_ms"`
-	MeanMS   float64 `json:"mean_ms"`
-	P50MS    float64 `json:"p50_ms"`
-	P99MS    float64 `json:"p99_ms"`
 }
 
 // ShardClientMetrics is the router's view of one shard: every typed-client
@@ -85,9 +66,9 @@ type MetricsResponse struct {
 	SlowLogMS float64 `json:"slowlog_ms"`
 	SlowLog   int64   `json:"slowlog_total"`
 
-	Router    map[string]EndpointMetrics `json:"router_endpoints"`
-	ShardTier []ShardClientMetrics       `json:"shard_clients"`
-	PerShard  []server.Metrics           `json:"per_shard"`
+	Router    map[string]server.EndpointMetrics `json:"router_endpoints"`
+	ShardTier []ShardClientMetrics              `json:"shard_clients"`
+	PerShard  []server.Metrics                  `json:"per_shard"`
 }
 
 // ShardsResponse is the body of GET /shards: where everything lives.
@@ -102,46 +83,4 @@ type ShardInfo struct {
 	Addr string `json:"addr"`
 	Lo   uint64 `json:"lo"`
 	Hi   uint64 `json:"hi"`
-}
-
-// maxBodyBytes mirrors the server's request-body bound.
-const maxBodyBytes = 8 << 20
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after request body")
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// shardError converts a failed shard exchange into the router's answer: a
-// shard's own 429 (after the client's retries gave up) passes through so the
-// caller's backoff keeps working; anything else is a 502 — the cluster,
-// not the request, is at fault. The message names the failing shard both by
-// index and by address (shard=<addr>), so an operator can go straight from a
-// client-side error to the broken daemon.
-func (rt *Router) shardError(w http.ResponseWriter, shard int, err error) {
-	addr := "?"
-	if shard >= 0 && shard < len(rt.addrs) {
-		addr = rt.addrs[shard]
-	}
-	if server.IsOverload(err) {
-		writeError(w, http.StatusTooManyRequests, "shard %d (shard=%s) overloaded: %v", shard, addr, err)
-		return
-	}
-	writeError(w, http.StatusBadGateway, "shard %d (shard=%s): %v", shard, addr, err)
 }

@@ -2,9 +2,12 @@
 // of internal/server instances.
 //
 // A Router owns a shard.Map (the Hilbert-range partition) and one typed
-// server.Client per shard. It speaks the same HTTP/JSON API as a single
-// server, so clients, the load generator and curl cannot tell a cluster
-// from one store:
+// server.Client per shard. It is a server.Service — the six data-plane
+// operations as scatter, route and merge — served by a server.Front, the
+// request path a single server is served by: the same paths in both codecs,
+// the same validation, errors, admission control, counters, tracing and
+// slow-query log. Clients, the load generator and curl cannot tell a
+// cluster from one store:
 //
 //   - Window and point queries scatter to the shards whose Hilbert region
 //     overlaps the (pad-expanded) window and merge the answers by ID dedup.
@@ -20,11 +23,13 @@
 //     updates that passed through the router) pins deletes and cross-shard
 //     updates to the owning store; IDs never routed through the router
 //     (data bulk-built shard-side) fall back to a broadcast delete.
-//   - /recluster and /flush broadcast, so per-shard WAL and maintenance ride
-//     the existing machinery unchanged; /stats and /metrics aggregate the
-//     shards' answers next to the router's own counters.
+//   - The control plane the router mounts on its Front: /recluster and
+//     /flush broadcast, so per-shard WAL and maintenance ride the existing
+//     machinery unchanged; /stats and /metrics aggregate the shards' answers
+//     next to the Front's counters; /shards answers the partition.
 //
-// Transient shard failures (429 admission rejections, connection resets) are
-// absorbed by the clients' retry/backoff; a shard failure that survives the
-// retries surfaces as 502 (or the shard's own 429) to the caller.
+// Transient shard failures (429 admission rejections, refused connections
+// and — for queries — connection resets) are absorbed by the clients'
+// retry/backoff; a shard failure that survives the retries surfaces as 502
+// (or the shard's own 429) to the caller.
 package router

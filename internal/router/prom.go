@@ -3,8 +3,6 @@ package router
 import (
 	"fmt"
 	"net/http"
-	"sort"
-	"time"
 
 	"spatialcluster/internal/obs"
 )
@@ -15,51 +13,14 @@ import (
 // shards' own scrape targets. The sdbrouter_* namespace keeps router series
 // from colliding with the sdb_* series of the shards on a shared dashboard.
 
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
 func (rt *Router) writeProm(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", promContentType)
+	rt.front.WriteProm(w) // uptime, the per-endpoint families, admission, slow-query log
 
 	obs.PromHead(w, "sdbrouter_info", "Served partition.", "gauge")
 	obs.PromSample(w, "sdbrouter_info", [][2]string{{"partition", rt.pmap.String()}}, 1)
-	obs.PromHead(w, "sdbrouter_uptime_seconds", "Seconds since the router started.", "gauge")
-	obs.PromSample(w, "sdbrouter_uptime_seconds", nil, time.Since(rt.start).Seconds())
 	obs.PromHead(w, "sdbrouter_shards", "Shards in the partition.", "gauge")
 	obs.PromSample(w, "sdbrouter_shards", nil, float64(rt.pmap.N()))
 
-	// Endpoint families walk a sorted path list so the exposition is
-	// deterministic (sync.Map ranges in random order).
-	var paths []string
-	rt.endpoints.Range(func(k, _ any) bool {
-		paths = append(paths, k.(string))
-		return true
-	})
-	sort.Strings(paths)
-	obs.PromHead(w, "sdbrouter_requests_total", "Completed requests by endpoint.", "counter")
-	for _, p := range paths {
-		c := rt.counter(p)
-		obs.PromSample(w, "sdbrouter_requests_total", [][2]string{{"endpoint", p}}, float64(c.count.Load()))
-	}
-	obs.PromHead(w, "sdbrouter_request_errors_total", "4xx/5xx answers by endpoint.", "counter")
-	for _, p := range paths {
-		c := rt.counter(p)
-		obs.PromSample(w, "sdbrouter_request_errors_total", [][2]string{{"endpoint", p}}, float64(c.errors.Load()))
-	}
-	obs.PromHead(w, "sdbrouter_requests_rejected_total", "429 admission rejections by endpoint.", "counter")
-	for _, p := range paths {
-		c := rt.counter(p)
-		obs.PromSample(w, "sdbrouter_requests_rejected_total", [][2]string{{"endpoint", p}}, float64(c.rejected.Load()))
-	}
-	obs.PromHead(w, "sdbrouter_request_duration_seconds", "Request latency by endpoint.", "histogram")
-	for _, p := range paths {
-		c := rt.counter(p)
-		obs.PromHistogram(w, "sdbrouter_request_duration_seconds", [][2]string{{"endpoint", p}}, c.hist.Snapshot())
-	}
-
-	obs.PromHead(w, "sdbrouter_in_flight", "Requests currently admitted.", "gauge")
-	obs.PromSample(w, "sdbrouter_in_flight", nil, float64(len(rt.inflight)))
-	obs.PromHead(w, "sdbrouter_max_in_flight", "Admission limit.", "gauge")
-	obs.PromSample(w, "sdbrouter_max_in_flight", nil, float64(rt.cfg.MaxInFlight))
 	obs.PromHead(w, "sdbrouter_routed_ids", "Object IDs in the route cache.", "gauge")
 	obs.PromSample(w, "sdbrouter_routed_ids", nil, float64(rt.routeSize()))
 
@@ -102,9 +63,6 @@ func (rt *Router) writeProm(w http.ResponseWriter) {
 	obs.PromSample(w, "sdbrouter_knn_queries_total", nil, float64(rt.knnQueries.Load()))
 	obs.PromHead(w, "sdbrouter_knn_waves_total", "k-NN scatter waves run.", "counter")
 	obs.PromSample(w, "sdbrouter_knn_waves_total", nil, float64(rt.knnWaves.Load()))
-
-	obs.PromHead(w, "sdbrouter_slowlog_total", "Slow-query log entries ever recorded.", "counter")
-	obs.PromSample(w, "sdbrouter_slowlog_total", nil, float64(rt.slow.Total()))
 }
 
 // writePromFanout renders the scatter-width counters as a histogram whose

@@ -1,21 +1,20 @@
 package router
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"spatialcluster/internal/binproto"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/obs"
 	"spatialcluster/internal/server"
 	"spatialcluster/internal/shard"
+	"spatialcluster/internal/store"
 )
 
 // Config tunes a Router. The zero value serves with the server's defaults.
@@ -34,25 +33,17 @@ type Config struct {
 	Pprof bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
-	}
-	return c
-}
-
-// Router scatters the single-store HTTP API across a sharded cluster.
-// Create it with New and mount Handler on an http.Server. A Router has no
-// background goroutines and nothing to shut down; the shards it fronts are
-// owned by their own daemons.
+// Router scatters the single-store API across a sharded cluster: it is the
+// server.Service — the six operations as scatter, route and merge over one
+// typed client per shard — behind the same server.Front a single store is
+// served by, plus the cluster's control plane. Create it with New and mount
+// Handler on an http.Server. A Router has no background goroutines and
+// nothing to shut down; the shards it fronts are owned by their own daemons.
 type Router struct {
-	cfg    Config
 	pmap   *shard.Map
 	shards []*server.Client
 	addrs  []string
-	start  time.Time
-
-	inflight chan struct{}
+	front  *server.Front
 
 	// route remembers which shard owns an object ID that was inserted or
 	// updated through the router, so deletes and cross-shard updates hit
@@ -61,9 +52,7 @@ type Router struct {
 	routeMu sync.RWMutex
 	route   map[uint64]int
 
-	endpoints sync.Map // path -> *epCounter
-	shardObs  []shardCounters
-	slow      *obs.SlowLog
+	shardObs []shardCounters
 
 	// fanout[w] counts scatter operations that touched exactly w shards
 	// (index 0 covers degenerate empty scatters). knnWaves counts the
@@ -73,14 +62,9 @@ type Router struct {
 	knnWaves   atomic.Int64
 }
 
-type epCounter struct {
-	count, errors, rejected, totalNS atomic.Int64
-	hist                             obs.Histogram
-}
-
 // shardCounters tracks the router's view of one shard: every typed-client
-// exchange (queries, mutations, control), its latency, and its failures
-// after the client's retries gave up.
+// exchange (queries, mutations), its latency, and its failures after the
+// client's retries gave up.
 type shardCounters struct {
 	calls, errors atomic.Int64
 	hist          obs.Histogram
@@ -101,164 +85,54 @@ func New(pmap *shard.Map, shards []*server.Client, cfg Config) (*Router, error) 
 			c.Counters = &server.RetryCounters{}
 		}
 	}
-	cfg = cfg.withDefaults()
-	slowThreshold := time.Duration(cfg.SlowLogMS * float64(time.Millisecond))
-	if cfg.SlowLogMS == 0 {
-		slowThreshold = 250 * time.Millisecond
-	}
-	return &Router{
-		cfg:      cfg,
+	rt := &Router{
 		pmap:     pmap,
 		shards:   shards,
 		addrs:    addrs,
-		start:    time.Now(),
-		inflight: make(chan struct{}, cfg.MaxInFlight),
 		route:    make(map[uint64]int),
 		shardObs: make([]shardCounters, len(shards)),
-		slow:     obs.NewSlowLog(slowThreshold, 128),
 		fanout:   make([]atomic.Int64, len(shards)+1),
-	}, nil
-}
-
-// Map exposes the partition the router serves.
-func (rt *Router) Map() *shard.Map { return rt.pmap }
-
-// Handler returns the HTTP handler tree — the same paths a single server
-// mounts, minus the quiesced snapshot endpoints (each shard daemon owns its
-// own /save and /load).
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query/window", rt.admitted(rt.handleWindow))
-	mux.HandleFunc("/query/point", rt.admitted(rt.handlePoint))
-	mux.HandleFunc("/query/knn", rt.admitted(rt.handleKNN))
-	mux.HandleFunc("/insert", rt.admitted(rt.handleInsert))
-	mux.HandleFunc("/update", rt.admitted(rt.handleUpdate))
-	mux.HandleFunc("/delete", rt.admitted(rt.handleDelete))
-	mux.HandleFunc("/bin/window", rt.admitted(rt.handleBinWindow))
-	mux.HandleFunc("/bin/point", rt.admitted(rt.handleBinPoint))
-	mux.HandleFunc("/bin/knn", rt.admitted(rt.handleBinKNN))
-	mux.HandleFunc("/bin/insert", rt.admitted(rt.handleBinInsert))
-	mux.HandleFunc("/bin/update", rt.admitted(rt.handleBinUpdate))
-	mux.HandleFunc("/bin/delete", rt.admitted(rt.handleBinDelete))
-	mux.HandleFunc("/recluster", rt.admitted(rt.handleRecluster))
-	mux.HandleFunc("/flush", rt.admitted(rt.handleFlush))
-	mux.HandleFunc("/stats", rt.observed(rt.handleStats))
-	mux.HandleFunc("/metrics", rt.observed(rt.handleMetrics))
-	mux.HandleFunc("/shards", rt.observed(rt.handleShards))
-	mux.HandleFunc("/debug/slowlog", rt.observed(rt.handleSlowLog))
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/readyz", rt.handleReadyz)
-	if rt.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
+	f := server.NewFront(rt, "sdbrouter", cfg.MaxInFlight, cfg.SlowLogMS, cfg.Pprof)
+	// The quiesced snapshot endpoints are missing on purpose: each shard
+	// daemon owns its own /save and /load.
+	f.Handle(http.MethodPost, "/recluster", rt.handleRecluster)
+	f.Handle(http.MethodPost, "/flush", rt.handleFlush)
+	f.Handle(http.MethodGet, "/stats", rt.handleStats)
+	f.Handle(http.MethodGet, "/metrics", rt.handleMetrics)
+	f.Handle(http.MethodGet, "/shards", rt.handleShards)
+	f.Ready = rt.ready
+	rt.front = f
+	return rt, nil
 }
 
-// statusRecorder captures the response status for the metrics counters and
-// the slowest shard a scatter touched for the slow-query log (the scatter
-// cores hand it over through reqObs.finish).
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	shard  string
-}
+// Handler returns the HTTP handler tree — the paths a single server mounts.
+func (rt *Router) Handler() http.Handler { return rt.front.Handler() }
 
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (rt *Router) counter(path string) *epCounter {
-	if c, ok := rt.endpoints.Load(path); ok {
-		return c.(*epCounter)
-	}
-	c, _ := rt.endpoints.LoadOrStore(path, &epCounter{})
-	return c.(*epCounter)
-}
-
-func (rt *Router) instrument(path string, w http.ResponseWriter, r *http.Request, fn http.HandlerFunc) {
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	start := time.Now()
-	fn(rec, r)
-	d := time.Since(start)
-	c := rt.counter(path)
-	c.count.Add(1)
-	c.totalNS.Add(d.Nanoseconds())
-	c.hist.Observe(d)
-	if rec.status >= 400 {
-		c.errors.Add(1)
-	}
-	rt.slow.Note(obs.SlowEntry{
-		Endpoint: path,
-		Status:   rec.status,
-		Time:     start,
-		WallMS:   d.Seconds() * 1000,
-		Shard:    rec.shard,
-	})
-}
-
-// admitted mirrors the server's admission control: bounded concurrency,
-// immediate 429 past the bound.
-func (rt *Router) admitted(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "%s needs POST", r.URL.Path)
-			return
-		}
-		select {
-		case rt.inflight <- struct{}{}:
-		default:
-			rt.counter(r.URL.Path).rejected.Add(1)
-			writeError(w, http.StatusTooManyRequests,
-				"router overloaded: %d requests in flight", rt.cfg.MaxInFlight)
-			return
-		}
-		defer func() { <-rt.inflight }()
-		rt.instrument(r.URL.Path, w, r, fn)
-	}
-}
-
-func (rt *Router) observed(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "%s needs GET", r.URL.Path)
-			return
-		}
-		rt.instrument(r.URL.Path, w, r, fn)
-	}
-}
-
-// traceFor starts a trace when the request asked for one with ?trace=1,
-// adopting a trace ID propagated in server.TraceIDHeader — the same contract
-// the shards honor, so a traced request nests through any number of tiers.
-func traceFor(r *http.Request) *obs.Trace {
-	if v := r.URL.Query().Get("trace"); v != "" && v != "0" {
-		if h := r.Header.Get(server.TraceIDHeader); h != "" {
-			if id, err := strconv.ParseUint(h, 10, 64); err == nil {
-				return obs.NewTraceWithID(id)
-			}
-		}
-		return obs.NewTrace()
-	}
-	return nil
-}
-
-func traceInfo(tr *obs.Trace) *server.TraceInfo {
-	if tr == nil {
+// shardError converts a failed shard exchange into the router's answer: a
+// shard's own 429 (after the client's retries gave up) passes through so the
+// caller's backoff keeps working; anything else is a 502 — the cluster,
+// not the request, is at fault. The message names the failing shard both by
+// index and by address (shard=<addr>), so an operator can go straight from a
+// client-side error to the broken daemon. A nil err stays nil.
+func (rt *Router) shardError(shard int, err error) error {
+	if err == nil {
 		return nil
 	}
-	return &server.TraceInfo{TraceID: tr.ID(), TotalMS: tr.TotalMS(), Spans: tr.Spans()}
+	if server.IsOverload(err) {
+		return &server.StatusError{Code: http.StatusTooManyRequests,
+			Message: fmt.Sprintf("shard %d (shard=%s) overloaded: %v", shard, rt.addrs[shard], err)}
+	}
+	return &server.StatusError{Code: http.StatusBadGateway,
+		Message: fmt.Sprintf("shard %d (shard=%s): %v", shard, rt.addrs[shard], err)}
 }
 
-// scatter runs fn for every listed shard concurrently and returns the
-// lowest-indexed failure (deterministic when several shards fail at once).
-func (rt *Router) scatter(targets []int, fn func(s int) error) (int, error) {
+// scatter runs fn for every listed shard concurrently — i is the shard's
+// position in targets — and returns the lowest-indexed failure
+// (deterministic when several shards fail at once), already a shardError.
+func (rt *Router) scatter(targets []int, fn func(i, s int) error) error {
 	if len(targets) == 1 {
-		return targets[0], fn(targets[0])
+		return rt.shardError(targets[0], fn(0, targets[0]))
 	}
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -266,92 +140,21 @@ func (rt *Router) scatter(targets []int, fn func(s int) error) (int, error) {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			errs[i] = fn(s)
+			errs[i] = fn(i, s)
 		}(i, s)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return targets[i], err
+			return rt.shardError(targets[i], err)
 		}
 	}
-	return -1, nil
+	return nil
 }
 
-// reqObs carries one routed request's observability: per-shard latency and
-// error accounting, the slowest shard for the slow-query log, the fan-out
-// width, and — when the request is traced — the assembling span tree.
-type reqObs struct {
-	rt *Router
-	tr *obs.Trace // nil when the request is untraced
-
-	mu           sync.Mutex
-	fanout       int
-	slowestNS    int64
-	slowestShard int
-}
-
-func (rt *Router) newReqObs(tr *obs.Trace) *reqObs {
-	return &reqObs{rt: rt, tr: tr, slowestShard: -1}
-}
-
-// callShard runs one shard exchange under full accounting. fn returns the
-// shard's sub-trace (nil when untraced or the answer doesn't carry one); the
-// sub-trace is grafted under a fresh shard[i] span parented to parent, with
-// its span starts rebased to this trace's clock.
-func (ro *reqObs) callShard(s int, parent uint32, fn func() (*server.TraceInfo, error)) error {
-	start := time.Now()
-	ti, err := fn()
-	d := time.Since(start)
-	sc := &ro.rt.shardObs[s]
-	sc.calls.Add(1)
-	sc.hist.Observe(d)
-	if err != nil {
-		sc.errors.Add(1)
-	}
-	ro.mu.Lock()
-	ro.fanout++
-	if d.Nanoseconds() > ro.slowestNS || ro.slowestShard < 0 {
-		ro.slowestNS = d.Nanoseconds()
-		ro.slowestShard = s
-	}
-	ro.mu.Unlock()
-	if ro.tr != nil && err == nil {
-		id := ro.tr.NewSpanID()
-		ro.tr.ObserveAs(id, parent, fmt.Sprintf("shard[%d]", s), start, d, int64(s), 0, nil)
-		if ti != nil {
-			ro.tr.Graft(id, start.Sub(ro.tr.Start()).Seconds()*1000, ti.Spans)
-		}
-	}
-	return err
-}
-
-// finish records the fan-out width and hands the slowest shard to the
-// instrumented wrapper's recorder for the slow-query log.
-func (ro *reqObs) finish(w http.ResponseWriter) {
-	ro.rt.noteFanout(ro.fanout)
-	if ro.slowestShard >= 0 {
-		if rec, ok := w.(*statusRecorder); ok {
-			rec.shard = ro.rt.addrs[ro.slowestShard]
-		}
-	}
-}
-
-func (rt *Router) noteFanout(width int) {
-	if width >= len(rt.fanout) {
-		width = len(rt.fanout) - 1
-	}
-	if width < 0 {
-		width = 0
-	}
-	rt.fanout[width].Add(1)
-}
-
-// timeShard is callShard without a request context: mutation and control
-// exchanges still feed the per-shard histograms and error counters.
-func (rt *Router) timeShard(s int, fn func() error) error {
-	start := time.Now()
-	err := fn()
+// shardCall accounts one finished shard exchange in the per-shard counters
+// and hands err back.
+func (rt *Router) shardCall(s int, start time.Time, err error) error {
 	sc := &rt.shardObs[s]
 	sc.calls.Add(1)
 	sc.hist.Observe(time.Since(start))
@@ -359,6 +162,50 @@ func (rt *Router) timeShard(s int, fn func() error) error {
 		sc.errors.Add(1)
 	}
 	return err
+}
+
+// queryObs is what one routed query learns about its shards: the fan-out
+// width and the slowest shard, for the counters and the slow-query log.
+type queryObs struct {
+	mu           sync.Mutex
+	fanout       int
+	slowestNS    int64
+	slowestShard int
+}
+
+// shardAnswered accounts one shard's answer to a query that began at start.
+// When the request is traced, the shard's sub-trace ti (nil when the answer
+// carries none) is grafted under a fresh shard[i] span parented to parent,
+// its span starts rebased to the request's clock.
+func (rt *Router) shardAnswered(qo *queryObs, rq *server.Request, s int, parent uint32,
+	start time.Time, ti *server.TraceInfo, err error) error {
+	d := time.Since(start)
+	rt.shardCall(s, start, err)
+	qo.mu.Lock()
+	qo.fanout++
+	if d.Nanoseconds() > qo.slowestNS || qo.fanout == 1 {
+		qo.slowestNS = d.Nanoseconds()
+		qo.slowestShard = s
+	}
+	qo.mu.Unlock()
+	if tr := rq.Trace; tr != nil && err == nil {
+		id := tr.NewSpanID()
+		tr.ObserveAs(id, parent, fmt.Sprintf("shard[%d]", s), start, d, int64(s), 0, nil)
+		if ti != nil {
+			tr.Graft(id, start.Sub(tr.Start()).Seconds()*1000, ti.Spans)
+		}
+	}
+	return err
+}
+
+// finish records the fan-out width and names the slowest shard in the
+// request record, for the slow-query log.
+func (rt *Router) finish(qo *queryObs, rq *server.Request) {
+	width := min(qo.fanout, len(rt.fanout)-1)
+	rt.fanout[width].Add(1)
+	if qo.fanout > 0 {
+		rq.Shard = rt.addrs[qo.slowestShard]
+	}
 }
 
 func (rt *Router) allShards() []int {
@@ -397,15 +244,15 @@ func (rt *Router) routeSize() int {
 // mergeQuery combines per-shard window/point answers: ID dedup (shards own
 // disjoint sets, so this is belt-and-braces), ascending ID order for a
 // deterministic wire answer, candidates summed.
-func mergeQuery(resps []server.QueryResponse) server.QueryResponse {
+func mergeQuery(resps []server.QueryResponse) store.QueryResult {
 	seen := make(map[uint64]bool)
-	out := server.QueryResponse{IDs: []uint64{}}
+	out := store.QueryResult{IDs: []object.ID{}}
 	for _, r := range resps {
 		out.Candidates += r.Candidates
 		for _, id := range r.IDs {
 			if !seen[id] {
 				seen[id] = true
-				out.IDs = append(out.IDs, id)
+				out.IDs = append(out.IDs, object.ID(id))
 			}
 		}
 	}
@@ -413,286 +260,184 @@ func mergeQuery(resps []server.QueryResponse) server.QueryResponse {
 	return out
 }
 
-// The scatter/merge cores below operate on engine-typed values and speak to
-// the shards through the typed client methods, so the JSON and binary
-// handlers share one routing semantics — and a Binary shard client carries
-// the whole path end to end over the compact encoding. Each core returns the
-// merged answer, or the failing shard index with its error. A non-nil trace
-// on the reqObs rides to every shard (over whichever protocol the client
-// speaks) and comes back as one tree: a scatter span whose Count is the
-// fan-out width, one shard[i] child per shard touched with that shard's own
+// The six operations below speak to the shards through the typed client
+// methods, so a Binary shard client carries a request end to end over the
+// compact encoding whichever codec it arrived in. The trace of a traced
+// request rides to every shard (over whichever protocol the client speaks)
+// and comes back as one tree: a scatter span whose Count is the fan-out
+// width, one shard[i] child per shard touched with that shard's own
 // queue/execute sub-trace grafted beneath it, and a merge span.
 
-// scatterWindow runs a window query on every overlapping shard and merges.
-func (rt *Router) scatterWindow(win geom.Rect, tech string, ro *reqObs) (server.QueryResponse, int, error) {
-	targets := rt.pmap.Overlapping(win)
-	resps := make([]server.QueryResponse, len(targets))
-	idx := make(map[int]int, len(targets))
-	for i, s := range targets {
-		idx[s] = i
+// Window implements server.Service: the query runs on every shard whose
+// region overlaps the window. An unnamed technique stays unnamed on the way
+// down, so each shard applies its own default.
+func (rt *Router) Window(rq *server.Request, win geom.Rect, tech store.Technique) (store.QueryResult, error) {
+	name := ""
+	if tech != server.TechDefault {
+		name = binproto.TechName(tech)
 	}
-	var scatterID uint32
-	if ro.tr != nil {
-		scatterID = ro.tr.NewSpanID()
-	}
-	scatterStart := time.Now()
-	if s, err := rt.scatter(targets, func(s int) error {
-		return ro.callShard(s, scatterID, func() (*server.TraceInfo, error) {
-			var (
-				resp server.QueryResponse
-				err  error
-			)
-			if ro.tr != nil {
-				resp, err = rt.shards[s].WindowTracedID(win, tech, ro.tr.ID())
-			} else {
-				resp, err = rt.shards[s].Window(win, tech)
-			}
-			resps[idx[s]] = resp
-			return resp.Trace, err
-		})
-	}); err != nil {
-		return server.QueryResponse{}, s, err
-	}
-	if ro.tr != nil {
-		ro.tr.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
-			int64(len(targets)), 0, nil)
-	}
-	mergeStart := time.Now()
-	out := mergeQuery(resps)
-	ro.tr.Observe("merge", mergeStart, time.Since(mergeStart))
-	return out, -1, nil
+	return rt.scatterQuery(rq, win, func(c *server.Client) (server.QueryResponse, error) {
+		if rq.Trace != nil {
+			return c.WindowTracedID(win, name, rq.Trace.ID())
+		}
+		return c.Window(win, name)
+	})
 }
 
-// scatterPoint runs a point query on every shard whose region holds p.
-func (rt *Router) scatterPoint(p geom.Point, ro *reqObs) (server.QueryResponse, int, error) {
-	targets := rt.pmap.Overlapping(geom.RectFromPoint(p))
+// Point implements server.Service: the query runs on every shard whose
+// region holds p.
+func (rt *Router) Point(rq *server.Request, p geom.Point) (store.QueryResult, error) {
+	return rt.scatterQuery(rq, geom.RectFromPoint(p), func(c *server.Client) (server.QueryResponse, error) {
+		if rq.Trace != nil {
+			return c.PointTracedID(p, rq.Trace.ID())
+		}
+		return c.Point(p)
+	})
+}
+
+// scatterQuery runs call on every shard overlapping target and merges.
+func (rt *Router) scatterQuery(rq *server.Request, target geom.Rect,
+	call func(*server.Client) (server.QueryResponse, error)) (store.QueryResult, error) {
+	targets := rt.pmap.Overlapping(target)
 	resps := make([]server.QueryResponse, len(targets))
-	idx := make(map[int]int, len(targets))
-	for i, s := range targets {
-		idx[s] = i
-	}
-	var scatterID uint32
-	if ro.tr != nil {
-		scatterID = ro.tr.NewSpanID()
-	}
+	qo := &queryObs{}
+	scatterID := rq.Trace.NewSpanID()
 	scatterStart := time.Now()
-	if s, err := rt.scatter(targets, func(s int) error {
-		return ro.callShard(s, scatterID, func() (*server.TraceInfo, error) {
-			var (
-				resp server.QueryResponse
-				err  error
-			)
-			if ro.tr != nil {
-				resp, err = rt.shards[s].PointTracedID(p, ro.tr.ID())
-			} else {
-				resp, err = rt.shards[s].Point(p)
-			}
-			resps[idx[s]] = resp
-			return resp.Trace, err
-		})
+	defer rt.finish(qo, rq)
+	if err := rt.scatter(targets, func(i, s int) error {
+		start := time.Now()
+		resp, err := call(rt.shards[s])
+		resps[i] = resp
+		return rt.shardAnswered(qo, rq, s, scatterID, start, resp.Trace, err)
 	}); err != nil {
-		return server.QueryResponse{}, s, err
+		return store.QueryResult{}, err
 	}
-	if ro.tr != nil {
-		ro.tr.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
-			int64(len(targets)), 0, nil)
-	}
+	rq.Trace.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
+		int64(len(targets)), 0, nil)
 	mergeStart := time.Now()
 	out := mergeQuery(resps)
-	ro.tr.Observe("merge", mergeStart, time.Since(mergeStart))
-	return out, -1, nil
+	rq.Trace.Observe("merge", mergeStart, time.Since(mergeStart))
+	return out, nil
 }
 
 // maxFinite guards the wave Bound against the merger's +Inf "unbounded"
 // sentinel, which JSON cannot carry.
 const maxFinite = 1e300
 
-// scatterKNN runs the wave-ordered k-NN scatter: nearest shards first, wider
-// waves only while they could still improve the k-th distance. Each wave gets
-// its own wave[i] span under the scatter span, carrying the wave's width as
-// Count and the global k-th-distance bound after merging the wave as Bound.
-func (rt *Router) scatterKNN(p geom.Point, k int, ro *reqObs) (server.KNNResponse, int, error) {
+// KNN implements server.Service with the wave-ordered scatter: nearest shards
+// first, wider waves only while they could still improve the k-th distance.
+// Each wave gets its own wave[i] span under the scatter span, carrying the
+// wave's width as Count and the global k-th-distance bound after merging the
+// wave as Bound.
+func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestResult, error) {
 	rt.knnQueries.Add(1)
 	bounds := rt.pmap.ShardDists(p)
 	queried := make([]bool, rt.pmap.N())
 	merger := shard.NewKNNMerger(k)
-	candidates := 0
-	var scatterID uint32
-	if ro.tr != nil {
-		scatterID = ro.tr.NewSpanID()
-	}
+	qo := &queryObs{}
+	defer rt.finish(qo, rq)
+	var out store.NearestResult
+	scatterID := rq.Trace.NewSpanID()
 	scatterStart := time.Now()
 	touched := 0
 	waveNo := 0
 	for wave := shard.NextWave(bounds, queried, merger); wave != nil; wave = shard.NextWave(bounds, queried, merger) {
 		rt.knnWaves.Add(1)
 		waveStart := time.Now()
-		var waveID uint32
-		if ro.tr != nil {
-			waveID = ro.tr.NewSpanID()
-		}
+		waveID := rq.Trace.NewSpanID()
 		resps := make([]server.KNNResponse, len(wave))
-		idx := make(map[int]int, len(wave))
-		for i, s := range wave {
-			idx[s] = i
+		for _, s := range wave {
 			queried[s] = true
 		}
-		if s, err := rt.scatter(wave, func(s int) error {
-			return ro.callShard(s, waveID, func() (*server.TraceInfo, error) {
-				var (
-					resp server.KNNResponse
-					err  error
-				)
-				if ro.tr != nil {
-					resp, err = rt.shards[s].KNNTracedID(p, k, ro.tr.ID())
-				} else {
-					resp, err = rt.shards[s].KNN(p, k)
-				}
-				resps[idx[s]] = resp
-				return resp.Trace, err
-			})
+		if err := rt.scatter(wave, func(i, s int) error {
+			start := time.Now()
+			var (
+				resp server.KNNResponse
+				err  error
+			)
+			if rq.Trace != nil {
+				resp, err = rt.shards[s].KNNTracedID(p, k, rq.Trace.ID())
+			} else {
+				resp, err = rt.shards[s].KNN(p, k)
+			}
+			resps[i] = resp
+			return rt.shardAnswered(qo, rq, s, waveID, start, resp.Trace, err)
 		}); err != nil {
-			return server.KNNResponse{}, s, err
+			return store.NearestResult{}, err
 		}
 		for _, resp := range resps {
-			candidates += resp.Candidates
+			out.Candidates += resp.Candidates
 			for i := range resp.IDs {
 				merger.Add(resp.IDs[i], resp.Dists[i])
 			}
 		}
-		if ro.tr != nil {
+		if rq.Trace != nil {
 			// Bound stays zero until the merger holds k hits — its +Inf
 			// "unbounded" sentinel has no JSON encoding.
 			bound := 0.0
 			if b := merger.Bound(); b < maxFinite {
 				bound = b
 			}
-			ro.tr.ObserveAs(waveID, scatterID, fmt.Sprintf("wave[%d]", waveNo),
+			rq.Trace.ObserveAs(waveID, scatterID, fmt.Sprintf("wave[%d]", waveNo),
 				waveStart, time.Since(waveStart), int64(len(wave)), bound, nil)
 		}
 		touched += len(wave)
 		waveNo++
 	}
-	if ro.tr != nil {
-		ro.tr.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
-			int64(touched), 0, nil)
-	}
+	rq.Trace.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
+		int64(touched), 0, nil)
 	mergeStart := time.Now()
-	ids, dists := merger.Results()
-	out := server.KNNResponse{IDs: ids, Dists: dists, Candidates: candidates}
-	ro.tr.Observe("merge", mergeStart, time.Since(mergeStart))
-	return out, -1, nil
+	merged := merger.Neighbors()
+	out.IDs = make([]object.ID, len(merged))
+	out.Dists = make([]float64, len(merged))
+	for i, nb := range merged {
+		out.IDs[i], out.Dists[i] = object.ID(nb.ID), nb.Dist
+	}
+	rq.Trace.Observe("merge", mergeStart, time.Since(mergeStart))
+	return out, nil
 }
 
-func (rt *Router) handleWindow(w http.ResponseWriter, r *http.Request) {
-	var req server.WindowRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	win := geom.R(req.Window[0], req.Window[1], req.Window[2], req.Window[3])
-	ro := rt.newReqObs(traceFor(r))
-	out, s, err := rt.scatterWindow(win, req.Tech, ro)
-	ro.finish(w)
-	if err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	out.Trace = traceInfo(ro.tr)
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var req server.PointRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ro := rt.newReqObs(traceFor(r))
-	out, s, err := rt.scatterPoint(geom.Pt(req.Point[0], req.Point[1]), ro)
-	ro.finish(w)
-	if err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	out.Trace = traceInfo(ro.tr)
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req server.KNNRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
-		return
-	}
-	ro := rt.newReqObs(traceFor(r))
-	out, s, err := rt.scatterKNN(geom.Pt(req.Point[0], req.Point[1]), req.K, ro)
-	ro.finish(w)
-	if err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	out.Trace = traceInfo(ro.tr)
-	writeJSON(w, http.StatusOK, out)
-}
-
-// keyOf resolves an insert/update request's routing key: the explicit key if
-// the request names one, else the vertex bounding box — the same default the
-// shard itself will apply.
-func keyOf(req server.InsertRequest) (geom.Rect, error) {
-	if req.Key != nil {
-		return geom.R(req.Key[0], req.Key[1], req.Key[2], req.Key[3]), nil
-	}
-	if len(req.Object.Vertices) == 0 {
-		return geom.Rect{}, errors.New("object has no vertices and no key")
-	}
-	pts := make([]geom.Point, len(req.Object.Vertices))
-	for i, v := range req.Object.Vertices {
-		pts[i] = geom.Pt(v[0], v[1])
-	}
-	return geom.BoundingRect(pts), nil
-}
-
-// insertCore places an object on the shard owning its key.
-func (rt *Router) insertCore(o *object.Object, key geom.Rect) (int, error) {
-	rt.pmap.Observe(key)
-	s := rt.pmap.ShardOfKey(key)
-	if err := rt.timeShard(s, func() error { return rt.shards[s].Insert(o, key) }); err != nil {
-		return s, err
+// insertAt places an object on shard s and remembers the route.
+func (rt *Router) insertAt(s int, o *object.Object, key geom.Rect) error {
+	start := time.Now()
+	if err := rt.shardCall(s, start, rt.shards[s].Insert(o, key)); err != nil {
+		return rt.shardError(s, err)
 	}
 	rt.setRoute(uint64(o.ID), s)
-	return -1, nil
+	return nil
 }
 
-// updateCore replaces an object wherever it lives. An update is a no-op when
-// the object exists nowhere (shard stores do not upsert), so a cross-shard
-// move must first prove the object alive by deleting its old copy — only
-// then is it re-created at the target.
-func (rt *Router) updateCore(o *object.Object, key geom.Rect) (server.MutateResponse, int, error) {
+// deleteAt removes an object from shard s; the error is the shard's own,
+// still to be wrapped.
+func (rt *Router) deleteAt(s int, id object.ID) (bool, error) {
+	start := time.Now()
+	existed, err := rt.shards[s].Delete(id)
+	return existed, rt.shardCall(s, start, err)
+}
+
+// Insert implements server.Service: the object goes to the shard owning its
+// key.
+func (rt *Router) Insert(_ *server.Request, o *object.Object, key geom.Rect) error {
+	rt.pmap.Observe(key)
+	return rt.insertAt(rt.pmap.ShardOfKey(key), o, key)
+}
+
+// Update implements server.Service: it replaces an object wherever it lives.
+// An update is a no-op when the object exists nowhere (shard stores do not
+// upsert), so a cross-shard move must first prove the object alive by
+// deleting its old copy — only then is it re-created at the target.
+func (rt *Router) Update(_ *server.Request, o *object.Object, key geom.Rect) (bool, error) {
 	rt.pmap.Observe(key)
 	target := rt.pmap.ShardOfKey(key)
 	id := uint64(o.ID)
 	prev, known := rt.getRoute(id)
 	if known && prev != target {
-		var existed bool
-		err := rt.timeShard(prev, func() error {
-			var err error
-			existed, err = rt.shards[prev].Delete(o.ID)
-			return err
-		})
+		existed, err := rt.deleteAt(prev, o.ID)
 		if err != nil {
-			return server.MutateResponse{}, prev, err
+			return false, rt.shardError(prev, err)
 		}
 		if existed {
-			if err := rt.timeShard(target, func() error { return rt.shards[target].Insert(o, key) }); err != nil {
-				return server.MutateResponse{}, target, err
-			}
-			rt.setRoute(id, target)
-			return server.MutateResponse{Existed: true}, -1, nil
+			return true, rt.insertAt(target, o, key)
 		}
 		known = false // the cache was stale; fall through to the cold path
 	}
@@ -706,150 +451,78 @@ func (rt *Router) updateCore(o *object.Object, key geom.Rect) (server.MutateResp
 				others = append(others, i)
 			}
 		}
-		dels := make([]bool, rt.pmap.N())
+		moved := false
 		if len(others) > 0 {
-			if s, err := rt.scatter(others, func(s int) error {
-				return rt.timeShard(s, func() error {
-					existed, err := rt.shards[s].Delete(o.ID)
-					dels[s] = existed
-					return err
-				})
+			dels := make([]bool, len(others))
+			if err := rt.scatter(others, func(i, s int) error {
+				var err error
+				dels[i], err = rt.deleteAt(s, o.ID)
+				return err
 			}); err != nil {
-				return server.MutateResponse{}, s, err
+				return false, err
+			}
+			for _, d := range dels {
+				moved = moved || d
 			}
 		}
-		for _, d := range dels {
-			if d {
-				if err := rt.timeShard(target, func() error { return rt.shards[target].Insert(o, key) }); err != nil {
-					return server.MutateResponse{}, target, err
-				}
-				rt.setRoute(id, target)
-				return server.MutateResponse{Existed: true}, -1, nil
-			}
+		if moved {
+			return true, rt.insertAt(target, o, key)
 		}
 	}
 	// The object lives at the target or nowhere; the shard decides which.
-	var existed bool
-	err := rt.timeShard(target, func() error {
-		var err error
-		existed, err = rt.shards[target].Update(o, key)
-		return err
-	})
-	if err != nil {
-		return server.MutateResponse{}, target, err
+	start := time.Now()
+	existed, err := rt.shards[target].Update(o, key)
+	if err = rt.shardCall(target, start, err); err != nil {
+		return false, rt.shardError(target, err)
 	}
 	if existed {
 		rt.setRoute(id, target)
 	} else {
 		rt.delRoute(id)
 	}
-	return server.MutateResponse{Existed: existed}, -1, nil
+	return existed, nil
 }
 
-// deleteCore removes an object: one call when the route cache knows its
-// shard, a broadcast when only that can find it (or prove it absent).
-func (rt *Router) deleteCore(id uint64) (bool, int, error) {
+// Delete implements server.Service: one call when the route cache knows the
+// object's shard, a broadcast when only that can find it (or prove it
+// absent).
+func (rt *Router) Delete(_ *server.Request, id object.ID) (bool, error) {
 	existed := false
-	if s, ok := rt.getRoute(id); ok {
-		err := rt.timeShard(s, func() error {
-			ex, err := rt.shards[s].Delete(object.ID(id))
-			existed = ex
-			return err
-		})
-		if err != nil {
-			return false, s, err
+	if s, ok := rt.getRoute(uint64(id)); ok {
+		var err error
+		if existed, err = rt.deleteAt(s, id); err != nil {
+			return false, rt.shardError(s, err)
 		}
 	} else {
 		outs := make([]bool, rt.pmap.N())
-		if s, err := rt.scatter(rt.allShards(), func(s int) error {
-			return rt.timeShard(s, func() error {
-				ex, err := rt.shards[s].Delete(object.ID(id))
-				outs[s] = ex
-				return err
-			})
+		if err := rt.scatter(rt.allShards(), func(_, s int) error {
+			var err error
+			outs[s], err = rt.deleteAt(s, id)
+			return err
 		}); err != nil {
-			return false, s, err
+			return false, err
 		}
 		for _, ex := range outs {
 			existed = existed || ex
 		}
 	}
-	rt.delRoute(id)
-	return existed, -1, nil
-}
-
-func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req server.InsertRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	o, err := req.Object.ToObject()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := keyOf(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s, err := rt.insertCore(o, key); err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, server.MutateResponse{})
-}
-
-func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req server.InsertRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	o, err := req.Object.ToObject()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := keyOf(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out, s, err := rt.updateCore(o, key)
-	if err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req server.DeleteRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	existed, s, err := rt.deleteCore(req.ID)
-	if err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, server.MutateResponse{Existed: existed})
+	rt.delRoute(uint64(id))
+	return existed, nil
 }
 
 func (rt *Router) handleRecluster(w http.ResponseWriter, r *http.Request) {
 	var req server.ReclusterRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.ReadJSON(r, &req); err != nil {
+		server.Reply(w, nil, err)
 		return
 	}
 	outs := make([]server.ReclusterResponse, rt.pmap.N())
-	if s, err := rt.scatter(rt.allShards(), func(s int) error {
-		return rt.shards[s].Post("/recluster", req, &outs[s])
+	if err := rt.scatter(rt.allShards(), func(_, s int) error {
+		var err error
+		outs[s], err = rt.shards[s].Recluster(req.Policy)
+		return err
 	}); err != nil {
-		rt.shardError(w, s, err)
+		server.Reply(w, nil, err)
 		return
 	}
 	var agg server.ReclusterResponse
@@ -860,27 +533,22 @@ func (rt *Router) handleRecluster(w http.ResponseWriter, r *http.Request) {
 			agg.Note = o.Note
 		}
 	}
-	writeJSON(w, http.StatusOK, agg)
+	server.Reply(w, agg, nil)
 }
 
 func (rt *Router) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if s, err := rt.scatter(rt.allShards(), func(s int) error {
-		return rt.shards[s].Flush()
-	}); err != nil {
-		rt.shardError(w, s, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	err := rt.scatter(rt.allShards(), func(_, s int) error { return rt.shards[s].Flush() })
+	server.Reply(w, struct{}{}, err)
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := make([]server.StatsResponse, rt.pmap.N())
-	if s, err := rt.scatter(rt.allShards(), func(s int) error {
-		st, err := rt.shards[s].Stats()
-		stats[s] = st
+	if err := rt.scatter(rt.allShards(), func(_, s int) error {
+		var err error
+		stats[s], err = rt.shards[s].Stats()
 		return err
 	}); err != nil {
-		rt.shardError(w, s, err)
+		server.Reply(w, nil, err)
 		return
 	}
 	out := StatsResponse{Shards: rt.pmap.N(), PerShard: stats}
@@ -889,7 +557,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Units += st.Units
 		out.Bytes += st.ObjectBytes
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.Reply(w, out, nil)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -901,30 +569,32 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ms := make([]server.Metrics, rt.pmap.N())
-	if s, err := rt.scatter(rt.allShards(), func(s int) error {
-		m, err := rt.shards[s].Metrics()
-		ms[s] = m
+	if err := rt.scatter(rt.allShards(), func(_, s int) error {
+		var err error
+		ms[s], err = rt.shards[s].Metrics()
 		return err
 	}); err != nil {
-		rt.shardError(w, s, err)
+		server.Reply(w, nil, err)
 		return
 	}
+	var own server.Metrics
+	rt.front.Snapshot(&own)
 	px, py := rt.pmap.Pad()
 	out := MetricsResponse{
 		Shards:      rt.pmap.N(),
 		Partition:   rt.pmap.String(),
 		PadX:        px,
 		PadY:        py,
-		Uptime:      time.Since(rt.start).Seconds(),
+		Uptime:      own.Uptime,
 		RoutedIDs:   rt.routeSize(),
-		InFlight:    len(rt.inflight),
-		MaxInFlight: rt.cfg.MaxInFlight,
+		InFlight:    own.InFlight,
+		MaxInFlight: own.MaxInFlight,
 		KNNQueries:  rt.knnQueries.Load(),
 		KNNWaves:    rt.knnWaves.Load(),
 		Fanout:      rt.fanoutCounts(),
-		SlowLogMS:   rt.slow.Threshold().Seconds() * 1000,
-		SlowLog:     rt.slow.Total(),
-		Router:      make(map[string]EndpointMetrics),
+		SlowLogMS:   own.SlowLogMS,
+		SlowLog:     own.SlowLogTotal,
+		Router:      own.Endpoints,
 		ShardTier:   rt.shardTierMetrics(),
 		PerShard:    ms,
 	}
@@ -937,24 +607,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.BufferHits += m.BufferHits
 		out.BufferMisses += m.BufferMisses
 	}
-	rt.endpoints.Range(func(k, v any) bool {
-		c := v.(*epCounter)
-		hs := c.hist.Snapshot()
-		ep := EndpointMetrics{
-			Count:    c.count.Load(),
-			Errors:   c.errors.Load(),
-			Rejected: c.rejected.Load(),
-			TotalMS:  float64(c.totalNS.Load()) / 1e6,
-			P50MS:    hs.Quantile(0.50).Seconds() * 1000,
-			P99MS:    hs.Quantile(0.99).Seconds() * 1000,
-		}
-		if ep.Count > 0 {
-			ep.MeanMS = ep.TotalMS / float64(ep.Count)
-		}
-		out.Router[k.(string)] = ep
-		return true
-	})
-	writeJSON(w, http.StatusOK, out)
+	server.Reply(w, out, nil)
 }
 
 // fanoutCounts snapshots the scatter-width counters (index = shards touched).
@@ -992,45 +645,15 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 		lo, hi := rt.pmap.Range(i)
 		out.Shards[i] = ShardInfo{Addr: rt.addrs[i], Lo: lo, Hi: hi}
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.Reply(w, out, nil)
 }
 
-func (rt *Router) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, server.SlowLogResponse{
-		ThresholdMS: rt.slow.Threshold().Seconds() * 1000,
-		Total:       rt.slow.Total(),
-		Entries:     rt.slow.Entries(),
-	})
-}
-
-// handleHealthz answers liveness: the router process serves HTTP. Always 200.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "%s needs GET", r.URL.Path)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
-
-// handleReadyz answers readiness: the router can serve queries, which means
-// every shard answers its own /healthz. A shard down means 503, naming the
-// lowest-indexed unreachable shard.
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "%s needs GET", r.URL.Path)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s, err := rt.scatter(rt.allShards(), func(s int) error {
+// ready is the Front's readiness check: the router can serve queries when
+// every shard answers its own /healthz. The error names the lowest-indexed
+// unreachable shard.
+func (rt *Router) ready() error {
+	return rt.scatter(rt.allShards(), func(_, s int) error {
 		_, err := rt.shards[s].Raw("/healthz")
 		return err
-	}); err != nil {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "shard %d (shard=%s) unreachable: %v\n", s, rt.addrs[s], err)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
+	})
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
@@ -53,11 +50,6 @@ func (j ObjectJSON) toObject() (*object.Object, error) {
 	return object.New(object.ID(j.ID), g, j.Pad), nil
 }
 
-// ToObject validates and converts the wire form into an engine object — the
-// exported face of toObject for gateways (the router) that need the engine
-// type to re-encode a request.
-func (j ObjectJSON) ToObject() (*object.Object, error) { return j.toObject() }
-
 // FromObject converts an engine object to its wire form.
 func FromObject(o *object.Object) (ObjectJSON, error) {
 	j := ObjectJSON{ID: uint64(o.ID), Pad: o.Pad}
@@ -95,16 +87,24 @@ type KNNRequest struct {
 }
 
 // QueryResponse answers a window or point query.
-type QueryResponse struct {
-	IDs        []uint64   `json:"ids"`
+type QueryResponse = queryResponse[uint64]
+
+// KNNResponse answers a k-NN query: IDs in ascending exact-distance order
+// (ties by ID) with the matching distances.
+type KNNResponse = knnResponse[uint64]
+
+// The two answer bodies are declared once over the spelling of an ID: the
+// client decodes plain integers, the Front encodes an engine answer's
+// []object.ID as it stands — object.ID marshals as the same JSON integer, so
+// no answer is copied to change its element type.
+type queryResponse[ID ~uint64] struct {
+	IDs        []ID       `json:"ids"`
 	Candidates int        `json:"candidates"`
 	Trace      *TraceInfo `json:"trace,omitempty"` // set by ?trace=1
 }
 
-// KNNResponse answers a k-NN query: IDs in ascending exact-distance order
-// (ties by ID) with the matching distances.
-type KNNResponse struct {
-	IDs        []uint64   `json:"ids"`
+type knnResponse[ID ~uint64] struct {
+	IDs        []ID       `json:"ids"`
 	Dists      []float64  `json:"dists"`
 	Candidates int        `json:"candidates"`
 	Trace      *TraceInfo `json:"trace,omitempty"` // set by ?trace=1
@@ -206,45 +206,7 @@ type WALStats struct {
 	FsyncP99MS  float64 `json:"fsync_p99_ms"`
 }
 
-// ErrorResponse is the body of every non-2xx answer.
+// ErrorResponse is the body of every non-2xx answer, on either codec.
 type ErrorResponse struct {
 	Error string `json:"error"`
-}
-
-// maxBodyBytes bounds request bodies; a polyline of a million vertices is a
-// client bug, not a request.
-const maxBodyBytes = 8 << 20
-
-// readJSON decodes the request body into v, rejecting trailing garbage.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after request body")
-	}
-	return nil
-}
-
-// writeJSON encodes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) // a failed write means the client is gone; nothing to do
-}
-
-// writeError sends an ErrorResponse.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// idsToWire converts object IDs to the wire form.
-func idsToWire(ids []object.ID) []uint64 {
-	out := make([]uint64, len(ids))
-	for i, id := range ids {
-		out[i] = uint64(id)
-	}
-	return out
 }

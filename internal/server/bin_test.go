@@ -144,16 +144,15 @@ func TestBinaryErrors(t *testing.T) {
 		t.Fatalf("0-NN over binary: %v, want a 400 StatusError", err)
 	}
 
-	// A JSON body on a binary endpoint is a framing error, not a panic. The
-	// JSON client can't parse the plain-text error body, so only the status
-	// survives — which is the contract.
+	// A JSON body on a binary endpoint is a framing error, not a panic, and
+	// it is answered like every other error: a 400 with the JSON error body.
 	raw, err := jc.Raw("/stats")
 	if err != nil || len(raw) == 0 {
 		t.Fatalf("stats: %v", err)
 	}
 	err = jc.Post("/bin/window", struct{ X int }{1}, nil)
-	if se, ok := err.(*server.StatusError); !ok || se.Code != 400 {
-		t.Fatalf("JSON body on /bin/window: %v, want a 400 StatusError", err)
+	if se, ok := err.(*server.StatusError); !ok || se.Code != 400 || se.Message == "" {
+		t.Fatalf("JSON body on /bin/window: %v, want a 400 StatusError with the server's message", err)
 	}
 
 	// An unknown technique byte is rejected with the codec's message.

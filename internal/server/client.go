@@ -95,13 +95,14 @@ func (rc *RetryCounters) Stats() RetryStats {
 }
 
 // Retry configures transient-failure handling: 429 admission rejections and
-// connection-level failures (reset, refused, unexpected EOF) are retried with
-// exponential backoff and deterministic seeded jitter, up to Attempts tries
-// total. Requests that reached the server and were answered with any other
-// status are never retried — a 4xx/5xx answer is a verdict, not a glitch —
-// and neither are non-idempotent requests that may have been applied; every
-// retried failure happened before an answer was committed (429) or instead
-// of one (the connection died).
+// connection-level failures are retried with exponential backoff and
+// deterministic seeded jitter, up to Attempts tries total. Requests that
+// reached the server and were answered with any other status are never
+// retried — a 4xx/5xx answer is a verdict, not a glitch. Neither is a request
+// that changes the store (a mutation, /recluster, /save, /load) once it may
+// have been applied: it is re-sent only after a 429 or a refused connection,
+// never after a reset, a broken pipe or an unexpected EOF, where the answer
+// was lost but the effect may not have been.
 type Retry struct {
 	// Attempts bounds the total tries, first one included (default 4).
 	Attempts int
@@ -135,18 +136,31 @@ func (c *Client) WithContext(ctx context.Context) *Client {
 	return &cp
 }
 
-// retryable reports whether err is a transient failure worth retrying: an
-// admission 429 or a connection-level failure where no answer was received.
-func retryable(err error) bool {
-	if IsOverload(err) {
+// mutating reports whether a request to path changes the store, so that
+// re-sending a copy the server may already have applied is not harmless.
+func mutating(path string) bool {
+	path, _, _ = strings.Cut(path, "?")
+	switch strings.TrimPrefix(path, "/bin") {
+	case "/insert", "/update", "/delete", "/recluster", "/save", "/load":
 		return true
 	}
-	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.EPIPE) {
+	return false
+}
+
+// retryable reports whether err is a transient failure worth retrying. An
+// admission 429 and a refused connection are: the request was turned away
+// before the server could act on it. A connection that died later (reset,
+// broken pipe, unexpected EOF) left no answer but may have left an effect, so
+// only requests that change nothing are sent again after one.
+func retryable(err error, mutating bool) bool {
+	if IsOverload(err) || errors.Is(err, syscall.ECONNREFUSED) {
 		return true
 	}
-	// A connection torn down mid-response surfaces as one of these.
-	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
+	if mutating {
+		return false
+	}
+	return errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
 }
 
 // NewClient builds a client whose transport keeps up to maxConns idle
@@ -161,53 +175,42 @@ func NewClient(base string, maxConns int) *Client {
 	return &Client{Base: base, HTTP: &http.Client{Transport: tr}}
 }
 
-// StatusError is a non-2xx answer: the HTTP status plus the server's error
-// message. Overload shows up as Code 429.
-type StatusError struct {
-	Code    int
-	Message string
+// wire is how an exchange carries its bodies.
+type wire uint8
+
+const (
+	wireJSON wire = iota // JSON request body (none on GET); the answer is decoded into resp
+	wireBin              // one framed binproto record each way; the answer's payload is returned
+	wireRaw              // the answer's bytes are returned as they are
+)
+
+// tracing is the per-request tracing of a query call: on asks the server to
+// trace the request, id is the trace identity to adopt (0 lets it mint one).
+type tracing struct {
+	on bool
+	id uint64
 }
 
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("server answered %d: %s", e.Code, e.Message)
-}
-
-// IsOverload reports whether err is a 429 admission rejection.
-func IsOverload(err error) bool {
-	se, ok := err.(*StatusError)
-	return ok && se.Code == http.StatusTooManyRequests
-}
-
-// call POSTs req as JSON to path and decodes the answer into resp (which may
-// be nil), retrying transient failures when Retry is set. GET endpoints pass
-// a nil req. Optional hdrs are extra request headers (the traced calls
-// forward the distributed trace ID this way).
-func (c *Client) call(method, path string, req, resp any, hdrs ...[2]string) error {
-	var data []byte
-	if req != nil {
-		var err error
-		data, err = json.Marshal(req)
-		if err != nil {
-			return fmt.Errorf("encoding %s request: %w", path, err)
-		}
-	}
+// do runs one request — data is its encoded body, nil for none — and
+// retries transient failures when Retry is set.
+func (c *Client) do(method, path string, wr wire, data []byte, traceID uint64, resp any) ([]byte, error) {
 	if c.Retry == nil {
-		return c.callOnce(method, path, data, req != nil, resp, hdrs)
+		return c.exchange(method, path, wr, data, traceID, resp)
 	}
 	r := c.Retry.withDefaults()
 	rng := rand.New(rand.NewSource(r.Seed))
+	mutating := mutating(path)
 	delay := r.BaseDelay
-	var err error
 	for attempt := 1; ; attempt++ {
-		err = c.callOnce(method, path, data, req != nil, resp, hdrs)
-		if err == nil || !retryable(err) || attempt == r.Attempts {
-			return err
+		body, err := c.exchange(method, path, wr, data, traceID, resp)
+		if err == nil || !retryable(err, mutating) || attempt == r.Attempts {
+			return body, err
 		}
 		c.Counters.retried(err)
 		// Jittered sleep in [delay/2, delay), context-aware.
 		d := delay/2 + time.Duration(rng.Int63n(int64(delay/2)))
 		if !c.sleep(d) {
-			return fmt.Errorf("%s: retry aborted after %d attempts: %w", path, attempt, err)
+			return nil, fmt.Errorf("%s: retry aborted after %d attempts: %w", path, attempt, err)
 		}
 		if delay *= 2; delay > r.MaxDelay {
 			delay = r.MaxDelay
@@ -232,25 +235,28 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// callOnce performs one HTTP exchange.
-func (c *Client) callOnce(method, path string, data []byte, hasBody bool, resp any, hdrs [][2]string) error {
+// exchange performs one HTTP exchange. A nonzero traceID travels in
+// TraceIDHeader.
+func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uint64, resp any) ([]byte, error) {
 	c.Counters.attempt()
 	var body io.Reader
-	if hasBody {
+	if data != nil {
 		body = bytes.NewReader(data)
 	}
 	hreq, err := http.NewRequest(method, c.Base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if c.ctx != nil {
 		hreq = hreq.WithContext(c.ctx)
 	}
-	if hasBody {
+	if wr == wireBin {
+		hreq.Header.Set("Content-Type", binproto.ContentType)
+	} else if data != nil {
 		hreq.Header.Set("Content-Type", "application/json")
 	}
-	for _, h := range hdrs {
-		hreq.Header.Set(h[0], h[1])
+	if traceID != 0 {
+		hreq.Header.Set(TraceIDHeader, strconv.FormatUint(traceID, 10))
 	}
 	hc := c.HTTP
 	if hc == nil {
@@ -258,89 +264,15 @@ func (c *Client) callOnce(method, path string, data []byte, hasBody bool, resp a
 	}
 	hresp, err := hc.Do(hreq)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() {
 		io.Copy(io.Discard, hresp.Body) // drain so the connection is reused
 		hresp.Body.Close()
 	}()
 	if hresp.StatusCode >= 400 {
-		var er ErrorResponse
-		json.NewDecoder(hresp.Body).Decode(&er)
-		return &StatusError{Code: hresp.StatusCode, Message: er.Error}
-	}
-	if resp == nil {
-		return nil
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(resp); err != nil {
-		return fmt.Errorf("decoding %s answer: %w", path, err)
-	}
-	return nil
-}
-
-// Post sends req to an arbitrary POST endpoint and decodes the answer into
-// resp — the escape hatch for tests and tooling that need to craft raw
-// bodies past the typed methods' validation.
-func (c *Client) Post(path string, req, resp any) error {
-	return c.call(http.MethodPost, path, req, resp)
-}
-
-// callBin POSTs payload as one framed binproto record and returns the
-// response record's payload, retrying transient failures when Retry is set.
-func (c *Client) callBin(path string, payload []byte) ([]byte, error) {
-	var body bytes.Buffer
-	if _, err := framing.AppendRecord(&body, payload); err != nil {
-		return nil, fmt.Errorf("encoding %s request: %w", path, err)
-	}
-	data := body.Bytes()
-	if c.Retry == nil {
-		return c.callBinOnce(path, data)
-	}
-	r := c.Retry.withDefaults()
-	rng := rand.New(rand.NewSource(r.Seed))
-	delay := r.BaseDelay
-	for attempt := 1; ; attempt++ {
-		resp, err := c.callBinOnce(path, data)
-		if err == nil || !retryable(err) || attempt == r.Attempts {
-			return resp, err
-		}
-		c.Counters.retried(err)
-		d := delay/2 + time.Duration(rng.Int63n(int64(delay/2)))
-		if !c.sleep(d) {
-			return nil, fmt.Errorf("%s: retry aborted after %d attempts: %w", path, attempt, err)
-		}
-		if delay *= 2; delay > r.MaxDelay {
-			delay = r.MaxDelay
-		}
-	}
-}
-
-// callBinOnce performs one binary HTTP exchange. Error bodies may be JSON
-// (the shared admission wrapper) or plain text (the binary handlers); both
-// become the StatusError message.
-func (c *Client) callBinOnce(path string, data []byte) ([]byte, error) {
-	c.Counters.attempt()
-	hreq, err := http.NewRequest(http.MethodPost, c.Base+path, bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if c.ctx != nil {
-		hreq = hreq.WithContext(c.ctx)
-	}
-	hreq.Header.Set("Content-Type", binproto.ContentType)
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	hresp, err := hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, hresp.Body)
-		hresp.Body.Close()
-	}()
-	if hresp.StatusCode >= 400 {
+		// Every error of the server is an ErrorResponse; anything else was
+		// written by something in between (a proxy) and is passed on as text.
 		raw, _ := io.ReadAll(io.LimitReader(hresp.Body, 4096))
 		msg := strings.TrimSpace(string(raw))
 		var er ErrorResponse
@@ -349,35 +281,91 @@ func (c *Client) callBinOnce(path string, data []byte) ([]byte, error) {
 		}
 		return nil, &StatusError{Code: hresp.StatusCode, Message: msg}
 	}
-	payload, err := framing.ReadRecord(hresp.Body, binproto.MaxMessage)
+	var payload []byte
+	switch wr {
+	case wireBin:
+		payload, err = framing.ReadRecord(hresp.Body, binproto.MaxMessage)
+	case wireRaw:
+		return io.ReadAll(hresp.Body)
+	case wireJSON:
+		if resp != nil {
+			err = json.NewDecoder(hresp.Body).Decode(resp)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("decoding %s answer: %w", path, err)
 	}
 	return payload, nil
 }
 
-// Window runs a window query; tech "" selects the server default (on a
-// Binary client, "" encodes as complete).
-func (c *Client) Window(w geom.Rect, tech string) (QueryResponse, error) {
-	if c.Binary {
-		return c.binWindow(w, tech)
+// call sends req as JSON to path and decodes the answer into resp (which may
+// be nil). GET endpoints pass a nil req.
+func (c *Client) call(method, path string, req, resp any, tc tracing) error {
+	var data []byte
+	if req != nil {
+		var err error
+		data, err = json.Marshal(req)
+		if err != nil {
+			return fmt.Errorf("encoding %s request: %w", path, err)
+		}
 	}
-	var out QueryResponse
-	err := c.call(http.MethodPost, "/query/window", WindowRequest{
-		Window: [4]float64{w.MinX, w.MinY, w.MaxX, w.MaxY}, Tech: tech,
-	}, &out)
-	return out, err
+	if tc.on {
+		path += "?trace=1"
+	}
+	_, err := c.do(method, path, wireJSON, data, tc.id, resp)
+	return err
 }
 
-func (c *Client) binWindow(w geom.Rect, tech string) (QueryResponse, error) {
+// Post sends req to an arbitrary POST endpoint and decodes the answer into
+// resp — the escape hatch for tests and tooling that need to craft raw
+// bodies past the typed methods' validation.
+func (c *Client) Post(path string, req, resp any) error {
+	return c.call(http.MethodPost, path, req, resp, tracing{})
+}
+
+// callBin sends one encoded binproto message, inside the trace envelope when
+// tc asks for tracing, and returns the plain message of the answer beside
+// the trace its envelope carried.
+func (c *Client) callBin(path string, msg *[]byte, tc tracing) ([]byte, *TraceInfo, error) {
+	if tc.on {
+		*msg = binproto.TraceReq(*msg, tc.id)
+	}
+	var body bytes.Buffer
+	if _, err := framing.AppendRecord(&body, *msg); err != nil {
+		return nil, nil, fmt.Errorf("encoding %s request: %w", path, err)
+	}
+	payload, err := c.do(http.MethodPost, path, wireBin, body.Bytes(), 0, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	plain, traced, id, total, spans, err := binproto.UntraceResp(payload)
+	if err != nil || !traced {
+		return plain, nil, err
+	}
+	return plain, &TraceInfo{TraceID: id, TotalMS: total, Spans: spans}, nil
+}
+
+// window is the one window query: JSON or binary, traced or not.
+func (c *Client) window(w geom.Rect, tech string, tc tracing) (QueryResponse, error) {
+	win := [4]float64{w.MinX, w.MinY, w.MaxX, w.MaxY}
+	if !c.Binary {
+		var out QueryResponse
+		err := c.call(http.MethodPost, "/query/window", WindowRequest{Window: win, Tech: tech}, &out, tc)
+		return out, err
+	}
 	t, err := store.TechByName(tech)
 	if err != nil {
 		return QueryResponse{}, err
 	}
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
-	*buf = binproto.AppendWindowReq((*buf)[:0], [4]float64{w.MinX, w.MinY, w.MaxX, w.MaxY}, t)
-	payload, err := c.callBin("/bin/window", *buf)
+	*buf = binproto.AppendWindowReq((*buf)[:0], win, t)
+	return c.binQuery("/bin/window", buf, tc)
+}
+
+// binQuery sends an encoded window or point request and decodes the answer.
+func (c *Client) binQuery(path string, msg *[]byte, tc tracing) (QueryResponse, error) {
+	payload, tr, err := c.callBin(path, msg, tc)
 	if err != nil {
 		return QueryResponse{}, err
 	}
@@ -385,130 +373,67 @@ func (c *Client) binWindow(w geom.Rect, tech string) (QueryResponse, error) {
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	return QueryResponse{IDs: ids, Candidates: cand}, nil
+	return QueryResponse{IDs: ids, Candidates: cand, Trace: tr}, nil
+}
+
+// Window runs a window query; tech "" selects the server default (on a
+// Binary client, "" encodes as complete).
+func (c *Client) Window(w geom.Rect, tech string) (QueryResponse, error) {
+	return c.window(w, tech, tracing{})
 }
 
 // WindowTraced runs a window query with per-request tracing: the answer
 // carries the server's stage spans in Trace.
 func (c *Client) WindowTraced(w geom.Rect, tech string) (QueryResponse, error) {
-	return c.WindowTracedID(w, tech, 0)
+	return c.window(w, tech, tracing{on: true})
 }
 
 // WindowTracedID is WindowTraced with an explicit trace identity to adopt —
 // the router's shard fan-out passes its own trace ID so every sub-trace joins
 // one distributed trace. traceID 0 lets the server mint one.
 func (c *Client) WindowTracedID(w geom.Rect, tech string, traceID uint64) (QueryResponse, error) {
-	if c.Binary {
-		return c.binWindowTraced(w, tech, traceID)
-	}
-	var out QueryResponse
-	err := c.call(http.MethodPost, "/query/window?trace=1", WindowRequest{
-		Window: [4]float64{w.MinX, w.MinY, w.MaxX, w.MaxY}, Tech: tech,
-	}, &out, traceHeader(traceID)...)
-	return out, err
+	return c.window(w, tech, tracing{on: true, id: traceID})
 }
 
-// traceHeader builds the trace-propagation header for a nonzero trace ID.
-func traceHeader(traceID uint64) [][2]string {
-	if traceID == 0 {
-		return nil
-	}
-	return [][2]string{{TraceIDHeader, strconv.FormatUint(traceID, 10)}}
-}
-
-func (c *Client) binWindowTraced(w geom.Rect, tech string, traceID uint64) (QueryResponse, error) {
-	t, err := store.TechByName(tech)
-	if err != nil {
-		return QueryResponse{}, err
+// point is the one point query.
+func (c *Client) point(p geom.Point, tc tracing) (QueryResponse, error) {
+	pt := [2]float64{p.X, p.Y}
+	if !c.Binary {
+		var out QueryResponse
+		err := c.call(http.MethodPost, "/query/point", PointRequest{Point: pt}, &out, tc)
+		return out, err
 	}
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
-	*buf = binproto.AppendTracedWindowReq((*buf)[:0],
-		[4]float64{w.MinX, w.MinY, w.MaxX, w.MaxY}, t, traceID)
-	payload, err := c.callBin("/bin/window", *buf)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	ids, cand, tid, total, spans, err := binproto.DecodeTracedQueryResp(payload, []uint64{})
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return QueryResponse{IDs: ids, Candidates: cand,
-		Trace: &TraceInfo{TraceID: tid, TotalMS: total, Spans: spans}}, nil
+	*buf = binproto.AppendPointReq((*buf)[:0], pt)
+	return c.binQuery("/bin/point", buf, tc)
 }
 
 // Point runs a point query.
-func (c *Client) Point(p geom.Point) (QueryResponse, error) {
-	if c.Binary {
-		return c.binPoint(p)
-	}
-	var out QueryResponse
-	err := c.call(http.MethodPost, "/query/point", PointRequest{Point: [2]float64{p.X, p.Y}}, &out)
-	return out, err
-}
-
-func (c *Client) binPoint(p geom.Point) (QueryResponse, error) {
-	buf := binproto.GetBuf()
-	defer binproto.PutBuf(buf)
-	*buf = binproto.AppendPointReq((*buf)[:0], [2]float64{p.X, p.Y})
-	payload, err := c.callBin("/bin/point", *buf)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	ids, cand, err := binproto.DecodeQueryResp(payload, []uint64{})
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return QueryResponse{IDs: ids, Candidates: cand}, nil
-}
+func (c *Client) Point(p geom.Point) (QueryResponse, error) { return c.point(p, tracing{}) }
 
 // PointTraced runs a point query with per-request tracing.
 func (c *Client) PointTraced(p geom.Point) (QueryResponse, error) {
-	return c.PointTracedID(p, 0)
+	return c.point(p, tracing{on: true})
 }
 
 // PointTracedID is PointTraced adopting an explicit trace identity.
 func (c *Client) PointTracedID(p geom.Point, traceID uint64) (QueryResponse, error) {
-	if c.Binary {
-		return c.binPointTraced(p, traceID)
-	}
-	var out QueryResponse
-	err := c.call(http.MethodPost, "/query/point?trace=1",
-		PointRequest{Point: [2]float64{p.X, p.Y}}, &out, traceHeader(traceID)...)
-	return out, err
+	return c.point(p, tracing{on: true, id: traceID})
 }
 
-func (c *Client) binPointTraced(p geom.Point, traceID uint64) (QueryResponse, error) {
+// knn is the one k-nearest-neighbor query.
+func (c *Client) knn(p geom.Point, k int, tc tracing) (KNNResponse, error) {
+	pt := [2]float64{p.X, p.Y}
+	if !c.Binary {
+		var out KNNResponse
+		err := c.call(http.MethodPost, "/query/knn", KNNRequest{Point: pt, K: k}, &out, tc)
+		return out, err
+	}
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
-	*buf = binproto.AppendTracedPointReq((*buf)[:0], [2]float64{p.X, p.Y}, traceID)
-	payload, err := c.callBin("/bin/point", *buf)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	ids, cand, tid, total, spans, err := binproto.DecodeTracedQueryResp(payload, []uint64{})
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return QueryResponse{IDs: ids, Candidates: cand,
-		Trace: &TraceInfo{TraceID: tid, TotalMS: total, Spans: spans}}, nil
-}
-
-// KNN runs a k-nearest-neighbor query.
-func (c *Client) KNN(p geom.Point, k int) (KNNResponse, error) {
-	if c.Binary {
-		return c.binKNN(p, k)
-	}
-	var out KNNResponse
-	err := c.call(http.MethodPost, "/query/knn", KNNRequest{Point: [2]float64{p.X, p.Y}, K: k}, &out)
-	return out, err
-}
-
-func (c *Client) binKNN(p geom.Point, k int) (KNNResponse, error) {
-	buf := binproto.GetBuf()
-	defer binproto.PutBuf(buf)
-	*buf = binproto.AppendKNNReq((*buf)[:0], [2]float64{p.X, p.Y}, k)
-	payload, err := c.callBin("/bin/knn", *buf)
+	*buf = binproto.AppendKNNReq((*buf)[:0], pt, k)
+	payload, tr, err := c.callBin("/bin/knn", buf, tc)
 	if err != nil {
 		return KNNResponse{}, err
 	}
@@ -516,39 +441,20 @@ func (c *Client) binKNN(p geom.Point, k int) (KNNResponse, error) {
 	if err != nil {
 		return KNNResponse{}, err
 	}
-	return KNNResponse{IDs: ids, Dists: dists, Candidates: cand}, nil
+	return KNNResponse{IDs: ids, Dists: dists, Candidates: cand, Trace: tr}, nil
 }
+
+// KNN runs a k-nearest-neighbor query.
+func (c *Client) KNN(p geom.Point, k int) (KNNResponse, error) { return c.knn(p, k, tracing{}) }
 
 // KNNTraced runs a k-nearest-neighbor query with per-request tracing.
 func (c *Client) KNNTraced(p geom.Point, k int) (KNNResponse, error) {
-	return c.KNNTracedID(p, k, 0)
+	return c.knn(p, k, tracing{on: true})
 }
 
 // KNNTracedID is KNNTraced adopting an explicit trace identity.
 func (c *Client) KNNTracedID(p geom.Point, k int, traceID uint64) (KNNResponse, error) {
-	if c.Binary {
-		return c.binKNNTraced(p, k, traceID)
-	}
-	var out KNNResponse
-	err := c.call(http.MethodPost, "/query/knn?trace=1",
-		KNNRequest{Point: [2]float64{p.X, p.Y}, K: k}, &out, traceHeader(traceID)...)
-	return out, err
-}
-
-func (c *Client) binKNNTraced(p geom.Point, k int, traceID uint64) (KNNResponse, error) {
-	buf := binproto.GetBuf()
-	defer binproto.PutBuf(buf)
-	*buf = binproto.AppendTracedKNNReq((*buf)[:0], [2]float64{p.X, p.Y}, k, traceID)
-	payload, err := c.callBin("/bin/knn", *buf)
-	if err != nil {
-		return KNNResponse{}, err
-	}
-	ids, dists, cand, tid, total, spans, err := binproto.DecodeTracedKNNResp(payload, []uint64{}, []float64{})
-	if err != nil {
-		return KNNResponse{}, err
-	}
-	return KNNResponse{IDs: ids, Dists: dists, Candidates: cand,
-		Trace: &TraceInfo{TraceID: tid, TotalMS: total, Spans: spans}}, nil
+	return c.knn(p, k, tracing{on: true, id: traceID})
 }
 
 // Insert stores an object under the given spatial key (typically
@@ -563,7 +469,7 @@ func (c *Client) Insert(o *object.Object, key geom.Rect) error {
 		return err
 	}
 	k := [4]float64{key.MinX, key.MinY, key.MaxX, key.MaxY}
-	return c.call(http.MethodPost, "/insert", InsertRequest{Object: j, Key: &k}, nil)
+	return c.Post("/insert", InsertRequest{Object: j, Key: &k}, nil)
 }
 
 // Update replaces the object of the same ID.
@@ -577,7 +483,7 @@ func (c *Client) Update(o *object.Object, key geom.Rect) (bool, error) {
 	}
 	k := [4]float64{key.MinX, key.MinY, key.MaxX, key.MaxY}
 	var out MutateResponse
-	err = c.call(http.MethodPost, "/update", InsertRequest{Object: j, Key: &k}, &out)
+	err = c.Post("/update", InsertRequest{Object: j, Key: &k}, &out)
 	return out.Existed, err
 }
 
@@ -586,7 +492,7 @@ func (c *Client) binMutate(path string, kind byte, o *object.Object, key geom.Re
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
 	*buf = binproto.AppendMutateReq((*buf)[:0], kind, o, &k)
-	payload, err := c.callBin(path, *buf)
+	payload, _, err := c.callBin(path, buf, tracing{})
 	if err != nil {
 		return false, err
 	}
@@ -599,89 +505,71 @@ func (c *Client) Delete(id object.ID) (bool, error) {
 		buf := binproto.GetBuf()
 		defer binproto.PutBuf(buf)
 		*buf = binproto.AppendDeleteReq((*buf)[:0], uint64(id))
-		payload, err := c.callBin("/bin/delete", *buf)
+		payload, _, err := c.callBin("/bin/delete", buf, tracing{})
 		if err != nil {
 			return false, err
 		}
 		return binproto.DecodeMutateResp(payload)
 	}
 	var out MutateResponse
-	err := c.call(http.MethodPost, "/delete", DeleteRequest{ID: uint64(id)}, &out)
+	err := c.Post("/delete", DeleteRequest{ID: uint64(id)}, &out)
 	return out.Existed, err
 }
 
 // Recluster runs one maintenance pass of the named policy.
 func (c *Client) Recluster(policy string) (ReclusterResponse, error) {
 	var out ReclusterResponse
-	err := c.call(http.MethodPost, "/recluster", ReclusterRequest{Policy: policy}, &out)
+	err := c.Post("/recluster", ReclusterRequest{Policy: policy}, &out)
 	return out, err
 }
 
 // Flush flushes the served store.
 func (c *Client) Flush() error {
-	return c.call(http.MethodPost, "/flush", struct{}{}, nil)
+	return c.Post("/flush", struct{}{}, nil)
 }
 
 // Save snapshots the served store to a file on the server's filesystem.
 func (c *Client) Save(path string) (SaveResponse, error) {
 	var out SaveResponse
-	err := c.call(http.MethodPost, "/save", PathRequest{Path: path}, &out)
+	err := c.Post("/save", PathRequest{Path: path}, &out)
 	return out, err
 }
 
 // Load swaps the served store for one reopened from a snapshot.
 func (c *Client) Load(path string) (StatsResponse, error) {
 	var out StatsResponse
-	err := c.call(http.MethodPost, "/load", PathRequest{Path: path}, &out)
+	err := c.Post("/load", PathRequest{Path: path}, &out)
 	return out, err
+}
+
+// get fetches a GET endpoint's JSON answer into resp.
+func (c *Client) get(path string, resp any) error {
+	return c.call(http.MethodGet, path, nil, resp, tracing{})
 }
 
 // Stats fetches the storage statistics.
 func (c *Client) Stats() (StatsResponse, error) {
 	var out StatsResponse
-	err := c.call(http.MethodGet, "/stats", nil, &out)
+	err := c.get("/stats", &out)
 	return out, err
 }
 
 // Metrics fetches the server metrics.
 func (c *Client) Metrics() (Metrics, error) {
 	var out Metrics
-	err := c.call(http.MethodGet, "/metrics", nil, &out)
+	err := c.get("/metrics", &out)
 	return out, err
 }
 
 // SlowLog fetches the slow-query log.
 func (c *Client) SlowLog() (SlowLogResponse, error) {
 	var out SlowLogResponse
-	err := c.call(http.MethodGet, "/debug/slowlog", nil, &out)
+	err := c.get("/debug/slowlog", &out)
 	return out, err
 }
 
 // Raw GETs a path and returns the body bytes as-is — for scraping the
 // Prometheus representation of /metrics, which is not JSON.
 func (c *Client) Raw(path string) ([]byte, error) {
-	hreq, err := http.NewRequest(http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.ctx != nil {
-		hreq = hreq.WithContext(c.ctx)
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	hresp, err := hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	body, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if hresp.StatusCode >= 400 {
-		return nil, &StatusError{Code: hresp.StatusCode, Message: string(body)}
-	}
-	return body, nil
+	return c.do(http.MethodGet, path, wireRaw, nil, 0, nil)
 }

@@ -1,6 +1,18 @@
-// Package server is the network serving layer: an HTTP/JSON API over a live
+// Package server is the network serving layer: an HTTP API over a live
 // storage organization, multiplexing many concurrent clients onto the
 // parallel query engine of internal/store.
+//
+// A request takes one path: Front → Service → execution. The Front
+// (front.go) owns everything between the socket and the six data-plane
+// operations — method checks, body limits, decoding and validation in either
+// codec (JSON, or the binary records of internal/binproto under /bin/*),
+// admission control (at most MaxInFlight requests in flight, the rest are
+// rejected with 429), per-endpoint counters and latency histograms, the
+// slow-query log, per-request tracing, the mapping of errors to statuses
+// (every non-2xx answer is an ErrorResponse) and the encoding of answers. A
+// Service is the six operations in engine types. Server is one — over the
+// micro-batching dispatcher described below — and internal/router is the
+// other, behind a Front of its own.
 //
 // The paper's evaluation measures query cost one request at a time; the
 // serving layer answers the follow-up question — what those costs mean under
@@ -9,17 +21,16 @@
 // and fed to the store's batched entry points (RunWindowQueryBatch and
 // friends), so a burst of B requests executes with min(B, workers)
 // parallelism under the environment's read lock instead of serializing.
-// Mutations (insert/delete/update, recluster) go through the organization's
-// own write-locked methods and interleave safely with in-flight batches.
+// Mutations (insert/delete/update) ride the same batches and share one
+// write-ahead-log commit per batch.
 //
-// The server enforces admission control — at most Config.MaxInFlight
-// requests are in flight, the rest are rejected with 429 — and supports
-// graceful shutdown: draining in-flight requests, flushing the store, and
-// optionally saving a snapshot. /metrics exposes storage statistics, buffer
-// hit ratio, modelled vs measured I/O, batch shape, and per-endpoint latency
-// counters.
+// Beside the data plane a Server mounts its control plane on the Front, and
+// supports graceful shutdown: draining in-flight requests, flushing the
+// store, and optionally saving a snapshot. /metrics exposes storage
+// statistics, buffer hit ratio, modelled vs measured I/O, batch shape, and
+// the Front's per-endpoint latency counters.
 //
-// Endpoints (all request/response bodies are JSON; see api.go):
+// Endpoints (JSON bodies, see api.go; the first six also under /bin/*):
 //
 //	POST /query/window  {"window":[x1,y1,x2,y2],"tech":"complete"}
 //	POST /query/point   {"point":[x,y]}
@@ -33,6 +44,7 @@
 //	POST /load          {"path":"store.sdb"}
 //	GET  /stats
 //	GET  /metrics
+//	GET  /debug/slowlog, /healthz, /readyz
 //
 // The daemon wrapping this package is cmd/sdbd; the load-generation harness
 // driving it is internal/loadgen; the benchmark comparing micro-batched

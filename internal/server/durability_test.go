@@ -205,6 +205,66 @@ func TestClientRetryFlaky(t *testing.T) {
 	})
 }
 
+// lostAnswerTransport lets the server apply the first n requests and then
+// loses their answers to a connection reset — the failure after which a client
+// cannot know whether its request took effect.
+type lostAnswerTransport struct {
+	inner http.RoundTripper
+	lose  atomic.Int64
+}
+
+func (l *lostAnswerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := l.inner.RoundTrip(r)
+	if err == nil && l.lose.Add(-1) >= 0 {
+		resp.Body.Close()
+		return nil, &net.OpError{Op: "read", Err: fmt.Errorf("wrapped: %w", syscall.ECONNRESET)}
+	}
+	return resp, err
+}
+
+// TestClientNeverResendsAnAppliedMutation pins the retry rule for requests
+// that change the store: after a reset that may have followed the apply, the
+// client surfaces the error instead of sending the request again — a second
+// /delete would answer existed:false about an object the first one removed.
+// Queries through the same transport are still retried.
+func TestClientNeverResendsAnAppliedMutation(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		t.Run(fmt.Sprintf("binary=%v", binary), func(t *testing.T) {
+			ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 1024, Seed: 5})
+			_, c := startServer(t, buildOrg(t, "cluster", ds), server.Config{})
+			direct := *c
+			lossy := &lostAnswerTransport{inner: c.HTTP.Transport}
+			c.HTTP = &http.Client{Transport: lossy}
+			c.Retry = &server.Retry{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 42}
+			c.Binary = binary
+			victim, path := ds.Objects[0].ID, "/delete"
+			if binary {
+				path = "/bin/delete"
+			}
+
+			lossy.lose.Store(1)
+			if _, err := c.Delete(victim); err == nil {
+				t.Fatal("a delete whose answer was lost reported success")
+			}
+			m, err := direct.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Endpoints[path].Count; got != 1 {
+				t.Fatalf("the server saw %d deletes, want the one application", got)
+			}
+			if existed, err := direct.Delete(victim); err != nil || existed {
+				t.Fatalf("the lost delete was not applied: existed %v, err %v", existed, err)
+			}
+
+			lossy.lose.Store(2)
+			if _, err := c.Window(geom.R(0, 0, 1, 1), ""); err != nil {
+				t.Fatalf("a query was not retried through two resets: %v", err)
+			}
+		})
+	}
+}
+
 // TestShutdownRacesMutations races Shutdown against in-flight mutations:
 // workers insert objects with disjoint ID ranges until the server refuses,
 // and afterwards the store must hold exactly the base data plus every
@@ -300,5 +360,34 @@ func TestShutdownRacesMutations(t *testing.T) {
 				check("recovered store", rec.WindowQuery(geom.R(0, 0, 1, 1), store.TechComplete).IDs)
 			}
 		})
+	}
+}
+
+// TestClientErrorBodies: every error of the server is an ErrorResponse, whose
+// message the client hands on; a body that is not one was written by
+// something in between (a proxy) and is handed on as text — for every wire
+// the client speaks.
+func TestClientErrorBodies(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"error":"shard 2 is gone"}`, "shard 2 is gone"},
+		{"Bad Gateway\n", "Bad Gateway"},
+	} {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusBadGateway)
+			fmt.Fprint(w, tc.body)
+		}))
+		c := server.NewClient(hs.URL, 1)
+		bc := *c
+		bc.Binary = true
+		_, jsonErr := c.Point(geom.Pt(0.5, 0.5))
+		_, binErr := bc.Point(geom.Pt(0.5, 0.5))
+		_, rawErr := c.Raw("/metrics")
+		for wire, err := range map[string]error{"json": jsonErr, "binary": binErr, "raw": rawErr} {
+			se, ok := err.(*server.StatusError)
+			if !ok || se.Code != http.StatusBadGateway || se.Message != tc.want {
+				t.Errorf("%s client, body %q: got %v, want a 502 saying %q", wire, tc.body, err, tc.want)
+			}
+		}
+		hs.Close()
 	}
 }

@@ -1,0 +1,679 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/pprof"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"spatialcluster/internal/binproto"
+	"spatialcluster/internal/framing"
+	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
+	"spatialcluster/internal/obs"
+	"spatialcluster/internal/store"
+)
+
+// The one request path. A Front turns HTTP into calls on a Service: it owns
+// everything between the socket and the six operations — method checks, body
+// limits, decoding and validation in either codec, admission control, the
+// per-endpoint counters, the slow-query log, tracing, the mapping of errors
+// to statuses and the encoding of answers — so the tiers behind it (the
+// dispatcher of a Server, the scatter/merge of a router) hold no HTTP.
+
+// Service is the data plane: the six operations in engine types. *Server
+// implements it over its dispatcher, the router over its shards; the Front
+// serves either.
+type Service interface {
+	Window(rq *Request, win geom.Rect, tech store.Technique) (store.QueryResult, error)
+	Point(rq *Request, pt geom.Point) (store.QueryResult, error)
+	KNN(rq *Request, pt geom.Point, k int) (store.NearestResult, error)
+	Insert(rq *Request, o *object.Object, key geom.Rect) error
+	Update(rq *Request, o *object.Object, key geom.Rect) (existed bool, err error)
+	Delete(rq *Request, id object.ID) (existed bool, err error)
+}
+
+// TechDefault is the technique of a window query that names none: the store
+// that finally executes it applies its own configured default. Only the JSON
+// codec can express it; a binary request always names its technique.
+const TechDefault store.Technique = -1
+
+// Request is the per-request record the Front hands a Service beside the
+// operation's arguments. Ctx and Trace travel in; what the slow-query log
+// wants to know about the execution travels back out.
+type Request struct {
+	Ctx   context.Context // the HTTP request's; neither tier acts on its cancellation yet
+	Trace *obs.Trace      // nil unless the request asked to be traced
+
+	// Filled by the Service.
+	QueueNS int64  // dispatcher queue wait
+	ExecNS  int64  // store execution
+	Shard   string // router: address of the slowest shard touched
+}
+
+// StatusError is a non-2xx answer: the HTTP status plus the error message.
+// The client returns one for every such answer; a Service returns one to
+// choose the status of its failure (any other error is a 500).
+type StatusError struct {
+	Code    int
+	Message string
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("server answered %d: %s", e.Code, e.Message)
+}
+
+// IsOverload reports whether err is a 429 admission rejection.
+func IsOverload(err error) bool {
+	se, ok := err.(*StatusError)
+	return ok && se.Code == http.StatusTooManyRequests
+}
+
+func statusErr(code int, format string, args ...any) error {
+	return &StatusError{Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// statusOf is the status and message err is answered with.
+func statusOf(err error) (int, string) {
+	var se *StatusError
+	if errors.As(err, &se) {
+		return se.Code, se.Message
+	}
+	return http.StatusInternalServerError, err.Error()
+}
+
+// badRequest turns a decoding or validation failure into a 400.
+func badRequest(err error) error {
+	var se *StatusError
+	if errors.As(err, &se) {
+		return err
+	}
+	return &StatusError{Code: http.StatusBadRequest, Message: err.Error()}
+}
+
+// Front serves a Service, and whatever control plane its owner mounts with
+// Handle, over HTTP. Create it with NewFront; mount everything before the
+// first request is served.
+type Front struct {
+	// Ready, when set, is asked by GET /readyz once the Front itself is
+	// still accepting work; its error becomes the 503.
+	Ready func() error
+
+	svc         Service
+	prefix      string // of the Prometheus families: "sdb" or "sdbrouter"
+	mux         *http.ServeMux
+	start       time.Time
+	maxInFlight int
+	inflight    chan struct{} // admission semaphore, capacity maxInFlight
+	exclMu      sync.Mutex    // serializes the holders of every permit
+	closed      atomic.Bool
+	endpoints   map[string]*endpointCounters // fixed once mounting is over
+	slow        *obs.SlowLog
+}
+
+// NewFront builds the handler tree of svc: the six operations under
+// /query/*, /insert, /update, /delete (JSON) and /bin/* (binproto), GET
+// /debug/slowlog, /healthz and /readyz, and net/http/pprof under
+// /debug/pprof/ when asked. maxInFlight ≤ 0 selects 256; slowLogMS is the
+// slow-query threshold (0 selects 250 ms, negative disables the log).
+func NewFront(svc Service, prefix string, maxInFlight int, slowLogMS float64, withPprof bool) *Front {
+	if maxInFlight <= 0 {
+		maxInFlight = 256
+	}
+	threshold := time.Duration(slowLogMS * float64(time.Millisecond))
+	if slowLogMS == 0 {
+		threshold = 250 * time.Millisecond
+	}
+	f := &Front{
+		svc:         svc,
+		prefix:      prefix,
+		mux:         http.NewServeMux(),
+		start:       time.Now(),
+		maxInFlight: maxInFlight,
+		inflight:    make(chan struct{}, maxInFlight),
+		endpoints:   make(map[string]*endpointCounters),
+		slow:        obs.NewSlowLog(threshold, 128),
+	}
+	for _, op := range []struct {
+		json, bin string
+		serve     func(*Front, *statusRecorder, *http.Request, bool)
+	}{
+		{"/query/window", "/bin/window", (*Front).window},
+		{"/query/point", "/bin/point", (*Front).point},
+		{"/query/knn", "/bin/knn", (*Front).knn},
+		{"/insert", "/bin/insert", (*Front).insert},
+		{"/update", "/bin/update", (*Front).update},
+		{"/delete", "/bin/delete", (*Front).delete},
+	} {
+		f.mount(http.MethodPost, op.json, gateAdmit, func(x *statusRecorder, r *http.Request) {
+			x.rq.Trace = traceFor(r)
+			op.serve(f, x, r, false)
+		})
+		f.mount(http.MethodPost, op.bin, gateAdmit, func(x *statusRecorder, r *http.Request) {
+			op.serve(f, x, r, true)
+		})
+	}
+	f.Handle(http.MethodGet, "/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
+		Reply(w, SlowLogResponse{
+			ThresholdMS: f.slow.Threshold().Seconds() * 1000,
+			Total:       f.slow.Total(),
+			Entries:     f.slow.Entries(),
+		}, nil)
+	})
+	f.mux.HandleFunc("/healthz", f.probe) // liveness: the process serves HTTP
+	f.mux.HandleFunc("/readyz", f.probe)
+	if withPprof {
+		f.mux.HandleFunc("/debug/pprof/", pprof.Index)
+		f.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		f.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		f.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		f.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return f
+}
+
+// Handler returns the handler tree.
+func (f *Front) Handler() http.Handler { return f.mux }
+
+// What a daemon's listener grants a connection that sends nothing. There is
+// no whole-request deadline: /save, /load and a CPU profile legitimately run
+// long.
+const (
+	readHeaderTimeout = 10 * time.Second // to finish the request headers
+	idleTimeout       = 2 * time.Minute  // between requests of a keep-alive connection
+)
+
+// HTTPServer returns the http.Server the daemons (sdbd, sdbrouter) serve a
+// handler tree with: a peer that never finishes its headers, or parks an
+// idle connection, cannot pin it forever.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// Handle mounts a control-plane endpoint. Every endpoint is counted, timed
+// and offered to the slow-query log; a POST endpoint also passes admission
+// control, a GET endpoint does not (introspection must keep answering under
+// overload).
+func (f *Front) Handle(method, path string, fn http.HandlerFunc) {
+	g := gateOpen
+	if method == http.MethodPost {
+		g = gateAdmit
+	}
+	f.handle(method, path, g, fn)
+}
+
+func (f *Front) handle(method, path string, g gate, fn http.HandlerFunc) {
+	f.mount(method, path, g, func(x *statusRecorder, r *http.Request) { fn(x, r) })
+}
+
+// probe answers /healthz and /readyz. Readiness ends when shutdown begins
+// (load balancers stop routing before the drain) or the owner's Ready fails.
+func (f *Front) probe(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		Reply(w, nil, statusErr(http.StatusMethodNotAllowed, "%s needs GET", r.URL.Path))
+		return
+	}
+	if r.URL.Path == "/readyz" {
+		if f.closed.Load() {
+			Reply(w, nil, errShuttingDown)
+			return
+		}
+		if f.Ready != nil {
+			if err := f.Ready(); err != nil {
+				_, why := statusOf(err)
+				Reply(w, nil, statusErr(http.StatusServiceUnavailable, "%s", why))
+				return
+			}
+		}
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// --- admission, instrumentation ---
+
+// gate is how much of the admission semaphore an endpoint takes.
+type gate uint8
+
+const (
+	gateOpen      gate = iota // none
+	gateAdmit                 // one permit; 429 at once when none is free
+	gateExclusive             // every permit: nothing else is in flight
+)
+
+var errShuttingDown = statusErr(http.StatusServiceUnavailable, "server is shutting down")
+
+// statusRecorder is one request being served: the response writer with the
+// status it was given (for the counters), and the record the Service reads
+// and fills.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+	rq     Request
+}
+
+func (x *statusRecorder) WriteHeader(status int) {
+	x.status = status
+	x.ResponseWriter.WriteHeader(status)
+}
+
+// mount is the one wrapper every instrumented endpoint runs in.
+func (f *Front) mount(method, path string, g gate, serve func(*statusRecorder, *http.Request)) {
+	c := &endpointCounters{}
+	f.endpoints[path] = c
+	f.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			Reply(w, nil, statusErr(http.StatusMethodNotAllowed, "%s needs %s", path, method))
+			return
+		}
+		if g != gateOpen && f.closed.Load() {
+			Reply(w, nil, errShuttingDown)
+			return
+		}
+		switch g {
+		case gateAdmit:
+			// Bounded latency under overload beats an unbounded queue.
+			select {
+			case f.inflight <- struct{}{}:
+			default:
+				c.rejected.Add(1)
+				Reply(w, nil, statusErr(http.StatusTooManyRequests,
+					"overloaded: %d requests in flight", f.maxInFlight))
+				return
+			}
+			defer func() { <-f.inflight }()
+		case gateExclusive:
+			f.exclMu.Lock()
+			defer f.exclMu.Unlock()
+			release, err := f.quiesce(r.Context())
+			if err != nil {
+				Reply(w, nil, statusErr(http.StatusServiceUnavailable, "%v", err))
+				return
+			}
+			defer release()
+		}
+		x := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		x.rq.Ctx = r.Context()
+		start := time.Now()
+		serve(x, r)
+		d := time.Since(start)
+		c.observe(d, x.status >= 400)
+		f.slow.Note(obs.SlowEntry{
+			Endpoint: path,
+			Status:   x.status,
+			Time:     start,
+			WallMS:   d.Seconds() * 1000,
+			QueueMS:  float64(x.rq.QueueNS) / 1e6,
+			ExecMS:   float64(x.rq.ExecNS) / 1e6,
+			Shard:    x.rq.Shard,
+		})
+	})
+}
+
+// quiesceTimeout caps how long an exclusive endpoint or a shutdown waits for
+// the requests in flight to drain.
+const quiesceTimeout = 30 * time.Second
+
+// quiesce waits until nothing else is in flight by acquiring every admission
+// permit, and returns a release function. It must not be called while
+// holding a permit.
+func (f *Front) quiesce(ctx context.Context) (release func(), err error) {
+	ctx, cancel := context.WithTimeout(ctx, quiesceTimeout)
+	defer cancel()
+	held := 0
+	releaseHeld := func() {
+		for i := 0; i < held; i++ {
+			<-f.inflight
+		}
+	}
+	for held < f.maxInFlight {
+		select {
+		case f.inflight <- struct{}{}:
+			held++
+		case <-ctx.Done():
+			releaseHeld()
+			return nil, fmt.Errorf("waiting for %d in-flight requests: %w",
+				f.maxInFlight-held, ctx.Err())
+		}
+	}
+	return releaseHeld, nil
+}
+
+// close turns new work away with 503 and drains what is in flight: it
+// returns holding every permit, and release gives them back. A second call
+// returns a nil release — shutdown has already begun.
+func (f *Front) close(ctx context.Context) (release func(), err error) {
+	if !f.closed.CompareAndSwap(false, true) {
+		return nil, nil
+	}
+	f.exclMu.Lock()
+	permits, err := f.quiesce(ctx)
+	if err != nil {
+		f.exclMu.Unlock()
+		return nil, err
+	}
+	return func() { permits(); f.exclMu.Unlock() }, nil
+}
+
+// --- trace from request ---
+
+// TraceIDHeader is the JSON protocol's trace-context hop: a gateway (the
+// router) forwards its trace ID here alongside ?trace=1, so the shard's
+// sub-trace shares the identity of the distributed trace it belongs to. The
+// binary protocol carries both in the trace envelope of its messages.
+const TraceIDHeader = "X-Sdb-Trace-Id"
+
+// traceFor starts the trace of a JSON request that asked for one with
+// ?trace=1 (any non-empty value except "0"); otherwise it returns nil, which
+// every trace method accepts and ignores.
+func traceFor(r *http.Request) *obs.Trace {
+	if v := r.URL.Query().Get("trace"); v == "" || v == "0" {
+		return nil
+	}
+	id, _ := strconv.ParseUint(r.Header.Get(TraceIDHeader), 10, 64)
+	return newTrace(id)
+}
+
+// newTrace starts a trace, adopting a propagated (nonzero) identity instead
+// of minting a fresh one.
+func newTrace(id uint64) *obs.Trace {
+	if id != 0 {
+		return obs.NewTraceWithID(id)
+	}
+	return obs.NewTrace()
+}
+
+// traceInfo converts a finished trace to its wire form (nil stays nil).
+func traceInfo(tr *obs.Trace) *TraceInfo {
+	if tr == nil {
+		return nil
+	}
+	return &TraceInfo{TraceID: tr.ID(), TotalMS: tr.TotalMS(), Spans: tr.Spans()}
+}
+
+// --- bodies ---
+
+// maxBodyBytes bounds request bodies; a polyline of a million vertices is a
+// client bug, not a request. The binary codec's bound is the same payload
+// plus its frame header.
+const maxBodyBytes = binproto.MaxMessage
+
+// ReadJSON decodes the request body into v, rejecting trailing garbage.
+func ReadJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil {
+		return badRequest(fmt.Errorf("decoding request body: %w", err))
+	}
+	if dec.More() {
+		return badRequest(errors.New("trailing data after request body"))
+	}
+	return nil
+}
+
+// Reply answers a JSON endpoint: v with 200, or — when err is set — the
+// ErrorResponse every non-2xx answer of either codec carries, under the
+// status of a *StatusError and 500 for anything else.
+func Reply(w http.ResponseWriter, v any, err error) {
+	status := http.StatusOK
+	if err != nil {
+		var msg string
+		status, msg = statusOf(err)
+		v = ErrorResponse{Error: msg}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v) // a failed write means the client is gone; nothing to do
+}
+
+// readBinRecord reads the request's single framed record, starts the trace its
+// envelope asks for, and returns the plain message.
+func readBinRecord(x *statusRecorder, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(x, r.Body, int64(framing.RecordSize(maxBodyBytes)))
+	payload, err := framing.ReadRecord(body, maxBodyBytes)
+	if err != nil {
+		return nil, badRequest(fmt.Errorf("bad binary frame: %w", err))
+	}
+	scratch := binproto.GetBuf() // one byte to read into, without allocating it
+	n, _ := body.Read((*scratch)[:1])
+	binproto.PutBuf(scratch)
+	if n > 0 {
+		return nil, badRequest(errors.New("trailing data after request body"))
+	}
+	msg, traceID, traced, err := binproto.UntraceReq(payload)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	if traced {
+		x.rq.Trace = newTrace(traceID)
+	}
+	return msg, nil
+}
+
+// replyBin frames an encoded answer as the response body, inside the trace
+// envelope when the request was traced.
+func replyBin(x *statusRecorder, msg *[]byte) {
+	if tr := x.rq.Trace; tr != nil {
+		*msg = binproto.TraceResp(*msg, tr.ID(), tr.TotalMS(), tr.Spans())
+	}
+	x.Header().Set("Content-Type", binproto.ContentType)
+	framing.AppendRecord(x, *msg) // a failed write means the client is gone
+}
+
+// --- the six operations ---
+//
+// Each decodes its arguments from either codec, validates them the same way
+// for both, calls the Service and encodes the answer.
+
+func (f *Front) window(x *statusRecorder, r *http.Request, bin bool) {
+	var (
+		win  [4]float64
+		tech = TechDefault
+		err  error
+	)
+	if bin {
+		var msg []byte
+		if msg, err = readBinRecord(x, r); err == nil {
+			win, tech, err = binproto.DecodeWindowReq(msg)
+		}
+	} else {
+		var req WindowRequest
+		if err = ReadJSON(r, &req); err == nil {
+			win = req.Window
+			if req.Tech != "" {
+				tech, err = store.TechByName(req.Tech)
+			}
+		}
+	}
+	if err != nil {
+		Reply(x, nil, badRequest(err))
+		return
+	}
+	res, err := f.svc.Window(&x.rq, geom.R(win[0], win[1], win[2], win[3]), tech)
+	replyQuery(x, bin, res, err)
+}
+
+func (f *Front) point(x *statusRecorder, r *http.Request, bin bool) {
+	var (
+		pt  [2]float64
+		err error
+	)
+	if bin {
+		var msg []byte
+		if msg, err = readBinRecord(x, r); err == nil {
+			pt, err = binproto.DecodePointReq(msg)
+		}
+	} else {
+		var req PointRequest
+		err = ReadJSON(r, &req)
+		pt = req.Point
+	}
+	if err != nil {
+		Reply(x, nil, badRequest(err))
+		return
+	}
+	res, err := f.svc.Point(&x.rq, geom.Pt(pt[0], pt[1]))
+	replyQuery(x, bin, res, err)
+}
+
+func (f *Front) knn(x *statusRecorder, r *http.Request, bin bool) {
+	var (
+		pt  [2]float64
+		k   int
+		err error
+	)
+	if bin {
+		var msg []byte
+		if msg, err = readBinRecord(x, r); err == nil {
+			pt, k, err = binproto.DecodeKNNReq(msg)
+		}
+	} else {
+		var req KNNRequest
+		err = ReadJSON(r, &req)
+		pt, k = req.Point, req.K
+	}
+	// The bound is the binary codec's u32 field: a larger k would be
+	// truncated on a binary hop further down.
+	if err == nil && (k < 1 || k > math.MaxInt32) {
+		err = fmt.Errorf("k must be between 1 and %d, got %d", math.MaxInt32, k)
+	}
+	if err != nil {
+		Reply(x, nil, badRequest(err))
+		return
+	}
+	res, err := f.svc.KNN(&x.rq, geom.Pt(pt[0], pt[1]), k)
+	if err != nil {
+		Reply(x, nil, err)
+		return
+	}
+	if bin {
+		buf := binproto.GetBuf()
+		defer binproto.PutBuf(buf)
+		*buf = binproto.AppendKNNResp((*buf)[:0], res.IDs, res.Dists, res.Candidates)
+		replyBin(x, buf)
+		return
+	}
+	Reply(x, knnResponse[object.ID]{
+		IDs: nonNil(res.IDs), Dists: res.Dists, Candidates: res.Candidates, Trace: traceInfo(x.rq.Trace),
+	}, nil)
+}
+
+// replyQuery answers a window or point query.
+func replyQuery(x *statusRecorder, bin bool, res store.QueryResult, err error) {
+	if err != nil {
+		Reply(x, nil, err)
+		return
+	}
+	if bin {
+		buf := binproto.GetBuf()
+		defer binproto.PutBuf(buf)
+		*buf = binproto.AppendQueryResp((*buf)[:0], res.IDs, res.Candidates)
+		replyBin(x, buf)
+		return
+	}
+	Reply(x, queryResponse[object.ID]{
+		IDs: nonNil(res.IDs), Candidates: res.Candidates, Trace: traceInfo(x.rq.Trace),
+	}, nil)
+}
+
+// nonNil keeps an empty answer encoding as [] rather than null.
+func nonNil(ids []object.ID) []object.ID {
+	if ids == nil {
+		return []object.ID{}
+	}
+	return ids
+}
+
+func (f *Front) insert(x *statusRecorder, r *http.Request, bin bool) {
+	o, key, err := readObject(x, r, bin, binproto.KindInsert)
+	if err == nil {
+		err = f.svc.Insert(&x.rq, o, key)
+	}
+	replyMutate(x, bin, false, err)
+}
+
+func (f *Front) update(x *statusRecorder, r *http.Request, bin bool) {
+	o, key, err := readObject(x, r, bin, binproto.KindUpdate)
+	existed := false
+	if err == nil {
+		existed, err = f.svc.Update(&x.rq, o, key)
+	}
+	replyMutate(x, bin, existed, err)
+}
+
+func (f *Front) delete(x *statusRecorder, r *http.Request, bin bool) {
+	var (
+		id  uint64
+		err error
+	)
+	if bin {
+		var msg []byte
+		if msg, err = readBinRecord(x, r); err == nil {
+			id, err = binproto.DecodeDeleteReq(msg)
+		}
+	} else {
+		var req DeleteRequest
+		err = ReadJSON(r, &req)
+		id = req.ID
+	}
+	if err != nil {
+		Reply(x, nil, badRequest(err))
+		return
+	}
+	existed, err := f.svc.Delete(&x.rq, object.ID(id))
+	replyMutate(x, bin, existed, err)
+}
+
+// readObject decodes an insert or update body into an engine object and its
+// spatial key (the object's bounds when the request names none). Both codecs
+// check the vertex count against the geometry kind before they build it — the
+// constructors of geom panic on a degenerate chain.
+func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*object.Object, geom.Rect, error) {
+	var (
+		o   *object.Object
+		key *[4]float64
+		err error
+	)
+	if bin {
+		var msg []byte
+		if msg, err = readBinRecord(x, r); err == nil {
+			o, key, err = binproto.DecodeMutateReq(msg, kind)
+		}
+	} else {
+		var req InsertRequest
+		if err = ReadJSON(r, &req); err == nil {
+			o, err = req.Object.toObject()
+			key = req.Key
+		}
+	}
+	if err != nil {
+		return nil, geom.Rect{}, badRequest(err)
+	}
+	if key == nil {
+		return o, o.Bounds(), nil
+	}
+	return o, geom.R(key[0], key[1], key[2], key[3]), nil
+}
+
+// replyMutate answers insert, update and delete.
+func replyMutate(x *statusRecorder, bin bool, existed bool, err error) {
+	if err != nil {
+		Reply(x, nil, err)
+		return
+	}
+	if bin {
+		buf := binproto.GetBuf()
+		defer binproto.PutBuf(buf)
+		*buf = binproto.AppendMutateResp((*buf)[:0], existed)
+		replyBin(x, buf)
+		return
+	}
+	Reply(x, MutateResponse{Existed: existed, Trace: traceInfo(x.rq.Trace)}, nil)
+}

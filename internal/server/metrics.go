@@ -2,7 +2,6 @@ package server
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,10 +63,10 @@ type Metrics struct {
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 }
 
-// endpointCounters are the live per-endpoint counters. Everything is atomic so
-// recording never contends with scraping: a request on the hot path does a
-// handful of uncontended atomic adds, and a /metrics scrape reads snapshots
-// without stalling the dispatcher.
+// endpointCounters are the live counters of one endpoint. Everything is
+// atomic so recording never contends with scraping: a request on the hot path
+// does a handful of uncontended atomic adds, and a /metrics scrape reads
+// snapshots without stalling anything.
 type endpointCounters struct {
 	count    atomic.Int64
 	errors   atomic.Int64
@@ -95,82 +94,30 @@ func (c *endpointCounters) observe(d time.Duration, isErr bool) {
 	c.hist.Observe(d)
 }
 
-// metricsRegistry aggregates per-endpoint counters and batch shape. The
-// endpoint map is a sync.Map (endpoints are created once and then only read);
-// all counters are atomics — there is no registry-wide lock.
-type metricsRegistry struct {
-	start time.Time
-
-	endpoints sync.Map // path -> *endpointCounters
-
-	// batch shape, written by the dispatcher
-	batches     atomic.Int64
-	batchedJobs atomic.Int64
-	maxBatch    atomic.Int64
-	rejected    atomic.Int64
-}
-
-func newMetricsRegistry() *metricsRegistry {
-	return &metricsRegistry{start: time.Now()}
-}
-
-func (m *metricsRegistry) endpoint(path string) *endpointCounters {
-	if ep, ok := m.endpoints.Load(path); ok {
-		return ep.(*endpointCounters)
-	}
-	ep, _ := m.endpoints.LoadOrStore(path, &endpointCounters{})
-	return ep.(*endpointCounters)
-}
-
-// record tallies one completed request.
-func (m *metricsRegistry) record(path string, d time.Duration, isErr bool) {
-	m.endpoint(path).observe(d, isErr)
-}
-
-// reject tallies one 429 answer.
-func (m *metricsRegistry) reject(path string) {
-	m.endpoint(path).rejected.Add(1)
-	m.rejected.Add(1)
-}
-
-// batch tallies one dispatcher batch of n queries.
-func (m *metricsRegistry) batch(n int) {
-	m.batches.Add(1)
-	m.batchedJobs.Add(int64(n))
-	for {
-		old := m.maxBatch.Load()
-		if int64(n) <= old || m.maxBatch.CompareAndSwap(old, int64(n)) {
-			break
+// each visits, in sorted path order, the endpoints that have seen a request.
+func (f *Front) each(fn func(path string, c *endpointCounters)) {
+	paths := make([]string, 0, len(f.endpoints))
+	for path, c := range f.endpoints {
+		if c.count.Load()+c.rejected.Load() > 0 {
+			paths = append(paths, path)
 		}
 	}
-}
-
-// each visits the endpoints in sorted path order with their live counters.
-func (m *metricsRegistry) each(fn func(path string, c *endpointCounters)) {
-	var names []string
-	m.endpoints.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	for _, path := range names {
-		ep, _ := m.endpoints.Load(path)
-		fn(path, ep.(*endpointCounters))
+	sort.Strings(paths)
+	for _, path := range paths {
+		fn(path, f.endpoints[path])
 	}
 }
 
-// snapshot fills the registry-owned fields of a Metrics value.
-func (m *metricsRegistry) snapshot(out *Metrics) {
-	out.Uptime = time.Since(m.start).Seconds()
-	out.Batches = m.batches.Load()
-	out.BatchedJobs = m.batchedJobs.Load()
-	out.MaxBatch = m.maxBatch.Load()
-	out.Rejected = m.rejected.Load()
-	if out.Batches > 0 {
-		out.MeanBatch = float64(out.BatchedJobs) / float64(out.Batches)
-	}
+// Snapshot fills the fields of a Metrics value the Front owns: uptime,
+// admission state, slow-query log shape and the per-endpoint counters.
+func (f *Front) Snapshot(out *Metrics) {
+	out.Uptime = time.Since(f.start).Seconds()
+	out.InFlight = len(f.inflight)
+	out.MaxInFlight = f.maxInFlight
+	out.SlowLogTotal = f.slow.Total()
+	out.SlowLogMS = f.slow.Threshold().Seconds() * 1000
 	out.Endpoints = make(map[string]EndpointMetrics)
-	m.each(func(path string, c *endpointCounters) {
+	f.each(func(path string, c *endpointCounters) {
 		ep := EndpointMetrics{
 			Count:    c.count.Load(),
 			Errors:   c.errors.Load(),
@@ -186,8 +133,38 @@ func (m *metricsRegistry) snapshot(out *Metrics) {
 			ep.P95MS = s.Quantile(0.95).Seconds() * 1000
 			ep.P99MS = s.Quantile(0.99).Seconds() * 1000
 		}
+		out.Rejected += ep.Rejected
 		out.Endpoints[path] = ep
 	})
+}
+
+// batchCounters are the micro-batch shape, written by the dispatcher.
+type batchCounters struct {
+	batches     atomic.Int64
+	batchedJobs atomic.Int64
+	maxBatch    atomic.Int64
+}
+
+// batch tallies one dispatcher batch of n jobs.
+func (m *batchCounters) batch(n int) {
+	m.batches.Add(1)
+	m.batchedJobs.Add(int64(n))
+	for {
+		old := m.maxBatch.Load()
+		if int64(n) <= old || m.maxBatch.CompareAndSwap(old, int64(n)) {
+			break
+		}
+	}
+}
+
+// snapshot fills the batch-shape fields of a Metrics value.
+func (m *batchCounters) snapshot(out *Metrics) {
+	out.Batches = m.batches.Load()
+	out.BatchedJobs = m.batchedJobs.Load()
+	out.MaxBatch = m.maxBatch.Load()
+	if out.Batches > 0 {
+		out.MeanBatch = float64(out.BatchedJobs) / float64(out.Batches)
+	}
 }
 
 // fillBuffer derives the buffer ratio fields from a buffer.Stats snapshot.

@@ -1,55 +1,80 @@
 package server
 
 import (
-	"io"
+	"net/http"
+	"strings"
+	"time"
 
 	"spatialcluster/internal/obs"
 	"spatialcluster/internal/wal"
 )
 
 // Prometheus exposition of /metrics. The JSON body stays the default and the
-// source of truth; this file maps the same filled Metrics value (plus the
-// live per-endpoint histograms) to text exposition format 0.0.4 so a stock
-// Prometheus server can scrape sdbd with no adapter.
+// source of truth; this file maps the same numbers to text exposition format
+// 0.0.4 so a stock Prometheus server can scrape sdbd and sdbrouter with no
+// adapter. The families every Front has come from WriteProm under the
+// owner's prefix; the server's own follow in writeProm.
 
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// writeProm renders m as Prometheus text exposition. m must already be fully
-// filled (handleMetrics does that for both representations).
-func (s *Server) writeProm(w io.Writer, m *Metrics) {
-	b := func(v bool) float64 {
-		if v {
-			return 1
-		}
-		return 0
+// PromWanted decides the /metrics representation: ?format=prom (or json)
+// wins; otherwise an Accept header asking for text/plain — what a Prometheus
+// scraper sends — selects the exposition format. The default stays JSON for
+// curl and the existing clients.
+func PromWanted(r *http.Request) bool {
+	switch r.URL.Query().Get("format") {
+	case "prom":
+		return true
+	case "json":
+		return false
 	}
+	return strings.Contains(r.Header.Get("Accept"), "text/plain")
+}
 
+// WriteProm starts a Prometheus text exposition (format 0.0.4) on w with the
+// families the Front owns, named under its prefix; the owner appends its own.
+func (f *Front) WriteProm(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	name := func(family string) string { return f.prefix + "_" + family }
+
+	obs.PromHead(w, name("uptime_seconds"), "Seconds since the process started serving.", "gauge")
+	obs.PromSample(w, name("uptime_seconds"), nil, time.Since(f.start).Seconds())
+
+	perEndpoint := func(family, help, typ string, sample func(labels [][2]string, c *endpointCounters)) {
+		obs.PromHead(w, name(family), help, typ)
+		f.each(func(path string, c *endpointCounters) {
+			sample([][2]string{{"endpoint", path}}, c)
+		})
+	}
+	perEndpoint("requests_total", "Completed requests by endpoint.", "counter",
+		func(l [][2]string, c *endpointCounters) {
+			obs.PromSample(w, name("requests_total"), l, float64(c.count.Load()))
+		})
+	perEndpoint("request_errors_total", "4xx/5xx answers by endpoint (429 excluded).", "counter",
+		func(l [][2]string, c *endpointCounters) {
+			obs.PromSample(w, name("request_errors_total"), l, float64(c.errors.Load()))
+		})
+	perEndpoint("requests_rejected_total", "429 admission rejections by endpoint.", "counter",
+		func(l [][2]string, c *endpointCounters) {
+			obs.PromSample(w, name("requests_rejected_total"), l, float64(c.rejected.Load()))
+		})
+	perEndpoint("request_duration_seconds", "Request latency by endpoint.", "histogram",
+		func(l [][2]string, c *endpointCounters) {
+			obs.PromHistogram(w, name("request_duration_seconds"), l, c.hist.Snapshot())
+		})
+
+	obs.PromHead(w, name("in_flight"), "Requests currently admitted.", "gauge")
+	obs.PromSample(w, name("in_flight"), nil, float64(len(f.inflight)))
+	obs.PromHead(w, name("max_in_flight"), "Admission limit.", "gauge")
+	obs.PromSample(w, name("max_in_flight"), nil, float64(f.maxInFlight))
+	obs.PromHead(w, name("slowlog_total"), "Slow-query log entries ever recorded.", "counter")
+	obs.PromSample(w, name("slowlog_total"), nil, float64(f.slow.Total()))
+}
+
+// writeProm renders m — already fully filled, handleMetrics does that for
+// both representations — as the server's exposition.
+func (s *Server) writeProm(w http.ResponseWriter, m *Metrics) {
+	s.front.WriteProm(w)
 	obs.PromHead(w, "sdb_info", "Served storage organization.", "gauge")
 	obs.PromSample(w, "sdb_info", [][2]string{{"org", m.Org}}, 1)
-	obs.PromHead(w, "sdb_uptime_seconds", "Seconds since the server started.", "gauge")
-	obs.PromSample(w, "sdb_uptime_seconds", nil, m.Uptime)
-
-	obs.PromHead(w, "sdb_requests_total", "Completed requests by endpoint.", "counter")
-	s.metrics.each(func(path string, c *endpointCounters) {
-		obs.PromSample(w, "sdb_requests_total", [][2]string{{"endpoint", path}}, float64(c.count.Load()))
-	})
-	obs.PromHead(w, "sdb_request_errors_total", "4xx/5xx answers by endpoint (429 excluded).", "counter")
-	s.metrics.each(func(path string, c *endpointCounters) {
-		obs.PromSample(w, "sdb_request_errors_total", [][2]string{{"endpoint", path}}, float64(c.errors.Load()))
-	})
-	obs.PromHead(w, "sdb_requests_rejected_total", "429 admission rejections by endpoint.", "counter")
-	s.metrics.each(func(path string, c *endpointCounters) {
-		obs.PromSample(w, "sdb_requests_rejected_total", [][2]string{{"endpoint", path}}, float64(c.rejected.Load()))
-	})
-	obs.PromHead(w, "sdb_request_duration_seconds", "Request latency by endpoint.", "histogram")
-	s.metrics.each(func(path string, c *endpointCounters) {
-		obs.PromHistogram(w, "sdb_request_duration_seconds", [][2]string{{"endpoint", path}}, c.hist.Snapshot())
-	})
-
-	obs.PromHead(w, "sdb_in_flight", "Requests currently admitted.", "gauge")
-	obs.PromSample(w, "sdb_in_flight", nil, float64(m.InFlight))
-	obs.PromHead(w, "sdb_max_in_flight", "Admission limit.", "gauge")
-	obs.PromSample(w, "sdb_max_in_flight", nil, float64(m.MaxInFlight))
 
 	obs.PromHead(w, "sdb_batches_total", "Dispatcher micro-batches executed.", "counter")
 	obs.PromSample(w, "sdb_batches_total", nil, float64(m.Batches))
@@ -97,10 +122,12 @@ func (s *Server) writeProm(w io.Writer, m *Metrics) {
 		}
 	}
 
-	obs.PromHead(w, "sdb_slowlog_total", "Slow-query log entries ever recorded.", "counter")
-	obs.PromSample(w, "sdb_slowlog_total", nil, float64(m.SlowLogTotal))
 	obs.PromHead(w, "sdb_throttle", "Wall-clock fraction of modelled I/O time actually slept.", "gauge")
 	obs.PromSample(w, "sdb_throttle", nil, m.Throttle)
+	serial := 0.0
+	if m.SerialMode {
+		serial = 1
+	}
 	obs.PromHead(w, "sdb_serial_mode", "1 when the micro-batching dispatcher is disabled.", "gauge")
-	obs.PromSample(w, "sdb_serial_mode", nil, b(m.SerialMode))
+	obs.PromSample(w, "sdb_serial_mode", nil, serial)
 }

@@ -4,18 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spatialcluster"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
-	"spatialcluster/internal/obs"
 	"spatialcluster/internal/recluster"
 	"spatialcluster/internal/store"
 	"spatialcluster/internal/wal"
@@ -77,16 +72,16 @@ func (c Config) withDefaults() Config {
 	if c.BatchWait == 0 {
 		c.BatchWait = 200 * time.Microsecond
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
-	}
 	return c
 }
 
 // Server serves one storage organization over HTTP. Create it with New,
-// mount Handler on an http.Server, and call Shutdown when done.
+// mount Handler on an http.Server, and call Shutdown when done. It is the
+// Service of its own Front — six operations that enqueue a job with the
+// dispatcher and wait — plus the control plane of a single store.
 type Server struct {
-	cfg Config
+	cfg   Config
+	front *Front
 
 	orgMu sync.RWMutex // guards org (swapped by /load while quiesced)
 	org   store.Organization
@@ -95,34 +90,26 @@ type Server struct {
 	quit       chan struct{}
 	dispatchWG sync.WaitGroup
 	serialMu   sync.Mutex // serial-mode query serialization
-
-	inflight chan struct{} // admission semaphore, capacity MaxInFlight
-	exclMu   sync.Mutex    // serializes quiescing endpoints (/save, /load)
-	closed   atomic.Bool
-
-	metrics *metricsRegistry
-	slow    *obs.SlowLog
+	metrics    batchCounters
 }
 
 // New creates a server over a flushed organization and starts its
 // dispatcher. The caller keeps ownership of the organization's backend;
 // Shutdown flushes but does not close it.
 func New(org store.Organization, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	slowThreshold := time.Duration(cfg.SlowLogMS * float64(time.Millisecond))
-	if cfg.SlowLogMS == 0 {
-		slowThreshold = 250 * time.Millisecond
-	}
-	s := &Server{
-		cfg:      cfg,
-		org:      org,
-		jobs:     make(chan *job, cfg.MaxInFlight),
-		quit:     make(chan struct{}),
-		inflight: make(chan struct{}, cfg.MaxInFlight),
-		metrics:  newMetricsRegistry(),
-		slow:     obs.NewSlowLog(slowThreshold, 128),
-	}
-	if !cfg.Serial {
+	s := &Server{cfg: cfg.withDefaults(), org: org, quit: make(chan struct{})}
+	f := NewFront(s, "sdb", cfg.MaxInFlight, cfg.SlowLogMS, cfg.Pprof)
+	s.front = f
+	s.jobs = make(chan *job, f.maxInFlight)
+	f.Handle(http.MethodPost, "/recluster", s.handleRecluster)
+	f.Handle(http.MethodPost, "/flush", s.handleFlush)
+	// /save reads unsynchronized bookkeeping maps and /load swaps the
+	// organization: both need the store to themselves.
+	f.handle(http.MethodPost, "/save", gateExclusive, s.handleSave)
+	f.handle(http.MethodPost, "/load", gateExclusive, s.handleLoad)
+	f.Handle(http.MethodGet, "/stats", s.handleStats)
+	f.Handle(http.MethodGet, "/metrics", s.handleMetrics)
+	if !s.cfg.Serial {
 		s.dispatchWG.Add(1)
 		go s.dispatch()
 	}
@@ -142,379 +129,77 @@ func (s *Server) organization() store.Organization {
 func (s *Server) Organization() store.Organization { return s.organization() }
 
 // Handler returns the HTTP handler tree.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query/window", s.admitted(s.handleWindow))
-	mux.HandleFunc("/query/point", s.admitted(s.handlePoint))
-	mux.HandleFunc("/query/knn", s.admitted(s.handleKNN))
-	mux.HandleFunc("/insert", s.admitted(s.handleInsert))
-	mux.HandleFunc("/update", s.admitted(s.handleUpdate))
-	mux.HandleFunc("/delete", s.admitted(s.handleDelete))
-	mux.HandleFunc("/bin/window", s.admitted(s.handleBinWindow))
-	mux.HandleFunc("/bin/point", s.admitted(s.handleBinPoint))
-	mux.HandleFunc("/bin/knn", s.admitted(s.handleBinKNN))
-	mux.HandleFunc("/bin/insert", s.admitted(s.handleBinInsert))
-	mux.HandleFunc("/bin/update", s.admitted(s.handleBinUpdate))
-	mux.HandleFunc("/bin/delete", s.admitted(s.handleBinDelete))
-	mux.HandleFunc("/recluster", s.admitted(s.handleRecluster))
-	mux.HandleFunc("/flush", s.admitted(s.handleFlush))
-	mux.HandleFunc("/save", s.quiesced(s.handleSave))
-	mux.HandleFunc("/load", s.quiesced(s.handleLoad))
-	mux.HandleFunc("/stats", s.observed("/stats", s.handleStats))
-	mux.HandleFunc("/metrics", s.observed("/metrics", s.handleMetrics))
-	mux.HandleFunc("/debug/slowlog", s.observed("/debug/slowlog", s.handleSlowLog))
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	if s.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
+
+// run executes one job and hands its dispatcher attribution to the request
+// record, for the slow-query log.
+func (s *Server) run(rq *Request, j *job) error {
+	j.tr, j.done = rq.Trace, make(chan struct{})
+	s.execute(j)
+	rq.QueueNS, rq.ExecNS = j.queueNS, j.execNS
+	return j.err
 }
 
-// statusRecorder captures the response status for the metrics counters, plus
-// the dispatcher's queue/execute attribution for the slow-query log (handlers
-// copy it off the job with noteJob).
-type statusRecorder struct {
-	http.ResponseWriter
-	status  int
-	queueNS int64
-	execNS  int64
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-// noteJob hands a finished job's dispatcher attribution to the wrapper, for
-// the slow-query log. w is the wrapper's statusRecorder on the instrumented
-// paths; anything else (a bare ResponseWriter in a test) is a no-op.
-func noteJob(w http.ResponseWriter, j *job) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.queueNS, rec.execNS = j.queueNS, j.execNS
-	}
-}
-
-// finish feeds one completed request into the metrics registry and the
-// slow-query log.
-func (s *Server) finish(path string, start time.Time, rec *statusRecorder) {
-	d := time.Since(start)
-	s.metrics.record(path, d, rec.status >= 400)
-	s.slow.Note(obs.SlowEntry{
-		Endpoint: path,
-		Status:   rec.status,
-		Time:     start,
-		WallMS:   d.Seconds() * 1000,
-		QueueMS:  float64(rec.queueNS) / 1e6,
-		ExecMS:   float64(rec.execNS) / 1e6,
-	})
-}
-
-// observed instruments an endpoint without admission control (read-only
-// introspection must keep answering under overload).
-func (s *Server) observed(path string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "%s needs GET", path)
-			return
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		fn(rec, r)
-		s.finish(path, start, rec)
-	}
-}
-
-// admitted wraps a POST endpoint with admission control: when MaxInFlight
-// requests are already being served the request is rejected with 429
-// immediately — bounded latency under overload beats an unbounded queue.
-func (s *Server) admitted(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		path := r.URL.Path
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "%s needs POST", path)
-			return
-		}
-		if s.closed.Load() {
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			s.metrics.reject(path)
-			writeError(w, http.StatusTooManyRequests,
-				"overloaded: %d requests in flight", s.cfg.MaxInFlight)
-			return
-		}
-		defer func() { <-s.inflight }()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		fn(rec, r)
-		s.finish(path, start, rec)
-	}
-}
-
-// quiesceTimeout caps how long /save, /load and Shutdown wait for in-flight
-// requests to drain.
-const quiesceTimeout = 30 * time.Second
-
-// quiesce waits until no other request is in flight by acquiring every
-// admission permit, and returns a release function. It must not be called
-// while holding a permit.
-func (s *Server) quiesce(ctx context.Context) (release func(), err error) {
-	ctx, cancel := context.WithTimeout(ctx, quiesceTimeout)
-	defer cancel()
-	held := 0
-	releaseHeld := func() {
-		for i := 0; i < held; i++ {
-			<-s.inflight
-		}
-	}
-	for held < s.cfg.MaxInFlight {
-		select {
-		case s.inflight <- struct{}{}:
-			held++
-		case <-ctx.Done():
-			releaseHeld()
-			return nil, fmt.Errorf("waiting for %d in-flight requests: %w",
-				s.cfg.MaxInFlight-held, ctx.Err())
-		}
-	}
-	return releaseHeld, nil
-}
-
-// quiesced wraps an endpoint that needs the store to itself (/save reads
-// unsynchronized bookkeeping maps, /load swaps the organization). The
-// handler runs with every admission permit held: no query or mutation is in
-// flight, and new ones wait in the 429 path.
-func (s *Server) quiesced(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		path := r.URL.Path
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "%s needs POST", path)
-			return
-		}
-		if s.closed.Load() {
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
-		s.exclMu.Lock()
-		defer s.exclMu.Unlock()
-		release, err := s.quiesce(r.Context())
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		defer release()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		fn(rec, r)
-		s.finish(path, start, rec)
-	}
-}
-
-// TraceIDHeader is the JSON protocol's trace-context hop: a gateway (the
-// router) forwards its trace ID here alongside ?trace=1, so the shard's
-// sub-trace shares the identity of the distributed trace it belongs to.
-const TraceIDHeader = "X-Sdb-Trace-Id"
-
-// traceFor starts a trace when the request asked for one with ?trace=1 (any
-// non-empty value except "0"); otherwise it returns nil, which every trace
-// method accepts and ignores. A propagated trace ID in TraceIDHeader is
-// adopted instead of minting a fresh one.
-func traceFor(r *http.Request) *obs.Trace {
-	if v := r.URL.Query().Get("trace"); v != "" && v != "0" {
-		if h := r.Header.Get(TraceIDHeader); h != "" {
-			if id, err := strconv.ParseUint(h, 10, 64); err == nil {
-				return obs.NewTraceWithID(id)
-			}
-		}
-		return obs.NewTrace()
-	}
-	return nil
-}
-
-// traceInfo converts a finished trace to its wire form (nil stays nil).
-func traceInfo(tr *obs.Trace) *TraceInfo {
-	if tr == nil {
-		return nil
-	}
-	return &TraceInfo{TraceID: tr.ID(), TotalMS: tr.TotalMS(), Spans: tr.Spans()}
-}
-
-// handleHealthz answers liveness: the process serves HTTP. Always 200.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "/healthz needs GET")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz answers readiness: 200 while the server accepts work, 503
-// once shutdown has begun (load balancers stop routing before the drain).
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "/readyz needs GET")
-		return
-	}
-	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	var req WindowRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	tech, err := store.TechByName(req.Tech)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Tech == "" {
+// Window implements Service.
+func (s *Server) Window(rq *Request, win geom.Rect, tech store.Technique) (store.QueryResult, error) {
+	if tech == TechDefault {
 		tech = s.cfg.DefaultTech
 	}
-	j := &job{
-		kind:   jobWindow,
-		window: geom.R(req.Window[0], req.Window[1], req.Window[2], req.Window[3]),
-		tech:   tech,
-		tr:     traceFor(r),
-		done:   make(chan struct{}),
-	}
-	s.execute(j)
-	noteJob(w, j)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		IDs: idsToWire(j.qr.IDs), Candidates: j.qr.Candidates, Trace: traceInfo(j.tr),
-	})
+	j := &job{kind: jobWindow, window: win, tech: tech}
+	err := s.run(rq, j)
+	return j.qr, err
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var req PointRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j := &job{kind: jobPoint, pt: geom.Pt(req.Point[0], req.Point[1]), tr: traceFor(r), done: make(chan struct{})}
-	s.execute(j)
-	noteJob(w, j)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		IDs: idsToWire(j.qr.IDs), Candidates: j.qr.Candidates, Trace: traceInfo(j.tr),
-	})
+// Point implements Service.
+func (s *Server) Point(rq *Request, pt geom.Point) (store.QueryResult, error) {
+	j := &job{kind: jobPoint, pt: pt}
+	err := s.run(rq, j)
+	return j.qr, err
 }
 
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req KNNRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
-		return
-	}
-	j := &job{kind: jobKNN, pt: geom.Pt(req.Point[0], req.Point[1]), k: req.K, tr: traceFor(r), done: make(chan struct{})}
-	s.execute(j)
-	noteJob(w, j)
-	writeJSON(w, http.StatusOK, KNNResponse{
-		IDs: idsToWire(j.nr.IDs), Dists: j.nr.Dists, Candidates: j.nr.Candidates, Trace: traceInfo(j.tr),
-	})
+// KNN implements Service.
+func (s *Server) KNN(rq *Request, pt geom.Point, k int) (store.NearestResult, error) {
+	j := &job{kind: jobKNN, pt: pt, k: k}
+	err := s.run(rq, j)
+	return j.nr, err
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	o, key, ok := decodeInsert(w, r)
-	if !ok {
-		return
-	}
-	j := &job{kind: jobInsert, obj: o, key: key, tr: traceFor(r), done: make(chan struct{})}
-	s.execute(j)
-	noteJob(w, j)
-	if j.err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", j.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MutateResponse{Trace: traceInfo(j.tr)})
+// Insert implements Service. An error is the write-ahead log refusing the
+// record: the mutation was neither acknowledged nor applied.
+func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
+	return s.run(rq, &job{kind: jobInsert, obj: o, key: key})
 }
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	o, key, ok := decodeInsert(w, r)
-	if !ok {
-		return
-	}
-	j := &job{kind: jobUpdate, obj: o, key: key, tr: traceFor(r), done: make(chan struct{})}
-	s.execute(j)
-	noteJob(w, j)
-	if j.err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", j.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MutateResponse{Existed: j.existed, Trace: traceInfo(j.tr)})
+// Update implements Service.
+func (s *Server) Update(rq *Request, o *object.Object, key geom.Rect) (bool, error) {
+	j := &job{kind: jobUpdate, obj: o, key: key}
+	err := s.run(rq, j)
+	return j.existed, err
 }
 
-// decodeInsert parses an insert/update body into an engine object and its
-// spatial key (the object's bounds when the request names none), answering
-// the 400 itself on malformed input.
-func decodeInsert(w http.ResponseWriter, r *http.Request) (*object.Object, geom.Rect, bool) {
-	var req InsertRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, geom.Rect{}, false
-	}
-	o, err := req.Object.toObject()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, geom.Rect{}, false
-	}
-	key := o.Bounds()
-	if req.Key != nil {
-		key = geom.R(req.Key[0], req.Key[1], req.Key[2], req.Key[3])
-	}
-	return o, key, true
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req DeleteRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j := &job{kind: jobDelete, id: object.ID(req.ID), tr: traceFor(r), done: make(chan struct{})}
-	s.execute(j)
-	noteJob(w, j)
-	if j.err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", j.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MutateResponse{Existed: j.existed, Trace: traceInfo(j.tr)})
+// Delete implements Service.
+func (s *Server) Delete(rq *Request, id object.ID) (bool, error) {
+	j := &job{kind: jobDelete, id: id}
+	err := s.run(rq, j)
+	return j.existed, err
 }
 
 func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 	var req ReclusterRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		Reply(w, nil, err)
 		return
 	}
 	pol, err := recluster.ByName(req.Policy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		Reply(w, nil, badRequest(err))
 		return
 	}
 	org := s.organization()
 	if _, isCluster := store.Unwrap(org).(*store.Cluster); !isCluster {
-		writeJSON(w, http.StatusOK, ReclusterResponse{
+		Reply(w, ReclusterResponse{
 			Note: fmt.Sprintf("policy %s ignored: %s has no cluster units", pol.Name(), org.Name()),
-		})
+		}, nil)
 		return
 	}
 	var res recluster.Result
@@ -523,56 +208,56 @@ func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 		// the mutation history.
 		res, err = ws.Recluster(req.Policy)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			Reply(w, nil, err)
 			return
 		}
 	} else {
 		res = pol.Maintain(store.Unwrap(org).(*store.Cluster))
 	}
 	org.Flush()
-	writeJSON(w, http.StatusOK, ReclusterResponse{RepackedUnits: res.RepackedUnits, Rebuilt: res.Rebuilt})
+	Reply(w, ReclusterResponse{RepackedUnits: res.RepackedUnits, Rebuilt: res.Rebuilt}, nil)
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	s.organization().Flush()
-	writeJSON(w, http.StatusOK, struct{}{})
+	Reply(w, struct{}{}, nil)
 }
 
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	var req PathRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		Reply(w, nil, err)
 		return
 	}
 	if req.Path == "" {
-		writeError(w, http.StatusBadRequest, "save needs a path")
+		Reply(w, nil, statusErr(http.StatusBadRequest, "save needs a path"))
 		return
 	}
 	if err := spatialcluster.Save(s.organization(), req.Path); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		Reply(w, nil, err)
 		return
 	}
 	st, err := os.Stat(req.Path)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		Reply(w, nil, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SaveResponse{Path: req.Path, Bytes: st.Size()})
+	Reply(w, SaveResponse{Path: req.Path, Bytes: st.Size()}, nil)
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req PathRequest
-	if err := readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		Reply(w, nil, err)
 		return
 	}
 	if req.Path == "" {
-		writeError(w, http.StatusBadRequest, "load needs a path")
+		Reply(w, nil, statusErr(http.StatusBadRequest, "load needs a path"))
 		return
 	}
 	fresh, err := spatialcluster.Open(req.Path, s.cfg.OpenConfig)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		Reply(w, nil, badRequest(err))
 		return
 	}
 	// On a WAL-attached store the wrapper stays: the fresh organization is
@@ -585,7 +270,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		old = ws.Underlying()
 		if err := ws.Rebase(fresh); err != nil {
 			fresh.Env().Close()
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			Reply(w, nil, err)
 			return
 		}
 	} else {
@@ -604,11 +289,11 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if err := old.Env().Close(); err != nil {
 		resp.Warning = fmt.Sprintf("loaded, but closing the previous store's backend failed: %v", err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	Reply(w, resp, nil)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsResponse(s.organization()))
+	Reply(w, s.statsResponse(s.organization()), nil)
 }
 
 func (s *Server) statsResponse(org store.Organization) StatsResponse {
@@ -647,50 +332,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	org := s.organization()
 	env := org.Env()
 	m := Metrics{
-		Org:         org.Name(),
-		Storage:     s.statsResponse(org),
-		SerialMode:  s.cfg.Serial,
-		InFlight:    len(s.inflight),
-		MaxInFlight: s.cfg.MaxInFlight,
-		Throttle:    env.Disk.Throttle(),
+		Org:        org.Name(),
+		Storage:    s.statsResponse(org),
+		SerialMode: s.cfg.Serial,
+		Throttle:   env.Disk.Throttle(),
 	}
 	m.ModelCost = env.Disk.Cost()
 	m.ModelIOSec = m.ModelCost.TimeSec(env.Params())
 	meas := env.Disk.Measured()
 	m.MeasuredIOSec = meas.IOSeconds()
 	m.MeasuredReads = meas.Reads
-	m.SlowLogTotal = s.slow.Total()
-	m.SlowLogMS = s.slow.Threshold().Seconds() * 1000
 	fillBuffer(&m, env.Buf.Stats())
+	s.front.Snapshot(&m)
 	s.metrics.snapshot(&m)
 	if PromWanted(r) {
-		w.Header().Set("Content-Type", promContentType)
 		s.writeProm(w, &m)
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// PromWanted decides the /metrics representation: ?format=prom (or json)
-// wins; otherwise an Accept header asking for text/plain — what a Prometheus
-// scraper sends — selects the exposition format. The default stays JSON for
-// curl and the existing clients.
-func PromWanted(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prom":
-		return true
-	case "json":
-		return false
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/plain")
-}
-
-func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, SlowLogResponse{
-		ThresholdMS: s.slow.Threshold().Seconds() * 1000,
-		Total:       s.slow.Total(),
-		Entries:     s.slow.Entries(),
-	})
+	Reply(w, m, nil)
 }
 
 // Shutdown drains in-flight requests, stops the dispatcher, flushes the
@@ -699,14 +358,12 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 // requests race the drain. Shutdown does not close the store's backend; the
 // owner does.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	s.exclMu.Lock()
-	defer s.exclMu.Unlock()
-	release, err := s.quiesce(ctx)
+	release, err := s.front.close(ctx)
 	if err != nil {
 		return fmt.Errorf("server: shutdown: %w", err)
+	}
+	if release == nil {
+		return nil
 	}
 	defer release()
 	if !s.cfg.Serial {

@@ -83,15 +83,9 @@ func (m *KNNMerger) Bound() float64 {
 	return m.items[len(m.items)-1].Dist
 }
 
-// Results returns the merged answer in (distance, ID) order.
-func (m *KNNMerger) Results() (ids []uint64, dists []float64) {
-	ids = make([]uint64, len(m.items))
-	dists = make([]float64, len(m.items))
-	for i, it := range m.items {
-		ids[i], dists[i] = it.ID, it.Dist
-	}
-	return ids, dists
-}
+// Neighbors returns the merged answer in (distance, ID) order — the merger's
+// own slice, valid until the next Add.
+func (m *KNNMerger) Neighbors() []Neighbor { return m.items }
 
 // NextWave plans the next round of shard queries: among the shards not yet
 // queried and not provably incapable (prune only when the merger is full AND

@@ -211,14 +211,14 @@ func TestKNNMergerOrder(t *testing.T) {
 		}
 		return objs[a].id < objs[b].id
 	})
-	ids, dists := m.Results()
-	if len(ids) != 12 {
-		t.Fatalf("merged %d, want 12", len(ids))
+	got := m.Neighbors()
+	if len(got) != 12 {
+		t.Fatalf("merged %d, want 12", len(got))
 	}
-	for i := range ids {
-		if ids[i] != objs[i].id || dists[i] != objs[i].dist {
+	for i, nb := range got {
+		if nb.ID != objs[i].id || nb.Dist != objs[i].dist {
 			t.Fatalf("rank %d: got (%d,%g), want (%d,%g)",
-				i, ids[i], dists[i], objs[i].id, objs[i].dist)
+				i, nb.ID, nb.Dist, objs[i].id, objs[i].dist)
 		}
 	}
 	if m.Bound() != objs[11].dist {
@@ -232,9 +232,9 @@ func TestKNNMergerDuplicateID(t *testing.T) {
 	m.Add(7, 0.2) // closer duplicate wins
 	m.Add(7, 0.9) // farther duplicate ignored
 	m.Add(1, 0.3)
-	ids, dists := m.Results()
-	if len(ids) != 2 || ids[0] != 7 || dists[0] != 0.2 || ids[1] != 1 {
-		t.Fatalf("got %v %v", ids, dists)
+	got := m.Neighbors()
+	if len(got) != 2 || got[0].ID != 7 || got[0].Dist != 0.2 || got[1].ID != 1 {
+		t.Fatalf("got %v", got)
 	}
 }
 
@@ -304,14 +304,14 @@ func TestKNNWaveSimulation(t *testing.T) {
 					}
 				}
 			}
-			ids, _ := merger.Results()
-			if len(ids) != k {
-				t.Fatalf("n=%d: merged %d, want %d", n, len(ids), k)
+			got := merger.Neighbors()
+			if len(got) != k {
+				t.Fatalf("n=%d: merged %d, want %d", n, len(got), k)
 			}
-			for i := range ids {
-				if ids[i] != want[i].id {
+			for i, nb := range got {
+				if nb.ID != want[i].id {
 					t.Fatalf("n=%d trial %d rank %d: got %d, want %d",
-						n, trial, i, ids[i], want[i].id)
+						n, trial, i, nb.ID, want[i].id)
 				}
 			}
 		}
