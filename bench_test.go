@@ -339,6 +339,7 @@ func BenchmarkCoreWindowQuery(b *testing.B) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 32, Seed: 2})
 	built := exp.Build(exp.OrgCluster, ds, 1024)
 	ws := ds.Windows(0.001, 256, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		built.Org.WindowQuery(ws[i%len(ws)], sc.TechComplete)
@@ -433,6 +434,7 @@ func BenchmarkKNNOrgs(b *testing.B) {
 		{"prim", exp.Build(exp.OrgPrimary, ds, o.BuildBufPages).Org},
 		{"clus", exp.Build(exp.OrgCluster, ds, o.BuildBufPages).Org},
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		msPer := map[string]float64{}

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -586,15 +587,22 @@ func (m *Manager) Unpin(id disk.PageID) {
 }
 
 // PinPages pins every page of ids that is resident and returns the pinned
-// subset (the caller unpins exactly that subset with UnpinPages).
+// subset (the caller unpins exactly that subset with UnpinPages, leaving ids
+// alone in between: when every page was resident the subset is ids itself).
 func (m *Manager) PinPages(ids []disk.PageID) []disk.PageID {
-	pinned := make([]disk.PageID, 0, len(ids))
-	for _, id := range ids {
+	for i, id := range ids {
 		if m.Pin(id) {
-			pinned = append(pinned, id)
+			continue
 		}
+		pinned := slices.Clone(ids[:i])
+		for _, id := range ids[i+1:] {
+			if m.Pin(id) {
+				pinned = append(pinned, id)
+			}
+		}
+		return pinned
 	}
-	return pinned
+	return ids
 }
 
 // UnpinPages releases one pin on every listed page.
@@ -607,15 +615,17 @@ func (m *Manager) UnpinPages(ids []disk.PageID) {
 // --- bulk operations ---
 
 // Missing partitions pages into buffered (touched as hits) and missing ones;
-// the missing IDs are returned sorted and deduplicated.
+// a page listed twice counts once, and the missing IDs are returned sorted.
 func (m *Manager) Missing(pages []disk.PageID) []disk.PageID {
 	var missing []disk.PageID
-	seen := make(map[disk.PageID]bool, len(pages))
-	for _, id := range pages {
-		if seen[id] {
+	var hi disk.PageID // highest page seen so far
+	for i, id := range pages {
+		// Callers pass a unit's handful of pages, mostly ascending: a scan
+		// of the earlier ones finds a repeat without a set per call.
+		if i > 0 && id <= hi && slices.Contains(pages[:i], id) {
 			continue
 		}
-		seen[id] = true
+		hi = max(hi, id)
 		if _, ok := m.Touch(id); ok {
 			m.hits.Add(1)
 		} else {
@@ -623,7 +633,7 @@ func (m *Manager) Missing(pages []disk.PageID) []disk.PageID {
 			missing = append(missing, id)
 		}
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	slices.Sort(missing)
 	return missing
 }
 
@@ -649,14 +659,11 @@ func (m *Manager) admit(id disk.PageID, data []byte) {
 // storage unit: the first run is a fresh request (seek + latency), every
 // further run is chained (latency only). If vector is true, only pages
 // listed in requested enter the buffer (vector read); otherwise every
-// transferred page does (normal read). Pages already buffered are
-// overwritten in place, which is harmless because the disk is the source of
-// truth for clean pages.
+// transferred page does (normal read). A clean page already buffered gets its
+// frame's slice replaced, never written into (the package comment states the
+// contract), which is harmless because the disk is the source of truth for
+// clean pages.
 func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool) {
-	want := make(map[disk.PageID]bool, len(requested))
-	for _, id := range requested {
-		want[id] = true
-	}
 	for i, r := range runs {
 		var data [][]byte
 		if i == 0 {
@@ -666,7 +673,7 @@ func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector b
 		}
 		for j := 0; j < r.N; j++ {
 			id := r.Start + disk.PageID(j)
-			if vector && !want[id] {
+			if vector && !slices.Contains(requested, id) {
 				continue
 			}
 			m.admit(id, data[j])

@@ -135,6 +135,40 @@ func TestMissing(t *testing.T) {
 	if len(missing) != 2 || missing[0] != 1 || missing[1] != 7 {
 		t.Fatalf("Missing = %v, want [1 7]", missing)
 	}
+	// A page listed twice counts once, wherever the repeat sits.
+	m.ResetStats()
+	if missing = m.Missing([]disk.PageID{4, 3, 4, 2, 3, 2}); len(missing) != 2 || missing[0] != 3 || missing[1] != 4 {
+		t.Fatalf("Missing = %v, want [3 4]", missing)
+	}
+	if st := m.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats after repeats = %+v, want 1 hit and 2 misses", st)
+	}
+}
+
+// TestPinPagesSubset: only resident pages are pinned and returned, and the
+// all-resident case hands the input back without allocating.
+func TestPinPagesSubset(t *testing.T) {
+	d := newDiskWithPages(t, 10)
+	m := New(d, 4)
+	m.Get(2)
+	m.Get(5)
+	ids := []disk.PageID{2, 7, 5, 8}
+	pinned := m.PinPages(ids)
+	if len(pinned) != 2 || pinned[0] != 2 || pinned[1] != 5 {
+		t.Fatalf("PinPages = %v, want [2 5]", pinned)
+	}
+	m.UnpinPages(pinned)
+	all := m.PinPages(ids[:1])
+	if len(all) != 1 || &all[0] != &ids[0] {
+		t.Fatalf("PinPages of resident pages = %v, want the input slice", all)
+	}
+	m.UnpinPages(all)
+	m.Get(1) // nothing stays pinned: the buffer can still evict
+	m.Get(3)
+	m.Get(4)
+	if m.Len() != 4 {
+		t.Fatalf("buffer holds %d pages, want 4", m.Len())
+	}
 }
 
 func TestExecutePlanNormalVsVector(t *testing.T) {

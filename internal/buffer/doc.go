@@ -15,6 +15,19 @@
 // rotational delay. A vector read (paper section 6.2, Figure 15) transfers
 // the same pages but admits only the requested ones into the buffer.
 //
+// # Page immutability
+//
+// The read path hands out sub-slices of pages instead of copies (R*-tree
+// leaf payloads, object views), so this is a contract, not an accident:
+// a slice returned by Get, Touch, Peek or admitted by ExecutePlan — and
+// everything aliasing it — stays valid and unchanged for as long as it is
+// referenced, eviction included. Frames are replaced, never written into:
+// Put, PutClean and ExecutePlan swap the frame's slice, writers marshal or
+// clone into a fresh page before they Put it, and both disk backends return
+// fresh or never-rewritten slices. The one page that is written in place, a
+// cluster unit's in-memory tail, only grows past bytes already handed out.
+// Holders must not write through such a slice either.
+//
 // # Concurrency
 //
 // The manager is sharded: frames are distributed over numShards shards keyed

@@ -32,8 +32,10 @@ type Backend interface {
 	// they have not rewritten (the extent allocator guarantees this).
 	Free(start PageID, n int)
 	// ReadRun returns the contents of n consecutive pages. Slices may alias
-	// backend storage and must not be modified; pages never written may be
-	// returned as nil (all-zero).
+	// backend storage and must not be modified — nor may the backend ever
+	// rewrite that storage under a reader: WriteRun replaces a page's slice
+	// (the immutability contract of internal/buffer rests on it). Pages
+	// never written may be returned as nil (all-zero).
 	ReadRun(start PageID, n int) [][]byte
 	// WriteRun stores data[i] into page start+i. Each slice is at most
 	// PageSize bytes and must be copied (or otherwise made durable) before

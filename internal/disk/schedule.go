@@ -1,6 +1,6 @@
 package disk
 
-import "sort"
+import "slices"
 
 // Run is a maximal set of physically consecutive pages read or written by a
 // single request.
@@ -20,19 +20,9 @@ func (r Run) Contains(id PageID) bool { return id >= r.Start && id < r.End() }
 // iterate the original request list, so mutating it in place (as an earlier
 // version did) silently reordered pages under the caller.
 func normalize(pages []PageID) []PageID {
-	if len(pages) == 0 {
-		return nil
-	}
-	sorted := make([]PageID, len(pages))
-	copy(sorted, pages)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := sorted[:0]
-	for i, p := range sorted {
-		if i == 0 || p != sorted[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	sorted := slices.Clone(pages)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
 }
 
 // PlanSLM computes the close-to-optimal read schedule of Seeger, Larson and

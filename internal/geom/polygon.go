@@ -60,8 +60,9 @@ func (pg *Polygon) IntersectsRect(r Rect) bool {
 	if r.IsEmpty() || !pg.Bounds().Intersects(r) {
 		return false
 	}
-	for _, s := range pg.Segments() {
-		if s.IntersectsRect(r) {
+	n := len(pg.Vertices)
+	for i := 0; i < n; i++ {
+		if (Segment{A: pg.Vertices[i], B: pg.Vertices[(i+1)%n]}).IntersectsRect(r) {
 			return true
 		}
 	}

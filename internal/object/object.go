@@ -82,10 +82,24 @@ func Marshal(o *Object) []byte {
 	return buf
 }
 
-// Unmarshal deserializes an object previously produced by Marshal.
-func Unmarshal(buf []byte) (*Object, error) {
+// View is a serialization decoded for inspection rather than kept: Vertices
+// is the slice Decode was handed to fill, so a View is only good until that
+// slice is reused.
+type View struct {
+	ID       ID
+	Polygon  bool // false: polyline
+	Vertices []geom.Point
+	Pad      int
+}
+
+// Decode checks a serialization produced by Marshal and decodes its vertices
+// into verts (reusing its capacity, growing it when too small). Query
+// refinement decodes into per-query scratch and tests a stack geometry, so a
+// candidate costs no allocation; Unmarshal builds the heap form from the
+// same check.
+func Decode(buf []byte, verts []geom.Point) (View, error) {
 	if len(buf) < HeaderSize {
-		return nil, fmt.Errorf("object: buffer of %d bytes shorter than header", len(buf))
+		return View{}, fmt.Errorf("object: buffer of %d bytes shorter than header", len(buf))
 	}
 	id := ID(binary.LittleEndian.Uint64(buf[0:]))
 	typ := buf[8]
@@ -93,30 +107,38 @@ func Unmarshal(buf []byte) (*Object, error) {
 	pad := int(binary.LittleEndian.Uint32(buf[16:]))
 	want := HeaderSize + VertexSize*n + pad
 	if len(buf) != want {
-		return nil, fmt.Errorf("object %d: buffer is %d bytes, serialization says %d",
+		return View{}, fmt.Errorf("object %d: buffer is %d bytes, serialization says %d",
 			id, len(buf), want)
 	}
-	verts := make([]geom.Point, n)
+	switch {
+	case typ != typePolyline && typ != typePolygon:
+		return View{}, fmt.Errorf("object %d: unknown geometry type %d", id, typ)
+	case typ == typePolyline && n < 2:
+		return View{}, fmt.Errorf("object %d: polyline with %d vertices", id, n)
+	case typ == typePolygon && n < 3:
+		return View{}, fmt.Errorf("object %d: polygon with %d vertices", id, n)
+	}
+	if cap(verts) < n {
+		verts = make([]geom.Point, n)
+	}
+	verts = verts[:n]
 	off := HeaderSize
 	for i := range verts {
 		verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 		verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
 		off += VertexSize
 	}
-	var g geom.Geometry
-	switch typ {
-	case typePolyline:
-		if n < 2 {
-			return nil, fmt.Errorf("object %d: polyline with %d vertices", id, n)
-		}
-		g = geom.NewPolyline(verts)
-	case typePolygon:
-		if n < 3 {
-			return nil, fmt.Errorf("object %d: polygon with %d vertices", id, n)
-		}
-		g = geom.NewPolygon(verts)
-	default:
-		return nil, fmt.Errorf("object %d: unknown geometry type %d", id, typ)
+	return View{ID: id, Polygon: typ == typePolygon, Vertices: verts, Pad: pad}, nil
+}
+
+// Unmarshal deserializes an object previously produced by Marshal.
+func Unmarshal(buf []byte) (*Object, error) {
+	v, err := Decode(buf, nil)
+	if err != nil {
+		return nil, err
 	}
-	return &Object{ID: id, Geom: g, Pad: pad}, nil
+	if v.Polygon {
+		return &Object{ID: v.ID, Geom: geom.NewPolygon(v.Vertices), Pad: v.Pad}, nil
+	}
+	return &Object{ID: v.ID, Geom: geom.NewPolyline(v.Vertices), Pad: v.Pad}, nil
 }

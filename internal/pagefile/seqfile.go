@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"fmt"
+	"sync"
 
 	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/disk"
@@ -34,9 +35,9 @@ func (r Ref) Span() disk.Run {
 // term of the paper's cost formulae).
 func (r Ref) NumPages() int { return r.Span().N }
 
-// Assemble reconstructs the referenced bytes from the spanned page contents
-// (as returned by CaptureBuffered). It is pure CPU work and safe to run on
-// any goroutine.
+// Assemble returns the referenced bytes given the spanned page contents (as
+// returned by CaptureBuffered), aliasing the page when they lie inside one.
+// It is pure CPU work and safe to run on any goroutine.
 func (r Ref) Assemble(pages [][]byte) []byte { return assemble(r, pages) }
 
 // SequentialFile is an append-only byte store with internal clustering: each
@@ -58,6 +59,9 @@ type SequentialFile struct {
 	curOff    int         // next free byte within curPage
 	havePage  bool
 	tailDirty bool // curBuf has bytes not yet on disk
+	// flushMu makes Flush safe among concurrent readers: ReadDirect and
+	// CaptureBuffered flush the tail first, under the store's read lock.
+	flushMu sync.Mutex
 
 	pagesUsed  int
 	bytesTotal int64
@@ -184,6 +188,8 @@ func (f *SequentialFile) completeCurrentPage() {
 // open: further appends keep filling it (and will rewrite it when it
 // completes, as a real file system would).
 func (f *SequentialFile) Flush() {
+	f.flushMu.Lock()
+	defer f.flushMu.Unlock()
 	if f.havePage && f.tailDirty {
 		f.alloc.Disk().WriteRun(f.curPage, [][]byte{f.curBuf})
 		f.tailDirty = false
@@ -274,8 +280,14 @@ func (f *SequentialFile) CaptureBuffered(m *buffer.Manager, ref Ref) [][]byte {
 	return pages
 }
 
-// assemble reconstructs the referenced bytes from the spanned page contents.
+// assemble returns the referenced bytes given the spanned page contents: the
+// page sub-slice itself when they lie inside one page (page data is
+// immutable once buffered or read — see internal/buffer — so the view stays
+// valid), a fresh copy when they straddle pages.
 func assemble(ref Ref, pages [][]byte) []byte {
+	if end := ref.Off + ref.Len; end <= disk.PageSize && len(pages) > 0 && end <= len(pages[0]) {
+		return pages[0][ref.Off:end:end]
+	}
 	out := make([]byte, 0, ref.Len)
 	pos := ref.Off
 	for _, pg := range pages {

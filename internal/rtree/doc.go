@@ -28,6 +28,16 @@
 // order for the k-NN engine in internal/store — and bulk loading in Hilbert
 // order (bulk.go) for static global clustering and full rebuilds.
 //
+// The read path scans pages in place: one entry cursor (node.go) is the only
+// reader of the page layout marshalNode writes, Search, SearchLeaves and the
+// directory levels of NearestLeaves run the rectangle test on the encoded
+// entry and surface only what qualifies, and every Entry.Payload handed out
+// — by the scans and by ReadNode/DecodeNode, the decoded form the mutation
+// path and the join edit — is a capacity-capped sub-slice of the page, valid
+// for as long as it is held (pages are immutable once buffered, see
+// internal/buffer). A page whose count or length prefix overruns it panics
+// naming the page.
+//
 // A built tree's in-memory state (root, shape counters, page levels) can be
 // captured with Image and revived with Restore over a disk whose pages were
 // restored by store.Restore; reopening charges no I/O (persist.go).

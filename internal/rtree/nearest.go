@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
-
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 )
@@ -17,24 +15,48 @@ type nnItem struct {
 	seq   int
 }
 
-// nnHeap is a min-heap over (dist, seq).
+// nnHeap is a binary min-heap over (dist, seq), typed so no item is boxed.
 type nnHeap []nnItem
 
-func (h nnHeap) Len() int { return len(h) }
-func (h nnHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+func (a nnItem) less(b nnItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h nnHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x any)   { *h = append(*h, x.(nnItem)) }
-func (h *nnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *nnHeap) push(it nnItem) {
+	s := append(*h, it)
+	i := len(s) - 1
+	for i > 0 && it.less(s[(i-1)/2]) {
+		s[i] = s[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	s[i] = it
+	*h = s
+}
+
+func (h *nnHeap) pop() nnItem {
+	s := *h
+	top, last := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
+	*h = s
+	if len(s) == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < len(s); c = 2*i + 1 {
+		if c+1 < len(s) && s[c+1].less(s[c]) {
+			c++
+		}
+		if !s[c].less(last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 // NearestLeaves visits the data pages of the tree in ascending order of
@@ -57,23 +79,24 @@ func (h *nnHeap) Pop() any {
 // MinDist, no better answer can exist. Node reads charge I/O like any
 // traversal.
 func (t *Tree) NearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool) {
-	h := &nnHeap{{child: t.root, dist: 0}}
+	h := make(nnHeap, 1, 64) // room for a directory node's fan-out
+	h[0] = nnItem{child: t.root}
 	seq := 1
-	for h.Len() > 0 {
-		it := heap.Pop(h).(nnItem)
+	for len(h) > 0 {
+		it := h.pop()
 		if stop != nil && stop(it.dist) {
 			return
 		}
-		n := t.ReadNode(it.child)
-		if n.Level == 0 {
-			if !fn(n, it.dist) {
+		page := t.buf.Get(it.child)
+		c := t.cursor(it.child, page)
+		if c.level == 0 {
+			if !fn(t.unmarshalNode(it.child, page), it.dist) {
 				return
 			}
 			continue
 		}
-		for i := range n.Entries {
-			e := &n.Entries[i]
-			heap.Push(h, nnItem{child: e.Child, dist: e.Rect.MinDist(pt), seq: seq})
+		for r, ok := c.next(); ok; r, ok = c.next() {
+			h.push(nnItem{child: c.child(), dist: r.MinDist(pt), seq: seq})
 			seq++
 		}
 	}

@@ -101,38 +101,86 @@ func (t *Tree) marshalNode(n *Node) []byte {
 	return buf
 }
 
-// unmarshalNode deserializes the page content of node id. A nil or empty
-// buffer is the zero page — unallocated backends and snapshot restores both
-// elide all-zero pages — and a zero page is exactly how an empty leaf node
-// (level 0, no entries) marshals, so it decodes as one.
-func (t *Tree) unmarshalNode(id disk.PageID, buf []byte) *Node {
+// cursor walks the entries of one encoded node page in place — the only
+// reader of the layout marshalNode writes. A nil or empty buffer is the zero
+// page — unallocated backends and snapshot restores both elide all-zero
+// pages — and a zero page is exactly how an empty leaf node (level 0, no
+// entries) marshals, so it reads as one.
+type cursor struct {
+	page  disk.PageID
+	buf   []byte
+	level int
+	count int // entries on the page
+	i     int // entries consumed
+	at    int // offset of the current entry
+	off   int // offset of the next entry
+	fixed int // on-page size of an entry; 0 on a variable leaf
+}
+
+func (t *Tree) cursor(id disk.PageID, buf []byte) cursor {
 	if len(buf) == 0 {
-		return &Node{ID: id, Level: 0, Entries: []Entry{}}
+		return cursor{page: id}
 	}
 	if len(buf) < nodeHeaderSize {
 		panic(fmt.Sprintf("rtree: page %d holds no node (len %d)", id, len(buf)))
 	}
-	n := &Node{ID: id, Level: int(buf[0])}
-	count := int(buf[1])
-	n.Entries = make([]Entry, count)
-	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		e := &n.Entries[i]
-		e.Rect = getRect(buf[off:])
-		off += rectSize
-		if n.Level > 0 {
-			e.Child = disk.PageID(binary.LittleEndian.Uint64(buf[off:]))
-			off += t.cfg.EntrySize - rectSize
-			continue
+	c := cursor{page: id, buf: buf, level: int(buf[0]), count: int(buf[1]), off: nodeHeaderSize}
+	if c.level > 0 || !t.cfg.VariableLeaf {
+		c.fixed = t.cfg.EntrySize
+	}
+	return c
+}
+
+// next advances to the next entry and returns its rectangle; ok is false past
+// the last one. The entry is bounds-checked once, here, so a corrupt count or
+// length prefix names its page instead of dying in a runtime index panic.
+func (c *cursor) next() (r geom.Rect, ok bool) {
+	if c.i == c.count {
+		return geom.Rect{}, false
+	}
+	end := c.off + c.fixed
+	if c.fixed == 0 {
+		end = c.off + rectSize + varLenSize
+		if end <= len(c.buf) {
+			end += int(binary.LittleEndian.Uint16(c.buf[c.off+rectSize:]))
 		}
-		if t.cfg.VariableLeaf {
-			l := int(binary.LittleEndian.Uint16(buf[off:]))
-			off += varLenSize
-			e.Payload = append([]byte(nil), buf[off:off+l]...)
-			off += l
+	}
+	if end > len(c.buf) {
+		panic(fmt.Sprintf("rtree: page %d: entry %d overruns the page (%d of %d bytes)",
+			c.page, c.i, end, len(c.buf)))
+	}
+	c.at, c.off = c.off, end
+	c.i++
+	return getRect(c.buf[c.at:]), true
+}
+
+// child returns the current directory entry's child page.
+func (c *cursor) child() disk.PageID {
+	return disk.PageID(binary.LittleEndian.Uint64(c.buf[c.at+rectSize:]))
+}
+
+// payload returns the current leaf entry's payload: a sub-slice of the page,
+// never a copy, capped so an append cannot write into the neighbouring entry.
+// Pages are immutable once buffered (see internal/buffer), so it stays valid
+// for as long as it is referenced.
+func (c *cursor) payload() []byte {
+	lo := c.at + rectSize
+	if c.fixed == 0 {
+		lo += varLenSize
+	}
+	return c.buf[lo:c.off:c.off]
+}
+
+// unmarshalNode decodes the page content of node id into the editable form
+// the mutation path, the join and statistics work on. Payloads alias buf.
+func (t *Tree) unmarshalNode(id disk.PageID, buf []byte) *Node {
+	c := t.cursor(id, buf)
+	n := &Node{ID: id, Level: c.level, Entries: make([]Entry, 0, c.count)}
+	for r, ok := c.next(); ok; r, ok = c.next() {
+		if c.level > 0 {
+			n.Entries = append(n.Entries, Entry{Rect: r, Child: c.child()})
 		} else {
-			e.Payload = append([]byte(nil), buf[off:off+t.payloadSize()]...)
-			off += t.cfg.EntrySize - rectSize
+			n.Entries = append(n.Entries, Entry{Rect: r, Payload: c.payload()})
 		}
 	}
 	return n

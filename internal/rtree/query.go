@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"sync"
 
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
@@ -9,25 +10,24 @@ import (
 
 // Search invokes fn for every leaf entry whose rectangle intersects w, in
 // tree traversal order; fn returning false stops the search. This is the
-// filter step of the window query (paper section 4.2.2).
+// filter step of the window query (paper section 4.2.2). Pages are scanned
+// in place: the rectangle test runs on the encoded entry, and only a
+// qualifying entry is surfaced, its payload aliasing the page.
 func (t *Tree) Search(w geom.Rect, fn func(e Entry) bool) {
 	t.searchNode(t.root, w, fn)
 }
 
 func (t *Tree) searchNode(id disk.PageID, w geom.Rect, fn func(e Entry) bool) bool {
-	n := t.ReadNode(id)
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if !e.Rect.Intersects(w) {
+	c := t.cursor(id, t.buf.Get(id))
+	for r, ok := c.next(); ok; r, ok = c.next() {
+		if !r.Intersects(w) {
 			continue
 		}
-		if n.Level > 0 {
-			if !t.searchNode(e.Child, w, fn) {
+		if c.level > 0 {
+			if !t.searchNode(c.child(), w, fn) {
 				return false
 			}
-			continue
-		}
-		if !fn(*e) {
+		} else if !fn(Entry{Rect: r, Payload: c.payload()}) {
 			return false
 		}
 	}
@@ -42,43 +42,51 @@ func (t *Tree) SearchPoint(p geom.Point, fn func(e Entry) bool) {
 
 // LeafMatch describes the qualifying entries of one data page for a window
 // query. Rect is the region of the whole data page (the region of the
-// attached cluster unit in the cluster organization); Matched indexes the
-// entries of Node whose rectangles intersect the window.
+// attached cluster unit in the cluster organization); Matched holds the
+// entries whose rectangles intersect the window, payloads aliasing the page.
+// Matched is the search's scratch: it is only valid until fn returns.
 type LeafMatch struct {
-	Node    *Node
+	Page    disk.PageID
 	Rect    geom.Rect
-	Matched []int
+	Matched []Entry
 }
+
+// matchPool recycles the Matched scratch of SearchLeaves across searches, so
+// a search allocates nothing per data page or per entry.
+var matchPool = sync.Pool{New: func() any { return new([]Entry) }}
 
 // SearchLeaves invokes fn once per data page that contains at least one
 // qualifying entry; fn returning false stops the search. The cluster-read
 // techniques operate on this per-data-page granularity.
 func (t *Tree) SearchLeaves(w geom.Rect, fn func(lm LeafMatch) bool) {
-	t.searchLeaves(t.root, w, fn)
+	matched := matchPool.Get().(*[]Entry)
+	t.searchLeaves(t.root, w, matched, fn)
+	clear((*matched)[:cap(*matched)]) // a pooled scratch must not keep pages alive
+	matchPool.Put(matched)
 }
 
-func (t *Tree) searchLeaves(id disk.PageID, w geom.Rect, fn func(lm LeafMatch) bool) bool {
-	n := t.ReadNode(id)
-	if n.Level > 0 {
-		for i := range n.Entries {
-			if n.Entries[i].Rect.Intersects(w) {
-				if !t.searchLeaves(n.Entries[i].Child, w, fn) {
-					return false
-				}
+func (t *Tree) searchLeaves(id disk.PageID, w geom.Rect, matched *[]Entry, fn func(lm LeafMatch) bool) bool {
+	c := t.cursor(id, t.buf.Get(id))
+	if c.level > 0 {
+		for r, ok := c.next(); ok; r, ok = c.next() {
+			if r.Intersects(w) && !t.searchLeaves(c.child(), w, matched, fn) {
+				return false
 			}
 		}
 		return true
 	}
-	var matched []int
-	for i := range n.Entries {
-		if n.Entries[i].Rect.Intersects(w) {
-			matched = append(matched, i)
+	mbr, m := geom.EmptyRect(), (*matched)[:0]
+	for r, ok := c.next(); ok; r, ok = c.next() {
+		mbr = mbr.Union(r)
+		if r.Intersects(w) {
+			m = append(m, Entry{Rect: r, Payload: c.payload()})
 		}
 	}
-	if len(matched) == 0 {
+	*matched = m
+	if len(m) == 0 {
 		return true
 	}
-	return fn(LeafMatch{Node: n, Rect: n.Rect(), Matched: matched})
+	return fn(LeafMatch{Page: id, Rect: mbr, Matched: m})
 }
 
 // WalkNodes invokes fn for every node of the tree, parents before children;

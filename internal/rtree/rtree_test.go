@@ -390,8 +390,11 @@ func TestSearchLeaves(t *testing.T) {
 		if !lm.Rect.Intersects(w) {
 			t.Fatal("leaf rect does not intersect the window")
 		}
-		for _, idx := range lm.Matched {
-			if !lm.Node.Entries[idx].Rect.Intersects(w) {
+		if got := tr.ReadNode(lm.Page).Rect(); got != lm.Rect {
+			t.Fatalf("leaf rect %v, data page MBR %v", lm.Rect, got)
+		}
+		for _, e := range lm.Matched {
+			if !e.Rect.Intersects(w) {
 				t.Fatal("matched entry does not intersect the window")
 			}
 		}
@@ -586,6 +589,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 	for i := 0; i < 20000; i++ {
 		tr.Insert(randRect(rng), payloadFor(uint64(i)))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := randRect(rng).Scale(3)

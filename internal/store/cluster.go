@@ -57,17 +57,6 @@ func (u *clusterUnit) usedPages() int {
 	return (u.used + disk.PageSize - 1) / disk.PageSize
 }
 
-// pagesOf returns the disk pages the given object spans inside the unit.
-func (u *clusterUnit) pagesOf(uo unitObject) []disk.PageID {
-	first := uo.off / disk.PageSize
-	last := (uo.off + uo.size - 1) / disk.PageSize
-	out := make([]disk.PageID, 0, last-first+1)
-	for p := first; p <= last; p++ {
-		out = append(out, u.extent.Start+disk.PageID(p))
-	}
-	return out
-}
-
 // Cluster is the cluster organization (paper section 4): a modified R*-tree
 // (no reinsertion on the data-page level) whose every data page references
 // one cluster unit of at most Smax bytes. Window queries and joins can fetch

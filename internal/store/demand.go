@@ -39,7 +39,7 @@ func ObjectPageDemand(org Organization, leaf disk.PageID, ids []object.ID) Deman
 		u := o.unitFor(leaf)
 		return Demand{
 			Units: []string{fmt.Sprintf("u%d", u.extent.Start)},
-			Pages: o.requestedPages(u, ids),
+			Pages: o.requestedPages(u, ids, nil),
 		}
 	case *Secondary:
 		var d Demand

@@ -24,6 +24,15 @@
 // wall-clock time and durability differ, and Organization.Flush becomes an
 // fsync barrier on a fsync-configured file backend.
 //
+// Queries refine without materialising: a candidate is a byte view — the
+// buffer page's own sub-slice when the object lies inside one page,
+// assembled into per-query scratch only when it straddles pages — whose
+// vertices are decoded into that scratch and tested as a stack geometry
+// (readers.go). The scratch comes from a pool once per query and hangs on
+// nothing shared, because queries run concurrently under Env's read lock.
+// FetchObjects and PrepareFetch build heap objects from the same views for
+// the join and the public API.
+//
 // Beyond the paper's static comparison the package carries the engine
 // features grown around it: Delete/Update with per-organization space
 // reclamation, window/point queries with the cluster read techniques

@@ -3,6 +3,7 @@ package store
 import (
 	"sort"
 
+	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/rtree"
@@ -54,23 +55,26 @@ func (a *knnAcc) add(c knnCand) {
 // nearestSearch is the shared k-NN engine of all three organizations: a
 // best-first browse over the R*-tree (rtree.NearestLeaves) that stops once k
 // exact answers are closer than the next data page's optimistic bound.
-// fetch materializes the exact objects of the given entry indexes of one
-// surfacing data page — the only organization-specific step: the secondary
-// organization pays one random read per object, the primary decodes its data
-// page (plus overflow reads), and the cluster organization batches the
-// page's objects into one page-by-page unit access.
+// views yields the serializations of the given entries of one surfacing data
+// page — the only organization-specific step: the secondary organization
+// pays one random read per object, the primary already holds the inline ones
+// in the data page (plus overflow reads), and the cluster organization
+// batches the page's objects into one page-by-page unit access. The engine
+// refines each against the query's scratch.
 //
 // Entries whose MBR MinDist already exceeds the current k-th best distance
-// are pruned before fetch; the strict comparison keeps boundary ties in
+// are pruned before views; the strict comparison keeps boundary ties in
 // play, so pruning can never change the answer set.
 func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
-	fetch func(n *rtree.Node, idxs []int) []*object.Object) NearestResult {
+	views func(leaf disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte) NearestResult {
 
 	var res NearestResult
 	if k <= 0 {
 		return res
 	}
 	acc := knnAcc{k: k}
+	sc := getScratch()
+	defer sc.release()
 	// The stop predicate is monotone in minDist, so the traversal applies it
 	// before reading a popped page — a page (or whole subtree) beyond the
 	// k-th best exact distance terminates the browse without charging its
@@ -80,20 +84,22 @@ func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
 	}
 	res.Cost = measure(env.Disk, func() {
 		t.NearestLeaves(pt, stop, func(n *rtree.Node, minDist float64) bool {
-			idxs := make([]int, 0, len(n.Entries))
-			for i := range n.Entries {
-				if acc.full() && n.Entries[i].Rect.MinDist(pt) > acc.bound() {
+			// The decoded node is this browse's own: filter it in place.
+			kept := n.Entries[:0]
+			for _, e := range n.Entries {
+				if acc.full() && e.Rect.MinDist(pt) > acc.bound() {
 					continue
 				}
-				idxs = append(idxs, i)
+				kept = append(kept, e)
 			}
-			if len(idxs) == 0 {
+			if len(kept) == 0 {
 				return true
 			}
-			for _, o := range fetch(n, idxs) {
+			for _, view := range views(n.ID, kept, sc) {
+				v := sc.decode(view)
 				res.Candidates++
-				res.CandidateBytes += int64(o.Size())
-				acc.add(knnCand{id: o.ID, dist: o.Geom.DistToPoint(pt)})
+				res.CandidateBytes += int64(len(view))
+				acc.add(knnCand{id: v.ID, dist: distToPoint(v, pt)})
 			}
 			return true
 		})
@@ -111,13 +117,13 @@ func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
 // candidate costs an independent random read into the sequential file.
 func (s *Secondary) NearestQuery(pt geom.Point, k int) NearestResult {
 	return nearestSearch(s.env, s.tree, pt, k,
-		func(n *rtree.Node, idxs []int) []*object.Object {
-			out := make([]*object.Object, 0, len(idxs))
-			for _, i := range idxs {
-				id, _ := decodePayload(n.Entries[i].Payload)
-				out = append(out, s.readObjectDirect(id))
+		func(_ disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte {
+			sc.views = sc.views[:0]
+			for i := range entries {
+				id, _ := decodePayload(entries[i].Payload)
+				sc.views = append(sc.views, s.readObjectDirect(id))
 			}
-			return out
+			return sc.views
 		})
 }
 
@@ -126,13 +132,13 @@ func (s *Secondary) NearestQuery(pt geom.Point, k int) NearestResult {
 // cost extra reads.
 func (p *Primary) NearestQuery(pt geom.Point, k int) NearestResult {
 	return nearestSearch(p.env, p.tree, pt, k,
-		func(n *rtree.Node, idxs []int) []*object.Object {
-			out := make([]*object.Object, 0, len(idxs))
-			for _, i := range idxs {
-				o, _ := p.decodeEntry(n.Entries[i].Payload, p.overflow.ReadDirect)
-				out = append(out, o)
+		func(_ disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte {
+			sc.views = sc.views[:0]
+			for i := range entries {
+				view, _ := p.entryView(entries[i].Payload, p.overflow.ReadDirect)
+				sc.views = append(sc.views, view)
 			}
-			return out
+			return sc.views
 		})
 }
 
@@ -143,12 +149,12 @@ func (p *Primary) NearestQuery(pt geom.Point, k int) NearestResult {
 // selective workload reads per-page, never per-unit.
 func (c *Cluster) NearestQuery(pt geom.Point, k int) NearestResult {
 	return nearestSearch(c.env, c.tree, pt, k,
-		func(n *rtree.Node, idxs []int) []*object.Object {
-			ids := make([]object.ID, 0, len(idxs))
-			for _, i := range idxs {
-				id, _ := decodePayload(n.Entries[i].Payload)
-				ids = append(ids, id)
+		func(leaf disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte {
+			sc.ids = sc.ids[:0]
+			for i := range entries {
+				id, _ := decodePayload(entries[i].Payload)
+				sc.ids = append(sc.ids, id)
 			}
-			return c.FetchObjects(n.ID, ids, c.env.Buf, TechPageByPage)
+			return c.capture(c.unitFor(leaf), sc.ids, c.env.Buf, TechPageByPage, sc)
 		})
 }

@@ -148,27 +148,20 @@ func (p *Primary) Update(o *object.Object, key geom.Rect) bool {
 	return true
 }
 
-// decodeEntry turns a leaf payload into the object, reading the overflow
-// file through read if necessary.
-func (p *Primary) decodeEntry(payload []byte, read func(ref pagefile.Ref) []byte) (*object.Object, int) {
+// entryView returns the serialization behind a leaf payload and its size: the
+// inline bytes themselves (aliasing the data page), or the overflow object
+// read through read.
+func (p *Primary) entryView(payload []byte, read func(ref pagefile.Ref) []byte) ([]byte, int) {
 	switch payload[0] {
 	case primInline:
-		o, err := object.Unmarshal(payload[1:])
-		if err != nil {
-			panic(fmt.Sprintf("store: corrupt inline object: %v", err))
-		}
-		return o, o.Size()
+		return payload[1:], len(payload) - 1
 	case primOverflow:
 		id, size := decodePayload(payload[1:13])
 		ref, ok := p.refs[id]
 		if !ok {
 			panic(fmt.Sprintf("store: unknown overflow object %d", id))
 		}
-		o, err := object.Unmarshal(read(ref))
-		if err != nil {
-			panic(fmt.Sprintf("store: corrupt overflow object %d: %v", id, err))
-		}
-		return o, size
+		return read(ref), size
 	}
 	panic(fmt.Sprintf("store: unknown primary payload tag %d", payload[0]))
 }
@@ -176,13 +169,15 @@ func (p *Primary) decodeEntry(payload []byte, read func(ref pagefile.Ref) []byte
 // PointQuery implements Organization.
 func (p *Primary) PointQuery(pt geom.Point) QueryResult {
 	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(p.env.Disk, func() {
 		p.tree.SearchPoint(pt, func(e rtree.Entry) bool {
-			o, size := p.decodeEntry(e.Payload, p.overflow.ReadDirect)
+			view, size := p.entryView(e.Payload, p.overflow.ReadDirect)
 			res.Candidates++
 			res.CandidateBytes += int64(size)
-			if o.Geom.ContainsPoint(pt) {
-				res.IDs = append(res.IDs, o.ID)
+			if v := sc.decode(view); containsPoint(v, pt) {
+				res.IDs = append(res.IDs, v.ID)
 			}
 			return true
 		})
@@ -194,13 +189,15 @@ func (p *Primary) PointQuery(pt geom.Point) QueryResult {
 // data pages already bundle their objects.
 func (p *Primary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(p.env.Disk, func() {
 		p.tree.Search(w, func(e rtree.Entry) bool {
-			o, size := p.decodeEntry(e.Payload, p.overflow.ReadDirect)
+			view, size := p.entryView(e.Payload, p.overflow.ReadDirect)
 			res.Candidates++
 			res.CandidateBytes += int64(size)
-			if o.Geom.IntersectsRect(w) {
-				res.IDs = append(res.IDs, o.ID)
+			if v := sc.decode(view); intersectsRect(v, w) {
+				res.IDs = append(res.IDs, v.ID)
 			}
 			return true
 		})
@@ -210,49 +207,28 @@ func (p *Primary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 
 // PrepareFetch implements Organization: the data page is read through the
 // join buffer (it contains the inline objects); overflow objects cost extra
-// reads. Overflow pages are captured now, deserialization is deferred to the
-// returned assembly step.
+// reads. Views are captured now, deserialization is deferred to the returned
+// step.
 func (p *Primary) PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Manager, _ Technique) ObjectFetch {
 	want := make(map[object.ID]bool, len(ids))
 	for _, id := range ids {
 		want[id] = true
 	}
 	node := p.tree.DecodeNode(leaf, m.Get(leaf))
-	type capturedEntry struct {
-		payload []byte
-		ref     pagefile.Ref
-		pages   [][]byte // overflow page contents; nil for inline entries
-	}
-	captured := make([]capturedEntry, 0, len(ids))
+	views := make([][]byte, 0, len(ids))
 	for _, e := range node.Entries {
 		// Both payload kinds carry the object ID right after the tag
 		// (inline objects serialize their ID first), so unwanted entries
 		// are skipped without decoding or extra reads.
-		if id, _ := decodePayload(e.Payload[1:]); !want[object.ID(id)] {
+		if id, _ := decodePayload(e.Payload[1:]); !want[id] {
 			continue
 		}
-		ce := capturedEntry{payload: e.Payload}
-		if e.Payload[0] == primOverflow {
-			id, _ := decodePayload(e.Payload[1:13])
-			ref, ok := p.refs[id]
-			if !ok {
-				panic(fmt.Sprintf("store: unknown overflow object %d", id))
-			}
-			ce.ref = ref
-			ce.pages = p.overflow.CaptureBuffered(m, ref)
-		}
-		captured = append(captured, ce)
+		view, _ := p.entryView(e.Payload, func(ref pagefile.Ref) []byte {
+			return p.overflow.ReadBuffered(m, ref)
+		})
+		views = append(views, view)
 	}
-	return func() []*object.Object {
-		out := make([]*object.Object, 0, len(captured))
-		for _, ce := range captured {
-			o, _ := p.decodeEntry(ce.payload, func(pagefile.Ref) []byte {
-				return ce.ref.Assemble(ce.pages)
-			})
-			out = append(out, o)
-		}
-		return out
-	}
+	return func() []*object.Object { return unmarshalViews(views) }
 }
 
 // FetchObjects implements Organization.

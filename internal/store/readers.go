@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/disk"
@@ -19,20 +21,107 @@ func (c *Cluster) unitFor(leaf disk.PageID) *clusterUnit {
 	return u
 }
 
-// requestedPages returns the distinct unit pages covering the given objects,
-// in ascending order.
-func (c *Cluster) requestedPages(u *clusterUnit, ids []object.ID) []disk.PageID {
-	seen := make(map[disk.PageID]bool)
-	var out []disk.PageID
+// scratch is the reusable memory of one query (or one prepared fetch): the
+// candidates of the data page being processed, their unit pages, their
+// serializations as views, and the vertices of the candidate under
+// refinement. Queries run concurrently under Env's read lock, so a scratch
+// belongs to exactly one query at a time and nothing of it hangs on the
+// organization.
+type scratch struct {
+	ids   []object.ID
+	pages []disk.PageID // requested unit pages
+	views [][]byte      // serializations: page sub-slices, or slices of spill
+	spill []byte        // objects straddling pages, assembled
+	verts []geom.Point
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns the scratch to the pool, dropping its page references: a
+// pooled scratch must not keep evicted pages alive.
+func (sc *scratch) release() {
+	clear(sc.views[:cap(sc.views)])
+	scratchPool.Put(sc)
+}
+
+// decode parses a candidate's serialization for refinement, its vertices
+// landing in the scratch.
+func (sc *scratch) decode(view []byte) object.View {
+	v, err := object.Decode(view, sc.verts)
+	if err != nil {
+		panic(fmt.Sprintf("store: corrupt object: %v", err))
+	}
+	sc.verts = v.Vertices
+	return v
+}
+
+// The exact predicates of the three queries, run on a stack geometry over
+// the decoded vertices — the same methods object.Unmarshal's heap geometry
+// would dispatch to.
+
+func intersectsRect(v object.View, w geom.Rect) bool {
+	if v.Polygon {
+		return (&geom.Polygon{Vertices: v.Vertices}).IntersectsRect(w)
+	}
+	return (&geom.Polyline{Vertices: v.Vertices}).IntersectsRect(w)
+}
+
+func containsPoint(v object.View, p geom.Point) bool {
+	if v.Polygon {
+		return (&geom.Polygon{Vertices: v.Vertices}).ContainsPoint(p)
+	}
+	return (&geom.Polyline{Vertices: v.Vertices}).ContainsPoint(p)
+}
+
+func distToPoint(v object.View, p geom.Point) float64 {
+	if v.Polygon {
+		return (&geom.Polygon{Vertices: v.Vertices}).DistToPoint(p)
+	}
+	return (&geom.Polyline{Vertices: v.Vertices}).DistToPoint(p)
+}
+
+// unmarshalViews builds the heap objects of captured serializations (pure CPU
+// work): what the join and the public fetch API hand out.
+func unmarshalViews(views [][]byte) []*object.Object {
+	out := make([]*object.Object, 0, len(views))
+	for _, view := range views {
+		o, err := object.Unmarshal(view)
+		if err != nil {
+			panic(fmt.Sprintf("store: corrupt object: %v", err))
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// candidates decodes the object references of a data page's qualifying
+// entries into sc.ids, tallying the filter-step output.
+func (sc *scratch) candidates(entries []rtree.Entry, res *QueryResult) []object.ID {
+	sc.ids = sc.ids[:0]
+	for i := range entries {
+		id, size := decodePayload(entries[i].Payload)
+		sc.ids = append(sc.ids, id)
+		res.Candidates++
+		res.CandidateBytes += int64(size)
+	}
+	return sc.ids
+}
+
+// requestedPages appends to out the distinct unit pages covering the given
+// objects, in order of first appearance (Missing and the read planners sort
+// what they need sorted).
+func (c *Cluster) requestedPages(u *clusterUnit, ids []object.ID, out []disk.PageID) []disk.PageID {
 	for _, id := range ids {
 		pos, ok := u.index[id]
 		if !ok {
 			panic(fmt.Sprintf("store: object %d not in this cluster unit", id))
 		}
-		for _, p := range u.pagesOf(u.objects[pos]) {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
+		uo := u.objects[pos]
+		for p := uo.off / disk.PageSize; p <= (uo.off+uo.size-1)/disk.PageSize; p++ {
+			if pid := u.extent.Start + disk.PageID(p); !slices.Contains(out, pid) {
+				out = append(out, pid)
 			}
 		}
 	}
@@ -45,10 +134,12 @@ func (c *Cluster) requestedPages(u *clusterUnit, ids []object.ID) []disk.PageID 
 func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.Manager, tech Technique) {
 	switch tech {
 	case TechComplete:
-		// Transfer the whole cluster unit with one read request.
-		all := make([]disk.PageID, u.usedPages())
-		for i := range all {
-			all[i] = u.extent.Start + disk.PageID(i)
+		// Transfer the whole cluster unit with one read request. (The page
+		// list of any regular unit fits the stack array.)
+		var buf [128]disk.PageID
+		all := buf[:0]
+		for i := 0; i < u.usedPages(); i++ {
+			all = append(all, u.extent.Start+disk.PageID(i))
 		}
 		missing := m.Missing(all)
 		if len(missing) == 0 {
@@ -79,84 +170,67 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 	}
 }
 
-// capturedObject is one object's assembly input: the contents of the unit
-// pages it spans, captured while they were resident. Page data is immutable
-// once buffered, so the slices stay valid even if the frames are evicted
-// later — assembly can run on any goroutine.
-type capturedObject struct {
-	uo    unitObject
-	pages [][]byte // page contents, first page = the one containing uo.off
+// unitView returns the size bytes at unit offset off, pageAt(i) yielding unit
+// page i: the page sub-slice itself when they lie inside one page (the
+// common case), else assembled into — and aliasing — *spill. Page data is
+// immutable once buffered and a unit's tail page only grows past bytes
+// already handed out (see internal/buffer), so a view stays valid even if
+// the frames are evicted later.
+func unitView(pageAt func(idx int) []byte, off, size int, spill *[]byte) []byte {
+	idx, in := off/disk.PageSize, off%disk.PageSize
+	pg := pageAt(idx)
+	if in+size <= disk.PageSize {
+		return pg[in : in+size : in+size]
+	}
+	start := len(*spill)
+	*spill = append(*spill, pg[in:disk.PageSize]...)
+	for rest := size - (disk.PageSize - in); rest > 0; rest -= disk.PageSize {
+		idx++
+		*spill = append(*spill, pageAt(idx)[:min(rest, disk.PageSize)]...)
+	}
+	return (*spill)[start : start+size : start+size]
 }
 
-// captureObject grabs the page contents spanned by one object; the unit's
-// in-memory tail page (not yet flushed) takes precedence.
-func (c *Cluster) captureObject(u *clusterUnit, uo unitObject, m *buffer.Manager) capturedObject {
-	first := uo.off / disk.PageSize
-	last := (uo.off + uo.size - 1) / disk.PageSize
-	co := capturedObject{uo: uo, pages: make([][]byte, 0, last-first+1)}
-	for pageIdx := first; pageIdx <= last; pageIdx++ {
-		var pg []byte
-		if pageIdx == u.tailIdx && u.tailBuf != nil {
-			pg = u.tailBuf
-		} else {
-			pid := u.extent.Start + disk.PageID(pageIdx)
-			var ok bool
-			pg, ok = m.Touch(pid)
-			if !ok {
-				pg = m.Get(pid) // evicted mid-capture (buffer smaller than object)
-			}
-		}
-		co.pages = append(co.pages, pg)
-	}
-	return co
-}
-
-// assemble reconstructs the object from its captured pages (pure CPU work).
-func (co capturedObject) assemble() *object.Object {
-	out := make([]byte, 0, co.uo.size)
-	in := co.uo.off % disk.PageSize
-	for _, pg := range co.pages {
-		n := co.uo.size - len(out)
-		if n > disk.PageSize-in {
-			n = disk.PageSize - in
-		}
-		out = append(out, pg[in:in+n]...)
-		in = 0
-	}
-	o, err := object.Unmarshal(out)
-	if err != nil {
-		panic(fmt.Sprintf("store: corrupt object %d in cluster unit: %v", co.uo.id, err))
-	}
-	return o
-}
-
-// PrepareFetch implements Organization for the cluster organization: it runs
-// the read schedule of the selected technique (charging the modelled I/O) and
-// captures the unit pages of the requested objects. The pages are pinned
+// capture runs the read schedule of the selected technique for the given
+// objects of unit u through m (charging the modelled I/O) and returns their
+// serializations as views, valid until sc is reused. The pages are pinned
 // during the capture so a concurrent query's eviction pressure cannot force
-// mid-capture re-reads. The TechThreshold decision needs the query window and
+// mid-capture re-reads; the unit's in-memory tail page (not yet flushed)
+// takes precedence over its buffered copy.
+func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, tech Technique, sc *scratch) [][]byte {
+	sc.pages = c.requestedPages(u, ids, sc.pages[:0])
+	c.fetchPlan(u, sc.pages, m, tech)
+	pinned := m.PinPages(sc.pages)
+	pageAt := func(idx int) []byte {
+		if idx == u.tailIdx && u.tailBuf != nil {
+			return u.tailBuf
+		}
+		pid := u.extent.Start + disk.PageID(idx)
+		if pg, ok := m.Touch(pid); ok {
+			return pg
+		}
+		return m.Get(pid) // evicted mid-capture (buffer smaller than object)
+	}
+	sc.views, sc.spill = sc.views[:0], sc.spill[:0]
+	for _, id := range ids {
+		uo := u.objects[u.index[id]]
+		sc.views = append(sc.views, unitView(pageAt, uo.off, uo.size, &sc.spill))
+	}
+	m.UnpinPages(pinned)
+	return sc.views
+}
+
+// PrepareFetch implements Organization for the cluster organization: the
+// captured views (one capture, shared with the query path) are unmarshalled
+// by the returned step. The TechThreshold decision needs the query window and
 // therefore only arises in WindowQuery; join processing passes Complete, SLM,
 // SLMVector or PageByPage.
 func (c *Cluster) PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech Technique) ObjectFetch {
-	u := c.unitFor(leaf)
-	requested := c.requestedPages(u, ids)
 	if tech == TechThreshold {
 		tech = TechComplete
 	}
-	c.fetchPlan(u, requested, m, tech)
-	pinned := m.PinPages(requested)
-	captured := make([]capturedObject, 0, len(ids))
-	for _, id := range ids {
-		captured = append(captured, c.captureObject(u, u.objects[u.index[id]], m))
-	}
-	m.UnpinPages(pinned)
-	return func() []*object.Object {
-		out := make([]*object.Object, 0, len(captured))
-		for _, co := range captured {
-			out = append(out, co.assemble())
-		}
-		return out
-	}
+	views := c.capture(c.unitFor(leaf), ids, m, tech, new(scratch))
+	return func() []*object.Object { return unmarshalViews(views) }
 }
 
 // FetchObjects implements Organization for the cluster organization.
@@ -186,16 +260,12 @@ func (c *Cluster) thresholdFor(u *clusterUnit) float64 {
 // dispatching per qualifying data page on the selected technique.
 func (c *Cluster) WindowQuery(w geom.Rect, tech Technique) QueryResult {
 	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(c.env.Disk, func() {
 		c.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
-			u := c.unitFor(lm.Node.ID)
-			ids := make([]object.ID, 0, len(lm.Matched))
-			for _, i := range lm.Matched {
-				id, size := decodePayload(lm.Node.Entries[i].Payload)
-				ids = append(ids, id)
-				res.Candidates++
-				res.CandidateBytes += int64(size)
-			}
+			u := c.unitFor(lm.Page)
+			ids := sc.candidates(lm.Matched, &res)
 			eff := tech
 			if tech == TechThreshold {
 				if lm.Rect.OverlapDegree(w) < c.thresholdFor(u) {
@@ -204,9 +274,9 @@ func (c *Cluster) WindowQuery(w geom.Rect, tech Technique) QueryResult {
 					eff = TechComplete
 				}
 			}
-			for _, o := range c.FetchObjects(lm.Node.ID, ids, c.env.Buf, eff) {
-				if o.Geom.IntersectsRect(w) {
-					res.IDs = append(res.IDs, o.ID)
+			for _, view := range c.capture(u, ids, c.env.Buf, eff, sc) {
+				if v := sc.decode(view); intersectsRect(v, w) {
+					res.IDs = append(res.IDs, v.ID)
 				}
 			}
 			return true
@@ -221,18 +291,13 @@ func (c *Cluster) WindowQuery(w geom.Rect, tech Technique) QueryResult {
 // for the requested objects. No object data is actually moved.
 func (c *Cluster) WindowQueryOptimum(w geom.Rect) (ms float64, res QueryResult) {
 	p := c.env.Params()
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(c.env.Disk, func() {
 		c.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
-			u := c.unitFor(lm.Node.ID)
-			ids := make([]object.ID, 0, len(lm.Matched))
-			for _, i := range lm.Matched {
-				id, size := decodePayload(lm.Node.Entries[i].Payload)
-				ids = append(ids, id)
-				res.Candidates++
-				res.CandidateBytes += int64(size)
-			}
-			pages := c.requestedPages(u, ids)
-			ms += p.SeekMS + p.LatencyMS + p.TransferMS*float64(len(pages))
+			ids := sc.candidates(lm.Matched, &res)
+			sc.pages = c.requestedPages(c.unitFor(lm.Page), ids, sc.pages[:0])
+			ms += p.SeekMS + p.LatencyMS + p.TransferMS*float64(len(sc.pages))
 			return true
 		})
 	})
@@ -245,18 +310,14 @@ func (c *Cluster) WindowQueryOptimum(w geom.Rect) (ms float64, res QueryResult) 
 // organization performs like the secondary organization here (section 5.5).
 func (c *Cluster) PointQuery(pt geom.Point) QueryResult {
 	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(c.env.Disk, func() {
 		c.tree.SearchLeaves(geom.RectFromPoint(pt), func(lm rtree.LeafMatch) bool {
-			ids := make([]object.ID, 0, len(lm.Matched))
-			for _, i := range lm.Matched {
-				id, size := decodePayload(lm.Node.Entries[i].Payload)
-				ids = append(ids, id)
-				res.Candidates++
-				res.CandidateBytes += int64(size)
-			}
-			for _, o := range c.FetchObjects(lm.Node.ID, ids, c.env.Buf, TechPageByPage) {
-				if o.Geom.ContainsPoint(pt) {
-					res.IDs = append(res.IDs, o.ID)
+			ids := sc.candidates(lm.Matched, &res)
+			for _, view := range c.capture(c.unitFor(lm.Page), ids, c.env.Buf, TechPageByPage, sc) {
+				if v := sc.decode(view); containsPoint(v, pt) {
+					res.IDs = append(res.IDs, v.ID)
 				}
 			}
 			return true

@@ -1,0 +1,560 @@
+package store
+
+import (
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"spatialcluster/internal/buffer"
+	"spatialcluster/internal/datagen"
+	"spatialcluster/internal/disk"
+	"spatialcluster/internal/disk/filebackend"
+	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
+	"spatialcluster/internal/rtree"
+)
+
+// --- the materialising read path, kept as the reference -------------------
+//
+// What the store did before its read path scanned pages in place: decode the
+// whole node copying every payload, capture and copy every candidate's bytes,
+// object.Unmarshal each onto the heap. It issues the buffer and disk calls of
+// the old code in the old order, so run beside the real path on a replica of
+// the store it must produce the same answers AND leave the same counters.
+
+func refNode(t *rtree.Tree, id disk.PageID) *rtree.Node {
+	n := t.ReadNode(id)
+	for i := range n.Entries {
+		n.Entries[i].Payload = append([]byte(nil), n.Entries[i].Payload...)
+	}
+	return n
+}
+
+// refLeaves visits, in traversal order, every data page with entries
+// intersecting w, and those entries.
+func refLeaves(t *rtree.Tree, id disk.PageID, w geom.Rect, fn func(n *rtree.Node, hit []rtree.Entry)) {
+	n := refNode(t, id)
+	var hit []rtree.Entry
+	for _, e := range n.Entries {
+		if !e.Rect.Intersects(w) {
+			continue
+		}
+		if n.Level > 0 {
+			refLeaves(t, e.Child, w, fn)
+		} else {
+			hit = append(hit, e)
+		}
+	}
+	if len(hit) > 0 {
+		fn(n, hit)
+	}
+}
+
+// refFetch materialises the objects behind leaf entries. The secondary and
+// primary organizations read entry by entry; the cluster organization runs
+// one unit access for all of them, capturing and copying page by page.
+func refFetch(org Organization, leaf disk.PageID, entries []rtree.Entry, tech Technique) []*object.Object {
+	must := func(o *object.Object, err error) *object.Object {
+		if err != nil {
+			panic(err)
+		}
+		return o
+	}
+	var out []*object.Object
+	switch o := org.(type) {
+	case *Secondary:
+		for _, e := range entries {
+			id, _ := decodePayload(e.Payload)
+			out = append(out, must(object.Unmarshal(append([]byte(nil), o.file.ReadDirect(o.refs[id])...))))
+		}
+	case *Primary:
+		for _, e := range entries {
+			raw := e.Payload[1:]
+			if e.Payload[0] == primOverflow {
+				id, _ := decodePayload(raw)
+				raw = o.overflow.ReadDirect(o.refs[id])
+			}
+			out = append(out, must(object.Unmarshal(append([]byte(nil), raw...))))
+		}
+	case *Cluster:
+		u, m := o.unitFor(leaf), o.env.Buf
+		span := func(uo unitObject) (int, int) { return uo.off / disk.PageSize, (uo.off + uo.size - 1) / disk.PageSize }
+		seen := map[disk.PageID]bool{}
+		var requested []disk.PageID
+		var uos []unitObject
+		for _, e := range entries {
+			id, _ := decodePayload(e.Payload)
+			uo := u.objects[u.index[id]]
+			uos = append(uos, uo)
+			for first, last := span(uo); first <= last; first++ {
+				if pid := u.extent.Start + disk.PageID(first); !seen[pid] {
+					seen[pid] = true
+					requested = append(requested, pid)
+				}
+			}
+		}
+		o.fetchPlan(u, requested, m, tech)
+		pinned := m.PinPages(requested)
+		for _, uo := range uos {
+			raw := make([]byte, 0, uo.size)
+			in := uo.off % disk.PageSize
+			for p, last := span(uo); p <= last; p++ {
+				pg := u.tailBuf
+				if p != u.tailIdx || pg == nil {
+					var ok bool
+					if pg, ok = m.Touch(u.extent.Start + disk.PageID(p)); !ok {
+						pg = m.Get(u.extent.Start + disk.PageID(p))
+					}
+				}
+				raw = append(raw, pg[in:min(disk.PageSize, in+uo.size-len(raw))]...)
+				in = 0
+			}
+			out = append(out, must(object.Unmarshal(raw)))
+		}
+		m.UnpinPages(pinned)
+	}
+	return out
+}
+
+func refWindow(org Organization, w geom.Rect, tech Technique, pred func(*object.Object) bool) QueryResult {
+	var res QueryResult
+	c, clustered := org.(*Cluster)
+	res.Cost = measure(org.Env().Disk, func() {
+		refLeaves(org.Tree(), org.Tree().Root(), w, func(n *rtree.Node, hit []rtree.Entry) {
+			groups := [][]rtree.Entry{hit}
+			eff := tech
+			if clustered && tech == TechThreshold {
+				eff = TechComplete
+				if n.Rect().OverlapDegree(w) < c.thresholdFor(c.unitFor(n.ID)) {
+					eff = TechPageByPage
+				}
+			}
+			if !clustered { // one independent read per entry
+				groups = groups[:0]
+				for i := range hit {
+					groups = append(groups, hit[i:i+1])
+				}
+			}
+			for _, g := range groups {
+				for i, o := range refFetch(org, n.ID, g, eff) {
+					_, size := DecodeEntryID(org, g[i])
+					res.Candidates++
+					res.CandidateBytes += int64(size)
+					if pred(o) {
+						res.IDs = append(res.IDs, o.ID)
+					}
+				}
+			}
+		})
+	})
+	return res
+}
+
+func refNearest(org Organization, pt geom.Point, k int) NearestResult {
+	var res NearestResult
+	if k <= 0 {
+		return res
+	}
+	t := org.Tree()
+	acc := knnAcc{k: k}
+	type item struct {
+		page disk.PageID
+		dist float64
+	}
+	res.Cost = measure(org.Env().Disk, func() {
+		queue := []item{{page: t.Root()}} // FIFO among equals: scanning for a strict minimum keeps (dist, seq) order
+		for len(queue) > 0 {
+			best := 0
+			for i := range queue {
+				if queue[i].dist < queue[best].dist {
+					best = i
+				}
+			}
+			it := queue[best]
+			queue = append(queue[:best], queue[best+1:]...)
+			if acc.full() && it.dist > acc.bound() {
+				return
+			}
+			n := refNode(t, it.page)
+			var keep []rtree.Entry
+			for _, e := range n.Entries {
+				if n.Level > 0 {
+					queue = append(queue, item{page: e.Child, dist: e.Rect.MinDist(pt)})
+				} else if !acc.full() || !(e.Rect.MinDist(pt) > acc.bound()) {
+					keep = append(keep, e)
+				}
+			}
+			if len(keep) == 0 {
+				continue
+			}
+			for _, o := range refFetch(org, n.ID, keep, TechPageByPage) {
+				res.Candidates++
+				res.CandidateBytes += int64(o.Size())
+				acc.add(knnCand{id: o.ID, dist: o.Geom.DistToPoint(pt)})
+			}
+		}
+	})
+	res.IDs, res.Dists = make([]object.ID, len(acc.cands)), make([]float64, len(acc.cands))
+	for i, c := range acc.cands {
+		res.IDs[i], res.Dists[i] = c.id, c.dist
+	}
+	return res
+}
+
+// counters is everything a query may move besides its answer.
+type counters struct {
+	Buf  buffer.Stats
+	Disk disk.Cost
+}
+
+func countersOf(env *Env) counters { return counters{env.Buf.Stats(), env.Disk.Cost()} }
+
+// TestReadPathMatchesMaterialisingReference pins the in-place read path to
+// the algorithm it replaced: for all three organizations (fixed leaves for
+// the secondary and cluster organizations, variable leaves for the primary),
+// freshly built and churned 30/40/30, every window, point and k-NN query
+// under every read technique returns identical IDs (order included), Dists,
+// Candidates, CandidateBytes and Cost, and moves the buffer and disk counters
+// identically — on a buffer small enough that LRU order decides the misses.
+func TestReadPathMatchesMaterialisingReference(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 128, Seed: 21})
+	ws := append(ds.Windows(0.001, 8, 5), ds.Windows(0.02, 4, 6)...)
+	pts := ds.Points(8, 7)
+	techs := []Technique{TechComplete, TechThreshold, TechSLM, TechSLMVector, TechPageByPage}
+	churn := ds.MixedWorkload(datagen.MixSpec{Ops: 400, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 22})
+
+	for _, kind := range []string{"secondary", "primary", "cluster"} {
+		t.Run(kind, func(t *testing.T) {
+			got, ref := buildOrg(t, kind, ds, 24), buildOrg(t, kind, ds, 24)
+			same := func(label string, a, b any) {
+				t.Helper()
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s:\n  read path %+v\n  reference %+v", label, a, b)
+				}
+				if gc, rc := countersOf(got.Env()), countersOf(ref.Env()); gc != rc {
+					t.Fatalf("%s: counters diverge:\n  read path %+v\n  reference %+v", label, gc, rc)
+				}
+			}
+			for _, phase := range []string{"fresh", "churned"} {
+				for _, tech := range techs {
+					for i, w := range ws {
+						same(fmt.Sprintf("%s %v window %d", phase, tech, i), got.WindowQuery(w, tech),
+							refWindow(ref, w, tech, func(o *object.Object) bool { return o.Geom.IntersectsRect(w) }))
+					}
+					for i, pt := range pts {
+						same(fmt.Sprintf("%s %v point %d", phase, tech, i), got.PointQuery(pt),
+							refWindow(ref, geom.RectFromPoint(pt), TechPageByPage, func(o *object.Object) bool { return o.Geom.ContainsPoint(pt) }))
+						same(fmt.Sprintf("%s %v %d-NN %d", phase, tech, 1+7*i, i), got.NearestQuery(pt, 1+7*i), refNearest(ref, pt, 1+7*i))
+					}
+				}
+				if phase == "fresh" {
+					applyMix(t, got, newLiveSet(ds), churn)
+					applyMix(t, ref, newLiveSet(ds), churn)
+					same("after churn", got.Stats(), ref.Stats())
+				}
+			}
+		})
+	}
+}
+
+// --- the immutability contract ---------------------------------------------
+
+// handedOut remembers slices the read path handed out — R*-tree leaf
+// payloads and object views — with their checksum at that moment.
+type handedOut struct {
+	mu     sync.Mutex
+	slices [][]byte
+	sums   []uint32
+}
+
+func (h *handedOut) add(b []byte) {
+	h.mu.Lock()
+	h.slices, h.sums = append(h.slices, b), append(h.sums, crc32.ChecksumIEEE(b))
+	h.mu.Unlock()
+}
+
+// verify re-reads every remembered slice. It takes no store lock: a writer
+// touching those bytes meanwhile is what the race detector is there to see.
+func (h *handedOut) verify(t *testing.T, when string) {
+	t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, b := range h.slices {
+		if crc32.ChecksumIEEE(b) != h.sums[i] {
+			t.Fatalf("%s: slice %d of %d (%d bytes) changed after it was handed out", when, i, len(h.slices), len(b))
+		}
+	}
+}
+
+// probe does what a window query does, but keeps every slice it is handed.
+// The caller holds the environment's read lock (or is the only goroutine).
+func probe(org Organization, w geom.Rect, tech Technique, h *handedOut) {
+	switch o := org.(type) {
+	case *Cluster:
+		o.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
+			var res QueryResult
+			sc := new(scratch) // not pooled: the views must outlive the probe
+			for _, e := range lm.Matched {
+				h.add(e.Payload)
+			}
+			for _, view := range o.capture(o.unitFor(lm.Page), sc.candidates(lm.Matched, &res), o.env.Buf, tech, sc) {
+				h.add(view)
+			}
+			return true
+		})
+	case *Primary:
+		o.tree.Search(w, func(e rtree.Entry) bool {
+			h.add(e.Payload)
+			view, _ := o.entryView(e.Payload, o.overflow.ReadDirect)
+			h.add(view)
+			return true
+		})
+	case *Secondary:
+		o.tree.Search(w, func(e rtree.Entry) bool {
+			h.add(e.Payload)
+			id, _ := decodePayload(e.Payload)
+			h.add(o.readObjectDirect(id))
+			return true
+		})
+	}
+}
+
+// contractEnvs builds the environments the contract is held on: the memory
+// backend and the file backend with raw and compressed pages, each behind a
+// buffer small enough to evict constantly.
+func contractEnvs(t *testing.T) map[string]func() *Env {
+	file := func(name string, cfg filebackend.Config) func() *Env {
+		return func() *Env {
+			b, err := filebackend.Open(filepath.Join(t.TempDir(), name), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := NewEnvOn(16, disk.DefaultParams(), b)
+			t.Cleanup(func() { env.Close() })
+			return env
+		}
+	}
+	return map[string]func() *Env{
+		"mem":       func() *Env { return NewEnv(16) },
+		"file":      file("raw.db", filebackend.Config{}),
+		"file-comp": file("comp.db", filebackend.Config{Compress: true}),
+	}
+}
+
+func contractOrgs(ds *datagen.Dataset) map[string]func(*Env) Organization {
+	return map[string]func(*Env) Organization{
+		"cluster": func(env *Env) Organization {
+			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: 3})
+		},
+		"primary":   func(env *Env) Organization { return NewPrimary(env) }, // variable leaves
+		"secondary": func(env *Env) Organization { return NewSecondary(env) },
+	}
+}
+
+// TestHandedOutSlicesNeverChange holds the contract of internal/buffer: a
+// randomized sequence of inserts, updates, deletes, repacks, rebuilds,
+// flushes and buffer wipes — all behind a 16-page buffer — is interleaved
+// with probes, and no slice a probe was handed may differ afterwards.
+func TestHandedOutSlicesNeverChange(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 41})
+	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 500, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 42})
+	ws := ds.Windows(0.01, 64, 43)
+	techs := []Technique{TechComplete, TechSLM, TechSLMVector, TechPageByPage}
+	for envName, newEnv := range contractEnvs(t) {
+		for orgName, newOrg := range contractOrgs(ds) {
+			t.Run(envName+"/"+orgName, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(44))
+				org := newOrg(newEnv())
+				for i, o := range ds.Objects { // unflushed: unit tails are still in memory
+					org.Insert(o, ds.MBRs[i])
+				}
+				var h handedOut
+				for todo := ops; len(todo) > 0; {
+					switch step := rng.Intn(10); {
+					case step < 5:
+						n := min(len(todo), 1+rng.Intn(8))
+						mutate(org, todo[:n])
+						todo = todo[n:]
+					case step < 8:
+						probe(org, ws[rng.Intn(len(ws))], techs[rng.Intn(len(techs))], &h)
+					case step == 8:
+						org.Flush()
+						if rng.Intn(2) == 0 {
+							org.Env().Buf.Clear()
+						}
+					default:
+						if c, ok := org.(*Cluster); ok {
+							if frags := c.UnitFrags(); len(frags) > 0 && rng.Intn(4) > 0 {
+								c.RepackUnit(frags[0].Leaf)
+							} else {
+								c.Rebuild(0)
+							}
+						}
+					}
+				}
+				if len(h.slices) == 0 {
+					t.Fatal("the probes were handed nothing")
+				}
+				h.verify(t, "at the end")
+			})
+		}
+	}
+}
+
+// mutate applies the mutations of a mixed workload without flushing.
+func mutate(org Organization, ops []datagen.Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case datagen.OpInsert:
+			org.Insert(op.Obj, op.Key)
+		case datagen.OpDelete:
+			org.Delete(op.ID)
+		case datagen.OpUpdate:
+			org.Update(op.Obj, op.Key)
+		}
+	}
+}
+
+// TestHandedOutSlicesSurviveConcurrentMutation is the same contract under
+// the race detector: a mutator works through the write lock while the
+// parallel query drivers and a prober share the read lock; the prober keeps
+// its slices and re-reads them with no lock held, so a write into a page that
+// was handed out is a reported race as well as a checksum failure.
+func TestHandedOutSlicesSurviveConcurrentMutation(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 51})
+	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 300, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 52})
+	ws := ds.Windows(0.005, 60, 53)
+	pts := ds.Points(30, 54)
+	for orgName, newOrg := range contractOrgs(ds) {
+		t.Run(orgName, func(t *testing.T) {
+			org := newOrg(NewEnv(48))
+			for i, o := range ds.Objects {
+				org.Insert(o, ds.MBRs[i])
+			}
+			org.Flush()
+			var h handedOut
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // the mutator
+				defer wg.Done()
+				defer done.Store(true)
+				for i, op := range ops {
+					mutate(org, []datagen.Op{op})
+					if c, ok := org.(*Cluster); ok && i%60 == 59 {
+						if frags := c.UnitFrags(); len(frags) > 0 {
+							c.RepackUnit(frags[0].Leaf)
+						}
+					}
+					if i%100 == 99 {
+						org.Flush()
+					}
+				}
+			}()
+			go func() { // the prober
+				defer wg.Done()
+				for i := 0; !done.Load() && !t.Failed(); i++ {
+					org.Env().mu.RLock()
+					probe(org, ws[i%len(ws)], TechSLM, &h)
+					org.Env().mu.RUnlock()
+					h.verify(t, "while the mutator runs")
+				}
+			}()
+			for !done.Load() {
+				RunWindowQueriesParallel(org, ws, TechComplete, 3)
+				RunNearestQueriesParallel(org, pts, 5, 3)
+			}
+			wg.Wait()
+			h.verify(t, "at the end")
+		})
+	}
+}
+
+// --- allocation ceilings -----------------------------------------------------
+
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// warmCluster builds a cluster organization whose buffer holds the whole
+// store, so that queries never allocate a frame.
+func warmCluster(t *testing.T, ds *datagen.Dataset, smax int) *Cluster {
+	t.Helper()
+	c := NewCluster(NewEnv(1<<16), ClusterConfig{SmaxBytes: smax})
+	for i, o := range ds.Objects {
+		c.Insert(o, ds.MBRs[i])
+	}
+	c.Flush()
+	c.WindowQuery(geom.R(0, 0, 1, 1), TechComplete) // fault everything in
+	return c
+}
+
+// TestQueryAllocs pins what a warm cluster query allocates: its result, its
+// closures and — for k-NN — the data pages the browse decodes, but nothing
+// per candidate and nothing per entry scanned. Ceilings are 1.5x what the
+// code measured when they were set (window 7 — its 51 answers growing the
+// result slice — point 1, 10-NN 14).
+func TestQueryAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 64, Seed: 61})
+	sparse := warmCluster(t, ds, ds.Spec.SmaxBytes()/4)
+	dense := warmCluster(t, ds, ds.Spec.SmaxBytes())
+	perPage := func(c *Cluster) float64 { return float64(c.objects) / float64(c.tree.LeafPages()) }
+	if perPage(dense) < 2*perPage(sparse) {
+		t.Fatalf("dense store holds %.1f objects per data page, sparse %.1f: want twice as many", perPage(dense), perPage(sparse))
+	}
+
+	w := ds.Windows(0.01, 1, 62)[0]
+	res := dense.WindowQuery(w, TechComplete)
+	if res.Candidates < 30 || len(res.IDs) == 0 {
+		t.Fatalf("window has %d candidates and %d answers: too few to show a per-candidate term", res.Candidates, len(res.IDs))
+	}
+	var pt geom.Point // on an answer's geometry, so that the point query has an answer too
+	for _, o := range ds.Objects {
+		if l, ok := o.Geom.(*geom.Polyline); ok && o.ID == res.IDs[0] {
+			pt = l.Vertices[0]
+		}
+	}
+	if len(dense.PointQuery(pt).IDs) == 0 {
+		t.Fatal("the point query has no answer")
+	}
+	measure := func(c *Cluster) (window, point, knn float64) {
+		return testing.AllocsPerRun(100, func() { c.WindowQuery(w, TechComplete) }),
+			testing.AllocsPerRun(100, func() { c.PointQuery(pt) }),
+			testing.AllocsPerRun(100, func() { c.NearestQuery(pt, 10) })
+	}
+	window, point, knn := measure(dense)
+	t.Logf("dense: window %v (%d candidates, %d answers), point %v, 10-NN %v allocations", window, res.Candidates, len(res.IDs), point, knn)
+	for _, c := range []struct {
+		name       string
+		got, limit float64
+	}{{"window", window, 10}, {"point", point, 1}, {"10-NN", knn, 21}} {
+		if c.got > c.limit {
+			t.Errorf("%s query allocates %v times, ceiling %v", c.name, c.got, c.limit)
+		}
+	}
+	// The same window over half the objects per data page: twice the pages
+	// scanned, the same candidates and answers — and the same count, since
+	// only the answer slice grows.
+	if sparseWindow, _, _ := measure(sparse); sparseWindow != window {
+		t.Errorf("window query allocates %v times at %.1f objects per data page and %v at %.1f: a per-page or per-entry term",
+			window, perPage(dense), sparseWindow, perPage(sparse))
+	}
+	if got, want := sparse.WindowQuery(w, TechComplete), res; !reflect.DeepEqual(sortedIDs(got.IDs), sortedIDs(want.IDs)) {
+		t.Fatal("the two stores answer the window differently")
+	}
+}

@@ -216,19 +216,9 @@ func (c *Cluster) Rebuild(fill float64) {
 	c.bulkLoadHilbertLocked(objs, keys, fill)
 }
 
-// unitBytesAt extracts size bytes starting at unit offset off from the
-// unit's page contents.
+// unitBytesAt returns size bytes starting at unit offset off of the unit's
+// page contents (a view of one page, or a fresh assembly across pages).
 func unitBytesAt(pages [][]byte, off, size int) []byte {
-	out := make([]byte, 0, size)
-	for len(out) < size {
-		pg := pages[off/disk.PageSize]
-		in := off % disk.PageSize
-		n := size - len(out)
-		if n > disk.PageSize-in {
-			n = disk.PageSize - in
-		}
-		out = append(out, pg[in:in+n]...)
-		off += n
-	}
-	return out
+	var spill []byte
+	return unitView(func(idx int) []byte { return pages[idx] }, off, size, &spill)
 }

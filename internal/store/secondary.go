@@ -111,29 +111,28 @@ func (s *Secondary) Update(o *object.Object, key geom.Rect) bool {
 	return true
 }
 
-// readObjectDirect fetches one exact representation with an independent
-// random read (the secondary organization's access pattern in queries).
-func (s *Secondary) readObjectDirect(id object.ID) *object.Object {
+// readObjectDirect fetches one serialized exact representation with an
+// independent random read (the secondary organization's access pattern in
+// queries); the bytes alias the page read when the object lies inside one.
+func (s *Secondary) readObjectDirect(id object.ID) []byte {
 	ref, ok := s.refs[id]
 	if !ok {
 		panic(fmt.Sprintf("store: unknown object %d", id))
 	}
-	o, err := object.Unmarshal(s.file.ReadDirect(ref))
-	if err != nil {
-		panic(fmt.Sprintf("store: corrupt object %d: %v", id, err))
-	}
-	return o
+	return s.file.ReadDirect(ref)
 }
 
 // PointQuery implements Organization.
 func (s *Secondary) PointQuery(p geom.Point) QueryResult {
 	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(s.env.Disk, func() {
 		s.tree.SearchPoint(p, func(e rtree.Entry) bool {
 			id, size := decodePayload(e.Payload)
 			res.Candidates++
 			res.CandidateBytes += int64(size)
-			if o := s.readObjectDirect(id); o.Geom.ContainsPoint(p) {
+			if containsPoint(sc.decode(s.readObjectDirect(id)), p) {
 				res.IDs = append(res.IDs, id)
 			}
 			return true
@@ -146,12 +145,14 @@ func (s *Secondary) PointQuery(p geom.Point) QueryResult {
 // the secondary organization can only read objects one by one.
 func (s *Secondary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
 	res.Cost = measure(s.env.Disk, func() {
 		s.tree.Search(w, func(e rtree.Entry) bool {
 			id, size := decodePayload(e.Payload)
 			res.Candidates++
 			res.CandidateBytes += int64(size)
-			if o := s.readObjectDirect(id); o.Geom.IntersectsRect(w) {
+			if intersectsRect(sc.decode(s.readObjectDirect(id)), w) {
 				res.IDs = append(res.IDs, id)
 			}
 			return true
@@ -164,28 +165,15 @@ func (s *Secondary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 // through the join buffer (buffered pages hit for free); the captured page
 // bytes are deserialized by the returned assembly step.
 func (s *Secondary) PrepareFetch(_ disk.PageID, ids []object.ID, m *buffer.Manager, _ Technique) ObjectFetch {
-	refs := make([]pagefile.Ref, 0, len(ids))
-	pages := make([][][]byte, 0, len(ids))
+	views := make([][]byte, 0, len(ids))
 	for _, id := range ids {
 		ref, ok := s.refs[id]
 		if !ok {
 			panic(fmt.Sprintf("store: unknown object %d", id))
 		}
-		refs = append(refs, ref)
-		pages = append(pages, s.file.CaptureBuffered(m, ref))
+		views = append(views, s.file.ReadBuffered(m, ref))
 	}
-	fetchIDs := ids
-	return func() []*object.Object {
-		out := make([]*object.Object, 0, len(refs))
-		for i, ref := range refs {
-			o, err := object.Unmarshal(ref.Assemble(pages[i]))
-			if err != nil {
-				panic(fmt.Sprintf("store: corrupt object %d: %v", fetchIDs[i], err))
-			}
-			out = append(out, o)
-		}
-		return out
-	}
+	return func() []*object.Object { return unmarshalViews(views) }
 }
 
 // FetchObjects implements Organization.
