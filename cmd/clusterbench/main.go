@@ -1,64 +1,19 @@
 // Command clusterbench regenerates the tables and figures of the paper's
-// evaluation (Brinkhoff & Kriegel, VLDB 1994) and runs the repo's own
-// engine benchmarks.
+// evaluation (Brinkhoff & Kriegel, VLDB 1994) and runs the repo's own engine
+// benchmarks. Both live in one registry (exp.Experiments); this command
+// loops over it.
 //
 // Usage:
 //
-//	clusterbench -exp all                 # every table and figure
-//	clusterbench -exp fig8 -scale 8 -v    # one figure, verbose progress
+//	clusterbench -exp all                        # every table and figure
+//	clusterbench -exp fig8 -scale 8 -v           # one figure, verbose progress
 //	clusterbench -exp table1,fig12 -scale 16 -queries 200
-//	clusterbench -exp parallel -workers 1,2,4,8   # parallel engine benchmark
-//	clusterbench -exp dynamic                     # mixed-workload benchmark
-//	clusterbench -exp dynamic -smoke              # CI-sized dynamic run
-//	clusterbench -exp knn                         # k-NN distance browsing benchmark
-//	clusterbench -exp backend                     # modelled vs measured I/O per backend
-//	clusterbench -exp server -clients 1,2,4,8,16  # serving benchmark (micro-batching)
-//	clusterbench -exp recovery                    # WAL group commit + crash recovery
-//	clusterbench -exp obs                         # tracing overhead + stage attribution
-//	clusterbench -exp shard -shards 1,2,4,8       # sharded cluster scale-out benchmark
-//	clusterbench -exp speed                       # binary wire / compression / admission / overlap
+//	clusterbench -exp parallel -workers 1,2,4,8  # one engine benchmark → BENCH_parallel.json
+//	clusterbench -exp benches -smoke             # every engine benchmark, CI-sized
 //
-// The parallel experiment measures wall-clock throughput of the parallel
-// query/join engine (join speedup over 1 worker, queries/sec) and writes the
-// numbers to BENCH_parallel.json. The dynamic experiment applies a mixed
-// insert/delete/update/query workload to every organization, with and
-// without online reclustering, and writes the fully modelled (deterministic)
-// numbers to BENCH_dynamic.json. The knn experiment runs k-nearest-neighbor
-// distance browsing (k = 1, 10, 100) across all three organizations, fresh
-// and after churn, verifies the answer sets agree, and writes the fully
-// modelled (byte-reproducible) numbers to BENCH_knn.json. The backend
-// experiment builds the organizations on the in-memory and the file-backed
-// storage backends, reports modelled cost next to measured wall-clock I/O
-// per organization and read technique, verifies that modelled columns are
-// backend-invariant and that a saved file-backed store reopens identical,
-// and writes BENCH_backend.json. The server experiment serves all three
-// organizations over HTTP on a wall-clock-throttled disk, sweeps closed-loop
-// client counts with micro-batched and serialized execution plus one
-// open-loop arm, verifies every served answer against in-process execution,
-// and writes BENCH_server.json. The recovery experiment sweeps the
-// write-ahead log's group-commit batch size, crashes WAL-attached stores at
-// increasing log tail lengths (including a torn final record), verifies every
-// recovered store answers exactly like a never-crashed reference, and writes
-// BENCH_recovery.json. The obs experiment measures the observability layer
-// itself: per-query tracing overhead (untraced vs traced closed-loop
-// throughput per organization) and wall-clock stage attribution of the
-// parallel engine (queue wait vs execute for window queries, mbr-join vs
-// prepare-fetch vs refine for the join) across worker counts, names the
-// measured serialization point, and writes BENCH_obs.json. The shard
-// experiment Hilbert-range partitions the dataset across 1/2/4/8 shard
-// servers behind the scatter-gather router, verifies every routed answer
-// (fresh and after a mutation workload routed through the router) against a
-// single never-sharded store, sweeps closed-loop throughput per shard count
-// on throttled disks, and writes BENCH_shard.json. The speed experiment runs
-// the raw-speed serving pass: binary wire protocol vs HTTP/JSON throughput
-// (answers verified identical), page compression's saved write bytes vs
-// codec CPU on the file backend (modelled costs verified backend-invariant),
-// the 2Q ghost-list admission policy vs plain LRU hit ratio on a hotspot
-// workload with periodic scans, and the join dispatcher's overlap mode
-// across worker counts (modelled cost and cardinalities verified invariant),
-// and writes BENCH_speed.json (schemas for all nine in docs/BENCHMARKS.md).
-// -json overrides any of these paths (one benchmark at a time); none is part
-// of "all".
+// What each engine benchmark sweeps, the artifact it writes and its schema
+// are in docs/BENCHMARKS.md. A false gating verdict exits 1 and names the
+// verdict; flag misuse exits 2.
 //
 // Scale 1 is the paper's full data size (131,461 + 128,971 objects); the
 // default 8 keeps the full pipeline minutes-fast while preserving the
@@ -75,45 +30,85 @@ import (
 	"spatialcluster/internal/exp"
 )
 
-// knownExps lists every experiment name -exp accepts. Unknown names are an
-// error, not a silent no-op.
-var knownExps = map[string]bool{
-	"all": true, "table1": true, "fig5": true, "fig6": true, "fig7": true,
-	"fig8": true, "fig10": true, "fig11": true, "fig12": true, "fig14": true,
-	"fig16": true, "fig17": true, "parallel": true, "dynamic": true,
-	"knn": true, "backend": true, "server": true, "recovery": true, "obs": true,
-	"shard": true, "speed": true,
-}
-
-// benchExps are the engine benchmarks that write a JSON file each; an
-// explicit -json override is only unambiguous when at most one of them is
-// selected.
-var benchExps = []string{"parallel", "dynamic", "knn", "backend", "server", "recovery", "obs", "shard", "speed"}
-
 func main() {
+	// The swept axis of an engine benchmark is an int list; the flag that
+	// sets it is named by the experiment's Sweep.
+	var names []string
+	sweeps := map[string]*string{}
+	for _, e := range exp.Experiments() {
+		names = append(names, e.Name)
+		if e.Alias != "" {
+			names = append(names, e.Alias)
+		}
+		if e.Sweep != "" && sweeps[e.Sweep] == nil {
+			sweeps[e.Sweep] = flag.String(e.Sweep, "", "comma-separated counts: the "+e.Sweep+" swept by -exp "+e.Name+" (default: see docs/BENCHMARKS.md)")
+		}
+	}
 	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiments: table1,fig5,fig6,fig7,fig8,fig10,fig11,fig12,fig14,fig16,fig17 or all; 'parallel', 'dynamic', 'knn', 'backend', 'server', 'recovery', 'obs', 'shard' and 'speed' run the engine benchmarks and are never part of all")
+		expFlag = flag.String("exp", exp.GroupFigures, "comma-separated experiments: "+strings.Join(names, ",")+
+			"; '"+exp.GroupFigures+"' is every table and figure of the paper, '"+exp.GroupBenches+
+			"' every engine benchmark (the ones that write a BENCH_*.json)")
 		scale   = flag.Int("scale", 8, "divide the paper's object counts by this factor (1 = full size)")
 		queries = flag.Int("queries", 678, "queries per window size (paper: 678)")
 		seed    = flag.Int64("seed", 0, "generation seed")
-		workers = flag.String("workers", "", "comma-separated worker counts for -exp parallel (default 1,2,4,GOMAXPROCS)")
-		clients = flag.String("clients", "", "comma-separated closed-loop client counts for -exp server (default 1,2,4,8,16)")
-		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shard (default 1,2,4,8)")
 		batches = flag.Int("batches", 0, "churn batches for -exp dynamic (0 = default)")
 		opsPer  = flag.Int("ops", 0, "workload ops per batch for -exp dynamic (0 = a tenth of the dataset)")
-		smoke   = flag.Bool("smoke", false, "CI-sized run: shrinks -exp dynamic (scale 64, 40 queries, 3x400 ops), -exp knn (scale 64, 30 queries, 300 ops), -exp backend (scale 64, 40 queries), -exp server (scale 64, 120 requests, clients 1,8), -exp recovery (scale 64, 240 ops, sync 1,16), -exp obs (scale 64, 60 requests, 40 queries, workers 1,2, cluster arm shards 1,2 with 40 requests), -exp shard (scale 64, 80 requests, 200 churn ops, shards 1,2,4, 8 clients) and -exp speed (scale 64, 120 requests, 4 clients, 600 admission ops, workers 1,2) to seconds")
-		jsonOut = flag.String("json", "", "output path for benchmark JSON (default BENCH_parallel.json / BENCH_dynamic.json; empty or '-' disables)")
+		smoke   = flag.Bool("smoke", false, "shrink every engine benchmark to its CI-sized preset (seconds; see docs/BENCHMARKS.md)")
+		jsonOut = flag.String("json", "", "output path for an engine benchmark's JSON (default: its BENCH_*.json, see docs/BENCHMARKS.md; empty or '-' disables)")
 		verbose = flag.Bool("v", false, "print per-step progress to stderr")
 	)
 	flag.Parse()
 	jsonSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "json" {
-			jsonSet = true
-		}
-	})
+	flag.Visit(func(f *flag.Flag) { jsonSet = jsonSet || f.Name == "json" })
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "clusterbench: "+format+"\n", args...)
+		os.Exit(2)
+	}
 
-	o := exp.Options{Scale: *scale, Queries: *queries, Seed: *seed}
+	var want []string
+	for _, name := range strings.Split(*expFlag, ",") {
+		if name = strings.TrimSpace(strings.ToLower(name)); name != "" {
+			want = append(want, name)
+		}
+	}
+	selected, err := exp.Select(want)
+	if err != nil {
+		usage("%v", err)
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "clusterbench: no experiment matched %q\n", *expFlag)
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	sweep := map[string][]int{}
+	var writers []string
+	for _, e := range selected {
+		if e.Artifact != "" {
+			writers = append(writers, e.Name)
+		}
+		if e.Sweep == "" || sweep[e.Sweep] != nil {
+			continue
+		}
+		for _, s := range strings.Split(*sweeps[e.Sweep], ",") {
+			if s = strings.TrimSpace(s); s == "" {
+				continue
+			}
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 1 {
+				usage("bad -%s entry %q", e.Sweep, s)
+			}
+			sweep[e.Sweep] = append(sweep[e.Sweep], n)
+		}
+	}
+	// An explicit -json with more than one engine benchmark selected would
+	// make a later write silently clobber an earlier one; each benchmark has
+	// its own default path, so only the override is ambiguous.
+	if jsonSet && *jsonOut != "" && *jsonOut != "-" && len(writers) > 1 {
+		usage("-json with %s would overwrite one result; run them separately", strings.Join(writers, "+"))
+	}
+
+	o := exp.Options{Scale: *scale, Queries: *queries, Seed: *seed, Batches: *batches, OpsPerBatch: *opsPer}
 	if *verbose {
 		o.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -121,336 +116,28 @@ func main() {
 	}
 	o = o.WithDefaults()
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*expFlag, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		if name == "" {
-			continue
-		}
-		if !knownExps[name] {
-			fmt.Fprintf(os.Stderr, "clusterbench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-		want[name] = true
-	}
-	all := want["all"]
-	ran := 0
-	run := func(names []string, f func()) {
-		for _, n := range names {
-			if all || want[n] {
-				f()
-				ran++
-				return
-			}
-		}
-	}
-	// An explicit -json with more than one engine benchmark selected would
-	// make a later write silently clobber an earlier one; each benchmark has
-	// its own default path, so only the override is ambiguous.
-	if jsonSet && *jsonOut != "" && *jsonOut != "-" {
-		var selected []string
-		for _, name := range benchExps {
-			if want[name] {
-				selected = append(selected, name)
-			}
-		}
-		if len(selected) > 1 {
-			fmt.Fprintf(os.Stderr, "clusterbench: -json with %s would overwrite one result; run them separately\n",
-				strings.Join(selected, "+"))
-			os.Exit(2)
-		}
-	}
-	writeJSON := func(def string, write func(path string) error) {
-		path := def
+	exit := 0
+	for _, e := range selected {
+		r := e.Run(o, *smoke, sweep[e.Sweep])
+		fmt.Println(r.Render())
+		path := e.Artifact
 		if jsonSet {
 			path = *jsonOut
 		}
-		if path == "" || path == "-" {
-			return
-		}
-		if err := write(path); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	run([]string{"table1"}, func() { fmt.Println(exp.Table1(o).Render()) })
-	run([]string{"fig5", "fig6"}, func() {
-		r := exp.Fig5And6(o)
-		fmt.Println(r.RenderFig5())
-		fmt.Println(r.RenderFig6())
-	})
-	run([]string{"fig7"}, func() { fmt.Println(exp.Fig7(o).Render()) })
-	run([]string{"fig8"}, func() { fmt.Println(exp.Fig8(o).Render()) })
-	run([]string{"fig10"}, func() { fmt.Println(exp.Fig10(o).Render()) })
-	run([]string{"fig11"}, func() { fmt.Println(exp.Fig11(o).Render()) })
-	run([]string{"fig12"}, func() { fmt.Println(exp.Fig12(o).Render()) })
-	run([]string{"fig14"}, func() { fmt.Println(exp.Fig14(o).Render()) })
-	run([]string{"fig16"}, func() { fmt.Println(exp.Fig16(o).Render()) })
-	run([]string{"fig17"}, func() { fmt.Println(exp.Fig17(o).Render()) })
-
-	// The engine benchmarks write files (and the parallel one measures
-	// wall-clock), so they only run when asked for by name — "all" means
-	// the paper's figures.
-	if want["parallel"] {
-		ran++
-		var counts []int
-		for _, s := range strings.Split(*workers, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
+		if e.Artifact != "" && path != "" && path != "-" {
+			if err := exp.WriteJSON(path, r); err != nil {
+				fmt.Fprintf(os.Stderr, "clusterbench: writing %s: %v\n", path, err)
+				os.Exit(1)
 			}
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "clusterbench: bad -workers entry %q\n", s)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
-		r := exp.ParallelBench(o, counts)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_parallel.json", r.WriteJSON)
-	}
-	if want["dynamic"] {
-		ran++
-		do := o
-		cfg := exp.DynamicConfig{Batches: *batches, OpsPerBatch: *opsPer}
-		if *smoke {
-			do.Scale, do.Queries = 64, 40
-			if cfg.Batches == 0 {
-				cfg.Batches = 3
-			}
-			if cfg.OpsPerBatch == 0 {
-				cfg.OpsPerBatch = 400
-			}
-		}
-		r := exp.DynamicBench(do, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_dynamic.json", r.WriteJSON)
-		if !r.Degrades || !r.Recovers {
-			fmt.Fprintln(os.Stderr, "clusterbench: dynamic invariants violated (degrades/recovers)")
-			os.Exit(1)
-		}
-	}
-
-	if want["knn"] {
-		ran++
-		ko := o
-		cfg := exp.KNNConfig{}
-		if *smoke {
-			ko.Scale, ko.Queries = 64, 30
-			cfg.ChurnOps = 300
-		}
-		r := exp.KNNBench(ko, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_knn.json", r.WriteJSON)
-		if !r.AgreeFresh || !r.AgreeChurn {
-			fmt.Fprintln(os.Stderr, "clusterbench: knn answer sets differ across organizations")
-			os.Exit(1)
-		}
-	}
-
-	if want["backend"] {
-		ran++
-		bo := o
-		if *smoke {
-			bo.Scale, bo.Queries = 64, 40
-		}
-		r := exp.BackendBench(bo, exp.BackendConfig{})
-		fmt.Println(r.Render())
-		writeJSON("BENCH_backend.json", r.WriteJSON)
-		if !r.ModelMatch || !r.ReopenMatch {
-			fmt.Fprintln(os.Stderr, "clusterbench: backend invariants violated (model_match/reopen_match)")
-			os.Exit(1)
-		}
-	}
-
-	if want["server"] {
-		ran++
-		so := o
-		cfg := exp.ServerConfig{}
-		if *clients != "" {
-			for _, s := range strings.Split(*clients, ",") {
-				if s = strings.TrimSpace(s); s == "" {
-					continue
-				}
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "clusterbench: bad -clients entry %q\n", s)
-					os.Exit(2)
-				}
-				cfg.Clients = append(cfg.Clients, n)
-			}
-		}
-		if *smoke {
-			so.Scale = 64
-			cfg.Requests = 120
-			if len(cfg.Clients) == 0 {
-				cfg.Clients = []int{1, 8}
-			}
-		}
-		r := exp.ServerBench(so, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_server.json", r.WriteJSON)
-		// Agreement is a correctness invariant and gates the exit code;
-		// batch_gain is a wall-clock observation and only warns (CI machines
+		// Gating verdicts are correctness invariants; wall-clock ratios are
+		// observations the report shows and never fail a run (CI machines
 		// are too noisy to fail the build on a throughput ratio).
-		if !r.Agree {
-			fmt.Fprintln(os.Stderr, "clusterbench: server answers differ from in-process execution")
-			os.Exit(1)
-		}
-		if !r.BatchGain {
-			fmt.Fprintln(os.Stderr, "clusterbench: warning: micro-batching did not beat serialized execution at >= 8 clients")
+		for _, v := range r.Failed() {
+			fmt.Fprintf(os.Stderr, "clusterbench: %s: verdict %s is false\n", e.Name, v)
+			exit = 1
 		}
 	}
-
-	if want["shard"] {
-		ran++
-		sho := o
-		cfg := exp.ShardConfig{}
-		if *shards != "" {
-			for _, s := range strings.Split(*shards, ",") {
-				if s = strings.TrimSpace(s); s == "" {
-					continue
-				}
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "clusterbench: bad -shards entry %q\n", s)
-					os.Exit(2)
-				}
-				cfg.Counts = append(cfg.Counts, n)
-			}
-		}
-		if *smoke {
-			sho.Scale = 64
-			cfg.Requests = 80
-			cfg.ChurnOps = 200
-			cfg.Clients = 8
-			if len(cfg.Counts) == 0 {
-				cfg.Counts = []int{1, 2, 4}
-			}
-		}
-		r := exp.ShardBench(sho, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_shard.json", r.WriteJSON)
-		// Agreement is a correctness invariant and gates the exit code; the
-		// scale-out efficiency is a wall-clock observation and only informs
-		// (CI machines are too noisy to fail the build on a throughput ratio).
-		if !r.Agree {
-			fmt.Fprintln(os.Stderr, "clusterbench: router answers differ from the single reference store")
-			os.Exit(1)
-		}
-	}
-
-	if want["speed"] {
-		ran++
-		spo := o
-		cfg := exp.SpeedConfig{}
-		if *workers != "" {
-			for _, s := range strings.Split(*workers, ",") {
-				if s = strings.TrimSpace(s); s == "" {
-					continue
-				}
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "clusterbench: bad -workers entry %q\n", s)
-					os.Exit(2)
-				}
-				cfg.Workers = append(cfg.Workers, n)
-			}
-		}
-		if *smoke {
-			spo.Scale = 64
-			cfg.Requests = 120
-			cfg.Clients = 4
-			cfg.CompQueries = 20
-			cfg.AdmissionOps = 600
-			cfg.AdmissionBufPages = 96
-			if len(cfg.Workers) == 0 {
-				cfg.Workers = []int{1, 2}
-			}
-		}
-		r := exp.SpeedBench(spo, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_speed.json", r.WriteJSON)
-		// Answer agreement, modelled-cost invariance and the deterministic
-		// hit-ratio comparison gate the exit code; the throughput and
-		// overlap ratios are wall-clock observations and only warn.
-		if !r.WireAgree || !r.CompAgree || !r.CompModelMatch ||
-			!r.AdmissionAgree || !r.AdmissionAtLeastLRU ||
-			!r.OverlapCostInvariant || !r.OverlapPairsMatch {
-			fmt.Fprintln(os.Stderr, "clusterbench: speed invariants violated (agree/model_match/admission/overlap)")
-			os.Exit(1)
-		}
-		if r.WallBinaryGain <= 1 {
-			fmt.Fprintln(os.Stderr, "clusterbench: warning: binary protocol did not beat JSON throughput")
-		}
-		if r.WallOverlapGain <= 1 {
-			fmt.Fprintln(os.Stderr, "clusterbench: warning: overlap mode did not beat the plain worker pool")
-		}
-	}
-
-	if want["recovery"] {
-		ran++
-		ro := o
-		cfg := exp.RecoveryConfig{}
-		if *smoke {
-			ro.Scale = 64
-			cfg.Ops = 240
-			cfg.SyncEvery = []int{1, 16}
-		}
-		r := exp.RecoveryBench(ro, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_recovery.json", r.WriteJSON)
-		if !r.Agree {
-			fmt.Fprintln(os.Stderr, "clusterbench: recovered stores disagree with never-crashed references")
-			os.Exit(1)
-		}
-	}
-
-	if want["obs"] {
-		ran++
-		oo := o
-		cfg := exp.ObsConfig{}
-		if *workers != "" {
-			for _, s := range strings.Split(*workers, ",") {
-				if s = strings.TrimSpace(s); s == "" {
-					continue
-				}
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "clusterbench: bad -workers entry %q\n", s)
-					os.Exit(2)
-				}
-				cfg.Workers = append(cfg.Workers, n)
-			}
-		}
-		if *smoke {
-			oo.Scale, oo.Queries = 64, 40
-			cfg.Requests = 60
-			cfg.Clients = 4
-			cfg.ShardCounts = []int{1, 2}
-			cfg.ClusterRequests = 40
-			if len(cfg.Workers) == 0 {
-				cfg.Workers = []int{1, 2}
-			}
-		}
-		r := exp.ObsBench(oo, cfg)
-		fmt.Println(r.Render())
-		writeJSON("BENCH_obs.json", r.WriteJSON)
-		// Agreement, trace soundness (single-store and through the router)
-		// and cost invariance are correctness invariants and gate the exit
-		// code; the overhead ratios are wall-clock observations and only
-		// inform.
-		if !r.Agree || !r.TraceSound || !r.CostInvariant || !r.ClusterAgree || !r.ClusterTraceSound {
-			fmt.Fprintln(os.Stderr, "clusterbench: obs invariants violated (agree/trace_sound/cost_invariant/cluster)")
-			os.Exit(1)
-		}
-	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "clusterbench: no experiment matched %q\n", *expFlag)
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(exit)
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spatialcluster/internal/exp"
 )
 
 // clusterbenchBin is the compiled binary, built once in TestMain.
@@ -27,31 +29,38 @@ func TestMain(m *testing.M) {
 }
 
 // TestFlagMisuse covers the validations that must reject a run before any
-// experiment starts: unknown experiment names, ambiguous -json overrides
-// (which would let one benchmark clobber another's file), and malformed
-// count lists. All of these exit 2 instantly.
+// experiment starts: unknown (and retired) experiment names, ambiguous -json
+// overrides (which would let one benchmark clobber another's file), and
+// malformed count lists. The clobber pairs and the count-list flags come
+// from the registry. All of these exit 2 instantly.
 func TestFlagMisuse(t *testing.T) {
-	cases := []struct {
+	type misuse struct {
 		name string
 		args []string
 		want string
-	}{
+	}
+	cases := []misuse{
 		{"unknown experiment", []string{"-exp", "fig99"}, "unknown experiment"},
-		{"json clobber parallel+dynamic", []string{"-exp", "parallel,dynamic", "-json", "x.json"}, "would overwrite"},
-		{"json clobber knn+backend", []string{"-exp", "knn,backend", "-json", "x.json"}, "would overwrite"},
-		{"json clobber server+knn", []string{"-exp", "server,knn", "-json", "x.json"}, "would overwrite"},
-		{"json clobber server+parallel", []string{"-exp", "parallel,server", "-json", "x.json"}, "would overwrite"},
-		{"json clobber recovery+dynamic", []string{"-exp", "recovery,dynamic", "-json", "x.json"}, "would overwrite"},
-		{"json clobber recovery+server", []string{"-exp", "server,recovery", "-json", "x.json"}, "would overwrite"},
-		{"json clobber obs+server", []string{"-exp", "obs,server", "-json", "x.json"}, "would overwrite"},
-		{"json clobber obs+parallel", []string{"-exp", "parallel,obs", "-json", "x.json"}, "would overwrite"},
-		{"json clobber shard+server", []string{"-exp", "shard,server", "-json", "x.json"}, "would overwrite"},
-		{"json clobber shard+obs", []string{"-exp", "obs,shard", "-json", "x.json"}, "would overwrite"},
-		{"bad workers entry obs", []string{"-exp", "obs", "-workers", "-1"}, "bad -workers"},
-		{"bad workers entry", []string{"-exp", "parallel", "-workers", "two"}, "bad -workers"},
-		{"bad clients entry", []string{"-exp", "server", "-clients", "0"}, "bad -clients"},
-		{"bad shards entry", []string{"-exp", "shard", "-shards", "0"}, "bad -shards"},
-		{"bad shards entry text", []string{"-exp", "shard", "-shards", "two"}, "bad -shards"},
+		{"retired experiment obs", []string{"-exp", "obs"}, "unknown experiment"},
+		{"retired experiment speed", []string{"-exp", "server,speed"}, "unknown experiment"},
+		{"json clobber group", []string{"-exp", exp.GroupBenches, "-json", "x.json"}, "would overwrite"},
+	}
+	benches, err := exp.Select([]string{exp.GroupBenches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range benches {
+		for _, b := range benches {
+			if a.Name != b.Name {
+				cases = append(cases, misuse{"json clobber " + a.Name + "+" + b.Name,
+					[]string{"-exp", a.Name + "," + b.Name, "-json", "x.json"}, "would overwrite"})
+			}
+		}
+		if a.Sweep != "" {
+			cases = append(cases,
+				misuse{"bad " + a.Sweep + " entry", []string{"-exp", a.Name, "-" + a.Sweep, "1,0"}, "bad -" + a.Sweep},
+				misuse{"bad " + a.Sweep + " entry text", []string{"-exp", a.Name, "-" + a.Sweep, "two"}, "bad -" + a.Sweep})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -159,6 +159,10 @@ type Manager struct {
 	// clustering spans shards: the maximal dirty run around a victim crosses
 	// shard boundaries.
 	writeMu sync.Mutex
+	// writeBacks counts write-backs and, unlike the statistics below, is
+	// never reset: ExecutePlan reads it to learn that the disk changed under
+	// a run it has already read.
+	writeBacks atomic.Int64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -439,6 +443,7 @@ func (m *Manager) writeBack(id disk.PageID) {
 	data = append(data, center)
 	data = append(data, after...)
 	m.d.WriteRun(start, data)
+	m.writeBacks.Add(1)
 	m.flushed.Add(int64(n))
 }
 
@@ -663,8 +668,16 @@ func (m *Manager) admit(id disk.PageID, data []byte) {
 // frame's slice replaced, never written into (the package comment states the
 // contract), which is harmless because the disk is the source of truth for
 // clean pages.
+//
+// A page of the run that is buffered dirty when the run is read keeps its
+// frame's newer data. If that frame is evicted — written back — before the
+// page's turn to be admitted (by an earlier page of this very run on a small
+// buffer, or by a concurrent reader), what was read for it is older than the
+// disk: the page is then looked at again, uncharged, instead of admitting
+// the stale copy as a clean frame.
 func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool) {
 	for i, r := range runs {
+		epoch := m.writeBacks.Load()
 		var data [][]byte
 		if i == 0 {
 			data = m.d.ReadRun(r.Start, r.N)
@@ -676,7 +689,11 @@ func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector b
 			if vector && !slices.Contains(requested, id) {
 				continue
 			}
-			m.admit(id, data[j])
+			page := data[j]
+			if m.writeBacks.Load() != epoch {
+				page = m.d.Peek(id)
+			}
+			m.admit(id, page)
 		}
 	}
 }

@@ -240,6 +240,26 @@ func TestExecutePlanPreservesDirtyFrames(t *testing.T) {
 	}
 }
 
+// TestExecutePlanDirtyPageEvictedMidPlan: on a buffer smaller than the run,
+// admitting the run's first pages evicts — writes back — a dirty page the
+// same run covers. What the run read for that page predates the write-back
+// and must not come back as a clean frame.
+func TestExecutePlanDirtyPageEvictedMidPlan(t *testing.T) {
+	for _, policy := range []Policy{PolicyLRU, Policy2Q} {
+		d := newDiskWithPages(t, 10)
+		m := NewWithPolicy(d, 2, policy)
+		m.Put(5, []byte("dirty")) // least recently used by the time the run reaches it
+		m.Get(8)
+		m.ExecutePlan([]disk.Run{{Start: 3, N: 3}}, []disk.PageID{3, 4, 5}, false)
+		if got := m.Get(5); !bytes.Equal(got, []byte("dirty")) {
+			t.Fatalf("%v: page 5 reads %q after the plan, want the written-back content", policy, got)
+		}
+		if !bytes.Equal(d.Peek(5), []byte("dirty")) {
+			t.Fatalf("%v: dirty content lost", policy)
+		}
+	}
+}
+
 func TestDropAndClear(t *testing.T) {
 	d := newDiskWithPages(t, 10)
 	m := New(d, 4)

@@ -1,10 +1,10 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -22,15 +22,18 @@ import (
 // wall-clock I/O when the same workload runs on a real file instead of the
 // simulated in-memory disk? Every row reports the two side by side. The
 // modelled columns are a deterministic function of (scale, queries, seed)
-// and must be byte-identical across runs and backends — CI enforces this by
-// diffing two runs with all "wall_*" fields stripped. The wall columns are
-// honest measurements and vary.
+// and must be byte-identical across runs and backends — the registry test
+// enforces this by diffing two runs with all "wall lines stripped. The wall
+// columns are honest measurements and vary. The fourth backend, the file
+// backend with page compression, adds what compression saved and cost: the
+// codec lives below the cost model, so its modelled columns must match too.
 
 // Backend names used in BENCH_backend.json.
 const (
-	BackendNameMem       = "mem"
-	BackendNameFile      = "file"
-	BackendNameFileFsync = "file+fsync"
+	backendMem          = "mem"
+	backendFile         = "file"
+	backendFileFsync    = "file+fsync"
+	backendFileCompress = "file+compress"
 )
 
 // BackendBuild reports one organization construction on one backend.
@@ -56,6 +59,23 @@ type BackendQueryRun struct {
 	WallIOSec      float64 `json:"wall_io_sec"`      // wall-clock inside backend I/O
 }
 
+// BackendCompRow states the compression tradeoff of one organization built
+// on the file+compress backend: write bytes avoided vs codec CPU spent. Its
+// modelled cost and answers are the file+compress rows of Builds and
+// QueryRuns, which ModelMatch pins to the other backends.
+type BackendCompRow struct {
+	Org         string  `json:"org"`
+	PagesZero   int64   `json:"pages_zero"`
+	PagesRaw    int64   `json:"pages_raw"`
+	PagesComp   int64   `json:"pages_comp"`
+	RawBytes    int64   `json:"raw_bytes"`    // logical page bytes written
+	StoredBytes int64   `json:"stored_bytes"` // bytes that reached the file
+	SavedBytes  int64   `json:"saved_bytes"`
+	SavedFrac   float64 `json:"saved_frac"`
+
+	WallCodecSec float64 `json:"wall_codec_sec"` // CPU spent encoding+decoding
+}
+
 // BackendResult is the outcome of the backend benchmark, emitted as
 // BENCH_backend.json.
 type BackendResult struct {
@@ -63,12 +83,17 @@ type BackendResult struct {
 	Queries    int     `json:"queries"`
 	Seed       int64   `json:"seed"`
 	WindowArea float64 `json:"window_area"`
+	GOMAXPROCS int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 
-	Builds    []BackendBuild    `json:"builds"`
-	QueryRuns []BackendQueryRun `json:"query_runs"`
+	Builds      []BackendBuild    `json:"builds"`
+	QueryRuns   []BackendQueryRun `json:"query_runs"`
+	Compression []BackendCompRow  `json:"compression"`
 
-	// ModelMatch: every modelled column is identical across the backends —
-	// the backend choice is invisible to the cost model.
+	// ModelMatch: every modelled column — cost, answers, candidate bytes —
+	// is identical across the backends: the backend choice, compression
+	// included, is invisible to the cost model. Held in go test by store's
+	// TestBackendsAgree and filebackend's TestCompressedBackendEquivalence
+	// and TestDiskCostInvariantCompressed.
 	ModelMatch bool `json:"model_match"`
 	// ReopenMatch: a store built and saved on the file backend reopens
 	// (via Save/Open) with identical StorageStats and identical
@@ -76,11 +101,23 @@ type BackendResult struct {
 	ReopenMatch bool `json:"reopen_match"`
 }
 
-// backendUnderTest describes one storage backend arm of the benchmark.
+// Failed implements Result.
+func (r BackendResult) Failed() []string {
+	return failed(verdict{"model_match", r.ModelMatch}, verdict{"reopen_match", r.ReopenMatch})
+}
+
+func runBackend(o Options, smoke bool, _ []int) Result {
+	if smoke {
+		o = o.smoke(40)
+	}
+	return BackendBench(o, BackendConfig{})
+}
+
+// backendUnderTest describes one storage backend arm of the benchmark: mem
+// when file is nil.
 type backendUnderTest struct {
-	name  string
-	fsync bool
-	file  bool
+	name string
+	file *filebackend.Config
 }
 
 // BackendConfig tunes the backend benchmark.
@@ -94,8 +131,9 @@ type BackendConfig struct {
 }
 
 // BackendBench builds the three organizations of the Figure 5/6 comparison
-// on the in-memory backend, the file backend, and the file backend with
-// fsync-on-flush, runs the Figure 8 window-query workload (cold queries on
+// on the in-memory backend, the file backend, the file backend with
+// fsync-on-flush and the file backend with page compression, runs the
+// Figure 8 window-query workload (cold queries on
 // A-1) per organization — all four read techniques on the cluster
 // organization — and reports modelled I/O next to measured wall-clock for
 // every build and every query batch. It also proves the persistence path:
@@ -121,6 +159,7 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 		Queries:    o.Queries,
 		Seed:       o.Seed,
 		WindowArea: cfg.WindowArea,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		ModelMatch: true,
 	}
 
@@ -129,15 +168,16 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 	ws := ds.Windows(cfg.WindowArea, o.Queries, o.Seed+int64(cfg.WindowArea*1e7))
 
 	backends := []backendUnderTest{
-		{name: BackendNameMem},
-		{name: BackendNameFile, file: true},
-		{name: BackendNameFileFsync, file: true, fsync: true},
+		{name: backendMem},
+		{name: backendFile, file: &filebackend.Config{}},
+		{name: backendFileFsync, file: &filebackend.Config{Fsync: true}},
+		{name: backendFileCompress, file: &filebackend.Config{Compress: true}},
 	}
 
 	var fileCluster store.Organization // the file-backed cluster store, for the reopen check
 	for _, bk := range backends {
 		for _, kind := range AllOrgs {
-			env, closeEnv := newBenchEnv(bk, dir, kind, o)
+			env, fb := newBenchEnv(bk, dir, kind, o)
 			b := BuildOn(kind, ds, env, spec.SmaxBytes())
 			m := env.Disk.Measured()
 			res.Builds = append(res.Builds, BackendBuild{
@@ -178,10 +218,13 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 					bk.name, kind, tech, sum.MSPer4KB(), wall.Seconds())
 			}
 
-			if bk.name == BackendNameFile && kind == OrgCluster {
+			if bk.name == backendFileCompress {
+				res.Compression = append(res.Compression, compRow(kind, fb.CompStats()))
+			}
+			if bk.name == backendFile && kind == OrgCluster {
 				fileCluster = b.Org // keep open for the reopen check below
 			} else {
-				closeEnv()
+				env.Close()
 			}
 		}
 	}
@@ -192,20 +235,37 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 	return res
 }
 
-// newBenchEnv creates the environment for one (backend, organization) arm.
-// The returned closer releases the backend (closing its file).
-func newBenchEnv(bk backendUnderTest, dir string, kind OrgKind, o Options) (*store.Env, func()) {
-	if !bk.file {
-		env := store.NewEnv(o.BuildBufPages)
-		return env, func() {}
+// newBenchEnv creates the environment for one (backend, organization) arm,
+// and returns the file backend under it (nil for mem). Closing the
+// environment releases the backend.
+func newBenchEnv(bk backendUnderTest, dir string, kind OrgKind, o Options) (*store.Env, *filebackend.FileBackend) {
+	if bk.file == nil {
+		return store.NewEnv(o.BuildBufPages), nil
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s-%s.db", sanitize(bk.name), sanitize(string(kind))))
-	fb, err := filebackend.Open(path, filebackend.Config{Fsync: bk.fsync})
+	fb, err := filebackend.Open(path, *bk.file)
 	if err != nil {
 		panic(fmt.Sprintf("exp: backend bench: %v", err))
 	}
-	env := store.NewEnvOn(o.BuildBufPages, disk.DefaultParams(), fb)
-	return env, func() { env.Close() }
+	return store.NewEnvOn(o.BuildBufPages, disk.DefaultParams(), fb), fb
+}
+
+// compRow reports what page compression did to one organization's writes.
+func compRow(kind OrgKind, st filebackend.CompStats) BackendCompRow {
+	row := BackendCompRow{
+		Org:          string(kind),
+		PagesZero:    st.PagesZero,
+		PagesRaw:     st.PagesRaw,
+		PagesComp:    st.PagesComp,
+		RawBytes:     st.RawBytes,
+		StoredBytes:  st.StoredBytes,
+		SavedBytes:   st.Saved(),
+		WallCodecSec: st.CodecSeconds(),
+	}
+	if st.RawBytes > 0 {
+		row.SavedFrac = float64(st.Saved()) / float64(st.RawBytes)
+	}
+	return row
 }
 
 func sanitize(s string) string {
@@ -227,7 +287,7 @@ func checkModelMatch(res BackendResult) bool {
 	builds := map[buildKey]float64{}
 	for _, b := range res.Builds {
 		k := buildKey{b.Org}
-		if b.Backend == BackendNameMem {
+		if b.Backend == backendMem {
 			builds[k] = b.ModelIOSec
 			continue
 		}
@@ -245,7 +305,7 @@ func checkModelMatch(res BackendResult) bool {
 	for _, q := range res.QueryRuns {
 		k := queryKey{q.Org, q.Tech}
 		m := queryModel{q.ModelIOSec, q.ModelMSPer4KB, q.Answers, q.CandidateBytes}
-		if q.Backend == BackendNameMem {
+		if q.Backend == backendMem {
 			queries[k] = m
 			continue
 		}
@@ -320,18 +380,15 @@ func (r BackendResult) Render() string {
 		fmt.Fprintf(&b, "  %-11s %-14s %-12s %14.1f %12.1f %10.3f %12.3f\n",
 			q.Backend, q.Org, q.Tech, q.ModelMSPer4KB, q.ModelIOSec, q.WallSec, q.WallIOSec)
 	}
+	fmt.Fprintf(&b, "\nPage compression (file+compress, delta+varint):\n")
+	fmt.Fprintf(&b, "  %-14s %12s %12s %8s %12s\n", "org", "written B", "stored B", "saved", "codec CPU s")
+	for _, row := range r.Compression {
+		fmt.Fprintf(&b, "  %-14s %12d %12d %7.1f%% %12.3f\n",
+			row.Org, row.RawBytes, row.StoredBytes, row.SavedFrac*100, row.WallCodecSec)
+	}
 	fmt.Fprintf(&b, "\nmodelled columns identical across backends: %v\n", r.ModelMatch)
 	fmt.Fprintf(&b, "file-backed store reopens bit-identical:     %v\n", r.ReopenMatch)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_backend.json by convention).
-func (r BackendResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // sameIDSet compares two answer sets ignoring order.

@@ -4,25 +4,12 @@ import (
 	"testing"
 )
 
-// stripWall zeroes every wall-clock (measured) field, leaving only the
-// modelled columns that BENCH_backend.json promises to keep byte-identical
-// across runs.
-func stripWall(r BackendResult) BackendResult {
-	for i := range r.Builds {
-		r.Builds[i].WallSec, r.Builds[i].WallIOSec = 0, 0
-	}
-	for i := range r.QueryRuns {
-		r.QueryRuns[i].WallSec, r.QueryRuns[i].WallIOSec = 0, 0
-	}
-	return r
-}
-
 // TestBackendBenchSmoke runs the backend benchmark at a tiny scale and
 // checks its two invariants: modelled columns are identical across the
 // memory and file backends, and the file-backed store survives a Save/Open
 // round trip with identical stats and answers. It also verifies that the
 // file backends really performed wall-clock I/O while the memory backend
-// did not.
+// did not, and that the compressed backend saved bytes.
 func TestBackendBenchSmoke(t *testing.T) {
 	o := Options{Scale: 64, Queries: 30, Seed: 5}
 	r := BackendBench(o, BackendConfig{Dir: t.TempDir()})
@@ -33,14 +20,14 @@ func TestBackendBenchSmoke(t *testing.T) {
 	if !r.ReopenMatch {
 		t.Error("file-backed store did not reopen bit-identical")
 	}
-	if len(r.Builds) != 9 { // 3 backends x 3 organizations
-		t.Fatalf("builds = %d, want 9", len(r.Builds))
+	if len(r.Builds) != 12 { // 4 backends x 3 organizations
+		t.Fatalf("builds = %d, want 12", len(r.Builds))
 	}
-	if len(r.QueryRuns) != 18 { // per backend: sec + prim + cluster x 4 techniques
-		t.Fatalf("query runs = %d, want 18", len(r.QueryRuns))
+	if len(r.QueryRuns) != 24 { // per backend: sec + prim + cluster x 4 techniques
+		t.Fatalf("query runs = %d, want 24", len(r.QueryRuns))
 	}
 	for _, b := range r.Builds {
-		fileBacked := b.Backend != BackendNameMem
+		fileBacked := b.Backend != backendMem
 		if fileBacked && b.WallIOSec <= 0 {
 			t.Errorf("%s %s: file backend measured no I/O", b.Backend, b.Org)
 		}
@@ -48,28 +35,20 @@ func TestBackendBenchSmoke(t *testing.T) {
 			t.Errorf("%s %s: memory backend measured I/O", b.Backend, b.Org)
 		}
 	}
+	if len(r.Compression) != len(AllOrgs) {
+		t.Fatalf("compression rows = %d, want %d", len(r.Compression), len(AllOrgs))
+	}
+	for _, row := range r.Compression {
+		if row.RawBytes == 0 || row.StoredBytes == 0 || row.SavedBytes <= 0 {
+			t.Fatalf("implausible compression row %+v", row)
+		}
+	}
 }
 
-// TestBackendBenchModelDeterministic re-runs the benchmark and requires the
-// modelled columns to be identical — the reproducibility CI enforces on
-// BENCH_backend.json after stripping wall_* fields.
+// TestBackendBenchModelDeterministic re-runs the benchmark on a second
+// configuration and requires the modelled columns to be identical.
 func TestBackendBenchModelDeterministic(t *testing.T) {
 	o := Options{Scale: 128, Queries: 12, Seed: 9}
-	a := stripWall(BackendBench(o, BackendConfig{Dir: t.TempDir()}))
-	b := stripWall(BackendBench(o, BackendConfig{Dir: t.TempDir()}))
-	if len(a.QueryRuns) != len(b.QueryRuns) {
-		t.Fatalf("query run counts differ: %d vs %d", len(a.QueryRuns), len(b.QueryRuns))
-	}
-	for i := range a.QueryRuns {
-		if a.QueryRuns[i] != b.QueryRuns[i] {
-			t.Fatalf("modelled query row %d differs across runs:\n%+v\n%+v",
-				i, a.QueryRuns[i], b.QueryRuns[i])
-		}
-	}
-	for i := range a.Builds {
-		if a.Builds[i] != b.Builds[i] {
-			t.Fatalf("modelled build row %d differs across runs:\n%+v\n%+v",
-				i, a.Builds[i], b.Builds[i])
-		}
-	}
+	sameModelled(t, BackendBench(o, BackendConfig{Dir: t.TempDir()}),
+		BackendBench(o, BackendConfig{Dir: t.TempDir()}))
 }

@@ -1,11 +1,11 @@
-// Package exp contains one driver per table and figure of the paper's
-// evaluation (sections 5 and 6), plus the repository's own engine
-// benchmarks. Every driver generates its workload with internal/datagen,
-// builds the organization models under test (internal/store), runs the
-// paper's query mix, and returns the rows of the corresponding table or
-// figure, rendered the way the paper reports them (I/O seconds for
-// construction and joins, msec/4KB for queries, pages for storage
-// utilization).
+// Package exp holds every experiment of the repository behind one registry
+// (Experiments): one driver per table and figure of the paper's evaluation
+// (sections 5 and 6), and the repository's own engine benchmarks. Every
+// driver generates its workload with internal/datagen, builds the
+// organization models under test (internal/store), runs its sweep, and
+// returns a Result — a report rendered the way the paper labels its figures
+// (I/O seconds for construction and joins, msec/4KB for queries, pages for
+// storage utilization) plus the gating verdicts that came out false.
 //
 // Experiments run at a configurable Scale: Scale=1 is the paper's full data
 // size, the default Scale=8 keeps the full pipeline minutes-fast while
@@ -13,21 +13,31 @@
 // data pages). Join buffer sizes are divided by the same factor so the
 // buffer-to-data ratios of Figures 14 and 16 are preserved.
 //
-// The engine benchmarks extend the paper's static story and each emit one
+// The engine benchmarks are named by the axis they sweep and each emit one
 // JSON artifact (schemas in docs/BENCHMARKS.md):
 //
-//   - ParallelBench (BENCH_parallel.json) — wall-clock speedup of the
-//     parallel query/join engine across worker counts.
-//   - DynamicBench (BENCH_dynamic.json) — "Figure 5 under churn": query-cost
-//     decay under mixed workloads and its repair by the reclustering
-//     policies of internal/recluster.
-//   - KNNBench (BENCH_knn.json) — k-nearest-neighbor distance browsing
-//     across the organizations, fresh and after churn.
-//   - BackendBench (BENCH_backend.json) — the same workload on the
-//     in-memory and the file-backed storage backend
-//     (internal/disk/filebackend), reporting modelled cost next to measured
-//     wall-clock I/O and proving the Save/Open persistence round trip.
+//   - parallel (BENCH_parallel.json) — worker counts, in-process: join and
+//     window queries per organization, overlap off/on, with stage clocks.
+//   - dynamic (BENCH_dynamic.json) — churn batches: "Figure 5 under churn",
+//     query-cost decay and its repair by the reclustering policies.
+//   - knn (BENCH_knn.json) — k: distance browsing across the organizations,
+//     fresh and after churn.
+//   - backend (BENCH_backend.json) — storage backends: mem, file,
+//     file+fsync, file+compress; modelled cost next to measured I/O, the
+//     Save/Open round trip, what page compression saved.
+//   - server (BENCH_server.json) — closed-loop clients over HTTP: serial vs
+//     micro-batched execution, traced and binary at the largest count, an
+//     open-loop arm, LRU vs 2Q admission.
+//   - shard (BENCH_shard.json) — shard counts behind the router, plain and
+//     traced over both wire protocols.
+//   - recovery (BENCH_recovery.json) — group-commit batch size and WAL tail
+//     length at the crash.
 //
-// All four are driven by the clusterbench command; the modelled columns of
-// every artifact are byte-reproducible and CI-guarded.
+// The two served experiments share one fixture (served.go): one way to start
+// a server or a shard cluster, one serial reference pass, one replay that
+// verifies an arm answer for answer before one measured run records its
+// throughput. All seven are driven by the clusterbench command; the modelled
+// columns of every artifact — every line without a "wall field — are
+// byte-reproducible, which TestExperimentsDeterministic holds for the whole
+// registry.
 package exp

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"spatialcluster/internal/datagen"
@@ -141,6 +139,25 @@ type DynamicResult struct {
 	// repairable, the question the paper's static evaluation left open.
 	Degrades bool `json:"degrades"`
 	Recovers bool `json:"recovers"`
+}
+
+// Failed implements Result.
+func (r DynamicResult) Failed() []string {
+	return failed(verdict{"degrades", r.Degrades}, verdict{"recovers", r.Recovers})
+}
+
+func runDynamic(o Options, smoke bool, _ []int) Result {
+	cfg := DynamicConfig{Batches: o.Batches, OpsPerBatch: o.OpsPerBatch}
+	if smoke {
+		o = o.smoke(40)
+		if cfg.Batches == 0 {
+			cfg.Batches = 3
+		}
+		if cfg.OpsPerBatch == 0 {
+			cfg.OpsPerBatch = 400
+		}
+	}
+	return DynamicBench(o, cfg)
 }
 
 // dynamicSeriesSpec names one series and how to maintain it.
@@ -300,13 +317,4 @@ func (r DynamicResult) Render() string {
 	fmt.Fprintf(&b, "\nclustering degrades under churn:        %v\n", r.Degrades)
 	fmt.Fprintf(&b, "threshold reclustering recovers it:     %v\n", r.Recovers)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_dynamic.json by convention).
-func (r DynamicResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

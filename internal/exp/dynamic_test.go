@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"reflect"
 	"testing"
 
 	"spatialcluster/internal/datagen"
@@ -43,13 +41,7 @@ func TestDynamicBenchSmoke(t *testing.T) {
 func TestDynamicBenchDeterministic(t *testing.T) {
 	o := Options{Scale: 128, Queries: 20, Seed: 7}
 	cfg := DynamicConfig{Batches: 2, OpsPerBatch: 150}
-	a := DynamicBench(o, cfg)
-	b := DynamicBench(o, cfg)
-	if !reflect.DeepEqual(a, b) {
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
-		t.Fatalf("dynamic benchmark not deterministic:\n%s\n%s", aj, bj)
-	}
+	sameModelled(t, DynamicBench(o, cfg), DynamicBench(o, cfg))
 }
 
 // TestApplyOpsNeverMisses applies a generated stream to the organization it

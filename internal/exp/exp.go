@@ -32,6 +32,9 @@ type Options struct {
 	// GOMAXPROCS. The paper's figure experiments stay single-threaded
 	// regardless: their per-query cost accounting needs serial requests.
 	Parallelism int
+	// Batches and OpsPerBatch override the dynamic experiment's churn
+	// schedule (0 keeps its default); no other experiment reads them.
+	Batches, OpsPerBatch int
 	// Progress, if non-nil, receives one line per completed step.
 	Progress func(format string, args ...any)
 }
@@ -59,17 +62,29 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// JoinBufferSizes are the paper's buffer sizes of Figures 14 and 16, in
-// pages at full scale.
-var JoinBufferSizes = []int{200, 400, 800, 1600, 3200, 6400}
+// smoke caps a run at CI size — a scale no finer than 64 and, for the
+// experiments that read Queries, at most the given number of them — the part
+// of every experiment's -smoke preset that is not its own configuration.
+func (o Options) smoke(queries int) Options {
+	o = o.WithDefaults()
+	o.Scale = max(o.Scale, 64)
+	if queries > 0 {
+		o.Queries = min(o.Queries, queries)
+	}
+	return o
+}
 
-// ScaledBuffer divides a full-scale buffer size by the square root of the
+// joinBufferSizes are the paper's buffer sizes of Figures 14 and 16, in
+// pages at full scale.
+var joinBufferSizes = []int{200, 400, 800, 1600, 3200, 6400}
+
+// scaledBuffer divides a full-scale buffer size by the square root of the
 // experiment scale. The join's working set — the cluster units and object
 // pages of the current position of the plane sweep — grows with the square
 // root of the object count, while cluster units keep their full-scale size,
 // so dividing by √scale preserves the buffer-to-working-set ratios of
 // Figures 14 and 16.
-func (o Options) ScaledBuffer(pages int) int {
+func (o Options) scaledBuffer(pages int) int {
 	b := int(float64(pages) / math.Sqrt(float64(o.Scale)))
 	if b < 32 {
 		b = 32
@@ -77,14 +92,14 @@ func (o Options) ScaledBuffer(pages int) int {
 	return b
 }
 
-// MBRScaleVersionA and MBRScaleVersionB control the MBR extensions of the
+// mbrScaleVersionA and mbrScaleVersionB control the MBR extensions of the
 // two join test series (section 6.1): version a uses the object MBRs as
 // generated (≈0.7 intersections per MBR on the synthetic maps); version b
 // enlarges them so that each MBR intersects roughly 9 MBRs of the other map,
 // matching the paper's 86,094 vs 1.2 million pairs.
 const (
-	MBRScaleVersionA = 1.0
-	MBRScaleVersionB = 4.0
+	mbrScaleVersionA = 1.0
+	mbrScaleVersionB = 4.0
 )
 
 // OrgKind names an organization model under test.
@@ -113,16 +128,16 @@ type BuildResult struct {
 // Build constructs an organization of the given kind over ds, inserting the
 // objects unsorted (generation order), and reports the modelled I/O cost.
 func Build(kind OrgKind, ds *datagen.Dataset, bufPages int) BuildResult {
-	return BuildCluster(kind, ds, bufPages, ds.Spec.SmaxBytes())
+	return buildCluster(kind, ds, bufPages, ds.Spec.SmaxBytes())
 }
 
-// BuildCluster is Build with an explicit Smax (used by the cluster-size
+// buildCluster is Build with an explicit Smax (used by the cluster-size
 // adaptation experiment of Figure 11).
-func BuildCluster(kind OrgKind, ds *datagen.Dataset, bufPages, smaxBytes int) BuildResult {
+func buildCluster(kind OrgKind, ds *datagen.Dataset, bufPages, smaxBytes int) BuildResult {
 	return BuildOn(kind, ds, store.NewEnv(bufPages), smaxBytes)
 }
 
-// BuildOn is BuildCluster over a caller-supplied environment, so a store can
+// BuildOn is buildCluster over a caller-supplied environment, so a store can
 // be built on any storage backend (the backend benchmark and the sdb CLI use
 // it with a file-backed environment). The modelled construction cost is a
 // function of the workload alone — identical for every backend.
@@ -176,8 +191,8 @@ func (q QuerySummary) MSPer4KB() float64 {
 	return q.TotalMS / (float64(q.CandidateBytes) / float64(disk.PageSize))
 }
 
-// AvgAnswers returns the mean number of answers per query.
-func (q QuerySummary) AvgAnswers() float64 {
+// avgAnswers returns the mean number of answers per query.
+func (q QuerySummary) avgAnswers() float64 {
 	if q.Queries == 0 {
 		return 0
 	}
@@ -209,9 +224,9 @@ func RunWindowQueries(org store.Organization, ws []geom.Rect, tech store.Techniq
 	return sum
 }
 
-// RunWindowOptimum computes the theoretical lower bound of Figure 10 for a
+// runWindowOptimum computes the theoretical lower bound of Figure 10 for a
 // cluster organization over the same workload.
-func RunWindowOptimum(c *store.Cluster, ws []geom.Rect) QuerySummary {
+func runWindowOptimum(c *store.Cluster, ws []geom.Rect) QuerySummary {
 	sum := QuerySummary{Queries: len(ws)}
 	for _, w := range ws {
 		CoolObjectPages(c)
@@ -225,7 +240,7 @@ func RunWindowOptimum(c *store.Cluster, ws []geom.Rect) QuerySummary {
 }
 
 // RunNearestQueries executes k-NN (distance browsing) queries, cold — the
-// same steady-state convention as RunPointQueries: the directory stays hot,
+// same steady-state convention as runPointQueries: the directory stays hot,
 // data and object pages are evicted before each query.
 func RunNearestQueries(org store.Organization, pts []geom.Point, k int) QuerySummary {
 	sum := QuerySummary{Queries: len(pts)}
@@ -241,8 +256,8 @@ func RunNearestQueries(org store.Organization, pts []geom.Point, k int) QuerySum
 	return sum
 }
 
-// RunPointQueries executes point queries, cold (section 5.5).
-func RunPointQueries(org store.Organization, pts []geom.Point) QuerySummary {
+// runPointQueries executes point queries, cold (section 5.5).
+func runPointQueries(org store.Organization, pts []geom.Point) QuerySummary {
 	sum := QuerySummary{Queries: len(pts)}
 	p := org.Env().Params()
 	for _, pt := range pts {

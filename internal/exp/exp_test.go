@@ -28,14 +28,14 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestScaledBuffer(t *testing.T) {
 	o := Options{Scale: 16}.WithDefaults()
-	if got := o.ScaledBuffer(6400); got != 1600 {
-		t.Fatalf("ScaledBuffer(6400) at scale 16 = %d, want 1600 (÷√16)", got)
+	if got := o.scaledBuffer(6400); got != 1600 {
+		t.Fatalf("scaledBuffer(6400) at scale 16 = %d, want 1600 (÷√16)", got)
 	}
-	if got := o.ScaledBuffer(1); got != 32 {
+	if got := o.scaledBuffer(1); got != 32 {
 		t.Fatalf("minimum buffer = %d, want 32", got)
 	}
 	full := Options{Scale: 1}.WithDefaults()
-	if got := full.ScaledBuffer(1600); got != 1600 {
+	if got := full.scaledBuffer(1600); got != 1600 {
 		t.Fatalf("full scale must not scale buffers: %d", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestFig5And6Shapes(t *testing.T) {
 		t.Errorf("primary size dependency (+%.0f s) should far exceed secondary's (+%.0f s)",
 			primDelta, secDelta)
 	}
-	if out := r.RenderFig5() + r.RenderFig6(); !strings.Contains(out, "Figure 5") || !strings.Contains(out, "Figure 6") {
+	if out := r.Render(); !strings.Contains(out, "Figure 5") || !strings.Contains(out, "Figure 6") {
 		t.Error("render titles missing")
 	}
 }
@@ -319,7 +319,7 @@ func TestFig16Shapes(t *testing.T) {
 		return Fig14Cell{}
 	}
 	for _, v := range []JoinVersion{VersionA, VersionB} {
-		for _, buf := range JoinBufferSizes {
+		for _, buf := range joinBufferSizes {
 			complete := get(v, "complete", buf)
 			read := get(v, "read", buf)
 			vector := get(v, "vector read", buf)
@@ -392,14 +392,14 @@ func TestBuildRejectsUnknownKind(t *testing.T) {
 
 func TestQuerySummaryHelpers(t *testing.T) {
 	q := QuerySummary{Queries: 4, Answers: 8, CandidateBytes: 8192, TotalMS: 30}
-	if q.AvgAnswers() != 2 {
-		t.Fatalf("AvgAnswers = %g", q.AvgAnswers())
+	if q.avgAnswers() != 2 {
+		t.Fatalf("avgAnswers = %g", q.avgAnswers())
 	}
 	if q.MSPer4KB() != 15 {
 		t.Fatalf("MSPer4KB = %g", q.MSPer4KB())
 	}
 	var zero QuerySummary
-	if zero.MSPer4KB() != 0 || zero.AvgAnswers() != 0 {
+	if zero.MSPer4KB() != 0 || zero.avgAnswers() != 0 {
 		t.Fatal("zero summary must normalize to 0")
 	}
 }
@@ -423,9 +423,9 @@ func TestRunWindowQueriesAgainstBrute(t *testing.T) {
 }
 
 func TestTableRender(t *testing.T) {
-	tab := Table{Title: "T", Header: []string{"a", "bb"}, Caption: "c"}
-	tab.AddRow("1", "2")
-	out := tab.Render()
+	tab := table{Title: "T", Header: []string{"a", "bb"}, Caption: "c"}
+	tab.addRow("1", "2")
+	out := tab.render()
 	for _, want := range []string{"T", "a", "bb", "1", "2", "c"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

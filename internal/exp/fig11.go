@@ -58,7 +58,7 @@ func Fig11(o Options) Fig11Result {
 		}
 	}
 	for s, pages := range Fig11ClusterSizes {
-		b := BuildCluster(OrgCluster, ds, o.BuildBufPages, pages*4096)
+		b := buildCluster(OrgCluster, ds, o.BuildBufPages, pages*4096)
 		for a, area := range areas {
 			ws := ds.Windows(area, o.Queries, o.Seed+int64(area*1e7))
 			for t, tech := range techs {
@@ -125,13 +125,13 @@ func Fig11(o Options) Fig11Result {
 
 // Render formats Figure 11.
 func (r Fig11Result) Render() string {
-	t := Table{
+	t := table{
 		Title:  fmt.Sprintf("Figure 11: gains by adapting the cluster size, B-1 (%%, scale 1/%d)", r.Scale),
 		Header: []string{"technique", "factor 10", "factor 100", "0.001->0.1"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Technique, f1(row.GainFactor10), f1(row.GainFactor100), f1(row.GainSmallToLarge))
+		t.addRow(row.Technique, f1(row.GainFactor10), f1(row.GainFactor100), f1(row.GainSmallToLarge))
 	}
 	t.Caption = "Paper shape: complete gains ~6%/23%; threshold ~6.5% and SLM ~11% at factor 100 — adaptation inessential with a good technique, except 0.001->0.1."
-	return t.Render()
+	return t.render()
 }

@@ -31,7 +31,7 @@ func Fig12(o Options) Fig12Result {
 		pts := ds.Points(o.Queries, o.Seed+101)
 		for _, kind := range AllOrgs {
 			b := Build(kind, ds, o.BuildBufPages)
-			sum := RunPointQueries(b.Org, pts)
+			sum := runPointQueries(b.Org, pts)
 			res.Cells = append(res.Cells, Fig12Cell{Series: spec.Name(), Org: kind, Summary: sum})
 			o.Progress("fig12: %s %s: %.1f ms/4KB", spec.Name(), kind, sum.MSPer4KB())
 		}
@@ -41,7 +41,7 @@ func Fig12(o Options) Fig12Result {
 
 // Render formats Figure 12.
 func (r Fig12Result) Render() string {
-	t := Table{
+	t := table{
 		Title:  fmt.Sprintf("Figure 12: point queries (msec/4KB, scale 1/%d)", r.Scale),
 		Header: []string{"series", string(OrgSecondary), string(OrgPrimary), string(OrgCluster)},
 	}
@@ -55,12 +55,12 @@ func (r Fig12Result) Render() string {
 		bySeries[c.Series][c.Org] = c.Summary.MSPer4KB()
 	}
 	for _, s := range order {
-		t.AddRow(s,
+		t.addRow(s,
 			f1(bySeries[s][OrgSecondary]),
 			f1(bySeries[s][OrgPrimary]),
 			f1(bySeries[s][OrgCluster]),
 		)
 	}
 	t.Caption = "Paper shape: secondary ≈ cluster; primary best for the smallest objects (A-1) and worst for the largest (C-1)."
-	return t.Render()
+	return t.render()
 }

@@ -22,9 +22,9 @@ const (
 
 func (v JoinVersion) mbrScale() float64 {
 	if v == VersionB {
-		return MBRScaleVersionB
+		return mbrScaleVersionB
 	}
-	return MBRScaleVersionA
+	return mbrScaleVersionA
 }
 
 // joinInputs generates and builds both sides of the C-1 ⋈ C-2 join for one
@@ -66,9 +66,9 @@ func Fig14(o Options) Fig14Result {
 	for _, v := range []JoinVersion{VersionA, VersionB} {
 		for _, kind := range AllOrgs {
 			orgR, orgS := joinInputs(o, kind, v)
-			for _, buf := range JoinBufferSizes {
+			for _, buf := range joinBufferSizes {
 				jr := join.Run(orgR, orgS, join.Config{
-					BufferPages:   o.ScaledBuffer(buf),
+					BufferPages:   o.scaledBuffer(buf),
 					Technique:     store.TechComplete,
 					SkipExactTest: true,
 				})
@@ -100,11 +100,11 @@ func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt b
 		if len(cols) == 0 {
 			continue
 		}
-		t := Table{
+		t := table{
 			Title:  fmt.Sprintf("%s — C-1/2 %c (I/O sec)", title, v),
 			Header: append([]string{"buffer (pages)"}, cols...),
 		}
-		for _, buf := range JoinBufferSizes {
+		for _, buf := range joinBufferSizes {
 			row := []string{fmt.Sprintf("%d", buf)}
 			for _, col := range cols {
 				val := "-"
@@ -115,7 +115,7 @@ func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt b
 				}
 				row = append(row, val)
 			}
-			t.AddRow(row...)
+			t.addRow(row...)
 		}
 		if withOpt {
 			// Optimum row (buffer-independent).
@@ -130,10 +130,10 @@ func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt b
 				}
 				row = append(row, val)
 			}
-			t.AddRow(row...)
+			t.addRow(row...)
 		}
 		t.Caption = caption
-		out += t.Render() + "\n"
+		out += t.render() + "\n"
 	}
 	return out
 }
@@ -170,9 +170,9 @@ func Fig16(o Options) Fig16Result {
 	for _, v := range []JoinVersion{VersionA, VersionB} {
 		orgR, orgS := joinInputs(o, OrgCluster, v)
 		for _, tc := range techs {
-			for _, buf := range JoinBufferSizes {
+			for _, buf := range joinBufferSizes {
 				jr := join.Run(orgR, orgS, join.Config{
-					BufferPages:   o.ScaledBuffer(buf),
+					BufferPages:   o.scaledBuffer(buf),
 					Technique:     tc.tech,
 					SkipExactTest: true,
 				})
@@ -231,7 +231,7 @@ func Fig17(o Options) Fig17Result {
 		for _, kind := range []OrgKind{OrgSecondary, OrgCluster} {
 			orgR, orgS := joinInputs(o, kind, v)
 			jr := join.Run(orgR, orgS, join.Config{
-				BufferPages: o.ScaledBuffer(1600),
+				BufferPages: o.scaledBuffer(1600),
 				Technique:   store.TechComplete,
 			})
 			res.Rows = append(res.Rows, Fig17Row{
@@ -250,16 +250,16 @@ func Fig17(o Options) Fig17Result {
 
 // Render formats Figure 17.
 func (r Fig17Result) Render() string {
-	t := Table{
+	t := table{
 		Title: fmt.Sprintf("Figure 17: complete intersection join C-1/2, buffer 1600 pages (scale 1/%d)", r.Scale),
 		Header: []string{"version", "organization", "MBR-join (s)", "obj. transfer (s)",
 			"exact test (s)", "total (s)", "result pairs"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(string(row.Version), string(row.Org),
+		t.addRow(string(row.Version), string(row.Org),
 			f1(row.MBRJoinSec), f1(row.TransferSec), f1(row.ExactSec),
 			f1(row.TotalSec()), fmt.Sprintf("%d", row.ResultPairs))
 	}
 	t.Caption = "Paper shape: transfer dominates the sec. org. and collapses under the cluster org.; complete join sped up ~3.9x (a) / 4.3x (b)."
-	return t.Render()
+	return t.render()
 }

@@ -28,7 +28,7 @@ type Fig56Result struct {
 func Fig5And6(o Options) Fig56Result {
 	o = o.WithDefaults()
 	res := Fig56Result{Scale: o.Scale}
-	for _, spec := range AllSpecs(o) {
+	for _, spec := range allSpecs(o) {
 		ds := datagen.Generate(spec)
 		for _, kind := range AllOrgs {
 			b := Build(kind, ds, o.BuildBufPages)
@@ -68,38 +68,41 @@ func (r Fig56Result) seriesNames() []string {
 	return names
 }
 
-// RenderFig5 formats the construction costs like Figure 5.
-func (r Fig56Result) RenderFig5() string {
-	t := Table{
+// Render formats both figures, one after the other.
+func (r Fig56Result) Render() string { return r.renderFig5() + "\n" + r.renderFig6() }
+
+// renderFig5 formats the construction costs like Figure 5.
+func (r Fig56Result) renderFig5() string {
+	t := table{
 		Title:  fmt.Sprintf("Figure 5: I/O-cost for constructing the organization models (sec, scale 1/%d)", r.Scale),
 		Header: []string{"series", string(OrgSecondary), string(OrgPrimary), string(OrgCluster)},
 	}
 	for _, s := range r.seriesNames() {
-		t.AddRow(s,
+		t.addRow(s,
 			f0(r.row(s, OrgSecondary).ConstructionSec),
 			f0(r.row(s, OrgPrimary).ConstructionSec),
 			f0(r.row(s, OrgCluster).ConstructionSec),
 		)
 	}
 	t.Caption = "Paper shape: cluster < secondary; primary most expensive and strongly size-dependent."
-	return t.Render()
+	return t.render()
 }
 
-// RenderFig6 formats the storage utilization like Figure 6.
-func (r Fig56Result) RenderFig6() string {
-	t := Table{
+// renderFig6 formats the storage utilization like Figure 6.
+func (r Fig56Result) renderFig6() string {
+	t := table{
 		Title:  fmt.Sprintf("Figure 6: storage utilization (occupied pages, scale 1/%d)", r.Scale),
 		Header: []string{"series", string(OrgSecondary), string(OrgPrimary), string(OrgCluster)},
 	}
 	for _, s := range r.seriesNames() {
-		t.AddRow(s,
+		t.addRow(s,
 			fmt.Sprintf("%d", r.row(s, OrgSecondary).OccupiedPages),
 			fmt.Sprintf("%d", r.row(s, OrgPrimary).OccupiedPages),
 			fmt.Sprintf("%d", r.row(s, OrgCluster).OccupiedPages),
 		)
 	}
 	t.Caption = "Paper shape: secondary best; cluster worst (underfilled Smax units) until the buddy system is applied (Figure 7)."
-	return t.Render()
+	return t.render()
 }
 
 // Fig7Row reports the restricted buddy system's effect (paper Figure 7).
@@ -148,13 +151,13 @@ func Fig7(o Options) Fig7Result {
 
 // Render formats Figure 7.
 func (r Fig7Result) Render() string {
-	t := Table{
+	t := table{
 		Title: fmt.Sprintf("Figure 7: restricted buddy system (3 sizes), map 1 (scale 1/%d)", r.Scale),
 		Header: []string{"series", "pages fixed", "pages buddy", "pages prim. org.",
 			"constr. fixed (s)", "constr. buddy (s)"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Series,
+		t.addRow(row.Series,
 			fmt.Sprintf("%d", row.PagesFixed),
 			fmt.Sprintf("%d", row.PagesBuddy),
 			fmt.Sprintf("%d", row.PagesPrim),
@@ -163,5 +166,5 @@ func (r Fig7Result) Render() string {
 		)
 	}
 	t.Caption = "Paper shape: buddy utilization ≈ primary organization; construction only slightly dearer than fixed units."
-	return t.Render()
+	return t.render()
 }

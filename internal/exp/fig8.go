@@ -43,7 +43,7 @@ func Fig8(o Options) Fig8Result {
 				})
 				o.Progress("fig8: %s %s area=%s: %.1f ms/4KB (avg answers %.1f)",
 					spec.Name(), kind, datagen.WindowAreaLabel(area),
-					sum.MSPer4KB(), sum.AvgAnswers())
+					sum.MSPer4KB(), sum.avgAnswers())
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func renderQueryMatrix(title string, cells []Fig8Cell, caption string) string {
 				areas = append(areas, c.AreaFrac)
 			}
 		}
-		t := Table{
+		t := table{
 			Title:  fmt.Sprintf("%s — %s (msec/4KB)", title, s),
 			Header: append([]string{"window area"}, cols...),
 		}
@@ -93,10 +93,10 @@ func renderQueryMatrix(title string, cells []Fig8Cell, caption string) string {
 				}
 				row = append(row, val)
 			}
-			t.AddRow(row...)
+			t.addRow(row...)
 		}
 		t.Caption = caption
-		out += t.Render() + "\n"
+		out += t.render() + "\n"
 	}
 	return out
 }
@@ -136,7 +136,7 @@ func Fig10(o Options) Fig10Result {
 					AreaFrac: area, Summary: sum,
 				})
 			}
-			opt := RunWindowOptimum(c, ws)
+			opt := runWindowOptimum(c, ws)
 			res.Cells = append(res.Cells, Fig8Cell{
 				Series: spec.Name(), Column: "opt.",
 				AreaFrac: area, Summary: opt,

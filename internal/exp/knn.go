@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"spatialcluster/internal/datagen"
@@ -67,6 +65,20 @@ type KNNResult struct {
 	// logical relation, so any disagreement is a bug.
 	AgreeFresh bool `json:"agree_fresh"`
 	AgreeChurn bool `json:"agree_churn"`
+}
+
+// Failed implements Result.
+func (r KNNResult) Failed() []string {
+	return failed(verdict{"agree_fresh", r.AgreeFresh}, verdict{"agree_churn", r.AgreeChurn})
+}
+
+func runKNN(o Options, smoke bool, _ []int) Result {
+	cfg := KNNConfig{}
+	if smoke {
+		o = o.smoke(30)
+		cfg.ChurnOps = 300
+	}
+	return KNNBench(o, cfg)
 }
 
 // knnPhases are the two measurement phases of every organization.
@@ -191,13 +203,4 @@ func (r KNNResult) Render() string {
 	fmt.Fprintf(&b, "\nanswer sets identical across organizations (fresh): %v\n", r.AgreeFresh)
 	fmt.Fprintf(&b, "answer sets identical across organizations (churn): %v\n", r.AgreeChurn)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_knn.json by convention).
-func (r KNNResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -50,15 +48,5 @@ func TestKNNBenchAgreesAndCovers(t *testing.T) {
 // byte-identical JSON — the reproducibility contract of BENCH_knn.json.
 func TestKNNBenchByteReproducible(t *testing.T) {
 	o, cfg := smokeKNNOptions()
-	a, err := json.MarshalIndent(KNNBench(o, cfg), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.MarshalIndent(KNNBench(o, cfg), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("repeated KNNBench runs differ:\n%s\n---\n%s", a, b)
-	}
+	sameModelled(t, KNNBench(o, cfg), KNNBench(o, cfg))
 }

@@ -1,55 +1,111 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/join"
+	"spatialcluster/internal/obs"
 	"spatialcluster/internal/store"
 )
 
-// ParallelJoinRun is one join execution at a given worker count.
+// The parallel benchmark is the one in-process worker sweep: the C-1 ⋈ C-2
+// join and a window-query batch, per organization, across worker counts,
+// with the engine's stage clocks (obs.JoinStages, obs.ParallelStages)
+// attached — so a flat speedup curve comes with the answer to "where does
+// it serialize". The join runs with the plain worker pool and, above one
+// worker, with the overlapped fetch dispatcher.
+//
+// Determinism contract: cardinalities and modelled costs come from fixed
+// stores and a fixed workload; every wall-clock or timing-derived field
+// carries a wall_ prefix. A window row's model_io_sec is taken from the
+// 1-worker run — with one worker the execution order is the stream order, so
+// the charged model cost is reproducible; at higher worker counts buffer-hit
+// patterns depend on scheduling.
+
+// ParallelJoinRun is one join execution: organization × worker count ×
+// overlap mode. The serialized stages (mbr-join, prepare-fetch) run on the
+// dispatcher goroutine — their sum is a lower bound on the wall clock no
+// worker count can remove; refine is summed busy time across workers.
 type ParallelJoinRun struct {
+	Org         string  `json:"org"`
 	Workers     int     `json:"workers"`
-	WallSec     float64 `json:"wall_sec"`
-	Speedup     float64 `json:"speedup_vs_1"` // wall-clock of 1 worker / this
+	Overlap     bool    `json:"overlap"`
 	ResultPairs int     `json:"result_pairs"`
 	MBRPairs    int     `json:"mbr_pairs"`
-	ModelIOSec  float64 `json:"model_io_sec"` // modelled cost; must not vary with workers
+	ModelIOSec  float64 `json:"model_io_sec"` // modelled cost; must not vary with workers or overlap
+
+	WallSec        float64 `json:"wall_sec"`
+	WallSpeedup    float64 `json:"wall_speedup_vs_1"` // the organization's plain 1-worker wall / this
+	WallMBRJoinSec float64 `json:"wall_mbr_join_sec"`
+	WallPrepareSec float64 `json:"wall_prepare_fetch_sec"`
+	WallStallSec   float64 `json:"wall_stall_sec"` // dispatcher blocked on a free refine worker
+	WallRefineSec  float64 `json:"wall_refine_sec"`
+	WallSerialFrac float64 `json:"wall_serial_frac"` // (mbr-join + prepare-fetch) / wall
 }
 
-// ParallelQueryRun is one window-query throughput measurement.
+// ParallelQueryRun is one window-query batch: organization × worker count.
 type ParallelQueryRun struct {
+	Org        string  `json:"org"`
 	Workers    int     `json:"workers"`
 	Queries    int     `json:"queries"`
-	WallSec    float64 `json:"wall_sec"`
-	QueriesSec float64 `json:"queries_per_sec"`
-	Speedup    float64 `json:"speedup_vs_1"`
 	Answers    int     `json:"answers"`
+	ModelIOSec float64 `json:"model_io_sec"` // of the organization's 1-worker run
+
+	WallSec         float64 `json:"wall_sec"`
+	WallQueriesSec  float64 `json:"wall_queries_per_sec"`
+	WallSpeedup     float64 `json:"wall_speedup_vs_1"`
+	WallLockWaitSec float64 `json:"wall_lock_wait_sec"` // summed worker time waiting for the read lock
+	WallExecSec     float64 `json:"wall_exec_sec"`      // summed worker time executing
 }
 
 // ParallelResult is the outcome of the parallel-engine benchmark, emitted as
 // BENCH_parallel.json.
 type ParallelResult struct {
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Scale         int                `json:"scale"`
-	JoinRuns      []ParallelJoinRun  `json:"join_runs"`
-	QueryRuns     []ParallelQueryRun `json:"query_runs"`
-	CostInvariant bool               `json:"cost_invariant"` // modelled join cost identical across worker counts
-	PairsMatch    bool               `json:"pairs_match"`    // join cardinalities identical across worker counts
+	GOMAXPROCS int                `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
+	Scale      int                `json:"scale"`
+	JoinRuns   []ParallelJoinRun  `json:"join_runs"`
+	QueryRuns  []ParallelQueryRun `json:"query_runs"`
+
+	// CostInvariant / PairsMatch: per organization, the modelled join cost
+	// and the join cardinalities were identical across every worker count
+	// and overlap mode — the dispatcher charges all I/O in plane order.
+	// Held in go test by join.TestOverlapDeterministic.
+	CostInvariant bool `json:"cost_invariant"`
+	PairsMatch    bool `json:"pairs_match"`
+
+	// WallSerializationPoint names the dominant serialized stage of the
+	// cluster organization's plain join at the highest worker count — the
+	// measured answer to "why doesn't the join speed up".
+	WallSerializationPoint string `json:"wall_serialization_point"`
+	// WallOverlapGain is plain wall / overlapped wall of the cluster
+	// organization's join at the highest worker count.
+	WallOverlapGain float64 `json:"wall_overlap_gain_x"`
+}
+
+// Failed implements Result.
+func (r ParallelResult) Failed() []string {
+	return failed(verdict{"cost_invariant", r.CostInvariant}, verdict{"pairs_match", r.PairsMatch})
+}
+
+func runParallel(o Options, smoke bool, sweep []int) Result {
+	if smoke {
+		o = o.smoke(40)
+		if len(sweep) == 0 {
+			sweep = []int{1, 2}
+		}
+	}
+	return ParallelBench(o, sweep)
 }
 
 // ParallelBench measures the wall-clock behaviour of the parallel query/join
-// engine: the spatial join C-1 ⋈ C-2 (version b candidate density) across
-// worker counts, and concurrent window queries on a built cluster
-// organization. Modelled costs must not depend on the worker count — the
-// dispatcher charges all I/O in plane order — so the run also verifies that
-// invariant and reports it.
+// engine per organization: the spatial join C-1 ⋈ C-2 (version b candidate
+// density, SLM reads) across worker counts with and without overlap, and
+// concurrent 0.1% window queries on A-1. Modelled costs must not depend on
+// the worker count, so the run also verifies that invariant and reports it.
 func ParallelBench(o Options, workerCounts []int) ParallelResult {
 	o = o.WithDefaults()
 	if len(workerCounts) == 0 {
@@ -57,13 +113,15 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 	}
 	seen := make(map[int]bool, len(workerCounts))
 	counts := workerCounts[:0:0]
+	maxW := 0
 	for _, w := range workerCounts {
 		if !seen[w] {
 			seen[w] = true
 			counts = append(counts, w)
+			maxW = max(maxW, w)
 		}
 	}
-	workerCounts = counts
+	nsToSec := func(ns int64) float64 { return float64(ns) / 1e9 }
 
 	res := ParallelResult{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
@@ -72,127 +130,173 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 		PairsMatch:    true,
 	}
 
-	// --- Join speedup: same organizations, same buffer, varying workers.
-	o.Progress("parallel: building join inputs (scale %d)", o.Scale)
-	orgR, orgS := joinInputs(o, OrgCluster, VersionB)
-	bufPages := o.ScaledBuffer(1600)
-	for i, w := range workerCounts {
-		CoolObjectPages(orgR)
-		CoolObjectPages(orgS)
-		orgR.Env().Disk.ResetCost()
-		orgS.Env().Disk.ResetCost()
-		start := time.Now()
-		// Overlap lets the dispatcher precompute fetch lists ahead of the
-		// plane sweep — the serialized PrepareFetch stays in plane order, so
-		// the modelled cost and the result stay worker-count-invariant.
-		jr := join.Run(orgR, orgS, join.Config{
-			BufferPages: bufPages, Technique: store.TechSLM, Workers: w, Overlap: true,
-		})
-		run := ParallelJoinRun{
-			Workers:     w,
-			WallSec:     time.Since(start).Seconds(),
-			ResultPairs: jr.ResultPairs,
-			MBRPairs:    jr.MBRPairs,
-			ModelIOSec:  jr.IOTimeMS(orgR.Env().Params()) / 1000,
-		}
-		if i > 0 {
-			base := res.JoinRuns[0]
-			if run.ModelIOSec != base.ModelIOSec {
-				res.CostInvariant = false
+	// --- Join: same organizations, same buffer, varying workers and overlap.
+	bufPages := o.scaledBuffer(1600)
+	for _, kind := range AllOrgs {
+		o.Progress("parallel: building join inputs for %s (scale %d)", kind, o.Scale)
+		orgR, orgS := joinInputs(o, kind, VersionB)
+		first := len(res.JoinRuns)
+		for _, w := range counts {
+			// Overlap lets the dispatcher precompute fetch lists ahead of
+			// the plane sweep — the serialized PrepareFetch stays in plane
+			// order, so the modelled cost and the result stay invariant.
+			modes := []bool{false}
+			if w > 1 {
+				modes = []bool{false, true}
 			}
-			if run.ResultPairs != base.ResultPairs || run.MBRPairs != base.MBRPairs {
-				res.PairsMatch = false
+			for _, overlap := range modes {
+				CoolObjectPages(orgR)
+				CoolObjectPages(orgS)
+				orgR.Env().Disk.ResetCost()
+				orgS.Env().Disk.ResetCost()
+				var st obs.JoinStages
+				start := time.Now()
+				jr := join.Run(orgR, orgS, join.Config{
+					BufferPages: bufPages, Technique: store.TechSLM,
+					Workers: w, Overlap: overlap, Stages: &st,
+				})
+				run := ParallelJoinRun{
+					Org:            string(kind),
+					Workers:        w,
+					Overlap:        overlap,
+					ResultPairs:    jr.ResultPairs,
+					MBRPairs:       jr.MBRPairs,
+					ModelIOSec:     jr.IOTimeMS(orgR.Env().Params()) / 1000,
+					WallSec:        time.Since(start).Seconds(),
+					WallMBRJoinSec: nsToSec(st.MBRJoinNS.Load()),
+					WallPrepareSec: nsToSec(st.PrepareNS.Load()),
+					WallStallSec:   nsToSec(st.StallNS.Load()),
+					WallRefineSec:  nsToSec(st.RefineNS.Load()),
+				}
+				run.WallSerialFrac = ratio(run.WallMBRJoinSec+run.WallPrepareSec, run.WallSec)
+				base := run
+				if len(res.JoinRuns) > first {
+					base = res.JoinRuns[first]
+				}
+				if run.ModelIOSec != base.ModelIOSec {
+					res.CostInvariant = false
+				}
+				if run.ResultPairs != base.ResultPairs || run.MBRPairs != base.MBRPairs {
+					res.PairsMatch = false
+				}
+				res.JoinRuns = append(res.JoinRuns, run)
+				o.Progress("parallel: join %s workers=%d overlap=%v wall=%.3fs serial-frac=%.2f",
+					kind, w, overlap, run.WallSec, run.WallSerialFrac)
 			}
 		}
-		res.JoinRuns = append(res.JoinRuns, run)
-		o.Progress("parallel: join workers=%d wall=%.3fs", w, run.WallSec)
+		runs := res.JoinRuns[first:]
+		base := baseWall(len(runs), func(i int) (int, float64) { return runs[i].Workers, runs[i].WallSec })
+		for i := range runs {
+			runs[i].WallSpeedup = ratio(base, runs[i].WallSec)
+		}
 	}
-	fillJoinSpeedups(res.JoinRuns)
+	res.WallSerializationPoint, res.WallOverlapGain = joinFindings(res.JoinRuns, maxW)
 
 	// --- Window-query throughput on a shared buffer.
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
-	built := Build(OrgCluster, ds, o.ScaledBuffer(1600))
 	ws := ds.Windows(0.001, o.Queries, 17)
-	for _, w := range workerCounts {
-		CoolObjectPages(built.Org)
-		tr := store.RunWindowQueriesParallel(built.Org, ws, store.TechSLM, w)
-		run := ParallelQueryRun{
-			Workers:    tr.Workers,
-			Queries:    tr.Queries,
-			WallSec:    tr.WallSec,
-			QueriesSec: tr.QueriesSec,
-			Answers:    tr.Answers,
+	for _, kind := range AllOrgs {
+		org := Build(kind, ds, bufPages).Org
+		params := org.Env().Params()
+		first := len(res.QueryRuns)
+		var model float64
+		for _, w := range counts {
+			CoolObjectPages(org)
+			before := org.Env().Disk.Cost()
+			var st obs.ParallelStages
+			tr := store.RunWindowQueriesObserved(org, ws, store.TechSLM, w, &st)
+			if w == 1 {
+				model = org.Env().Disk.Cost().Sub(before).TimeSec(params)
+			}
+			res.QueryRuns = append(res.QueryRuns, ParallelQueryRun{
+				Org:             string(kind),
+				Workers:         tr.Workers,
+				Queries:         tr.Queries,
+				Answers:         tr.Answers,
+				WallSec:         tr.WallSec,
+				WallQueriesSec:  tr.QueriesSec,
+				WallLockWaitSec: nsToSec(st.LockWaitNS.Load()),
+				WallExecSec:     nsToSec(st.ExecNS.Load()),
+			})
+			o.Progress("parallel: queries %s workers=%d %.0f q/s", kind, tr.Workers, tr.QueriesSec)
 		}
-		res.QueryRuns = append(res.QueryRuns, run)
-		o.Progress("parallel: queries workers=%d %.0f q/s", run.Workers, run.QueriesSec)
+		runs := res.QueryRuns[first:]
+		base := baseWall(len(runs), func(i int) (int, float64) { return runs[i].Workers, runs[i].WallSec })
+		for i := range runs {
+			runs[i].ModelIOSec = model
+			runs[i].WallSpeedup = ratio(base, runs[i].WallSec)
+		}
 	}
-	fillQuerySpeedups(res.QueryRuns)
 	return res
 }
 
-// fillSpeedups sets each run's Speedup relative to the 1-worker run
-// (falling back to the first run when 1 worker was not measured). workers
-// and wall describe the runs; the computed factor is stored via set.
-func fillSpeedups(n int, workers func(int) int, wall func(int) float64, set func(int, float64)) {
-	if n == 0 {
-		return
-	}
-	base := wall(0)
+// baseWall returns the wall clock speedups are relative to: the first
+// 1-worker run's (the plain one, for joins), falling back to the first run
+// when 1 worker was not measured.
+func baseWall(n int, run func(i int) (workers int, wall float64)) float64 {
 	for i := 0; i < n; i++ {
-		if workers(i) == 1 {
-			base = wall(i)
-			break
+		if w, wall := run(i); w == 1 {
+			return wall
 		}
 	}
-	for i := 0; i < n; i++ {
-		if wall(i) > 0 {
-			set(i, base/wall(i))
+	_, wall := run(0)
+	return wall
+}
+
+// joinFindings reads the two headline observations off the cluster
+// organization's join rows at the highest worker count: the dominant
+// serialized stage of the plain run, and what overlap gained. The refine
+// stage is summed busy time across workers, so its wall-clock contribution
+// is the per-worker share; mbr-join and prepare-fetch run on the dispatcher
+// goroutine and contribute their full wall.
+func joinFindings(runs []ParallelJoinRun, maxW int) (point string, overlapGain float64) {
+	var plain, overlapped float64
+	for _, run := range runs {
+		if run.Org != string(OrgCluster) || run.Workers != maxW {
+			continue
+		}
+		if run.Overlap {
+			overlapped = run.WallSec
+			continue
+		}
+		plain = run.WallSec
+		best := run.WallMBRJoinSec
+		point = "mbr_join"
+		if run.WallPrepareSec > best {
+			point, best = "prepare_fetch", run.WallPrepareSec
+		}
+		if run.WallRefineSec/float64(maxW) > best {
+			point = "refine"
 		}
 	}
-}
-
-func fillJoinSpeedups(runs []ParallelJoinRun) {
-	fillSpeedups(len(runs),
-		func(i int) int { return runs[i].Workers },
-		func(i int) float64 { return runs[i].WallSec },
-		func(i int, s float64) { runs[i].Speedup = s })
-}
-
-func fillQuerySpeedups(runs []ParallelQueryRun) {
-	fillSpeedups(len(runs),
-		func(i int) int { return runs[i].Workers },
-		func(i int) float64 { return runs[i].WallSec },
-		func(i int, s float64) { runs[i].Speedup = s })
+	return point, ratio(plain, overlapped)
 }
 
 // Render formats the result as a text report.
 func (r ParallelResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel engine benchmark (GOMAXPROCS=%d, scale=%d)\n", r.GOMAXPROCS, r.Scale)
-	fmt.Fprintf(&b, "\nSpatial join C-1 x C-2 (version b, SLM read):\n")
-	fmt.Fprintf(&b, "  %-8s %10s %10s %12s %14s\n", "workers", "wall s", "speedup", "result pairs", "model I/O s")
+	fmt.Fprintf(&b, "\nSpatial join C-1 x C-2 (version b, SLM read; serialized stages vs refine, seconds):\n")
+	fmt.Fprintf(&b, "  %-14s %7s %-7s %8s %8s %9s %8s %8s %8s %7s %12s\n", "org", "workers", "overlap",
+		"wall s", "speedup", "mbr-join", "prepare", "stall", "refine", "serial", "model I/O s")
 	for _, jr := range r.JoinRuns {
-		fmt.Fprintf(&b, "  %-8d %10.3f %9.2fx %12d %14.1f\n",
-			jr.Workers, jr.WallSec, jr.Speedup, jr.ResultPairs, jr.ModelIOSec)
+		fmt.Fprintf(&b, "  %-14s %7d %-7v %8.3f %7.2fx %9.3f %8.3f %8.3f %8.3f %6.0f%% %12.1f\n",
+			jr.Org, jr.Workers, jr.Overlap, jr.WallSec, jr.WallSpeedup, jr.WallMBRJoinSec,
+			jr.WallPrepareSec, jr.WallStallSec, jr.WallRefineSec, 100*jr.WallSerialFrac, jr.ModelIOSec)
 	}
-	fmt.Fprintf(&b, "\nConcurrent window queries (0.1%% windows, SLM read):\n")
-	fmt.Fprintf(&b, "  %-8s %10s %12s %10s\n", "workers", "wall s", "queries/s", "speedup")
+	fmt.Fprintf(&b, "\nConcurrent window queries (0.1%% windows, SLM read; lock wait vs execute, busy seconds):\n")
+	fmt.Fprintf(&b, "  %-14s %7s %8s %10s %8s %8s %8s %12s\n",
+		"org", "workers", "wall s", "queries/s", "speedup", "lock s", "exec s", "model I/O s")
 	for _, qr := range r.QueryRuns {
-		fmt.Fprintf(&b, "  %-8d %10.3f %12.0f %9.2fx\n",
-			qr.Workers, qr.WallSec, qr.QueriesSec, qr.Speedup)
+		fmt.Fprintf(&b, "  %-14s %7d %8.3f %10.0f %7.2fx %8.3f %8.3f %12.1f\n",
+			qr.Org, qr.Workers, qr.WallSec, qr.WallQueriesSec, qr.WallSpeedup,
+			qr.WallLockWaitSec, qr.WallExecSec, qr.ModelIOSec)
 	}
-	fmt.Fprintf(&b, "\nmodelled cost invariant across workers: %v\n", r.CostInvariant)
-	fmt.Fprintf(&b, "join cardinalities invariant across workers: %v\n", r.PairsMatch)
+	fmt.Fprintf(&b, "\nmodelled cost invariant across workers and overlap: %v\n", r.CostInvariant)
+	fmt.Fprintf(&b, "join cardinalities invariant across workers and overlap: %v\n", r.PairsMatch)
+	fmt.Fprintf(&b, "measured serialization point (cluster join, max workers): %s\n", r.WallSerializationPoint)
+	fmt.Fprintf(&b, "overlap gain (cluster join, max workers): %.2fx\n", r.WallOverlapGain)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_parallel.json by convention).
-func (r ParallelResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

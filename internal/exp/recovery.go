@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,8 +20,8 @@ import (
 // group-commit batch sizes (Options.SyncEvery) and reports fsync counts, log
 // bytes and wall-clock next to a modelled fsync cost on the paper's disk —
 // the modelled column is a deterministic function of (scale, ops, seed) and
-// must be byte-identical across runs; CI enforces this by diffing two runs
-// with all "wall_*" fields stripped. The replay sweep crashes a WAL-attached
+// must be byte-identical across runs; the registry test enforces this by
+// diffing two runs with all "wall lines stripped. The replay sweep crashes a WAL-attached
 // store at increasing log tail lengths (checkpointing earlier or later) and
 // measures recovery time, then verifies the recovered store answers
 // window/point/k-NN probes exactly like the never-crashed one — the agree
@@ -103,6 +102,19 @@ type RecoveryResult struct {
 	Agree bool `json:"agree"`
 }
 
+// Failed implements Result.
+func (r RecoveryResult) Failed() []string { return failed(verdict{"agree", r.Agree}) }
+
+func runRecovery(o Options, smoke bool, _ []int) Result {
+	cfg := RecoveryConfig{}
+	if smoke {
+		o = o.smoke(0)
+		cfg.Ops = 240
+		cfg.SyncEvery = []int{1, 16}
+	}
+	return RecoveryBench(o, cfg)
+}
+
 // recoveryMutations generates the deterministic mutation stream of the
 // benchmark: the non-query prefix of a hotspot-skewed mixed workload.
 func recoveryMutations(ds *datagen.Dataset, n int, seed int64) []datagen.Op {
@@ -144,20 +156,6 @@ func applyLogged(ws *wal.Store, ops []datagen.Op) error {
 		}
 	}
 	return nil
-}
-
-// applyRawOps applies ops directly, without logging.
-func applyRawOps(org store.Organization, ops []datagen.Op) {
-	for _, op := range ops {
-		switch op.Kind {
-		case datagen.OpInsert:
-			org.Insert(op.Obj, op.Key)
-		case datagen.OpDelete:
-			org.Delete(op.ID)
-		case datagen.OpUpdate:
-			org.Update(op.Obj, op.Key)
-		}
-	}
 }
 
 // recoveryAgree compares two stores on the probe workload: window and point
@@ -314,7 +312,7 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 				}
 				wantReplay = tail - 1
 				fresh := Build(kind, ds, o.BuildBufPages)
-				applyRawOps(fresh.Org, muts[:cfg.Ops-1])
+				applyChurn(fresh.Org, muts[:cfg.Ops-1])
 				ref = fresh.Org
 			}
 
@@ -387,13 +385,4 @@ func (r RecoveryResult) Render() string {
 	}
 	fmt.Fprintf(&b, "\nrecovered stores agree with never-crashed references: %v\n", r.Agree)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_recovery.json by convention).
-func (r RecoveryResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

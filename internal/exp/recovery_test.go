@@ -4,19 +4,6 @@ import (
 	"testing"
 )
 
-// stripRecoveryWall zeroes every wall-clock (measured) field, leaving only
-// the modelled columns that BENCH_recovery.json promises to keep
-// byte-identical across runs.
-func stripRecoveryWall(r RecoveryResult) RecoveryResult {
-	for i := range r.Appends {
-		r.Appends[i].WallAppendSec, r.Appends[i].WallPerOpUS = 0, 0
-	}
-	for i := range r.Replays {
-		r.Replays[i].WallRecoverSec = 0
-	}
-	return r
-}
-
 // TestRecoveryBenchSmoke runs the recovery benchmark at a tiny scale and
 // checks its invariants: every recovered store agrees with its reference,
 // larger group-commit batches mean strictly fewer fsyncs, the torn arms
@@ -62,30 +49,13 @@ func TestRecoveryBenchSmoke(t *testing.T) {
 	}
 }
 
-// TestRecoveryBenchModelDeterministic re-runs the benchmark and requires the
-// modelled columns to be identical — the reproducibility CI enforces on
-// BENCH_recovery.json after stripping wall_* fields.
+// TestRecoveryBenchModelDeterministic re-runs the benchmark on a second
+// configuration and requires the modelled columns to be identical.
 func TestRecoveryBenchModelDeterministic(t *testing.T) {
 	o := Options{Scale: 128, Seed: 9}
-	cfg := RecoveryConfig{Ops: 90, SyncEvery: []int{1, 16}, Tails: []int{30, 90}}
-	a := stripRecoveryWall(RecoveryBench(o, RecoveryConfig{
-		Dir: t.TempDir(), Ops: cfg.Ops, SyncEvery: cfg.SyncEvery, Tails: cfg.Tails}))
-	b := stripRecoveryWall(RecoveryBench(o, RecoveryConfig{
-		Dir: t.TempDir(), Ops: cfg.Ops, SyncEvery: cfg.SyncEvery, Tails: cfg.Tails}))
-	if len(a.Appends) != len(b.Appends) || len(a.Replays) != len(b.Replays) {
-		t.Fatalf("row counts differ: %d/%d vs %d/%d",
-			len(a.Appends), len(a.Replays), len(b.Appends), len(b.Replays))
+	run := func() RecoveryResult {
+		return RecoveryBench(o, RecoveryConfig{
+			Dir: t.TempDir(), Ops: 90, SyncEvery: []int{1, 16}, Tails: []int{30, 90}})
 	}
-	for i := range a.Appends {
-		if a.Appends[i] != b.Appends[i] {
-			t.Fatalf("modelled append row %d differs across runs:\n%+v\n%+v",
-				i, a.Appends[i], b.Appends[i])
-		}
-	}
-	for i := range a.Replays {
-		if a.Replays[i] != b.Replays[i] {
-			t.Fatalf("modelled replay row %d differs across runs:\n%+v\n%+v",
-				i, a.Replays[i], b.Replays[i])
-		}
-	}
+	sameModelled(t, run(), run())
 }

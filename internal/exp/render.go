@@ -5,20 +5,20 @@ import (
 	"strings"
 )
 
-// Table is a simple aligned text table used to render experiment results the
+// table is a simple aligned text table used to render experiment results the
 // way the paper's figures label them.
-type Table struct {
+type table struct {
 	Title   string
 	Header  []string
 	Rows    [][]string
 	Caption string
 }
 
-// AddRow appends a row of cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends a row of cells.
+func (t *table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Render formats the table with aligned columns.
-func (t *Table) Render() string {
+// render formats the table with aligned columns.
+func (t *table) render() string {
 	var b strings.Builder
 	if t.Title != "" {
 		fmt.Fprintf(&b, "%s\n", t.Title)

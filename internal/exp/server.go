@@ -1,36 +1,25 @@
 package exp
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
-	"os"
 	"runtime"
 	"strings"
-	"time"
 
+	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/datagen"
+	"spatialcluster/internal/disk"
 	"spatialcluster/internal/loadgen"
-	"spatialcluster/internal/object"
 	"spatialcluster/internal/server"
 	"spatialcluster/internal/store"
 )
 
-// The serving benchmark answers the question the network layer exists for:
-// does micro-batching concurrent clients onto the parallel query engine beat
-// the one-query-at-a-time execution a server restricted to the serial query
-// API would be stuck with? To make the comparison mean anything on any
-// machine — including single-core CI — the modelled disk is throttled
-// (disk.SetThrottle): every request sleeps its modelled time scaled by a
-// small factor, so the server is I/O-bound exactly the way the paper's 1994
-// hardware was, and overlapping I/O waits is a real wall-clock win rather
-// than a scheduling artifact.
-//
-// Determinism contract (CI byte-compares two runs with wall_* stripped):
-// the model rows and the per-run answer counts come from the deterministic
-// request stream against a fixed store and never from timing; everything
-// wall-clock carries a wall_ prefix.
+// The serving benchmark asks what each choice the serving layer offers is
+// worth, on the served fixture (served.go): micro-batching concurrent
+// clients onto the parallel query engine against one-query-at-a-time
+// execution, across a closed-loop client sweep; per-request tracing and the
+// binary wire protocol against the plain batched JSON server, at the largest
+// client count; and the 2Q admission policy against LRU on a scan-polluted
+// hotspot workload.
 
 // ServerConfig tunes the serving benchmark.
 type ServerConfig struct {
@@ -45,15 +34,12 @@ type ServerConfig struct {
 	// Workers is the worker-pool size of the batched server (default 16 —
 	// I/O-overlap slots, deliberately above GOMAXPROCS on small hosts).
 	Workers int
-	// WindowArea is the window size of the stream (default 0.001).
-	WindowArea float64
-	// K is the k of the stream's k-NN queries (default 10).
-	K int
-	// OpenRateX scales the offered rate of the open-loop arm relative to
-	// the serial server's capacity 1/serviceTime (default 2: offered load
-	// twice what serialized execution could absorb). Zero keeps the
-	// default; negative disables the open-loop arm.
-	OpenRateX float64
+	// AdmissionOps is the length of the admission rows' hotspot workload
+	// (default 1500).
+	AdmissionOps int
+	// AdmissionBufPages is the serving buffer of the admission rows (default
+	// 192 pages — small enough that sequential scans flood plain LRU).
+	AdmissionBufPages int
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -69,17 +55,19 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
 		c.Workers = 16
 	}
-	if c.WindowArea <= 0 {
-		c.WindowArea = 0.001
+	if c.AdmissionOps <= 0 {
+		c.AdmissionOps = 1500
 	}
-	if c.K <= 0 {
-		c.K = 10
-	}
-	if c.OpenRateX == 0 {
-		c.OpenRateX = 2
+	if c.AdmissionBufPages <= 0 {
+		c.AdmissionBufPages = 192
 	}
 	return c
 }
+
+// openRateX scales the offered rate of the open-loop arm relative to the
+// serial server's capacity 1/serviceTime: offered load twice what serialized
+// execution could absorb.
+const openRateX = 2
 
 // ServerModel is the deterministic reference row of one organization: the
 // whole stream executed serially in-process, modelled cost only.
@@ -92,332 +80,273 @@ type ServerModel struct {
 	ModelMSPerReq float64 `json:"model_ms_per_request"`
 }
 
-// ServerRun is one measured arm: organization × execution mode × client
-// count. Answers and Errors are functions of the stream and the store
-// (byte-reproducible); every wall_ field is a real measurement.
+// ServerRun is one measured arm: organization × mode × client count.
 type ServerRun struct {
-	Org      string `json:"org"`
-	Mode     string `json:"mode"` // "serial", "batched" or "open"
-	Clients  int    `json:"clients"`
-	Requests int    `json:"requests"`
-	Answers  int    `json:"answers"`
-	Errors   int    `json:"errors"`
+	Org string `json:"org"`
+	// Mode is how the arm was served: "serial" (one query at a time) and
+	// "batched" (the micro-batching dispatcher) across the client sweep;
+	// "traced" (batched, every request asking for its span tree) and
+	// "binary" (batched, internal/binproto instead of JSON) at the largest
+	// client count; "open" (batched, Poisson arrivals, clients 0).
+	Mode    string `json:"mode"`
+	Clients int    `json:"clients"`
+	ServedRun
+}
 
-	WallQPS       float64 `json:"wall_qps"`
-	WallP50MS     float64 `json:"wall_p50_ms"`
-	WallP95MS     float64 `json:"wall_p95_ms"`
-	WallP99MS     float64 `json:"wall_p99_ms"`
-	WallMeanMS    float64 `json:"wall_mean_ms"`
-	WallBatches   int64   `json:"wall_batches"`
-	WallMeanBatch float64 `json:"wall_mean_batch"`
-	WallMaxBatch  int64   `json:"wall_max_batch"`
+// ServerAdmissionRun is one replacement policy serving the same hotspot+scan
+// workload over HTTP. Hits and misses are /metrics deltas; the drive is
+// serial, so they are deterministic — but they describe buffer policy
+// behaviour, not the paper's cost model.
+type ServerAdmissionRun struct {
+	Policy   string  `json:"policy"` // "lru" or "2q"
+	Ops      int     `json:"ops"`
+	Answers  int     `json:"answers"`
+	Hits     int64   `json:"buffer_hits"`
+	Misses   int64   `json:"buffer_misses"`
+	HitRatio float64 `json:"buffer_hit_ratio"`
 }
 
 // ServerResult is the outcome of the serving benchmark, emitted as
 // BENCH_server.json.
 type ServerResult struct {
-	Scale      int     `json:"scale"`
-	Requests   int     `json:"requests"`
-	Seed       int64   `json:"seed"`
-	Clients    []int   `json:"clients"`
-	Throttle   float64 `json:"throttle"`
-	Workers    int     `json:"workers"`
-	WindowArea float64 `json:"window_area"`
-	K          int     `json:"k"`
-	GOMAXPROCS int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
+	Scale             int     `json:"scale"`
+	Requests          int     `json:"requests"`
+	Seed              int64   `json:"seed"`
+	Clients           []int   `json:"clients"`
+	Throttle          float64 `json:"throttle"`
+	Workers           int     `json:"workers"`
+	WindowArea        float64 `json:"window_area"`
+	K                 int     `json:"k"`
+	AdmissionOps      int     `json:"admission_ops"`
+	AdmissionBufPages int     `json:"admission_buf_pages"`
+	GOMAXPROCS        int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 
-	Model []ServerModel `json:"model"`
-	Runs  []ServerRun   `json:"runs"`
+	Model     []ServerModel        `json:"model"`
+	Runs      []ServerRun          `json:"runs"`
+	Admission []ServerAdmissionRun `json:"admission"`
 
-	// Agree: every answer served over HTTP (IDs, per request) was identical
-	// to the serial in-process answer of the same request.
+	// Agree: every answer served over HTTP — JSON, traced and binary, request
+	// by request — was identical to the serial in-process answer. Held in go
+	// test by server.TestServedAnswersMatchInProcess, TestBinaryDifferential
+	// and TestTracedAnswersIdentical.
 	Agree bool `json:"agree"`
-	// BatchGain: at every swept client count ≥ 8, for every organization,
-	// the micro-batched server out-served the serialized one. The ratio at
-	// the largest client count is WallBatchGainX (worst organization).
-	BatchGain     bool    `json:"batch_gain"`
-	WallBatchGain float64 `json:"wall_batch_gain_x"`
+	// AdmissionAtLeastLRU: the 2Q ghost-list policy's hit ratio was at least
+	// plain LRU's on the hotspot+scan workload (buffer.TestScanResistance).
+	AdmissionAtLeastLRU bool `json:"admission_at_least_lru"`
+
+	// The wall-clock observations, each the worst organization's ratio at
+	// the largest client count: batched over serial throughput (WallBatchGain
+	// says whether it exceeded 1 at every swept count ≥ 8), batched over
+	// traced (what tracing costs), binary over batched (what the codec buys).
+	WallBatchGain      bool    `json:"wall_batch_gain"`
+	WallBatchGainX     float64 `json:"wall_batch_gain_x"`
+	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
+	WallBinaryGainX    float64 `json:"wall_binary_gain_x"`
 }
 
-// refAnswer is the serial in-process answer of one stream request.
-type refAnswer struct {
-	ids   []object.ID // windows/points: set order; k-NN: rank order
-	knn   bool
-	cands int
+// Failed implements Result.
+func (r ServerResult) Failed() []string {
+	return failed(verdict{"agree", r.Agree}, verdict{"admission_at_least_lru", r.AdmissionAtLeastLRU})
+}
+
+func runServer(o Options, smoke bool, sweep []int) Result {
+	cfg := ServerConfig{Clients: sweep}
+	if smoke {
+		o = o.smoke(0)
+		cfg.Requests, cfg.AdmissionOps, cfg.AdmissionBufPages = 120, 600, 96
+		if len(sweep) == 0 {
+			cfg.Clients = []int{1, 8}
+		}
+	}
+	return ServerBench(o, cfg)
 }
 
 // ServerBench measures the serving layer: all three organizations are built
-// from the same dataset and served over HTTP; a deterministic query stream
-// runs through a closed-loop client sweep twice — once against the
-// serialized server (the baseline a server without the batched store entry
-// points is limited to) and once against the micro-batching dispatcher —
-// plus one open-loop arm offered more load than serialized execution could
-// absorb. Answers are verified request-by-request against in-process
-// execution; the modelled reference columns are byte-reproducible.
+// from the same dataset and served over HTTP; every mode is first replayed
+// serially against the in-process reference answers, then the deterministic
+// stream runs through the closed-loop client sweep against the serialized
+// and the micro-batching server, once traced and once over the binary
+// protocol at the largest client count, and once open-loop at more load
+// than serialized execution could absorb. The modelled reference columns and
+// the admission rows are byte-reproducible.
 func ServerBench(o Options, cfg ServerConfig) ServerResult {
 	o = o.WithDefaults()
 	cfg = cfg.withDefaults()
-	ds := datagen.Generate(datagen.Spec{
-		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
-	})
+	spec := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed}
+	ds := datagen.Generate(spec)
 	stream := loadgen.NewStream(ds, loadgen.StreamSpec{
-		N: cfg.Requests, WindowArea: cfg.WindowArea, K: cfg.K, Seed: o.Seed + 4,
+		N: cfg.Requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 4,
 	})
+	maxClients := cfg.Clients[len(cfg.Clients)-1]
 
 	res := ServerResult{
-		Scale:      o.Scale,
-		Requests:   cfg.Requests,
-		Seed:       o.Seed,
-		Clients:    cfg.Clients,
-		Throttle:   cfg.Throttle,
-		Workers:    cfg.Workers,
-		WindowArea: cfg.WindowArea,
-		K:          cfg.K,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Agree:      true,
-		BatchGain:  true,
+		Scale:             o.Scale,
+		Requests:          cfg.Requests,
+		Seed:              o.Seed,
+		Clients:           cfg.Clients,
+		Throttle:          cfg.Throttle,
+		Workers:           cfg.Workers,
+		WindowArea:        streamWindowArea,
+		K:                 streamK,
+		AdmissionOps:      cfg.AdmissionOps,
+		AdmissionBufPages: cfg.AdmissionBufPages,
+		GOMAXPROCS:        runtime.GOMAXPROCS(0),
+		Agree:             true,
+		WallBatchGain:     true,
+	}
+	worst := func(acc *float64, x float64) {
+		if *acc == 0 || x < *acc {
+			*acc = x
+		}
 	}
 
 	gainMeasured := false
 	for _, kind := range AllOrgs {
-		b := Build(kind, ds, o.BuildBufPages)
-		org := b.Org
+		org := Build(kind, ds, o.BuildBufPages).Org
 		params := org.Env().Params()
 		o.Progress("server: built %s (scale %d)", kind, o.Scale)
 
-		// Deterministic reference pass: the stream, serially, in-process,
-		// unthrottled — the modelled columns and the per-request answers the
-		// HTTP runs are checked against. Server semantics: no page cooling,
-		// the buffer stays warm across requests.
-		refs := make([]refAnswer, len(stream))
-		model := ServerModel{Org: string(kind), Requests: len(stream)}
+		// The reference pass: modelled columns and the per-request answers
+		// every served arm is checked against.
 		before := org.Env().Disk.Cost()
-		for i, rq := range stream {
-			switch rq.Kind {
-			case loadgen.KindWindow:
-				r := org.WindowQuery(rq.Window, rq.Tech)
-				refs[i] = refAnswer{ids: r.IDs, cands: r.Candidates}
-			case loadgen.KindPoint:
-				r := org.PointQuery(rq.Point)
-				refs[i] = refAnswer{ids: r.IDs, cands: r.Candidates}
-			case loadgen.KindKNN:
-				r := org.NearestQuery(rq.Point, rq.K)
-				refs[i] = refAnswer{ids: r.IDs, knn: true, cands: r.Candidates}
-			}
-			model.Answers += len(refs[i].ids)
-			model.Candidates += refs[i].cands
-		}
+		refs := serialAnswers(org, stream)
 		cost := org.Env().Disk.Cost().Sub(before)
+		model := ServerModel{Org: string(kind), Requests: len(stream)}
+		model.Answers, model.Candidates = sumAnswers(refs)
 		model.ModelIOSec = cost.TimeSec(params)
 		model.ModelMSPerReq = cost.TimeMS(params) / float64(len(stream))
 		res.Model = append(res.Model, model)
 		o.Progress("server: %s model %.1f ms/request over %d requests",
 			kind, model.ModelMSPerReq, model.Requests)
 
-		// Agreement pass: the same stream once more, over HTTP against the
-		// batched server, every response compared to its reference.
-		func() {
-			client, stop := startBenchServer(org, server.Config{Workers: cfg.Workers})
-			defer stop()
-			if !streamAgrees(client, stream, refs) {
+		// Verification: each wire form once, serially, unthrottled.
+		client, stop := startServer(org, server.Config{Workers: cfg.Workers})
+		for _, a := range []arm{{}, {traced: true}, {binary: true}} {
+			if !replay(client, stream, a, refs) {
 				res.Agree = false
-				o.Progress("server: %s HTTP answers DIFFER from in-process", kind)
+				o.Progress("server: %s answers of %+v DIFFER from in-process", kind, a)
 			}
-		}()
+		}
+		stop()
 
-		// Measured sweep: throttled disk, closed loop, both execution modes.
-		org.Env().Disk.SetThrottle(cfg.Throttle)
-		qps := map[string]map[int]float64{"serial": {}, "batched": {}}
+		// Measured arms: throttled disk, a fresh server per arm so its
+		// counters start at zero. MaxInFlight sits above the offered
+		// concurrency: admission control is a production guard, not part of
+		// the measurement — a 429 would make the deterministic answer and
+		// error counts timing-dependent.
+		setThrottle(cfg.Throttle, org)
+		type armKey struct {
+			mode    string
+			clients int
+		}
+		qps := map[armKey]float64{}
+		measured := func(mode string, clients int, a arm, scfg server.Config,
+			drive func(loadgen.Do) loadgen.Result) {
+
+			scfg.Workers = cfg.Workers
+			client, stop := startServer(org, scfg)
+			defer stop()
+			run := ServerRun{Org: string(kind), Mode: mode, Clients: clients,
+				ServedRun: measure(client, []*server.Client{client}, a, drive)}
+			qps[armKey{mode, clients}] = run.WallQPS
+			res.Runs = append(res.Runs, run)
+			o.Progress("server: %s %s clients=%d %.0f qps p95=%.2f ms",
+				kind, mode, clients, run.WallQPS, run.WallP95MS)
+		}
 		for _, mode := range []string{"serial", "batched"} {
 			for _, clients := range cfg.Clients {
-				run := measureServerRun(org, cfg, stream, string(kind), mode, clients)
-				qps[mode][clients] = run.WallQPS
-				res.Runs = append(res.Runs, run)
-				o.Progress("server: %s %s clients=%d %.0f qps p95=%.2f ms",
-					kind, mode, clients, run.WallQPS, run.WallP95MS)
+				measured(mode, clients, arm{},
+					server.Config{Serial: mode == "serial", MaxInFlight: clients + 1},
+					closedLoop(stream, clients))
 			}
 		}
-		if cfg.OpenRateX > 0 {
-			// Open-loop arm: offered rate derived from the modelled service
-			// time (deterministic config), OpenRateX times what serialized
-			// execution could absorb.
-			rate := cfg.OpenRateX * 1000 / (model.ModelMSPerReq * cfg.Throttle)
-			run := measureServerOpen(org, cfg, stream, string(kind), rate, o.Seed+5)
-			res.Runs = append(res.Runs, run)
-			o.Progress("server: %s open-loop %.0f offered qps -> %.0f qps p99=%.2f ms",
-				kind, rate, run.WallQPS, run.WallP99MS)
-		}
-		org.Env().Disk.SetThrottle(0)
+		atMax := server.Config{MaxInFlight: maxClients + 1}
+		measured("traced", maxClients, arm{traced: true}, atMax, closedLoop(stream, maxClients))
+		measured("binary", maxClients, arm{binary: true}, atMax, closedLoop(stream, maxClients))
+		// Open loop: the offered rate derives from the modelled service time
+		// (deterministic config). Queueing delay shows in the quantiles.
+		rate := openRateX * 1000 / (model.ModelMSPerReq * cfg.Throttle)
+		measured("open", 0, arm{}, server.Config{MaxInFlight: len(stream) + 1},
+			func(do loadgen.Do) loadgen.Result { return loadgen.OpenLoop(do, stream, rate, o.Seed+5) })
+		setThrottle(0, org)
 
 		for _, clients := range cfg.Clients {
-			if clients < 8 {
-				continue
-			}
-			gainMeasured = true
-			gain := qps["batched"][clients] / qps["serial"][clients]
-			if gain <= 1 {
-				res.BatchGain = false
-			}
-			if clients == cfg.Clients[len(cfg.Clients)-1] {
-				if res.WallBatchGain == 0 || gain < res.WallBatchGain {
-					res.WallBatchGain = gain
+			if clients >= 8 {
+				gainMeasured = true
+				if qps[armKey{"batched", clients}] <= qps[armKey{"serial", clients}] {
+					res.WallBatchGain = false
 				}
 			}
 		}
+		batched := qps[armKey{"batched", maxClients}]
+		worst(&res.WallBatchGainX, ratio(batched, qps[armKey{"serial", maxClients}]))
+		worst(&res.WallBinaryGainX, ratio(qps[armKey{"binary", maxClients}], batched))
+		res.WallTraceOverheadX = max(res.WallTraceOverheadX, ratio(batched, qps[armKey{"traced", maxClients}]))
 	}
-	if !gainMeasured {
-		// No swept client count reached 8: the verdict has no data points
-		// and must not claim a win.
-		res.BatchGain = false
-	}
+	// No swept client count reached 8: the verdict has no data points and
+	// must not claim a win.
+	res.WallBatchGain = res.WallBatchGain && gainMeasured
+
+	res.Admission = admissionRuns(o, cfg, spec, ds)
+	res.AdmissionAtLeastLRU = res.Admission[1].HitRatio >= res.Admission[0].HitRatio
 	return res
 }
 
-// startBenchServer mounts a fresh server over org on a loopback listener.
-func startBenchServer(org store.Organization, scfg server.Config) (*server.Client, func()) {
-	s := server.New(org, scfg)
-	hs := httptest.NewServer(s.Handler())
-	client := server.NewClient(hs.URL, 64)
-	stop := func() {
-		hs.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}
-	return client, stop
-}
-
-// streamAgrees replays the stream over HTTP and compares every response to
-// the in-process reference answers.
-func streamAgrees(c *server.Client, stream []loadgen.Request, refs []refAnswer) bool {
-	for i, rq := range stream {
-		var ids []uint64
-		var err error
-		switch rq.Kind {
-		case loadgen.KindWindow:
-			var r server.QueryResponse
-			r, err = c.Window(rq.Window, "")
-			ids = r.IDs
-		case loadgen.KindPoint:
-			var r server.QueryResponse
-			r, err = c.Point(rq.Point)
-			ids = r.IDs
-		case loadgen.KindKNN:
-			var r server.KNNResponse
-			r, err = c.KNN(rq.Point, rq.K)
-			ids = r.IDs
-		}
-		if err != nil {
-			return false
-		}
-		if !answersMatch(ids, refs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// answersMatch compares a served answer with its reference: rank by rank
-// for k-NN (ordered), as sets otherwise.
-func answersMatch(got []uint64, want refAnswer) bool {
-	if len(got) != len(want.ids) {
-		return false
-	}
-	if want.knn {
-		for i := range got {
-			if got[i] != uint64(want.ids[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	seen := make(map[uint64]int, len(got))
-	for _, id := range got {
-		seen[id]++
-	}
-	for _, id := range want.ids {
-		seen[uint64(id)]--
-		if seen[uint64(id)] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// loadgenDo adapts the HTTP client to the load generator's transport.
-func loadgenDo(c *server.Client) loadgen.Do {
-	return func(rq loadgen.Request) (int, error) {
-		switch rq.Kind {
-		case loadgen.KindWindow:
-			r, err := c.Window(rq.Window, "")
-			return len(r.IDs), err
-		case loadgen.KindPoint:
-			r, err := c.Point(rq.Point)
-			return len(r.IDs), err
-		default:
-			r, err := c.KNN(rq.Point, rq.K)
-			return len(r.IDs), err
-		}
-	}
-}
-
-// measureServerRun runs one closed-loop arm against a fresh server.
-func measureServerRun(org store.Organization, cfg ServerConfig,
-	stream []loadgen.Request, orgName, mode string, clients int) ServerRun {
-
-	// MaxInFlight above the client population: admission control is a
-	// production guard, not part of the measurement — a 429 would make the
-	// deterministic answer/error counts timing-dependent.
-	scfg := server.Config{
-		Workers:     cfg.Workers,
-		Serial:      mode == "serial",
-		MaxInFlight: clients + 1,
-	}
-	client, stop := startBenchServer(org, scfg)
-	defer stop()
-	lr := loadgen.ClosedLoop(loadgenDo(client), stream, clients)
-	return serverRunRow(client, lr, orgName, mode, clients)
-}
-
-// measureServerOpen runs the open-loop arm (batched server). MaxInFlight is
-// raised above the stream length: the open loop deliberately offers more
-// load than the server can serve, and a 429 would make the run's answer and
-// error counts depend on timing — the benchmark's determinism contract says
-// they never do. Queueing delay still shows up, in the latency quantiles.
-func measureServerOpen(org store.Organization, cfg ServerConfig,
-	stream []loadgen.Request, orgName string, rate float64, seed int64) ServerRun {
-
-	client, stop := startBenchServer(org, server.Config{
-		Workers:     cfg.Workers,
-		MaxInFlight: len(stream) + 1,
+// admissionRuns serves the cluster organization from a small buffer under
+// each replacement policy and drives the same serial hotspot workload with
+// periodic large scans through HTTP — the access pattern 2Q's ghost list
+// exists for. Hit ratios come from /metrics deltas over the serving phase
+// (construction warms the buffer differently per policy and is not what the
+// rows compare).
+func admissionRuns(o Options, cfg ServerConfig, spec datagen.Spec, ds *datagen.Dataset) []ServerAdmissionRun {
+	ops := ds.MixedWorkload(datagen.MixSpec{
+		Ops:        cfg.AdmissionOps,
+		InsertFrac: 0.05, DeleteFrac: 0.05, UpdateFrac: 0.1, QueryFrac: 0.8,
+		HotspotFrac: 0.9, HotspotSide: 0.15, WindowArea: 0.002,
+		Seed: o.Seed + 16,
 	})
-	defer stop()
-	lr := loadgen.OpenLoop(loadgenDo(client), stream, rate, seed)
-	return serverRunRow(client, lr, orgName, "open", 0)
-}
+	scans := ds.Windows(0.12, 16, o.Seed+17)
 
-// serverRunRow converts a loadgen result (plus the server's batch counters)
-// into a benchmark row.
-func serverRunRow(client *server.Client, lr loadgen.Result, orgName, mode string, clients int) ServerRun {
-	run := ServerRun{
-		Org:        orgName,
-		Mode:       mode,
-		Clients:    clients,
-		Requests:   lr.Requests,
-		Answers:    lr.Answers,
-		Errors:     lr.Errors,
-		WallQPS:    lr.QPS,
-		WallP50MS:  float64(lr.Lat.P50().Microseconds()) / 1000,
-		WallP95MS:  float64(lr.Lat.P95().Microseconds()) / 1000,
-		WallP99MS:  float64(lr.Lat.P99().Microseconds()) / 1000,
-		WallMeanMS: float64(lr.Lat.Mean().Microseconds()) / 1000,
+	var runs []ServerAdmissionRun
+	for _, pol := range []struct {
+		name   string
+		policy buffer.Policy
+	}{{"lru", buffer.PolicyLRU}, {"2q", buffer.Policy2Q}} {
+		env := store.NewEnvPolicy(cfg.AdmissionBufPages, pol.policy, disk.DefaultParams(), nil)
+		org := BuildOn(OrgCluster, ds, env, spec.SmaxBytes()).Org
+		client, stop := startServer(org, server.Config{Workers: 4, MaxInFlight: 4})
+
+		run := ServerAdmissionRun{Policy: pol.name, Ops: len(ops)}
+		m0, err := client.Metrics()
+		if err == nil {
+			err = applyOver(client, ops, func(i int, _ bool, answers int) {
+				run.Answers += answers
+				// Every 12th op, a large scan window floods the buffer — the
+				// read pattern plain LRU surrenders its hot set to.
+				if i%12 == 11 {
+					r, err := client.Window(scans[i/12%len(scans)], "")
+					if err != nil {
+						panic(fmt.Sprintf("exp: server bench admission scan after op %d: %v", i, err))
+					}
+					run.Answers += len(r.IDs)
+				}
+			})
+		}
+		m1, err1 := client.Metrics()
+		stop()
+		if err != nil || err1 != nil {
+			panic(fmt.Sprintf("exp: server bench admission %s: %v %v", pol.name, err, err1))
+		}
+		run.Hits = m1.BufferHits - m0.BufferHits
+		run.Misses = m1.BufferMisses - m0.BufferMisses
+		if total := run.Hits + run.Misses; total > 0 {
+			run.HitRatio = float64(run.Hits) / float64(total)
+		}
+		runs = append(runs, run)
+		o.Progress("server: admission %s hit ratio %.3f (%d hits / %d misses)",
+			pol.name, run.HitRatio, run.Hits, run.Misses)
 	}
-	if m, err := client.Metrics(); err == nil {
-		run.WallBatches = m.Batches
-		run.WallMeanBatch = m.MeanBatch
-		run.WallMaxBatch = m.MaxBatch
-	}
-	return run
+	return runs
 }
 
 // Render formats the result as a text report.
@@ -439,22 +368,16 @@ func (r ServerResult) Render() string {
 			run.Org, run.Mode, run.Clients, run.WallQPS,
 			run.WallP50MS, run.WallP95MS, run.WallP99MS, run.WallBatches, run.WallMeanBatch)
 	}
-	fmt.Fprintf(&b, "\nHTTP answers identical to in-process:            %v\n", r.Agree)
-	if r.WallBatchGain > 0 {
-		fmt.Fprintf(&b, "micro-batching beats serialized at >= 8 clients: %v (worst gain %.1fx at %d clients)\n",
-			r.BatchGain, r.WallBatchGain, r.Clients[len(r.Clients)-1])
-	} else {
-		fmt.Fprintf(&b, "micro-batching beats serialized at >= 8 clients: %v (no client count >= 8 swept)\n",
-			r.BatchGain)
+	fmt.Fprintf(&b, "\nBuffer admission (%d pages, hotspot workload with scans):\n", r.AdmissionBufPages)
+	fmt.Fprintf(&b, "  %-6s %10s %10s %10s %10s\n", "policy", "answers", "hits", "misses", "hit ratio")
+	for _, run := range r.Admission {
+		fmt.Fprintf(&b, "  %-6s %10d %10d %10d %10.3f\n", run.Policy, run.Answers, run.Hits, run.Misses, run.HitRatio)
 	}
+	maxClients := r.Clients[len(r.Clients)-1]
+	fmt.Fprintf(&b, "\nHTTP answers identical to in-process (JSON, traced, binary): %v\n", r.Agree)
+	fmt.Fprintf(&b, "2Q hit ratio at least LRU:                       %v\n", r.AdmissionAtLeastLRU)
+	fmt.Fprintf(&b, "micro-batching beats serialized at >= 8 clients: %v\n", r.WallBatchGain)
+	fmt.Fprintf(&b, "worst organization at %d clients: batched/serial %.2fx, batched/traced %.2fx, binary/batched %.2fx\n",
+		maxClients, r.WallBatchGainX, r.WallTraceOverheadX, r.WallBinaryGainX)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_server.json by convention).
-func (r ServerResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

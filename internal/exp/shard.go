@@ -1,37 +1,27 @@
 package exp
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
-	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/loadgen"
-	"spatialcluster/internal/router"
-	"spatialcluster/internal/server"
 	"spatialcluster/internal/shard"
 	"spatialcluster/internal/store"
 )
 
 // The shard benchmark answers the question the router tier exists for: does
 // Hilbert-range partitioning scale a cluster out — more shards, more served
-// throughput — without changing a single answer? Every shard count serves
-// the same deterministic stream through the scatter-gather router; every
-// response (and every mutation verdict of a churn phase routed through the
-// router) is compared against one never-sharded reference store. The
-// agreement verdict gates the exit code; the wall-clock sweep reports
-// queries/sec per shard and scale-out efficiency relative to one shard.
-//
-// Determinism contract (CI byte-compares two runs with wall_* stripped):
-// the model rows — partition balance, routing fanout, answer counts — are
-// functions of the dataset and the partition alone; everything wall-clock
-// carries a wall_ prefix.
+// throughput — without changing a single answer? On the served fixture
+// (served.go), every shard count serves the same deterministic stream
+// through the scatter-gather router; every response — plain, traced, over
+// JSON and over the binary protocol — and every mutation verdict of a churn
+// phase routed through the router is compared against one never-sharded
+// reference store. The wall-clock sweep reports queries/sec per shard and
+// scale-out efficiency relative to one shard, per wire protocol and with
+// tracing on and off.
 
 // ShardConfig tunes the sharding benchmark.
 type ShardConfig struct {
@@ -43,16 +33,12 @@ type ShardConfig struct {
 	// the router between the fresh and the churned agreement pass (default
 	// 400).
 	ChurnOps int
-	// Clients is the closed-loop client count of the wall-clock arm
+	// Clients is the closed-loop client count of the wall-clock arms
 	// (default 16).
 	Clients int
 	// Throttle is the disk wall-clock factor of the measured runs (default
 	// 0.02), applied to every shard's modelled disk.
 	Throttle float64
-	// WindowArea is the window size of the stream (default 0.001).
-	WindowArea float64
-	// K is the k of the stream's k-NN queries (default 10).
-	K int
 }
 
 func (c ShardConfig) withDefaults() ShardConfig {
@@ -71,12 +57,6 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	if c.Throttle <= 0 {
 		c.Throttle = 0.02
 	}
-	if c.WindowArea <= 0 {
-		c.WindowArea = 0.001
-	}
-	if c.K <= 0 {
-		c.K = 10
-	}
 	return c
 }
 
@@ -94,28 +74,20 @@ type ShardModel struct {
 	MeanFanout float64 `json:"mean_fanout"`
 }
 
-// ShardRun is one measured arm: shard count × the closed-loop client sweep.
-// Answers and Errors are functions of the stream and the cluster state
-// (byte-reproducible); every wall_ field is a real measurement.
+// ShardRun is one measured arm: shard count × mode, closed loop through the
+// router on the churned cluster.
 type ShardRun struct {
-	Shards   int `json:"shards"`
-	Clients  int `json:"clients"`
-	Requests int `json:"requests"`
-	Answers  int `json:"answers"`
-	Errors   int `json:"errors"`
-
-	WallQPS         float64 `json:"wall_qps"`
-	WallP50MS       float64 `json:"wall_p50_ms"`
-	WallP95MS       float64 `json:"wall_p95_ms"`
-	WallP99MS       float64 `json:"wall_p99_ms"`
+	Shards int `json:"shards"`
+	// Mode is the client-to-router wire form: "json", "traced" (JSON, every
+	// request asking for the cluster-wide span tree), "binary",
+	// "binary+traced".
+	Mode    string `json:"mode"`
+	Clients int    `json:"clients"`
+	ServedRun
 	WallQPSPerShard float64 `json:"wall_qps_per_shard"`
-	// WallEfficiencyX is qps(n) / (n * qps(1)): 1.0 is perfect scale-out.
+	// WallEfficiencyX is qps(n) / (n * qps(1)) within the mode: 1.0 is
+	// perfect scale-out.
 	WallEfficiencyX float64 `json:"wall_efficiency_x"`
-	// Aggregate shard-side counters over the run (all shards summed).
-	WallClusterBatches   int64   `json:"wall_cluster_batches"`
-	WallClusterMeanBatch float64 `json:"wall_cluster_mean_batch"`
-	WallClusterHitRatio  float64 `json:"wall_cluster_hit_ratio"`
-	WallModelIOSec       float64 `json:"wall_model_io_sec"`
 }
 
 // ShardResult is the outcome of the sharding benchmark, emitted as
@@ -142,102 +114,36 @@ type ShardResult struct {
 	Model []ShardModel `json:"model"`
 	Runs  []ShardRun   `json:"runs"`
 
-	// Agree: at every shard count, every answer served through the router
-	// (fresh and churned) and every mutation verdict of the churn phase was
-	// identical to the single reference store's.
+	// Agree: at every shard count, every answer served through the router —
+	// fresh, and churned in every mode — and every mutation verdict of the
+	// churn phase was identical to the single reference store's. Held in go
+	// test by router.TestRouterDifferential, TestRouterBinaryDifferential and
+	// TestRouterTracePropagation.
 	Agree bool `json:"agree"`
+
+	// WallTraceOverheadX is the worst untraced/traced throughput ratio over
+	// all shard counts and both protocols.
+	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
 }
 
-// shardCluster is one running shard count: per-shard stores served over
-// loopback HTTP behind a router.
-type shardCluster struct {
-	pmap   *shard.Map
-	orgs   []store.Organization
-	shards []*server.Client
-	client *server.Client // speaks to the router
-	stop   func()
-}
+// Failed implements Result.
+func (r ShardResult) Failed() []string { return failed(verdict{"agree", r.Agree}) }
 
-// startShardCluster partitions ds into n shards, builds one cluster
-// organization per shard, serves each over loopback HTTP and mounts a router
-// in front. Clients carries a deterministic retry config so transient
-// loopback hiccups cannot fail a benchmark run.
-func startShardCluster(o Options, cfg ShardConfig, ds *datagen.Dataset, n int) (*shardCluster, error) {
-	pmap := shard.FromKeys(ds.MBRs, n)
-	sc := &shardCluster{pmap: pmap}
-	var stops []func()
-	for s := 0; s < n; s++ {
-		sub := &datagen.Dataset{Spec: ds.Spec}
-		for i := range ds.Objects {
-			if pmap.ShardOfKey(ds.MBRs[i]) == s {
-				sub.Objects = append(sub.Objects, ds.Objects[i])
-				sub.MBRs = append(sub.MBRs, ds.MBRs[i])
-			}
-		}
-		org := BuildOn(OrgCluster, sub, store.NewEnv(o.BuildBufPages), ds.Spec.SmaxBytes()).Org
-		srv := server.New(org, server.Config{MaxInFlight: cfg.Clients + 1})
-		hs := httptest.NewServer(srv.Handler())
-		stops = append(stops, func() {
-			hs.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		})
-		c := server.NewClient(hs.URL, cfg.Clients+1)
-		c.Retry = &server.Retry{Attempts: 4, BaseDelay: time.Millisecond,
-			MaxDelay: 16 * time.Millisecond, Seed: o.Seed + int64(s)}
-		sc.orgs = append(sc.orgs, org)
-		sc.shards = append(sc.shards, c)
-	}
-	rt, err := router.New(pmap, sc.shards, router.Config{MaxInFlight: cfg.Clients + 1})
-	if err != nil {
-		for _, f := range stops {
-			f()
-		}
-		return nil, err
-	}
-	hs := httptest.NewServer(rt.Handler())
-	stops = append(stops, hs.Close)
-	sc.client = server.NewClient(hs.URL, cfg.Clients+1)
-	sc.stop = func() {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
+func runShard(o Options, smoke bool, sweep []int) Result {
+	cfg := ShardConfig{Counts: sweep}
+	if smoke {
+		o = o.smoke(0)
+		cfg.Requests, cfg.ChurnOps, cfg.Clients = 80, 200, 8
+		if len(sweep) == 0 {
+			cfg.Counts = []int{1, 2, 4}
 		}
 	}
-	return sc, nil
+	return ShardBench(o, cfg)
 }
 
-// serialAnswers executes the stream serially in-process against org and
-// returns the per-request reference answers.
-func serialAnswers(org store.Organization, stream []loadgen.Request) []refAnswer {
-	refs := make([]refAnswer, len(stream))
-	for i, rq := range stream {
-		switch rq.Kind {
-		case loadgen.KindWindow:
-			r := org.WindowQuery(rq.Window, rq.Tech)
-			refs[i] = refAnswer{ids: r.IDs, cands: r.Candidates}
-		case loadgen.KindPoint:
-			r := org.PointQuery(rq.Point)
-			refs[i] = refAnswer{ids: r.IDs, cands: r.Candidates}
-		case loadgen.KindKNN:
-			r := org.NearestQuery(rq.Point, rq.K)
-			refs[i] = refAnswer{ids: r.IDs, knn: true, cands: r.Candidates}
-		}
-	}
-	return refs
-}
-
-// sumAnswers totals a reference pass for the result header.
-func sumAnswers(refs []refAnswer) (answers, candidates int) {
-	for _, r := range refs {
-		answers += len(r.ids)
-		candidates += r.cands
-	}
-	return
-}
-
-// applyChurn applies the mixed workload to org in-process and records the
-// per-op mutation verdicts (update/delete existed).
+// applyChurn applies a workload to org in-process, unlogged, and records the
+// per-op mutation verdicts (update/delete existed) — the reference side of
+// applyOver, and of the recovery benchmark's logged stores.
 func applyChurn(org store.Organization, ops []datagen.Op) []bool {
 	verdicts := make([]bool, len(ops))
 	for i, op := range ops {
@@ -256,53 +162,14 @@ func applyChurn(org store.Organization, ops []datagen.Op) []bool {
 	return verdicts
 }
 
-// churnThroughRouter replays the same workload through the router's mutation
-// endpoints and compares every verdict against the reference run's.
-func churnThroughRouter(c *server.Client, ops []datagen.Op, want []bool) (bool, error) {
-	agree := true
-	for i, op := range ops {
-		switch op.Kind {
-		case datagen.OpInsert:
-			if err := c.Insert(op.Obj, op.Key); err != nil {
-				return false, fmt.Errorf("churn op %d: insert: %w", i, err)
-			}
-		case datagen.OpDelete:
-			existed, err := c.Delete(op.ID)
-			if err != nil {
-				return false, fmt.Errorf("churn op %d: delete: %w", i, err)
-			}
-			if existed != want[i] {
-				agree = false
-			}
-		case datagen.OpUpdate:
-			existed, err := c.Update(op.Obj, op.Key)
-			if err != nil {
-				return false, fmt.Errorf("churn op %d: update: %w", i, err)
-			}
-			if existed != want[i] {
-				agree = false
-			}
-		case datagen.OpQuery:
-			if _, err := c.Window(op.Window, ""); err != nil {
-				return false, fmt.Errorf("churn op %d: window: %w", i, err)
-			}
-		}
-	}
-	return agree, nil
-}
-
 // shardModelRow computes the deterministic partition row for one shard count.
 func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []loadgen.Request) ShardModel {
 	counts := pmap.Counts(ds.MBRs)
 	row := ShardModel{Shards: pmap.N(), Objects: len(ds.Objects)}
 	row.MinShardObjects = counts[0]
 	for _, c := range counts {
-		if c < row.MinShardObjects {
-			row.MinShardObjects = c
-		}
-		if c > row.MaxShardObjects {
-			row.MaxShardObjects = c
-		}
+		row.MinShardObjects = min(row.MinShardObjects, c)
+		row.MaxShardObjects = max(row.MaxShardObjects, c)
 	}
 	if len(ds.Objects) > 0 {
 		ideal := float64(len(ds.Objects)) / float64(pmap.N())
@@ -325,14 +192,25 @@ func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []loadgen.Reques
 	return row
 }
 
+// shardModes are the measured arms of every shard count, in row order.
+var shardModes = []struct {
+	name string
+	arm  arm
+}{
+	{"json", arm{}},
+	{"traced", arm{traced: true}},
+	{"binary", arm{binary: true}},
+	{"binary+traced", arm{binary: true, traced: true}},
+}
+
 // ShardBench measures the sharded cluster: for every swept shard count the
 // dataset is Hilbert-range partitioned, each shard is served over HTTP, and
 // the scatter-gather router in front answers the same deterministic query
 // stream — verified request-by-request against a single never-sharded store,
-// fresh and again after a mutation workload routed through the router. The
-// wall-clock arm then drives a closed-loop client sweep through the router
-// on throttled disks and reports throughput per shard and scale-out
-// efficiency against the one-shard run.
+// fresh and again, in every mode, after a mutation workload routed through
+// the router. The wall-clock arms then drive a closed loop through the
+// router on throttled disks, per mode, and report throughput per shard and
+// scale-out efficiency against the one-shard run.
 func ShardBench(o Options, cfg ShardConfig) ShardResult {
 	o = o.WithDefaults()
 	cfg = cfg.withDefaults()
@@ -340,7 +218,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
 	stream := loadgen.NewStream(ds, loadgen.StreamSpec{
-		N: cfg.Requests, WindowArea: cfg.WindowArea, K: cfg.K, Seed: o.Seed + 6,
+		N: cfg.Requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 6,
 	})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: cfg.ChurnOps, HotspotFrac: 0.5, Seed: o.Seed + 7})
 
@@ -352,8 +230,8 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		Counts:     cfg.Counts,
 		Clients:    cfg.Clients,
 		Throttle:   cfg.Throttle,
-		WindowArea: cfg.WindowArea,
-		K:          cfg.K,
+		WindowArea: streamWindowArea,
+		K:          streamK,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Agree:      true,
 	}
@@ -369,80 +247,63 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 	o.Progress("shard: reference ready (%d objects, %d answers fresh, %d churned)",
 		len(ds.Objects), res.FreshAnswers, res.ChurnAnswers)
 
-	var oneShardQPS float64
+	oneShardQPS := map[string]float64{}
 	for _, n := range cfg.Counts {
-		res.Model = append(res.Model, shardModelRow(shard.FromKeys(ds.MBRs, n), ds, stream))
+		m := shardModelRow(shard.FromKeys(ds.MBRs, n), ds, stream)
+		res.Model = append(res.Model, m)
 
-		sc, err := startShardCluster(o, cfg, ds, n)
+		sc, err := startShardCluster(o, ds, n, cfg.Clients)
 		if err != nil {
 			// A malformed sweep (shard count the partition cannot express)
 			// is a configuration error, not a measurement.
 			panic(fmt.Sprintf("exp: shard cluster with %d shards: %v", n, err))
 		}
-		m := res.Model[len(res.Model)-1]
 		o.Progress("shard: n=%d built (%d..%d objects/shard, fanout %.2f)",
 			n, m.MinShardObjects, m.MaxShardObjects, m.MeanFanout)
 
-		if !streamAgrees(sc.client, stream, freshRefs) {
+		if !replay(sc.client, stream, arm{}, freshRefs) {
 			res.Agree = false
 			o.Progress("shard: n=%d fresh answers DIFFER from the reference", n)
 		}
-		agree, err := churnThroughRouter(sc.client, ops, verdicts)
+		err = applyOver(sc.client, ops, func(i int, existed bool, _ int) {
+			if existed != verdicts[i] {
+				res.Agree = false
+				o.Progress("shard: n=%d churn verdict of op %d DIFFERS from the reference", n, i)
+			}
+		})
 		if err != nil {
 			sc.stop()
 			panic(fmt.Sprintf("exp: shard churn with %d shards: %v", n, err))
 		}
-		if !agree {
-			res.Agree = false
-			o.Progress("shard: n=%d churn verdicts DIFFER from the reference", n)
-		}
-		if !streamAgrees(sc.client, stream, churnRefs) {
-			res.Agree = false
-			o.Progress("shard: n=%d churned answers DIFFER from the reference", n)
+		for _, mode := range shardModes {
+			if !replay(sc.client, stream, mode.arm, churnRefs) {
+				res.Agree = false
+				o.Progress("shard: n=%d churned %s answers DIFFER from the reference", n, mode.name)
+			}
 		}
 
-		// Wall-clock arm: throttled shard disks, closed loop through the
+		// Wall-clock arms: throttled shard disks, closed loop through the
 		// router, shard-side counters bracketed across all shards.
-		for _, org := range sc.orgs {
-			org.Env().Disk.SetThrottle(cfg.Throttle)
+		setThrottle(cfg.Throttle, sc.orgs...)
+		var untraced float64
+		for _, mode := range shardModes {
+			run := ShardRun{Shards: n, Mode: mode.name, Clients: cfg.Clients,
+				ServedRun: measure(sc.client, sc.shards, mode.arm, closedLoop(stream, cfg.Clients))}
+			run.WallQPSPerShard = run.WallQPS / float64(n)
+			if n == 1 {
+				oneShardQPS[mode.name] = run.WallQPS
+			}
+			run.WallEfficiencyX = ratio(run.WallQPS, float64(n)*oneShardQPS[mode.name])
+			if mode.arm.traced {
+				res.WallTraceOverheadX = max(res.WallTraceOverheadX, ratio(untraced, run.WallQPS))
+			} else {
+				untraced = run.WallQPS
+			}
+			res.Runs = append(res.Runs, run)
+			o.Progress("shard: n=%d %s %.0f qps (%.0f/shard, efficiency %.2fx) p95=%.2f ms",
+				n, mode.name, run.WallQPS, run.WallQPSPerShard, run.WallEfficiencyX, run.WallP95MS)
 		}
-		scrapers := make([]loadgen.Scraper, len(sc.shards))
-		for i, c := range sc.shards {
-			scrapers[i] = scraperFor(c)
-		}
-		lr := loadgen.WithServerStats(loadgen.MultiScraper(scrapers...), func() loadgen.Result {
-			return loadgen.ClosedLoop(loadgenDo(sc.client), stream, cfg.Clients)
-		})
-		for _, org := range sc.orgs {
-			org.Env().Disk.SetThrottle(0)
-		}
-		run := ShardRun{
-			Shards:          n,
-			Clients:         cfg.Clients,
-			Requests:        lr.Requests,
-			Answers:         lr.Answers,
-			Errors:          lr.Errors,
-			WallQPS:         lr.QPS,
-			WallP50MS:       float64(lr.Lat.P50().Microseconds()) / 1000,
-			WallP95MS:       float64(lr.Lat.P95().Microseconds()) / 1000,
-			WallP99MS:       float64(lr.Lat.P99().Microseconds()) / 1000,
-			WallQPSPerShard: lr.QPS / float64(n),
-		}
-		if lr.Server != nil {
-			run.WallClusterBatches = lr.Server.Batches
-			run.WallClusterMeanBatch = lr.Server.MeanBatch
-			run.WallClusterHitRatio = lr.Server.HitRatio
-			run.WallModelIOSec = lr.Server.ModelIOSec
-		}
-		if n == 1 {
-			oneShardQPS = run.WallQPS
-		}
-		if oneShardQPS > 0 {
-			run.WallEfficiencyX = run.WallQPS / (float64(n) * oneShardQPS)
-		}
-		res.Runs = append(res.Runs, run)
-		o.Progress("shard: n=%d %.0f qps (%.0f/shard, efficiency %.2fx) p95=%.2f ms",
-			n, run.WallQPS, run.WallQPSPerShard, run.WallEfficiencyX, run.WallP95MS)
+		setThrottle(0, sc.orgs...)
 		sc.stop()
 	}
 	return res
@@ -461,22 +322,14 @@ func (r ShardResult) Render() string {
 			m.Shards, m.Objects, m.MinShardObjects, m.MaxShardObjects, m.SkewX, m.MeanFanout)
 	}
 	fmt.Fprintf(&b, "\nScale-out (closed loop through the router):\n")
-	fmt.Fprintf(&b, "  %6s %8s %9s %11s %11s %9s %9s %9s\n",
-		"shards", "clients", "qps", "qps/shard", "efficiency", "p50 ms", "p95 ms", "p99 ms")
+	fmt.Fprintf(&b, "  %6s %-14s %8s %9s %11s %11s %9s %9s %9s\n",
+		"shards", "mode", "clients", "qps", "qps/shard", "efficiency", "p50 ms", "p95 ms", "p99 ms")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "  %6d %8d %9.0f %11.0f %10.2fx %9.2f %9.2f %9.2f\n",
-			run.Shards, run.Clients, run.WallQPS, run.WallQPSPerShard,
+		fmt.Fprintf(&b, "  %6d %-14s %8d %9.0f %11.0f %10.2fx %9.2f %9.2f %9.2f\n",
+			run.Shards, run.Mode, run.Clients, run.WallQPS, run.WallQPSPerShard,
 			run.WallEfficiencyX, run.WallP50MS, run.WallP95MS, run.WallP99MS)
 	}
-	fmt.Fprintf(&b, "\nRouter answers identical to the single store (fresh + churned): %v\n", r.Agree)
+	fmt.Fprintf(&b, "\nRouter answers identical to the single store (fresh + churned, every mode): %v\n", r.Agree)
+	fmt.Fprintf(&b, "worst tracing overhead through the router: %.2fx\n", r.WallTraceOverheadX)
 	return b.String()
-}
-
-// WriteJSON writes the result to path (BENCH_shard.json by convention).
-func (r ShardResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,11 +5,10 @@ import (
 )
 
 // TestShardBenchSmoke runs a miniature sharding benchmark end to end and
-// checks its structural and determinism invariants: router answers agree
-// with the single reference store at every shard count (fresh and after the
-// routed churn), every wall run reports the deterministic post-churn answer
-// total, and the modelled rows are identical across two full runs (the
-// byte-reproducibility CI relies on this).
+// checks its structure: router answers agree with the single reference
+// store at every shard count (fresh, and after the routed churn in every
+// mode), and every wall run reports the deterministic post-churn answer
+// total. (Determinism across runs is the registry test's.)
 func TestShardBenchSmoke(t *testing.T) {
 	o := Options{Scale: 512, Seed: 7}
 	cfg := ShardConfig{
@@ -24,8 +23,8 @@ func TestShardBenchSmoke(t *testing.T) {
 	if !r.Agree {
 		t.Fatal("router answers differ from the single reference store")
 	}
-	if len(r.Model) != len(cfg.Counts) || len(r.Runs) != len(cfg.Counts) {
-		t.Fatalf("%d model rows, %d runs, want %d each", len(r.Model), len(r.Runs), len(cfg.Counts))
+	if len(r.Model) != len(cfg.Counts) || len(r.Runs) != len(cfg.Counts)*len(shardModes) {
+		t.Fatalf("%d model rows, %d runs for %d shard counts", len(r.Model), len(r.Runs), len(cfg.Counts))
 	}
 	if r.FreshAnswers == 0 || r.ChurnAnswers == 0 {
 		t.Fatalf("reference answered nothing: fresh %d, churned %d", r.FreshAnswers, r.ChurnAnswers)
@@ -44,41 +43,25 @@ func TestShardBenchSmoke(t *testing.T) {
 			t.Fatalf("fanout %g exceeds shard count %d", m.MeanFanout, m.Shards)
 		}
 	}
-	for _, run := range r.Runs {
+	for i, run := range r.Runs {
+		if run.Shards != cfg.Counts[i/len(shardModes)] || run.Mode != shardModes[i%len(shardModes)].name {
+			t.Fatalf("run %d is %d/%s", i, run.Shards, run.Mode)
+		}
 		if run.Errors != 0 {
 			t.Fatalf("run %+v reports %d errors", run, run.Errors)
 		}
 		// The wall sweep runs after the churn: the deterministic answer
-		// total is the reference's churned one, at every shard count.
+		// total is the reference's churned one, at every shard count and in
+		// every mode.
 		if run.Answers != r.ChurnAnswers {
-			t.Fatalf("run n=%d answers %d, reference churned total %d",
-				run.Shards, run.Answers, r.ChurnAnswers)
+			t.Fatalf("run n=%d %s answers %d, reference churned total %d",
+				run.Shards, run.Mode, run.Answers, r.ChurnAnswers)
 		}
-		if run.WallQPS <= 0 {
-			t.Fatalf("run n=%d measured no throughput", run.Shards)
-		}
-		if run.WallEfficiencyX <= 0 {
-			t.Fatalf("run n=%d has no efficiency figure", run.Shards)
+		if run.WallQPS <= 0 || run.WallEfficiencyX <= 0 {
+			t.Fatalf("run n=%d %s measured no throughput: %+v", run.Shards, run.Mode, run)
 		}
 	}
-
-	// Determinism: a second run must produce identical modelled rows and
-	// reference totals.
-	r2 := ShardBench(o, cfg)
-	for i := range r.Model {
-		if r.Model[i] != r2.Model[i] {
-			t.Fatalf("model row %d differs across runs:\n%+v\n%+v", i, r.Model[i], r2.Model[i])
-		}
-	}
-	if r2.FreshAnswers != r.FreshAnswers || r2.ChurnAnswers != r.ChurnAnswers ||
-		r2.FreshCandidates != r.FreshCandidates || r2.ChurnCandidates != r.ChurnCandidates {
-		t.Fatal("reference totals differ across runs")
-	}
-	if r2.Agree != r.Agree {
-		t.Fatal("agree verdict differs across runs")
-	}
-
-	if r.Render() == "" {
-		t.Fatal("empty render")
+	if r.WallTraceOverheadX <= 0 {
+		t.Fatal("no tracing overhead figure")
 	}
 }

@@ -23,8 +23,8 @@ type Table1Result struct {
 	Rows  []Table1Row
 }
 
-// AllSpecs enumerates the six test series of Table 1 at the given scale.
-func AllSpecs(o Options) []datagen.Spec {
+// allSpecs enumerates the six test series of Table 1 at the given scale.
+func allSpecs(o Options) []datagen.Spec {
 	o = o.WithDefaults()
 	var specs []datagen.Spec
 	for _, m := range []datagen.MapID{datagen.Map1, datagen.Map2} {
@@ -47,7 +47,7 @@ var paperTotalMB = map[string]float64{
 func Table1(o Options) Table1Result {
 	o = o.WithDefaults()
 	res := Table1Result{Scale: o.Scale}
-	for _, spec := range AllSpecs(o) {
+	for _, spec := range allSpecs(o) {
 		ds := datagen.Generate(spec)
 		res.Rows = append(res.Rows, Table1Row{
 			Name:         spec.Name(),
@@ -65,12 +65,12 @@ func Table1(o Options) Table1Result {
 
 // Render formats the result like Table 1.
 func (r Table1Result) Render() string {
-	t := Table{
+	t := table{
 		Title:  fmt.Sprintf("Table 1: maps and test series (scale 1/%d)", r.Scale),
 		Header: []string{"series-map", "objects", "avg size (B)", "target (B)", "total (MB)", "paper total/scale (MB)", "Smax (KB)"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Name,
+		t.addRow(row.Name,
 			fmt.Sprintf("%d", row.Objects),
 			f0(row.AvgSize),
 			fmt.Sprintf("%d", row.TargetSize),
@@ -80,5 +80,5 @@ func (r Table1Result) Render() string {
 		)
 	}
 	t.Caption = "Paper targets: Table 1 of Brinkhoff & Kriegel (VLDB 1994)."
-	return t.Render()
+	return t.render()
 }

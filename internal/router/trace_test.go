@@ -164,7 +164,8 @@ func checkSpanTree(t *testing.T, label string, ti *server.TraceInfo, wantShards 
 // over every storage organization and both wire protocols, traced answers
 // through the router must be identical to untraced ones and to the single
 // reference store — fresh and after churn routed through the cluster — and
-// every trace must assemble into a sound span tree.
+// every trace must assemble into a sound span tree. Two shards everywhere;
+// the cluster organization also at one shard (no fan-out) and at four.
 func TestRouterTracePropagation(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 17})
 	stream := loadgen.NewStream(ds, loadgen.StreamSpec{N: 12, WindowArea: 0.01, K: 7, Seed: 23})
@@ -172,99 +173,107 @@ func TestRouterTracePropagation(t *testing.T) {
 
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
 		for _, proto := range []string{"json", "binary"} {
-			kind, proto := kind, proto
-			t.Run(kind+"/"+proto, func(t *testing.T) {
-				const n = 2
-				pmap := shard.FromKeys(ds.MBRs, n)
-				orgs := make([]store.Organization, n)
-				for s := 0; s < n; s++ {
-					objs, keys := shardSubset(ds, pmap, s)
-					orgs[s] = buildOrgKind(kind, ds.Spec.SmaxBytes(), objs, keys)
+			counts := []int{2}
+			if kind == "cluster" {
+				counts = []int{2, 1, 4}
+			}
+			for _, n := range counts {
+				name := kind + "/" + proto
+				if n != 2 {
+					name += fmt.Sprintf("/%d-shards", n)
 				}
-				tc := startCluster(t, pmap, orgs)
-				tc.client.Binary = proto == "binary"
-				ref := buildOrgKind(kind, ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
+				t.Run(name, func(t *testing.T) {
+					pmap := shard.FromKeys(ds.MBRs, n)
+					orgs := make([]store.Organization, n)
+					for s := 0; s < n; s++ {
+						objs, keys := shardSubset(ds, pmap, s)
+						orgs[s] = buildOrgKind(kind, ds.Spec.SmaxBytes(), objs, keys)
+					}
+					tc := startCluster(t, pmap, orgs)
+					tc.client.Binary = proto == "binary"
+					ref := buildOrgKind(kind, ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
 
-				agree := func(phase string) {
-					t.Helper()
-					for i, rq := range stream {
-						label := fmt.Sprintf("%s req %d", phase, i)
-						switch rq.Kind {
-						case loadgen.KindWindow:
-							traced, err := tc.client.WindowTraced(rq.Window, "")
-							if err != nil {
-								t.Fatalf("%s: traced window: %v", label, err)
+					agree := func(phase string) {
+						t.Helper()
+						for i, rq := range stream {
+							label := fmt.Sprintf("%s req %d", phase, i)
+							switch rq.Kind {
+							case loadgen.KindWindow:
+								traced, err := tc.client.WindowTraced(rq.Window, "")
+								if err != nil {
+									t.Fatalf("%s: traced window: %v", label, err)
+								}
+								plain, err := tc.client.Window(rq.Window, "")
+								if err != nil {
+									t.Fatalf("%s: window: %v", label, err)
+								}
+								want := ref.WindowQuery(rq.Window, store.TechComplete)
+								if !equalU64(sortedU64(traced.IDs), sortedU64(idsToU64(want.IDs))) {
+									t.Fatalf("%s: traced window != reference", label)
+								}
+								if !equalU64(sortedU64(traced.IDs), sortedU64(plain.IDs)) ||
+									traced.Candidates != plain.Candidates {
+									t.Fatalf("%s: traced window != untraced", label)
+								}
+								checkSpanTree(t, label, traced.Trace, len(pmap.Overlapping(rq.Window)), false)
+							case loadgen.KindKNN:
+								traced, err := tc.client.KNNTraced(rq.Point, rq.K)
+								if err != nil {
+									t.Fatalf("%s: traced knn: %v", label, err)
+								}
+								plain, err := tc.client.KNN(rq.Point, rq.K)
+								if err != nil {
+									t.Fatalf("%s: knn: %v", label, err)
+								}
+								want := ref.NearestQuery(rq.Point, rq.K)
+								if !equalU64(traced.IDs, idsToU64(want.IDs)) {
+									t.Fatalf("%s: traced knn != reference (rank order)", label)
+								}
+								if !equalU64(traced.IDs, plain.IDs) {
+									t.Fatalf("%s: traced knn != untraced", label)
+								}
+								sc := spanCount(traced.Trace, "shard[")
+								checkSpanTree(t, label, traced.Trace, sc, true)
+								if sc < 1 {
+									t.Fatalf("%s: knn touched no shard", label)
+								}
+							case loadgen.KindPoint:
+								traced, err := tc.client.PointTraced(rq.Point)
+								if err != nil {
+									t.Fatalf("%s: traced point: %v", label, err)
+								}
+								want := ref.PointQuery(rq.Point)
+								if !equalU64(sortedU64(traced.IDs), sortedU64(idsToU64(want.IDs))) {
+									t.Fatalf("%s: traced point != reference", label)
+								}
+								checkSpanTree(t, label, traced.Trace, spanCount(traced.Trace, "shard["), false)
 							}
-							plain, err := tc.client.Window(rq.Window, "")
-							if err != nil {
-								t.Fatalf("%s: window: %v", label, err)
-							}
-							want := ref.WindowQuery(rq.Window, store.TechComplete)
-							if !equalU64(sortedU64(traced.IDs), sortedU64(idsToU64(want.IDs))) {
-								t.Fatalf("%s: traced window != reference", label)
-							}
-							if !equalU64(sortedU64(traced.IDs), sortedU64(plain.IDs)) ||
-								traced.Candidates != plain.Candidates {
-								t.Fatalf("%s: traced window != untraced", label)
-							}
-							checkSpanTree(t, label, traced.Trace, len(pmap.Overlapping(rq.Window)), false)
-						case loadgen.KindKNN:
-							traced, err := tc.client.KNNTraced(rq.Point, rq.K)
-							if err != nil {
-								t.Fatalf("%s: traced knn: %v", label, err)
-							}
-							plain, err := tc.client.KNN(rq.Point, rq.K)
-							if err != nil {
-								t.Fatalf("%s: knn: %v", label, err)
-							}
-							want := ref.NearestQuery(rq.Point, rq.K)
-							if !equalU64(traced.IDs, idsToU64(want.IDs)) {
-								t.Fatalf("%s: traced knn != reference (rank order)", label)
-							}
-							if !equalU64(traced.IDs, plain.IDs) {
-								t.Fatalf("%s: traced knn != untraced", label)
-							}
-							sc := spanCount(traced.Trace, "shard[")
-							checkSpanTree(t, label, traced.Trace, sc, true)
-							if sc < 1 {
-								t.Fatalf("%s: knn touched no shard", label)
-							}
-						case loadgen.KindPoint:
-							traced, err := tc.client.PointTraced(rq.Point)
-							if err != nil {
-								t.Fatalf("%s: traced point: %v", label, err)
-							}
-							want := ref.PointQuery(rq.Point)
-							if !equalU64(sortedU64(traced.IDs), sortedU64(idsToU64(want.IDs))) {
-								t.Fatalf("%s: traced point != reference", label)
-							}
-							checkSpanTree(t, label, traced.Trace, spanCount(traced.Trace, "shard["), false)
 						}
 					}
-				}
 
-				agree("fresh")
-				for i, op := range ops {
-					switch op.Kind {
-					case datagen.OpInsert:
-						ref.Insert(op.Obj, op.Key)
-						if err := tc.client.Insert(op.Obj, op.Key); err != nil {
-							t.Fatalf("op %d: insert: %v", i, err)
-						}
-					case datagen.OpDelete:
-						ref.Delete(op.ID)
-						if _, err := tc.client.Delete(op.ID); err != nil {
-							t.Fatalf("op %d: delete: %v", i, err)
-						}
-					case datagen.OpUpdate:
-						ref.Update(op.Obj, op.Key)
-						if _, err := tc.client.Update(op.Obj, op.Key); err != nil {
-							t.Fatalf("op %d: update: %v", i, err)
+					agree("fresh")
+					for i, op := range ops {
+						switch op.Kind {
+						case datagen.OpInsert:
+							ref.Insert(op.Obj, op.Key)
+							if err := tc.client.Insert(op.Obj, op.Key); err != nil {
+								t.Fatalf("op %d: insert: %v", i, err)
+							}
+						case datagen.OpDelete:
+							ref.Delete(op.ID)
+							if _, err := tc.client.Delete(op.ID); err != nil {
+								t.Fatalf("op %d: delete: %v", i, err)
+							}
+						case datagen.OpUpdate:
+							ref.Update(op.Obj, op.Key)
+							if _, err := tc.client.Update(op.Obj, op.Key); err != nil {
+								t.Fatalf("op %d: update: %v", i, err)
+							}
 						}
 					}
-				}
-				agree("churned")
-			})
+					agree("churned")
+				})
+			}
 		}
 	}
 }

@@ -352,7 +352,7 @@ func (s *Server) applyMutationGroup(org store.Organization, batch []*job, mutIdx
 // pre-dispatcher baseline — the only safe way to serve the store's
 // single-threaded query API under concurrent mutations is one query at a
 // time — and exists so the serving benchmark can measure what micro-batching
-// buys (ServerBench's batch_gain verdict).
+// buys (ServerBench's wall_batch_gain).
 func (s *Server) execute(j *job) {
 	j.enqueued = time.Now()
 	if s.cfg.Serial {

@@ -20,47 +20,63 @@ func obsDataset() *datagen.Dataset {
 	return datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 7})
 }
 
-// TestTracedAnswersIdentical is the trace differential: a traced query must
-// return exactly the answer of its untraced twin, its spans must include the
-// dispatcher stages, and the summed span durations must not exceed the
-// trace's wall clock (spans are disjoint stages of one request).
+// TestTracedAnswersIdentical is the trace differential: on every
+// organization, a traced window, point or k-NN query must return exactly the
+// answer of its untraced twin, its spans must include the dispatcher stages,
+// and the summed span durations must not exceed the trace's wall clock
+// (spans are disjoint stages of one request).
 func TestTracedAnswersIdentical(t *testing.T) {
 	ds := obsDataset()
-	org := buildOrg(t, "cluster", ds)
-	_, c := startServer(t, org, server.Config{Workers: 4})
-
 	ws := ds.Windows(0.001, 12, 5)
 	pts := ds.Points(8, 6)
-	for wi, w := range ws {
-		plain, err := c.Window(w, "")
-		if err != nil {
-			t.Fatalf("window %d: %v", wi, err)
-		}
-		traced, err := c.WindowTraced(w, "")
-		if err != nil {
-			t.Fatalf("traced window %d: %v", wi, err)
-		}
-		if !equalU64(sortedWire(plain.IDs), sortedWire(traced.IDs)) || plain.Candidates != traced.Candidates {
-			t.Fatalf("window %d: traced answer differs from untraced", wi)
-		}
-		if plain.Trace != nil {
-			t.Fatalf("window %d: untraced answer carries a trace", wi)
-		}
-		checkTrace(t, fmt.Sprintf("window %d", wi), traced.Trace, "execute")
-	}
-	for pi, pt := range pts {
-		plain, err := c.KNN(pt, 5)
-		if err != nil {
-			t.Fatalf("knn %d: %v", pi, err)
-		}
-		traced, err := c.KNNTraced(pt, 5)
-		if err != nil {
-			t.Fatalf("traced knn %d: %v", pi, err)
-		}
-		if !equalU64(plain.IDs, traced.IDs) {
-			t.Fatalf("knn %d: traced answer differs from untraced", pi)
-		}
-		checkTrace(t, fmt.Sprintf("knn %d", pi), traced.Trace, "execute")
+	for _, kind := range []string{"secondary", "primary", "cluster"} {
+		t.Run(kind, func(t *testing.T) {
+			_, c := startServer(t, buildOrg(t, kind, ds), server.Config{Workers: 4})
+			for wi, w := range ws {
+				plain, err := c.Window(w, "")
+				if err != nil {
+					t.Fatalf("window %d: %v", wi, err)
+				}
+				traced, err := c.WindowTraced(w, "")
+				if err != nil {
+					t.Fatalf("traced window %d: %v", wi, err)
+				}
+				if !equalU64(sortedWire(plain.IDs), sortedWire(traced.IDs)) || plain.Candidates != traced.Candidates {
+					t.Fatalf("window %d: traced answer differs from untraced", wi)
+				}
+				if plain.Trace != nil {
+					t.Fatalf("window %d: untraced answer carries a trace", wi)
+				}
+				checkTrace(t, fmt.Sprintf("window %d", wi), traced.Trace, "execute")
+			}
+			for pi, pt := range pts {
+				plainPt, err := c.Point(pt)
+				if err != nil {
+					t.Fatalf("point %d: %v", pi, err)
+				}
+				tracedPt, err := c.PointTraced(pt)
+				if err != nil {
+					t.Fatalf("traced point %d: %v", pi, err)
+				}
+				if !equalU64(sortedWire(plainPt.IDs), sortedWire(tracedPt.IDs)) {
+					t.Fatalf("point %d: traced answer differs from untraced", pi)
+				}
+				checkTrace(t, fmt.Sprintf("point %d", pi), tracedPt.Trace, "execute")
+
+				plain, err := c.KNN(pt, 5)
+				if err != nil {
+					t.Fatalf("knn %d: %v", pi, err)
+				}
+				traced, err := c.KNNTraced(pt, 5)
+				if err != nil {
+					t.Fatalf("traced knn %d: %v", pi, err)
+				}
+				if !equalU64(plain.IDs, traced.IDs) {
+					t.Fatalf("knn %d: traced answer differs from untraced", pi)
+				}
+				checkTrace(t, fmt.Sprintf("knn %d", pi), traced.Trace, "execute")
+			}
+		})
 	}
 }
 

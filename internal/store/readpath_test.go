@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,8 +327,8 @@ func probe(org Organization, w geom.Rect, tech Technique, h *handedOut) {
 }
 
 // contractEnvs builds the environments the contract is held on: the memory
-// backend and the file backend with raw and compressed pages, each behind a
-// buffer small enough to evict constantly.
+// backend under both replacement policies and the file backend with raw and
+// compressed pages, each behind a buffer small enough to evict constantly.
 func contractEnvs(t *testing.T) map[string]func() *Env {
 	file := func(name string, cfg filebackend.Config) func() *Env {
 		return func() *Env {
@@ -342,6 +343,7 @@ func contractEnvs(t *testing.T) map[string]func() *Env {
 	}
 	return map[string]func() *Env{
 		"mem":       func() *Env { return NewEnv(16) },
+		"mem-2q":    func() *Env { return NewEnvPolicy(16, buffer.Policy2Q, disk.DefaultParams(), nil) },
 		"file":      file("raw.db", filebackend.Config{}),
 		"file-comp": file("comp.db", filebackend.Config{Compress: true}),
 	}
@@ -360,12 +362,16 @@ func contractOrgs(ds *datagen.Dataset) map[string]func(*Env) Organization {
 // TestHandedOutSlicesNeverChange holds the contract of internal/buffer: a
 // randomized sequence of inserts, updates, deletes, repacks, rebuilds,
 // flushes and buffer wipes — all behind a 16-page buffer — is interleaved
-// with probes, and no slice a probe was handed may differ afterwards.
+// with probes, and no slice a probe was handed may differ afterwards. Every
+// environment sees the same sequence, so the run doubles as the differential
+// between them: replacement policy, backend and page compression may move
+// cost, never an answer.
 func TestHandedOutSlicesNeverChange(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 41})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 500, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 42})
 	ws := ds.Windows(0.01, 64, 43)
 	techs := []Technique{TechComplete, TechSLM, TechSLMVector, TechPageByPage}
+	final := map[string]map[string][][]object.ID{} // organization → environment → answers at the end
 	for envName, newEnv := range contractEnvs(t) {
 		for orgName, newOrg := range contractOrgs(ds) {
 			t.Run(envName+"/"+orgName, func(t *testing.T) {
@@ -402,7 +408,22 @@ func TestHandedOutSlicesNeverChange(t *testing.T) {
 					t.Fatal("the probes were handed nothing")
 				}
 				h.verify(t, "at the end")
+				if final[orgName] == nil {
+					final[orgName] = map[string][][]object.ID{}
+				}
+				for _, w := range ws {
+					ids := org.WindowQuery(w, TechSLM).IDs
+					slices.Sort(ids)
+					final[orgName][envName] = append(final[orgName][envName], ids)
+				}
 			})
+		}
+	}
+	for orgName, byEnv := range final {
+		for envName, answers := range byEnv {
+			if !reflect.DeepEqual(answers, byEnv["mem"]) {
+				t.Errorf("%s: answers on %s differ from mem (LRU) after the same sequence", orgName, envName)
+			}
 		}
 	}
 }
