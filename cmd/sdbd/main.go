@@ -10,7 +10,7 @@
 //	sdbd -load store.sdb -addr 127.0.0.1:7072        # serve a snapshot
 //	sdbd -org cluster -backend file -dbfile pages.db -save-on-exit exit.sdb
 //	sdbd -backend file -dbfile pages.db -compress -buffer-policy 2q
-//	sdbd -org secondary -serial                      # baseline: no batching
+//	sdbd -org secondary -max-batch 1                 # baseline: one request at a time
 //	sdbd -shards 4 -shard-of 0 -addr 127.0.0.1:7171  # one shard of a 4-shard cluster
 //
 // Query it with curl:
@@ -99,10 +99,8 @@ func main() {
 		loadPath = flag.String("load", "", "serve the store from a snapshot instead of building")
 		techStr  = flag.String("tech", "complete", "default cluster read technique of /query/window: complete, threshold, SLM, vector, page")
 
-		serial   = flag.Bool("serial", false, "disable micro-batching: one query at a time (benchmark baseline)")
 		workers  = flag.Int("workers", 8, "worker-pool size per micro-batch")
-		maxBatch = flag.Int("max-batch", 64, "largest micro-batch")
-		wait     = flag.Duration("batch-wait", 200*time.Microsecond, "dispatcher accumulation window after the first pending query")
+		maxBatch = flag.Int("max-batch", 64, "largest micro-batch (a batch is what arrived while the previous one ran; 1 = serial execution, the benchmark baseline)")
 		inflight = flag.Int("max-inflight", 256, "admitted requests before 429")
 		throttle = flag.Float64("throttle", 0, "wall-clock disk throttle: sleep modelled request time times this factor (0 = off; 1 replays the paper's 1994 disk in real time)")
 		saveExit = flag.String("save-on-exit", "", "write a snapshot here during graceful shutdown")
@@ -301,9 +299,7 @@ func main() {
 	srv := server.New(org, server.Config{
 		Workers:      *workers,
 		MaxBatch:     *maxBatch,
-		BatchWait:    *wait,
 		MaxInFlight:  *inflight,
-		Serial:       *serial,
 		DefaultTech:  tech,
 		SnapshotPath: *saveExit,
 		SlowLogMS:    *slowMS,
@@ -326,12 +322,8 @@ func main() {
 	}
 	hs := server.HTTPServer(srv.Handler())
 	fmt.Printf("sdbd: listening on http://%s\n", ln.Addr())
-	mode := "micro-batched"
-	if *serial {
-		mode = "serialized"
-	}
-	fmt.Printf("sdbd: %s execution, %d workers, max batch %d, max in-flight %d\n",
-		mode, *workers, *maxBatch, *inflight)
+	fmt.Printf("sdbd: micro-batched execution, %d workers, max batch %d, max in-flight %d\n",
+		*workers, *maxBatch, *inflight)
 	if *pprof {
 		fmt.Printf("sdbd: pprof profiling at http://%s/debug/pprof/\n", ln.Addr())
 	}

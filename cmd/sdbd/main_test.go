@@ -102,6 +102,17 @@ func TestFlagMisuse(t *testing.T) {
 	}
 }
 
+// TestRetiredFlags: the batch timer and the serial twin are gone, and so are
+// their flags (-max-batch 1 is serial execution) — unknown flags exit 2.
+func TestRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{{"-serial"}, {"-batch-wait", "1ms"}} {
+		out, code := run(t, args...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined") {
+			t.Fatalf("sdbd %v exited %d, want 2 as an unknown flag; output:\n%s", args, code, out)
+		}
+	}
+}
+
 // TestRuntimeErrorsExitNonZero covers non-flag failures (no usage message,
 // exit 1): a missing snapshot and a missing map file.
 func TestRuntimeErrorsExitNonZero(t *testing.T) {

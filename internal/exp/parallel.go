@@ -206,7 +206,10 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 			CoolObjectPages(org)
 			before := org.Env().Disk.Cost()
 			var st obs.ParallelStages
-			tr := store.RunWindowQueriesObserved(org, ws, store.TechSLM, w, &st)
+			tr := store.RunQueriesParallel(org, len(ws), w, &st, func(i int) (answers, candidates int) {
+				r := org.WindowQuery(ws[i], store.TechSLM)
+				return len(r.IDs), r.Candidates
+			})
 			if w == 1 {
 				model = org.Env().Disk.Cost().Sub(before).TimeSec(params)
 			}

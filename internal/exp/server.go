@@ -83,8 +83,8 @@ type ServerModel struct {
 // ServerRun is one measured arm: organization × mode × client count.
 type ServerRun struct {
 	Org string `json:"org"`
-	// Mode is how the arm was served: "serial" (one query at a time) and
-	// "batched" (the micro-batching dispatcher) across the client sweep;
+	// Mode is how the arm was served: "serial" (MaxBatch 1: one request at a
+	// time) and "batched" (the dispatcher's default) across the client sweep;
 	// "traced" (batched, every request asking for its span tree) and
 	// "binary" (batched, internal/binproto instead of JSON) at the largest
 	// client count; "open" (batched, Poisson arrivals, clients 0).
@@ -255,9 +255,11 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		}
 		for _, mode := range []string{"serial", "batched"} {
 			for _, clients := range cfg.Clients {
-				measured(mode, clients, arm{},
-					server.Config{Serial: mode == "serial", MaxInFlight: clients + 1},
-					closedLoop(stream, clients))
+				scfg := server.Config{MaxInFlight: clients + 1}
+				if mode == "serial" {
+					scfg.MaxBatch = 1 // one request per batch on the one dispatcher goroutine
+				}
+				measured(mode, clients, arm{}, scfg, closedLoop(stream, clients))
 			}
 		}
 		atMax := server.Config{MaxInFlight: maxClients + 1}

@@ -8,7 +8,7 @@ import "sync/atomic"
 // the wall-clock floor is the sum divided by W; for a serialized stage the
 // sum IS wall-clock.
 
-// ParallelStages attributes a parallel query run (store.runQueriesParallel):
+// ParallelStages attributes a parallel query run (store.RunQueriesParallel):
 // per worker, how long was spent waiting for the environment's read lock vs
 // actually executing queries.
 type ParallelStages struct {

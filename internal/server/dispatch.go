@@ -14,11 +14,14 @@ import (
 
 // The micro-batching dispatcher. Query and mutation handlers do not execute
 // requests themselves: they enqueue a job and wait. A single dispatcher
-// goroutine takes the first pending job, keeps accumulating whatever arrives
-// within Config.BatchWait (up to Config.MaxBatch), and executes the whole
-// batch — queries on the store's parallel worker pool (under a burst of B
-// concurrent clients a batch runs with min(B, Config.Workers) parallelism),
-// mutations applied in batch order.
+// goroutine takes the first pending job, drains whatever else has already
+// arrived (up to Config.MaxBatch) and executes the whole batch — mutations
+// applied in batch order, then the queries through the store's one parallel
+// driver. It never waits for a batch to fill: batches form from the work that
+// arrives while the previous batch executes. An idle server runs a lone
+// request as a batch of one with no delay; under a burst of B concurrent
+// clients a batch runs with min(B, Config.Workers) parallelism. With
+// Config.MaxBatch 1 this is serial execution, one request at a time.
 //
 // On a WAL-attached store the mutation half of a batch goes through one
 // wal.Store.Apply call, so all its records share one fsync: the group commit
@@ -32,7 +35,7 @@ const (
 	jobWindow jobKind = iota
 	jobPoint
 	jobKNN
-	jobInsert
+	jobInsert // mutations sort after queries: kind >= jobInsert
 	jobDelete
 	jobUpdate
 )
@@ -69,145 +72,99 @@ type job struct {
 
 // dispatch is the dispatcher goroutine. It exits when quit closes; Shutdown
 // closes quit only after draining all in-flight requests, so no job can be
-// left waiting.
+// left waiting. The batch slice and its split into mutations and untraced
+// queries belong to this goroutine and are reused from batch to batch.
 func (s *Server) dispatch() {
 	defer s.dispatchWG.Done()
+	batch := make([]*job, 0, s.cfg.MaxBatch)
+	muts := make([]*job, 0, s.cfg.MaxBatch)
+	queries := make([]*job, 0, s.cfg.MaxBatch)
 	for {
-		var first *job
 		select {
-		case first = <-s.jobs:
+		case first := <-s.jobs:
+			batch = append(batch[:0], first)
 		case <-s.quit:
 			return
 		}
-		batch := make([]*job, 1, s.cfg.MaxBatch)
-		batch[0] = first
-		if s.cfg.BatchWait > 0 {
-			timer := time.NewTimer(s.cfg.BatchWait)
-		accumulate:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case j := <-s.jobs:
-					batch = append(batch, j)
-				case <-timer.C:
-					break accumulate
-				}
-			}
-			timer.Stop()
-		} else {
-			// No accumulation window: take only what has already arrived.
-		drain:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case j := <-s.jobs:
-					batch = append(batch, j)
-				default:
-					break drain
-				}
+		// Take only what has already arrived.
+	drain:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case j := <-s.jobs:
+				batch = append(batch, j)
+			default:
+				break drain
 			}
 		}
-		s.runBatch(batch)
+		s.runBatch(batch, muts, queries)
 	}
 }
 
-// runBatch executes one micro-batch: jobs are grouped by kind (window jobs
-// further by technique, k-NN jobs carry per-query k), each group runs on the
-// store's batched entry point, and every job's done channel is closed once
-// its result slot is filled.
-func (s *Server) runBatch(batch []*job) {
+// runBatch executes one micro-batch. muts and queries are empty scratch with
+// room for the whole batch. Every job's done channel is closed once the
+// batch has run and its result slot is filled.
+func (s *Server) runBatch(batch, muts, queries []*job) {
 	org := s.organization()
 	s.metrics.batch(len(batch))
 
 	// Every job's queue wait ends now: the dispatcher picked its batch up.
 	picked := time.Now()
 	for _, j := range batch {
-		if !j.enqueued.IsZero() {
-			wait := picked.Sub(j.enqueued)
-			j.queueNS = wait.Nanoseconds()
-			j.tr.Observe("queue_wait", j.enqueued, wait)
-		}
-	}
-
-	winByTech := make(map[store.Technique][]int)
-	var ptIdx, knnIdx, mutIdx, traced []int
-	for i, j := range batch {
-		switch j.kind {
-		case jobWindow, jobPoint, jobKNN:
-			// Traced queries leave the grouped path: each runs alone so the
-			// engine counter deltas around it belong to it.
-			if j.tr != nil {
-				traced = append(traced, i)
-				continue
-			}
-			switch j.kind {
-			case jobWindow:
-				winByTech[j.tech] = append(winByTech[j.tech], i)
-			case jobPoint:
-				ptIdx = append(ptIdx, i)
-			case jobKNN:
-				knnIdx = append(knnIdx, i)
-			}
-		case jobInsert, jobDelete, jobUpdate:
-			mutIdx = append(mutIdx, i)
+		wait := picked.Sub(j.enqueued)
+		j.queueNS = wait.Nanoseconds()
+		j.tr.Observe("queue_wait", j.enqueued, wait)
+		switch {
+		case j.kind >= jobInsert:
+			muts = append(muts, j)
+		case j.tr == nil:
+			queries = append(queries, j)
 		}
 	}
 
 	// Mutations first, in batch (≈ arrival) order, so the queries of the
 	// same batch observe them — one consistent serialization per batch.
-	if len(mutIdx) > 0 {
-		s.applyMutations(org, batch, mutIdx)
-	}
+	s.applyMutations(org, muts)
 
-	for _, i := range traced {
-		s.runTracedQuery(org, batch[i])
-	}
-
-	// groupExec assigns a group's wall time to each member: for the
-	// slow-query log, a grouped job "executed" for as long as its group did.
-	groupExec := func(idxs []int, start time.Time) {
-		ns := time.Since(start).Nanoseconds()
-		for _, i := range idxs {
-			batch[i].execNS = ns
+	// Traced queries leave the grouped path: each runs alone so the engine
+	// counter deltas around it belong to it.
+	for _, j := range batch {
+		if j.tr != nil && j.kind < jobInsert {
+			s.runTracedQuery(org, j)
 		}
 	}
 
-	for tech, idxs := range winByTech {
-		ws := make([]geom.Rect, len(idxs))
-		for bi, i := range idxs {
-			ws[bi] = batch[i].window
-		}
-		start := time.Now()
-		for bi, r := range store.RunWindowQueryBatch(org, ws, tech, s.cfg.Workers) {
-			batch[idxs[bi]].qr = r
-		}
-		groupExec(idxs, start)
-	}
-	if len(ptIdx) > 0 {
-		pts := make([]geom.Point, len(ptIdx))
-		for bi, i := range ptIdx {
-			pts[bi] = batch[i].pt
-		}
-		start := time.Now()
-		for bi, r := range store.RunPointQueryBatch(org, pts, s.cfg.Workers) {
-			batch[ptIdx[bi]].qr = r
-		}
-		groupExec(ptIdx, start)
-	}
-	if len(knnIdx) > 0 {
-		pts := make([]geom.Point, len(knnIdx))
-		ks := make([]int, len(knnIdx))
-		for bi, i := range knnIdx {
-			pts[bi], ks[bi] = batch[i].pt, batch[i].k
-		}
-		start := time.Now()
-		for bi, r := range store.RunNearestQueryBatch(org, pts, ks, s.cfg.Workers) {
-			batch[knnIdx[bi]].nr = r
-		}
-		groupExec(knnIdx, start)
-	}
+	// All other queries — window, point and k-NN alike — run in one driver
+	// call, handed out in batch order.
+	store.RunQueriesParallel(org, len(queries), s.cfg.Workers, nil, func(i int) (answers, candidates int) {
+		return queries[i].runQuery(org)
+	})
 
 	for _, j := range batch {
 		close(j.done)
 	}
+	// Finished jobs hold their answers: the reused slices must not keep them
+	// reachable.
+	clear(batch)
+	clear(muts)
+	clear(queries)
+}
+
+// runQuery executes one query job into its own result slot and times it:
+// execNS is this job's execution alone, whatever else its batch carried. The
+// caller (the store's driver) holds the environment's read lock.
+func (j *job) runQuery(org store.Organization) (answers, candidates int) {
+	start := time.Now()
+	switch j.kind {
+	case jobWindow:
+		j.qr = org.WindowQuery(j.window, j.tech)
+	case jobPoint:
+		j.qr = org.PointQuery(j.pt)
+	case jobKNN:
+		j.nr = org.NearestQuery(j.pt, j.k)
+	}
+	j.execNS = time.Since(start).Nanoseconds()
+	// Only one of the two result slots is filled.
+	return len(j.qr.IDs) + len(j.nr.IDs), j.qr.Candidates + j.nr.Candidates
 }
 
 // ioSnap is a snapshot of the engine's resource counters, taken around a
@@ -257,85 +214,73 @@ func (before ioSnap) delta(org store.Organization) *obs.IO {
 	return io
 }
 
-// runTracedQuery executes one traced query as its own 1-element batch call
-// (the same store entry point the grouped path uses, so answers are
-// identical) with counter snapshots around it.
+// runTracedQuery executes one traced query alone through the driver and
+// per-job function of the grouped path (so answers are identical) with
+// counter snapshots around it.
 func (s *Server) runTracedQuery(org store.Organization, j *job) {
 	start := time.Now()
 	before := takeIOSnap(org)
-	switch j.kind {
-	case jobWindow:
-		j.qr = store.RunWindowQueryBatch(org, []geom.Rect{j.window}, j.tech, s.cfg.Workers)[0]
-	case jobPoint:
-		j.qr = store.RunPointQueryBatch(org, []geom.Point{j.pt}, s.cfg.Workers)[0]
-	case jobKNN:
-		j.nr = store.RunNearestQueryBatch(org, []geom.Point{j.pt}, []int{j.k}, s.cfg.Workers)[0]
-	}
-	d := time.Since(start)
-	j.execNS = d.Nanoseconds()
-	j.tr.ObserveIO("execute", start, d, before.delta(org))
+	store.RunQueriesParallel(org, 1, 1, nil, func(int) (answers, candidates int) {
+		return j.runQuery(org)
+	})
+	j.tr.ObserveIO("execute", start, time.Since(start), before.delta(org))
 }
 
-// applyMutations applies the mutation jobs of one batch in order. Traced
-// mutations break the group: each applies alone (its own WAL append and
-// fsync) so the trace's WAL attribution is its own, at the cost of losing the
-// group commit for that batch — the trace observes a worst-case commit, which
-// is what a latency investigation wants to see.
-func (s *Server) applyMutations(org store.Organization, batch []*job, mutIdx []int) {
-	var pending []int
-	flush := func() {
-		if len(pending) > 0 {
-			s.applyMutationGroup(org, batch, pending)
-			pending = pending[:0]
-		}
-	}
-	for _, i := range mutIdx {
-		j := batch[i]
+// applyMutations applies the mutation jobs of one batch in order: each run
+// of untraced mutations as one group. Traced mutations break the group: each
+// applies alone (its own WAL append and fsync) so the trace's WAL attribution
+// is its own, at the cost of losing the group commit for that batch — the
+// trace observes a worst-case commit, which is what a latency investigation
+// wants to see.
+func (s *Server) applyMutations(org store.Organization, muts []*job) {
+	lo := 0
+	for i, j := range muts {
 		if j.tr == nil {
-			pending = append(pending, i)
 			continue
 		}
-		flush()
+		s.applyMutationGroup(org, muts[lo:i])
 		start := time.Now()
 		before := takeIOSnap(org)
-		s.applyMutationGroup(org, batch, []int{i})
+		s.applyMutationGroup(org, muts[i:i+1])
 		d := time.Since(start)
 		j.execNS = d.Nanoseconds()
 		j.tr.ObserveIO("apply", start, d, before.delta(org))
+		lo = i + 1
 	}
-	flush()
+	s.applyMutationGroup(org, muts[lo:])
 }
 
 // applyMutationGroup applies one run of mutation jobs in order. On a
 // WAL-attached store the whole group goes through one Apply call — one log
 // append batch, one fsync (the group commit). A WAL failure fails every
 // mutation of the group: none were acknowledged, none applied.
-func (s *Server) applyMutationGroup(org store.Organization, batch []*job, mutIdx []int) {
+func (s *Server) applyMutationGroup(org store.Organization, group []*job) {
+	if len(group) == 0 {
+		return
+	}
 	if ws, ok := org.(*wal.Store); ok {
-		muts := make([]wal.Mutation, len(mutIdx))
-		for bi, i := range mutIdx {
-			j := batch[i]
+		muts := make([]wal.Mutation, len(group))
+		for i, j := range group {
 			switch j.kind {
 			case jobInsert:
-				muts[bi] = wal.Mutation{Kind: wal.KindInsert, Obj: j.obj, Key: j.key}
+				muts[i] = wal.Mutation{Kind: wal.KindInsert, Obj: j.obj, Key: j.key}
 			case jobDelete:
-				muts[bi] = wal.Mutation{Kind: wal.KindDelete, ID: j.id}
+				muts[i] = wal.Mutation{Kind: wal.KindDelete, ID: j.id}
 			case jobUpdate:
-				muts[bi] = wal.Mutation{Kind: wal.KindUpdate, Obj: j.obj, Key: j.key}
+				muts[i] = wal.Mutation{Kind: wal.KindUpdate, Obj: j.obj, Key: j.key}
 			}
 		}
 		existed, err := ws.Apply(muts)
-		for bi, i := range mutIdx {
+		for i, j := range group {
 			if err != nil {
-				batch[i].err = err
+				j.err = err
 				continue
 			}
-			batch[i].existed = existed[bi]
+			j.existed = existed[i]
 		}
 		return
 	}
-	for _, i := range mutIdx {
-		j := batch[i]
+	for _, j := range group {
 		switch j.kind {
 		case jobInsert:
 			org.Insert(j.obj, j.key)
@@ -347,22 +292,9 @@ func (s *Server) applyMutationGroup(org store.Organization, batch []*job, mutIdx
 	}
 }
 
-// execute runs one query job: through the dispatcher in batched mode, or
-// serialized behind the exclusive query mutex otherwise. Serial mode is the
-// pre-dispatcher baseline — the only safe way to serve the store's
-// single-threaded query API under concurrent mutations is one query at a
-// time — and exists so the serving benchmark can measure what micro-batching
-// buys (ServerBench's wall_batch_gain).
+// execute hands one job to the dispatcher and waits for its batch to finish.
 func (s *Server) execute(j *job) {
 	j.enqueued = time.Now()
-	if s.cfg.Serial {
-		// Serial mode's queue is the mutex: the wait for it is the queue wait.
-		s.serialMu.Lock()
-		defer s.serialMu.Unlock()
-		s.runBatch([]*job{j})
-		<-j.done
-		return
-	}
 	s.jobs <- j
 	<-j.done
 }

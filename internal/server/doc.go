@@ -17,12 +17,14 @@
 // The paper's evaluation measures query cost one request at a time; the
 // serving layer answers the follow-up question — what those costs mean under
 // sustained multi-client load. Its centerpiece is the micro-batching
-// dispatcher: queries arriving concurrently are collected into small batches
-// and fed to the store's batched entry points (RunWindowQueryBatch and
-// friends), so a burst of B requests executes with min(B, workers)
-// parallelism under the environment's read lock instead of serializing.
-// Mutations (insert/delete/update) ride the same batches and share one
-// write-ahead-log commit per batch.
+// dispatcher: the requests that arrive while one batch executes form the
+// next one — the dispatcher never waits for a batch to fill, so an idle
+// server adds no delay — and a batch's queries of every kind run in one call
+// of the store's parallel driver (store.RunQueriesParallel), so a burst of B
+// requests executes with min(B, workers) parallelism under the environment's
+// read lock instead of serializing. Mutations (insert/delete/update) ride the
+// same batches and share one write-ahead-log commit per batch. Config.MaxBatch
+// 1 is serial execution.
 //
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the

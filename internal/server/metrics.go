@@ -51,7 +51,6 @@ type Metrics struct {
 	BatchedJobs int64   `json:"batched_queries"`
 	MeanBatch   float64 `json:"mean_batch"`
 	MaxBatch    int64   `json:"max_batch"`
-	SerialMode  bool    `json:"serial_mode"`
 	InFlight    int     `json:"in_flight"`
 	MaxInFlight int     `json:"max_in_flight"`
 	Rejected    int64   `json:"rejected_total"` // 429 answers

@@ -124,10 +124,4 @@ func (s *Server) writeProm(w http.ResponseWriter, m *Metrics) {
 
 	obs.PromHead(w, "sdb_throttle", "Wall-clock fraction of modelled I/O time actually slept.", "gauge")
 	obs.PromSample(w, "sdb_throttle", nil, m.Throttle)
-	serial := 0.0
-	if m.SerialMode {
-		serial = 1
-	}
-	obs.PromHead(w, "sdb_serial_mode", "1 when the micro-batching dispatcher is disabled.", "gauge")
-	obs.PromSample(w, "sdb_serial_mode", nil, serial)
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"time"
 
 	"spatialcluster"
 	"spatialcluster/internal/geom"
@@ -22,21 +21,14 @@ type Config struct {
 	// Workers is the worker-pool size a micro-batch executes with (default
 	// 8). It bounds in-store parallelism per batch, not HTTP concurrency.
 	Workers int
-	// MaxBatch caps how many queries one dispatcher batch may carry
-	// (default 64).
+	// MaxBatch caps how many requests one dispatcher batch may carry
+	// (default 64). A batch is whatever has arrived while the previous one
+	// executed, so 1 means serial execution: one request at a time, no
+	// in-store parallelism and no group commit.
 	MaxBatch int
-	// BatchWait is how long the dispatcher keeps accumulating after the
-	// first pending query before it fires the batch (default 200 µs;
-	// negative disables accumulation — batches carry only what has already
-	// arrived).
-	BatchWait time.Duration
 	// MaxInFlight bounds admitted requests; excess requests are answered
 	// with 429 immediately (default 256).
 	MaxInFlight int
-	// Serial disables the micro-batching dispatcher: queries execute one at
-	// a time behind an exclusive mutex. This is the baseline arm of the
-	// serving benchmark, not a production setting.
-	Serial bool
 	// DefaultTech is the cluster read technique of queries that do not name
 	// one (default TechComplete).
 	DefaultTech store.Technique
@@ -69,9 +61,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 200 * time.Microsecond
-	}
 	return c
 }
 
@@ -89,7 +78,6 @@ type Server struct {
 	jobs       chan *job
 	quit       chan struct{}
 	dispatchWG sync.WaitGroup
-	serialMu   sync.Mutex // serial-mode query serialization
 	metrics    batchCounters
 }
 
@@ -109,10 +97,8 @@ func New(org store.Organization, cfg Config) *Server {
 	f.handle(http.MethodPost, "/load", gateExclusive, s.handleLoad)
 	f.Handle(http.MethodGet, "/stats", s.handleStats)
 	f.Handle(http.MethodGet, "/metrics", s.handleMetrics)
-	if !s.cfg.Serial {
-		s.dispatchWG.Add(1)
-		go s.dispatch()
-	}
+	s.dispatchWG.Add(1)
+	go s.dispatch()
 	return s
 }
 
@@ -332,10 +318,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	org := s.organization()
 	env := org.Env()
 	m := Metrics{
-		Org:        org.Name(),
-		Storage:    s.statsResponse(org),
-		SerialMode: s.cfg.Serial,
-		Throttle:   env.Disk.Throttle(),
+		Org:      org.Name(),
+		Storage:  s.statsResponse(org),
+		Throttle: env.Disk.Throttle(),
 	}
 	m.ModelCost = env.Disk.Cost()
 	m.ModelIOSec = m.ModelCost.TimeSec(env.Params())
@@ -366,10 +351,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	defer release()
-	if !s.cfg.Serial {
-		close(s.quit)
-		s.dispatchWG.Wait()
-	}
+	close(s.quit)
+	s.dispatchWG.Wait()
 	org := s.organization()
 	org.Flush()
 	if s.cfg.SnapshotPath != "" {

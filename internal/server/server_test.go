@@ -152,7 +152,11 @@ func TestServedAnswersMatchInProcess(t *testing.T) {
 			t.Run(kind+"/"+mode, func(t *testing.T) {
 				served := buildOrg(t, kind, ds)
 				ref := buildOrg(t, kind, ds)
-				_, c := startServer(t, served, server.Config{Serial: mode == "serial"})
+				cfg := server.Config{}
+				if mode == "serial" {
+					cfg.MaxBatch = 1
+				}
+				_, c := startServer(t, served, cfg)
 
 				checkAgainstInProcess(t, "fresh", c, ref, ws, pts, ks)
 

@@ -1,30 +1,103 @@
 package store
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/object"
+	"spatialcluster/internal/obs"
 )
 
-// batchWorkerCounts are the pool sizes of the contention suite: one worker,
-// a small pool, and whatever the host offers.
-func batchWorkerCounts() []int {
-	counts := []int{1, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 {
-		counts = append(counts, g)
-	}
-	return counts
+// batchWorkerCounts are the pool sizes of the driver suites: the caller
+// alone, one spawned worker beside it, and more workers than most batches
+// have queries of one kind.
+var batchWorkerCounts = []int{1, 2, 8}
+
+// mixedQuery is one query of a mixed batch with its own result slot — the
+// shape the server's dispatcher hands RunQueriesParallel: window, point and
+// k-NN queries (each k-NN with its own k) side by side in one call.
+type mixedQuery struct {
+	kind byte // 'w' window, 'p' point, 'n' k-NN
+	w    geom.Rect
+	pt   geom.Point
+	k    int
+
+	qr QueryResult
+	nr NearestResult
 }
 
-// TestBatchEntryPointsMatchSerial pins the server's batched entry points
-// (RunWindowQueryBatch, RunPointQueryBatch, RunNearestQueryBatch) against
-// the serial query methods on a quiescent store: per-query results must be
-// identical in content (and, for k-NN, rank order) for every organization
-// and worker count.
+// mixedBatch interleaves the queries kind by kind, so every worker count
+// hands neighbouring indexes of different kinds to different workers.
+func mixedBatch(ws []geom.Rect, pts []geom.Point, ks []int) []mixedQuery {
+	var qs []mixedQuery
+	for i := 0; i < len(ws) || i < len(pts); i++ {
+		if i < len(ws) {
+			qs = append(qs, mixedQuery{kind: 'w', w: ws[i]})
+		}
+		if i < len(pts) {
+			qs = append(qs, mixedQuery{kind: 'p', pt: pts[i]}, mixedQuery{kind: 'n', pt: pts[i], k: ks[i]})
+		}
+	}
+	return qs
+}
+
+// runMixed executes the batch in one driver call.
+func runMixed(org Organization, qs []mixedQuery, workers int, st *obs.ParallelStages) ThroughputResult {
+	return RunQueriesParallel(org, len(qs), workers, st, func(i int) (answers, candidates int) {
+		q := &qs[i]
+		switch q.kind {
+		case 'w':
+			q.qr = org.WindowQuery(q.w, TechComplete)
+		case 'p':
+			q.qr = org.PointQuery(q.pt)
+		case 'n':
+			q.nr = org.NearestQuery(q.pt, q.k)
+			return len(q.nr.IDs), q.nr.Candidates
+		}
+		return len(q.qr.IDs), q.qr.Candidates
+	})
+}
+
+// checkMixedAgainstSerial compares every result slot of an executed batch
+// with the serial query method on the (quiescent) organization: window and
+// point answers as sets plus the candidate count, k-NN rank by rank.
+func checkMixedAgainstSerial(t *testing.T, what string, org Organization, qs []mixedQuery, tr ThroughputResult) {
+	t.Helper()
+	var answers, candidates int
+	for i, q := range qs {
+		switch q.kind {
+		case 'w', 'p':
+			want := org.PointQuery(q.pt)
+			if q.kind == 'w' {
+				want = org.WindowQuery(q.w, TechComplete)
+			}
+			if !idsEqual(sortedIDs(q.qr.IDs), sortedIDs(want.IDs)) {
+				t.Fatalf("%s: query %d (%c) answers differ from serial", what, i, q.kind)
+			}
+			if q.qr.Candidates != want.Candidates {
+				t.Fatalf("%s: query %d (%c) candidates %d, serial %d", what, i, q.kind, q.qr.Candidates, want.Candidates)
+			}
+			answers, candidates = answers+len(want.IDs), candidates+want.Candidates
+		case 'n':
+			want := org.NearestQuery(q.pt, q.k)
+			if !idsEqual(q.nr.IDs, want.IDs) { // ordered: rank by rank
+				t.Fatalf("%s: query %d (%d-NN) answers differ from serial", what, i, q.k)
+			}
+			answers, candidates = answers+len(want.IDs), candidates+want.Candidates
+		}
+	}
+	if tr.Queries != len(qs) || tr.Answers != answers || tr.Candidates != candidates {
+		t.Fatalf("%s: driver reports %d queries, %d answers, %d candidates; serial %d, %d, %d",
+			what, tr.Queries, tr.Answers, tr.Candidates, len(qs), answers, candidates)
+	}
+}
+
+// TestBatchEntryPointsMatchSerial pins the one parallel read entry point,
+// RunQueriesParallel, against the serial query methods on a quiescent store:
+// with window, point and k-NN queries mixed in one call, every query's own
+// result must be identical in content (and, for k-NN, rank order) for every
+// organization and worker count, and the driver's sums must add up.
 func TestBatchEntryPointsMatchSerial(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 21,
@@ -38,48 +111,21 @@ func TestBatchEntryPointsMatchSerial(t *testing.T) {
 
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
 		org := buildOrg(t, kind, ds, 256)
-		wantW := make([][]object.ID, len(ws))
-		wantWC := make([]int, len(ws))
-		for i, w := range ws {
-			r := org.WindowQuery(w, TechComplete)
-			wantW[i], wantWC[i] = sortedIDs(r.IDs), r.Candidates
-		}
-		wantP := make([][]object.ID, len(pts))
-		wantKNN := make([][]object.ID, len(pts))
-		for i, pt := range pts {
-			wantP[i] = sortedIDs(org.PointQuery(pt).IDs)
-			wantKNN[i] = org.NearestQuery(pt, ks[i]).IDs
-		}
-
-		for _, workers := range batchWorkerCounts() {
-			for i, r := range RunWindowQueryBatch(org, ws, TechComplete, workers) {
-				if !idsEqual(sortedIDs(r.IDs), wantW[i]) {
-					t.Fatalf("%s workers=%d: window %d batch answers differ", kind, workers, i)
-				}
-				if r.Candidates != wantWC[i] {
-					t.Fatalf("%s workers=%d: window %d candidates %d, serial %d",
-						kind, workers, i, r.Candidates, wantWC[i])
-				}
+		for _, workers := range batchWorkerCounts {
+			qs := mixedBatch(ws, pts, ks)
+			tr := runMixed(org, qs, workers, nil)
+			if tr.Workers != workers {
+				t.Fatalf("%s: ran with %d workers, asked for %d", kind, tr.Workers, workers)
 			}
-			for i, r := range RunPointQueryBatch(org, pts, workers) {
-				if !idsEqual(sortedIDs(r.IDs), wantP[i]) {
-					t.Fatalf("%s workers=%d: point %d batch answers differ", kind, workers, i)
-				}
-			}
-			for i, r := range RunNearestQueryBatch(org, pts, ks, workers) {
-				if !idsEqual(r.IDs, wantKNN[i]) { // ordered: rank by rank
-					t.Fatalf("%s workers=%d: %d-NN %d batch answers differ",
-						kind, workers, ks[i], i)
-				}
-			}
+			checkMixedAgainstSerial(t, kind, org, qs, tr)
 		}
 	}
 }
 
-// TestBatchEntryPointsUnderContention exercises the batched entry points
-// while a mutator churns the same store — the server's steady state. During
-// the contended phase only invariants are checked (the race detector does
-// the heavy lifting); after quiescing, the batched results at every worker
+// TestBatchEntryPointsUnderContention exercises the driver with mixed
+// batches while a mutator churns the same store — the server's steady state.
+// During the contended phase only invariants are checked (the race detector
+// does the heavy lifting); after quiescing, the mixed batch at every worker
 // count must again equal a fresh serial pass.
 func TestBatchEntryPointsUnderContention(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{
@@ -87,10 +133,10 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 	})
 	ws := ds.Windows(0.002, 8, 4)
 	pts := ds.Points(8, 5)
-	ks := []int{5, 5, 5, 5, 5, 5, 5, 5}
+	ks := []int{5, 1, 5, 12, 5, 5, 3, 5}
 
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
-		for _, workers := range batchWorkerCounts() {
+		for _, workers := range batchWorkerCounts {
 			org := buildOrg(t, kind, ds, 256)
 			ops := ds.MixedWorkload(datagen.MixSpec{Ops: 400, HotspotFrac: 0.5, Seed: 24})
 
@@ -111,13 +157,13 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 						org.Update(op.Obj, op.Key)
 					case datagen.OpQuery:
 						// The mutator's embedded queries run through the
-						// batched entry point too (read/write interleaving).
-						RunWindowQueryBatch(org, []geom.Rect{op.Window}, TechComplete, 1)
+						// driver too (read/write interleaving).
+						runMixed(org, []mixedQuery{{kind: 'w', w: op.Window}}, 1, nil)
 					}
 				}
 				org.Flush()
 			}()
-			// Readers: hammer all three batched entry points until the
+			// Readers: hammer the driver with the mixed batch until the
 			// mutator finishes. Results vary with interleaving; k-NN rank
 			// ordering and answer-count sanity must hold throughout.
 			for r := 0; r < 2; r++ {
@@ -130,20 +176,19 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 							return
 						default:
 						}
-						for _, qr := range RunWindowQueryBatch(org, ws, TechComplete, workers) {
-							if len(qr.IDs) > qr.Candidates {
-								t.Errorf("window answers %d exceed candidates %d", len(qr.IDs), qr.Candidates)
+						qs := mixedBatch(ws, pts, ks)
+						runMixed(org, qs, workers, nil)
+						for _, q := range qs {
+							if len(q.qr.IDs) > q.qr.Candidates {
+								t.Errorf("%c answers %d exceed candidates %d", q.kind, len(q.qr.IDs), q.qr.Candidates)
 								return
 							}
-						}
-						RunPointQueryBatch(org, pts, workers)
-						for i, nr := range RunNearestQueryBatch(org, pts, ks, workers) {
-							if len(nr.IDs) > ks[i] {
-								t.Errorf("k-NN answers %d exceed k=%d", len(nr.IDs), ks[i])
+							if len(q.nr.IDs) > q.k {
+								t.Errorf("k-NN answers %d exceed k=%d", len(q.nr.IDs), q.k)
 								return
 							}
-							for j := 1; j < len(nr.Dists); j++ {
-								if nr.Dists[j] < nr.Dists[j-1] {
+							for j := 1; j < len(q.nr.Dists); j++ {
+								if q.nr.Dists[j] < q.nr.Dists[j-1] {
 									t.Errorf("k-NN distances out of order")
 									return
 								}
@@ -157,19 +202,10 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 				t.FailNow()
 			}
 
-			// Quiesced: batched == serial, per query, at this worker count.
-			batchW := RunWindowQueryBatch(org, ws, TechComplete, workers)
-			for i, w := range ws {
-				if !idsEqual(sortedIDs(batchW[i].IDs), sortedIDs(org.WindowQuery(w, TechComplete).IDs)) {
-					t.Fatalf("%s workers=%d: window %d differs after quiesce", kind, workers, i)
-				}
-			}
-			batchN := RunNearestQueryBatch(org, pts, ks, workers)
-			for i, pt := range pts {
-				if !idsEqual(batchN[i].IDs, org.NearestQuery(pt, ks[i]).IDs) {
-					t.Fatalf("%s workers=%d: k-NN %d differs after quiesce", kind, workers, i)
-				}
-			}
+			// Quiesced: driver == serial, per query, at this worker count.
+			qs := mixedBatch(ws, pts, ks)
+			tr := runMixed(org, qs, workers, nil)
+			checkMixedAgainstSerial(t, kind+" after quiesce", org, qs, tr)
 		}
 	}
 }

@@ -37,7 +37,10 @@
 // features grown around it: Delete/Update with per-organization space
 // reclamation, window/point queries with the cluster read techniques
 // (Technique), k-nearest-neighbor distance browsing (NearestQuery), the
-// parallel read paths (RunWindowQueriesParallel, RunNearestQueriesParallel),
+// parallel read path (RunQueriesParallel, the one driver that spawns read
+// workers and takes Env's read lock; RunWindowQueriesParallel and
+// RunNearestQueriesParallel call it, the server's dispatcher hands it mixed
+// batches),
 // the cluster organization's repair primitives used by internal/recluster
 // (RepackUnit, Rebuild, Frag), Hilbert bulk loading, and whole-store
 // persistence: Snapshot captures a built organization as a plain-data Image

@@ -23,96 +23,47 @@ type ThroughputResult struct {
 	QueriesSec float64 // queries per wall-clock second
 }
 
-// RunWindowQueriesParallel executes the window queries concurrently on a
-// bounded worker pool sharing the organization's buffer and disk, and
-// reports aggregate results and wall-clock throughput. workers <= 0 selects
-// GOMAXPROCS. The organization must be flushed (construction finished): the
-// read path is concurrency-safe, construction is not.
-//
-// Each query runs under the environment's read lock, so the update engine's
-// mutations (Insert, Delete, Update, unit repacks) may run concurrently with
-// this function — mutations serialize against in-flight queries and each
-// query sees a consistent organization.
-//
-// Per-query Cost fields are not meaningful under concurrency (the modelled
-// disk serializes no requests between snapshots), so only the aggregate cost
-// over the whole run is reported. Answer sets are unaffected by concurrency.
+// RunWindowQueriesParallel executes the window queries concurrently through
+// RunQueriesParallel and reports aggregate results and wall-clock throughput.
 func RunWindowQueriesParallel(org Organization, ws []geom.Rect, tech Technique, workers int) ThroughputResult {
-	return RunWindowQueriesObserved(org, ws, tech, workers, nil)
-}
-
-// RunWindowQueriesObserved is RunWindowQueriesParallel with stage
-// attribution: when st is non-nil, each worker's read-lock wait and
-// under-lock execution time accumulate into it, so a benchmark can tell
-// whether a flat speedup curve is lock contention or serialized work
-// elsewhere. A nil st takes the unobserved fast path.
-func RunWindowQueriesObserved(org Organization, ws []geom.Rect, tech Technique, workers int, st *obs.ParallelStages) ThroughputResult {
-	return runQueriesParallel(org, len(ws), workers, st, func(i int) (answers, candidates int) {
+	return RunQueriesParallel(org, len(ws), workers, nil, func(i int) (answers, candidates int) {
 		res := org.WindowQuery(ws[i], tech)
 		return len(res.IDs), res.Candidates
 	})
 }
 
-// RunNearestQueriesParallel executes the k-NN queries concurrently on the
-// same bounded worker pool as RunWindowQueriesParallel, with the same
-// guarantees: each query runs under the environment's read lock (so it is
-// safe under concurrent updates), answer sets are unaffected by the worker
-// count, and only the aggregate modelled cost is meaningful.
+// RunNearestQueriesParallel is RunWindowQueriesParallel for k-NN queries.
 func RunNearestQueriesParallel(org Organization, pts []geom.Point, k int, workers int) ThroughputResult {
-	return runQueriesParallel(org, len(pts), workers, nil, func(i int) (answers, candidates int) {
+	return RunQueriesParallel(org, len(pts), workers, nil, func(i int) (answers, candidates int) {
 		res := org.NearestQuery(pts[i], k)
 		return len(res.IDs), res.Candidates
 	})
 }
 
-// RunWindowQueryBatch executes the window queries on the worker pool of
-// RunWindowQueriesParallel and returns the per-query results in input order.
-// This is the batched entry point of the network server: a micro-batch of
-// concurrently arriving client queries executes with min(len(ws), workers)
-// parallelism, each query under the environment's read lock, so the batch is
-// safe under concurrent mutations and every client still gets its own
-// answer. Answer sets are unaffected by the worker count; the per-query Cost
-// fields are polluted by concurrent charging (workers > 1) and only their
-// sum over a quiesced batch is meaningful.
-func RunWindowQueryBatch(org Organization, ws []geom.Rect, tech Technique, workers int) []QueryResult {
-	out := make([]QueryResult, len(ws))
-	runQueriesParallel(org, len(ws), workers, nil, func(i int) (answers, candidates int) {
-		out[i] = org.WindowQuery(ws[i], tech)
-		return len(out[i].IDs), out[i].Candidates
-	})
-	return out
-}
-
-// RunPointQueryBatch is RunWindowQueryBatch for point queries.
-func RunPointQueryBatch(org Organization, pts []geom.Point, workers int) []QueryResult {
-	out := make([]QueryResult, len(pts))
-	runQueriesParallel(org, len(pts), workers, nil, func(i int) (answers, candidates int) {
-		out[i] = org.PointQuery(pts[i])
-		return len(out[i].IDs), out[i].Candidates
-	})
-	return out
-}
-
-// RunNearestQueryBatch is RunWindowQueryBatch for k-NN queries; ks[i] is the
-// neighbor count of pts[i] (a batch may mix different k).
-func RunNearestQueryBatch(org Organization, pts []geom.Point, ks []int, workers int) []NearestResult {
-	if len(ks) != len(pts) {
-		panic("store: RunNearestQueryBatch needs one k per point")
-	}
-	out := make([]NearestResult, len(pts))
-	runQueriesParallel(org, len(pts), workers, nil, func(i int) (answers, candidates int) {
-		out[i] = org.NearestQuery(pts[i], ks[i])
-		return len(out[i].IDs), out[i].Candidates
-	})
-	return out
-}
-
-// runQueriesParallel is the shared worker-pool driver: n queries are handed
-// out by an atomic counter and each executes under the environment's read
-// lock. An empty query batch returns a zeroed result without spawning the
-// pool (the workers > n clamp would otherwise be skipped for n == 0 and
-// launch every worker for nothing).
-func runQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages, query func(i int) (answers, candidates int)) ThroughputResult {
+// RunQueriesParallel is the one parallel read entry point: query(0) …
+// query(n-1) are handed out in index order by an atomic counter to a bounded
+// pool sharing the organization's buffer and disk — the caller's goroutine
+// plus min(workers, n)-1 spawned ones, so an empty or one-query call spawns
+// nothing. workers <= 0 selects Env.Parallelism, then GOMAXPROCS. query may
+// call any read method of org (window, point and k-NN can mix in one call)
+// and keeps its own per-query result; the driver only sums the two counts it
+// returns. The organization must be flushed (construction finished): the read
+// path is concurrency-safe, construction is not.
+//
+// Each query runs under the environment's read lock, which no other query
+// path takes, so the update engine's mutations (Insert, Delete, Update, unit
+// repacks) may run concurrently with this function — mutations serialize
+// against in-flight queries and each query sees a consistent organization.
+//
+// Per-query Cost fields are not meaningful under concurrency (the modelled
+// disk serializes no requests between snapshots), so only the aggregate cost
+// over the whole run is reported. Answer sets are unaffected by concurrency.
+//
+// When st is non-nil, each worker's read-lock wait and under-lock execution
+// time accumulate into it, so a benchmark can tell whether a flat speedup
+// curve is lock contention or serialized work elsewhere. A nil st takes the
+// unobserved fast path.
+func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages, query func(i int) (answers, candidates int)) ThroughputResult {
 	if n == 0 {
 		return ThroughputResult{}
 	}
@@ -132,36 +83,40 @@ func runQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages
 	before := env.Disk.Cost()
 	start := time.Now()
 
+	worker := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if st == nil {
+				env.mu.RLock()
+				a, c := query(i)
+				env.mu.RUnlock()
+				answers.Add(int64(a))
+				candidates.Add(int64(c))
+				continue
+			}
+			t0 := time.Now()
+			env.mu.RLock()
+			t1 := time.Now()
+			a, c := query(i)
+			env.mu.RUnlock()
+			st.LockWaitNS.Add(t1.Sub(t0).Nanoseconds())
+			st.ExecNS.Add(time.Since(t1).Nanoseconds())
+			answers.Add(int64(a))
+			candidates.Add(int64(c))
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if st == nil {
-					env.mu.RLock()
-					a, c := query(i)
-					env.mu.RUnlock()
-					answers.Add(int64(a))
-					candidates.Add(int64(c))
-					continue
-				}
-				t0 := time.Now()
-				env.mu.RLock()
-				t1 := time.Now()
-				a, c := query(i)
-				env.mu.RUnlock()
-				st.LockWaitNS.Add(t1.Sub(t0).Nanoseconds())
-				st.ExecNS.Add(time.Since(t1).Nanoseconds())
-				answers.Add(int64(a))
-				candidates.Add(int64(c))
-			}
+			worker()
 		}()
 	}
+	worker()
 	wg.Wait()
 
 	wall := time.Since(start).Seconds()

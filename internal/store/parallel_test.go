@@ -1,11 +1,13 @@
 package store
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
+	"spatialcluster/internal/obs"
 )
 
 // buildClusterForQueries constructs a flushed cluster organization over a
@@ -76,6 +78,22 @@ func TestParallelQueriesEmptyBatch(t *testing.T) {
 	if nr != (ThroughputResult{}) {
 		t.Fatalf("empty k-NN batch: got %+v, want zeroed result", nr)
 	}
+	var st obs.ParallelStages
+	goroutines := runtime.NumGoroutine()
+	dr := RunQueriesParallel(c, 0, 8, &st, func(int) (answers, candidates int) {
+		t.Error("empty batch ran a query")
+		return 0, 0
+	})
+	if dr != (ThroughputResult{}) || st.ExecNS.Load() != 0 || st.LockWaitNS.Load() != 0 {
+		t.Fatalf("empty driver call: got %+v, clocks %d/%d", dr, st.ExecNS.Load(), st.LockWaitNS.Load())
+	}
+	// A batch of one runs on the caller's goroutine: nothing is spawned.
+	RunQueriesParallel(c, 1, 8, nil, func(int) (answers, candidates int) {
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Errorf("one-query batch runs beside %d spawned goroutines", n-goroutines)
+		}
+		return 0, 0
+	})
 	if cost := c.Env().Disk.Cost().Sub(before); cost != (disk.Cost{}) {
 		t.Fatalf("empty batches charged I/O: %v", cost)
 	}

@@ -186,18 +186,19 @@ type Env struct {
 	Disk  *disk.Disk
 	Buf   *buffer.Manager
 	Alloc *pagefile.Allocator
-	// Parallelism is the default worker count for the parallel read paths
-	// (RunWindowQueriesParallel) on this environment; 0 selects GOMAXPROCS
+	// Parallelism is the default worker count for the parallel read path
+	// (RunQueriesParallel) on this environment; 0 selects GOMAXPROCS
 	// at call time. It has no effect on construction or on the paper's
 	// serial figure experiments.
 	Parallelism int
 
 	// mu serializes mutations against the parallel read path. The mutating
 	// Organization methods (Insert, Delete, Update, Flush) and the
-	// reclusterer's repack/rebuild take the write lock;
-	// RunWindowQueriesParallel takes the read lock around each query. The
-	// serial query methods take no lock — single-threaded callers (the
-	// paper's figure experiments) pay nothing.
+	// reclusterer's repack/rebuild take the write lock; RunQueriesParallel
+	// — the only query path that locks — takes the read lock around each
+	// query, Stats and Frag around their bookkeeping reads. The serial query
+	// methods take no lock — single-threaded callers (the paper's figure
+	// experiments) pay nothing.
 	mu sync.RWMutex
 }
 
