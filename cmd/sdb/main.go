@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,8 +31,6 @@ import (
 
 	sc "spatialcluster"
 	"spatialcluster/internal/datagen"
-	"spatialcluster/internal/disk"
-	"spatialcluster/internal/disk/filebackend"
 	"spatialcluster/internal/exp"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/recluster"
@@ -67,6 +66,16 @@ func failUsage(format string, args ...any) {
 	os.Exit(2)
 }
 
+// failStore reports a store that could not be loaded or built: flag misuse
+// when the storage flags contradict each other or name something unknown
+// (the library marks those errors os.ErrInvalid), a runtime error otherwise.
+func failStore(err error) {
+	if errors.Is(err, os.ErrInvalid) {
+		failUsage("%v", err)
+	}
+	fail("%v", err)
+}
+
 func printStats(prefix string, org store.Organization) {
 	st := org.Stats()
 	fmt.Printf("%s: %d pages (%d dir, %d data, %d object), %d objects, %d live / %d dead bytes, %d units, %.1f%% utilization\n",
@@ -91,29 +100,15 @@ func main() {
 		window   = flag.String("window", "", "window query: x1,y1,x2,y2")
 		point    = flag.String("point", "", "point query: x,y")
 		knn      = flag.String("knn", "", "k-nearest-neighbor query: x,y,k")
-		techStr  = flag.String("tech", "complete", "cluster read technique: complete, threshold, SLM, page")
+		techStr  = flag.String("tech", "complete", "cluster read technique: complete, threshold, SLM, vector, page")
 		mutate   = flag.Int("mutate", 0, "apply this many mixed workload ops (delete/update/insert/query) after the first query pass, then re-run the queries")
 		policy   = flag.String("policy", "none", "reclustering policy during -mutate: none, threshold, incremental, rebuild (cluster organization only)")
 		seed     = flag.Int64("seed", 0, "generation seed")
 	)
 	flag.Parse()
 
-	// Validate selector flags before any (potentially slow) generation.
-	var kind exp.OrgKind
-	switch *orgKind {
-	case "secondary":
-		kind = exp.OrgSecondary
-	case "primary":
-		kind = exp.OrgPrimary
-	case "cluster":
-		kind = exp.OrgCluster
-		if *buddy > 1 {
-			kind = exp.OrgClusterBuddy
-		}
-	default:
-		failUsage("unknown organization %q", *orgKind)
-	}
-
+	// Validate selector flags before any (potentially slow) generation; the
+	// storage flags are checked by the library when it builds the store.
 	tech, err := store.TechByName(*techStr)
 	if err != nil {
 		failUsage("%v", err)
@@ -122,19 +117,6 @@ func main() {
 	pol, err := recluster.ByName(*policy)
 	if err != nil {
 		failUsage("%v", err)
-	}
-
-	switch *backend {
-	case "mem":
-		if *dbfile != "" || *fsync {
-			failUsage("-dbfile and -fsync need -backend file")
-		}
-	case "file":
-		if *dbfile == "" {
-			failUsage("-backend file needs -dbfile")
-		}
-	default:
-		failUsage("unknown backend %q (want mem or file)", *backend)
 	}
 
 	if *loadPath != "" {
@@ -182,18 +164,20 @@ func main() {
 		knnPoint = &p
 	}
 
+	cfg := sc.StoreConfig{
+		BufferPages:  *bufPg,
+		BuddySizes:   *buddy,
+		Backend:      *backend,
+		Path:         *dbfile,
+		FsyncOnFlush: *fsync,
+	}
 	var org store.Organization
 	var ds *datagen.Dataset
 
 	if *loadPath != "" {
-		org, err = sc.Open(*loadPath, sc.StoreConfig{
-			BufferPages:  *bufPg,
-			Backend:      *backend,
-			Path:         *dbfile,
-			FsyncOnFlush: *fsync,
-		})
+		org, err = sc.Open(*loadPath, cfg)
 		if err != nil {
-			fail("%v", err)
+			failStore(err)
 		}
 		fmt.Printf("loaded %s from %s\n", org.Name(), *loadPath)
 		printStats("storage", org)
@@ -226,10 +210,17 @@ func main() {
 		}
 		fmt.Printf("loaded %s: %d objects\n", ds.Spec.Name(), len(ds.Objects))
 
-		env := newEnv(*backend, *dbfile, *fsync, *bufPg)
-		b := exp.BuildOn(kind, ds, env, ds.Spec.SmaxBytes())
-		org = b.Org
-		fmt.Printf("built %s, construction %.1f s I/O\n", org.Name(), b.ConstructionSec)
+		cfg.SmaxBytes = ds.Spec.SmaxBytes()
+		org, err = sc.NewStore(*orgKind, cfg, ds.Objects, ds.MBRs)
+		if err != nil {
+			failStore(err)
+		}
+		// Queries start the way they do on a -load store: on a cold buffer,
+		// costed from zero.
+		env := org.Env()
+		fmt.Printf("built %s, construction %.1f s I/O\n", org.Name(), env.Disk.Cost().TimeSec(env.Params()))
+		env.Buf.Clear()
+		env.Disk.ResetCost()
 		if m := env.Disk.Measured(); m.IOSeconds() > 0 {
 			fmt.Printf("backend %s: %.3f s measured wall-clock I/O (%d reads, %d writes, %d syncs)\n",
 				*backend, m.IOSeconds(), m.Reads, m.Writes, m.Syncs)
@@ -303,16 +294,4 @@ func main() {
 		queryWindow == nil && queryPoint == nil && knnPoint == nil && *mutate <= 0 {
 		fmt.Println("no -window, -point, -knn, -mutate or -save given; stopping after construction")
 	}
-}
-
-// newEnv builds the storage environment for the selected backend.
-func newEnv(backend, dbfile string, fsync bool, bufPages int) *store.Env {
-	if backend == "mem" {
-		return store.NewEnv(bufPages)
-	}
-	fb, err := filebackend.Open(dbfile, filebackend.Config{Fsync: fsync})
-	if err != nil {
-		fail("%v", err)
-	}
-	return store.NewEnvOn(bufPages, disk.DefaultParams(), fb)
 }

@@ -56,11 +56,8 @@ import (
 	"time"
 
 	sc "spatialcluster"
-	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/datagen"
-	"spatialcluster/internal/disk"
-	"spatialcluster/internal/disk/filebackend"
-	"spatialcluster/internal/exp"
+	"spatialcluster/internal/geom"
 	"spatialcluster/internal/server"
 	"spatialcluster/internal/shard"
 	"spatialcluster/internal/store"
@@ -78,6 +75,17 @@ func failUsage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "sdbd: "+format+"\n\nusage of sdbd:\n", args...)
 	flag.PrintDefaults()
 	os.Exit(2)
+}
+
+// failStore reports a store that could not be recovered, loaded or built:
+// flag misuse when the storage flags contradict each other or name something
+// unknown (the library marks those errors os.ErrInvalid), a runtime error
+// otherwise.
+func failStore(err error) {
+	if errors.Is(err, os.ErrInvalid) {
+		failUsage("%v", err)
+	}
+	fail("%v", err)
 }
 
 func main() {
@@ -118,39 +126,9 @@ func main() {
 	if args := flag.Args(); len(args) > 0 {
 		failUsage("unexpected argument %q", args[0])
 	}
-	var kind exp.OrgKind
-	switch *orgKind {
-	case "secondary":
-		kind = exp.OrgSecondary
-	case "primary":
-		kind = exp.OrgPrimary
-	case "cluster":
-		kind = exp.OrgCluster
-		if *buddy > 1 {
-			kind = exp.OrgClusterBuddy
-		}
-	default:
-		failUsage("unknown organization %q", *orgKind)
-	}
 	tech, err := store.TechByName(*techStr)
 	if err != nil {
 		failUsage("%v", err)
-	}
-	pol, err := buffer.ParsePolicy(*bufPol)
-	if err != nil {
-		failUsage("%v", err)
-	}
-	switch *backend {
-	case "mem":
-		if *dbfile != "" || *fsync || *compress {
-			failUsage("-dbfile, -fsync and -compress need -backend file")
-		}
-	case "file":
-		if *dbfile == "" {
-			failUsage("-backend file needs -dbfile")
-		}
-	default:
-		failUsage("unknown backend %q (want mem or file)", *backend)
 	}
 	if *loadPath != "" && *in != "" {
 		failUsage("-load and -in are mutually exclusive (the snapshot is the data source)")
@@ -181,9 +159,6 @@ func main() {
 	if *throttle < 0 {
 		failUsage("bad -throttle %g (want >= 0)", *throttle)
 	}
-	if *walDir != "" && *backend == "file" {
-		failUsage("-wal is incompatible with -backend file (the log checkpoints and replays against the in-memory backend)")
-	}
 	if *walSync < 1 {
 		failUsage("bad -wal-sync-every %d (want >= 1)", *walSync)
 	}
@@ -209,17 +184,25 @@ func main() {
 		}
 	}
 
-	// Recover, load or build the organization.
+	// Recover, load or build the organization: the storage flags are one
+	// StoreConfig, and the library — which checks them against each other —
+	// is the one place a backend is opened and a log attached.
+	cfg := sc.StoreConfig{
+		BufferPages:  *bufPg,
+		BufferPolicy: *bufPol,
+		BuddySizes:   *buddy,
+		Backend:      *backend,
+		Path:         *dbfile,
+		FsyncOnFlush: *fsync,
+		Compress:     *compress,
+		WALPath:      *walDir,
+		WALSyncEvery: *walSync,
+	}
 	var org store.Organization
 	if walRecover {
-		rec, info, err := sc.RecoverStore(sc.StoreConfig{
-			BufferPages:  *bufPg,
-			BufferPolicy: *bufPol,
-			WALPath:      *walDir,
-			WALSyncEvery: *walSync,
-		})
+		rec, info, err := sc.RecoverStore(cfg)
 		if err != nil {
-			fail("%v", err)
+			failStore(err)
 		}
 		org = rec
 		tail := ""
@@ -229,16 +212,9 @@ func main() {
 		fmt.Printf("sdbd: recovered %s from %s (checkpoint LSN %d, %d records replayed%s, %d objects)\n",
 			org.Name(), *walDir, info.SnapshotLSN, info.Replayed, tail, org.Stats().Objects)
 	} else if *loadPath != "" {
-		org, err = sc.Open(*loadPath, sc.StoreConfig{
-			BufferPages:  *bufPg,
-			BufferPolicy: *bufPol,
-			Backend:      *backend,
-			Path:         *dbfile,
-			FsyncOnFlush: *fsync,
-			Compress:     *compress,
-		})
+		org, err = sc.Open(*loadPath, cfg)
 		if err != nil {
-			fail("%v", err)
+			failStore(err)
 		}
 		fmt.Printf("sdbd: loaded %s from %s (%d objects)\n",
 			org.Name(), *loadPath, org.Stats().Objects)
@@ -265,30 +241,27 @@ func main() {
 			// deterministic dataset, keeps only its own range, and serves it;
 			// sdbrouter in front reassembles the cluster.
 			pmap := shard.FromKeys(ds.MBRs, *nShards)
-			sub := &datagen.Dataset{Spec: ds.Spec}
-			for i := range ds.Objects {
-				if pmap.ShardOfKey(ds.MBRs[i]) == *shardOf {
-					sub.Objects = append(sub.Objects, ds.Objects[i])
-					sub.MBRs = append(sub.MBRs, ds.MBRs[i])
-				}
-			}
+			sub := ds.Subset(func(key geom.Rect) bool { return pmap.ShardOfKey(key) == *shardOf })
 			lo, hi := pmap.Range(*shardOf)
 			fmt.Printf("sdbd: shard %d of %d (hilbert [%d,%d), %d of %d objects)\n",
 				*shardOf, *nShards, lo, hi, len(sub.Objects), len(ds.Objects))
 			ds = sub
 		}
-		env := newEnv(*backend, *dbfile, *fsync, *compress, *bufPg, pol)
-		b := exp.BuildOn(kind, ds, env, ds.Spec.SmaxBytes())
-		org = b.Org
+		cfg.SmaxBytes = ds.Spec.SmaxBytes()
+		org, err = sc.NewStore(*orgKind, cfg, ds.Objects, ds.MBRs)
+		if err != nil {
+			failStore(err)
+		}
+		// Serving starts the way it does after a restart: on a cold buffer,
+		// with the construction cost reported and then set aside.
+		env := org.Env()
+		built := env.Disk.Cost().TimeSec(env.Params())
+		env.Buf.Clear()
+		env.Disk.ResetCost()
 		fmt.Printf("sdbd: built %s over %s (%d objects, construction %.1f s modelled I/O)\n",
-			org.Name(), ds.Spec.Name(), len(ds.Objects), b.ConstructionSec)
+			org.Name(), ds.Spec.Name(), len(ds.Objects), built)
 	}
 	if *walDir != "" && !walRecover {
-		ws, err := wal.Create(org, *walDir, wal.Options{SyncEvery: *walSync})
-		if err != nil {
-			fail("%v", err)
-		}
-		org = ws
 		fmt.Printf("sdbd: write-ahead log at %s (fsync every %d records)\n", *walDir, *walSync)
 	}
 	if *throttle > 0 {
@@ -357,17 +330,4 @@ func main() {
 		fail("closing backend: %v", err)
 	}
 	fmt.Println("sdbd: bye")
-}
-
-// newEnv builds the storage environment for the selected backend.
-func newEnv(backend, dbfile string, fsync, compress bool, bufPages int, pol buffer.Policy) *store.Env {
-	var b disk.Backend
-	if backend == "file" {
-		fb, err := filebackend.Open(dbfile, filebackend.Config{Fsync: fsync, Compress: compress})
-		if err != nil {
-			fail("%v", err)
-		}
-		b = fb
-	}
-	return store.NewEnvPolicy(bufPages, pol, disk.DefaultParams(), b)
 }

@@ -15,39 +15,19 @@ type WALStats = wal.Stats
 // discarded.
 type RecoverInfo = wal.RecoverStats
 
-// walOptions maps the config onto the log's tuning knobs.
-func (c StoreConfig) walOptions() wal.Options {
-	return wal.Options{SyncEvery: c.WALSyncEvery}
-}
-
-// checkWAL validates the WAL-relevant parts of the config.
-func (c StoreConfig) checkWAL() error {
+// attachWAL attaches a fresh write-ahead log at WALPath to a built store —
+// the one place a log is created — or returns the store unchanged when
+// WALPath is empty. On failure the store's environment is closed.
+func (c StoreConfig) attachWAL(org Organization) (Organization, error) {
 	if c.WALPath == "" {
-		return fmt.Errorf("spatialcluster: the config has no WALPath")
+		return org, nil
 	}
-	if c.Backend == BackendFile {
-		return fmt.Errorf("spatialcluster: WALPath is incompatible with Backend %q "+
-			"(the WAL checkpoints and replays against the in-memory backend)", c.Backend)
-	}
-	return nil
-}
-
-// wrap attaches the configured write-ahead log to a freshly built store, or
-// returns it unchanged when WALPath is empty. Like the rest of the New*Store
-// path it panics on misconfiguration; RecoverStore is the error-returning
-// entry point for existing logs.
-func (c StoreConfig) wrap(org Organization) Organization {
-	if c.WALPath == "" {
-		return org
-	}
-	if err := c.checkWAL(); err != nil {
-		panic(err)
-	}
-	ws, err := wal.Create(org, c.WALPath, c.walOptions())
+	ws, err := wal.Create(org, c.WALPath, wal.Options{SyncEvery: c.WALSyncEvery})
 	if err != nil {
-		panic(fmt.Errorf("spatialcluster: attaching WAL: %w", err))
+		org.Env().Close()
+		return nil, fmt.Errorf("spatialcluster: attaching WAL: %w", err)
 	}
-	return ws
+	return ws, nil
 }
 
 // RecoverStore reopens a crashed or cleanly closed WAL-attached store from
@@ -58,10 +38,13 @@ func (c StoreConfig) wrap(org Organization) Organization {
 // in RecoverInfo and discarded. The returned organization carries the log
 // onward; close it with CloseStore.
 func RecoverStore(cfg StoreConfig) (Organization, RecoverInfo, error) {
-	if err := cfg.checkWAL(); err != nil {
+	if cfg.WALPath == "" {
+		return nil, RecoverInfo{}, configError("the config has no WALPath")
+	}
+	if _, err := cfg.check(); err != nil {
 		return nil, RecoverInfo{}, err
 	}
-	ws, st, err := wal.Recover(cfg.WALPath, cfg.envWithParams, cfg.walOptions())
+	ws, st, err := wal.Recover(cfg.WALPath, cfg.env, wal.Options{SyncEvery: cfg.WALSyncEvery})
 	if err != nil {
 		return nil, RecoverInfo{}, fmt.Errorf("spatialcluster: recovering %s: %w", cfg.WALPath, err)
 	}

@@ -60,6 +60,49 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALBulkLoadIsCheckpoint: objects handed to NewStore are the log's
+// initial checkpoint, not log records — a crash right after the build
+// recovers all of them with nothing to replay — and Open attaches a fresh log
+// to a reopened snapshot the same way.
+func TestWALBulkLoadIsCheckpoint(t *testing.T) {
+	ds := GenerateMap(MapSpec{Map: Map1, Series: SeriesA, Scale: 512, Seed: 9})
+	cfg := StoreConfig{WALPath: filepath.Join(t.TempDir(), "wal"), SmaxBytes: ds.Spec.SmaxBytes()}
+	org, err := NewStore("cluster", cfg, ds.Objects, ds.MBRs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := StoreWALStats(org); !ok || st.LastLSN != 0 {
+		t.Fatalf("after the bulk load: WAL stats %+v ok=%v, want an empty log", st, ok)
+	}
+	snap := filepath.Join(t.TempDir(), "store.sdb")
+	if err := Save(org, snap); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: drop org without Flush or CloseStore.
+	rec, info, err := RecoverStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 0 || rec.Stats() != org.Stats() {
+		t.Fatalf("recovered %d replayed records and %+v, want 0 and %+v", info.Replayed, rec.Stats(), org.Stats())
+	}
+	if err := CloseStore(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.WALPath = filepath.Join(t.TempDir(), "wal2")
+	reopened, err := Open(snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := StoreWALStats(reopened); !ok || st.LastLSN != 0 || reopened.Stats() != org.Stats() {
+		t.Fatalf("Open with WALPath: WAL stats %+v ok=%v, Stats %+v", st, ok, reopened.Stats())
+	}
+	if err := CloseStore(reopened); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWALConfigErrors checks the misconfiguration paths of the public API.
 func TestWALConfigErrors(t *testing.T) {
 	if _, _, err := RecoverStore(StoreConfig{}); err == nil || !strings.Contains(err.Error(), "WALPath") {

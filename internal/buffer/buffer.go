@@ -555,12 +555,6 @@ func (m *Manager) Put(id disk.PageID, data []byte) {
 	m.insert(id, data, true)
 }
 
-// PutClean stores page content without marking it dirty (used after the
-// caller has already written the page to disk itself).
-func (m *Manager) PutClean(id disk.PageID, data []byte) {
-	m.insert(id, data, false)
-}
-
 // --- pinning ---
 
 // Pin marks page id as exempt from eviction and reports whether the page was

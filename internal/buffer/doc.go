@@ -22,7 +22,7 @@
 // a slice returned by Get, Touch, Peek or admitted by ExecutePlan — and
 // everything aliasing it — stays valid and unchanged for as long as it is
 // referenced, eviction included. Frames are replaced, never written into:
-// Put, PutClean and ExecutePlan swap the frame's slice, writers marshal or
+// Put and ExecutePlan swap the frame's slice, writers marshal or
 // clone into a fresh page before they Put it, and both disk backends return
 // fresh or never-rewritten slices. The one page that is written in place, a
 // cluster unit's in-memory tail, only grows past bytes already handed out.

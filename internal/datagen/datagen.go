@@ -158,6 +158,20 @@ func Generate(spec Spec) *Dataset {
 	return ds
 }
 
+// Subset returns the dataset of the objects whose spatial key keep accepts,
+// in generation order, under the same Spec — the slice of a map one shard of
+// a Hilbert-range partitioned cluster owns.
+func (d *Dataset) Subset(keep func(key geom.Rect) bool) *Dataset {
+	sub := &Dataset{Spec: d.Spec}
+	for i, key := range d.MBRs {
+		if keep(key) {
+			sub.Objects = append(sub.Objects, d.Objects[i])
+			sub.MBRs = append(sub.MBRs, key)
+		}
+	}
+	return sub
+}
+
 // TotalBytes returns the summed serialized size of all objects.
 func (d *Dataset) TotalBytes() int64 {
 	var sum int64

@@ -204,15 +204,9 @@ func (d *Disk) chargeRead(start PageID, n int, chained bool) float64 {
 // exactly at the head position streams on for free: this models the buffered
 // sequential writing of construction (appending to a sequential file or
 // writing out a freshly split cluster unit back-to-back).
-func (d *Disk) chargeWrite(start PageID, n int, chained bool) float64 {
+func (d *Disk) chargeWrite(start PageID, n int) float64 {
 	ms := float64(n) * d.params.TransferMS
-	switch {
-	case int64(start) == d.head.Load():
-		// Streaming continuation: the head is already there.
-	case chained:
-		d.rotations.Add(1)
-		ms += d.params.LatencyMS
-	default:
+	if int64(start) != d.head.Load() { // else a streaming continuation: the head is already there
 		d.seeks.Add(1)
 		d.rotations.Add(1)
 		ms += d.params.SeekMS + d.params.LatencyMS
@@ -251,32 +245,19 @@ func (d *Disk) readRunLocked(start PageID, n int, chained bool) ([][]byte, float
 	return d.b.ReadRun(start, n), ms
 }
 
-// ReadPage issues one read request for a single page.
-func (d *Disk) ReadPage(id PageID) []byte { return d.ReadRun(id, 1)[0] }
-
 // WriteRun issues one write request for n physically consecutive pages.
 // data[i] is written to page start+i; each slice must be at most PageSize
 // bytes and is copied. A nil slice clears the page.
 func (d *Disk) WriteRun(start PageID, data [][]byte) {
-	d.writeRun(start, data, false)
+	d.throttleSleep(d.writeRunLocked(start, data)) // after unlocking, like reads
 }
 
-// WriteRunChained is WriteRun without the seek charge, for follow-up requests
-// within an uninterrupted access.
-func (d *Disk) WriteRunChained(start PageID, data [][]byte) {
-	d.writeRun(start, data, true)
-}
-
-func (d *Disk) writeRun(start PageID, data [][]byte, chained bool) {
-	d.throttleSleep(d.writeRunLocked(start, data, chained))
-}
-
-func (d *Disk) writeRunLocked(start PageID, data [][]byte, chained bool) float64 {
+func (d *Disk) writeRunLocked(start PageID, data [][]byte) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	checkBackendRun(d.b, start, len(data))
 	checkPageSizes(data)
-	ms := d.chargeWrite(start, len(data), chained)
+	ms := d.chargeWrite(start, len(data))
 	d.b.WriteRun(start, data)
 	return ms
 }

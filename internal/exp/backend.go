@@ -10,8 +10,6 @@ import (
 
 	"spatialcluster"
 	"spatialcluster/internal/datagen"
-	"spatialcluster/internal/disk"
-	"spatialcluster/internal/disk/filebackend"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/store"
@@ -113,11 +111,12 @@ func runBackend(o Options, smoke bool, _ []int) Result {
 	return BackendBench(o, BackendConfig{})
 }
 
-// backendUnderTest describes one storage backend arm of the benchmark: mem
-// when file is nil.
+// backendUnderTest describes one storage backend arm of the benchmark: its
+// row name and the backend fields of the store config (Path is set per
+// organization).
 type backendUnderTest struct {
 	name string
-	file *filebackend.Config
+	cfg  spatialcluster.StoreConfig
 }
 
 // BackendConfig tunes the backend benchmark.
@@ -169,16 +168,21 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 
 	backends := []backendUnderTest{
 		{name: backendMem},
-		{name: backendFile, file: &filebackend.Config{}},
-		{name: backendFileFsync, file: &filebackend.Config{Fsync: true}},
-		{name: backendFileCompress, file: &filebackend.Config{Compress: true}},
+		{backendFile, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile}},
+		{backendFileFsync, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile, FsyncOnFlush: true}},
+		{backendFileCompress, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile, Compress: true}},
 	}
 
 	var fileCluster store.Organization // the file-backed cluster store, for the reopen check
-	for _, bk := range backends {
-		for _, kind := range AllOrgs {
-			env, fb := newBenchEnv(bk, dir, kind, o)
-			b := BuildOn(kind, ds, env, spec.SmaxBytes())
+	for bi, bk := range backends {
+		for ki, kind := range AllOrgs {
+			cfg := bk.cfg
+			cfg.BufferPages = o.BuildBufPages
+			if cfg.Backend == spatialcluster.BackendFile {
+				cfg.Path = filepath.Join(dir, fmt.Sprintf("pages-%d-%d.db", bi, ki))
+			}
+			b := BuildWith(kind, ds, cfg)
+			env := b.Org.Env()
 			m := env.Disk.Measured()
 			res.Builds = append(res.Builds, BackendBuild{
 				Backend:    bk.name,
@@ -219,7 +223,7 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 			}
 
 			if bk.name == backendFileCompress {
-				res.Compression = append(res.Compression, compRow(kind, fb.CompStats()))
+				res.Compression = append(res.Compression, compRow(kind, spatialcluster.CompressionIO(b.Org)))
 			}
 			if bk.name == backendFile && kind == OrgCluster {
 				fileCluster = b.Org // keep open for the reopen check below
@@ -235,23 +239,8 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 	return res
 }
 
-// newBenchEnv creates the environment for one (backend, organization) arm,
-// and returns the file backend under it (nil for mem). Closing the
-// environment releases the backend.
-func newBenchEnv(bk backendUnderTest, dir string, kind OrgKind, o Options) (*store.Env, *filebackend.FileBackend) {
-	if bk.file == nil {
-		return store.NewEnv(o.BuildBufPages), nil
-	}
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s.db", sanitize(bk.name), sanitize(string(kind))))
-	fb, err := filebackend.Open(path, *bk.file)
-	if err != nil {
-		panic(fmt.Sprintf("exp: backend bench: %v", err))
-	}
-	return store.NewEnvOn(o.BuildBufPages, disk.DefaultParams(), fb), fb
-}
-
 // compRow reports what page compression did to one organization's writes.
-func compRow(kind OrgKind, st filebackend.CompStats) BackendCompRow {
+func compRow(kind OrgKind, st spatialcluster.CompressionStats) BackendCompRow {
 	row := BackendCompRow{
 		Org:          string(kind),
 		PagesZero:    st.PagesZero,
@@ -266,18 +255,6 @@ func compRow(kind OrgKind, st filebackend.CompStats) BackendCompRow {
 		row.SavedFrac = float64(st.Saved()) / float64(st.RawBytes)
 	}
 	return row
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		}
-		return '-'
-	}, s)
 }
 
 // checkModelMatch verifies that every modelled column is identical across
@@ -336,28 +313,9 @@ func checkReopen(o Options, org store.Organization, ds *datagen.Dataset, ws []ge
 		o.Progress("backend: reopened stats differ")
 		return false
 	}
-	for _, w := range ws {
-		if !sameIDSet(org.WindowQuery(w, store.TechComplete).IDs,
-			reopened.WindowQuery(w, store.TechComplete).IDs) {
-			o.Progress("backend: reopened window answers differ")
-			return false
-		}
-	}
-	for _, pt := range ds.Points(16, o.Seed+3) {
-		if !sameIDSet(org.PointQuery(pt).IDs, reopened.PointQuery(pt).IDs) {
-			o.Progress("backend: reopened point answers differ")
-			return false
-		}
-		a, b := org.NearestQuery(pt, 10), reopened.NearestQuery(pt, 10)
-		if len(a.IDs) != len(b.IDs) {
-			return false
-		}
-		for i := range a.IDs { // k-NN answers are ordered: compare rank by rank
-			if a.IDs[i] != b.IDs[i] {
-				o.Progress("backend: reopened k-NN answers differ")
-				return false
-			}
-		}
+	if !storesAgree(org, reopened, ws, ds.Points(16, o.Seed+3)) {
+		o.Progress("backend: reopened window, point or k-NN answers differ")
+		return false
 	}
 	return true
 }

@@ -17,7 +17,7 @@
 // JSON artifact (schemas in docs/BENCHMARKS.md):
 //
 //   - parallel (BENCH_parallel.json) — worker counts, in-process: join and
-//     window queries per organization, overlap off/on, with stage clocks.
+//     window queries per organization, with stage clocks.
 //   - dynamic (BENCH_dynamic.json) — churn batches: "Figure 5 under churn",
 //     query-cost decay and its repair by the reclustering policies.
 //   - knn (BENCH_knn.json) — k: distance browsing across the organizations,
@@ -26,10 +26,10 @@
 //     file+fsync, file+compress; modelled cost next to measured I/O, the
 //     Save/Open round trip, what page compression saved.
 //   - server (BENCH_server.json) — closed-loop clients over HTTP: serial vs
-//     micro-batched execution, traced and binary at the largest count, an
-//     open-loop arm, LRU vs 2Q admission.
+//     micro-batched execution, traced at the largest count, an open-loop
+//     arm, LRU vs 2Q admission.
 //   - shard (BENCH_shard.json) — shard counts behind the router, plain and
-//     traced over both wire protocols.
+//     traced.
 //   - recovery (BENCH_recovery.json) — group-commit batch size and WAL tail
 //     length at the crash.
 //

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
@@ -132,16 +133,11 @@ func Build(kind OrgKind, ds *datagen.Dataset, bufPages int) BuildResult {
 }
 
 // buildCluster is Build with an explicit Smax (used by the cluster-size
-// adaptation experiment of Figure 11).
+// adaptation experiment of Figure 11). It is the harness's own construction
+// — store.NewEnv and the store constructors, in memory, LRU — and so the
+// reference the facade's builder is held against.
 func buildCluster(kind OrgKind, ds *datagen.Dataset, bufPages, smaxBytes int) BuildResult {
-	return BuildOn(kind, ds, store.NewEnv(bufPages), smaxBytes)
-}
-
-// BuildOn is buildCluster over a caller-supplied environment, so a store can
-// be built on any storage backend (the backend benchmark and the sdb CLI use
-// it with a file-backed environment). The modelled construction cost is a
-// function of the workload alone — identical for every backend.
-func BuildOn(kind OrgKind, ds *datagen.Dataset, env *store.Env, smaxBytes int) BuildResult {
+	env := store.NewEnv(bufPages)
 	var org store.Organization
 	switch kind {
 	case OrgSecondary:
@@ -158,9 +154,33 @@ func BuildOn(kind OrgKind, ds *datagen.Dataset, env *store.Env, smaxBytes int) B
 	start := time.Now()
 	env.Disk.ResetCost()
 	for i, o := range ds.Objects {
-		org.Insert(o, ds.MBRs[i])
+		if err := org.Insert(o, ds.MBRs[i]); err != nil {
+			panic(fmt.Sprintf("exp: building %s: %v", kind, err))
+		}
 	}
 	org.Flush()
+	return built(org, start)
+}
+
+// BuildWith is Build on the storage cfg describes — a file backend, a buffer
+// policy — through the facade's one builder (the backend benchmark and the
+// admission rows use it). The modelled construction cost is a function of
+// the workload and the buffer alone — identical for every backend.
+func BuildWith(kind OrgKind, ds *datagen.Dataset, cfg spatialcluster.StoreConfig) BuildResult {
+	name := map[OrgKind]string{OrgSecondary: "secondary", OrgPrimary: "primary", OrgCluster: "cluster"}[kind]
+	cfg.SmaxBytes = ds.Spec.SmaxBytes()
+	start := time.Now()
+	org, err := spatialcluster.NewStore(name, cfg, ds.Objects, ds.MBRs)
+	if err != nil {
+		panic(fmt.Sprintf("exp: building %s: %v", kind, err))
+	}
+	return built(org, start)
+}
+
+// built closes a construction: the buffer is emptied so the first query
+// starts cold, and the disk's cost so far is taken as the construction cost.
+func built(org store.Organization, start time.Time) BuildResult {
+	env := org.Env()
 	env.Buf.Clear()
 	cost := env.Disk.Cost()
 	env.Disk.ResetCost()

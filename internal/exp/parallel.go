@@ -16,8 +16,7 @@ import (
 // join and a window-query batch, per organization, across worker counts,
 // with the engine's stage clocks (obs.JoinStages, obs.ParallelStages)
 // attached — so a flat speedup curve comes with the answer to "where does
-// it serialize". The join runs with the plain worker pool and, above one
-// worker, with the overlapped fetch dispatcher.
+// it serialize".
 //
 // Determinism contract: cardinalities and modelled costs come from fixed
 // stores and a fixed workload; every wall-clock or timing-derived field
@@ -26,20 +25,19 @@ import (
 // the charged model cost is reproducible; at higher worker counts buffer-hit
 // patterns depend on scheduling.
 
-// ParallelJoinRun is one join execution: organization × worker count ×
-// overlap mode. The serialized stages (mbr-join, prepare-fetch) run on the
+// ParallelJoinRun is one join execution: organization × worker count. The
+// serialized stages (mbr-join, prepare-fetch) run on the
 // dispatcher goroutine — their sum is a lower bound on the wall clock no
 // worker count can remove; refine is summed busy time across workers.
 type ParallelJoinRun struct {
 	Org         string  `json:"org"`
 	Workers     int     `json:"workers"`
-	Overlap     bool    `json:"overlap"`
 	ResultPairs int     `json:"result_pairs"`
 	MBRPairs    int     `json:"mbr_pairs"`
-	ModelIOSec  float64 `json:"model_io_sec"` // modelled cost; must not vary with workers or overlap
+	ModelIOSec  float64 `json:"model_io_sec"` // modelled cost; must not vary with workers
 
 	WallSec        float64 `json:"wall_sec"`
-	WallSpeedup    float64 `json:"wall_speedup_vs_1"` // the organization's plain 1-worker wall / this
+	WallSpeedup    float64 `json:"wall_speedup_vs_1"` // the organization's 1-worker wall / this
 	WallMBRJoinSec float64 `json:"wall_mbr_join_sec"`
 	WallPrepareSec float64 `json:"wall_prepare_fetch_sec"`
 	WallStallSec   float64 `json:"wall_stall_sec"` // dispatcher blocked on a free refine worker
@@ -71,19 +69,16 @@ type ParallelResult struct {
 	QueryRuns  []ParallelQueryRun `json:"query_runs"`
 
 	// CostInvariant / PairsMatch: per organization, the modelled join cost
-	// and the join cardinalities were identical across every worker count
-	// and overlap mode — the dispatcher charges all I/O in plane order.
-	// Held in go test by join.TestOverlapDeterministic.
+	// and the join cardinalities were identical across every worker count —
+	// the dispatcher charges all I/O in plane order. Held in go test by
+	// join.TestOverlapDeterministic.
 	CostInvariant bool `json:"cost_invariant"`
 	PairsMatch    bool `json:"pairs_match"`
 
 	// WallSerializationPoint names the dominant serialized stage of the
-	// cluster organization's plain join at the highest worker count — the
+	// cluster organization's join at the highest worker count — the
 	// measured answer to "why doesn't the join speed up".
 	WallSerializationPoint string `json:"wall_serialization_point"`
-	// WallOverlapGain is plain wall / overlapped wall of the cluster
-	// organization's join at the highest worker count.
-	WallOverlapGain float64 `json:"wall_overlap_gain_x"`
 }
 
 // Failed implements Result.
@@ -103,7 +98,7 @@ func runParallel(o Options, smoke bool, sweep []int) Result {
 
 // ParallelBench measures the wall-clock behaviour of the parallel query/join
 // engine per organization: the spatial join C-1 ⋈ C-2 (version b candidate
-// density, SLM reads) across worker counts with and without overlap, and
+// density, SLM reads) across worker counts, and
 // concurrent 0.1% window queries on A-1. Modelled costs must not depend on
 // the worker count, so the run also verifies that invariant and reports it.
 func ParallelBench(o Options, workerCounts []int) ParallelResult {
@@ -130,59 +125,50 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 		PairsMatch:    true,
 	}
 
-	// --- Join: same organizations, same buffer, varying workers and overlap.
+	// --- Join: same organizations, same buffer, varying workers. The
+	// serialized PrepareFetch stays in plane order whatever the pool does,
+	// so the modelled cost and the result must stay invariant.
 	bufPages := o.scaledBuffer(1600)
 	for _, kind := range AllOrgs {
 		o.Progress("parallel: building join inputs for %s (scale %d)", kind, o.Scale)
 		orgR, orgS := joinInputs(o, kind, VersionB)
 		first := len(res.JoinRuns)
 		for _, w := range counts {
-			// Overlap lets the dispatcher precompute fetch lists ahead of
-			// the plane sweep — the serialized PrepareFetch stays in plane
-			// order, so the modelled cost and the result stay invariant.
-			modes := []bool{false}
-			if w > 1 {
-				modes = []bool{false, true}
+			CoolObjectPages(orgR)
+			CoolObjectPages(orgS)
+			orgR.Env().Disk.ResetCost()
+			orgS.Env().Disk.ResetCost()
+			var st obs.JoinStages
+			start := time.Now()
+			jr := join.Run(orgR, orgS, join.Config{
+				BufferPages: bufPages, Technique: store.TechSLM, Workers: w, Stages: &st,
+			})
+			run := ParallelJoinRun{
+				Org:            string(kind),
+				Workers:        w,
+				ResultPairs:    jr.ResultPairs,
+				MBRPairs:       jr.MBRPairs,
+				ModelIOSec:     jr.IOTimeMS(orgR.Env().Params()) / 1000,
+				WallSec:        time.Since(start).Seconds(),
+				WallMBRJoinSec: nsToSec(st.MBRJoinNS.Load()),
+				WallPrepareSec: nsToSec(st.PrepareNS.Load()),
+				WallStallSec:   nsToSec(st.StallNS.Load()),
+				WallRefineSec:  nsToSec(st.RefineNS.Load()),
 			}
-			for _, overlap := range modes {
-				CoolObjectPages(orgR)
-				CoolObjectPages(orgS)
-				orgR.Env().Disk.ResetCost()
-				orgS.Env().Disk.ResetCost()
-				var st obs.JoinStages
-				start := time.Now()
-				jr := join.Run(orgR, orgS, join.Config{
-					BufferPages: bufPages, Technique: store.TechSLM,
-					Workers: w, Overlap: overlap, Stages: &st,
-				})
-				run := ParallelJoinRun{
-					Org:            string(kind),
-					Workers:        w,
-					Overlap:        overlap,
-					ResultPairs:    jr.ResultPairs,
-					MBRPairs:       jr.MBRPairs,
-					ModelIOSec:     jr.IOTimeMS(orgR.Env().Params()) / 1000,
-					WallSec:        time.Since(start).Seconds(),
-					WallMBRJoinSec: nsToSec(st.MBRJoinNS.Load()),
-					WallPrepareSec: nsToSec(st.PrepareNS.Load()),
-					WallStallSec:   nsToSec(st.StallNS.Load()),
-					WallRefineSec:  nsToSec(st.RefineNS.Load()),
-				}
-				run.WallSerialFrac = ratio(run.WallMBRJoinSec+run.WallPrepareSec, run.WallSec)
-				base := run
-				if len(res.JoinRuns) > first {
-					base = res.JoinRuns[first]
-				}
-				if run.ModelIOSec != base.ModelIOSec {
-					res.CostInvariant = false
-				}
-				if run.ResultPairs != base.ResultPairs || run.MBRPairs != base.MBRPairs {
-					res.PairsMatch = false
-				}
-				res.JoinRuns = append(res.JoinRuns, run)
-				o.Progress("parallel: join %s workers=%d overlap=%v wall=%.3fs serial-frac=%.2f",
-					kind, w, overlap, run.WallSec, run.WallSerialFrac)
+			run.WallSerialFrac = ratio(run.WallMBRJoinSec+run.WallPrepareSec, run.WallSec)
+			base := run
+			if len(res.JoinRuns) > first {
+				base = res.JoinRuns[first]
 			}
+			if run.ModelIOSec != base.ModelIOSec {
+				res.CostInvariant = false
+			}
+			if run.ResultPairs != base.ResultPairs || run.MBRPairs != base.MBRPairs {
+				res.PairsMatch = false
+			}
+			res.JoinRuns = append(res.JoinRuns, run)
+			o.Progress("parallel: join %s workers=%d wall=%.3fs serial-frac=%.2f",
+				kind, w, run.WallSec, run.WallSerialFrac)
 		}
 		runs := res.JoinRuns[first:]
 		base := baseWall(len(runs), func(i int) (int, float64) { return runs[i].Workers, runs[i].WallSec })
@@ -190,7 +176,7 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 			runs[i].WallSpeedup = ratio(base, runs[i].WallSec)
 		}
 	}
-	res.WallSerializationPoint, res.WallOverlapGain = joinFindings(res.JoinRuns, maxW)
+	res.WallSerializationPoint = serializationPoint(res.JoinRuns, maxW)
 
 	// --- Window-query throughput on a shared buffer.
 	ds := datagen.Generate(datagen.Spec{
@@ -235,9 +221,8 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 	return res
 }
 
-// baseWall returns the wall clock speedups are relative to: the first
-// 1-worker run's (the plain one, for joins), falling back to the first run
-// when 1 worker was not measured.
+// baseWall returns the wall clock speedups are relative to: the 1-worker
+// run's, falling back to the first run when 1 worker was not measured.
 func baseWall(n int, run func(i int) (workers int, wall float64)) float64 {
 	for i := 0; i < n; i++ {
 		if w, wall := run(i); w == 1 {
@@ -248,23 +233,17 @@ func baseWall(n int, run func(i int) (workers int, wall float64)) float64 {
 	return wall
 }
 
-// joinFindings reads the two headline observations off the cluster
-// organization's join rows at the highest worker count: the dominant
-// serialized stage of the plain run, and what overlap gained. The refine
-// stage is summed busy time across workers, so its wall-clock contribution
-// is the per-worker share; mbr-join and prepare-fetch run on the dispatcher
-// goroutine and contribute their full wall.
-func joinFindings(runs []ParallelJoinRun, maxW int) (point string, overlapGain float64) {
-	var plain, overlapped float64
+// serializationPoint reads the headline observation off the cluster
+// organization's join row at the highest worker count: its dominant
+// serialized stage. The refine stage is summed busy time across workers, so
+// its wall-clock contribution is the per-worker share; mbr-join and
+// prepare-fetch run on the dispatcher goroutine and contribute their full
+// wall.
+func serializationPoint(runs []ParallelJoinRun, maxW int) (point string) {
 	for _, run := range runs {
 		if run.Org != string(OrgCluster) || run.Workers != maxW {
 			continue
 		}
-		if run.Overlap {
-			overlapped = run.WallSec
-			continue
-		}
-		plain = run.WallSec
 		best := run.WallMBRJoinSec
 		point = "mbr_join"
 		if run.WallPrepareSec > best {
@@ -274,7 +253,7 @@ func joinFindings(runs []ParallelJoinRun, maxW int) (point string, overlapGain f
 			point = "refine"
 		}
 	}
-	return point, ratio(plain, overlapped)
+	return point
 }
 
 // Render formats the result as a text report.
@@ -282,11 +261,11 @@ func (r ParallelResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel engine benchmark (GOMAXPROCS=%d, scale=%d)\n", r.GOMAXPROCS, r.Scale)
 	fmt.Fprintf(&b, "\nSpatial join C-1 x C-2 (version b, SLM read; serialized stages vs refine, seconds):\n")
-	fmt.Fprintf(&b, "  %-14s %7s %-7s %8s %8s %9s %8s %8s %8s %7s %12s\n", "org", "workers", "overlap",
+	fmt.Fprintf(&b, "  %-14s %7s %8s %8s %9s %8s %8s %8s %7s %12s\n", "org", "workers",
 		"wall s", "speedup", "mbr-join", "prepare", "stall", "refine", "serial", "model I/O s")
 	for _, jr := range r.JoinRuns {
-		fmt.Fprintf(&b, "  %-14s %7d %-7v %8.3f %7.2fx %9.3f %8.3f %8.3f %8.3f %6.0f%% %12.1f\n",
-			jr.Org, jr.Workers, jr.Overlap, jr.WallSec, jr.WallSpeedup, jr.WallMBRJoinSec,
+		fmt.Fprintf(&b, "  %-14s %7d %8.3f %7.2fx %9.3f %8.3f %8.3f %8.3f %6.0f%% %12.1f\n",
+			jr.Org, jr.Workers, jr.WallSec, jr.WallSpeedup, jr.WallMBRJoinSec,
 			jr.WallPrepareSec, jr.WallStallSec, jr.WallRefineSec, 100*jr.WallSerialFrac, jr.ModelIOSec)
 	}
 	fmt.Fprintf(&b, "\nConcurrent window queries (0.1%% windows, SLM read; lock wait vs execute, busy seconds):\n")
@@ -297,9 +276,8 @@ func (r ParallelResult) Render() string {
 			qr.Org, qr.Workers, qr.WallSec, qr.WallQueriesSec, qr.WallSpeedup,
 			qr.WallLockWaitSec, qr.WallExecSec, qr.ModelIOSec)
 	}
-	fmt.Fprintf(&b, "\nmodelled cost invariant across workers and overlap: %v\n", r.CostInvariant)
-	fmt.Fprintf(&b, "join cardinalities invariant across workers and overlap: %v\n", r.PairsMatch)
+	fmt.Fprintf(&b, "\nmodelled cost invariant across workers: %v\n", r.CostInvariant)
+	fmt.Fprintf(&b, "join cardinalities invariant across workers: %v\n", r.PairsMatch)
 	fmt.Fprintf(&b, "measured serialization point (cluster join, max workers): %s\n", r.WallSerializationPoint)
-	fmt.Fprintf(&b, "overlap gain (cluster join, max workers): %.2fx\n", r.WallOverlapGain)
 	return b.String()
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
@@ -151,16 +152,16 @@ func toMutation(op datagen.Op) wal.Mutation {
 // applyLogged applies ops one commit at a time through the WAL wrapper.
 func applyLogged(ws *wal.Store, ops []datagen.Op) error {
 	for _, op := range ops {
-		if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recoveryAgree compares two stores on the probe workload: window and point
+// storesAgree compares two stores on a probe workload: window and point
 // answer sets, k-NN rank by rank.
-func recoveryAgree(a, b store.Organization, ws []geom.Rect, pts []geom.Point) bool {
+func storesAgree(a, b store.Organization, ws []geom.Rect, pts []geom.Point) bool {
 	for _, w := range ws {
 		if !sameIDSet(a.WindowQuery(w, store.TechComplete).IDs,
 			b.WindowQuery(w, store.TechComplete).IDs) {
@@ -184,29 +185,37 @@ func recoveryAgree(a, b store.Organization, ws []geom.Rect, pts []geom.Point) bo
 	return true
 }
 
+// walSegments lists the segment files of a WAL directory, oldest first.
+func walSegments(dir string) []string {
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")) // fails on a malformed pattern only
+	sort.Strings(segs)
+	return segs
+}
+
 // tornTail truncates the last bytes off the newest WAL segment in dir,
 // simulating a crash mid-append.
 func tornTail(dir string, bytes int64) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var segs []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
-			segs = append(segs, e.Name())
-		}
-	}
+	segs := walSegments(dir)
 	if len(segs) == 0 {
 		return fmt.Errorf("exp: no WAL segment in %s", dir)
 	}
-	sort.Strings(segs)
-	path := filepath.Join(dir, segs[len(segs)-1])
+	path := segs[len(segs)-1]
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
 	return os.Truncate(path, fi.Size()-bytes)
+}
+
+// walDirBytes sums the segment sizes in a WAL directory.
+func walDirBytes(dir string) int64 {
+	var n int64
+	for _, path := range walSegments(dir) {
+		if fi, err := os.Stat(path); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
 }
 
 // RecoveryBench runs the append sweep and the replay sweep and reports both,
@@ -232,9 +241,6 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 	probeWs := ds.Windows(0.01, 8, o.Seed+13)
 	probePts := ds.Points(8, o.Seed+17)
 	p := disk.DefaultParams()
-	newEnv := func(dp disk.Params) (*store.Env, error) {
-		return store.NewEnvWithParams(o.BuildBufPages, dp), nil
-	}
 
 	// Append sweep: the same stream under each group-commit batch size, on
 	// the cluster organization. Automatic checkpoints are disabled so the
@@ -318,7 +324,11 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 
 			tailBytes := walDirBytes(wdir)
 			start := time.Now()
-			rec, rst, err := wal.Recover(wdir, newEnv, wal.Options{CheckpointBytes: -1})
+			// Recovery goes the way the daemon's does; the recovered store only
+			// answers probes, so the log's checkpoint threshold never matters.
+			rec, rst, err := spatialcluster.RecoverStore(spatialcluster.StoreConfig{
+				BufferPages: o.BuildBufPages, WALPath: wdir,
+			})
 			if err != nil {
 				panic(fmt.Sprintf("exp: recovery bench: %v", err))
 			}
@@ -333,35 +343,18 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 				WallRecoverSec: wall.Seconds(),
 			}
 			row.Agree = rst.Replayed == wantReplay && rst.TornTail == torn &&
-				recoveryAgree(ref, rec, probeWs, probePts)
+				storesAgree(ref, rec, probeWs, probePts)
 			res.Replays = append(res.Replays, row)
 			res.Agree = res.Agree && row.Agree
 			o.Progress("recovery: %s tail=%d torn=%v: replayed %d, wall %.3f s, agree %v",
 				kind, tail, torn, rst.Replayed, wall.Seconds(), row.Agree)
-			if err := rec.Close(); err != nil {
+			if err := spatialcluster.CloseStore(rec); err != nil {
 				panic(fmt.Sprintf("exp: recovery bench: %v", err))
 			}
 			os.RemoveAll(wdir)
 		}
 	}
 	return res
-}
-
-// walDirBytes sums the segment sizes in a WAL directory.
-func walDirBytes(dir string) int64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var n int64
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
-			if fi, err := e.Info(); err == nil {
-				n += fi.Size()
-			}
-		}
-	}
-	return n
 }
 
 // Render formats the result as a text report.

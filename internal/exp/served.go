@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"spatialcluster/internal/datagen"
+	"spatialcluster/internal/geom"
 	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/router"
@@ -18,8 +19,11 @@ import (
 // The served fixture: what every experiment that puts a store behind HTTP
 // (server, shard) shares. A deterministic request stream is answered once
 // serially in-process — the reference pass — and every served arm, whatever
-// its wire protocol, tracing, execution mode or shard count, is replayed
-// against those answers before its throughput is measured. To make the
+// its tracing, execution mode or shard count, is replayed against those
+// answers before its throughput is measured. Every arm speaks JSON: that
+// binary answers equal JSON answers is held by server.TestBinaryDifferential
+// and router.TestRouterBinaryDifferential, and what the codec costs by the
+// binproto.* metrics of bench/ — a closed-loop qps ratio weighed noise. To make the
 // measured comparison mean anything on any machine — including single-core
 // CI — the modelled disk is throttled (disk.SetThrottle): every request
 // sleeps its modelled time scaled by a small factor, so the server is
@@ -102,39 +106,27 @@ func answersMatch(got []uint64, want refAnswer) bool {
 	return true
 }
 
-// arm is one way of putting the stream on the wire.
-type arm struct {
-	binary bool // internal/binproto instead of JSON
-	traced bool // every request asks for its span tree
-}
-
-// client returns a copy of c that speaks the arm's wire protocol.
-func (a arm) client(c *server.Client) *server.Client {
-	cc := *c
-	cc.Binary = a.binary
-	return &cc
-}
-
-// ask sends one stream request and returns the answer IDs.
-func (a arm) ask(c *server.Client, rq loadgen.Request) ([]uint64, error) {
+// ask sends one stream request — traced: asking for its span tree — and
+// returns the answer IDs.
+func ask(c *server.Client, rq loadgen.Request, traced bool) ([]uint64, error) {
 	switch rq.Kind {
 	case loadgen.KindWindow:
 		call := c.Window
-		if a.traced {
+		if traced {
 			call = c.WindowTraced
 		}
 		r, err := call(rq.Window, "")
 		return r.IDs, err
 	case loadgen.KindPoint:
 		call := c.Point
-		if a.traced {
+		if traced {
 			call = c.PointTraced
 		}
 		r, err := call(rq.Point)
 		return r.IDs, err
 	default:
 		call := c.KNN
-		if a.traced {
+		if traced {
 			call = c.KNNTraced
 		}
 		r, err := call(rq.Point, rq.K)
@@ -142,12 +134,11 @@ func (a arm) ask(c *server.Client, rq loadgen.Request) ([]uint64, error) {
 	}
 }
 
-// replay sends the stream serially the arm's way and reports whether every
+// replay sends the stream serially, traced or not, and reports whether every
 // answer matched its reference.
-func replay(c *server.Client, stream []loadgen.Request, a arm, refs []refAnswer) bool {
-	c = a.client(c)
+func replay(c *server.Client, stream []loadgen.Request, traced bool, refs []refAnswer) bool {
 	for i, rq := range stream {
-		ids, err := a.ask(c, rq)
+		ids, err := ask(c, rq, traced)
 		if err != nil || !answersMatch(ids, refs[i]) {
 			return false
 		}
@@ -178,13 +169,12 @@ type ServedRun struct {
 	WallModelIOSec float64 `json:"wall_model_io_sec"`
 }
 
-// measure runs one measured arm: drive puts the stream through c the arm's
-// way (closed or open loop), bracketed by a /metrics scrape of the stores
+// measure runs one measured arm: drive puts the stream through c, traced or
+// not (closed or open loop), bracketed by a /metrics scrape of the stores
 // behind it — the server itself, or every shard of a cluster.
-func measure(c *server.Client, stores []*server.Client, a arm,
+func measure(c *server.Client, stores []*server.Client, traced bool,
 	drive func(loadgen.Do) loadgen.Result) ServedRun {
 
-	c = a.client(c)
 	scrapers := make([]loadgen.Scraper, len(stores))
 	for i, sc := range stores {
 		scrapers[i] = func() (loadgen.ServerStats, error) {
@@ -201,7 +191,7 @@ func measure(c *server.Client, stores []*server.Client, a arm,
 	}
 	lr := loadgen.WithServerStats(loadgen.MultiScraper(scrapers...), func() loadgen.Result {
 		return drive(func(rq loadgen.Request) (int, error) {
-			ids, err := a.ask(c, rq)
+			ids, err := ask(c, rq, traced)
 			return len(ids), err
 		})
 	})
@@ -276,14 +266,8 @@ func startShardCluster(o Options, ds *datagen.Dataset, n, clients int) (*shardCl
 		}
 	}
 	for s := 0; s < n; s++ {
-		sub := &datagen.Dataset{Spec: ds.Spec}
-		for i := range ds.Objects {
-			if pmap.ShardOfKey(ds.MBRs[i]) == s {
-				sub.Objects = append(sub.Objects, ds.Objects[i])
-				sub.MBRs = append(sub.MBRs, ds.MBRs[i])
-			}
-		}
-		org := BuildOn(OrgCluster, sub, store.NewEnv(o.BuildBufPages), ds.Spec.SmaxBytes()).Org
+		sub := ds.Subset(func(key geom.Rect) bool { return pmap.ShardOfKey(key) == s })
+		org := Build(OrgCluster, sub, o.BuildBufPages).Org
 		c, stop := startServer(org, server.Config{MaxInFlight: clients + 1})
 		stops = append(stops, stop)
 		c.Retry = &server.Retry{Attempts: 4, BaseDelay: time.Millisecond,

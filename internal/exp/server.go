@@ -5,21 +5,18 @@ import (
 	"runtime"
 	"strings"
 
-	"spatialcluster/internal/buffer"
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
-	"spatialcluster/internal/disk"
 	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/server"
-	"spatialcluster/internal/store"
 )
 
 // The serving benchmark asks what each choice the serving layer offers is
 // worth, on the served fixture (served.go): micro-batching concurrent
 // clients onto the parallel query engine against one-query-at-a-time
-// execution, across a closed-loop client sweep; per-request tracing and the
-// binary wire protocol against the plain batched JSON server, at the largest
-// client count; and the 2Q admission policy against LRU on a scan-polluted
-// hotspot workload.
+// execution, across a closed-loop client sweep; per-request tracing against
+// the plain batched server, at the largest client count; and the 2Q
+// admission policy against LRU on a scan-polluted hotspot workload.
 
 // ServerConfig tunes the serving benchmark.
 type ServerConfig struct {
@@ -85,9 +82,8 @@ type ServerRun struct {
 	Org string `json:"org"`
 	// Mode is how the arm was served: "serial" (MaxBatch 1: one request at a
 	// time) and "batched" (the dispatcher's default) across the client sweep;
-	// "traced" (batched, every request asking for its span tree) and
-	// "binary" (batched, internal/binproto instead of JSON) at the largest
-	// client count; "open" (batched, Poisson arrivals, clients 0).
+	// "traced" (batched, every request asking for its span tree) at the
+	// largest client count; "open" (batched, Poisson arrivals, clients 0).
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
 	ServedRun
@@ -125,10 +121,10 @@ type ServerResult struct {
 	Runs      []ServerRun          `json:"runs"`
 	Admission []ServerAdmissionRun `json:"admission"`
 
-	// Agree: every answer served over HTTP — JSON, traced and binary, request
-	// by request — was identical to the serial in-process answer. Held in go
-	// test by server.TestServedAnswersMatchInProcess, TestBinaryDifferential
-	// and TestTracedAnswersIdentical.
+	// Agree: every answer served over HTTP — plain and traced, request by
+	// request — was identical to the serial in-process answer. Held in go
+	// test by server.TestServedAnswersMatchInProcess and
+	// TestTracedAnswersIdentical.
 	Agree bool `json:"agree"`
 	// AdmissionAtLeastLRU: the 2Q ghost-list policy's hit ratio was at least
 	// plain LRU's on the hotspot+scan workload (buffer.TestScanResistance).
@@ -137,11 +133,10 @@ type ServerResult struct {
 	// The wall-clock observations, each the worst organization's ratio at
 	// the largest client count: batched over serial throughput (WallBatchGain
 	// says whether it exceeded 1 at every swept count ≥ 8), batched over
-	// traced (what tracing costs), binary over batched (what the codec buys).
+	// traced (what tracing costs).
 	WallBatchGain      bool    `json:"wall_batch_gain"`
 	WallBatchGainX     float64 `json:"wall_batch_gain_x"`
 	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
-	WallBinaryGainX    float64 `json:"wall_binary_gain_x"`
 }
 
 // Failed implements Result.
@@ -165,9 +160,8 @@ func runServer(o Options, smoke bool, sweep []int) Result {
 // from the same dataset and served over HTTP; every mode is first replayed
 // serially against the in-process reference answers, then the deterministic
 // stream runs through the closed-loop client sweep against the serialized
-// and the micro-batching server, once traced and once over the binary
-// protocol at the largest client count, and once open-loop at more load
-// than serialized execution could absorb. The modelled reference columns and
+// and the micro-batching server, once traced at the largest client count,
+// and once open-loop at more load than serialized execution could absorb. The modelled reference columns and
 // the admission rows are byte-reproducible.
 func ServerBench(o Options, cfg ServerConfig) ServerResult {
 	o = o.WithDefaults()
@@ -194,12 +188,6 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		Agree:             true,
 		WallBatchGain:     true,
 	}
-	worst := func(acc *float64, x float64) {
-		if *acc == 0 || x < *acc {
-			*acc = x
-		}
-	}
-
 	gainMeasured := false
 	for _, kind := range AllOrgs {
 		org := Build(kind, ds, o.BuildBufPages).Org
@@ -219,12 +207,12 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		o.Progress("server: %s model %.1f ms/request over %d requests",
 			kind, model.ModelMSPerReq, model.Requests)
 
-		// Verification: each wire form once, serially, unthrottled.
+		// Verification: plain and traced once each, serially, unthrottled.
 		client, stop := startServer(org, server.Config{Workers: cfg.Workers})
-		for _, a := range []arm{{}, {traced: true}, {binary: true}} {
-			if !replay(client, stream, a, refs) {
+		for _, traced := range []bool{false, true} {
+			if !replay(client, stream, traced, refs) {
 				res.Agree = false
-				o.Progress("server: %s answers of %+v DIFFER from in-process", kind, a)
+				o.Progress("server: %s answers (traced=%v) DIFFER from in-process", kind, traced)
 			}
 		}
 		stop()
@@ -240,14 +228,14 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 			clients int
 		}
 		qps := map[armKey]float64{}
-		measured := func(mode string, clients int, a arm, scfg server.Config,
+		measured := func(mode string, clients int, traced bool, scfg server.Config,
 			drive func(loadgen.Do) loadgen.Result) {
 
 			scfg.Workers = cfg.Workers
 			client, stop := startServer(org, scfg)
 			defer stop()
 			run := ServerRun{Org: string(kind), Mode: mode, Clients: clients,
-				ServedRun: measure(client, []*server.Client{client}, a, drive)}
+				ServedRun: measure(client, []*server.Client{client}, traced, drive)}
 			qps[armKey{mode, clients}] = run.WallQPS
 			res.Runs = append(res.Runs, run)
 			o.Progress("server: %s %s clients=%d %.0f qps p95=%.2f ms",
@@ -259,16 +247,15 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 				if mode == "serial" {
 					scfg.MaxBatch = 1 // one request per batch on the one dispatcher goroutine
 				}
-				measured(mode, clients, arm{}, scfg, closedLoop(stream, clients))
+				measured(mode, clients, false, scfg, closedLoop(stream, clients))
 			}
 		}
-		atMax := server.Config{MaxInFlight: maxClients + 1}
-		measured("traced", maxClients, arm{traced: true}, atMax, closedLoop(stream, maxClients))
-		measured("binary", maxClients, arm{binary: true}, atMax, closedLoop(stream, maxClients))
+		measured("traced", maxClients, true, server.Config{MaxInFlight: maxClients + 1},
+			closedLoop(stream, maxClients))
 		// Open loop: the offered rate derives from the modelled service time
 		// (deterministic config). Queueing delay shows in the quantiles.
 		rate := openRateX * 1000 / (model.ModelMSPerReq * cfg.Throttle)
-		measured("open", 0, arm{}, server.Config{MaxInFlight: len(stream) + 1},
+		measured("open", 0, false, server.Config{MaxInFlight: len(stream) + 1},
 			func(do loadgen.Do) loadgen.Result { return loadgen.OpenLoop(do, stream, rate, o.Seed+5) })
 		setThrottle(0, org)
 
@@ -281,15 +268,16 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 			}
 		}
 		batched := qps[armKey{"batched", maxClients}]
-		worst(&res.WallBatchGainX, ratio(batched, qps[armKey{"serial", maxClients}]))
-		worst(&res.WallBinaryGainX, ratio(qps[armKey{"binary", maxClients}], batched))
+		if x := ratio(batched, qps[armKey{"serial", maxClients}]); res.WallBatchGainX == 0 || x < res.WallBatchGainX {
+			res.WallBatchGainX = x
+		}
 		res.WallTraceOverheadX = max(res.WallTraceOverheadX, ratio(batched, qps[armKey{"traced", maxClients}]))
 	}
 	// No swept client count reached 8: the verdict has no data points and
 	// must not claim a win.
 	res.WallBatchGain = res.WallBatchGain && gainMeasured
 
-	res.Admission = admissionRuns(o, cfg, spec, ds)
+	res.Admission = admissionRuns(o, cfg, ds)
 	res.AdmissionAtLeastLRU = res.Admission[1].HitRatio >= res.Admission[0].HitRatio
 	return res
 }
@@ -300,7 +288,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 // exists for. Hit ratios come from /metrics deltas over the serving phase
 // (construction warms the buffer differently per policy and is not what the
 // rows compare).
-func admissionRuns(o Options, cfg ServerConfig, spec datagen.Spec, ds *datagen.Dataset) []ServerAdmissionRun {
+func admissionRuns(o Options, cfg ServerConfig, ds *datagen.Dataset) []ServerAdmissionRun {
 	ops := ds.MixedWorkload(datagen.MixSpec{
 		Ops:        cfg.AdmissionOps,
 		InsertFrac: 0.05, DeleteFrac: 0.05, UpdateFrac: 0.1, QueryFrac: 0.8,
@@ -310,15 +298,13 @@ func admissionRuns(o Options, cfg ServerConfig, spec datagen.Spec, ds *datagen.D
 	scans := ds.Windows(0.12, 16, o.Seed+17)
 
 	var runs []ServerAdmissionRun
-	for _, pol := range []struct {
-		name   string
-		policy buffer.Policy
-	}{{"lru", buffer.PolicyLRU}, {"2q", buffer.Policy2Q}} {
-		env := store.NewEnvPolicy(cfg.AdmissionBufPages, pol.policy, disk.DefaultParams(), nil)
-		org := BuildOn(OrgCluster, ds, env, spec.SmaxBytes()).Org
+	for _, pol := range []string{"lru", "2q"} {
+		org := BuildWith(OrgCluster, ds, spatialcluster.StoreConfig{
+			BufferPages: cfg.AdmissionBufPages, BufferPolicy: pol,
+		}).Org
 		client, stop := startServer(org, server.Config{Workers: 4, MaxInFlight: 4})
 
-		run := ServerAdmissionRun{Policy: pol.name, Ops: len(ops)}
+		run := ServerAdmissionRun{Policy: pol, Ops: len(ops)}
 		m0, err := client.Metrics()
 		if err == nil {
 			err = applyOver(client, ops, func(i int, _ bool, answers int) {
@@ -337,7 +323,7 @@ func admissionRuns(o Options, cfg ServerConfig, spec datagen.Spec, ds *datagen.D
 		m1, err1 := client.Metrics()
 		stop()
 		if err != nil || err1 != nil {
-			panic(fmt.Sprintf("exp: server bench admission %s: %v %v", pol.name, err, err1))
+			panic(fmt.Sprintf("exp: server bench admission %s: %v %v", pol, err, err1))
 		}
 		run.Hits = m1.BufferHits - m0.BufferHits
 		run.Misses = m1.BufferMisses - m0.BufferMisses
@@ -346,7 +332,7 @@ func admissionRuns(o Options, cfg ServerConfig, spec datagen.Spec, ds *datagen.D
 		}
 		runs = append(runs, run)
 		o.Progress("server: admission %s hit ratio %.3f (%d hits / %d misses)",
-			pol.name, run.HitRatio, run.Hits, run.Misses)
+			pol, run.HitRatio, run.Hits, run.Misses)
 	}
 	return runs
 }
@@ -376,10 +362,10 @@ func (r ServerResult) Render() string {
 		fmt.Fprintf(&b, "  %-6s %10d %10d %10d %10.3f\n", run.Policy, run.Answers, run.Hits, run.Misses, run.HitRatio)
 	}
 	maxClients := r.Clients[len(r.Clients)-1]
-	fmt.Fprintf(&b, "\nHTTP answers identical to in-process (JSON, traced, binary): %v\n", r.Agree)
+	fmt.Fprintf(&b, "\nHTTP answers identical to in-process (JSON, traced): %v\n", r.Agree)
 	fmt.Fprintf(&b, "2Q hit ratio at least LRU:                       %v\n", r.AdmissionAtLeastLRU)
 	fmt.Fprintf(&b, "micro-batching beats serialized at >= 8 clients: %v\n", r.WallBatchGain)
-	fmt.Fprintf(&b, "worst organization at %d clients: batched/serial %.2fx, batched/traced %.2fx, binary/batched %.2fx\n",
-		maxClients, r.WallBatchGainX, r.WallTraceOverheadX, r.WallBinaryGainX)
+	fmt.Fprintf(&b, "worst organization at %d clients: batched/serial %.2fx, batched/traced %.2fx\n",
+		maxClients, r.WallBatchGainX, r.WallTraceOverheadX)
 	return b.String()
 }

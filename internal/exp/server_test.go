@@ -27,8 +27,8 @@ func TestServerBenchSmoke(t *testing.T) {
 	if len(r.Model) != len(AllOrgs) {
 		t.Fatalf("%d model rows, want %d", len(r.Model), len(AllOrgs))
 	}
-	// serial+batched sweeps plus one traced, one binary and one open arm
-	wantRuns := len(AllOrgs) * (2*len(cfg.Clients) + 3)
+	// serial+batched sweeps plus one traced and one open arm
+	wantRuns := len(AllOrgs) * (2*len(cfg.Clients) + 2)
 	if len(r.Runs) != wantRuns {
 		t.Fatalf("%d runs, want %d", len(r.Runs), wantRuns)
 	}
@@ -56,13 +56,13 @@ func TestServerBenchSmoke(t *testing.T) {
 			t.Fatalf("serial run batched %g queries per batch", run.WallMeanBatch)
 		}
 	}
-	for _, mode := range []string{"traced", "binary", "open"} {
+	for _, mode := range []string{"traced", "open"} {
 		if modes[mode] != len(AllOrgs) {
 			t.Fatalf("%d %s runs, want one per organization", modes[mode], mode)
 		}
 	}
-	if r.WallTraceOverheadX <= 0 || r.WallBinaryGainX <= 0 {
-		t.Fatalf("no tracing/binary ratio: %g, %g", r.WallTraceOverheadX, r.WallBinaryGainX)
+	if r.WallTraceOverheadX <= 0 {
+		t.Fatalf("no tracing ratio: %g", r.WallTraceOverheadX)
 	}
 
 	if len(r.Admission) != 2 {

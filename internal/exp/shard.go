@@ -16,12 +16,11 @@ import (
 // Hilbert-range partitioning scale a cluster out — more shards, more served
 // throughput — without changing a single answer? On the served fixture
 // (served.go), every shard count serves the same deterministic stream
-// through the scatter-gather router; every response — plain, traced, over
-// JSON and over the binary protocol — and every mutation verdict of a churn
-// phase routed through the router is compared against one never-sharded
-// reference store. The wall-clock sweep reports queries/sec per shard and
-// scale-out efficiency relative to one shard, per wire protocol and with
-// tracing on and off.
+// through the scatter-gather router; every response — plain and traced —
+// and every mutation verdict of a churn phase routed through the router is
+// compared against one never-sharded reference store. The wall-clock sweep
+// reports queries/sec per shard and scale-out efficiency relative to one
+// shard, with tracing on and off.
 
 // ShardConfig tunes the sharding benchmark.
 type ShardConfig struct {
@@ -78,9 +77,8 @@ type ShardModel struct {
 // router on the churned cluster.
 type ShardRun struct {
 	Shards int `json:"shards"`
-	// Mode is the client-to-router wire form: "json", "traced" (JSON, every
-	// request asking for the cluster-wide span tree), "binary",
-	// "binary+traced".
+	// Mode is "json" or "traced" (every request asking for the cluster-wide
+	// span tree).
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
 	ServedRun
@@ -117,12 +115,11 @@ type ShardResult struct {
 	// Agree: at every shard count, every answer served through the router —
 	// fresh, and churned in every mode — and every mutation verdict of the
 	// churn phase was identical to the single reference store's. Held in go
-	// test by router.TestRouterDifferential, TestRouterBinaryDifferential and
-	// TestRouterTracePropagation.
+	// test by router.TestRouterDifferential and TestRouterTracePropagation.
 	Agree bool `json:"agree"`
 
 	// WallTraceOverheadX is the worst untraced/traced throughput ratio over
-	// all shard counts and both protocols.
+	// all shard counts.
 	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
 }
 
@@ -149,8 +146,7 @@ func applyChurn(org store.Organization, ops []datagen.Op) []bool {
 	for i, op := range ops {
 		switch op.Kind {
 		case datagen.OpInsert:
-			org.Insert(op.Obj, op.Key)
-			verdicts[i] = true
+			verdicts[i] = org.Insert(op.Obj, op.Key) == nil
 		case datagen.OpDelete:
 			verdicts[i] = org.Delete(op.ID)
 		case datagen.OpUpdate:
@@ -194,14 +190,9 @@ func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []loadgen.Reques
 
 // shardModes are the measured arms of every shard count, in row order.
 var shardModes = []struct {
-	name string
-	arm  arm
-}{
-	{"json", arm{}},
-	{"traced", arm{traced: true}},
-	{"binary", arm{binary: true}},
-	{"binary+traced", arm{binary: true, traced: true}},
-}
+	name   string
+	traced bool
+}{{"json", false}, {"traced", true}}
 
 // ShardBench measures the sharded cluster: for every swept shard count the
 // dataset is Hilbert-range partitioned, each shard is served over HTTP, and
@@ -261,7 +252,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		o.Progress("shard: n=%d built (%d..%d objects/shard, fanout %.2f)",
 			n, m.MinShardObjects, m.MaxShardObjects, m.MeanFanout)
 
-		if !replay(sc.client, stream, arm{}, freshRefs) {
+		if !replay(sc.client, stream, false, freshRefs) {
 			res.Agree = false
 			o.Progress("shard: n=%d fresh answers DIFFER from the reference", n)
 		}
@@ -276,7 +267,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 			panic(fmt.Sprintf("exp: shard churn with %d shards: %v", n, err))
 		}
 		for _, mode := range shardModes {
-			if !replay(sc.client, stream, mode.arm, churnRefs) {
+			if !replay(sc.client, stream, mode.traced, churnRefs) {
 				res.Agree = false
 				o.Progress("shard: n=%d churned %s answers DIFFER from the reference", n, mode.name)
 			}
@@ -288,13 +279,13 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		var untraced float64
 		for _, mode := range shardModes {
 			run := ShardRun{Shards: n, Mode: mode.name, Clients: cfg.Clients,
-				ServedRun: measure(sc.client, sc.shards, mode.arm, closedLoop(stream, cfg.Clients))}
+				ServedRun: measure(sc.client, sc.shards, mode.traced, closedLoop(stream, cfg.Clients))}
 			run.WallQPSPerShard = run.WallQPS / float64(n)
 			if n == 1 {
 				oneShardQPS[mode.name] = run.WallQPS
 			}
 			run.WallEfficiencyX = ratio(run.WallQPS, float64(n)*oneShardQPS[mode.name])
-			if mode.arm.traced {
+			if mode.traced {
 				res.WallTraceOverheadX = max(res.WallTraceOverheadX, ratio(untraced, run.WallQPS))
 			} else {
 				untraced = run.WallQPS

@@ -211,12 +211,6 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// CenterDist returns the distance between the centers of r and s (used by
-// the R*-tree forced-reinsert selection).
-func (r Rect) CenterDist(s Rect) float64 {
-	return r.Center().Dist(s.Center())
-}
-
 // OverlapDegree returns the fraction of r's area covered by s, in [0,1].
 // A degenerate r (zero area) counts as fully covered when the rectangles
 // intersect at all. The geometric-threshold query technique (paper section

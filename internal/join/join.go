@@ -40,17 +40,14 @@ type Config struct {
 	// and runs the refinement step (phases 2/3). Values <= 1 run
 	// single-threaded. The modelled I/O cost, MBRPairs and ResultPairs are
 	// identical for every worker count; only wall-clock time changes.
+	//
+	// A pooled run (Workers > 1, exact test on) overlaps the dispatcher
+	// with the pool: the pure-CPU distinct-ID precompute moves off the
+	// dispatcher into a pipelined background stage, and prepared groups
+	// are queued several deep so the dispatcher materializes ahead of
+	// refinement. PrepareFetch — the only stage that charges modelled I/O
+	// — stays serialized on the dispatcher in plane order.
 	Workers int
-	// Overlap (with Workers > 1) overlaps the dispatcher with the worker
-	// pool: the pure-CPU distinct-ID precompute moves off the dispatcher
-	// into a pipelined background stage, and prepared groups are queued
-	// several deep so the dispatcher materializes ahead of refinement.
-	// PrepareFetch — the only stage that charges modelled I/O — stays
-	// serialized on the dispatcher in plane order, so answers and modelled
-	// costs are byte-identical to a non-overlapped run of any worker count;
-	// only the wall-clock serialization point shrinks. Ignored when
-	// Workers <= 1 or SkipExactTest is set.
-	Overlap bool
 	// Stages, when non-nil, accumulates wall-clock stage attribution: how
 	// long the serialized dispatcher spent in the MBR join and in transfer
 	// preparation, how long it stalled on a saturated worker pool, and the
@@ -515,10 +512,10 @@ func prepareIDs(g *rGroup) prepared {
 // cfg.Workers; with Workers > 1 the prepared groups are refined by a bounded
 // worker pool. The pinned R page's objects are fetched once per group.
 //
-// With cfg.Overlap the distinct-ID precompute runs in a pipelined background
-// goroutine (group order preserved) and the task queue deepens so the
-// dispatcher materializes ahead; PrepareNS then clocks only the irreducibly
-// serialized PrepareFetch work.
+// In a pooled run the distinct-ID precompute runs in a pipelined background
+// goroutine (group order preserved) and the task queue is four groups deep
+// per worker so the dispatcher materializes ahead; PrepareNS clocks only the
+// irreducibly serialized PrepareFetch work.
 func (j *joiner) runGroups(groups []*rGroup, cfg Config, opt *optTracker) []groupTally {
 	workers := cfg.Workers
 	if workers > maxWorkers {
@@ -528,16 +525,12 @@ func (j *joiner) runGroups(groups []*rGroup, cfg Config, opt *optTracker) []grou
 
 	st := cfg.Stages
 	pool := workers > 1 && !cfg.SkipExactTest
-	overlap := cfg.Overlap && pool
 
 	var tasks chan *groupWork
+	var preps chan prepared
 	var wg sync.WaitGroup
 	if pool {
-		depth := workers
-		if overlap {
-			depth = 4 * workers
-		}
-		tasks = make(chan *groupWork, depth)
+		tasks = make(chan *groupWork, 4*workers)
 		for n := 0; n < workers; n++ {
 			wg.Add(1)
 			go func() {
@@ -553,10 +546,6 @@ func (j *joiner) runGroups(groups []*rGroup, cfg Config, opt *optTracker) []grou
 				}
 			}()
 		}
-	}
-
-	var preps chan prepared
-	if overlap {
 		preps = make(chan prepared, 2*workers)
 		go func() {
 			defer close(preps)

@@ -7,11 +7,11 @@ import (
 	"spatialcluster/internal/store"
 )
 
-// TestOverlapDeterministic is the overlap-mode contract: for every
-// organization kind and worker count, an overlapped run returns a Result
-// identical in every field — cardinalities AND modelled costs — to the
-// serialized single-worker run, because PrepareFetch stays on the dispatcher
-// in plane order.
+// TestOverlapDeterministic is the contract of the pooled join's pipelined
+// dispatcher: for every organization kind and worker count, a run returns a
+// Result identical in every field — cardinalities AND modelled costs — to
+// the serialized single-worker run, because PrepareFetch stays on the
+// dispatcher in plane order.
 func TestOverlapDeterministic(t *testing.T) {
 	dsR, dsS := testSets(512, 2)
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
@@ -27,37 +27,37 @@ func TestOverlapDeterministic(t *testing.T) {
 			orgR := buildOrg(kind, dsR)
 			orgS := buildOrg(kind, dsS)
 			res := Run(orgR, orgS, Config{
-				BufferPages: 400, Technique: store.TechSLM,
-				Workers: workers, Overlap: true,
+				BufferPages: 400, Technique: store.TechSLM, Workers: workers,
 			})
 			if res != base {
-				t.Fatalf("%s overlap workers=%d:\n got %+v\nwant %+v", kind, workers, res, base)
+				t.Fatalf("%s workers=%d:\n got %+v\nwant %+v", kind, workers, res, base)
 			}
 		}
 	}
 }
 
-// TestOverlapTechniquesDeterministic covers the remaining cluster read
-// techniques under buffer pressure, and SkipExactTest (where overlap must be
-// a no-op).
+// TestOverlapTechniquesDeterministic covers every cluster read technique
+// under buffer pressure — worker counts 1, 2 and 8 — and SkipExactTest
+// (where no pool runs at all).
 func TestOverlapTechniquesDeterministic(t *testing.T) {
 	dsR, dsS := testSets(512, 2)
-	for _, tech := range []store.Technique{store.TechComplete, store.TechSLMVector, store.TechPageByPage} {
+	for _, tech := range []store.Technique{store.TechComplete, store.TechThreshold, store.TechSLM,
+		store.TechSLMVector, store.TechPageByPage} {
 		for _, skip := range []bool{false, true} {
 			var base Result
-			for i, workers := range []int{1, 4} {
+			for i, workers := range []int{1, 2, 8} {
 				orgR := buildOrg("cluster", dsR)
 				orgS := buildOrg("cluster", dsS)
 				res := Run(orgR, orgS, Config{
 					BufferPages: 100, Technique: tech,
-					Workers: workers, Overlap: true, SkipExactTest: skip,
+					Workers: workers, SkipExactTest: skip,
 				})
 				if i == 0 {
 					base = res
 					continue
 				}
 				if res != base {
-					t.Fatalf("%v skip=%v overlap workers=%d:\n got %+v\nwant %+v",
+					t.Fatalf("%v skip=%v workers=%d:\n got %+v\nwant %+v",
 						tech, skip, workers, res, base)
 				}
 			}
@@ -65,8 +65,8 @@ func TestOverlapTechniquesDeterministic(t *testing.T) {
 	}
 }
 
-// TestOverlapStages checks the stage clocks still add up under overlap: the
-// serialized stages are populated and refinement lands on the workers.
+// TestOverlapStages checks the stage clocks of a pooled run: the serialized
+// stages are populated and refinement lands on the workers.
 func TestOverlapStages(t *testing.T) {
 	dsR, dsS := testSets(256, 2)
 	orgR := buildOrg("cluster", dsR)
@@ -74,7 +74,7 @@ func TestOverlapStages(t *testing.T) {
 	var st obs.JoinStages
 	res := Run(orgR, orgS, Config{
 		BufferPages: 400, Technique: store.TechSLM,
-		Workers: 4, Overlap: true, Stages: &st,
+		Workers: 4, Stages: &st,
 	})
 	if res.ExactTests == 0 {
 		t.Fatal("no exact tests ran")

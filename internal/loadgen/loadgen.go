@@ -308,34 +308,3 @@ func (h *Histogram) Max() time.Duration {
 	}
 	return h.samples[len(h.samples)-1]
 }
-
-// Buckets renders a coarse log-2 histogram (for human output; the benchmark
-// emits quantiles).
-func (h *Histogram) Buckets() string {
-	if len(h.samples) == 0 {
-		return "(no samples)"
-	}
-	counts := map[int]int{}
-	lo, hi := 64, 0
-	for _, s := range h.samples {
-		b := 0
-		for d := s; d > time.Microsecond; d >>= 1 {
-			b++
-		}
-		counts[b]++
-		if b < lo {
-			lo = b
-		}
-		if b > hi {
-			hi = b
-		}
-	}
-	out := ""
-	for b := lo; b <= hi; b++ {
-		if counts[b] == 0 {
-			continue
-		}
-		out += fmt.Sprintf("  ≤%-10v %d\n", time.Microsecond<<b, counts[b])
-	}
-	return out
-}

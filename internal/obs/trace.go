@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,18 +198,4 @@ func (t *Trace) TotalMS() float64 {
 		return 0
 	}
 	return time.Since(t.start).Seconds() * 1000
-}
-
-// traceKey is the context key of the request's trace.
-type traceKey struct{}
-
-// NewContext returns ctx carrying t.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, t)
-}
-
-// FromContext returns the trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
 }

@@ -35,11 +35,6 @@ func (r Ref) Span() disk.Run {
 // term of the paper's cost formulae).
 func (r Ref) NumPages() int { return r.Span().N }
 
-// Assemble returns the referenced bytes given the spanned page contents (as
-// returned by CaptureBuffered), aliasing the page when they lie inside one.
-// It is pure CPU work and safe to run on any goroutine.
-func (r Ref) Assemble(pages [][]byte) []byte { return assemble(r, pages) }
-
 // SequentialFile is an append-only byte store with internal clustering: each
 // appended object occupies physically consecutive pages, and objects are
 // packed densely ("stored in a sequential file without sacrificing storage",
@@ -250,9 +245,9 @@ func (f *SequentialFile) ReadBuffered(m *buffer.Manager, ref Ref) []byte {
 
 // CaptureBuffered charges the I/O to read the referenced bytes through m and
 // returns the spanned page contents. The returned slices stay valid after
-// eviction (page data is immutable once buffered), so ref.Assemble can run on
-// another goroutine without touching the buffer — the parallel join prepares
-// transfers this way. The pages are pinned while they are captured so a
+// eviction (page data is immutable once buffered), so assembling them can run
+// on another goroutine without touching the buffer — the parallel join
+// prepares transfers this way. The pages are pinned while they are captured so a
 // concurrent reader's eviction pressure cannot force a mid-capture re-read.
 func (f *SequentialFile) CaptureBuffered(m *buffer.Manager, ref Ref) [][]byte {
 	f.Flush()

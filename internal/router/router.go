@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -109,21 +110,26 @@ func New(pmap *shard.Map, shards []*server.Client, cfg Config) (*Router, error) 
 // Handler returns the HTTP handler tree — the paths a single server mounts.
 func (rt *Router) Handler() http.Handler { return rt.front.Handler() }
 
-// shardError converts a failed shard exchange into the router's answer: a
-// shard's own 429 (after the client's retries gave up) passes through so the
-// caller's backoff keeps working; anything else is a 502 — the cluster,
-// not the request, is at fault. The message names the failing shard both by
-// index and by address (shard=<addr>), so an operator can go straight from a
-// client-side error to the broken daemon. A nil err stays nil.
+// shardError converts a failed shard exchange into the router's answer. The
+// shard's verdicts on the request pass through under their own status — 429
+// (after the client's retries gave up), so the caller's backoff keeps
+// working, and an insert's 409 and 413; anything else is a 502 — the
+// cluster, not the request, is at fault. The message names the failing shard
+// both by index and by address (shard=<addr>), so an operator can go
+// straight from a client-side error to the broken daemon. A nil err stays nil.
 func (rt *Router) shardError(shard int, err error) error {
 	if err == nil {
 		return nil
 	}
-	if server.IsOverload(err) {
-		return &server.StatusError{Code: http.StatusTooManyRequests,
-			Message: fmt.Sprintf("shard %d (shard=%s) overloaded: %v", shard, rt.addrs[shard], err)}
+	code := http.StatusBadGateway
+	var se *server.StatusError
+	if errors.As(err, &se) {
+		switch se.Code {
+		case http.StatusTooManyRequests, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			code = se.Code
+		}
 	}
-	return &server.StatusError{Code: http.StatusBadGateway,
+	return &server.StatusError{Code: code,
 		Message: fmt.Sprintf("shard %d (shard=%s): %v", shard, rt.addrs[shard], err)}
 }
 

@@ -2,12 +2,14 @@ package router_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -436,6 +438,34 @@ func TestRouterShardRetry(t *testing.T) {
 			t.Fatal("shard never rejected; the retry path was not exercised")
 		}
 	})
+}
+
+// TestRouterPassesInsertRefusals: a shard's verdict on an insert — 409 for a
+// live ID, 413 for an object no cluster unit can hold — reaches the client
+// under its own status, naming the shard, not as a 502; the cluster keeps
+// answering.
+func TestRouterPassesInsertRefusals(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 31})
+	tc := clusterFromDataset(t, ds, 2)
+	huge := object.New(9_000_001, geom.NewPolyline([]geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.41, 0.41)}),
+		ds.Spec.SmaxBytes()+1)
+	for _, c := range []struct {
+		o    *object.Object
+		key  geom.Rect
+		code int
+	}{
+		{ds.Objects[0], ds.MBRs[0], http.StatusConflict},
+		{huge, huge.Bounds(), http.StatusRequestEntityTooLarge},
+	} {
+		err := tc.client.Insert(c.o, c.key)
+		var se *server.StatusError
+		if !errors.As(err, &se) || se.Code != c.code || !strings.Contains(se.Message, "(shard=") {
+			t.Fatalf("insert of object %d through the router: %v, want status %d naming the shard", c.o.ID, err, c.code)
+		}
+	}
+	if r, err := tc.client.Window(geom.R(0, 0, 1, 1), ""); err != nil || len(r.IDs) != len(ds.Objects) {
+		t.Fatalf("after the refusals the cluster answers %d of %d objects, %v", len(r.IDs), len(ds.Objects), err)
+	}
 }
 
 // TestRouterWALShards: each shard runs behind its own write-ahead log;

@@ -56,7 +56,7 @@ type job struct {
 	qr      store.QueryResult
 	nr      store.NearestResult
 	existed bool  // delete/update answer
-	err     error // mutation failure (the WAL refused the record)
+	err     error // mutation failure: the WAL refused the record, or the store the object
 	done    chan struct{}
 
 	// Observability. tr is non-nil when the request asked for ?trace=1 — a
@@ -253,7 +253,8 @@ func (s *Server) applyMutations(org store.Organization, muts []*job) {
 // applyMutationGroup applies one run of mutation jobs in order. On a
 // WAL-attached store the whole group goes through one Apply call — one log
 // append batch, one fsync (the group commit). A WAL failure fails every
-// mutation of the group: none were acknowledged, none applied.
+// mutation of the group: none were acknowledged, none applied. An insert the
+// store refuses fails alone.
 func (s *Server) applyMutationGroup(org store.Organization, group []*job) {
 	if len(group) == 0 {
 		return
@@ -270,20 +271,23 @@ func (s *Server) applyMutationGroup(org store.Organization, group []*job) {
 				muts[i] = wal.Mutation{Kind: wal.KindUpdate, Obj: j.obj, Key: j.key}
 			}
 		}
-		existed, err := ws.Apply(muts)
+		existed, refused, err := ws.Apply(muts)
 		for i, j := range group {
-			if err != nil {
+			switch {
+			case err != nil:
 				j.err = err
-				continue
+			case refused != nil && refused[i] != nil:
+				j.err = refused[i]
+			default:
+				j.existed = existed[i]
 			}
-			j.existed = existed[i]
 		}
 		return
 	}
 	for _, j := range group {
 		switch j.kind {
 		case jobInsert:
-			org.Insert(j.obj, j.key)
+			j.err = org.Insert(j.obj, j.key)
 		case jobDelete:
 			j.existed = org.Delete(j.id)
 		case jobUpdate:

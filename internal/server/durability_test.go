@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -107,6 +108,60 @@ func TestWALServing(t *testing.T) {
 	got := sortedIDs(rec.WindowQuery(w, store.TechComplete).IDs)
 	if !equalU64(want, got) {
 		t.Fatalf("recovered store answers %d objects, served store %d", len(got), len(want))
+	}
+}
+
+// TestRefusedInsertIsAnswered: an insert the store refuses — a live ID, an
+// object no cluster unit can hold — is an answer (409, 413), never a crash:
+// on a plain and on a WAL-attached store, over JSON and over the binary
+// protocol, the store is unchanged and the server keeps answering; and a log
+// that holds the refused records recovers to the same store.
+func TestRefusedInsertIsAnswered(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 5})
+	dup := ds.Objects[0]
+	huge := object.New(9_000_001, geom.NewPolyline([]geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.41, 0.41)}),
+		ds.Spec.SmaxBytes()+1)
+	for _, withWAL := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		org := buildOrg(t, "cluster", ds)
+		if withWAL {
+			org = walOrg(t, ds, dir)
+		}
+		stats := org.Stats()
+		_, jc := startServer(t, org, server.Config{})
+		bc := *jc
+		bc.Binary = true
+		for name, c := range map[string]*server.Client{"json": jc, "binary": &bc} {
+			for _, tc := range []struct {
+				o    *object.Object
+				code int
+			}{{dup, http.StatusConflict}, {huge, http.StatusRequestEntityTooLarge}} {
+				err := c.Insert(tc.o, tc.o.Bounds())
+				var se *server.StatusError
+				if !errors.As(err, &se) || se.Code != tc.code {
+					t.Fatalf("wal=%v %s: insert of object %d answered %v, want status %d", withWAL, name, tc.o.ID, err, tc.code)
+				}
+			}
+			if r, err := c.Window(geom.R(0, 0, 1, 1), ""); err != nil || len(r.IDs) != len(ds.Objects) {
+				t.Fatalf("wal=%v %s: after the refusals the server answers %d objects, %v", withWAL, name, len(r.IDs), err)
+			}
+		}
+		if got := org.Stats(); got != stats {
+			t.Fatalf("wal=%v: refused inserts changed the store: %+v, was %+v", withWAL, got, stats)
+		}
+		if !withWAL {
+			continue
+		}
+		rec, rst, err := wal.Recover(dir, func(p disk.Params) (*store.Env, error) {
+			return store.NewEnvWithParams(128, p), nil
+		}, wal.Options{})
+		if err != nil {
+			t.Fatalf("recovering a log that holds refused inserts: %v", err)
+		}
+		if rst.Replayed != 4 || rec.Stats() != stats {
+			t.Fatalf("recovery replayed %d records into %+v, want 4 and %+v", rst.Replayed, rec.Stats(), stats)
+		}
+		rec.Close()
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -150,10 +151,18 @@ func (s *Server) KNN(rq *Request, pt geom.Point, k int) (store.NearestResult, er
 	return j.nr, err
 }
 
-// Insert implements Service. An error is the write-ahead log refusing the
-// record: the mutation was neither acknowledged nor applied.
+// Insert implements Service. An error is the store refusing the object — a
+// live ID answers 409, an object no cluster unit can hold 413 — or the
+// write-ahead log refusing the record; either way nothing was applied.
 func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
-	return s.run(rq, &job{kind: jobInsert, obj: o, key: key})
+	err := s.run(rq, &job{kind: jobInsert, obj: o, key: key})
+	switch {
+	case errors.Is(err, store.ErrDuplicateID):
+		return statusErr(http.StatusConflict, "%v", err)
+	case errors.Is(err, store.ErrObjectTooLarge):
+		return statusErr(http.StatusRequestEntityTooLarge, "%v", err)
+	}
+	return err
 }
 
 // Update implements Service.

@@ -116,15 +116,6 @@ func (m *Map) Range(i int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// Ranges returns every shard's [lo, hi) interval; FromRanges round-trips it.
-func (m *Map) Ranges() [][2]uint64 {
-	out := make([][2]uint64, m.N())
-	for i := range out {
-		out[i][0], out[i][1] = m.Range(i)
-	}
-	return out
-}
-
 // String renders the partition as "lo-hi,lo-hi,..." — the textual form the
 // router daemon's -shards flag and /shards endpoint speak.
 func (m *Map) String() string {

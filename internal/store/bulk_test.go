@@ -154,7 +154,7 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 }
 
 func TestBulkLoadJoinCompatible(t *testing.T) {
-	// Bulk-loaded stores must work as join inputs (FetchObjects path).
+	// Bulk-loaded stores must work as join inputs (PrepareFetch path).
 	ds := testDataset(256)
 	c, env := bulkLoaded(t, ds, 0.9)
 	var fetched int
@@ -163,7 +163,7 @@ func TestBulkLoadJoinCompatible(t *testing.T) {
 			return fetched <= 20
 		}
 		id, _ := decodePayload(n.Entries[0].Payload)
-		objs := c.FetchObjects(n.ID, []object.ID{id}, env.Buf, TechSLM)
+		objs := c.PrepareFetch(n.ID, []object.ID{id}, env.Buf, TechSLM)()
 		if len(objs) != 1 || objs[0].ID != id {
 			t.Fatalf("fetch %d failed", id)
 		}

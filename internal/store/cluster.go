@@ -136,22 +136,22 @@ func (c *Cluster) NumUnits() int { return len(c.units) }
 // split when the unit exceeds Smax or the page exceeds M entries. Steps 3
 // and 4 run inside the tree's insertion via the OnLeafInsert/OnLeafSplit
 // hooks.
-func (c *Cluster) Insert(o *object.Object, key geom.Rect) {
+func (c *Cluster) Insert(o *object.Object, key geom.Rect) error {
 	c.env.mu.Lock()
 	defer c.env.mu.Unlock()
-	c.insertLocked(o, key)
+	return c.insertLocked(o, key)
 }
 
-func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) {
+func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) error {
 	if o.Size() > c.cfg.SmaxBytes {
 		// The paper stores such objects in separate storage units
 		// (footnote in section 4.2.2); the workloads of Table 1 do not
 		// produce them.
-		panic(fmt.Sprintf("store: object %d of %d bytes exceeds Smax=%d",
-			o.ID, o.Size(), c.cfg.SmaxBytes))
+		return fmt.Errorf("%w: object %d has %d bytes, Smax is %d",
+			ErrObjectTooLarge, o.ID, o.Size(), c.cfg.SmaxBytes)
 	}
 	if _, dup := c.homes[o.ID]; dup {
-		panic(fmt.Sprintf("store: duplicate object ID %d", o.ID))
+		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
 	c.pending = o
 	c.tree.Insert(key, encodePayload(o.ID, o.Size()))
@@ -159,6 +159,7 @@ func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) {
 	c.keys[o.ID] = key
 	c.objects++
 	c.objectBytes += int64(o.Size())
+	return nil
 }
 
 // Delete implements Organization (section 4.2.2 run backwards): the entry
@@ -220,7 +221,7 @@ func (c *Cluster) Update(o *object.Object, key geom.Rect) bool {
 	if !c.deleteLocked(o.ID) {
 		return false
 	}
-	c.insertLocked(o, key)
+	reinsert(c.insertLocked(o, key))
 	return true
 }
 

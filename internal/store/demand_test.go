@@ -114,7 +114,7 @@ func TestDemandConsistentWithFetchCost(t *testing.T) {
 	})
 	d := ObjectPageDemand(c, leaf, ids)
 	before := env.Disk.Cost()
-	c.FetchObjects(leaf, ids, env.Buf, TechSLM)
+	c.PrepareFetch(leaf, ids, env.Buf, TechSLM)()
 	diff := env.Disk.Cost().Sub(before)
 	if diff.PagesRead < int64(len(d.Pages)) {
 		t.Fatalf("fetch read %d pages, demand says at least %d", diff.PagesRead, len(d.Pages))

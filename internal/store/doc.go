@@ -30,8 +30,7 @@
 // vertices are decoded into that scratch and tested as a stack geometry
 // (readers.go). The scratch comes from a pool once per query and hangs on
 // nothing shared, because queries run concurrently under Env's read lock.
-// FetchObjects and PrepareFetch build heap objects from the same views for
-// the join and the public API.
+// PrepareFetch builds heap objects from the same views for the join.
 //
 // Beyond the paper's static comparison the package carries the engine
 // features grown around it: Delete/Update with per-organization space

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/disk/filebackend"
@@ -14,7 +15,7 @@ import (
 // buildOrgOn is buildOrg over an explicit backend.
 func buildOrgOn(t *testing.T, kind string, ds *datagen.Dataset, bufPages int, b disk.Backend) Organization {
 	t.Helper()
-	env := NewEnvOn(bufPages, disk.DefaultParams(), b)
+	env := NewEnvOn(bufPages, buffer.PolicyLRU, disk.DefaultParams(), b)
 	var org Organization
 	switch kind {
 	case "secondary":
@@ -86,7 +87,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := Restore(img, NewEnvOn(128, img.Params, nil))
+			restored, err := Restore(img, NewEnvOn(128, buffer.PolicyLRU, img.Params, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +149,7 @@ func TestRestoreDoesNotResurrectDeletedOnPageZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(img, NewEnvOn(128, img.Params, nil))
+	restored, err := Restore(img, NewEnvOn(128, buffer.PolicyLRU, img.Params, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

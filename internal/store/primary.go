@@ -63,15 +63,15 @@ func (p *Primary) Tree() *rtree.Tree { return p.tree }
 func (p *Primary) Env() *Env { return p.env }
 
 // Insert implements Organization.
-func (p *Primary) Insert(o *object.Object, key geom.Rect) {
+func (p *Primary) Insert(o *object.Object, key geom.Rect) error {
 	p.env.mu.Lock()
 	defer p.env.mu.Unlock()
-	p.insertLocked(o, key)
+	return p.insertLocked(o, key)
 }
 
-func (p *Primary) insertLocked(o *object.Object, key geom.Rect) {
+func (p *Primary) insertLocked(o *object.Object, key geom.Rect) error {
 	if _, dup := p.keys[o.ID]; dup {
-		panic(fmt.Sprintf("store: duplicate object ID %d", o.ID))
+		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
 	data := object.Marshal(o)
 	if len(data) <= p.maxInline {
@@ -90,6 +90,7 @@ func (p *Primary) insertLocked(o *object.Object, key geom.Rect) {
 	p.keys[o.ID] = key
 	p.objects++
 	p.objectBytes += int64(o.Size())
+	return nil
 }
 
 // Delete implements Organization. Inline objects vanish with their leaf
@@ -144,7 +145,7 @@ func (p *Primary) Update(o *object.Object, key geom.Rect) bool {
 	if !p.deleteLocked(o.ID) {
 		return false
 	}
-	p.insertLocked(o, key)
+	reinsert(p.insertLocked(o, key))
 	return true
 }
 
@@ -229,11 +230,6 @@ func (p *Primary) PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Mana
 		views = append(views, view)
 	}
 	return func() []*object.Object { return unmarshalViews(views) }
-}
-
-// FetchObjects implements Organization.
-func (p *Primary) FetchObjects(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech Technique) []*object.Object {
-	return p.PrepareFetch(leaf, ids, m, tech)()
 }
 
 // Stats implements Organization.

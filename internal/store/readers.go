@@ -233,11 +233,6 @@ func (c *Cluster) PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Mana
 	return func() []*object.Object { return unmarshalViews(views) }
 }
 
-// FetchObjects implements Organization for the cluster organization.
-func (c *Cluster) FetchObjects(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech Technique) []*object.Object {
-	return c.PrepareFetch(leaf, ids, m, tech)()
-}
-
 // thresholdFor computes the geometric threshold T(c) of section 5.4.1:
 //
 //	tcompl(c) = ts + tl + tt·size(c)

@@ -336,14 +336,14 @@ func contractEnvs(t *testing.T) map[string]func() *Env {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := NewEnvOn(16, disk.DefaultParams(), b)
+			env := NewEnvOn(16, buffer.PolicyLRU, disk.DefaultParams(), b)
 			t.Cleanup(func() { env.Close() })
 			return env
 		}
 	}
 	return map[string]func() *Env{
 		"mem":       func() *Env { return NewEnv(16) },
-		"mem-2q":    func() *Env { return NewEnvPolicy(16, buffer.Policy2Q, disk.DefaultParams(), nil) },
+		"mem-2q":    func() *Env { return NewEnvOn(16, buffer.Policy2Q, disk.DefaultParams(), nil) },
 		"file":      file("raw.db", filebackend.Config{}),
 		"file-comp": file("comp.db", filebackend.Config{Compress: true}),
 	}

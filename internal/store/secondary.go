@@ -50,15 +50,15 @@ func (s *Secondary) Tree() *rtree.Tree { return s.tree }
 func (s *Secondary) Env() *Env { return s.env }
 
 // Insert implements Organization.
-func (s *Secondary) Insert(o *object.Object, key geom.Rect) {
+func (s *Secondary) Insert(o *object.Object, key geom.Rect) error {
 	s.env.mu.Lock()
 	defer s.env.mu.Unlock()
-	s.insertLocked(o, key)
+	return s.insertLocked(o, key)
 }
 
-func (s *Secondary) insertLocked(o *object.Object, key geom.Rect) {
+func (s *Secondary) insertLocked(o *object.Object, key geom.Rect) error {
 	if _, dup := s.refs[o.ID]; dup {
-		panic(fmt.Sprintf("store: duplicate object ID %d", o.ID))
+		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
 	ref := s.file.Append(object.Marshal(o))
 	s.refs[o.ID] = ref
@@ -66,6 +66,7 @@ func (s *Secondary) insertLocked(o *object.Object, key geom.Rect) {
 	s.tree.Insert(key, encodePayload(o.ID, o.Size()))
 	s.objects++
 	s.objectBytes += int64(o.Size())
+	return nil
 }
 
 // Delete implements Organization: the R*-tree entry is removed, and the
@@ -107,7 +108,7 @@ func (s *Secondary) Update(o *object.Object, key geom.Rect) bool {
 	if !s.deleteLocked(o.ID) {
 		return false
 	}
-	s.insertLocked(o, key)
+	reinsert(s.insertLocked(o, key))
 	return true
 }
 
@@ -174,11 +175,6 @@ func (s *Secondary) PrepareFetch(_ disk.PageID, ids []object.ID, m *buffer.Manag
 		views = append(views, s.file.ReadBuffered(m, ref))
 	}
 	return func() []*object.Object { return unmarshalViews(views) }
-}
-
-// FetchObjects implements Organization.
-func (s *Secondary) FetchObjects(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech Technique) []*object.Object {
-	return s.PrepareFetch(leaf, ids, m, tech)()
 }
 
 // Stats implements Organization.

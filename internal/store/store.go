@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -134,13 +135,23 @@ func (st *StorageStats) fillUtil() {
 // pool materializes and refines them on all cores.
 type ObjectFetch func() []*object.Object
 
+// The refusals of Organization.Insert: conditions of the object handed in,
+// not of the store, so a caller — the server answers 409 and 413 — can
+// report them and carry on.
+var (
+	ErrDuplicateID    = errors.New("store: duplicate object ID")
+	ErrObjectTooLarge = errors.New("store: object exceeds the maximum cluster unit size")
+)
+
 // Organization is the common interface of the three storage models.
 type Organization interface {
 	// Name returns the paper's name of the model ("sec. org." etc.).
 	Name() string
 	// Insert stores the object with the given spatial key (the key is the
-	// object MBR, possibly enlarged for join version b).
-	Insert(o *object.Object, key geom.Rect)
+	// object MBR, possibly enlarged for join version b). An object the
+	// store cannot take — ErrDuplicateID, ErrObjectTooLarge — is refused
+	// with the store unchanged.
+	Insert(o *object.Object, key geom.Rect) error
 	// Delete removes the object and reclaims or tombstones its storage:
 	// the primary organization frees overflow pages, the secondary
 	// organization leaves dead bytes in its append-only file, and the
@@ -163,13 +174,11 @@ type Organization interface {
 	NearestQuery(p geom.Point, k int) NearestResult
 	// WindowQuery returns the objects intersecting w (section 5.4).
 	WindowQuery(w geom.Rect, tech Technique) QueryResult
-	// FetchObjects reads the exact representations of the given objects,
-	// all referenced from data page leaf, through buffer m using the given
-	// technique. It is the object-transfer primitive of the spatial join.
-	FetchObjects(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech Technique) []*object.Object
-	// PrepareFetch charges the I/O of FetchObjects and captures the page
-	// bytes, returning the deferred assembly step. FetchObjects is
-	// equivalent to invoking the returned ObjectFetch immediately.
+	// PrepareFetch is the object-transfer primitive of the spatial join: it
+	// charges the I/O of reading the exact representations of the given
+	// objects, all referenced from data page leaf, through buffer m using
+	// the given technique, captures the page bytes, and returns the
+	// deferred assembly step.
 	PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech Technique) ObjectFetch
 	// Tree exposes the underlying R*-tree (the spatial join traverses it).
 	Tree() *rtree.Tree
@@ -179,6 +188,16 @@ type Organization interface {
 	Stats() StorageStats
 	// Flush writes all buffered dirty state to disk (end of construction).
 	Flush()
+}
+
+// reinsert ends an Update, whose delete half has already run: a refusal now
+// (only ErrObjectTooLarge can arise, the ID was just freed) would lose the
+// object, and Update's bool cannot say so — it panics, as every refused
+// insert did before Insert returned errors.
+func reinsert(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // Env bundles the shared storage substrate of one organization instance.
@@ -203,27 +222,23 @@ type Env struct {
 }
 
 // NewEnv creates a fresh in-memory disk with the paper's timing parameters,
-// a buffer of bufPages pages, and an extent allocator.
+// an LRU buffer of bufPages pages, and an extent allocator.
 func NewEnv(bufPages int) *Env {
-	return NewEnvOn(bufPages, disk.DefaultParams(), nil)
+	return NewEnvWithParams(bufPages, disk.DefaultParams())
 }
 
 // NewEnvWithParams is NewEnv with explicit disk parameters.
 func NewEnvWithParams(bufPages int, p disk.Params) *Env {
-	return NewEnvOn(bufPages, p, nil)
+	return NewEnvOn(bufPages, buffer.PolicyLRU, p, nil)
 }
 
-// NewEnvOn creates an environment whose pages live in the given backend (nil
-// selects the in-memory backend). The modelled costs are identical for every
-// backend; only durability and measured wall-clock I/O differ.
-func NewEnvOn(bufPages int, p disk.Params, b disk.Backend) *Env {
-	return NewEnvPolicy(bufPages, buffer.PolicyLRU, p, b)
-}
-
-// NewEnvPolicy is NewEnvOn with an explicit buffer replacement policy. The
-// policy changes which pages stay resident — hit ratios and wall-clock — but
-// never answers: every query reads the same pages either way.
-func NewEnvPolicy(bufPages int, pol buffer.Policy, p disk.Params, b disk.Backend) *Env {
+// NewEnvOn is the general constructor: an environment whose pages live in the
+// given backend (nil selects the in-memory backend) behind a buffer with the
+// given replacement policy. The modelled costs are identical for every
+// backend — only durability and measured wall-clock I/O differ — and the
+// policy changes which pages stay resident, hit ratios and wall-clock, never
+// answers: every query reads the same pages either way.
+func NewEnvOn(bufPages int, pol buffer.Policy, p disk.Params, b disk.Backend) *Env {
 	d := disk.NewWithBackend(p, b)
 	return &Env{
 		Disk:  d,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -212,7 +213,7 @@ func TestClusterObjectsReadBackCorrectly(t *testing.T) {
 	m := buffer.New(env.Disk, 4096)
 	for i, o := range ds.Objects {
 		leaf := c.homes[o.ID]
-		got := c.FetchObjects(leaf, []object.ID{o.ID}, m, TechSLM)
+		got := c.PrepareFetch(leaf, []object.ID{o.ID}, m, TechSLM)()
 		if len(got) != 1 || got[0].ID != o.ID {
 			t.Fatalf("fetch of %d returned %v", o.ID, got)
 		}
@@ -245,7 +246,7 @@ func TestClusterCompleteReadsUnitInOneRequest(t *testing.T) {
 	u := c.unitFor(leaf)
 	m := buffer.New(env.Disk, 1024)
 	before := env.Disk.Cost()
-	c.FetchObjects(leaf, []object.ID{anyID}, m, TechComplete)
+	c.PrepareFetch(leaf, []object.ID{anyID}, m, TechComplete)()
 	diff := env.Disk.Cost().Sub(before)
 	if diff.ReadRequests != 1 {
 		t.Fatalf("complete fetch used %d read requests, want 1", diff.ReadRequests)
@@ -406,7 +407,7 @@ func TestPrimaryOverflowObjects(t *testing.T) {
 	}
 }
 
-func TestFetchObjectsAcrossOrganizations(t *testing.T) {
+func TestPrepareFetchAcrossOrganizations(t *testing.T) {
 	ds := testDataset(256)
 	orgs := buildAll(t, ds, 512)
 	// Pick candidate leaf/object pairs via the tree.
@@ -431,7 +432,7 @@ func TestFetchObjectsAcrossOrganizations(t *testing.T) {
 					break
 				}
 			}
-			got := org.FetchObjects(n.ID, ids, m, TechComplete)
+			got := org.PrepareFetch(n.ID, ids, m, TechComplete)()
 			if len(got) != len(ids) {
 				t.Fatalf("%s: fetched %d of %d", name, len(got), len(ids))
 			}
@@ -465,35 +466,42 @@ func TestInsertUnsortedIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestDuplicateInsertPanics(t *testing.T) {
+// refusedUnchanged inserts o, which org must refuse with want, and checks the
+// refusal left the store as it was: same Stats, same answers to a probe.
+func refusedUnchanged(t *testing.T, name string, org Organization, o *object.Object, want error) {
+	t.Helper()
+	probe := geom.R(0, 0, 1, 1)
+	stats, answers := org.Stats(), len(org.WindowQuery(probe, TechComplete).IDs)
+	if err := org.Insert(o, o.Bounds()); !errors.Is(err, want) {
+		t.Errorf("%s: Insert = %v, want %v", name, err, want)
+	}
+	if got := org.Stats(); got != stats {
+		t.Errorf("%s: a refused insert changed Stats: %+v, was %+v", name, got, stats)
+	}
+	if got := len(org.WindowQuery(probe, TechComplete).IDs); got != answers {
+		t.Errorf("%s: a refused insert changed the probe answer: %d objects, was %d", name, got, answers)
+	}
+}
+
+func TestDuplicateInsertRefused(t *testing.T) {
 	ds := testDataset(1024)
 	o := ds.Objects[0]
 	for name, org := range map[string]Organization{
 		"secondary": NewSecondary(NewEnv(64)),
+		"primary":   NewPrimary(NewEnv(64)),
 		"cluster":   NewCluster(NewEnv(64), ClusterConfig{SmaxBytes: 81920}),
 	} {
-		org.Insert(o, o.Bounds())
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: duplicate insert must panic", name)
-				}
-			}()
-			org.Insert(o, o.Bounds())
-		}()
+		if err := org.Insert(o, o.Bounds()); err != nil {
+			t.Fatalf("%s: first insert: %v", name, err)
+		}
+		refusedUnchanged(t, name, org, o, ErrDuplicateID)
 	}
 }
 
 func TestClusterRejectsOversizeObject(t *testing.T) {
-	env := NewEnv(64)
-	c := NewCluster(env, ClusterConfig{SmaxBytes: 2 * disk.PageSize})
+	c := NewCluster(NewEnv(64), ClusterConfig{SmaxBytes: 2 * disk.PageSize})
 	huge := object.New(1, geom.NewPolyline([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}), 3*disk.PageSize)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Insert(huge, huge.Bounds())
+	refusedUnchanged(t, "cluster", c, huge, ErrObjectTooLarge)
 }
 
 func TestTechniqueString(t *testing.T) {

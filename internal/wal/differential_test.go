@@ -198,7 +198,7 @@ func TestKillAtN(t *testing.T) {
 				}
 				acked := 0
 				for _, op := range ops {
-					if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+					if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 						break
 					}
 					acked++
@@ -267,7 +267,7 @@ func TestKillAfterCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, op := range ops[:K/2] {
-				if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+				if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -275,7 +275,7 @@ func TestKillAfterCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, op := range ops[K/2:] {
-				if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+				if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -313,7 +313,7 @@ func TestCrashTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range ops[:K] {
-		if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestCrashTwice(t *testing.T) {
 		t.Fatalf("first recovery replayed %d records (torn %v), want %d torn", st.Replayed, st.TornTail, K-1)
 	}
 	for _, op := range ops[K:] {
-		if _, err := mid.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := mid.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}

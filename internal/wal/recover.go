@@ -310,7 +310,9 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 func applyRecord(org store.Organization, rec *Record) error {
 	switch rec.Kind {
 	case KindInsert:
-		org.Insert(rec.Obj, rec.Key)
+		// A refusal is part of the history: the live store logged the
+		// record, refused the object and carried on; so does replay.
+		_ = org.Insert(rec.Obj, rec.Key)
 	case KindDelete:
 		org.Delete(rec.ID)
 	case KindUpdate:

@@ -19,11 +19,12 @@ import (
 // mutation through the log — append (and fsync, per Options.SyncEvery)
 // first, apply second — so an acknowledged mutation is always recoverable.
 //
-// The interface's mutating methods have no error returns, so they panic
-// when the log cannot accept the record (the same contract as Env.sync: a
-// store that cannot make its durability promise must not limp on). Callers
-// that want the error — the server's dispatcher, the fault-injection tests
-// — use Apply, which also gives a whole batch one fsync (group commit).
+// The interface's mutating methods cannot report a log failure (Insert's
+// error is the store's refusal of the object), so they panic when the log
+// cannot accept the record (the same contract as Env.sync: a store that
+// cannot make its durability promise must not limp on). Callers that want
+// the error — the server's dispatcher, the fault-injection tests — use
+// Apply, which also gives a whole batch one fsync (group commit).
 type Store struct {
 	mu   sync.Mutex // serializes mutations: log order == apply order
 	org  atomic.Pointer[store.Organization]
@@ -55,12 +56,15 @@ func (s *Store) Log() *Log { return s.log }
 
 // Apply logs muts as one commit — every record shares one fsync — and then
 // applies them in order, reporting for each delete/update whether the
-// object existed. On error nothing is applied, nothing is acknowledged, and
-// the log stays poisoned: later Apply calls fail too, so the acknowledged
-// prefix is exactly what recovery replays.
-func (s *Store) Apply(muts []Mutation) ([]bool, error) {
+// object existed and for each insert the store's refusal, if any (refused
+// is nil when every insert was taken). A refused insert stays in the log:
+// replay meets the same store state, refuses it again and moves on. On
+// error nothing is applied, nothing is acknowledged, and the log stays
+// poisoned: later Apply calls fail too, so the acknowledged prefix is
+// exactly what recovery replays.
+func (s *Store) Apply(muts []Mutation) (existed []bool, refused []error, err error) {
 	if len(muts) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	recs := make([]Record, len(muts))
 	for i, m := range muts {
@@ -70,20 +74,25 @@ func (s *Store) Apply(muts []Mutation) ([]bool, error) {
 		case KindDelete:
 			recs[i] = Record{Kind: m.Kind, ID: m.ID}
 		default:
-			return nil, fmt.Errorf("wal: cannot apply mutation of kind %v", m.Kind)
+			return nil, nil, fmt.Errorf("wal: cannot apply mutation of kind %v", m.Kind)
 		}
 	}
 	s.mu.Lock()
 	if err := s.log.Append(recs...); err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
 	org := s.Underlying()
-	existed := make([]bool, len(muts))
+	existed = make([]bool, len(muts))
 	for i, m := range muts {
 		switch m.Kind {
 		case KindInsert:
-			org.Insert(m.Obj, m.Key)
+			if err := org.Insert(m.Obj, m.Key); err != nil {
+				if refused == nil {
+					refused = make([]error, len(muts))
+				}
+				refused[i] = err
+			}
 		case KindDelete:
 			existed[i] = org.Delete(m.ID)
 		case KindUpdate:
@@ -92,7 +101,7 @@ func (s *Store) Apply(muts []Mutation) ([]bool, error) {
 	}
 	s.mu.Unlock()
 	s.maybeCheckpoint()
-	return existed, nil
+	return existed, refused, nil
 }
 
 // Recluster logs and runs one maintenance pass of the named policy
@@ -144,8 +153,9 @@ func (s *Store) Checkpoint() error {
 }
 
 // maybeCheckpoint starts a background checkpoint once the live log crosses
-// Options.CheckpointBytes. At most one runs at a time; its error (if any)
-// surfaces on the next call and on Close.
+// Options.CheckpointBytes. At most one runs at a time; a failed one never
+// loses data — the log simply keeps growing — and Close returns its error
+// (the newest, if several failed) so the operator learns of it.
 func (s *Store) maybeCheckpoint() {
 	if s.opts.CheckpointBytes <= 0 || s.log.TailBytes() < s.opts.CheckpointBytes {
 		return
@@ -163,15 +173,6 @@ func (s *Store) maybeCheckpoint() {
 			s.ckptErrMu.Unlock()
 		}
 	}()
-}
-
-// CheckpointErr returns the sticky error of the newest failed background
-// checkpoint, if any. A failed checkpoint never loses data — the log simply
-// keeps growing — but the operator should know.
-func (s *Store) CheckpointErr() error {
-	s.ckptErrMu.Lock()
-	defer s.ckptErrMu.Unlock()
-	return s.ckptErr
 }
 
 // Rebase atomically replaces the served organization (the /load path): the
@@ -203,25 +204,34 @@ func (s *Store) Rebase(org store.Organization) error {
 }
 
 // Close waits for any background checkpoint, syncs and closes the log, and
-// closes the underlying organization's environment (its backend). The store
-// must not be used afterwards.
+// closes the underlying organization's environment (its backend). It returns
+// the first failure of those, else the error of a failed background
+// checkpoint. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.ckptWG.Wait()
 	err := s.log.Close()
 	if cerr := s.Underlying().Env().Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		s.ckptErrMu.Lock()
+		err = s.ckptErr
+		s.ckptErrMu.Unlock()
+	}
 	return err
 }
 
 // mutate is the panic-on-log-failure single-op path behind the
 // store.Organization mutating methods.
-func (s *Store) mutate(m Mutation) bool {
-	existed, err := s.Apply([]Mutation{m})
+func (s *Store) mutate(m Mutation) (bool, error) {
+	existed, refused, err := s.Apply([]Mutation{m})
 	if err != nil {
 		panic(fmt.Sprintf("wal: logging %v: %v", m.Kind, err))
 	}
-	return existed[0]
+	if refused != nil {
+		return false, refused[0]
+	}
+	return existed[0], nil
 }
 
 // Name implements store.Organization.
@@ -229,20 +239,23 @@ func (s *Store) Name() string { return s.Underlying().Name() }
 
 // Insert implements store.Organization. It panics when the record cannot be
 // logged; use Apply for an error return.
-func (s *Store) Insert(o *object.Object, key geom.Rect) {
-	s.mutate(Mutation{Kind: KindInsert, Obj: o, Key: key})
+func (s *Store) Insert(o *object.Object, key geom.Rect) error {
+	_, err := s.mutate(Mutation{Kind: KindInsert, Obj: o, Key: key})
+	return err
 }
 
 // Delete implements store.Organization. It panics when the record cannot be
 // logged; use Apply for an error return.
 func (s *Store) Delete(id object.ID) bool {
-	return s.mutate(Mutation{Kind: KindDelete, ID: id})
+	existed, _ := s.mutate(Mutation{Kind: KindDelete, ID: id})
+	return existed
 }
 
 // Update implements store.Organization. It panics when the record cannot be
 // logged; use Apply for an error return.
 func (s *Store) Update(o *object.Object, key geom.Rect) bool {
-	return s.mutate(Mutation{Kind: KindUpdate, Obj: o, Key: key})
+	existed, _ := s.mutate(Mutation{Kind: KindUpdate, Obj: o, Key: key})
+	return existed
 }
 
 // PointQuery implements store.Organization.
@@ -258,11 +271,6 @@ func (s *Store) NearestQuery(p geom.Point, k int) store.NearestResult {
 // WindowQuery implements store.Organization.
 func (s *Store) WindowQuery(w geom.Rect, tech store.Technique) store.QueryResult {
 	return s.Underlying().WindowQuery(w, tech)
-}
-
-// FetchObjects implements store.Organization.
-func (s *Store) FetchObjects(leaf disk.PageID, ids []object.ID, m *buffer.Manager, tech store.Technique) []*object.Object {
-	return s.Underlying().FetchObjects(leaf, ids, m, tech)
 }
 
 // PrepareFetch implements store.Organization.

@@ -54,7 +54,7 @@ func TestGroupCommit(t *testing.T) {
 		for i := range muts {
 			muts[i] = wal.Mutation{Kind: wal.KindInsert, Obj: testObject(uint64(i)), Key: testObject(uint64(i)).Bounds()}
 		}
-		if _, err := ws.Apply(muts); err != nil {
+		if _, _, err := ws.Apply(muts); err != nil {
 			t.Fatal(err)
 		}
 		st := ws.Log().Stats()
@@ -73,7 +73,7 @@ func TestGroupCommit(t *testing.T) {
 		defer ws.Close()
 		for i := 0; i < 8; i++ {
 			o := testObject(uint64(i))
-			if _, err := ws.Apply([]wal.Mutation{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
+			if _, _, err := ws.Apply([]wal.Mutation{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,6 +218,29 @@ func TestMutatorPanicsOnLogFailure(t *testing.T) {
 	ws.Insert(o, o.Bounds())
 }
 
+// TestCloseReportsFailedBackgroundCheckpoint: a background checkpoint runs
+// on no caller's goroutine, so Close is where its failure surfaces. The log
+// crosses its (tiny) checkpoint threshold with an unsynced record; the
+// checkpoint's first step — making the log durable — hits the scripted
+// fsync failure.
+func TestCloseReportsFailedBackgroundCheckpoint(t *testing.T) {
+	// Op 1 is the segment header, op 2 the record write, op 3 the
+	// checkpoint's fsync.
+	fs := faultinject.NewFS(map[int64]faultinject.Kind{3: faultinject.Fail})
+	ws, err := wal.Create(buildOrg(exp.OrgCluster, smallDataset()), t.TempDir(),
+		wal.Options{SyncEvery: 8, CheckpointBytes: 1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := testObject(1)
+	if err := ws.Insert(o, o.Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err == nil || !strings.Contains(err.Error(), "fsync failed (op 3)") {
+		t.Fatalf("Close = %v, want the background checkpoint's fsync failure", err)
+	}
+}
+
 // TestReclusterReplays checks that a logged recluster pass replays: the
 // recovered cluster store matches a reference that ran the same policy at
 // the same point of the op stream.
@@ -231,7 +254,7 @@ func TestReclusterReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range ops[:30] {
-		if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +262,7 @@ func TestReclusterReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range ops[30:] {
-		if _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}

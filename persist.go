@@ -21,14 +21,6 @@ import (
 // internal/snapshot (on the shared internal/framing discipline the
 // write-ahead log reuses); this file wraps it into the public API.
 
-// saveMagic identifies a spatialcluster snapshot file and its format
-// version.
-const saveMagic = snapshot.Magic
-
-// saveHeaderSize is the fixed prefix before the payload: magic + length +
-// CRC-32.
-const saveHeaderSize = snapshot.HeaderSize
-
 // Save serializes a built organization to a single snapshot file at path:
 // the disk's page image plus all in-memory state (allocator free list,
 // R*-tree shape, object maps, cluster units, open tail pages). The store is
@@ -58,18 +50,23 @@ func Save(org Organization, path string) error {
 // parallelism, and the storage backend the restored pages are placed on
 // (BackendMem by default, or BackendFile with a fresh Path). cfg.DiskParams,
 // cfg.SmaxBytes and cfg.BuddySizes are ignored: those are properties of the
-// saved store. cfg.WALPath is also ignored — use RecoverStore to reopen a
-// WAL directory, which replays mutations past its snapshot.
+// saved store. With cfg.WALPath a fresh write-ahead log attaches to the
+// reopened store, its initial checkpoint being the snapshot's state; to
+// reopen an existing WAL directory, which replays mutations past its
+// snapshot, use RecoverStore.
 //
 // A truncated, corrupted or foreign file yields a descriptive error: the
 // magic, the length field and a CRC-32 of the payload are verified before
 // anything is decoded.
 func Open(path string, cfg StoreConfig) (Organization, error) {
+	if _, err := cfg.check(); err != nil {
+		return nil, err
+	}
 	img, err := snapshot.Read(path)
 	if err != nil {
 		return nil, fmt.Errorf("spatialcluster: Open: %w", err)
 	}
-	env, err := cfg.envWithParams(img.Params)
+	env, err := cfg.env(img.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -78,5 +75,5 @@ func Open(path string, cfg StoreConfig) (Organization, error) {
 		env.Close()
 		return nil, fmt.Errorf("spatialcluster: Open %s: %w", path, err)
 	}
-	return org, nil
+	return cfg.attachWAL(org)
 }

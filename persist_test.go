@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"spatialcluster/internal/snapshot"
 	"spatialcluster/internal/snaptest"
 )
 
@@ -132,11 +133,11 @@ func TestOpenBrokenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) <= saveHeaderSize {
+	if len(full) <= snapshot.HeaderSize {
 		t.Fatalf("snapshot implausibly small: %d bytes", len(full))
 	}
 
-	for _, tc := range snaptest.All(len(full) - saveHeaderSize) {
+	for _, tc := range snaptest.All(len(full) - snapshot.HeaderSize) {
 		t.Run(tc.Name, func(t *testing.T) {
 			p := filepath.Join(dir, "broken.sdb")
 			if err := os.WriteFile(p, tc.Mutate(full), 0o644); err != nil {

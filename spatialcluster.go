@@ -42,6 +42,7 @@ package spatialcluster
 
 import (
 	"fmt"
+	"os"
 
 	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/datagen"
@@ -189,8 +190,8 @@ type StoreConfig struct {
 	// statistics or query answers — only durability and wall-clock time.
 	Backend string
 	// Path is the backing file for BackendFile (created if missing). The
-	// New*Store constructors panic when it cannot be opened; use Open/Save
-	// for error-returning persistence entry points.
+	// New*Store constructors panic when it cannot be opened; NewStore and
+	// Open return the error.
 	Path string
 	// FsyncOnFlush makes every Organization.Flush an fsync barrier on the
 	// file backend, so a flushed store survives a crash of the process.
@@ -218,51 +219,124 @@ type StoreConfig struct {
 	WALSyncEvery int
 }
 
-// backend builds the configured disk.Backend (nil = in-memory).
-func (c StoreConfig) backend() (disk.Backend, error) {
-	switch c.Backend {
-	case "", BackendMem:
-		return nil, nil
-	case BackendFile:
-		if c.Path == "" {
-			return nil, fmt.Errorf("spatialcluster: Backend %q needs a Path", c.Backend)
-		}
-		return filebackend.Open(c.Path, filebackend.Config{Fsync: c.FsyncOnFlush, Compress: c.Compress})
-	}
-	return nil, fmt.Errorf("spatialcluster: unknown backend %q (want %q or %q)",
-		c.Backend, BackendMem, BackendFile)
+// configError is a misconfiguration — a contradiction inside a StoreConfig or
+// an unknown name — as opposed to a failure of the environment. It matches
+// os.ErrInvalid so that a CLI can tell flag misuse from a runtime error.
+type configError string
+
+func (e configError) Error() string        { return "spatialcluster: " + string(e) }
+func (e configError) Is(target error) bool { return target == os.ErrInvalid }
+
+func configErrorf(format string, args ...any) error {
+	return configError(fmt.Sprintf(format, args...))
 }
 
-func (c StoreConfig) envWithParams(p disk.Params) (*store.Env, error) {
+// check validates the config — every rule, touching nothing on disk — and
+// parses its buffer policy. NewStore, Open and RecoverStore start with it, so
+// a misconfiguration is reported before any file is read or created.
+func (c StoreConfig) check() (buffer.Policy, error) {
+	pol, err := buffer.ParsePolicy(c.BufferPolicy)
+	if err != nil {
+		return pol, configError(err.Error())
+	}
+	switch c.Backend {
+	case "", BackendMem:
+		if c.Path != "" || c.FsyncOnFlush || c.Compress {
+			return pol, configErrorf("Path, FsyncOnFlush and Compress need Backend %q", BackendFile)
+		}
+	case BackendFile:
+		if c.Path == "" {
+			return pol, configErrorf("Backend %q needs a Path", c.Backend)
+		}
+		if c.WALPath != "" {
+			return pol, configErrorf("WALPath is incompatible with Backend %q "+
+				"(the WAL checkpoints and replays against the in-memory backend)", c.Backend)
+		}
+	default:
+		return pol, configErrorf("unknown backend %q (want %q or %q)", c.Backend, BackendMem, BackendFile)
+	}
+	return pol, nil
+}
+
+// env builds the storage environment the (checked) config describes, for a
+// disk with the given timing parameters: the one place a backend is opened.
+func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
+	pol, err := c.check()
+	if err != nil {
+		return nil, err
+	}
+	var b disk.Backend
+	if c.Backend == BackendFile {
+		b, err = filebackend.Open(c.Path, filebackend.Config{Fsync: c.FsyncOnFlush, Compress: c.Compress})
+		if err != nil {
+			return nil, err
+		}
+	}
 	buf := c.BufferPages
 	if buf <= 0 {
 		buf = 256
 	}
-	pol, err := buffer.ParsePolicy(c.BufferPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("spatialcluster: %w", err)
-	}
-	b, err := c.backend()
-	if err != nil {
-		return nil, err
-	}
-	env := store.NewEnvPolicy(buf, pol, p, b)
+	env := store.NewEnvOn(buf, pol, p, b)
 	env.Parallelism = c.Parallelism
 	return env, nil
 }
 
-// env builds the environment for the New*Store constructors, which predate
-// fallible backends and keep their panic-on-misconfiguration contract.
-func (c StoreConfig) env() *store.Env {
-	p := disk.DefaultParams()
-	if c.DiskParams != nil {
-		p = *c.DiskParams
+// NewStore is the one way a fresh store is built: an organization of the
+// named kind — "secondary", "primary" or "cluster" — on the storage cfg
+// describes, holding objs under their spatial keys (both nil for an empty
+// store). The objects are inserted in the given order and flushed before the
+// write-ahead log of cfg.WALPath attaches, so a bulk load is the log's
+// initial checkpoint, not one fsynced record per object. A misconfiguration
+// — unknown kind, backend or buffer policy, BackendFile without a Path, file
+// options on BackendMem, WALPath with BackendFile — is an error matching
+// os.ErrInvalid, reported before anything is created. Any other error is an
+// object the organization refused (see Organization.Insert) or the
+// environment's: the backing file or the log directory could not be set up.
+func NewStore(kind string, cfg StoreConfig, objs []*Object, keys []Rect) (Organization, error) {
+	if kind != "secondary" && kind != "primary" && kind != "cluster" {
+		return nil, configErrorf("unknown organization %q (want secondary, primary or cluster)", kind)
 	}
-	env, err := c.envWithParams(p)
+	p := disk.DefaultParams()
+	if cfg.DiskParams != nil {
+		p = *cfg.DiskParams
+	}
+	env, err := cfg.env(p)
+	if err != nil {
+		return nil, err
+	}
+	var org Organization
+	switch kind {
+	case "secondary":
+		org = store.NewSecondary(env)
+	case "primary":
+		org = store.NewPrimary(env)
+	default:
+		smax := cfg.SmaxBytes
+		if smax <= 0 {
+			smax = 80 * 1024
+		}
+		org = store.NewCluster(env, store.ClusterConfig{SmaxBytes: smax, BuddySizes: cfg.BuddySizes})
+	}
+	for i, o := range objs {
+		if err := org.Insert(o, keys[i]); err != nil {
+			env.Close()
+			return nil, fmt.Errorf("spatialcluster: NewStore: %w", err)
+		}
+	}
+	if len(objs) > 0 {
+		org.Flush()
+	}
+	return cfg.attachWAL(org)
+}
+
+// mustStore is NewStore for the New*Store constructors, which predate
+// fallible backends and keep their panic-on-misconfiguration contract.
+func mustStore(kind string, cfg StoreConfig) Organization {
+	org, err := NewStore(kind, cfg, nil, nil)
 	if err != nil {
 		panic(err)
 	}
-	return env
+	return org
 }
 
 // CloseStore releases the store's backend — for a file-backed store this
@@ -298,29 +372,17 @@ func CompressionIO(org Organization) CompressionStats {
 }
 
 // NewSecondaryStore creates an empty secondary organization (R*-tree over
-// MBRs, exact objects in a sequential file).
-func NewSecondaryStore(cfg StoreConfig) Organization {
-	return cfg.wrap(store.NewSecondary(cfg.env()))
-}
+// MBRs, exact objects in a sequential file). Like NewPrimaryStore and
+// NewClusterStore it is NewStore without the error: it panics instead.
+func NewSecondaryStore(cfg StoreConfig) Organization { return mustStore("secondary", cfg) }
 
 // NewPrimaryStore creates an empty primary organization (exact objects
 // inside the R*-tree data pages).
-func NewPrimaryStore(cfg StoreConfig) Organization {
-	return cfg.wrap(store.NewPrimary(cfg.env()))
-}
+func NewPrimaryStore(cfg StoreConfig) Organization { return mustStore("primary", cfg) }
 
 // NewClusterStore creates an empty cluster organization (the paper's
 // contribution: data pages with attached contiguous cluster units).
-func NewClusterStore(cfg StoreConfig) Organization {
-	smax := cfg.SmaxBytes
-	if smax <= 0 {
-		smax = 80 * 1024
-	}
-	return cfg.wrap(store.NewCluster(cfg.env(), store.ClusterConfig{
-		SmaxBytes:  smax,
-		BuddySizes: cfg.BuddySizes,
-	}))
-}
+func NewClusterStore(cfg StoreConfig) Organization { return mustStore("cluster", cfg) }
 
 // NewObject creates a spatial object with the given geometry and padding
 // bytes (padding controls the serialized size without adding vertices).

@@ -1,9 +1,15 @@
 package spatialcluster_test
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	sc "spatialcluster"
+	"spatialcluster/internal/exp"
 )
 
 // TestPublicAPIRoundTrip exercises the façade end to end: build each store
@@ -209,5 +215,122 @@ func TestPublicAPINearest(t *testing.T) {
 	}
 	if tr := sc.ParallelNearestQueries(stores[2], pts, 5, 2); tr.Answers != serial {
 		t.Fatalf("parallel k-NN answers %d, want %d", tr.Answers, serial)
+	}
+}
+
+// probeAnswers answers a seeded window/point/k-NN stream: window and point
+// answers as sorted sets, k-NN answers in rank order.
+func probeAnswers(org sc.Organization, ws []sc.Rect, pts []sc.Point) [][]sc.ObjectID {
+	var out [][]sc.ObjectID
+	sorted := func(ids []sc.ObjectID) []sc.ObjectID {
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}
+	for _, w := range ws {
+		out = append(out, sorted(org.WindowQuery(w, sc.TechSLM).IDs))
+	}
+	for _, p := range pts {
+		out = append(out, sorted(org.PointQuery(p).IDs), org.NearestQuery(p, 5).IDs)
+	}
+	return out
+}
+
+// TestNewStoreMatchesExpBuild holds the one builder against the experiment
+// harness's own construction (exp.Build: store.NewEnv and the store
+// constructors, in memory, LRU), for every organization on every backend and
+// buffer policy: same Stats, same answers, and the same modelled
+// construction cost — which is a function of the workload and the buffer
+// policy, never of the backend.
+func TestNewStoreMatchesExpBuild(t *testing.T) {
+	ds := sc.GenerateMap(sc.MapSpec{Map: sc.Map1, Series: sc.SeriesA, Scale: 256, Seed: 9})
+	ws, pts := ds.Windows(0.01, 10, 3), ds.Points(10, 4)
+	const buf = 64
+	for _, o := range []struct {
+		kind  string
+		buddy int
+		ref   exp.OrgKind
+	}{
+		{"secondary", 0, exp.OrgSecondary},
+		{"primary", 0, exp.OrgPrimary},
+		{"cluster", 0, exp.OrgCluster},
+		{"cluster", 3, exp.OrgClusterBuddy},
+	} {
+		ref := exp.Build(o.ref, ds, buf)
+		want := probeAnswers(ref.Org, ws, pts)
+		for _, pol := range []string{"lru", "2q"} {
+			polCost := ref.Cost // what the policy's first backend charged; LRU's must be the harness's
+			for i, b := range []sc.StoreConfig{
+				{},
+				{Backend: sc.BackendFile},
+				{Backend: sc.BackendFile, Compress: true},
+			} {
+				name := string(o.ref) + "/" + pol + "/" + b.Backend
+				cfg := b
+				cfg.BufferPages, cfg.BufferPolicy = buf, pol
+				cfg.SmaxBytes, cfg.BuddySizes = ds.Spec.SmaxBytes(), o.buddy
+				if cfg.Backend == sc.BackendFile {
+					cfg.Path = filepath.Join(t.TempDir(), "pages.db")
+				}
+				org, err := sc.NewStore(o.kind, cfg, ds.Objects, ds.MBRs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cost := org.Env().Disk.Cost()
+				if i == 0 && pol != "lru" {
+					polCost = cost
+				}
+				if cost != polCost {
+					t.Errorf("%s: construction cost %+v, want %+v", name, cost, polCost)
+				}
+				if st := org.Stats(); st != ref.Stats {
+					t.Errorf("%s: Stats %+v, want %+v", name, st, ref.Stats)
+				}
+				if got := probeAnswers(org, ws, pts); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: answers differ from exp.Build's", name)
+				}
+				if err := sc.CloseStore(org); err != nil {
+					t.Errorf("%s: close: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestNewStoreMisconfiguration: everything the CLIs used to check before
+// building is an error of the builder, marked os.ErrInvalid, raised before
+// any file is created — never a panic.
+func TestNewStoreMisconfiguration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	for name, c := range map[string]struct {
+		kind string
+		cfg  sc.StoreConfig
+	}{
+		"unknown organization":  {"tertiary", sc.StoreConfig{}},
+		"unknown backend":       {"cluster", sc.StoreConfig{Backend: "tape"}},
+		"unknown buffer policy": {"cluster", sc.StoreConfig{BufferPolicy: "clock"}},
+		"file without path":     {"cluster", sc.StoreConfig{Backend: sc.BackendFile}},
+		"path on mem":           {"cluster", sc.StoreConfig{Path: path}},
+		"fsync on mem":          {"primary", sc.StoreConfig{Backend: sc.BackendMem, FsyncOnFlush: true}},
+		"compress on mem":       {"secondary", sc.StoreConfig{Compress: true}},
+		"wal with file backend": {"cluster", sc.StoreConfig{Backend: sc.BackendFile, Path: path, WALPath: filepath.Join(t.TempDir(), "wal")}},
+	} {
+		org, err := sc.NewStore(c.kind, c.cfg, nil, nil)
+		if org != nil || !errors.Is(err, os.ErrInvalid) {
+			t.Errorf("%s: NewStore = %v, %v; want an os.ErrInvalid error", name, org, err)
+		}
+		if _, serr := os.Stat(path); serr == nil {
+			t.Fatalf("%s: the backing file was created before the config was refused", name)
+		}
+	}
+	// Open and RecoverStore check the same config, before they read anything.
+	if _, err := sc.Open(filepath.Join(t.TempDir(), "missing.sdb"), sc.StoreConfig{Backend: "tape"}); !errors.Is(err, os.ErrInvalid) {
+		t.Errorf("Open with an unknown backend: %v", err)
+	}
+	if _, _, err := sc.RecoverStore(sc.StoreConfig{WALPath: t.TempDir(), Compress: true}); !errors.Is(err, os.ErrInvalid) {
+		t.Errorf("RecoverStore with compress on mem: %v", err)
+	}
+	// A runtime failure is not a misconfiguration.
+	if _, err := sc.NewStore("cluster", sc.StoreConfig{Backend: sc.BackendFile, Path: t.TempDir()}, nil, nil); err == nil || errors.Is(err, os.ErrInvalid) {
+		t.Errorf("NewStore on a directory path: %v, want a runtime error", err)
 	}
 }
