@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -106,9 +107,28 @@ func TestFlagMisuse(t *testing.T) {
 	}
 }
 
+// lockedBuffer collects a daemon's output on the goroutine that scans it while
+// the test reads it on its own.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) WriteString(s string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.b.WriteString(s)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // startDaemon launches a binary, waits for its listen line, and returns the
 // base URL plus a stopper that SIGTERMs the daemon and waits for clean exit.
-func startDaemon(t *testing.T, bin string, args ...string) (string, *bytes.Buffer) {
+func startDaemon(t *testing.T, bin string, args ...string) (string, *lockedBuffer) {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	stdout, err := cmd.StdoutPipe()
@@ -119,7 +139,7 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *bytes.Buffe
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	buf := &bytes.Buffer{}
+	buf := &lockedBuffer{}
 	lines := bufio.NewScanner(stdout)
 	listenRe := regexp.MustCompile(`listening on (http://[0-9.:]+)`)
 	got := make(chan string, 1)
@@ -212,7 +232,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	baseB, bufB := startDaemon(t, sdbdBin, append(gen, "-shards", "2", "-shard-of", "1")...)
 	ref, _ := startDaemon(t, sdbdBin, gen...)
 
-	rangeOf := func(buf *bytes.Buffer) string {
+	rangeOf := func(buf *lockedBuffer) string {
 		m := shardRangeRe.FindStringSubmatch(buf.String())
 		if m == nil {
 			t.Fatalf("shard daemon printed no partition line:\n%s", buf.String())

@@ -340,10 +340,10 @@ func (m *Manager) victimIn(q int) (disk.PageID, bool) {
 // Under Policy2Q the oldest probationer goes first once A1in has reached its
 // target size (its ID moves to the shard's ghost list), otherwise the Am LRU
 // frame; either queue serves as fallback when the preferred one is all
-// pinned. Returns false when every buffered frame is pinned (the caller then
-// overflows capacity instead of failing). The caller must not hold any shard
-// lock.
-func (m *Manager) evictOne() bool {
+// pinned. It returns the evicted frame, unlinked and unreachable from the
+// buffer, for the caller to reuse; nil when every buffered frame is pinned (the
+// caller then overflows capacity instead of failing). No shard lock may be held.
+func (m *Manager) evictOne() *frame {
 	for {
 		prefer := qAm
 		if m.policy == Policy2Q && m.sizeA1.Load() >= int64(m.kin) {
@@ -354,7 +354,7 @@ func (m *Manager) evictOne() bool {
 			victimID, found = m.victimIn(1 - prefer)
 		}
 		if !found {
-			return false
+			return nil
 		}
 
 		s := m.shardOf(victimID)
@@ -387,7 +387,7 @@ func (m *Manager) evictOne() bool {
 		m.size.Add(-1)
 		m.evictions.Add(1)
 		s.mu.Unlock()
-		return true
+		return f
 	}
 }
 
@@ -454,6 +454,7 @@ func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
 	s := m.shardOf(id)
 	s.mu.Lock()
 	overflow := false
+	var f *frame // the frame an eviction below freed: a miss on a full buffer allocates none
 	for {
 		// Re-checked on every iteration: while the shard lock was dropped
 		// for eviction, a racing insert may have created the frame.
@@ -471,7 +472,7 @@ func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
 		// shard (including this one) and a dirty victim needs cross-shard
 		// write clustering.
 		s.mu.Unlock()
-		if !m.evictOne() {
+		if f = m.evictOne(); f == nil {
 			// Every frame is pinned: overflow capacity rather than fail
 			// (after one more racing-insert re-check at the loop top).
 			overflow = true
@@ -482,7 +483,10 @@ func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
 	if m.policy == Policy2Q && !s.ghost.remove(id) {
 		q = qA1 // unknown page: probation first; a ghost hit earns Am
 	}
-	f := &frame{id: id, data: data, dirty: dirty, queue: q, stamp: m.clock.Add(1)}
+	if f == nil {
+		f = new(frame)
+	}
+	*f = frame{id: id, data: data, dirty: dirty, queue: q, stamp: m.clock.Add(1)}
 	s.frames[id] = f
 	s.lists[q].pushFront(f)
 	if q == qA1 {
@@ -614,9 +618,10 @@ func (m *Manager) UnpinPages(ids []disk.PageID) {
 // --- bulk operations ---
 
 // Missing partitions pages into buffered (touched as hits) and missing ones;
-// a page listed twice counts once, and the missing IDs are returned sorted.
-func (m *Manager) Missing(pages []disk.PageID) []disk.PageID {
-	var missing []disk.PageID
+// a page listed twice counts once, and the missing IDs are returned sorted,
+// appended to missing[:0] (nil allocates as needed).
+func (m *Manager) Missing(pages, missing []disk.PageID) []disk.PageID {
+	missing = missing[:0]
 	var hi disk.PageID // highest page seen so far
 	for i, id := range pages {
 		// Callers pass a unit's handful of pages, mostly ascending: a scan

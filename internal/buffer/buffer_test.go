@@ -131,13 +131,13 @@ func TestMissing(t *testing.T) {
 	m := New(d, 4)
 	m.Get(2)
 	m.Get(5)
-	missing := m.Missing([]disk.PageID{5, 1, 2, 7, 1})
+	missing := m.Missing([]disk.PageID{5, 1, 2, 7, 1}, nil)
 	if len(missing) != 2 || missing[0] != 1 || missing[1] != 7 {
 		t.Fatalf("Missing = %v, want [1 7]", missing)
 	}
 	// A page listed twice counts once, wherever the repeat sits.
 	m.ResetStats()
-	if missing = m.Missing([]disk.PageID{4, 3, 4, 2, 3, 2}); len(missing) != 2 || missing[0] != 3 || missing[1] != 4 {
+	if missing = m.Missing([]disk.PageID{4, 3, 4, 2, 3, 2}, nil); len(missing) != 2 || missing[0] != 3 || missing[1] != 4 {
 		t.Fatalf("Missing = %v, want [3 4]", missing)
 	}
 	if st := m.Stats(); st.Hits != 1 || st.Misses != 2 {

@@ -171,14 +171,19 @@ func (r Rect) Expand(d float64) Rect {
 // Scale returns r scaled by f around its center. f > 1 enlarges the MBR;
 // the join evaluation (versions a and b, paper section 6.1) uses this to
 // control the number of intersecting pairs. The empty rectangle stays empty
-// (its ±Inf corners have no center to scale around).
+// (its ±Inf corners have no center to scale around). For f >= 1 the result
+// contains r: rounding must not leave an enlarged key an ulp short of its object.
 func (r Rect) Scale(f float64) Rect {
 	if r.IsEmpty() {
 		return r
 	}
 	c := r.Center()
 	hw, hh := r.Width()/2*f, r.Height()/2*f
-	return Rect{MinX: c.X - hw, MinY: c.Y - hh, MaxX: c.X + hw, MaxY: c.Y + hh}
+	out := Rect{MinX: c.X - hw, MinY: c.Y - hh, MaxX: c.X + hw, MaxY: c.Y + hh}
+	if f >= 1 {
+		out = out.Union(r)
+	}
+	return out
 }
 
 // MinDist returns the minimum Euclidean distance between p and any point of

@@ -114,6 +114,18 @@ func TestRectScale(t *testing.T) {
 	if s.Width() != 2*r.Width() || s.Height() != 2*r.Height() {
 		t.Fatalf("Scale(2) dims = %gx%g", s.Width(), s.Height())
 	}
+	// An enlarged key covers its object to the last bit: the rounding of
+	// center ± half-extent leaves the unguarded formula an ulp short of about
+	// every other rectangle at f = 1.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		r := randRect(rng)
+		for _, f := range []float64{1, 1.0000001, 4} {
+			if s := r.Scale(f); !s.ContainsRect(r) {
+				t.Fatalf("%v.Scale(%v) = %v does not contain it", r, f, s)
+			}
+		}
+	}
 }
 
 func TestOverlapDegree(t *testing.T) {

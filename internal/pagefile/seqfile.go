@@ -256,7 +256,7 @@ func (f *SequentialFile) CaptureBuffered(m *buffer.Manager, ref Ref) [][]byte {
 	for i := range ids {
 		ids[i] = span.Start + disk.PageID(i)
 	}
-	missing := m.Missing(ids)
+	missing := m.Missing(ids, nil)
 	if len(missing) > 0 {
 		m.ExecutePlan(disk.PlanRequired(missing), ids, false)
 	}

@@ -10,7 +10,11 @@
 // cluster from one store:
 //
 //   - Window and point queries scatter to the shards whose Hilbert region
-//     overlaps the (pad-expanded) window and merge the answers by ID dedup.
+//     overlaps the (pad-expanded) window and merge the answers: the IDs of
+//     all shards ascending, each once (shards own disjoint sets; the dedup
+//     is belt-and-braces), [] rather than null when there are none, and the
+//     candidates summed. The merged slice is sized once from the shard
+//     answers, then sorted and compacted in place.
 //   - k-NN queries run the wave protocol of shard.NextWave: shards are
 //     queried in ascending order of their distance lower bound, each for the
 //     full k, and the scatter stops once every unqueried shard's bound

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,22 +247,24 @@ func (rt *Router) routeSize() int {
 	return len(rt.route)
 }
 
-// mergeQuery combines per-shard window/point answers: ID dedup (shards own
-// disjoint sets, so this is belt-and-braces), ascending ID order for a
-// deterministic wire answer, candidates summed.
+// mergeQuery combines per-shard window/point answers: IDs ascending for a
+// deterministic wire answer, each once (shards own disjoint sets, so the
+// dedup is belt-and-braces), [] rather than null when there are none,
+// candidates summed.
 func mergeQuery(resps []server.QueryResponse) store.QueryResult {
-	seen := make(map[uint64]bool)
-	out := store.QueryResult{IDs: []object.ID{}}
+	n := 0
+	for _, r := range resps {
+		n += len(r.IDs)
+	}
+	out := store.QueryResult{IDs: make([]object.ID, 0, n)}
 	for _, r := range resps {
 		out.Candidates += r.Candidates
 		for _, id := range r.IDs {
-			if !seen[id] {
-				seen[id] = true
-				out.IDs = append(out.IDs, object.ID(id))
-			}
+			out.IDs = append(out.IDs, object.ID(id))
 		}
 	}
-	sort.Slice(out.IDs, func(a, b int) bool { return out.IDs[a] < out.IDs[b] })
+	slices.Sort(out.IDs)
+	out.IDs = slices.Compact(out.IDs)
 	return out
 }
 

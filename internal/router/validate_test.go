@@ -12,6 +12,7 @@ import (
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/framing"
 	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
 	"spatialcluster/internal/server"
 	"spatialcluster/internal/store"
 )
@@ -43,6 +44,10 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 	}
 	pt, win := [2]float64{0.5, 0.5}, [4]float64{0, 0, 1, 1}
 	mutate := func(kind byte, obj []byte) []byte { return append([]byte{kind, 0}, obj...) }
+	// Keys that do not cover their object: short of its last vertex, beside
+	// it, and not a rectangle at all.
+	seg := object.New(424242, geom.NewPolyline([]geom.Point{{X: 0.4, Y: 0.4}, {X: 0.41, Y: 0.4}}), 0)
+	keyed := func(kind byte, key [4]float64) []byte { return binproto.AppendMutateReq(nil, kind, seg, &key) }
 
 	cases := []struct {
 		name              string
@@ -64,6 +69,13 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 			`{"object":{"id":424242,"kind":"circle","vertices":[[0.4,0.4],[0.41,0.4]]}}`, mutate(binproto.KindInsert, rawObject(7, 2))},
 		{"negative pad", "/insert", "/bin/insert",
 			`{"object":{"id":424242,"kind":"polyline","vertices":[[0.4,0.4],[0.41,0.4]],"pad":-1}}`, nil},
+		{"key short of the object", "/insert", "/bin/insert",
+			`{"object":{"id":424242,"kind":"polyline","vertices":[[0.4,0.4],[0.41,0.4]]},"key":[0.4,0.4,0.405,0.4]}`,
+			keyed(binproto.KindInsert, [4]float64{0.4, 0.4, 0.405, 0.4})},
+		{"key beside the object", "/update", "/bin/update",
+			`{"object":{"id":424242,"kind":"polyline","vertices":[[0.4,0.4],[0.41,0.4]]},"key":[0.6,0.6,0.7,0.7]}`,
+			keyed(binproto.KindUpdate, [4]float64{0.6, 0.6, 0.7, 0.7})},
+		{"NaN key", "/insert", "/bin/insert", "", keyed(binproto.KindInsert, [4]float64{math.NaN(), 0.4, 0.41, 0.4})},
 	}
 	tiers := []struct {
 		name string
@@ -98,7 +110,8 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 	}
 
 	// Nothing above reached a store: the object none of the inserts created
-	// is absent, and no shard counted a data-plane request.
+	// is absent — the query that says so is the next request, answered — and
+	// no shard counted a data-plane request.
 	if r, err := tc.client.Point(geom.Pt(0.4, 0.4)); err != nil {
 		t.Fatal(err)
 	} else {

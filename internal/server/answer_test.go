@@ -1,0 +1,273 @@
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
+)
+
+// answerFrom reads fuzz bytes as the values of an answer: a flag byte (bit 0:
+// nil IDs, bit 1: nil distances), eight bytes of candidates, then sixteen
+// bytes per result — the ID and the bits of its distance.
+func answerFrom(data []byte) (ids []object.ID, dists []float64, candidates int) {
+	var flags byte
+	if len(data) > 0 {
+		flags, data = data[0], data[1:]
+	}
+	if len(data) >= 8 {
+		candidates, data = int(int64(binary.LittleEndian.Uint64(data))), data[8:]
+	}
+	if flags&1 == 0 {
+		ids = []object.ID{}
+	}
+	if flags&2 == 0 {
+		dists = []float64{}
+	}
+	for ; len(data) >= 16; data = data[16:] {
+		if ids != nil {
+			ids = append(ids, object.ID(binary.LittleEndian.Uint64(data)))
+		}
+		if dists != nil {
+			dists = append(dists, math.Float64frombits(binary.LittleEndian.Uint64(data[8:])))
+		}
+	}
+	return ids, dists, candidates
+}
+
+// answerBytes is the inverse of answerFrom for equally long lists.
+func answerBytes(flags byte, candidates int, ids []uint64, dists []float64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{flags}, uint64(candidates))
+	for i := range ids {
+		b = binary.LittleEndian.AppendUint64(b, ids[i])
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(dists[i]))
+	}
+	return b
+}
+
+func wireIDs(ids []object.ID) []uint64 {
+	if ids == nil {
+		return nil
+	}
+	out := make([]uint64, len(ids))
+	for i, id := range ids {
+		out[i] = uint64(id)
+	}
+	return out
+}
+
+// asKNN widens a window or point answer, so one comparison serves both.
+func asKNN(q QueryResponse) KNNResponse {
+	return KNNResponse{IDs: q.IDs, Candidates: q.Candidates, Trace: q.Trace}
+}
+
+// sameAnswer compares decoded answers bit for bit: nil apart from empty, -0
+// apart from 0.
+func sameAnswer(a, b KNNResponse) bool {
+	if a.Candidates != b.Candidates || (a.IDs == nil) != (b.IDs == nil) || (a.Dists == nil) != (b.Dists == nil) ||
+		len(a.IDs) != len(b.IDs) || len(a.Dists) != len(b.Dists) || !reflect.DeepEqual(a.Trace, b.Trace) {
+		return false
+	}
+	for i := range a.IDs {
+		if a.IDs[i] != b.IDs[i] {
+			return false
+		}
+	}
+	for i := range a.Dists {
+		if math.Float64bits(a.Dists[i]) != math.Float64bits(b.Dists[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzAnswerJSON holds the fast answer codec to encoding/json, its slow twin.
+// The fuzz bytes are used twice. Read as values, the encoder must write what
+// json.Encoder writes and the scanner must return the values. Read as a body,
+// a scanner that accepts must have decoded what json.Unmarshal decodes, and
+// decodeJSON must answer as a json.Decoder over the same bytes does.
+func FuzzAnswerJSON(f *testing.F) {
+	// More seeds — exponent boundaries, non-finite distances, nil lists, the
+	// bodies the scanner must decline — are in testdata/fuzz/FuzzAnswerJSON.
+	f.Add(answerBytes(0, 1100, []uint64{0, 1, math.MaxUint64, 1 << 63, 72057594037928268},
+		[]float64{0, math.Copysign(0, -1), 5e-324, 1e21, 1e-7}))
+	f.Add(answerBytes(2, -4, []uint64{5}, []float64{9.999999e20}))
+	f.Add([]byte("{\"ids\":[3,1152921504606846976],\"candidates\":5}\n"))
+	f.Add([]byte("{\"ids\":[9],\"dists\":[0.25],\"candidates\":3}\n"))
+	f.Add([]byte("{\"ids\":[1, 2],\"candidates\":2}"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ids, dists, candidates := answerFrom(data)
+		ids = nonNil(ids) // as the Front answers: [] for an empty answer, never null
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(queryResponse[object.ID]{IDs: ids, Candidates: candidates}); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := appendAnswer(nil, ids, nil, false, candidates)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("query answer encodes as %q, encoding/json writes %q", got, want.Bytes())
+		}
+		var q QueryResponse
+		if ok := scanAnswer(got, &q); ok != (candidates >= 0) {
+			t.Fatalf("scanner accepts %q: %v", got, ok)
+		} else if ok && !sameAnswer(asKNN(q), KNNResponse{IDs: wireIDs(ids), Candidates: candidates}) {
+			t.Fatalf("scanner read %q as %+v", got, q)
+		}
+
+		want.Reset()
+		err := json.NewEncoder(&want).Encode(knnResponse[object.ID]{IDs: ids, Dists: dists, Candidates: candidates})
+		got, ok := appendAnswer(nil, ids, dists, true, candidates)
+		if ok != (err == nil) {
+			t.Fatalf("k-NN answer %v encodes: %v, encoding/json says %v", dists, ok, err)
+		}
+		if ok {
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("k-NN answer encodes as %q, encoding/json writes %q", got, want.Bytes())
+			}
+			var k KNNResponse
+			if ok := scanAnswer(got, &k); ok != (candidates >= 0) {
+				t.Fatalf("scanner accepts %q: %v", got, ok)
+			} else if ok && !sameAnswer(k, KNNResponse{IDs: wireIDs(ids), Dists: dists, Candidates: candidates}) {
+				t.Fatalf("scanner read %q as %+v", got, k)
+			}
+		}
+
+		var sq, uq QueryResponse
+		if scanAnswer(data, &sq) {
+			if err := json.Unmarshal(data, &uq); err != nil || !sameAnswer(asKNN(sq), asKNN(uq)) {
+				t.Fatalf("scanner read %q as %+v, json.Unmarshal as %+v (%v)", data, sq, uq, err)
+			}
+		}
+		var sk, uk KNNResponse
+		if scanAnswer(data, &sk) {
+			if err := json.Unmarshal(data, &uk); err != nil || !sameAnswer(sk, uk) {
+				t.Fatalf("scanner read %q as %+v, json.Unmarshal as %+v (%v)", data, sk, uk, err)
+			}
+		}
+		var dk, jk KNNResponse
+		derr := decodeJSON(bytes.NewReader(data), &dk)
+		jerr := json.NewDecoder(bytes.NewReader(data)).Decode(&jk)
+		if (derr == nil) != (jerr == nil) || derr == nil && !sameAnswer(dk, jk) {
+			t.Fatalf("decodeJSON read %q as %+v (%v), a json.Decoder as %+v (%v)", data, dk, derr, jk, jerr)
+		}
+	})
+}
+
+// bigAnswer is the size of answer a 1 % window of the benchmark's data set
+// draws.
+func bigAnswer() []object.ID {
+	ids := make([]object.ID, 1100)
+	for i := range ids {
+		ids[i] = object.ID(1<<56 | uint64(i)*7919)
+	}
+	return ids
+}
+
+// TestAnswerBodyReads drives decodeJSON over readers that deliver the body the
+// ways a socket can: a byte at a time, with the error beside the last bytes,
+// cut short, failing — each must end as a json.Decoder over the same reader.
+func TestAnswerBodyReads(t *testing.T) {
+	answer, _ := appendAnswer(nil, bigAnswer(), nil, false, 1234)
+	body := string(answer)
+	boom := errors.New("boom")
+	for name, reader := range map[string]func(string) io.Reader{
+		"whole":          func(s string) io.Reader { return strings.NewReader(s) },
+		"one byte":       func(s string) io.Reader { return iotest.OneByteReader(strings.NewReader(s)) },
+		"error with eof": func(s string) io.Reader { return iotest.DataErrReader(strings.NewReader(s)) },
+		"cut short":      func(s string) io.Reader { return strings.NewReader(s[:len(s)/2]) },
+		"failing": func(s string) io.Reader {
+			return io.MultiReader(strings.NewReader(s[:len(s)/2]), iotest.ErrReader(boom))
+		},
+	} {
+		var got, want QueryResponse
+		gerr := decodeJSON(reader(body), &got)
+		werr := json.NewDecoder(reader(body)).Decode(&want)
+		if !errors.Is(gerr, werr) || !sameAnswer(asKNN(got), asKNN(want)) {
+			t.Errorf("%s: decodeJSON answers %d IDs (%v), a json.Decoder %d (%v)", name, len(got.IDs), gerr, len(want.IDs), werr)
+		}
+	}
+}
+
+// handlerTransport serves a client's requests by calling the handler, so a
+// test measures the client and the Front without a socket in between.
+type handlerTransport struct{ h http.Handler }
+
+func (ht handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	ht.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// TestRetryCostsNothingUntilItRetries: a client with a Retry configuration —
+// every shard client of a router — pays for the seeded jitter source on the
+// first retry, not on every call.
+func TestRetryCostsNothingUntilItRetries(t *testing.T) {
+	f := NewFront(&fakeService{}, "sdb", 0, -1, false)
+	c := &Client{Base: "http://front", HTTP: &http.Client{Transport: handlerTransport{f.Handler()}}}
+	point := func() {
+		if _, err := c.Point(geom.Pt(0.5, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := testing.AllocsPerRun(200, point)
+	c.Retry = &Retry{Seed: 42}
+	if with := testing.AllocsPerRun(200, point); with != plain {
+		t.Fatalf("a successful Point allocates %v objects with Retry set, %v without", with, plain)
+	}
+}
+
+var benchSink int
+
+// BenchmarkAnswerCodec times the encode and the decode of a 1,100-ID answer,
+// the fast codec beside encoding/json.
+func BenchmarkAnswerCodec(b *testing.B) {
+	ids := bigAnswer()
+	body, _ := appendAnswer(nil, ids, nil, false, 1234)
+	b.Run("encode/fast", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf, _ = appendAnswer(buf[:0], ids, nil, false, 1234)
+		}
+		benchSink += len(buf)
+	})
+	b.Run("encode/json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			json.NewEncoder(&buf).Encode(queryResponse[object.ID]{IDs: ids, Candidates: 1234})
+		}
+		benchSink += buf.Len()
+	})
+	for _, arm := range []struct {
+		name   string
+		decode func(io.Reader, any) error
+	}{
+		{"decode/fast", decodeJSON},
+		{"decode/json", func(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var q QueryResponse
+				if err := arm.decode(bytes.NewReader(body), &q); err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(q.IDs)
+			}
+		})
+	}
+}

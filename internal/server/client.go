@@ -198,7 +198,7 @@ func (c *Client) do(method, path string, wr wire, data []byte, traceID uint64, r
 		return c.exchange(method, path, wr, data, traceID, resp)
 	}
 	r := c.Retry.withDefaults()
-	rng := rand.New(rand.NewSource(r.Seed))
+	var rng *rand.Rand // the seeded jitter source; most calls never retry and never build it
 	mutating := mutating(path)
 	delay := r.BaseDelay
 	for attempt := 1; ; attempt++ {
@@ -208,6 +208,9 @@ func (c *Client) do(method, path string, wr wire, data []byte, traceID uint64, r
 		}
 		c.Counters.retried(err)
 		// Jittered sleep in [delay/2, delay), context-aware.
+		if rng == nil {
+			rng = rand.New(rand.NewSource(r.Seed))
+		}
 		d := delay/2 + time.Duration(rng.Int63n(int64(delay/2)))
 		if !c.sleep(d) {
 			return nil, fmt.Errorf("%s: retry aborted after %d attempts: %w", path, attempt, err)
@@ -289,7 +292,7 @@ func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uin
 		return io.ReadAll(hresp.Body)
 	case wireJSON:
 		if resp != nil {
-			err = json.NewDecoder(hresp.Body).Decode(resp)
+			err = decodeJSON(hresp.Body, resp)
 		}
 	}
 	if err != nil {

@@ -26,6 +26,16 @@
 // same batches and share one write-ahead-log commit per batch. Config.MaxBatch
 // 1 is serial execution.
 //
+// The two untraced JSON query answers — {"ids":[...],"candidates":n} and its
+// k-NN form with "dists" — are the hot bodies (a window answers a thousand
+// IDs) and skip encoding/json both ways (answer.go): the Front appends them
+// to pooled scratch byte for byte as encoding/json would write them, and the
+// Client reads a body of exactly that form with a scanner that sizes its
+// slices once. Whatever else the scanner is shown — a trace member, other key
+// order, whitespace, a literal out of range, a body beyond the request body
+// cap — it declines, and encoding/json decodes that body as it always did.
+// Requests, traced answers, errors and the control plane stay on encoding/json.
+//
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the
 // store, and optionally saving a snapshot. /metrics exposes storage

@@ -560,6 +560,9 @@ func (f *Front) knn(x *statusRecorder, r *http.Request, bin bool) {
 		replyBin(x, buf)
 		return
 	}
+	if x.rq.Trace == nil && replyAnswer(x, res.QueryResult, res.Dists, true) {
+		return
+	}
 	Reply(x, knnResponse[object.ID]{
 		IDs: nonNil(res.IDs), Dists: res.Dists, Candidates: res.Candidates, Trace: traceInfo(x.rq.Trace),
 	}, nil)
@@ -576,6 +579,9 @@ func replyQuery(x *statusRecorder, bin bool, res store.QueryResult, err error) {
 		defer binproto.PutBuf(buf)
 		*buf = binproto.AppendQueryResp((*buf)[:0], res.IDs, res.Candidates)
 		replyBin(x, buf)
+		return
+	}
+	if x.rq.Trace == nil && replyAnswer(x, res, nil, false) {
 		return
 	}
 	Reply(x, queryResponse[object.ID]{
@@ -656,10 +662,17 @@ func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*objec
 	if err != nil {
 		return nil, geom.Rect{}, badRequest(err)
 	}
+	bounds := o.Bounds()
 	if key == nil {
-		return o, o.Bounds(), nil
+		return o, bounds, nil
 	}
-	return o, geom.R(key[0], key[1], key[2], key[3]), nil
+	// Filter-then-refine needs a key that covers the object (Organization.Insert).
+	k := geom.R(key[0], key[1], key[2], key[3])
+	if !k.ContainsRect(bounds) {
+		return nil, geom.Rect{}, statusErr(http.StatusBadRequest,
+			"object %d: key %v does not contain the object's bounds %v", o.ID, k, bounds)
+	}
+	return o, k, nil
 }
 
 // replyMutate answers insert, update and delete.

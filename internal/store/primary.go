@@ -197,8 +197,10 @@ func (p *Primary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 			view, size := p.entryView(e.Payload, p.overflow.ReadDirect)
 			res.Candidates++
 			res.CandidateBytes += int64(size)
-			if v := sc.decode(view); intersectsRect(v, w) {
-				res.IDs = append(res.IDs, v.ID)
+			if sc.inWindow(e.Rect, view, w) {
+				// Both payload kinds carry the object ID right after the tag.
+				id, _ := decodePayload(e.Payload[1:])
+				res.IDs = append(res.IDs, id)
 			}
 			return true
 		})

@@ -57,15 +57,35 @@ func (sc *scratch) decode(view []byte) object.View {
 	return v
 }
 
-// The exact predicates of the three queries, run on a stack geometry over
-// the decoded vertices — the same methods object.Unmarshal's heap geometry
-// would dispatch to.
+// The exact predicates of the three queries, run on the decoded vertices.
 
-func intersectsRect(v object.View, w geom.Rect) bool {
-	if v.Polygon {
-		return (&geom.Polygon{Vertices: v.Vertices}).IntersectsRect(w)
+// inWindow is the refinement step of a window query for one candidate, its
+// fetch already charged. The key covers the object (Organization.Insert), so
+// an object whose key lies inside the window is an answer without its
+// vertices being decoded; every other candidate takes the exact test.
+func (sc *scratch) inWindow(key geom.Rect, view []byte, w geom.Rect) bool {
+	if !key.IsEmpty() && w.ContainsRect(key) {
+		return true
 	}
-	return (&geom.Polyline{Vertices: v.Vertices}).IntersectsRect(w)
+	return intersectsRect(sc.decode(view), w)
+}
+
+// intersectsRect is Polyline.IntersectsRect and Polygon.IntersectsRect less
+// their bounding-box rejection: the filter step has matched the candidate by
+// its key already, and recomputing the MBR costs a pass over the vertices.
+func intersectsRect(v object.View, w geom.Rect) bool {
+	vs := v.Vertices
+	for i := 0; i+1 < len(vs); i++ {
+		if (geom.Segment{A: vs[i], B: vs[i+1]}).IntersectsRect(w) {
+			return true
+		}
+	}
+	if !v.Polygon {
+		return false
+	}
+	// The closing edge; failing that, the window lies inside the ring or outside.
+	return (geom.Segment{A: vs[len(vs)-1], B: vs[0]}).IntersectsRect(w) ||
+		(&geom.Polygon{Vertices: vs}).ContainsPoint(w.Center())
 }
 
 func containsPoint(v object.View, p geom.Point) bool {
@@ -132,6 +152,7 @@ func (c *Cluster) requestedPages(u *clusterUnit, ids []object.ID, out []disk.Pag
 // returns nothing; the pages end up in m. requested lists the pages the
 // caller needs.
 func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.Manager, tech Technique) {
+	var missBuf [128]disk.PageID // as below: the missing pages of any regular unit fit
 	switch tech {
 	case TechComplete:
 		// Transfer the whole cluster unit with one read request. (The page
@@ -141,7 +162,7 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 		for i := 0; i < u.usedPages(); i++ {
 			all = append(all, u.extent.Start+disk.PageID(i))
 		}
-		missing := m.Missing(all)
+		missing := m.Missing(all, missBuf[:])
 		if len(missing) == 0 {
 			return
 		}
@@ -152,7 +173,7 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 		run := disk.Run{Start: u.extent.Start, N: u.usedPages()}
 		m.ExecutePlan([]disk.Run{run}, all, false)
 	case TechSLM, TechSLMVector:
-		missing := m.Missing(requested)
+		missing := m.Missing(requested, missBuf[:])
 		if len(missing) == 0 {
 			return
 		}
@@ -160,7 +181,7 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 		runs := disk.PlanSLM(missing, l)
 		m.ExecutePlan(runs, requested, tech == TechSLMVector)
 	case TechPageByPage:
-		missing := m.Missing(requested)
+		missing := m.Missing(requested, missBuf[:])
 		if len(missing) == 0 {
 			return
 		}
@@ -269,9 +290,9 @@ func (c *Cluster) WindowQuery(w geom.Rect, tech Technique) QueryResult {
 					eff = TechComplete
 				}
 			}
-			for _, view := range c.capture(u, ids, c.env.Buf, eff, sc) {
-				if v := sc.decode(view); intersectsRect(v, w) {
-					res.IDs = append(res.IDs, v.ID)
+			for i, view := range c.capture(u, ids, c.env.Buf, eff, sc) {
+				if sc.inWindow(lm.Matched[i].Rect, view, w) {
+					res.IDs = append(res.IDs, ids[i])
 				}
 			}
 			return true

@@ -579,3 +579,57 @@ func TestQueryAllocs(t *testing.T) {
 		t.Fatal("the two stores answer the window differently")
 	}
 }
+
+// --- the containment rule ----------------------------------------------------
+
+// TestWindowRefinementShortcut holds the window refinement — a candidate whose
+// key lies inside the window is an answer undecoded, every other takes the
+// segment test without its bounding-box rejection — to a brute-force scan of
+// the data set with the exact predicate, and to refWindow, the same query
+// with neither shortcut: IDs in order, Candidates, CandidateBytes and Cost
+// equal. Polylines and polygons, keys equal to the MBR and enlarged fourfold,
+// and the windows where containment and touching are decided by equality:
+// zero-area ones, an object's own MBR and key, and neighbours sharing only an
+// edge or a corner with them.
+func TestWindowRefinementShortcut(t *testing.T) {
+	techs := []Technique{TechComplete, TechThreshold, TechSLM, TechSLMVector, TechPageByPage}
+	for _, m := range []datagen.MapID{datagen.Map1, datagen.Map2} {
+		for _, scale := range []float64{1, 4} {
+			ds := datagen.Generate(datagen.Spec{Map: m, Series: datagen.SeriesA, Scale: 256, Seed: 31, MBRScale: scale})
+			ws := append(ds.Windows(0.0005, 4, 5), ds.Windows(0.05, 3, 6)...)
+			for i := 0; i < len(ds.Objects); i += len(ds.Objects)/5 + 1 {
+				b, k, v := ds.Objects[i].Bounds(), ds.MBRs[i], ds.Objects[i].Geom.Segments()[0].A
+				ws = append(ws, b, k,
+					geom.RectFromPoint(b.Center()), geom.RectFromPoint(v),
+					geom.R(b.MaxX, b.MinY, b.MaxX+0.01, b.MaxY),      // shares an edge with the MBR
+					geom.R(k.MaxX, k.MaxY, k.MaxX+0.01, k.MaxY+0.01), // and a corner with the key
+					geom.R(v.X-0.01, v.Y-0.01, v.X, v.Y))             // and a corner with a vertex
+			}
+			decided := 0
+			for _, kind := range []string{"secondary", "primary", "cluster"} {
+				got, ref := buildOrg(t, kind, ds, 24), buildOrg(t, kind, ds, 24)
+				for _, tech := range techs {
+					for i, w := range ws {
+						label := fmt.Sprintf("map %v, keys ×%v, %s, %v, window %d %v", m, scale, kind, tech, i, w)
+						res := got.WindowQuery(w, tech)
+						want := refWindow(ref, w, tech, func(o *object.Object) bool { return o.Geom.IntersectsRect(w) })
+						if !reflect.DeepEqual(res, want) {
+							t.Fatalf("%s:\n  with the shortcut %+v\n  without %+v", label, res, want)
+						}
+						sameIDs(t, label, res.IDs, bruteWindow(ds, w))
+					}
+				}
+			}
+			for i := range ds.Objects {
+				for _, w := range ws {
+					if w.ContainsRect(ds.MBRs[i]) {
+						decided++
+					}
+				}
+			}
+			if decided == 0 {
+				t.Fatalf("map %v, keys ×%v: no window contains a key, the rule was never exercised", m, scale)
+			}
+		}
+	}
+}

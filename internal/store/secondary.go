@@ -153,7 +153,7 @@ func (s *Secondary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 			id, size := decodePayload(e.Payload)
 			res.Candidates++
 			res.CandidateBytes += int64(size)
-			if intersectsRect(sc.decode(s.readObjectDirect(id)), w) {
+			if sc.inWindow(e.Rect, s.readObjectDirect(id), w) {
 				res.IDs = append(res.IDs, id)
 			}
 			return true

@@ -148,9 +148,12 @@ type Organization interface {
 	// Name returns the paper's name of the model ("sec. org." etc.).
 	Name() string
 	// Insert stores the object with the given spatial key (the key is the
-	// object MBR, possibly enlarged for join version b). An object the
-	// store cannot take — ErrDuplicateID, ErrObjectTooLarge — is refused
-	// with the store unchanged.
+	// object MBR, possibly enlarged for join version b). The caller
+	// guarantees key ⊇ o.Bounds() — WindowQuery answers a candidate whose key
+	// lies inside the window without looking at its geometry; the serving
+	// layer checks the keys that arrive over a socket. An object the store
+	// cannot take — ErrDuplicateID, ErrObjectTooLarge — is refused with the
+	// store unchanged.
 	Insert(o *object.Object, key geom.Rect) error
 	// Delete removes the object and reclaims or tombstones its storage:
 	// the primary organization frees overflow pages, the secondary
@@ -160,8 +163,9 @@ type Organization interface {
 	// It reports whether the object existed.
 	Delete(id object.ID) bool
 	// Update replaces the stored object of the same ID with o under the new
-	// spatial key (delete + reinsert — the paper's R*-tree has no in-place
-	// geometry update). It reports whether the object existed.
+	// spatial key, key ⊇ o.Bounds() as for Insert (delete + reinsert — the
+	// paper's R*-tree has no in-place geometry update). It reports whether
+	// the object existed.
 	Update(o *object.Object, key geom.Rect) bool
 	// PointQuery returns the objects containing p (section 5.5).
 	PointQuery(p geom.Point) QueryResult
