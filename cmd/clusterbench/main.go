@@ -12,7 +12,8 @@
 //	clusterbench -exp benches -smoke             # every engine benchmark, CI-sized
 //
 // What each engine benchmark sweeps, the artifact it writes and its schema
-// are in docs/BENCHMARKS.md. A false gating verdict exits 1 and names the
+// are in docs/BENCHMARKS.md; an axis without a flag (the churn schedule of
+// -exp dynamic, the k of -exp knn) is a constant of its experiment. A false gating verdict exits 1 and names the
 // verdict; flag misuse exits 2.
 //
 // Scale 1 is the paper's full data size (131,461 + 128,971 objects); the
@@ -51,8 +52,6 @@ func main() {
 		scale   = flag.Int("scale", 8, "divide the paper's object counts by this factor (1 = full size)")
 		queries = flag.Int("queries", 678, "queries per window size (paper: 678)")
 		seed    = flag.Int64("seed", 0, "generation seed")
-		batches = flag.Int("batches", 0, "churn batches for -exp dynamic (0 = default)")
-		opsPer  = flag.Int("ops", 0, "workload ops per batch for -exp dynamic (0 = a tenth of the dataset)")
 		smoke   = flag.Bool("smoke", false, "shrink every engine benchmark to its CI-sized preset (seconds; see docs/BENCHMARKS.md)")
 		jsonOut = flag.String("json", "", "output path for an engine benchmark's JSON (default: its BENCH_*.json, see docs/BENCHMARKS.md; empty or '-' disables)")
 		verbose = flag.Bool("v", false, "print per-step progress to stderr")
@@ -108,7 +107,7 @@ func main() {
 		usage("-json with %s would overwrite one result; run them separately", strings.Join(writers, "+"))
 	}
 
-	o := exp.Options{Scale: *scale, Queries: *queries, Seed: *seed, Batches: *batches, OpsPerBatch: *opsPer}
+	o := exp.Options{Scale: *scale, Queries: *queries, Seed: *seed}
 	if *verbose {
 		o.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -29,9 +29,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestFlagMisuse covers the validations that must reject a run before any
-// experiment starts: unknown (and retired) experiment names, ambiguous -json
-// overrides (which would let one benchmark clobber another's file), and
-// malformed count lists. The clobber pairs and the count-list flags come
+// experiment starts: unknown (and retired) experiment names and flags,
+// ambiguous -json overrides (which would let one benchmark clobber another's
+// file), and malformed count lists. The clobber pairs and the count-list flags come
 // from the registry. All of these exit 2 instantly.
 func TestFlagMisuse(t *testing.T) {
 	type misuse struct {
@@ -43,6 +43,8 @@ func TestFlagMisuse(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "fig99"}, "unknown experiment"},
 		{"retired experiment obs", []string{"-exp", "obs"}, "unknown experiment"},
 		{"retired experiment speed", []string{"-exp", "server,speed"}, "unknown experiment"},
+		{"retired flag batches", []string{"-exp", "dynamic", "-batches", "2"}, "flag provided but not defined"},
+		{"retired flag ops", []string{"-exp", "dynamic", "-ops", "100"}, "flag provided but not defined"},
 		{"json clobber group", []string{"-exp", exp.GroupBenches, "-json", "x.json"}, "would overwrite"},
 	}
 	benches, err := exp.Select([]string{exp.GroupBenches})

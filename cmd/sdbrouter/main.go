@@ -4,7 +4,11 @@
 // window, point and k-NN queries, insert/update/delete mutations, recluster
 // and flush — routing every request to the minimal set of shards and merging
 // their answers. Clients need no routing awareness; curl speaks to the
-// router exactly as it would to one daemon.
+// router exactly as it would to one daemon. The hop to the shards speaks the
+// binary protocol of internal/binproto (the shards' /bin/* endpoints)
+// whichever codec a request arrived in; JSON is the public edge. A request's
+// deadline and cancellation ride along: a caller that goes away aborts its
+// scatter.
 //
 // Usage:
 //
@@ -158,6 +162,7 @@ func main() {
 			a = "http://" + a
 		}
 		clients[i] = server.NewClient(a, *conns)
+		clients[i].Binary = true
 		if *attempts > 1 {
 			clients[i].Retry = &server.Retry{Attempts: *attempts, Seed: int64(i)}
 		}

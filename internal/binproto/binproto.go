@@ -8,7 +8,7 @@
 // log) — whose payload starts with a one-byte message kind followed by the
 // kind's fixed little-endian field layout:
 //
-//	window  0x01: tech u8 | x1 y1 x2 y2 f64        (34 bytes)
+//	window  0x01: tech u8 | x1 y1 x2 y2 f64        (34 bytes; tech 0xff: the server's default)
 //	point   0x02: x y f64                          (17 bytes)
 //	knn     0x03: x y f64 | k u32                  (21 bytes)
 //	insert  0x04: hasKey u8 | [x1 y1 x2 y2 f64] | object.Marshal bytes
@@ -179,9 +179,11 @@ func (r *reader) checkKind(want byte, name string) {
 // TechName returns the canonical wire name of a technique — the string the
 // JSON API parses with store.TechByName. (Technique.String is a display name,
 // not a wire name.) Gateways translating a binary technique byte into a JSON
-// request use this.
+// request use this. The unnamed technique has the empty name.
 func TechName(t store.Technique) string {
 	switch t {
+	case store.TechDefault:
+		return ""
 	case store.TechThreshold:
 		return "threshold"
 	case store.TechSLM:
@@ -196,7 +198,9 @@ func TechName(t store.Technique) string {
 
 // --- requests ---
 
-// AppendWindowReq encodes a window query request.
+// AppendWindowReq encodes a window query request. The technique travels as a
+// signed byte: store.TechDefault (0xff) leaves it to the server that executes
+// the query.
 func AppendWindowReq(dst []byte, win [4]float64, tech store.Technique) []byte {
 	dst = append(dst, KindWindow, byte(tech))
 	for _, v := range win {
@@ -216,8 +220,8 @@ func DecodeWindowReq(p []byte) (win [4]float64, tech store.Technique, err error)
 	if err = r.done("window"); err != nil {
 		return win, 0, err
 	}
-	tech = store.Technique(t)
-	if tech < store.TechComplete || tech > store.TechPageByPage {
+	tech = store.Technique(int8(t))
+	if tech < store.TechDefault || tech > store.TechPageByPage {
 		return win, 0, fmt.Errorf("binproto: unknown technique %d", t)
 	}
 	return win, tech, nil

@@ -12,7 +12,7 @@ import (
 
 func TestWindowRoundTrip(t *testing.T) {
 	win := [4]float64{0.1, 0.2, 0.3, 0.4}
-	for tech := store.TechComplete; tech <= store.TechPageByPage; tech++ {
+	for tech := store.TechDefault; tech <= store.TechPageByPage; tech++ {
 		p := AppendWindowReq(nil, win, tech)
 		gotWin, gotTech, err := DecodeWindowReq(p)
 		if err != nil {
@@ -26,8 +26,10 @@ func TestWindowRoundTrip(t *testing.T) {
 
 func TestWindowRejects(t *testing.T) {
 	win := [4]float64{0, 0, 1, 1}
-	if _, _, err := DecodeWindowReq(AppendWindowReq(nil, win, store.Technique(9))); err == nil {
-		t.Fatal("unknown technique accepted")
+	for _, tech := range []store.Technique{9, store.TechDefault - 1} {
+		if _, _, err := DecodeWindowReq(AppendWindowReq(nil, win, tech)); err == nil {
+			t.Fatalf("unknown technique %d accepted", tech)
+		}
 	}
 	p := AppendWindowReq(nil, win, store.TechSLM)
 	if _, _, err := DecodeWindowReq(p[:len(p)-1]); err == nil {

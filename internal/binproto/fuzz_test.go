@@ -14,6 +14,7 @@ import (
 // (the decoders are exact-length, so acceptance implies canonical form).
 func FuzzDecodeRequests(f *testing.F) {
 	f.Add(AppendWindowReq(nil, [4]float64{0, 0, 1, 1}, store.TechSLM))
+	f.Add(AppendWindowReq(nil, [4]float64{0, 0, 1, 1}, store.TechDefault))
 	f.Add(AppendPointReq(nil, [2]float64{0.5, 0.5}))
 	f.Add(AppendKNNReq(nil, [2]float64{0.5, 0.5}, 10))
 	obj := object.New(7, geom.NewPolyline([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}), 3)

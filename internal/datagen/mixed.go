@@ -9,15 +9,18 @@ import (
 	"spatialcluster/internal/object"
 )
 
-// OpKind classifies one operation of a mixed workload.
+// OpKind classifies one generated operation.
 type OpKind byte
 
-// The operation kinds of the mixed workload.
+// The operation kinds: a mixed workload (MixedWorkload) draws from the
+// first four, a query stream (Stream) from the last three.
 const (
 	OpInsert OpKind = iota
 	OpDelete
 	OpUpdate
-	OpQuery
+	OpWindow
+	OpPoint
+	OpKNN
 )
 
 // String implements fmt.Stringer.
@@ -29,21 +32,28 @@ func (k OpKind) String() string {
 		return "delete"
 	case OpUpdate:
 		return "update"
-	case OpQuery:
-		return "query"
+	case OpWindow:
+		return "window"
+	case OpPoint:
+		return "point"
+	case OpKNN:
+		return "knn"
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
 
-// Op is one operation of a mixed workload. Inserts and updates carry the
-// object and its spatial key; deletes carry the victim ID; queries carry the
-// window.
+// Op is one generated operation — the only one: every workload of the
+// repository is a []Op. Inserts and updates carry the object and its spatial
+// key; deletes carry the victim ID; window queries the window; point and
+// k-NN queries the point, k-NN also k.
 type Op struct {
 	Kind   OpKind
 	Obj    *object.Object // insert, update
 	Key    geom.Rect      // insert, update
 	ID     object.ID      // delete (updates use Obj.ID)
-	Window geom.Rect      // query
+	Window geom.Rect      // window
+	Point  geom.Point     // point, knn
+	K      int            // knn
 }
 
 // MixSpec describes a mixed insert/delete/update/query workload over a
@@ -192,7 +202,7 @@ func (d *Dataset) MixedWorkload(spec MixSpec) []Op {
 			c := w.queryCenter(hot, d, rng)
 			win := geom.R(c.X-side/2, c.Y-side/2, c.X+side/2, c.Y+side/2).
 				Intersection(DataSpace())
-			ops = append(ops, Op{Kind: OpQuery, Window: win})
+			ops = append(ops, Op{Kind: OpWindow, Window: win})
 		}
 	}
 	return ops

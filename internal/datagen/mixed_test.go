@@ -83,7 +83,7 @@ func TestMixedWorkloadStreamValidity(t *testing.T) {
 			if op.Obj.Size() > ds.Spec.SmaxBytes() {
 				t.Fatalf("op %d: updated object exceeds Smax", i)
 			}
-		case OpQuery:
+		case OpWindow:
 			if op.Window.IsEmpty() || !DataSpace().ContainsRect(op.Window) {
 				t.Fatalf("op %d: bad query window %v", i, op.Window)
 			}
@@ -91,7 +91,7 @@ func TestMixedWorkloadStreamValidity(t *testing.T) {
 			t.Fatalf("op %d: unknown kind %v", i, op.Kind)
 		}
 	}
-	for _, kind := range []OpKind{OpInsert, OpDelete, OpUpdate, OpQuery} {
+	for _, kind := range []OpKind{OpInsert, OpDelete, OpUpdate, OpWindow} {
 		if counts[kind] == 0 {
 			t.Errorf("default mix produced no %v ops", kind)
 		}
@@ -159,7 +159,8 @@ func TestMixedWorkloadExhaustionFallsBackToInserts(t *testing.T) {
 
 // TestOpKindString pins the enum labels used in reports.
 func TestOpKindString(t *testing.T) {
-	want := map[OpKind]string{OpInsert: "insert", OpDelete: "delete", OpUpdate: "update", OpQuery: "query"}
+	want := map[OpKind]string{OpInsert: "insert", OpDelete: "delete", OpUpdate: "update", OpWindow: "window",
+		OpPoint: "point", OpKNN: "knn"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("OpKind(%d).String() = %q, want %q", k, k.String(), s)

@@ -62,6 +62,45 @@ func (d *Dataset) Points(n int, seed int64) []geom.Point {
 	return out
 }
 
+// StreamSpec describes a deterministic query stream over a dataset.
+type StreamSpec struct {
+	N          int     // stream length
+	WindowArea float64 // window area as a fraction of the data space
+	K          int     // neighbor count of the k-NN queries
+	Seed       int64   // drives the whole stream
+}
+
+// Stream generates a deterministic query stream over the dataset: window,
+// point and k-NN queries mixed 50/25/25, their centers drawn
+// data-density-weighted like Windows and Points. Equal (dataset, spec) yield
+// identical streams.
+func (d *Dataset) Stream(spec StreamSpec) []Op {
+	// One windows/points pool each, consumed in order: the per-kind pools
+	// keep the stream identical to the established workload generators.
+	n := spec.N
+	ws := d.Windows(spec.WindowArea, n, spec.Seed+1)
+	pts := d.Points(n, spec.Seed+2)
+
+	rng := rand.New(rand.NewSource(spec.Seed ^ 0x6c6f6164)) // "load"
+	out := make([]Op, 0, n)
+	wi, pi := 0, 0
+	for len(out) < n {
+		r := rng.Float64()
+		switch {
+		case r < 0.5:
+			out = append(out, Op{Kind: OpWindow, Window: ws[wi]})
+			wi++
+		case r < 0.75:
+			out = append(out, Op{Kind: OpPoint, Point: pts[pi]})
+			pi++
+		default:
+			out = append(out, Op{Kind: OpKNN, Point: pts[pi], K: spec.K})
+			pi++
+		}
+	}
+	return out
+}
+
 // randomMBRPoint picks a uniform point inside the MBR of a random object.
 func (d *Dataset) randomMBRPoint(rng *rand.Rand) geom.Point {
 	r := d.MBRs[rng.Intn(len(d.MBRs))]

@@ -1,11 +1,14 @@
 // Package exp holds every experiment of the repository behind one registry
 // (Experiments): one driver per table and figure of the paper's evaluation
 // (sections 5 and 6), and the repository's own engine benchmarks. Every
-// driver generates its workload with internal/datagen, builds the
-// organization models under test (internal/store), runs its sweep, and
-// returns a Result — a report rendered the way the paper labels its figures
-// (I/O seconds for construction and joins, msec/4KB for queries, pages for
-// storage utilization) plus the gating verdicts that came out false.
+// driver generates its workload with internal/datagen — a workload is a
+// []datagen.Op, and the harness has one function that runs an op against a
+// store (apply) and one that sends it through a server client (send) —
+// builds the organization models under test (internal/store), runs its
+// sweep, and returns a Result — a report rendered the way the paper labels
+// its figures (I/O seconds for construction and joins, msec/4KB for queries,
+// pages for storage utilization) plus the gating verdicts that came out
+// false.
 //
 // Experiments run at a configurable Scale: Scale=1 is the paper's full data
 // size, the default Scale=8 keeps the full pipeline minutes-fast while
@@ -35,8 +38,8 @@
 //
 // The two served experiments share one fixture (served.go): one way to start
 // a server or a shard cluster, one serial reference pass, one replay that
-// verifies an arm answer for answer before one measured run records its
-// throughput. All seven are driven by the clusterbench command; the modelled
+// verifies an arm answer for answer, and the closed- and open-loop drivers
+// behind the one measured run that records its throughput and latencies. All seven are driven by the clusterbench command; the modelled
 // columns of every artifact — every line without a "wall field — are
 // byte-reproducible, which TestExperimentsDeterministic holds for the whole
 // registry.

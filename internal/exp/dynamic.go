@@ -14,7 +14,7 @@ import (
 // ApplyResult tallies a mixed-workload batch applied to one organization.
 type ApplyResult struct {
 	Inserts, Deletes, Updates, Queries int
-	Missing                            int // delete/update ops whose victim was absent
+	Missing                            int // mutations the store turned down: an absent delete/update victim, a refused insert
 	Answers                            int // summed answers of the embedded queries
 	Cost                               disk.Cost
 }
@@ -26,31 +26,20 @@ type ApplyResult struct {
 // to a store it was not generated for.
 func ApplyOps(org store.Organization, ops []datagen.Op, tech store.Technique) ApplyResult {
 	var res ApplyResult
+	var done [datagen.OpKNN + 1]int // ops that took effect, by kind
 	res.Cost = measureOrg(org, func() {
 		for _, op := range ops {
-			switch op.Kind {
-			case datagen.OpInsert:
-				org.Insert(op.Obj, op.Key)
-				res.Inserts++
-			case datagen.OpDelete:
-				if org.Delete(op.ID) {
-					res.Deletes++
-				} else {
-					res.Missing++
-				}
-			case datagen.OpUpdate:
-				if org.Update(op.Obj, op.Key) {
-					res.Updates++
-				} else {
-					res.Missing++
-				}
-			case datagen.OpQuery:
-				r := org.WindowQuery(op.Window, tech)
-				res.Queries++
-				res.Answers += len(r.IDs)
+			r := apply(org, op, tech)
+			if op.Kind < datagen.OpWindow && !r.existed {
+				res.Missing++
+				continue
 			}
+			done[op.Kind]++
+			res.Answers += len(r.IDs)
 		}
 	})
+	res.Inserts, res.Deletes, res.Updates = done[datagen.OpInsert], done[datagen.OpDelete], done[datagen.OpUpdate]
+	res.Queries = done[datagen.OpWindow] + done[datagen.OpPoint] + done[datagen.OpKNN]
 	return res
 }
 
@@ -147,15 +136,10 @@ func (r DynamicResult) Failed() []string {
 }
 
 func runDynamic(o Options, smoke bool, _ []int) Result {
-	cfg := DynamicConfig{Batches: o.Batches, OpsPerBatch: o.OpsPerBatch}
+	var cfg DynamicConfig
 	if smoke {
 		o = o.smoke(40)
-		if cfg.Batches == 0 {
-			cfg.Batches = 3
-		}
-		if cfg.OpsPerBatch == 0 {
-			cfg.OpsPerBatch = 400
-		}
+		cfg.Batches, cfg.OpsPerBatch = 3, 400
 	}
 	return DynamicBench(o, cfg)
 }

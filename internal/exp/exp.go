@@ -33,9 +33,6 @@ type Options struct {
 	// GOMAXPROCS. The paper's figure experiments stay single-threaded
 	// regardless: their per-query cost accounting needs serial requests.
 	Parallelism int
-	// Batches and OpsPerBatch override the dynamic experiment's churn
-	// schedule (0 keeps its default); no other experiment reads them.
-	Batches, OpsPerBatch int
 	// Progress, if non-nil, receives one line per completed step.
 	Progress func(format string, args ...any)
 }
@@ -227,21 +224,69 @@ func CoolObjectPages(org store.Organization) {
 	org.Env().Buf.Retain(org.Tree().IsDirPage)
 }
 
-// RunWindowQueries executes the windows against org with the technique,
-// cooling the data and object pages before each query (section 5.4 runs 678
-// spatially spread queries; only the directory stays buffer-resident).
-func RunWindowQueries(org store.Organization, ws []geom.Rect, tech store.Technique) QuerySummary {
-	sum := QuerySummary{Queries: len(ws)}
+// applied is the outcome of one op run against a store: the answer of a
+// query (a k-NN answer in rank order), the verdict of a mutation.
+type applied struct {
+	store.QueryResult
+	existed bool // insert: the store took the object; delete, update: it existed
+}
+
+// apply runs one generated op against org — the one place the harness turns
+// an op into a call on a store; tech is the technique of a window query.
+func apply(org store.Organization, op datagen.Op, tech store.Technique) applied {
+	switch op.Kind {
+	case datagen.OpInsert:
+		return applied{existed: org.Insert(op.Obj, op.Key) == nil}
+	case datagen.OpDelete:
+		return applied{existed: org.Delete(op.ID)}
+	case datagen.OpUpdate:
+		return applied{existed: org.Update(op.Obj, op.Key)}
+	case datagen.OpWindow:
+		return applied{QueryResult: org.WindowQuery(op.Window, tech)}
+	case datagen.OpPoint:
+		return applied{QueryResult: org.PointQuery(op.Point)}
+	case datagen.OpKNN:
+		return applied{QueryResult: org.NearestQuery(op.Point, op.K).QueryResult}
+	}
+	panic(fmt.Sprintf("exp: unknown op kind %v", op.Kind))
+}
+
+// runCold executes n queries, the i-th given by op, cooling the data and
+// object pages before each one (section 5.4 runs 678 spatially spread
+// queries; only the directory stays buffer-resident).
+func runCold(org store.Organization, n int, tech store.Technique, op func(i int) datagen.Op) QuerySummary {
+	sum := QuerySummary{Queries: n}
 	p := org.Env().Params()
-	for _, w := range ws {
+	for i := 0; i < n; i++ {
 		CoolObjectPages(org)
-		res := org.WindowQuery(w, tech)
+		res := apply(org, op(i), tech)
 		sum.Answers += len(res.IDs)
 		sum.Candidates += res.Candidates
 		sum.CandidateBytes += res.CandidateBytes
 		sum.TotalMS += res.Cost.TimeMS(p)
 	}
 	return sum
+}
+
+// RunWindowQueries executes the windows against org with the technique, cold.
+func RunWindowQueries(org store.Organization, ws []geom.Rect, tech store.Technique) QuerySummary {
+	return runCold(org, len(ws), tech, func(i int) datagen.Op {
+		return datagen.Op{Kind: datagen.OpWindow, Window: ws[i]}
+	})
+}
+
+// runPointQueries executes point queries, cold (section 5.5).
+func runPointQueries(org store.Organization, pts []geom.Point) QuerySummary {
+	return runCold(org, len(pts), store.TechComplete, func(i int) datagen.Op {
+		return datagen.Op{Kind: datagen.OpPoint, Point: pts[i]}
+	})
+}
+
+// RunNearestQueries executes k-NN (distance browsing) queries, cold.
+func RunNearestQueries(org store.Organization, pts []geom.Point, k int) QuerySummary {
+	return runCold(org, len(pts), store.TechComplete, func(i int) datagen.Op {
+		return datagen.Op{Kind: datagen.OpKNN, Point: pts[i], K: k}
+	})
 }
 
 // runWindowOptimum computes the theoretical lower bound of Figure 10 for a
@@ -255,38 +300,6 @@ func runWindowOptimum(c *store.Cluster, ws []geom.Rect) QuerySummary {
 		sum.Candidates += res.Candidates
 		sum.CandidateBytes += res.CandidateBytes
 		sum.TotalMS += ms
-	}
-	return sum
-}
-
-// RunNearestQueries executes k-NN (distance browsing) queries, cold — the
-// same steady-state convention as runPointQueries: the directory stays hot,
-// data and object pages are evicted before each query.
-func RunNearestQueries(org store.Organization, pts []geom.Point, k int) QuerySummary {
-	sum := QuerySummary{Queries: len(pts)}
-	p := org.Env().Params()
-	for _, pt := range pts {
-		CoolObjectPages(org)
-		res := org.NearestQuery(pt, k)
-		sum.Answers += len(res.IDs)
-		sum.Candidates += res.Candidates
-		sum.CandidateBytes += res.CandidateBytes
-		sum.TotalMS += res.Cost.TimeMS(p)
-	}
-	return sum
-}
-
-// runPointQueries executes point queries, cold (section 5.5).
-func runPointQueries(org store.Organization, pts []geom.Point) QuerySummary {
-	sum := QuerySummary{Queries: len(pts)}
-	p := org.Env().Params()
-	for _, pt := range pts {
-		CoolObjectPages(org)
-		res := org.PointQuery(pt)
-		sum.Answers += len(res.IDs)
-		sum.Candidates += res.Candidates
-		sum.CandidateBytes += res.CandidateBytes
-		sum.TotalMS += res.Cost.TimeMS(p)
 	}
 	return sum
 }

@@ -122,7 +122,7 @@ func recoveryMutations(ds *datagen.Dataset, n int, seed int64) []datagen.Op {
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 4 * n, Seed: seed, HotspotFrac: 0.5})
 	muts := make([]datagen.Op, 0, n)
 	for _, op := range ops {
-		if op.Kind == datagen.OpQuery {
+		if op.Kind == datagen.OpWindow {
 			continue
 		}
 		muts = append(muts, op)
@@ -134,29 +134,6 @@ func recoveryMutations(ds *datagen.Dataset, n int, seed int64) []datagen.Op {
 		panic(fmt.Sprintf("exp: recovery workload too short: %d of %d mutations", len(muts), n))
 	}
 	return muts
-}
-
-// toMutation converts a workload op to its WAL form.
-func toMutation(op datagen.Op) wal.Mutation {
-	switch op.Kind {
-	case datagen.OpInsert:
-		return wal.Mutation{Kind: wal.KindInsert, Obj: op.Obj, Key: op.Key}
-	case datagen.OpDelete:
-		return wal.Mutation{Kind: wal.KindDelete, ID: op.ID}
-	case datagen.OpUpdate:
-		return wal.Mutation{Kind: wal.KindUpdate, Obj: op.Obj, Key: op.Key}
-	}
-	panic(fmt.Sprintf("exp: op kind %v is not a mutation", op.Kind))
-}
-
-// applyLogged applies ops one commit at a time through the WAL wrapper.
-func applyLogged(ws *wal.Store, ops []datagen.Op) error {
-	for _, op := range ops {
-		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // storesAgree compares two stores on a probe workload: window and point
@@ -254,9 +231,7 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 			panic(fmt.Sprintf("exp: recovery bench: %v", err))
 		}
 		start := time.Now()
-		if err := applyLogged(ws, muts); err != nil {
-			panic(fmt.Sprintf("exp: recovery bench: %v", err))
-		}
+		applyAll(ws, muts)
 		wall := time.Since(start)
 		st := ws.Log().Stats()
 		modelMS := float64(st.Syncs)*(p.SeekMS+p.LatencyMS) +
@@ -295,17 +270,13 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 			if err != nil {
 				panic(fmt.Sprintf("exp: recovery bench: %v", err))
 			}
-			if err := applyLogged(ws, muts[:cfg.Ops-tail]); err != nil {
-				panic(fmt.Sprintf("exp: recovery bench: %v", err))
-			}
+			applyAll(ws, muts[:cfg.Ops-tail])
 			if cfg.Ops-tail > 0 {
 				if err := ws.Checkpoint(); err != nil {
 					panic(fmt.Sprintf("exp: recovery bench: %v", err))
 				}
 			}
-			if err := applyLogged(ws, muts[cfg.Ops-tail:]); err != nil {
-				panic(fmt.Sprintf("exp: recovery bench: %v", err))
-			}
+			applyAll(ws, muts[cfg.Ops-tail:])
 
 			// Crash: drop ws without flushing or closing. The reference for
 			// the torn arm is a fresh store with the stream minus the record
@@ -318,7 +289,7 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 				}
 				wantReplay = tail - 1
 				fresh := Build(kind, ds, o.BuildBufPages)
-				applyChurn(fresh.Org, muts[:cfg.Ops-1])
+				applyAll(fresh.Org, muts[:cfg.Ops-1])
 				ref = fresh.Org
 			}
 

@@ -3,13 +3,16 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/object"
+	"spatialcluster/internal/obs"
 	"spatialcluster/internal/router"
 	"spatialcluster/internal/server"
 	"spatialcluster/internal/shard"
@@ -17,10 +20,11 @@ import (
 )
 
 // The served fixture: what every experiment that puts a store behind HTTP
-// (server, shard) shares. A deterministic request stream is answered once
+// (server, shard) shares. A deterministic stream of generated ops is run once
 // serially in-process — the reference pass — and every served arm, whatever
 // its tracing, execution mode or shard count, is replayed against those
-// answers before its throughput is measured. Every arm speaks JSON: that
+// outcomes before its throughput is measured, closed or open loop. Every arm
+// speaks JSON at the public edge (the router → shard hop is binary): that
 // binary answers equal JSON answers is held by server.TestBinaryDifferential
 // and router.TestRouterBinaryDifferential, and what the codec costs by the
 // binproto.* metrics of bench/ — a closed-loop qps ratio weighed noise. To make the
@@ -36,58 +40,44 @@ import (
 // everything measured carries a wall_ prefix.
 
 // The shape of every served stream: the middle window size of Figure 8 and
-// 10-NN, mixed 50/25/25 with point queries by loadgen's default.
+// 10-NN, mixed 50/25/25 with point queries by datagen.Stream.
 const (
 	streamWindowArea = 0.001
 	streamK          = 10
 )
 
-// refAnswer is the serial in-process answer of one stream request.
-type refAnswer struct {
-	ids   []object.ID // windows/points: set order; k-NN: rank order
-	knn   bool
-	cands int
-}
-
-// serialAnswers executes the stream serially in-process against org and
-// returns the per-request reference answers. Server semantics: no page
-// cooling, the buffer stays warm across requests.
-func serialAnswers(org store.Organization, stream []loadgen.Request) []refAnswer {
-	refs := make([]refAnswer, len(stream))
-	for i, rq := range stream {
-		switch rq.Kind {
-		case loadgen.KindWindow:
-			r := org.WindowQuery(rq.Window, rq.Tech)
-			refs[i] = refAnswer{ids: r.IDs, cands: r.Candidates}
-		case loadgen.KindPoint:
-			r := org.PointQuery(rq.Point)
-			refs[i] = refAnswer{ids: r.IDs, cands: r.Candidates}
-		case loadgen.KindKNN:
-			r := org.NearestQuery(rq.Point, rq.K)
-			refs[i] = refAnswer{ids: r.IDs, knn: true, cands: r.Candidates}
-		}
+// applyAll executes ops serially in-process against org, windows at the
+// default technique, and returns the per-op outcomes — the reference every
+// served arm is compared with. Server semantics: no page cooling, the buffer
+// stays warm across requests. Against a *wal.Store every mutation is one
+// commit: its mutating methods log one record each and panic when the log
+// fails.
+func applyAll(org store.Organization, ops []datagen.Op) []applied {
+	refs := make([]applied, len(ops))
+	for i, op := range ops {
+		refs[i] = apply(org, op, store.TechComplete)
 	}
 	return refs
 }
 
 // sumAnswers totals a reference pass.
-func sumAnswers(refs []refAnswer) (answers, candidates int) {
+func sumAnswers(refs []applied) (answers, candidates int) {
 	for _, r := range refs {
-		answers += len(r.ids)
-		candidates += r.cands
+		answers += len(r.IDs)
+		candidates += r.Candidates
 	}
 	return
 }
 
 // answersMatch compares a served answer with its reference: rank by rank
-// for k-NN (ordered), as sets otherwise.
-func answersMatch(got []uint64, want refAnswer) bool {
-	if len(got) != len(want.ids) {
+// when ordered (k-NN), as sets otherwise.
+func answersMatch(got []uint64, want []object.ID, ordered bool) bool {
+	if len(got) != len(want) {
 		return false
 	}
-	if want.knn {
+	if ordered {
 		for i := range got {
-			if got[i] != uint64(want.ids[i]) {
+			if got[i] != uint64(want[i]) {
 				return false
 			}
 		}
@@ -97,7 +87,7 @@ func answersMatch(got []uint64, want refAnswer) bool {
 	for _, id := range got {
 		seen[id]++
 	}
-	for _, id := range want.ids {
+	for _, id := range want {
 		seen[uint64(id)]--
 		if seen[uint64(id)] < 0 {
 			return false
@@ -106,40 +96,51 @@ func answersMatch(got []uint64, want refAnswer) bool {
 	return true
 }
 
-// ask sends one stream request — traced: asking for its span tree — and
-// returns the answer IDs.
-func ask(c *server.Client, rq loadgen.Request, traced bool) ([]uint64, error) {
-	switch rq.Kind {
-	case loadgen.KindWindow:
-		call := c.Window
-		if traced {
-			call = c.WindowTraced
-		}
-		r, err := call(rq.Window, "")
-		return r.IDs, err
-	case loadgen.KindPoint:
-		call := c.Point
-		if traced {
-			call = c.PointTraced
-		}
-		r, err := call(rq.Point)
-		return r.IDs, err
-	default:
-		call := c.KNN
-		if traced {
-			call = c.KNNTraced
-		}
-		r, err := call(rq.Point, rq.K)
-		return r.IDs, err
+// send puts one generated op through c — the one place the harness turns an
+// op into a request — and returns the answer IDs of a query, the verdict of
+// a mutation (true for an insert the server took). A window names no
+// technique. Through a traced view of the client every query asks for its
+// span tree.
+func send(c *server.Client, op datagen.Op) (ids []uint64, existed bool, err error) {
+	switch op.Kind {
+	case datagen.OpInsert:
+		err = c.Insert(op.Obj, op.Key)
+		return nil, err == nil, err
+	case datagen.OpDelete:
+		existed, err = c.Delete(op.ID)
+		return nil, existed, err
+	case datagen.OpUpdate:
+		existed, err = c.Update(op.Obj, op.Key)
+		return nil, existed, err
+	case datagen.OpWindow:
+		r, err := c.Window(op.Window, "")
+		return r.IDs, false, err
+	case datagen.OpPoint:
+		r, err := c.Point(op.Point)
+		return r.IDs, false, err
+	case datagen.OpKNN:
+		r, err := c.KNN(op.Point, op.K)
+		return r.IDs, false, err
 	}
+	panic(fmt.Sprintf("exp: unknown op kind %v", op.Kind))
 }
 
-// replay sends the stream serially, traced or not, and reports whether every
-// answer matched its reference.
-func replay(c *server.Client, stream []loadgen.Request, traced bool, refs []refAnswer) bool {
-	for i, rq := range stream {
-		ids, err := ask(c, rq, traced)
-		if err != nil || !answersMatch(ids, refs[i]) {
+// view returns the client an arm is driven through: c itself, or — traced —
+// the view of c every query of which asks for its span tree.
+func view(c *server.Client, traced bool) *server.Client {
+	if traced {
+		return c.WithTrace(context.Background(), 0)
+	}
+	return c
+}
+
+// replay sends ops serially through c and reports whether every one was
+// served and matched its reference: a query's answer, a mutation's verdict.
+func replay(c *server.Client, ops []datagen.Op, refs []applied) bool {
+	for i, op := range ops {
+		ids, existed, err := send(c, op)
+		if err != nil || existed != refs[i].existed ||
+			!answersMatch(ids, refs[i].IDs, op.Kind == datagen.OpKNN) {
 			return false
 		}
 	}
@@ -148,8 +149,10 @@ func replay(c *server.Client, stream []loadgen.Request, traced bool, refs []refA
 
 // ServedRun is the outcome of one measured arm. Requests, Answers and Errors
 // are functions of the stream and the store (byte-reproducible); every wall_
-// field is a real measurement. The server-side fields are /metrics deltas
-// over the arm, summed over every store behind the client.
+// field is a real measurement, the latency quantiles at the ≤ 9 % bucket
+// resolution of obs.Histogram — the histogram /metrics reports. The
+// server-side fields are /metrics deltas over the arm, summed over every
+// store behind the client.
 type ServedRun struct {
 	Requests int `json:"requests"`
 	Answers  int `json:"answers"`
@@ -169,55 +172,153 @@ type ServedRun struct {
 	WallModelIOSec float64 `json:"wall_model_io_sec"`
 }
 
-// measure runs one measured arm: drive puts the stream through c, traced or
-// not (closed or open loop), bracketed by a /metrics scrape of the stores
-// behind it — the server itself, or every shard of a cluster.
-func measure(c *server.Client, stores []*server.Client, traced bool,
-	drive func(loadgen.Do) loadgen.Result) ServedRun {
+// doFunc executes one op against the system under test and returns the
+// number of answers. It must be safe for concurrent use.
+type doFunc func(datagen.Op) (answers int, err error)
 
-	scrapers := make([]loadgen.Scraper, len(stores))
-	for i, sc := range stores {
-		scrapers[i] = func() (loadgen.ServerStats, error) {
-			m, err := sc.Metrics()
-			return loadgen.ServerStats{
-				Batches:      m.Batches,
-				BatchedJobs:  m.BatchedJobs,
-				Rejected:     m.Rejected,
-				BufferHits:   m.BufferHits,
-				BufferMisses: m.BufferMisses,
-				ModelIOSec:   m.ModelIOSec,
-			}, err
-		}
-	}
-	lr := loadgen.WithServerStats(loadgen.MultiScraper(scrapers...), func() loadgen.Result {
-		return drive(func(rq loadgen.Request) (int, error) {
-			ids, err := ask(c, rq, traced)
-			return len(ids), err
-		})
-	})
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	run := ServedRun{
-		Requests:   lr.Requests,
-		Answers:    lr.Answers,
-		Errors:     lr.Errors,
-		WallQPS:    lr.QPS,
-		WallP50MS:  ms(lr.Lat.P50()),
-		WallP95MS:  ms(lr.Lat.P95()),
-		WallP99MS:  ms(lr.Lat.P99()),
-		WallMeanMS: ms(lr.Lat.Mean()),
-	}
-	if lr.Server != nil {
-		run.WallBatches = lr.Server.Batches
-		run.WallMeanBatch = lr.Server.MeanBatch
-		run.WallHitRatio = lr.Server.HitRatio
-		run.WallModelIOSec = lr.Server.ModelIOSec
-	}
-	return run
+// load is what a loop driver measured: the tally of its requests and the
+// wall-clock time of the whole run.
+type load struct {
+	answers, errors atomic.Int64
+	lat             obs.Histogram
+	wall            time.Duration
 }
 
-// closedLoop is measure's usual driver: clients back-to-back clients.
-func closedLoop(stream []loadgen.Request, clients int) func(loadgen.Do) loadgen.Result {
-	return func(do loadgen.Do) loadgen.Result { return loadgen.ClosedLoop(do, stream, clients) }
+// one executes and times one request; safe for concurrent use.
+func (l *load) one(do doFunc, op datagen.Op) {
+	t0 := time.Now()
+	answers, err := do(op)
+	l.lat.Observe(time.Since(t0))
+	if err != nil {
+		l.errors.Add(1)
+		return
+	}
+	l.answers.Add(int64(answers))
+}
+
+// closedLoop drives ops with a fixed population of clients: client i
+// executes requests i, i+clients, i+2·clients, … back to back, so the offered
+// load adapts to the server's speed (the classic closed-loop model). The
+// request-to-client assignment is deterministic; only timing varies.
+func closedLoop(do doFunc, ops []datagen.Op, clients int) *load {
+	clients = max(1, min(clients, len(ops)))
+	l := &load{}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(ops); i += clients {
+				l.one(do, ops[i])
+			}
+		}(c)
+	}
+	wg.Wait()
+	l.wall = time.Since(start)
+	return l
+}
+
+// openLoop drives ops with seeded Poisson arrivals at the given mean rate
+// (requests per second): request i fires at its arrival time in its own
+// goroutine whether or not earlier requests have answered, so a server
+// slower than the offered rate accumulates queueing delay — visible in the
+// latency quantiles, which a closed loop structurally cannot show. The
+// arrival schedule is deterministic in (len(ops), rate, seed).
+func openLoop(do doFunc, ops []datagen.Op, rate float64, seed int64) *load {
+	arrivals := openSchedule(len(ops), rate, seed)
+	l := &load{}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := range ops {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if d := arrivals[i] - time.Since(start); d > 0 {
+				time.Sleep(d)
+			}
+			l.one(do, ops[i])
+		}(i)
+	}
+	wg.Wait()
+	l.wall = time.Since(start)
+	return l
+}
+
+// openSchedule pre-draws the arrival offsets of an open loop, so that the
+// goroutine launches do not perturb the randomness.
+func openSchedule(n int, rate float64, seed int64) []time.Duration {
+	if rate <= 0 {
+		panic(fmt.Sprintf("exp: open loop needs a positive rate, got %g", rate))
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x6f70656e)) // "open"
+	arrivals := make([]time.Duration, n)
+	var at float64 // seconds
+	for i := range arrivals {
+		at += rng.ExpFloat64() / rate
+		arrivals[i] = time.Duration(at * float64(time.Second))
+	}
+	return arrivals
+}
+
+// scrape sums the counters a measured arm is attributed to over the /metrics
+// of every store. A failure of any store fails the scrape: a partial sum
+// would make the delta lie.
+func scrape(stores []*server.Client) (sum server.Metrics, err error) {
+	for i, sc := range stores {
+		m, err := sc.Metrics()
+		if err != nil {
+			return sum, fmt.Errorf("scraping store %d of %d: %w", i, len(stores), err)
+		}
+		sum.Batches += m.Batches
+		sum.BatchedJobs += m.BatchedJobs
+		sum.BufferHits += m.BufferHits
+		sum.BufferMisses += m.BufferMisses
+		sum.ModelIOSec += m.ModelIOSec
+	}
+	return sum, nil
+}
+
+// closed is measure's usual driver: a closed loop of clients over ops.
+func closed(ops []datagen.Op, clients int) func(doFunc) *load {
+	return func(do doFunc) *load { return closedLoop(do, ops, clients) }
+}
+
+// measure runs one measured arm: drive (a closed or open loop) puts its ops
+// through c — a traced view to trace every query — bracketed by a /metrics
+// scrape of the stores behind it: the server itself, or every shard of a
+// cluster. A failed scrape leaves the server-side fields zero rather than
+// failing the run — observation must not break the measurement.
+func measure(c *server.Client, stores []*server.Client, drive func(doFunc) *load) ServedRun {
+	before, errBefore := scrape(stores)
+	l := drive(func(op datagen.Op) (int, error) {
+		ids, _, err := send(c, op)
+		return len(ids), err
+	})
+	after, errAfter := scrape(stores)
+
+	lat := l.lat.Snapshot()
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	run := ServedRun{
+		Requests:  int(lat.Count),
+		Answers:   int(l.answers.Load()),
+		Errors:    int(l.errors.Load()),
+		WallQPS:   ratio(float64(lat.Count), l.wall.Seconds()),
+		WallP50MS: ms(lat.Quantile(0.50)),
+		WallP95MS: ms(lat.Quantile(0.95)),
+		WallP99MS: ms(lat.Quantile(0.99)),
+	}
+	if lat.Count > 0 {
+		run.WallMeanMS = ms(time.Duration(lat.SumNS / lat.Count))
+	}
+	if errBefore == nil && errAfter == nil {
+		run.WallBatches = after.Batches - before.Batches
+		run.WallMeanBatch = ratio(float64(after.BatchedJobs-before.BatchedJobs), float64(run.WallBatches))
+		hits, misses := after.BufferHits-before.BufferHits, after.BufferMisses-before.BufferMisses
+		run.WallHitRatio = ratio(float64(hits), float64(hits+misses))
+		run.WallModelIOSec = after.ModelIOSec - before.ModelIOSec
+	}
+	return run
 }
 
 // ratio is a/b for the throughput ratios of the reports, 0 when b measured
@@ -253,9 +354,9 @@ type shardCluster struct {
 
 // startShardCluster partitions ds into n shards, builds one cluster
 // organization per shard, serves each over loopback HTTP and mounts a router
-// in front, all sized for a closed loop of clients. The shard clients carry
-// a deterministic retry config so transient loopback hiccups cannot fail a
-// benchmark run.
+// in front, all sized for a closed loop of clients. The shard clients speak
+// the binary protocol, as sdbrouter's do, and carry a deterministic retry
+// config so transient loopback hiccups cannot fail a benchmark run.
 func startShardCluster(o Options, ds *datagen.Dataset, n, clients int) (*shardCluster, error) {
 	pmap := shard.FromKeys(ds.MBRs, n)
 	sc := &shardCluster{}
@@ -270,6 +371,7 @@ func startShardCluster(o Options, ds *datagen.Dataset, n, clients int) (*shardCl
 		org := Build(OrgCluster, sub, o.BuildBufPages).Org
 		c, stop := startServer(org, server.Config{MaxInFlight: clients + 1})
 		stops = append(stops, stop)
+		c.Binary = true
 		c.Retry = &server.Retry{Attempts: 4, BaseDelay: time.Millisecond,
 			MaxDelay: 16 * time.Millisecond, Seed: o.Seed + int64(s)}
 		sc.orgs = append(sc.orgs, org)
@@ -292,35 +394,4 @@ func setThrottle(factor float64, orgs ...store.Organization) {
 	for _, org := range orgs {
 		org.Env().Disk.SetThrottle(factor)
 	}
-}
-
-// applyOver sends a mixed workload through c op by op. visit sees each op's
-// outcome the way the in-process reference reports it: existed is true for
-// an insert and the server's verdict for a delete or update; answers is the
-// result size of an embedded window query.
-func applyOver(c *server.Client, ops []datagen.Op, visit func(i int, existed bool, answers int)) error {
-	for i, op := range ops {
-		var (
-			existed bool
-			answers int
-			err     error
-		)
-		switch op.Kind {
-		case datagen.OpInsert:
-			existed, err = true, c.Insert(op.Obj, op.Key)
-		case datagen.OpDelete:
-			existed, err = c.Delete(op.ID)
-		case datagen.OpUpdate:
-			existed, err = c.Update(op.Obj, op.Key)
-		case datagen.OpQuery:
-			var r server.QueryResponse
-			r, err = c.Window(op.Window, "")
-			answers = len(r.IDs)
-		}
-		if err != nil {
-			return fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
-		}
-		visit(i, existed, answers)
-	}
-	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"spatialcluster"
 	"spatialcluster/internal/datagen"
-	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/server"
 )
 
@@ -168,7 +167,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 	cfg = cfg.withDefaults()
 	spec := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed}
 	ds := datagen.Generate(spec)
-	stream := loadgen.NewStream(ds, loadgen.StreamSpec{
+	stream := ds.Stream(datagen.StreamSpec{
 		N: cfg.Requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 4,
 	})
 	maxClients := cfg.Clients[len(cfg.Clients)-1]
@@ -197,7 +196,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		// The reference pass: modelled columns and the per-request answers
 		// every served arm is checked against.
 		before := org.Env().Disk.Cost()
-		refs := serialAnswers(org, stream)
+		refs := applyAll(org, stream)
 		cost := org.Env().Disk.Cost().Sub(before)
 		model := ServerModel{Org: string(kind), Requests: len(stream)}
 		model.Answers, model.Candidates = sumAnswers(refs)
@@ -210,7 +209,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		// Verification: plain and traced once each, serially, unthrottled.
 		client, stop := startServer(org, server.Config{Workers: cfg.Workers})
 		for _, traced := range []bool{false, true} {
-			if !replay(client, stream, traced, refs) {
+			if !replay(view(client, traced), stream, refs) {
 				res.Agree = false
 				o.Progress("server: %s answers (traced=%v) DIFFER from in-process", kind, traced)
 			}
@@ -228,14 +227,12 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 			clients int
 		}
 		qps := map[armKey]float64{}
-		measured := func(mode string, clients int, traced bool, scfg server.Config,
-			drive func(loadgen.Do) loadgen.Result) {
-
+		measured := func(mode string, clients int, traced bool, scfg server.Config, drive func(doFunc) *load) {
 			scfg.Workers = cfg.Workers
 			client, stop := startServer(org, scfg)
 			defer stop()
 			run := ServerRun{Org: string(kind), Mode: mode, Clients: clients,
-				ServedRun: measure(client, []*server.Client{client}, traced, drive)}
+				ServedRun: measure(view(client, traced), []*server.Client{client}, drive)}
 			qps[armKey{mode, clients}] = run.WallQPS
 			res.Runs = append(res.Runs, run)
 			o.Progress("server: %s %s clients=%d %.0f qps p95=%.2f ms",
@@ -247,16 +244,16 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 				if mode == "serial" {
 					scfg.MaxBatch = 1 // one request per batch on the one dispatcher goroutine
 				}
-				measured(mode, clients, false, scfg, closedLoop(stream, clients))
+				measured(mode, clients, false, scfg, closed(stream, clients))
 			}
 		}
 		measured("traced", maxClients, true, server.Config{MaxInFlight: maxClients + 1},
-			closedLoop(stream, maxClients))
+			closed(stream, maxClients))
 		// Open loop: the offered rate derives from the modelled service time
 		// (deterministic config). Queueing delay shows in the quantiles.
 		rate := openRateX * 1000 / (model.ModelMSPerReq * cfg.Throttle)
 		measured("open", 0, false, server.Config{MaxInFlight: len(stream) + 1},
-			func(do loadgen.Do) loadgen.Result { return loadgen.OpenLoop(do, stream, rate, o.Seed+5) })
+			func(do doFunc) *load { return openLoop(do, stream, rate, o.Seed+5) })
 		setThrottle(0, org)
 
 		for _, clients := range cfg.Clients {
@@ -306,19 +303,14 @@ func admissionRuns(o Options, cfg ServerConfig, ds *datagen.Dataset) []ServerAdm
 
 		run := ServerAdmissionRun{Policy: pol, Ops: len(ops)}
 		m0, err := client.Metrics()
-		if err == nil {
-			err = applyOver(client, ops, func(i int, _ bool, answers int) {
-				run.Answers += answers
+		for i := 0; i < len(ops) && err == nil; i++ {
+			var ids, scanned []uint64
+			if ids, _, err = send(client, ops[i]); err == nil && i%12 == 11 {
 				// Every 12th op, a large scan window floods the buffer — the
 				// read pattern plain LRU surrenders its hot set to.
-				if i%12 == 11 {
-					r, err := client.Window(scans[i/12%len(scans)], "")
-					if err != nil {
-						panic(fmt.Sprintf("exp: server bench admission scan after op %d: %v", i, err))
-					}
-					run.Answers += len(r.IDs)
-				}
-			})
+				scanned, _, err = send(client, datagen.Op{Kind: datagen.OpWindow, Window: scans[i/12%len(scans)]})
+			}
+			run.Answers += len(ids) + len(scanned)
 		}
 		m1, err1 := client.Metrics()
 		stop()

@@ -7,9 +7,7 @@ import (
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/shard"
-	"spatialcluster/internal/store"
 )
 
 // The shard benchmark answers the question the router tier exists for: does
@@ -77,8 +75,9 @@ type ShardModel struct {
 // router on the churned cluster.
 type ShardRun struct {
 	Shards int `json:"shards"`
-	// Mode is "json" or "traced" (every request asking for the cluster-wide
-	// span tree).
+	// Mode is "json" (the public edge's codec; the router → shard hop is
+	// binary) or "traced" (every request asking for the cluster-wide span
+	// tree).
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
 	ServedRun
@@ -138,28 +137,8 @@ func runShard(o Options, smoke bool, sweep []int) Result {
 	return ShardBench(o, cfg)
 }
 
-// applyChurn applies a workload to org in-process, unlogged, and records the
-// per-op mutation verdicts (update/delete existed) — the reference side of
-// applyOver, and of the recovery benchmark's logged stores.
-func applyChurn(org store.Organization, ops []datagen.Op) []bool {
-	verdicts := make([]bool, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case datagen.OpInsert:
-			verdicts[i] = org.Insert(op.Obj, op.Key) == nil
-		case datagen.OpDelete:
-			verdicts[i] = org.Delete(op.ID)
-		case datagen.OpUpdate:
-			verdicts[i] = org.Update(op.Obj, op.Key)
-		case datagen.OpQuery:
-			org.WindowQuery(op.Window, store.TechComplete)
-		}
-	}
-	return verdicts
-}
-
 // shardModelRow computes the deterministic partition row for one shard count.
-func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []loadgen.Request) ShardModel {
+func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []datagen.Op) ShardModel {
 	counts := pmap.Counts(ds.MBRs)
 	row := ShardModel{Shards: pmap.N(), Objects: len(ds.Objects)}
 	row.MinShardObjects = counts[0]
@@ -174,10 +153,10 @@ func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []loadgen.Reques
 	fanouts, routed := 0, 0
 	for _, rq := range stream {
 		switch rq.Kind {
-		case loadgen.KindWindow:
+		case datagen.OpWindow:
 			fanouts += len(pmap.Overlapping(rq.Window))
 			routed++
-		case loadgen.KindPoint:
+		case datagen.OpPoint:
 			fanouts += len(pmap.Overlapping(geom.RectFromPoint(rq.Point)))
 			routed++
 		}
@@ -208,7 +187,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
-	stream := loadgen.NewStream(ds, loadgen.StreamSpec{
+	stream := ds.Stream(datagen.StreamSpec{
 		N: cfg.Requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 6,
 	})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: cfg.ChurnOps, HotspotFrac: 0.5, Seed: o.Seed + 7})
@@ -230,10 +209,10 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 	// The reference: the whole dataset in one store, the stream answered
 	// serially in-process, the churn applied directly.
 	ref := Build(OrgCluster, ds, o.BuildBufPages).Org
-	freshRefs := serialAnswers(ref, stream)
+	freshRefs := applyAll(ref, stream)
 	res.FreshAnswers, res.FreshCandidates = sumAnswers(freshRefs)
-	verdicts := applyChurn(ref, ops)
-	churnRefs := serialAnswers(ref, stream)
+	opRefs := applyAll(ref, ops)
+	churnRefs := applyAll(ref, stream)
 	res.ChurnAnswers, res.ChurnCandidates = sumAnswers(churnRefs)
 	o.Progress("shard: reference ready (%d objects, %d answers fresh, %d churned)",
 		len(ds.Objects), res.FreshAnswers, res.ChurnAnswers)
@@ -252,22 +231,16 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		o.Progress("shard: n=%d built (%d..%d objects/shard, fanout %.2f)",
 			n, m.MinShardObjects, m.MaxShardObjects, m.MeanFanout)
 
-		if !replay(sc.client, stream, false, freshRefs) {
+		if !replay(sc.client, stream, freshRefs) {
 			res.Agree = false
 			o.Progress("shard: n=%d fresh answers DIFFER from the reference", n)
 		}
-		err = applyOver(sc.client, ops, func(i int, existed bool, _ int) {
-			if existed != verdicts[i] {
-				res.Agree = false
-				o.Progress("shard: n=%d churn verdict of op %d DIFFERS from the reference", n, i)
-			}
-		})
-		if err != nil {
-			sc.stop()
-			panic(fmt.Sprintf("exp: shard churn with %d shards: %v", n, err))
+		if !replay(sc.client, ops, opRefs) {
+			res.Agree = false
+			o.Progress("shard: n=%d churn verdicts or answers DIFFER from the reference", n)
 		}
 		for _, mode := range shardModes {
-			if !replay(sc.client, stream, mode.traced, churnRefs) {
+			if !replay(view(sc.client, mode.traced), stream, churnRefs) {
 				res.Agree = false
 				o.Progress("shard: n=%d churned %s answers DIFFER from the reference", n, mode.name)
 			}
@@ -279,7 +252,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		var untraced float64
 		for _, mode := range shardModes {
 			run := ShardRun{Shards: n, Mode: mode.name, Clients: cfg.Clients,
-				ServedRun: measure(sc.client, sc.shards, mode.traced, closedLoop(stream, cfg.Clients))}
+				ServedRun: measure(view(sc.client, mode.traced), sc.shards, closed(stream, cfg.Clients))}
 			run.WallQPSPerShard = run.WallQPS / float64(n)
 			if n == 1 {
 				oneShardQPS[mode.name] = run.WallQPS

@@ -6,7 +6,7 @@
 // operations as scatter, route and merge — served by a server.Front, the
 // request path a single server is served by: the same paths in both codecs,
 // the same validation, errors, admission control, counters, tracing and
-// slow-query log. Clients, the load generator and curl cannot tell a
+// slow-query log. Clients, the experiment harness and curl cannot tell a
 // cluster from one store:
 //
 //   - Window and point queries scatter to the shards whose Hilbert region
@@ -35,5 +35,10 @@
 // Transient shard failures (429 admission rejections, refused connections
 // and — for queries — connection resets) are absorbed by the clients'
 // retry/backoff; a shard failure that survives the retries surfaces as 502
-// (or the shard's own 429) to the caller.
+// (or the shard's own 429) to the caller. Every shard exchange carries the
+// inbound request's context and, when it is traced, its trace identity: a
+// caller that went away or ran out of time aborts its scatter (answered 499
+// or 408, counted against no shard) — except the delete and re-insert of a
+// cross-shard update, which once begun run to completion whatever becomes of
+// the caller, so that only a shard failure can split a move.
 package router

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -116,10 +117,15 @@ func (rt *Router) Handler() http.Handler { return rt.front.Handler() }
 // working, and an insert's 409 and 413; anything else is a 502 — the
 // cluster, not the request, is at fault. The message names the failing shard
 // both by index and by address (shard=<addr>), so an operator can go
-// straight from a client-side error to the broken daemon. A nil err stays nil.
-func (rt *Router) shardError(shard int, err error) error {
+// straight from a client-side error to the broken daemon. A nil err stays nil,
+// and an exchange that ended because ctx — the caller's — did is nobody's
+// failure: the context's own error goes back, naming no shard.
+func (rt *Router) shardError(ctx context.Context, shard int, err error) error {
 	if err == nil {
 		return nil
+	}
+	if callerGone(ctx, err) {
+		return ctx.Err()
 	}
 	code := http.StatusBadGateway
 	var se *server.StatusError
@@ -133,12 +139,20 @@ func (rt *Router) shardError(shard int, err error) error {
 		Message: fmt.Sprintf("shard %d (shard=%s): %v", shard, rt.addrs[shard], err)}
 }
 
+// callerGone reports whether err is the end of the caller's own context — it
+// hung up or ran out of time — rather than a verdict on a shard.
+func callerGone(ctx context.Context, err error) bool {
+	return ctx != nil && ctx.Err() != nil &&
+		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+}
+
 // scatter runs fn for every listed shard concurrently — i is the shard's
 // position in targets — and returns the lowest-indexed failure
-// (deterministic when several shards fail at once), already a shardError.
-func (rt *Router) scatter(targets []int, fn func(i, s int) error) error {
+// (deterministic when several shards fail at once), already a shardError
+// under ctx, the context the exchanges ran on.
+func (rt *Router) scatter(ctx context.Context, targets []int, fn func(i, s int) error) error {
 	if len(targets) == 1 {
-		return rt.shardError(targets[0], fn(0, targets[0]))
+		return rt.shardError(ctx, targets[0], fn(0, targets[0]))
 	}
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -152,19 +166,31 @@ func (rt *Router) scatter(targets []int, fn func(i, s int) error) error {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return rt.shardError(targets[i], err)
+			return rt.shardError(ctx, targets[i], err)
 		}
 	}
 	return nil
 }
 
-// shardCall accounts one finished shard exchange in the per-shard counters
-// and hands err back.
-func (rt *Router) shardCall(s int, start time.Time, err error) error {
+// via returns the per-exchange view of shard s's client: the request's
+// context rides to the shard — a caller that went away or whose deadline
+// passed aborts the exchange instead of holding a goroutine and an admission
+// permit on a hung shard — and so does the identity of its trace.
+func (rt *Router) via(rq *server.Request, s int) *server.Client {
+	if rq.Trace != nil {
+		return rt.shards[s].WithTrace(rq.Ctx, rq.Trace.ID())
+	}
+	return rt.shards[s].WithContext(rq.Ctx)
+}
+
+// shardCall accounts one finished shard exchange of rq in the per-shard
+// counters and hands err back. A caller that went away is not the shard's
+// error.
+func (rt *Router) shardCall(rq *server.Request, s int, start time.Time, err error) error {
 	sc := &rt.shardObs[s]
 	sc.calls.Add(1)
 	sc.hist.Observe(time.Since(start))
-	if err != nil {
+	if err != nil && !callerGone(rq.Ctx, err) {
 		sc.errors.Add(1)
 	}
 	return err
@@ -186,7 +212,7 @@ type queryObs struct {
 func (rt *Router) shardAnswered(qo *queryObs, rq *server.Request, s int, parent uint32,
 	start time.Time, ti *server.TraceInfo, err error) error {
 	d := time.Since(start)
-	rt.shardCall(s, start, err)
+	rt.shardCall(rq, s, start, err)
 	qo.mu.Lock()
 	qo.fanout++
 	if d.Nanoseconds() > qo.slowestNS || qo.fanout == 1 {
@@ -280,14 +306,8 @@ func mergeQuery(resps []server.QueryResponse) store.QueryResult {
 // region overlaps the window. An unnamed technique stays unnamed on the way
 // down, so each shard applies its own default.
 func (rt *Router) Window(rq *server.Request, win geom.Rect, tech store.Technique) (store.QueryResult, error) {
-	name := ""
-	if tech != server.TechDefault {
-		name = binproto.TechName(tech)
-	}
+	name := binproto.TechName(tech)
 	return rt.scatterQuery(rq, win, func(c *server.Client) (server.QueryResponse, error) {
-		if rq.Trace != nil {
-			return c.WindowTracedID(win, name, rq.Trace.ID())
-		}
 		return c.Window(win, name)
 	})
 }
@@ -296,9 +316,6 @@ func (rt *Router) Window(rq *server.Request, win geom.Rect, tech store.Technique
 // region holds p.
 func (rt *Router) Point(rq *server.Request, p geom.Point) (store.QueryResult, error) {
 	return rt.scatterQuery(rq, geom.RectFromPoint(p), func(c *server.Client) (server.QueryResponse, error) {
-		if rq.Trace != nil {
-			return c.PointTracedID(p, rq.Trace.ID())
-		}
 		return c.Point(p)
 	})
 }
@@ -312,9 +329,9 @@ func (rt *Router) scatterQuery(rq *server.Request, target geom.Rect,
 	scatterID := rq.Trace.NewSpanID()
 	scatterStart := time.Now()
 	defer rt.finish(qo, rq)
-	if err := rt.scatter(targets, func(i, s int) error {
+	if err := rt.scatter(rq.Ctx, targets, func(i, s int) error {
 		start := time.Now()
-		resp, err := call(rt.shards[s])
+		resp, err := call(rt.via(rq, s))
 		resps[i] = resp
 		return rt.shardAnswered(qo, rq, s, scatterID, start, resp.Trace, err)
 	}); err != nil {
@@ -357,17 +374,9 @@ func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestRes
 		for _, s := range wave {
 			queried[s] = true
 		}
-		if err := rt.scatter(wave, func(i, s int) error {
+		if err := rt.scatter(rq.Ctx, wave, func(i, s int) error {
 			start := time.Now()
-			var (
-				resp server.KNNResponse
-				err  error
-			)
-			if rq.Trace != nil {
-				resp, err = rt.shards[s].KNNTracedID(p, k, rq.Trace.ID())
-			} else {
-				resp, err = rt.shards[s].KNN(p, k)
-			}
+			resp, err := rt.via(rq, s).KNN(p, k)
 			resps[i] = resp
 			return rt.shardAnswered(qo, rq, s, waveID, start, resp.Trace, err)
 		}); err != nil {
@@ -406,10 +415,10 @@ func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestRes
 }
 
 // insertAt places an object on shard s and remembers the route.
-func (rt *Router) insertAt(s int, o *object.Object, key geom.Rect) error {
+func (rt *Router) insertAt(rq *server.Request, s int, o *object.Object, key geom.Rect) error {
 	start := time.Now()
-	if err := rt.shardCall(s, start, rt.shards[s].Insert(o, key)); err != nil {
-		return rt.shardError(s, err)
+	if err := rt.shardCall(rq, s, start, rt.via(rq, s).Insert(o, key)); err != nil {
+		return rt.shardError(rq.Ctx, s, err)
 	}
 	rt.setRoute(uint64(o.ID), s)
 	return nil
@@ -417,39 +426,51 @@ func (rt *Router) insertAt(s int, o *object.Object, key geom.Rect) error {
 
 // deleteAt removes an object from shard s; the error is the shard's own,
 // still to be wrapped.
-func (rt *Router) deleteAt(s int, id object.ID) (bool, error) {
+func (rt *Router) deleteAt(rq *server.Request, s int, id object.ID) (bool, error) {
 	start := time.Now()
-	existed, err := rt.shards[s].Delete(id)
-	return existed, rt.shardCall(s, start, err)
+	existed, err := rt.via(rq, s).Delete(id)
+	return existed, rt.shardCall(rq, s, start, err)
 }
 
 // Insert implements server.Service: the object goes to the shard owning its
 // key.
-func (rt *Router) Insert(_ *server.Request, o *object.Object, key geom.Rect) error {
+func (rt *Router) Insert(rq *server.Request, o *object.Object, key geom.Rect) error {
 	rt.pmap.Observe(key)
-	return rt.insertAt(rt.pmap.ShardOfKey(key), o, key)
+	return rt.insertAt(rq, rt.pmap.ShardOfKey(key), o, key)
 }
 
 // Update implements server.Service: it replaces an object wherever it lives.
 // An update is a no-op when the object exists nowhere (shard stores do not
 // upsert), so a cross-shard move must first prove the object alive by
-// deleting its old copy — only then is it re-created at the target.
-func (rt *Router) Update(_ *server.Request, o *object.Object, key geom.Rect) (bool, error) {
+// deleting its old copy — only then is it re-created at the target. Those
+// are two writes on two shards, and a caller that goes away between them
+// would leave the object on neither: a request still live when its move
+// begins runs the move on mv, its context with the cancellation taken off,
+// so that only a shard failure can split one. The single-shard update stays
+// cancellable.
+func (rt *Router) Update(rq *server.Request, o *object.Object, key geom.Rect) (bool, error) {
 	rt.pmap.Observe(key)
 	target := rt.pmap.ShardOfKey(key)
 	id := uint64(o.ID)
 	prev, known := rt.getRoute(id)
-	if known && prev != target {
-		existed, err := rt.deleteAt(prev, o.ID)
-		if err != nil {
-			return false, rt.shardError(prev, err)
+	if !known || prev != target {
+		mv := rq
+		if rq.Ctx != nil {
+			if err := rq.Ctx.Err(); err != nil {
+				return false, err
+			}
+			mv = &server.Request{Ctx: context.WithoutCancel(rq.Ctx), Trace: rq.Trace}
 		}
-		if existed {
-			return true, rt.insertAt(target, o, key)
+		if known {
+			existed, err := rt.deleteAt(mv, prev, o.ID)
+			if err != nil {
+				return false, rt.shardError(mv.Ctx, prev, err)
+			}
+			if existed {
+				return true, rt.insertAt(mv, target, o, key)
+			}
+			// The cache was stale; fall through to the cold path.
 		}
-		known = false // the cache was stale; fall through to the cold path
-	}
-	if !known {
 		// Never routed through us (bulk-built shard-side, or the cache is
 		// cold): the live copy may sit on any shard. Delete everywhere but
 		// the target; a hit means the object moved — re-create it there.
@@ -462,9 +483,9 @@ func (rt *Router) Update(_ *server.Request, o *object.Object, key geom.Rect) (bo
 		moved := false
 		if len(others) > 0 {
 			dels := make([]bool, len(others))
-			if err := rt.scatter(others, func(i, s int) error {
+			if err := rt.scatter(mv.Ctx, others, func(i, s int) error {
 				var err error
-				dels[i], err = rt.deleteAt(s, o.ID)
+				dels[i], err = rt.deleteAt(mv, s, o.ID)
 				return err
 			}); err != nil {
 				return false, err
@@ -474,14 +495,14 @@ func (rt *Router) Update(_ *server.Request, o *object.Object, key geom.Rect) (bo
 			}
 		}
 		if moved {
-			return true, rt.insertAt(target, o, key)
+			return true, rt.insertAt(mv, target, o, key)
 		}
 	}
 	// The object lives at the target or nowhere; the shard decides which.
 	start := time.Now()
-	existed, err := rt.shards[target].Update(o, key)
-	if err = rt.shardCall(target, start, err); err != nil {
-		return false, rt.shardError(target, err)
+	existed, err := rt.via(rq, target).Update(o, key)
+	if err = rt.shardCall(rq, target, start, err); err != nil {
+		return false, rt.shardError(rq.Ctx, target, err)
 	}
 	if existed {
 		rt.setRoute(id, target)
@@ -494,18 +515,18 @@ func (rt *Router) Update(_ *server.Request, o *object.Object, key geom.Rect) (bo
 // Delete implements server.Service: one call when the route cache knows the
 // object's shard, a broadcast when only that can find it (or prove it
 // absent).
-func (rt *Router) Delete(_ *server.Request, id object.ID) (bool, error) {
+func (rt *Router) Delete(rq *server.Request, id object.ID) (bool, error) {
 	existed := false
 	if s, ok := rt.getRoute(uint64(id)); ok {
 		var err error
-		if existed, err = rt.deleteAt(s, id); err != nil {
-			return false, rt.shardError(s, err)
+		if existed, err = rt.deleteAt(rq, s, id); err != nil {
+			return false, rt.shardError(rq.Ctx, s, err)
 		}
 	} else {
 		outs := make([]bool, rt.pmap.N())
-		if err := rt.scatter(rt.allShards(), func(_, s int) error {
+		if err := rt.scatter(rq.Ctx, rt.allShards(), func(_, s int) error {
 			var err error
-			outs[s], err = rt.deleteAt(s, id)
+			outs[s], err = rt.deleteAt(rq, s, id)
 			return err
 		}); err != nil {
 			return false, err
@@ -525,9 +546,9 @@ func (rt *Router) handleRecluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	outs := make([]server.ReclusterResponse, rt.pmap.N())
-	if err := rt.scatter(rt.allShards(), func(_, s int) error {
+	if err := rt.scatter(r.Context(), rt.allShards(), func(_, s int) error {
 		var err error
-		outs[s], err = rt.shards[s].Recluster(req.Policy)
+		outs[s], err = rt.shards[s].WithContext(r.Context()).Recluster(req.Policy)
 		return err
 	}); err != nil {
 		server.Reply(w, nil, err)
@@ -545,15 +566,15 @@ func (rt *Router) handleRecluster(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleFlush(w http.ResponseWriter, r *http.Request) {
-	err := rt.scatter(rt.allShards(), func(_, s int) error { return rt.shards[s].Flush() })
+	err := rt.scatter(r.Context(), rt.allShards(), func(_, s int) error { return rt.shards[s].WithContext(r.Context()).Flush() })
 	server.Reply(w, struct{}{}, err)
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := make([]server.StatsResponse, rt.pmap.N())
-	if err := rt.scatter(rt.allShards(), func(_, s int) error {
+	if err := rt.scatter(r.Context(), rt.allShards(), func(_, s int) error {
 		var err error
-		stats[s], err = rt.shards[s].Stats()
+		stats[s], err = rt.shards[s].WithContext(r.Context()).Stats()
 		return err
 	}); err != nil {
 		server.Reply(w, nil, err)
@@ -577,9 +598,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ms := make([]server.Metrics, rt.pmap.N())
-	if err := rt.scatter(rt.allShards(), func(_, s int) error {
+	if err := rt.scatter(r.Context(), rt.allShards(), func(_, s int) error {
 		var err error
-		ms[s], err = rt.shards[s].Metrics()
+		ms[s], err = rt.shards[s].WithContext(r.Context()).Metrics()
 		return err
 	}); err != nil {
 		server.Reply(w, nil, err)
@@ -659,9 +680,9 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 // ready is the Front's readiness check: the router can serve queries when
 // every shard answers its own /healthz. The error names the lowest-indexed
 // unreachable shard.
-func (rt *Router) ready() error {
-	return rt.scatter(rt.allShards(), func(_, s int) error {
-		_, err := rt.shards[s].Raw("/healthz")
+func (rt *Router) ready(ctx context.Context) error {
+	return rt.scatter(ctx, rt.allShards(), func(_, s int) error {
+		_, err := rt.shards[s].WithContext(ctx).Raw("/healthz")
 		return err
 	})
 }

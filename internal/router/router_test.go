@@ -18,7 +18,6 @@ import (
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/router"
 	"spatialcluster/internal/server"
@@ -58,7 +57,8 @@ type testCluster struct {
 	rt     *router.Router
 }
 
-// startCluster builds one server per shard over orgs and a router in front.
+// startCluster builds one server per shard over orgs and a router in front,
+// the router → shard hop over the binary protocol as sdbrouter runs it.
 func startCluster(t *testing.T, pmap *shard.Map, orgs []store.Organization) *testCluster {
 	t.Helper()
 	clients := make([]*server.Client, len(orgs))
@@ -67,6 +67,7 @@ func startCluster(t *testing.T, pmap *shard.Map, orgs []store.Organization) *tes
 		hs := httptest.NewServer(s.Handler())
 		t.Cleanup(hs.Close)
 		clients[i] = server.NewClient(hs.URL, 16)
+		clients[i].Binary = true
 		clients[i].Retry = &server.Retry{Attempts: 5, BaseDelay: time.Millisecond,
 			MaxDelay: 8 * time.Millisecond, Seed: 11}
 	}
@@ -119,11 +120,11 @@ func equalU64(a, b []uint64) bool {
 
 // agreeStream replays a query stream against the router and a single
 // reference store, failing on the first divergent answer.
-func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organization, stream []loadgen.Request) {
+func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organization, stream []datagen.Op) {
 	t.Helper()
 	for i, rq := range stream {
 		switch rq.Kind {
-		case loadgen.KindWindow:
+		case datagen.OpWindow:
 			got, err := tc.client.Window(rq.Window, "")
 			if err != nil {
 				t.Fatalf("%s req %d: window: %v", label, i, err)
@@ -133,7 +134,7 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 				t.Fatalf("%s req %d: window %v: router %v != reference %v",
 					label, i, rq.Window, got.IDs, want.IDs)
 			}
-		case loadgen.KindPoint:
+		case datagen.OpPoint:
 			got, err := tc.client.Point(rq.Point)
 			if err != nil {
 				t.Fatalf("%s req %d: point: %v", label, i, err)
@@ -143,7 +144,7 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 				t.Fatalf("%s req %d: point %v: router %v != reference %v",
 					label, i, rq.Point, got.IDs, want.IDs)
 			}
-		case loadgen.KindKNN:
+		case datagen.OpKNN:
 			got, err := tc.client.KNN(rq.Point, rq.K)
 			if err != nil {
 				t.Fatalf("%s req %d: knn: %v", label, i, err)
@@ -163,7 +164,7 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 // router's mutation endpoints (with mutation verdicts compared op by op).
 func TestRouterDifferential(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 7})
-	stream := loadgen.NewStream(ds, loadgen.StreamSpec{N: 48, WindowArea: 0.004, K: 9, Seed: 21})
+	stream := ds.Stream(datagen.StreamSpec{N: 48, WindowArea: 0.004, K: 9, Seed: 21})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 140, HotspotFrac: 0.5, Seed: 22})
 
 	for _, n := range []int{1, 2, 4, 8} {
@@ -198,7 +199,7 @@ func TestRouterDifferential(t *testing.T) {
 					if got != want {
 						t.Fatalf("op %d: update %d: router existed=%v, reference %v", i, op.Obj.ID, got, want)
 					}
-				case datagen.OpQuery:
+				case datagen.OpWindow:
 					got, err := tc.client.Window(op.Window, "")
 					if err != nil {
 						t.Fatalf("op %d: query: %v", i, err)
@@ -308,8 +309,8 @@ func TestRouterZeroShardWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ep, ok := m.Endpoints["/query/window"]; ok && ep.Count > 0 {
-			t.Fatalf("shard %d served %d window queries for a zero-shard window", s, ep.Count)
+		if n := m.Endpoints["/query/window"].Count + m.Endpoints["/bin/window"].Count; n > 0 {
+			t.Fatalf("shard %d served %d window queries for a zero-shard window", s, n)
 		}
 	}
 }
@@ -336,7 +337,7 @@ func TestRouterEmptyShard(t *testing.T) {
 	}
 	tc := startCluster(t, pmap, orgs)
 	ref := buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
-	stream := loadgen.NewStream(ds, loadgen.StreamSpec{N: 30, WindowArea: 0.01, K: 7, Seed: 31})
+	stream := ds.Stream(datagen.StreamSpec{N: 30, WindowArea: 0.01, K: 7, Seed: 31})
 	agreeStream(t, "empty-shard", tc, ref, stream)
 }
 
@@ -497,7 +498,7 @@ func TestRouterWALShards(t *testing.T) {
 			_, err = tc.client.Delete(op.ID)
 		case datagen.OpUpdate:
 			_, err = tc.client.Update(op.Obj, op.Key)
-		case datagen.OpQuery:
+		case datagen.OpWindow:
 			_, err = tc.client.Window(op.Window, "")
 		}
 		if err != nil {

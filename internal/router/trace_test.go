@@ -1,17 +1,21 @@
 package router_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"spatialcluster/internal/binproto"
 	"spatialcluster/internal/datagen"
+	"spatialcluster/internal/framing"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/loadgen"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/obs"
 	"spatialcluster/internal/router"
@@ -52,6 +56,7 @@ func startClusterKeep(t *testing.T, pmap *shard.Map, orgs []store.Organization) 
 		t.Cleanup(hs.Close)
 		servers[i] = hs
 		clients[i] = server.NewClient(hs.URL, 16)
+		clients[i].Binary = true
 		clients[i].Retry = &server.Retry{Attempts: 2, BaseDelay: time.Millisecond,
 			MaxDelay: 2 * time.Millisecond, Seed: 11}
 	}
@@ -168,7 +173,7 @@ func checkSpanTree(t *testing.T, label string, ti *server.TraceInfo, wantShards 
 // the cluster organization also at one shard (no fan-out) and at four.
 func TestRouterTracePropagation(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 17})
-	stream := loadgen.NewStream(ds, loadgen.StreamSpec{N: 12, WindowArea: 0.01, K: 7, Seed: 23})
+	stream := ds.Stream(datagen.StreamSpec{N: 12, WindowArea: 0.01, K: 7, Seed: 23})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 40, HotspotFrac: 0.5, Seed: 24})
 
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
@@ -198,7 +203,7 @@ func TestRouterTracePropagation(t *testing.T) {
 						for i, rq := range stream {
 							label := fmt.Sprintf("%s req %d", phase, i)
 							switch rq.Kind {
-							case loadgen.KindWindow:
+							case datagen.OpWindow:
 								traced, err := tc.client.WindowTraced(rq.Window, "")
 								if err != nil {
 									t.Fatalf("%s: traced window: %v", label, err)
@@ -216,7 +221,7 @@ func TestRouterTracePropagation(t *testing.T) {
 									t.Fatalf("%s: traced window != untraced", label)
 								}
 								checkSpanTree(t, label, traced.Trace, len(pmap.Overlapping(rq.Window)), false)
-							case loadgen.KindKNN:
+							case datagen.OpKNN:
 								traced, err := tc.client.KNNTraced(rq.Point, rq.K)
 								if err != nil {
 									t.Fatalf("%s: traced knn: %v", label, err)
@@ -237,7 +242,7 @@ func TestRouterTracePropagation(t *testing.T) {
 								if sc < 1 {
 									t.Fatalf("%s: knn touched no shard", label)
 								}
-							case loadgen.KindPoint:
+							case datagen.OpPoint:
 								traced, err := tc.client.PointTraced(rq.Point)
 								if err != nil {
 									t.Fatalf("%s: traced point: %v", label, err)
@@ -299,7 +304,7 @@ func TestRouterTraceIDPropagates(t *testing.T) {
 	for _, binary := range []bool{false, true} {
 		tc.client.Binary = binary
 		const want = 0xfeedface
-		resp, err := tc.client.WindowTracedID(geom.R(0, 0, 1, 1), "", want)
+		resp, err := tc.client.WithTrace(context.Background(), want).Window(geom.R(0, 0, 1, 1), "")
 		if err != nil {
 			t.Fatalf("binary=%v: %v", binary, err)
 		}
@@ -438,5 +443,168 @@ func TestRouterRetryCounters(t *testing.T) {
 	}
 	if len(m.Fanout) != 3 || m.Fanout[2] == 0 {
 		t.Fatalf("fanout counters did not record the 2-shard scatter: %v", m.Fanout)
+	}
+}
+
+// TestRouterAbortsScatterOnCancel: the request's context and trace identity
+// ride to the shards. Over one live shard and one that never answers, a
+// traced window is stuck on the hung shard until its inbound context is
+// cancelled — then the router answers promptly with the cancellation — and
+// the live shard saw the trace ID the request carried.
+func TestRouterAbortsScatterOnCancel(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 41})
+	pmap := shard.FromKeys(ds.MBRs, 2)
+	objs, keys := shardSubset(ds, pmap, 0)
+	live := server.New(buildOrg(ds.Spec.SmaxBytes(), objs, keys), server.Config{})
+
+	const traceID = 0xabad1dea
+	sawTrace := make(chan uint64, 1)
+	liveHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if payload, err := framing.ReadRecord(bytes.NewReader(body), binproto.MaxMessage); err == nil {
+			if _, id, traced, err := binproto.UntraceReq(payload); err == nil && traced {
+				sawTrace <- id
+			}
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		live.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(liveHS.Close)
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	hungHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hungHS.Close)
+	t.Cleanup(func() { close(release) })
+
+	clients := []*server.Client{server.NewClient(liveHS.URL, 4), server.NewClient(hungHS.URL, 4)}
+	for _, c := range clients {
+		c.Binary = true
+	}
+	rt, err := router.New(pmap, clients, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	answered := make(chan error, 1)
+	go func() {
+		rq := &server.Request{Ctx: ctx, Trace: obs.NewTraceWithID(traceID)}
+		_, err := rt.Window(rq, geom.R(0, 0, 1, 1), store.TechDefault)
+		answered <- err
+	}()
+	<-entered
+	if id := <-sawTrace; id != traceID {
+		t.Fatalf("live shard was sent trace ID %#x, want %#x", id, traceID)
+	}
+	select {
+	case err := <-answered:
+		t.Fatalf("scatter over a hung shard returned before the cancel: %v", err)
+	default:
+	}
+	cancel()
+	select {
+	case err := <-answered:
+		// The caller's own cancellation, not a StatusError blaming the shard
+		// that happened to be slow.
+		if err != context.Canceled {
+			t.Fatalf("cancelled scatter answered %v, want the bare context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("scatter still waiting on the hung shard 30 s after its context was cancelled")
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	for _, c := range clients {
+		if want := fmt.Sprintf("sdbrouter_shard_errors_total{shard=%q} 0\n", c.Base); !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("a caller hanging up was counted as a shard error: no %q in\n%s", want, rec.Body)
+		}
+	}
+}
+
+// TestRouterMoveOutlivesCaller: a cross-shard update is a delete on one shard
+// and an insert on another, and a caller that hangs up between the two must
+// not split it. The target shard holds the insert of a move back until the
+// caller has cancelled; the move still completes, and the object ends up on
+// the target shard and nowhere else — with the route cache warm (one delete
+// at the known owner) and cold (a delete broadcast).
+func TestRouterMoveOutlivesCaller(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 43})
+	pmap := shard.FromKeys(ds.MBRs, 2)
+	entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	clients := make([]*server.Client, 2)
+	var home [2][]int // dataset indices by owning shard
+	for i, k := range ds.MBRs {
+		home[pmap.ShardOfKey(k)] = append(home[pmap.ShardOfKey(k)], i)
+	}
+	for s := range clients {
+		objs, keys := shardSubset(ds, pmap, s)
+		h := server.New(buildOrg(ds.Spec.SmaxBytes(), objs, keys), server.Config{}).Handler()
+		if s == 1 {
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/insert") {
+					entered <- struct{}{}
+					select {
+					case <-release:
+					case <-done:
+					}
+				}
+				inner.ServeHTTP(w, r)
+			})
+		}
+		hs := httptest.NewServer(h)
+		t.Cleanup(hs.Close)
+		clients[s] = server.NewClient(hs.URL, 4)
+		clients[s].Binary = true
+	}
+	t.Cleanup(func() { close(done) }) // before the servers close: a failed run leaves the gate held
+	rt, err := router.New(pmap, clients, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for c, label := range []string{"warm route", "cold route"} {
+		// The object takes the shape, and with it the key, of one across the
+		// boundary.
+		o, dest := ds.Objects[home[0][c]], ds.MBRs[home[1][c]]
+		moved := object.New(o.ID, ds.Objects[home[1][c]].Geom, 0)
+		if label == "warm route" {
+			// A same-shard update teaches the router where the object lives.
+			if existed, err := rt.Update(&server.Request{}, o, ds.MBRs[home[0][c]]); err != nil || !existed {
+				t.Fatalf("%s: warming update: existed=%v, %v", label, existed, err)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		type verdict struct {
+			existed bool
+			err     error
+		}
+		answered := make(chan verdict, 1)
+		go func() {
+			existed, err := rt.Update(&server.Request{Ctx: ctx}, moved, dest)
+			answered <- verdict{existed, err}
+		}()
+		<-entered // the delete has committed; the insert is at the target's door
+		cancel()
+		select {
+		case v := <-answered:
+			t.Fatalf("%s: move abandoned half-done when its caller hung up: existed=%v, %v", label, v.existed, v.err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		release <- struct{}{}
+		if v := <-answered; v.err != nil || !v.existed {
+			t.Fatalf("%s: move answered existed=%v, %v", label, v.existed, v.err)
+		}
+		for s, want := range []bool{false, true} {
+			if got, err := clients[s].Delete(o.ID); err != nil || got != want {
+				t.Fatalf("%s: after the move, object on shard %d: %v (%v), want %v", label, s, got, err, want)
+			}
+		}
 	}
 }

@@ -35,13 +35,10 @@ func rawObject(typ byte, vertices int) []byte {
 // single server and to a router, in both codecs: each must be turned away
 // with the same 400 before any store or shard sees it. The k above the binary
 // field's range is the case the tiers used to disagree on: the JSON endpoints
-// accepted it, and a router with Binary shard clients truncated it to 1.
+// accepted it, and the router's binary shard clients truncated it to 1.
 func TestInvalidRequestsAnswerAlike(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 1024, Seed: 7})
 	tc := clusterFromDataset(t, ds, 2)
-	for _, sc := range tc.shards {
-		sc.Binary = true
-	}
 	pt, win := [2]float64{0.5, 0.5}, [4]float64{0, 0, 1, 1}
 	mutate := func(kind byte, obj []byte) []byte { return append([]byte{kind, 0}, obj...) }
 	// Keys that do not cover their object: short of its last vertex, beside

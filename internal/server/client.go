@@ -22,8 +22,8 @@ import (
 	"spatialcluster/internal/store"
 )
 
-// Client is a typed HTTP client for the server API. It is what the load
-// generator, the serving benchmark and the tests speak; curl speaks the same
+// Client is a typed HTTP client for the server API. It is what the router,
+// the experiments, the benchmark and the tests speak; curl speaks the same
 // JSON (see the README's serving quickstart).
 type Client struct {
 	Base string       // e.g. "http://127.0.0.1:8080"
@@ -34,16 +34,17 @@ type Client struct {
 	// Insert, Update, Delete) and the traced query calls over the /bin/*
 	// endpoints: framed binproto messages instead of JSON, same answers
 	// (traced queries use the traced message kinds, which carry the span
-	// tree in the response). Control-plane calls stay JSON. A binary window
-	// request always names its technique explicitly — "" encodes as
-	// complete, not the server's default.
+	// tree in the response). Control-plane calls stay JSON.
 	Binary bool
 	// Counters, when set, tallies every HTTP exchange and retry this client
 	// performs — the router attaches one per shard client so retry activity
 	// (hidden by design from callers) still shows up in /metrics.
 	Counters *RetryCounters
-	// ctx bounds retry sleeps; set it with WithContext.
-	ctx context.Context
+	// ctx and trace belong to a per-call view (WithContext, WithTrace): ctx
+	// bounds every exchange and retry sleep, trace is the tracing of the
+	// view's query calls.
+	ctx   context.Context
+	trace tracing
 }
 
 // RetryCounters is a thread-safe tally of a client's transparent retries,
@@ -129,11 +130,22 @@ func (r Retry) withDefaults() Retry {
 	return r
 }
 
-// WithContext returns a shallow copy whose retry sleeps abort when ctx does.
+// WithContext returns the per-call view of c: a shallow copy whose exchanges
+// and retry sleeps abort when ctx does.
 func (c *Client) WithContext(ctx context.Context) *Client {
 	cp := *c
 	cp.ctx = ctx
 	return &cp
+}
+
+// WithTrace is WithContext for a traced caller: every query call of the view
+// asks for its span tree and adopts the trace identity id, so the sub-traces
+// of a fan-out join one distributed trace (0 lets the server mint one).
+// Mutations and control-plane calls carry ctx only.
+func (c *Client) WithTrace(ctx context.Context, id uint64) *Client {
+	cp := c.WithContext(ctx)
+	cp.trace = tracing{on: true, id: id}
+	return cp
 }
 
 // mutating reports whether a request to path changes the store, so that
@@ -184,8 +196,8 @@ const (
 	wireRaw              // the answer's bytes are returned as they are
 )
 
-// tracing is the per-request tracing of a query call: on asks the server to
-// trace the request, id is the trace identity to adopt (0 lets it mint one).
+// tracing is the tracing of a query call: on asks the server to trace the
+// request, id is the trace identity to adopt (0 lets it mint one).
 type tracing struct {
 	on bool
 	id uint64
@@ -246,12 +258,13 @@ func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uin
 	if data != nil {
 		body = bytes.NewReader(data)
 	}
-	hreq, err := http.NewRequest(method, c.Base+path, body)
+	ctx := c.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return nil, err
-	}
-	if c.ctx != nil {
-		hreq = hreq.WithContext(c.ctx)
 	}
 	if wr == wireBin {
 		hreq.Header.Set("Content-Type", binproto.ContentType)
@@ -356,9 +369,12 @@ func (c *Client) window(w geom.Rect, tech string, tc tracing) (QueryResponse, er
 		err := c.call(http.MethodPost, "/query/window", WindowRequest{Window: win, Tech: tech}, &out, tc)
 		return out, err
 	}
-	t, err := store.TechByName(tech)
-	if err != nil {
-		return QueryResponse{}, err
+	t := store.TechDefault
+	if tech != "" {
+		var err error
+		if t, err = store.TechByName(tech); err != nil {
+			return QueryResponse{}, err
+		}
 	}
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
@@ -379,23 +395,15 @@ func (c *Client) binQuery(path string, msg *[]byte, tc tracing) (QueryResponse, 
 	return QueryResponse{IDs: ids, Candidates: cand, Trace: tr}, nil
 }
 
-// Window runs a window query; tech "" selects the server default (on a
-// Binary client, "" encodes as complete).
+// Window runs a window query; tech "" selects the server default.
 func (c *Client) Window(w geom.Rect, tech string) (QueryResponse, error) {
-	return c.window(w, tech, tracing{})
+	return c.window(w, tech, c.trace)
 }
 
 // WindowTraced runs a window query with per-request tracing: the answer
 // carries the server's stage spans in Trace.
 func (c *Client) WindowTraced(w geom.Rect, tech string) (QueryResponse, error) {
-	return c.window(w, tech, tracing{on: true})
-}
-
-// WindowTracedID is WindowTraced with an explicit trace identity to adopt —
-// the router's shard fan-out passes its own trace ID so every sub-trace joins
-// one distributed trace. traceID 0 lets the server mint one.
-func (c *Client) WindowTracedID(w geom.Rect, tech string, traceID uint64) (QueryResponse, error) {
-	return c.window(w, tech, tracing{on: true, id: traceID})
+	return c.window(w, tech, tracing{on: true, id: c.trace.id})
 }
 
 // point is the one point query.
@@ -413,16 +421,11 @@ func (c *Client) point(p geom.Point, tc tracing) (QueryResponse, error) {
 }
 
 // Point runs a point query.
-func (c *Client) Point(p geom.Point) (QueryResponse, error) { return c.point(p, tracing{}) }
+func (c *Client) Point(p geom.Point) (QueryResponse, error) { return c.point(p, c.trace) }
 
 // PointTraced runs a point query with per-request tracing.
 func (c *Client) PointTraced(p geom.Point) (QueryResponse, error) {
-	return c.point(p, tracing{on: true})
-}
-
-// PointTracedID is PointTraced adopting an explicit trace identity.
-func (c *Client) PointTracedID(p geom.Point, traceID uint64) (QueryResponse, error) {
-	return c.point(p, tracing{on: true, id: traceID})
+	return c.point(p, tracing{on: true, id: c.trace.id})
 }
 
 // knn is the one k-nearest-neighbor query.
@@ -448,16 +451,11 @@ func (c *Client) knn(p geom.Point, k int, tc tracing) (KNNResponse, error) {
 }
 
 // KNN runs a k-nearest-neighbor query.
-func (c *Client) KNN(p geom.Point, k int) (KNNResponse, error) { return c.knn(p, k, tracing{}) }
+func (c *Client) KNN(p geom.Point, k int) (KNNResponse, error) { return c.knn(p, k, c.trace) }
 
 // KNNTraced runs a k-nearest-neighbor query with per-request tracing.
 func (c *Client) KNNTraced(p geom.Point, k int) (KNNResponse, error) {
-	return c.knn(p, k, tracing{on: true})
-}
-
-// KNNTracedID is KNNTraced adopting an explicit trace identity.
-func (c *Client) KNNTracedID(p geom.Point, k int, traceID uint64) (KNNResponse, error) {
-	return c.knn(p, k, tracing{on: true, id: traceID})
+	return c.knn(p, k, tracing{on: true, id: c.trace.id})
 }
 
 // Insert stores an object under the given spatial key (typically

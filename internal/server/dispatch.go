@@ -1,12 +1,12 @@
 package server
 
 import (
+	"context"
 	"time"
 
 	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/object"
 	"spatialcluster/internal/obs"
 	"spatialcluster/internal/store"
 	"spatialcluster/internal/wal"
@@ -35,9 +35,7 @@ const (
 	jobWindow jobKind = iota
 	jobPoint
 	jobKNN
-	jobInsert // mutations sort after queries: kind >= jobInsert
-	jobDelete
-	jobUpdate
+	jobMutate
 )
 
 // job is one enqueued request plus its result slot. The handler owns the
@@ -45,19 +43,21 @@ const (
 // done.
 type job struct {
 	kind   jobKind
+	ctx    context.Context // the request's; nil never expires
 	window geom.Rect
 	tech   store.Technique
 	pt     geom.Point
 	k      int
-	obj    *object.Object // insert, update
-	key    geom.Rect      // insert, update
-	id     object.ID      // delete
+	rec    wal.Record // jobMutate: the insert, update or delete as the log holds it
 
 	qr      store.QueryResult
 	nr      store.NearestResult
-	existed bool  // delete/update answer
-	err     error // mutation failure: the WAL refused the record, or the store the object
-	done    chan struct{}
+	existed bool // delete/update answer
+	// err is the request's context error when it was done before the batch
+	// was picked up, else a mutation's failure: the WAL refused the record,
+	// or the store the object.
+	err  error
+	done chan struct{}
 
 	// Observability. tr is non-nil when the request asked for ?trace=1 — a
 	// traced job executes individually on the dispatcher goroutine so the
@@ -107,14 +107,22 @@ func (s *Server) runBatch(batch, muts, queries []*job) {
 	org := s.organization()
 	s.metrics.batch(len(batch))
 
-	// Every job's queue wait ends now: the dispatcher picked its batch up.
+	// Every job's queue wait ends now: the dispatcher picked its batch up. A
+	// job whose caller has gone away or run out of time meanwhile is answered
+	// with its context's error and reaches neither the store nor the log. A
+	// mutation dropped so was never acknowledged, which loses nothing when it
+	// is the caller's whole change; a caller for whom it is one step of
+	// several (the router re-creating an object it has just deleted from
+	// another shard) must send it on a context that outlives its own caller.
 	picked := time.Now()
 	for _, j := range batch {
 		wait := picked.Sub(j.enqueued)
 		j.queueNS = wait.Nanoseconds()
 		j.tr.Observe("queue_wait", j.enqueued, wait)
 		switch {
-		case j.kind >= jobInsert:
+		case j.ctx != nil && j.ctx.Err() != nil:
+			j.err = j.ctx.Err()
+		case j.kind == jobMutate:
 			muts = append(muts, j)
 		case j.tr == nil:
 			queries = append(queries, j)
@@ -128,7 +136,7 @@ func (s *Server) runBatch(batch, muts, queries []*job) {
 	// Traced queries leave the grouped path: each runs alone so the engine
 	// counter deltas around it belong to it.
 	for _, j := range batch {
-		if j.tr != nil && j.kind < jobInsert {
+		if j.tr != nil && j.kind != jobMutate && j.err == nil {
 			s.runTracedQuery(org, j)
 		}
 	}
@@ -260,18 +268,11 @@ func (s *Server) applyMutationGroup(org store.Organization, group []*job) {
 		return
 	}
 	if ws, ok := org.(*wal.Store); ok {
-		muts := make([]wal.Mutation, len(group))
+		recs := make([]wal.Record, len(group))
 		for i, j := range group {
-			switch j.kind {
-			case jobInsert:
-				muts[i] = wal.Mutation{Kind: wal.KindInsert, Obj: j.obj, Key: j.key}
-			case jobDelete:
-				muts[i] = wal.Mutation{Kind: wal.KindDelete, ID: j.id}
-			case jobUpdate:
-				muts[i] = wal.Mutation{Kind: wal.KindUpdate, Obj: j.obj, Key: j.key}
-			}
+			recs[i] = j.rec
 		}
-		existed, refused, err := ws.Apply(muts)
+		existed, refused, err := ws.Apply(recs)
 		for i, j := range group {
 			switch {
 			case err != nil:
@@ -285,14 +286,7 @@ func (s *Server) applyMutationGroup(org store.Organization, group []*job) {
 		return
 	}
 	for _, j := range group {
-		switch j.kind {
-		case jobInsert:
-			j.err = org.Insert(j.obj, j.key)
-		case jobDelete:
-			j.existed = org.Delete(j.id)
-		case jobUpdate:
-			j.existed = org.Update(j.obj, j.key)
-		}
+		j.existed, j.err = wal.ApplyRecord(org, &j.rec)
 	}
 }
 

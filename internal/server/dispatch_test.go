@@ -2,9 +2,12 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,12 +27,14 @@ type gatedOrg struct {
 	gate    geom.Rect
 	entered chan struct{} // one token per gated query that reached the store
 	release chan struct{} // one token lets one gated query through
+	windows atomic.Int64  // window queries that reached the store, gated or not
 }
 
 // Underlying lets store.Unwrap (snapshots, the WAL's checkpoint) see through.
 func (g *gatedOrg) Underlying() store.Organization { return g.Organization }
 
 func (g *gatedOrg) WindowQuery(w geom.Rect, tech store.Technique) store.QueryResult {
+	g.windows.Add(1)
 	if w == g.gate {
 		g.entered <- struct{}{}
 		<-g.release
@@ -79,7 +84,13 @@ func newDispatcherFixture(t *testing.T, cfg server.Config, withWAL bool) *dispat
 // waits in the dispatcher's queue, so jobs queue in call order.
 func (f *dispatcherFixture) queue(call func(rq *server.Request)) *server.Request {
 	f.t.Helper()
-	rq := &server.Request{Ctx: context.Background()}
+	return f.queueCtx(context.Background(), call)
+}
+
+// queueCtx is queue for a request that carries ctx.
+func (f *dispatcherFixture) queueCtx(ctx context.Context, call func(rq *server.Request)) *server.Request {
+	f.t.Helper()
+	rq := &server.Request{Ctx: ctx}
 	queued := f.s.Queued()
 	f.wg.Add(1)
 	go func() {
@@ -232,6 +243,48 @@ func TestDispatcherBatchesWhatHasArrived(t *testing.T) {
 		t.Fatalf("query queued before the batch's insert did not observe it: %+v", early.nr)
 	}
 	f.checkCalls(append(calls, early))
+}
+
+// TestDispatcherDropsCancelledJobs: a request whose context is cancelled
+// while it waits behind a held batch is answered with the context's error
+// and never executed — a query does not reach the store, an insert neither
+// the store nor the log — and the request queued after it is answered.
+func TestDispatcherDropsCancelledJobs(t *testing.T) {
+	f := newDispatcherFixture(t, server.Config{}, true)
+	win := geom.R(0.2, 0.2, 0.5, 0.5)
+	want := f.g.Organization.WindowQuery(win, store.TechComplete)
+
+	f.hold()
+	ctx, cancel := context.WithCancel(context.Background())
+	var windowErr, insertErr error
+	o := testObj(7)
+	f.queueCtx(ctx, func(rq *server.Request) { _, windowErr = f.s.Window(rq, win, store.TechComplete) })
+	f.queueCtx(ctx, func(rq *server.Request) { insertErr = f.s.Insert(rq, o, o.Bounds()) })
+	var got store.QueryResult
+	var liveErr error
+	f.queue(func(rq *server.Request) { got, liveErr = f.s.Window(rq, win, store.TechComplete) })
+	cancel()
+	before, objects, windows := f.ws.Log().Stats(), f.ws.Stats().Objects, f.g.windows.Load()
+	f.letGo()
+
+	if !errors.Is(windowErr, context.Canceled) || !errors.Is(insertErr, context.Canceled) {
+		t.Fatalf("cancelled requests answered %v and %v, want context.Canceled", windowErr, insertErr)
+	}
+	if n := f.g.windows.Load() - windows; n != 1 {
+		t.Fatalf("%d window queries reached the store after the cancel, want the live one only", n)
+	}
+	if after := f.ws.Log().Stats(); after.Syncs != before.Syncs || after.LastLSN != before.LastLSN {
+		t.Fatalf("cancelled insert reached the log: %+v -> %+v", before, after)
+	}
+	if n := f.ws.Stats().Objects; n != objects {
+		t.Fatalf("cancelled insert reached the store: %d objects, want %d", n, objects)
+	}
+	if liveErr != nil || !reflect.DeepEqual(got.IDs, want.IDs) {
+		t.Fatalf("request queued behind the cancelled ones answered %d IDs (%v), want %d", len(got.IDs), liveErr, len(want.IDs))
+	}
+	if b, jobs, _ := f.batches(); b != 2 || jobs != 4 {
+		t.Fatalf("%d batches carrying %d jobs; want 2 carrying 4", b, jobs)
+	}
 }
 
 // TestDispatcherGroupCommitRidesTheBatch: k inserts that arrive while the

@@ -58,7 +58,7 @@
 //	GET  /metrics
 //	GET  /debug/slowlog, /healthz, /readyz
 //
-// The daemon wrapping this package is cmd/sdbd; the load-generation harness
-// driving it is internal/loadgen; the benchmark comparing micro-batched
+// The daemon wrapping this package is cmd/sdbd; the harness that drives it
+// with generated op streams, closed and open loop, and compares micro-batched
 // against serialized execution is exp.ServerBench (BENCH_server.json).
 package server

@@ -41,17 +41,16 @@ type Service interface {
 	Delete(rq *Request, id object.ID) (existed bool, err error)
 }
 
-// TechDefault is the technique of a window query that names none: the store
-// that finally executes it applies its own configured default. Only the JSON
-// codec can express it; a binary request always names its technique.
-const TechDefault store.Technique = -1
-
 // Request is the per-request record the Front hands a Service beside the
 // operation's arguments. Ctx and Trace travel in; what the slow-query log
 // wants to know about the execution travels back out.
 type Request struct {
-	Ctx   context.Context // the HTTP request's; neither tier acts on its cancellation yet
-	Trace *obs.Trace      // nil unless the request asked to be traced
+	// Ctx is the HTTP request's. A dispatcher answers a job whose Ctx is done
+	// when its batch is picked up with the context's error instead of running
+	// it; a router hands Ctx to every shard exchange, so a caller that went
+	// away or ran out of time aborts its scatter. Nil never expires.
+	Ctx   context.Context
+	Trace *obs.Trace // nil unless the request asked to be traced
 
 	// Filled by the Service.
 	QueueNS int64  // dispatcher queue wait
@@ -81,11 +80,22 @@ func statusErr(code int, format string, args ...any) error {
 	return &StatusError{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// statusOf is the status and message err is answered with.
+// statusClientClosed is the status (nginx's, no RFC has one) of a request
+// whose caller hung up before it was answered.
+const statusClientClosed = 499
+
+// statusOf is the status and message err is answered with. A Service returns
+// the bare error of a request's own context when that ended before the
+// answer; it is the caller's doing, not a server failure.
 func statusOf(err error) (int, string) {
 	var se *StatusError
-	if errors.As(err, &se) {
+	switch {
+	case errors.As(err, &se):
 		return se.Code, se.Message
+	case errors.Is(err, context.Canceled):
+		return statusClientClosed, err.Error()
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusRequestTimeout, err.Error()
 	}
 	return http.StatusInternalServerError, err.Error()
 }
@@ -105,7 +115,7 @@ func badRequest(err error) error {
 type Front struct {
 	// Ready, when set, is asked by GET /readyz once the Front itself is
 	// still accepting work; its error becomes the 503.
-	Ready func() error
+	Ready func(context.Context) error
 
 	svc         Service
 	prefix      string // of the Prometheus families: "sdb" or "sdbrouter"
@@ -227,7 +237,7 @@ func (f *Front) probe(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if f.Ready != nil {
-			if err := f.Ready(); err != nil {
+			if err := f.Ready(r.Context()); err != nil {
 				_, why := statusOf(err)
 				Reply(w, nil, statusErr(http.StatusServiceUnavailable, "%s", why))
 				return
@@ -475,7 +485,7 @@ func replyBin(x *statusRecorder, msg *[]byte) {
 func (f *Front) window(x *statusRecorder, r *http.Request, bin bool) {
 	var (
 		win  [4]float64
-		tech = TechDefault
+		tech = store.TechDefault
 		err  error
 	)
 	if bin {

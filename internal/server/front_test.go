@@ -259,6 +259,8 @@ func TestFrontErrorMapping(t *testing.T) {
 		{&StatusError{Code: http.StatusTooManyRequests, Message: "shard 1 overloaded"}, http.StatusTooManyRequests, "shard 1 overloaded"},
 		{fmt.Errorf("wrapped: %w", &StatusError{Code: http.StatusBadGateway, Message: "shard 2 is gone"}), http.StatusBadGateway, "shard 2 is gone"},
 		{errors.New("the log refused the record"), http.StatusInternalServerError, "the log refused the record"},
+		{context.Canceled, 499, "context canceled"},
+		{fmt.Errorf("picked up too late: %w", context.DeadlineExceeded), http.StatusRequestTimeout, "picked up too late: context deadline exceeded"},
 	} {
 		f := NewFront(&fakeService{err: tc.err}, "test", 0, -1, false)
 		eachCodec(t, func(t *testing.T, path string, body []byte) {

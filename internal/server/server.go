@@ -121,7 +121,7 @@ func (s *Server) Handler() http.Handler { return s.front.Handler() }
 // run executes one job and hands its dispatcher attribution to the request
 // record, for the slow-query log.
 func (s *Server) run(rq *Request, j *job) error {
-	j.tr, j.done = rq.Trace, make(chan struct{})
+	j.ctx, j.tr, j.done = rq.Ctx, rq.Trace, make(chan struct{})
 	s.execute(j)
 	rq.QueueNS, rq.ExecNS = j.queueNS, j.execNS
 	return j.err
@@ -129,7 +129,7 @@ func (s *Server) run(rq *Request, j *job) error {
 
 // Window implements Service.
 func (s *Server) Window(rq *Request, win geom.Rect, tech store.Technique) (store.QueryResult, error) {
-	if tech == TechDefault {
+	if tech == store.TechDefault {
 		tech = s.cfg.DefaultTech
 	}
 	j := &job{kind: jobWindow, window: win, tech: tech}
@@ -155,7 +155,7 @@ func (s *Server) KNN(rq *Request, pt geom.Point, k int) (store.NearestResult, er
 // live ID answers 409, an object no cluster unit can hold 413 — or the
 // write-ahead log refusing the record; either way nothing was applied.
 func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
-	err := s.run(rq, &job{kind: jobInsert, obj: o, key: key})
+	err := s.run(rq, &job{kind: jobMutate, rec: wal.Record{Kind: wal.KindInsert, Obj: o, Key: key}})
 	switch {
 	case errors.Is(err, store.ErrDuplicateID):
 		return statusErr(http.StatusConflict, "%v", err)
@@ -167,14 +167,14 @@ func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
 
 // Update implements Service.
 func (s *Server) Update(rq *Request, o *object.Object, key geom.Rect) (bool, error) {
-	j := &job{kind: jobUpdate, obj: o, key: key}
+	j := &job{kind: jobMutate, rec: wal.Record{Kind: wal.KindUpdate, Obj: o, Key: key}}
 	err := s.run(rq, j)
 	return j.existed, err
 }
 
 // Delete implements Service.
 func (s *Server) Delete(rq *Request, id object.ID) (bool, error) {
-	j := &job{kind: jobDelete, id: id}
+	j := &job{kind: jobMutate, rec: wal.Record{Kind: wal.KindDelete, ID: id}}
 	err := s.run(rq, j)
 	return j.existed, err
 }

@@ -184,7 +184,7 @@ func TestServedAnswersMatchInProcess(t *testing.T) {
 						if want := ref.Update(op.Obj, op.Key); existed != want {
 							t.Fatalf("update %d over HTTP existed=%v, in-process %v", op.Obj.ID, existed, want)
 						}
-					case datagen.OpQuery:
+					case datagen.OpWindow:
 						got, err := c.Window(op.Window, "")
 						if err != nil {
 							t.Fatalf("query over HTTP: %v", err)

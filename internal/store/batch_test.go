@@ -155,7 +155,7 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 						org.Delete(op.ID)
 					case datagen.OpUpdate:
 						org.Update(op.Obj, op.Key)
-					case datagen.OpQuery:
+					case datagen.OpWindow:
 						// The mutator's embedded queries run through the
 						// driver too (read/write interleaving).
 						runMixed(org, []mixedQuery{{kind: 'w', w: op.Window}}, 1, nil)

@@ -44,7 +44,7 @@ func RunNearestQueriesParallel(org Organization, pts []geom.Point, k int, worker
 // query(n-1) are handed out in index order by an atomic counter to a bounded
 // pool sharing the organization's buffer and disk — the caller's goroutine
 // plus min(workers, n)-1 spawned ones, so an empty or one-query call spawns
-// nothing. workers <= 0 selects Env.Parallelism, then GOMAXPROCS. query may
+// nothing. workers <= 0 selects GOMAXPROCS. query may
 // call any read method of org (window, point and k-NN can mix in one call)
 // and keeps its own per-query result; the driver only sums the two counts it
 // returns. The organization must be flushed (construction finished): the read
@@ -66,9 +66,6 @@ func RunNearestQueriesParallel(org Organization, pts []geom.Point, k int, worker
 func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages, query func(i int) (answers, candidates int)) ThroughputResult {
 	if n == 0 {
 		return ThroughputResult{}
-	}
-	if workers <= 0 {
-		workers = org.Env().Parallelism
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

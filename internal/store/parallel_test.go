@@ -129,15 +129,15 @@ func TestParallelNearestQueriesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWindowQueriesDefaultWorkers exercises the Parallelism knob on
-// the environment (workers <= 0 falls back to Env.Parallelism).
+// TestParallelWindowQueriesDefaultWorkers pins the fallback of an unset
+// worker count: workers <= 0 runs on GOMAXPROCS workers.
 func TestParallelWindowQueriesDefaultWorkers(t *testing.T) {
 	c, ds := buildClusterForQueries(t, 256)
-	c.Env().Parallelism = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	ws := ds.Windows(0.005, 9, 4)
 	tr := RunWindowQueriesParallel(c, ws, TechComplete, 0)
 	if tr.Workers != 3 {
-		t.Fatalf("workers = %d, want Env.Parallelism = 3", tr.Workers)
+		t.Fatalf("workers = %d, want GOMAXPROCS = 3", tr.Workers)
 	}
 	if tr.QueriesSec <= 0 {
 		t.Fatalf("queries/sec = %g", tr.QueriesSec)

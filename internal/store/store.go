@@ -43,6 +43,12 @@ const (
 	TechPageByPage
 )
 
+// TechDefault is the technique of a served window query that names none:
+// the server that finally executes it applies its own configured default
+// (server.Config.DefaultTech). It exists on the wire only — both codecs can
+// express it — and never reaches an Organization.
+const TechDefault Technique = -1
+
 // String implements fmt.Stringer.
 func (t Technique) String() string {
 	switch t {
@@ -209,11 +215,6 @@ type Env struct {
 	Disk  *disk.Disk
 	Buf   *buffer.Manager
 	Alloc *pagefile.Allocator
-	// Parallelism is the default worker count for the parallel read path
-	// (RunQueriesParallel) on this environment; 0 selects GOMAXPROCS
-	// at call time. It has no effect on construction or on the paper's
-	// serial figure experiments.
-	Parallelism int
 
 	// mu serializes mutations against the parallel read path. The mutating
 	// Organization methods (Insert, Delete, Update, Flush) and the

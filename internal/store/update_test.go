@@ -60,7 +60,7 @@ func applyMix(t *testing.T, org Organization, ls *liveSet, ops []datagen.Op) {
 			}
 			ls.objs[op.Obj.ID] = op.Obj
 			ls.mbrs[op.Obj.ID] = op.Key
-		case datagen.OpQuery:
+		case datagen.OpWindow:
 			org.WindowQuery(op.Window, TechComplete)
 		}
 	}
@@ -341,7 +341,7 @@ func TestMixedUpdatesDuringParallelQueries(t *testing.T) {
 						org.Delete(op.ID)
 					case datagen.OpUpdate:
 						org.Update(op.Obj, op.Key)
-					case datagen.OpQuery:
+					case datagen.OpWindow:
 						// Mutator-side queries would race the serial read
 						// path; the parallel workers below cover reads.
 					}

@@ -22,7 +22,7 @@ func mutationOps(t *testing.T, ds *datagen.Dataset, n int) []datagen.Op {
 	all := ds.MixedWorkload(datagen.MixSpec{Ops: 4 * n, Seed: 3, HotspotFrac: 0.5})
 	ops := make([]datagen.Op, 0, n)
 	for _, op := range all {
-		if op.Kind == datagen.OpQuery {
+		if op.Kind == datagen.OpWindow {
 			continue
 		}
 		ops = append(ops, op)
@@ -35,14 +35,14 @@ func mutationOps(t *testing.T, ds *datagen.Dataset, n int) []datagen.Op {
 }
 
 // toMutation converts a workload op into an Apply entry.
-func toMutation(op datagen.Op) wal.Mutation {
+func toMutation(op datagen.Op) wal.Record {
 	switch op.Kind {
 	case datagen.OpInsert:
-		return wal.Mutation{Kind: wal.KindInsert, Obj: op.Obj, Key: op.Key}
+		return wal.Record{Kind: wal.KindInsert, Obj: op.Obj, Key: op.Key}
 	case datagen.OpDelete:
-		return wal.Mutation{Kind: wal.KindDelete, ID: op.ID}
+		return wal.Record{Kind: wal.KindDelete, ID: op.ID}
 	case datagen.OpUpdate:
-		return wal.Mutation{Kind: wal.KindUpdate, Obj: op.Obj, Key: op.Key}
+		return wal.Record{Kind: wal.KindUpdate, Obj: op.Obj, Key: op.Key}
 	}
 	panic(fmt.Sprintf("not a mutation: %v", op.Kind))
 }
@@ -198,7 +198,7 @@ func TestKillAtN(t *testing.T) {
 				}
 				acked := 0
 				for _, op := range ops {
-					if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+					if _, _, err := ws.Apply([]wal.Record{toMutation(op)}); err != nil {
 						break
 					}
 					acked++
@@ -267,7 +267,7 @@ func TestKillAfterCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, op := range ops[:K/2] {
-				if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+				if _, _, err := ws.Apply([]wal.Record{toMutation(op)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -275,7 +275,7 @@ func TestKillAfterCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, op := range ops[K/2:] {
-				if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+				if _, _, err := ws.Apply([]wal.Record{toMutation(op)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -313,7 +313,7 @@ func TestCrashTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range ops[:K] {
-		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Record{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestCrashTwice(t *testing.T) {
 		t.Fatalf("first recovery replayed %d records (torn %v), want %d torn", st.Replayed, st.TornTail, K-1)
 	}
 	for _, op := range ops[K:] {
-		if _, _, err := mid.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := mid.Apply([]wal.Record{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}

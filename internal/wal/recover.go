@@ -298,37 +298,42 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 		if rec.LSN != res.next {
 			return res, fmt.Errorf("wal: %s: record LSN %d leaves a gap after %d", path, rec.LSN, res.next-1)
 		}
-		if err := applyRecord(org, &rec); err != nil {
-			return res, fmt.Errorf("wal: %s: %w", path, err)
+		// An insert's error is the store's refusal, and part of the history:
+		// the live store logged the record, refused the object and carried
+		// on; so does replay.
+		if _, err := ApplyRecord(org, &rec); err != nil && rec.Kind != KindInsert {
+			return res, fmt.Errorf("wal: %s: replaying record %d: %w", path, rec.LSN, err)
 		}
 		res.next++
 		res.applied++
 	}
 }
 
-// applyRecord replays one mutation onto the raw organization.
-func applyRecord(org store.Organization, rec *Record) error {
+// ApplyRecord applies one logged mutation to org — the one application of a
+// record: of a commit just logged (Store.Apply), of the log at recovery, and
+// of a mutation on a store that has no log (the server's dispatcher).
+// existed is the verdict of a delete or update. err is the store's refusal
+// of an insert — nothing was applied — or, for the kinds only a log holds,
+// a policy or kind this build does not know.
+func ApplyRecord(org store.Organization, rec *Record) (existed bool, err error) {
 	switch rec.Kind {
 	case KindInsert:
-		// A refusal is part of the history: the live store logged the
-		// record, refused the object and carried on; so does replay.
-		_ = org.Insert(rec.Obj, rec.Key)
+		return false, org.Insert(rec.Obj, rec.Key)
 	case KindDelete:
-		org.Delete(rec.ID)
+		return org.Delete(rec.ID), nil
 	case KindUpdate:
-		org.Update(rec.Obj, rec.Key)
+		return org.Update(rec.Obj, rec.Key), nil
 	case KindRecluster:
 		pol, err := recluster.ByName(rec.Policy)
 		if err != nil {
-			return fmt.Errorf("replaying record %d: %w", rec.LSN, err)
+			return false, err
 		}
 		if c, ok := store.Unwrap(org).(*store.Cluster); ok {
 			pol.Maintain(c)
 		}
-	default:
-		return fmt.Errorf("replaying record %d: unknown kind %d", rec.LSN, byte(rec.Kind))
+		return false, nil
 	}
-	return nil
+	return false, fmt.Errorf("unknown kind %d", byte(rec.Kind))
 }
 
 // reopenLog resumes appending after a replay: the surviving last segment is

@@ -38,14 +38,6 @@ type Store struct {
 	ckptErr     error
 }
 
-// Mutation is one entry of an Apply batch.
-type Mutation struct {
-	Kind Kind
-	Obj  *object.Object // KindInsert, KindUpdate
-	Key  geom.Rect      // KindInsert, KindUpdate
-	ID   object.ID      // KindDelete
-}
-
 // Underlying returns the wrapped organization. store.Unwrap uses it; going
 // around the wrapper to mutate the underlying store directly forfeits
 // durability.
@@ -54,27 +46,22 @@ func (s *Store) Underlying() store.Organization { return *s.org.Load() }
 // Log exposes the write-ahead log (for stats and tests).
 func (s *Store) Log() *Log { return s.log }
 
-// Apply logs muts as one commit — every record shares one fsync — and then
-// applies them in order, reporting for each delete/update whether the
-// object existed and for each insert the store's refusal, if any (refused
-// is nil when every insert was taken). A refused insert stays in the log:
-// replay meets the same store state, refuses it again and moves on. On
-// error nothing is applied, nothing is acknowledged, and the log stays
-// poisoned: later Apply calls fail too, so the acknowledged prefix is
-// exactly what recovery replays.
-func (s *Store) Apply(muts []Mutation) (existed []bool, refused []error, err error) {
-	if len(muts) == 0 {
+// Apply logs recs — insert, delete and update records — as one commit, every
+// record sharing one fsync, and then applies them in order, reporting for
+// each delete/update whether the object existed and for each insert the
+// store's refusal, if any (refused is nil when every insert was taken). A
+// refused insert stays in the log: replay meets the same store state,
+// refuses it again and moves on. On error nothing is applied, nothing is
+// acknowledged, and the log stays poisoned: later Apply calls fail too, so
+// the acknowledged prefix is exactly what recovery replays. The log assigns
+// the records' LSNs in place.
+func (s *Store) Apply(recs []Record) (existed []bool, refused []error, err error) {
+	if len(recs) == 0 {
 		return nil, nil, nil
 	}
-	recs := make([]Record, len(muts))
-	for i, m := range muts {
-		switch m.Kind {
-		case KindInsert, KindUpdate:
-			recs[i] = Record{Kind: m.Kind, Obj: m.Obj, Key: m.Key}
-		case KindDelete:
-			recs[i] = Record{Kind: m.Kind, ID: m.ID}
-		default:
-			return nil, nil, fmt.Errorf("wal: cannot apply mutation of kind %v", m.Kind)
+	for i := range recs {
+		if k := recs[i].Kind; k != KindInsert && k != KindDelete && k != KindUpdate {
+			return nil, nil, fmt.Errorf("wal: cannot apply mutation of kind %v", k)
 		}
 	}
 	s.mu.Lock()
@@ -83,20 +70,14 @@ func (s *Store) Apply(muts []Mutation) (existed []bool, refused []error, err err
 		return nil, nil, err
 	}
 	org := s.Underlying()
-	existed = make([]bool, len(muts))
-	for i, m := range muts {
-		switch m.Kind {
-		case KindInsert:
-			if err := org.Insert(m.Obj, m.Key); err != nil {
-				if refused == nil {
-					refused = make([]error, len(muts))
-				}
-				refused[i] = err
+	existed = make([]bool, len(recs))
+	for i := range recs {
+		var refusal error
+		if existed[i], refusal = ApplyRecord(org, &recs[i]); refusal != nil {
+			if refused == nil {
+				refused = make([]error, len(recs))
 			}
-		case KindDelete:
-			existed[i] = org.Delete(m.ID)
-		case KindUpdate:
-			existed[i] = org.Update(m.Obj, m.Key)
+			refused[i] = refusal
 		}
 	}
 	s.mu.Unlock()
@@ -221,12 +202,12 @@ func (s *Store) Close() error {
 	return err
 }
 
-// mutate is the panic-on-log-failure single-op path behind the
+// logged is the panic-on-log-failure single-record path behind the
 // store.Organization mutating methods.
-func (s *Store) mutate(m Mutation) (bool, error) {
-	existed, refused, err := s.Apply([]Mutation{m})
+func (s *Store) logged(rec Record) (bool, error) {
+	existed, refused, err := s.Apply([]Record{rec})
 	if err != nil {
-		panic(fmt.Sprintf("wal: logging %v: %v", m.Kind, err))
+		panic(fmt.Sprintf("wal: logging %v: %v", rec.Kind, err))
 	}
 	if refused != nil {
 		return false, refused[0]
@@ -240,21 +221,21 @@ func (s *Store) Name() string { return s.Underlying().Name() }
 // Insert implements store.Organization. It panics when the record cannot be
 // logged; use Apply for an error return.
 func (s *Store) Insert(o *object.Object, key geom.Rect) error {
-	_, err := s.mutate(Mutation{Kind: KindInsert, Obj: o, Key: key})
+	_, err := s.logged(Record{Kind: KindInsert, Obj: o, Key: key})
 	return err
 }
 
 // Delete implements store.Organization. It panics when the record cannot be
 // logged; use Apply for an error return.
 func (s *Store) Delete(id object.ID) bool {
-	existed, _ := s.mutate(Mutation{Kind: KindDelete, ID: id})
+	existed, _ := s.logged(Record{Kind: KindDelete, ID: id})
 	return existed
 }
 
 // Update implements store.Organization. It panics when the record cannot be
 // logged; use Apply for an error return.
 func (s *Store) Update(o *object.Object, key geom.Rect) bool {
-	existed, _ := s.mutate(Mutation{Kind: KindUpdate, Obj: o, Key: key})
+	existed, _ := s.logged(Record{Kind: KindUpdate, Obj: o, Key: key})
 	return existed
 }
 

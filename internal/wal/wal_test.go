@@ -50,9 +50,9 @@ func TestGroupCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ws.Close()
-		muts := make([]wal.Mutation, 16)
+		muts := make([]wal.Record, 16)
 		for i := range muts {
-			muts[i] = wal.Mutation{Kind: wal.KindInsert, Obj: testObject(uint64(i)), Key: testObject(uint64(i)).Bounds()}
+			muts[i] = wal.Record{Kind: wal.KindInsert, Obj: testObject(uint64(i)), Key: testObject(uint64(i)).Bounds()}
 		}
 		if _, _, err := ws.Apply(muts); err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestGroupCommit(t *testing.T) {
 		defer ws.Close()
 		for i := 0; i < 8; i++ {
 			o := testObject(uint64(i))
-			if _, _, err := ws.Apply([]wal.Mutation{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
+			if _, _, err := ws.Apply([]wal.Record{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func TestReclusterReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range ops[:30] {
-		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Record{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestReclusterReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range ops[30:] {
-		if _, _, err := ws.Apply([]wal.Mutation{toMutation(op)}); err != nil {
+		if _, _, err := ws.Apply([]wal.Record{toMutation(op)}); err != nil {
 			t.Fatal(err)
 		}
 	}

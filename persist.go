@@ -46,8 +46,8 @@ func Save(org Organization, path string) error {
 // Open rebuilds an organization from a snapshot file written by Save,
 // without re-running construction and without charging modelled I/O. The
 // organization kind, cluster configuration and disk timing parameters come
-// from the snapshot; cfg supplies the runtime environment — buffer size,
-// parallelism, and the storage backend the restored pages are placed on
+// from the snapshot; cfg supplies the runtime environment — buffer size and
+// policy, and the storage backend the restored pages are placed on
 // (BackendMem by default, or BackendFile with a fresh Path). cfg.DiskParams,
 // cfg.SmaxBytes and cfg.BuddySizes are ignored: those are properties of the
 // saved store. With cfg.WALPath a fresh write-ahead log attaches to the

@@ -172,9 +172,6 @@ type StoreConfig struct {
 	// The buffer is sharded and safe for concurrent readers; construction
 	// (Insert) remains single-threaded.
 	BufferPages int
-	// Parallelism is the default worker count for ParallelWindowQueries on
-	// stores built from this config (0 = GOMAXPROCS at call time).
-	Parallelism int
 	// SmaxBytes is the maximum cluster unit size for cluster stores
 	// (default 80 KB, series A of Table 1).
 	SmaxBytes int
@@ -276,9 +273,7 @@ func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
 	if buf <= 0 {
 		buf = 256
 	}
-	env := store.NewEnvOn(buf, pol, p, b)
-	env.Parallelism = c.Parallelism
-	return env, nil
+	return store.NewEnvOn(buf, pol, p, b), nil
 }
 
 // NewStore is the one way a fresh store is built: an organization of the
@@ -418,18 +413,11 @@ func RunJoin(orgR, orgS Organization, cfg JoinConfig) JoinResult {
 	return join.Run(orgR, orgS, cfg)
 }
 
-// ParallelWindowQueries executes the window queries concurrently on a worker
-// pool sharing the store's buffer and disk (workers = 0 uses the store's
-// configured Parallelism, else GOMAXPROCS). The store must be flushed; the
-// read path is concurrency-safe, construction is not.
-func ParallelWindowQueries(org Organization, ws []Rect, tech Technique, workers int) ThroughputResult {
-	return store.RunWindowQueriesParallel(org, ws, tech, workers)
-}
-
-// ParallelNearestQueries executes k-NN queries concurrently on the same
-// worker-pool/read-lock machinery as ParallelWindowQueries. Answer sets are
-// identical for every worker count; only the aggregate modelled cost is
-// meaningful under concurrency.
+// ParallelNearestQueries executes k-NN queries concurrently on a worker pool
+// sharing the store's buffer and disk (workers = 0 uses GOMAXPROCS). The
+// store must be flushed; the read path is concurrency-safe, construction is
+// not. Answer sets are identical for every worker count; only the aggregate
+// modelled cost is meaningful under concurrency.
 func ParallelNearestQueries(org Organization, pts []Point, k, workers int) ThroughputResult {
 	return store.RunNearestQueriesParallel(org, pts, k, workers)
 }
