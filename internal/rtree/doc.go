@@ -22,6 +22,13 @@
 // The primary organization stores serialized objects directly in the leaves;
 // VariableLeaf=true switches leaf capacity from entry count to a byte budget.
 //
+// Insertion makes exactly [BKSS90]'s choices without its quadratic scans:
+// chooseSubtree bounds the overlap-enlargement sums of a leaf-parent node and
+// chooseSplit folds every cut's group MBRs once, as prefixes and suffixes.
+// Their comments argue why every choice is bit-identical; the quadratic
+// originals are kept in choose_test.go as the references a differential test
+// and FuzzChooseSubtree hold them to.
+//
 // Beyond insertion and deletion the tree offers Search/SearchPoint (window
 // and point filters), NearestLeaves — the Hjaltason–Samet best-first
 // traversal [HS95] that surfaces whole data pages in ascending MBR-MinDist

@@ -1,8 +1,11 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
@@ -198,14 +201,34 @@ func (t *Tree) splitNodeMulti(n *Node) []*Node {
 }
 
 // splitNode distributes the entries of n onto n and a fresh sibling using
-// the R* split: choose the split axis by minimal margin sum, then the
-// distribution by minimal overlap (ties: minimal total area). For variable
-// leaves, distributions whose halves exceed the page byte budget are
-// rejected; if all candidates are rejected the bytes-balanced distribution
-// is used.
+// the R* split chosen by chooseSplit.
 func (t *Tree) splitNode(n *Node) *Node {
-	entries := n.Entries
-	count := len(entries)
+	sc := splitScratches.Get().(*splitScratch)
+	defer splitScratches.Put(sc)
+	order, k := t.chooseSplit(n, sc)
+	right := &Node{ID: t.allocPage(n.Level), Level: n.Level, Entries: pick(n.Entries, order[k:])}
+	n.Entries = pick(n.Entries, order[:k])
+	return right
+}
+
+// pick returns a new slice of the entries at the given positions.
+func pick(entries []Entry, at []int) []Entry {
+	out := make([]Entry, len(at))
+	for i, j := range at {
+		out[i] = entries[j]
+	}
+	return out
+}
+
+// chooseSplit picks the R* split of n: the split axis by minimal margin sum,
+// then the distribution by minimal overlap (ties: minimal total area). For
+// variable leaves, distributions whose halves exceed the page byte budget are
+// rejected; if all candidates are rejected the bytes-balanced distribution
+// is used. It returns the chosen order as positions in n.Entries — memory of
+// sc, valid until sc is used again — and the cut: the halves are order[:k]
+// and order[k:].
+func (t *Tree) chooseSplit(n *Node, sc *splitScratch) (order []int, k int) {
+	count := len(n.Entries)
 	m := int(t.cfg.MinFillRatio * float64(count))
 	if m < 1 {
 		m = 1
@@ -217,14 +240,13 @@ func (t *Tree) splitNode(n *Node) *Node {
 		m = count / 2
 	}
 
-	axisSorts := candidateSorts(entries)
 	bestAxis, bestMargin := 0, -1.0
-	for axis, sorts := range axisSorts {
+	for axis := 0; axis < 2; axis++ {
 		margin := 0.0
-		for _, s := range sorts {
+		for s := 2 * axis; s < 2*axis+2; s++ {
+			pre, suf := sc.groups(n.Entries, sc.sort(n.Entries, s))
 			for k := m; k <= count-m; k++ {
-				lr, rr := groupRects(s, k)
-				margin += lr.Margin() + rr.Margin()
+				margin += pre[k].Margin() + suf[k].Margin()
 			}
 		}
 		if bestMargin < 0 || margin < bestMargin {
@@ -232,124 +254,108 @@ func (t *Tree) splitNode(n *Node) *Node {
 		}
 	}
 
-	type candidate struct {
-		sorted  []Entry
-		k       int
-		overlap float64
-		area    float64
-		fits    bool
-	}
-	var best *candidate
-	betterOf := func(a, b *candidate) *candidate {
-		if a == nil {
-			return b
-		}
-		if a.fits != b.fits {
-			if b.fits {
-				return b
+	best := -1
+	var bestOverlap, bestArea float64
+	var bestFits bool
+	for s := 2 * bestAxis; s < 2*bestAxis+2; s++ {
+		pre, suf := sc.groups(n.Entries, sc.orders[s])
+		for cut := m; cut <= count-m; cut++ {
+			lr, rr := pre[cut], suf[cut]
+			overlap, area := lr.OverlapArea(rr), lr.Area()+rr.Area()
+			fits := t.splitFits(n.Level, n.Entries, sc.orders[s], cut)
+			if best < 0 || (fits && !bestFits) ||
+				(fits == bestFits && (overlap < bestOverlap || (overlap == bestOverlap && area < bestArea))) {
+				best, bestOverlap, bestArea, bestFits = s, overlap, area, fits
+				k = cut
 			}
-			return a
-		}
-		if b.overlap < a.overlap ||
-			(b.overlap == a.overlap && b.area < a.area) {
-			return b
-		}
-		return a
-	}
-	for _, s := range axisSorts[bestAxis] {
-		for k := m; k <= count-m; k++ {
-			lr, rr := groupRects(s, k)
-			c := &candidate{
-				sorted:  s,
-				k:       k,
-				overlap: lr.OverlapArea(rr),
-				area:    lr.Area() + rr.Area(),
-				fits:    t.splitFits(n.Level, s, k),
-			}
-			best = betterOf(best, c)
 		}
 	}
-	if best == nil {
-		panic("rtree: no split candidate")
-	}
-	if !best.fits {
+	if !bestFits {
 		// Variable leaves: fall back to the byte-balanced cut on the best
 		// axis's min-sort.
-		s := axisSorts[bestAxis][0]
-		best = &candidate{sorted: s, k: t.byteBalancedCut(n.Level, s)}
+		best = 2 * bestAxis
+		k = t.byteBalancedCut(n.Level, n.Entries, sc.orders[best])
 	}
-
-	left := append([]Entry(nil), best.sorted[:best.k]...)
-	right := append([]Entry(nil), best.sorted[best.k:]...)
-	n.Entries = left
-	sibling := &Node{ID: t.allocPage(n.Level), Level: n.Level, Entries: right}
-	return sibling
+	return sc.orders[best], k
 }
 
-// candidateSorts returns, per axis, the entry orders considered by the R*
-// split: sorted by lower and by upper rectangle value.
-func candidateSorts(entries []Entry) [2][][]Entry {
-	var out [2][][]Entry
-	keys := []func(e *Entry) (float64, float64){
-		func(e *Entry) (float64, float64) { return e.Rect.MinX, e.Rect.MaxX },
-		func(e *Entry) (float64, float64) { return e.Rect.MinY, e.Rect.MaxY },
-	}
-	for axis, key := range keys {
-		byMin := append([]Entry(nil), entries...)
-		sort.SliceStable(byMin, func(i, j int) bool {
-			a, _ := key(&byMin[i])
-			b, _ := key(&byMin[j])
-			return a < b
-		})
-		byMax := append([]Entry(nil), entries...)
-		sort.SliceStable(byMax, func(i, j int) bool {
-			_, a := key(&byMax[i])
-			_, b := key(&byMax[j])
-			return a < b
-		})
-		out[axis] = [][]Entry{byMin, byMax}
-	}
-	return out
+// splitScratch is chooseSplit's working memory.
+type splitScratch struct {
+	// orders are the four candidate orders of the R* split, as positions in
+	// the node: by MinX, MaxX, MinY and MaxY — axis a's two are 2a and 2a+1.
+	orders [4][]int
+	// key is the sort key of every entry while one order is sorted.
+	key []float64
+	// pre[k] and suf[k] are the MBRs of an order's first k entries and of
+	// the rest.
+	pre, suf []geom.Rect
 }
 
-// groupRects returns the MBRs of s[:k] and s[k:].
-func groupRects(s []Entry, k int) (geom.Rect, geom.Rect) {
-	l, r := geom.EmptyRect(), geom.EmptyRect()
-	for i := 0; i < k; i++ {
-		l = l.Union(s[i].Rect)
+// splitScratches recycles splitScratch between splits, so that a split
+// allocates nothing but the two halves it hands out. A pool, not a field of
+// the Tree: the memory is needed only while a node splits, and the collector
+// can take it back from a tree that stopped changing.
+var splitScratches = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// sort computes order s of entries. Any stable sort by the same key yields
+// the same order.
+func (sc *splitScratch) sort(entries []Entry, s int) []int {
+	key, order := resize(sc.key, len(entries)), sc.orders[s][:0]
+	for i := range entries {
+		r := &entries[i].Rect
+		key[i] = [4]float64{r.MinX, r.MaxX, r.MinY, r.MaxY}[s]
+		order = append(order, i)
 	}
-	for i := k; i < len(s); i++ {
-		r = r.Union(s[i].Rect)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(key[a], key[b]) })
+	sc.key, sc.orders[s] = key, order
+	return order
+}
+
+// groups computes the group MBRs of every cut of order in one prefix and one
+// suffix pass. A prefix is the same left-to-right Union fold as a per-cut
+// recomputation; a suffix folds the same rectangles in another order, which
+// changes no bit, because min and max (±0 included) are exact, associative
+// and commutative.
+func (sc *splitScratch) groups(entries []Entry, order []int) (pre, suf []geom.Rect) {
+	n := len(order)
+	pre, suf = resize(sc.pre, n+1), resize(sc.suf, n+1)
+	pre[0], suf[n] = geom.EmptyRect(), geom.EmptyRect()
+	for k := 1; k <= n; k++ {
+		pre[k] = pre[k-1].Union(entries[order[k-1]].Rect)
 	}
-	return l, r
+	for k := n - 1; k >= 0; k-- {
+		suf[k] = suf[k+1].Union(entries[order[k]].Rect)
+	}
+	sc.pre, sc.suf = pre, suf
+	return pre, suf
+}
+
+// resize returns a slice of length n, reusing buf's memory when it is large
+// enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // splitFits reports whether both halves of the distribution fit their pages.
-func (t *Tree) splitFits(level int, s []Entry, k int) bool {
+func (t *Tree) splitFits(level int, entries []Entry, order []int, k int) bool {
 	if level > 0 || !t.cfg.VariableLeaf {
 		return true // fixed entries: any k between m and count-m fits
 	}
-	bytesOf := func(part []Entry) int {
-		b := nodeHeaderSize
-		for i := range part {
-			b += t.entryBytes(level, &part[i])
-		}
-		return b
-	}
-	return bytesOf(s[:k]) <= t.cfg.PageBytes && bytesOf(s[k:]) <= t.cfg.PageBytes
+	return nodeHeaderSize+t.orderBytes(level, entries, order[:k]) <= t.cfg.PageBytes &&
+		nodeHeaderSize+t.orderBytes(level, entries, order[k:]) <= t.cfg.PageBytes
 }
 
 // byteBalancedCut returns the k that best balances the serialized bytes of
 // the two halves.
-func (t *Tree) byteBalancedCut(level int, s []Entry) int {
-	total := 0
-	for i := range s {
-		total += t.entryBytes(level, &s[i])
-	}
+func (t *Tree) byteBalancedCut(level int, entries []Entry, order []int) int {
+	total := t.orderBytes(level, entries, order)
 	bestK, bestDiff := 1, -1
 	acc := 0
-	for k := 1; k < len(s); k++ {
-		acc += t.entryBytes(level, &s[k-1])
+	for k := 1; k < len(order); k++ {
+		acc += t.entryBytes(level, &entries[order[k-1]])
 		diff := acc - (total - acc)
 		if diff < 0 {
 			diff = -diff
@@ -359,4 +365,13 @@ func (t *Tree) byteBalancedCut(level int, s []Entry) int {
 		}
 	}
 	return bestK
+}
+
+// orderBytes sums the on-page sizes of the entries at the given positions.
+func (t *Tree) orderBytes(level int, entries []Entry, at []int) int {
+	b := 0
+	for _, i := range at {
+		b += t.entryBytes(level, &entries[i])
+	}
+	return b
 }

@@ -568,18 +568,6 @@ func TestQuickQueryCorrectnessAllModes(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	d := disk.NewDefault()
-	m := buffer.New(d, 4096)
-	a := pagefile.NewAllocator(d)
-	tr := New(m, a, Config{})
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(randRect(rng), payloadFor(uint64(i)))
-	}
-}
-
 func BenchmarkWindowQuery(b *testing.B) {
 	d := disk.NewDefault()
 	m := buffer.New(d, 4096)

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 
 	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/disk"
@@ -247,7 +248,8 @@ type pathElem struct {
 // subtree chosen by the R* ChooseSubtree criterion for rectangle r, and
 // returns the nodes along the way (path[0] is the root).
 func (t *Tree) choosePath(r geom.Rect, level int) []pathElem {
-	path := []pathElem{{node: t.ReadNode(t.root), entryIdx: -1}}
+	path := make([]pathElem, 1, t.height)
+	path[0] = pathElem{node: t.ReadNode(t.root), entryIdx: -1}
 	for {
 		cur := path[len(path)-1].node
 		if cur.Level == level {
@@ -262,28 +264,33 @@ func (t *Tree) choosePath(r geom.Rect, level int) []pathElem {
 // chooseSubtree picks the entry of dir node n to descend into for rectangle
 // r, per [BKSS90]: for nodes whose children are leaves, minimize overlap
 // enlargement (ties: area enlargement, then area); higher up, minimize area
-// enlargement (ties: area).
+// enlargement (ties: area). Remaining ties go to the lowest index.
+//
+// The overlap criterion is evaluated exactly, in index order, yet close to
+// linear in the node size instead of quadratic. Entry i scores
+// Σ_{j≠i} area(grown∩e_j) − area(old∩e_j), where old is its rectangle and
+// grown = old ∪ r. Because old ⊆ grown and rounding is monotone, every term
+// is ≥ 0 in floating point too, so the partial sums only grow. That licenses
+// three shortcuts, none of which changes a single bit of a winning score:
+//   - an entry that contains r (grown == old) scores exactly 0, the least
+//     possible, without a loop — and one such entry bounds all the others;
+//   - a sibling grown does not overlap with positive width and height adds
+//     exactly ±0 (the sum starts at +0, which a zero term cannot change), so
+//     four comparisons skip it;
+//   - once a partial sum exceeds the best score found so far the entry cannot
+//     win (a tie still needs ==), so its summation stops.
+//
+// [BKSS90]'s further shortcut — score only the 32 entries of least area
+// enlargement — is an approximation: it picks other subtrees, which changes
+// the tree and with it every modelled figure, so it is not used.
 func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	if len(n.Entries) == 0 {
 		panic("rtree: chooseSubtree on empty node")
 	}
-	childrenAreLeaves := n.Level == 1
-	best := 0
-	if childrenAreLeaves {
-		bestOverlap, bestEnl, bestArea := overlapEnlargement(n.Entries, 0, r),
-			n.Entries[0].Rect.Enlargement(r), n.Entries[0].Rect.Area()
-		for i := 1; i < len(n.Entries); i++ {
-			ov := overlapEnlargement(n.Entries, i, r)
-			enl := n.Entries[i].Rect.Enlargement(r)
-			area := n.Entries[i].Rect.Area()
-			if ov < bestOverlap ||
-				(ov == bestOverlap && enl < bestEnl) ||
-				(ov == bestOverlap && enl == bestEnl && area < bestArea) {
-				best, bestOverlap, bestEnl, bestArea = i, ov, enl, area
-			}
-		}
-		return best
+	if n.Level == 1 {
+		return leastOverlapEnlargement(n.Entries, r)
 	}
+	best := 0
 	bestEnl, bestArea := n.Entries[0].Rect.Enlargement(r), n.Entries[0].Rect.Area()
 	for i := 1; i < len(n.Entries); i++ {
 		enl := n.Entries[i].Rect.Enlargement(r)
@@ -295,17 +302,68 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	return best
 }
 
-// overlapEnlargement returns how much the overlap of entry i with its
-// siblings grows when i is enlarged to cover r.
-func overlapEnlargement(entries []Entry, i int, r geom.Rect) float64 {
-	old := entries[i].Rect
-	grown := old.Union(r)
-	var delta float64
+// leastOverlapEnlargement is chooseSubtree's criterion for nodes whose
+// children are leaves; see there for why it is exact.
+func leastOverlapEnlargement(entries []Entry, r geom.Rect) int {
+	// bound is a score some entry achieves, so an entry scoring above it
+	// cannot be the first of least score.
+	bound := math.Inf(1)
+	for i := range entries {
+		if entries[i].Rect.ContainsRect(r) {
+			bound = 0
+			break
+		}
+	}
+	best := -1
+	var bestOverlap, bestEnl, bestArea float64
+	for i := range entries {
+		old := entries[i].Rect
+		grown := old.Union(r)
+		var ov float64
+		if grown != old {
+			var within bool
+			if ov, within = overlapGrowth(entries, i, old, grown, bound); !within {
+				continue
+			}
+		}
+		area := old.Area()
+		enl := grown.Area() - area // old.Enlargement(r)
+		if best < 0 || ov < bestOverlap ||
+			(ov == bestOverlap && enl < bestEnl) ||
+			(ov == bestOverlap && enl == bestEnl && area < bestArea) {
+			best, bestOverlap, bestEnl, bestArea = i, ov, enl, area
+			bound = ov
+		}
+	}
+	return best
+}
+
+// overlapGrowth sums, in index order, how much the overlap of entry i with
+// each sibling grows when its rectangle grows from old to grown. Siblings
+// grown meets in no positive area contribute an exact zero and are skipped;
+// within is false, and the sum abandoned, as soon as it exceeds bound.
+func overlapGrowth(entries []Entry, i int, old, grown geom.Rect, bound float64) (sum float64, within bool) {
 	for j := range entries {
-		if j == i {
+		e := &entries[j].Rect
+		if j == i || e.MaxX <= grown.MinX || e.MinX >= grown.MaxX || e.MaxY <= grown.MinY || e.MinY >= grown.MaxY {
 			continue
 		}
-		delta += grown.OverlapArea(entries[j].Rect) - old.OverlapArea(entries[j].Rect)
+		sum += overlapArea(grown, *e) - overlapArea(old, *e)
+		if sum > bound {
+			return sum, false
+		}
 	}
-	return delta
+	return sum, true
+}
+
+// overlapArea is geom.Rect.OverlapArea, Intersection(b).Area(), in a form the
+// compiler inlines: the builtin min and max order ±0 exactly as math.Min and
+// math.Max do, and the emptiness test is Area's, so the bits are the same.
+func overlapArea(a, b geom.Rect) float64 {
+	x0, x1 := max(a.MinX, b.MinX), min(a.MaxX, b.MaxX)
+	y0, y1 := max(a.MinY, b.MinY), min(a.MaxY, b.MaxY)
+	if x0 > x1 || y0 > y1 {
+		return 0
+	}
+	return (x1 - x0) * (y1 - y0)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -214,6 +215,9 @@ func (ht handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // every shard client of a router — pays for the seeded jitter source on the
 // first retry, not on every call.
 func TestRetryCostsNothingUntilItRetries(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
 	f := NewFront(&fakeService{}, "sdb", 0, -1, false)
 	c := &Client{Base: "http://front", HTTP: &http.Client{Transport: handlerTransport{f.Handler()}}}
 	point := func() {
@@ -226,6 +230,19 @@ func TestRetryCostsNothingUntilItRetries(t *testing.T) {
 	if with := testing.AllocsPerRun(200, point); with != plain {
 		t.Fatalf("a successful Point allocates %v objects with Retry set, %v without", with, plain)
 	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation (and sync.Pool's random drops) makes allocation counts
+// meaningless.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 var benchSink int
