@@ -3,7 +3,6 @@ package buffer
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -61,18 +60,12 @@ const (
 	qA1 = 1 // probationary queue, FIFO ordered
 )
 
-// numShards is the number of lock shards; shardBits is its base-2 logarithm
-// (the hash keeps the top shardBits bits). The zero-length array assertions
-// keep the two in sync at compile time.
-const (
-	numShards = 16
-	shardBits = 4
-)
-
-var (
-	_ [numShards - 1<<shardBits]struct{}
-	_ [1<<shardBits - numShards]struct{}
-)
+// The 2Q ghost list is kept in 1<<ghostBits parts keyed by a Fibonacci hash
+// of the PageID, each bounded on its own. Which evicted probationers are
+// still remembered — and so which pages a fault admits straight to Am —
+// depends on that partition, so it is part of the policy: one list with the
+// summed bound would admit differently.
+const ghostBits = 4
 
 type frame struct {
 	id         disk.PageID
@@ -80,17 +73,16 @@ type frame struct {
 	dirty      bool
 	pins       int    // > 0 exempts the frame from eviction
 	queue      byte   // qAm or qA1 (always qAm under PolicyLRU)
-	stamp      uint64 // global clock value of the last touch (A1in: insertion)
-	prev, next *frame // per-shard queue list; head = most recent
+	prev, next *frame // queue list; head = most recent
 }
 
-// flist is one intrusive frame list (an LRU or FIFO queue of a shard).
+// flist is one intrusive frame list (the LRU or the FIFO queue).
 type flist struct {
-	head *frame // most recent within this shard
-	tail *frame // least recent within this shard
+	head *frame // most recent
+	tail *frame // least recent
 }
 
-// ghostList is a shard's bounded FIFO of page IDs recently evicted from
+// ghostList is one part's bounded FIFO of page IDs recently evicted from
 // A1in (2Q's A1out). Promotion removes the map entry and leaves the FIFO
 // slot stale; the bound counts live map entries.
 type ghostList struct {
@@ -132,32 +124,26 @@ func (g *ghostList) remove(id disk.PageID) bool {
 	return true
 }
 
-// shard is one lock domain: a slice of the frame map plus its queue lists
-// and ghost list.
-type shard struct {
-	mu     sync.Mutex
-	frames map[disk.PageID]*frame
-	lists  [2]flist // indexed by frame.queue
-	ghost  ghostList
-}
-
-// Manager is a sharded write-back page buffer over one disk, replacing with
-// plain LRU or scan-resistant 2Q admission (see Policy).
+// Manager is a write-back page buffer over one disk, replacing with plain
+// LRU or scan-resistant 2Q admission (see Policy).
 type Manager struct {
 	d        *disk.Disk
 	capacity int
 	policy   Policy
 	kin      int // 2Q: A1in size from which eviction prefers probationers
-	ghostCap int // 2Q: live ghost entries kept per shard
-	shards   [numShards]shard
+	ghostCap int // 2Q: live ghost entries kept per ghost part
 
-	size   atomic.Int64  // total buffered frames across shards
-	sizeA1 atomic.Int64  // frames in the probationary queue
-	clock  atomic.Uint64 // global LRU clock
+	// mu, the buffer latch, guards the frame table, the queues, the ghost
+	// lists and the two sizes; it is never held across disk I/O.
+	mu     sync.Mutex
+	frames []*frame // indexed by PageID, grown on demand; nil = not buffered
+	lists  [2]flist // indexed by frame.queue
+	ghosts [1 << ghostBits]ghostList
+	size   int // buffered frames
+	sizeA1 int // frames in the probationary queue
 
-	// writeMu serializes dirty write-back (eviction and Flush) because write
-	// clustering spans shards: the maximal dirty run around a victim crosses
-	// shard boundaries.
+	// writeMu serializes dirty write-back (eviction and Flush), so a run
+	// claimed clean reaches the disk before the next run is claimed.
 	writeMu sync.Mutex
 	// writeBacks counts write-backs and, unlike the statistics below, is
 	// never reset: ExecutePlan reads it to learn that the disk changed under
@@ -184,27 +170,17 @@ func NewWithPolicy(d *disk.Disk, capacity int, policy Policy) *Manager {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: non-positive capacity %d", capacity))
 	}
-	m := &Manager{
+	return &Manager{
 		d:        d,
 		capacity: capacity,
 		policy:   policy,
 		kin:      max(1, capacity/4),
-		ghostCap: max(1, capacity/(2*numShards)),
+		ghostCap: max(1, capacity/(2<<ghostBits)),
 	}
-	for i := range m.shards {
-		m.shards[i].frames = make(map[disk.PageID]*frame)
-	}
-	return m
 }
 
 // Policy returns the buffer's replacement policy.
 func (m *Manager) Policy() Policy { return m.policy }
-
-// shardOf maps a page to its lock shard (Fibonacci hash of the PageID).
-func (m *Manager) shardOf(id disk.PageID) *shard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &m.shards[h>>(64-shardBits)]
-}
 
 // Disk returns the underlying disk.
 func (m *Manager) Disk() *disk.Disk { return m.d }
@@ -213,32 +189,39 @@ func (m *Manager) Disk() *disk.Disk { return m.d }
 func (m *Manager) Capacity() int { return m.capacity }
 
 // Len returns the number of buffered pages.
-func (m *Manager) Len() int { return int(m.size.Load()) }
+func (m *Manager) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.size
+}
 
 // ProbationLen returns the number of frames in the probationary queue
 // (always 0 under PolicyLRU).
-func (m *Manager) ProbationLen() int { return int(m.sizeA1.Load()) }
+func (m *Manager) ProbationLen() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sizeA1
+}
 
-// GhostLen returns the number of live ghost-list entries across shards
-// (always 0 under PolicyLRU).
+// GhostLen returns the number of live ghost-list entries (always 0 under
+// PolicyLRU).
 func (m *Manager) GhostLen() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		n += len(s.ghost.ids)
-		s.mu.Unlock()
+	for i := range m.ghosts {
+		n += len(m.ghosts[i].ids)
 	}
 	return n
 }
 
-// GhostCapacity returns the per-shard ghost-list bound times the shard count
-// (the maximum GhostLen can reach).
+// GhostCapacity returns the maximum GhostLen can reach: the per-part bound
+// times the number of ghost-list parts.
 func (m *Manager) GhostCapacity() int {
 	if m.policy != Policy2Q {
 		return 0
 	}
-	return m.ghostCap * numShards
+	return m.ghostCap << ghostBits
 }
 
 // Stats returns a snapshot of the buffer statistics.
@@ -259,7 +242,21 @@ func (m *Manager) ResetStats() {
 	m.flushed.Store(0)
 }
 
-// --- per-shard queue list maintenance (caller holds s.mu) ---
+// --- frame table and queue maintenance (caller holds m.mu) ---
+
+// lookup returns the frame of page id, nil when the page is not buffered
+// (including IDs outside the table, such as the -1 a write-back run probes).
+func (m *Manager) lookup(id disk.PageID) *frame {
+	if uint64(id) >= uint64(len(m.frames)) {
+		return nil
+	}
+	return m.frames[id]
+}
+
+// ghostOf returns the ghost-list part of page id.
+func (m *Manager) ghostOf(id disk.PageID) *ghostList {
+	return &m.ghosts[uint64(id)*0x9E3779B97F4A7C15>>(64-ghostBits)]
+}
 
 func (l *flist) unlink(f *frame) {
 	if f.prev != nil {
@@ -286,25 +283,6 @@ func (l *flist) pushFront(f *frame) {
 	}
 }
 
-// touchLocked records a hit on f: Am frames are promoted to shard-MRU and
-// restamped; A1in frames keep their FIFO position and insertion stamp (2Q's
-// scan resistance — a probationer earns Am residency only through the ghost
-// list, not by being re-hit while resident).
-func (m *Manager) touchLocked(s *shard, f *frame) {
-	if f.queue == qA1 {
-		return
-	}
-	f.stamp = m.clock.Add(1)
-	l := &s.lists[qAm]
-	if l.head == f {
-		return
-	}
-	l.unlink(f)
-	l.pushFront(f)
-}
-
-// --- eviction ---
-
 // oldestUnpinned returns this list's eviction candidate: the least recently
 // used frame without pins. Pinned frames near the tail are skipped; they keep
 // their position and become candidates again once unpinned.
@@ -317,183 +295,157 @@ func (l *flist) oldestUnpinned() *frame {
 	return nil
 }
 
-// victimIn returns the globally least recent unpinned frame of queue q.
-// Because each shard's list is ordered by the global clock, that is the
-// minimum-stamp frame among the shards' tail candidates.
-func (m *Manager) victimIn(q int) (disk.PageID, bool) {
-	var victimID disk.PageID
-	var victimStamp uint64
-	found := false
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		if f := s.lists[q].oldestUnpinned(); f != nil && (!found || f.stamp < victimStamp) {
-			victimID, victimStamp, found = f.id, f.stamp, true
-		}
-		s.mu.Unlock()
+// touchLocked records a hit on f: Am frames are promoted to MRU; A1in frames
+// keep their FIFO position (2Q's scan resistance — a probationer earns Am
+// residency only through the ghost list, not by being re-hit while resident).
+func (m *Manager) touchLocked(f *frame) {
+	l := &m.lists[qAm]
+	if f.queue == qA1 || l.head == f {
+		return
 	}
-	return victimID, found
+	l.unlink(f)
+	l.pushFront(f)
 }
 
+// removeLocked unlinks f from its queue and the frame table.
+func (m *Manager) removeLocked(f *frame) {
+	m.lists[f.queue].unlink(f)
+	m.frames[f.id] = nil
+	m.size--
+	if f.queue == qA1 {
+		m.sizeA1--
+	}
+}
+
+// --- eviction ---
+
 // evictOne removes one unpinned frame, writing it back first if it is dirty.
-// Under PolicyLRU the victim is the globally least recently used frame.
+// Under PolicyLRU the victim is the least recently used unpinned frame.
 // Under Policy2Q the oldest probationer goes first once A1in has reached its
-// target size (its ID moves to the shard's ghost list), otherwise the Am LRU
-// frame; either queue serves as fallback when the preferred one is all
-// pinned. It returns the evicted frame, unlinked and unreachable from the
-// buffer, for the caller to reuse; nil when every buffered frame is pinned (the
-// caller then overflows capacity instead of failing). No shard lock may be held.
+// target size (its ID moves to a ghost list), otherwise the Am LRU frame;
+// either queue serves as fallback when the preferred one is all pinned. It
+// returns the evicted frame, unlinked and unreachable from the buffer, for
+// the caller to reuse; nil when every buffered frame is pinned (the caller
+// then overflows capacity instead of failing). The caller holds m.mu, which a
+// dirty victim's write-back releases: the victim is then picked again.
 func (m *Manager) evictOne() *frame {
 	for {
 		prefer := qAm
-		if m.policy == Policy2Q && m.sizeA1.Load() >= int64(m.kin) {
+		if m.policy == Policy2Q && m.sizeA1 >= m.kin {
 			prefer = qA1
 		}
-		victimID, found := m.victimIn(prefer)
-		if !found {
-			victimID, found = m.victimIn(1 - prefer)
+		f := m.lists[prefer].oldestUnpinned()
+		if f == nil {
+			f = m.lists[1-prefer].oldestUnpinned()
 		}
-		if !found {
+		if f == nil {
 			return nil
 		}
-
-		s := m.shardOf(victimID)
-		s.mu.Lock()
-		f, ok := s.frames[victimID]
-		if !ok || f.pins > 0 {
-			s.mu.Unlock()
-			continue // raced away or pinned meanwhile: pick a new victim
-		}
 		if f.dirty {
-			// Write back outside the shard lock: write clustering probes
-			// neighbouring pages that live in other shards.
-			s.mu.Unlock()
-			m.writeBack(victimID)
-			s.mu.Lock()
-			f, ok = s.frames[victimID]
-			if !ok || f.pins > 0 || f.dirty {
-				s.mu.Unlock()
-				continue // re-dirtied or raced: start over
-			}
+			id := f.id
+			m.mu.Unlock()
+			m.writeBack(id)
+			m.mu.Lock()
+			continue
 		}
-		s.lists[f.queue].unlink(f)
-		delete(s.frames, victimID)
+		m.removeLocked(f)
 		if f.queue == qA1 {
-			m.sizeA1.Add(-1)
-			if m.policy == Policy2Q {
-				s.ghost.add(victimID, m.ghostCap)
-			}
+			m.ghostOf(f.id).add(f.id, m.ghostCap)
 		}
-		m.size.Add(-1)
 		m.evictions.Add(1)
-		s.mu.Unlock()
 		return f
 	}
 }
 
-// claimDirty atomically marks page id clean and returns its buffered data if
-// the page is resident and dirty; the returned slice is what must be written.
-func (m *Manager) claimDirty(id disk.PageID) ([]byte, bool) {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[id]
-	if !ok || !f.dirty {
-		return nil, false
-	}
-	f.dirty = false
-	return f.data, true
+// dirtyLocked reports whether page id is buffered dirty.
+func (m *Manager) dirtyLocked(id disk.PageID) bool {
+	f := m.lookup(id)
+	return f != nil && f.dirty
 }
 
 // writeBack writes the maximal run of buffered dirty pages that is
 // physically consecutive and includes page id, as one write request (write
 // clustering). The run's frames stay buffered but become clean. A no-op when
-// the page is no longer dirty.
+// the page is no longer dirty. The caller must not hold m.mu.
 func (m *Manager) writeBack(id disk.PageID) {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
 
-	center, ok := m.claimDirty(id)
-	if !ok {
+	m.mu.Lock()
+	if !m.dirtyLocked(id) {
+		m.mu.Unlock()
 		return
 	}
-	var before, after [][]byte
 	start, end := id, id
-	for {
-		data, ok := m.claimDirty(start - 1)
-		if !ok {
-			break
-		}
+	for m.dirtyLocked(start - 1) {
 		start--
-		before = append(before, data)
 	}
-	for {
-		data, ok := m.claimDirty(end + 1)
-		if !ok {
-			break
-		}
+	for m.dirtyLocked(end + 1) {
 		end++
-		after = append(after, data)
 	}
-	n := int(end - start + 1)
-	data := make([][]byte, 0, n)
-	for i := len(before) - 1; i >= 0; i-- {
-		data = append(data, before[i])
+	data := make([][]byte, 0, end-start+1)
+	for p := start; p <= end; p++ {
+		f := m.frames[p]
+		f.dirty = false
+		data = append(data, f.data)
 	}
-	data = append(data, center)
-	data = append(data, after...)
+	m.mu.Unlock()
+
 	m.d.WriteRun(start, data)
 	m.writeBacks.Add(1)
-	m.flushed.Add(int64(n))
+	m.flushed.Add(int64(len(data)))
 }
 
 // --- insertion ---
 
-// insert places data for page id into the buffer, evicting as necessary.
+// insert places data for page id into the buffer, evicting as necessary. A
+// buffered frame takes data unless it is dirty and data is a clean copy (the
+// disk is only the source of truth for clean pages).
 func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
-	s := m.shardOf(id)
-	s.mu.Lock()
+	if id < 0 {
+		panic(fmt.Sprintf("buffer: negative page ID %d", id))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	overflow := false
 	var f *frame // the frame an eviction below freed: a miss on a full buffer allocates none
 	for {
-		// Re-checked on every iteration: while the shard lock was dropped
-		// for eviction, a racing insert may have created the frame.
-		if f, ok := s.frames[id]; ok {
-			f.data = data
-			f.dirty = f.dirty || dirty
-			m.touchLocked(s, f)
-			s.mu.Unlock()
+		// Re-checked on every iteration: while a dirty victim was written
+		// back, a racing insert may have created the frame.
+		if r := m.lookup(id); r != nil {
+			if dirty || !r.dirty {
+				r.data = data
+			}
+			r.dirty = r.dirty || dirty
+			m.touchLocked(r)
 			return
 		}
-		if overflow || m.size.Load() < int64(m.capacity) {
+		if overflow || m.size < m.capacity {
 			break
 		}
-		// Evict without holding our shard lock: the victim may live in any
-		// shard (including this one) and a dirty victim needs cross-shard
-		// write clustering.
-		s.mu.Unlock()
 		if f = m.evictOne(); f == nil {
 			// Every frame is pinned: overflow capacity rather than fail
 			// (after one more racing-insert re-check at the loop top).
 			overflow = true
 		}
-		s.mu.Lock()
 	}
 	q := byte(qAm)
-	if m.policy == Policy2Q && !s.ghost.remove(id) {
+	if m.policy == Policy2Q && !m.ghostOf(id).remove(id) {
 		q = qA1 // unknown page: probation first; a ghost hit earns Am
 	}
 	if f == nil {
 		f = new(frame)
 	}
-	*f = frame{id: id, data: data, dirty: dirty, queue: q, stamp: m.clock.Add(1)}
-	s.frames[id] = f
-	s.lists[q].pushFront(f)
-	if q == qA1 {
-		m.sizeA1.Add(1)
+	*f = frame{id: id, data: data, dirty: dirty, queue: q}
+	if n := int(id) + 1; n > len(m.frames) {
+		m.frames = slices.Grow(m.frames, n-len(m.frames))[:n]
 	}
-	m.size.Add(1)
-	s.mu.Unlock()
+	m.frames[id] = f
+	m.lists[q].pushFront(f)
+	m.size++
+	if q == qA1 {
+		m.sizeA1++
+	}
 }
 
 // --- lookups ---
@@ -501,26 +453,23 @@ func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
 // Contains reports whether page id is buffered, without touching the LRU
 // order or the statistics.
 func (m *Manager) Contains(id disk.PageID) bool {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	_, ok := s.frames[id]
-	s.mu.Unlock()
-	return ok
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lookup(id) != nil
 }
 
 // Touch returns the buffered content of page id if present, promoting it to
 // most recently used. It never touches the disk.
 func (m *Manager) Touch(id disk.PageID) ([]byte, bool) {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	f, ok := s.frames[id]
-	if !ok {
-		s.mu.Unlock()
+	m.mu.Lock()
+	f := m.lookup(id)
+	if f == nil {
+		m.mu.Unlock()
 		return nil, false
 	}
-	m.touchLocked(s, f)
+	m.touchLocked(f)
 	data := f.data
-	s.mu.Unlock()
+	m.mu.Unlock()
 	return data, true
 }
 
@@ -529,15 +478,12 @@ func (m *Manager) Touch(id disk.PageID) ([]byte, bool) {
 // state and the modelled costs untouched (assertions, invariant checks,
 // observing a pinned frame).
 func (m *Manager) Peek(id disk.PageID) ([]byte, bool) {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	f, ok := s.frames[id]
-	var data []byte
-	if ok {
-		data = f.data
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if f := m.lookup(id); f != nil {
+		return f.data, true
 	}
-	s.mu.Unlock()
-	return data, ok
+	return nil, false
 }
 
 // Get returns the content of page id, reading it from disk on a miss (one
@@ -566,24 +512,30 @@ func (m *Manager) Put(id disk.PageID, data []byte) {
 // promote the frame: a pinned page keeps its LRU position and simply cannot
 // be chosen as a victim.
 func (m *Manager) Pin(id disk.PageID) bool {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	f, ok := s.frames[id]
-	if ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.pinLocked(id)
+}
+
+func (m *Manager) pinLocked(id disk.PageID) bool {
+	f := m.lookup(id)
+	if f != nil {
 		f.pins++
 	}
-	s.mu.Unlock()
-	return ok
+	return f != nil
 }
 
 // Unpin releases one pin of page id. It panics on unbalanced use; a page
 // that was never pinned (Pin returned false) must not be unpinned.
 func (m *Manager) Unpin(id disk.PageID) {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[id]
-	if !ok || f.pins <= 0 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.unpinLocked(id)
+}
+
+func (m *Manager) unpinLocked(id disk.PageID) {
+	f := m.lookup(id)
+	if f == nil || f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: Unpin(%d) without matching Pin", id))
 	}
 	f.pins--
@@ -593,13 +545,15 @@ func (m *Manager) Unpin(id disk.PageID) {
 // subset (the caller unpins exactly that subset with UnpinPages, leaving ids
 // alone in between: when every page was resident the subset is ids itself).
 func (m *Manager) PinPages(ids []disk.PageID) []disk.PageID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i, id := range ids {
-		if m.Pin(id) {
+		if m.pinLocked(id) {
 			continue
 		}
 		pinned := slices.Clone(ids[:i])
 		for _, id := range ids[i+1:] {
-			if m.Pin(id) {
+			if m.pinLocked(id) {
 				pinned = append(pinned, id)
 			}
 		}
@@ -610,8 +564,10 @@ func (m *Manager) PinPages(ids []disk.PageID) []disk.PageID {
 
 // UnpinPages releases one pin on every listed page.
 func (m *Manager) UnpinPages(ids []disk.PageID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, id := range ids {
-		m.Unpin(id)
+		m.unpinLocked(id)
 	}
 }
 
@@ -623,6 +579,8 @@ func (m *Manager) UnpinPages(ids []disk.PageID) {
 func (m *Manager) Missing(pages, missing []disk.PageID) []disk.PageID {
 	missing = missing[:0]
 	var hi disk.PageID // highest page seen so far
+	hits := 0
+	m.mu.Lock()
 	for i, id := range pages {
 		// Callers pass a unit's handful of pages, mostly ascending: a scan
 		// of the earlier ones finds a repeat without a set per call.
@@ -630,33 +588,18 @@ func (m *Manager) Missing(pages, missing []disk.PageID) []disk.PageID {
 			continue
 		}
 		hi = max(hi, id)
-		if _, ok := m.Touch(id); ok {
-			m.hits.Add(1)
+		if f := m.lookup(id); f != nil {
+			m.touchLocked(f)
+			hits++
 		} else {
-			m.misses.Add(1)
 			missing = append(missing, id)
 		}
 	}
+	m.mu.Unlock()
+	m.hits.Add(int64(hits))
+	m.misses.Add(int64(len(missing)))
 	slices.Sort(missing)
 	return missing
-}
-
-// admit inserts freshly read page content, except that a resident dirty frame
-// keeps its newer data (the disk is only the source of truth for clean
-// pages).
-func (m *Manager) admit(id disk.PageID, data []byte) {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		if !f.dirty {
-			f.data = data
-		}
-		m.touchLocked(s, f)
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	m.insert(id, data, false)
 }
 
 // ExecutePlan executes a read schedule as one uninterrupted access to a
@@ -666,14 +609,14 @@ func (m *Manager) admit(id disk.PageID, data []byte) {
 // transferred page does (normal read). A clean page already buffered gets its
 // frame's slice replaced, never written into (the package comment states the
 // contract), which is harmless because the disk is the source of truth for
-// clean pages.
+// clean pages; a dirty one keeps its frame's newer data.
 //
-// A page of the run that is buffered dirty when the run is read keeps its
-// frame's newer data. If that frame is evicted — written back — before the
-// page's turn to be admitted (by an earlier page of this very run on a small
-// buffer, or by a concurrent reader), what was read for it is older than the
-// disk: the page is then looked at again, uncharged, instead of admitting
-// the stale copy as a clean frame.
+// If a page of the run that was buffered dirty when the run was read is
+// evicted — written back — before the page's turn to be admitted (by an
+// earlier page of this very run on a small buffer, or by a concurrent
+// reader), what was read for it is older than the disk: the page is then
+// looked at again, uncharged, instead of admitting the stale copy as a clean
+// frame.
 func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool) {
 	for i, r := range runs {
 		epoch := m.writeBacks.Load()
@@ -692,32 +635,32 @@ func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector b
 			if m.writeBacks.Load() != epoch {
 				page = m.d.Peek(id)
 			}
-			m.admit(id, page)
+			m.insert(id, page, false)
 		}
 	}
 }
 
-// dirtyPages returns the sorted IDs of all currently dirty pages.
-func (m *Manager) dirtyPages() []disk.PageID {
-	var dirty []disk.PageID
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id, f := range s.frames {
-			if f.dirty {
-				dirty = append(dirty, id)
+// pages returns the sorted IDs of the buffered pages, or of the dirty ones
+// only.
+func (m *Manager) pages(dirtyOnly bool) []disk.PageID {
+	var ids []disk.PageID
+	m.mu.Lock()
+	for _, l := range m.lists {
+		for f := l.head; f != nil; f = f.next {
+			if f.dirty || !dirtyOnly {
+				ids = append(ids, f.id)
 			}
 		}
-		s.mu.Unlock()
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	return dirty
+	m.mu.Unlock()
+	slices.Sort(ids)
+	return ids
 }
 
 // Flush writes back all dirty pages, coalescing physically consecutive dirty
 // pages into single write requests, in ascending page order.
 func (m *Manager) Flush() {
-	for _, id := range m.dirtyPages() {
+	for _, id := range m.pages(true) {
 		m.writeBack(id) // no-op for pages cleaned by an earlier run
 	}
 }
@@ -726,48 +669,35 @@ func (m *Manager) Flush() {
 // must know the page content is obsolete (e.g. a freed node page); dropping
 // a pinned page is a programming error.
 func (m *Manager) Drop(id disk.PageID) {
-	s := m.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[id]
-	if !ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f := m.lookup(id)
+	if f == nil {
 		return
 	}
 	if f.pins > 0 {
 		panic(fmt.Sprintf("buffer: Drop(%d) of a pinned page", id))
 	}
-	s.lists[f.queue].unlink(f)
-	delete(s.frames, id)
-	if f.queue == qA1 {
-		m.sizeA1.Add(-1)
-	}
-	m.size.Add(-1)
+	m.removeLocked(f)
 }
 
 // Clear flushes all dirty pages and empties the buffer. No page may be
 // pinned.
 func (m *Manager) Clear() {
 	m.Flush()
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id, f := range s.frames {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, l := range m.lists {
+		for f := l.head; f != nil; f = f.next {
 			if f.pins > 0 {
-				panic(fmt.Sprintf("buffer: Clear with page %d still pinned", id))
+				panic(fmt.Sprintf("buffer: Clear with page %d still pinned", f.id))
 			}
-			_ = id
+			m.frames[f.id] = nil
 		}
-		for _, f := range s.frames {
-			if f.queue == qA1 {
-				m.sizeA1.Add(-1)
-			}
-		}
-		m.size.Add(-int64(len(s.frames)))
-		s.frames = make(map[disk.PageID]*frame)
-		s.lists = [2]flist{}
-		s.ghost = ghostList{}
-		s.mu.Unlock()
 	}
+	m.lists = [2]flist{}
+	m.ghosts = [1 << ghostBits]ghostList{}
+	m.size, m.sizeA1 = 0, 0
 }
 
 // Retain flushes all dirty pages and then drops every buffered page for
@@ -776,17 +706,8 @@ func (m *Manager) Clear() {
 // method stays cached.
 func (m *Manager) Retain(keep func(disk.PageID) bool) {
 	m.Flush()
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		var drop []disk.PageID
-		for id := range s.frames {
-			if !keep(id) {
-				drop = append(drop, id)
-			}
-		}
-		s.mu.Unlock()
-		for _, id := range drop {
+	for _, id := range m.pages(false) {
+		if !keep(id) {
 			m.Drop(id)
 		}
 	}

@@ -121,7 +121,7 @@ func TestPeekDoesNotPromote(t *testing.T) {
 
 // TestConcurrentReadStress hammers the read path (Get/Touch/Peek/Missing/
 // ExecutePlan/Pin/Unpin) from many goroutines sharing one buffer. Run under
-// -race this validates the sharded locking; the final check validates that
+// -race this validates the latching; the final check validates that
 // no content was ever corrupted.
 func TestConcurrentReadStress(t *testing.T) {
 	const pages = 256

@@ -30,13 +30,27 @@
 //
 // # Concurrency
 //
-// The manager is sharded: frames are distributed over numShards shards keyed
-// by a hash of the PageID, each with its own mutex and LRU list, so
-// concurrent readers on different pages rarely contend. Replacement is still
-// exact global LRU — every frame carries a logical timestamp from a shared
-// clock, and eviction removes the oldest unpinned frame across all shards —
-// so single-threaded runs behave identically to a single-list LRU and the
-// paper's modelled costs are unchanged.
+// One mutex, the buffer latch, guards the frame table and the two queue
+// lists, and every step taken under it is O(1) or bounded by the pages of
+// one call: a hit is a table load and a list move, Missing and PinPages take
+// the latch once per call, and no disk I/O ever runs under it. The frame
+// table is a slice indexed by PageID, grown on demand — every backend
+// numbers pages densely from zero (disk.Grow), so it costs 8 bytes per disk
+// page and a lookup hashes nothing.
+//
+// Replacement is exact LRU (or exact 2Q): eviction walks the preferred
+// queue from its tail and takes the first unpinned frame, which is the
+// least recently used one because the list is kept in recency order —
+// pinned frames are skipped and keep their place, so the walk is O(1)
+// amortized. A dirty victim is written back outside the latch (write
+// clustering probes its neighbours under writeMu) and the victim is then
+// picked again, since anything may have changed while the latch was free.
+//
+// 2Q's ghost list is kept as 16 parts keyed by a Fibonacci hash of the
+// PageID, each with its own bound of capacity/32 entries. That partition
+// decides which evicted probationers are remembered and so which faults go
+// straight to Am; one list with the summed bound would admit differently,
+// and the committed admission rows of BENCH_server.json would change.
 //
 // Frames can be pinned: a pinned frame is exempt from eviction until every
 // pin is released, which lets a reader assemble a multi-page object while
@@ -48,5 +62,7 @@
 // are safe against each other and against concurrent writers. The write path
 // (Put, Flush, eviction write-back) is serialized internally; its write
 // clustering remains exact for the single-threaded construction phase, which
-// is the only phase that writes.
+// is the only phase that writes. Replacement depends only on the order of
+// the calls, never on timing, so a single-threaded run reproduces the
+// paper's modelled costs exactly.
 package buffer

@@ -73,7 +73,7 @@ func (c Config) withDefaults() Config {
 // safe for concurrent use, but once construction is finished the read path
 // (Search, SearchPoint, SearchLeaves, ReadNode, DecodeNode, the Is*Page
 // bookkeeping) is safe for any number of concurrent readers: node decoding
-// is pure, and all page traffic goes through the sharded buffer manager.
+// is pure, and all page traffic goes through the buffer manager.
 type Tree struct {
 	cfg   Config
 	buf   *buffer.Manager

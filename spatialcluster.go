@@ -169,7 +169,7 @@ const (
 // StoreConfig configures a storage organization instance.
 type StoreConfig struct {
 	// BufferPages is the size of the write-back page buffer (default 256).
-	// The buffer is sharded and safe for concurrent readers; construction
+	// The buffer is safe for concurrent readers; construction
 	// (Insert) remains single-threaded.
 	BufferPages int
 	// SmaxBytes is the maximum cluster unit size for cluster stores
