@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -126,10 +127,29 @@ func TestRuntimeErrorsExitNonZero(t *testing.T) {
 	}
 }
 
+// lockedBuffer collects a daemon's output on the goroutine that scans it while
+// the test reads it on its own.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) WriteString(s string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.b.WriteString(s)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // launchDaemon starts sdbd and waits for its listen line; the caller owns the
 // process (crash tests kill it hard, startDaemon wraps it with a graceful
 // stopper).
-func launchDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *bytes.Buffer) {
+func launchDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *lockedBuffer) {
 	t.Helper()
 	cmd := exec.Command(sdbdBin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	stdout, err := cmd.StdoutPipe()
@@ -140,7 +160,7 @@ func launchDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *bytes.Buffe
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	buf := &bytes.Buffer{}
+	buf := &lockedBuffer{}
 	lines := bufio.NewScanner(stdout)
 	listenRe := regexp.MustCompile(`listening on (http://[0-9.:]+)`)
 	base := ""

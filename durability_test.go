@@ -103,6 +103,41 @@ func TestWALBulkLoadIsCheckpoint(t *testing.T) {
 	}
 }
 
+// TestJoinOverWAL joins WAL-attached stores of every organization: the log
+// wraps the organization, and the join must see through the wrapper — decode
+// the primary organization's tagged entries and price Figure 16's optimum for
+// the cluster organization — so that it reports exactly what the join of the
+// same stores without a log reports.
+func TestJoinOverWAL(t *testing.T) {
+	dsR := GenerateMap(MapSpec{Map: Map1, Series: SeriesA, Scale: 512, Seed: 3})
+	dsS := GenerateMap(MapSpec{Map: Map2, Series: SeriesA, Scale: 512, Seed: 4})
+	for _, kind := range []string{"secondary", "primary", "cluster"} {
+		t.Run(kind, func(t *testing.T) {
+			build := func(ds *Dataset, walDir string) Organization {
+				cfg := StoreConfig{SmaxBytes: ds.Spec.SmaxBytes()}
+				if walDir != "" {
+					cfg.WALPath = filepath.Join(t.TempDir(), walDir)
+				}
+				org, err := NewStore(kind, cfg, ds.Objects, ds.MBRs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { CloseStore(org) })
+				return org
+			}
+			cfg := JoinConfig{BufferPages: 200, Technique: TechSLM}
+			want := RunJoin(build(dsR, ""), build(dsS, ""), cfg)
+			got := RunJoin(build(dsR, "r"), build(dsS, "s"), cfg)
+			if got != want {
+				t.Fatalf("join over WAL-attached stores = %+v, want %+v", got, want)
+			}
+			if want.ResultPairs == 0 || (kind == "cluster") != (want.OptimumMS > 0) {
+				t.Fatalf("plain join %+v: no result pairs, or an optimum on the wrong organization", want)
+			}
+		})
+	}
+}
+
 // TestWALConfigErrors checks the misconfiguration paths of the public API.
 func TestWALConfigErrors(t *testing.T) {
 	if _, _, err := RecoverStore(StoreConfig{}); err == nil || !strings.Contains(err.Error(), "WALPath") {

@@ -185,9 +185,10 @@ func Run(orgR, orgS store.Organization, cfg Config) Result {
 	})
 
 	// The transfer optimum of Figure 16 is defined for the cluster
-	// organization's read techniques only.
-	_, clusterR := orgR.(*store.Cluster)
-	_, clusterS := orgS.(*store.Cluster)
+	// organization's read techniques only (behind any wrapper, such as the
+	// write-ahead log's store).
+	_, clusterR := store.Unwrap(orgR).(*store.Cluster)
+	_, clusterS := store.Unwrap(orgS).(*store.Cluster)
 	var opt *optTracker
 	if clusterR && clusterS {
 		opt = newOptTracker()

@@ -45,6 +45,13 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 	// it, and not a rectangle at all.
 	seg := object.New(424242, geom.NewPolyline([]geom.Point{{X: 0.4, Y: 0.4}, {X: 0.41, Y: 0.4}}), 0)
 	keyed := func(kind byte, key [4]float64) []byte { return binproto.AppendMutateReq(nil, kind, seg, &key) }
+	// A polyline whose last vertex has a non-finite x, keyed by its own
+	// bounds — which skip a NaN and so look like a rectangle.
+	nonFinite := func(kind byte, x float64) []byte {
+		obj := rawObject(1, 3)
+		binary.LittleEndian.PutUint64(obj[20+16*2:], math.Float64bits(x))
+		return mutate(kind, obj)
+	}
 
 	cases := []struct {
 		name              string
@@ -73,6 +80,11 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 			`{"object":{"id":424242,"kind":"polyline","vertices":[[0.4,0.4],[0.41,0.4]]},"key":[0.6,0.6,0.7,0.7]}`,
 			keyed(binproto.KindUpdate, [4]float64{0.6, 0.6, 0.7, 0.7})},
 		{"NaN key", "/insert", "/bin/insert", "", keyed(binproto.KindInsert, [4]float64{math.NaN(), 0.4, 0.41, 0.4})},
+		// JSON cannot carry a non-finite number; the binary codec can.
+		{"NaN vertex insert", "/insert", "/bin/insert", "", nonFinite(binproto.KindInsert, math.NaN())},
+		{"NaN vertex update", "/update", "/bin/update", "", nonFinite(binproto.KindUpdate, math.NaN())},
+		{"+Inf vertex insert", "/insert", "/bin/insert", "", nonFinite(binproto.KindInsert, math.Inf(1))},
+		{"+Inf vertex update", "/update", "/bin/update", "", nonFinite(binproto.KindUpdate, math.Inf(1))},
 	}
 	tiers := []struct {
 		name string

@@ -29,11 +29,12 @@
 // originals are kept in choose_test.go as the references a differential test
 // and FuzzChooseSubtree hold them to.
 //
-// Beyond insertion and deletion the tree offers Search/SearchPoint (window
-// and point filters), NearestLeaves — the Hjaltason–Samet best-first
-// traversal [HS95] that surfaces whole data pages in ascending MBR-MinDist
-// order for the k-NN engine in internal/store — and bulk loading in Hilbert
-// order (bulk.go) for static global clustering and full rebuilds.
+// Beyond insertion and deletion the tree offers Search and SearchLeaves (the
+// filter step of window and point queries, entry by entry or one data page at
+// a time), NearestLeaves — the Hjaltason–Samet best-first traversal [HS95]
+// that surfaces whole data pages in ascending MBR-MinDist order for the k-NN
+// engine in internal/store — and bulk loading in Hilbert order (bulk.go) for
+// static global clustering and full rebuilds.
 //
 // The read path scans pages in place: one entry cursor (node.go) is the only
 // reader of the page layout marshalNode writes, Search, SearchLeaves and the

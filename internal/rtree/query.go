@@ -34,12 +34,6 @@ func (t *Tree) searchNode(id disk.PageID, w geom.Rect, fn func(e Entry) bool) bo
 	return true
 }
 
-// SearchPoint invokes fn for every leaf entry whose rectangle contains p
-// (the filter step of the point query).
-func (t *Tree) SearchPoint(p geom.Point, fn func(e Entry) bool) {
-	t.Search(geom.RectFromPoint(p), fn)
-}
-
 // LeafMatch describes the qualifying entries of one data page for a window
 // query. Rect is the region of the whole data page (the region of the
 // attached cluster unit in the cluster organization); Matched holds the

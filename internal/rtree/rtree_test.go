@@ -133,7 +133,7 @@ func TestSearchPoint(t *testing.T) {
 	tr.Insert(geom.R(0, 0, 0.5, 0.5), payloadFor(1))
 	tr.Insert(geom.R(0.6, 0.6, 1, 1), payloadFor(2))
 	var ids []uint64
-	tr.SearchPoint(geom.Pt(0.25, 0.25), func(e Entry) bool {
+	tr.Search(geom.RectFromPoint(geom.Pt(0.25, 0.25)), func(e Entry) bool {
 		ids = append(ids, payloadID(e.Payload))
 		return true
 	})

@@ -71,7 +71,7 @@ func (c Config) withDefaults() Config {
 
 // Tree is a paged R*-tree. Mutations (Insert, Delete, bulk load) are not
 // safe for concurrent use, but once construction is finished the read path
-// (Search, SearchPoint, SearchLeaves, ReadNode, DecodeNode, the Is*Page
+// (Search, SearchLeaves, ReadNode, DecodeNode, the Is*Page
 // bookkeeping) is safe for any number of concurrent readers: node decoding
 // is pure, and all page traffic goes through the buffer manager.
 type Tree struct {

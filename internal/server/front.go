@@ -650,7 +650,8 @@ func (f *Front) delete(x *statusRecorder, r *http.Request, bin bool) {
 // readObject decodes an insert or update body into an engine object and its
 // spatial key (the object's bounds when the request names none). Both codecs
 // check the vertex count against the geometry kind before they build it — the
-// constructors of geom panic on a degenerate chain.
+// constructors of geom panic on a degenerate chain — and a vertex that is NaN
+// or infinite answers 400 before the Service sees the object.
 func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*object.Object, geom.Rect, error) {
 	var (
 		o   *object.Object
@@ -671,6 +672,12 @@ func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*objec
 	}
 	if err != nil {
 		return nil, geom.Rect{}, badRequest(err)
+	}
+	// The bounds skip a NaN vertex, so they cannot vouch for the vertices.
+	for _, s := range o.Geom.Segments() {
+		if !geom.RectFromPoint(s.A).Valid() || !geom.RectFromPoint(s.B).Valid() {
+			return nil, geom.Rect{}, statusErr(http.StatusBadRequest, "object %d: non-finite vertex", o.ID)
+		}
 	}
 	bounds := o.Bounds()
 	if key == nil {

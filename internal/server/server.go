@@ -197,20 +197,13 @@ func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 		}, nil)
 		return
 	}
-	var res recluster.Result
-	if ws, ok := org.(*wal.Store); ok {
-		// The WAL logs the pass so replay repeats it at the same point of
-		// the mutation history.
-		res, err = ws.Recluster(req.Policy)
-		if err != nil {
-			Reply(w, nil, err)
-			return
-		}
-	} else {
-		res = pol.Maintain(store.Unwrap(org).(*store.Cluster))
+	repacked, rebuilt, err := spatialcluster.Recluster(org, req.Policy)
+	if err != nil {
+		Reply(w, nil, err)
+		return
 	}
 	org.Flush()
-	Reply(w, ReclusterResponse{RepackedUnits: res.RepackedUnits, Rebuilt: res.Rebuilt}, nil)
+	Reply(w, ReclusterResponse{RepackedUnits: repacked, Rebuilt: rebuilt}, nil)
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {

@@ -13,7 +13,7 @@
 //   - ShardDists lower-bounds, per shard, the distance from a query point to
 //     any object owned by that shard — the bound the k-NN scatter-gather
 //     uses to prune shards, mirroring the monotone stop of the best-first
-//     leaf traversal (store.nearestSearch / rtree.NearestLeaves).
+//     leaf traversal (Organization.NearestQuery / rtree.NearestLeaves).
 //
 // Both run a recursive descent over aligned 2^k × 2^k cell blocks of the
 // curve. An aligned block is a recursion square of the curve, so its cells

@@ -1,0 +1,197 @@
+package store
+
+import (
+	"fmt"
+
+	"spatialcluster/internal/disk"
+	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
+	"spatialcluster/internal/rtree"
+)
+
+// base is the organization-independent half of the three storage models: the
+// R*-tree of the filter step, the spatial keys and object tallies, the
+// locking of the Organization methods, and the query engine. Secondary,
+// Primary and Cluster embed it; what remains in them is their layout — where
+// the exact representations live and how they are transferred.
+type base struct {
+	env  *Env
+	tree *rtree.Tree
+	lay  layout                  // the organization embedding this base
+	keys map[object.ID]geom.Rect // spatial key of each live object
+
+	objects     int
+	objectBytes int64
+}
+
+// layout is what an organization adds to base. insertLocked and deleteLocked
+// run under Env's write lock; the others hold what their caller holds.
+type layout interface {
+	// insertLocked stores o under key — its leaf entry and its exact
+	// representation — or refuses it with the store unchanged (see
+	// Organization.Insert). base books the key and the tallies.
+	insertLocked(o *object.Object, key geom.Rect) error
+	// deleteLocked reclaims or tombstones the storage of object id, whose
+	// leaf entry base has just removed from the tree.
+	deleteLocked(id object.ID)
+	// entry decodes a leaf payload into its object ID and serialized size.
+	entry(payload []byte) (object.ID, int)
+	// views reads, through the shared buffer and with technique tech, the
+	// objects behind the qualifying entries of one data page of a query with
+	// window w, and returns their serializations in entry order, valid until
+	// sc is reused.
+	views(lm rtree.LeafMatch, w geom.Rect, tech Technique, sc *scratch) [][]byte
+	// objectStats fills the object-storage fields of st: ObjectPages,
+	// DeadBytes and Units.
+	objectStats(st *StorageStats)
+	// flushObjects hands the object storage's in-memory pages to the buffer.
+	flushObjects()
+	// demand is ObjectPageDemand.
+	demand(leaf disk.PageID, ids []object.ID) Demand
+}
+
+// layoutOf returns the layout behind org, looking through wrappers (Unwrap).
+func layoutOf(org Organization) layout { return Unwrap(org).(layout) }
+
+// Tree implements Organization.
+func (b *base) Tree() *rtree.Tree { return b.tree }
+
+// Env implements Organization.
+func (b *base) Env() *Env { return b.env }
+
+// Insert implements Organization under Env's write lock.
+func (b *base) Insert(o *object.Object, key geom.Rect) error {
+	b.env.mu.Lock()
+	defer b.env.mu.Unlock()
+	return b.insert(o, key)
+}
+
+func (b *base) insert(o *object.Object, key geom.Rect) error {
+	if err := b.lay.insertLocked(o, key); err != nil {
+		return err
+	}
+	b.keys[o.ID] = key
+	b.objects++
+	b.objectBytes += int64(o.Size())
+	return nil
+}
+
+// Delete implements Organization under Env's write lock: the leaf entry
+// leaves the tree, and the layout reclaims or tombstones the object's
+// storage.
+func (b *base) Delete(id object.ID) bool {
+	b.env.mu.Lock()
+	defer b.env.mu.Unlock()
+	return b.delete(id)
+}
+
+func (b *base) delete(id object.ID) bool {
+	key, ok := b.keys[id]
+	if !ok {
+		return false
+	}
+	size := 0
+	if !b.tree.Delete(key, func(p []byte) bool {
+		pid, sz := b.lay.entry(p)
+		size = sz // the tree stops at the first match
+		return pid == id
+	}) {
+		panic(fmt.Sprintf("store: object %d known but not in the tree", id))
+	}
+	b.lay.deleteLocked(id)
+	delete(b.keys, id)
+	b.objects--
+	b.objectBytes -= int64(size)
+	return true
+}
+
+// Update implements Organization under Env's write lock: delete, then
+// reinsert. A refusal of the reinsert (only ErrObjectTooLarge can arise, the
+// ID was just freed) would lose the object, and Update's bool cannot say so —
+// it panics, as every refused insert did before Insert returned errors.
+func (b *base) Update(o *object.Object, key geom.Rect) bool {
+	b.env.mu.Lock()
+	defer b.env.mu.Unlock()
+	if !b.delete(o.ID) {
+		return false
+	}
+	if err := b.insert(o, key); err != nil {
+		panic(err)
+	}
+	return true
+}
+
+// WindowQuery implements Organization. A candidate whose key lies inside w
+// is an answer without its geometry being decoded (scratch.inWindow).
+func (b *base) WindowQuery(w geom.Rect, tech Technique) QueryResult {
+	return b.search(w, tech, func(sc *scratch, key geom.Rect, view []byte) bool {
+		return sc.inWindow(key, view, w)
+	})
+}
+
+// PointQuery implements Organization. A point query is maximally selective,
+// so it reads page by page: the cluster organization performs like the
+// secondary organization here (section 5.5).
+func (b *base) PointQuery(pt geom.Point) QueryResult {
+	return b.search(geom.RectFromPoint(pt), TechPageByPage, func(sc *scratch, _ geom.Rect, view []byte) bool {
+		return containsPoint(sc.decode(view), pt)
+	})
+}
+
+// search is the filter/refine engine of window and point queries: the
+// R*-tree surfaces one data page at a time with its entries whose keys
+// intersect w (rtree.SearchLeaves), the layout reads their objects with tech,
+// and keep refines each candidate. Nothing between a data page's fetch and
+// its objects' reads touches I/O, so this issues the buffer and disk requests
+// of an entry-by-entry search in the same order.
+func (b *base) search(w geom.Rect, tech Technique, keep func(sc *scratch, key geom.Rect, view []byte) bool) QueryResult {
+	var res QueryResult
+	sc := getScratch()
+	defer sc.release()
+	res.Cost = measure(b.env.Disk, func() {
+		b.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
+			for i, view := range b.lay.views(lm, w, tech, sc) {
+				id, size := b.lay.entry(lm.Matched[i].Payload)
+				res.Candidates++
+				res.CandidateBytes += int64(size)
+				if keep(sc, lm.Matched[i].Rect, view) {
+					res.IDs = append(res.IDs, id)
+				}
+			}
+			return true
+		})
+	})
+	return res
+}
+
+// Stats implements Organization under Env's read lock.
+func (b *base) Stats() StorageStats {
+	b.env.mu.RLock()
+	defer b.env.mu.RUnlock()
+	st := StorageStats{
+		DirPages:    b.tree.DirPages(),
+		LeafPages:   b.tree.LeafPages(),
+		Objects:     b.objects,
+		ObjectBytes: b.objectBytes,
+		LiveBytes:   b.objectBytes,
+	}
+	b.lay.objectStats(&st)
+	st.OccupiedPages = st.DirPages + st.LeafPages + st.ObjectPages
+	if st.OccupiedPages > 0 {
+		st.ExtentUtil = float64(st.LiveBytes) / (float64(st.OccupiedPages) * float64(disk.PageSize))
+	}
+	return st
+}
+
+// Flush implements Organization under Env's write lock.
+func (b *base) Flush() {
+	b.env.mu.Lock()
+	defer b.env.mu.Unlock()
+	b.flushLocked()
+}
+
+func (b *base) flushLocked() {
+	b.lay.flushObjects()
+	b.tree.Flush()
+	b.env.sync()
+}

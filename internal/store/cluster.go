@@ -62,18 +62,13 @@ func (u *clusterUnit) usedPages() int {
 // one cluster unit of at most Smax bytes. Window queries and joins can fetch
 // all objects of a qualifying page with a single read request.
 type Cluster struct {
-	env   *Env
+	base
 	cfg   ClusterConfig
-	tree  *rtree.Tree
 	buddy *pagefile.BuddySystem // nil for fixed-size units
 
 	units   map[disk.PageID]*clusterUnit // data page -> unit
 	homes   map[object.ID]disk.PageID    // object -> data page
-	keys    map[object.ID]geom.Rect      // object -> spatial key
 	pending *object.Object               // object being inserted
-
-	objects     int
-	objectBytes int64
 }
 
 // NewCluster creates an empty cluster organization on env.
@@ -82,12 +77,11 @@ func NewCluster(env *Env, cfg ClusterConfig) *Cluster {
 		panic(fmt.Sprintf("store: Smax of %d bytes is below two pages", cfg.SmaxBytes))
 	}
 	c := &Cluster{
-		env:   env,
 		cfg:   cfg,
 		units: make(map[disk.PageID]*clusterUnit),
 		homes: make(map[object.ID]disk.PageID),
-		keys:  make(map[object.ID]geom.Rect),
 	}
+	c.base = base{env: env, lay: c, keys: make(map[object.ID]geom.Rect)}
 	if cfg.BuddySizes > 1 {
 		c.buddy = pagefile.NewBuddySystem(env.Alloc, c.smaxPages(), cfg.BuddySizes)
 	}
@@ -118,30 +112,21 @@ func (c *Cluster) smaxPages() int { return c.cfg.SmaxBytes / disk.PageSize }
 // Name implements Organization.
 func (c *Cluster) Name() string { return "cluster org." }
 
-// Tree implements Organization.
-func (c *Cluster) Tree() *rtree.Tree { return c.tree }
-
-// Env implements Organization.
-func (c *Cluster) Env() *Env { return c.env }
-
 // Config returns the cluster configuration.
 func (c *Cluster) Config() ClusterConfig { return c.cfg }
 
 // NumUnits returns the number of cluster units.
 func (c *Cluster) NumUnits() int { return len(c.units) }
 
-// Insert implements Organization. It follows section 4.2.2: (1) the R*-tree
+// insertLocked implements layout. It follows section 4.2.2: (1) the R*-tree
 // picks the data page, (2) the MBR entry is inserted there, (3) the object
 // is appended to the page's cluster unit, and (4) the page and unit are
 // split when the unit exceeds Smax or the page exceeds M entries. Steps 3
 // and 4 run inside the tree's insertion via the OnLeafInsert/OnLeafSplit
-// hooks.
-func (c *Cluster) Insert(o *object.Object, key geom.Rect) error {
-	c.env.mu.Lock()
-	defer c.env.mu.Unlock()
-	return c.insertLocked(o, key)
-}
-
+// hooks. An Update appends the new version to the cluster unit of whatever
+// data page the R*-tree now chooses; the old bytes stay tombstoned in the
+// old unit. Under sustained updates this decays the clustering — the
+// measurable effect the online reclusterer exists to repair.
 func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) error {
 	if o.Size() > c.cfg.SmaxBytes {
 		// The paper stores such objects in separate storage units
@@ -150,55 +135,31 @@ func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) error {
 		return fmt.Errorf("%w: object %d has %d bytes, Smax is %d",
 			ErrObjectTooLarge, o.ID, o.Size(), c.cfg.SmaxBytes)
 	}
-	if _, dup := c.homes[o.ID]; dup {
+	if _, dup := c.keys[o.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
 	c.pending = o
 	c.tree.Insert(key, encodePayload(o.ID, o.Size()))
 	c.pending = nil
-	c.keys[o.ID] = key
-	c.objects++
-	c.objectBytes += int64(o.Size())
 	return nil
 }
 
-// Delete implements Organization (section 4.2.2 run backwards): the entry
-// leaves the R*-tree data page, and the object is tombstoned inside its
-// cluster unit — the unit's contiguity makes in-place reclamation impossible
-// without a rewrite, so the bytes stay as dead space until the reclusterer
-// repacks the unit. A unit whose last object dies is freed whole: its extent
-// returns to the buddy system or extent allocator, and its (now empty) data
-// page leaves the tree.
-func (c *Cluster) Delete(id object.ID) bool {
-	c.env.mu.Lock()
-	defer c.env.mu.Unlock()
-	return c.deleteLocked(id)
-}
-
-func (c *Cluster) deleteLocked(id object.ID) bool {
-	leaf, ok := c.homes[id]
-	if !ok {
-		return false
-	}
-	key := c.keys[id]
-	if !c.tree.Delete(key, func(p []byte) bool {
-		pid, _ := decodePayload(p)
-		return pid == id
-	}) {
-		panic(fmt.Sprintf("store: object %d known but not in the tree", id))
-	}
+// deleteLocked implements layout (section 4.2.2 run backwards): the object
+// is tombstoned inside its cluster unit — the unit's contiguity makes
+// in-place reclamation impossible without a rewrite, so the bytes stay as
+// dead space until the reclusterer repacks the unit. A unit whose last object
+// dies is freed whole: its extent returns to the buddy system or extent
+// allocator, and its (now empty) data page has left the tree.
+func (c *Cluster) deleteLocked(id object.ID) {
+	leaf := c.homes[id]
 	u := c.unitFor(leaf)
 	pos, ok := u.index[id]
 	if !ok {
 		panic(fmt.Sprintf("store: object %d not in its home unit", id))
 	}
-	size := u.objects[pos].size
 	delete(u.index, id)
-	u.dead += size
+	u.dead += u.objects[pos].size
 	delete(c.homes, id)
-	delete(c.keys, id)
-	c.objects--
-	c.objectBytes -= int64(size)
 	if len(u.index) == 0 {
 		// The unit is all tombstones; its data page just left the tree
 		// (DisableLeafCondense frees exactly the empty pages). Return the
@@ -207,23 +168,10 @@ func (c *Cluster) deleteLocked(id object.ID) bool {
 		c.freeUnitExtent(u)
 		delete(c.units, leaf)
 	}
-	return true
 }
 
-// Update implements Organization: delete plus reinsert. The new version is
-// appended to the cluster unit of whatever data page the R*-tree now
-// chooses; the old bytes stay tombstoned in the old unit. Under sustained
-// updates this decays the clustering — the measurable effect the online
-// reclusterer exists to repair.
-func (c *Cluster) Update(o *object.Object, key geom.Rect) bool {
-	c.env.mu.Lock()
-	defer c.env.mu.Unlock()
-	if !c.deleteLocked(o.ID) {
-		return false
-	}
-	reinsert(c.insertLocked(o, key))
-	return true
-}
+// entry implements layout.
+func (c *Cluster) entry(payload []byte) (object.ID, int) { return decodePayload(payload) }
 
 // onLeafInsert appends the pending object to the data page's cluster unit
 // and requests a split when the unit outgrew Smax.
@@ -470,38 +418,20 @@ func (c *Cluster) onLeafSplit(left, right disk.PageID, leftEntries, rightEntries
 	rebuild(right, rightEntries)
 }
 
-// Stats implements Organization. Every cluster unit is charged at its full
+// objectStats implements layout. Every cluster unit is charged at its full
 // allocated size: without the buddy system that is Smax per unit, with it
 // the unit's buddy size (section 5.3).
-func (c *Cluster) Stats() StorageStats {
-	c.env.mu.RLock()
-	defer c.env.mu.RUnlock()
-	st := StorageStats{
-		DirPages:    c.tree.DirPages(),
-		LeafPages:   c.tree.LeafPages(),
-		Objects:     c.objects,
-		ObjectBytes: c.objectBytes,
-		LiveBytes:   c.objectBytes,
-		Units:       len(c.units),
-	}
+func (c *Cluster) objectStats(st *StorageStats) {
+	st.Units = len(c.units)
 	for _, u := range c.units {
 		st.ObjectPages += u.extent.Pages
 		st.DeadBytes += int64(u.dead)
 	}
-	st.OccupiedPages = st.DirPages + st.LeafPages + st.ObjectPages
-	st.fillUtil()
-	return st
 }
 
-// Flush implements Organization: the in-memory unit tails are written
-// through the buffer, then all dirty pages go to disk.
-func (c *Cluster) Flush() {
-	c.env.mu.Lock()
-	defer c.env.mu.Unlock()
-	c.flushLocked()
-}
-
-func (c *Cluster) flushLocked() {
+// flushObjects implements layout: the in-memory unit tails are written
+// through the buffer.
+func (c *Cluster) flushObjects() {
 	// Deterministic order: the tails' Put order decides buffer eviction and
 	// write coalescing, and modelled costs must not depend on map iteration.
 	leaves := make([]disk.PageID, 0, len(c.units))
@@ -512,6 +442,4 @@ func (c *Cluster) flushLocked() {
 	for _, leaf := range leaves {
 		c.flushTail(c.units[leaf])
 	}
-	c.tree.Flush()
-	c.env.sync()
 }

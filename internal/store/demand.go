@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/rtree"
@@ -10,16 +8,10 @@ import (
 
 // DecodeEntryID extracts the object ID and serialized size from a leaf entry
 // of the given organization (the primary organization prefixes its payloads
-// with a tag byte).
+// with a tag byte). Wrappers such as the write-ahead log's store are looked
+// through.
 func DecodeEntryID(org Organization, e rtree.Entry) (object.ID, int) {
-	if _, isPrimary := org.(*Primary); isPrimary {
-		id, size := decodePayload(e.Payload[1:13])
-		if e.Payload[0] == primInline {
-			size = len(e.Payload) - 1
-		}
-		return id, size
-	}
-	return decodePayload(e.Payload)
+	return layoutOf(org).entry(e.Payload)
 }
 
 // Demand describes the minimal I/O required to read a set of objects: the
@@ -32,51 +24,7 @@ type Demand struct {
 }
 
 // ObjectPageDemand reports the minimal I/O for reading the given objects of
-// data page leaf from org.
+// data page leaf from org, looking through wrappers as DecodeEntryID does.
 func ObjectPageDemand(org Organization, leaf disk.PageID, ids []object.ID) Demand {
-	switch o := org.(type) {
-	case *Cluster:
-		u := o.unitFor(leaf)
-		return Demand{
-			Units: []string{fmt.Sprintf("u%d", u.extent.Start)},
-			Pages: o.requestedPages(u, ids, nil),
-		}
-	case *Secondary:
-		var d Demand
-		seen := map[disk.PageID]bool{}
-		for _, id := range ids {
-			ref, ok := o.refs[id]
-			if !ok {
-				panic(fmt.Sprintf("store: unknown object %d", id))
-			}
-			// Every object is an independent access.
-			d.Units = append(d.Units, fmt.Sprintf("o%d", id))
-			span := ref.Span()
-			for p := span.Start; p < span.End(); p++ {
-				if !seen[p] {
-					seen[p] = true
-					d.Pages = append(d.Pages, p)
-				}
-			}
-		}
-		return d
-	case *Primary:
-		d := Demand{
-			Units: []string{fmt.Sprintf("l%d", leaf)},
-			Pages: []disk.PageID{leaf},
-		}
-		for _, id := range ids {
-			ref, overflow := o.refs[id]
-			if !overflow {
-				continue // inline: comes with the leaf page
-			}
-			d.Units = append(d.Units, fmt.Sprintf("o%d", id))
-			span := ref.Span()
-			for p := span.Start; p < span.End(); p++ {
-				d.Pages = append(d.Pages, p)
-			}
-		}
-		return d
-	}
-	panic(fmt.Sprintf("store: unknown organization %T", org))
+	return layoutOf(org).demand(leaf, ids)
 }

@@ -15,14 +15,44 @@
 //     buddy system.
 //
 // All three organizations share one Organization interface and one Env — a
-// modelled disk (internal/disk) on a pluggable storage backend, a sharded
-// write-back buffer (internal/buffer), and an extent allocator
+// modelled disk (internal/disk) on a pluggable storage backend, a write-back
+// buffer behind one latch (internal/buffer), and an extent allocator
 // (internal/pagefile) — so their construction and query costs are directly
 // comparable, exactly as in the paper's evaluation. Because the backend sits
 // below the cost model, an organization behaves identically on the
 // in-memory backend and on a real file (internal/disk/filebackend); only
 // wall-clock time and durability differ, and Organization.Flush becomes an
 // fsync barrier on a fsync-configured file backend.
+//
+// The organizations share the R*-tree filter step and differ only in where
+// the exact representations live and how they are transferred, and the code
+// is split the same way (base.go). An unexported base struct, embedded by
+// Secondary, Primary and Cluster, holds the Env, the tree, the spatial keys
+// and the object tallies, and implements every Organization method but Name
+// and PrepareFetch: the locking mutators, Stats and Flush, one filter/refine
+// engine for window and point queries over rtree.SearchLeaves, and the k-NN
+// browse (nearest.go). It calls back into the organization's layout — store
+// or reclaim one object, decode a leaf entry, read the qualifying objects of
+// one data page with a technique, the object-storage half of Stats and
+// Flush, and the transfer demand of ObjectPageDemand. DecodeEntryID and
+// ObjectPageDemand reach the layout through Unwrap, so wrapped stores (the
+// write-ahead log's) join like plain ones.
+//
+// Env.mu orders mutations against concurrent queries. Every Organization
+// method that takes it is base's, in base.go:
+//
+//	Insert, Delete, Update, Flush   write lock
+//	Stats                           read lock
+//	WindowQuery, PointQuery,        none: RunQueriesParallel takes the read
+//	NearestQuery, PrepareFetch      lock around each query; a serial caller
+//	                                (a figure, the join) needs none
+//	Name, Tree, Env                 none (immutable after construction,
+//	                                except Tree across Cluster.Rebuild)
+//
+// Beyond the interface, the cluster organization's RepackUnit, Rebuild and
+// BulkLoadHilbert take the write lock, Frag and UnitFrags the read lock, and
+// Env.Close the write lock. So any number of queries and Stats calls may
+// overlap each other; a mutation overlaps nothing that locks.
 //
 // Queries refine without materialising: a candidate is a byte view — the
 // buffer page's own sub-slice when the object lies inside one page,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"spatialcluster/internal/datagen"
@@ -94,6 +95,81 @@ func TestSameTreeGolden(t *testing.T) {
 			}
 			if cost != c.cost {
 				t.Errorf("disk.Cost = %s, want %s", cost, c.cost)
+			}
+		})
+	}
+}
+
+// TestReadPathGolden is the query-side twin of TestSameTreeGolden: each
+// organization is built from a seeded data set, churned and flushed, and then
+// answers small and large windows under all five techniques, point queries
+// and 1-NN and 10-NN queries, one after another on one buffer, so every query
+// starts from the buffer state the previous one left. The FNV-64a of every
+// answer ID list, Candidates, CandidateBytes, disk.Cost and k-NN distance
+// (its bits) must equal what the read path produced at the commit before the
+// organizations shared one query engine. A query that reads a page in another
+// order, or one more or one fewer, moves the cost or the next query's hits and
+// fails here.
+func TestReadPathGolden(t *testing.T) {
+	ds := testDataset(16)
+	var churn []datagen.Op
+	for _, op := range ds.MixedWorkload(datagen.MixSpec{Ops: 600, HotspotFrac: 0.5, Seed: 28}) {
+		if op.Kind != datagen.OpWindow {
+			churn = append(churn, op)
+		}
+	}
+	ws := append(ds.Windows(0.0005, 12, 281), ds.Windows(0.01, 6, 282)...)
+	pts := ds.Points(6, 283)
+	for i := 0; i < len(ds.Objects); i += len(ds.Objects) / 6 { // points on a vertex answer
+		pts = append(pts, ds.Objects[i].Geom.Segments()[0].A)
+	}
+	techs := []Technique{TechComplete, TechThreshold, TechSLM, TechSLMVector, TechPageByPage}
+	for _, c := range []struct {
+		name  string
+		build func(*Env) Organization
+		sum   uint64
+	}{
+		{"secondary", func(env *Env) Organization { return NewSecondary(env) }, 0xcb16a34cf5dbec83},
+		{"primary", func(env *Env) Organization { return NewPrimary(env) }, 0x93c5671572c934ef},
+		{"cluster", func(env *Env) Organization {
+			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes()})
+		}, 0xdabd0a8b55cd2c0d},
+		{"buddy-cluster", func(env *Env) Organization {
+			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: 3})
+		}, 0xdabd0a8b55cd2c0d},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			org := c.build(NewEnv(256))
+			for i, o := range ds.Objects {
+				if err := org.Insert(o, ds.MBRs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mutate(org, churn)
+			org.Flush()
+			h := fnv.New64a()
+			put := func(res QueryResult) {
+				fmt.Fprintf(h, "%v %d %d %+v\n", res.IDs, res.Candidates, res.CandidateBytes, res.Cost)
+			}
+			for _, tech := range techs {
+				for _, w := range ws {
+					put(org.WindowQuery(w, tech))
+				}
+			}
+			var bits [8]byte
+			for _, pt := range pts {
+				put(org.PointQuery(pt))
+				for _, k := range []int{1, 10} {
+					res := org.NearestQuery(pt, k)
+					put(res.QueryResult)
+					for _, d := range res.Dists {
+						binary.LittleEndian.PutUint64(bits[:], math.Float64bits(d))
+						h.Write(bits[:])
+					}
+				}
+			}
+			if got := h.Sum64(); got != c.sum {
+				t.Errorf("read path: FNV-64a %#x, want %#x", got, c.sum)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"sort"
 
-	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
 	"spatialcluster/internal/rtree"
@@ -52,22 +51,20 @@ func (a *knnAcc) add(c knnCand) {
 	}
 }
 
-// nearestSearch is the shared k-NN engine of all three organizations: a
-// best-first browse over the R*-tree (rtree.NearestLeaves) that stops once k
-// exact answers are closer than the next data page's optimistic bound.
-// views yields the serializations of the given entries of one surfacing data
-// page — the only organization-specific step: the secondary organization
-// pays one random read per object, the primary already holds the inline ones
-// in the data page (plus overflow reads), and the cluster organization
-// batches the page's objects into one page-by-page unit access. The engine
-// refines each against the query's scratch.
+// NearestQuery implements Organization: a best-first browse over the
+// R*-tree (rtree.NearestLeaves) that stops once k exact answers are closer
+// than the next data page's optimistic bound. The layout reads the candidates
+// of each surfacing data page page by page — the secondary organization pays
+// one random read per object, the primary already holds the inline ones in
+// the data page (plus overflow reads), and the cluster organization batches
+// the page's objects into one page-by-page unit access, since per section 5.5
+// the most selective workload reads per page, never per unit — and the
+// engine refines each against the query's scratch.
 //
 // Entries whose MBR MinDist already exceeds the current k-th best distance
-// are pruned before views; the strict comparison keeps boundary ties in
+// are pruned before the read; the strict comparison keeps boundary ties in
 // play, so pruning can never change the answer set.
-func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
-	views func(leaf disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte) NearestResult {
-
+func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 	var res NearestResult
 	if k <= 0 {
 		return res
@@ -82,8 +79,8 @@ func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
 	stop := func(minDist float64) bool {
 		return acc.full() && minDist > acc.bound()
 	}
-	res.Cost = measure(env.Disk, func() {
-		t.NearestLeaves(pt, stop, func(n *rtree.Node, minDist float64) bool {
+	res.Cost = measure(b.env.Disk, func() {
+		b.tree.NearestLeaves(pt, stop, func(n *rtree.Node, minDist float64) bool {
 			// The decoded node is this browse's own: filter it in place.
 			kept := n.Entries[:0]
 			for _, e := range n.Entries {
@@ -95,7 +92,7 @@ func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
 			if len(kept) == 0 {
 				return true
 			}
-			for _, view := range views(n.ID, kept, sc) {
+			for _, view := range b.lay.views(rtree.LeafMatch{Page: n.ID, Matched: kept}, geom.Rect{}, TechPageByPage, sc) {
 				v := sc.decode(view)
 				res.Candidates++
 				res.CandidateBytes += int64(len(view))
@@ -111,50 +108,4 @@ func nearestSearch(env *Env, t *rtree.Tree, pt geom.Point, k int,
 		res.Dists[i] = c.dist
 	}
 	return res
-}
-
-// NearestQuery implements Organization for the secondary organization: every
-// candidate costs an independent random read into the sequential file.
-func (s *Secondary) NearestQuery(pt geom.Point, k int) NearestResult {
-	return nearestSearch(s.env, s.tree, pt, k,
-		func(_ disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte {
-			sc.views = sc.views[:0]
-			for i := range entries {
-				id, _ := decodePayload(entries[i].Payload)
-				sc.views = append(sc.views, s.readObjectDirect(id))
-			}
-			return sc.views
-		})
-}
-
-// NearestQuery implements Organization for the primary organization: the
-// surfacing data page already holds the inline objects; overflow objects
-// cost extra reads.
-func (p *Primary) NearestQuery(pt geom.Point, k int) NearestResult {
-	return nearestSearch(p.env, p.tree, pt, k,
-		func(_ disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte {
-			sc.views = sc.views[:0]
-			for i := range entries {
-				view, _ := p.entryView(entries[i].Payload, p.overflow.ReadDirect)
-				sc.views = append(sc.views, view)
-			}
-			return sc.views
-		})
-}
-
-// NearestQuery implements Organization for the cluster organization. The
-// browse surfaces whole data pages, so the qualifying objects of one page
-// are fetched with a single page-by-page unit access (one seek per unit, one
-// rotational delay per requested page run) — per section 5.5 the most
-// selective workload reads per-page, never per-unit.
-func (c *Cluster) NearestQuery(pt geom.Point, k int) NearestResult {
-	return nearestSearch(c.env, c.tree, pt, k,
-		func(leaf disk.PageID, entries []rtree.Entry, sc *scratch) [][]byte {
-			sc.ids = sc.ids[:0]
-			for i := range entries {
-				id, _ := decodePayload(entries[i].Payload)
-				sc.ids = append(sc.ids, id)
-			}
-			return c.capture(c.unitFor(leaf), sc.ids, c.env.Buf, TechPageByPage, sc)
-		})
 }

@@ -221,15 +221,9 @@ func Restore(img *Image, env *Env) (Organization, error) {
 		if si == nil {
 			return nil, fmt.Errorf("store: image kind %q without payload", img.Kind)
 		}
-		s := &Secondary{
-			env:         env,
-			file:        pagefile.RestoreSequentialFile(env.Alloc, si.File),
-			refs:        refMap(si.Refs),
-			keys:        keyMap(si.Keys),
-			objects:     si.Objects,
-			objectBytes: si.ObjectBytes,
-		}
-		s.tree = rtree.Restore(env.Buf, env.Alloc, rtree.Config{}, img.Tree)
+		s := &Secondary{file: pagefile.RestoreSequentialFile(env.Alloc, si.File), refs: refMap(si.Refs)}
+		s.base = base{env: env, tree: rtree.Restore(env.Buf, env.Alloc, rtree.Config{}, img.Tree), lay: s,
+			keys: keyMap(si.Keys), objects: si.Objects, objectBytes: si.ObjectBytes}
 		return s, nil
 
 	case KindPrimary:
@@ -237,16 +231,10 @@ func Restore(img *Image, env *Env) (Organization, error) {
 		if pi == nil {
 			return nil, fmt.Errorf("store: image kind %q without payload", img.Kind)
 		}
-		p := &Primary{
-			env:         env,
-			overflow:    pagefile.RestoreSequentialFile(env.Alloc, pi.Overflow),
-			refs:        refMap(pi.Refs),
-			keys:        keyMap(pi.Keys),
-			objects:     pi.Objects,
-			objectBytes: pi.ObjectBytes,
-			maxInline:   primaryMaxInline(),
-		}
-		p.tree = rtree.Restore(env.Buf, env.Alloc, rtree.Config{VariableLeaf: true}, img.Tree)
+		p := &Primary{overflow: pagefile.RestoreSequentialFile(env.Alloc, pi.Overflow), refs: refMap(pi.Refs),
+			maxInline: primaryMaxInline()}
+		tree := rtree.Restore(env.Buf, env.Alloc, rtree.Config{VariableLeaf: true}, img.Tree)
+		p.base = base{env: env, tree: tree, lay: p, keys: keyMap(pi.Keys), objects: pi.Objects, objectBytes: pi.ObjectBytes}
 		return p, nil
 
 	case KindCluster:
@@ -254,15 +242,8 @@ func Restore(img *Image, env *Env) (Organization, error) {
 		if ci == nil {
 			return nil, fmt.Errorf("store: image kind %q without payload", img.Kind)
 		}
-		c := &Cluster{
-			env:         env,
-			cfg:         ci.Config,
-			units:       make(map[disk.PageID]*clusterUnit, len(ci.Units)),
-			homes:       homeMap(ci.Homes),
-			keys:        keyMap(ci.Keys),
-			objects:     ci.Objects,
-			objectBytes: ci.ObjectBytes,
-		}
+		c := &Cluster{cfg: ci.Config, units: make(map[disk.PageID]*clusterUnit, len(ci.Units)), homes: homeMap(ci.Homes)}
+		c.base = base{env: env, lay: c, keys: keyMap(ci.Keys), objects: ci.Objects, objectBytes: ci.ObjectBytes}
 		if ci.Buddy != nil {
 			buddy, err := pagefile.RestoreBuddySystem(env.Alloc, *ci.Buddy)
 			if err != nil {

@@ -24,27 +24,21 @@ const (
 // separate file where they occupy their pages exclusively, and the data page
 // keeps only the approximation plus a pointer.
 type Primary struct {
-	env      *Env
-	tree     *rtree.Tree
-	overflow *pagefile.SequentialFile
-	refs     map[object.ID]pagefile.Ref // overflow objects only
-	keys     map[object.ID]geom.Rect    // spatial key of each live object
-
-	objects     int
-	objectBytes int64
-	maxInline   int
+	base
+	overflow  *pagefile.SequentialFile
+	refs      map[object.ID]pagefile.Ref // overflow objects only
+	maxInline int
 }
 
 // NewPrimary creates an empty primary organization on env.
 func NewPrimary(env *Env) *Primary {
 	p := &Primary{
-		env:      env,
-		tree:     rtree.New(env.Buf, env.Alloc, rtree.Config{VariableLeaf: true}),
-		overflow: pagefile.NewExclusiveFile(env.Alloc, 0),
-		refs:     make(map[object.ID]pagefile.Ref),
-		keys:     make(map[object.ID]geom.Rect),
+		overflow:  pagefile.NewExclusiveFile(env.Alloc, 0),
+		refs:      make(map[object.ID]pagefile.Ref),
+		maxInline: primaryMaxInline(),
 	}
-	p.maxInline = primaryMaxInline()
+	p.base = base{env: env, tree: rtree.New(env.Buf, env.Alloc, rtree.Config{VariableLeaf: true}), lay: p,
+		keys: make(map[object.ID]geom.Rect)}
 	return p
 }
 
@@ -56,19 +50,9 @@ func primaryMaxInline() int { return disk.PageSize - 2 - 32 - 2 - 1 }
 // Name implements Organization.
 func (p *Primary) Name() string { return "prim. org." }
 
-// Tree implements Organization.
-func (p *Primary) Tree() *rtree.Tree { return p.tree }
-
-// Env implements Organization.
-func (p *Primary) Env() *Env { return p.env }
-
-// Insert implements Organization.
-func (p *Primary) Insert(o *object.Object, key geom.Rect) error {
-	p.env.mu.Lock()
-	defer p.env.mu.Unlock()
-	return p.insertLocked(o, key)
-}
-
+// insertLocked implements layout: the object goes into its data page, or to
+// the overflow file when it does not fit one. An Update may therefore switch
+// an object between inline and overflow storage.
 func (p *Primary) insertLocked(o *object.Object, key geom.Rect) error {
 	if _, dup := p.keys[o.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
@@ -80,49 +64,20 @@ func (p *Primary) insertLocked(o *object.Object, key geom.Rect) error {
 		copy(payload[1:], data)
 		p.tree.Insert(key, payload)
 	} else {
-		ref := p.overflow.Append(data)
-		p.refs[o.ID] = ref
+		p.refs[o.ID] = p.overflow.Append(data)
 		payload := make([]byte, 13)
 		payload[0] = primOverflow
 		copy(payload[1:], encodePayload(o.ID, o.Size())[:12])
 		p.tree.Insert(key, payload)
 	}
-	p.keys[o.ID] = key
-	p.objects++
-	p.objectBytes += int64(o.Size())
 	return nil
 }
 
-// Delete implements Organization. Inline objects vanish with their leaf
+// deleteLocked implements layout. Inline objects vanish with their leaf
 // entry; overflow objects additionally return their exclusively owned pages
 // to the allocator — the primary organization is the only one that reclaims
 // object space immediately on delete.
-func (p *Primary) Delete(id object.ID) bool {
-	p.env.mu.Lock()
-	defer p.env.mu.Unlock()
-	return p.deleteLocked(id)
-}
-
-func (p *Primary) deleteLocked(id object.ID) bool {
-	key, ok := p.keys[id]
-	if !ok {
-		return false
-	}
-	size := 0
-	if !p.tree.Delete(key, func(pl []byte) bool {
-		// Both payload kinds carry the object ID right after the tag.
-		pid, sz := decodePayload(pl[1:])
-		if pid != id {
-			return false
-		}
-		if pl[0] == primInline {
-			sz = len(pl) - 1
-		}
-		size = sz
-		return true
-	}) {
-		panic(fmt.Sprintf("store: object %d known but not in the tree", id))
-	}
+func (p *Primary) deleteLocked(id object.ID) {
 	if ref, overflow := p.refs[id]; overflow {
 		span := ref.Span()
 		for i := 0; i < span.N; i++ {
@@ -131,81 +86,46 @@ func (p *Primary) deleteLocked(id object.ID) bool {
 		p.overflow.Discard(ref)
 		delete(p.refs, id)
 	}
-	delete(p.keys, id)
-	p.objects--
-	p.objectBytes -= int64(size)
-	return true
 }
 
-// Update implements Organization: delete plus reinsert (the new version may
-// switch between inline and overflow storage).
-func (p *Primary) Update(o *object.Object, key geom.Rect) bool {
-	p.env.mu.Lock()
-	defer p.env.mu.Unlock()
-	if !p.deleteLocked(o.ID) {
-		return false
+// entry implements layout. Both payload kinds carry the object ID right after
+// the tag (inline objects serialize their ID first); an inline entry's size is
+// that of its serialization.
+func (p *Primary) entry(payload []byte) (object.ID, int) {
+	id, size := decodePayload(payload[1:13])
+	if payload[0] == primInline {
+		size = len(payload) - 1
 	}
-	reinsert(p.insertLocked(o, key))
-	return true
+	return id, size
 }
 
-// entryView returns the serialization behind a leaf payload and its size: the
-// inline bytes themselves (aliasing the data page), or the overflow object
-// read through read.
-func (p *Primary) entryView(payload []byte, read func(ref pagefile.Ref) []byte) ([]byte, int) {
+// entryView returns the serialization behind a leaf payload: the inline bytes
+// themselves (aliasing the data page), or the overflow object read through
+// read.
+func (p *Primary) entryView(payload []byte, read func(ref pagefile.Ref) []byte) []byte {
 	switch payload[0] {
 	case primInline:
-		return payload[1:], len(payload) - 1
+		return payload[1:]
 	case primOverflow:
-		id, size := decodePayload(payload[1:13])
+		id, _ := p.entry(payload)
 		ref, ok := p.refs[id]
 		if !ok {
 			panic(fmt.Sprintf("store: unknown overflow object %d", id))
 		}
-		return read(ref), size
+		return read(ref)
 	}
 	panic(fmt.Sprintf("store: unknown primary payload tag %d", payload[0]))
 }
 
-// PointQuery implements Organization.
-func (p *Primary) PointQuery(pt geom.Point) QueryResult {
-	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(p.env.Disk, func() {
-		p.tree.SearchPoint(pt, func(e rtree.Entry) bool {
-			view, size := p.entryView(e.Payload, p.overflow.ReadDirect)
-			res.Candidates++
-			res.CandidateBytes += int64(size)
-			if v := sc.decode(view); containsPoint(v, pt) {
-				res.IDs = append(res.IDs, v.ID)
-			}
-			return true
-		})
-	})
-	return res
-}
-
-// WindowQuery implements Organization. The technique argument is ignored:
-// data pages already bundle their objects.
-func (p *Primary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
-	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(p.env.Disk, func() {
-		p.tree.Search(w, func(e rtree.Entry) bool {
-			view, size := p.entryView(e.Payload, p.overflow.ReadDirect)
-			res.Candidates++
-			res.CandidateBytes += int64(size)
-			if sc.inWindow(e.Rect, view, w) {
-				// Both payload kinds carry the object ID right after the tag.
-				id, _ := decodePayload(e.Payload[1:])
-				res.IDs = append(res.IDs, id)
-			}
-			return true
-		})
-	})
-	return res
+// views implements layout: the data page already holds the inline objects —
+// it bundles its objects whatever the technique — and overflow objects cost
+// an independent read each.
+func (p *Primary) views(lm rtree.LeafMatch, _ geom.Rect, _ Technique, sc *scratch) [][]byte {
+	sc.views = sc.views[:0]
+	for i := range lm.Matched {
+		sc.views = append(sc.views, p.entryView(lm.Matched[i].Payload, p.overflow.ReadDirect))
+	}
+	return sc.views
 }
 
 // PrepareFetch implements Organization: the data page is read through the
@@ -220,43 +140,43 @@ func (p *Primary) PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Mana
 	node := p.tree.DecodeNode(leaf, m.Get(leaf))
 	views := make([][]byte, 0, len(ids))
 	for _, e := range node.Entries {
-		// Both payload kinds carry the object ID right after the tag
-		// (inline objects serialize their ID first), so unwanted entries
-		// are skipped without decoding or extra reads.
-		if id, _ := decodePayload(e.Payload[1:]); !want[id] {
+		// Unwanted entries are skipped without decoding or extra reads.
+		if id, _ := p.entry(e.Payload); !want[id] {
 			continue
 		}
-		view, _ := p.entryView(e.Payload, func(ref pagefile.Ref) []byte {
+		views = append(views, p.entryView(e.Payload, func(ref pagefile.Ref) []byte {
 			return p.overflow.ReadBuffered(m, ref)
-		})
-		views = append(views, view)
+		}))
 	}
 	return func() []*object.Object { return unmarshalViews(views) }
 }
 
-// Stats implements Organization.
-func (p *Primary) Stats() StorageStats {
-	p.env.mu.RLock()
-	defer p.env.mu.RUnlock()
-	st := StorageStats{
-		DirPages:    p.tree.DirPages(),
-		LeafPages:   p.tree.LeafPages(),
-		ObjectPages: p.overflow.PagesUsed(),
-		Objects:     p.objects,
-		ObjectBytes: p.objectBytes,
-		LiveBytes:   p.objectBytes,
-		DeadBytes:   p.overflow.DeadBytes(), // zero: exclusive pages are freed
+// demand implements layout: the data page is one access, and every overflow
+// object another.
+func (p *Primary) demand(leaf disk.PageID, ids []object.ID) Demand {
+	d := Demand{
+		Units: []string{fmt.Sprintf("l%d", leaf)},
+		Pages: []disk.PageID{leaf},
 	}
-	st.OccupiedPages = st.DirPages + st.LeafPages + st.ObjectPages
-	st.fillUtil()
-	return st
+	for _, id := range ids {
+		ref, overflow := p.refs[id]
+		if !overflow {
+			continue // inline: comes with the leaf page
+		}
+		d.Units = append(d.Units, fmt.Sprintf("o%d", id))
+		span := ref.Span()
+		for pg := span.Start; pg < span.End(); pg++ {
+			d.Pages = append(d.Pages, pg)
+		}
+	}
+	return d
 }
 
-// Flush implements Organization.
-func (p *Primary) Flush() {
-	p.env.mu.Lock()
-	defer p.env.mu.Unlock()
-	p.overflow.Flush()
-	p.tree.Flush()
-	p.env.sync()
+// objectStats implements layout. DeadBytes stays zero: exclusive pages are
+// freed.
+func (p *Primary) objectStats(st *StorageStats) {
+	st.ObjectPages, st.DeadBytes = p.overflow.PagesUsed(), p.overflow.DeadBytes()
 }
+
+// flushObjects implements layout.
+func (p *Primary) flushObjects() { p.overflow.Flush() }

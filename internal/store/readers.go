@@ -272,33 +272,35 @@ func (c *Cluster) thresholdFor(u *clusterUnit) float64 {
 	return tcompl / tpage
 }
 
-// WindowQuery implements Organization for the cluster organization,
-// dispatching per qualifying data page on the selected technique.
-func (c *Cluster) WindowQuery(w geom.Rect, tech Technique) QueryResult {
-	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(c.env.Disk, func() {
-		c.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
-			u := c.unitFor(lm.Page)
-			ids := sc.candidates(lm.Matched, &res)
-			eff := tech
-			if tech == TechThreshold {
-				if lm.Rect.OverlapDegree(w) < c.thresholdFor(u) {
-					eff = TechPageByPage
-				} else {
-					eff = TechComplete
-				}
-			}
-			for i, view := range c.capture(u, ids, c.env.Buf, eff, sc) {
-				if sc.inWindow(lm.Matched[i].Rect, view, w) {
-					res.IDs = append(res.IDs, ids[i])
-				}
-			}
-			return true
-		})
-	})
-	return res
+// views implements layout: the qualifying objects of one data page are read
+// with a single access to its cluster unit, under the selected technique.
+// TechThreshold is decided per unit: page by page when the overlap degree of
+// the unit region and the window is below the unit's threshold T(c),
+// complete otherwise.
+func (c *Cluster) views(lm rtree.LeafMatch, w geom.Rect, tech Technique, sc *scratch) [][]byte {
+	u := c.unitFor(lm.Page)
+	if tech == TechThreshold {
+		tech = TechComplete
+		if lm.Rect.OverlapDegree(w) < c.thresholdFor(u) {
+			tech = TechPageByPage
+		}
+	}
+	sc.ids = sc.ids[:0]
+	for i := range lm.Matched {
+		id, _ := decodePayload(lm.Matched[i].Payload)
+		sc.ids = append(sc.ids, id)
+	}
+	return c.capture(u, sc.ids, c.env.Buf, tech, sc)
+}
+
+// demand implements layout: the unit is one access, and the pages covering
+// the objects are its transfer.
+func (c *Cluster) demand(leaf disk.PageID, ids []object.ID) Demand {
+	u := c.unitFor(leaf)
+	return Demand{
+		Units: []string{fmt.Sprintf("u%d", u.extent.Start)},
+		Pages: c.requestedPages(u, ids, nil),
+	}
 }
 
 // WindowQueryOptimum returns the theoretical lower bound of Figure 10: the
@@ -319,25 +321,4 @@ func (c *Cluster) WindowQueryOptimum(w geom.Rect) (ms float64, res QueryResult) 
 	})
 	ms += res.Cost.TimeMS(p)
 	return ms, res
-}
-
-// PointQuery implements Organization: selective queries read only the pages
-// of the qualifying objects (one access per cluster unit), so the cluster
-// organization performs like the secondary organization here (section 5.5).
-func (c *Cluster) PointQuery(pt geom.Point) QueryResult {
-	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(c.env.Disk, func() {
-		c.tree.SearchLeaves(geom.RectFromPoint(pt), func(lm rtree.LeafMatch) bool {
-			ids := sc.candidates(lm.Matched, &res)
-			for _, view := range c.capture(c.unitFor(lm.Page), ids, c.env.Buf, TechPageByPage, sc) {
-				if v := sc.decode(view); containsPoint(v, pt) {
-					res.IDs = append(res.IDs, v.ID)
-				}
-			}
-			return true
-		})
-	})
-	return res
 }

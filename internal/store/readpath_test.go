@@ -296,34 +296,16 @@ func (h *handedOut) verify(t *testing.T, when string) {
 // probe does what a window query does, but keeps every slice it is handed.
 // The caller holds the environment's read lock (or is the only goroutine).
 func probe(org Organization, w geom.Rect, tech Technique, h *handedOut) {
-	switch o := org.(type) {
-	case *Cluster:
-		o.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
-			var res QueryResult
-			sc := new(scratch) // not pooled: the views must outlive the probe
-			for _, e := range lm.Matched {
-				h.add(e.Payload)
-			}
-			for _, view := range o.capture(o.unitFor(lm.Page), sc.candidates(lm.Matched, &res), o.env.Buf, tech, sc) {
-				h.add(view)
-			}
-			return true
-		})
-	case *Primary:
-		o.tree.Search(w, func(e rtree.Entry) bool {
+	org.Tree().SearchLeaves(w, func(lm rtree.LeafMatch) bool {
+		sc := new(scratch) // not pooled: the views must outlive the probe
+		for _, e := range lm.Matched {
 			h.add(e.Payload)
-			view, _ := o.entryView(e.Payload, o.overflow.ReadDirect)
+		}
+		for _, view := range layoutOf(org).views(lm, w, tech, sc) {
 			h.add(view)
-			return true
-		})
-	case *Secondary:
-		o.tree.Search(w, func(e rtree.Entry) bool {
-			h.add(e.Payload)
-			id, _ := decodePayload(e.Payload)
-			h.add(o.readObjectDirect(id))
-			return true
-		})
-	}
+		}
+		return true
+	})
 }
 
 // contractEnvs builds the environments the contract is held on: the memory

@@ -19,147 +19,68 @@ import (
 // the file and every exact-object access during query processing pays an
 // additional seek.
 type Secondary struct {
-	env  *Env
-	tree *rtree.Tree
+	base
 	file *pagefile.SequentialFile
 	refs map[object.ID]pagefile.Ref
-	keys map[object.ID]geom.Rect // spatial key of each live object
-
-	objects     int
-	objectBytes int64
 }
 
 // NewSecondary creates an empty secondary organization on env.
 func NewSecondary(env *Env) *Secondary {
-	return &Secondary{
-		env:  env,
-		tree: rtree.New(env.Buf, env.Alloc, rtree.Config{}),
+	s := &Secondary{
 		file: pagefile.NewSequentialFile(env.Alloc, 0),
 		refs: make(map[object.ID]pagefile.Ref),
-		keys: make(map[object.ID]geom.Rect),
 	}
+	s.base = base{env: env, tree: rtree.New(env.Buf, env.Alloc, rtree.Config{}), lay: s,
+		keys: make(map[object.ID]geom.Rect)}
+	return s
 }
 
 // Name implements Organization.
 func (s *Secondary) Name() string { return "sec. org." }
 
-// Tree implements Organization.
-func (s *Secondary) Tree() *rtree.Tree { return s.tree }
-
-// Env implements Organization.
-func (s *Secondary) Env() *Env { return s.env }
-
-// Insert implements Organization.
-func (s *Secondary) Insert(o *object.Object, key geom.Rect) error {
-	s.env.mu.Lock()
-	defer s.env.mu.Unlock()
-	return s.insertLocked(o, key)
-}
-
+// insertLocked implements layout: the object is appended to the sequential
+// file. An Update re-appends the new version at the file's append position,
+// so updates scatter the storage — the old bytes stay dead in place.
 func (s *Secondary) insertLocked(o *object.Object, key geom.Rect) error {
-	if _, dup := s.refs[o.ID]; dup {
+	if _, dup := s.keys[o.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
-	ref := s.file.Append(object.Marshal(o))
-	s.refs[o.ID] = ref
-	s.keys[o.ID] = key
+	s.refs[o.ID] = s.file.Append(object.Marshal(o))
 	s.tree.Insert(key, encodePayload(o.ID, o.Size()))
-	s.objects++
-	s.objectBytes += int64(o.Size())
 	return nil
 }
 
-// Delete implements Organization: the R*-tree entry is removed, and the
-// object's bytes become dead space in the append-only sequential file — the
-// secondary organization cannot reclaim them without compaction, exactly the
-// storage decay the paper's organization comparison predicts under churn.
-func (s *Secondary) Delete(id object.ID) bool {
-	s.env.mu.Lock()
-	defer s.env.mu.Unlock()
-	return s.deleteLocked(id)
-}
-
-func (s *Secondary) deleteLocked(id object.ID) bool {
-	key, ok := s.keys[id]
-	if !ok {
-		return false
-	}
-	if !s.tree.Delete(key, func(p []byte) bool {
-		pid, _ := decodePayload(p)
-		return pid == id
-	}) {
-		panic(fmt.Sprintf("store: object %d known but not in the tree", id))
-	}
-	ref := s.refs[id]
-	s.file.Discard(ref)
+// deleteLocked implements layout: the object's bytes become dead space in the
+// append-only sequential file — the secondary organization cannot reclaim
+// them without compaction, exactly the storage decay the paper's organization
+// comparison predicts under churn.
+func (s *Secondary) deleteLocked(id object.ID) {
+	s.file.Discard(s.refs[id])
 	delete(s.refs, id)
-	delete(s.keys, id)
-	s.objects--
-	s.objectBytes -= int64(ref.Len)
-	return true
 }
 
-// Update implements Organization: delete plus re-append. The new version
-// lands at the file's append position, so updates scatter the storage — the
-// old bytes stay dead in place.
-func (s *Secondary) Update(o *object.Object, key geom.Rect) bool {
-	s.env.mu.Lock()
-	defer s.env.mu.Unlock()
-	if !s.deleteLocked(o.ID) {
-		return false
-	}
-	reinsert(s.insertLocked(o, key))
-	return true
-}
+// entry implements layout.
+func (s *Secondary) entry(payload []byte) (object.ID, int) { return decodePayload(payload) }
 
-// readObjectDirect fetches one serialized exact representation with an
-// independent random read (the secondary organization's access pattern in
-// queries); the bytes alias the page read when the object lies inside one.
-func (s *Secondary) readObjectDirect(id object.ID) []byte {
+// ref locates a live object in the sequential file.
+func (s *Secondary) ref(id object.ID) pagefile.Ref {
 	ref, ok := s.refs[id]
 	if !ok {
 		panic(fmt.Sprintf("store: unknown object %d", id))
 	}
-	return s.file.ReadDirect(ref)
+	return ref
 }
 
-// PointQuery implements Organization.
-func (s *Secondary) PointQuery(p geom.Point) QueryResult {
-	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(s.env.Disk, func() {
-		s.tree.SearchPoint(p, func(e rtree.Entry) bool {
-			id, size := decodePayload(e.Payload)
-			res.Candidates++
-			res.CandidateBytes += int64(size)
-			if containsPoint(sc.decode(s.readObjectDirect(id)), p) {
-				res.IDs = append(res.IDs, id)
-			}
-			return true
-		})
-	})
-	return res
-}
-
-// WindowQuery implements Organization. The technique argument is ignored:
-// the secondary organization can only read objects one by one.
-func (s *Secondary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
-	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(s.env.Disk, func() {
-		s.tree.Search(w, func(e rtree.Entry) bool {
-			id, size := decodePayload(e.Payload)
-			res.Candidates++
-			res.CandidateBytes += int64(size)
-			if sc.inWindow(e.Rect, s.readObjectDirect(id), w) {
-				res.IDs = append(res.IDs, id)
-			}
-			return true
-		})
-	})
-	return res
+// views implements layout: every candidate costs an independent random read
+// into the sequential file, whatever the technique; the bytes alias the page
+// read when the object lies inside one.
+func (s *Secondary) views(lm rtree.LeafMatch, _ geom.Rect, _ Technique, sc *scratch) [][]byte {
+	sc.views = sc.views[:0]
+	for i := range lm.Matched {
+		id, _ := decodePayload(lm.Matched[i].Payload)
+		sc.views = append(sc.views, s.file.ReadDirect(s.ref(id)))
+	}
+	return sc.views
 }
 
 // PrepareFetch implements Organization: every object is an independent read
@@ -168,38 +89,32 @@ func (s *Secondary) WindowQuery(w geom.Rect, _ Technique) QueryResult {
 func (s *Secondary) PrepareFetch(_ disk.PageID, ids []object.ID, m *buffer.Manager, _ Technique) ObjectFetch {
 	views := make([][]byte, 0, len(ids))
 	for _, id := range ids {
-		ref, ok := s.refs[id]
-		if !ok {
-			panic(fmt.Sprintf("store: unknown object %d", id))
-		}
-		views = append(views, s.file.ReadBuffered(m, ref))
+		views = append(views, s.file.ReadBuffered(m, s.ref(id)))
 	}
 	return func() []*object.Object { return unmarshalViews(views) }
 }
 
-// Stats implements Organization.
-func (s *Secondary) Stats() StorageStats {
-	s.env.mu.RLock()
-	defer s.env.mu.RUnlock()
-	st := StorageStats{
-		DirPages:    s.tree.DirPages(),
-		LeafPages:   s.tree.LeafPages(),
-		ObjectPages: s.file.PagesUsed(),
-		Objects:     s.objects,
-		ObjectBytes: s.objectBytes,
-		LiveBytes:   s.objectBytes,
-		DeadBytes:   s.file.DeadBytes(),
+// demand implements layout: every object is an independent access.
+func (s *Secondary) demand(_ disk.PageID, ids []object.ID) Demand {
+	var d Demand
+	seen := map[disk.PageID]bool{}
+	for _, id := range ids {
+		d.Units = append(d.Units, fmt.Sprintf("o%d", id))
+		span := s.ref(id).Span()
+		for p := span.Start; p < span.End(); p++ {
+			if !seen[p] {
+				seen[p] = true
+				d.Pages = append(d.Pages, p)
+			}
+		}
 	}
-	st.OccupiedPages = st.DirPages + st.LeafPages + st.ObjectPages
-	st.fillUtil()
-	return st
+	return d
 }
 
-// Flush implements Organization.
-func (s *Secondary) Flush() {
-	s.env.mu.Lock()
-	defer s.env.mu.Unlock()
-	s.file.Flush()
-	s.tree.Flush()
-	s.env.sync()
+// objectStats implements layout.
+func (s *Secondary) objectStats(st *StorageStats) {
+	st.ObjectPages, st.DeadBytes = s.file.PagesUsed(), s.file.DeadBytes()
 }
+
+// flushObjects implements layout.
+func (s *Secondary) flushObjects() { s.file.Flush() }

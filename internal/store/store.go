@@ -125,13 +125,6 @@ type StorageStats struct {
 	ExtentUtil float64 // LiveBytes / (OccupiedPages · PageSize)
 }
 
-// fillUtil completes the derived ExtentUtil field.
-func (st *StorageStats) fillUtil() {
-	if st.OccupiedPages > 0 {
-		st.ExtentUtil = float64(st.LiveBytes) / (float64(st.OccupiedPages) * float64(disk.PageSize))
-	}
-}
-
 // ObjectFetch is a prepared object transfer: the modelled I/O has already
 // been charged and the needed page bytes captured, so invoking it is pure CPU
 // work (byte assembly and deserialization) that can run on any goroutine
@@ -198,16 +191,6 @@ type Organization interface {
 	Stats() StorageStats
 	// Flush writes all buffered dirty state to disk (end of construction).
 	Flush()
-}
-
-// reinsert ends an Update, whose delete half has already run: a refusal now
-// (only ErrObjectTooLarge can arise, the ID was just freed) would lose the
-// object, and Update's bool cannot say so — it panics, as every refused
-// insert did before Insert returned errors.
-func reinsert(err error) {
-	if err != nil {
-		panic(err)
-	}
 }
 
 // Env bundles the shared storage substrate of one organization instance.

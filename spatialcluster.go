@@ -446,7 +446,9 @@ func HilbertIndex(p Point) uint64 { return geom.HilbertIndex(p) }
 // or "rebuild" (full Hilbert reload) — against a cluster organization that
 // has accumulated fragmentation from Delete/Update. It reports how many
 // units were rewritten and whether a full rebuild ran. Non-cluster
-// organizations are a no-op (they have no cluster units to maintain).
+// organizations are a no-op (they have no cluster units to maintain). On a
+// WAL-attached store the log records the pass, so replay repeats it at the
+// same point of the mutation history.
 func Recluster(org Organization, policy string) (repackedUnits int, rebuilt bool, err error) {
 	if ws, ok := org.(*wal.Store); ok {
 		res, err := ws.Recluster(policy)
@@ -459,7 +461,7 @@ func Recluster(org Organization, policy string) (repackedUnits int, rebuilt bool
 	if err != nil {
 		return 0, false, err
 	}
-	c, ok := org.(*store.Cluster)
+	c, ok := store.Unwrap(org).(*store.Cluster)
 	if !ok {
 		return 0, false, nil
 	}
