@@ -1,8 +1,9 @@
 // Command sdbd is the spatialcluster daemon: it builds (or loads) a storage
 // organization and serves it over an HTTP/JSON API — window, point and k-NN
 // queries, insert/delete/update mutations, online reclustering, statistics
-// and metrics, and live snapshots — multiplexing concurrent clients onto the
-// parallel query engine through a micro-batching dispatcher.
+// and metrics, and live snapshots — running concurrent clients' queries side
+// by side on the parallel query engine and group-committing their mutations
+// through one dispatcher.
 //
 // Usage:
 //
@@ -32,7 +33,7 @@
 // With -wal the daemon logs every mutation to a write-ahead log before
 // applying it, so acknowledged mutations survive a crash; on restart with the
 // same -wal directory the daemon recovers the store from the log instead of
-// building. Concurrent mutations share fsyncs through the micro-batching
+// building. Concurrent mutations share fsyncs through the mutation
 // dispatcher (group commit).
 //
 //	sdbd -org cluster -scale 32 -wal /var/lib/sdbd/wal   # durable serving
@@ -107,8 +108,7 @@ func main() {
 		loadPath = flag.String("load", "", "serve the store from a snapshot instead of building")
 		techStr  = flag.String("tech", "complete", "default cluster read technique of /query/window: complete, threshold, SLM, vector, page")
 
-		workers  = flag.Int("workers", 8, "worker-pool size per micro-batch")
-		maxBatch = flag.Int("max-batch", 64, "largest micro-batch (a batch is what arrived while the previous one ran; 1 = serial execution, the benchmark baseline)")
+		maxBatch = flag.Int("max-batch", 64, "largest mutation batch, one WAL commit (a batch is what arrived while the previous one applied; 1 = serial execution of every request, the benchmark baseline)")
 		inflight = flag.Int("max-inflight", 256, "admitted requests before 429")
 		throttle = flag.Float64("throttle", 0, "wall-clock disk throttle: sleep modelled request time times this factor (0 = off; 1 replays the paper's 1994 disk in real time)")
 		saveExit = flag.String("save-on-exit", "", "write a snapshot here during graceful shutdown")
@@ -146,9 +146,6 @@ func main() {
 		if *scale < 1 {
 			failUsage("bad scale %d", *scale)
 		}
-	}
-	if *workers < 1 {
-		failUsage("bad -workers %d (want >= 1)", *workers)
 	}
 	if *maxBatch < 1 {
 		failUsage("bad -max-batch %d (want >= 1)", *maxBatch)
@@ -270,7 +267,6 @@ func main() {
 	}
 
 	srv := server.New(org, server.Config{
-		Workers:      *workers,
 		MaxBatch:     *maxBatch,
 		MaxInFlight:  *inflight,
 		DefaultTech:  tech,
@@ -295,8 +291,8 @@ func main() {
 	}
 	hs := server.HTTPServer(srv.Handler())
 	fmt.Printf("sdbd: listening on http://%s\n", ln.Addr())
-	fmt.Printf("sdbd: micro-batched execution, %d workers, max batch %d, max in-flight %d\n",
-		*workers, *maxBatch, *inflight)
+	fmt.Printf("sdbd: concurrent queries, group-committed mutations, max batch %d, max in-flight %d\n",
+		*maxBatch, *inflight)
 	if *pprof {
 		fmt.Printf("sdbd: pprof profiling at http://%s/debug/pprof/\n", ln.Addr())
 	}

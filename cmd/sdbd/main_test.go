@@ -76,7 +76,6 @@ func TestFlagMisuse(t *testing.T) {
 		{"fsync without file backend", []string{"-fsync"}},
 		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}},
 		{"save-on-exit equals load", []string{"-load", "s.sdb", "-save-on-exit", "s.sdb"}},
-		{"bad workers", []string{"-workers", "0"}},
 		{"bad max-batch", []string{"-max-batch", "0"}},
 		{"bad max-inflight", []string{"-max-inflight", "0"}},
 		{"negative throttle", []string{"-throttle", "-1"}},
@@ -103,14 +102,25 @@ func TestFlagMisuse(t *testing.T) {
 	}
 }
 
-// TestRetiredFlags: the batch timer and the serial twin are gone, and so are
-// their flags (-max-batch 1 is serial execution) — unknown flags exit 2.
+// TestRetiredFlags: the batch timer, the serial twin and the batch worker
+// pool are gone, and so are their flags (-max-batch 1 is serial execution;
+// queries run on their request's goroutine) — unknown flags exit 2.
 func TestRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-serial"}, {"-batch-wait", "1ms"}} {
-		out, code := run(t, args...)
-		if code != 2 || !strings.Contains(out, "flag provided but not defined") {
-			t.Fatalf("sdbd %v exited %d, want 2 as an unknown flag; output:\n%s", args, code, out)
-		}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"serial", []string{"-serial"}},
+		{"batch-wait", []string{"-batch-wait", "1ms"}},
+		{"workers", []string{"-workers", "8"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, code := run(t, tc.args...)
+			if code != 2 || !strings.Contains(out, "flag provided but not defined") {
+				t.Fatalf("sdbd %v exited %d, want 2 as an unknown flag; output:\n%s", tc.args, code, out)
+			}
+		})
 	}
 }
 

@@ -35,10 +35,9 @@ func main() {
 	}
 	s.Flush()
 
-	// Serve it: micro-batched execution, bounded admission, and a snapshot
-	// on shutdown.
+	// Serve it: concurrent queries, group-committed mutations, bounded
+	// admission, and a snapshot on shutdown.
 	srv := server.New(s, server.Config{
-		Workers:      4,
 		MaxInFlight:  64,
 		SnapshotPath: filepath.Join(dir, "exit.sdb"),
 	})
@@ -78,10 +77,10 @@ func main() {
 	check(err)
 	fmt.Printf("loaded snapshot back: %d objects served\n", st.Objects)
 
-	// Metrics: batch shape, buffer behaviour, modelled I/O.
+	// Metrics: executions and batches, buffer behaviour, modelled I/O.
 	m, err := client.Metrics()
 	check(err)
-	fmt.Printf("metrics: %d batches over %d queries, buffer hit ratio %.2f, modelled I/O %.2f s\n",
+	fmt.Printf("metrics: %d batches over %d requests, buffer hit ratio %.2f, modelled I/O %.2f s\n",
 		m.Batches, m.BatchedJobs, m.BufferHitRatio, m.ModelIOSec)
 
 	// Graceful shutdown: drain, flush, snapshot.

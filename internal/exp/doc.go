@@ -28,9 +28,9 @@
 //   - backend (BENCH_backend.json) — storage backends: mem, file,
 //     file+fsync, file+compress; modelled cost next to measured I/O, the
 //     Save/Open round trip, what page compression saved.
-//   - server (BENCH_server.json) — closed-loop clients over HTTP: serial vs
-//     micro-batched execution, traced at the largest count, an open-loop
-//     arm, LRU vs 2Q admission.
+//   - server (BENCH_server.json) — closed-loop clients over HTTP: serial
+//     execution vs the default server, traced at the largest count, an
+//     open-loop arm, LRU vs 2Q admission.
 //   - shard (BENCH_shard.json) — shard counts behind the router, plain and
 //     traced.
 //   - recovery (BENCH_recovery.json) — group-commit batch size and WAL tail

@@ -11,11 +11,11 @@ import (
 )
 
 // The serving benchmark asks what each choice the serving layer offers is
-// worth, on the served fixture (served.go): micro-batching concurrent
-// clients onto the parallel query engine against one-query-at-a-time
+// worth, on the served fixture (served.go): the default server — concurrent
+// queries, group-committed mutations — against one-request-at-a-time
 // execution, across a closed-loop client sweep; per-request tracing against
-// the plain batched server, at the largest client count; and the 2Q
-// admission policy against LRU on a scan-polluted hotspot workload.
+// the default server, at the largest client count; and the 2Q admission
+// policy against LRU on a scan-polluted hotspot workload.
 
 // ServerConfig tunes the serving benchmark.
 type ServerConfig struct {
@@ -27,9 +27,6 @@ type ServerConfig struct {
 	// Throttle is the disk wall-clock factor of the measured runs (default
 	// 0.02: a 15 ms modelled request sleeps 300 µs).
 	Throttle float64
-	// Workers is the worker-pool size of the batched server (default 16 —
-	// I/O-overlap slots, deliberately above GOMAXPROCS on small hosts).
-	Workers int
 	// AdmissionOps is the length of the admission rows' hotspot workload
 	// (default 1500).
 	AdmissionOps int
@@ -47,9 +44,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.Throttle <= 0 {
 		c.Throttle = 0.02
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
 	}
 	if c.AdmissionOps <= 0 {
 		c.AdmissionOps = 1500
@@ -80,9 +74,11 @@ type ServerModel struct {
 type ServerRun struct {
 	Org string `json:"org"`
 	// Mode is how the arm was served: "serial" (MaxBatch 1: one request at a
-	// time) and "batched" (the dispatcher's default) across the client sweep;
-	// "traced" (batched, every request asking for its span tree) at the
-	// largest client count; "open" (batched, Poisson arrivals, clients 0).
+	// time) and "batched" (the default server: concurrent queries,
+	// group-committed mutations; the name predates queries leaving the
+	// dispatcher's batches) across the client sweep; "traced" (the default
+	// server, every request asking for its span tree) at the largest client
+	// count; "open" (the default server, Poisson arrivals, clients 0).
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
 	ServedRun
@@ -109,7 +105,6 @@ type ServerResult struct {
 	Seed              int64   `json:"seed"`
 	Clients           []int   `json:"clients"`
 	Throttle          float64 `json:"throttle"`
-	Workers           int     `json:"workers"`
 	WindowArea        float64 `json:"window_area"`
 	K                 int     `json:"k"`
 	AdmissionOps      int     `json:"admission_ops"`
@@ -159,7 +154,7 @@ func runServer(o Options, smoke bool, sweep []int) Result {
 // from the same dataset and served over HTTP; every mode is first replayed
 // serially against the in-process reference answers, then the deterministic
 // stream runs through the closed-loop client sweep against the serialized
-// and the micro-batching server, once traced at the largest client count,
+// and the default server, once traced at the largest client count,
 // and once open-loop at more load than serialized execution could absorb. The modelled reference columns and
 // the admission rows are byte-reproducible.
 func ServerBench(o Options, cfg ServerConfig) ServerResult {
@@ -178,7 +173,6 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		Seed:              o.Seed,
 		Clients:           cfg.Clients,
 		Throttle:          cfg.Throttle,
-		Workers:           cfg.Workers,
 		WindowArea:        streamWindowArea,
 		K:                 streamK,
 		AdmissionOps:      cfg.AdmissionOps,
@@ -207,7 +201,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 			kind, model.ModelMSPerReq, model.Requests)
 
 		// Verification: plain and traced once each, serially, unthrottled.
-		client, stop := startServer(org, server.Config{Workers: cfg.Workers})
+		client, stop := startServer(org, server.Config{})
 		for _, traced := range []bool{false, true} {
 			if !replay(view(client, traced), stream, refs) {
 				res.Agree = false
@@ -228,7 +222,6 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		}
 		qps := map[armKey]float64{}
 		measured := func(mode string, clients int, traced bool, scfg server.Config, drive func(doFunc) *load) {
-			scfg.Workers = cfg.Workers
 			client, stop := startServer(org, scfg)
 			defer stop()
 			run := ServerRun{Org: string(kind), Mode: mode, Clients: clients,
@@ -242,7 +235,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 			for _, clients := range cfg.Clients {
 				scfg := server.Config{MaxInFlight: clients + 1}
 				if mode == "serial" {
-					scfg.MaxBatch = 1 // one request per batch on the one dispatcher goroutine
+					scfg.MaxBatch = 1 // every request holds the organization lock alone
 				}
 				measured(mode, clients, false, scfg, closed(stream, clients))
 			}
@@ -299,7 +292,7 @@ func admissionRuns(o Options, cfg ServerConfig, ds *datagen.Dataset) []ServerAdm
 		org := BuildWith(OrgCluster, ds, spatialcluster.StoreConfig{
 			BufferPages: cfg.AdmissionBufPages, BufferPolicy: pol,
 		}).Org
-		client, stop := startServer(org, server.Config{Workers: 4, MaxInFlight: 4})
+		client, stop := startServer(org, server.Config{MaxInFlight: 4})
 
 		run := ServerAdmissionRun{Policy: pol, Ops: len(ops)}
 		m0, err := client.Metrics()
@@ -332,8 +325,8 @@ func admissionRuns(o Options, cfg ServerConfig, ds *datagen.Dataset) []ServerAdm
 // Render formats the result as a text report.
 func (r ServerResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Serving benchmark (scale=%d, %d requests/run, throttle %gx, %d workers, GOMAXPROCS=%d)\n",
-		r.Scale, r.Requests, r.Throttle, r.Workers, r.GOMAXPROCS)
+	fmt.Fprintf(&b, "Serving benchmark (scale=%d, %d requests/run, throttle %gx, GOMAXPROCS=%d)\n",
+		r.Scale, r.Requests, r.Throttle, r.GOMAXPROCS)
 	fmt.Fprintf(&b, "\nModelled reference (serial, in-process):\n")
 	fmt.Fprintf(&b, "  %-14s %9s %9s %11s %13s\n", "org", "requests", "answers", "model I/O s", "model ms/req")
 	for _, m := range r.Model {
@@ -356,7 +349,7 @@ func (r ServerResult) Render() string {
 	maxClients := r.Clients[len(r.Clients)-1]
 	fmt.Fprintf(&b, "\nHTTP answers identical to in-process (JSON, traced): %v\n", r.Agree)
 	fmt.Fprintf(&b, "2Q hit ratio at least LRU:                       %v\n", r.AdmissionAtLeastLRU)
-	fmt.Fprintf(&b, "micro-batching beats serialized at >= 8 clients: %v\n", r.WallBatchGain)
+	fmt.Fprintf(&b, "default server beats serialized at >= 8 clients: %v\n", r.WallBatchGain)
 	fmt.Fprintf(&b, "worst organization at %d clients: batched/serial %.2fx, batched/traced %.2fx\n",
 		maxClients, r.WallBatchGainX, r.WallTraceOverheadX)
 	return b.String()

@@ -12,7 +12,7 @@ type SlowEntry struct {
 	Status   int       `json:"status"`
 	Time     time.Time `json:"time"` // request start
 	WallMS   float64   `json:"wall_ms"`
-	QueueMS  float64   `json:"queue_ms,omitempty"` // dispatcher queue wait
+	QueueMS  float64   `json:"queue_ms,omitempty"` // query: organization lock wait; mutation: dispatcher queue wait
 	ExecMS   float64   `json:"exec_ms,omitempty"`  // store execution
 	Shard    string    `json:"shard,omitempty"`    // router: slowest shard touched
 }

@@ -6,64 +6,51 @@ import (
 
 	"spatialcluster/internal/buffer"
 	"spatialcluster/internal/disk"
-	"spatialcluster/internal/geom"
 	"spatialcluster/internal/obs"
 	"spatialcluster/internal/store"
 	"spatialcluster/internal/wal"
 )
 
-// The micro-batching dispatcher. Query and mutation handlers do not execute
-// requests themselves: they enqueue a job and wait. A single dispatcher
-// goroutine takes the first pending job, drains whatever else has already
-// arrived (up to Config.MaxBatch) and executes the whole batch — mutations
-// applied in batch order, then the queries through the store's one parallel
-// driver. It never waits for a batch to fill: batches form from the work that
-// arrives while the previous batch executes. An idle server runs a lone
-// request as a batch of one with no delay; under a burst of B concurrent
-// clients a batch runs with min(B, Config.Workers) parallelism. With
-// Config.MaxBatch 1 this is serial execution, one request at a time.
+// The mutation dispatcher. Queries do not come here: a window, point or k-NN
+// query executes on its request's goroutine (Server.query), so any number run
+// at once. Insert, update and delete handlers enqueue a job and wait. A single
+// dispatcher goroutine takes the first pending job, drains whatever else has
+// already arrived (up to Config.MaxBatch) and applies the batch in order. It
+// never waits for a batch to fill: batches form from the mutations that
+// arrive while the previous batch applies. An idle server applies a lone
+// mutation as a batch of one with no delay. On a WAL-attached store a batch's
+// run of untraced mutations goes through one wal.Store.Apply call, so all its
+// records share one fsync: N concurrent writers pay ~1 fsync per batch, not
+// per mutation.
 //
-// On a WAL-attached store the mutation half of a batch goes through one
-// wal.Store.Apply call, so all its records share one fsync: the group commit
-// rides the same micro-batching that amortizes query dispatch. N concurrent
-// clients pay ~1 fsync per batch, not per mutation.
+// Server.mu decides who runs against the organization, taken once per
+// execution. Untraced queries and the dispatcher's untraced batches share it;
+// a traced query, a batch that carries a traced mutation, every execution
+// when Config.MaxBatch is 1, and /load's swap hold it alone — so the engine
+// counter deltas around a traced execution are its own, and MaxBatch 1 is
+// serial execution, one request at a time. The wait for it is part of a
+// request's queue wait. A mutation is applied before it is acknowledged, and
+// Env.mu orders every apply against every query's read, so a query observes
+// every mutation acknowledged before it arrived.
 
-// jobKind discriminates the request types a batch can mix.
-type jobKind uint8
-
-const (
-	jobWindow jobKind = iota
-	jobPoint
-	jobKNN
-	jobMutate
-)
-
-// job is one enqueued request plus its result slot. The handler owns the
-// request/response fields; the dispatcher fills the result fields and closes
-// done.
+// job is one enqueued mutation plus its result slot. The handler owns the
+// request fields; the dispatcher fills the result fields and closes done.
 type job struct {
-	kind   jobKind
-	ctx    context.Context // the request's; nil never expires
-	window geom.Rect
-	tech   store.Technique
-	pt     geom.Point
-	k      int
-	rec    wal.Record // jobMutate: the insert, update or delete as the log holds it
+	ctx context.Context // the request's; nil never expires
+	rec wal.Record      // the insert, update or delete as the log holds it
 
-	qr      store.QueryResult
-	nr      store.NearestResult
 	existed bool // delete/update answer
 	// err is the request's context error when it was done before the batch
-	// was picked up, else a mutation's failure: the WAL refused the record,
+	// was picked up, else the mutation's failure: the WAL refused the record,
 	// or the store the object.
 	err  error
 	done chan struct{}
 
 	// Observability. tr is non-nil when the request asked for ?trace=1 — a
-	// traced job executes individually on the dispatcher goroutine so the
-	// engine counter deltas around it are attributable to it alone. enqueued
-	// is stamped by execute; the dispatcher fills queueNS/execNS for every
-	// job (the slow-query log wants them even untraced).
+	// traced job applies alone so the engine counter deltas around it are
+	// attributable to it. enqueued is stamped by Server.mutate; the
+	// dispatcher fills queueNS for every job (the slow-query log wants it
+	// even untraced) and execNS for a traced one.
 	tr       *obs.Trace
 	enqueued time.Time
 	queueNS  int64
@@ -72,13 +59,12 @@ type job struct {
 
 // dispatch is the dispatcher goroutine. It exits when quit closes; Shutdown
 // closes quit only after draining all in-flight requests, so no job can be
-// left waiting. The batch slice and its split into mutations and untraced
-// queries belong to this goroutine and are reused from batch to batch.
+// left waiting. The batch slice and its live subset belong to this goroutine
+// and are reused from batch to batch.
 func (s *Server) dispatch() {
 	defer s.dispatchWG.Done()
 	batch := make([]*job, 0, s.cfg.MaxBatch)
-	muts := make([]*job, 0, s.cfg.MaxBatch)
-	queries := make([]*job, 0, s.cfg.MaxBatch)
+	live := make([]*job, 0, s.cfg.MaxBatch)
 	for {
 		select {
 		case first := <-s.jobs:
@@ -96,56 +82,42 @@ func (s *Server) dispatch() {
 				break drain
 			}
 		}
-		s.runBatch(batch, muts, queries)
+		s.runBatch(batch, live)
 	}
 }
 
-// runBatch executes one micro-batch. muts and queries are empty scratch with
-// room for the whole batch. Every job's done channel is closed once the
-// batch has run and its result slot is filled.
-func (s *Server) runBatch(batch, muts, queries []*job) {
-	org := s.organization()
+// runBatch applies one batch under the organization lock. live is empty
+// scratch with room for the whole batch. Every job's done channel is closed
+// once the batch has run and its result slot is filled.
+func (s *Server) runBatch(batch, live []*job) {
 	s.metrics.batch(len(batch))
+	traced := false
+	for _, j := range batch {
+		traced = traced || j.tr != nil
+	}
+	org := s.lock(traced)
 
-	// Every job's queue wait ends now: the dispatcher picked its batch up. A
-	// job whose caller has gone away or run out of time meanwhile is answered
-	// with its context's error and reaches neither the store nor the log. A
-	// mutation dropped so was never acknowledged, which loses nothing when it
-	// is the caller's whole change; a caller for whom it is one step of
-	// several (the router re-creating an object it has just deleted from
-	// another shard) must send it on a context that outlives its own caller.
+	// Every job's queue wait ends now: the dispatcher picked its batch up and
+	// holds the lock. A job whose caller has gone away or run out of time
+	// meanwhile is answered with its context's error and reaches neither the
+	// store nor the log. A mutation dropped so was never acknowledged, which
+	// loses nothing when it is the caller's whole change; a caller for whom
+	// it is one step of several (the router re-creating an object it has
+	// just deleted from another shard) must send it on a context that
+	// outlives its own caller.
 	picked := time.Now()
 	for _, j := range batch {
 		wait := picked.Sub(j.enqueued)
 		j.queueNS = wait.Nanoseconds()
 		j.tr.Observe("queue_wait", j.enqueued, wait)
-		switch {
-		case j.ctx != nil && j.ctx.Err() != nil:
+		if j.ctx != nil && j.ctx.Err() != nil {
 			j.err = j.ctx.Err()
-		case j.kind == jobMutate:
-			muts = append(muts, j)
-		case j.tr == nil:
-			queries = append(queries, j)
+		} else {
+			live = append(live, j)
 		}
 	}
-
-	// Mutations first, in batch (≈ arrival) order, so the queries of the
-	// same batch observe them — one consistent serialization per batch.
-	s.applyMutations(org, muts)
-
-	// Traced queries leave the grouped path: each runs alone so the engine
-	// counter deltas around it belong to it.
-	for _, j := range batch {
-		if j.tr != nil && j.kind != jobMutate && j.err == nil {
-			s.runTracedQuery(org, j)
-		}
-	}
-
-	// All other queries — window, point and k-NN alike — run in one driver
-	// call, handed out in batch order.
-	store.RunQueriesParallel(org, len(queries), s.cfg.Workers, nil, func(i int) (answers, candidates int) {
-		return queries[i].runQuery(org)
-	})
+	s.applyMutations(org, live)
+	s.unlock(traced)
 
 	for _, j := range batch {
 		close(j.done)
@@ -153,32 +125,12 @@ func (s *Server) runBatch(batch, muts, queries []*job) {
 	// Finished jobs hold their answers: the reused slices must not keep them
 	// reachable.
 	clear(batch)
-	clear(muts)
-	clear(queries)
-}
-
-// runQuery executes one query job into its own result slot and times it:
-// execNS is this job's execution alone, whatever else its batch carried. The
-// caller (the store's driver) holds the environment's read lock.
-func (j *job) runQuery(org store.Organization) (answers, candidates int) {
-	start := time.Now()
-	switch j.kind {
-	case jobWindow:
-		j.qr = org.WindowQuery(j.window, j.tech)
-	case jobPoint:
-		j.qr = org.PointQuery(j.pt)
-	case jobKNN:
-		j.nr = org.NearestQuery(j.pt, j.k)
-	}
-	j.execNS = time.Since(start).Nanoseconds()
-	// Only one of the two result slots is filled.
-	return len(j.qr.IDs) + len(j.nr.IDs), j.qr.Candidates + j.nr.Candidates
+	clear(live)
 }
 
 // ioSnap is a snapshot of the engine's resource counters, taken around a
-// traced execution. Batches run one at a time on the dispatcher goroutine, so
-// the delta of two snapshots around an individually-run job is attributable
-// to that job alone.
+// traced execution. A traced execution holds the organization lock alone, so
+// the delta of two snapshots around it is attributable to it alone.
 type ioSnap struct {
 	cost   disk.Cost
 	meas   disk.Measured
@@ -220,18 +172,6 @@ func (before ioSnap) delta(org store.Organization) *obs.IO {
 		}
 	}
 	return io
-}
-
-// runTracedQuery executes one traced query alone through the driver and
-// per-job function of the grouped path (so answers are identical) with
-// counter snapshots around it.
-func (s *Server) runTracedQuery(org store.Organization, j *job) {
-	start := time.Now()
-	before := takeIOSnap(org)
-	store.RunQueriesParallel(org, 1, 1, nil, func(int) (answers, candidates int) {
-		return j.runQuery(org)
-	})
-	j.tr.ObserveIO("execute", start, time.Since(start), before.delta(org))
 }
 
 // applyMutations applies the mutation jobs of one batch in order: each run
@@ -290,9 +230,13 @@ func (s *Server) applyMutationGroup(org store.Organization, group []*job) {
 	}
 }
 
-// execute hands one job to the dispatcher and waits for its batch to finish.
-func (s *Server) execute(j *job) {
-	j.enqueued = time.Now()
+// mutate hands one mutation to the dispatcher, waits for its batch to finish
+// and hands its dispatcher attribution to the request record, for the
+// slow-query log.
+func (s *Server) mutate(rq *Request, rec wal.Record) (existed bool, err error) {
+	j := &job{ctx: rq.Ctx, rec: rec, tr: rq.Trace, done: make(chan struct{}), enqueued: time.Now()}
 	s.jobs <- j
 	<-j.done
+	rq.QueueNS, rq.ExecNS = j.queueNS, j.execNS
+	return j.existed, j.err
 }

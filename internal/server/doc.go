@@ -10,21 +10,22 @@
 // rejected with 429), per-endpoint counters and latency histograms, the
 // slow-query log, per-request tracing, the mapping of errors to statuses
 // (every non-2xx answer is an ErrorResponse) and the encoding of answers. A
-// Service is the six operations in engine types. Server is one — over the
-// micro-batching dispatcher described below — and internal/router is the
-// other, behind a Front of its own.
+// Service is the six operations in engine types. Server is one — described
+// below — and internal/router is the other, behind a Front of its own.
 //
 // The paper's evaluation measures query cost one request at a time; the
 // serving layer answers the follow-up question — what those costs mean under
-// sustained multi-client load. Its centerpiece is the micro-batching
-// dispatcher: the requests that arrive while one batch executes form the
-// next one — the dispatcher never waits for a batch to fill, so an idle
-// server adds no delay — and a batch's queries of every kind run in one call
-// of the store's parallel driver (store.RunQueriesParallel), so a burst of B
-// requests executes with min(B, workers) parallelism under the environment's
-// read lock instead of serializing. Mutations (insert/delete/update) ride the
-// same batches and share one write-ahead-log commit per batch. Config.MaxBatch
-// 1 is serial execution.
+// sustained multi-client load — and must add no serialization of its own.
+// Queries run concurrently: a window, point or k-NN query executes on its
+// request's goroutine through the store's parallel driver
+// (store.RunQueriesParallel) as a batch of one, under the environment's read
+// lock, so B concurrent queries run B at a time with no hop to another
+// goroutine. Mutations (insert/delete/update) group-commit: they go to one
+// dispatcher goroutine, whose batch is whatever arrived while the previous
+// batch applied — it never waits for a batch to fill, so an idle server adds
+// no delay — and a batch shares one write-ahead-log commit. A query observes
+// every mutation acknowledged before it arrived. Config.MaxBatch 1 is serial
+// execution of every request.
 //
 // The two untraced JSON query answers — {"ids":[...],"candidates":n} and its
 // k-NN form with "dists" — are the hot bodies (a window answers a thousand
@@ -59,6 +60,6 @@
 //	GET  /debug/slowlog, /healthz, /readyz
 //
 // The daemon wrapping this package is cmd/sdbd; the harness that drives it
-// with generated op streams, closed and open loop, and compares micro-batched
-// against serialized execution is exp.ServerBench (BENCH_server.json).
+// with generated op streams, closed and open loop, and compares the default
+// server against serialized execution is exp.ServerBench (BENCH_server.json).
 package server

@@ -27,10 +27,11 @@ import (
 // limits, decoding and validation in either codec, admission control, the
 // per-endpoint counters, the slow-query log, tracing, the mapping of errors
 // to statuses and the encoding of answers — so the tiers behind it (the
-// dispatcher of a Server, the scatter/merge of a router) hold no HTTP.
+// queries and dispatcher of a Server, the scatter/merge of a router) hold no
+// HTTP.
 
 // Service is the data plane: the six operations in engine types. *Server
-// implements it over its dispatcher, the router over its shards; the Front
+// implements it over its store, the router over its shards; the Front
 // serves either.
 type Service interface {
 	Window(rq *Request, win geom.Rect, tech store.Technique) (store.QueryResult, error)
@@ -45,15 +46,16 @@ type Service interface {
 // operation's arguments. Ctx and Trace travel in; what the slow-query log
 // wants to know about the execution travels back out.
 type Request struct {
-	// Ctx is the HTTP request's. A dispatcher answers a job whose Ctx is done
-	// when its batch is picked up with the context's error instead of running
-	// it; a router hands Ctx to every shard exchange, so a caller that went
-	// away or ran out of time aborts its scatter. Nil never expires.
+	// Ctx is the HTTP request's. A Server answers a request whose Ctx is done
+	// when it gets the organization lock (a query) or its batch is picked up
+	// (a mutation) with the context's error instead of running it; a router
+	// hands Ctx to every shard exchange, so a caller that went away or ran
+	// out of time aborts its scatter. Nil never expires.
 	Ctx   context.Context
 	Trace *obs.Trace // nil unless the request asked to be traced
 
 	// Filled by the Service.
-	QueueNS int64  // dispatcher queue wait
+	QueueNS int64  // query: organization lock wait; mutation: dispatcher queue wait
 	ExecNS  int64  // store execution
 	Shard   string // router: address of the slowest shard touched
 }

@@ -45,7 +45,8 @@ type Metrics struct {
 	MeasuredReads int64     `json:"measured_reads"`
 	Throttle      float64   `json:"throttle"`
 
-	// Micro-batch shape: how many dispatcher batches ran, how many queries
+	// Batch shape: how many batches ran — each query execution is a batch
+	// of one, each dispatcher batch of mutations one — how many requests
 	// they carried, and the largest batch observed.
 	Batches     int64   `json:"batches"`
 	BatchedJobs int64   `json:"batched_queries"`
@@ -137,14 +138,14 @@ func (f *Front) Snapshot(out *Metrics) {
 	})
 }
 
-// batchCounters are the micro-batch shape, written by the dispatcher.
+// batchCounters are the batch shape, written by queries and the dispatcher.
 type batchCounters struct {
 	batches     atomic.Int64
 	batchedJobs atomic.Int64
 	maxBatch    atomic.Int64
 }
 
-// batch tallies one dispatcher batch of n jobs.
+// batch tallies one batch of n requests: a query, or a dispatcher batch.
 func (m *batchCounters) batch(n int) {
 	m.batches.Add(1)
 	m.batchedJobs.Add(int64(n))

@@ -31,7 +31,7 @@ func TestTracedAnswersIdentical(t *testing.T) {
 	pts := ds.Points(8, 6)
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
 		t.Run(kind, func(t *testing.T) {
-			_, c := startServer(t, buildOrg(t, kind, ds), server.Config{Workers: 4})
+			_, c := startServer(t, buildOrg(t, kind, ds), server.Config{})
 			for wi, w := range ws {
 				plain, err := c.Window(w, "")
 				if err != nil {
@@ -418,7 +418,7 @@ func TestPprofGate(t *testing.T) {
 func TestScrapeUnderLoad(t *testing.T) {
 	ds := obsDataset()
 	org := buildOrg(t, "cluster", ds)
-	_, c := startServer(t, org, server.Config{Workers: 4, SlowLogMS: 1e-9})
+	_, c := startServer(t, org, server.Config{SlowLogMS: 1e-9})
 
 	ws := ds.Windows(0.001, 64, 17)
 	pts := ds.Points(64, 19)

@@ -76,11 +76,11 @@ func (s *Server) writeProm(w http.ResponseWriter, m *Metrics) {
 	obs.PromHead(w, "sdb_info", "Served storage organization.", "gauge")
 	obs.PromSample(w, "sdb_info", [][2]string{{"org", m.Org}}, 1)
 
-	obs.PromHead(w, "sdb_batches_total", "Dispatcher micro-batches executed.", "counter")
+	obs.PromHead(w, "sdb_batches_total", "Batches executed: one per query, one per dispatcher batch of mutations.", "counter")
 	obs.PromSample(w, "sdb_batches_total", nil, float64(m.Batches))
-	obs.PromHead(w, "sdb_batched_jobs_total", "Jobs carried by micro-batches.", "counter")
+	obs.PromHead(w, "sdb_batched_jobs_total", "Requests carried by batches.", "counter")
 	obs.PromSample(w, "sdb_batched_jobs_total", nil, float64(m.BatchedJobs))
-	obs.PromHead(w, "sdb_batch_max", "Largest micro-batch observed.", "gauge")
+	obs.PromHead(w, "sdb_batch_max", "Largest batch observed.", "gauge")
 	obs.PromSample(w, "sdb_batch_max", nil, float64(m.MaxBatch))
 
 	obs.PromHead(w, "sdb_buffer_hits_total", "Buffer pool hits.", "counter")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"time"
 
 	"spatialcluster"
 	"spatialcluster/internal/geom"
@@ -16,16 +17,13 @@ import (
 	"spatialcluster/internal/wal"
 )
 
-// Config tunes a Server. The zero value selects micro-batched execution with
-// sensible defaults.
+// Config tunes a Server. The zero value selects concurrent queries and
+// group-committed mutations with sensible defaults.
 type Config struct {
-	// Workers is the worker-pool size a micro-batch executes with (default
-	// 8). It bounds in-store parallelism per batch, not HTTP concurrency.
-	Workers int
-	// MaxBatch caps how many requests one dispatcher batch may carry
+	// MaxBatch caps how many mutations one dispatcher batch may carry
 	// (default 64). A batch is whatever has arrived while the previous one
-	// executed, so 1 means serial execution: one request at a time, no
-	// in-store parallelism and no group commit.
+	// applied. 1 means serial execution: one request at a time, queries
+	// included, and no group commit.
 	MaxBatch int
 	// MaxInFlight bounds admitted requests; excess requests are answered
 	// with 429 immediately (default 256).
@@ -56,9 +54,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -67,14 +62,15 @@ func (c Config) withDefaults() Config {
 
 // Server serves one storage organization over HTTP. Create it with New,
 // mount Handler on an http.Server, and call Shutdown when done. It is the
-// Service of its own Front — six operations that enqueue a job with the
-// dispatcher and wait — plus the control plane of a single store.
+// Service of its own Front — three queries that run on the caller's
+// goroutine and three mutations that enqueue a job with the dispatcher and
+// wait — plus the control plane of a single store.
 type Server struct {
 	cfg   Config
 	front *Front
 
-	orgMu sync.RWMutex // guards org (swapped by /load while quiesced)
-	org   store.Organization
+	mu  sync.RWMutex // who runs against org (dispatch.go); /load swaps org under it
+	org store.Organization
 
 	jobs       chan *job
 	quit       chan struct{}
@@ -103,11 +99,34 @@ func New(org store.Organization, cfg Config) *Server {
 	return s
 }
 
-// organization returns the currently served organization.
+// organization returns the currently served organization. An execution
+// holding the lock reads s.org instead.
 func (s *Server) organization() store.Organization {
-	s.orgMu.RLock()
-	defer s.orgMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.org
+}
+
+// lock takes the organization lock for one execution — alone for a traced
+// one and in serial mode, shared otherwise — and returns the served
+// organization. It is taken once per execution: Go's RWMutex deadlocks a
+// reader that locks again while a writer waits.
+func (s *Server) lock(traced bool) store.Organization {
+	if traced || s.cfg.MaxBatch == 1 {
+		s.mu.Lock()
+	} else {
+		s.mu.RLock()
+	}
+	return s.org
+}
+
+// unlock releases what lock(traced) took.
+func (s *Server) unlock(traced bool) {
+	if traced || s.cfg.MaxBatch == 1 {
+		s.mu.Unlock()
+	} else {
+		s.mu.RUnlock()
+	}
 }
 
 // Organization exposes the currently served organization — after a /load
@@ -118,44 +137,73 @@ func (s *Server) Organization() store.Organization { return s.organization() }
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
-// run executes one job and hands its dispatcher attribution to the request
-// record, for the slow-query log.
-func (s *Server) run(rq *Request, j *job) error {
-	j.ctx, j.tr, j.done = rq.Ctx, rq.Trace, make(chan struct{})
-	s.execute(j)
-	rq.QueueNS, rq.ExecNS = j.queueNS, j.execNS
-	return j.err
+// query executes run — one window, point or k-NN query against s.org — on
+// the calling goroutine through the store's one driver, as a batch of one.
+// The wait for the organization lock is its queue wait; a request whose
+// context ended meanwhile is answered with the context's error and never
+// reaches the store. A traced query holds the lock alone, so the counter
+// deltas around it are its own.
+func (s *Server) query(rq *Request, run func(int) (answers, candidates int)) error {
+	traced := rq.Trace != nil
+	start := time.Now()
+	org := s.lock(traced)
+	defer s.unlock(traced)
+	s.metrics.batch(1)
+	wait := time.Since(start)
+	rq.QueueNS = wait.Nanoseconds()
+	rq.Trace.Observe("queue_wait", start, wait)
+	if rq.Ctx != nil && rq.Ctx.Err() != nil {
+		return rq.Ctx.Err()
+	}
+	var before ioSnap
+	if traced {
+		before = takeIOSnap(org)
+	}
+	start = time.Now()
+	store.RunQueriesParallel(org, 1, 1, nil, run)
+	exec := time.Since(start)
+	rq.ExecNS = exec.Nanoseconds()
+	if traced {
+		rq.Trace.ObserveIO("execute", start, exec, before.delta(org))
+	}
+	return nil
 }
 
 // Window implements Service.
-func (s *Server) Window(rq *Request, win geom.Rect, tech store.Technique) (store.QueryResult, error) {
+func (s *Server) Window(rq *Request, win geom.Rect, tech store.Technique) (res store.QueryResult, err error) {
 	if tech == store.TechDefault {
 		tech = s.cfg.DefaultTech
 	}
-	j := &job{kind: jobWindow, window: win, tech: tech}
-	err := s.run(rq, j)
-	return j.qr, err
+	err = s.query(rq, func(int) (int, int) {
+		res = s.org.WindowQuery(win, tech)
+		return len(res.IDs), res.Candidates
+	})
+	return res, err
 }
 
 // Point implements Service.
-func (s *Server) Point(rq *Request, pt geom.Point) (store.QueryResult, error) {
-	j := &job{kind: jobPoint, pt: pt}
-	err := s.run(rq, j)
-	return j.qr, err
+func (s *Server) Point(rq *Request, pt geom.Point) (res store.QueryResult, err error) {
+	err = s.query(rq, func(int) (int, int) {
+		res = s.org.PointQuery(pt)
+		return len(res.IDs), res.Candidates
+	})
+	return res, err
 }
 
 // KNN implements Service.
-func (s *Server) KNN(rq *Request, pt geom.Point, k int) (store.NearestResult, error) {
-	j := &job{kind: jobKNN, pt: pt, k: k}
-	err := s.run(rq, j)
-	return j.nr, err
+func (s *Server) KNN(rq *Request, pt geom.Point, k int) (res store.NearestResult, err error) {
+	err = s.query(rq, func(int) (int, int) {
+		res = s.org.NearestQuery(pt, k)
+		return len(res.IDs), res.Candidates
+	})
+	return res, err
 }
 
 // Insert implements Service. An error is the store refusing the object — a
 // live ID answers 409, an object no cluster unit can hold 413 — or the
 // write-ahead log refusing the record; either way nothing was applied.
 func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
-	err := s.run(rq, &job{kind: jobMutate, rec: wal.Record{Kind: wal.KindInsert, Obj: o, Key: key}})
+	_, err := s.mutate(rq, wal.Record{Kind: wal.KindInsert, Obj: o, Key: key})
 	switch {
 	case errors.Is(err, store.ErrDuplicateID):
 		return statusErr(http.StatusConflict, "%v", err)
@@ -167,16 +215,12 @@ func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
 
 // Update implements Service.
 func (s *Server) Update(rq *Request, o *object.Object, key geom.Rect) (bool, error) {
-	j := &job{kind: jobMutate, rec: wal.Record{Kind: wal.KindUpdate, Obj: o, Key: key}}
-	err := s.run(rq, j)
-	return j.existed, err
+	return s.mutate(rq, wal.Record{Kind: wal.KindUpdate, Obj: o, Key: key})
 }
 
 // Delete implements Service.
 func (s *Server) Delete(rq *Request, id object.ID) (bool, error) {
-	j := &job{kind: jobMutate, rec: wal.Record{Kind: wal.KindDelete, ID: id}}
-	err := s.run(rq, j)
-	return j.existed, err
+	return s.mutate(rq, wal.Record{Kind: wal.KindDelete, ID: id})
 }
 
 func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
@@ -252,20 +296,21 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// rebased under it (checkpoint of the new state + retirement of the log
 	// history, which no longer describes the served data) and the previous
 	// underlying organization is what gets closed. The store is quiesced (we
-	// hold every admission permit), so the swap cannot race a request.
-	var old store.Organization
-	if ws, ok := s.organization().(*wal.Store); ok {
+	// hold every admission permit) and the swap holds the organization lock
+	// alone, so it cannot race a request.
+	s.mu.Lock()
+	old := s.org
+	if ws, ok := old.(*wal.Store); ok {
 		old = ws.Underlying()
-		if err := ws.Rebase(fresh); err != nil {
-			fresh.Env().Close()
-			Reply(w, nil, err)
-			return
-		}
+		err = ws.Rebase(fresh)
 	} else {
-		s.orgMu.Lock()
-		old = s.org
 		s.org = fresh
-		s.orgMu.Unlock()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		fresh.Env().Close()
+		Reply(w, nil, err)
+		return
 	}
 	// The serving environment carries over: the snapshot decides the data,
 	// the daemon's flags decide how it is served (wall-clock throttle; the

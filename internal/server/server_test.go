@@ -218,17 +218,17 @@ func TestServedAnswersMatchInProcess(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsAgree hammers a batched server with concurrent
-// clients issuing a fixed query set and verifies every single response
-// matches the serial in-process answer — micro-batching must never mix up
-// result slots.
+// TestConcurrentClientsAgree hammers a server with concurrent clients
+// issuing a fixed query set and verifies every single response matches the
+// serial in-process answer — concurrent queries must never mix up result
+// slots — and that each query counted as one execution, a batch of one.
 func TestConcurrentClientsAgree(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 9,
 	})
 	org := buildOrg(t, "cluster", ds)
 	ref := buildOrg(t, "cluster", ds)
-	_, c := startServer(t, org, server.Config{Workers: 4, MaxBatch: 16})
+	_, c := startServer(t, org, server.Config{MaxBatch: 16})
 
 	ws := ds.Windows(0.001, 24, 3)
 	want := make([][]uint64, len(ws))
@@ -236,14 +236,14 @@ func TestConcurrentClientsAgree(t *testing.T) {
 		want[i] = sortedIDs(ref.WindowQuery(w, store.TechComplete).IDs)
 	}
 
-	const clients = 12
+	const clients, rounds = 12, 6
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for cl := 0; cl < clients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			for round := 0; round < 6; round++ {
+			for round := 0; round < rounds; round++ {
 				i := (cl + round*7) % len(ws)
 				got, err := c.Window(ws[i], "")
 				if err != nil {
@@ -267,8 +267,9 @@ func TestConcurrentClientsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Batches == 0 || m.BatchedJobs == 0 {
-		t.Fatalf("no batches recorded: %+v", m)
+	if m.Batches != clients*rounds || m.BatchedJobs != clients*rounds || m.MaxBatch != 1 {
+		t.Fatalf("%d queries ran as %d batches carrying %d (largest %d); want one batch of one each",
+			clients*rounds, m.Batches, m.BatchedJobs, m.MaxBatch)
 	}
 }
 

@@ -68,8 +68,7 @@
 // (Technique), k-nearest-neighbor distance browsing (NearestQuery), the
 // parallel read path (RunQueriesParallel, the one driver that spawns read
 // workers and takes Env's read lock; RunWindowQueriesParallel and
-// RunNearestQueriesParallel call it, the server's dispatcher hands it mixed
-// batches),
+// RunNearestQueriesParallel call it, the server runs each query through it),
 // the cluster organization's repair primitives used by internal/recluster
 // (RepackUnit, Rebuild, Frag), Hilbert bulk loading, and whole-store
 // persistence: Snapshot captures a built organization as a plain-data Image

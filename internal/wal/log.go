@@ -17,7 +17,7 @@
 //	                ascending LSNs
 //
 // Group commit batches fsyncs two ways: Store.Apply logs a whole batch of
-// mutations behind one fsync (the server's micro-batch dispatcher rides
+// mutations behind one fsync (the server's mutation dispatcher rides
 // this), and Options.SyncEvery > 1 additionally lets that many records
 // accumulate before any fsync — relaxed durability for bulk churn.
 // Checkpoints write a fresh snapshot and retire fully-covered segments
