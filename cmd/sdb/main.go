@@ -109,6 +109,9 @@ func main() {
 
 	// Validate selector flags before any (potentially slow) generation; the
 	// storage flags are checked by the library when it builds the store.
+	if args := flag.Args(); len(args) > 0 {
+		failUsage("unexpected argument %q", args[0])
+	}
 	tech, err := store.TechByName(*techStr)
 	if err != nil {
 		failUsage("%v", err)

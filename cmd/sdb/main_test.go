@@ -65,6 +65,7 @@ func TestFlagMisuse(t *testing.T) {
 		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}},
 		{"load with mutate", []string{"-load", "s.sdb", "-mutate", "100"}},
 		{"save equals load", []string{"-save", "s.sdb", "-load", "s.sdb"}},
+		{"stray argument", []string{"-scale", "512", "window", "0.1,0.1,0.2,0.2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

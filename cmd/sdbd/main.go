@@ -114,7 +114,6 @@ func main() {
 		saveExit = flag.String("save-on-exit", "", "write a snapshot here during graceful shutdown")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
 		walDir   = flag.String("wal", "", "write-ahead log directory: mutations are logged and fsynced before they apply; a directory already holding a log is recovered on startup")
-		walSync  = flag.Int("wal-sync-every", 1, "WAL group commit: fsync once per this many records (needs -wal; 1 = every commit durable before it is acknowledged)")
 		nShards  = flag.Int("shards", 0, "serve one shard of a Hilbert-range partitioned cluster: partition the dataset into this many shards (needs -shard-of; put sdbrouter in front)")
 		shardOf  = flag.Int("shard-of", -1, "which shard of the -shards partition this daemon owns (0-based)")
 		slowMS   = flag.Float64("slowlog-ms", 250, "slow-query log threshold in milliseconds: requests at least this slow land in GET /debug/slowlog (negative disables)")
@@ -156,12 +155,6 @@ func main() {
 	if *throttle < 0 {
 		failUsage("bad -throttle %g (want >= 0)", *throttle)
 	}
-	if *walSync < 1 {
-		failUsage("bad -wal-sync-every %d (want >= 1)", *walSync)
-	}
-	if *walSync != 1 && *walDir == "" {
-		failUsage("-wal-sync-every needs -wal")
-	}
 	walRecover := *walDir != "" && wal.Exists(*walDir)
 	if walRecover && (*loadPath != "" || *in != "") {
 		failUsage("-wal %s already holds a log, which is the data source; drop -load/-in or point -wal at an empty directory", *walDir)
@@ -193,7 +186,6 @@ func main() {
 		FsyncOnFlush: *fsync,
 		Compress:     *compress,
 		WALPath:      *walDir,
-		WALSyncEvery: *walSync,
 	}
 	var org store.Organization
 	if walRecover {
@@ -259,7 +251,7 @@ func main() {
 			org.Name(), ds.Spec.Name(), len(ds.Objects), built)
 	}
 	if *walDir != "" && !walRecover {
-		fmt.Printf("sdbd: write-ahead log at %s (fsync every %d records)\n", *walDir, *walSync)
+		fmt.Printf("sdbd: write-ahead log at %s (every mutation fsynced before it is acknowledged)\n", *walDir)
 	}
 	if *throttle > 0 {
 		org.Env().Disk.SetThrottle(*throttle)

@@ -80,8 +80,6 @@ func TestFlagMisuse(t *testing.T) {
 		{"bad max-inflight", []string{"-max-inflight", "0"}},
 		{"negative throttle", []string{"-throttle", "-1"}},
 		{"wal with file backend", []string{"-wal", "w", "-backend", "file", "-dbfile", "x.db"}},
-		{"bad wal-sync-every", []string{"-wal", "w", "-wal-sync-every", "0"}},
-		{"wal-sync-every without wal", []string{"-wal-sync-every", "4"}},
 		{"shard-of without shards", []string{"-shard-of", "0"}},
 		{"bad shards", []string{"-shards", "0", "-shard-of", "0"}},
 		{"shard-of out of range", []string{"-shards", "4", "-shard-of", "4"}},
@@ -102,9 +100,10 @@ func TestFlagMisuse(t *testing.T) {
 	}
 }
 
-// TestRetiredFlags: the batch timer, the serial twin and the batch worker
-// pool are gone, and so are their flags (-max-batch 1 is serial execution;
-// queries run on their request's goroutine) — unknown flags exit 2.
+// TestRetiredFlags: the batch timer, the serial twin, the batch worker pool
+// and the WAL's fsync cadence are gone, and so are their flags (-max-batch 1
+// is serial execution; queries run on their request's goroutine; every
+// acknowledged mutation is fsynced) — unknown flags exit 2.
 func TestRetiredFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -113,6 +112,7 @@ func TestRetiredFlags(t *testing.T) {
 		{"serial", []string{"-serial"}},
 		{"batch-wait", []string{"-batch-wait", "1ms"}},
 		{"workers", []string{"-workers", "8"}},
+		{"wal-sync-every", []string{"-wal", "w", "-wal-sync-every", "4"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,7 +22,7 @@ func (c StoreConfig) attachWAL(org Organization) (Organization, error) {
 	if c.WALPath == "" {
 		return org, nil
 	}
-	ws, err := wal.Create(org, c.WALPath, wal.Options{SyncEvery: c.WALSyncEvery})
+	ws, err := wal.Create(org, c.WALPath, wal.Options{})
 	if err != nil {
 		org.Env().Close()
 		return nil, fmt.Errorf("spatialcluster: attaching WAL: %w", err)
@@ -44,7 +44,7 @@ func RecoverStore(cfg StoreConfig) (Organization, RecoverInfo, error) {
 	if _, err := cfg.check(); err != nil {
 		return nil, RecoverInfo{}, err
 	}
-	ws, st, err := wal.Recover(cfg.WALPath, cfg.env, wal.Options{SyncEvery: cfg.WALSyncEvery})
+	ws, st, err := wal.Recover(cfg.WALPath, cfg.env, wal.Options{})
 	if err != nil {
 		return nil, RecoverInfo{}, fmt.Errorf("spatialcluster: recovering %s: %w", cfg.WALPath, err)
 	}

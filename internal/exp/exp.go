@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"spatialcluster"
@@ -28,11 +27,6 @@ type Options struct {
 	// with the data, so the buffer-to-tree ratio must be preserved or
 	// construction becomes artificially free at small scales.
 	BuildBufPages int
-	// Parallelism is the worker count used by the parallel benchmarks
-	// (join refinement workers, concurrent window queries). The default is
-	// GOMAXPROCS. The paper's figure experiments stay single-threaded
-	// regardless: their per-query cost accounting needs serial requests.
-	Parallelism int
 	// Progress, if non-nil, receives one line per completed step.
 	Progress func(format string, args ...any)
 }
@@ -50,9 +44,6 @@ func (o Options) WithDefaults() Options {
 		if o.BuildBufPages < 50 {
 			o.BuildBufPages = 50
 		}
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if o.Progress == nil {
 		o.Progress = func(string, ...any) {}

@@ -104,7 +104,7 @@ func runParallel(o Options, smoke bool, sweep []int) Result {
 func ParallelBench(o Options, workerCounts []int) ParallelResult {
 	o = o.WithDefaults()
 	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, o.Parallelism}
+		workerCounts = []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	}
 	seen := make(map[int]bool, len(workerCounts))
 	counts := workerCounts[:0:0]

@@ -57,8 +57,8 @@ func (t *Tree) PackLeaves(groups [][]Entry) []disk.PageID {
 	if fanout < 2 {
 		fanout = 2
 	}
-	if fanout > t.maxEntries {
-		fanout = t.maxEntries
+	if fanout > maxEntries {
+		fanout = maxEntries
 	}
 	curLevel := 0
 	for len(level) > 1 {

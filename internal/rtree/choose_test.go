@@ -70,7 +70,7 @@ func refOverlapEnlargement(entries []Entry, i int, r geom.Rect) float64 {
 func refChooseSplit(t *Tree, n *Node) (axis, order int, sorted []Entry, k int) {
 	entries := n.Entries
 	count := len(entries)
-	m := int(t.cfg.MinFillRatio * float64(count))
+	m := int(minFillRatio * float64(count))
 	if m < 1 {
 		m = 1
 	}
@@ -184,7 +184,7 @@ func refSplitFits(t *Tree, level int, s []Entry, k int) bool {
 		}
 		return b
 	}
-	return bytesOf(s[:k]) <= t.cfg.PageBytes && bytesOf(s[k:]) <= t.cfg.PageBytes
+	return bytesOf(s[:k]) <= disk.PageSize && bytesOf(s[k:]) <= disk.PageSize
 }
 
 func refByteBalancedCut(t *Tree, level int, s []Entry) int {

@@ -48,15 +48,15 @@ func refDecode(t *Tree, buf []byte) (level int, entries []Entry, ok bool) {
 		switch {
 		case level > 0:
 			e.Child = disk.PageID(binary.LittleEndian.Uint64(buf[off:]))
-			off += t.cfg.EntrySize - rectSize
+			off += DefaultEntrySize - rectSize
 		case t.cfg.VariableLeaf:
 			l := int(binary.LittleEndian.Uint16(buf[off:]))
 			off += varLenSize
 			e.Payload = append([]byte{}, buf[off:off+l]...)
 			off += l
 		default:
-			e.Payload = append([]byte{}, buf[off:off+t.payloadSize()]...)
-			off += t.cfg.EntrySize - rectSize
+			e.Payload = append([]byte{}, buf[off:off+payloadSize]...)
+			off += payloadSize
 		}
 		if off > len(buf) {
 			panic("the entry's reserved bytes are part of it")

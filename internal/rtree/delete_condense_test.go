@@ -76,20 +76,21 @@ func TestDeleteLeafCondenseDisabled(t *testing.T) {
 // entry condenses a directory node while the root shrink collapses the tree
 // to a single leaf, leaving a level-1 orphan above the new height:
 //
-//	root(2){A,B}; A(1){L1,L2} with L1 underfull after the delete; B(1){L4}
+//	root(2){A,B}; A(1){L1,L2}; B(1){L4}
 //
-// Deleting from L1 condenses L1, then A; the root shrinks through B down to
-// leaf L4 (height 1), and L2's pointer must be grafted back as an orphan at
-// level 1 >= height.
+// Every leaf holds exactly m entries, so deleting one from L1 condenses L1,
+// then A; the root shrinks through B down to leaf L4 (height 1), and L2's
+// pointer must be grafted back as an orphan at level 1 >= height.
 func buildShrinkScenario(t *testing.T) (*Tree, geom.Rect, []uint64) {
 	t.Helper()
-	tr := newTestTree(t, Config{PageBytes: 256}) // M=5, m=2
-	mkLeaf := func(ids []uint64, base geom.Rect) *Node {
+	tr := newTestTree(t, Config{})
+	next := uint64(1)
+	mkLeaf := func(base float64) *Node {
 		n := &Node{ID: tr.allocPage(0), Level: 0}
-		for k, id := range ids {
-			r := geom.R(base.MinX+float64(k)*0.01, base.MinY+float64(k)*0.01,
-				base.MinX+float64(k)*0.01+0.005, base.MinY+float64(k)*0.01+0.005)
-			n.Entries = append(n.Entries, Entry{Rect: r, Payload: payloadFor(id)})
+		for k := 0; k < minEntries; k++ {
+			lo := base + float64(k)*0.002
+			n.Entries = append(n.Entries, Entry{Rect: geom.R(lo, lo, lo+0.001, lo+0.001), Payload: payloadFor(next)})
+			next++
 		}
 		tr.writeNode(n)
 		return n
@@ -103,19 +104,21 @@ func buildShrinkScenario(t *testing.T) (*Tree, geom.Rect, []uint64) {
 		return n
 	}
 
-	l1 := mkLeaf([]uint64{1, 2}, geom.R(0.0, 0.0, 0, 0))
-	l2 := mkLeaf([]uint64{3, 4}, geom.R(0.1, 0.1, 0, 0))
-	l4 := mkLeaf([]uint64{5, 6, 7}, geom.R(0.8, 0.8, 0, 0))
+	l1, l2, l4 := mkLeaf(0), mkLeaf(0.1), mkLeaf(0.8)
 	a := mkDir(1, l1, l2)
 	b := mkDir(1, l4)
 	root := mkDir(2, a, b)
 	tr.root = root.ID
 	tr.height = 3
-	tr.size = 7
+	tr.size = int(next - 1)
 	if _, err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("scenario construction: %v", err)
 	}
-	return tr, l1.Entries[0].Rect, []uint64{2, 3, 4, 5, 6, 7}
+	var survivors []uint64
+	for id := payloadID(l1.Entries[1].Payload); id < next; id++ {
+		survivors = append(survivors, id)
+	}
+	return tr, l1.Entries[0].Rect, survivors
 }
 
 // TestDeleteGraftsOrphanAboveShrunkRoot is the regression test for orphan

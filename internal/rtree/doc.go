@@ -5,6 +5,12 @@
 // every tree operation is charged realistic I/O cost on whatever storage
 // backend the disk runs.
 //
+// The tree's parameters are [BKSS90]'s, the ones the paper evaluates, and
+// they are constants: 46-byte entries (DefaultEntrySize) on 4 KB pages give a
+// node capacity of M = 89 entries; deletion condenses a node below m = 40 %
+// of M = 35 entries; a forced reinsert removes 30 % of an overfull node's
+// entries. Every modelled figure and golden test is pinned to them.
+//
 // Three departures from the textbook R*-tree are configurable, all required
 // by the cluster organization (paper section 4.2.1):
 //

@@ -20,11 +20,11 @@ func (t *Tree) Insert(r geom.Rect, payload []byte) disk.PageID {
 	if !r.Valid() {
 		panic(fmt.Sprintf("rtree: Insert of invalid rect %v", r))
 	}
-	if !t.cfg.VariableLeaf && len(payload) > t.payloadSize() {
+	if !t.cfg.VariableLeaf && len(payload) > payloadSize {
 		panic(fmt.Sprintf("rtree: payload of %d bytes exceeds fixed slot of %d",
-			len(payload), t.payloadSize()))
+			len(payload), payloadSize))
 	}
-	if t.cfg.VariableLeaf && rectSize+varLenSize+len(payload) > t.cfg.PageBytes-nodeHeaderSize {
+	if t.cfg.VariableLeaf && rectSize+varLenSize+len(payload) > disk.PageSize-nodeHeaderSize {
 		panic(fmt.Sprintf("rtree: payload of %d bytes exceeds one page", len(payload)))
 	}
 
@@ -82,7 +82,7 @@ func (t *Tree) insertOne(e Entry, level int, fresh bool, reinserted map[int]bool
 		if !overfull && !forceHere {
 			continue
 		}
-		allowReinsert := overfull && !forceHere && !t.cfg.DisableReinsert &&
+		allowReinsert := overfull && !forceHere &&
 			!(n.Level == 0 && t.cfg.DisableLeafReinsert) &&
 			i > 0 && // never reinsert from the root
 			!reinserted[n.Level]
@@ -114,11 +114,11 @@ func (t *Tree) adjustPathRects(path []pathElem) {
 	}
 }
 
-// evictForReinsert removes the ReinsertFraction of entries whose rectangle
+// evictForReinsert removes the reinsertFraction of entries whose rectangle
 // centers lie farthest from the center of the node's MBR ([BKSS90] forced
 // reinsert) and returns them, farthest first.
 func (t *Tree) evictForReinsert(n *Node) []Entry {
-	p := int(t.cfg.ReinsertFraction * float64(len(n.Entries)))
+	p := int(reinsertFraction * float64(len(n.Entries)))
 	if p < 1 {
 		p = 1
 	}
@@ -229,7 +229,7 @@ func pick(entries []Entry, at []int) []Entry {
 // and order[k:].
 func (t *Tree) chooseSplit(n *Node, sc *splitScratch) (order []int, k int) {
 	count := len(n.Entries)
-	m := int(t.cfg.MinFillRatio * float64(count))
+	m := int(minFillRatio * float64(count))
 	if m < 1 {
 		m = 1
 	}
@@ -344,8 +344,8 @@ func (t *Tree) splitFits(level int, entries []Entry, order []int, k int) bool {
 	if level > 0 || !t.cfg.VariableLeaf {
 		return true // fixed entries: any k between m and count-m fits
 	}
-	return nodeHeaderSize+t.orderBytes(level, entries, order[:k]) <= t.cfg.PageBytes &&
-		nodeHeaderSize+t.orderBytes(level, entries, order[k:]) <= t.cfg.PageBytes
+	return nodeHeaderSize+t.orderBytes(level, entries, order[:k]) <= disk.PageSize &&
+		nodeHeaderSize+t.orderBytes(level, entries, order[k:]) <= disk.PageSize
 }
 
 // byteBalancedCut returns the k that best balances the serialized bytes of

@@ -72,7 +72,7 @@ func (t *Tree) marshalNode(n *Node) []byte {
 	if len(n.Entries) > 255 {
 		panic(fmt.Sprintf("rtree: node %d with %d entries exceeds count byte", n.ID, len(n.Entries)))
 	}
-	buf := make([]byte, t.cfg.PageBytes)
+	buf := make([]byte, disk.PageSize)
 	buf[0] = byte(n.Level)
 	buf[1] = byte(len(n.Entries))
 	off := nodeHeaderSize
@@ -82,7 +82,7 @@ func (t *Tree) marshalNode(n *Node) []byte {
 		off += rectSize
 		if n.Level > 0 {
 			binary.LittleEndian.PutUint64(buf[off:], uint64(e.Child))
-			off += t.cfg.EntrySize - rectSize // child + reserved bytes
+			off += DefaultEntrySize - rectSize // child + reserved bytes
 			continue
 		}
 		if t.cfg.VariableLeaf {
@@ -91,11 +91,11 @@ func (t *Tree) marshalNode(n *Node) []byte {
 			copy(buf[off:], e.Payload)
 			off += len(e.Payload)
 		} else {
-			copy(buf[off:off+t.payloadSize()], e.Payload)
-			off += t.cfg.EntrySize - rectSize
+			copy(buf[off:off+payloadSize], e.Payload)
+			off += payloadSize
 		}
 	}
-	if off > t.cfg.PageBytes {
+	if off > disk.PageSize {
 		panic(fmt.Sprintf("rtree: node %d serialization of %d bytes overflows the page", n.ID, off))
 	}
 	return buf
@@ -126,7 +126,7 @@ func (t *Tree) cursor(id disk.PageID, buf []byte) cursor {
 	}
 	c := cursor{page: id, buf: buf, level: int(buf[0]), count: int(buf[1]), off: nodeHeaderSize}
 	if c.level > 0 || !t.cfg.VariableLeaf {
-		c.fixed = t.cfg.EntrySize
+		c.fixed = DefaultEntrySize
 	}
 	return c
 }
@@ -189,7 +189,7 @@ func (t *Tree) unmarshalNode(id disk.PageID, buf []byte) *Node {
 // entryBytes returns the on-page size of entry e at the given level.
 func (t *Tree) entryBytes(level int, e *Entry) int {
 	if level > 0 || !t.cfg.VariableLeaf {
-		return t.cfg.EntrySize
+		return DefaultEntrySize
 	}
 	return rectSize + varLenSize + len(e.Payload)
 }
@@ -208,9 +208,9 @@ func (t *Tree) nodeBytes(n *Node) int {
 // bounded by the count byte).
 func (t *Tree) overfull(n *Node) bool {
 	if n.Level == 0 && t.cfg.VariableLeaf {
-		return t.nodeBytes(n) > t.cfg.PageBytes || len(n.Entries) > 255
+		return t.nodeBytes(n) > disk.PageSize || len(n.Entries) > 255
 	}
-	return len(n.Entries) > t.maxEntries
+	return len(n.Entries) > maxEntries
 }
 
 // underfull reports whether the node has fallen below the minimum fill used
@@ -219,5 +219,5 @@ func (t *Tree) underfull(n *Node) bool {
 	if n.Level == 0 && t.cfg.VariableLeaf {
 		return len(n.Entries) < 2
 	}
-	return len(n.Entries) < t.minEntries
+	return len(n.Entries) < minEntries
 }

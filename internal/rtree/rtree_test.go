@@ -529,7 +529,6 @@ func TestQuickQueryCorrectnessAllModes(t *testing.T) {
 	modes := map[string]Config{
 		"standard":      {},
 		"no-leaf-reins": {DisableLeafReinsert: true},
-		"no-reins":      {DisableReinsert: true},
 		"variable-leaf": {VariableLeaf: true},
 	}
 	for name, cfg := range modes {

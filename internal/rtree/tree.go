@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"fmt"
 	"math"
 
 	"spatialcluster/internal/buffer"
@@ -10,23 +9,29 @@ import (
 	"spatialcluster/internal/pagefile"
 )
 
-// DefaultEntrySize is the paper's entry size: MBR plus pointer information,
-// 46 bytes (section 5.1).
-const DefaultEntrySize = 46
+// The tree's parameters are [BKSS90]'s, as the paper uses them (section 5.1).
+const (
+	// DefaultEntrySize is the paper's entry size: MBR plus pointer
+	// information, 46 bytes — the on-page size of every directory and fixed
+	// leaf entry.
+	DefaultEntrySize = 46
+	// maxEntries is M, the node capacity: (4096-2)/46 = 89 entries.
+	maxEntries = (disk.PageSize - nodeHeaderSize) / DefaultEntrySize
+	// minFillRatio is m/M, 40 %.
+	minFillRatio = 0.4
+	// minEntries is m = int(minFillRatio·M) = 35, the fill below which
+	// deletion condenses a node.
+	minEntries = maxEntries * 4 / 10
+	// reinsertFraction is the share of an overfull node's entries a forced
+	// reinsert removes, 30 %.
+	reinsertFraction = 0.3
+	// payloadSize is the fixed payload of a leaf entry, 14 bytes.
+	payloadSize = DefaultEntrySize - rectSize
+)
 
-// Config tunes the tree. The zero value is completed by New with the paper's
-// parameters.
+// Config holds what the organizations set differently. The zero value is the
+// plain R*-tree.
 type Config struct {
-	// PageBytes is the node page size; default disk.PageSize (4 KB).
-	PageBytes int
-	// EntrySize is the on-page size of a directory or fixed leaf entry;
-	// default DefaultEntrySize (46 B), yielding M = 89.
-	EntrySize int
-	// MinFillRatio is m/M; default 0.4 as in [BKSS90].
-	MinFillRatio float64
-	// ReinsertFraction is the share of entries removed on forced reinsert;
-	// default 0.3 as in [BKSS90].
-	ReinsertFraction float64
 	// DisableLeafReinsert turns off forced reinsertion on the data-page
 	// level (cluster organization, paper section 4.2.1).
 	DisableLeafReinsert bool
@@ -37,9 +42,6 @@ type Config struct {
 	// spatial object between cluster units. The resulting under-occupied
 	// pages are the clustering decay that the online reclusterer repairs.
 	DisableLeafCondense bool
-	// DisableReinsert turns off forced reinsertion entirely (for ablation
-	// experiments).
-	DisableReinsert bool
 	// VariableLeaf switches leaf capacity to a byte budget; leaf entries
 	// then carry variable-size payloads (primary organization).
 	VariableLeaf bool
@@ -51,22 +53,6 @@ type Config struct {
 	// OnLeafSplit, if set, is invoked after a data page split distributed
 	// the entries of page left onto left and right.
 	OnLeafSplit func(left, right disk.PageID, leftEntries, rightEntries []Entry)
-}
-
-func (c Config) withDefaults() Config {
-	if c.PageBytes == 0 {
-		c.PageBytes = disk.PageSize
-	}
-	if c.EntrySize == 0 {
-		c.EntrySize = DefaultEntrySize
-	}
-	if c.MinFillRatio == 0 {
-		c.MinFillRatio = 0.4
-	}
-	if c.ReinsertFraction == 0 {
-		c.ReinsertFraction = 0.3
-	}
-	return c
 }
 
 // Tree is a paged R*-tree. Mutations (Insert, Delete, bulk load) are not
@@ -83,9 +69,6 @@ type Tree struct {
 	height int // number of levels; 1 = root is a leaf
 	size   int // number of leaf entries
 
-	maxEntries int // M
-	minEntries int // m
-
 	leafPages int
 	dirPages  int
 
@@ -95,25 +78,10 @@ type Tree struct {
 	pageLevels map[disk.PageID]int
 }
 
-// newShell builds a tree with its configuration applied and its capacities
-// (M, m) derived, but no nodes yet. New allocates a fresh root into it;
-// Restore fills it from a snapshot image — sharing the shell keeps the two
-// construction paths' sizing identical by construction.
+// newShell builds a tree with no nodes yet. New allocates a fresh root into
+// it; Restore fills it from a snapshot image.
 func newShell(buf *buffer.Manager, alloc *pagefile.Allocator, cfg Config) *Tree {
-	cfg = cfg.withDefaults()
-	if cfg.EntrySize < rectSize+8 {
-		panic(fmt.Sprintf("rtree: entry size %d cannot hold an MBR and a pointer", cfg.EntrySize))
-	}
-	t := &Tree{cfg: cfg, buf: buf, alloc: alloc, pageLevels: make(map[disk.PageID]int)}
-	t.maxEntries = (cfg.PageBytes - nodeHeaderSize) / cfg.EntrySize
-	if t.maxEntries > 255 {
-		t.maxEntries = 255
-	}
-	t.minEntries = int(cfg.MinFillRatio * float64(t.maxEntries))
-	if t.minEntries < 2 {
-		t.minEntries = 2
-	}
-	return t
+	return &Tree{cfg: cfg, buf: buf, alloc: alloc, pageLevels: make(map[disk.PageID]int)}
 }
 
 // New creates an empty tree whose nodes live on pages allocated from alloc
@@ -127,18 +95,14 @@ func New(buf *buffer.Manager, alloc *pagefile.Allocator, cfg Config) *Tree {
 	return t
 }
 
-// payloadSize returns the fixed payload bytes of a leaf entry.
-func (t *Tree) payloadSize() int { return t.cfg.EntrySize - rectSize }
-
-// PayloadSize exposes the fixed payload capacity of leaf entries (14 bytes
-// with the paper's parameters).
-func (t *Tree) PayloadSize() int { return t.payloadSize() }
+// PayloadSize returns the fixed payload capacity of leaf entries, 14 bytes.
+func (t *Tree) PayloadSize() int { return payloadSize }
 
 // MaxEntries returns M, the node capacity in entries.
-func (t *Tree) MaxEntries() int { return t.maxEntries }
+func (t *Tree) MaxEntries() int { return maxEntries }
 
 // MinEntries returns m, the minimum node fill.
-func (t *Tree) MinEntries() int { return t.minEntries }
+func (t *Tree) MinEntries() int { return minEntries }
 
 // Len returns the number of stored leaf entries.
 func (t *Tree) Len() int { return t.size }

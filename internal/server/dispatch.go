@@ -19,7 +19,7 @@ import (
 // never waits for a batch to fill: batches form from the mutations that
 // arrive while the previous batch applies. An idle server applies a lone
 // mutation as a batch of one with no delay. On a WAL-attached store a batch's
-// run of untraced mutations goes through one wal.Store.Apply call, so all its
+// mutations, traced or not, go through one wal.Store.Apply call, so all its
 // records share one fsync: N concurrent writers pay ~1 fsync per batch, not
 // per mutation.
 //
@@ -47,10 +47,10 @@ type job struct {
 	done chan struct{}
 
 	// Observability. tr is non-nil when the request asked for ?trace=1 — a
-	// traced job applies alone so the engine counter deltas around it are
-	// attributable to it. enqueued is stamped by Server.mutate; the
+	// batch carrying a traced job applies alone, so the engine counter deltas
+	// around it are the batch's. enqueued is stamped by Server.mutate; the
 	// dispatcher fills queueNS for every job (the slow-query log wants it
-	// even untraced) and execNS for a traced one.
+	// even untraced) and execNS, the batch's apply time, for a traced one.
 	tr       *obs.Trace
 	enqueued time.Time
 	queueNS  int64
@@ -116,7 +116,22 @@ func (s *Server) runBatch(batch, live []*job) {
 			live = append(live, j)
 		}
 	}
-	s.applyMutations(org, live)
+	if traced {
+		// Each traced job's apply span is its batch's commit.
+		start, before := time.Now(), takeIOSnap(org)
+		s.applyMutationGroup(org, live)
+		d := time.Since(start)
+		io := before.delta(org)
+		for _, j := range live {
+			if j.tr != nil {
+				own := *io
+				j.execNS = d.Nanoseconds()
+				j.tr.ObserveIO("apply", start, d, &own)
+			}
+		}
+	} else {
+		s.applyMutationGroup(org, live)
+	}
 	s.unlock(traced)
 
 	for _, j := range batch {
@@ -167,38 +182,15 @@ func (before ioSnap) delta(org store.Organization) *obs.IO {
 		io.WALBytes = after.wal.Bytes - before.wal.Bytes
 		io.WALSyncs = after.wal.Syncs - before.wal.Syncs
 		if io.WALSyncs > 0 {
-			// The job ran alone, so the log's last sync was its sync.
+			// The execution held the lock alone, so the log's last sync was
+			// its sync.
 			io.WALSyncNS = after.wal.LastSyncNanos
 		}
 	}
 	return io
 }
 
-// applyMutations applies the mutation jobs of one batch in order: each run
-// of untraced mutations as one group. Traced mutations break the group: each
-// applies alone (its own WAL append and fsync) so the trace's WAL attribution
-// is its own, at the cost of losing the group commit for that batch — the
-// trace observes a worst-case commit, which is what a latency investigation
-// wants to see.
-func (s *Server) applyMutations(org store.Organization, muts []*job) {
-	lo := 0
-	for i, j := range muts {
-		if j.tr == nil {
-			continue
-		}
-		s.applyMutationGroup(org, muts[lo:i])
-		start := time.Now()
-		before := takeIOSnap(org)
-		s.applyMutationGroup(org, muts[i:i+1])
-		d := time.Since(start)
-		j.execNS = d.Nanoseconds()
-		j.tr.ObserveIO("apply", start, d, before.delta(org))
-		lo = i + 1
-	}
-	s.applyMutationGroup(org, muts[lo:])
-}
-
-// applyMutationGroup applies one run of mutation jobs in order. On a
+// applyMutationGroup applies a batch's live mutation jobs in order. On a
 // WAL-attached store the whole group goes through one Apply call — one log
 // append batch, one fsync (the group commit). A WAL failure fails every
 // mutation of the group: none were acknowledged, none applied. An insert the

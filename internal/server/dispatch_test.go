@@ -517,6 +517,53 @@ func TestDispatcherGroupCommitRidesTheBatch(t *testing.T) {
 	}
 }
 
+// TestDispatcherTracedMutationsShareCommit: traced mutations keep their
+// batch's group commit. One untraced and two traced inserts that arrive while
+// the dispatcher is busy share one fsync, and each traced apply span reports
+// that fsync and the bytes of all three records.
+func TestDispatcherTracedMutationsShareCommit(t *testing.T) {
+	f := newDispatcherFixture(t, server.Config{}, true)
+	f.holdDispatcher()
+	traces := []*obs.Trace{nil, obs.NewTrace(), obs.NewTrace()}
+	errs := make([]error, len(traces))
+	rqs := make([]*server.Request, len(traces))
+	for i, tr := range traces {
+		o := testObj(uint64(i))
+		rqs[i] = f.queue(func(rq *server.Request) {
+			rq.Trace = tr
+			errs[i] = f.s.Insert(rq, o, o.Bounds())
+		})
+	}
+	before := f.ws.Log().Stats()
+	f.letGo()
+	after := f.ws.Log().Stats()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("insert %d not acknowledged: %v", i, err)
+		}
+	}
+	if syncs := after.Syncs - before.Syncs; syncs != 1 || after.LastLSN-before.LastLSN != 3 {
+		t.Fatalf("3 inserts in one batch, 2 of them traced: %d fsyncs for %d records; want 1 for 3",
+			syncs, after.LastLSN-before.LastLSN)
+	}
+	for i, tr := range traces[1:] {
+		var apply *obs.IO
+		for _, sp := range tr.Spans() {
+			if sp.Stage == "apply" {
+				apply = sp.IO
+			}
+		}
+		if apply == nil || apply.WALSyncs != 1 || apply.WALBytes != after.Bytes-before.Bytes {
+			t.Fatalf("traced insert %d: apply span I/O %+v; want 1 fsync of the batch's %d bytes",
+				i+1, apply, after.Bytes-before.Bytes)
+		}
+		if rq := rqs[i+1]; rq.ExecNS <= 0 || rq.ExecNS != rqs[1].ExecNS {
+			t.Fatalf("traced insert %d executed for %d ns, the batch's apply %d ns", i+1, rq.ExecNS, rqs[1].ExecNS)
+		}
+	}
+}
+
 // TestDispatcherMaxBatchOneIsSerial: with MaxBatch 1 no second query enters
 // the store while one is inside, and queued mutations drain as batches of
 // one, one fsync each: serial execution needs no mode of its own.

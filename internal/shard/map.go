@@ -323,25 +323,3 @@ func (m *Map) Counts(keys []geom.Rect) []int {
 	}
 	return out
 }
-
-// ParseRanges parses the textual partition form produced by String.
-func ParseRanges(s string) (*Map, error) {
-	parts := strings.Split(s, ",")
-	ranges := make([][2]uint64, 0, len(parts))
-	for _, part := range parts {
-		lohi := strings.SplitN(strings.TrimSpace(part), "-", 2)
-		if len(lohi) != 2 {
-			return nil, fmt.Errorf("range %q: want lo-hi", part)
-		}
-		lo, err := strconv.ParseUint(lohi[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("range %q: %v", part, err)
-		}
-		hi, err := strconv.ParseUint(lohi[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("range %q: %v", part, err)
-		}
-		ranges = append(ranges, [2]uint64{lo, hi})
-	}
-	return FromRanges(ranges)
-}

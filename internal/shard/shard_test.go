@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"spatialcluster/internal/geom"
@@ -69,14 +71,18 @@ func TestFromKeysBalance(t *testing.T) {
 	}
 }
 
+// TestRangesRoundTrip: String renders every shard's Range, in shard order —
+// the text sdbrouter's -shards flag parses back.
 func TestRangesRoundTrip(t *testing.T) {
 	m := FromKeys(randKeys(rand.New(rand.NewSource(3)), 300, 0.02), 6)
-	m2, err := ParseRanges(m.String())
-	if err != nil {
-		t.Fatalf("ParseRanges(%q): %v", m.String(), err)
+	parts := strings.Split(m.String(), ",")
+	if len(parts) != m.N() {
+		t.Fatalf("%q names %d ranges for %d shards", m.String(), len(parts), m.N())
 	}
-	if m2.String() != m.String() {
-		t.Fatalf("round trip %q -> %q", m.String(), m2.String())
+	for i, part := range parts {
+		if lo, hi := m.Range(i); part != fmt.Sprintf("%d-%d", lo, hi) {
+			t.Fatalf("%q: shard %d renders as %q, its range is [%d,%d)", m.String(), i, part, lo, hi)
+		}
 	}
 }
 

@@ -178,10 +178,6 @@ type StoreConfig struct {
 	// BuddySizes enables the buddy system for cluster unit allocation:
 	// 0 or 1 = fixed Smax units, 3 = the paper's restricted buddy system.
 	BuddySizes int
-	// DiskParams overrides the disk timing parameters (default: paper's).
-	// Open ignores it: a reopened store keeps the parameters it was saved
-	// with, so its modelled costs stay comparable.
-	DiskParams *DiskParams
 	// Backend selects the physical page store: BackendMem (default) or
 	// BackendFile. The choice never changes modelled costs, storage
 	// statistics or query answers — only durability and wall-clock time.
@@ -210,10 +206,6 @@ type StoreConfig struct {
 	// logging. The WAL subsumes the file backend's durability model and is
 	// incompatible with BackendFile.
 	WALPath string
-	// WALSyncEvery is the group-commit batch size of the log: fsync once per
-	// that many records instead of once per commit (default 1 — every commit
-	// is durable before it is acknowledged).
-	WALSyncEvery int
 }
 
 // configError is a misconfiguration — a contradiction inside a StoreConfig or
@@ -279,9 +271,10 @@ func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
 // NewStore is the one way a fresh store is built: an organization of the
 // named kind — "secondary", "primary" or "cluster" — on the storage cfg
 // describes, holding objs under their spatial keys (both nil for an empty
-// store). The objects are inserted in the given order and flushed before the
-// write-ahead log of cfg.WALPath attaches, so a bulk load is the log's
-// initial checkpoint, not one fsynced record per object. A misconfiguration
+// store), charged on the paper's disk (DefaultDiskParams). The objects are
+// inserted in the given order and flushed before the write-ahead log of
+// cfg.WALPath attaches, so a bulk load is the log's initial checkpoint, not
+// one fsynced record per object. A misconfiguration
 // — unknown kind, backend or buffer policy, BackendFile without a Path, file
 // options on BackendMem, WALPath with BackendFile — is an error matching
 // os.ErrInvalid, reported before anything is created. Any other error is an
@@ -291,11 +284,7 @@ func NewStore(kind string, cfg StoreConfig, objs []*Object, keys []Rect) (Organi
 	if kind != "secondary" && kind != "primary" && kind != "cluster" {
 		return nil, configErrorf("unknown organization %q (want secondary, primary or cluster)", kind)
 	}
-	p := disk.DefaultParams()
-	if cfg.DiskParams != nil {
-		p = *cfg.DiskParams
-	}
-	env, err := cfg.env(p)
+	env, err := cfg.env(disk.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
