@@ -264,15 +264,19 @@ func TestSearchAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("SearchLeaves allocates %v times per call, want 0", a)
 	}
-	// The k-NN browse decodes the data pages it surfaces (a node and its
-	// entry list each) and grows its queue; directory levels are in place.
-	if a := testing.AllocsPerRun(50, func() {
-		leaves := 0
-		tr.NearestLeaves(geom.Pt(0.5, 0.5), nil, func(*Node, float64) bool { leaves++; return leaves < 3 })
-	}); a > 12 {
-		t.Errorf("NearestLeaves over 3 data pages allocates %v times, want <= 12", a)
+	// The k-NN browse grows its queue; directory levels are in place, and the
+	// data pages it surfaces are decoded into one pooled node, so surfacing
+	// more of them allocates nothing more.
+	browse := func(pages int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			leaves := 0
+			tr.NearestLeaves(geom.Pt(0.5, 0.5), nil, func(*Node, float64) bool { leaves++; return leaves < pages })
+		})
+	}
+	if a3, a6 := browse(3), browse(6); a3 != a6 || a3 > 3 {
+		t.Errorf("NearestLeaves allocates %v times over 3 data pages and %v over 6, want the same count <= 3", a3, a6)
 	} else {
-		t.Logf("NearestLeaves over 3 data pages: %v allocations", a)
+		t.Logf("NearestLeaves over 3 and 6 data pages: %v allocations", a3)
 	}
 	if sum == 0 {
 		t.Fatal("the scans found nothing")

@@ -49,8 +49,11 @@
 // — by the scans and by ReadNode/DecodeNode, the decoded form the mutation
 // path and the join edit — is a capacity-capped sub-slice of the page, valid
 // for as long as it is held (pages are immutable once buffered, see
-// internal/buffer). A page whose count or length prefix overruns it panics
-// naming the page.
+// internal/buffer). NearestLeaves decodes the data pages it surfaces into one
+// pooled node per browse, and SearchLeaves takes a data page's region from its
+// parent entry (equal to the page's MBR, which CheckInvariants asserts), so
+// neither allocates nor unions per data page. A page whose count or length
+// prefix overruns it panics naming the page.
 //
 // A built tree's in-memory state (root, shape counters, page levels) can be
 // captured with Image and revived with Restore over a disk whose pages were

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"sync"
+
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 )
@@ -78,7 +80,22 @@ func (h *nnHeap) pop() nnItem {
 // termination rule: once k exact answers are closer than the next page's
 // MinDist, no better answer can exist. Node reads charge I/O like any
 // traversal.
+//
+// The node fn receives is the browse's scratch, refilled for every data page:
+// it and its entry list are only valid until fn returns, and fn may edit them
+// in place.
 func (t *Tree) NearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool) {
+	leaf := leafPool.Get().(*Node)
+	t.nearestLeaves(pt, stop, fn, leaf)
+	clear(leaf.Entries[:cap(leaf.Entries)]) // a pooled node must not keep pages alive
+	leafPool.Put(leaf)
+}
+
+// leafPool recycles the data-page node of NearestLeaves across browses, so a
+// browse allocates no node or entry list per data page.
+var leafPool = sync.Pool{New: func() any { return new(Node) }}
+
+func (t *Tree) nearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool, leaf *Node) {
 	h := make(nnHeap, 1, 64) // room for a directory node's fan-out
 	h[0] = nnItem{child: t.root}
 	seq := 1
@@ -90,7 +107,8 @@ func (t *Tree) NearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn 
 		page := t.buf.Get(it.child)
 		c := t.cursor(it.child, page)
 		if c.level == 0 {
-			if !fn(t.unmarshalNode(it.child, page), it.dist) {
+			t.decodeInto(leaf, it.child, page)
+			if !fn(leaf, it.dist) {
 				return
 			}
 			continue

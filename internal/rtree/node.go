@@ -174,8 +174,19 @@ func (c *cursor) payload() []byte {
 // unmarshalNode decodes the page content of node id into the editable form
 // the mutation path, the join and statistics work on. Payloads alias buf.
 func (t *Tree) unmarshalNode(id disk.PageID, buf []byte) *Node {
+	n := new(Node)
+	t.decodeInto(n, id, buf)
+	return n
+}
+
+// decodeInto is unmarshalNode into n, reusing its entry list when it has the
+// room.
+func (t *Tree) decodeInto(n *Node, id disk.PageID, buf []byte) {
 	c := t.cursor(id, buf)
-	n := &Node{ID: id, Level: c.level, Entries: make([]Entry, 0, c.count)}
+	n.ID, n.Level, n.Entries = id, c.level, n.Entries[:0]
+	if n.Entries == nil || cap(n.Entries) < c.count {
+		n.Entries = make([]Entry, 0, c.count)
+	}
 	for r, ok := c.next(); ok; r, ok = c.next() {
 		if c.level > 0 {
 			n.Entries = append(n.Entries, Entry{Rect: r, Child: c.child()})
@@ -183,7 +194,6 @@ func (t *Tree) unmarshalNode(id disk.PageID, buf []byte) *Node {
 			n.Entries = append(n.Entries, Entry{Rect: r, Payload: c.payload()})
 		}
 	}
-	return n
 }
 
 // entryBytes returns the on-page size of entry e at the given level.

@@ -36,9 +36,12 @@ func (t *Tree) searchNode(id disk.PageID, w geom.Rect, fn func(e Entry) bool) bo
 
 // LeafMatch describes the qualifying entries of one data page for a window
 // query. Rect is the region of the whole data page (the region of the
-// attached cluster unit in the cluster organization); Matched holds the
-// entries whose rectangles intersect the window, payloads aliasing the page.
-// Matched is the search's scratch: it is only valid until fn returns.
+// attached cluster unit in the cluster organization): the parent entry's
+// rectangle, equal to the page's MBR (CheckInvariants), so the page's
+// entries are never unioned to find it — only a root that is itself a leaf
+// has no parent entry and is. Matched holds the entries whose rectangles
+// intersect the window, payloads aliasing the page. Matched is the search's
+// scratch: it is only valid until fn returns.
 type LeafMatch struct {
 	Page    disk.PageID
 	Rect    geom.Rect
@@ -54,24 +57,25 @@ var matchPool = sync.Pool{New: func() any { return new([]Entry) }}
 // techniques operate on this per-data-page granularity.
 func (t *Tree) SearchLeaves(w geom.Rect, fn func(lm LeafMatch) bool) {
 	matched := matchPool.Get().(*[]Entry)
-	t.searchLeaves(t.root, w, matched, fn)
+	t.searchLeaves(t.root, geom.Rect{}, w, matched, fn)
 	clear((*matched)[:cap(*matched)]) // a pooled scratch must not keep pages alive
 	matchPool.Put(matched)
 }
 
-func (t *Tree) searchLeaves(id disk.PageID, w geom.Rect, matched *[]Entry, fn func(lm LeafMatch) bool) bool {
+// searchLeaves searches the subtree of node id, whose region is region — the
+// rectangle of its parent entry; unused for the root.
+func (t *Tree) searchLeaves(id disk.PageID, region, w geom.Rect, matched *[]Entry, fn func(lm LeafMatch) bool) bool {
 	c := t.cursor(id, t.buf.Get(id))
 	if c.level > 0 {
 		for r, ok := c.next(); ok; r, ok = c.next() {
-			if r.Intersects(w) && !t.searchLeaves(c.child(), w, matched, fn) {
+			if r.Intersects(w) && !t.searchLeaves(c.child(), r, w, matched, fn) {
 				return false
 			}
 		}
 		return true
 	}
-	mbr, m := geom.EmptyRect(), (*matched)[:0]
+	m := (*matched)[:0]
 	for r, ok := c.next(); ok; r, ok = c.next() {
-		mbr = mbr.Union(r)
 		if r.Intersects(w) {
 			m = append(m, Entry{Rect: r, Payload: c.payload()})
 		}
@@ -80,7 +84,20 @@ func (t *Tree) searchLeaves(id disk.PageID, w geom.Rect, matched *[]Entry, fn fu
 	if len(m) == 0 {
 		return true
 	}
-	return fn(LeafMatch{Page: id, Rect: mbr, Matched: m})
+	if id == t.root {
+		region = t.pageMBR(id, c.buf)
+	}
+	return fn(LeafMatch{Page: id, Rect: region, Matched: m})
+}
+
+// pageMBR unions the entry rectangles of an encoded node page in place, as
+// Node.Rect does for a decoded one.
+func (t *Tree) pageMBR(id disk.PageID, buf []byte) geom.Rect {
+	mbr, c := geom.EmptyRect(), t.cursor(id, buf)
+	for r, ok := c.next(); ok; r, ok = c.next() {
+		mbr = mbr.Union(r)
+	}
+	return mbr
 }
 
 // WalkNodes invokes fn for every node of the tree, parents before children;

@@ -408,6 +408,85 @@ func TestSearchLeaves(t *testing.T) {
 	}
 }
 
+// TestSearchLeavesRegionAfterChurn: SearchLeaves takes a data page's region
+// from its parent entry, and a root that is itself a leaf from its entries,
+// so that region must stay the page's MBR through random inserts and deletes
+// — forced reinserts, splits, condensing, and a root that grows from a leaf
+// and shrinks back to one — under both leaf layouts.
+func TestSearchLeavesRegionAfterChurn(t *testing.T) {
+	for _, variable := range []bool{false, true} {
+		tr := newTestTree(t, Config{VariableLeaf: variable})
+		rng := rand.New(rand.NewSource(31))
+		var ids []uint64
+		rects := map[uint64]geom.Rect{}
+		check := func(when string) {
+			t.Helper()
+			if _, err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("variable=%v, %s: %v", variable, when, err)
+			}
+			pages := 0
+			tr.SearchLeaves(geom.R(-1, -1, 2, 2), func(lm LeafMatch) bool {
+				pages++
+				if got := tr.ReadNode(lm.Page).Rect(); got != lm.Rect {
+					t.Fatalf("variable=%v, %s: leaf %d region %v, page MBR %v", variable, when, lm.Page, lm.Rect, got)
+				}
+				return true
+			})
+			if len(ids) > 0 && pages != tr.LeafPages() {
+				t.Fatalf("variable=%v, %s: whole-space search surfaced %d of %d data pages", variable, when, pages, tr.LeafPages())
+			}
+		}
+		insert := func(id uint64) {
+			p := payloadFor(id)
+			if variable {
+				p = append(p, make([]byte, rng.Intn(300))...)
+			}
+			r := randRect(rng)
+			tr.Insert(r, p)
+			ids, rects[id] = append(ids, id), r
+		}
+		remove := func() {
+			i := rng.Intn(len(ids))
+			id := ids[i]
+			ids[i] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+			if !tr.Delete(rects[id], func(p []byte) bool { return payloadID(p) == id }) {
+				t.Fatalf("variable=%v: entry %d not deleted", variable, id)
+			}
+			delete(rects, id)
+		}
+		next := uint64(0)
+		for ; next < 5; next++ {
+			insert(next)
+		}
+		if tr.Height() != 1 {
+			t.Fatalf("variable=%v: height %d with %d entries, want a leaf root", variable, tr.Height(), len(ids))
+		}
+		check("leaf root")
+		for op := 1; op <= 6000; op++ {
+			if len(ids) > 0 && rng.Intn(10) < 4 {
+				remove()
+			} else {
+				insert(next)
+				next++
+			}
+			if op%500 == 0 {
+				check(fmt.Sprintf("after %d operations, height %d", op, tr.Height()))
+			}
+		}
+		for len(ids) > 3 {
+			remove()
+			if len(ids)%250 == 0 {
+				check(fmt.Sprintf("shrinking, %d entries", len(ids)))
+			}
+		}
+		if tr.Height() != 1 {
+			t.Fatalf("variable=%v: height %d with %d entries, want the root a leaf again", variable, tr.Height(), len(ids))
+		}
+		check("leaf root after shrinking")
+	}
+}
+
 func TestTreeChargesIO(t *testing.T) {
 	d := disk.NewDefault()
 	m := buffer.New(d, 8) // tiny buffer forces real I/O

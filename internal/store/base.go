@@ -38,8 +38,10 @@ type layout interface {
 	entry(payload []byte) (object.ID, int)
 	// views reads, through the shared buffer and with technique tech, the
 	// objects behind the qualifying entries of one data page of a query with
-	// window w, and returns their serializations in entry order, valid until
-	// sc is reused.
+	// window w — empty for a point or k-NN query — and returns their
+	// serializations in entry order, valid until sc is reused. The view of an
+	// entry whose key decides it (keyDecides) may be nil, the read charged
+	// and its pages touched all the same.
 	views(lm rtree.LeafMatch, w geom.Rect, tech Technique, sc *scratch) [][]byte
 	// objectStats fills the object-storage fields of st: ObjectPages,
 	// DeadBytes and Units.
@@ -122,34 +124,36 @@ func (b *base) Update(o *object.Object, key geom.Rect) bool {
 }
 
 // WindowQuery implements Organization. A candidate whose key lies inside w
-// is an answer without its geometry being decoded (scratch.inWindow).
+// is an answer without its geometry being decoded (scratch.inWindow), or even
+// assembled by the layout.
 func (b *base) WindowQuery(w geom.Rect, tech Technique) QueryResult {
-	return b.search(w, tech, func(sc *scratch, key geom.Rect, view []byte) bool {
+	return b.search(w, w, tech, func(sc *scratch, key geom.Rect, view []byte) bool {
 		return sc.inWindow(key, view, w)
 	})
 }
 
 // PointQuery implements Organization. A point query is maximally selective,
 // so it reads page by page: the cluster organization performs like the
-// secondary organization here (section 5.5).
+// secondary organization here (section 5.5). It decides nothing by a key, so
+// it hands the layout no window and gets every view.
 func (b *base) PointQuery(pt geom.Point) QueryResult {
-	return b.search(geom.RectFromPoint(pt), TechPageByPage, func(sc *scratch, _ geom.Rect, view []byte) bool {
+	return b.search(geom.RectFromPoint(pt), geom.EmptyRect(), TechPageByPage, func(sc *scratch, _ geom.Rect, view []byte) bool {
 		return containsPoint(sc.decode(view), pt)
 	})
 }
 
 // search is the filter/refine engine of window and point queries: the
 // R*-tree surfaces one data page at a time with its entries whose keys
-// intersect w (rtree.SearchLeaves), the layout reads their objects with tech,
-// and keep refines each candidate. Nothing between a data page's fetch and
-// its objects' reads touches I/O, so this issues the buffer and disk requests
-// of an entry-by-entry search in the same order.
-func (b *base) search(w geom.Rect, tech Technique, keep func(sc *scratch, key geom.Rect, view []byte) bool) QueryResult {
+// intersect r (rtree.SearchLeaves), the layout reads their objects with tech
+// for window w, and keep refines each candidate. Nothing between a data
+// page's fetch and its objects' reads touches I/O, so this issues the buffer
+// and disk requests of an entry-by-entry search in the same order.
+func (b *base) search(r, w geom.Rect, tech Technique, keep func(sc *scratch, key geom.Rect, view []byte) bool) QueryResult {
 	var res QueryResult
 	sc := getScratch()
 	defer sc.release()
 	res.Cost = measure(b.env.Disk, func() {
-		b.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
+		b.tree.SearchLeaves(r, func(lm rtree.LeafMatch) bool {
 			for i, view := range b.lay.views(lm, w, tech, sc) {
 				id, size := b.lay.entry(lm.Matched[i].Payload)
 				res.Candidates++

@@ -62,6 +62,28 @@
 // nothing shared, because queries run concurrently under Env's read lock.
 // PrepareFetch builds heap objects from the same views for the join.
 //
+// Nor does the read path compute what no answer uses. Four rules, each of
+// which leaves every page read, every buffer touch, every answer, Candidates,
+// CandidateBytes and Cost as they were:
+//
+//   - A data page's region, which TechThreshold compares with the window, is
+//     the rectangle of the page's parent entry (rtree.LeafMatch.Rect), equal
+//     to the page's MBR; only a root that is itself a leaf unions its entries.
+//   - A window candidate whose key lies inside the window is an answer by its
+//     key (keyDecides). The cluster layout touches its unit pages as a read
+//     would but hands it out as a nil view: it neither slices nor assembles
+//     it. Secondary and primary read every object, since for them the read
+//     is the modelled I/O.
+//   - Once a k-NN query holds k answers, a fetched candidate whose key is
+//     farther than the k-th best distance is counted but neither decoded nor
+//     measured: its exact distance is at least its key's.
+//   - A k-NN browse decodes every data page into one pooled node
+//     (rtree.NearestLeaves), not a fresh node and entry list per page.
+//
+// A query that panics — over a damaged page, say — releases Env's read lock
+// and its capture's pins on the way out, so a caller that recovers keeps a
+// store its mutations can still lock.
+//
 // Beyond the paper's static comparison the package carries the engine
 // features grown around it: Delete/Update with per-organization space
 // reclamation, window/point queries with the cluster read techniques

@@ -109,7 +109,10 @@ func TestSameTreeGolden(t *testing.T) {
 // (its bits) must equal what the read path produced at the commit before the
 // organizations shared one query engine. A query that reads a page in another
 // order, or one more or one fewer, moves the cost or the next query's hits and
-// fails here.
+// fails here. A second FNV-64a over the buffer's hits, misses and evictions
+// after every query (pinned at the commit before the read path stopped
+// assembling key-decided window candidates) fails a change that drops or adds
+// a buffer touch, even one that moves no disk cost.
 func TestReadPathGolden(t *testing.T) {
 	ds := testDataset(16)
 	var churn []datagen.Op
@@ -125,21 +128,22 @@ func TestReadPathGolden(t *testing.T) {
 	}
 	techs := []Technique{TechComplete, TechThreshold, TechSLM, TechSLMVector, TechPageByPage}
 	for _, c := range []struct {
-		name  string
-		build func(*Env) Organization
-		sum   uint64
+		name        string
+		build       func(*Env) Organization
+		sum, bufSum uint64
 	}{
-		{"secondary", func(env *Env) Organization { return NewSecondary(env) }, 0xcb16a34cf5dbec83},
-		{"primary", func(env *Env) Organization { return NewPrimary(env) }, 0x93c5671572c934ef},
+		{"secondary", func(env *Env) Organization { return NewSecondary(env) }, 0xcb16a34cf5dbec83, 0x971113367988f846},
+		{"primary", func(env *Env) Organization { return NewPrimary(env) }, 0x93c5671572c934ef, 0x2f9f493f3e711093},
 		{"cluster", func(env *Env) Organization {
 			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes()})
-		}, 0xdabd0a8b55cd2c0d},
+		}, 0xdabd0a8b55cd2c0d, 0x685fed73931aa9c1},
 		{"buddy-cluster", func(env *Env) Organization {
 			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: 3})
-		}, 0xdabd0a8b55cd2c0d},
+		}, 0xdabd0a8b55cd2c0d, 0x685fed73931aa9c1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			org := c.build(NewEnv(256))
+			env := NewEnv(256)
+			org := c.build(env)
 			for i, o := range ds.Objects {
 				if err := org.Insert(o, ds.MBRs[i]); err != nil {
 					t.Fatal(err)
@@ -147,9 +151,12 @@ func TestReadPathGolden(t *testing.T) {
 			}
 			mutate(org, churn)
 			org.Flush()
-			h := fnv.New64a()
+			env.Buf.ResetStats()
+			h, hb := fnv.New64a(), fnv.New64a()
 			put := func(res QueryResult) {
 				fmt.Fprintf(h, "%v %d %d %+v\n", res.IDs, res.Candidates, res.CandidateBytes, res.Cost)
+				st := env.Buf.Stats()
+				fmt.Fprintf(hb, "%d %d %d\n", st.Hits, st.Misses, st.Evictions)
 			}
 			for _, tech := range techs {
 				for _, w := range ws {
@@ -170,6 +177,9 @@ func TestReadPathGolden(t *testing.T) {
 			}
 			if got := h.Sum64(); got != c.sum {
 				t.Errorf("read path: FNV-64a %#x, want %#x", got, c.sum)
+			}
+			if got := hb.Sum64(); got != c.bufSum {
+				t.Errorf("buffer stats: FNV-64a %#x, want %#x", got, c.bufSum)
 			}
 		})
 	}

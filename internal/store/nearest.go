@@ -63,7 +63,10 @@ func (a *knnAcc) add(c knnCand) {
 //
 // Entries whose MBR MinDist already exceeds the current k-th best distance
 // are pruned before the read; the strict comparison keeps boundary ties in
-// play, so pruning can never change the answer set.
+// play, so pruning can never change the answer set. The same test runs again
+// after the read, candidate by candidate in entry order: one the page's
+// earlier candidates have put beyond the bound is counted in Candidates and
+// CandidateBytes — its read is charged — but neither decoded nor measured.
 func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 	var res NearestResult
 	if k <= 0 {
@@ -72,30 +75,33 @@ func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 	acc := knnAcc{k: k}
 	sc := getScratch()
 	defer sc.release()
-	// The stop predicate is monotone in minDist, so the traversal applies it
-	// before reading a popped page — a page (or whole subtree) beyond the
-	// k-th best exact distance terminates the browse without charging its
-	// read.
-	stop := func(minDist float64) bool {
+	// beyond reports whether a lower bound of a distance exceeds the k-th best
+	// exact distance. It is monotone in minDist, so the traversal applies it
+	// as its stop predicate before reading a popped page — a page (or whole
+	// subtree) beyond the bound terminates the browse without charging its
+	// read — and it prunes entries by their keys before and after the read.
+	beyond := func(minDist float64) bool {
 		return acc.full() && minDist > acc.bound()
 	}
 	res.Cost = measure(b.env.Disk, func() {
-		b.tree.NearestLeaves(pt, stop, func(n *rtree.Node, minDist float64) bool {
-			// The decoded node is this browse's own: filter it in place.
+		b.tree.NearestLeaves(pt, beyond, func(n *rtree.Node, minDist float64) bool {
+			// The node is this browse's scratch: filter it in place.
 			kept := n.Entries[:0]
 			for _, e := range n.Entries {
-				if acc.full() && e.Rect.MinDist(pt) > acc.bound() {
-					continue
+				if !beyond(e.Rect.MinDist(pt)) {
+					kept = append(kept, e)
 				}
-				kept = append(kept, e)
 			}
 			if len(kept) == 0 {
 				return true
 			}
-			for _, view := range b.lay.views(rtree.LeafMatch{Page: n.ID, Matched: kept}, geom.Rect{}, TechPageByPage, sc) {
-				v := sc.decode(view)
+			for i, view := range b.lay.views(rtree.LeafMatch{Page: n.ID, Matched: kept}, geom.EmptyRect(), TechPageByPage, sc) {
 				res.Candidates++
 				res.CandidateBytes += int64(len(view))
+				if beyond(kept[i].Rect.MinDist(pt)) {
+					continue // its exact distance is at least its key's: it cannot enter
+				}
+				v := sc.decode(view)
 				acc.add(knnCand{id: v.ID, dist: distToPoint(v, pt)})
 			}
 			return true

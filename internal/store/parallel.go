@@ -86,21 +86,7 @@ func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages
 			if i >= n {
 				return
 			}
-			if st == nil {
-				env.mu.RLock()
-				a, c := query(i)
-				env.mu.RUnlock()
-				answers.Add(int64(a))
-				candidates.Add(int64(c))
-				continue
-			}
-			t0 := time.Now()
-			env.mu.RLock()
-			t1 := time.Now()
-			a, c := query(i)
-			env.mu.RUnlock()
-			st.LockWaitNS.Add(t1.Sub(t0).Nanoseconds())
-			st.ExecNS.Add(time.Since(t1).Nanoseconds())
+			a, c := runLocked(env, st, query, i)
 			answers.Add(int64(a))
 			candidates.Add(int64(c))
 		}
@@ -129,4 +115,24 @@ func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages
 		out.QueriesSec = float64(n) / wall
 	}
 	return out
+}
+
+// runLocked runs query(i) under env's read lock and releases it even if the
+// query panics: a query over a damaged page does, and a caller that recovers
+// (net/http does, in the daemons) must not be left with a store that every
+// later mutation waits to lock, and every later query behind that mutation.
+func runLocked(env *Env, st *obs.ParallelStages, query func(i int) (answers, candidates int), i int) (answers, candidates int) {
+	if st == nil {
+		env.mu.RLock()
+		defer env.mu.RUnlock()
+		return query(i)
+	}
+	t0 := time.Now()
+	env.mu.RLock()
+	defer env.mu.RUnlock()
+	t1 := time.Now()
+	answers, candidates = query(i)
+	st.LockWaitNS.Add(t1.Sub(t0).Nanoseconds())
+	st.ExecNS.Add(time.Since(t1).Nanoseconds())
+	return answers, candidates
 }

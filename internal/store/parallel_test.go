@@ -2,11 +2,15 @@ package store
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
+	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
 	"spatialcluster/internal/obs"
 )
 
@@ -142,4 +146,85 @@ func TestParallelWindowQueriesDefaultWorkers(t *testing.T) {
 	if tr.QueriesSec <= 0 {
 		t.Fatalf("queries/sec = %g", tr.QueriesSec)
 	}
+}
+
+// TestPanickingQueryReleasesLocks: a query over a damaged page panics — here a
+// unit page cut to one byte makes the cluster capture slice past its end, with
+// the unit's pages pinned — and net/http recovers such a panic in the
+// daemons. The store must come out of it usable: the environment's read lock
+// released, so the next mutation does not wait for it forever (and every
+// later query behind that mutation), and the capture's pins released, so the
+// pages stay evictable. Every wait is bounded, so a regression fails here
+// instead of hanging.
+func TestPanickingQueryReleasesLocks(t *testing.T) {
+	c, ds := buildClusterForQueries(t, 256)
+	env := c.Env()
+	// An object on a page the unit's in-memory tail does not shadow.
+	var victim *object.Object
+	var pid disk.PageID
+	for _, o := range ds.Objects {
+		u := c.units[c.homes[o.ID]]
+		if idx := u.objects[u.index[o.ID]].off / disk.PageSize; idx != u.tailIdx {
+			victim, pid = o, u.extent.Start+disk.PageID(idx)
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no object outside a unit's tail page")
+	}
+	pt := victim.Geom.Segments()[0].A
+	orig := slices.Clone(env.Buf.Get(pid))
+	env.Buf.Put(pid, []byte{0})
+
+	panicked := func() (msg any) {
+		defer func() { msg = recover() }()
+		RunQueriesParallel(c, 1, 1, nil, func(int) (answers, candidates int) {
+			res := c.PointQuery(pt)
+			return len(res.IDs), res.Candidates
+		})
+		return nil
+	}()
+	if panicked == nil {
+		t.Fatal("the point query over the damaged page did not panic")
+	}
+	t.Logf("recovered: %v", panicked)
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not finish within 5 s after a query panicked: the store is still locked", what)
+		}
+	}
+	added := object.New(object.ID(1<<40), geom.NewPolyline([]geom.Point{pt, geom.Pt(pt.X+0.001, pt.Y+0.001)}), 200)
+	within("an Insert", func() {
+		if err := c.Insert(added, added.Bounds()); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Buf.Put(pid, orig)
+	var res QueryResult
+	within("a window query", func() {
+		RunQueriesParallel(c, 1, 1, nil, func(int) (answers, candidates int) {
+			res = c.WindowQuery(added.Bounds(), TechComplete)
+			return len(res.IDs), res.Candidates
+		})
+	})
+	if !slices.Contains(res.IDs, added.ID) || !slices.Contains(res.IDs, victim.ID) {
+		t.Fatalf("window over the inserted object answers %v, want %d and %d among them", res.IDs, added.ID, victim.ID)
+	}
+	func() {
+		defer func() {
+			if msg := recover(); msg != nil {
+				t.Fatalf("a pin outlived the panicking query: %v", msg)
+			}
+		}()
+		env.Buf.Clear()
+	}()
 }

@@ -59,12 +59,17 @@ func (sc *scratch) decode(view []byte) object.View {
 
 // The exact predicates of the three queries, run on the decoded vertices.
 
+// keyDecides reports whether a window query's candidate with this key is an
+// answer by its key alone: the key covers the object (Organization.Insert),
+// so an object whose key lies inside w intersects w.
+func keyDecides(key, w geom.Rect) bool { return !key.IsEmpty() && w.ContainsRect(key) }
+
 // inWindow is the refinement step of a window query for one candidate, its
-// fetch already charged. The key covers the object (Organization.Insert), so
-// an object whose key lies inside the window is an answer without its
-// vertices being decoded; every other candidate takes the exact test.
+// fetch already charged. A candidate whose key decides it is an answer without
+// its view being looked at — the layout may not even have assembled it — and
+// every other candidate takes the exact test on its decoded vertices.
 func (sc *scratch) inWindow(key geom.Rect, view []byte, w geom.Rect) bool {
-	if !key.IsEmpty() && w.ContainsRect(key) {
+	if keyDecides(key, w) {
 		return true
 	}
 	return intersectsRect(sc.decode(view), w)
@@ -217,11 +222,15 @@ func unitView(pageAt func(idx int) []byte, off, size int, spill *[]byte) []byte 
 // serializations as views, valid until sc is reused. The pages are pinned
 // during the capture so a concurrent query's eviction pressure cannot force
 // mid-capture re-reads; the unit's in-memory tail page (not yet flushed)
-// takes precedence over its buffered copy.
-func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, tech Technique, sc *scratch) [][]byte {
+// takes precedence over its buffered copy. The view of object ids[i] is nil
+// when skip(i) holds (skip may be nil): its pages are touched as reading it
+// would touch them, so the buffer's recency order does not depend on skip,
+// but nothing is sliced or assembled.
+func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, tech Technique, sc *scratch, skip func(i int) bool) [][]byte {
 	sc.pages = c.requestedPages(u, ids, sc.pages[:0])
 	c.fetchPlan(u, sc.pages, m, tech)
 	pinned := m.PinPages(sc.pages)
+	defer m.UnpinPages(pinned)
 	pageAt := func(idx int) []byte {
 		if idx == u.tailIdx && u.tailBuf != nil {
 			return u.tailBuf
@@ -233,11 +242,17 @@ func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, te
 		return m.Get(pid) // evicted mid-capture (buffer smaller than object)
 	}
 	sc.views, sc.spill = sc.views[:0], sc.spill[:0]
-	for _, id := range ids {
+	for i, id := range ids {
 		uo := u.objects[u.index[id]]
+		if skip != nil && skip(i) {
+			for idx := uo.off / disk.PageSize; idx <= (uo.off+uo.size-1)/disk.PageSize; idx++ {
+				pageAt(idx)
+			}
+			sc.views = append(sc.views, nil)
+			continue
+		}
 		sc.views = append(sc.views, unitView(pageAt, uo.off, uo.size, &sc.spill))
 	}
-	m.UnpinPages(pinned)
 	return sc.views
 }
 
@@ -250,7 +265,7 @@ func (c *Cluster) PrepareFetch(leaf disk.PageID, ids []object.ID, m *buffer.Mana
 	if tech == TechThreshold {
 		tech = TechComplete
 	}
-	views := c.capture(c.unitFor(leaf), ids, m, tech, new(scratch))
+	views := c.capture(c.unitFor(leaf), ids, m, tech, new(scratch), nil)
 	return func() []*object.Object { return unmarshalViews(views) }
 }
 
@@ -276,7 +291,9 @@ func (c *Cluster) thresholdFor(u *clusterUnit) float64 {
 // with a single access to its cluster unit, under the selected technique.
 // TechThreshold is decided per unit: page by page when the overlap degree of
 // the unit region and the window is below the unit's threshold T(c),
-// complete otherwise.
+// complete otherwise. An object whose key decides it (keyDecides) is read —
+// the transfer is the unit access, and its pages are touched — but its view
+// is nil: slicing or assembling it would be work no answer uses.
 func (c *Cluster) views(lm rtree.LeafMatch, w geom.Rect, tech Technique, sc *scratch) [][]byte {
 	u := c.unitFor(lm.Page)
 	if tech == TechThreshold {
@@ -290,7 +307,7 @@ func (c *Cluster) views(lm rtree.LeafMatch, w geom.Rect, tech Technique, sc *scr
 		id, _ := decodePayload(lm.Matched[i].Payload)
 		sc.ids = append(sc.ids, id)
 	}
-	return c.capture(u, sc.ids, c.env.Buf, tech, sc)
+	return c.capture(u, sc.ids, c.env.Buf, tech, sc, func(i int) bool { return keyDecides(lm.Matched[i].Rect, w) })
 }
 
 // demand implements layout: the unit is one access, and the pages covering

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -157,10 +158,13 @@ func refWindow(org Organization, w geom.Rect, tech Technique, pred func(*object.
 	return res
 }
 
-func refNearest(org Organization, pt geom.Point, k int) NearestResult {
-	var res NearestResult
+// refNearest is the k-NN browse refining every candidate it fetches. beyond
+// counts the fetched candidates whose key was already farther than the k-th
+// best distance when their turn came: the ones NearestQuery leaves
+// unrefined.
+func refNearest(org Organization, pt geom.Point, k int) (res NearestResult, beyond int) {
 	if k <= 0 {
-		return res
+		return res, 0
 	}
 	t := org.Tree()
 	acc := knnAcc{k: k}
@@ -194,9 +198,12 @@ func refNearest(org Organization, pt geom.Point, k int) NearestResult {
 			if len(keep) == 0 {
 				continue
 			}
-			for _, o := range refFetch(org, n.ID, keep, TechPageByPage) {
+			for i, o := range refFetch(org, n.ID, keep, TechPageByPage) {
 				res.Candidates++
 				res.CandidateBytes += int64(o.Size())
+				if acc.full() && keep[i].Rect.MinDist(pt) > acc.bound() {
+					beyond++
+				}
 				acc.add(knnCand{id: o.ID, dist: o.Geom.DistToPoint(pt)})
 			}
 		}
@@ -205,7 +212,7 @@ func refNearest(org Organization, pt geom.Point, k int) NearestResult {
 	for i, c := range acc.cands {
 		res.IDs[i], res.Dists[i] = c.id, c.dist
 	}
-	return res
+	return res, beyond
 }
 
 // counters is everything a query may move besides its answer.
@@ -251,7 +258,8 @@ func TestReadPathMatchesMaterialisingReference(t *testing.T) {
 					for i, pt := range pts {
 						same(fmt.Sprintf("%s %v point %d", phase, tech, i), got.PointQuery(pt),
 							refWindow(ref, geom.RectFromPoint(pt), TechPageByPage, func(o *object.Object) bool { return o.Geom.ContainsPoint(pt) }))
-						same(fmt.Sprintf("%s %v %d-NN %d", phase, tech, 1+7*i, i), got.NearestQuery(pt, 1+7*i), refNearest(ref, pt, 1+7*i))
+						want, _ := refNearest(ref, pt, 1+7*i)
+						same(fmt.Sprintf("%s %v %d-NN %d", phase, tech, 1+7*i, i), got.NearestQuery(pt, 1+7*i), want)
 					}
 				}
 				if phase == "fresh" {
@@ -259,6 +267,98 @@ func TestReadPathMatchesMaterialisingReference(t *testing.T) {
 					applyMix(t, ref, newLiveSet(ds), churn)
 					same("after churn", got.Stats(), ref.Stats())
 				}
+			}
+		})
+	}
+}
+
+// TestNearestMatchesRefiningReference: NearestQuery leaves unrefined a
+// candidate whose key is already farther than the k-th best distance when its
+// turn comes. refNearest refines every candidate it fetches, so for all three
+// organizations, k of 1, 10 and 100, freshly built and churned 30/40/30, the
+// two must agree in IDs, distance bits, Candidates, CandidateBytes and Cost,
+// and move the buffer and disk counters alike — and the rule must have fired.
+func TestNearestMatchesRefiningReference(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 128, Seed: 81})
+	pts := ds.Points(12, 82)
+	for i := 0; i < len(ds.Objects); i += len(ds.Objects) / 4 { // on a vertex: a zero distance
+		pts = append(pts, ds.Objects[i].Geom.Segments()[0].A)
+	}
+	churn := ds.MixedWorkload(datagen.MixSpec{Ops: 400, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 83})
+	for _, kind := range []string{"secondary", "primary", "cluster"} {
+		t.Run(kind, func(t *testing.T) {
+			got, ref := buildOrg(t, kind, ds, 24), buildOrg(t, kind, ds, 24)
+			beyond := 0
+			for _, phase := range []string{"fresh", "churned"} {
+				for _, k := range []int{1, 10, 100} {
+					for i, pt := range pts {
+						label := fmt.Sprintf("%s %d-NN %d", phase, k, i)
+						res := got.NearestQuery(pt, k)
+						want, b := refNearest(ref, pt, k)
+						beyond += b
+						if !reflect.DeepEqual(res.IDs, want.IDs) || res.Candidates != want.Candidates ||
+							res.CandidateBytes != want.CandidateBytes || res.Cost != want.Cost {
+							t.Fatalf("%s:\n  NearestQuery %+v\n  reference    %+v", label, res, want)
+						}
+						for j := range want.Dists {
+							if math.Float64bits(res.Dists[j]) != math.Float64bits(want.Dists[j]) {
+								t.Fatalf("%s: distance %d is %v, reference %v", label, j, res.Dists[j], want.Dists[j])
+							}
+						}
+						if gc, rc := countersOf(got.Env()), countersOf(ref.Env()); gc != rc {
+							t.Fatalf("%s: counters diverge:\n  NearestQuery %+v\n  reference    %+v", label, gc, rc)
+						}
+					}
+				}
+				if phase == "fresh" {
+					applyMix(t, got, newLiveSet(ds), churn)
+					applyMix(t, ref, newLiveSet(ds), churn)
+				}
+			}
+			if beyond == 0 {
+				t.Fatal("no fetched candidate lay beyond the k-th bound: the skip was never exercised")
+			}
+			t.Logf("%d fetched candidates beyond the k-th bound", beyond)
+		})
+	}
+}
+
+// TestThresholdRegionAfterChurn: TechThreshold decides each unit from its
+// data page's region, which the tree hands over from the parent entry instead
+// of unioning the page's entries. After a MixedWorkload churn — splits,
+// condensing, unit repacks on update — every threshold window must equal
+// refWindow, which decides with the page's unioned MBR, in IDs, Candidates,
+// CandidateBytes and Cost, under fixed-size and buddy units alike; windows of
+// three sizes make both decisions occur.
+func TestThresholdRegionAfterChurn(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 128, Seed: 71})
+	churn := ds.MixedWorkload(datagen.MixSpec{Ops: 1500, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 72})
+	ws := append(append(ds.Windows(0.0005, 20, 73), ds.Windows(0.005, 20, 74)...), ds.Windows(0.05, 10, 75)...)
+	for _, kind := range []string{"cluster", "cluster-buddy"} {
+		t.Run(kind, func(t *testing.T) {
+			got, ref := buildOrgOn(t, kind, ds, 24, nil), buildOrgOn(t, kind, ds, 24, nil)
+			applyMix(t, got, newLiveSet(ds), churn)
+			applyMix(t, ref, newLiveSet(ds), churn)
+			for i, w := range ws {
+				res := got.WindowQuery(w, TechThreshold)
+				want := refWindow(ref, w, TechThreshold, func(o *object.Object) bool { return o.Geom.IntersectsRect(w) })
+				if !reflect.DeepEqual(res, want) {
+					t.Fatalf("window %d %v:\n  parent-entry region %+v\n  unioned MBR         %+v", i, w, res, want)
+				}
+			}
+			c := ref.(*Cluster)
+			complete, pageByPage := 0, 0
+			for _, w := range ws {
+				refLeaves(c.Tree(), c.Tree().Root(), w, func(n *rtree.Node, _ []rtree.Entry) {
+					if n.Rect().OverlapDegree(w) < c.thresholdFor(c.unitFor(n.ID)) {
+						pageByPage++
+					} else {
+						complete++
+					}
+				})
+			}
+			if complete == 0 || pageByPage == 0 {
+				t.Fatalf("units read complete %d times and page by page %d times: want both", complete, pageByPage)
 			}
 		})
 	}
@@ -505,10 +605,10 @@ func warmCluster(t *testing.T, ds *datagen.Dataset, smax int) *Cluster {
 }
 
 // TestQueryAllocs pins what a warm cluster query allocates: its result, its
-// closures and — for k-NN — the data pages the browse decodes, but nothing
-// per candidate and nothing per entry scanned. Ceilings are 1.5x what the
-// code measured when they were set (window 7 — its 51 answers growing the
-// result slice — point 1, 10-NN 14).
+// closures and — for k-NN — the browse's queue, but nothing per data page,
+// per candidate or per entry scanned. Ceilings are 1.5x what the code
+// measured when they were set (window 7 — its 51 answers growing the result
+// slice — point 1, 10-NN 8).
 func TestQueryAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")
@@ -545,7 +645,7 @@ func TestQueryAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		got, limit float64
-	}{{"window", window, 10}, {"point", point, 1}, {"10-NN", knn, 21}} {
+	}{{"window", window, 10}, {"point", point, 1}, {"10-NN", knn, 12}} {
 		if c.got > c.limit {
 			t.Errorf("%s query allocates %v times, ceiling %v", c.name, c.got, c.limit)
 		}
