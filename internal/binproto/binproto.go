@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"spatialcluster/internal/object"
@@ -62,6 +63,10 @@ const MaxMessage = 8 << 20
 // ContentType is the Content-Type of binary request and response bodies.
 const ContentType = "application/x-spatialcluster-bin"
 
+// maxPooled is the largest buffer PutBuf keeps: the pool serves the common
+// answer, and one huge answer must not stay pinned in it.
+const maxPooled = 64 << 10
+
 // bufPool recycles encode scratch buffers across requests.
 var bufPool = sync.Pool{
 	New: func() any {
@@ -77,8 +82,13 @@ func GetBuf() *[]byte {
 	return b
 }
 
-// PutBuf returns a scratch buffer to the pool.
-func PutBuf(b *[]byte) { bufPool.Put(b) }
+// PutBuf returns a scratch buffer to the pool; one that grew past 64 KiB is
+// left to the garbage collector.
+func PutBuf(b *[]byte) {
+	if cap(*b) <= maxPooled {
+		bufPool.Put(b)
+	}
+}
 
 func appendU32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
@@ -354,7 +364,8 @@ func AppendQueryResp(dst []byte, ids []object.ID, candidates int) []byte {
 }
 
 // DecodeQueryResp decodes a window/point answer, appending the IDs to
-// ids[:0] so a caller-kept slice makes the decode allocation-free.
+// ids[:0] — grown once to the count, so a caller-kept slice makes the decode
+// allocation-free and any other allocates the answer once.
 func DecodeQueryResp(p []byte, ids []uint64) (out []uint64, candidates int, err error) {
 	r := &reader{p: p}
 	r.checkKind(KindQueryResp, "query response")
@@ -363,8 +374,11 @@ func DecodeQueryResp(p []byte, ids []uint64) (out []uint64, candidates int, err 
 	if r.err == nil && int(n) > (len(p)-r.off)/8 {
 		r.err = fmt.Errorf("binproto: id count %d exceeds remaining payload", n)
 	}
-	out = ids[:0]
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	out = slices.Grow(ids[:0], int(n))
+	for i := uint32(0); i < n; i++ {
 		out = append(out, r.u64("object id"))
 	}
 	if err = r.done("query response"); err != nil {
@@ -387,7 +401,8 @@ func AppendKNNResp(dst []byte, ids []object.ID, dists []float64, candidates int)
 	return dst
 }
 
-// DecodeKNNResp decodes a k-NN answer into ids[:0] and dists[:0].
+// DecodeKNNResp decodes a k-NN answer into ids[:0] and dists[:0], each grown
+// once to the count.
 func DecodeKNNResp(p []byte, ids []uint64, dists []float64) (outIDs []uint64, outDists []float64, candidates int, err error) {
 	r := &reader{p: p}
 	r.checkKind(KindKNNResp, "knn response")
@@ -396,11 +411,14 @@ func DecodeKNNResp(p []byte, ids []uint64, dists []float64) (outIDs []uint64, ou
 	if r.err == nil && int(n) > (len(p)-r.off)/16 {
 		r.err = fmt.Errorf("binproto: id count %d exceeds remaining payload", n)
 	}
-	outIDs, outDists = ids[:0], dists[:0]
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	if r.err != nil {
+		return nil, nil, 0, r.err
+	}
+	outIDs, outDists = slices.Grow(ids[:0], int(n)), slices.Grow(dists[:0], int(n))
+	for i := uint32(0); i < n; i++ {
 		outIDs = append(outIDs, r.u64("object id"))
 	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := uint32(0); i < n; i++ {
 		outDists = append(outDists, r.f64("distance"))
 	}
 	if err = r.done("knn response"); err != nil {

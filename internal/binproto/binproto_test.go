@@ -149,4 +149,20 @@ func TestPooledBuf(t *testing.T) {
 		t.Fatal("pooled buffer not reset")
 	}
 	PutBuf(b2)
+
+	// One huge answer does not stay pinned in the pool: none of the next
+	// few buffers handed out is it.
+	big := make([]byte, 1<<20)
+	PutBuf(&big)
+	var held []*[]byte
+	for range 3 {
+		b := GetBuf()
+		if cap(*b) > 64<<10 {
+			t.Fatalf("the pool handed out a %d-byte buffer, want at most 64 KiB", cap(*b))
+		}
+		held = append(held, b)
+	}
+	for _, b := range held {
+		PutBuf(b)
+	}
 }

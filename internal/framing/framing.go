@@ -11,6 +11,13 @@
 //     torn tail a crash leaves behind — a truncated or checksum-failing
 //     record — and distinguish it from a clean end of stream.
 //
+// Records live in caller storage: AppendRecord appends a frame to a slice,
+// and ReadRecord reads a payload into the storage of the slice it is handed,
+// so a caller that keeps one buffer frames and reads without allocating. A
+// length field is a claim, not a fact: ReadRecord allocates what dst cannot
+// hold as the bytes arrive, never more than 64 KiB past them, so a peer that
+// announces 8 MiB and sends 10 bytes costs one step, not 8 MiB.
+//
 // All integers are little-endian; the checksum is CRC-32 (IEEE) over the
 // payload only.
 package framing
@@ -122,30 +129,34 @@ type RecordError struct {
 
 func (e *RecordError) Error() string { return "invalid record: " + e.Reason }
 
-// AppendRecord writes one framed record to w and returns the bytes written
-// (header + payload). A short write returns the underlying error.
-func AppendRecord(w io.Writer, payload []byte) (int, error) {
-	buf := make([]byte, recordHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderLen:], payload)
-	n, err := w.Write(buf)
-	if err == nil && n != len(buf) {
-		err = io.ErrShortWrite
-	}
-	return n, err
+// AppendRecord appends one framed record — header, then payload — to dst and
+// returns the extended slice.
+func AppendRecord(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // RecordSize returns the framed size of a payload without writing it.
 func RecordSize(payloadLen int) int { return recordHeaderLen + payloadLen }
 
-// ReadRecord reads the next framed record from r. It returns the payload on
-// success, io.EOF at a clean end of stream (no bytes remain), and a
-// *RecordError when the record is truncated, oversized (length > maxLen) or
-// fails its checksum. maxLen bounds the allocation a corrupted length field
-// can cause.
-func ReadRecord(r io.Reader, maxLen uint32) ([]byte, error) {
-	header := make([]byte, recordHeaderLen)
+// growStep is how far past the bytes received ReadRecord lets its buffer run:
+// a length field alone buys at most this much memory.
+const growStep = 64 << 10
+
+// ReadRecord reads the next framed record from r into dst's storage (its
+// contents are ignored) and returns the payload. It returns io.EOF at a clean
+// end of stream (no bytes remain), and a *RecordError when the record is
+// truncated, oversized (length > maxLen) or fails its checksum. Beyond
+// dst's capacity the payload is allocated as it arrives, growStep bytes at a
+// time, so a record that claims more than it delivers costs no more than one
+// step past what was delivered.
+func ReadRecord(r io.Reader, maxLen uint32, dst []byte) ([]byte, error) {
+	header := dst[:0]
+	if cap(header) < recordHeaderLen {
+		header = make([]byte, 0, recordHeaderLen)
+	}
+	header = header[:recordHeaderLen]
 	if _, err := io.ReadFull(r, header); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -160,8 +171,8 @@ func ReadRecord(r io.Reader, maxLen uint32) ([]byte, error) {
 	if length > maxLen {
 		return nil, &RecordError{Reason: fmt.Sprintf("implausible record length %d (max %d)", length, maxLen)}
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(length), dst)
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, &RecordError{Reason: fmt.Sprintf("truncated record payload: %d bytes promised", length)}
 		}
@@ -171,4 +182,34 @@ func ReadRecord(r io.Reader, maxLen uint32) ([]byte, error) {
 		return nil, &RecordError{Reason: fmt.Sprintf("record checksum %08x, header says %08x", got, sum)}
 	}
 	return payload, nil
+}
+
+// readPayload reads n bytes from r: into dst's storage as far as it reaches,
+// the rest in steps of at most growStep, each allocated once the one before
+// it is full. More than one piece is joined once the last has arrived.
+func readPayload(r io.Reader, n int, dst []byte) ([]byte, error) {
+	p := dst[:min(n, cap(dst))]
+	if _, err := io.ReadFull(r, p); err != nil {
+		return nil, err
+	}
+	var steps [][]byte
+	for have := len(p); have < n; {
+		step := make([]byte, min(n-have, growStep))
+		if _, err := io.ReadFull(r, step); err != nil {
+			return nil, err
+		}
+		steps = append(steps, step)
+		have += len(step)
+	}
+	switch {
+	case len(steps) == 0:
+		return p, nil
+	case len(steps) == 1 && len(p) == 0:
+		return steps[0], nil
+	}
+	whole := append(make([]byte, 0, n), p...)
+	for _, step := range steps {
+		whole = append(whole, step...)
+	}
+	return whole, nil
 }

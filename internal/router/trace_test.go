@@ -461,7 +461,7 @@ func TestRouterAbortsScatterOnCancel(t *testing.T) {
 	sawTrace := make(chan uint64, 1)
 	liveHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		if payload, err := framing.ReadRecord(bytes.NewReader(body), binproto.MaxMessage); err == nil {
+		if payload, err := framing.ReadRecord(bytes.NewReader(body), binproto.MaxMessage, nil); err == nil {
 			if _, id, traced, err := binproto.UntraceReq(payload); err == nil && traced {
 				sawTrace <- id
 			}

@@ -111,9 +111,7 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 				send("json", c.jsonPath, []byte(c.json))
 			}
 			if c.bin != nil {
-				var framed bytes.Buffer
-				framing.AppendRecord(&framed, c.bin)
-				send("binary", c.binPath, framed.Bytes())
+				send("binary", c.binPath, framing.AppendRecord(nil, c.bin))
 			}
 		}
 	}

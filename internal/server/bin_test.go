@@ -1,12 +1,20 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"spatialcluster/internal/binproto"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
+	"spatialcluster/internal/router"
 	"spatialcluster/internal/server"
+	"spatialcluster/internal/shard"
 )
 
 // compareClients runs the same queries through two clients of one server and
@@ -158,5 +166,42 @@ func TestBinaryErrors(t *testing.T) {
 	// An unknown technique byte is rejected with the codec's message.
 	if _, err := bc.Window(geom.R(0, 0, 1, 1), "nonsense"); err == nil {
 		t.Fatal("unknown technique over binary did not fail")
+	}
+}
+
+// TestBinaryFrameClaimBounded: a /bin/* body whose frame header claims the
+// largest message and then delivers 10 bytes answers 400 without the claim
+// being allocated — 20 of them stay under 4 MiB together, not 20 × 8 MiB —
+// on a Server's Front and on a Router's.
+func TestBinaryFrameClaimBounded(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 1024, Seed: 3})
+	srv, _ := startServer(t, buildOrg(t, "cluster", ds), server.Config{})
+	pmap := shard.FromKeys(ds.MBRs, 2)
+	rt, err := router.New(pmap, []*server.Client{
+		server.NewClient("http://127.0.0.1:1", 1), server.NewClient("http://127.0.0.1:2", 1),
+	}, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := binary.LittleEndian.AppendUint32(nil, binproto.MaxMessage)
+	body = append(body, make([]byte, 4+10)...) // checksum, then 10 of the bytes claimed
+	for _, tier := range []struct {
+		name string
+		h    http.Handler
+	}{{"server", srv.Handler()}, {"router", rt.Handler()}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/bin/window", bytes.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d (%s), want 400", tier.name, rec.Code, rec.Body.String())
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+			t.Errorf("%s: 20 truncated frames claiming %d bytes each allocated %d bytes, want < 4 MiB",
+				tier.name, binproto.MaxMessage, got)
+		}
 	}
 }

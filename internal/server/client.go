@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -26,8 +27,12 @@ import (
 // the experiments, the benchmark and the tests speak; curl speaks the same
 // JSON (see the README's serving quickstart).
 type Client struct {
-	Base string       // e.g. "http://127.0.0.1:8080"
-	HTTP *http.Client // nil selects http.DefaultClient
+	Base string // e.g. "http://127.0.0.1:8080"
+	// HTTP carries the exchanges; only its Transport is used (nil selects
+	// http.DefaultTransport), called directly for every exchange. There are
+	// no redirects to follow, no cookies and no Timeout: the context of the
+	// view (WithContext, WithTrace) bounds each call.
+	HTTP *http.Client
 	// Retry enables transparent retry of transient failures (nil disables).
 	Retry *Retry
 	// Binary reroutes the six data-plane operations (Window, Point, KNN,
@@ -177,9 +182,13 @@ func retryable(err error, mutating bool) bool {
 
 // NewClient builds a client whose transport keeps up to maxConns idle
 // connections to the server — a closed-loop load generator with C clients
-// needs C keep-alive connections or it measures TCP handshakes.
+// needs C keep-alive connections or it measures TCP handshakes — and asks
+// for no compression, which the servers never apply. Only the transport is
+// used (see Client.HTTP): no redirects, no cookies, no Timeout; a context
+// bounds each call.
 func NewClient(base string, maxConns int) *Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DisableCompression = true
 	if maxConns > 0 {
 		tr.MaxIdleConns = maxConns
 		tr.MaxIdleConnsPerHost = maxConns
@@ -192,7 +201,7 @@ type wire uint8
 
 const (
 	wireJSON wire = iota // JSON request body (none on GET); the answer is decoded into resp
-	wireBin              // one framed binproto record each way; the answer's payload is returned
+	wireBin              // one framed binproto record each way; the answer's payload is read into resp, a *[]byte, and returned
 	wireRaw              // the answer's bytes are returned as they are
 )
 
@@ -250,8 +259,9 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// exchange performs one HTTP exchange. A nonzero traceID travels in
-// TraceIDHeader.
+// exchange performs one HTTP exchange: one RoundTrip on the transport,
+// its failure wrapped in a *url.Error as http.Client.Do wraps it. A nonzero
+// traceID travels in TraceIDHeader; no User-Agent travels at all.
 func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uint64, resp any) ([]byte, error) {
 	c.Counters.attempt()
 	var body io.Reader
@@ -274,13 +284,14 @@ func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uin
 	if traceID != 0 {
 		hreq.Header.Set(TraceIDHeader, strconv.FormatUint(traceID, 10))
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
+	hreq.Header["User-Agent"] = nil
+	rt := http.DefaultTransport
+	if c.HTTP != nil && c.HTTP.Transport != nil {
+		rt = c.HTTP.Transport
 	}
-	hresp, err := hc.Do(hreq)
+	hresp, err := rt.RoundTrip(hreq)
 	if err != nil {
-		return nil, err
+		return nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: hreq.URL.String(), Err: err}
 	}
 	defer func() {
 		io.Copy(io.Discard, hresp.Body) // drain so the connection is reused
@@ -300,7 +311,10 @@ func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uin
 	var payload []byte
 	switch wr {
 	case wireBin:
-		payload, err = framing.ReadRecord(hresp.Body, binproto.MaxMessage)
+		buf := resp.(*[]byte)
+		if payload, err = framing.ReadRecord(hresp.Body, binproto.MaxMessage, *buf); err == nil {
+			*buf = payload
+		}
 	case wireRaw:
 		return io.ReadAll(hresp.Body)
 	case wireJSON:
@@ -341,16 +355,17 @@ func (c *Client) Post(path string, req, resp any) error {
 
 // callBin sends one encoded binproto message, inside the trace envelope when
 // tc asks for tracing, and returns the plain message of the answer beside
-// the trace its envelope carried.
+// the trace its envelope carried. The request is framed into pooled scratch,
+// and the answer is read into msg's storage, which the request no longer
+// needs: the plain message is valid until msg is reused.
 func (c *Client) callBin(path string, msg *[]byte, tc tracing) ([]byte, *TraceInfo, error) {
 	if tc.on {
 		*msg = binproto.TraceReq(*msg, tc.id)
 	}
-	var body bytes.Buffer
-	if _, err := framing.AppendRecord(&body, *msg); err != nil {
-		return nil, nil, fmt.Errorf("encoding %s request: %w", path, err)
-	}
-	payload, err := c.do(http.MethodPost, path, wireBin, body.Bytes(), 0, nil)
+	frame := binproto.GetBuf()
+	defer binproto.PutBuf(frame)
+	*frame = framing.AppendRecord((*frame)[:0], *msg)
+	payload, err := c.do(http.MethodPost, path, wireBin, *frame, 0, msg)
 	if err != nil {
 		return nil, nil, err
 	}

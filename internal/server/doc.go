@@ -37,6 +37,16 @@
 // cap — it declines, and encoding/json decodes that body as it always did.
 // Requests, traced answers, errors and the control plane stay on encoding/json.
 //
+// Each hop allocates the answer it hands on once and frames in buffers it
+// reuses. A /bin/* body is one internal/framing record, read into pooled
+// scratch — its length field is a claim, so a frame promising 8 MiB buys at
+// most 64 KiB before its bytes arrive — and a binary answer is framed into
+// pooled scratch and written in one Write. The Client calls its transport's
+// RoundTrip directly instead of http.Client.Do: there are no redirects to
+// follow, no cookies and no Timeout, and the context of the call bounds it.
+// It frames a binary request into pooled scratch and reads the answer into
+// the message buffer the call already holds.
+//
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the
 // store, and optionally saving a snapshot. /metrics exposes storage

@@ -1,0 +1,98 @@
+package server
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+
+	"spatialcluster/internal/geom"
+)
+
+// exchangeClient returns a client of a Front whose window answers n IDs, in
+// the binary codec or in JSON, over an in-process transport.
+func exchangeClient(n int, bin bool) *Client {
+	f := NewFront(&fakeService{window: bigAnswer()[:n]}, "sdb", 0, -1, false)
+	return &Client{Base: "http://front", HTTP: &http.Client{Transport: handlerTransport{f.Handler()}}, Binary: bin}
+}
+
+// windowAllocs is what one window exchange allocates, client and Front
+// together: the count, and the bytes.
+func windowAllocs(t *testing.T, c *Client, n int) (allocs, bytes float64) {
+	const runs = 200
+	window := func() {
+		if r, err := c.Window(geom.R(0, 0, 1, 1), ""); err != nil || len(r.IDs) != n {
+			t.Fatalf("window answered %d IDs (%v), want %d", len(r.IDs), err, n)
+		}
+	}
+	allocs = testing.AllocsPerRun(runs, window)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		window()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestExchangeAllocs pins what a window exchange allocates end to end —
+// request, framing, Front, answer — over an in-process transport. Ceilings
+// are 1.25x what the code measured when they were set (binary 26, JSON 41,
+// at 500 answers), and the binary count does not grow with the answer: each
+// hop allocates its answer once, whatever its length. In bytes, an answer
+// costs two copies of itself: the transport's body and the client's decoded
+// IDs (16.3 bytes an ID when the bound was set); a third — the frame read
+// into fresh memory, say — breaks the 20-byte bound.
+func TestExchangeAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	bin50, bytes50 := windowAllocs(t, exchangeClient(50, true), 50)
+	bin500, bytes500 := windowAllocs(t, exchangeClient(500, true), 500)
+	json500, _ := windowAllocs(t, exchangeClient(500, false), 500)
+	perID := (bytes500 - bytes50) / 450
+	t.Logf("window exchange allocations: binary %v at 50 answers, %v at 500 (%.1f bytes an answer); JSON %v at 500",
+		bin50, bin500, perID, json500)
+	if bin500 != bin50 {
+		t.Errorf("a binary window exchange allocates %v times at 50 answers and %v at 500: a per-answer term", bin50, bin500)
+	}
+	if perID > 20 {
+		t.Errorf("a binary window exchange allocates %.1f bytes per answer: more than two copies of the answer", perID)
+	}
+	for _, c := range []struct {
+		codec      string
+		got, limit float64
+	}{{"binary", bin500, 26 * 1.25}, {"JSON", json500, 41 * 1.25}} {
+		if c.got > c.limit {
+			t.Errorf("a %s window exchange allocates %v times, ceiling %v", c.codec, c.got, c.limit)
+		}
+	}
+}
+
+// BenchmarkExchange times window round trips through the typed client and a
+// Front over a loopback listener, in both codecs, at 50 and at 1,000 answers:
+// the served hop without a store behind it.
+func BenchmarkExchange(b *testing.B) {
+	for _, n := range []int{50, 1000} {
+		f := NewFront(&fakeService{window: bigAnswer()[:n]}, "sdb", 0, -1, false)
+		hs := httptest.NewServer(f.Handler())
+		for _, codec := range []struct {
+			name string
+			bin  bool
+		}{{"json", false}, {"bin", true}} {
+			c := NewClient(hs.URL, 1)
+			c.Binary = codec.bin
+			b.Run(fmt.Sprintf("%s/%d", codec.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r, err := c.Window(geom.R(0, 0, 1, 1), "")
+					if err != nil || len(r.IDs) != n {
+						b.Fatalf("window answered %d IDs (%v), want %d", len(r.IDs), err, n)
+					}
+				}
+			})
+		}
+		hs.Close()
+	}
+}

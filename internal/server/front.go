@@ -445,38 +445,46 @@ func Reply(w http.ResponseWriter, v any, err error) {
 	json.NewEncoder(w).Encode(v) // a failed write means the client is gone; nothing to do
 }
 
-// readBinRecord reads the request's single framed record, starts the trace its
-// envelope asks for, and returns the plain message.
-func readBinRecord(x *statusRecorder, r *http.Request) ([]byte, error) {
+// readBinRecord reads the request's single framed record into pooled
+// scratch, starts the trace its envelope asks for, and hands the plain
+// message to decode, which must keep nothing of it.
+func readBinRecord(x *statusRecorder, r *http.Request, decode func(msg []byte) error) error {
+	buf := binproto.GetBuf()
+	defer binproto.PutBuf(buf)
 	body := http.MaxBytesReader(x, r.Body, int64(framing.RecordSize(maxBodyBytes)))
-	payload, err := framing.ReadRecord(body, maxBodyBytes)
+	payload, err := framing.ReadRecord(body, maxBodyBytes, *buf)
 	if err != nil {
-		return nil, badRequest(fmt.Errorf("bad binary frame: %w", err))
+		return badRequest(fmt.Errorf("bad binary frame: %w", err))
 	}
+	*buf = payload
 	scratch := binproto.GetBuf() // one byte to read into, without allocating it
 	n, _ := body.Read((*scratch)[:1])
 	binproto.PutBuf(scratch)
 	if n > 0 {
-		return nil, badRequest(errors.New("trailing data after request body"))
+		return badRequest(errors.New("trailing data after request body"))
 	}
 	msg, traceID, traced, err := binproto.UntraceReq(payload)
 	if err != nil {
-		return nil, badRequest(err)
+		return badRequest(err)
 	}
 	if traced {
 		x.rq.Trace = newTrace(traceID)
 	}
-	return msg, nil
+	return decode(msg)
 }
 
-// replyBin frames an encoded answer as the response body, inside the trace
-// envelope when the request was traced.
+// replyBin frames an encoded answer, inside the trace envelope when the
+// request was traced, into pooled scratch and writes it as the response body
+// in one Write.
 func replyBin(x *statusRecorder, msg *[]byte) {
 	if tr := x.rq.Trace; tr != nil {
 		*msg = binproto.TraceResp(*msg, tr.ID(), tr.TotalMS(), tr.Spans())
 	}
+	frame := binproto.GetBuf()
+	defer binproto.PutBuf(frame)
+	*frame = framing.AppendRecord((*frame)[:0], *msg)
 	x.Header().Set("Content-Type", binproto.ContentType)
-	framing.AppendRecord(x, *msg) // a failed write means the client is gone
+	x.Write(*frame) // a failed write means the client is gone
 }
 
 // --- the six operations ---
@@ -491,10 +499,10 @@ func (f *Front) window(x *statusRecorder, r *http.Request, bin bool) {
 		err  error
 	)
 	if bin {
-		var msg []byte
-		if msg, err = readBinRecord(x, r); err == nil {
+		err = readBinRecord(x, r, func(msg []byte) (err error) {
 			win, tech, err = binproto.DecodeWindowReq(msg)
-		}
+			return err
+		})
 	} else {
 		var req WindowRequest
 		if err = ReadJSON(r, &req); err == nil {
@@ -518,10 +526,10 @@ func (f *Front) point(x *statusRecorder, r *http.Request, bin bool) {
 		err error
 	)
 	if bin {
-		var msg []byte
-		if msg, err = readBinRecord(x, r); err == nil {
+		err = readBinRecord(x, r, func(msg []byte) (err error) {
 			pt, err = binproto.DecodePointReq(msg)
-		}
+			return err
+		})
 	} else {
 		var req PointRequest
 		err = ReadJSON(r, &req)
@@ -542,10 +550,10 @@ func (f *Front) knn(x *statusRecorder, r *http.Request, bin bool) {
 		err error
 	)
 	if bin {
-		var msg []byte
-		if msg, err = readBinRecord(x, r); err == nil {
+		err = readBinRecord(x, r, func(msg []byte) (err error) {
 			pt, k, err = binproto.DecodeKNNReq(msg)
-		}
+			return err
+		})
 	} else {
 		var req KNNRequest
 		err = ReadJSON(r, &req)
@@ -632,10 +640,10 @@ func (f *Front) delete(x *statusRecorder, r *http.Request, bin bool) {
 		err error
 	)
 	if bin {
-		var msg []byte
-		if msg, err = readBinRecord(x, r); err == nil {
+		err = readBinRecord(x, r, func(msg []byte) (err error) {
 			id, err = binproto.DecodeDeleteReq(msg)
-		}
+			return err
+		})
 	} else {
 		var req DeleteRequest
 		err = ReadJSON(r, &req)
@@ -661,10 +669,10 @@ func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*objec
 		err error
 	)
 	if bin {
-		var msg []byte
-		if msg, err = readBinRecord(x, r); err == nil {
+		err = readBinRecord(x, r, func(msg []byte) (err error) {
 			o, key, err = binproto.DecodeMutateReq(msg, kind)
-		}
+			return err
+		})
 	} else {
 		var req InsertRequest
 		if err = ReadJSON(r, &req); err == nil {

@@ -29,6 +29,7 @@ type fakeService struct {
 	release chan struct{} // ... and waits here, holding its admission permit
 	calls   atomic.Int64
 	traceID atomic.Uint64 // identity of the last request's trace
+	window  []object.ID   // when set, every window's answer
 }
 
 func (s *fakeService) serve(rq *Request) error {
@@ -43,6 +44,9 @@ func (s *fakeService) serve(rq *Request) error {
 }
 
 func (s *fakeService) Window(rq *Request, _ geom.Rect, _ store.Technique) (store.QueryResult, error) {
+	if s.window != nil {
+		return store.QueryResult{IDs: s.window, Candidates: len(s.window)}, s.serve(rq)
+	}
 	return store.QueryResult{IDs: []object.ID{3, 1 << 60}, Candidates: 5}, s.serve(rq)
 }
 
@@ -66,11 +70,7 @@ func (s *fakeService) Update(rq *Request, _ *object.Object, _ geom.Rect) (bool, 
 func (s *fakeService) Delete(rq *Request, _ object.ID) (bool, error) { return true, s.serve(rq) }
 
 // frame wraps a binproto message into the one framed record of a /bin body.
-func frame(msg []byte) []byte {
-	var b bytes.Buffer
-	framing.AppendRecord(&b, msg)
-	return b.Bytes()
-}
+func frame(msg []byte) []byte { return framing.AppendRecord(nil, msg) }
 
 // frontOp is one operation with a valid body in each codec.
 type frontOp struct {
@@ -144,7 +144,7 @@ func TestFrontAnswersBothCodecs(t *testing.T) {
 	if err := json.Unmarshal(do(f, http.MethodPost, ops[0].jsonPath, []byte(ops[0].jsonBody)).Body.Bytes(), &jr); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := framing.ReadRecord(do(f, http.MethodPost, ops[0].binPath, ops[0].binBody).Body, binproto.MaxMessage)
+	payload, err := framing.ReadRecord(do(f, http.MethodPost, ops[0].binPath, ops[0].binBody).Body, binproto.MaxMessage, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFrontAnswersBothCodecs(t *testing.T) {
 		t.Fatalf("traced JSON k-NN: %s (service saw trace %d)", rec.Body.String(), svc.traceID.Load())
 	}
 	traced := frame(binproto.TraceReq(binproto.AppendKNNReq(nil, [2]float64{0.5, 0.5}, 3), 78))
-	payload, err = framing.ReadRecord(do(f, http.MethodPost, "/bin/knn", traced).Body, binproto.MaxMessage)
+	payload, err = framing.ReadRecord(do(f, http.MethodPost, "/bin/knn", traced).Body, binproto.MaxMessage, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
@@ -147,11 +148,14 @@ func (b *base) PointQuery(pt geom.Point) QueryResult {
 // intersect r (rtree.SearchLeaves), the layout reads their objects with tech
 // for window w, and keep refines each candidate. Nothing between a data
 // page's fetch and its objects' reads touches I/O, so this issues the buffer
-// and disk requests of an entry-by-entry search in the same order.
+// and disk requests of an entry-by-entry search in the same order. The
+// answers collect in the scratch, and the result gets them in one allocation
+// of their final size — nil when there are none.
 func (b *base) search(r, w geom.Rect, tech Technique, keep func(sc *scratch, key geom.Rect, view []byte) bool) QueryResult {
 	var res QueryResult
 	sc := getScratch()
 	defer sc.release()
+	sc.answer = sc.answer[:0]
 	res.Cost = measure(b.env.Disk, func() {
 		b.tree.SearchLeaves(r, func(lm rtree.LeafMatch) bool {
 			for i, view := range b.lay.views(lm, w, tech, sc) {
@@ -159,12 +163,15 @@ func (b *base) search(r, w geom.Rect, tech Technique, keep func(sc *scratch, key
 				res.Candidates++
 				res.CandidateBytes += int64(size)
 				if keep(sc, lm.Matched[i].Rect, view) {
-					res.IDs = append(res.IDs, id)
+					sc.answer = append(sc.answer, id)
 				}
 			}
 			return true
 		})
 	})
+	if len(sc.answer) > 0 {
+		res.IDs = slices.Clone(sc.answer)
+	}
 	return res
 }
 

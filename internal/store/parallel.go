@@ -43,8 +43,9 @@ func RunNearestQueriesParallel(org Organization, pts []geom.Point, k int, worker
 // RunQueriesParallel is the one parallel read entry point: query(0) …
 // query(n-1) are handed out in index order by an atomic counter to a bounded
 // pool sharing the organization's buffer and disk — the caller's goroutine
-// plus min(workers, n)-1 spawned ones, so an empty or one-query call spawns
-// nothing. workers <= 0 selects GOMAXPROCS. query may
+// plus min(workers, n)-1 spawned ones. One worker runs the queries in a loop
+// on the caller's goroutine, spawning and allocating nothing: that is the
+// server's per-request path. workers <= 0 selects GOMAXPROCS. query may
 // call any read method of org (window, point and k-NN can mix in one call)
 // and keeps its own per-query result; the driver only sums the two counts it
 // returns. The organization must be flushed (construction finished): the read
@@ -70,16 +71,41 @@ func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 
 	env := org.Env()
-	var answers, candidates atomic.Int64
-	var next atomic.Int64
 	before := env.Disk.Cost()
 	start := time.Now()
+	var answers, candidates int64
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			a, c := runLocked(env, st, query, i)
+			answers += int64(a)
+			candidates += int64(c)
+		}
+	} else {
+		answers, candidates = runSpawned(env, st, n, workers, query)
+	}
 
+	wall := time.Since(start).Seconds()
+	out := ThroughputResult{
+		Queries:    n,
+		Answers:    int(answers),
+		Candidates: int(candidates),
+		Cost:       env.Disk.Cost().Sub(before),
+		Workers:    workers,
+		WallSec:    wall,
+	}
+	if wall > 0 {
+		out.QueriesSec = float64(n) / wall
+	}
+	return out
+}
+
+// runSpawned is RunQueriesParallel's pool of several workers: the caller's
+// goroutine and workers-1 spawned ones take indices from one counter.
+func runSpawned(env *Env, st *obs.ParallelStages, n, workers int, query func(i int) (answers, candidates int)) (answers, candidates int64) {
+	var sumA, sumC, next atomic.Int64
 	worker := func() {
 		for {
 			i := int(next.Add(1)) - 1
@@ -87,8 +113,8 @@ func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages
 				return
 			}
 			a, c := runLocked(env, st, query, i)
-			answers.Add(int64(a))
-			candidates.Add(int64(c))
+			sumA.Add(int64(a))
+			sumC.Add(int64(c))
 		}
 	}
 	var wg sync.WaitGroup
@@ -101,20 +127,7 @@ func RunQueriesParallel(org Organization, n, workers int, st *obs.ParallelStages
 	}
 	worker()
 	wg.Wait()
-
-	wall := time.Since(start).Seconds()
-	out := ThroughputResult{
-		Queries:    n,
-		Answers:    int(answers.Load()),
-		Candidates: int(candidates.Load()),
-		Cost:       env.Disk.Cost().Sub(before),
-		Workers:    workers,
-		WallSec:    wall,
-	}
-	if wall > 0 {
-		out.QueriesSec = float64(n) / wall
-	}
-	return out
+	return sumA.Load(), sumC.Load()
 }
 
 // runLocked runs query(i) under env's read lock and releases it even if the

@@ -23,17 +23,22 @@ func (c *Cluster) unitFor(leaf disk.PageID) *clusterUnit {
 
 // scratch is the reusable memory of one query (or one prepared fetch): the
 // candidates of the data page being processed, their unit pages, their
-// serializations as views, and the vertices of the candidate under
-// refinement. Queries run concurrently under Env's read lock, so a scratch
-// belongs to exactly one query at a time and nothing of it hangs on the
-// organization.
+// serializations as views, the vertices of the candidate under refinement,
+// and the answers so far. Queries run concurrently under Env's read lock, so
+// a scratch belongs to exactly one query at a time and nothing of it hangs on
+// the organization.
 type scratch struct {
-	ids   []object.ID
-	pages []disk.PageID // requested unit pages
-	views [][]byte      // serializations: page sub-slices, or slices of spill
-	spill []byte        // objects straddling pages, assembled
-	verts []geom.Point
+	ids    []object.ID
+	pages  []disk.PageID // requested unit pages
+	views  [][]byte      // serializations: page sub-slices, or slices of spill
+	spill  []byte        // objects straddling pages, assembled
+	verts  []geom.Point
+	answer []object.ID // collected here, copied out once at its final size
 }
+
+// maxPooledAnswer is the largest answer slice a released scratch keeps, 64 KiB
+// of IDs: one huge answer must not stay pinned in the pool.
+const maxPooledAnswer = 64 << 10 / 8
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -43,6 +48,9 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // pooled scratch must not keep evicted pages alive.
 func (sc *scratch) release() {
 	clear(sc.views[:cap(sc.views)])
+	if cap(sc.answer) > maxPooledAnswer {
+		sc.answer = nil
+	}
 	scratchPool.Put(sc)
 }
 

@@ -606,9 +606,9 @@ func warmCluster(t *testing.T, ds *datagen.Dataset, smax int) *Cluster {
 
 // TestQueryAllocs pins what a warm cluster query allocates: its result, its
 // closures and — for k-NN — the browse's queue, but nothing per data page,
-// per candidate or per entry scanned. Ceilings are 1.5x what the code
-// measured when they were set (window 7 — its 51 answers growing the result
-// slice — point 1, 10-NN 8).
+// per candidate, per entry scanned or per answer. Ceilings sit above what the
+// code measured when they were set (window 1 — the answer, allocated once at
+// its final size — point 1, 10-NN 8).
 func TestQueryAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")
@@ -645,7 +645,7 @@ func TestQueryAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		got, limit float64
-	}{{"window", window, 10}, {"point", point, 1}, {"10-NN", knn, 12}} {
+	}{{"window", window, 3}, {"point", point, 1}, {"10-NN", knn, 12}} {
 		if c.got > c.limit {
 			t.Errorf("%s query allocates %v times, ceiling %v", c.name, c.got, c.limit)
 		}
@@ -659,6 +659,44 @@ func TestQueryAllocs(t *testing.T) {
 	}
 	if got, want := sparse.WindowQuery(w, TechComplete), res; !reflect.DeepEqual(sortedIDs(got.IDs), sortedIDs(want.IDs)) {
 		t.Fatal("the two stores answer the window differently")
+	}
+	// The whole space, at least ten times the answers: still one allocation.
+	wide := geom.R(0, 0, 1, 1)
+	if n := len(dense.WindowQuery(wide, TechComplete).IDs); n < 10*len(res.IDs) {
+		t.Fatalf("the wide window answers %d, want at least ten times %d", n, len(res.IDs))
+	}
+	if got := testing.AllocsPerRun(100, func() { dense.WindowQuery(wide, TechComplete) }); got != window {
+		t.Errorf("a window of %d answers allocates %v times, one of ten times as many %v: a per-answer term",
+			len(res.IDs), window, got)
+	}
+}
+
+// TestReleasedScratchKeepsNoHugeAnswer: a scratch that collected a huge
+// answer goes back to the pool without it.
+func TestReleasedScratchKeepsNoHugeAnswer(t *testing.T) {
+	sc := getScratch()
+	sc.answer = make([]object.ID, 0, 2*maxPooledAnswer)
+	sc.release()
+	if sc.answer != nil {
+		t.Fatalf("a released scratch keeps an answer slice of %d IDs", cap(sc.answer))
+	}
+}
+
+// TestRunQueriesParallelOneQueryAllocs: one query on one worker — the
+// server's per-request path — allocates nothing in RunQueriesParallel.
+func TestRunQueriesParallelOneQueryAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 61})
+	c := warmCluster(t, ds, ds.Spec.SmaxBytes())
+	query := func(int) (answers, candidates int) { return 1, 2 }
+	var res ThroughputResult
+	if got := testing.AllocsPerRun(100, func() { res = RunQueriesParallel(c, 1, 1, nil, query) }); got != 0 {
+		t.Errorf("a one-query RunQueriesParallel allocates %v times, want 0", got)
+	}
+	if res.Queries != 1 || res.Answers != 1 || res.Candidates != 2 || res.Workers != 1 {
+		t.Fatalf("RunQueriesParallel reports %+v", res)
 	}
 }
 

@@ -28,6 +28,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -110,6 +111,8 @@ type Log struct {
 	nextLSN  uint64
 	unsynced int
 	failed   error
+	rec      []byte // the record being appended, encoded; reused
+	frame    []byte // the same record framed; reused
 
 	syncs      atomic.Int64
 	lastSyncNS atomic.Int64
@@ -197,8 +200,13 @@ func (l *Log) Append(recs ...Record) error {
 			cur = &l.segs[len(l.segs)-1]
 		}
 		recs[i].LSN = l.nextLSN
-		n, err := framing.AppendRecord(l.f, recs[i].encode())
+		l.rec = recs[i].encode(l.rec[:0])
+		l.frame = framing.AppendRecord(l.frame[:0], l.rec)
+		n, err := l.f.Write(l.frame) // one write per record: faultinject numbers them
 		cur.bytes += int64(n)
+		if err == nil && n != len(l.frame) {
+			err = io.ErrShortWrite
+		}
 		if err != nil {
 			l.failed = fmt.Errorf("wal: appending record %d: %w", recs[i].LSN, err)
 			return l.failed

@@ -55,41 +55,28 @@ const recordPrefix = 9
 // keySize is the serialized spatial key: four float64 coordinates.
 const keySize = 32
 
-// encode serializes the record into the payload the framing layer wraps.
-func (r *Record) encode() []byte {
+// encode appends the record's serialization — the payload the framing layer
+// wraps — to dst.
+func (r *Record) encode(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
+	dst = append(dst, byte(r.Kind))
 	switch r.Kind {
 	case KindInsert, KindUpdate:
-		obj := object.Marshal(r.Obj)
-		buf := make([]byte, recordPrefix+keySize+len(obj))
-		r.putPrefix(buf)
-		binary.LittleEndian.PutUint64(buf[recordPrefix:], math.Float64bits(r.Key.MinX))
-		binary.LittleEndian.PutUint64(buf[recordPrefix+8:], math.Float64bits(r.Key.MinY))
-		binary.LittleEndian.PutUint64(buf[recordPrefix+16:], math.Float64bits(r.Key.MaxX))
-		binary.LittleEndian.PutUint64(buf[recordPrefix+24:], math.Float64bits(r.Key.MaxY))
-		copy(buf[recordPrefix+keySize:], obj)
-		return buf
+		for _, v := range [4]float64{r.Key.MinX, r.Key.MinY, r.Key.MaxX, r.Key.MaxY} {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+		return append(dst, object.Marshal(r.Obj)...)
 	case KindDelete:
-		buf := make([]byte, recordPrefix+8)
-		r.putPrefix(buf)
-		binary.LittleEndian.PutUint64(buf[recordPrefix:], uint64(r.ID))
-		return buf
+		return binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
 	case KindRecluster:
-		buf := make([]byte, recordPrefix+len(r.Policy))
-		r.putPrefix(buf)
-		copy(buf[recordPrefix:], r.Policy)
-		return buf
+		return append(dst, r.Policy...)
 	}
 	panic(fmt.Sprintf("wal: encoding record of kind %v", r.Kind))
 }
 
-func (r *Record) putPrefix(buf []byte) {
-	binary.LittleEndian.PutUint64(buf, r.LSN)
-	buf[8] = byte(r.Kind)
-}
-
 // decodeRecord deserializes a payload produced by encode. The payload has
 // already passed its CRC, so a decode failure is a format error, not a torn
-// write.
+// write. The record shares no memory with the payload.
 func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) < recordPrefix {
 		return Record{}, fmt.Errorf("record payload of %d bytes shorter than the %d-byte prefix",

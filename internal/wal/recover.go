@@ -261,8 +261,9 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 	r := bufio.NewReader(f)
 	offset := int64(segHeaderSize)
 	expect := first
+	var buf []byte // every record is read into it: a decoded record does not alias its payload
 	for {
-		payload, err := framing.ReadRecord(r, maxRecordLen)
+		payload, err := framing.ReadRecord(r, maxRecordLen, buf)
 		if err == io.EOF {
 			return res, nil
 		}
@@ -283,6 +284,7 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 		if err != nil {
 			return res, fmt.Errorf("wal: %s: %w", path, err)
 		}
+		buf = payload
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return res, fmt.Errorf("wal: %s: %w", path, err)
