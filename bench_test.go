@@ -11,6 +11,8 @@ package spatialcluster_test
 
 import (
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,28 +397,28 @@ func BenchmarkParallelJoin(b *testing.B) {
 }
 
 // BenchmarkParallelWindowQueries measures concurrent window-query throughput
-// (queries per wall-clock second) on a shared buffer at GOMAXPROCS workers,
-// next to the single-worker baseline.
+// on a shared buffer: b.RunParallel runs the windows on GOMAXPROCS goroutines,
+// each query locking the store itself, and every answer must be the one the
+// window gets alone.
 func BenchmarkParallelWindowQueries(b *testing.B) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 32, Seed: 2})
-	built := exp.Build(exp.OrgCluster, ds, 1024)
+	org := exp.Build(exp.OrgCluster, ds, 1024).Org
 	ws := ds.Windows(0.001, 256, 3)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp.CoolObjectPages(built.Org)
-		one := store.RunWindowQueriesParallel(built.Org, ws, sc.TechSLM, 1)
-		exp.CoolObjectPages(built.Org)
-		many := store.RunWindowQueriesParallel(built.Org, ws, sc.TechSLM, workers)
-		if one.Answers != many.Answers {
-			b.Fatalf("concurrency changed answers: %d vs %d", one.Answers, many.Answers)
-		}
-		b.ReportMetric(one.QueriesSec, "queries-per-sec-1w")
-		b.ReportMetric(many.QueriesSec, "queries-per-sec-Nw")
-		if many.QueriesSec > 0 && one.QueriesSec > 0 {
-			b.ReportMetric(many.QueriesSec/one.QueriesSec, "speedup-x")
-		}
+	want := make([]int, len(ws))
+	for i, w := range ws {
+		want[i] = len(org.WindowQuery(w, sc.TechSLM).IDs)
 	}
+	exp.CoolObjectPages(org)
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := int(next.Add(1)-1) % len(ws)
+			if got := len(org.WindowQuery(ws[i], sc.TechSLM).IDs); got != want[i] {
+				b.Errorf("window %d answers %d concurrently, %d alone", i, got, want[i])
+			}
+		}
+	})
 }
 
 // BenchmarkKNNOrgs measures cold k-NN (distance browsing) cost per query on
@@ -449,28 +451,28 @@ func BenchmarkKNNOrgs(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelNearestQueries measures concurrent k-NN throughput on the
-// shared buffer, asserting concurrency never changes the aggregate answers.
+// BenchmarkParallelNearestQueries is BenchmarkParallelWindowQueries for
+// 10-NN queries: every concurrent answer list must be the one the point gets
+// alone.
 func BenchmarkParallelNearestQueries(b *testing.B) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 32, Seed: 2})
-	built := exp.Build(exp.OrgCluster, ds, 1024)
+	org := exp.Build(exp.OrgCluster, ds, 1024).Org
 	pts := ds.Points(256, 3)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp.CoolObjectPages(built.Org)
-		one := store.RunNearestQueriesParallel(built.Org, pts, 10, 1)
-		exp.CoolObjectPages(built.Org)
-		many := store.RunNearestQueriesParallel(built.Org, pts, 10, workers)
-		if one.Answers != many.Answers {
-			b.Fatalf("concurrency changed answers: %d vs %d", one.Answers, many.Answers)
-		}
-		b.ReportMetric(one.QueriesSec, "queries-per-sec-1w")
-		b.ReportMetric(many.QueriesSec, "queries-per-sec-Nw")
-		if many.QueriesSec > 0 && one.QueriesSec > 0 {
-			b.ReportMetric(many.QueriesSec/one.QueriesSec, "speedup-x")
-		}
+	want := make([][]sc.ObjectID, len(pts))
+	for i, pt := range pts {
+		want[i] = org.NearestQuery(pt, 10).IDs
 	}
+	exp.CoolObjectPages(org)
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := int(next.Add(1)-1) % len(pts)
+			if got := org.NearestQuery(pts[i], 10).IDs; !slices.Equal(got, want[i]) {
+				b.Errorf("point %d: 10-NN %v concurrently, %v alone", i, got, want[i])
+			}
+		}
+	})
 }
 
 // BenchmarkCoreJoin measures full spatial-join throughput at a small scale.

@@ -63,7 +63,7 @@ func BenchmarkManager(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			missing = m.Missing(pages, missing)
+			missing = m.Missing(pages, missing, nil)
 		}
 	})
 }

@@ -327,8 +327,9 @@ func (m *Manager) removeLocked(f *frame) {
 // returns the evicted frame, unlinked and unreachable from the buffer, for
 // the caller to reuse; nil when every buffered frame is pinned (the caller
 // then overflows capacity instead of failing). The caller holds m.mu, which a
-// dirty victim's write-back releases: the victim is then picked again.
-func (m *Manager) evictOne() *frame {
+// dirty victim's write-back releases: the victim is then picked again. The
+// write-back is charged to t, the tally of the request that needed the frame.
+func (m *Manager) evictOne(t *disk.Tally) *frame {
 	for {
 		prefer := qAm
 		if m.policy == Policy2Q && m.sizeA1 >= m.kin {
@@ -344,7 +345,7 @@ func (m *Manager) evictOne() *frame {
 		if f.dirty {
 			id := f.id
 			m.mu.Unlock()
-			m.writeBack(id)
+			m.writeBack(id, t)
 			m.mu.Lock()
 			continue
 		}
@@ -365,9 +366,9 @@ func (m *Manager) dirtyLocked(id disk.PageID) bool {
 
 // writeBack writes the maximal run of buffered dirty pages that is
 // physically consecutive and includes page id, as one write request (write
-// clustering). The run's frames stay buffered but become clean. A no-op when
-// the page is no longer dirty. The caller must not hold m.mu.
-func (m *Manager) writeBack(id disk.PageID) {
+// clustering), charged to t. The run's frames stay buffered but become clean.
+// A no-op when the page is no longer dirty. The caller must not hold m.mu.
+func (m *Manager) writeBack(id disk.PageID, t *disk.Tally) {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
 
@@ -391,7 +392,7 @@ func (m *Manager) writeBack(id disk.PageID) {
 	}
 	m.mu.Unlock()
 
-	m.d.WriteRun(start, data)
+	m.d.WriteRunTallied(start, data, t)
 	m.writeBacks.Add(1)
 	m.flushed.Add(int64(len(data)))
 }
@@ -400,8 +401,9 @@ func (m *Manager) writeBack(id disk.PageID) {
 
 // insert places data for page id into the buffer, evicting as necessary. A
 // buffered frame takes data unless it is dirty and data is a clean copy (the
-// disk is only the source of truth for clean pages).
-func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
+// disk is only the source of truth for clean pages). An eviction's write-back
+// is charged to t.
+func (m *Manager) insert(id disk.PageID, data []byte, dirty bool, t *disk.Tally) {
 	if id < 0 {
 		panic(fmt.Sprintf("buffer: negative page ID %d", id))
 	}
@@ -423,7 +425,7 @@ func (m *Manager) insert(id disk.PageID, data []byte, dirty bool) {
 		if overflow || m.size < m.capacity {
 			break
 		}
-		if f = m.evictOne(); f == nil {
+		if f = m.evictOne(t); f == nil {
 			// Every frame is pinned: overflow capacity rather than fail
 			// (after one more racing-insert re-check at the loop top).
 			overflow = true
@@ -488,21 +490,31 @@ func (m *Manager) Peek(id disk.PageID) ([]byte, bool) {
 
 // Get returns the content of page id, reading it from disk on a miss (one
 // single-page read request).
-func (m *Manager) Get(id disk.PageID) []byte {
+func (m *Manager) Get(id disk.PageID) []byte { return m.GetTallied(id, nil) }
+
+// GetTallied is Get that also counts the hit or miss, and charges the I/O it
+// causes, to t; a nil t counts in the global statistics alone.
+func (m *Manager) GetTallied(id disk.PageID, t *disk.Tally) []byte {
 	if data, ok := m.Touch(id); ok {
 		m.hits.Add(1)
+		if t != nil {
+			t.Hits++
+		}
 		return data
 	}
 	m.misses.Add(1)
-	data := m.d.ReadRun(id, 1)[0]
-	m.insert(id, data, false)
+	if t != nil {
+		t.Misses++
+	}
+	data := m.d.ReadRunTallied(id, 1, false, t)[0]
+	m.insert(id, data, false, t)
 	return data
 }
 
 // Put stores page content in the buffer and marks it dirty; it is written
 // back on eviction or Flush.
 func (m *Manager) Put(id disk.PageID, data []byte) {
-	m.insert(id, data, true)
+	m.insert(id, data, true, nil)
 }
 
 // --- pinning ---
@@ -575,8 +587,9 @@ func (m *Manager) UnpinPages(ids []disk.PageID) {
 
 // Missing partitions pages into buffered (touched as hits) and missing ones;
 // a page listed twice counts once, and the missing IDs are returned sorted,
-// appended to missing[:0] (nil allocates as needed).
-func (m *Manager) Missing(pages, missing []disk.PageID) []disk.PageID {
+// appended to missing[:0] (nil allocates as needed). The hits and misses are
+// also counted in t, if any.
+func (m *Manager) Missing(pages, missing []disk.PageID, t *disk.Tally) []disk.PageID {
 	missing = missing[:0]
 	var hi disk.PageID // highest page seen so far
 	hits := 0
@@ -598,6 +611,10 @@ func (m *Manager) Missing(pages, missing []disk.PageID) []disk.PageID {
 	m.mu.Unlock()
 	m.hits.Add(int64(hits))
 	m.misses.Add(int64(len(missing)))
+	if t != nil {
+		t.Hits += int64(hits)
+		t.Misses += int64(len(missing))
+	}
 	slices.Sort(missing)
 	return missing
 }
@@ -617,15 +634,13 @@ func (m *Manager) Missing(pages, missing []disk.PageID) []disk.PageID {
 // reader), what was read for it is older than the disk: the page is then
 // looked at again, uncharged, instead of admitting the stale copy as a clean
 // frame.
-func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool) {
+//
+// The plan's reads, and the write-backs its admissions force, are also
+// charged to t, if any.
+func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool, t *disk.Tally) {
 	for i, r := range runs {
 		epoch := m.writeBacks.Load()
-		var data [][]byte
-		if i == 0 {
-			data = m.d.ReadRun(r.Start, r.N)
-		} else {
-			data = m.d.ReadRunChained(r.Start, r.N)
-		}
+		data := m.d.ReadRunTallied(r.Start, r.N, i > 0, t)
 		for j := 0; j < r.N; j++ {
 			id := r.Start + disk.PageID(j)
 			if vector && !slices.Contains(requested, id) {
@@ -635,7 +650,7 @@ func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector b
 			if m.writeBacks.Load() != epoch {
 				page = m.d.Peek(id)
 			}
-			m.insert(id, page, false)
+			m.insert(id, page, false, t)
 		}
 	}
 }
@@ -661,7 +676,7 @@ func (m *Manager) pages(dirtyOnly bool) []disk.PageID {
 // pages into single write requests, in ascending page order.
 func (m *Manager) Flush() {
 	for _, id := range m.pages(true) {
-		m.writeBack(id) // no-op for pages cleaned by an earlier run
+		m.writeBack(id, nil) // no-op for pages cleaned by an earlier run
 	}
 }
 

@@ -131,13 +131,13 @@ func TestMissing(t *testing.T) {
 	m := New(d, 4)
 	m.Get(2)
 	m.Get(5)
-	missing := m.Missing([]disk.PageID{5, 1, 2, 7, 1}, nil)
+	missing := m.Missing([]disk.PageID{5, 1, 2, 7, 1}, nil, nil)
 	if len(missing) != 2 || missing[0] != 1 || missing[1] != 7 {
 		t.Fatalf("Missing = %v, want [1 7]", missing)
 	}
 	// A page listed twice counts once, wherever the repeat sits.
 	m.ResetStats()
-	if missing = m.Missing([]disk.PageID{4, 3, 4, 2, 3, 2}, nil); len(missing) != 2 || missing[0] != 3 || missing[1] != 4 {
+	if missing = m.Missing([]disk.PageID{4, 3, 4, 2, 3, 2}, nil, nil); len(missing) != 2 || missing[0] != 3 || missing[1] != 4 {
 		t.Fatalf("Missing = %v, want [3 4]", missing)
 	}
 	if st := m.Stats(); st.Hits != 1 || st.Misses != 2 {
@@ -179,7 +179,7 @@ func TestExecutePlanNormalVsVector(t *testing.T) {
 	runs := []disk.Run{{Start: 2, N: 4}} // pages 2,3,4,5; requested only 2 and 5
 	req := []disk.PageID{2, 5}
 	before := d.Cost()
-	m.ExecutePlan(runs, req, false)
+	m.ExecutePlan(runs, req, false, nil)
 	diff := d.Cost().Sub(before)
 	if diff.PagesRead != 4 || diff.Seeks != 1 || diff.Rotations != 1 {
 		t.Fatalf("normal read cost = %+v", diff)
@@ -193,7 +193,7 @@ func TestExecutePlanNormalVsVector(t *testing.T) {
 	// Vector read: same transfer cost, but only requested pages buffered.
 	m2 := New(d, 16)
 	before = d.Cost()
-	m2.ExecutePlan(runs, req, true)
+	m2.ExecutePlan(runs, req, true, nil)
 	diff = d.Cost().Sub(before)
 	if diff.PagesRead != 4 {
 		t.Fatalf("vector read transfer cost = %+v", diff)
@@ -212,7 +212,7 @@ func TestExecutePlanChainsFollowUpRuns(t *testing.T) {
 	d.ReadRun(30, 1) // move the head away from page 0
 	runs := []disk.Run{{Start: 0, N: 2}, {Start: 10, N: 3}}
 	before := d.Cost()
-	m.ExecutePlan(runs, []disk.PageID{0, 1, 10, 11, 12}, false)
+	m.ExecutePlan(runs, []disk.PageID{0, 1, 10, 11, 12}, false, nil)
 	diff := d.Cost().Sub(before)
 	if diff.Seeks != 1 {
 		t.Fatalf("one uninterrupted access must seek once, got %+v", diff)
@@ -229,7 +229,7 @@ func TestExecutePlanPreservesDirtyFrames(t *testing.T) {
 	d := newDiskWithPages(t, 10)
 	m := New(d, 8)
 	m.Put(3, []byte("dirty"))
-	m.ExecutePlan([]disk.Run{{Start: 2, N: 3}}, []disk.PageID{2, 3, 4}, false)
+	m.ExecutePlan([]disk.Run{{Start: 2, N: 3}}, []disk.PageID{2, 3, 4}, false, nil)
 	got, ok := m.Touch(3)
 	if !ok || !bytes.Equal(got, []byte("dirty")) {
 		t.Fatalf("dirty frame overwritten by stale disk data: %q", got)
@@ -250,7 +250,7 @@ func TestExecutePlanDirtyPageEvictedMidPlan(t *testing.T) {
 		m := NewWithPolicy(d, 2, policy)
 		m.Put(5, []byte("dirty")) // least recently used by the time the run reaches it
 		m.Get(8)
-		m.ExecutePlan([]disk.Run{{Start: 3, N: 3}}, []disk.PageID{3, 4, 5}, false)
+		m.ExecutePlan([]disk.Run{{Start: 3, N: 3}}, []disk.PageID{3, 4, 5}, false, nil)
 		if got := m.Get(5); !bytes.Equal(got, []byte("dirty")) {
 			t.Fatalf("%v: page 5 reads %q after the plan, want the written-back content", policy, got)
 		}

@@ -164,9 +164,9 @@ func TestConcurrentReadStress(t *testing.T) {
 				case 4:
 					ids := []disk.PageID{id, id + 1, id}
 					if id+2 < pages {
-						missing := m.Missing(ids, nil)
+						missing := m.Missing(ids, nil, nil)
 						if len(missing) > 0 {
-							m.ExecutePlan(disk.PlanRequired(missing), ids, rng.Intn(2) == 0)
+							m.ExecutePlan(disk.PlanRequired(missing), ids, rng.Intn(2) == 0, nil)
 						}
 					}
 				case 5:

@@ -367,12 +367,12 @@ func runModel(t *testing.T, data []byte) {
 			}
 		case 8:
 			pages := []disk.PageID{a, (a + 1) % modelPages, a, (a + disk.PageID(b)) % modelPages}[:1+b%4]
-			if got, want := m.Missing(pages, nil), md.missing(pages); !slices.Equal(got, want) {
+			if got, want := m.Missing(pages, nil, nil), md.missing(pages); !slices.Equal(got, want) {
 				t.Fatalf("step %d: Missing(%v) = %v, model %v", step, pages, got, want)
 			}
 		case 9, 10:
 			runs, requested := planFrom(a, b)
-			m.ExecutePlan(runs, requested, op == 10)
+			m.ExecutePlan(runs, requested, op == 10, nil)
 			md.executePlan(runs, requested, op == 10)
 		case 11:
 			m.Flush()

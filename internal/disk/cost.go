@@ -48,6 +48,23 @@ type Cost struct {
 	WriteRequests int64 // number of write requests issued
 }
 
+// Tally is what one operation consumed from the layers below, kept by the
+// operation itself: the disk and the buffer add to it beside their global
+// counters whenever a caller passes one. It holds the modelled cost of every
+// request the operation issued — its reads and the write-backs its buffer
+// misses forced — its buffer hits and misses, the wall-clock time the backend
+// spent on those requests, and how long it waited for its store's lock. No
+// request is charged to two tallies, so the tallies of concurrent operations
+// sum to the global counters' deltas, and an operation run alone has the
+// deltas for its tally.
+type Tally struct {
+	Cost       Cost
+	Hits       int64 // buffer requests satisfied from memory
+	Misses     int64 // buffer requests that went to the disk
+	BackendNS  int64 // wall-clock backend I/O (zero on the memory backend)
+	LockWaitNS int64 // wall-clock wait for the store's lock
+}
+
 // Add returns the component-wise sum of c and d.
 func (c Cost) Add(d Cost) Cost {
 	return Cost{

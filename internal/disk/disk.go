@@ -20,18 +20,20 @@ import (
 //
 // Concurrency: cost accounting is atomic and backend access is guarded by a
 // read-write lock, so any number of concurrent readers can share one disk
-// (the parallel query and join engines rely on this). The cost model itself
-// still serializes requests ("such a read request will not be interrupted by
-// other requests", paper section 3.1): a Cost snapshot taken while requests
-// are in flight may be torn across components, and the write-streaming
-// discount is only meaningful for the single-threaded construction phase.
-// Callers that need exact per-operation costs must serialize the charging
-// operations themselves, as the join dispatcher does.
+// (concurrent queries and the parallel join rely on this). The cost model
+// itself still serializes requests ("such a read request will not be
+// interrupted by other requests", paper section 3.1): a Cost snapshot taken
+// while requests are in flight may be torn across components, and the
+// write-streaming discount is only meaningful for the single-threaded
+// construction phase. An operation that needs its own cost under concurrency
+// passes a Tally (ReadRunTallied, WriteRunTallied): a read's modelled cost
+// does not depend on the head, so the tally is exact whatever runs beside it.
 type Disk struct {
 	params Params
 
-	mu sync.RWMutex // guards the backend
-	b  Backend
+	mu    sync.RWMutex // guards the backend
+	b     Backend
+	timed bool // the backend does real I/O: tallies get its wall clock
 
 	head atomic.Int64 // page following the last transferred one
 
@@ -62,7 +64,8 @@ func NewWithBackend(params Params, b Backend) *Disk {
 	if b == nil {
 		b = NewMemBackend()
 	}
-	return &Disk{params: params, b: b}
+	_, mem := b.(*MemBackend)
+	return &Disk{params: params, b: b, timed: !mem}
 }
 
 // Params returns the timing parameters of the disk.
@@ -185,17 +188,14 @@ func (d *Disk) throttleSleep(requestMS float64) {
 // Reads follow the paper's formulas exactly: a fresh request always pays
 // seek and latency (tcompl = ts + tl + size·tt, section 5.4.1), with no
 // head-position streaming discount.
-func (d *Disk) chargeRead(start PageID, n int, chained bool) float64 {
+func (d *Disk) chargeRead(start PageID, n int, chained bool, t *Tally) float64 {
 	ms := d.params.LatencyMS + float64(n)*d.params.TransferMS
-	if chained {
-		d.rotations.Add(1)
-	} else {
-		d.seeks.Add(1)
-		d.rotations.Add(1)
+	c := Cost{Rotations: 1, PagesRead: int64(n), ReadRequests: 1}
+	if !chained {
+		c.Seeks = 1
 		ms += d.params.SeekMS
 	}
-	d.pagesRead.Add(int64(n))
-	d.readRequests.Add(1)
+	d.charge(c, t)
 	d.head.Store(int64(start) + int64(n))
 	return ms
 }
@@ -204,61 +204,96 @@ func (d *Disk) chargeRead(start PageID, n int, chained bool) float64 {
 // exactly at the head position streams on for free: this models the buffered
 // sequential writing of construction (appending to a sequential file or
 // writing out a freshly split cluster unit back-to-back).
-func (d *Disk) chargeWrite(start PageID, n int) float64 {
+func (d *Disk) chargeWrite(start PageID, n int, t *Tally) float64 {
 	ms := float64(n) * d.params.TransferMS
+	c := Cost{PagesWritten: int64(n), WriteRequests: 1}
 	if int64(start) != d.head.Load() { // else a streaming continuation: the head is already there
-		d.seeks.Add(1)
-		d.rotations.Add(1)
+		c.Seeks, c.Rotations = 1, 1
 		ms += d.params.SeekMS + d.params.LatencyMS
 	}
-	d.pagesWritten.Add(int64(n))
-	d.writeRequests.Add(1)
+	d.charge(c, t)
 	d.head.Store(int64(start) + int64(n))
 	return ms
+}
+
+// charge adds one request's cost to the global counters and to t, if any.
+func (d *Disk) charge(c Cost, t *Tally) {
+	if c.Seeks != 0 {
+		d.seeks.Add(c.Seeks)
+	}
+	if c.Rotations != 0 {
+		d.rotations.Add(c.Rotations)
+	}
+	if c.PagesRead != 0 {
+		d.pagesRead.Add(c.PagesRead)
+		d.readRequests.Add(c.ReadRequests)
+	}
+	if c.PagesWritten != 0 {
+		d.pagesWritten.Add(c.PagesWritten)
+		d.writeRequests.Add(c.WriteRequests)
+	}
+	if t != nil {
+		t.Cost = t.Cost.Add(c)
+	}
 }
 
 // ReadRun issues one read request for n physically consecutive pages and
 // returns their contents. Unwritten pages read as nil. The returned slices
 // may alias backend storage and must not be modified.
 func (d *Disk) ReadRun(start PageID, n int) [][]byte {
-	return d.readRun(start, n, false)
+	return d.ReadRunTallied(start, n, false, nil)
 }
 
-// ReadRunChained is ReadRun for a follow-up request within an uninterrupted
-// access to one storage unit: it is charged a rotational delay but no seek
-// (paper section 5.4.3).
-func (d *Disk) ReadRunChained(start PageID, n int) [][]byte {
-	return d.readRun(start, n, true)
-}
-
-func (d *Disk) readRun(start PageID, n int, chained bool) [][]byte {
-	out, ms := d.readRunLocked(start, n, chained)
+// ReadRunTallied is ReadRun that also charges the request to t; a nil t
+// charges the global counters alone. A chained request is a follow-up within
+// an uninterrupted access to one storage unit: it is charged a rotational
+// delay but no seek (paper section 5.4.3).
+func (d *Disk) ReadRunTallied(start PageID, n int, chained bool, t *Tally) [][]byte {
+	out, ms := d.readRunLocked(start, n, chained, t)
 	d.throttleSleep(ms) // after unlocking: concurrent sleeps overlap
 	return out
 }
 
-func (d *Disk) readRunLocked(start PageID, n int, chained bool) ([][]byte, float64) {
+func (d *Disk) readRunLocked(start PageID, n int, chained bool, t *Tally) ([][]byte, float64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	checkBackendRun(d.b, start, n)
-	ms := d.chargeRead(start, n, chained)
-	return d.b.ReadRun(start, n), ms
+	ms := d.chargeRead(start, n, chained, t)
+	if t == nil || !d.timed {
+		return d.b.ReadRun(start, n), ms
+	}
+	t0 := time.Now()
+	out := d.b.ReadRun(start, n)
+	t.BackendNS += time.Since(t0).Nanoseconds()
+	return out, ms
 }
 
 // WriteRun issues one write request for n physically consecutive pages.
 // data[i] is written to page start+i; each slice must be at most PageSize
 // bytes and is copied. A nil slice clears the page.
 func (d *Disk) WriteRun(start PageID, data [][]byte) {
-	d.throttleSleep(d.writeRunLocked(start, data)) // after unlocking, like reads
+	d.WriteRunTallied(start, data, nil)
 }
 
-func (d *Disk) writeRunLocked(start PageID, data [][]byte) float64 {
+// WriteRunTallied is WriteRun that also charges the request to t; a nil t
+// charges the global counters alone.
+func (d *Disk) WriteRunTallied(start PageID, data [][]byte, t *Tally) {
+	d.throttleSleep(d.writeRunLocked(start, data, t)) // after unlocking, like reads
+}
+
+func (d *Disk) writeRunLocked(start PageID, data [][]byte, t *Tally) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	checkBackendRun(d.b, start, len(data))
 	checkPageSizes(data)
-	ms := d.chargeWrite(start, len(data))
+	ms := d.chargeWrite(start, len(data), t)
+	if t == nil || !d.timed {
+		d.b.WriteRun(start, data)
+		return ms
+	}
+	t0 := time.Now()
 	d.b.WriteRun(start, data)
+	t.BackendNS += time.Since(t0).Nanoseconds()
 	return ms
 }
 

@@ -88,7 +88,7 @@ func TestDiskCostCharging(t *testing.T) {
 	}
 
 	// Chained read elsewhere in the same unit: latency only.
-	d.ReadRunChained(20, 1)
+	d.ReadRunTallied(20, 1, true, nil)
 	c = d.Cost()
 	if c.Seeks != 2 || c.Rotations != 3 || c.PagesRead != 6 {
 		t.Fatalf("chained read cost = %+v", c)

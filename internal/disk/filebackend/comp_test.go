@@ -194,7 +194,7 @@ func TestDiskCostInvariantCompressed(t *testing.T) {
 		d.Grow(16)
 		d.WriteRun(0, [][]byte{coordPage(1), coordPage(2)})
 		d.ReadRun(0, 2)
-		d.ReadRunChained(4, 3)
+		d.ReadRunTallied(4, 3, true, nil)
 		d.WritePage(9, coordPage(3))
 	}
 	if dComp.Cost() != dMem.Cost() {

@@ -131,7 +131,7 @@ func TestDiskOnFileBackend(t *testing.T) {
 		d.Grow(16)
 		d.WriteRun(0, [][]byte{fill('a'), fill('b')})
 		d.ReadRun(0, 2)
-		d.ReadRunChained(4, 3)
+		d.ReadRunTallied(4, 3, true, nil)
 		d.WritePage(9, fill('q'))
 	}
 	if dFile.Cost() != dMem.Cost() {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialcluster/internal/datagen"
@@ -14,9 +16,9 @@ import (
 
 // The parallel benchmark is the one in-process worker sweep: the C-1 ⋈ C-2
 // join and a window-query batch, per organization, across worker counts,
-// with the engine's stage clocks (obs.JoinStages, obs.ParallelStages)
-// attached — so a flat speedup curve comes with the answer to "where does
-// it serialize".
+// with the engine's stage clocks (obs.JoinStages; for the windows, the lock
+// wait each query tallies itself beside its execution time) attached — so a
+// flat speedup curve comes with the answer to "where does it serialize".
 //
 // Determinism contract: cardinalities and modelled costs come from fixed
 // stores and a fixed workload; every wall-clock or timing-derived field
@@ -56,8 +58,8 @@ type ParallelQueryRun struct {
 	WallSec         float64 `json:"wall_sec"`
 	WallQueriesSec  float64 `json:"wall_queries_per_sec"`
 	WallSpeedup     float64 `json:"wall_speedup_vs_1"`
-	WallLockWaitSec float64 `json:"wall_lock_wait_sec"` // summed worker time waiting for the read lock
-	WallExecSec     float64 `json:"wall_exec_sec"`      // summed worker time executing
+	WallLockWaitSec float64 `json:"wall_lock_wait_sec"` // summed over the queries: their own Env.mu wait
+	WallExecSec     float64 `json:"wall_exec_sec"`      // summed over the queries: time executing under the lock
 }
 
 // ParallelResult is the outcome of the parallel-engine benchmark, emitted as
@@ -191,25 +193,30 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 		for _, w := range counts {
 			CoolObjectPages(org)
 			before := org.Env().Disk.Cost()
-			var st obs.ParallelStages
-			tr := store.RunQueriesParallel(org, len(ws), w, &st, func(i int) (answers, candidates int) {
+			var answers, lockNS, execNS atomic.Int64
+			start := time.Now()
+			workers := runPool(len(ws), w, func(i int) {
+				t0 := time.Now()
 				r := org.WindowQuery(ws[i], store.TechSLM)
-				return len(r.IDs), r.Candidates
+				answers.Add(int64(len(r.IDs)))
+				lockNS.Add(r.LockWaitNS)
+				execNS.Add(time.Since(t0).Nanoseconds() - r.LockWaitNS)
 			})
+			wall := time.Since(start).Seconds()
 			if w == 1 {
 				model = org.Env().Disk.Cost().Sub(before).TimeSec(params)
 			}
 			res.QueryRuns = append(res.QueryRuns, ParallelQueryRun{
 				Org:             string(kind),
-				Workers:         tr.Workers,
-				Queries:         tr.Queries,
-				Answers:         tr.Answers,
-				WallSec:         tr.WallSec,
-				WallQueriesSec:  tr.QueriesSec,
-				WallLockWaitSec: nsToSec(st.LockWaitNS.Load()),
-				WallExecSec:     nsToSec(st.ExecNS.Load()),
+				Workers:         workers,
+				Queries:         len(ws),
+				Answers:         int(answers.Load()),
+				WallSec:         wall,
+				WallQueriesSec:  ratio(float64(len(ws)), wall),
+				WallLockWaitSec: nsToSec(lockNS.Load()),
+				WallExecSec:     nsToSec(execNS.Load()),
 			})
-			o.Progress("parallel: queries %s workers=%d %.0f q/s", kind, tr.Workers, tr.QueriesSec)
+			o.Progress("parallel: queries %s workers=%d %.0f q/s", kind, workers, ratio(float64(len(ws)), wall))
 		}
 		runs := res.QueryRuns[first:]
 		base := baseWall(len(runs), func(i int) (int, float64) { return runs[i].Workers, runs[i].WallSec })
@@ -219,6 +226,31 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 		}
 	}
 	return res
+}
+
+// runPool runs query(0) … query(n-1) on min(workers, n) goroutines — the
+// caller's and the rest spawned — that take indexes in order from one counter,
+// and returns how many ran. It takes no lock: each query locks the store
+// itself.
+func runPool(n, workers int, query func(i int)) int {
+	workers = min(workers, n)
+	var next atomic.Int64
+	worker := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			query(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
+	return workers
 }
 
 // baseWall returns the wall clock speedups are relative to: the 1-worker

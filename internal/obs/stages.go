@@ -8,14 +8,6 @@ import "sync/atomic"
 // the wall-clock floor is the sum divided by W; for a serialized stage the
 // sum IS wall-clock.
 
-// ParallelStages attributes a parallel query run (store.RunQueriesParallel):
-// per worker, how long was spent waiting for the environment's read lock vs
-// actually executing queries.
-type ParallelStages struct {
-	LockWaitNS atomic.Int64 // summed over workers: env read-lock acquisition
-	ExecNS     atomic.Int64 // summed over workers: query execution under the lock
-}
-
 // JoinStages attributes a join run (join.Run): the dispatcher goroutine's
 // serialized stages against the worker pool's parallel refinement.
 type JoinStages struct {

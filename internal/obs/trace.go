@@ -7,9 +7,10 @@ import (
 )
 
 // IO is the resource attribution of one span: what the stage consumed from
-// the layers below. Fields are deltas of the engine's own counters, taken by
-// whoever runs the stage (the dispatcher snapshots buffer, disk and WAL
-// counters around a traced execution).
+// the layers below. A query's execute span is the query's own tally (the
+// store counts each request it causes, disk.Tally); a traced mutation batch's
+// apply span is the delta of the buffer, disk and WAL counters the dispatcher
+// snapshots around the batch, which holds the store alone.
 type IO struct {
 	BufferHits   int64 `json:"buffer_hits,omitempty"`
 	BufferMisses int64 `json:"buffer_misses,omitempty"`

@@ -267,7 +267,7 @@ func TestSeqFileAppendReadRoundTrip(t *testing.T) {
 	}
 	f.Flush()
 	for i, ref := range refs {
-		got := f.ReadDirect(ref)
+		got := f.ReadDirect(ref, nil)
 		if !bytes.Equal(got, objs[i]) {
 			t.Fatalf("object %d: got %d bytes, first=%d", i, len(got), got[0])
 		}
@@ -315,7 +315,7 @@ func TestSeqFileChunkBoundary(t *testing.T) {
 	if r2.Page < r1.Page+2 {
 		t.Fatalf("object crossed a chunk boundary: %+v then %+v", r1, r2)
 	}
-	if !bytes.Equal(f.ReadDirect(r1), make([]byte, disk.PageSize+100)) {
+	if !bytes.Equal(f.ReadDirect(r1, nil), make([]byte, disk.PageSize+100)) {
 		t.Fatal("r1 content")
 	}
 }
@@ -328,7 +328,7 @@ func TestSeqFileReadCostIsSingleRequest(t *testing.T) {
 	f.Flush()
 	d.ReadRun(ref.Page+40, 1) // move head away
 	before := d.Cost()
-	f.ReadDirect(ref)
+	f.ReadDirect(ref, nil)
 	diff := d.Cost().Sub(before)
 	if diff.Seeks != 1 || diff.Rotations != 1 || diff.PagesRead != 3 {
 		t.Fatalf("ReadDirect cost = %+v, want 1 seek, 1 rotation, 3 transfers", diff)
@@ -364,7 +364,7 @@ func TestSeqFileFlushIdempotent(t *testing.T) {
 	f.Flush()
 	before := d.Cost()
 	f.Flush()
-	f.ReadDirect(Ref{Page: 0, Off: 0, Len: 3}) // triggers internal Flush too
+	f.ReadDirect(Ref{Page: 0, Off: 0, Len: 3}, nil) // triggers internal Flush too
 	diff := d.Cost().Sub(before)
 	if diff.PagesWritten != 0 {
 		t.Fatalf("repeated flush must not rewrite: %+v", diff)
@@ -381,10 +381,10 @@ func TestSeqFileAppendAfterFlushKeepsFilling(t *testing.T) {
 	if r2.Page != r1.Page || r2.Off != 3 {
 		t.Fatalf("append after flush must keep filling the tail page: %+v", r2)
 	}
-	if got := f.ReadDirect(r2); !bytes.Equal(got, []byte("bbb")) {
+	if got := f.ReadDirect(r2, nil); !bytes.Equal(got, []byte("bbb")) {
 		t.Fatalf("r2 = %q", got)
 	}
-	if got := f.ReadDirect(r1); !bytes.Equal(got, []byte("aaa")) {
+	if got := f.ReadDirect(r1, nil); !bytes.Equal(got, []byte("aaa")) {
 		t.Fatalf("r1 = %q", got)
 	}
 }
@@ -411,7 +411,7 @@ func TestQuickSeqFileRoundTrip(t *testing.T) {
 		}
 		sf.Flush()
 		for _, st := range all {
-			if !bytes.Equal(sf.ReadDirect(st.ref), st.data) {
+			if !bytes.Equal(sf.ReadDirect(st.ref, nil), st.data) {
 				return false
 			}
 		}

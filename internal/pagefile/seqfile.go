@@ -182,11 +182,14 @@ func (f *SequentialFile) completeCurrentPage() {
 // Flush writes the unfinished tail page (if any) to disk. The page stays
 // open: further appends keep filling it (and will rewrite it when it
 // completes, as a real file system would).
-func (f *SequentialFile) Flush() {
+func (f *SequentialFile) Flush() { f.flush(nil) }
+
+// flush is Flush charging the write to t.
+func (f *SequentialFile) flush(t *disk.Tally) {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
 	if f.havePage && f.tailDirty {
-		f.alloc.Disk().WriteRun(f.curPage, [][]byte{f.curBuf})
+		f.alloc.Disk().WriteRunTallied(f.curPage, [][]byte{f.curBuf}, t)
 		f.tailDirty = false
 	}
 }
@@ -228,11 +231,13 @@ func (f *SequentialFile) Discard(ref Ref) {
 
 // ReadDirect reads the referenced bytes with one read request for the
 // spanned consecutive pages, bypassing any buffer (every access pays seek and
-// latency — the secondary organization's behaviour for exact objects).
-func (f *SequentialFile) ReadDirect(ref Ref) []byte {
-	f.Flush()
+// latency — the secondary organization's behaviour for exact objects). The
+// read, and the write of an unflushed tail page it needs first, are charged
+// to t, if any.
+func (f *SequentialFile) ReadDirect(ref Ref, t *disk.Tally) []byte {
+	f.flush(t)
 	span := ref.Span()
-	pages := f.alloc.Disk().ReadRun(span.Start, span.N)
+	pages := f.alloc.Disk().ReadRunTallied(span.Start, span.N, false, t)
 	return assemble(ref, pages)
 }
 
@@ -256,9 +261,9 @@ func (f *SequentialFile) CaptureBuffered(m *buffer.Manager, ref Ref) [][]byte {
 	for i := range ids {
 		ids[i] = span.Start + disk.PageID(i)
 	}
-	missing := m.Missing(ids, nil)
+	missing := m.Missing(ids, nil, nil)
 	if len(missing) > 0 {
-		m.ExecutePlan(disk.PlanRequired(missing), ids, false)
+		m.ExecutePlan(disk.PlanRequired(missing), ids, false, nil)
 	}
 	pinned := m.PinPages(ids)
 	pages := make([][]byte, span.N)

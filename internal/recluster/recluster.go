@@ -28,7 +28,7 @@ func (r Result) Add(r2 Result) Result {
 // operation, if the caller likes); it must be cheap when there is nothing to
 // do. Implementations mutate the organization through its public repack and
 // rebuild primitives, which take the environment's write lock — Maintain is
-// therefore safe to run concurrently with RunWindowQueriesParallel.
+// therefore safe to run concurrently with queries, which take its read lock.
 type Policy interface {
 	Name() string
 	Maintain(c *store.Cluster) Result

@@ -129,7 +129,7 @@ func checkPage(t *testing.T, variable bool, page []byte) {
 	var got []Entry
 	tr.Search(w, func(e Entry) bool { got = append(got, e); return true })
 	var viaLeaves []Entry
-	tr.SearchLeaves(w, func(lm LeafMatch) bool {
+	tr.SearchLeaves(w, nil, func(lm LeafMatch) bool {
 		viaLeaves = append(viaLeaves, lm.Matched...)
 		return true
 	})
@@ -260,7 +260,7 @@ func TestSearchAllocs(t *testing.T) {
 		t.Errorf("Search allocates %v times per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() {
-		tr.SearchLeaves(w, func(lm LeafMatch) bool { sum += uint64(len(lm.Matched)); return true })
+		tr.SearchLeaves(w, nil, func(lm LeafMatch) bool { sum += uint64(len(lm.Matched)); return true })
 	}); a != 0 {
 		t.Errorf("SearchLeaves allocates %v times per call, want 0", a)
 	}

@@ -85,8 +85,14 @@ func (h *nnHeap) pop() nnItem {
 // it and its entry list are only valid until fn returns, and fn may edit them
 // in place.
 func (t *Tree) NearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool) {
+	t.NearestLeavesTallied(pt, nil, stop, fn)
+}
+
+// NearestLeavesTallied is NearestLeaves with its node reads tallied in tl, if
+// any.
+func (t *Tree) NearestLeavesTallied(pt geom.Point, tl *disk.Tally, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool) {
 	leaf := leafPool.Get().(*Node)
-	t.nearestLeaves(pt, stop, fn, leaf)
+	t.nearestLeaves(pt, tl, stop, fn, leaf)
 	clear(leaf.Entries[:cap(leaf.Entries)]) // a pooled node must not keep pages alive
 	leafPool.Put(leaf)
 }
@@ -95,7 +101,7 @@ func (t *Tree) NearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn 
 // browse allocates no node or entry list per data page.
 var leafPool = sync.Pool{New: func() any { return new(Node) }}
 
-func (t *Tree) nearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool, leaf *Node) {
+func (t *Tree) nearestLeaves(pt geom.Point, tl *disk.Tally, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool, leaf *Node) {
 	h := make(nnHeap, 1, 64) // room for a directory node's fan-out
 	h[0] = nnItem{child: t.root}
 	seq := 1
@@ -104,7 +110,7 @@ func (t *Tree) nearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn 
 		if stop != nil && stop(it.dist) {
 			return
 		}
-		page := t.buf.Get(it.child)
+		page := t.buf.GetTallied(it.child, tl)
 		c := t.cursor(it.child, page)
 		if c.level == 0 {
 			t.decodeInto(leaf, it.child, page)

@@ -54,21 +54,22 @@ var matchPool = sync.Pool{New: func() any { return new([]Entry) }}
 
 // SearchLeaves invokes fn once per data page that contains at least one
 // qualifying entry; fn returning false stops the search. The cluster-read
-// techniques operate on this per-data-page granularity.
-func (t *Tree) SearchLeaves(w geom.Rect, fn func(lm LeafMatch) bool) {
+// techniques operate on this per-data-page granularity. The node reads are
+// tallied in tl, if any.
+func (t *Tree) SearchLeaves(w geom.Rect, tl *disk.Tally, fn func(lm LeafMatch) bool) {
 	matched := matchPool.Get().(*[]Entry)
-	t.searchLeaves(t.root, geom.Rect{}, w, matched, fn)
+	t.searchLeaves(t.root, geom.Rect{}, w, tl, matched, fn)
 	clear((*matched)[:cap(*matched)]) // a pooled scratch must not keep pages alive
 	matchPool.Put(matched)
 }
 
 // searchLeaves searches the subtree of node id, whose region is region — the
 // rectangle of its parent entry; unused for the root.
-func (t *Tree) searchLeaves(id disk.PageID, region, w geom.Rect, matched *[]Entry, fn func(lm LeafMatch) bool) bool {
-	c := t.cursor(id, t.buf.Get(id))
+func (t *Tree) searchLeaves(id disk.PageID, region, w geom.Rect, tl *disk.Tally, matched *[]Entry, fn func(lm LeafMatch) bool) bool {
+	c := t.cursor(id, t.buf.GetTallied(id, tl))
 	if c.level > 0 {
 		for r, ok := c.next(); ok; r, ok = c.next() {
-			if r.Intersects(w) && !t.searchLeaves(c.child(), r, w, matched, fn) {
+			if r.Intersects(w) && !t.searchLeaves(c.child(), r, w, tl, matched, fn) {
 				return false
 			}
 		}

@@ -383,7 +383,7 @@ func TestSearchLeaves(t *testing.T) {
 	}
 	w := geom.R(0.2, 0.2, 0.6, 0.6)
 	viaLeaves := 0
-	tr.SearchLeaves(w, func(lm LeafMatch) bool {
+	tr.SearchLeaves(w, nil, func(lm LeafMatch) bool {
 		if len(lm.Matched) == 0 {
 			t.Fatal("leaf match without matched entries")
 		}
@@ -425,7 +425,7 @@ func TestSearchLeavesRegionAfterChurn(t *testing.T) {
 				t.Fatalf("variable=%v, %s: %v", variable, when, err)
 			}
 			pages := 0
-			tr.SearchLeaves(geom.R(-1, -1, 2, 2), func(lm LeafMatch) bool {
+			tr.SearchLeaves(geom.R(-1, -1, 2, 2), nil, func(lm LeafMatch) bool {
 				pages++
 				if got := tr.ReadNode(lm.Page).Rect(); got != lm.Rect {
 					t.Fatalf("variable=%v, %s: leaf %d region %v, page MBR %v", variable, when, lm.Page, lm.Rect, got)

@@ -24,12 +24,12 @@ import (
 // per mutation.
 //
 // Server.mu decides who runs against the organization, taken once per
-// execution. Untraced queries and the dispatcher's untraced batches share it;
-// a traced query, a batch that carries a traced mutation, every execution
-// when Config.MaxBatch is 1, and /load's swap hold it alone — so the engine
-// counter deltas around a traced execution are its own, and MaxBatch 1 is
-// serial execution, one request at a time. The wait for it is part of a
-// request's queue wait. A mutation is applied before it is acknowledged, and
+// execution. Queries, traced or not (a query tallies its own I/O), and the
+// dispatcher's untraced batches share it; a batch that carries a traced
+// mutation, every execution when Config.MaxBatch is 1, and /load's swap hold
+// it alone — so the engine counter deltas around a traced batch are its own,
+// and MaxBatch 1 is serial execution, one request at a time. The wait for it
+// is part of a request's queue wait. A mutation is applied before it is acknowledged, and
 // Env.mu orders every apply against every query's read, so a query observes
 // every mutation acknowledged before it arrived.
 
@@ -121,7 +121,7 @@ func (s *Server) runBatch(batch, live []*job) {
 		start, before := time.Now(), takeIOSnap(org)
 		s.applyMutationGroup(org, live)
 		d := time.Since(start)
-		io := before.delta(org)
+		io := before.delta(takeIOSnap(org), org.Env().Params())
 		for _, j := range live {
 			if j.tr != nil {
 				own := *io
@@ -144,8 +144,9 @@ func (s *Server) runBatch(batch, live []*job) {
 }
 
 // ioSnap is a snapshot of the engine's resource counters, taken around a
-// traced execution. A traced execution holds the organization lock alone, so
-// the delta of two snapshots around it is attributable to it alone.
+// batch that carries a traced mutation. Such a batch holds the organization
+// lock alone, so the delta of two snapshots around it is attributable to it
+// alone.
 type ioSnap struct {
 	cost   disk.Cost
 	meas   disk.Measured
@@ -164,10 +165,8 @@ func takeIOSnap(org store.Organization) ioSnap {
 	return snap
 }
 
-// delta computes the obs.IO consumed since the snapshot was taken.
-func (before ioSnap) delta(org store.Organization) *obs.IO {
-	env := org.Env()
-	after := takeIOSnap(org)
+// delta computes the obs.IO consumed between the two snapshots.
+func (before ioSnap) delta(after ioSnap, p disk.Params) *obs.IO {
 	c := after.cost.Sub(before.cost)
 	m := after.meas.Sub(before.meas)
 	io := &obs.IO{
@@ -175,7 +174,7 @@ func (before ioSnap) delta(org store.Organization) *obs.IO {
 		BufferMisses: after.buf.Misses - before.buf.Misses,
 		PagesRead:    c.PagesRead,
 		ReadRequests: c.ReadRequests,
-		ModelMS:      c.TimeMS(env.Params()),
+		ModelMS:      c.TimeMS(p),
 		MeasuredNS:   m.ReadNS + m.WriteNS + m.SyncNS,
 	}
 	if before.hasWAL {

@@ -402,11 +402,11 @@ func executeIO(t *testing.T, tr *obs.Trace) obs.IO {
 	return obs.IO{}
 }
 
-// TestDispatcherTracedQueryRunsAlone: a traced query does not enter the
-// store while an untraced one is inside, so the counter deltas of its execute
-// span are its own — equal to the same query's on an idle server with the
-// same history.
-func TestDispatcherTracedQueryRunsAlone(t *testing.T) {
+// TestDispatcherTracedQueryOverlaps: a traced query enters the store while an
+// untraced one is inside — it tallies its own I/O, so it needs nobody out of
+// the way — and the I/O of its execute span equals the same query's on an
+// idle server with the same history (the held query has not read anything).
+func TestDispatcherTracedQueryOverlaps(t *testing.T) {
 	w := obsDataset().Windows(0.002, 1, 35)[0]
 
 	f := newDispatcherFixture(t, server.Config{}, false)
@@ -414,13 +414,15 @@ func TestDispatcherTracedQueryRunsAlone(t *testing.T) {
 	busy := &server.Request{Trace: obs.NewTrace()}
 	var got store.QueryResult
 	var gotErr error
-	f.spawn(busy, func(rq *server.Request) { got, gotErr = f.s.Window(rq, w, store.TechComplete) })
-	f.staysOut(1, "a traced query beside a held untraced one")
+	f.within("a traced query beside a held untraced one", func() {
+		got, gotErr = f.s.Window(busy, w, store.TechComplete)
+	})
+	if n := f.g.windows.Load(); n != 2 {
+		t.Fatalf("%d window queries reached the store, want the held one and the traced one", n)
+	}
 	f.letGo()
 
 	idle := newDispatcherFixture(t, server.Config{}, false)
-	idle.holdQuery()
-	idle.letGo()
 	alone := &server.Request{Trace: obs.NewTrace()}
 	want, err := idle.s.Window(alone, w, store.TechComplete)
 	if err != nil || gotErr != nil {
@@ -429,7 +431,7 @@ func TestDispatcherTracedQueryRunsAlone(t *testing.T) {
 	if !equalU64(sortedIDs(got.IDs), sortedIDs(want.IDs)) || got.Candidates != want.Candidates {
 		t.Fatalf("traced answers differ: %d ids, %d on the idle server", len(got.IDs), len(want.IDs))
 	}
-	if a, b := executeIO(t, busy.Trace), executeIO(t, alone.Trace); a != b {
+	if a, b := executeIO(t, busy.Trace), executeIO(t, alone.Trace); a != b || a.ReadRequests == 0 {
 		t.Fatalf("traced query beside another charged %+v, on an idle server %+v", a, b)
 	}
 }

@@ -1,6 +1,6 @@
 // Package server is the network serving layer: an HTTP API over a live
 // storage organization, multiplexing many concurrent clients onto the
-// parallel query engine of internal/store.
+// concurrent query engine of internal/store.
 //
 // A request takes one path: Front → Service → execution. The Front
 // (front.go) owns everything between the socket and the six data-plane
@@ -16,11 +16,11 @@
 // The paper's evaluation measures query cost one request at a time; the
 // serving layer answers the follow-up question — what those costs mean under
 // sustained multi-client load — and must add no serialization of its own.
-// Queries run concurrently: a window, point or k-NN query executes on its
-// request's goroutine through the store's parallel driver
-// (store.RunQueriesParallel) as a batch of one, under the environment's read
-// lock, so B concurrent queries run B at a time with no hop to another
-// goroutine. Mutations (insert/delete/update) group-commit: they go to one
+// Queries run concurrently: a window, point or k-NN query calls the
+// organization on its request's goroutine as a batch of one and takes the
+// environment's read lock itself, so B concurrent queries run B at a time
+// with no hop to another goroutine; a traced one too, since a query tallies
+// its own I/O. Mutations (insert/delete/update) group-commit: they go to one
 // dispatcher goroutine, whose batch is whatever arrived while the previous
 // batch applied — it never waits for a batch to fill, so an idle server adds
 // no delay — and a batch shares one write-ahead-log commit. A query observes

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 
+	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
+	"spatialcluster/internal/store"
 )
 
 // exchangeClient returns a client of a Front whose window answers n IDs, in
@@ -94,5 +97,39 @@ func BenchmarkExchange(b *testing.B) {
 			})
 		}
 		hs.Close()
+	}
+}
+
+// TestServedQueryAllocs: a query served in-process — Server.Window, Point or
+// KNN on a warm store — allocates what the store's own query allocates and
+// nothing more: the server adds no closure, driver result or counter snapshot
+// to a request.
+func TestServedQueryAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 64, Seed: 61})
+	c := store.NewCluster(store.NewEnv(1<<16), store.ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes()})
+	for i, o := range ds.Objects {
+		c.Insert(o, ds.MBRs[i])
+	}
+	c.Flush()
+	c.WindowQuery(geom.R(0, 0, 1, 1), store.TechComplete) // fault everything in
+	s := New(c, Config{})
+	defer s.Shutdown(context.Background())
+	w, pt := ds.Windows(0.01, 1, 62)[0], ds.Objects[0].Geom.Segments()[0].A
+	rq := &Request{}
+	for _, q := range []struct {
+		name          string
+		store, served func()
+	}{
+		{"window", func() { c.WindowQuery(w, store.TechComplete) }, func() { s.Window(rq, w, store.TechComplete) }},
+		{"point", func() { c.PointQuery(pt) }, func() { s.Point(rq, pt) }},
+		{"10-NN", func() { c.NearestQuery(pt, 10) }, func() { s.KNN(rq, pt, 10) }},
+	} {
+		own, served := testing.AllocsPerRun(100, q.store), testing.AllocsPerRun(100, q.served)
+		if served > own {
+			t.Errorf("a served %s query allocates %v times, the store's own %v", q.name, served, own)
+		}
 	}
 }

@@ -116,7 +116,7 @@ func (s *Server) writeProm(w http.ResponseWriter, m *Metrics) {
 		obs.PromSample(w, "sdb_wal_syncs_total", nil, float64(wl.Syncs))
 		obs.PromHead(w, "sdb_wal_last_fsync_seconds", "Duration of the last WAL fsync.", "gauge")
 		obs.PromSample(w, "sdb_wal_last_fsync_seconds", nil, wl.LastFsyncMS/1000)
-		if ws, ok := s.organization().(*wal.Store); ok {
+		if ws, ok := s.Organization().(*wal.Store); ok {
 			obs.PromHead(w, "sdb_wal_fsync_seconds", "WAL fsync latency.", "histogram")
 			obs.PromHistogram(w, "sdb_wal_fsync_seconds", nil, ws.Log().SyncHist().Snapshot())
 		}

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"spatialcluster"
+	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
+	"spatialcluster/internal/obs"
 	"spatialcluster/internal/recluster"
 	"spatialcluster/internal/store"
 	"spatialcluster/internal/wal"
@@ -99,18 +101,10 @@ func New(org store.Organization, cfg Config) *Server {
 	return s
 }
 
-// organization returns the currently served organization. An execution
-// holding the lock reads s.org instead.
-func (s *Server) organization() store.Organization {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.org
-}
-
-// lock takes the organization lock for one execution — alone for a traced
-// one and in serial mode, shared otherwise — and returns the served
-// organization. It is taken once per execution: Go's RWMutex deadlocks a
-// reader that locks again while a writer waits.
+// lock takes the organization lock for one execution — alone for a mutation
+// batch that carries a traced mutation and in serial mode, shared otherwise —
+// and returns the served organization. It is taken once per execution: Go's
+// RWMutex deadlocks a reader that locks again while a writer waits.
 func (s *Server) lock(traced bool) store.Organization {
 	if traced || s.cfg.MaxBatch == 1 {
 		s.mu.Lock()
@@ -131,23 +125,26 @@ func (s *Server) unlock(traced bool) {
 
 // Organization exposes the currently served organization — after a /load
 // this differs from the one the server was created with (the daemon closes
-// the served store's backend on exit, so it must ask, not remember).
-func (s *Server) Organization() store.Organization { return s.organization() }
+// the served store's backend on exit, so it must ask, not remember). An
+// execution holding the lock reads s.org instead.
+func (s *Server) Organization() store.Organization {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.org
+}
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
-// query executes run — one window, point or k-NN query against s.org — on
-// the calling goroutine through the store's one driver, as a batch of one.
-// The wait for the organization lock is its queue wait; a request whose
-// context ended meanwhile is answered with the context's error and never
-// reaches the store. A traced query holds the lock alone, so the counter
-// deltas around it are its own.
-func (s *Server) query(rq *Request, run func(int) (answers, candidates int)) error {
-	traced := rq.Trace != nil
+// query executes run — one window, point or k-NN query against the served
+// organization — on the calling goroutine, as a batch of one. The wait for
+// the organization lock is its queue wait; a request whose context ended
+// meanwhile is answered with the context's error and never reaches the store.
+// A traced query's execute span is the query's own tally, which run returns.
+func (s *Server) query(rq *Request, run func(org store.Organization) disk.Tally) error {
 	start := time.Now()
-	org := s.lock(traced)
-	defer s.unlock(traced)
+	org := s.lock(false)
+	defer s.unlock(false)
 	s.metrics.batch(1)
 	wait := time.Since(start)
 	rq.QueueNS = wait.Nanoseconds()
@@ -155,16 +152,19 @@ func (s *Server) query(rq *Request, run func(int) (answers, candidates int)) err
 	if rq.Ctx != nil && rq.Ctx.Err() != nil {
 		return rq.Ctx.Err()
 	}
-	var before ioSnap
-	if traced {
-		before = takeIOSnap(org)
-	}
 	start = time.Now()
-	store.RunQueriesParallel(org, 1, 1, nil, run)
+	t := run(org)
 	exec := time.Since(start)
 	rq.ExecNS = exec.Nanoseconds()
-	if traced {
-		rq.Trace.ObserveIO("execute", start, exec, before.delta(org))
+	if rq.Trace != nil {
+		rq.Trace.ObserveIO("execute", start, exec, &obs.IO{
+			BufferHits:   t.Hits,
+			BufferMisses: t.Misses,
+			PagesRead:    t.Cost.PagesRead,
+			ReadRequests: t.Cost.ReadRequests,
+			ModelMS:      t.Cost.TimeMS(org.Env().Params()),
+			MeasuredNS:   t.BackendNS,
+		})
 	}
 	return nil
 }
@@ -174,27 +174,27 @@ func (s *Server) Window(rq *Request, win geom.Rect, tech store.Technique) (res s
 	if tech == store.TechDefault {
 		tech = s.cfg.DefaultTech
 	}
-	err = s.query(rq, func(int) (int, int) {
-		res = s.org.WindowQuery(win, tech)
-		return len(res.IDs), res.Candidates
+	err = s.query(rq, func(org store.Organization) disk.Tally {
+		res = org.WindowQuery(win, tech)
+		return res.Tally
 	})
 	return res, err
 }
 
 // Point implements Service.
 func (s *Server) Point(rq *Request, pt geom.Point) (res store.QueryResult, err error) {
-	err = s.query(rq, func(int) (int, int) {
-		res = s.org.PointQuery(pt)
-		return len(res.IDs), res.Candidates
+	err = s.query(rq, func(org store.Organization) disk.Tally {
+		res = org.PointQuery(pt)
+		return res.Tally
 	})
 	return res, err
 }
 
 // KNN implements Service.
 func (s *Server) KNN(rq *Request, pt geom.Point, k int) (res store.NearestResult, err error) {
-	err = s.query(rq, func(int) (int, int) {
-		res = s.org.NearestQuery(pt, k)
-		return len(res.IDs), res.Candidates
+	err = s.query(rq, func(org store.Organization) disk.Tally {
+		res = org.NearestQuery(pt, k)
+		return res.Tally
 	})
 	return res, err
 }
@@ -234,7 +234,7 @@ func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 		Reply(w, nil, badRequest(err))
 		return
 	}
-	org := s.organization()
+	org := s.Organization()
 	if _, isCluster := store.Unwrap(org).(*store.Cluster); !isCluster {
 		Reply(w, ReclusterResponse{
 			Note: fmt.Sprintf("policy %s ignored: %s has no cluster units", pol.Name(), org.Name()),
@@ -251,7 +251,7 @@ func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	s.organization().Flush()
+	s.Organization().Flush()
 	Reply(w, struct{}{}, nil)
 }
 
@@ -265,7 +265,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 		Reply(w, nil, statusErr(http.StatusBadRequest, "save needs a path"))
 		return
 	}
-	if err := spatialcluster.Save(s.organization(), req.Path); err != nil {
+	if err := spatialcluster.Save(s.Organization(), req.Path); err != nil {
 		Reply(w, nil, err)
 		return
 	}
@@ -316,7 +316,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// the daemon's flags decide how it is served (wall-clock throttle; the
 	// buffer size and backend come from OpenConfig).
 	fresh.Env().Disk.SetThrottle(old.Env().Disk.Throttle())
-	resp := s.statsResponse(s.organization())
+	resp := s.statsResponse(s.Organization())
 	// The load has already succeeded at this point — a close failure of the
 	// previous store's backend is a warning, not an error.
 	if err := old.Env().Close(); err != nil {
@@ -326,7 +326,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	Reply(w, s.statsResponse(s.organization()), nil)
+	Reply(w, s.statsResponse(s.Organization()), nil)
 }
 
 func (s *Server) statsResponse(org store.Organization) StatsResponse {
@@ -362,7 +362,7 @@ func (s *Server) statsResponse(org store.Organization) StatsResponse {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	org := s.organization()
+	org := s.Organization()
 	env := org.Env()
 	m := Metrics{
 		Org:      org.Name(),
@@ -400,7 +400,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	defer release()
 	close(s.quit)
 	s.dispatchWG.Wait()
-	org := s.organization()
+	org := s.Organization()
 	org.Flush()
 	if s.cfg.SnapshotPath != "" {
 		if err := spatialcluster.Save(org, s.cfg.SnapshotPath); err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
@@ -143,6 +144,26 @@ func (b *base) PointQuery(pt geom.Point) QueryResult {
 	})
 }
 
+// begin starts one query: it takes Env's read lock and hands the query its
+// scratch, whose tally starts at the time the lock took. The query defers end,
+// so a query that panics — over a damaged page, say — releases both.
+func (b *base) begin() *scratch {
+	sc := getScratch()
+	sc.tally = disk.Tally{}
+	if !b.env.mu.TryRLock() { // contended: the wait is worth a clock
+		start := time.Now()
+		b.env.mu.RLock()
+		sc.tally.LockWaitNS = time.Since(start).Nanoseconds()
+	}
+	return sc
+}
+
+// end releases what begin took.
+func (b *base) end(sc *scratch) {
+	b.env.mu.RUnlock()
+	sc.release()
+}
+
 // search is the filter/refine engine of window and point queries: the
 // R*-tree surfaces one data page at a time with its entries whose keys
 // intersect r (rtree.SearchLeaves), the layout reads their objects with tech
@@ -153,25 +174,24 @@ func (b *base) PointQuery(pt geom.Point) QueryResult {
 // of their final size — nil when there are none.
 func (b *base) search(r, w geom.Rect, tech Technique, keep func(sc *scratch, key geom.Rect, view []byte) bool) QueryResult {
 	var res QueryResult
-	sc := getScratch()
-	defer sc.release()
+	sc := b.begin()
+	defer b.end(sc)
 	sc.answer = sc.answer[:0]
-	res.Cost = measure(b.env.Disk, func() {
-		b.tree.SearchLeaves(r, func(lm rtree.LeafMatch) bool {
-			for i, view := range b.lay.views(lm, w, tech, sc) {
-				id, size := b.lay.entry(lm.Matched[i].Payload)
-				res.Candidates++
-				res.CandidateBytes += int64(size)
-				if keep(sc, lm.Matched[i].Rect, view) {
-					sc.answer = append(sc.answer, id)
-				}
+	b.tree.SearchLeaves(r, &sc.tally, func(lm rtree.LeafMatch) bool {
+		for i, view := range b.lay.views(lm, w, tech, sc) {
+			id, size := b.lay.entry(lm.Matched[i].Payload)
+			res.Candidates++
+			res.CandidateBytes += int64(size)
+			if keep(sc, lm.Matched[i].Rect, view) {
+				sc.answer = append(sc.answer, id)
 			}
-			return true
-		})
+		}
+		return true
 	})
 	if len(sc.answer) > 0 {
 		res.IDs = slices.Clone(sc.answer)
 	}
+	res.Tally = sc.tally
 	return res
 }
 

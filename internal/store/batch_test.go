@@ -6,17 +6,16 @@ import (
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
-	"spatialcluster/internal/obs"
 )
 
-// batchWorkerCounts are the pool sizes of the driver suites: the caller
-// alone, one spawned worker beside it, and more workers than most batches
-// have queries of one kind.
+// batchWorkerCounts are the goroutine counts of the mixed-batch suites: one
+// alone, two side by side, and more than most batches have queries of one
+// kind.
 var batchWorkerCounts = []int{1, 2, 8}
 
-// mixedQuery is one query of a mixed batch with its own result slot — the
-// shape the server's dispatcher hands RunQueriesParallel: window, point and
-// k-NN queries (each k-NN with its own k) side by side in one call.
+// mixedQuery is one query of a mixed batch with its own result slot: window,
+// point and k-NN queries (each k-NN with its own k) run side by side, as a
+// server's requests do.
 type mixedQuery struct {
 	kind byte // 'w' window, 'p' point, 'n' k-NN
 	w    geom.Rect
@@ -42,9 +41,9 @@ func mixedBatch(ws []geom.Rect, pts []geom.Point, ks []int) []mixedQuery {
 	return qs
 }
 
-// runMixed executes the batch in one driver call.
-func runMixed(org Organization, qs []mixedQuery, workers int, st *obs.ParallelStages) ThroughputResult {
-	return RunQueriesParallel(org, len(qs), workers, st, func(i int) (answers, candidates int) {
+// runMixed executes the batch on workers goroutines.
+func runMixed(org Organization, qs []mixedQuery, workers int) {
+	inParallel(len(qs), workers, func(i int) {
 		q := &qs[i]
 		switch q.kind {
 		case 'w':
@@ -53,18 +52,15 @@ func runMixed(org Organization, qs []mixedQuery, workers int, st *obs.ParallelSt
 			q.qr = org.PointQuery(q.pt)
 		case 'n':
 			q.nr = org.NearestQuery(q.pt, q.k)
-			return len(q.nr.IDs), q.nr.Candidates
 		}
-		return len(q.qr.IDs), q.qr.Candidates
 	})
 }
 
 // checkMixedAgainstSerial compares every result slot of an executed batch
 // with the serial query method on the (quiescent) organization: window and
 // point answers as sets plus the candidate count, k-NN rank by rank.
-func checkMixedAgainstSerial(t *testing.T, what string, org Organization, qs []mixedQuery, tr ThroughputResult) {
+func checkMixedAgainstSerial(t *testing.T, what string, org Organization, qs []mixedQuery) {
 	t.Helper()
-	var answers, candidates int
 	for i, q := range qs {
 		switch q.kind {
 		case 'w', 'p':
@@ -78,26 +74,20 @@ func checkMixedAgainstSerial(t *testing.T, what string, org Organization, qs []m
 			if q.qr.Candidates != want.Candidates {
 				t.Fatalf("%s: query %d (%c) candidates %d, serial %d", what, i, q.kind, q.qr.Candidates, want.Candidates)
 			}
-			answers, candidates = answers+len(want.IDs), candidates+want.Candidates
 		case 'n':
 			want := org.NearestQuery(q.pt, q.k)
 			if !idsEqual(q.nr.IDs, want.IDs) { // ordered: rank by rank
 				t.Fatalf("%s: query %d (%d-NN) answers differ from serial", what, i, q.k)
 			}
-			answers, candidates = answers+len(want.IDs), candidates+want.Candidates
 		}
-	}
-	if tr.Queries != len(qs) || tr.Answers != answers || tr.Candidates != candidates {
-		t.Fatalf("%s: driver reports %d queries, %d answers, %d candidates; serial %d, %d, %d",
-			what, tr.Queries, tr.Answers, tr.Candidates, len(qs), answers, candidates)
 	}
 }
 
-// TestBatchEntryPointsMatchSerial pins the one parallel read entry point,
-// RunQueriesParallel, against the serial query methods on a quiescent store:
-// with window, point and k-NN queries mixed in one call, every query's own
-// result must be identical in content (and, for k-NN, rank order) for every
-// organization and worker count, and the driver's sums must add up.
+// TestBatchEntryPointsMatchSerial pins concurrent queries against the serial
+// query methods on a quiescent store: with window, point and k-NN queries
+// mixed on several goroutines, every query's own result must be identical in
+// content (and, for k-NN, rank order) for every organization and goroutine
+// count.
 func TestBatchEntryPointsMatchSerial(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 21,
@@ -113,17 +103,14 @@ func TestBatchEntryPointsMatchSerial(t *testing.T) {
 		org := buildOrg(t, kind, ds, 256)
 		for _, workers := range batchWorkerCounts {
 			qs := mixedBatch(ws, pts, ks)
-			tr := runMixed(org, qs, workers, nil)
-			if tr.Workers != workers {
-				t.Fatalf("%s: ran with %d workers, asked for %d", kind, tr.Workers, workers)
-			}
-			checkMixedAgainstSerial(t, kind, org, qs, tr)
+			runMixed(org, qs, workers)
+			checkMixedAgainstSerial(t, kind, org, qs)
 		}
 	}
 }
 
-// TestBatchEntryPointsUnderContention exercises the driver with mixed
-// batches while a mutator churns the same store — the server's steady state.
+// TestBatchEntryPointsUnderContention runs mixed batches concurrently while a
+// mutator churns the same store — the server's steady state.
 // During the contended phase only invariants are checked (the race detector
 // does the heavy lifting); after quiescing, the mixed batch at every worker
 // count must again equal a fresh serial pass.
@@ -156,15 +143,15 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 					case datagen.OpUpdate:
 						org.Update(op.Obj, op.Key)
 					case datagen.OpWindow:
-						// The mutator's embedded queries run through the
-						// driver too (read/write interleaving).
-						runMixed(org, []mixedQuery{{kind: 'w', w: op.Window}}, 1, nil)
+						// The mutator's embedded queries interleave reads
+						// with its writes.
+						org.WindowQuery(op.Window, TechComplete)
 					}
 				}
 				org.Flush()
 			}()
-			// Readers: hammer the driver with the mixed batch until the
-			// mutator finishes. Results vary with interleaving; k-NN rank
+			// Readers: run the mixed batch over and over until the mutator
+			// finishes. Results vary with interleaving; k-NN rank
 			// ordering and answer-count sanity must hold throughout.
 			for r := 0; r < 2; r++ {
 				wg.Add(1)
@@ -177,7 +164,7 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 						default:
 						}
 						qs := mixedBatch(ws, pts, ks)
-						runMixed(org, qs, workers, nil)
+						runMixed(org, qs, workers)
 						for _, q := range qs {
 							if len(q.qr.IDs) > q.qr.Candidates {
 								t.Errorf("%c answers %d exceed candidates %d", q.kind, len(q.qr.IDs), q.qr.Candidates)
@@ -202,10 +189,10 @@ func TestBatchEntryPointsUnderContention(t *testing.T) {
 				t.FailNow()
 			}
 
-			// Quiesced: driver == serial, per query, at this worker count.
+			// Quiesced: concurrent == serial, per query, at this count.
 			qs := mixedBatch(ws, pts, ks)
-			tr := runMixed(org, qs, workers, nil)
-			checkMixedAgainstSerial(t, kind+" after quiesce", org, qs, tr)
+			runMixed(org, qs, workers)
+			checkMixedAgainstSerial(t, kind+" after quiesce", org, qs)
 		}
 	}
 }

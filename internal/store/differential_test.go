@@ -2,6 +2,7 @@ package store
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"spatialcluster/internal/datagen"
@@ -93,8 +94,8 @@ func TestOrganizationsAgree(t *testing.T) {
 				}
 			}
 		}
-		// Parallel read paths: aggregate answers must equal the serial
-		// aggregate for every organization and worker count.
+		// Concurrent queries: aggregate answers must equal the serial
+		// aggregate for every organization and goroutine count.
 		for oi, org := range orgs {
 			var serialW, serialN int
 			for _, w := range ws {
@@ -104,13 +105,16 @@ func TestOrganizationsAgree(t *testing.T) {
 				serialN += len(org.NearestQuery(pt, 10).IDs)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				if tr := RunWindowQueriesParallel(org, ws, TechComplete, workers); tr.Answers != serialW {
-					t.Fatalf("%s: %s windows with %d workers: %d answers, want %d",
-						phase, kinds[oi], workers, tr.Answers, serialW)
+				var answersW, answersN atomic.Int64
+				inParallel(len(ws), workers, func(i int) { answersW.Add(int64(len(org.WindowQuery(ws[i], TechComplete).IDs))) })
+				inParallel(len(pts), workers, func(i int) { answersN.Add(int64(len(org.NearestQuery(pts[i], 10).IDs))) })
+				if int(answersW.Load()) != serialW {
+					t.Fatalf("%s: %s windows on %d goroutines: %d answers, want %d",
+						phase, kinds[oi], workers, answersW.Load(), serialW)
 				}
-				if tr := RunNearestQueriesParallel(org, pts, 10, workers); tr.Answers != serialN {
-					t.Fatalf("%s: %s k-NN with %d workers: %d answers, want %d",
-						phase, kinds[oi], workers, tr.Answers, serialN)
+				if int(answersN.Load()) != serialN {
+					t.Fatalf("%s: %s k-NN on %d goroutines: %d answers, want %d",
+						phase, kinds[oi], workers, answersN.Load(), serialN)
 				}
 			}
 		}

@@ -42,17 +42,26 @@
 // method that takes it is base's, in base.go:
 //
 //	Insert, Delete, Update, Flush   write lock
+//	WindowQuery, PointQuery,        read lock, taken by the query itself
+//	NearestQuery                    (base.begin) and released by defer
 //	Stats                           read lock
-//	WindowQuery, PointQuery,        none: RunQueriesParallel takes the read
-//	NearestQuery, PrepareFetch      lock around each query; a serial caller
-//	                                (a figure, the join) needs none
+//	PrepareFetch                    none: the join reads stores no one mutates
 //	Name, Tree, Env                 none (immutable after construction,
 //	                                except Tree across Cluster.Rebuild)
 //
-// Beyond the interface, the cluster organization's RepackUnit, Rebuild and
-// BulkLoadHilbert take the write lock, Frag and UnitFrags the read lock, and
-// Env.Close the write lock. So any number of queries and Stats calls may
-// overlap each other; a mutation overlaps nothing that locks.
+// Beyond the interface, the cluster organization's WindowQueryOptimum takes
+// the read lock like a query, RepackUnit, Rebuild and BulkLoadHilbert the
+// write lock, Frag and UnitFrags the read lock, and Env.Close the write lock.
+// So any number of queries and Stats calls may overlap each other, from any
+// number of goroutines; a mutation overlaps nothing that locks.
+//
+// A query carries its own cost. Its scratch holds a disk.Tally that the tree,
+// the layout, the buffer and the disk fill as the query's requests go by —
+// every read, every write-back its misses force, every buffer hit and miss,
+// the backend's wall clock and the query's wait for Env.mu — and the result
+// embeds it. No request is charged to two queries, so QueryResult.Cost is the
+// query's own even when others run beside it, and the tallies of concurrent
+// queries sum to the global Disk.Cost and Buf.Stats deltas.
 //
 // Queries refine without materialising: a candidate is a byte view — the
 // buffer page's own sub-slice when the object lies inside one page,
@@ -80,18 +89,16 @@
 //   - A k-NN browse decodes every data page into one pooled node
 //     (rtree.NearestLeaves), not a fresh node and entry list per page.
 //
-// A query that panics — over a damaged page, say — releases Env's read lock
-// and its capture's pins on the way out, so a caller that recovers keeps a
-// store its mutations can still lock.
+// A query that panics — over a damaged page, say — releases its read lock on
+// Env and its capture's pins on the way out, so a caller that recovers keeps
+// a store its mutations can still lock.
 //
 // Beyond the paper's static comparison the package carries the engine
 // features grown around it: Delete/Update with per-organization space
 // reclamation, window/point queries with the cluster read techniques
-// (Technique), k-nearest-neighbor distance browsing (NearestQuery), the
-// parallel read path (RunQueriesParallel, the one driver that spawns read
-// workers and takes Env's read lock; RunWindowQueriesParallel and
-// RunNearestQueriesParallel call it, the server runs each query through it),
-// the cluster organization's repair primitives used by internal/recluster
+// (Technique), k-nearest-neighbor distance browsing (NearestQuery),
+// concurrent queries that lock and tally themselves (a server runs each on its
+// request's goroutine), the cluster organization's repair primitives used by internal/recluster
 // (RepackUnit, Rebuild, Frag), Hilbert bulk loading, and whole-store
 // persistence: Snapshot captures a built organization as a plain-data Image
 // and Restore revives it on a fresh Env without a rebuild (persist.go); the

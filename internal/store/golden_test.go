@@ -112,7 +112,8 @@ func TestSameTreeGolden(t *testing.T) {
 // fails here. A second FNV-64a over the buffer's hits, misses and evictions
 // after every query (pinned at the commit before the read path stopped
 // assembling key-decided window candidates) fails a change that drops or adds
-// a buffer touch, even one that moves no disk cost.
+// a buffer touch, even one that moves no disk cost. Each query's own tally
+// must equal the global counter deltas around it, bit for bit.
 func TestReadPathGolden(t *testing.T) {
 	ds := testDataset(16)
 	var churn []datagen.Op
@@ -153,10 +154,16 @@ func TestReadPathGolden(t *testing.T) {
 			org.Flush()
 			env.Buf.ResetStats()
 			h, hb := fnv.New64a(), fnv.New64a()
+			prev := countersOf(env)
 			put := func(res QueryResult) {
 				fmt.Fprintf(h, "%v %d %d %+v\n", res.IDs, res.Candidates, res.CandidateBytes, res.Cost)
 				st := env.Buf.Stats()
 				fmt.Fprintf(hb, "%d %d %d\n", st.Hits, st.Misses, st.Evictions)
+				now := countersOf(env)
+				if want := now.since(prev); res.Tally != want {
+					t.Fatalf("a query tallied %+v, the global counters moved %+v", res.Tally, want)
+				}
+				prev = now
 			}
 			for _, tech := range techs {
 				for _, w := range ws {

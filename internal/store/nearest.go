@@ -73,8 +73,8 @@ func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 		return res
 	}
 	acc := knnAcc{k: k}
-	sc := getScratch()
-	defer sc.release()
+	sc := b.begin()
+	defer b.end(sc)
 	// beyond reports whether a lower bound of a distance exceeds the k-th best
 	// exact distance. It is monotone in minDist, so the traversal applies it
 	// as its stop predicate before reading a popped page — a page (or whole
@@ -83,30 +83,29 @@ func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 	beyond := func(minDist float64) bool {
 		return acc.full() && minDist > acc.bound()
 	}
-	res.Cost = measure(b.env.Disk, func() {
-		b.tree.NearestLeaves(pt, beyond, func(n *rtree.Node, minDist float64) bool {
-			// The node is this browse's scratch: filter it in place.
-			kept := n.Entries[:0]
-			for _, e := range n.Entries {
-				if !beyond(e.Rect.MinDist(pt)) {
-					kept = append(kept, e)
-				}
+	b.tree.NearestLeavesTallied(pt, &sc.tally, beyond, func(n *rtree.Node, minDist float64) bool {
+		// The node is this browse's scratch: filter it in place.
+		kept := n.Entries[:0]
+		for _, e := range n.Entries {
+			if !beyond(e.Rect.MinDist(pt)) {
+				kept = append(kept, e)
 			}
-			if len(kept) == 0 {
-				return true
-			}
-			for i, view := range b.lay.views(rtree.LeafMatch{Page: n.ID, Matched: kept}, geom.EmptyRect(), TechPageByPage, sc) {
-				res.Candidates++
-				res.CandidateBytes += int64(len(view))
-				if beyond(kept[i].Rect.MinDist(pt)) {
-					continue // its exact distance is at least its key's: it cannot enter
-				}
-				v := sc.decode(view)
-				acc.add(knnCand{id: v.ID, dist: distToPoint(v, pt)})
-			}
+		}
+		if len(kept) == 0 {
 			return true
-		})
+		}
+		for i, view := range b.lay.views(rtree.LeafMatch{Page: n.ID, Matched: kept}, geom.EmptyRect(), TechPageByPage, sc) {
+			res.Candidates++
+			res.CandidateBytes += int64(len(view))
+			if beyond(kept[i].Rect.MinDist(pt)) {
+				continue // its exact distance is at least its key's: it cannot enter
+			}
+			v := sc.decode(view)
+			acc.add(knnCand{id: v.ID, dist: distToPoint(v, pt)})
+		}
+		return true
 	})
+	res.Tally = sc.tally
 	res.IDs = make([]object.ID, len(acc.cands))
 	res.Dists = make([]float64, len(acc.cands))
 	for i, c := range acc.cands {

@@ -1,9 +1,10 @@
 package store
 
 import (
-	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,8 +12,39 @@ import (
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
-	"spatialcluster/internal/obs"
 )
+
+// inParallel runs query(0) … query(n-1) on workers goroutines that take
+// indexes in order from one counter. It takes no lock: the queries lock the
+// store themselves.
+func inParallel(n, workers int, query func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				query(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// tallySum adds up the tallies of concurrent queries.
+type tallySum struct {
+	mu  sync.Mutex
+	sum disk.Tally
+}
+
+func (s *tallySum) add(t disk.Tally) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sum.Cost = s.sum.Cost.Add(t.Cost)
+	s.sum.Hits += t.Hits
+	s.sum.Misses += t.Misses
+}
 
 // buildClusterForQueries constructs a flushed cluster organization over a
 // small series-A dataset.
@@ -32,9 +64,9 @@ func buildClusterForQueries(t *testing.T, bufPages int) (*Cluster, *datagen.Data
 	return c, ds
 }
 
-// TestParallelWindowQueriesMatchSerial: the concurrent engine must return
-// exactly the aggregate answers of a serial run — concurrency must never
-// change what a query sees.
+// TestParallelWindowQueriesMatchSerial: window queries run concurrently must
+// return exactly the aggregate answers of a serial run — concurrency must
+// never change what a query sees.
 func TestParallelWindowQueriesMatchSerial(t *testing.T) {
 	c, ds := buildClusterForQueries(t, 256)
 	ws := ds.Windows(0.005, 48, 3)
@@ -53,57 +85,24 @@ func TestParallelWindowQueriesMatchSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		c.Env().Buf.Retain(c.Tree().IsDirPage)
-		tr := RunWindowQueriesParallel(c, ws, TechSLM, workers)
-		if tr.Answers != serialAnswers || tr.Candidates != serialCands {
+		var answers, cands, pagesRead atomic.Int64
+		inParallel(len(ws), workers, func(i int) {
+			res := c.WindowQuery(ws[i], TechSLM)
+			answers.Add(int64(len(res.IDs)))
+			cands.Add(int64(res.Candidates))
+			pagesRead.Add(res.Cost.PagesRead)
+		})
+		if int(answers.Load()) != serialAnswers || int(cands.Load()) != serialCands {
 			t.Fatalf("workers=%d: answers/cands %d/%d, want %d/%d",
-				workers, tr.Answers, tr.Candidates, serialAnswers, serialCands)
+				workers, answers.Load(), cands.Load(), serialAnswers, serialCands)
 		}
-		if tr.Queries != len(ws) || tr.Workers > workers {
-			t.Fatalf("workers=%d: reported %d queries on %d workers", workers, tr.Queries, tr.Workers)
-		}
-		if tr.Cost.PagesRead == 0 {
+		if pagesRead.Load() == 0 {
 			t.Fatalf("workers=%d: no I/O charged after cooling the object pages", workers)
 		}
 	}
 }
 
-// TestParallelQueriesEmptyBatch: an empty query slice must return a zeroed
-// ThroughputResult without spawning the worker pool (the workers > len clamp
-// is unreachable for zero queries, so the old code launched the full pool
-// and reported it in Workers).
-func TestParallelQueriesEmptyBatch(t *testing.T) {
-	c, _ := buildClusterForQueries(t, 64)
-	before := c.Env().Disk.Cost()
-	tr := RunWindowQueriesParallel(c, nil, TechSLM, 8)
-	if tr != (ThroughputResult{}) {
-		t.Fatalf("empty window batch: got %+v, want zeroed result", tr)
-	}
-	nr := RunNearestQueriesParallel(c, nil, 10, 8)
-	if nr != (ThroughputResult{}) {
-		t.Fatalf("empty k-NN batch: got %+v, want zeroed result", nr)
-	}
-	var st obs.ParallelStages
-	goroutines := runtime.NumGoroutine()
-	dr := RunQueriesParallel(c, 0, 8, &st, func(int) (answers, candidates int) {
-		t.Error("empty batch ran a query")
-		return 0, 0
-	})
-	if dr != (ThroughputResult{}) || st.ExecNS.Load() != 0 || st.LockWaitNS.Load() != 0 {
-		t.Fatalf("empty driver call: got %+v, clocks %d/%d", dr, st.ExecNS.Load(), st.LockWaitNS.Load())
-	}
-	// A batch of one runs on the caller's goroutine: nothing is spawned.
-	RunQueriesParallel(c, 1, 8, nil, func(int) (answers, candidates int) {
-		if n := runtime.NumGoroutine(); n > goroutines {
-			t.Errorf("one-query batch runs beside %d spawned goroutines", n-goroutines)
-		}
-		return 0, 0
-	})
-	if cost := c.Env().Disk.Cost().Sub(before); cost != (disk.Cost{}) {
-		t.Fatalf("empty batches charged I/O: %v", cost)
-	}
-}
-
-// TestParallelNearestQueriesMatchSerial: the concurrent k-NN engine must
+// TestParallelNearestQueriesMatchSerial: k-NN queries run concurrently must
 // aggregate exactly the serial answers for every worker count.
 func TestParallelNearestQueriesMatchSerial(t *testing.T) {
 	c, ds := buildClusterForQueries(t, 256)
@@ -119,42 +118,86 @@ func TestParallelNearestQueriesMatchSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		c.Env().Buf.Retain(c.Tree().IsDirPage)
-		tr := RunNearestQueriesParallel(c, pts, k, workers)
-		if tr.Answers != serialAnswers || tr.Candidates != serialCands {
+		var answers, cands, pagesRead atomic.Int64
+		inParallel(len(pts), workers, func(i int) {
+			res := c.NearestQuery(pts[i], k)
+			answers.Add(int64(len(res.IDs)))
+			cands.Add(int64(res.Candidates))
+			pagesRead.Add(res.Cost.PagesRead)
+		})
+		if int(answers.Load()) != serialAnswers || int(cands.Load()) != serialCands {
 			t.Fatalf("workers=%d: answers/cands %d/%d, want %d/%d",
-				workers, tr.Answers, tr.Candidates, serialAnswers, serialCands)
+				workers, answers.Load(), cands.Load(), serialAnswers, serialCands)
 		}
-		if tr.Queries != len(pts) || tr.Workers > workers {
-			t.Fatalf("workers=%d: reported %d queries on %d workers", workers, tr.Queries, tr.Workers)
-		}
-		if tr.Cost.PagesRead == 0 {
+		if pagesRead.Load() == 0 {
 			t.Fatalf("workers=%d: no I/O charged after cooling the object pages", workers)
 		}
 	}
 }
 
-// TestParallelWindowQueriesDefaultWorkers pins the fallback of an unset
-// worker count: workers <= 0 runs on GOMAXPROCS workers.
-func TestParallelWindowQueriesDefaultWorkers(t *testing.T) {
-	c, ds := buildClusterForQueries(t, 256)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	ws := ds.Windows(0.005, 9, 4)
-	tr := RunWindowQueriesParallel(c, ws, TechComplete, 0)
-	if tr.Workers != 3 {
-		t.Fatalf("workers = %d, want GOMAXPROCS = 3", tr.Workers)
+// TestTalliesConserve: 8 goroutines run mixed window, point and k-NN queries
+// on each organization, whose store is left unflushed behind a small buffer so
+// that the queries' misses force write-backs too. Every request is charged to
+// exactly one query, so the queries' own tallies must sum to the global
+// Disk.Cost and Buf.Stats deltas — all six cost fields, hits and misses.
+func TestTalliesConserve(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 91})
+	ws := ds.Windows(0.005, 24, 92)
+	pts := ds.Points(24, 93)
+	var written int64
+	for _, kind := range []string{"secondary", "primary", "cluster", "cluster-buddy"} {
+		t.Run(kind, func(t *testing.T) {
+			env := NewEnv(32)
+			var org Organization
+			switch kind {
+			case "secondary":
+				org = NewSecondary(env)
+			case "primary":
+				org = NewPrimary(env)
+			case "cluster":
+				org = NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes()})
+			case "cluster-buddy":
+				org = NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: 3})
+			}
+			for i, o := range ds.Objects {
+				if err := org.Insert(o, ds.MBRs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := countersOf(env)
+			var sum tallySum
+			inParallel(3*len(ws), 8, func(i int) {
+				switch q := i / 3; i % 3 {
+				case 0:
+					sum.add(org.WindowQuery(ws[q], Technique(q%5)).Tally)
+				case 1:
+					sum.add(org.PointQuery(pts[q]).Tally)
+				default:
+					sum.add(org.NearestQuery(pts[q], 1+q%12).Tally)
+				}
+			})
+			want := countersOf(env).since(before)
+			if sum.sum != want {
+				t.Fatalf("the queries' tallies sum to\n  %+v\nthe global counters moved\n  %+v", sum.sum, want)
+			}
+			if want.Cost.PagesRead == 0 || want.Hits == 0 {
+				t.Fatalf("the queries read nothing: %+v", want)
+			}
+			written += want.Cost.PagesWritten
+		})
 	}
-	if tr.QueriesSec <= 0 {
-		t.Fatalf("queries/sec = %g", tr.QueriesSec)
+	if written == 0 {
+		t.Fatal("no query forced a write-back: the write half of the tally was never exercised")
 	}
 }
 
 // TestPanickingQueryReleasesLocks: a query over a damaged page panics — here a
 // unit page cut to one byte makes the cluster capture slice past its end, with
 // the unit's pages pinned — and net/http recovers such a panic in the
-// daemons. The store must come out of it usable: the environment's read lock
-// released, so the next mutation does not wait for it forever (and every
-// later query behind that mutation), and the capture's pins released, so the
-// pages stay evictable. Every wait is bounded, so a regression fails here
+// daemons. The store must come out of it usable: the query's own read lock
+// on the environment released, so the next mutation does not wait for it
+// forever (and every later query behind that mutation), and the capture's
+// pins released, so the pages stay evictable. Every wait is bounded, so a regression fails here
 // instead of hanging.
 func TestPanickingQueryReleasesLocks(t *testing.T) {
 	c, ds := buildClusterForQueries(t, 256)
@@ -178,10 +221,7 @@ func TestPanickingQueryReleasesLocks(t *testing.T) {
 
 	panicked := func() (msg any) {
 		defer func() { msg = recover() }()
-		RunQueriesParallel(c, 1, 1, nil, func(int) (answers, candidates int) {
-			res := c.PointQuery(pt)
-			return len(res.IDs), res.Candidates
-		})
+		c.PointQuery(pt)
 		return nil
 	}()
 	if panicked == nil {
@@ -210,12 +250,7 @@ func TestPanickingQueryReleasesLocks(t *testing.T) {
 	})
 	env.Buf.Put(pid, orig)
 	var res QueryResult
-	within("a window query", func() {
-		RunQueriesParallel(c, 1, 1, nil, func(int) (answers, candidates int) {
-			res = c.WindowQuery(added.Bounds(), TechComplete)
-			return len(res.IDs), res.Candidates
-		})
-	})
+	within("a window query", func() { res = c.WindowQuery(added.Bounds(), TechComplete) })
 	if !slices.Contains(res.IDs, added.ID) || !slices.Contains(res.IDs, victim.ID) {
 		t.Fatalf("window over the inserted object answers %v, want %d and %d among them", res.IDs, added.ID, victim.ID)
 	}

@@ -121,9 +121,10 @@ func (p *Primary) entryView(payload []byte, read func(ref pagefile.Ref) []byte) 
 // it bundles its objects whatever the technique — and overflow objects cost
 // an independent read each.
 func (p *Primary) views(lm rtree.LeafMatch, _ geom.Rect, _ Technique, sc *scratch) [][]byte {
+	read := func(ref pagefile.Ref) []byte { return p.overflow.ReadDirect(ref, &sc.tally) }
 	sc.views = sc.views[:0]
 	for i := range lm.Matched {
-		sc.views = append(sc.views, p.entryView(lm.Matched[i].Payload, p.overflow.ReadDirect))
+		sc.views = append(sc.views, p.entryView(lm.Matched[i].Payload, read))
 	}
 	return sc.views
 }

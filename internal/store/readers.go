@@ -24,9 +24,9 @@ func (c *Cluster) unitFor(leaf disk.PageID) *clusterUnit {
 // scratch is the reusable memory of one query (or one prepared fetch): the
 // candidates of the data page being processed, their unit pages, their
 // serializations as views, the vertices of the candidate under refinement,
-// and the answers so far. Queries run concurrently under Env's read lock, so
-// a scratch belongs to exactly one query at a time and nothing of it hangs on
-// the organization.
+// the answers so far, and the query's tally. Queries run concurrently under
+// Env's read lock, so a scratch belongs to exactly one query at a time and
+// nothing of it hangs on the organization.
 type scratch struct {
 	ids    []object.ID
 	pages  []disk.PageID // requested unit pages
@@ -34,6 +34,7 @@ type scratch struct {
 	spill  []byte        // objects straddling pages, assembled
 	verts  []geom.Point
 	answer []object.ID // collected here, copied out once at its final size
+	tally  disk.Tally  // every read, write-back, hit and miss the query causes
 }
 
 // maxPooledAnswer is the largest answer slice a released scratch keeps, 64 KiB
@@ -162,9 +163,9 @@ func (c *Cluster) requestedPages(u *clusterUnit, ids []object.ID, out []disk.Pag
 }
 
 // fetchPlan reads unit pages through m according to the technique and
-// returns nothing; the pages end up in m. requested lists the pages the
-// caller needs.
-func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.Manager, tech Technique) {
+// returns nothing; the pages end up in m, the I/O in t. requested lists the
+// pages the caller needs.
+func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.Manager, tech Technique, t *disk.Tally) {
 	var missBuf [128]disk.PageID // as below: the missing pages of any regular unit fit
 	switch tech {
 	case TechComplete:
@@ -175,7 +176,7 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 		for i := 0; i < u.usedPages(); i++ {
 			all = append(all, u.extent.Start+disk.PageID(i))
 		}
-		missing := m.Missing(all, missBuf[:])
+		missing := m.Missing(all, missBuf[:], t)
 		if len(missing) == 0 {
 			return
 		}
@@ -184,21 +185,21 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 		// transfer of a page already in memory costs the same as reading
 		// it, so the single covering run is charged.)
 		run := disk.Run{Start: u.extent.Start, N: u.usedPages()}
-		m.ExecutePlan([]disk.Run{run}, all, false)
+		m.ExecutePlan([]disk.Run{run}, all, false, t)
 	case TechSLM, TechSLMVector:
-		missing := m.Missing(requested, missBuf[:])
+		missing := m.Missing(requested, missBuf[:], t)
 		if len(missing) == 0 {
 			return
 		}
 		l := m.Disk().Params().SLMGapLength()
 		runs := disk.PlanSLM(missing, l)
-		m.ExecutePlan(runs, requested, tech == TechSLMVector)
+		m.ExecutePlan(runs, requested, tech == TechSLMVector, t)
 	case TechPageByPage:
-		missing := m.Missing(requested, missBuf[:])
+		missing := m.Missing(requested, missBuf[:], t)
 		if len(missing) == 0 {
 			return
 		}
-		m.ExecutePlan(disk.PlanRequired(missing), requested, false)
+		m.ExecutePlan(disk.PlanRequired(missing), requested, false, t)
 	default:
 		panic(fmt.Sprintf("store: technique %v not applicable to a cluster fetch", tech))
 	}
@@ -226,7 +227,8 @@ func unitView(pageAt func(idx int) []byte, off, size int, spill *[]byte) []byte 
 }
 
 // capture runs the read schedule of the selected technique for the given
-// objects of unit u through m (charging the modelled I/O) and returns their
+// objects of unit u through m (charging the modelled I/O, and tallying it in
+// sc's tally) and returns their
 // serializations as views, valid until sc is reused. The pages are pinned
 // during the capture so a concurrent query's eviction pressure cannot force
 // mid-capture re-reads; the unit's in-memory tail page (not yet flushed)
@@ -236,7 +238,7 @@ func unitView(pageAt func(idx int) []byte, off, size int, spill *[]byte) []byte 
 // but nothing is sliced or assembled.
 func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, tech Technique, sc *scratch, skip func(i int) bool) [][]byte {
 	sc.pages = c.requestedPages(u, ids, sc.pages[:0])
-	c.fetchPlan(u, sc.pages, m, tech)
+	c.fetchPlan(u, sc.pages, m, tech, &sc.tally)
 	pinned := m.PinPages(sc.pages)
 	defer m.UnpinPages(pinned)
 	pageAt := func(idx int) []byte {
@@ -247,7 +249,7 @@ func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, te
 		if pg, ok := m.Touch(pid); ok {
 			return pg
 		}
-		return m.Get(pid) // evicted mid-capture (buffer smaller than object)
+		return m.GetTallied(pid, &sc.tally) // evicted mid-capture (buffer smaller than object)
 	}
 	sc.views, sc.spill = sc.views[:0], sc.spill[:0]
 	for i, id := range ids {
@@ -331,19 +333,19 @@ func (c *Cluster) demand(leaf disk.PageID, ids []object.ID) Demand {
 // WindowQueryOptimum returns the theoretical lower bound of Figure 10: the
 // measured R*-tree traversal cost plus, per qualifying cluster unit, one
 // seek, one rotational delay and the minimum number of page transfers needed
-// for the requested objects. No object data is actually moved.
+// for the requested objects. No object data is actually moved. It locks and
+// tallies like a query.
 func (c *Cluster) WindowQueryOptimum(w geom.Rect) (ms float64, res QueryResult) {
 	p := c.env.Params()
-	sc := getScratch()
-	defer sc.release()
-	res.Cost = measure(c.env.Disk, func() {
-		c.tree.SearchLeaves(w, func(lm rtree.LeafMatch) bool {
-			ids := sc.candidates(lm.Matched, &res)
-			sc.pages = c.requestedPages(c.unitFor(lm.Page), ids, sc.pages[:0])
-			ms += p.SeekMS + p.LatencyMS + p.TransferMS*float64(len(sc.pages))
-			return true
-		})
+	sc := c.begin()
+	defer c.end(sc)
+	c.tree.SearchLeaves(w, &sc.tally, func(lm rtree.LeafMatch) bool {
+		ids := sc.candidates(lm.Matched, &res)
+		sc.pages = c.requestedPages(c.unitFor(lm.Page), ids, sc.pages[:0])
+		ms += p.SeekMS + p.LatencyMS + p.TransferMS*float64(len(sc.pages))
+		return true
 	})
+	res.Tally = sc.tally
 	ms += res.Cost.TimeMS(p)
 	return ms, res
 }

@@ -73,14 +73,14 @@ func refFetch(org Organization, leaf disk.PageID, entries []rtree.Entry, tech Te
 	case *Secondary:
 		for _, e := range entries {
 			id, _ := decodePayload(e.Payload)
-			out = append(out, must(object.Unmarshal(append([]byte(nil), o.file.ReadDirect(o.refs[id])...))))
+			out = append(out, must(object.Unmarshal(append([]byte(nil), o.file.ReadDirect(o.refs[id], nil)...))))
 		}
 	case *Primary:
 		for _, e := range entries {
 			raw := e.Payload[1:]
 			if e.Payload[0] == primOverflow {
 				id, _ := decodePayload(raw)
-				raw = o.overflow.ReadDirect(o.refs[id])
+				raw = o.overflow.ReadDirect(o.refs[id], nil)
 			}
 			out = append(out, must(object.Unmarshal(append([]byte(nil), raw...))))
 		}
@@ -101,7 +101,7 @@ func refFetch(org Organization, leaf disk.PageID, entries []rtree.Entry, tech Te
 				}
 			}
 		}
-		o.fetchPlan(u, requested, m, tech)
+		o.fetchPlan(u, requested, m, tech, nil)
 		pinned := m.PinPages(requested)
 		for _, uo := range uos {
 			raw := make([]byte, 0, uo.size)
@@ -127,7 +127,7 @@ func refFetch(org Organization, leaf disk.PageID, entries []rtree.Entry, tech Te
 func refWindow(org Organization, w geom.Rect, tech Technique, pred func(*object.Object) bool) QueryResult {
 	var res QueryResult
 	c, clustered := org.(*Cluster)
-	res.Cost = measure(org.Env().Disk, func() {
+	res.Tally = tallied(org.Env(), func() {
 		refLeaves(org.Tree(), org.Tree().Root(), w, func(n *rtree.Node, hit []rtree.Entry) {
 			groups := [][]rtree.Entry{hit}
 			eff := tech
@@ -172,7 +172,7 @@ func refNearest(org Organization, pt geom.Point, k int) (res NearestResult, beyo
 		page disk.PageID
 		dist float64
 	}
-	res.Cost = measure(org.Env().Disk, func() {
+	res.Tally = tallied(org.Env(), func() {
 		queue := []item{{page: t.Root()}} // FIFO among equals: scanning for a strict minimum keeps (dist, seq) order
 		for len(queue) > 0 {
 			best := 0
@@ -223,13 +223,31 @@ type counters struct {
 
 func countersOf(env *Env) counters { return counters{env.Buf.Stats(), env.Disk.Cost()} }
 
+// since is the tally of what moved the counters from before to c.
+func (c counters) since(before counters) disk.Tally {
+	return disk.Tally{
+		Cost:   c.Disk.Sub(before.Disk),
+		Hits:   c.Buf.Hits - before.Buf.Hits,
+		Misses: c.Buf.Misses - before.Buf.Misses,
+	}
+}
+
+// tallied runs op and returns the global counter deltas it caused: the tally
+// a query keeps for itself, when nothing runs beside it.
+func tallied(env *Env, op func()) disk.Tally {
+	before := countersOf(env)
+	op()
+	return countersOf(env).since(before)
+}
+
 // TestReadPathMatchesMaterialisingReference pins the in-place read path to
 // the algorithm it replaced: for all three organizations (fixed leaves for
 // the secondary and cluster organizations, variable leaves for the primary),
 // freshly built and churned 30/40/30, every window, point and k-NN query
 // under every read technique returns identical IDs (order included), Dists,
-// Candidates, CandidateBytes and Cost, and moves the buffer and disk counters
-// identically — on a buffer small enough that LRU order decides the misses.
+// Candidates, CandidateBytes and tally (Cost, hits, misses), and moves the
+// buffer and disk counters identically — on a buffer small enough that LRU
+// order decides the misses.
 func TestReadPathMatchesMaterialisingReference(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 128, Seed: 21})
 	ws := append(ds.Windows(0.001, 8, 5), ds.Windows(0.02, 4, 6)...)
@@ -396,7 +414,7 @@ func (h *handedOut) verify(t *testing.T, when string) {
 // probe does what a window query does, but keeps every slice it is handed.
 // The caller holds the environment's read lock (or is the only goroutine).
 func probe(org Organization, w geom.Rect, tech Technique, h *handedOut) {
-	org.Tree().SearchLeaves(w, func(lm rtree.LeafMatch) bool {
+	org.Tree().SearchLeaves(w, nil, func(lm rtree.LeafMatch) bool {
 		sc := new(scratch) // not pooled: the views must outlive the probe
 		for _, e := range lm.Matched {
 			h.add(e.Payload)
@@ -525,8 +543,8 @@ func mutate(org Organization, ops []datagen.Op) {
 }
 
 // TestHandedOutSlicesSurviveConcurrentMutation is the same contract under
-// the race detector: a mutator works through the write lock while the
-// parallel query drivers and a prober share the read lock; the prober keeps
+// the race detector: a mutator works through the write lock while concurrent
+// queries and a prober share the read lock; the prober keeps
 // its slices and re-reads them with no lock held, so a write into a page that
 // was handed out is a reported race as well as a checksum failure.
 func TestHandedOutSlicesSurviveConcurrentMutation(t *testing.T) {
@@ -570,8 +588,8 @@ func TestHandedOutSlicesSurviveConcurrentMutation(t *testing.T) {
 				}
 			}()
 			for !done.Load() {
-				RunWindowQueriesParallel(org, ws, TechComplete, 3)
-				RunNearestQueriesParallel(org, pts, 5, 3)
+				inParallel(len(ws), 3, func(i int) { org.WindowQuery(ws[i], TechComplete) })
+				inParallel(len(pts), 3, func(i int) { org.NearestQuery(pts[i], 5) })
 			}
 			wg.Wait()
 			h.verify(t, "at the end")
@@ -679,24 +697,6 @@ func TestReleasedScratchKeepsNoHugeAnswer(t *testing.T) {
 	sc.release()
 	if sc.answer != nil {
 		t.Fatalf("a released scratch keeps an answer slice of %d IDs", cap(sc.answer))
-	}
-}
-
-// TestRunQueriesParallelOneQueryAllocs: one query on one worker — the
-// server's per-request path — allocates nothing in RunQueriesParallel.
-func TestRunQueriesParallelOneQueryAllocs(t *testing.T) {
-	if raceEnabled() {
-		t.Skip("allocation counts are meaningless under -race")
-	}
-	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 61})
-	c := warmCluster(t, ds, ds.Spec.SmaxBytes())
-	query := func(int) (answers, candidates int) { return 1, 2 }
-	var res ThroughputResult
-	if got := testing.AllocsPerRun(100, func() { res = RunQueriesParallel(c, 1, 1, nil, query) }); got != 0 {
-		t.Errorf("a one-query RunQueriesParallel allocates %v times, want 0", got)
-	}
-	if res.Queries != 1 || res.Answers != 1 || res.Candidates != 2 || res.Workers != 1 {
-		t.Fatalf("RunQueriesParallel reports %+v", res)
 	}
 }
 

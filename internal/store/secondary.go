@@ -78,7 +78,7 @@ func (s *Secondary) views(lm rtree.LeafMatch, _ geom.Rect, _ Technique, sc *scra
 	sc.views = sc.views[:0]
 	for i := range lm.Matched {
 		id, _ := decodePayload(lm.Matched[i].Payload)
-		sc.views = append(sc.views, s.file.ReadDirect(s.ref(id)))
+		sc.views = append(sc.views, s.file.ReadDirect(s.ref(id), &sc.tally))
 	}
 	return sc.views
 }

@@ -86,12 +86,15 @@ func TechByName(name string) (Technique, error) {
 }
 
 // QueryResult reports a point or window query: the refined answers, the
-// filter-step candidates, and the I/O cost charged while processing it.
+// filter-step candidates, and what the query consumed — the modelled I/O cost
+// of its requests, its buffer hits and misses, its backend and lock-wait time.
+// The query tallies these itself, so they are its own even when other queries
+// run beside it.
 type QueryResult struct {
 	IDs            []object.ID // objects whose exact geometry qualifies
 	Candidates     int         // MBR matches (filter step output)
 	CandidateBytes int64       // summed serialized size of the candidates
-	Cost           disk.Cost   // I/O cost of the query
+	disk.Tally                 // the query's own consumption; Cost is its I/O cost
 }
 
 // NearestResult reports a k-nearest-neighbor query: the (up to) k nearest
@@ -199,13 +202,11 @@ type Env struct {
 	Buf   *buffer.Manager
 	Alloc *pagefile.Allocator
 
-	// mu serializes mutations against the parallel read path. The mutating
-	// Organization methods (Insert, Delete, Update, Flush) and the
-	// reclusterer's repack/rebuild take the write lock; RunQueriesParallel
-	// — the only query path that locks — takes the read lock around each
-	// query, Stats and Frag around their bookkeeping reads. The serial query
-	// methods take no lock — single-threaded callers (the paper's figure
-	// experiments) pay nothing.
+	// mu orders mutations against queries. The mutating Organization
+	// methods (Insert, Delete, Update, Flush) and the reclusterer's
+	// repack/rebuild take the write lock; the query methods take the read
+	// lock around each query (base.begin), Stats and Frag around their
+	// bookkeeping reads.
 	mu sync.RWMutex
 }
 
@@ -272,11 +273,4 @@ func encodePayload(id object.ID, size int) []byte {
 func decodePayload(p []byte) (object.ID, int) {
 	return object.ID(binary.LittleEndian.Uint64(p)),
 		int(binary.LittleEndian.Uint32(p[8:]))
-}
-
-// measure runs op and returns the disk cost it charged.
-func measure(d *disk.Disk, op func()) disk.Cost {
-	before := d.Cost()
-	op()
-	return d.Cost().Sub(before)
 }

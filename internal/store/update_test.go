@@ -306,8 +306,8 @@ func TestRebuildOnEmptyAndEmptiedStores(t *testing.T) {
 
 // TestMixedUpdatesDuringParallelQueries is the -race stress test of the
 // update engine: one mutator applies a mixed workload through the write
-// lock while RunWindowQueriesParallel hammers the organization from all
-// cores. Afterwards the organization must agree with the reference state.
+// lock while four goroutines of window queries hammer the organization.
+// Afterwards the organization must agree with the reference state.
 func TestMixedUpdatesDuringParallelQueries(t *testing.T) {
 	ds := testDataset(512)
 	for _, cfg := range []struct {
@@ -348,7 +348,7 @@ func TestMixedUpdatesDuringParallelQueries(t *testing.T) {
 				}
 			}()
 			for round := 0; round < 3; round++ {
-				RunWindowQueriesParallel(org, ws, TechComplete, 4)
+				inParallel(len(ws), 4, func(i int) { org.WindowQuery(ws[i], TechComplete) })
 			}
 			wg.Wait()
 			org.Flush()

@@ -35,6 +35,11 @@
 // All I/O costs are modelled, not measured: query and join results carry a
 // Cost whose TimeMS(DefaultDiskParams()) is the paper's metric.
 //
+// A store's query methods may be called from any number of goroutines at
+// once, beside its mutations: each query takes the store's read lock itself,
+// and tallies its own Cost, buffer hits and misses, so those stay the query's
+// own under concurrency.
+//
 // The experiment drivers that regenerate every table and figure of the
 // paper's evaluation live in internal/exp and are exposed through the
 // clusterbench command; see docs/BENCHMARKS.md for the emitted artifacts.
@@ -114,8 +119,6 @@ type (
 	JoinConfig = join.Config
 	// JoinResult reports the join's cardinalities and per-phase costs.
 	JoinResult = join.Result
-	// ThroughputResult reports a parallel window-query run.
-	ThroughputResult = store.ThroughputResult
 )
 
 // Dataset generation (the synthetic TIGER-like maps of the evaluation).
@@ -400,15 +403,6 @@ func GenerateMap(spec MapSpec) *Dataset { return datagen.Generate(spec) }
 // worker count.
 func RunJoin(orgR, orgS Organization, cfg JoinConfig) JoinResult {
 	return join.Run(orgR, orgS, cfg)
-}
-
-// ParallelNearestQueries executes k-NN queries concurrently on a worker pool
-// sharing the store's buffer and disk (workers = 0 uses GOMAXPROCS). The
-// store must be flushed; the read path is concurrency-safe, construction is
-// not. Answer sets are identical for every worker count; only the aggregate
-// modelled cost is meaningful under concurrency.
-func ParallelNearestQueries(org Organization, pts []Point, k, workers int) ThroughputResult {
-	return store.RunNearestQueriesParallel(org, pts, k, workers)
 }
 
 // BulkLoadHilbert loads objects into an empty cluster store with static

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	sc "spatialcluster"
@@ -172,8 +174,8 @@ func TestPublicAPIUpdateEngine(t *testing.T) {
 }
 
 // TestPublicAPINearest exercises the k-NN engine through the façade: every
-// store kind returns the same ordered answer list, serially and through
-// ParallelNearestQueries.
+// store kind returns the same ordered answer list, serially and from queries
+// run on goroutines of their own.
 func TestPublicAPINearest(t *testing.T) {
 	ds := sc.GenerateMap(sc.MapSpec{Map: sc.Map1, Series: sc.SeriesA, Scale: 512, Seed: 9})
 	stores := []sc.Organization{
@@ -209,12 +211,20 @@ func TestPublicAPINearest(t *testing.T) {
 	}
 
 	pts := []sc.Point{pt, sc.Pt(0.2, 0.8), sc.Pt(0.9, 0.1)}
-	var serial int
-	for _, p := range pts {
-		serial += len(stores[2].NearestQuery(p, 5).IDs)
+	concurrent := make([]sc.NearestResult, len(pts))
+	var wg sync.WaitGroup
+	for i, p := range pts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = stores[2].NearestQuery(p, 5)
+		}()
 	}
-	if tr := sc.ParallelNearestQueries(stores[2], pts, 5, 2); tr.Answers != serial {
-		t.Fatalf("parallel k-NN answers %d, want %d", tr.Answers, serial)
+	wg.Wait()
+	for i, p := range pts {
+		if got, want := concurrent[i].IDs, stores[2].NearestQuery(p, 5).IDs; !slices.Equal(got, want) {
+			t.Fatalf("concurrent 5-NN of %v answers %v, serial %v", p, got, want)
+		}
 	}
 }
 
