@@ -66,7 +66,7 @@ func replyAnswer(x *statusRecorder, res store.QueryResult, dists []float64, knn 
 	defer binproto.PutBuf(buf)
 	var ok bool
 	if *buf, ok = appendAnswer((*buf)[:0], res.IDs, dists, knn, res.Candidates); ok {
-		x.Header().Set("Content-Type", "application/json")
+		x.setBody(jsonType, len(*buf))
 		x.Write(*buf) // a failed write means the client is gone; nothing to do
 	}
 	return ok

@@ -28,10 +28,10 @@ import (
 // JSON (see the README's serving quickstart).
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:8080"
-	// HTTP carries the exchanges; only its Transport is used (nil selects
-	// http.DefaultTransport), called directly for every exchange. There are
-	// no redirects to follow, no cookies and no Timeout: the context of the
-	// view (WithContext, WithTrace) bounds each call.
+	// HTTP carries the exchanges: its Transport alone is called, directly
+	// (nil selects one shared by every such client, keeping two idle
+	// connections per host). No redirects, no cookies, no Timeout: the
+	// context of the view (WithContext, WithTrace) bounds each call.
 	HTTP *http.Client
 	// Retry enables transparent retry of transient failures (nil disables).
 	Retry *Retry
@@ -181,19 +181,15 @@ func retryable(err error, mutating bool) bool {
 }
 
 // NewClient builds a client whose transport keeps up to maxConns idle
-// connections to the server — a closed-loop load generator with C clients
-// needs C keep-alive connections or it measures TCP handshakes — and asks
-// for no compression, which the servers never apply. Only the transport is
-// used (see Client.HTTP): no redirects, no cookies, no Timeout; a context
-// bounds each call.
+// keep-alive connections to the server (2 when maxConns <= 0) — a
+// closed-loop load generator with C clients needs C of them or it measures
+// TCP handshakes — and runs each exchange on its caller's goroutine, asking
+// for no compression, which the servers never apply. See Client.HTTP.
 func NewClient(base string, maxConns int) *Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.DisableCompression = true
-	if maxConns > 0 {
-		tr.MaxIdleConns = maxConns
-		tr.MaxIdleConnsPerHost = maxConns
+	if maxConns <= 0 {
+		maxConns = http.DefaultMaxIdleConnsPerHost
 	}
-	return &Client{Base: base, HTTP: &http.Client{Transport: tr}}
+	return &Client{Base: base, HTTP: &http.Client{Transport: newTransport(maxConns)}}
 }
 
 // wire is how an exchange carries its bodies.
@@ -277,15 +273,15 @@ func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uin
 		return nil, err
 	}
 	if wr == wireBin {
-		hreq.Header.Set("Content-Type", binproto.ContentType)
+		hreq.Header["Content-Type"] = binType
 	} else if data != nil {
-		hreq.Header.Set("Content-Type", "application/json")
+		hreq.Header["Content-Type"] = jsonType
 	}
 	if traceID != 0 {
 		hreq.Header.Set(TraceIDHeader, strconv.FormatUint(traceID, 10))
 	}
 	hreq.Header["User-Agent"] = nil
-	rt := http.DefaultTransport
+	var rt http.RoundTripper = sharedTransport
 	if c.HTTP != nil && c.HTTP.Transport != nil {
 		rt = c.HTTP.Transport
 	}

@@ -41,11 +41,13 @@
 // reuses. A /bin/* body is one internal/framing record, read into pooled
 // scratch — its length field is a claim, so a frame promising 8 MiB buys at
 // most 64 KiB before its bytes arrive — and a binary answer is framed into
-// pooled scratch and written in one Write. The Client calls its transport's
-// RoundTrip directly instead of http.Client.Do: there are no redirects to
-// follow, no cookies and no Timeout, and the context of the call bounds it.
-// It frames a binary request into pooled scratch and reads the answer into
-// the message buffer the call already holds.
+// pooled scratch and written in one Write, its length stated. The Client
+// calls its transport's RoundTrip directly instead of http.Client.Do — no
+// redirects, no cookies, no Timeout; the call's context bounds it — and that
+// transport is the package's own (transport.go): keep-alive connections, each
+// exchange run on its caller's goroutine, no request ever resent. The Client
+// frames a binary request into pooled scratch and reads the answer into the
+// message buffer the call already holds.
 //
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -69,6 +70,39 @@ func TestExchangeAllocs(t *testing.T) {
 	}{{"binary", bin500, 26 * 1.25}, {"JSON", json500, 41 * 1.25}} {
 		if c.got > c.limit {
 			t.Errorf("a %s window exchange allocates %v times, ceiling %v", c.codec, c.got, c.limit)
+		}
+	}
+}
+
+// TestLoopbackExchangeAllocs pins what a window exchange of 50 answers
+// allocates over a socket — the typed client, its transport, net/http's
+// server and the Front together — in both codecs. Ceilings are 1.25x what the
+// code measured when they were set (JSON 68, binary 53): the client's
+// transport runs the exchange on its caller's goroutine, and a
+// net/http.Transport in its place costs 23 more an exchange, past either.
+func TestLoopbackExchangeAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	f := NewFront(&fakeService{window: bigAnswer()[:50]}, "sdb", 0, -1, false)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := HTTPServer(f.Handler())
+	go hs.Serve(ln)
+	defer hs.Close()
+	for _, c := range []struct {
+		codec string
+		bin   bool
+		limit float64
+	}{{"JSON", false, 68 * 1.25}, {"binary", true, 53 * 1.25}} {
+		cl := NewClient("http://"+ln.Addr().String(), 1)
+		cl.Binary = c.bin
+		if got, _ := windowAllocs(t, cl, 50); got > c.limit {
+			t.Errorf("a %s window exchange over loopback allocates %v times, ceiling %v", c.codec, got, c.limit)
+		} else {
+			t.Logf("a %s window exchange over loopback allocates %v times", c.codec, got)
 		}
 	}
 }

@@ -270,6 +270,7 @@ type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	rq     Request
+	length [1]string // the Content-Length header's value (setBody)
 }
 
 func (x *statusRecorder) WriteHeader(status int) {
@@ -430,6 +431,21 @@ func ReadJSON(r *http.Request, v any) error {
 	return nil
 }
 
+// The Content-Type values of both codecs, shared by every exchange; read only.
+var (
+	jsonType = []string{"application/json"}
+	binType  = []string{binproto.ContentType}
+)
+
+// setBody gives x the headers of a body of n bytes written in one Write: its
+// type, and its length (in x's own slice), so net/http does not chunk it.
+func (x *statusRecorder) setBody(typ []string, n int) {
+	h := x.Header()
+	h["Content-Type"] = typ
+	x.length[0] = strconv.Itoa(n)
+	h["Content-Length"] = x.length[:]
+}
+
 // Reply answers a JSON endpoint: v with 200, or — when err is set — the
 // ErrorResponse every non-2xx answer of either codec carries, under the
 // status of a *StatusError and 500 for anything else.
@@ -440,7 +456,7 @@ func Reply(w http.ResponseWriter, v any, err error) {
 		status, msg = statusOf(err)
 		v = ErrorResponse{Error: msg}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) // a failed write means the client is gone; nothing to do
 }
@@ -483,7 +499,7 @@ func replyBin(x *statusRecorder, msg *[]byte) {
 	frame := binproto.GetBuf()
 	defer binproto.PutBuf(frame)
 	*frame = framing.AppendRecord((*frame)[:0], *msg)
-	x.Header().Set("Content-Type", binproto.ContentType)
+	x.setBody(binType, len(*frame))
 	x.Write(*frame) // a failed write means the client is gone
 }
 

@@ -9,6 +9,25 @@ import (
 	"testing"
 )
 
+// nonTestFiles parses the package's non-test files, by file name.
+func nonTestFiles(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, files := token.NewFileSet(), map[string]*ast.File{}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if files[name], err = parser.ParseFile(fset, name, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fset, files
+}
+
 // TestQueriesBypassTheDispatcher holds two rules of the request path that no
 // behaviour shows, read off the package's syntax: dispatch.go — the mutation
 // dispatcher — calls no query method of an organization, because a query runs
@@ -16,21 +35,10 @@ import (
 // (takeIOSnap) is taken by runBatch alone, because a query tallies its own
 // I/O and only a traced mutation batch is attributed by counter deltas.
 func TestQueriesBypassTheDispatcher(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files := nonTestFiles(t)
 	queries := map[string]bool{"WindowQuery": true, "PointQuery": true, "NearestQuery": true, "WindowQueryOptimum": true}
 	snapCallers := map[string]int{}
-	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -59,5 +67,24 @@ func TestQueriesBypassTheDispatcher(t *testing.T) {
 	}
 	if len(snapCallers) != 1 || snapCallers["runBatch"] == 0 {
 		t.Errorf("takeIOSnap is called by %v, want runBatch alone", snapCallers)
+	}
+}
+
+// TestOneTransport: the package's exchanges go through its own transport
+// alone. Its non-test code names neither http.Transport nor
+// http.DefaultTransport, so no second pool of connections, with a read and a
+// write goroutine for each, comes back beside it.
+func TestOneTransport(t *testing.T) {
+	fset, files := nonTestFiles(t)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "http" &&
+					(sel.Sel.Name == "Transport" || sel.Sel.Name == "DefaultTransport") {
+					t.Errorf("%s names http.%s", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }
