@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -241,13 +242,35 @@ func post(t *testing.T, url string, body string, out any) {
 	}
 }
 
+// fetch GETs url with the given Accept header, or POSTs body to it, and
+// returns the answer's body.
+func fetch(t *testing.T, url, accept, body string) string {
+	t.Helper()
+	method := http.MethodGet
+	if body != "" {
+		method = http.MethodPost
+	}
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", accept)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	answer, _ := io.ReadAll(resp.Body)
+	return string(answer)
+}
+
 // TestServeEndToEnd drives the daemon over real HTTP: build, query, mutate,
 // SIGTERM with -save-on-exit, then serve the snapshot and expect the same
 // answers.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "exit.sdb")
-	base, stop := startDaemon(t, "-org", "cluster", "-scale", "512", "-save-on-exit", snap)
+	base, stop := startDaemon(t, "-org", "cluster", "-scale", "512", "-save-on-exit", snap, "-slowlog-ms", "0.000001")
 
 	// Stats answer.
 	resp, err := http.Get(base + "/stats")
@@ -285,6 +308,21 @@ func TestServeEndToEnd(t *testing.T) {
 	post(t, base+"/query/window", `{"window":[0.2,0.2,0.6,0.6]}`, &q)
 	if len(q.IDs) != firstAnswer-1 {
 		t.Fatalf("after delete: %d answers, want %d", len(q.IDs), firstAnswer-1)
+	}
+
+	// The observability surface: a traced query's span tree, both /metrics
+	// formats and the slow-query log, which every request enters.
+	for _, c := range []struct{ path, accept, body, want string }{
+		{"/query/knn?trace=1", "", `{"point":[0.5,0.5],"k":5}`, `"stage":"execute"`},
+		{"/metrics", "", "", `"p95_ms"`},
+		{"/metrics", "text/plain", "", "\nsdb_requests_total{"},
+		{"/metrics", "text/plain", "", `le="+Inf"`},
+		{"/metrics", "text/plain", "", "\nsdb_request_duration_seconds_count{"},
+		{"/debug/slowlog", "", "", `"endpoint":"/`},
+	} {
+		if got := fetch(t, base+c.path, c.accept, c.body); !strings.Contains(got, c.want) {
+			t.Fatalf("%s (Accept %q) lacks %s:\n%s", c.path, c.accept, c.want, got)
+		}
 	}
 
 	// Graceful shutdown writes the snapshot.

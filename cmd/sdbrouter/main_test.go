@@ -240,7 +240,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		return m[1] + "-" + m[2]
 	}
 	spec := fmt.Sprintf("%s=%s,%s=%s", baseA, rangeOf(bufA), baseB, rangeOf(bufB))
-	router, _ := startDaemon(t, routerBin, "-shards", spec, "-pad", "0.05")
+	router, _ := startDaemon(t, routerBin, "-shards", spec, "-pad", "0.05", "-slowlog-ms", "0.000001")
 
 	// The cluster reassembles the full dataset.
 	var shards struct {
@@ -323,9 +323,10 @@ func TestClusterEndToEnd(t *testing.T) {
 		Router  map[string]struct {
 			Count int64 `json:"count"`
 		} `json:"router_endpoints"`
+		ShardClients []json.RawMessage `json:"shard_clients"`
 	}
 	get(t, router+"/metrics", &metrics)
-	if metrics.Shards != 2 || metrics.Objects != len(w) && metrics.Objects < len(w) {
+	if metrics.Shards != 2 || metrics.Objects != len(w) && metrics.Objects < len(w) || len(metrics.ShardClients) == 0 {
 		t.Fatalf("metrics %+v implausible", metrics)
 	}
 	if metrics.Router["/query/window"].Count < 4 {
@@ -345,6 +346,7 @@ func TestClusterEndToEnd(t *testing.T) {
 				Parent uint32  `json:"parent,omitempty"`
 				Stage  string  `json:"stage"`
 				DurMS  float64 `json:"dur_ms"`
+				Count  int     `json:"count"`
 			} `json:"spans"`
 		} `json:"trace"`
 	}
@@ -357,13 +359,21 @@ func TestClusterEndToEnd(t *testing.T) {
 		switch {
 		case sp.Stage == "scatter", sp.Stage == "merge", sp.Stage == "execute":
 			stages[sp.Stage]++
+			stages[sp.Stage+" count"] += sp.Count
 		case strings.HasPrefix(sp.Stage, "shard["):
 			stages["shard"]++
 		}
 	}
-	if stages["scatter"] != 1 || stages["shard"] != 2 || stages["execute"] < 2 {
-		t.Fatalf("traced span tree misses stages (want 1 scatter, 2 shard, >=2 execute): %v\nspans: %+v",
+	if stages["scatter"] != 1 || stages["shard"] != 2 || stages["scatter count"] != 2 || stages["execute"] < 2 {
+		t.Fatalf("traced span tree misses stages (want 1 scatter counting 2 shard, >=2 execute): %v\nspans: %+v",
 			stages, traced.Trace.Spans)
+	}
+	var tracedKNN struct {
+		Trace struct{ Spans []struct{ Stage string } }
+	}
+	post(t, router+"/query/knn?trace=1", `{"point":[0.5,0.5],"k":5}`, &tracedKNN)
+	if !strings.Contains(fmt.Sprint(tracedKNN), "wave[") {
+		t.Fatalf("traced k-NN query has no wave[i] span: %+v", tracedKNN)
 	}
 	var untraced idsAnswer
 	post(t, router+"/query/window", `{"window":[0,0,1,1]}`, &untraced)
@@ -391,9 +401,25 @@ func TestClusterEndToEnd(t *testing.T) {
 	for _, family := range []string{
 		"sdbrouter_requests_total", "sdbrouter_shard_requests_total",
 		"sdbrouter_fanout_shards_bucket", "sdbrouter_shard_retries_total",
+		"\nsdbrouter_shard_duration_seconds_count{",
 	} {
 		if !strings.Contains(string(promBody), family) {
 			t.Fatalf("prom exposition lacks %s:\n%s", family, promBody)
+		}
+	}
+
+	// Every request enters the slow-query log; a query's entry names the
+	// slowest shard it touched.
+	var slow struct {
+		Entries []struct{ Endpoint, Shard string }
+	}
+	get(t, router+"/debug/slowlog", &slow)
+	if !strings.Contains(fmt.Sprint(slow), "/query/") {
+		t.Fatalf("slow-query log holds no query: %+v", slow)
+	}
+	for _, e := range slow.Entries {
+		if strings.HasPrefix(e.Endpoint, "/query/") && e.Shard == "" {
+			t.Fatalf("slow-query log entry of %s names no shard", e.Endpoint)
 		}
 	}
 }

@@ -392,7 +392,7 @@ func (m *Manager) writeBack(id disk.PageID, t *disk.Tally) {
 	}
 	m.mu.Unlock()
 
-	m.d.WriteRunTallied(start, data, t)
+	m.d.WriteRun(start, data, t)
 	m.writeBacks.Add(1)
 	m.flushed.Add(int64(len(data)))
 }
@@ -506,7 +506,7 @@ func (m *Manager) GetTallied(id disk.PageID, t *disk.Tally) []byte {
 	if t != nil {
 		t.Misses++
 	}
-	data := m.d.ReadRunTallied(id, 1, false, t)[0]
+	data := m.d.ReadRun(id, 1, false, t)[0]
 	m.insert(id, data, false, t)
 	return data
 }
@@ -640,7 +640,7 @@ func (m *Manager) Missing(pages, missing []disk.PageID, t *disk.Tally) []disk.Pa
 func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool, t *disk.Tally) {
 	for i, r := range runs {
 		epoch := m.writeBacks.Load()
-		data := m.d.ReadRunTallied(r.Start, r.N, i > 0, t)
+		data := m.d.ReadRun(r.Start, r.N, i > 0, t)
 		for j := 0; j < r.N; j++ {
 			id := r.Start + disk.PageID(j)
 			if vector && !slices.Contains(requested, id) {

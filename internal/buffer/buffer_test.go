@@ -209,7 +209,7 @@ func TestExecutePlanNormalVsVector(t *testing.T) {
 func TestExecutePlanChainsFollowUpRuns(t *testing.T) {
 	d := newDiskWithPages(t, 40)
 	m := New(d, 32)
-	d.ReadRun(30, 1) // move the head away from page 0
+	d.ReadRun(30, 1, false, nil) // move the head away from page 0
 	runs := []disk.Run{{Start: 0, N: 2}, {Start: 10, N: 3}}
 	before := d.Cost()
 	m.ExecutePlan(runs, []disk.PageID{0, 1, 10, 11, 12}, false, nil)

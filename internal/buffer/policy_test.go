@@ -21,7 +21,7 @@ func newPolicyBuf(capacity int, p Policy) *Manager {
 			pg[0] = byte(id + j)
 			data[j] = pg
 		}
-		d.WriteRun(disk.PageID(id), data)
+		d.WriteRun(disk.PageID(id), data, nil)
 	}
 	return NewWithPolicy(d, capacity, p)
 }

@@ -26,8 +26,8 @@ import (
 // while requests are in flight may be torn across components, and the
 // write-streaming discount is only meaningful for the single-threaded
 // construction phase. An operation that needs its own cost under concurrency
-// passes a Tally (ReadRunTallied, WriteRunTallied): a read's modelled cost
-// does not depend on the head, so the tally is exact whatever runs beside it.
+// passes a Tally to ReadRun or WriteRun: a read's modelled cost does not
+// depend on the head, so the tally is exact whatever runs beside it.
 type Disk struct {
 	params Params
 
@@ -239,16 +239,11 @@ func (d *Disk) charge(c Cost, t *Tally) {
 
 // ReadRun issues one read request for n physically consecutive pages and
 // returns their contents. Unwritten pages read as nil. The returned slices
-// may alias backend storage and must not be modified.
-func (d *Disk) ReadRun(start PageID, n int) [][]byte {
-	return d.ReadRunTallied(start, n, false, nil)
-}
-
-// ReadRunTallied is ReadRun that also charges the request to t; a nil t
-// charges the global counters alone. A chained request is a follow-up within
-// an uninterrupted access to one storage unit: it is charged a rotational
-// delay but no seek (paper section 5.4.3).
-func (d *Disk) ReadRunTallied(start PageID, n int, chained bool, t *Tally) [][]byte {
+// may alias backend storage and must not be modified. The request is also
+// charged to t; a nil t charges the global counters alone. A chained request
+// is a follow-up within an uninterrupted access to one storage unit: it is
+// charged a rotational delay but no seek (paper section 5.4.3).
+func (d *Disk) ReadRun(start PageID, n int, chained bool, t *Tally) [][]byte {
 	out, ms := d.readRunLocked(start, n, chained, t)
 	d.throttleSleep(ms) // after unlocking: concurrent sleeps overlap
 	return out
@@ -270,14 +265,9 @@ func (d *Disk) readRunLocked(start PageID, n int, chained bool, t *Tally) ([][]b
 
 // WriteRun issues one write request for n physically consecutive pages.
 // data[i] is written to page start+i; each slice must be at most PageSize
-// bytes and is copied. A nil slice clears the page.
-func (d *Disk) WriteRun(start PageID, data [][]byte) {
-	d.WriteRunTallied(start, data, nil)
-}
-
-// WriteRunTallied is WriteRun that also charges the request to t; a nil t
-// charges the global counters alone.
-func (d *Disk) WriteRunTallied(start PageID, data [][]byte, t *Tally) {
+// bytes and is copied. A nil slice clears the page. The request is also
+// charged to t; a nil t charges the global counters alone.
+func (d *Disk) WriteRun(start PageID, data [][]byte, t *Tally) {
 	d.throttleSleep(d.writeRunLocked(start, data, t)) // after unlocking, like reads
 }
 
@@ -299,7 +289,7 @@ func (d *Disk) writeRunLocked(start PageID, data [][]byte, t *Tally) float64 {
 
 // WritePage issues one write request for a single page.
 func (d *Disk) WritePage(id PageID, data []byte) {
-	d.WriteRun(id, [][]byte{data})
+	d.WriteRun(id, [][]byte{data}, nil)
 }
 
 func checkPageSizes(data [][]byte) {

@@ -52,8 +52,8 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 		t.Fatalf("Grow: start=%d pages=%d", start, d.NumPages())
 	}
 	data := [][]byte{[]byte("alpha"), []byte("beta"), nil, []byte("delta")}
-	d.WriteRun(start, data)
-	got := d.ReadRun(start, 4)
+	d.WriteRun(start, data, nil)
+	got := d.ReadRun(start, 4, false, nil)
 	for i := range data {
 		if !bytes.Equal(got[i], data[i]) {
 			t.Fatalf("page %d: got %q want %q", i, got[i], data[i])
@@ -73,7 +73,7 @@ func TestDiskCostCharging(t *testing.T) {
 	d.Grow(100)
 
 	// First random read: seek + latency + 3 transfers.
-	d.ReadRun(10, 3)
+	d.ReadRun(10, 3, false, nil)
 	c := d.Cost()
 	if c.Seeks != 1 || c.Rotations != 1 || c.PagesRead != 3 || c.ReadRequests != 1 {
 		t.Fatalf("first read cost = %+v", c)
@@ -81,21 +81,21 @@ func TestDiskCostCharging(t *testing.T) {
 
 	// A fresh read always pays seek and latency, even at the head position
 	// (the paper's tcompl formula has no streaming discount for reads).
-	d.ReadRun(13, 2)
+	d.ReadRun(13, 2, false, nil)
 	c = d.Cost()
 	if c.Seeks != 2 || c.Rotations != 2 || c.PagesRead != 5 {
 		t.Fatalf("follow-up read cost = %+v", c)
 	}
 
 	// Chained read elsewhere in the same unit: latency only.
-	d.ReadRunTallied(20, 1, true, nil)
+	d.ReadRun(20, 1, true, nil)
 	c = d.Cost()
 	if c.Seeks != 2 || c.Rotations != 3 || c.PagesRead != 6 {
 		t.Fatalf("chained read cost = %+v", c)
 	}
 
 	// New random read: full seek + latency again.
-	d.ReadRun(50, 1)
+	d.ReadRun(50, 1, false, nil)
 	c = d.Cost()
 	if c.Seeks != 3 || c.Rotations != 4 {
 		t.Fatalf("random read cost = %+v", c)
@@ -103,12 +103,12 @@ func TestDiskCostCharging(t *testing.T) {
 
 	// Writes are charged like reads, except that a write continuing at the
 	// head position streams for free (buffered sequential construction).
-	d.WriteRun(80, [][]byte{nil, nil})
+	d.WriteRun(80, [][]byte{nil, nil}, nil)
 	c = d.Cost()
 	if c.Seeks != 4 || c.Rotations != 5 || c.PagesWritten != 2 || c.WriteRequests != 1 {
 		t.Fatalf("write cost = %+v", c)
 	}
-	d.WriteRun(82, [][]byte{nil}) // streams on after the previous write
+	d.WriteRun(82, [][]byte{nil}, nil) // streams on after the previous write
 	c = d.Cost()
 	if c.Seeks != 4 || c.Rotations != 5 || c.PagesWritten != 3 {
 		t.Fatalf("streaming write cost = %+v", c)
@@ -123,11 +123,11 @@ func TestDiskCostCharging(t *testing.T) {
 func TestDiskHeadTracking(t *testing.T) {
 	d := NewDefault()
 	d.Grow(10)
-	d.ReadRun(2, 3)
+	d.ReadRun(2, 3, false, nil)
 	if d.Head() != 5 {
 		t.Fatalf("head = %d, want 5", d.Head())
 	}
-	d.WriteRun(5, [][]byte{nil}) // streams on
+	d.WriteRun(5, [][]byte{nil}, nil) // streams on
 	if got := d.Cost(); got.Seeks != 1 {
 		t.Fatalf("sequential write after read must not seek: %+v", got)
 	}
@@ -137,9 +137,9 @@ func TestDiskBoundsPanics(t *testing.T) {
 	d := NewDefault()
 	d.Grow(2)
 	for name, f := range map[string]func(){
-		"read past end":  func() { d.ReadRun(1, 2) },
-		"negative start": func() { d.ReadRun(-1, 1) },
-		"empty run":      func() { d.ReadRun(0, 0) },
+		"read past end":  func() { d.ReadRun(1, 2, false, nil) },
+		"negative start": func() { d.ReadRun(-1, 1, false, nil) },
+		"empty run":      func() { d.ReadRun(0, 0, false, nil) },
 		"oversize page":  func() { d.WritePage(0, make([]byte, PageSize+1)) },
 		"peek range":     func() { d.Peek(5) },
 		"poke range":     func() { d.Poke(5, nil) },
@@ -279,7 +279,7 @@ func TestThrottle(t *testing.T) {
 		t.Fatalf("default throttle %g, want 0", d.Throttle())
 	}
 
-	d.WriteRun(0, [][]byte{{1}, {2}}) // unthrottled baseline
+	d.WriteRun(0, [][]byte{{1}, {2}}, nil) // unthrottled baseline
 	costBefore := d.Cost()
 
 	d.SetThrottle(1) // replay modelled time 1:1
@@ -287,12 +287,12 @@ func TestThrottle(t *testing.T) {
 		t.Fatalf("throttle %g, want 1", d.Throttle())
 	}
 	start := time.Now()
-	d.ReadRun(0, 2) // fresh read: ts + tl + 2*tt = 8 ms modelled
+	d.ReadRun(0, 2, false, nil) // fresh read: ts + tl + 2*tt = 8 ms modelled
 	if elapsed := time.Since(start); elapsed < 8*time.Millisecond {
 		t.Fatalf("throttled read of 8 modelled ms took only %v", elapsed)
 	}
 	start = time.Now()
-	d.WriteRun(4, [][]byte{{3}}) // non-streaming write: ts + tl + tt = 7 ms
+	d.WriteRun(4, [][]byte{{3}}, nil) // non-streaming write: ts + tl + tt = 7 ms
 	if elapsed := time.Since(start); elapsed < 7*time.Millisecond {
 		t.Fatalf("throttled write of 7 modelled ms took only %v", elapsed)
 	}

@@ -192,9 +192,9 @@ func TestDiskCostInvariantCompressed(t *testing.T) {
 	dMem := disk.NewDefault()
 	for _, d := range []*disk.Disk{dComp, dMem} {
 		d.Grow(16)
-		d.WriteRun(0, [][]byte{coordPage(1), coordPage(2)})
-		d.ReadRun(0, 2)
-		d.ReadRunTallied(4, 3, true, nil)
+		d.WriteRun(0, [][]byte{coordPage(1), coordPage(2)}, nil)
+		d.ReadRun(0, 2, false, nil)
+		d.ReadRun(4, 3, true, nil)
 		d.WritePage(9, coordPage(3))
 	}
 	if dComp.Cost() != dMem.Cost() {

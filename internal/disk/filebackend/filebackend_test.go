@@ -129,9 +129,9 @@ func TestDiskOnFileBackend(t *testing.T) {
 	dMem := disk.NewDefault()
 	for _, d := range []*disk.Disk{dFile, dMem} {
 		d.Grow(16)
-		d.WriteRun(0, [][]byte{fill('a'), fill('b')})
-		d.ReadRun(0, 2)
-		d.ReadRunTallied(4, 3, true, nil)
+		d.WriteRun(0, [][]byte{fill('a'), fill('b')}, nil)
+		d.ReadRun(0, 2, false, nil)
+		d.ReadRun(4, 3, true, nil)
 		d.WritePage(9, fill('q'))
 	}
 	if dFile.Cost() != dMem.Cost() {

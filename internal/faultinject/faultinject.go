@@ -1,9 +1,8 @@
 // Package faultinject is the scriptable fault layer of the durability
 // tests: a wal.FileSystem whose Nth operation fails, short-writes or flips
-// a bit, and a disk.Backend wrapper that drops or corrupts the Nth page
-// write. The kill-at-N differential suite scripts these to "crash" a store
-// at a chosen operation and then checks that recovery restores exactly the
-// acknowledged prefix.
+// a bit. The kill-at-N differential suite scripts it to "crash" a store at
+// a chosen write-ahead log operation and then checks that recovery restores
+// exactly the acknowledged prefix.
 package faultinject
 
 import (

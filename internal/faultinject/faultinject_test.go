@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"spatialcluster/internal/disk"
 )
 
 func TestFSScriptedFaults(t *testing.T) {
@@ -55,42 +53,6 @@ func TestFSScriptedFaults(t *testing.T) {
 	}
 	if string(data[:16]) != string(buf) {
 		t.Fatal("clean write corrupted")
-	}
-}
-
-func TestBackendScriptedFaults(t *testing.T) {
-	inner := disk.NewMemBackend()
-	b := NewBackend(inner, map[int64]Kind{1: Fail, 3: BitFlip, 4: Fail})
-	page := make([]byte, disk.PageSize)
-	for i := range page {
-		page[i] = byte(i)
-	}
-	start := b.Alloc(1)
-
-	b.WriteRun(start, [][]byte{page}) // op 1: Fail — dropped
-	if got := inner.ReadRun(start, 1)[0]; got != nil {
-		t.Fatal("dropped run reached the backend")
-	}
-	b.WriteRun(start, [][]byte{page}) // op 2: clean
-	if got := inner.ReadRun(start, 1)[0]; got[1] != 1 {
-		t.Fatal("clean run did not reach the backend")
-	}
-	b.WriteRun(start, [][]byte{page}) // op 3: BitFlip
-	got := inner.ReadRun(start, 1)[0]
-	if got[len(got)/2] == page[len(page)/2] {
-		t.Fatal("BitFlip run did not corrupt the page")
-	}
-	if err := b.Flush(); err == nil { // op 4: Fail
-		t.Fatal("scripted Flush fault succeeded")
-	}
-	if err := b.Flush(); err != nil { // op 5: clean
-		t.Fatalf("clean Flush: %v", err)
-	}
-	if page[0] != 0 || page[len(page)/2] != byte(len(page)/2) {
-		t.Fatal("BitFlip mutated the caller's buffer")
-	}
-	if got := b.Ops(); got != 5 {
-		t.Fatalf("Ops() = %d, want 5", got)
 	}
 }
 

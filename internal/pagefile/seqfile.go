@@ -171,7 +171,7 @@ func (f *SequentialFile) completeCurrentPage() {
 	if !f.havePage {
 		return
 	}
-	f.alloc.Disk().WriteRun(f.curPage, [][]byte{f.curBuf})
+	f.alloc.Disk().WriteRun(f.curPage, [][]byte{f.curBuf}, nil)
 	f.havePage = false
 	f.tailDirty = false
 	f.curPage = disk.InvalidPage
@@ -189,7 +189,7 @@ func (f *SequentialFile) flush(t *disk.Tally) {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
 	if f.havePage && f.tailDirty {
-		f.alloc.Disk().WriteRunTallied(f.curPage, [][]byte{f.curBuf}, t)
+		f.alloc.Disk().WriteRun(f.curPage, [][]byte{f.curBuf}, t)
 		f.tailDirty = false
 	}
 }
@@ -237,7 +237,7 @@ func (f *SequentialFile) Discard(ref Ref) {
 func (f *SequentialFile) ReadDirect(ref Ref, t *disk.Tally) []byte {
 	f.flush(t)
 	span := ref.Span()
-	pages := f.alloc.Disk().ReadRunTallied(span.Start, span.N, false, t)
+	pages := f.alloc.Disk().ReadRun(span.Start, span.N, false, t)
 	return assemble(ref, pages)
 }
 

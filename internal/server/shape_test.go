@@ -1,10 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,5 +88,42 @@ func TestOneTransport(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestRequestPathShape: the dispatcher batches what has arrived, so
+// dispatch.go and server.go start no timer and do not sleep; untraced JSON
+// answers bypass encoding/json, so answer.go names no encoder, and
+// replyQuery and Front.knn call replyAnswer before they can reach Reply with
+// the answer.
+func TestRequestPathShape(t *testing.T) {
+	fset, files := nonTestFiles(t)
+	timers := []string{"time.NewTimer", "time.NewTicker", "time.After", "time.AfterFunc", "time.Sleep", "time.Tick"}
+	for file, names := range map[string][]string{"dispatch.go": timers, "server.go": timers, "answer.go": {"json.NewEncoder", "json.Marshal", "json.MarshalIndent"}} {
+		ast.Inspect(files[file], func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(names, fmt.Sprint(sel.X, ".", sel.Sel)) {
+				t.Errorf("%s names %s.%s", fset.Position(sel.Pos()), sel.X, sel.Sel)
+			}
+			return true
+		})
+	}
+	answering := 0
+	for _, decl := range files["front.go"].Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "replyQuery" || fd.Name.Name == "knn") {
+			answering++
+			fast := false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 1 {
+					fast = fast || fmt.Sprint(call.Fun) == "replyAnswer"
+					if _, lit := call.Args[1].(*ast.CompositeLit); lit && fmt.Sprint(call.Fun) == "Reply" && !fast {
+						t.Errorf("%s: %s reaches Reply with the answer before replyAnswer", fset.Position(call.Pos()), fd.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if answering != 2 {
+		t.Errorf("front.go declares %d of replyQuery and Front.knn, want both", answering)
 	}
 }

@@ -275,7 +275,7 @@ func (c *Cluster) writeUnitDirect(u *clusterUnit, blob []byte) {
 		for i := 0; i < full; i++ {
 			c.env.Buf.Drop(u.extent.Start + disk.PageID(i))
 		}
-		c.env.Disk.WriteRun(u.extent.Start, pages)
+		c.env.Disk.WriteRun(u.extent.Start, pages, nil)
 	}
 	if rem > 0 {
 		tail := make([]byte, disk.PageSize)
@@ -297,7 +297,7 @@ func (c *Cluster) readUnitPages(u *clusterUnit) [][]byte {
 	if n == 0 {
 		return nil
 	}
-	raw := c.env.Disk.ReadRun(u.extent.Start, n)
+	raw := c.env.Disk.ReadRun(u.extent.Start, n, false, nil)
 	out := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		if i == u.tailIdx && u.tailBuf != nil {

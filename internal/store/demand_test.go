@@ -1,6 +1,11 @@
 package store
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
 	"testing"
 
 	"spatialcluster/internal/disk"
@@ -119,4 +124,24 @@ func TestDemandConsistentWithFetchCost(t *testing.T) {
 	if diff.PagesRead < int64(len(d.Pages)) {
 		t.Fatalf("fetch read %d pages, demand says at least %d", diff.PagesRead, len(d.Pages))
 	}
+}
+
+// TestDemandAsksTheLayout: demand.go asks an organization's layout what to
+// read instead of switching on which organization it is, so it has no type
+// switch and no type assertion to an organization type.
+func TestDemandAsksTheLayout(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "demand.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if a, ok := n.(*ast.TypeAssertExpr); ok { // a type switch's x.(type) has no Type
+			star, _ := a.Type.(*ast.StarExpr)
+			if a.Type == nil || star != nil && slices.Contains([]string{"Secondary", "Primary", "Cluster"}, fmt.Sprint(star.X)) {
+				t.Errorf("%s: demand.go switches on or asserts an organization's type", fset.Position(a.Pos()))
+			}
+		}
+		return true
+	})
 }
