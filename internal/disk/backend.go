@@ -53,7 +53,7 @@ type Backend interface {
 }
 
 // Measured tallies real (wall-clock) backend I/O, the counterpart of the
-// modelled Cost. exp.BackendBench reports the two side by side.
+// modelled Cost. clusterbench -exp backend reports the two side by side.
 type Measured struct {
 	Reads        int64 // read calls issued to the medium
 	Writes       int64 // write calls issued to the medium

@@ -1,9 +1,9 @@
 // Package filebackend implements disk.Backend on a real file: page id i
-// lives at byte offset i·disk.PageSize of one os.File. It is the bridge from
-// the paper's modelled world to measurable reality — a store built on it
-// performs real reads, writes and (optionally) fsyncs, so the modelled cost
-// of every workload can be put next to measured wall-clock I/O
-// (exp.BackendBench does exactly that), and the file outlives the process.
+// lives at byte offset i·disk.PageSize of one os.File. It bridges the
+// paper's modelled world to measurable reality — a store built on it performs
+// real reads, writes and (optionally) fsyncs, so the modelled cost of every
+// workload can be put next to measured wall-clock I/O (clusterbench -exp
+// backend does exactly that), and the file outlives the process.
 //
 // Semantics match the in-memory backend exactly from the caller's point of
 // view: fresh pages read as zero, Free is a reclamation hint that leaves the

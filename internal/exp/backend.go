@@ -34,8 +34,8 @@ const (
 	backendFileCompress = "file+compress"
 )
 
-// BackendBuild reports one organization construction on one backend.
-type BackendBuild struct {
+// backendBuild reports one organization construction on one backend.
+type backendBuild struct {
 	Backend    string  `json:"backend"`
 	Org        string  `json:"org"`
 	ModelIOSec float64 `json:"model_io_sec"` // modelled construction cost
@@ -43,8 +43,8 @@ type BackendBuild struct {
 	WallIOSec  float64 `json:"wall_io_sec"`  // wall-clock spent inside backend I/O
 }
 
-// BackendQueryRun reports one window-query batch on one backend.
-type BackendQueryRun struct {
+// backendQueryRun reports one window-query batch on one backend.
+type backendQueryRun struct {
 	Backend        string  `json:"backend"`
 	Org            string  `json:"org"`
 	Tech           string  `json:"tech"`
@@ -57,11 +57,11 @@ type BackendQueryRun struct {
 	WallIOSec      float64 `json:"wall_io_sec"`      // wall-clock inside backend I/O
 }
 
-// BackendCompRow states the compression tradeoff of one organization built
+// backendCompRow states the compression tradeoff of one organization built
 // on the file+compress backend: write bytes avoided vs codec CPU spent. Its
 // modelled cost and answers are the file+compress rows of Builds and
 // QueryRuns, which ModelMatch pins to the other backends.
-type BackendCompRow struct {
+type backendCompRow struct {
 	Org         string  `json:"org"`
 	PagesZero   int64   `json:"pages_zero"`
 	PagesRaw    int64   `json:"pages_raw"`
@@ -74,18 +74,18 @@ type BackendCompRow struct {
 	WallCodecSec float64 `json:"wall_codec_sec"` // CPU spent encoding+decoding
 }
 
-// BackendResult is the outcome of the backend benchmark, emitted as
+// backendResult is the outcome of the backend benchmark, emitted as
 // BENCH_backend.json.
-type BackendResult struct {
+type backendResult struct {
 	Scale      int     `json:"scale"`
 	Queries    int     `json:"queries"`
 	Seed       int64   `json:"seed"`
 	WindowArea float64 `json:"window_area"`
 	GOMAXPROCS int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 
-	Builds      []BackendBuild    `json:"builds"`
-	QueryRuns   []BackendQueryRun `json:"query_runs"`
-	Compression []BackendCompRow  `json:"compression"`
+	Builds      []backendBuild    `json:"builds"`
+	QueryRuns   []backendQueryRun `json:"query_runs"`
+	Compression []backendCompRow  `json:"compression"`
 
 	// ModelMatch: every modelled column — cost, answers, candidate bytes —
 	// is identical across the backends: the backend choice, compression
@@ -99,16 +99,9 @@ type BackendResult struct {
 	ReopenMatch bool `json:"reopen_match"`
 }
 
-// Failed implements Result.
-func (r BackendResult) Failed() []string {
+// Failed implements result.
+func (r backendResult) Failed() []string {
 	return failed(verdict{"model_match", r.ModelMatch}, verdict{"reopen_match", r.ReopenMatch})
-}
-
-func runBackend(o Options, smoke bool, _ []int) Result {
-	if smoke {
-		o = o.smoke(40)
-	}
-	return BackendBench(o, BackendConfig{})
 }
 
 // backendUnderTest describes one storage backend arm of the benchmark: its
@@ -119,17 +112,7 @@ type backendUnderTest struct {
 	cfg  spatialcluster.StoreConfig
 }
 
-// BackendConfig tunes the backend benchmark.
-type BackendConfig struct {
-	// Dir is where the file-backed page stores and the snapshot live;
-	// empty selects a fresh temporary directory that is removed afterwards.
-	Dir string
-	// WindowArea is the query window area as a fraction of the data space
-	// (default 0.01, the 1% windows of Figure 8).
-	WindowArea float64
-}
-
-// BackendBench builds the three organizations of the Figure 5/6 comparison
+// backendBench builds the three organizations of the Figure 5/6 comparison
 // on the in-memory backend, the file backend, the file backend with
 // fsync-on-flush and the file backend with page compression, runs the
 // Figure 8 window-query workload (cold queries on
@@ -137,34 +120,33 @@ type BackendConfig struct {
 // organization — and reports modelled I/O next to measured wall-clock for
 // every build and every query batch. It also proves the persistence path:
 // the file-backed cluster store is saved with Save, reopened with Open, and
-// compared answer-for-answer against the original.
-func BackendBench(o Options, cfg BackendConfig) BackendResult {
+// compared answer-for-answer against the original. The queries are the 1%
+// windows of Figure 8; the page stores and the snapshot live in a temporary
+// directory that is removed afterwards.
+func backendBench(o Options, smoke bool, _ []int) result {
 	o = o.WithDefaults()
-	if cfg.WindowArea <= 0 {
-		cfg.WindowArea = 0.01
+	if smoke {
+		o = o.smoke(40)
 	}
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "spatialcluster-backend-*")
-		if err != nil {
-			panic(fmt.Sprintf("exp: backend bench temp dir: %v", err))
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	const windowArea = 0.01
+	dir, err := os.MkdirTemp("", "spatialcluster-backend-*")
+	if err != nil {
+		panic(fmt.Sprintf("exp: backend bench temp dir: %v", err))
 	}
+	defer os.RemoveAll(dir)
 
-	res := BackendResult{
+	res := backendResult{
 		Scale:      o.Scale,
 		Queries:    o.Queries,
 		Seed:       o.Seed,
-		WindowArea: cfg.WindowArea,
+		WindowArea: windowArea,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		ModelMatch: true,
 	}
 
 	spec := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed}
 	ds := datagen.Generate(spec)
-	ws := ds.Windows(cfg.WindowArea, o.Queries, o.Seed+int64(cfg.WindowArea*1e7))
+	ws := ds.Windows(windowArea, o.Queries, o.Seed+int64(windowArea*1e7))
 
 	backends := []backendUnderTest{
 		{name: backendMem},
@@ -175,16 +157,16 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 
 	var fileCluster store.Organization // the file-backed cluster store, for the reopen check
 	for bi, bk := range backends {
-		for ki, kind := range AllOrgs {
+		for ki, kind := range allOrgs {
 			cfg := bk.cfg
-			cfg.BufferPages = o.BuildBufPages
+			cfg.BufferPages = o.storeConfig().BufferPages
 			if cfg.Backend == spatialcluster.BackendFile {
 				cfg.Path = filepath.Join(dir, fmt.Sprintf("pages-%d-%d.db", bi, ki))
 			}
-			b := BuildWith(kind, ds, cfg)
+			b := build(kind, ds, cfg)
 			env := b.Org.Env()
 			m := env.Disk.Measured()
-			res.Builds = append(res.Builds, BackendBuild{
+			res.Builds = append(res.Builds, backendBuild{
 				Backend:    bk.name,
 				Org:        string(kind),
 				ModelIOSec: b.ConstructionSec,
@@ -195,7 +177,7 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 				bk.name, kind, b.ConstructionSec, b.WallClock.Seconds(), m.IOSeconds())
 
 			techs := []store.Technique{store.TechComplete}
-			if kind == OrgCluster {
+			if kind == orgCluster {
 				techs = []store.Technique{
 					store.TechComplete, store.TechThreshold, store.TechSLM, store.TechSLMVector,
 				}
@@ -203,10 +185,10 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 			for _, tech := range techs {
 				before := env.Disk.Measured()
 				start := time.Now()
-				sum := RunWindowQueries(b.Org, ws, tech)
+				sum := runWindowQueries(b.Org, ws, tech)
 				wall := time.Since(start)
 				mio := env.Disk.Measured().Sub(before)
-				res.QueryRuns = append(res.QueryRuns, BackendQueryRun{
+				res.QueryRuns = append(res.QueryRuns, backendQueryRun{
 					Backend:        bk.name,
 					Org:            string(kind),
 					Tech:           tech.String(),
@@ -225,7 +207,7 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 			if bk.name == backendFileCompress {
 				res.Compression = append(res.Compression, compRow(kind, spatialcluster.CompressionIO(b.Org)))
 			}
-			if bk.name == backendFile && kind == OrgCluster {
+			if bk.name == backendFile && kind == orgCluster {
 				fileCluster = b.Org // keep open for the reopen check below
 			} else {
 				env.Close()
@@ -240,8 +222,8 @@ func BackendBench(o Options, cfg BackendConfig) BackendResult {
 }
 
 // compRow reports what page compression did to one organization's writes.
-func compRow(kind OrgKind, st spatialcluster.CompressionStats) BackendCompRow {
-	row := BackendCompRow{
+func compRow(kind orgKind, st spatialcluster.CompressionStats) backendCompRow {
+	row := backendCompRow{
 		Org:          string(kind),
 		PagesZero:    st.PagesZero,
 		PagesRaw:     st.PagesRaw,
@@ -259,7 +241,7 @@ func compRow(kind OrgKind, st spatialcluster.CompressionStats) BackendCompRow {
 
 // checkModelMatch verifies that every modelled column is identical across
 // the backends, row by row.
-func checkModelMatch(res BackendResult) bool {
+func checkModelMatch(res backendResult) bool {
 	type buildKey struct{ org string }
 	builds := map[buildKey]float64{}
 	for _, b := range res.Builds {
@@ -304,7 +286,7 @@ func checkReopen(o Options, org store.Organization, ds *datagen.Dataset, ws []ge
 		o.Progress("backend: save failed: %v", err)
 		return false
 	}
-	reopened, err := spatialcluster.Open(path, spatialcluster.StoreConfig{BufferPages: o.BuildBufPages})
+	reopened, err := spatialcluster.Open(path, o.storeConfig())
 	if err != nil {
 		o.Progress("backend: open failed: %v", err)
 		return false
@@ -321,7 +303,7 @@ func checkReopen(o Options, org store.Organization, ds *datagen.Dataset, ws []ge
 }
 
 // Render formats the result as a text report.
-func (r BackendResult) Render() string {
+func (r backendResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Backend benchmark: modelled vs measured I/O (scale 1/%d, %d queries, %.3g%% windows)\n",
 		r.Scale, r.Queries, r.WindowArea*100)

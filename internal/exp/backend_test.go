@@ -4,15 +4,14 @@ import (
 	"testing"
 )
 
-// TestBackendBenchSmoke runs the backend benchmark at a tiny scale and
-// checks its two invariants: modelled columns are identical across the
-// memory and file backends, and the file-backed store survives a Save/Open
-// round trip with identical stats and answers. It also verifies that the
-// file backends really performed wall-clock I/O while the memory backend
-// did not, and that the compressed backend saved bytes.
+// TestBackendBenchSmoke checks the preset run of the backend benchmark for
+// its two invariants: modelled columns are identical across the memory and
+// file backends, and the file-backed store survives a Save/Open round trip
+// with identical stats and answers. It also verifies that the file backends
+// really performed wall-clock I/O while the memory backend did not, and that
+// the compressed backend saved bytes.
 func TestBackendBenchSmoke(t *testing.T) {
-	o := Options{Scale: 64, Queries: 30, Seed: 5}
-	r := BackendBench(o, BackendConfig{Dir: t.TempDir()})
+	r := preset(t, "backend").(backendResult)
 
 	if !r.ModelMatch {
 		t.Error("modelled columns differ across backends")
@@ -35,20 +34,12 @@ func TestBackendBenchSmoke(t *testing.T) {
 			t.Errorf("%s %s: memory backend measured I/O", b.Backend, b.Org)
 		}
 	}
-	if len(r.Compression) != len(AllOrgs) {
-		t.Fatalf("compression rows = %d, want %d", len(r.Compression), len(AllOrgs))
+	if len(r.Compression) != len(allOrgs) {
+		t.Fatalf("compression rows = %d, want %d", len(r.Compression), len(allOrgs))
 	}
 	for _, row := range r.Compression {
 		if row.RawBytes == 0 || row.StoredBytes == 0 || row.SavedBytes <= 0 {
 			t.Fatalf("implausible compression row %+v", row)
 		}
 	}
-}
-
-// TestBackendBenchModelDeterministic re-runs the benchmark on a second
-// configuration and requires the modelled columns to be identical.
-func TestBackendBenchModelDeterministic(t *testing.T) {
-	o := Options{Scale: 128, Queries: 12, Seed: 9}
-	sameModelled(t, BackendBench(o, BackendConfig{Dir: t.TempDir()}),
-		BackendBench(o, BackendConfig{Dir: t.TempDir()}))
 }

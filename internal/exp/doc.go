@@ -1,19 +1,28 @@
 // Package exp holds every experiment of the repository behind one registry
 // (Experiments): one driver per table and figure of the paper's evaluation
-// (sections 5 and 6), and the repository's own engine benchmarks. Every
-// driver generates its workload with internal/datagen — a workload is a
-// []datagen.Op, and the harness has one function that runs an op against a
+// (sections 5 and 6), and the repository's own engine benchmarks. The
+// registry is the package's API: an Experiment's Run is the only way into a
+// driver, and its result — a report rendered the way the paper labels its
+// figures (I/O seconds for construction and joins, msec/4KB for queries,
+// pages for storage utilization), the gating verdicts that came out false,
+// and for an engine benchmark the JSON document WriteJSON writes — is
+// reached only through Render, Failed and WriteJSON. Besides it the package
+// exports what cmd/sdb shares with the drivers: ApplyOps and
+// CoolObjectPages.
+//
+// Every driver generates its workload with internal/datagen — a workload is
+// a []datagen.Op, and the harness has one function that runs an op against a
 // store (apply) and one that sends it through a server client (send) —
-// builds the organization models under test (internal/store), runs its
-// sweep, and returns a Result — a report rendered the way the paper labels
-// its figures (I/O seconds for construction and joins, msec/4KB for queries,
-// pages for storage utilization) plus the gating verdicts that came out
-// false.
+// builds the organization models under test through the facade's one
+// builder (spatialcluster.NewStore, via build), and runs its sweep. Nothing
+// but Options, the -smoke switch and the swept axis configures a driver:
+// every other parameter is a constant of the experiment, and -smoke selects
+// the CI-sized preset kept beside the defaults.
 //
 // Experiments run at a configurable Scale: Scale=1 is the paper's full data
 // size, the default Scale=8 keeps the full pipeline minutes-fast while
 // preserving every relative effect (trees keep 3+ levels and thousands of
-// data pages). Join buffer sizes are divided by the same factor so the
+// data pages). Join buffer sizes are divided by its square root so the
 // buffer-to-data ratios of Figures 14 and 16 are preserved.
 //
 // The engine benchmarks are named by the axis they sweep and each emit one
@@ -39,8 +48,8 @@
 // The two served experiments share one fixture (served.go): one way to start
 // a server or a shard cluster, one serial reference pass, one replay that
 // verifies an arm answer for answer, and the closed- and open-loop drivers
-// behind the one measured run that records its throughput and latencies. All seven are driven by the clusterbench command; the modelled
-// columns of every artifact — every line without a "wall field — are
-// byte-reproducible, which TestExperimentsDeterministic holds for the whole
-// registry.
+// behind the one measured run that records its throughput and latencies.
+// All seven are driven by the clusterbench command; the modelled columns of
+// every artifact — every line without a "wall field — are byte-reproducible,
+// which TestExperimentsDeterministic holds for the whole registry.
 package exp

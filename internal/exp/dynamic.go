@@ -49,43 +49,15 @@ func measureOrg(org store.Organization, fn func()) disk.Cost {
 	return org.Env().Disk.Cost().Sub(before)
 }
 
-// DynamicConfig tunes the dynamic (mixed-workload) benchmark.
-type DynamicConfig struct {
-	// Batches is the number of churn batches (default 5); after each batch
-	// every series is re-measured with the full query set.
-	Batches int
-	// OpsPerBatch is the number of workload operations per batch (default:
-	// a tenth of the dataset's object count).
-	OpsPerBatch int
-	// Mix configures the op mix and hotspot skew. Ops and Seed are managed
-	// by the benchmark; all-zero fractions select the datagen default mix.
-	Mix datagen.MixSpec
-	// Tech is the cluster read technique of all queries (default
-	// TechComplete, where clustering decay is most visible: the whole unit
-	// — dead bytes included — is transferred per qualifying page).
-	Tech store.Technique
-}
+// dynamicTech is the cluster read technique of all queries of the dynamic
+// benchmark: complete reads, where clustering decay is most visible — the
+// whole unit, dead bytes included, is transferred per qualifying page.
+const dynamicTech = store.TechComplete
 
-func (c DynamicConfig) withDefaults(numObjects int) DynamicConfig {
-	if c.Batches <= 0 {
-		c.Batches = 5
-	}
-	if c.OpsPerBatch <= 0 {
-		c.OpsPerBatch = numObjects / 10
-		if c.OpsPerBatch < 10 {
-			c.OpsPerBatch = 10
-		}
-	}
-	if c.Mix.HotspotFrac == 0 {
-		c.Mix.HotspotFrac = 0.5
-	}
-	return c
-}
-
-// DynamicPoint is one measurement of a series: the state after ops_applied
+// dynamicPoint is one measurement of a series: the state after ops_applied
 // workload operations. All fields are modelled (no wall-clock), so repeated
 // runs produce identical points.
-type DynamicPoint struct {
+type dynamicPoint struct {
 	OpsApplied int     `json:"ops_applied"`
 	MSPer4KB   float64 `json:"ms_per_4kb"` // checkpoint query cost (Figure 8 metric)
 	Answers    int     `json:"answers"`
@@ -101,26 +73,26 @@ type DynamicPoint struct {
 	ExtentUtil float64 `json:"extent_util"`
 }
 
-// DynamicSeries is the measurement series of one organization × policy.
-type DynamicSeries struct {
+// dynamicSeries is the measurement series of one organization × policy.
+type dynamicSeries struct {
 	Org    string         `json:"org"`
 	Policy string         `json:"policy"`
-	Points []DynamicPoint `json:"points"`
+	Points []dynamicPoint `json:"points"`
 }
 
-func (s DynamicSeries) last() DynamicPoint { return s.Points[len(s.Points)-1] }
+func (s dynamicSeries) last() dynamicPoint { return s.Points[len(s.Points)-1] }
 
-// DynamicResult is the outcome of the dynamic benchmark, emitted as
+// dynamicResult is the outcome of the dynamic benchmark, emitted as
 // BENCH_dynamic.json. It contains only modelled quantities and is
 // deterministic in (Scale, Queries, Seed, config).
-type DynamicResult struct {
+type dynamicResult struct {
 	Scale       int             `json:"scale"`
 	Queries     int             `json:"queries"`
 	Seed        int64           `json:"seed"`
 	Batches     int             `json:"batches"`
 	OpsPerBatch int             `json:"ops_per_batch"`
 	Technique   string          `json:"technique"`
-	Series      []DynamicSeries `json:"series"`
+	Series      []dynamicSeries `json:"series"`
 
 	// Degrades: the unmaintained cluster organization's query cost rose
 	// under churn. Recovers: the threshold policy's final query cost is
@@ -130,44 +102,40 @@ type DynamicResult struct {
 	Recovers bool `json:"recovers"`
 }
 
-// Failed implements Result.
-func (r DynamicResult) Failed() []string {
+// Failed implements result.
+func (r dynamicResult) Failed() []string {
 	return failed(verdict{"degrades", r.Degrades}, verdict{"recovers", r.Recovers})
-}
-
-func runDynamic(o Options, smoke bool, _ []int) Result {
-	var cfg DynamicConfig
-	if smoke {
-		o = o.smoke(40)
-		cfg.Batches, cfg.OpsPerBatch = 3, 400
-	}
-	return DynamicBench(o, cfg)
 }
 
 // dynamicSeriesSpec names one series and how to maintain it.
 type dynamicSeriesSpec struct {
-	kind   OrgKind
+	kind   orgKind
 	policy recluster.Policy // nil for non-cluster organizations
 }
 
-// DynamicBench measures query cost under a mixed update workload ("Figure 5
+// dynamicBench measures query cost under a mixed update workload ("Figure 5
 // under churn"): every organization is built from the same dataset, the same
 // deterministic op stream is applied in batches, and after each batch the
 // full window-query set is re-run cold. The cluster organization runs once
 // per reclustering policy; the secondary and primary organizations have no
 // clustering to decay and serve as the flat baselines the paper's static
-// comparison predicts.
-func DynamicBench(o Options, cfg DynamicConfig) DynamicResult {
+// comparison predicts. The churn runs in 5 batches of a tenth of the
+// dataset each (3 of 400 ops at the smoke preset), from datagen's default op
+// mix with half the ops in a hotspot.
+func dynamicBench(o Options, smoke bool, _ []int) result {
 	o = o.WithDefaults()
+	batches, opsPerBatch := 5, 0
+	if smoke {
+		o = o.smoke(40)
+		batches, opsPerBatch = 3, 400
+	}
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
-	cfg = cfg.withDefaults(len(ds.Objects))
-
-	mix := cfg.Mix
-	mix.Ops = cfg.Batches * cfg.OpsPerBatch
-	mix.Seed = o.Seed + 1
-	ops := ds.MixedWorkload(mix)
+	if opsPerBatch == 0 {
+		opsPerBatch = max(len(ds.Objects)/10, 10)
+	}
+	ops := ds.MixedWorkload(datagen.MixSpec{Ops: batches * opsPerBatch, HotspotFrac: 0.5, Seed: o.Seed + 1})
 	ws := ds.Windows(0.001, o.Queries, o.Seed+2)
 
 	// The policy triggers are tuned to this workload's steady state: unit
@@ -175,30 +143,30 @@ func DynamicBench(o Options, cfg DynamicConfig) DynamicResult {
 	// objects), so sustained churn plateaus around a 15–25% dead fraction
 	// and the policies must trigger inside that band to matter.
 	specs := []dynamicSeriesSpec{
-		{kind: OrgSecondary},
-		{kind: OrgPrimary},
-		{kind: OrgCluster, policy: recluster.None{}},
-		{kind: OrgCluster, policy: recluster.Threshold{TotalDeadFrac: 0.12, UnitDeadFrac: 0.05}},
-		{kind: OrgCluster, policy: recluster.Incremental{MinDeadFrac: 0.05}},
-		{kind: OrgCluster, policy: recluster.FullRebuild{TotalDeadFrac: 0.12}},
+		{kind: orgSecondary},
+		{kind: orgPrimary},
+		{kind: orgCluster, policy: recluster.None{}},
+		{kind: orgCluster, policy: recluster.Threshold{TotalDeadFrac: 0.12, UnitDeadFrac: 0.05}},
+		{kind: orgCluster, policy: recluster.Incremental{MinDeadFrac: 0.05}},
+		{kind: orgCluster, policy: recluster.FullRebuild{TotalDeadFrac: 0.12}},
 	}
 
-	res := DynamicResult{
+	res := dynamicResult{
 		Scale:       o.Scale,
 		Queries:     o.Queries,
 		Seed:        o.Seed,
-		Batches:     cfg.Batches,
-		OpsPerBatch: cfg.OpsPerBatch,
-		Technique:   cfg.Tech.String(),
+		Batches:     batches,
+		OpsPerBatch: opsPerBatch,
+		Technique:   dynamicTech.String(),
 	}
 	for _, spec := range specs {
-		res.Series = append(res.Series, runDynamicSeries(o, cfg, ds, ops, ws, spec))
+		res.Series = append(res.Series, runDynamicSeries(o, opsPerBatch, ds, ops, ws, spec))
 	}
 
-	var none, threshold *DynamicSeries
+	var none, threshold *dynamicSeries
 	for i := range res.Series {
 		s := &res.Series[i]
-		if s.Org != string(OrgCluster) {
+		if s.Org != string(orgCluster) {
 			continue
 		}
 		switch {
@@ -217,22 +185,25 @@ func DynamicBench(o Options, cfg DynamicConfig) DynamicResult {
 	return res
 }
 
-func runDynamicSeries(o Options, cfg DynamicConfig, ds *datagen.Dataset,
-	ops []datagen.Op, ws []geom.Rect, spec dynamicSeriesSpec) DynamicSeries {
+// runDynamicSeries measures one series: the store is built, then ops are
+// applied in batches of opsPerBatch, each followed by the series' maintenance
+// and a checkpoint.
+func runDynamicSeries(o Options, opsPerBatch int, ds *datagen.Dataset,
+	ops []datagen.Op, ws []geom.Rect, spec dynamicSeriesSpec) dynamicSeries {
 
-	series := DynamicSeries{Org: string(spec.kind)}
+	series := dynamicSeries{Org: string(spec.kind)}
 	if spec.policy != nil {
 		series.Policy = spec.policy.Name()
 	}
-	b := Build(spec.kind, ds, o.BuildBufPages)
+	b := build(spec.kind, ds, o.storeConfig())
 	org := b.Org
 	params := org.Env().Params()
 	o.Progress("dynamic: built %s policy=%s", series.Org, series.Policy)
 
 	record := func(applied int, churn disk.Cost, maint recluster.Result) {
-		q := RunWindowQueries(org, ws, cfg.Tech)
+		q := runWindowQueries(org, ws, dynamicTech)
 		st := org.Stats()
-		series.Points = append(series.Points, DynamicPoint{
+		series.Points = append(series.Points, dynamicPoint{
 			OpsApplied: applied,
 			MSPer4KB:   q.MSPer4KB(),
 			Answers:    q.Answers,
@@ -250,9 +221,9 @@ func runDynamicSeries(o Options, cfg DynamicConfig, ds *datagen.Dataset,
 
 	record(0, disk.Cost{}, recluster.Result{})
 	applied := 0
-	for batch := 0; batch < cfg.Batches; batch++ {
-		chunk := ops[batch*cfg.OpsPerBatch : (batch+1)*cfg.OpsPerBatch]
-		ar := ApplyOps(org, chunk, cfg.Tech)
+	for batch := 0; batch < len(ops)/opsPerBatch; batch++ {
+		chunk := ops[batch*opsPerBatch : (batch+1)*opsPerBatch]
+		ar := ApplyOps(org, chunk, dynamicTech)
 		// Flush dirty pages within the batch's cost window so checkpoint
 		// queries do not pay the churn's deferred write-backs.
 		churn := ar.Cost.Add(measureOrg(org, org.Flush))
@@ -273,7 +244,7 @@ func runDynamicSeries(o Options, cfg DynamicConfig, ds *datagen.Dataset,
 }
 
 // Render formats the result as a text report, fragmentation included.
-func (r DynamicResult) Render() string {
+func (r dynamicResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Dynamic update benchmark (scale=%d, %d queries/checkpoint, %d x %d ops, %s read)\n",
 		r.Scale, r.Queries, r.Batches, r.OpsPerBatch, r.Technique)

@@ -3,24 +3,23 @@ package exp
 import (
 	"testing"
 
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/store"
 )
 
-// TestDynamicBenchSmoke runs the dynamic benchmark at a tiny scale and
-// checks the result that the full benchmark claims: query cost degrades
-// under churn without reclustering and the threshold policy recovers it.
+// TestDynamicBenchSmoke checks the preset run of the dynamic benchmark for
+// the result that the full benchmark claims: query cost degrades under
+// churn without reclustering and the threshold policy recovers it.
 func TestDynamicBenchSmoke(t *testing.T) {
-	o := Options{Scale: 64, Queries: 40, Seed: 3}
-	cfg := DynamicConfig{Batches: 3, OpsPerBatch: 400}
-	r := DynamicBench(o, cfg)
+	r := preset(t, "dynamic").(dynamicResult)
 
 	if len(r.Series) != 6 {
 		t.Fatalf("series = %d, want 6", len(r.Series))
 	}
 	for _, s := range r.Series {
-		if len(s.Points) != cfg.Batches+1 {
-			t.Fatalf("%s/%s: %d points, want %d", s.Org, s.Policy, len(s.Points), cfg.Batches+1)
+		if len(s.Points) != r.Batches+1 {
+			t.Fatalf("%s/%s: %d points, want %d", s.Org, s.Policy, len(s.Points), r.Batches+1)
 		}
 		for _, p := range s.Points[1:] {
 			if p.MSPer4KB <= 0 {
@@ -36,21 +35,13 @@ func TestDynamicBenchSmoke(t *testing.T) {
 	}
 }
 
-// TestDynamicBenchDeterministic re-runs the benchmark and requires an
-// identical result — BENCH_dynamic.json must not vary across runs.
-func TestDynamicBenchDeterministic(t *testing.T) {
-	o := Options{Scale: 128, Queries: 20, Seed: 7}
-	cfg := DynamicConfig{Batches: 2, OpsPerBatch: 150}
-	sameModelled(t, DynamicBench(o, cfg), DynamicBench(o, cfg))
-}
-
 // TestApplyOpsNeverMisses applies a generated stream to the organization it
 // was generated for: every delete/update victim must exist.
 func TestApplyOpsNeverMisses(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map2, Series: datagen.SeriesA, Scale: 128, Seed: 5})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 600, HotspotFrac: 0.6, Seed: 11})
-	for _, kind := range AllOrgs {
-		b := Build(kind, ds, 64)
+	for _, kind := range allOrgs {
+		b := build(kind, ds, spatialcluster.StoreConfig{BufferPages: 64})
 		res := ApplyOps(b.Org, ops, store.TechComplete)
 		if res.Missing != 0 {
 			t.Errorf("%s: %d missing victims", kind, res.Missing)

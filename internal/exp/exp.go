@@ -21,12 +21,6 @@ type Options struct {
 	Queries int
 	// Seed drives all data and workload generation.
 	Seed int64
-	// BuildBufPages is the buffer size used during construction. The
-	// default is 400 pages (≈1.6 MB, a plausible 1994 configuration)
-	// divided by the scale, floored at 50 pages: the tree grows linearly
-	// with the data, so the buffer-to-tree ratio must be preserved or
-	// construction becomes artificially free at small scales.
-	BuildBufPages int
 	// Progress, if non-nil, receives one line per completed step.
 	Progress func(format string, args ...any)
 }
@@ -39,23 +33,26 @@ func (o Options) WithDefaults() Options {
 	if o.Queries <= 0 {
 		o.Queries = datagen.NumQueries
 	}
-	if o.BuildBufPages <= 0 {
-		o.BuildBufPages = 400 / o.Scale
-		if o.BuildBufPages < 50 {
-			o.BuildBufPages = 50
-		}
-	}
 	if o.Progress == nil {
 		o.Progress = func(string, ...any) {}
 	}
 	return o
 }
 
-// smoke caps a run at CI size — a scale no finer than 64 and, for the
-// experiments that read Queries, at most the given number of them — the part
-// of every experiment's -smoke preset that is not its own configuration.
+// storeConfig is the store every organization under test is built on unless
+// an experiment says otherwise: in memory, LRU, with the construction
+// buffer — 400 pages (≈1.6 MB, a plausible 1994 configuration) divided by
+// the scale, floored at 50 pages. The tree grows linearly with the data, so
+// the buffer-to-tree ratio must be preserved or construction becomes
+// artificially free at small scales.
+func (o Options) storeConfig() spatialcluster.StoreConfig {
+	return spatialcluster.StoreConfig{BufferPages: max(400/max(o.Scale, 1), 50)}
+}
+
+// smoke caps a defaulted run at CI size — a scale no finer than 64 and, for
+// the experiments that read Queries, at most the given number of them — the
+// part of every experiment's -smoke preset that is not its own.
 func (o Options) smoke(queries int) Options {
-	o = o.WithDefaults()
 	o.Scale = max(o.Scale, 64)
 	if queries > 0 {
 		o.Queries = min(o.Queries, queries)
@@ -91,98 +88,59 @@ const (
 	mbrScaleVersionB = 4.0
 )
 
-// OrgKind names an organization model under test.
-type OrgKind string
+// orgKind names an organization model under test, as the reports label it.
+type orgKind string
 
 // The organization models compared throughout the evaluation.
 const (
-	OrgSecondary    OrgKind = "sec. org."
-	OrgPrimary      OrgKind = "prim. org."
-	OrgCluster      OrgKind = "cluster org."
-	OrgClusterBuddy OrgKind = "cluster org. (buddy)"
+	orgSecondary orgKind = "sec. org."
+	orgPrimary   orgKind = "prim. org."
+	orgCluster   orgKind = "cluster org."
 )
 
-// AllOrgs is the comparison set of Figures 5, 6, 8, 12 and 14.
-var AllOrgs = []OrgKind{OrgSecondary, OrgPrimary, OrgCluster}
+// allOrgs is the comparison set of Figures 5, 6, 8, 12 and 14.
+var allOrgs = []orgKind{orgSecondary, orgPrimary, orgCluster}
 
-// BuildResult reports the construction of one organization.
-type BuildResult struct {
+// storeKinds names each organization the way the facade's builder does.
+var storeKinds = map[orgKind]string{orgSecondary: "secondary", orgPrimary: "primary", orgCluster: "cluster"}
+
+// buildResult reports the construction of one organization.
+type buildResult struct {
 	Org             store.Organization
-	ConstructionSec float64 // modelled I/O time (Figure 5)
-	Cost            disk.Cost
+	ConstructionSec float64            // modelled I/O time (Figure 5)
 	Stats           store.StorageStats // occupied pages (Figure 6)
 	WallClock       time.Duration
 }
 
-// Build constructs an organization of the given kind over ds, inserting the
-// objects unsorted (generation order), and reports the modelled I/O cost.
-func Build(kind OrgKind, ds *datagen.Dataset, bufPages int) BuildResult {
-	return buildCluster(kind, ds, bufPages, ds.Spec.SmaxBytes())
-}
-
-// buildCluster is Build with an explicit Smax (used by the cluster-size
-// adaptation experiment of Figure 11). It is the harness's own construction
-// — store.NewEnv and the store constructors, in memory, LRU — and so the
-// reference the facade's builder is held against.
-func buildCluster(kind OrgKind, ds *datagen.Dataset, bufPages, smaxBytes int) BuildResult {
-	env := store.NewEnv(bufPages)
-	var org store.Organization
-	switch kind {
-	case OrgSecondary:
-		org = store.NewSecondary(env)
-	case OrgPrimary:
-		org = store.NewPrimary(env)
-	case OrgCluster:
-		org = store.NewCluster(env, store.ClusterConfig{SmaxBytes: smaxBytes})
-	case OrgClusterBuddy:
-		org = store.NewCluster(env, store.ClusterConfig{SmaxBytes: smaxBytes, BuddySizes: 3})
-	default:
-		panic(fmt.Sprintf("exp: unknown organization %q", kind))
+// build constructs an organization of the given kind over ds on the store
+// cfg describes, through the facade's one builder, inserting the objects
+// unsorted (generation order). An unset Smax is the dataset's (Table 1).
+// The buffer is then emptied so the first query starts cold, and the
+// disk's cost so far is the construction cost: a function of the workload,
+// the buffer and its policy alone — identical for every backend.
+func build(kind orgKind, ds *datagen.Dataset, cfg spatialcluster.StoreConfig) buildResult {
+	if cfg.SmaxBytes == 0 {
+		cfg.SmaxBytes = ds.Spec.SmaxBytes()
 	}
 	start := time.Now()
-	env.Disk.ResetCost()
-	for i, o := range ds.Objects {
-		if err := org.Insert(o, ds.MBRs[i]); err != nil {
-			panic(fmt.Sprintf("exp: building %s: %v", kind, err))
-		}
-	}
-	org.Flush()
-	return built(org, start)
-}
-
-// BuildWith is Build on the storage cfg describes — a file backend, a buffer
-// policy — through the facade's one builder (the backend benchmark and the
-// admission rows use it). The modelled construction cost is a function of
-// the workload and the buffer alone — identical for every backend.
-func BuildWith(kind OrgKind, ds *datagen.Dataset, cfg spatialcluster.StoreConfig) BuildResult {
-	name := map[OrgKind]string{OrgSecondary: "secondary", OrgPrimary: "primary", OrgCluster: "cluster"}[kind]
-	cfg.SmaxBytes = ds.Spec.SmaxBytes()
-	start := time.Now()
-	org, err := spatialcluster.NewStore(name, cfg, ds.Objects, ds.MBRs)
+	org, err := spatialcluster.NewStore(storeKinds[kind], cfg, ds.Objects, ds.MBRs)
 	if err != nil {
 		panic(fmt.Sprintf("exp: building %s: %v", kind, err))
 	}
-	return built(org, start)
-}
-
-// built closes a construction: the buffer is emptied so the first query
-// starts cold, and the disk's cost so far is taken as the construction cost.
-func built(org store.Organization, start time.Time) BuildResult {
 	env := org.Env()
 	env.Buf.Clear()
 	cost := env.Disk.Cost()
 	env.Disk.ResetCost()
-	return BuildResult{
+	return buildResult{
 		Org:             org,
 		ConstructionSec: cost.TimeSec(env.Params()),
-		Cost:            cost,
 		Stats:           org.Stats(),
 		WallClock:       time.Since(start),
 	}
 }
 
-// QuerySummary aggregates a batch of queries.
-type QuerySummary struct {
+// querySummary aggregates a batch of queries.
+type querySummary struct {
 	Queries        int
 	Answers        int
 	Candidates     int
@@ -192,7 +150,7 @@ type QuerySummary struct {
 
 // MSPer4KB normalizes the I/O time to the amount of data queried, the
 // paper's msec/4KB metric (Figures 8, 10 and 12).
-func (q QuerySummary) MSPer4KB() float64 {
+func (q querySummary) MSPer4KB() float64 {
 	if q.CandidateBytes == 0 {
 		return 0
 	}
@@ -200,7 +158,7 @@ func (q QuerySummary) MSPer4KB() float64 {
 }
 
 // avgAnswers returns the mean number of answers per query.
-func (q QuerySummary) avgAnswers() float64 {
+func (q querySummary) avgAnswers() float64 {
 	if q.Queries == 0 {
 		return 0
 	}
@@ -245,8 +203,8 @@ func apply(org store.Organization, op datagen.Op, tech store.Technique) applied 
 // runCold executes n queries, the i-th given by op, cooling the data and
 // object pages before each one (section 5.4 runs 678 spatially spread
 // queries; only the directory stays buffer-resident).
-func runCold(org store.Organization, n int, tech store.Technique, op func(i int) datagen.Op) QuerySummary {
-	sum := QuerySummary{Queries: n}
+func runCold(org store.Organization, n int, tech store.Technique, op func(i int) datagen.Op) querySummary {
+	sum := querySummary{Queries: n}
 	p := org.Env().Params()
 	for i := 0; i < n; i++ {
 		CoolObjectPages(org)
@@ -259,31 +217,24 @@ func runCold(org store.Organization, n int, tech store.Technique, op func(i int)
 	return sum
 }
 
-// RunWindowQueries executes the windows against org with the technique, cold.
-func RunWindowQueries(org store.Organization, ws []geom.Rect, tech store.Technique) QuerySummary {
+// runWindowQueries executes the windows against org with the technique, cold.
+func runWindowQueries(org store.Organization, ws []geom.Rect, tech store.Technique) querySummary {
 	return runCold(org, len(ws), tech, func(i int) datagen.Op {
 		return datagen.Op{Kind: datagen.OpWindow, Window: ws[i]}
 	})
 }
 
 // runPointQueries executes point queries, cold (section 5.5).
-func runPointQueries(org store.Organization, pts []geom.Point) QuerySummary {
+func runPointQueries(org store.Organization, pts []geom.Point) querySummary {
 	return runCold(org, len(pts), store.TechComplete, func(i int) datagen.Op {
 		return datagen.Op{Kind: datagen.OpPoint, Point: pts[i]}
 	})
 }
 
-// RunNearestQueries executes k-NN (distance browsing) queries, cold.
-func RunNearestQueries(org store.Organization, pts []geom.Point, k int) QuerySummary {
-	return runCold(org, len(pts), store.TechComplete, func(i int) datagen.Op {
-		return datagen.Op{Kind: datagen.OpKNN, Point: pts[i], K: k}
-	})
-}
-
 // runWindowOptimum computes the theoretical lower bound of Figure 10 for a
 // cluster organization over the same workload.
-func runWindowOptimum(c *store.Cluster, ws []geom.Rect) QuerySummary {
-	sum := QuerySummary{Queries: len(ws)}
+func runWindowOptimum(c *store.Cluster, ws []geom.Rect) querySummary {
+	sum := querySummary{Queries: len(ws)}
 	for _, w := range ws {
 		CoolObjectPages(c)
 		ms, res := c.WindowQueryOptimum(w)

@@ -4,22 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/store"
 )
 
 // tinyOpts keeps experiment tests fast while preserving tree depth.
 func tinyOpts() Options {
-	return Options{Scale: 64, Queries: 40, BuildBufPages: 100, Seed: 1}.WithDefaults()
+	return Options{Scale: 64, Queries: 40, Seed: 1}.WithDefaults()
 }
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.Scale != 8 || o.Queries != 678 || o.BuildBufPages != 50 {
-		t.Fatalf("defaults = %+v", o)
+	if o.Scale != 8 || o.Queries != 678 || o.storeConfig().BufferPages != 50 {
+		t.Fatalf("defaults = %+v, build buffer %d", o, o.storeConfig().BufferPages)
 	}
-	if full := (Options{Scale: 1}).WithDefaults(); full.BuildBufPages != 400 {
-		t.Fatalf("full-scale build buffer = %d, want 400", full.BuildBufPages)
+	if full := (Options{Scale: 1}).WithDefaults(); full.storeConfig().BufferPages != 400 {
+		t.Fatalf("full-scale build buffer = %d, want 400", full.storeConfig().BufferPages)
 	}
 	if o.Progress == nil {
 		t.Fatal("Progress must be non-nil after defaults")
@@ -41,7 +42,7 @@ func TestScaledBuffer(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r := Table1(tinyOpts())
+	r := table1(tinyOpts())
 	if len(r.Rows) != 6 {
 		t.Fatalf("Table 1 rows = %d", len(r.Rows))
 	}
@@ -64,14 +65,14 @@ func TestFig5And6Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("construction sweep is slow")
 	}
-	r := Fig5And6(tinyOpts())
+	r := fig5And6(tinyOpts())
 	if len(r.Rows) != 18 {
 		t.Fatalf("rows = %d, want 6 series x 3 orgs", len(r.Rows))
 	}
 	for _, s := range r.seriesNames() {
-		sec := r.row(s, OrgSecondary)
-		prim := r.row(s, OrgPrimary)
-		clus := r.row(s, OrgCluster)
+		sec := r.row(s, orgSecondary)
+		prim := r.row(s, orgPrimary)
+		clus := r.row(s, orgCluster)
 		// Figure 5 shape: the primary organization is the most expensive
 		// to construct.
 		if prim.ConstructionSec <= sec.ConstructionSec || prim.ConstructionSec <= clus.ConstructionSec {
@@ -88,8 +89,8 @@ func TestFig5And6Shapes(t *testing.T) {
 	}
 	// The primary organization's construction cost rises far more with
 	// object size (A-1 -> C-1) than the secondary organization's.
-	primDelta := r.row("C-1", OrgPrimary).ConstructionSec - r.row("A-1", OrgPrimary).ConstructionSec
-	secDelta := r.row("C-1", OrgSecondary).ConstructionSec - r.row("A-1", OrgSecondary).ConstructionSec
+	primDelta := r.row("C-1", orgPrimary).ConstructionSec - r.row("A-1", orgPrimary).ConstructionSec
+	secDelta := r.row("C-1", orgSecondary).ConstructionSec - r.row("A-1", orgSecondary).ConstructionSec
 	if primDelta < 2*secDelta {
 		t.Errorf("primary size dependency (+%.0f s) should far exceed secondary's (+%.0f s)",
 			primDelta, secDelta)
@@ -103,7 +104,7 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("construction sweep is slow")
 	}
-	r := Fig7(tinyOpts())
+	r := fig7(tinyOpts())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -131,7 +132,7 @@ func TestFig8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("query sweep is slow")
 	}
-	r := Fig8(tinyOpts())
+	r := fig8(tinyOpts())
 	get := func(series, col string, area float64) float64 {
 		for _, c := range r.Cells {
 			if c.Series == series && c.Column == col && c.AreaFrac == area {
@@ -145,14 +146,14 @@ func TestFig8Shapes(t *testing.T) {
 		// Large windows: the cluster organization must win clearly
 		// (paper: factors up to 20 on A-1 and 12.5 on C-1).
 		big := 0.1
-		sec, clus := get(series, string(OrgSecondary), big), get(series, string(OrgCluster), big)
+		sec, clus := get(series, string(orgSecondary), big), get(series, string(orgCluster), big)
 		if sec/clus < 3 {
 			t.Errorf("%s 10%%: cluster speedup only %.2fx (sec %.1f, cluster %.1f)",
 				series, sec/clus, sec, clus)
 		}
 		// Monotonicity: the cluster advantage grows with the window.
 		small := 0.00001
-		if rSmall, rBig := get(series, string(OrgSecondary), small)/get(series, string(OrgCluster), small),
+		if rSmall, rBig := get(series, string(orgSecondary), small)/get(series, string(orgCluster), small),
 			sec/clus; rBig < rSmall {
 			t.Errorf("%s: cluster advantage shrank with window size (%.2f -> %.2f)", series, rSmall, rBig)
 		}
@@ -166,7 +167,7 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("query sweep is slow")
 	}
-	r := Fig10(tinyOpts())
+	r := fig10(tinyOpts())
 	get := func(series, col string, area float64) float64 {
 		for _, c := range r.Cells {
 			if c.Series == series && c.Column == col && c.AreaFrac == area {
@@ -204,7 +205,7 @@ func TestFig11Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster size sweep is slow")
 	}
-	r := Fig11(tinyOpts())
+	r := fig11(tinyOpts())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -242,8 +243,8 @@ func TestFig12Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("query sweep is slow")
 	}
-	r := Fig12(tinyOpts())
-	get := func(series string, kind OrgKind) float64 {
+	r := fig12(tinyOpts())
+	get := func(series string, kind orgKind) float64 {
 		for _, c := range r.Cells {
 			if c.Series == series && c.Org == kind {
 				return c.Summary.MSPer4KB()
@@ -254,7 +255,7 @@ func TestFig12Shapes(t *testing.T) {
 	}
 	// Paper: secondary and cluster are close for point queries.
 	for _, series := range []string{"A-1", "B-1", "C-1"} {
-		sec, clus := get(series, OrgSecondary), get(series, OrgCluster)
+		sec, clus := get(series, orgSecondary), get(series, orgCluster)
 		ratio := sec / clus
 		if ratio < 0.5 || ratio > 2 {
 			t.Errorf("%s: sec/cluster point-query ratio %.2f outside [0.5,2]", series, ratio)
@@ -262,8 +263,8 @@ func TestFig12Shapes(t *testing.T) {
 	}
 	// Paper: the primary organization is relatively worst for the largest
 	// objects (C-1) because of the extra overflow accesses.
-	relPrimA := get("A-1", OrgPrimary) / get("A-1", OrgSecondary)
-	relPrimC := get("C-1", OrgPrimary) / get("C-1", OrgSecondary)
+	relPrimA := get("A-1", orgPrimary) / get("A-1", orgSecondary)
+	relPrimC := get("C-1", orgPrimary) / get("C-1", orgSecondary)
 	if relPrimC < relPrimA {
 		t.Errorf("primary relative cost should grow with object size: A-1 %.2f, C-1 %.2f", relPrimA, relPrimC)
 	}
@@ -273,8 +274,8 @@ func TestFig14Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("join sweep is slow")
 	}
-	r := Fig14(tinyOpts())
-	get := func(v JoinVersion, col string, buf int) float64 {
+	r := fig14(tinyOpts())
+	get := func(v joinVersion, col string, buf int) float64 {
 		for _, c := range r.Cells {
 			if c.Version == v && c.Column == col && c.BufferPages == buf {
 				return c.IOSec
@@ -283,20 +284,20 @@ func TestFig14Shapes(t *testing.T) {
 		t.Fatalf("missing cell %c/%s/%d", v, col, buf)
 		return 0
 	}
-	for _, v := range []JoinVersion{VersionA, VersionB} {
+	for _, v := range []joinVersion{versionA, versionB} {
 		// At the paper's larger buffers the cluster organization must win
 		// clearly (paper: up to 4.9x/9.5x vs secondary).
-		sec, clus := get(v, string(OrgSecondary), 6400), get(v, string(OrgCluster), 6400)
+		sec, clus := get(v, string(orgSecondary), 6400), get(v, string(orgCluster), 6400)
 		if sec/clus < 2 {
 			t.Errorf("version %c: cluster speedup only %.2fx at 6400 pages", v, sec/clus)
 		}
 		// More buffer never hurts the cluster organization much.
-		if small, large := get(v, string(OrgCluster), 200), get(v, string(OrgCluster), 6400); large > small*1.05 {
+		if small, large := get(v, string(orgCluster), 200), get(v, string(orgCluster), 6400); large > small*1.05 {
 			t.Errorf("version %c: cluster join got slower with more buffer (%.1f -> %.1f)", v, small, large)
 		}
 	}
 	// Version b moves much more data than version a.
-	if a, b := get(VersionA, string(OrgSecondary), 1600), get(VersionB, string(OrgSecondary), 1600); b < 2*a {
+	if a, b := get(versionA, string(orgSecondary), 1600), get(versionB, string(orgSecondary), 1600); b < 2*a {
 		t.Errorf("version b (%.1f s) should be far dearer than version a (%.1f s)", b, a)
 	}
 	if !strings.Contains(r.Render(), "Figure 14") {
@@ -308,23 +309,23 @@ func TestFig16Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("join sweep is slow")
 	}
-	r := Fig16(tinyOpts())
-	get := func(v JoinVersion, col string, buf int) Fig14Cell {
+	r := fig16(tinyOpts())
+	get := func(v joinVersion, col string, buf int) joinCell {
 		for _, c := range r.Cells {
 			if c.Version == v && c.Column == col && c.BufferPages == buf {
 				return c
 			}
 		}
 		t.Fatalf("missing cell %c/%s/%d", v, col, buf)
-		return Fig14Cell{}
+		return joinCell{}
 	}
-	for _, v := range []JoinVersion{VersionA, VersionB} {
+	for _, v := range []joinVersion{versionA, versionB} {
 		for _, buf := range joinBufferSizes {
 			complete := get(v, "complete", buf)
 			read := get(v, "read", buf)
 			vector := get(v, "vector read", buf)
 			// No technique may beat the theoretical optimum.
-			for _, c := range []Fig14Cell{complete, read, vector} {
+			for _, c := range []joinCell{complete, read, vector} {
 				if c.IOSec < c.OptSec-1e-9 {
 					t.Errorf("version %c buf %d: %s %.2f s below optimum %.2f s",
 						v, buf, c.Column, c.IOSec, c.OptSec)
@@ -350,17 +351,17 @@ func TestFig17Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("complete join is slow")
 	}
-	r := Fig17(tinyOpts())
+	r := fig17(tinyOpts())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	byKey := map[string]Fig17Row{}
+	byKey := map[string]fig17Row{}
 	for _, row := range r.Rows {
 		byKey[string(row.Version)+string(row.Org)] = row
 	}
 	for _, v := range []string{"a", "b"} {
-		sec := byKey[v+string(OrgSecondary)]
-		clus := byKey[v+string(OrgCluster)]
+		sec := byKey[v+string(orgSecondary)]
+		clus := byKey[v+string(orgCluster)]
 		// Identical refinement work and results.
 		if sec.ExactSec != clus.ExactSec || sec.ResultPairs != clus.ResultPairs {
 			t.Errorf("version %s: refinement differs between organizations", v)
@@ -387,18 +388,18 @@ func TestBuildRejectsUnknownKind(t *testing.T) {
 		}
 	}()
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 2048})
-	Build(OrgKind("nonsense"), ds, 64)
+	build(orgKind("nonsense"), ds, spatialcluster.StoreConfig{BufferPages: 64})
 }
 
 func TestQuerySummaryHelpers(t *testing.T) {
-	q := QuerySummary{Queries: 4, Answers: 8, CandidateBytes: 8192, TotalMS: 30}
+	q := querySummary{Queries: 4, Answers: 8, CandidateBytes: 8192, TotalMS: 30}
 	if q.avgAnswers() != 2 {
 		t.Fatalf("avgAnswers = %g", q.avgAnswers())
 	}
 	if q.MSPer4KB() != 15 {
 		t.Fatalf("MSPer4KB = %g", q.MSPer4KB())
 	}
-	var zero QuerySummary
+	var zero querySummary
 	if zero.MSPer4KB() != 0 || zero.avgAnswers() != 0 {
 		t.Fatal("zero summary must normalize to 0")
 	}
@@ -406,9 +407,9 @@ func TestQuerySummaryHelpers(t *testing.T) {
 
 func TestRunWindowQueriesAgainstBrute(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 3})
-	b := Build(OrgCluster, ds, 128)
+	b := build(orgCluster, ds, spatialcluster.StoreConfig{BufferPages: 128})
 	ws := ds.Windows(0.01, 10, 9)
-	sum := RunWindowQueries(b.Org, ws, store.TechComplete)
+	sum := runWindowQueries(b.Org, ws, store.TechComplete)
 	want := 0
 	for _, w := range ws {
 		for i, o := range ds.Objects {

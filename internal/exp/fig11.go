@@ -8,14 +8,14 @@ import (
 	"spatialcluster/internal/store"
 )
 
-// Fig11ClusterSizes are the Smax values (in pages) swept by the cluster-size
+// fig11ClusterSizes are the Smax values (in pages) swept by the cluster-size
 // adaptation experiment of section 5.4.4. The paper's default for B-1 is 40
 // pages (160 KB).
-var Fig11ClusterSizes = []int{4, 8, 20, 40, 80, 160}
+var fig11ClusterSizes = []int{4, 8, 20, 40, 80, 160}
 
-// Fig11Row reports the average performance gain (in percent) achievable by
+// fig11Row reports the average performance gain (in percent) achievable by
 // adapting the cluster size to the query size, for one technique.
-type Fig11Row struct {
+type fig11Row struct {
 	Technique string
 	// GainFactor10 and GainFactor100 are the mean gains when the window
 	// area changes by one or two decades (the paper's "factor 10" and
@@ -27,21 +27,21 @@ type Fig11Row struct {
 	GainSmallToLarge float64
 }
 
-// Fig11Result holds Figure 11.
-type Fig11Result struct {
+// fig11Result holds Figure 11.
+type fig11Result struct {
 	Scale int
-	Rows  []Fig11Row
+	Rows  []fig11Row
 	// BestSize[tech][areaIdx] records the best cluster size (pages) per
 	// window area, for inspection.
 	BestSize map[string][]int
 }
 
-// Fig11 rebuilds the cluster organization of B-1 with varying maximum
+// fig11 rebuilds the cluster organization of B-1 with varying maximum
 // cluster sizes, measures each window-area workload under every size, and
 // derives the gain an adaptive cluster size would deliver over a size tuned
 // for a window area 10× or 100× smaller or larger (section 5.4.4, after
 // [DS93]).
-func Fig11(o Options) Fig11Result {
+func fig11(o Options) fig11Result {
 	o = o.WithDefaults()
 	spec := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesB, Scale: o.Scale, Seed: o.Seed}
 	ds := datagen.Generate(spec)
@@ -52,28 +52,30 @@ func Fig11(o Options) Fig11Result {
 	// window area a.
 	cost := make([][][]float64, len(techs))
 	for t := range cost {
-		cost[t] = make([][]float64, len(Fig11ClusterSizes))
+		cost[t] = make([][]float64, len(fig11ClusterSizes))
 		for s := range cost[t] {
 			cost[t][s] = make([]float64, len(areas))
 		}
 	}
-	for s, pages := range Fig11ClusterSizes {
-		b := buildCluster(OrgCluster, ds, o.BuildBufPages, pages*4096)
+	for s, pages := range fig11ClusterSizes {
+		cfg := o.storeConfig()
+		cfg.SmaxBytes = pages * 4096
+		b := build(orgCluster, ds, cfg)
 		for a, area := range areas {
 			ws := ds.Windows(area, o.Queries, o.Seed+int64(area*1e7))
 			for t, tech := range techs {
-				cost[t][s][a] = RunWindowQueries(b.Org, ws, tech).MSPer4KB()
+				cost[t][s][a] = runWindowQueries(b.Org, ws, tech).MSPer4KB()
 			}
 		}
 		o.Progress("fig11: cluster size %d pages measured", pages)
 	}
 
-	res := Fig11Result{Scale: o.Scale, BestSize: map[string][]int{}}
+	res := fig11Result{Scale: o.Scale, BestSize: map[string][]int{}}
 	for t, tech := range techs {
 		best := make([]int, len(areas))
 		for a := range areas {
 			bi := 0
-			for s := range Fig11ClusterSizes {
+			for s := range fig11ClusterSizes {
 				if cost[t][s][a] < cost[t][bi][a] {
 					bi = s
 				}
@@ -82,7 +84,7 @@ func Fig11(o Options) Fig11Result {
 		}
 		bestPages := make([]int, len(areas))
 		for a, bi := range best {
-			bestPages[a] = Fig11ClusterSizes[bi]
+			bestPages[a] = fig11ClusterSizes[bi]
 		}
 		res.BestSize[tech.String()] = bestPages
 
@@ -113,7 +115,7 @@ func Fig11(o Options) Fig11Result {
 			}
 			return sum / float64(n)
 		}
-		res.Rows = append(res.Rows, Fig11Row{
+		res.Rows = append(res.Rows, fig11Row{
 			Technique:        tech.String(),
 			GainFactor10:     avgGain(1),
 			GainFactor100:    avgGain(2),
@@ -124,7 +126,7 @@ func Fig11(o Options) Fig11Result {
 }
 
 // Render formats Figure 11.
-func (r Fig11Result) Render() string {
+func (r fig11Result) Render() string {
 	t := table{
 		Title:  fmt.Sprintf("Figure 11: gains by adapting the cluster size, B-1 (%%, scale 1/%d)", r.Scale),
 		Header: []string{"technique", "factor 10", "factor 100", "0.001->0.1"},

@@ -9,19 +9,19 @@ import (
 	"spatialcluster/internal/store"
 )
 
-// JoinVersion selects the MBR-extension series of the join experiments
+// joinVersion selects the MBR-extension series of the join experiments
 // (section 6.1).
-type JoinVersion byte
+type joinVersion byte
 
 // Version a keeps the object MBRs; version b enlarges them for a roughly
 // 14x larger candidate set.
 const (
-	VersionA JoinVersion = 'a'
-	VersionB JoinVersion = 'b'
+	versionA joinVersion = 'a'
+	versionB joinVersion = 'b'
 )
 
-func (v JoinVersion) mbrScale() float64 {
-	if v == VersionB {
+func (v joinVersion) mbrScale() float64 {
+	if v == versionB {
 		return mbrScaleVersionB
 	}
 	return mbrScaleVersionA
@@ -29,19 +29,19 @@ func (v JoinVersion) mbrScale() float64 {
 
 // joinInputs generates and builds both sides of the C-1 ⋈ C-2 join for one
 // organization kind.
-func joinInputs(o Options, kind OrgKind, v JoinVersion) (store.Organization, store.Organization) {
+func joinInputs(o Options, kind orgKind, v joinVersion) (store.Organization, store.Organization) {
 	specR := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesC, Scale: o.Scale,
 		Seed: o.Seed, MBRScale: v.mbrScale()}
 	specS := datagen.Spec{Map: datagen.Map2, Series: datagen.SeriesC, Scale: o.Scale,
 		Seed: o.Seed, MBRScale: v.mbrScale()}
-	r := Build(kind, datagen.Generate(specR), o.BuildBufPages)
-	s := Build(kind, datagen.Generate(specS), o.BuildBufPages)
+	r := build(kind, datagen.Generate(specR), o.storeConfig())
+	s := build(kind, datagen.Generate(specS), o.storeConfig())
 	return r.Org, s.Org
 }
 
-// Fig14Cell is one join measurement.
-type Fig14Cell struct {
-	Version     JoinVersion
+// joinCell is one join measurement.
+type joinCell struct {
+	Version     joinVersion
 	Column      string // organization or technique
 	BufferPages int    // full-scale label
 	IOSec       float64
@@ -49,22 +49,28 @@ type Fig14Cell struct {
 	OptSec      float64 // only for Figure 16 cells
 }
 
-// Fig14Result holds Figure 14 (join I/O across organizations and buffer
-// sizes).
-type Fig14Result struct {
-	Scale int
-	Cells []Fig14Cell
+// joinMatrix holds Figure 14 (join I/O across organizations and buffer
+// sizes) or Figure 16 (join techniques on the cluster organization, with
+// the buffer-independent optimum as a last row): its cells and the title
+// and caption they are rendered under.
+type joinMatrix struct {
+	Title, Caption string
+	WithOpt        bool
+	Cells          []joinCell
 }
 
-// Fig14 runs the spatial join C-1 ⋈ C-2 in versions a and b for all three
+// fig14 runs the spatial join C-1 ⋈ C-2 in versions a and b for all three
 // organizations across the paper's buffer sizes (divided by the scale to
 // preserve the buffer-to-data ratio). The cluster organization reads
 // complete cluster units, as in the paper.
-func Fig14(o Options) Fig14Result {
+func fig14(o Options) joinMatrix {
 	o = o.WithDefaults()
-	res := Fig14Result{Scale: o.Scale}
-	for _, v := range []JoinVersion{VersionA, VersionB} {
-		for _, kind := range AllOrgs {
+	res := joinMatrix{
+		Title:   fmt.Sprintf("Figure 14: spatial join, organization models (scale 1/%d, buffers scaled)", o.Scale),
+		Caption: "Paper shape: cluster org. wins at all buffer sizes (up to 4.9x/9.5x vs sec. org. in versions a/b).",
+	}
+	for _, v := range []joinVersion{versionA, versionB} {
+		for _, kind := range allOrgs {
 			orgR, orgS := joinInputs(o, kind, v)
 			for _, buf := range joinBufferSizes {
 				jr := join.Run(orgR, orgS, join.Config{
@@ -72,7 +78,7 @@ func Fig14(o Options) Fig14Result {
 					Technique:     store.TechComplete,
 					SkipExactTest: true,
 				})
-				res.Cells = append(res.Cells, Fig14Cell{
+				res.Cells = append(res.Cells, joinCell{
 					Version: v, Column: string(kind), BufferPages: buf,
 					IOSec:    jr.IOTimeMS(disk.DefaultParams()) / 1000,
 					MBRPairs: jr.MBRPairs,
@@ -85,13 +91,13 @@ func Fig14(o Options) Fig14Result {
 	return res
 }
 
-// renderJoinMatrix renders join cells as version × (column, buffer) tables.
-func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt bool) string {
+// Render formats the cells as version × (column, buffer) tables.
+func (r joinMatrix) Render() string {
 	out := ""
-	for _, v := range []JoinVersion{VersionA, VersionB} {
+	for _, v := range []joinVersion{versionA, versionB} {
 		var cols []string
 		seen := map[string]bool{}
-		for _, c := range cells {
+		for _, c := range r.Cells {
 			if c.Version == v && !seen[c.Column] {
 				seen[c.Column] = true
 				cols = append(cols, c.Column)
@@ -101,14 +107,14 @@ func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt b
 			continue
 		}
 		t := table{
-			Title:  fmt.Sprintf("%s — C-1/2 %c (I/O sec)", title, v),
+			Title:  fmt.Sprintf("%s — C-1/2 %c (I/O sec)", r.Title, v),
 			Header: append([]string{"buffer (pages)"}, cols...),
 		}
 		for _, buf := range joinBufferSizes {
 			row := []string{fmt.Sprintf("%d", buf)}
 			for _, col := range cols {
 				val := "-"
-				for _, c := range cells {
+				for _, c := range r.Cells {
 					if c.Version == v && c.BufferPages == buf && c.Column == col {
 						val = f1(c.IOSec)
 					}
@@ -117,12 +123,12 @@ func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt b
 			}
 			t.addRow(row...)
 		}
-		if withOpt {
+		if r.WithOpt {
 			// Optimum row (buffer-independent).
 			row := []string{"opt."}
 			for _, col := range cols {
 				val := "-"
-				for _, c := range cells {
+				for _, c := range r.Cells {
 					if c.Version == v && c.Column == col && c.OptSec > 0 {
 						val = f1(c.OptSec)
 						break
@@ -132,33 +138,22 @@ func renderJoinMatrix(title string, cells []Fig14Cell, caption string, withOpt b
 			}
 			t.addRow(row...)
 		}
-		t.Caption = caption
+		t.Caption = r.Caption
 		out += t.render() + "\n"
 	}
 	return out
 }
 
-// Render formats Figure 14.
-func (r Fig14Result) Render() string {
-	return renderJoinMatrix(
-		fmt.Sprintf("Figure 14: spatial join, organization models (scale 1/%d, buffers scaled)", r.Scale),
-		r.Cells,
-		"Paper shape: cluster org. wins at all buffer sizes (up to 4.9x/9.5x vs sec. org. in versions a/b).",
-		false)
-}
-
-// Fig16Result holds Figure 16 (join techniques on the cluster organization).
-type Fig16Result struct {
-	Scale int
-	Cells []Fig14Cell
-}
-
-// Fig16 compares the cluster-read techniques during join processing:
+// fig16 compares the cluster-read techniques during join processing:
 // complete units, SLM with vector read, SLM with normal read, and the
 // theoretical optimum (section 6.2).
-func Fig16(o Options) Fig16Result {
+func fig16(o Options) joinMatrix {
 	o = o.WithDefaults()
-	res := Fig16Result{Scale: o.Scale}
+	res := joinMatrix{
+		Title:   fmt.Sprintf("Figure 16: join techniques, cluster org. (scale 1/%d, buffers scaled)", o.Scale),
+		Caption: "Paper shape: read > vector read; both beat complete only for small buffers; >=1600 pages near the optimum.",
+		WithOpt: true,
+	}
 	techs := []struct {
 		name string
 		tech store.Technique
@@ -167,8 +162,8 @@ func Fig16(o Options) Fig16Result {
 		{"vector read", store.TechSLMVector},
 		{"read", store.TechSLM},
 	}
-	for _, v := range []JoinVersion{VersionA, VersionB} {
-		orgR, orgS := joinInputs(o, OrgCluster, v)
+	for _, v := range []joinVersion{versionA, versionB} {
+		orgR, orgS := joinInputs(o, orgCluster, v)
 		for _, tc := range techs {
 			for _, buf := range joinBufferSizes {
 				jr := join.Run(orgR, orgS, join.Config{
@@ -176,7 +171,7 @@ func Fig16(o Options) Fig16Result {
 					Technique:     tc.tech,
 					SkipExactTest: true,
 				})
-				cell := Fig14Cell{
+				cell := joinCell{
 					Version: v, Column: tc.name, BufferPages: buf,
 					IOSec:  jr.IOTimeMS(disk.DefaultParams()) / 1000,
 					OptSec: (jr.MBRJoinCost.TimeMS(disk.DefaultParams()) + jr.OptimumMS) / 1000,
@@ -190,20 +185,11 @@ func Fig16(o Options) Fig16Result {
 	return res
 }
 
-// Render formats Figure 16.
-func (r Fig16Result) Render() string {
-	return renderJoinMatrix(
-		fmt.Sprintf("Figure 16: join techniques, cluster org. (scale 1/%d, buffers scaled)", r.Scale),
-		r.Cells,
-		"Paper shape: read > vector read; both beat complete only for small buffers; >=1600 pages near the optimum.",
-		true)
-}
-
-// Fig17Row is one bar group of Figure 17: the full intersection join cost
+// fig17Row is one bar group of Figure 17: the full intersection join cost
 // split into MBR join, object transfer and exact geometry test.
-type Fig17Row struct {
-	Version     JoinVersion
-	Org         OrgKind
+type fig17Row struct {
+	Version     joinVersion
+	Org         orgKind
 	MBRJoinSec  float64
 	TransferSec float64
 	ExactSec    float64
@@ -211,30 +197,30 @@ type Fig17Row struct {
 }
 
 // TotalSec returns the complete join time.
-func (r Fig17Row) TotalSec() float64 { return r.MBRJoinSec + r.TransferSec + r.ExactSec }
+func (r fig17Row) TotalSec() float64 { return r.MBRJoinSec + r.TransferSec + r.ExactSec }
 
-// Fig17Result holds Figure 17.
-type Fig17Result struct {
+// fig17Result holds Figure 17.
+type fig17Result struct {
 	Scale int
-	Rows  []Fig17Row
+	Rows  []fig17Row
 }
 
-// Fig17 measures the complete intersection join C-1 ⋈ C-2 (versions a and
+// fig17 measures the complete intersection join C-1 ⋈ C-2 (versions a and
 // b) for the secondary and the cluster organization with a 1,600-page
 // buffer: MBR join I/O, object transfer I/O, and the exact geometry test at
 // 0.75 ms per candidate pair (section 6.3).
-func Fig17(o Options) Fig17Result {
+func fig17(o Options) fig17Result {
 	o = o.WithDefaults()
-	res := Fig17Result{Scale: o.Scale}
+	res := fig17Result{Scale: o.Scale}
 	p := disk.DefaultParams()
-	for _, v := range []JoinVersion{VersionA, VersionB} {
-		for _, kind := range []OrgKind{OrgSecondary, OrgCluster} {
+	for _, v := range []joinVersion{versionA, versionB} {
+		for _, kind := range []orgKind{orgSecondary, orgCluster} {
 			orgR, orgS := joinInputs(o, kind, v)
 			jr := join.Run(orgR, orgS, join.Config{
 				BufferPages: o.scaledBuffer(1600),
 				Technique:   store.TechComplete,
 			})
-			res.Rows = append(res.Rows, Fig17Row{
+			res.Rows = append(res.Rows, fig17Row{
 				Version:     v,
 				Org:         kind,
 				MBRJoinSec:  jr.MBRJoinCost.TimeMS(p) / 1000,
@@ -249,7 +235,7 @@ func Fig17(o Options) Fig17Result {
 }
 
 // Render formats Figure 17.
-func (r Fig17Result) Render() string {
+func (r fig17Result) Render() string {
 	t := table{
 		Title: fmt.Sprintf("Figure 17: complete intersection join C-1/2, buffer 1600 pages (scale 1/%d)", r.Scale),
 		Header: []string{"version", "organization", "MBR-join (s)", "obj. transfer (s)",

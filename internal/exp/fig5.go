@@ -6,33 +6,33 @@ import (
 	"spatialcluster/internal/datagen"
 )
 
-// Fig5Row reports construction cost and storage utilization of one
+// fig5Row reports construction cost and storage utilization of one
 // organization over one series (paper Figures 5 and 6 share the builds).
-type Fig5Row struct {
+type fig5Row struct {
 	Series          string
-	Org             OrgKind
+	Org             orgKind
 	ConstructionSec float64
 	OccupiedPages   int
 }
 
-// Fig56Result holds Figures 5 (construction I/O) and 6 (storage
+// fig56Result holds Figures 5 (construction I/O) and 6 (storage
 // utilization).
-type Fig56Result struct {
+type fig56Result struct {
 	Scale int
-	Rows  []Fig5Row
+	Rows  []fig5Row
 }
 
-// Fig5And6 builds all three organizations over all six test series with
+// fig5And6 builds all three organizations over all six test series with
 // unsorted input and measures construction I/O time (Figure 5) and occupied
 // pages (Figure 6).
-func Fig5And6(o Options) Fig56Result {
+func fig5And6(o Options) fig56Result {
 	o = o.WithDefaults()
-	res := Fig56Result{Scale: o.Scale}
+	res := fig56Result{Scale: o.Scale}
 	for _, spec := range allSpecs(o) {
 		ds := datagen.Generate(spec)
-		for _, kind := range AllOrgs {
-			b := Build(kind, ds, o.BuildBufPages)
-			res.Rows = append(res.Rows, Fig5Row{
+		for _, kind := range allOrgs {
+			b := build(kind, ds, o.storeConfig())
+			res.Rows = append(res.Rows, fig5Row{
 				Series:          spec.Name(),
 				Org:             kind,
 				ConstructionSec: b.ConstructionSec,
@@ -46,7 +46,7 @@ func Fig5And6(o Options) Fig56Result {
 }
 
 // row lookup helper.
-func (r Fig56Result) row(series string, kind OrgKind) Fig5Row {
+func (r fig56Result) row(series string, kind orgKind) fig5Row {
 	for _, row := range r.Rows {
 		if row.Series == series && row.Org == kind {
 			return row
@@ -56,7 +56,7 @@ func (r Fig56Result) row(series string, kind OrgKind) Fig5Row {
 }
 
 // seriesNames lists the distinct series in row order.
-func (r Fig56Result) seriesNames() []string {
+func (r fig56Result) seriesNames() []string {
 	var names []string
 	seen := map[string]bool{}
 	for _, row := range r.Rows {
@@ -69,19 +69,19 @@ func (r Fig56Result) seriesNames() []string {
 }
 
 // Render formats both figures, one after the other.
-func (r Fig56Result) Render() string { return r.renderFig5() + "\n" + r.renderFig6() }
+func (r fig56Result) Render() string { return r.renderFig5() + "\n" + r.renderFig6() }
 
 // renderFig5 formats the construction costs like Figure 5.
-func (r Fig56Result) renderFig5() string {
+func (r fig56Result) renderFig5() string {
 	t := table{
 		Title:  fmt.Sprintf("Figure 5: I/O-cost for constructing the organization models (sec, scale 1/%d)", r.Scale),
-		Header: []string{"series", string(OrgSecondary), string(OrgPrimary), string(OrgCluster)},
+		Header: []string{"series", string(orgSecondary), string(orgPrimary), string(orgCluster)},
 	}
 	for _, s := range r.seriesNames() {
 		t.addRow(s,
-			f0(r.row(s, OrgSecondary).ConstructionSec),
-			f0(r.row(s, OrgPrimary).ConstructionSec),
-			f0(r.row(s, OrgCluster).ConstructionSec),
+			f0(r.row(s, orgSecondary).ConstructionSec),
+			f0(r.row(s, orgPrimary).ConstructionSec),
+			f0(r.row(s, orgCluster).ConstructionSec),
 		)
 	}
 	t.Caption = "Paper shape: cluster < secondary; primary most expensive and strongly size-dependent."
@@ -89,24 +89,24 @@ func (r Fig56Result) renderFig5() string {
 }
 
 // renderFig6 formats the storage utilization like Figure 6.
-func (r Fig56Result) renderFig6() string {
+func (r fig56Result) renderFig6() string {
 	t := table{
 		Title:  fmt.Sprintf("Figure 6: storage utilization (occupied pages, scale 1/%d)", r.Scale),
-		Header: []string{"series", string(OrgSecondary), string(OrgPrimary), string(OrgCluster)},
+		Header: []string{"series", string(orgSecondary), string(orgPrimary), string(orgCluster)},
 	}
 	for _, s := range r.seriesNames() {
 		t.addRow(s,
-			fmt.Sprintf("%d", r.row(s, OrgSecondary).OccupiedPages),
-			fmt.Sprintf("%d", r.row(s, OrgPrimary).OccupiedPages),
-			fmt.Sprintf("%d", r.row(s, OrgCluster).OccupiedPages),
+			fmt.Sprintf("%d", r.row(s, orgSecondary).OccupiedPages),
+			fmt.Sprintf("%d", r.row(s, orgPrimary).OccupiedPages),
+			fmt.Sprintf("%d", r.row(s, orgCluster).OccupiedPages),
 		)
 	}
 	t.Caption = "Paper shape: secondary best; cluster worst (underfilled Smax units) until the buddy system is applied (Figure 7)."
 	return t.render()
 }
 
-// Fig7Row reports the restricted buddy system's effect (paper Figure 7).
-type Fig7Row struct {
+// fig7Row reports the restricted buddy system's effect (paper Figure 7).
+type fig7Row struct {
 	Series string
 
 	PagesFixed int // cluster organization, fixed Smax units
@@ -117,25 +117,27 @@ type Fig7Row struct {
 	ConstructionBuddySec float64
 }
 
-// Fig7Result holds Figure 7.
-type Fig7Result struct {
+// fig7Result holds Figure 7.
+type fig7Result struct {
 	Scale int
-	Rows  []Fig7Row
+	Rows  []fig7Row
 }
 
-// Fig7 measures storage utilization and construction cost of the cluster
+// fig7 measures storage utilization and construction cost of the cluster
 // organization with and without the restricted buddy system on the map 1
 // series.
-func Fig7(o Options) Fig7Result {
+func fig7(o Options) fig7Result {
 	o = o.WithDefaults()
-	res := Fig7Result{Scale: o.Scale}
+	res := fig7Result{Scale: o.Scale}
 	for _, series := range []datagen.Series{datagen.SeriesA, datagen.SeriesB, datagen.SeriesC} {
 		spec := datagen.Spec{Map: datagen.Map1, Series: series, Scale: o.Scale, Seed: o.Seed}
 		ds := datagen.Generate(spec)
-		fixed := Build(OrgCluster, ds, o.BuildBufPages)
-		buddy := Build(OrgClusterBuddy, ds, o.BuildBufPages)
-		prim := Build(OrgPrimary, ds, o.BuildBufPages)
-		res.Rows = append(res.Rows, Fig7Row{
+		buddyCfg := o.storeConfig()
+		buddyCfg.BuddySizes = 3
+		fixed := build(orgCluster, ds, o.storeConfig())
+		buddy := build(orgCluster, ds, buddyCfg)
+		prim := build(orgPrimary, ds, o.storeConfig())
+		res.Rows = append(res.Rows, fig7Row{
 			Series:               spec.Name(),
 			PagesFixed:           fixed.Stats.OccupiedPages,
 			PagesBuddy:           buddy.Stats.OccupiedPages,
@@ -150,7 +152,7 @@ func Fig7(o Options) Fig7Result {
 }
 
 // Render formats Figure 7.
-func (r Fig7Result) Render() string {
+func (r fig7Result) Render() string {
 	t := table{
 		Title: fmt.Sprintf("Figure 7: restricted buddy system (3 sizes), map 1 (scale 1/%d)", r.Scale),
 		Header: []string{"series", "pages fixed", "pages buddy", "pages prim. org.",

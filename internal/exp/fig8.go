@@ -7,37 +7,42 @@ import (
 	"spatialcluster/internal/store"
 )
 
-// Fig8Cell is one measurement of Figures 8 and 10: an organization (or
+// queryCell is one measurement of Figures 8 and 10: an organization (or
 // technique) over one window area.
-type Fig8Cell struct {
+type queryCell struct {
 	Series   string
 	Column   string // organization or technique name
 	AreaFrac float64
-	Summary  QuerySummary
+	Summary  querySummary
 }
 
-// Fig8Result holds Figure 8 (window queries, organization comparison).
-type Fig8Result struct {
-	Scale int
-	Cells []Fig8Cell
+// queryMatrix holds Figure 8 (window queries, organization comparison) or
+// Figure 10 (window query techniques on the cluster organization): its cells
+// and the title and caption they are rendered under.
+type queryMatrix struct {
+	Title, Caption string
+	Cells          []queryCell
 }
 
-// Fig8 runs the window query comparison of the three organization models on
+// fig8 runs the window query comparison of the three organization models on
 // A-1 and C-1: 678 queries per window size, window areas 0.001%–10% of the
 // data space, I/O normalized to msec/4KB. The cluster organization uses the
 // simplest technique (complete cluster unit reads), as in the paper.
-func Fig8(o Options) Fig8Result {
+func fig8(o Options) queryMatrix {
 	o = o.WithDefaults()
-	res := Fig8Result{Scale: o.Scale}
+	res := queryMatrix{
+		Title:   fmt.Sprintf("Figure 8: window queries, organization models (scale 1/%d)", o.Scale),
+		Caption: "Paper shape: cluster org. wins, increasingly with window size (speed up to 20x on A-1, 12.5x on C-1 vs sec. org.).",
+	}
 	for _, series := range []datagen.Series{datagen.SeriesA, datagen.SeriesC} {
 		spec := datagen.Spec{Map: datagen.Map1, Series: series, Scale: o.Scale, Seed: o.Seed}
 		ds := datagen.Generate(spec)
-		for _, kind := range AllOrgs {
-			b := Build(kind, ds, o.BuildBufPages)
+		for _, kind := range allOrgs {
+			b := build(kind, ds, o.storeConfig())
 			for _, area := range datagen.WindowAreas {
 				ws := ds.Windows(area, o.Queries, o.Seed+int64(area*1e7))
-				sum := RunWindowQueries(b.Org, ws, store.TechComplete)
-				res.Cells = append(res.Cells, Fig8Cell{
+				sum := runWindowQueries(b.Org, ws, store.TechComplete)
+				res.Cells = append(res.Cells, queryCell{
 					Series: spec.Name(), Column: string(kind),
 					AreaFrac: area, Summary: sum,
 				})
@@ -50,12 +55,12 @@ func Fig8(o Options) Fig8Result {
 	return res
 }
 
-// renderQueryMatrix renders cells as series × (column, area) tables.
-func renderQueryMatrix(title string, cells []Fig8Cell, caption string) string {
+// Render formats the cells as series × (column, area) tables.
+func (r queryMatrix) Render() string {
 	// Group by series.
-	bySeries := map[string][]Fig8Cell{}
+	bySeries := map[string][]queryCell{}
 	var seriesOrder []string
-	for _, c := range cells {
+	for _, c := range r.Cells {
 		if _, ok := bySeries[c.Series]; !ok {
 			seriesOrder = append(seriesOrder, c.Series)
 		}
@@ -79,7 +84,7 @@ func renderQueryMatrix(title string, cells []Fig8Cell, caption string) string {
 			}
 		}
 		t := table{
-			Title:  fmt.Sprintf("%s — %s (msec/4KB)", title, s),
+			Title:  fmt.Sprintf("%s — %s (msec/4KB)", r.Title, s),
 			Header: append([]string{"window area"}, cols...),
 		}
 		for _, a := range areas {
@@ -95,49 +100,37 @@ func renderQueryMatrix(title string, cells []Fig8Cell, caption string) string {
 			}
 			t.addRow(row...)
 		}
-		t.Caption = caption
+		t.Caption = r.Caption
 		out += t.render() + "\n"
 	}
 	return out
 }
 
-// Render formats Figure 8.
-func (r Fig8Result) Render() string {
-	return renderQueryMatrix(
-		fmt.Sprintf("Figure 8: window queries, organization models (scale 1/%d)", r.Scale),
-		r.Cells,
-		"Paper shape: cluster org. wins, increasingly with window size (speed up to 20x on A-1, 12.5x on C-1 vs sec. org.).")
-}
-
-// Fig10Result holds Figure 10 (window query techniques on the cluster
-// organization).
-type Fig10Result struct {
-	Scale int
-	Cells []Fig8Cell
-}
-
-// Fig10 compares the query techniques of section 5.4 — complete, geometric
+// fig10 compares the query techniques of section 5.4 — complete, geometric
 // threshold, SLM and the theoretical optimum — on the cluster organization
 // for A-1 and C-1.
-func Fig10(o Options) Fig10Result {
+func fig10(o Options) queryMatrix {
 	o = o.WithDefaults()
-	res := Fig10Result{Scale: o.Scale}
+	res := queryMatrix{
+		Title:   fmt.Sprintf("Figure 10: window query techniques, cluster org. (scale 1/%d)", o.Scale),
+		Caption: "Paper shape: techniques differ only for small windows; SLM best (~27% saved on C-1 0.001%), threshold ~15%, opt ~35%.",
+	}
 	for _, series := range []datagen.Series{datagen.SeriesA, datagen.SeriesC} {
 		spec := datagen.Spec{Map: datagen.Map1, Series: series, Scale: o.Scale, Seed: o.Seed}
 		ds := datagen.Generate(spec)
-		b := Build(OrgCluster, ds, o.BuildBufPages)
+		b := build(orgCluster, ds, o.storeConfig())
 		c := b.Org.(*store.Cluster)
 		for _, area := range datagen.WindowAreas {
 			ws := ds.Windows(area, o.Queries, o.Seed+int64(area*1e7))
 			for _, tech := range []store.Technique{store.TechComplete, store.TechThreshold, store.TechSLM} {
-				sum := RunWindowQueries(b.Org, ws, tech)
-				res.Cells = append(res.Cells, Fig8Cell{
+				sum := runWindowQueries(b.Org, ws, tech)
+				res.Cells = append(res.Cells, queryCell{
 					Series: spec.Name(), Column: tech.String(),
 					AreaFrac: area, Summary: sum,
 				})
 			}
 			opt := runWindowOptimum(c, ws)
-			res.Cells = append(res.Cells, Fig8Cell{
+			res.Cells = append(res.Cells, queryCell{
 				Series: spec.Name(), Column: "opt.",
 				AreaFrac: area, Summary: opt,
 			})
@@ -145,12 +138,4 @@ func Fig10(o Options) Fig10Result {
 		}
 	}
 	return res
-}
-
-// Render formats Figure 10.
-func (r Fig10Result) Render() string {
-	return renderQueryMatrix(
-		fmt.Sprintf("Figure 10: window query techniques, cluster org. (scale 1/%d)", r.Scale),
-		r.Cells,
-		"Paper shape: techniques differ only for small windows; SLM best (~27% saved on C-1 0.001%), threshold ~15%, opt ~35%.")
 }

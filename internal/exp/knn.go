@@ -9,35 +9,10 @@ import (
 	"spatialcluster/internal/store"
 )
 
-// KNNConfig tunes the k-NN (distance browsing) benchmark.
-type KNNConfig struct {
-	// Ks are the neighbor counts measured per organization (default
-	// {1, 10, 100} — from maximally selective to a whole data page's
-	// worth of answers).
-	Ks []int
-	// ChurnOps is the length of the mixed workload applied between the
-	// fresh and the post-churn measurement (default: a tenth of the
-	// dataset's object count).
-	ChurnOps int
-}
-
-func (c KNNConfig) withDefaults(numObjects int) KNNConfig {
-	if len(c.Ks) == 0 {
-		c.Ks = []int{1, 10, 100}
-	}
-	if c.ChurnOps <= 0 {
-		c.ChurnOps = numObjects / 10
-		if c.ChurnOps < 10 {
-			c.ChurnOps = 10
-		}
-	}
-	return c
-}
-
-// KNNRun is one measurement: one organization, one phase, one k, the full
+// knnRun is one measurement: one organization, one phase, one k, the full
 // query set run cold. All fields are modelled, so repeated runs are
 // byte-identical.
-type KNNRun struct {
+type knnRun struct {
 	Org            string  `json:"org"`
 	Phase          string  `json:"phase"` // "fresh" or "churn"
 	K              int     `json:"k"`
@@ -49,15 +24,15 @@ type KNNRun struct {
 	MSPerQuery     float64 `json:"ms_per_query"` // IOSec normalized per query
 }
 
-// KNNResult is the outcome of the k-NN benchmark, emitted as BENCH_knn.json.
+// knnResult is the outcome of the k-NN benchmark, emitted as BENCH_knn.json.
 // It is deterministic in (Scale, Queries, Seed, config).
-type KNNResult struct {
+type knnResult struct {
 	Scale    int      `json:"scale"`
 	Queries  int      `json:"queries"`
 	Seed     int64    `json:"seed"`
 	Ks       []int    `json:"ks"`
 	ChurnOps int      `json:"churn_ops"`
-	Runs     []KNNRun `json:"runs"`
+	Runs     []knnRun `json:"runs"`
 
 	// AgreeFresh / AgreeChurn: the per-query answer lists (IDs in rank
 	// order) were identical across all three organizations in the given
@@ -67,47 +42,49 @@ type KNNResult struct {
 	AgreeChurn bool `json:"agree_churn"`
 }
 
-// Failed implements Result.
-func (r KNNResult) Failed() []string {
+// Failed implements result.
+func (r knnResult) Failed() []string {
 	return failed(verdict{"agree_fresh", r.AgreeFresh}, verdict{"agree_churn", r.AgreeChurn})
-}
-
-func runKNN(o Options, smoke bool, _ []int) Result {
-	cfg := KNNConfig{}
-	if smoke {
-		o = o.smoke(30)
-		cfg.ChurnOps = 300
-	}
-	return KNNBench(o, cfg)
 }
 
 // knnPhases are the two measurement phases of every organization.
 var knnPhases = [2]string{"fresh", "churn"}
 
-// KNNBench measures distance browsing across the three organizations: for
+// knnBench measures distance browsing across the three organizations: for
 // each org the full query-point set is run cold at every k, on the freshly
 // built store and again after a deterministic mixed-workload churn. The k-NN
 // query is the most selective workload there is (section 5.5): the cluster
 // organization must read per-page rather than per-unit or it drags whole
 // cluster units for single objects — this benchmark makes that behaviour,
-// and the organizations' relative standing under it, measurable.
-func KNNBench(o Options, cfg KNNConfig) KNNResult {
+// and the organizations' relative standing under it, measurable. The
+// neighbor counts run from maximally selective to a whole data page's worth
+// of answers; the churn is a tenth of the dataset (300 ops at the smoke
+// preset).
+func knnBench(o Options, smoke bool, _ []int) result {
 	o = o.WithDefaults()
+	churnOps := 0
+	if smoke {
+		o = o.smoke(30)
+		churnOps = 300
+	}
+	ks := []int{1, 10, 100}
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
-	cfg = cfg.withDefaults(len(ds.Objects))
+	if churnOps == 0 {
+		churnOps = max(len(ds.Objects)/10, 10)
+	}
 	pts := ds.Points(o.Queries, o.Seed+3)
 	ops := ds.MixedWorkload(datagen.MixSpec{
-		Ops: cfg.ChurnOps, HotspotFrac: 0.5, Seed: o.Seed + 1,
+		Ops: churnOps, HotspotFrac: 0.5, Seed: o.Seed + 1,
 	})
 
-	res := KNNResult{
+	res := knnResult{
 		Scale:      o.Scale,
 		Queries:    o.Queries,
 		Seed:       o.Seed,
-		Ks:         cfg.Ks,
-		ChurnOps:   cfg.ChurnOps,
+		Ks:         ks,
+		ChurnOps:   churnOps,
 		AgreeFresh: true,
 		AgreeChurn: true,
 	}
@@ -119,8 +96,8 @@ func KNNBench(o Options, cfg KNNConfig) KNNResult {
 		reference[phase] = make(map[int][][]object.ID)
 	}
 
-	for oi, kind := range AllOrgs {
-		b := Build(kind, ds, o.BuildBufPages)
+	for oi, kind := range allOrgs {
+		b := build(kind, ds, o.storeConfig())
 		org := b.Org
 		params := org.Env().Params()
 		o.Progress("knn: built %s (scale %d)", kind, o.Scale)
@@ -132,8 +109,8 @@ func KNNBench(o Options, cfg KNNConfig) KNNResult {
 				o.Progress("knn: %s churned with %d ops (%d inserts, %d deletes, %d updates)",
 					kind, len(ops), ar.Inserts, ar.Deletes, ar.Updates)
 			}
-			for _, k := range cfg.Ks {
-				run := KNNRun{Org: string(kind), Phase: phase, K: k, Queries: len(pts)}
+			for _, k := range ks {
+				run := knnRun{Org: string(kind), Phase: phase, K: k, Queries: len(pts)}
 				answers := make([][]object.ID, len(pts))
 				for i, pt := range pts {
 					CoolObjectPages(org)
@@ -184,7 +161,7 @@ func answerListsEqual(a, b [][]object.ID) bool {
 }
 
 // Render formats the result as a text report.
-func (r KNNResult) Render() string {
+func (r knnResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "k-NN distance browsing benchmark (scale=%d, %d queries, churn=%d ops)\n",
 		r.Scale, r.Queries, r.ChurnOps)

@@ -4,31 +4,23 @@ import (
 	"testing"
 )
 
-// smokeKNNOptions is a seconds-fast configuration exercising the full
-// benchmark pipeline.
-func smokeKNNOptions() (Options, KNNConfig) {
-	return Options{Scale: 1024, Queries: 10, Seed: 5},
-		KNNConfig{Ks: []int{1, 5}, ChurnOps: 60}
-}
-
-// TestKNNBenchAgreesAndCovers: the benchmark must measure every organization
-// at every k in both phases, find at least one answer, and report answer-set
-// agreement across organizations — the acceptance criterion of the k-NN
-// engine.
+// TestKNNBenchAgreesAndCovers: the preset run of the benchmark must measure
+// every organization at every k in both phases, find at least one answer,
+// and report answer-set agreement across organizations — the acceptance
+// criterion of the k-NN engine.
 func TestKNNBenchAgreesAndCovers(t *testing.T) {
-	o, cfg := smokeKNNOptions()
-	r := KNNBench(o, cfg)
+	r := preset(t, "knn").(knnResult)
 
 	if !r.AgreeFresh || !r.AgreeChurn {
 		t.Fatalf("organizations disagree: fresh=%v churn=%v", r.AgreeFresh, r.AgreeChurn)
 	}
-	wantRuns := len(AllOrgs) * 2 * len(cfg.Ks)
+	wantRuns := len(allOrgs) * 2 * len(r.Ks)
 	if len(r.Runs) != wantRuns {
 		t.Fatalf("%d runs, want %d", len(r.Runs), wantRuns)
 	}
 	for _, run := range r.Runs {
-		if run.Queries != o.Queries {
-			t.Fatalf("%s %s k=%d: %d queries, want %d", run.Org, run.Phase, run.K, run.Queries, o.Queries)
+		if run.Queries != r.Queries {
+			t.Fatalf("%s %s k=%d: %d queries, want %d", run.Org, run.Phase, run.K, run.Queries, r.Queries)
 		}
 		if run.K >= 1 && run.Answers != run.Queries*run.K {
 			// Every query must find exactly k answers while the store holds
@@ -42,11 +34,4 @@ func TestKNNBenchAgreesAndCovers(t *testing.T) {
 	if r.Render() == "" {
 		t.Fatal("empty render")
 	}
-}
-
-// TestKNNBenchByteReproducible: two identically configured runs must produce
-// byte-identical JSON — the reproducibility contract of BENCH_knn.json.
-func TestKNNBenchByteReproducible(t *testing.T) {
-	o, cfg := smokeKNNOptions()
-	sameModelled(t, KNNBench(o, cfg), KNNBench(o, cfg))
 }

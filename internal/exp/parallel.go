@@ -3,11 +3,13 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/join"
 	"spatialcluster/internal/obs"
@@ -27,11 +29,11 @@ import (
 // the charged model cost is reproducible; at higher worker counts buffer-hit
 // patterns depend on scheduling.
 
-// ParallelJoinRun is one join execution: organization × worker count. The
+// parallelJoinRun is one join execution: organization × worker count. The
 // serialized stages (mbr-join, prepare-fetch) run on the
 // dispatcher goroutine — their sum is a lower bound on the wall clock no
 // worker count can remove; refine is summed busy time across workers.
-type ParallelJoinRun struct {
+type parallelJoinRun struct {
 	Org         string  `json:"org"`
 	Workers     int     `json:"workers"`
 	ResultPairs int     `json:"result_pairs"`
@@ -47,8 +49,8 @@ type ParallelJoinRun struct {
 	WallSerialFrac float64 `json:"wall_serial_frac"` // (mbr-join + prepare-fetch) / wall
 }
 
-// ParallelQueryRun is one window-query batch: organization × worker count.
-type ParallelQueryRun struct {
+// parallelQueryRun is one window-query batch: organization × worker count.
+type parallelQueryRun struct {
 	Org        string  `json:"org"`
 	Workers    int     `json:"workers"`
 	Queries    int     `json:"queries"`
@@ -62,13 +64,13 @@ type ParallelQueryRun struct {
 	WallExecSec     float64 `json:"wall_exec_sec"`      // summed over the queries: time executing under the lock
 }
 
-// ParallelResult is the outcome of the parallel-engine benchmark, emitted as
+// parallelResult is the outcome of the parallel-engine benchmark, emitted as
 // BENCH_parallel.json.
-type ParallelResult struct {
+type parallelResult struct {
 	GOMAXPROCS int                `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 	Scale      int                `json:"scale"`
-	JoinRuns   []ParallelJoinRun  `json:"join_runs"`
-	QueryRuns  []ParallelQueryRun `json:"query_runs"`
+	JoinRuns   []parallelJoinRun  `json:"join_runs"`
+	QueryRuns  []parallelQueryRun `json:"query_runs"`
 
 	// CostInvariant / PairsMatch: per organization, the modelled join cost
 	// and the join cardinalities were identical across every worker count —
@@ -83,44 +85,34 @@ type ParallelResult struct {
 	WallSerializationPoint string `json:"wall_serialization_point"`
 }
 
-// Failed implements Result.
-func (r ParallelResult) Failed() []string {
+// Failed implements result.
+func (r parallelResult) Failed() []string {
 	return failed(verdict{"cost_invariant", r.CostInvariant}, verdict{"pairs_match", r.PairsMatch})
 }
 
-func runParallel(o Options, smoke bool, sweep []int) Result {
-	if smoke {
-		o = o.smoke(40)
-		if len(sweep) == 0 {
-			sweep = []int{1, 2}
-		}
-	}
-	return ParallelBench(o, sweep)
-}
-
-// ParallelBench measures the wall-clock behaviour of the parallel query/join
+// parallelBench measures the wall-clock behaviour of the parallel query/join
 // engine per organization: the spatial join C-1 ⋈ C-2 (version b candidate
 // density, SLM reads) across worker counts, and
 // concurrent 0.1% window queries on A-1. Modelled costs must not depend on
 // the worker count, so the run also verifies that invariant and reports it.
-func ParallelBench(o Options, workerCounts []int) ParallelResult {
+// The worker counts are the sweep without repeats, by default 1, 2, 4 and
+// GOMAXPROCS (1 and 2 at the smoke preset).
+func parallelBench(o Options, smoke bool, sweep []int) result {
 	o = o.WithDefaults()
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	}
-	seen := make(map[int]bool, len(workerCounts))
-	counts := workerCounts[:0:0]
-	maxW := 0
-	for _, w := range workerCounts {
-		if !seen[w] {
-			seen[w] = true
-			counts = append(counts, w)
-			maxW = max(maxW, w)
+	switch {
+	case smoke:
+		o = o.smoke(40)
+		if len(sweep) == 0 {
+			sweep = []int{1, 2}
 		}
+	case len(sweep) == 0:
+		sweep = []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	}
+	counts := distinct(sweep)
+	maxW := slices.Max(counts)
 	nsToSec := func(ns int64) float64 { return float64(ns) / 1e9 }
 
-	res := ParallelResult{
+	res := parallelResult{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Scale:         o.Scale,
 		CostInvariant: true,
@@ -131,9 +123,9 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 	// serialized PrepareFetch stays in plane order whatever the pool does,
 	// so the modelled cost and the result must stay invariant.
 	bufPages := o.scaledBuffer(1600)
-	for _, kind := range AllOrgs {
+	for _, kind := range allOrgs {
 		o.Progress("parallel: building join inputs for %s (scale %d)", kind, o.Scale)
-		orgR, orgS := joinInputs(o, kind, VersionB)
+		orgR, orgS := joinInputs(o, kind, versionB)
 		first := len(res.JoinRuns)
 		for _, w := range counts {
 			CoolObjectPages(orgR)
@@ -145,7 +137,7 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 			jr := join.Run(orgR, orgS, join.Config{
 				BufferPages: bufPages, Technique: store.TechSLM, Workers: w, Stages: &st,
 			})
-			run := ParallelJoinRun{
+			run := parallelJoinRun{
 				Org:            string(kind),
 				Workers:        w,
 				ResultPairs:    jr.ResultPairs,
@@ -185,8 +177,8 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
 	ws := ds.Windows(0.001, o.Queries, 17)
-	for _, kind := range AllOrgs {
-		org := Build(kind, ds, bufPages).Org
+	for _, kind := range allOrgs {
+		org := build(kind, ds, spatialcluster.StoreConfig{BufferPages: bufPages}).Org
 		params := org.Env().Params()
 		first := len(res.QueryRuns)
 		var model float64
@@ -206,7 +198,7 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 			if w == 1 {
 				model = org.Env().Disk.Cost().Sub(before).TimeSec(params)
 			}
-			res.QueryRuns = append(res.QueryRuns, ParallelQueryRun{
+			res.QueryRuns = append(res.QueryRuns, parallelQueryRun{
 				Org:             string(kind),
 				Workers:         workers,
 				Queries:         len(ws),
@@ -226,6 +218,17 @@ func ParallelBench(o Options, workerCounts []int) ParallelResult {
 		}
 	}
 	return res
+}
+
+// distinct returns xs without repeats, in first-seen order.
+func distinct(xs []int) []int {
+	var out []int
+	for _, x := range xs {
+		if !slices.Contains(out, x) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // runPool runs query(0) … query(n-1) on min(workers, n) goroutines — the
@@ -271,9 +274,9 @@ func baseWall(n int, run func(i int) (workers int, wall float64)) float64 {
 // its wall-clock contribution is the per-worker share; mbr-join and
 // prepare-fetch run on the dispatcher goroutine and contribute their full
 // wall.
-func serializationPoint(runs []ParallelJoinRun, maxW int) (point string) {
+func serializationPoint(runs []parallelJoinRun, maxW int) (point string) {
 	for _, run := range runs {
-		if run.Org != string(OrgCluster) || run.Workers != maxW {
+		if run.Org != string(orgCluster) || run.Workers != maxW {
 			continue
 		}
 		best := run.WallMBRJoinSec
@@ -289,7 +292,7 @@ func serializationPoint(runs []ParallelJoinRun, maxW int) (point string) {
 }
 
 // Render formats the result as a text report.
-func (r ParallelResult) Render() string {
+func (r parallelResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel engine benchmark (GOMAXPROCS=%d, scale=%d)\n", r.GOMAXPROCS, r.Scale)
 	fmt.Fprintf(&b, "\nSpatial join C-1 x C-2 (version b, SLM read; serialized stages vs refine, seconds):\n")

@@ -1,19 +1,23 @@
 package exp
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestParallelBenchSmoke runs a miniature worker sweep and checks its
-// structure: one join row and one window row per organization × worker
-// count, invariant modelled cost, and stage clocks that actually ran.
+// TestParallelBenchSmoke checks the structure of the preset worker sweep: one
+// join row and one window row per organization × distinct worker count,
+// invariant modelled cost, and stage clocks that actually ran.
 func TestParallelBenchSmoke(t *testing.T) {
-	o := Options{Scale: 512, Queries: 24, Seed: 7}
-	workers := []int{1, 2, 2} // the repeat must be dropped
-	r := ParallelBench(o, workers)
+	if got := distinct([]int{1, 2, 2, 1}); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("distinct kept repeats: %v", got) // a repeated count must be dropped
+	}
+	r := preset(t, "parallel").(parallelResult)
 
 	if f := r.Failed(); len(f) != 0 {
 		t.Fatalf("gating verdicts false: %v", f)
 	}
-	if len(r.JoinRuns) != len(AllOrgs)*2 || len(r.QueryRuns) != len(AllOrgs)*2 {
+	if len(r.JoinRuns) != len(allOrgs)*2 || len(r.QueryRuns) != len(allOrgs)*2 {
 		t.Fatalf("%d join rows, %d window rows", len(r.JoinRuns), len(r.QueryRuns))
 	}
 	for _, run := range r.JoinRuns {
@@ -28,7 +32,7 @@ func TestParallelBenchSmoke(t *testing.T) {
 		}
 	}
 	for _, run := range r.QueryRuns {
-		if run.Queries != o.Queries || run.Answers == 0 || run.ModelIOSec <= 0 {
+		if run.Queries != presetOptions.Queries || run.Answers == 0 || run.ModelIOSec <= 0 {
 			t.Fatalf("implausible window row %+v", run)
 		}
 		if run.WallSec <= 0 || run.WallExecSec <= 0 || run.WallSpeedup <= 0 {

@@ -30,37 +30,8 @@ import (
 // organization tears the final record off the log and requires recovery to
 // detect it, discard it, and agree with the stream minus that one mutation.
 
-// RecoveryConfig tunes the recovery benchmark.
-type RecoveryConfig struct {
-	// Dir is where the WAL directories live; empty selects a fresh temporary
-	// directory that is removed afterwards.
-	Dir string
-	// Ops is the number of logged mutations per arm (default 1200).
-	Ops int
-	// SyncEvery is the group-commit sweep of the append arms (default
-	// 1, 4, 16, 64).
-	SyncEvery []int
-	// Tails is the replay-length sweep in records; a checkpoint is placed so
-	// that exactly this many records remain in the log tail at the crash
-	// (default Ops/6, Ops/2, Ops).
-	Tails []int
-}
-
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	if c.Ops <= 0 {
-		c.Ops = 1200
-	}
-	if len(c.SyncEvery) == 0 {
-		c.SyncEvery = []int{1, 4, 16, 64}
-	}
-	if len(c.Tails) == 0 {
-		c.Tails = []int{c.Ops / 6, c.Ops / 2, c.Ops}
-	}
-	return c
-}
-
-// RecoveryAppendRow reports one group-commit batch size of the append sweep.
-type RecoveryAppendRow struct {
+// recoveryAppendRow reports one group-commit batch size of the append sweep.
+type recoveryAppendRow struct {
 	SyncEvery int   `json:"sync_every"`
 	Ops       int   `json:"ops"`
 	Fsyncs    int64 `json:"fsyncs"`
@@ -73,8 +44,8 @@ type RecoveryAppendRow struct {
 	WallPerOpUS   float64 `json:"wall_per_op_us"`  // measured; varies
 }
 
-// RecoveryReplayRow reports one crash-recovery arm.
-type RecoveryReplayRow struct {
+// recoveryReplayRow reports one crash-recovery arm.
+type recoveryReplayRow struct {
 	Org         string `json:"org"`
 	TailRecords int    `json:"tail_records"` // records the crash left in the log
 	Torn        bool   `json:"torn"`         // this arm tore the final record off
@@ -87,15 +58,15 @@ type RecoveryReplayRow struct {
 	WallRecoverSec float64 `json:"wall_recover_sec"` // measured; varies
 }
 
-// RecoveryResult is the outcome of the recovery benchmark, emitted as
+// recoveryResult is the outcome of the recovery benchmark, emitted as
 // BENCH_recovery.json.
-type RecoveryResult struct {
+type recoveryResult struct {
 	Scale int   `json:"scale"`
 	Ops   int   `json:"ops"`
 	Seed  int64 `json:"seed"`
 
-	Appends []RecoveryAppendRow `json:"appends"`
-	Replays []RecoveryReplayRow `json:"replays"`
+	Appends []recoveryAppendRow `json:"appends"`
+	Replays []recoveryReplayRow `json:"replays"`
 
 	// Agree: every replay arm recovered the expected number of records and
 	// answered identically to its reference. Gates the clusterbench exit
@@ -103,18 +74,8 @@ type RecoveryResult struct {
 	Agree bool `json:"agree"`
 }
 
-// Failed implements Result.
-func (r RecoveryResult) Failed() []string { return failed(verdict{"agree", r.Agree}) }
-
-func runRecovery(o Options, smoke bool, _ []int) Result {
-	cfg := RecoveryConfig{}
-	if smoke {
-		o = o.smoke(0)
-		cfg.Ops = 240
-		cfg.SyncEvery = []int{1, 16}
-	}
-	return RecoveryBench(o, cfg)
-}
+// Failed implements result.
+func (r recoveryResult) Failed() []string { return failed(verdict{"agree", r.Agree}) }
 
 // recoveryMutations generates the deterministic mutation stream of the
 // benchmark: the non-query prefix of a hotspot-skewed mixed workload.
@@ -195,26 +156,31 @@ func walDirBytes(dir string) int64 {
 	return n
 }
 
-// RecoveryBench runs the append sweep and the replay sweep and reports both,
-// plus the agree verdict.
-func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
+// recoveryBench runs the append sweep and the replay sweep and reports both,
+// plus the agree verdict. Each arm logs 1200 mutations (240 at the smoke
+// preset); the append sweep's group-commit batch sizes are 1, 4, 16 and 64
+// (1 and 16), and the replay sweep leaves a sixth, half and all of the
+// stream in the log tail. The WAL directories live in a temporary directory
+// that is removed afterwards.
+func recoveryBench(o Options, smoke bool, _ []int) result {
 	o = o.WithDefaults()
-	cfg = cfg.withDefaults()
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "spatialcluster-recovery-*")
-		if err != nil {
-			panic(fmt.Sprintf("exp: recovery bench temp dir: %v", err))
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	ops, syncEvery := 1200, []int{1, 4, 16, 64}
+	if smoke {
+		o = o.smoke(0)
+		ops, syncEvery = 240, []int{1, 16}
 	}
+	tails := []int{ops / 6, ops / 2, ops, -1} // -1: the whole stream, its final record torn
+	dir, err := os.MkdirTemp("", "spatialcluster-recovery-*")
+	if err != nil {
+		panic(fmt.Sprintf("exp: recovery bench temp dir: %v", err))
+	}
+	defer os.RemoveAll(dir)
 
-	res := RecoveryResult{Scale: o.Scale, Ops: cfg.Ops, Seed: o.Seed, Agree: true}
+	res := recoveryResult{Scale: o.Scale, Ops: ops, Seed: o.Seed, Agree: true}
 
 	spec := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed}
 	ds := datagen.Generate(spec)
-	muts := recoveryMutations(ds, cfg.Ops, o.Seed+11)
+	muts := recoveryMutations(ds, ops, o.Seed+11)
 	probeWs := ds.Windows(0.01, 8, o.Seed+13)
 	probePts := ds.Points(8, o.Seed+17)
 	p := disk.DefaultParams()
@@ -223,9 +189,9 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 	// the cluster organization. Automatic checkpoints are disabled so the
 	// log holds the whole stream and the fsync count is a pure function of
 	// the batch size.
-	for _, se := range cfg.SyncEvery {
+	for _, se := range syncEvery {
 		wdir := filepath.Join(dir, fmt.Sprintf("append-%d", se))
-		b := Build(OrgCluster, ds, o.BuildBufPages)
+		b := build(orgCluster, ds, o.storeConfig())
 		ws, err := wal.Create(b.Org, wdir, wal.Options{SyncEvery: se, CheckpointBytes: -1})
 		if err != nil {
 			panic(fmt.Sprintf("exp: recovery bench: %v", err))
@@ -236,14 +202,14 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 		st := ws.Log().Stats()
 		modelMS := float64(st.Syncs)*(p.SeekMS+p.LatencyMS) +
 			float64((st.Bytes+disk.PageSize-1)/disk.PageSize)*p.TransferMS
-		res.Appends = append(res.Appends, RecoveryAppendRow{
+		res.Appends = append(res.Appends, recoveryAppendRow{
 			SyncEvery:     se,
-			Ops:           cfg.Ops,
+			Ops:           ops,
 			Fsyncs:        st.Syncs,
 			WALBytes:      st.Bytes,
 			ModelFsyncSec: modelMS / 1000,
 			WallAppendSec: wall.Seconds(),
-			WallPerOpUS:   wall.Seconds() * 1e6 / float64(cfg.Ops),
+			WallPerOpUS:   wall.Seconds() * 1e6 / float64(ops),
 		})
 		o.Progress("recovery: append sync_every=%d: %d fsyncs, %d KB, model %.1f s, wall %.3f s",
 			se, st.Syncs, st.Bytes/1024, modelMS/1000, wall.Seconds())
@@ -257,26 +223,26 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 	// log (a checkpoint covers the rest), then once more with the final
 	// record torn off.
 	arm := 0
-	for _, kind := range AllOrgs {
-		for _, tail := range append(append([]int{}, cfg.Tails...), -1) {
+	for _, kind := range allOrgs {
+		for _, tail := range tails {
 			torn := tail < 0
 			if torn {
-				tail = cfg.Ops
+				tail = ops
 			}
 			wdir := filepath.Join(dir, fmt.Sprintf("replay-%d", arm))
 			arm++
-			b := Build(kind, ds, o.BuildBufPages)
+			b := build(kind, ds, o.storeConfig())
 			ws, err := wal.Create(b.Org, wdir, wal.Options{CheckpointBytes: -1})
 			if err != nil {
 				panic(fmt.Sprintf("exp: recovery bench: %v", err))
 			}
-			applyAll(ws, muts[:cfg.Ops-tail])
-			if cfg.Ops-tail > 0 {
+			applyAll(ws, muts[:ops-tail])
+			if ops-tail > 0 {
 				if err := ws.Checkpoint(); err != nil {
 					panic(fmt.Sprintf("exp: recovery bench: %v", err))
 				}
 			}
-			applyAll(ws, muts[cfg.Ops-tail:])
+			applyAll(ws, muts[ops-tail:])
 
 			// Crash: drop ws without flushing or closing. The reference for
 			// the torn arm is a fresh store with the stream minus the record
@@ -288,8 +254,8 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 					panic(fmt.Sprintf("exp: recovery bench: %v", err))
 				}
 				wantReplay = tail - 1
-				fresh := Build(kind, ds, o.BuildBufPages)
-				applyAll(fresh.Org, muts[:cfg.Ops-1])
+				fresh := build(kind, ds, o.storeConfig())
+				applyAll(fresh.Org, muts[:ops-1])
 				ref = fresh.Org
 			}
 
@@ -297,14 +263,14 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 			start := time.Now()
 			// Recovery goes the way the daemon's does; the recovered store only
 			// answers probes, so the log's checkpoint threshold never matters.
-			rec, rst, err := spatialcluster.RecoverStore(spatialcluster.StoreConfig{
-				BufferPages: o.BuildBufPages, WALPath: wdir,
-			})
+			recCfg := o.storeConfig()
+			recCfg.WALPath = wdir
+			rec, rst, err := spatialcluster.RecoverStore(recCfg)
 			if err != nil {
 				panic(fmt.Sprintf("exp: recovery bench: %v", err))
 			}
 			wall := time.Since(start)
-			row := RecoveryReplayRow{
+			row := recoveryReplayRow{
 				Org:            string(kind),
 				TailRecords:    tail,
 				Torn:           torn,
@@ -329,7 +295,7 @@ func RecoveryBench(o Options, cfg RecoveryConfig) RecoveryResult {
 }
 
 // Render formats the result as a text report.
-func (r RecoveryResult) Render() string {
+func (r recoveryResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Recovery benchmark: WAL append overhead and crash replay (scale 1/%d, %d mutations)\n",
 		r.Scale, r.Ops)

@@ -4,21 +4,19 @@ import (
 	"testing"
 )
 
-// TestRecoveryBenchSmoke runs the recovery benchmark at a tiny scale and
-// checks its invariants: every recovered store agrees with its reference,
-// larger group-commit batches mean strictly fewer fsyncs, the torn arms
-// detect and discard exactly one record, and the log bytes of the append
-// sweep are independent of the batch size.
+// TestRecoveryBenchSmoke checks the preset run of the recovery benchmark for
+// its invariants: every recovered store agrees with its reference, larger
+// group-commit batches mean strictly fewer fsyncs, the torn arms detect and
+// discard exactly one record, and the log bytes of the append sweep are
+// independent of the batch size.
 func TestRecoveryBenchSmoke(t *testing.T) {
-	o := Options{Scale: 64, Seed: 5}
-	cfg := RecoveryConfig{Dir: t.TempDir(), Ops: 180, SyncEvery: []int{1, 8, 32}}
-	r := RecoveryBench(o, cfg)
+	r := preset(t, "recovery").(recoveryResult)
 
 	if !r.Agree {
 		t.Error("a recovered store disagreed with its never-crashed reference")
 	}
-	if len(r.Appends) != 3 {
-		t.Fatalf("append rows = %d, want 3", len(r.Appends))
+	if len(r.Appends) != 2 { // the preset's batch sizes 1 and 16
+		t.Fatalf("append rows = %d, want 2", len(r.Appends))
 	}
 	for i := 1; i < len(r.Appends); i++ {
 		if r.Appends[i].Fsyncs >= r.Appends[i-1].Fsyncs {
@@ -31,8 +29,8 @@ func TestRecoveryBenchSmoke(t *testing.T) {
 				r.Appends[i].SyncEvery, r.Appends[i].WALBytes, r.Appends[0].WALBytes)
 		}
 	}
-	if r.Appends[0].Fsyncs != int64(cfg.Ops) {
-		t.Errorf("sync_every 1: %d fsyncs, want one per op (%d)", r.Appends[0].Fsyncs, cfg.Ops)
+	if r.Appends[0].Fsyncs != int64(r.Ops) {
+		t.Errorf("sync_every 1: %d fsyncs, want one per op (%d)", r.Appends[0].Fsyncs, r.Ops)
 	}
 	if len(r.Replays) != 12 { // 3 organizations x (3 tails + 1 torn arm)
 		t.Fatalf("replay rows = %d, want 12", len(r.Replays))
@@ -47,15 +45,4 @@ func TestRecoveryBenchSmoke(t *testing.T) {
 				p.Org, p.TailRecords, p.Torn, p.Replayed, p.TornTail, want, p.Torn)
 		}
 	}
-}
-
-// TestRecoveryBenchModelDeterministic re-runs the benchmark on a second
-// configuration and requires the modelled columns to be identical.
-func TestRecoveryBenchModelDeterministic(t *testing.T) {
-	o := Options{Scale: 128, Seed: 9}
-	run := func() RecoveryResult {
-		return RecoveryBench(o, RecoveryConfig{
-			Dir: t.TempDir(), Ops: 90, SyncEvery: []int{1, 16}, Tails: []int{30, 90}})
-	}
-	sameModelled(t, run(), run())
 }

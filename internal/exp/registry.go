@@ -6,11 +6,12 @@ import (
 	"os"
 )
 
-// Result is what every experiment returns: a text report and the names of
+// result is what every experiment returns: a text report and the names of
 // the gating verdicts that came out false. A gating verdict is a correctness
 // invariant (answers agree, modelled cost is invariant); wall-clock ratios
-// are observations, shown by Render and never returned by Failed.
-type Result interface {
+// are observations, shown by Render and never returned by Failed. An engine
+// benchmark's result is also the JSON document WriteJSON writes.
+type result interface {
 	Render() string
 	Failed() []string
 }
@@ -30,7 +31,7 @@ type Experiment struct {
 	Sweep string
 	// Run executes the experiment. smoke selects the CI-sized preset kept
 	// beside the experiment's defaults; a nil sweep keeps the default axis.
-	Run func(o Options, smoke bool, sweep []int) Result
+	Run func(o Options, smoke bool, sweep []int) result
 }
 
 // The two group names -exp accepts next to experiment names.
@@ -40,40 +41,42 @@ const (
 )
 
 // figure adapts a paper table or figure — a report with nothing to gate —
-// to Result.
-type figure func() string
+// to result.
+type figure struct{ report interface{ Render() string } }
 
-func (f figure) Render() string { return f() }
+func (f figure) Render() string { return f.report.Render() }
 func (figure) Failed() []string { return nil }
 
+// paper registers the driver of a paper table or figure, which takes
+// neither a smoke preset nor a sweep.
+func paper[R interface{ Render() string }](name string, driver func(Options) R) Experiment {
+	return Experiment{Name: name, Run: func(o Options, _ bool, _ []int) result { return figure{driver(o)} }}
+}
+
 // Experiments lists every experiment in the order clusterbench runs them:
-// the paper's evaluation first, then the engine benchmarks.
+// the paper's evaluation first, then the engine benchmarks. It is the
+// package's API: everything else is reached through an entry's Run.
 func Experiments() []Experiment {
-	fig := func(name string, render func(Options) string) Experiment {
-		return Experiment{Name: name, Run: func(o Options, _ bool, _ []int) Result {
-			return figure(func() string { return render(o) })
-		}}
-	}
-	fig56 := fig("fig5", func(o Options) string { return Fig5And6(o).Render() })
+	fig56 := paper("fig5", fig5And6)
 	fig56.Alias = "fig6"
 	return []Experiment{
-		fig("table1", func(o Options) string { return Table1(o).Render() }),
+		paper("table1", table1),
 		fig56,
-		fig("fig7", func(o Options) string { return Fig7(o).Render() }),
-		fig("fig8", func(o Options) string { return Fig8(o).Render() }),
-		fig("fig10", func(o Options) string { return Fig10(o).Render() }),
-		fig("fig11", func(o Options) string { return Fig11(o).Render() }),
-		fig("fig12", func(o Options) string { return Fig12(o).Render() }),
-		fig("fig14", func(o Options) string { return Fig14(o).Render() }),
-		fig("fig16", func(o Options) string { return Fig16(o).Render() }),
-		fig("fig17", func(o Options) string { return Fig17(o).Render() }),
-		{Name: "parallel", Artifact: "BENCH_parallel.json", Sweep: "workers", Run: runParallel},
-		{Name: "dynamic", Artifact: "BENCH_dynamic.json", Run: runDynamic},
-		{Name: "knn", Artifact: "BENCH_knn.json", Run: runKNN},
-		{Name: "backend", Artifact: "BENCH_backend.json", Run: runBackend},
-		{Name: "server", Artifact: "BENCH_server.json", Sweep: "clients", Run: runServer},
-		{Name: "shard", Artifact: "BENCH_shard.json", Sweep: "shards", Run: runShard},
-		{Name: "recovery", Artifact: "BENCH_recovery.json", Run: runRecovery},
+		paper("fig7", fig7),
+		paper("fig8", fig8),
+		paper("fig10", fig10),
+		paper("fig11", fig11),
+		paper("fig12", fig12),
+		paper("fig14", fig14),
+		paper("fig16", fig16),
+		paper("fig17", fig17),
+		{Name: "parallel", Artifact: "BENCH_parallel.json", Sweep: "workers", Run: parallelBench},
+		{Name: "dynamic", Artifact: "BENCH_dynamic.json", Run: dynamicBench},
+		{Name: "knn", Artifact: "BENCH_knn.json", Run: knnBench},
+		{Name: "backend", Artifact: "BENCH_backend.json", Run: backendBench},
+		{Name: "server", Artifact: "BENCH_server.json", Sweep: "clients", Run: serverBench},
+		{Name: "shard", Artifact: "BENCH_shard.json", Sweep: "shards", Run: shardBench},
+		{Name: "recovery", Artifact: "BENCH_recovery.json", Run: recoveryBench},
 	}
 }
 

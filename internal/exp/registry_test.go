@@ -33,26 +33,66 @@ func sameModelled(t *testing.T, a, b any) {
 	}
 }
 
+// presetOptions is the Options every engine benchmark's smoke preset is
+// tested at.
+var presetOptions = Options{Scale: 512, Queries: 24, Seed: 7}
+
+// presets holds each engine benchmark's first run at presetOptions, so the
+// content checks of the Test*BenchSmoke tests read the run
+// TestExperimentsDeterministic made instead of making their own.
+var presets = map[string]result{}
+
+// preset returns the named engine benchmark's smoke run at presetOptions,
+// running it on first use.
+func preset(t *testing.T, name string) result {
+	t.Helper()
+	if r, ok := presets[name]; ok {
+		return r
+	}
+	sel, err := Select([]string{name})
+	if err != nil || len(sel) != 1 {
+		t.Fatalf("Select(%q) = %d experiments, err %v", name, len(sel), err)
+	}
+	r := sel[0].Run(presetOptions, true, nil)
+	presets[name] = r
+	return r
+}
+
 // TestExperimentsDeterministic is the reproducibility gate of every
 // artifact: each registered engine benchmark runs twice at its -smoke
 // preset; with the "wall lines stripped the two JSON documents must be
-// byte-identical, and no gating verdict may be false.
+// byte-identical, and no gating verdict may be false. Backend, dynamic, knn
+// and recovery also run twice on a second Options, of another scale, query
+// count and seed.
 func TestExperimentsDeterministic(t *testing.T) {
-	o := Options{Scale: 512, Queries: 24, Seed: 7}
+	second := Options{Scale: 256, Queries: 12, Seed: 9}
 	for _, e := range Experiments() {
 		if e.Artifact == "" {
 			continue
 		}
 		t.Run(e.Name, func(t *testing.T) {
-			a, b := e.Run(o, true, nil), e.Run(o, true, nil)
-			if f := append(a.Failed(), b.Failed()...); len(f) != 0 {
-				t.Fatalf("gating verdicts false: %v", f)
-			}
-			sameModelled(t, a, b)
-			if a.Render() == "" {
-				t.Fatal("empty render")
-			}
+			a, b := preset(t, e.Name), e.Run(presetOptions, true, nil)
+			sameRuns(t, a, b)
 		})
+		switch e.Name {
+		case "backend", "dynamic", "knn", "recovery":
+			t.Run(e.Name+"-seed9", func(t *testing.T) {
+				sameRuns(t, e.Run(second, true, nil), e.Run(second, true, nil))
+			})
+		}
+	}
+}
+
+// sameRuns fails unless two runs of one experiment gate true and agree on
+// every modelled column.
+func sameRuns(t *testing.T, a, b result) {
+	t.Helper()
+	if f := append(a.Failed(), b.Failed()...); len(f) != 0 {
+		t.Fatalf("gating verdicts false: %v", f)
+	}
+	sameModelled(t, a, b)
+	if a.Render() == "" {
+		t.Fatal("empty render")
 	}
 }
 

@@ -147,13 +147,13 @@ func replay(c *server.Client, ops []datagen.Op, refs []applied) bool {
 	return true
 }
 
-// ServedRun is the outcome of one measured arm. Requests, Answers and Errors
+// servedRun is the outcome of one measured arm. Requests, Answers and Errors
 // are functions of the stream and the store (byte-reproducible); every wall_
 // field is a real measurement, the latency quantiles at the ≤ 9 % bucket
 // resolution of obs.Histogram — the histogram /metrics reports. The
 // server-side fields are /metrics deltas over the arm, summed over every
 // store behind the client.
-type ServedRun struct {
+type servedRun struct {
 	Requests int `json:"requests"`
 	Answers  int `json:"answers"`
 	Errors   int `json:"errors"`
@@ -289,7 +289,7 @@ func closed(ops []datagen.Op, clients int) func(doFunc) *load {
 // scrape of the stores behind it: the server itself, or every shard of a
 // cluster. A failed scrape leaves the server-side fields zero rather than
 // failing the run — observation must not break the measurement.
-func measure(c *server.Client, stores []*server.Client, drive func(doFunc) *load) ServedRun {
+func measure(c *server.Client, stores []*server.Client, drive func(doFunc) *load) servedRun {
 	before, errBefore := scrape(stores)
 	l := drive(func(op datagen.Op) (int, error) {
 		ids, _, err := send(c, op)
@@ -299,7 +299,7 @@ func measure(c *server.Client, stores []*server.Client, drive func(doFunc) *load
 
 	lat := l.lat.Snapshot()
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	run := ServedRun{
+	run := servedRun{
 		Requests:  int(lat.Count),
 		Answers:   int(l.answers.Load()),
 		Errors:    int(l.errors.Load()),
@@ -368,7 +368,7 @@ func startShardCluster(o Options, ds *datagen.Dataset, n, clients int) (*shardCl
 	}
 	for s := 0; s < n; s++ {
 		sub := ds.Subset(func(key geom.Rect) bool { return pmap.ShardOfKey(key) == s })
-		org := Build(OrgCluster, sub, o.BuildBufPages).Org
+		org := build(orgCluster, sub, o.storeConfig()).Org
 		c, stop := startServer(org, server.Config{MaxInFlight: clients + 1})
 		stops = append(stops, stop)
 		c.Binary = true

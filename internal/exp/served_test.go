@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/server"
 )
@@ -123,7 +124,7 @@ func TestOpenLoop(t *testing.T) {
 func TestMeasureSurvivesFailedScrape(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 2})
 	ops := ds.Stream(datagen.StreamSpec{N: 40, WindowArea: streamWindowArea, K: streamK, Seed: 5})
-	org := Build(OrgCluster, ds, 64).Org
+	org := build(orgCluster, ds, spatialcluster.StoreConfig{BufferPages: 64}).Org
 	want, _ := sumAnswers(applyAll(org, ops))
 	client, stop := startServer(org, server.Config{})
 	defer stop()

@@ -17,51 +17,18 @@ import (
 // the default server, at the largest client count; and the 2Q admission
 // policy against LRU on a scan-polluted hotspot workload.
 
-// ServerConfig tunes the serving benchmark.
-type ServerConfig struct {
-	// Clients are the closed-loop client counts of the sweep (default
-	// {1, 2, 4, 8, 16}).
-	Clients []int
-	// Requests is the stream length per run (default 360).
-	Requests int
-	// Throttle is the disk wall-clock factor of the measured runs (default
-	// 0.02: a 15 ms modelled request sleeps 300 µs).
-	Throttle float64
-	// AdmissionOps is the length of the admission rows' hotspot workload
-	// (default 1500).
-	AdmissionOps int
-	// AdmissionBufPages is the serving buffer of the admission rows (default
-	// 192 pages — small enough that sequential scans flood plain LRU).
-	AdmissionBufPages int
-}
-
-func (c ServerConfig) withDefaults() ServerConfig {
-	if len(c.Clients) == 0 {
-		c.Clients = []int{1, 2, 4, 8, 16}
-	}
-	if c.Requests <= 0 {
-		c.Requests = 360
-	}
-	if c.Throttle <= 0 {
-		c.Throttle = 0.02
-	}
-	if c.AdmissionOps <= 0 {
-		c.AdmissionOps = 1500
-	}
-	if c.AdmissionBufPages <= 0 {
-		c.AdmissionBufPages = 192
-	}
-	return c
-}
+// servedThrottle is the disk wall-clock factor of the measured runs of the
+// server and shard benchmarks: a 15 ms modelled request sleeps 300 µs.
+const servedThrottle = 0.02
 
 // openRateX scales the offered rate of the open-loop arm relative to the
 // serial server's capacity 1/serviceTime: offered load twice what serialized
 // execution could absorb.
 const openRateX = 2
 
-// ServerModel is the deterministic reference row of one organization: the
+// serverModel is the deterministic reference row of one organization: the
 // whole stream executed serially in-process, modelled cost only.
-type ServerModel struct {
+type serverModel struct {
 	Org           string  `json:"org"`
 	Requests      int     `json:"requests"`
 	Answers       int     `json:"answers"`
@@ -70,8 +37,8 @@ type ServerModel struct {
 	ModelMSPerReq float64 `json:"model_ms_per_request"`
 }
 
-// ServerRun is one measured arm: organization × mode × client count.
-type ServerRun struct {
+// serverRun is one measured arm: organization × mode × client count.
+type serverRun struct {
 	Org string `json:"org"`
 	// Mode is how the arm was served: "serial" (MaxBatch 1: one request at a
 	// time) and "batched" (the default server: concurrent queries,
@@ -81,14 +48,14 @@ type ServerRun struct {
 	// count; "open" (the default server, Poisson arrivals, clients 0).
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
-	ServedRun
+	servedRun
 }
 
-// ServerAdmissionRun is one replacement policy serving the same hotspot+scan
+// serverAdmissionRun is one replacement policy serving the same hotspot+scan
 // workload over HTTP. Hits and misses are /metrics deltas; the drive is
 // serial, so they are deterministic — but they describe buffer policy
 // behaviour, not the paper's cost model.
-type ServerAdmissionRun struct {
+type serverAdmissionRun struct {
 	Policy   string  `json:"policy"` // "lru" or "2q"
 	Ops      int     `json:"ops"`
 	Answers  int     `json:"answers"`
@@ -97,9 +64,9 @@ type ServerAdmissionRun struct {
 	HitRatio float64 `json:"buffer_hit_ratio"`
 }
 
-// ServerResult is the outcome of the serving benchmark, emitted as
+// serverResult is the outcome of the serving benchmark, emitted as
 // BENCH_server.json.
-type ServerResult struct {
+type serverResult struct {
 	Scale             int     `json:"scale"`
 	Requests          int     `json:"requests"`
 	Seed              int64   `json:"seed"`
@@ -111,9 +78,9 @@ type ServerResult struct {
 	AdmissionBufPages int     `json:"admission_buf_pages"`
 	GOMAXPROCS        int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 
-	Model     []ServerModel        `json:"model"`
-	Runs      []ServerRun          `json:"runs"`
-	Admission []ServerAdmissionRun `json:"admission"`
+	Model     []serverModel        `json:"model"`
+	Runs      []serverRun          `json:"runs"`
+	Admission []serverAdmissionRun `json:"admission"`
 
 	// Agree: every answer served over HTTP — plain and traced, request by
 	// request — was identical to the serial in-process answer. Held in go
@@ -133,57 +100,60 @@ type ServerResult struct {
 	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
 }
 
-// Failed implements Result.
-func (r ServerResult) Failed() []string {
+// Failed implements result.
+func (r serverResult) Failed() []string {
 	return failed(verdict{"agree", r.Agree}, verdict{"admission_at_least_lru", r.AdmissionAtLeastLRU})
 }
 
-func runServer(o Options, smoke bool, sweep []int) Result {
-	cfg := ServerConfig{Clients: sweep}
-	if smoke {
-		o = o.smoke(0)
-		cfg.Requests, cfg.AdmissionOps, cfg.AdmissionBufPages = 120, 600, 96
-		if len(sweep) == 0 {
-			cfg.Clients = []int{1, 8}
-		}
-	}
-	return ServerBench(o, cfg)
-}
-
-// ServerBench measures the serving layer: all three organizations are built
+// serverBench measures the serving layer: all three organizations are built
 // from the same dataset and served over HTTP; every mode is first replayed
 // serially against the in-process reference answers, then the deterministic
 // stream runs through the closed-loop client sweep against the serialized
 // and the default server, once traced at the largest client count,
 // and once open-loop at more load than serialized execution could absorb. The modelled reference columns and
 // the admission rows are byte-reproducible.
-func ServerBench(o Options, cfg ServerConfig) ServerResult {
+//
+// The stream has 360 requests and the client sweep is 1, 2, 4, 8 and 16;
+// the admission rows run 1500 ops on a 192-page buffer, small enough that
+// sequential scans flood plain LRU. The smoke preset runs 120 requests from
+// 1 and 8 clients and 600 admission ops on 96 pages.
+func serverBench(o Options, smoke bool, sweep []int) result {
 	o = o.WithDefaults()
-	cfg = cfg.withDefaults()
+	clients, requests, admissionOps, admissionBuf := sweep, 360, 1500, 192
+	if smoke {
+		o = o.smoke(0)
+		requests, admissionOps, admissionBuf = 120, 600, 96
+		if len(clients) == 0 {
+			clients = []int{1, 8}
+		}
+	}
+	if len(clients) == 0 {
+		clients = []int{1, 2, 4, 8, 16}
+	}
 	spec := datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed}
 	ds := datagen.Generate(spec)
 	stream := ds.Stream(datagen.StreamSpec{
-		N: cfg.Requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 4,
+		N: requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 4,
 	})
-	maxClients := cfg.Clients[len(cfg.Clients)-1]
+	maxClients := clients[len(clients)-1]
 
-	res := ServerResult{
+	res := serverResult{
 		Scale:             o.Scale,
-		Requests:          cfg.Requests,
+		Requests:          requests,
 		Seed:              o.Seed,
-		Clients:           cfg.Clients,
-		Throttle:          cfg.Throttle,
+		Clients:           clients,
+		Throttle:          servedThrottle,
 		WindowArea:        streamWindowArea,
 		K:                 streamK,
-		AdmissionOps:      cfg.AdmissionOps,
-		AdmissionBufPages: cfg.AdmissionBufPages,
+		AdmissionOps:      admissionOps,
+		AdmissionBufPages: admissionBuf,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		Agree:             true,
 		WallBatchGain:     true,
 	}
 	gainMeasured := false
-	for _, kind := range AllOrgs {
-		org := Build(kind, ds, o.BuildBufPages).Org
+	for _, kind := range allOrgs {
+		org := build(kind, ds, o.storeConfig()).Org
 		params := org.Env().Params()
 		o.Progress("server: built %s (scale %d)", kind, o.Scale)
 
@@ -192,7 +162,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		before := org.Env().Disk.Cost()
 		refs := applyAll(org, stream)
 		cost := org.Env().Disk.Cost().Sub(before)
-		model := ServerModel{Org: string(kind), Requests: len(stream)}
+		model := serverModel{Org: string(kind), Requests: len(stream)}
 		model.Answers, model.Candidates = sumAnswers(refs)
 		model.ModelIOSec = cost.TimeSec(params)
 		model.ModelMSPerReq = cost.TimeMS(params) / float64(len(stream))
@@ -215,44 +185,44 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 		// concurrency: admission control is a production guard, not part of
 		// the measurement — a 429 would make the deterministic answer and
 		// error counts timing-dependent.
-		setThrottle(cfg.Throttle, org)
+		setThrottle(servedThrottle, org)
 		type armKey struct {
 			mode    string
 			clients int
 		}
 		qps := map[armKey]float64{}
-		measured := func(mode string, clients int, traced bool, scfg server.Config, drive func(doFunc) *load) {
+		measured := func(mode string, n int, traced bool, scfg server.Config, drive func(doFunc) *load) {
 			client, stop := startServer(org, scfg)
 			defer stop()
-			run := ServerRun{Org: string(kind), Mode: mode, Clients: clients,
-				ServedRun: measure(view(client, traced), []*server.Client{client}, drive)}
-			qps[armKey{mode, clients}] = run.WallQPS
+			run := serverRun{Org: string(kind), Mode: mode, Clients: n,
+				servedRun: measure(view(client, traced), []*server.Client{client}, drive)}
+			qps[armKey{mode, n}] = run.WallQPS
 			res.Runs = append(res.Runs, run)
 			o.Progress("server: %s %s clients=%d %.0f qps p95=%.2f ms",
-				kind, mode, clients, run.WallQPS, run.WallP95MS)
+				kind, mode, n, run.WallQPS, run.WallP95MS)
 		}
 		for _, mode := range []string{"serial", "batched"} {
-			for _, clients := range cfg.Clients {
-				scfg := server.Config{MaxInFlight: clients + 1}
+			for _, n := range clients {
+				scfg := server.Config{MaxInFlight: n + 1}
 				if mode == "serial" {
 					scfg.MaxBatch = 1 // every request holds the organization lock alone
 				}
-				measured(mode, clients, false, scfg, closed(stream, clients))
+				measured(mode, n, false, scfg, closed(stream, n))
 			}
 		}
 		measured("traced", maxClients, true, server.Config{MaxInFlight: maxClients + 1},
 			closed(stream, maxClients))
 		// Open loop: the offered rate derives from the modelled service time
 		// (deterministic config). Queueing delay shows in the quantiles.
-		rate := openRateX * 1000 / (model.ModelMSPerReq * cfg.Throttle)
+		rate := openRateX * 1000 / (model.ModelMSPerReq * servedThrottle)
 		measured("open", 0, false, server.Config{MaxInFlight: len(stream) + 1},
 			func(do doFunc) *load { return openLoop(do, stream, rate, o.Seed+5) })
 		setThrottle(0, org)
 
-		for _, clients := range cfg.Clients {
-			if clients >= 8 {
+		for _, n := range clients {
+			if n >= 8 {
 				gainMeasured = true
-				if qps[armKey{"batched", clients}] <= qps[armKey{"serial", clients}] {
+				if qps[armKey{"batched", n}] <= qps[armKey{"serial", n}] {
 					res.WallBatchGain = false
 				}
 			}
@@ -267,7 +237,7 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 	// must not claim a win.
 	res.WallBatchGain = res.WallBatchGain && gainMeasured
 
-	res.Admission = admissionRuns(o, cfg, ds)
+	res.Admission = admissionRuns(o, ds, admissionOps, admissionBuf)
 	res.AdmissionAtLeastLRU = res.Admission[1].HitRatio >= res.Admission[0].HitRatio
 	return res
 }
@@ -278,23 +248,23 @@ func ServerBench(o Options, cfg ServerConfig) ServerResult {
 // exists for. Hit ratios come from /metrics deltas over the serving phase
 // (construction warms the buffer differently per policy and is not what the
 // rows compare).
-func admissionRuns(o Options, cfg ServerConfig, ds *datagen.Dataset) []ServerAdmissionRun {
+func admissionRuns(o Options, ds *datagen.Dataset, n, bufPages int) []serverAdmissionRun {
 	ops := ds.MixedWorkload(datagen.MixSpec{
-		Ops:        cfg.AdmissionOps,
+		Ops:        n,
 		InsertFrac: 0.05, DeleteFrac: 0.05, UpdateFrac: 0.1, QueryFrac: 0.8,
 		HotspotFrac: 0.9, HotspotSide: 0.15, WindowArea: 0.002,
 		Seed: o.Seed + 16,
 	})
 	scans := ds.Windows(0.12, 16, o.Seed+17)
 
-	var runs []ServerAdmissionRun
+	var runs []serverAdmissionRun
 	for _, pol := range []string{"lru", "2q"} {
-		org := BuildWith(OrgCluster, ds, spatialcluster.StoreConfig{
-			BufferPages: cfg.AdmissionBufPages, BufferPolicy: pol,
+		org := build(orgCluster, ds, spatialcluster.StoreConfig{
+			BufferPages: bufPages, BufferPolicy: pol,
 		}).Org
 		client, stop := startServer(org, server.Config{MaxInFlight: 4})
 
-		run := ServerAdmissionRun{Policy: pol, Ops: len(ops)}
+		run := serverAdmissionRun{Policy: pol, Ops: len(ops)}
 		m0, err := client.Metrics()
 		for i := 0; i < len(ops) && err == nil; i++ {
 			var ids, scanned []uint64
@@ -323,7 +293,7 @@ func admissionRuns(o Options, cfg ServerConfig, ds *datagen.Dataset) []ServerAdm
 }
 
 // Render formats the result as a text report.
-func (r ServerResult) Render() string {
+func (r serverResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Serving benchmark (scale=%d, %d requests/run, throttle %gx, GOMAXPROCS=%d)\n",
 		r.Scale, r.Requests, r.Throttle, r.GOMAXPROCS)

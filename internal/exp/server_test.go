@@ -4,37 +4,29 @@ import (
 	"testing"
 )
 
-// TestServerBenchSmoke runs a miniature serving benchmark end to end and
-// checks its structure: HTTP answers agree with in-process execution in
+// TestServerBenchSmoke checks the structure of the serving benchmark's preset
+// run: HTTP answers agree with in-process execution in
 // every wire form, every arm reports the same deterministic answer count as
 // the modelled reference, and both admission policies served the same
 // answers from different hit counts. (Determinism across runs is the
 // registry test's.)
 func TestServerBenchSmoke(t *testing.T) {
-	o := Options{Scale: 1024, Seed: 7}
-	cfg := ServerConfig{
-		Clients:           []int{1, 4},
-		Requests:          40,
-		Throttle:          0.001,
-		AdmissionOps:      200,
-		AdmissionBufPages: 48,
-	}
-	r := ServerBench(o, cfg)
+	r := preset(t, "server").(serverResult)
 
 	if f := r.Failed(); len(f) != 0 {
 		t.Fatalf("gating verdicts false: %v", f)
 	}
-	if len(r.Model) != len(AllOrgs) {
-		t.Fatalf("%d model rows, want %d", len(r.Model), len(AllOrgs))
+	if len(r.Model) != len(allOrgs) {
+		t.Fatalf("%d model rows, want %d", len(r.Model), len(allOrgs))
 	}
 	// serial+batched sweeps plus one traced and one open arm
-	wantRuns := len(AllOrgs) * (2*len(cfg.Clients) + 2)
+	wantRuns := len(allOrgs) * (2*len(r.Clients) + 2)
 	if len(r.Runs) != wantRuns {
 		t.Fatalf("%d runs, want %d", len(r.Runs), wantRuns)
 	}
 	answersByOrg := map[string]int{}
 	for _, m := range r.Model {
-		if m.Requests != cfg.Requests || m.Answers == 0 || m.ModelIOSec <= 0 {
+		if m.Requests != r.Requests || m.Answers == 0 || m.ModelIOSec <= 0 {
 			t.Fatalf("implausible model row %+v", m)
 		}
 		answersByOrg[m.Org] = m.Answers
@@ -57,7 +49,7 @@ func TestServerBenchSmoke(t *testing.T) {
 		}
 	}
 	for _, mode := range []string{"traced", "open"} {
-		if modes[mode] != len(AllOrgs) {
+		if modes[mode] != len(allOrgs) {
 			t.Fatalf("%d %s runs, want one per organization", modes[mode], mode)
 		}
 	}

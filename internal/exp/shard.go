@@ -20,46 +20,9 @@ import (
 // reports queries/sec per shard and scale-out efficiency relative to one
 // shard, with tracing on and off.
 
-// ShardConfig tunes the sharding benchmark.
-type ShardConfig struct {
-	// Counts are the swept shard counts (default {1, 2, 4, 8}).
-	Counts []int
-	// Requests is the query-stream length (default 240).
-	Requests int
-	// ChurnOps is the length of the mixed mutation workload routed through
-	// the router between the fresh and the churned agreement pass (default
-	// 400).
-	ChurnOps int
-	// Clients is the closed-loop client count of the wall-clock arms
-	// (default 16).
-	Clients int
-	// Throttle is the disk wall-clock factor of the measured runs (default
-	// 0.02), applied to every shard's modelled disk.
-	Throttle float64
-}
-
-func (c ShardConfig) withDefaults() ShardConfig {
-	if len(c.Counts) == 0 {
-		c.Counts = []int{1, 2, 4, 8}
-	}
-	if c.Requests <= 0 {
-		c.Requests = 240
-	}
-	if c.ChurnOps <= 0 {
-		c.ChurnOps = 400
-	}
-	if c.Clients <= 0 {
-		c.Clients = 16
-	}
-	if c.Throttle <= 0 {
-		c.Throttle = 0.02
-	}
-	return c
-}
-
-// ShardModel is the deterministic row of one shard count: how the partition
+// shardModel is the deterministic row of one shard count: how the partition
 // splits the data and how the stream routes across it.
-type ShardModel struct {
+type shardModel struct {
 	Shards  int `json:"shards"`
 	Objects int `json:"objects"`
 	// Balance of the partition over the dataset keys.
@@ -71,25 +34,25 @@ type ShardModel struct {
 	MeanFanout float64 `json:"mean_fanout"`
 }
 
-// ShardRun is one measured arm: shard count × mode, closed loop through the
+// shardRun is one measured arm: shard count × mode, closed loop through the
 // router on the churned cluster.
-type ShardRun struct {
+type shardRun struct {
 	Shards int `json:"shards"`
 	// Mode is "json" (the public edge's codec; the router → shard hop is
 	// binary) or "traced" (every request asking for the cluster-wide span
 	// tree).
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
-	ServedRun
+	servedRun
 	WallQPSPerShard float64 `json:"wall_qps_per_shard"`
 	// WallEfficiencyX is qps(n) / (n * qps(1)) within the mode: 1.0 is
 	// perfect scale-out.
 	WallEfficiencyX float64 `json:"wall_efficiency_x"`
 }
 
-// ShardResult is the outcome of the sharding benchmark, emitted as
+// shardResult is the outcome of the sharding benchmark, emitted as
 // BENCH_shard.json.
-type ShardResult struct {
+type shardResult struct {
 	Scale      int     `json:"scale"`
 	Requests   int     `json:"requests"`
 	ChurnOps   int     `json:"churn_ops"`
@@ -108,8 +71,8 @@ type ShardResult struct {
 	ChurnAnswers    int `json:"churn_answers"`
 	ChurnCandidates int `json:"churn_candidates"`
 
-	Model []ShardModel `json:"model"`
-	Runs  []ShardRun   `json:"runs"`
+	Model []shardModel `json:"model"`
+	Runs  []shardRun   `json:"runs"`
 
 	// Agree: at every shard count, every answer served through the router —
 	// fresh, and churned in every mode — and every mutation verdict of the
@@ -122,25 +85,13 @@ type ShardResult struct {
 	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
 }
 
-// Failed implements Result.
-func (r ShardResult) Failed() []string { return failed(verdict{"agree", r.Agree}) }
-
-func runShard(o Options, smoke bool, sweep []int) Result {
-	cfg := ShardConfig{Counts: sweep}
-	if smoke {
-		o = o.smoke(0)
-		cfg.Requests, cfg.ChurnOps, cfg.Clients = 80, 200, 8
-		if len(sweep) == 0 {
-			cfg.Counts = []int{1, 2, 4}
-		}
-	}
-	return ShardBench(o, cfg)
-}
+// Failed implements result.
+func (r shardResult) Failed() []string { return failed(verdict{"agree", r.Agree}) }
 
 // shardModelRow computes the deterministic partition row for one shard count.
-func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []datagen.Op) ShardModel {
+func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []datagen.Op) shardModel {
 	counts := pmap.Counts(ds.MBRs)
-	row := ShardModel{Shards: pmap.N(), Objects: len(ds.Objects)}
+	row := shardModel{Shards: pmap.N(), Objects: len(ds.Objects)}
 	row.MinShardObjects = counts[0]
 	for _, c := range counts {
 		row.MinShardObjects = min(row.MinShardObjects, c)
@@ -173,7 +124,7 @@ var shardModes = []struct {
 	traced bool
 }{{"json", false}, {"traced", true}}
 
-// ShardBench measures the sharded cluster: for every swept shard count the
+// shardBench measures the sharded cluster: for every swept shard count the
 // dataset is Hilbert-range partitioned, each shard is served over HTTP, and
 // the scatter-gather router in front answers the same deterministic query
 // stream — verified request-by-request against a single never-sharded store,
@@ -181,25 +132,39 @@ var shardModes = []struct {
 // the router. The wall-clock arms then drive a closed loop through the
 // router on throttled disks, per mode, and report throughput per shard and
 // scale-out efficiency against the one-shard run.
-func ShardBench(o Options, cfg ShardConfig) ShardResult {
+//
+// The shard counts are 1, 2, 4 and 8, the stream has 240 requests, the
+// churn 400 ops, and 16 clients drive the wall-clock arms; the smoke preset
+// runs 1, 2 and 4 shards, 80 requests, 200 churn ops and 8 clients.
+func shardBench(o Options, smoke bool, sweep []int) result {
 	o = o.WithDefaults()
-	cfg = cfg.withDefaults()
+	counts, requests, churnOps, clients := sweep, 240, 400, 16
+	if smoke {
+		o = o.smoke(0)
+		requests, churnOps, clients = 80, 200, 8
+		if len(counts) == 0 {
+			counts = []int{1, 2, 4}
+		}
+	}
+	if len(counts) == 0 {
+		counts = []int{1, 2, 4, 8}
+	}
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: o.Scale, Seed: o.Seed,
 	})
 	stream := ds.Stream(datagen.StreamSpec{
-		N: cfg.Requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 6,
+		N: requests, WindowArea: streamWindowArea, K: streamK, Seed: o.Seed + 6,
 	})
-	ops := ds.MixedWorkload(datagen.MixSpec{Ops: cfg.ChurnOps, HotspotFrac: 0.5, Seed: o.Seed + 7})
+	ops := ds.MixedWorkload(datagen.MixSpec{Ops: churnOps, HotspotFrac: 0.5, Seed: o.Seed + 7})
 
-	res := ShardResult{
+	res := shardResult{
 		Scale:      o.Scale,
-		Requests:   cfg.Requests,
-		ChurnOps:   cfg.ChurnOps,
+		Requests:   requests,
+		ChurnOps:   churnOps,
 		Seed:       o.Seed,
-		Counts:     cfg.Counts,
-		Clients:    cfg.Clients,
-		Throttle:   cfg.Throttle,
+		Counts:     counts,
+		Clients:    clients,
+		Throttle:   servedThrottle,
 		WindowArea: streamWindowArea,
 		K:          streamK,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -208,7 +173,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 
 	// The reference: the whole dataset in one store, the stream answered
 	// serially in-process, the churn applied directly.
-	ref := Build(OrgCluster, ds, o.BuildBufPages).Org
+	ref := build(orgCluster, ds, o.storeConfig()).Org
 	freshRefs := applyAll(ref, stream)
 	res.FreshAnswers, res.FreshCandidates = sumAnswers(freshRefs)
 	opRefs := applyAll(ref, ops)
@@ -218,11 +183,11 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 		len(ds.Objects), res.FreshAnswers, res.ChurnAnswers)
 
 	oneShardQPS := map[string]float64{}
-	for _, n := range cfg.Counts {
+	for _, n := range counts {
 		m := shardModelRow(shard.FromKeys(ds.MBRs, n), ds, stream)
 		res.Model = append(res.Model, m)
 
-		sc, err := startShardCluster(o, ds, n, cfg.Clients)
+		sc, err := startShardCluster(o, ds, n, clients)
 		if err != nil {
 			// A malformed sweep (shard count the partition cannot express)
 			// is a configuration error, not a measurement.
@@ -248,11 +213,11 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 
 		// Wall-clock arms: throttled shard disks, closed loop through the
 		// router, shard-side counters bracketed across all shards.
-		setThrottle(cfg.Throttle, sc.orgs...)
+		setThrottle(servedThrottle, sc.orgs...)
 		var untraced float64
 		for _, mode := range shardModes {
-			run := ShardRun{Shards: n, Mode: mode.name, Clients: cfg.Clients,
-				ServedRun: measure(view(sc.client, mode.traced), sc.shards, closed(stream, cfg.Clients))}
+			run := shardRun{Shards: n, Mode: mode.name, Clients: clients,
+				servedRun: measure(view(sc.client, mode.traced), sc.shards, closed(stream, clients))}
 			run.WallQPSPerShard = run.WallQPS / float64(n)
 			if n == 1 {
 				oneShardQPS[mode.name] = run.WallQPS
@@ -274,7 +239,7 @@ func ShardBench(o Options, cfg ShardConfig) ShardResult {
 }
 
 // Render formats the result as a text report.
-func (r ShardResult) Render() string {
+func (r shardResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sharding benchmark (scale=%d, %d requests/run, %d churn ops, %d clients, throttle %gx, GOMAXPROCS=%d)\n",
 		r.Scale, r.Requests, r.ChurnOps, r.Clients, r.Throttle, r.GOMAXPROCS)

@@ -4,33 +4,25 @@ import (
 	"testing"
 )
 
-// TestShardBenchSmoke runs a miniature sharding benchmark end to end and
-// checks its structure: router answers agree with the single reference
+// TestShardBenchSmoke checks the structure of the sharding benchmark's preset
+// run: router answers agree with the single reference
 // store at every shard count (fresh, and after the routed churn in every
 // mode), and every wall run reports the deterministic post-churn answer
 // total. (Determinism across runs is the registry test's.)
 func TestShardBenchSmoke(t *testing.T) {
-	o := Options{Scale: 512, Seed: 7}
-	cfg := ShardConfig{
-		Counts:   []int{1, 2, 4},
-		Requests: 30,
-		ChurnOps: 80,
-		Clients:  4,
-		Throttle: 0.001,
-	}
-	r := ShardBench(o, cfg)
+	r := preset(t, "shard").(shardResult)
 
 	if !r.Agree {
 		t.Fatal("router answers differ from the single reference store")
 	}
-	if len(r.Model) != len(cfg.Counts) || len(r.Runs) != len(cfg.Counts)*len(shardModes) {
-		t.Fatalf("%d model rows, %d runs for %d shard counts", len(r.Model), len(r.Runs), len(cfg.Counts))
+	if len(r.Model) != len(r.Counts) || len(r.Runs) != len(r.Counts)*len(shardModes) {
+		t.Fatalf("%d model rows, %d runs for %d shard counts", len(r.Model), len(r.Runs), len(r.Counts))
 	}
 	if r.FreshAnswers == 0 || r.ChurnAnswers == 0 {
 		t.Fatalf("reference answered nothing: fresh %d, churned %d", r.FreshAnswers, r.ChurnAnswers)
 	}
 	for i, m := range r.Model {
-		if m.Shards != cfg.Counts[i] || m.Objects == 0 {
+		if m.Shards != r.Counts[i] || m.Objects == 0 {
 			t.Fatalf("implausible model row %+v", m)
 		}
 		if m.MinShardObjects > m.MaxShardObjects || m.MaxShardObjects > m.Objects {
@@ -44,7 +36,7 @@ func TestShardBenchSmoke(t *testing.T) {
 		}
 	}
 	for i, run := range r.Runs {
-		if run.Shards != cfg.Counts[i/len(shardModes)] || run.Mode != shardModes[i%len(shardModes)].name {
+		if run.Shards != r.Counts[i/len(shardModes)] || run.Mode != shardModes[i%len(shardModes)].name {
 			t.Fatalf("run %d is %d/%s", i, run.Shards, run.Mode)
 		}
 		if run.Errors != 0 {

@@ -6,8 +6,8 @@ import (
 	"spatialcluster/internal/datagen"
 )
 
-// Table1Row describes one test series (paper Table 1).
-type Table1Row struct {
+// table1Row describes one test series (paper Table 1).
+type table1Row struct {
 	Name         string
 	Objects      int
 	AvgSize      float64 // measured average object size in bytes
@@ -17,10 +17,10 @@ type Table1Row struct {
 	PaperTotalMB float64
 }
 
-// Table1Result holds the generated counterpart of paper Table 1.
-type Table1Result struct {
+// table1Result holds the generated counterpart of paper Table 1.
+type table1Result struct {
 	Scale int
-	Rows  []Table1Row
+	Rows  []table1Row
 }
 
 // allSpecs enumerates the six test series of Table 1 at the given scale.
@@ -42,14 +42,14 @@ var paperTotalMB = map[string]float64{
 	"A-2": 96.1, "B-2": 191.7, "C-2": 382.9,
 }
 
-// Table1 generates all six datasets and reports their measured
+// table1 generates all six datasets and reports their measured
 // characteristics next to the paper's targets.
-func Table1(o Options) Table1Result {
+func table1(o Options) table1Result {
 	o = o.WithDefaults()
-	res := Table1Result{Scale: o.Scale}
+	res := table1Result{Scale: o.Scale}
 	for _, spec := range allSpecs(o) {
 		ds := datagen.Generate(spec)
-		res.Rows = append(res.Rows, Table1Row{
+		res.Rows = append(res.Rows, table1Row{
 			Name:         spec.Name(),
 			Objects:      len(ds.Objects),
 			AvgSize:      ds.MeasuredAvgSize(),
@@ -64,7 +64,7 @@ func Table1(o Options) Table1Result {
 }
 
 // Render formats the result like Table 1.
-func (r Table1Result) Render() string {
+func (r table1Result) Render() string {
 	t := table{
 		Title:  fmt.Sprintf("Table 1: maps and test series (scale 1/%d)", r.Scale),
 		Header: []string{"series-map", "objects", "avg size (B)", "target (B)", "total (MB)", "paper total/scale (MB)", "Smax (KB)"},

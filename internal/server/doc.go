@@ -71,7 +71,7 @@
 //	GET  /metrics
 //	GET  /debug/slowlog, /healthz, /readyz
 //
-// The daemon wrapping this package is cmd/sdbd; the harness that drives it
-// with generated op streams, closed and open loop, and compares the default
-// server against serialized execution is exp.ServerBench (BENCH_server.json).
+// The daemon wrapping this package is cmd/sdbd. clusterbench -exp server
+// (BENCH_server.json) drives it with generated op streams, closed and open
+// loop, and compares the default server against serialized execution.
 package server

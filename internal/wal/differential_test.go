@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spatialcluster/internal/datagen"
-	"spatialcluster/internal/exp"
 	"spatialcluster/internal/faultinject"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
@@ -113,19 +112,7 @@ func diffAnswers(want, got map[string][]object.ID) error {
 }
 
 // allKinds is the organization comparison set of the differential suite.
-var allKinds = []exp.OrgKind{exp.OrgSecondary, exp.OrgPrimary, exp.OrgCluster}
-
-func kindSlug(kind exp.OrgKind) string {
-	switch kind {
-	case exp.OrgSecondary:
-		return "secondary"
-	case exp.OrgPrimary:
-		return "primary"
-	case exp.OrgCluster:
-		return "cluster"
-	}
-	return string(kind)
-}
+var allKinds = []string{"secondary", "primary", "cluster"}
 
 // TestKillAtN is the kill-at-N differential suite: build a store, wrap it in
 // a WAL, apply K single-op commits of a seeded mixed workload with a scripted
@@ -186,7 +173,7 @@ func TestKillAtN(t *testing.T) {
 	for _, kind := range allKinds {
 		ops := mutationOps(t, ds, K)
 		for _, tc := range cases {
-			t.Run(kindSlug(kind)+"/"+tc.name, func(t *testing.T) {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
 				dir := t.TempDir()
 				opts := wal.Options{SyncEvery: 1, CheckpointBytes: -1}
 				if tc.faults != nil {
@@ -259,7 +246,7 @@ func TestKillAfterCheckpoint(t *testing.T) {
 	const K = 60
 	ds := smallDataset()
 	for _, kind := range allKinds {
-		t.Run(kindSlug(kind), func(t *testing.T) {
+		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
 			ops := mutationOps(t, ds, K)
 			ws, err := wal.Create(buildOrg(kind, ds), dir, wal.Options{CheckpointBytes: -1})
@@ -308,7 +295,7 @@ func TestCrashTwice(t *testing.T) {
 	dir := t.TempDir()
 	ops := mutationOps(t, ds, K+extra)
 
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), dir, wal.Options{CheckpointBytes: -1})
+	ws, err := wal.Create(buildOrg("cluster", ds), dir, wal.Options{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +330,7 @@ func TestCrashTwice(t *testing.T) {
 		t.Fatalf("second recovery replayed %d records (torn %v), want %d clean", st.Replayed, st.TornTail, want)
 	}
 
-	ref := buildOrg(exp.OrgCluster, ds)
+	ref := buildOrg("cluster", ds)
 	applyRaw(ref, ops[:K-1]) // the torn record K never happened
 	applyRaw(ref, ops[K:])
 	if err := diffAnswers(answers(ref), answers(rec)); err != nil {

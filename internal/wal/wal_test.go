@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	sc "spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
-	"spatialcluster/internal/exp"
 	"spatialcluster/internal/faultinject"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
@@ -22,9 +22,14 @@ func smallDataset() *datagen.Dataset {
 	return datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 7})
 }
 
-// buildOrg builds a flushed organization of the given kind over ds.
-func buildOrg(kind exp.OrgKind, ds *datagen.Dataset) store.Organization {
-	return exp.Build(kind, ds, 64).Org
+// buildOrg builds a flushed organization of the given kind ("secondary",
+// "primary" or "cluster") over ds.
+func buildOrg(kind string, ds *datagen.Dataset) store.Organization {
+	org, err := sc.NewStore(kind, sc.StoreConfig{BufferPages: 64, SmaxBytes: ds.Spec.SmaxBytes()}, ds.Objects, ds.MBRs)
+	if err != nil {
+		panic(err)
+	}
+	return org
 }
 
 // memEnv is the newEnv recovery callback of the tests.
@@ -45,7 +50,7 @@ func testObject(id uint64) *object.Object {
 func TestGroupCommit(t *testing.T) {
 	ds := smallDataset()
 	t.Run("batch shares one fsync", func(t *testing.T) {
-		ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), t.TempDir(), wal.Options{SyncEvery: 1})
+		ws, err := wal.Create(buildOrg("cluster", ds), t.TempDir(), wal.Options{SyncEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +71,7 @@ func TestGroupCommit(t *testing.T) {
 		}
 	})
 	t.Run("SyncEvery accumulates", func(t *testing.T) {
-		ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), t.TempDir(), wal.Options{SyncEvery: 4})
+		ws, err := wal.Create(buildOrg("cluster", ds), t.TempDir(), wal.Options{SyncEvery: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +94,7 @@ func TestGroupCommit(t *testing.T) {
 func TestCheckpointRetiresSegments(t *testing.T) {
 	dir := t.TempDir()
 	ds := smallDataset()
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), dir, wal.Options{SegmentBytes: 512, CheckpointBytes: -1})
+	ws, err := wal.Create(buildOrg("cluster", ds), dir, wal.Options{SegmentBytes: 512, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +150,12 @@ func TestCheckpointRetiresSegments(t *testing.T) {
 func TestCreateRefusesExistingLog(t *testing.T) {
 	dir := t.TempDir()
 	ds := smallDataset()
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), dir, wal.Options{})
+	ws, err := wal.Create(buildOrg("cluster", ds), dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	if _, err := wal.Create(buildOrg(exp.OrgCluster, ds), dir, wal.Options{}); err == nil {
+	if _, err := wal.Create(buildOrg("cluster", ds), dir, wal.Options{}); err == nil {
 		t.Fatal("Create over an existing WAL directory succeeded")
 	} else if !strings.Contains(err.Error(), "already holds") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -169,7 +174,7 @@ func TestRecoverErrors(t *testing.T) {
 		dir := t.TempDir()
 		ds := smallDataset()
 		// Tiny segments put early records in non-final segments.
-		ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), dir, wal.Options{SegmentBytes: 512, CheckpointBytes: -1})
+		ws, err := wal.Create(buildOrg("cluster", ds), dir, wal.Options{SegmentBytes: 512, CheckpointBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +210,7 @@ func TestMutatorPanicsOnLogFailure(t *testing.T) {
 	ds := smallDataset()
 	// Op 1 is the segment header; op 2 is the first record write.
 	fs := faultinject.NewFS(map[int64]faultinject.Kind{2: faultinject.Fail})
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), t.TempDir(), wal.Options{FS: fs})
+	ws, err := wal.Create(buildOrg("cluster", ds), t.TempDir(), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +232,7 @@ func TestCloseReportsFailedBackgroundCheckpoint(t *testing.T) {
 	// Op 1 is the segment header, op 2 the record write, op 3 the
 	// checkpoint's fsync.
 	fs := faultinject.NewFS(map[int64]faultinject.Kind{3: faultinject.Fail})
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, smallDataset()), t.TempDir(),
+	ws, err := wal.Create(buildOrg("cluster", smallDataset()), t.TempDir(),
 		wal.Options{SyncEvery: 8, CheckpointBytes: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +254,7 @@ func TestReclusterReplays(t *testing.T) {
 	ds := smallDataset()
 	ops := mutationOps(t, ds, 60)
 
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), dir, wal.Options{CheckpointBytes: -1})
+	ws, err := wal.Create(buildOrg("cluster", ds), dir, wal.Options{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +282,7 @@ func TestReclusterReplays(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", st.Replayed, want)
 	}
 
-	ref := buildOrg(exp.OrgCluster, ds)
+	ref := buildOrg("cluster", ds)
 	applyRaw(ref, ops[:30])
 	pol, err := recluster.ByName("threshold")
 	if err != nil {
@@ -293,7 +298,7 @@ func TestReclusterReplays(t *testing.T) {
 // TestUnknownPolicy checks Recluster's name validation.
 func TestUnknownPolicy(t *testing.T) {
 	ds := smallDataset()
-	ws, err := wal.Create(buildOrg(exp.OrgCluster, ds), t.TempDir(), wal.Options{})
+	ws, err := wal.Create(buildOrg("cluster", ds), t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

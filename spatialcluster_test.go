@@ -2,6 +2,7 @@ package spatialcluster_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +12,7 @@ import (
 	"testing"
 
 	sc "spatialcluster"
-	"spatialcluster/internal/exp"
+	"spatialcluster/internal/store"
 )
 
 // TestPublicAPIRoundTrip exercises the façade end to end: build each store
@@ -245,12 +246,38 @@ func probeAnswers(org sc.Organization, ws []sc.Rect, pts []sc.Point) [][]sc.Obje
 	return out
 }
 
-// TestNewStoreMatchesExpBuild holds the one builder against the experiment
-// harness's own construction (exp.Build: store.NewEnv and the store
-// constructors, in memory, LRU), for every organization on every backend and
-// buffer policy: same Stats, same answers, and the same modelled
-// construction cost — which is a function of the workload and the buffer
-// policy, never of the backend.
+// referenceBuild is the reference construction the builder is held
+// against: store.NewEnv and the organization constructors, in memory, LRU,
+// the objects inserted in generation order and flushed. It returns the
+// store and the modelled cost of its construction.
+func referenceBuild(t *testing.T, kind string, buddy int, ds *sc.Dataset, bufPages int) (sc.Organization, sc.Cost) {
+	t.Helper()
+	env := store.NewEnv(bufPages)
+	var org store.Organization
+	switch kind {
+	case "secondary":
+		org = store.NewSecondary(env)
+	case "primary":
+		org = store.NewPrimary(env)
+	default:
+		org = store.NewCluster(env, store.ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: buddy})
+	}
+	env.Disk.ResetCost()
+	for i, o := range ds.Objects {
+		if err := org.Insert(o, ds.MBRs[i]); err != nil {
+			t.Fatalf("reference %s: %v", kind, err)
+		}
+	}
+	org.Flush()
+	env.Buf.Clear()
+	return org, env.Disk.Cost()
+}
+
+// TestNewStoreMatchesExpBuild holds the one builder against the reference
+// construction (referenceBuild: store.NewEnv and the store constructors, in
+// memory, LRU), for every organization on every backend and buffer policy:
+// same Stats, same answers, and the same modelled construction cost — which
+// is a function of the workload and the buffer policy, never of the backend.
 func TestNewStoreMatchesExpBuild(t *testing.T) {
 	ds := sc.GenerateMap(sc.MapSpec{Map: sc.Map1, Series: sc.SeriesA, Scale: 256, Seed: 9})
 	ws, pts := ds.Windows(0.01, 10, 3), ds.Points(10, 4)
@@ -258,23 +285,22 @@ func TestNewStoreMatchesExpBuild(t *testing.T) {
 	for _, o := range []struct {
 		kind  string
 		buddy int
-		ref   exp.OrgKind
 	}{
-		{"secondary", 0, exp.OrgSecondary},
-		{"primary", 0, exp.OrgPrimary},
-		{"cluster", 0, exp.OrgCluster},
-		{"cluster", 3, exp.OrgClusterBuddy},
+		{"secondary", 0},
+		{"primary", 0},
+		{"cluster", 0},
+		{"cluster", 3},
 	} {
-		ref := exp.Build(o.ref, ds, buf)
-		want := probeAnswers(ref.Org, ws, pts)
+		ref, refCost := referenceBuild(t, o.kind, o.buddy, ds, buf)
+		refStats, want := ref.Stats(), probeAnswers(ref, ws, pts)
 		for _, pol := range []string{"lru", "2q"} {
-			polCost := ref.Cost // what the policy's first backend charged; LRU's must be the harness's
+			polCost := refCost // what the policy's first backend charged; LRU's must be the reference's
 			for i, b := range []sc.StoreConfig{
 				{},
 				{Backend: sc.BackendFile},
 				{Backend: sc.BackendFile, Compress: true},
 			} {
-				name := string(o.ref) + "/" + pol + "/" + b.Backend
+				name := fmt.Sprintf("%s(buddy %d)/%s/%s", o.kind, o.buddy, pol, b.Backend)
 				cfg := b
 				cfg.BufferPages, cfg.BufferPolicy = buf, pol
 				cfg.SmaxBytes, cfg.BuddySizes = ds.Spec.SmaxBytes(), o.buddy
@@ -292,11 +318,11 @@ func TestNewStoreMatchesExpBuild(t *testing.T) {
 				if cost != polCost {
 					t.Errorf("%s: construction cost %+v, want %+v", name, cost, polCost)
 				}
-				if st := org.Stats(); st != ref.Stats {
-					t.Errorf("%s: Stats %+v, want %+v", name, st, ref.Stats)
+				if st := org.Stats(); st != refStats {
+					t.Errorf("%s: Stats %+v, want %+v", name, st, refStats)
 				}
 				if got := probeAnswers(org, ws, pts); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: answers differ from exp.Build's", name)
+					t.Errorf("%s: answers differ from the reference's", name)
 				}
 				if err := sc.CloseStore(org); err != nil {
 					t.Errorf("%s: close: %v", name, err)
