@@ -490,11 +490,13 @@ func (m *Manager) Peek(id disk.PageID) ([]byte, bool) {
 
 // Get returns the content of page id, reading it from disk on a miss (one
 // single-page read request).
-func (m *Manager) Get(id disk.PageID) []byte { return m.GetTallied(id, nil) }
+func (m *Manager) Get(id disk.PageID) []byte { return m.GetTallied(id, nil, nil) }
 
 // GetTallied is Get that also counts the hit or miss, and charges the I/O it
-// causes, to t; a nil t counts in the global statistics alone.
-func (m *Manager) GetTallied(id disk.PageID, t *disk.Tally) []byte {
+// causes, to t; a nil t counts in the global statistics alone. A miss reads
+// into page, the caller's page-header scratch, which is left cleared; with
+// no capacity in page a miss allocates one.
+func (m *Manager) GetTallied(id disk.PageID, t *disk.Tally, page [][]byte) []byte {
 	if data, ok := m.Touch(id); ok {
 		m.hits.Add(1)
 		if t != nil {
@@ -506,7 +508,13 @@ func (m *Manager) GetTallied(id disk.PageID, t *disk.Tally) []byte {
 	if t != nil {
 		t.Misses++
 	}
-	data := m.d.ReadRun(id, 1, false, t)[0]
+	if cap(page) == 0 {
+		page = make([][]byte, 1)
+	}
+	page = page[:1]
+	m.d.ReadRun(id, page, false, t)
+	data := page[0]
+	page[0] = nil
 	m.insert(id, data, false, t)
 	return data
 }
@@ -553,25 +561,18 @@ func (m *Manager) unpinLocked(id disk.PageID) {
 	f.pins--
 }
 
-// PinPages pins every page of ids that is resident and returns the pinned
-// subset (the caller unpins exactly that subset with UnpinPages, leaving ids
-// alone in between: when every page was resident the subset is ids itself).
-func (m *Manager) PinPages(ids []disk.PageID) []disk.PageID {
+// PinPages pins every page of ids that is resident and appends the pinned
+// subset to pinned, returning the extended slice; the caller unpins exactly
+// that subset with UnpinPages.
+func (m *Manager) PinPages(pinned, ids []disk.PageID) []disk.PageID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, id := range ids {
+	for _, id := range ids {
 		if m.pinLocked(id) {
-			continue
+			pinned = append(pinned, id)
 		}
-		pinned := slices.Clone(ids[:i])
-		for _, id := range ids[i+1:] {
-			if m.pinLocked(id) {
-				pinned = append(pinned, id)
-			}
-		}
-		return pinned
 	}
-	return ids
+	return pinned
 }
 
 // UnpinPages releases one pin on every listed page.
@@ -636,23 +637,30 @@ func (m *Manager) Missing(pages, missing []disk.PageID, t *disk.Tally) []disk.Pa
 // frame.
 //
 // The plan's reads, and the write-backs its admissions force, are also
-// charged to t, if any.
-func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool, t *disk.Tally) {
+// charged to t, if any. Each run is read into pages, the caller's page-header
+// scratch, grown to the longest run when it is shorter; ExecutePlan returns it
+// cleared, for the caller to keep.
+func (m *Manager) ExecutePlan(runs []disk.Run, requested []disk.PageID, vector bool, t *disk.Tally, pages [][]byte) [][]byte {
 	for i, r := range runs {
+		if cap(pages) < r.N {
+			pages = make([][]byte, r.N)
+		}
+		data := pages[:r.N]
 		epoch := m.writeBacks.Load()
-		data := m.d.ReadRun(r.Start, r.N, i > 0, t)
-		for j := 0; j < r.N; j++ {
+		m.d.ReadRun(r.Start, data, i > 0, t)
+		for j := range data {
 			id := r.Start + disk.PageID(j)
 			if vector && !slices.Contains(requested, id) {
 				continue
 			}
-			page := data[j]
 			if m.writeBacks.Load() != epoch {
-				page = m.d.Peek(id)
+				m.d.PeekRun(id, data[j:j+1])
 			}
-			m.insert(id, page, false, t)
+			m.insert(id, data[j], false, t)
 		}
+		clear(data)
 	}
+	return pages
 }
 
 // pages returns the sorted IDs of the buffered pages, or of the dirty ones

@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -145,23 +146,25 @@ func TestMissing(t *testing.T) {
 	}
 }
 
-// TestPinPagesSubset: only resident pages are pinned and returned, and the
-// all-resident case hands the input back without allocating.
+// TestPinPagesSubset: only resident pages are pinned and returned, appended
+// to the caller's slice without allocating.
 func TestPinPagesSubset(t *testing.T) {
 	d := newDiskWithPages(t, 10)
 	m := New(d, 4)
 	m.Get(2)
 	m.Get(5)
 	ids := []disk.PageID{2, 7, 5, 8}
-	pinned := m.PinPages(ids)
+	pinned := m.PinPages(nil, ids)
 	if len(pinned) != 2 || pinned[0] != 2 || pinned[1] != 5 {
 		t.Fatalf("PinPages = %v, want [2 5]", pinned)
 	}
 	m.UnpinPages(pinned)
-	all := m.PinPages(ids[:1])
-	if len(all) != 1 || &all[0] != &ids[0] {
-		t.Fatalf("PinPages of resident pages = %v, want the input slice", all)
+	dst := make([]disk.PageID, 1, 4)
+	all := m.PinPages(dst, ids[:1])
+	if len(all) != 2 || all[1] != 2 || &all[0] != &dst[0] {
+		t.Fatalf("PinPages of resident pages = %v, want them appended to the caller's slice", all)
 	}
+	all = all[1:]
 	m.UnpinPages(all)
 	m.Get(1) // nothing stays pinned: the buffer can still evict
 	m.Get(3)
@@ -179,7 +182,7 @@ func TestExecutePlanNormalVsVector(t *testing.T) {
 	runs := []disk.Run{{Start: 2, N: 4}} // pages 2,3,4,5; requested only 2 and 5
 	req := []disk.PageID{2, 5}
 	before := d.Cost()
-	m.ExecutePlan(runs, req, false, nil)
+	m.ExecutePlan(runs, req, false, nil, nil)
 	diff := d.Cost().Sub(before)
 	if diff.PagesRead != 4 || diff.Seeks != 1 || diff.Rotations != 1 {
 		t.Fatalf("normal read cost = %+v", diff)
@@ -193,7 +196,7 @@ func TestExecutePlanNormalVsVector(t *testing.T) {
 	// Vector read: same transfer cost, but only requested pages buffered.
 	m2 := New(d, 16)
 	before = d.Cost()
-	m2.ExecutePlan(runs, req, true, nil)
+	m2.ExecutePlan(runs, req, true, nil, nil)
 	diff = d.Cost().Sub(before)
 	if diff.PagesRead != 4 {
 		t.Fatalf("vector read transfer cost = %+v", diff)
@@ -209,10 +212,10 @@ func TestExecutePlanNormalVsVector(t *testing.T) {
 func TestExecutePlanChainsFollowUpRuns(t *testing.T) {
 	d := newDiskWithPages(t, 40)
 	m := New(d, 32)
-	d.ReadRun(30, 1, false, nil) // move the head away from page 0
+	d.ReadRun(30, make([][]byte, 1), false, nil) // move the head away from page 0
 	runs := []disk.Run{{Start: 0, N: 2}, {Start: 10, N: 3}}
 	before := d.Cost()
-	m.ExecutePlan(runs, []disk.PageID{0, 1, 10, 11, 12}, false, nil)
+	m.ExecutePlan(runs, []disk.PageID{0, 1, 10, 11, 12}, false, nil, nil)
 	diff := d.Cost().Sub(before)
 	if diff.Seeks != 1 {
 		t.Fatalf("one uninterrupted access must seek once, got %+v", diff)
@@ -229,7 +232,7 @@ func TestExecutePlanPreservesDirtyFrames(t *testing.T) {
 	d := newDiskWithPages(t, 10)
 	m := New(d, 8)
 	m.Put(3, []byte("dirty"))
-	m.ExecutePlan([]disk.Run{{Start: 2, N: 3}}, []disk.PageID{2, 3, 4}, false, nil)
+	m.ExecutePlan([]disk.Run{{Start: 2, N: 3}}, []disk.PageID{2, 3, 4}, false, nil, nil)
 	got, ok := m.Touch(3)
 	if !ok || !bytes.Equal(got, []byte("dirty")) {
 		t.Fatalf("dirty frame overwritten by stale disk data: %q", got)
@@ -250,7 +253,7 @@ func TestExecutePlanDirtyPageEvictedMidPlan(t *testing.T) {
 		m := NewWithPolicy(d, 2, policy)
 		m.Put(5, []byte("dirty")) // least recently used by the time the run reaches it
 		m.Get(8)
-		m.ExecutePlan([]disk.Run{{Start: 3, N: 3}}, []disk.PageID{3, 4, 5}, false, nil)
+		m.ExecutePlan([]disk.Run{{Start: 3, N: 3}}, []disk.PageID{3, 4, 5}, false, nil, nil)
 		if got := m.Get(5); !bytes.Equal(got, []byte("dirty")) {
 			t.Fatalf("%v: page 5 reads %q after the plan, want the written-back content", policy, got)
 		}
@@ -335,5 +338,66 @@ func TestQuickBufferConsistency(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestMissAllocs: on a full buffer a miss allocates nothing — GetTallied and
+// ExecutePlan read into the caller's page headers and reuse the evicted
+// frame, and PinPages appends to the caller's slice — and the headers come
+// back cleared, holding no page.
+func TestMissAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const pages = 64
+	m := New(newDiskWithPages(t, pages), 8)
+	var tl disk.Tally
+	hdrs := make([][]byte, 4)
+	next := disk.PageID(0)
+	get := func() {
+		if got := m.GetTallied(next, &tl, hdrs); got[0] != byte(next) {
+			t.Fatalf("GetTallied(%d) = %v", next, got)
+		}
+		next = (next + 1) % pages
+	}
+	plan := func() {
+		hdrs = m.ExecutePlan([]disk.Run{{Start: next, N: 3}, {Start: next + 5, N: 2}}, nil, false, &tl, hdrs)
+		next = (next + 8) % (pages - 8)
+	}
+	pinned := make([]disk.PageID, 0, 8)
+	pin := func() {
+		pinned = m.PinPages(pinned[:0], []disk.PageID{next, next + 1, 0, 1, 2})
+		m.UnpinPages(pinned)
+	}
+	for name, f := range map[string]func(){"GetTallied": get, "ExecutePlan": plan, "PinPages": pin} {
+		get() // a full buffer and a frame table for every page
+		for range pages {
+			get()
+		}
+		before := tl.Misses
+		if a := testing.AllocsPerRun(100, f); a != 0 {
+			t.Errorf("%s allocates %v times per call on a cold buffer, want 0", name, a)
+		}
+		if name == "GetTallied" && tl.Misses-before < 100 {
+			t.Errorf("only %d of 101 GetTallied calls missed", tl.Misses-before)
+		}
+		for i, h := range hdrs {
+			if h != nil {
+				t.Fatalf("after %s page header %d still holds a page", name, i)
+			}
+		}
+	}
+	if tl.Cost.ReadRequests == 0 {
+		t.Fatal("nothing was read")
 	}
 }

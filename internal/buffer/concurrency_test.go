@@ -166,7 +166,7 @@ func TestConcurrentReadStress(t *testing.T) {
 					if id+2 < pages {
 						missing := m.Missing(ids, nil, nil)
 						if len(missing) > 0 {
-							m.ExecutePlan(disk.PlanRequired(missing), ids, rng.Intn(2) == 0, nil)
+							m.ExecutePlan(disk.PlanRequired(nil, missing), ids, rng.Intn(2) == 0, nil, nil)
 						}
 					}
 				case 5:

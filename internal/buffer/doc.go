@@ -33,7 +33,11 @@
 // One mutex, the buffer latch, guards the frame table and the two queue
 // lists, and every step taken under it is O(1) or bounded by the pages of
 // one call: a hit is a table load and a list move, Missing and PinPages take
-// the latch once per call, and no disk I/O ever runs under it. The frame
+// the latch once per call, and no disk I/O ever runs under it. Nor does a
+// miss allocate on a full buffer: GetTallied and ExecutePlan read into page
+// headers the caller owns and hands in — a query's scratch — and leave them
+// cleared, the evicted frame takes the new page, and PinPages appends to the
+// caller's slice. The frame
 // table is a slice indexed by PageID, grown on demand — every backend
 // numbers pages densely from zero (disk.Grow), so it costs 8 bytes per disk
 // page and a lookup hashes nothing.

@@ -351,7 +351,7 @@ func runModel(t *testing.T, data []byte) {
 					want = append(want, id)
 				}
 			}
-			got := m.PinPages(ids)
+			got := m.PinPages(nil, ids)
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: PinPages(%v) = %v, model %v", step, ids, got, want)
 			}
@@ -372,7 +372,7 @@ func runModel(t *testing.T, data []byte) {
 			}
 		case 9, 10:
 			runs, requested := planFrom(a, b)
-			m.ExecutePlan(runs, requested, op == 10, nil)
+			m.ExecutePlan(runs, requested, op == 10, nil, nil)
 			md.executePlan(runs, requested, op == 10)
 		case 11:
 			m.Flush()

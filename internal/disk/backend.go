@@ -31,12 +31,16 @@ type Backend interface {
 	// page return zeroes or stale bytes — callers must never read a page
 	// they have not rewritten (the extent allocator guarantees this).
 	Free(start PageID, n int)
-	// ReadRun returns the contents of n consecutive pages. Slices may alias
+	// ReadRun sets pages[i] to the contents of page start+i, for the
+	// len(pages) consecutive pages from start. The page slice is the
+	// caller's — a query's scratch, reused for its next read — and the
+	// backend keeps no reference to it and allocates no page slice of its
+	// own (only the bytes it reads, where it has to). Page contents may alias
 	// backend storage and must not be modified — nor may the backend ever
 	// rewrite that storage under a reader: WriteRun replaces a page's slice
 	// (the immutability contract of internal/buffer rests on it). Pages
 	// never written may be returned as nil (all-zero).
-	ReadRun(start PageID, n int) [][]byte
+	ReadRun(start PageID, pages [][]byte)
 	// WriteRun stores data[i] into page start+i. Each slice is at most
 	// PageSize bytes and must be copied (or otherwise made durable) before
 	// returning; a nil slice clears the page.
@@ -113,11 +117,9 @@ func (b *MemBackend) Free(start PageID, n int) {
 	}
 }
 
-// ReadRun implements Backend. The returned slices alias the stored pages.
-func (b *MemBackend) ReadRun(start PageID, n int) [][]byte {
-	out := make([][]byte, n)
-	copy(out, b.pages[start:start+PageID(n)])
-	return out
+// ReadRun implements Backend. The page contents alias the stored pages.
+func (b *MemBackend) ReadRun(start PageID, pages [][]byte) {
+	copy(pages, b.pages[start:])
 }
 
 // WriteRun implements Backend, copying each page.

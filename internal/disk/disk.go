@@ -237,30 +237,31 @@ func (d *Disk) charge(c Cost, t *Tally) {
 	}
 }
 
-// ReadRun issues one read request for n physically consecutive pages and
-// returns their contents. Unwritten pages read as nil. The returned slices
-// may alias backend storage and must not be modified. The request is also
-// charged to t; a nil t charges the global counters alone. A chained request
-// is a follow-up within an uninterrupted access to one storage unit: it is
-// charged a rotational delay but no seek (paper section 5.4.3).
-func (d *Disk) ReadRun(start PageID, n int, chained bool, t *Tally) [][]byte {
-	out, ms := d.readRunLocked(start, n, chained, t)
-	d.throttleSleep(ms) // after unlocking: concurrent sleeps overlap
-	return out
+// ReadRun issues one read request for the len(pages) physically
+// consecutive pages from start and sets pages[i] to the contents of page
+// start+i. pages is the caller's: nothing is allocated, and the disk keeps no
+// reference to it. Unwritten pages read as nil. The contents may alias
+// backend storage and must not be modified. The request is also charged to t;
+// a nil t charges the global counters alone. A chained request is a follow-up
+// within an uninterrupted access to one storage unit: it is charged a
+// rotational delay but no seek (paper section 5.4.3).
+func (d *Disk) ReadRun(start PageID, pages [][]byte, chained bool, t *Tally) {
+	d.throttleSleep(d.readRunLocked(start, pages, chained, t)) // after unlocking: concurrent sleeps overlap
 }
 
-func (d *Disk) readRunLocked(start PageID, n int, chained bool, t *Tally) ([][]byte, float64) {
+func (d *Disk) readRunLocked(start PageID, pages [][]byte, chained bool, t *Tally) float64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	checkBackendRun(d.b, start, n)
-	ms := d.chargeRead(start, n, chained, t)
+	checkBackendRun(d.b, start, len(pages))
+	ms := d.chargeRead(start, len(pages), chained, t)
 	if t == nil || !d.timed {
-		return d.b.ReadRun(start, n), ms
+		d.b.ReadRun(start, pages)
+		return ms
 	}
 	t0 := time.Now()
-	out := d.b.ReadRun(start, n)
+	d.b.ReadRun(start, pages)
 	t.BackendNS += time.Since(t0).Nanoseconds()
-	return out, ms
+	return ms
 }
 
 // WriteRun issues one write request for n physically consecutive pages.
@@ -304,20 +305,19 @@ func checkPageSizes(data [][]byte) {
 // intended for assertions, tests and snapshotting; production query paths
 // must use ReadRun.
 func (d *Disk) Peek(id PageID) []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	checkBackendRun(d.b, id, 1)
-	return d.b.ReadRun(id, 1)[0]
+	page := [][]byte{nil}
+	d.PeekRun(id, page)
+	return page[0]
 }
 
-// PeekRun is Peek for n consecutive pages: one uncharged backend read for
-// the whole run. Snapshotting uses it to dump the disk in large batches
-// instead of one backend call per page.
-func (d *Disk) PeekRun(start PageID, n int) [][]byte {
+// PeekRun is Peek for len(pages) consecutive pages, filled like ReadRun: one
+// uncharged backend read for the whole run. Snapshotting uses it to dump the
+// disk in large batches instead of one backend call per page.
+func (d *Disk) PeekRun(start PageID, pages [][]byte) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	checkBackendRun(d.b, start, n)
-	return d.b.ReadRun(start, n)
+	checkBackendRun(d.b, start, len(pages))
+	d.b.ReadRun(start, pages)
 }
 
 // Poke stores page content without charging any I/O cost. It is intended for

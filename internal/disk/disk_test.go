@@ -53,7 +53,8 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 	}
 	data := [][]byte{[]byte("alpha"), []byte("beta"), nil, []byte("delta")}
 	d.WriteRun(start, data, nil)
-	got := d.ReadRun(start, 4, false, nil)
+	got := make([][]byte, 4)
+	d.ReadRun(start, got, false, nil)
 	for i := range data {
 		if !bytes.Equal(got[i], data[i]) {
 			t.Fatalf("page %d: got %q want %q", i, got[i], data[i])
@@ -73,7 +74,7 @@ func TestDiskCostCharging(t *testing.T) {
 	d.Grow(100)
 
 	// First random read: seek + latency + 3 transfers.
-	d.ReadRun(10, 3, false, nil)
+	d.ReadRun(10, make([][]byte, 3), false, nil)
 	c := d.Cost()
 	if c.Seeks != 1 || c.Rotations != 1 || c.PagesRead != 3 || c.ReadRequests != 1 {
 		t.Fatalf("first read cost = %+v", c)
@@ -81,21 +82,21 @@ func TestDiskCostCharging(t *testing.T) {
 
 	// A fresh read always pays seek and latency, even at the head position
 	// (the paper's tcompl formula has no streaming discount for reads).
-	d.ReadRun(13, 2, false, nil)
+	d.ReadRun(13, make([][]byte, 2), false, nil)
 	c = d.Cost()
 	if c.Seeks != 2 || c.Rotations != 2 || c.PagesRead != 5 {
 		t.Fatalf("follow-up read cost = %+v", c)
 	}
 
 	// Chained read elsewhere in the same unit: latency only.
-	d.ReadRun(20, 1, true, nil)
+	d.ReadRun(20, make([][]byte, 1), true, nil)
 	c = d.Cost()
 	if c.Seeks != 2 || c.Rotations != 3 || c.PagesRead != 6 {
 		t.Fatalf("chained read cost = %+v", c)
 	}
 
 	// New random read: full seek + latency again.
-	d.ReadRun(50, 1, false, nil)
+	d.ReadRun(50, make([][]byte, 1), false, nil)
 	c = d.Cost()
 	if c.Seeks != 3 || c.Rotations != 4 {
 		t.Fatalf("random read cost = %+v", c)
@@ -123,7 +124,7 @@ func TestDiskCostCharging(t *testing.T) {
 func TestDiskHeadTracking(t *testing.T) {
 	d := NewDefault()
 	d.Grow(10)
-	d.ReadRun(2, 3, false, nil)
+	d.ReadRun(2, make([][]byte, 3), false, nil)
 	if d.Head() != 5 {
 		t.Fatalf("head = %d, want 5", d.Head())
 	}
@@ -137,9 +138,9 @@ func TestDiskBoundsPanics(t *testing.T) {
 	d := NewDefault()
 	d.Grow(2)
 	for name, f := range map[string]func(){
-		"read past end":  func() { d.ReadRun(1, 2, false, nil) },
-		"negative start": func() { d.ReadRun(-1, 1, false, nil) },
-		"empty run":      func() { d.ReadRun(0, 0, false, nil) },
+		"read past end":  func() { d.ReadRun(1, make([][]byte, 2), false, nil) },
+		"negative start": func() { d.ReadRun(-1, make([][]byte, 1), false, nil) },
+		"empty run":      func() { d.ReadRun(0, make([][]byte, 0), false, nil) },
 		"oversize page":  func() { d.WritePage(0, make([]byte, PageSize+1)) },
 		"peek range":     func() { d.Peek(5) },
 		"poke range":     func() { d.Poke(5, nil) },
@@ -164,7 +165,7 @@ func TestPlanSLMPaperExample(t *testing.T) {
 	requested := []PageID{0, 2, 3, 7, 8, 10, 11}
 	p := Params{SeekMS: 0, LatencyMS: 6, TransferMS: 1}
 
-	slm := PlanSLM(append([]PageID(nil), requested...), 3)
+	slm := PlanSLM(nil, append([]PageID(nil), requested...), 3)
 	if len(slm) != 2 {
 		t.Fatalf("SLM runs = %v, want 2 runs", slm)
 	}
@@ -175,7 +176,7 @@ func TestPlanSLMPaperExample(t *testing.T) {
 		t.Fatalf("SLM pages = %d, want 9", TotalPages(slm))
 	}
 
-	req := PlanRequired(append([]PageID(nil), requested...))
+	req := PlanRequired(nil, append([]PageID(nil), requested...))
 	if len(req) != 4 {
 		t.Fatalf("required runs = %v, want 4 runs", req)
 	}
@@ -185,16 +186,16 @@ func TestPlanSLMPaperExample(t *testing.T) {
 }
 
 func TestPlanSLMEdgeCases(t *testing.T) {
-	if got := PlanSLM(nil, 5); got != nil {
+	if got := PlanSLM(nil, nil, 5); got != nil {
 		t.Fatalf("empty plan = %v", got)
 	}
 	// Duplicates and disorder are normalized.
-	runs := PlanSLM([]PageID{5, 3, 5, 4}, 1)
+	runs := PlanSLM(nil, []PageID{5, 3, 5, 4}, 1)
 	if len(runs) != 1 || runs[0] != (Run{Start: 3, N: 3}) {
 		t.Fatalf("normalized runs = %v", runs)
 	}
 	// l <= 0 degrades to adjacent-only merging.
-	runs = PlanSLM([]PageID{0, 2}, 0)
+	runs = PlanSLM(nil, []PageID{0, 2}, 0)
 	if len(runs) != 2 {
 		t.Fatalf("l=0 runs = %v", runs)
 	}
@@ -221,7 +222,7 @@ func TestQuickPlanSLMProperties(t *testing.T) {
 			req[i] = PageID(rng.Intn(100))
 		}
 		sorted := normalize(append([]PageID(nil), req...))
-		runs := PlanSLM(append([]PageID(nil), req...), l)
+		runs := PlanSLM(nil, append([]PageID(nil), req...), l)
 
 		// Coverage of every requested page, no overlapping runs, ordered.
 		for i, r := range runs {
@@ -248,7 +249,7 @@ func TestQuickPlanSLMProperties(t *testing.T) {
 		cost := ScheduleCost(runs, params)
 		span := Run{Start: sorted[0], N: int(sorted[len(sorted)-1]-sorted[0]) + 1}
 		oneSpan := ScheduleCost([]Run{span}, params)
-		required := ScheduleCost(PlanRequired(append([]PageID(nil), req...)), params)
+		required := ScheduleCost(PlanRequired(nil, append([]PageID(nil), req...)), params)
 		const eps = 1e-9
 		return cost <= oneSpan+eps && cost <= required+eps
 	}
@@ -287,7 +288,7 @@ func TestThrottle(t *testing.T) {
 		t.Fatalf("throttle %g, want 1", d.Throttle())
 	}
 	start := time.Now()
-	d.ReadRun(0, 2, false, nil) // fresh read: ts + tl + 2*tt = 8 ms modelled
+	d.ReadRun(0, make([][]byte, 2), false, nil) // fresh read: ts + tl + 2*tt = 8 ms modelled
 	if elapsed := time.Since(start); elapsed < 8*time.Millisecond {
 		t.Fatalf("throttled read of 8 modelled ms took only %v", elapsed)
 	}

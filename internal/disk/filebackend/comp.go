@@ -212,7 +212,8 @@ func (b *FileBackend) freeCompressed(start disk.PageID, n int) {
 
 // readRunCompressed transfers the run span in one positioned read (through
 // the inter-slot slack) and decodes each slot out of it.
-func (b *FileBackend) readRunCompressed(start disk.PageID, n int) [][]byte {
+func (b *FileBackend) readRunCompressed(start disk.PageID, out [][]byte) {
+	n := len(out)
 	last := int(start) + n - 1
 	span := slotOff(disk.PageID(last)) + slotHeaderLen + int64(b.lens[last]) - slotOff(start)
 	buf := make([]byte, span)
@@ -224,7 +225,6 @@ func (b *FileBackend) readRunCompressed(start disk.PageID, n int) [][]byte {
 	b.reads.Add(1)
 	b.pagesRead.Add(int64(n))
 
-	out := make([][]byte, n)
 	pages := make([]byte, n*disk.PageSize)
 	for i := range out {
 		out[i] = pages[i*disk.PageSize : (i+1)*disk.PageSize]
@@ -246,7 +246,6 @@ func (b *FileBackend) readRunCompressed(start disk.PageID, n int) [][]byte {
 			b.decompressNS.Add(time.Since(t1).Nanoseconds())
 		}
 	}
-	return out
 }
 
 // writeRunCompressed encodes and writes each page's slot with one positioned

@@ -111,8 +111,8 @@ func TestCompressedBackendEquivalence(t *testing.T) {
 		t.Fatalf("NumPages: comp %d raw %d, want 10", cb.NumPages(), fb.NumPages())
 	}
 	for _, run := range [][2]int{{0, 10}, {0, 1}, {2, 3}, {8, 2}} {
-		got := cb.ReadRun(disk.PageID(run[0]), run[1])
-		want := mb.ReadRun(disk.PageID(run[0]), run[1])
+		got := readRun(cb, disk.PageID(run[0]), run[1])
+		want := readRun(mb, disk.PageID(run[0]), run[1])
 		for i := range want {
 			w := make([]byte, disk.PageSize)
 			copy(w, want[i])
@@ -157,10 +157,10 @@ func TestCompressedReopen(t *testing.T) {
 	if cb2.NumPages() != 4 {
 		t.Fatalf("reopened with %d pages, want 4", cb2.NumPages())
 	}
-	if got := cb2.ReadRun(1, 1)[0]; !bytes.Equal(got, want) {
+	if got := readRun(cb2, 1, 1)[0]; !bytes.Equal(got, want) {
 		t.Fatal("compressed page content lost across reopen")
 	}
-	if got := cb2.ReadRun(3, 1)[0]; !bytes.Equal(got, make([]byte, disk.PageSize)) {
+	if got := readRun(cb2, 3, 1)[0]; !bytes.Equal(got, make([]byte, disk.PageSize)) {
 		t.Fatal("never-written page is not zero after reopen")
 	}
 
@@ -193,8 +193,8 @@ func TestDiskCostInvariantCompressed(t *testing.T) {
 	for _, d := range []*disk.Disk{dComp, dMem} {
 		d.Grow(16)
 		d.WriteRun(0, [][]byte{coordPage(1), coordPage(2)}, nil)
-		d.ReadRun(0, 2, false, nil)
-		d.ReadRun(4, 3, true, nil)
+		d.ReadRun(0, make([][]byte, 2), false, nil)
+		d.ReadRun(4, make([][]byte, 3), true, nil)
 		d.WritePage(9, coordPage(3))
 	}
 	if dComp.Cost() != dMem.Cost() {

@@ -110,11 +110,14 @@ func (b *FileBackend) Free(start disk.PageID, n int) {
 	b.pagesWritten.Add(int64(n))
 }
 
-// ReadRun implements disk.Backend with one positioned read for the whole run.
-func (b *FileBackend) ReadRun(start disk.PageID, n int) [][]byte {
+// ReadRun implements disk.Backend with one positioned read for the whole run
+// into fresh page bytes, the only allocation.
+func (b *FileBackend) ReadRun(start disk.PageID, pages [][]byte) {
 	if b.cfg.Compress {
-		return b.readRunCompressed(start, n)
+		b.readRunCompressed(start, pages)
+		return
 	}
+	n := len(pages)
 	buf := make([]byte, n*disk.PageSize)
 	t0 := time.Now()
 	if _, err := b.f.ReadAt(buf, int64(start)*disk.PageSize); err != nil && err != io.EOF {
@@ -123,11 +126,9 @@ func (b *FileBackend) ReadRun(start disk.PageID, n int) [][]byte {
 	b.readNS.Add(time.Since(t0).Nanoseconds())
 	b.reads.Add(1)
 	b.pagesRead.Add(int64(n))
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = buf[i*disk.PageSize : (i+1)*disk.PageSize]
+	for i := range pages {
+		pages[i] = buf[i*disk.PageSize : (i+1)*disk.PageSize]
 	}
-	return out
 }
 
 // WriteRun implements disk.Backend with one positioned write for the whole

@@ -18,6 +18,13 @@ func fill(b byte) []byte {
 	return buf
 }
 
+// readRun reads n pages from start into a fresh page slice.
+func readRun(b disk.Backend, start disk.PageID, n int) [][]byte {
+	pages := make([][]byte, n)
+	b.ReadRun(start, pages)
+	return pages
+}
+
 // TestMemEquivalence drives a mem backend and a file backend through the
 // same operation sequence and checks that every read observes identical
 // bytes (nil pages count as all-zero).
@@ -40,7 +47,7 @@ func TestMemEquivalence(t *testing.T) {
 	}
 	check := func(step string, start disk.PageID, n int) {
 		t.Helper()
-		got, want := norm(fb.ReadRun(start, n)), norm(mb.ReadRun(start, n))
+		got, want := norm(readRun(fb, start, n)), norm(readRun(mb, start, n))
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("%s: page %d differs between backends", step, start+disk.PageID(i))
@@ -99,10 +106,10 @@ func TestReopen(t *testing.T) {
 	if fb2.NumPages() != 4 {
 		t.Fatalf("reopened with %d pages, want 4", fb2.NumPages())
 	}
-	if got := fb2.ReadRun(1, 1)[0]; !bytes.Equal(got, fill('x')) {
+	if got := readRun(fb2, 1, 1)[0]; !bytes.Equal(got, fill('x')) {
 		t.Fatal("page 1 content lost across reopen")
 	}
-	if got := fb2.ReadRun(3, 1)[0]; !bytes.Equal(got, make([]byte, disk.PageSize)) {
+	if got := readRun(fb2, 3, 1)[0]; !bytes.Equal(got, make([]byte, disk.PageSize)) {
 		t.Fatal("never-written page 3 is not zero")
 	}
 }
@@ -130,8 +137,8 @@ func TestDiskOnFileBackend(t *testing.T) {
 	for _, d := range []*disk.Disk{dFile, dMem} {
 		d.Grow(16)
 		d.WriteRun(0, [][]byte{fill('a'), fill('b')}, nil)
-		d.ReadRun(0, 2, false, nil)
-		d.ReadRun(4, 3, true, nil)
+		d.ReadRun(0, make([][]byte, 2), false, nil)
+		d.ReadRun(4, make([][]byte, 3), true, nil)
 		d.WritePage(9, fill('q'))
 	}
 	if dFile.Cost() != dMem.Cost() {

@@ -15,38 +15,44 @@ func (r Run) End() PageID { return r.Start + PageID(r.N) }
 // Contains reports whether the run covers page id.
 func (r Run) Contains(id PageID) bool { return id >= r.Start && id < r.End() }
 
-// normalize returns a sorted, deduplicated copy of a set of page IDs. The
-// input slice is left untouched: callers routinely plan a schedule and then
-// iterate the original request list, so mutating it in place (as an earlier
-// version did) silently reordered pages under the caller.
+// normalize returns pages sorted and deduplicated, leaving the input
+// untouched: callers routinely plan a schedule and then iterate the original
+// request list, so sorting it in place (as an earlier version did) silently
+// reordered pages under the caller. Input that is already strictly ascending
+// — buffer.Missing's output always is — is returned as it is, uncopied.
 func normalize(pages []PageID) []PageID {
-	sorted := slices.Clone(pages)
-	slices.Sort(sorted)
-	return slices.Compact(sorted)
+	for i := 1; i < len(pages); i++ {
+		if pages[i] <= pages[i-1] {
+			sorted := slices.Clone(pages)
+			slices.Sort(sorted)
+			return slices.Compact(sorted)
+		}
+	}
+	return pages
 }
 
-// PlanSLM computes the close-to-optimal read schedule of Seeger, Larson and
-// McFadyen [SLM93] (paper section 5.4.2) for a set of requested pages: the
-// pages are read in ascending order and a gap of g non-requested pages is
-// read through when g < l, where l = tl/tt − 1/2 is the break-even length;
-// a gap of length >= l interrupts the request (costing one extra rotational
-// delay but saving the gap transfers).
+// PlanSLM appends to runs the close-to-optimal read schedule of Seeger,
+// Larson and McFadyen [SLM93] (paper section 5.4.2) for a set of requested
+// pages, and returns the extended slice: the pages are read in ascending
+// order and a gap of g non-requested pages is read through when g < l, where
+// l = tl/tt − 1/2 is the break-even length; a gap of length >= l interrupts
+// the request (costing one extra rotational delay but saving the gap
+// transfers).
 //
 // The requested slice may be unsorted and contain duplicates (duplicate-heavy
 // inputs arise when several objects of one unit share pages); it is never
-// modified. Any l < 1 — including the l = 0 that SLMGapLength yields for
-// latency-poor disks and negative values — degrades to reading only maximal
-// runs of requested pages: duplicates collapse, adjacent pages (gap 0) share
-// a run, and every positive gap breaks the request.
-func PlanSLM(requested []PageID, l int) []Run {
+// modified, and sorted duplicate-free input costs no allocation. Any l < 1 —
+// including the l = 0 that SLMGapLength yields for latency-poor disks and
+// negative values — degrades to reading only maximal runs of requested
+// pages: duplicates collapse, adjacent pages (gap 0) share a run, and every
+// positive gap breaks the request.
+func PlanSLM(runs []Run, requested []PageID, l int) []Run {
 	pages := normalize(requested)
 	if len(pages) == 0 {
-		return nil
+		return runs
 	}
-	if l < 1 {
-		l = 1 // merge only truly adjacent pages
-	}
-	runs := []Run{{Start: pages[0], N: 1}}
+	l = max(l, 1) // below 1: merge only truly adjacent pages
+	runs = append(runs, Run{Start: pages[0], N: 1})
 	for _, p := range pages[1:] {
 		cur := &runs[len(runs)-1]
 		gap := int(p - cur.End())
@@ -60,11 +66,11 @@ func PlanSLM(requested []PageID, l int) []Run {
 	return runs
 }
 
-// PlanRequired computes the page-by-page schedule that reads only requested
-// pages, merging exactly adjacent ones into single requests (the "reading
-// only required pages" alternative of the paper's Figure 9).
-func PlanRequired(requested []PageID) []Run {
-	return PlanSLM(requested, 1)
+// PlanRequired appends to runs the page-by-page schedule that reads only
+// requested pages, merging exactly adjacent ones into single requests (the
+// "reading only required pages" alternative of the paper's Figure 9).
+func PlanRequired(runs []Run, requested []PageID) []Run {
+	return PlanSLM(runs, requested, 1)
 }
 
 // ScheduleCost returns the modelled cost of executing runs as one

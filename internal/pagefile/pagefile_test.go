@@ -326,7 +326,7 @@ func TestSeqFileReadCostIsSingleRequest(t *testing.T) {
 	f := NewSequentialFile(a, 64)
 	ref := f.Append(make([]byte, 3*disk.PageSize)) // spans 3 pages
 	f.Flush()
-	d.ReadRun(ref.Page+40, 1, false, nil) // move head away
+	d.ReadRun(ref.Page+40, make([][]byte, 1), false, nil) // move head away
 	before := d.Cost()
 	f.ReadDirect(ref, nil)
 	diff := d.Cost().Sub(before)

@@ -237,7 +237,8 @@ func (f *SequentialFile) Discard(ref Ref) {
 func (f *SequentialFile) ReadDirect(ref Ref, t *disk.Tally) []byte {
 	f.flush(t)
 	span := ref.Span()
-	pages := f.alloc.Disk().ReadRun(span.Start, span.N, false, t)
+	pages := make([][]byte, span.N)
+	f.alloc.Disk().ReadRun(span.Start, pages, false, t)
 	return assemble(ref, pages)
 }
 
@@ -257,15 +258,15 @@ func (f *SequentialFile) ReadBuffered(m *buffer.Manager, ref Ref) []byte {
 func (f *SequentialFile) CaptureBuffered(m *buffer.Manager, ref Ref) [][]byte {
 	f.Flush()
 	span := ref.Span()
-	ids := make([]disk.PageID, span.N)
+	ids := make([]disk.PageID, span.N, 2*span.N) // the pinned subset goes in the second half
 	for i := range ids {
 		ids[i] = span.Start + disk.PageID(i)
 	}
 	missing := m.Missing(ids, nil, nil)
 	if len(missing) > 0 {
-		m.ExecutePlan(disk.PlanRequired(missing), ids, false, nil)
+		m.ExecutePlan(disk.PlanRequired(nil, missing), ids, false, nil, nil)
 	}
-	pinned := m.PinPages(ids)
+	pinned := m.PinPages(ids[span.N:span.N], ids)
 	pages := make([][]byte, span.N)
 	for i, id := range ids {
 		data, ok := m.Touch(id)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -466,6 +467,66 @@ func TestRouterPassesInsertRefusals(t *testing.T) {
 	}
 	if r, err := tc.client.Window(geom.R(0, 0, 1, 1), ""); err != nil || len(r.IDs) != len(ds.Objects) {
 		t.Fatalf("after the refusals the cluster answers %d of %d objects, %v", len(r.IDs), len(ds.Objects), err)
+	}
+}
+
+// TestOversizeUpdateRefused: an update whose object no cluster unit can hold
+// answers 413 and changes nothing — on a plain and on a WAL-attached store,
+// over JSON and over the binary protocol, asked directly and through a
+// router. The old version keeps answering, and a log that holds the refused
+// updates recovers to the same store. (Updating deleted the old version and
+// then panicked on the new one, killing the daemon.)
+func TestOversizeUpdateRefused(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 5})
+	old, key := ds.Objects[0], ds.MBRs[0]
+	huge := object.New(old.ID, old.Geom, ds.Spec.SmaxBytes()+1)
+	for _, withWAL := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		org := buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
+		if withWAL {
+			ws, err := wal.Create(org, dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			org = ws
+		}
+		stats := org.Stats()
+		tc := startCluster(t, shard.FromKeys(ds.MBRs, 1), []store.Organization{org})
+		direct, routed := *tc.shards[0], *tc.client
+		jsonDirect := direct
+		jsonDirect.Binary = false
+		routedBinary := routed
+		routedBinary.Binary = true
+		for name, c := range map[string]*server.Client{
+			"direct json": &jsonDirect, "direct binary": &direct,
+			"router json": &routed, "router binary": &routedBinary,
+		} {
+			existed, err := c.Update(huge, key)
+			var se *server.StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("wal=%v %s: oversize update answered %v, %v, want status 413", withWAL, name, existed, err)
+			}
+			r, err := c.Window(key, "")
+			if err != nil || !slices.Contains(r.IDs, uint64(old.ID)) {
+				t.Fatalf("wal=%v %s: after the refusal a window on the old version answers %v, %v", withWAL, name, r.IDs, err)
+			}
+		}
+		if got := org.Stats(); got != stats {
+			t.Fatalf("wal=%v: refused updates changed the store: %+v, was %+v", withWAL, got, stats)
+		}
+		if !withWAL {
+			continue
+		}
+		rec, rst, err := wal.Recover(dir, func(p disk.Params) (*store.Env, error) {
+			return store.NewEnvWithParams(128, p), nil
+		}, wal.Options{})
+		if err != nil {
+			t.Fatalf("recovering a log that holds refused updates: %v", err)
+		}
+		if rst.Replayed != 4 || rec.Stats() != stats {
+			t.Fatalf("recovery replayed %d records into %+v, want 4 and %+v", rst.Replayed, rec.Stats(), stats)
+		}
+		rec.Close()
 	}
 }
 

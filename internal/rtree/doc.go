@@ -50,9 +50,11 @@
 // path and the join edit — is a capacity-capped sub-slice of the page, valid
 // for as long as it is held (pages are immutable once buffered, see
 // internal/buffer). NearestLeaves decodes the data pages it surfaces into one
-// pooled node per browse, and SearchLeaves takes a data page's region from its
-// parent entry (equal to the page's MBR, which CheckInvariants asserts), so
-// neither allocates nor unions per data page. A page whose count or length
+// pooled node per browse, pooled with the browse's priority queue; a search
+// or browse reads a missing node into page headers pooled with it too; and
+// SearchLeaves takes a data page's region from its parent entry (equal to
+// the page's MBR, which CheckInvariants asserts). So neither allocates per
+// node read or data page, nor unions per data page. A page whose count or length
 // prefix overruns it panics naming the page.
 //
 // A built tree's in-memory state (root, shape counters, page levels) can be

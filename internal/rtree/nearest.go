@@ -91,30 +91,38 @@ func (t *Tree) NearestLeaves(pt geom.Point, stop func(minDist float64) bool, fn 
 // NearestLeavesTallied is NearestLeaves with its node reads tallied in tl, if
 // any.
 func (t *Tree) NearestLeavesTallied(pt geom.Point, tl *disk.Tally, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool) {
-	leaf := leafPool.Get().(*Node)
-	t.nearestLeaves(pt, tl, stop, fn, leaf)
-	clear(leaf.Entries[:cap(leaf.Entries)]) // a pooled node must not keep pages alive
-	leafPool.Put(leaf)
+	b := leafPool.Get().(*browse)
+	t.nearestLeaves(pt, tl, stop, fn, b)
+	clear(b.leaf.Entries[:cap(b.leaf.Entries)]) // a pooled node must not keep pages alive
+	leafPool.Put(b)
 }
 
-// leafPool recycles the data-page node of NearestLeaves across browses, so a
-// browse allocates no node or entry list per data page.
-var leafPool = sync.Pool{New: func() any { return new(Node) }}
+// browse is the memory NearestLeaves recycles across browses through
+// leafPool, so a browse allocates nothing per node read or data page: the
+// data-page node handed to fn, the priority queue, and the page header a
+// node read fills on a miss.
+type browse struct {
+	leaf  Node
+	queue nnHeap
+	page  [1][]byte
+}
 
-func (t *Tree) nearestLeaves(pt geom.Point, tl *disk.Tally, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool, leaf *Node) {
-	h := make(nnHeap, 1, 64) // room for a directory node's fan-out
-	h[0] = nnItem{child: t.root}
+var leafPool = sync.Pool{New: func() any { return new(browse) }}
+
+func (t *Tree) nearestLeaves(pt geom.Point, tl *disk.Tally, stop func(minDist float64) bool, fn func(n *Node, minDist float64) bool, b *browse) {
+	h := &b.queue
+	*h = append((*h)[:0], nnItem{child: t.root})
 	seq := 1
-	for len(h) > 0 {
+	for len(*h) > 0 {
 		it := h.pop()
 		if stop != nil && stop(it.dist) {
 			return
 		}
-		page := t.buf.GetTallied(it.child, tl)
+		page := t.buf.GetTallied(it.child, tl, b.page[:])
 		c := t.cursor(it.child, page)
 		if c.level == 0 {
-			t.decodeInto(leaf, it.child, page)
-			if !fn(leaf, it.dist) {
+			t.decodeInto(&b.leaf, it.child, page)
+			if !fn(&b.leaf, it.dist) {
 				return
 			}
 			continue

@@ -48,40 +48,46 @@ type LeafMatch struct {
 	Matched []Entry
 }
 
-// matchPool recycles the Matched scratch of SearchLeaves across searches, so
-// a search allocates nothing per data page or per entry.
-var matchPool = sync.Pool{New: func() any { return new([]Entry) }}
+// searchScratch is the memory SearchLeaves recycles across searches through
+// matchPool, so a search allocates nothing per node read, data page or entry:
+// the Matched entries and the page header a node read fills on a miss.
+type searchScratch struct {
+	matched []Entry
+	page    [1][]byte
+}
+
+var matchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // SearchLeaves invokes fn once per data page that contains at least one
 // qualifying entry; fn returning false stops the search. The cluster-read
 // techniques operate on this per-data-page granularity. The node reads are
 // tallied in tl, if any.
 func (t *Tree) SearchLeaves(w geom.Rect, tl *disk.Tally, fn func(lm LeafMatch) bool) {
-	matched := matchPool.Get().(*[]Entry)
-	t.searchLeaves(t.root, geom.Rect{}, w, tl, matched, fn)
-	clear((*matched)[:cap(*matched)]) // a pooled scratch must not keep pages alive
-	matchPool.Put(matched)
+	s := matchPool.Get().(*searchScratch)
+	t.searchLeaves(t.root, geom.Rect{}, w, tl, s, fn)
+	clear(s.matched[:cap(s.matched)]) // a pooled scratch must not keep pages alive
+	matchPool.Put(s)
 }
 
 // searchLeaves searches the subtree of node id, whose region is region — the
 // rectangle of its parent entry; unused for the root.
-func (t *Tree) searchLeaves(id disk.PageID, region, w geom.Rect, tl *disk.Tally, matched *[]Entry, fn func(lm LeafMatch) bool) bool {
-	c := t.cursor(id, t.buf.GetTallied(id, tl))
+func (t *Tree) searchLeaves(id disk.PageID, region, w geom.Rect, tl *disk.Tally, s *searchScratch, fn func(lm LeafMatch) bool) bool {
+	c := t.cursor(id, t.buf.GetTallied(id, tl, s.page[:]))
 	if c.level > 0 {
 		for r, ok := c.next(); ok; r, ok = c.next() {
-			if r.Intersects(w) && !t.searchLeaves(c.child(), r, w, tl, matched, fn) {
+			if r.Intersects(w) && !t.searchLeaves(c.child(), r, w, tl, s, fn) {
 				return false
 			}
 		}
 		return true
 	}
-	m := (*matched)[:0]
+	m := s.matched[:0]
 	for r, ok := c.next(); ok; r, ok = c.next() {
 		if r.Intersects(w) {
 			m = append(m, Entry{Rect: r, Payload: c.payload()})
 		}
 	}
-	*matched = m
+	s.matched = m
 	if len(m) == 0 {
 		return true
 	}

@@ -213,9 +213,14 @@ func (s *Server) Insert(rq *Request, o *object.Object, key geom.Rect) error {
 	return err
 }
 
-// Update implements Service.
+// Update implements Service. An object no cluster unit can hold answers 413,
+// as on Insert, and leaves the store unchanged.
 func (s *Server) Update(rq *Request, o *object.Object, key geom.Rect) (bool, error) {
-	return s.mutate(rq, wal.Record{Kind: wal.KindUpdate, Obj: o, Key: key})
+	existed, err := s.mutate(rq, wal.Record{Kind: wal.KindUpdate, Obj: o, Key: key})
+	if errors.Is(err, store.ErrObjectTooLarge) {
+		return false, statusErr(http.StatusRequestEntityTooLarge, "%v", err)
+	}
+	return existed, err
 }
 
 // Delete implements Service.

@@ -33,6 +33,10 @@ type layout interface {
 	// representation — or refuses it with the store unchanged (see
 	// Organization.Insert). base books the key and the tallies.
 	insertLocked(o *object.Object, key geom.Rect) error
+	// admit refuses an object the layout cannot store whatever it holds;
+	// insertLocked refuses it too, and Update asks before the old version
+	// goes.
+	admit(o *object.Object) error
 	// deleteLocked reclaims or tombstones the storage of object id, whose
 	// leaf entry base has just removed from the tree.
 	deleteLocked(id object.ID)
@@ -110,17 +114,22 @@ func (b *base) delete(id object.ID) bool {
 }
 
 // Update implements Organization under Env's write lock: delete, then
-// reinsert. A refusal of the reinsert (only ErrObjectTooLarge can arise, the
-// ID was just freed) would lose the object, and Update's bool cannot say so —
-// it panics, as every refused insert did before Insert returned errors.
+// reinsert. An object the layout does not admit (ErrObjectTooLarge) is
+// refused before the old version goes, and as Update's bool cannot say so it
+// panics, the store unchanged, as every refused insert did before Insert
+// returned errors.
 func (b *base) Update(o *object.Object, key geom.Rect) bool {
 	b.env.mu.Lock()
 	defer b.env.mu.Unlock()
-	if !b.delete(o.ID) {
+	if _, ok := b.keys[o.ID]; !ok {
 		return false
 	}
-	if err := b.insert(o, key); err != nil {
+	if err := b.lay.admit(o); err != nil {
 		panic(err)
+	}
+	b.delete(o.ID)
+	if err := b.insert(o, key); err != nil {
+		panic(err) // admitted, and its ID just freed: unreachable
 	}
 	return true
 }

@@ -128,12 +128,8 @@ func (c *Cluster) NumUnits() int { return len(c.units) }
 // old unit. Under sustained updates this decays the clustering — the
 // measurable effect the online reclusterer exists to repair.
 func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) error {
-	if o.Size() > c.cfg.SmaxBytes {
-		// The paper stores such objects in separate storage units
-		// (footnote in section 4.2.2); the workloads of Table 1 do not
-		// produce them.
-		return fmt.Errorf("%w: object %d has %d bytes, Smax is %d",
-			ErrObjectTooLarge, o.ID, o.Size(), c.cfg.SmaxBytes)
+	if err := c.admit(o); err != nil {
+		return err
 	}
 	if _, dup := c.keys[o.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
@@ -141,6 +137,17 @@ func (c *Cluster) insertLocked(o *object.Object, key geom.Rect) error {
 	c.pending = o
 	c.tree.Insert(key, encodePayload(o.ID, o.Size()))
 	c.pending = nil
+	return nil
+}
+
+// admit implements layout: no cluster unit holds an object larger than
+// Smax. The paper stores such objects in separate storage units (footnote in
+// section 4.2.2); the workloads of Table 1 do not produce them.
+func (c *Cluster) admit(o *object.Object) error {
+	if o.Size() > c.cfg.SmaxBytes {
+		return fmt.Errorf("%w: object %d has %d bytes, Smax is %d",
+			ErrObjectTooLarge, o.ID, o.Size(), c.cfg.SmaxBytes)
+	}
 	return nil
 }
 
@@ -297,7 +304,8 @@ func (c *Cluster) readUnitPages(u *clusterUnit) [][]byte {
 	if n == 0 {
 		return nil
 	}
-	raw := c.env.Disk.ReadRun(u.extent.Start, n, false, nil)
+	raw := make([][]byte, n)
+	c.env.Disk.ReadRun(u.extent.Start, raw, false, nil)
 	out := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		if i == u.tailIdx && u.tailBuf != nil {

@@ -68,7 +68,10 @@
 // assembled into per-query scratch only when it straddles pages — whose
 // vertices are decoded into that scratch and tested as a stack geometry
 // (readers.go). The scratch comes from a pool once per query and hangs on
-// nothing shared, because queries run concurrently under Env's read lock.
+// nothing shared, because queries run concurrently under Env's read lock. It
+// also owns the memory a buffer miss needs — the read plan, the page headers
+// a disk read fills, the pinned pages — and the k-NN accumulator, so a
+// cluster query allocates only its answer, however many pages it misses.
 // PrepareFetch builds heap objects from the same views for the join.
 //
 // Nor does the read path compute what no answer uses. Four rules, each of

@@ -72,9 +72,9 @@ func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 	if k <= 0 {
 		return res
 	}
-	acc := knnAcc{k: k}
 	sc := b.begin()
 	defer b.end(sc)
+	acc := knnAcc{k: k, cands: sc.knn[:0]}
 	// beyond reports whether a lower bound of a distance exceeds the k-th best
 	// exact distance. It is monotone in minDist, so the traversal applies it
 	// as its stop predicate before reading a popped page — a page (or whole
@@ -105,6 +105,7 @@ func (b *base) NearestQuery(pt geom.Point, k int) NearestResult {
 		}
 		return true
 	})
+	sc.knn = acc.cands // the scratch keeps what the accumulator grew to
 	res.Tally = sc.tally
 	res.IDs = make([]object.ID, len(acc.cands))
 	res.Dists = make([]float64, len(acc.cands))

@@ -292,12 +292,11 @@ func dumpPages(d *disk.Disk) []PageImage {
 	const batch = 1024
 	n := d.NumPages()
 	var out []PageImage
+	pages := make([][]byte, batch)
 	for start := disk.PageID(0); start < n; start += batch {
-		run := batch
-		if rem := int(n - start); rem < run {
-			run = rem
-		}
-		for i, pg := range d.PeekRun(start, run) {
+		run := pages[:min(batch, int(n-start))]
+		d.PeekRun(start, run)
+		for i, pg := range run {
 			if isZeroPage(pg) {
 				continue
 			}

@@ -50,6 +50,9 @@ func primaryMaxInline() int { return disk.PageSize - 2 - 32 - 2 - 1 }
 // Name implements Organization.
 func (p *Primary) Name() string { return "prim. org." }
 
+// admit implements layout: every object fits, inline or in the overflow file.
+func (p *Primary) admit(*object.Object) error { return nil }
+
 // insertLocked implements layout: the object goes into its data page, or to
 // the overflow file when it does not fit one. An Update may therefore switch
 // an object between inline and overflow storage.

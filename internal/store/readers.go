@@ -22,7 +22,8 @@ func (c *Cluster) unitFor(leaf disk.PageID) *clusterUnit {
 }
 
 // scratch is the reusable memory of one query (or one prepared fetch): the
-// candidates of the data page being processed, their unit pages, their
+// candidates of the data page being processed, their unit pages, the read
+// plan and the pages it pins, the page headers a disk read fills, their
 // serializations as views, the vertices of the candidate under refinement,
 // the answers so far, and the query's tally. Queries run concurrently under
 // Env's read lock, so a scratch belongs to exactly one query at a time and
@@ -30,9 +31,13 @@ func (c *Cluster) unitFor(leaf disk.PageID) *clusterUnit {
 type scratch struct {
 	ids    []object.ID
 	pages  []disk.PageID // requested unit pages
+	pinned []disk.PageID // the resident subset of pages, pinned during a capture
+	runs   []disk.Run    // the read plan of a unit access
+	hdrs   [][]byte      // page headers a read fills; the buffer leaves them cleared
 	views  [][]byte      // serializations: page sub-slices, or slices of spill
 	spill  []byte        // objects straddling pages, assembled
 	verts  []geom.Point
+	knn    []knnCand   // a k-NN query's best candidates so far
 	answer []object.ID // collected here, copied out once at its final size
 	tally  disk.Tally  // every read, write-back, hit and miss the query causes
 }
@@ -49,8 +54,12 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // pooled scratch must not keep evicted pages alive.
 func (sc *scratch) release() {
 	clear(sc.views[:cap(sc.views)])
+	clear(sc.hdrs[:cap(sc.hdrs)])
 	if cap(sc.answer) > maxPooledAnswer {
 		sc.answer = nil
+	}
+	if cap(sc.knn) > maxPooledAnswer {
+		sc.knn = nil
 	}
 	scratchPool.Put(sc)
 }
@@ -162,11 +171,12 @@ func (c *Cluster) requestedPages(u *clusterUnit, ids []object.ID, out []disk.Pag
 	return out
 }
 
-// fetchPlan reads unit pages through m according to the technique and
-// returns nothing; the pages end up in m, the I/O in t. requested lists the
-// pages the caller needs.
-func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.Manager, tech Technique, t *disk.Tally) {
+// fetchPlan reads the unit pages sc.pages lists through m according to the
+// technique and returns nothing; the pages end up in m, the I/O in sc's
+// tally, and the plan and the page headers of its reads in sc.
+func (c *Cluster) fetchPlan(u *clusterUnit, m *buffer.Manager, tech Technique, sc *scratch) {
 	var missBuf [128]disk.PageID // as below: the missing pages of any regular unit fit
+	requested, t := sc.pages, &sc.tally
 	switch tech {
 	case TechComplete:
 		// Transfer the whole cluster unit with one read request. (The page
@@ -184,22 +194,22 @@ func (c *Cluster) fetchPlan(u *clusterUnit, requested []disk.PageID, m *buffer.M
 		// action. (If parts are buffered, the span still covers them; the
 		// transfer of a page already in memory costs the same as reading
 		// it, so the single covering run is charged.)
-		run := disk.Run{Start: u.extent.Start, N: u.usedPages()}
-		m.ExecutePlan([]disk.Run{run}, all, false, t)
+		sc.runs = append(sc.runs[:0], disk.Run{Start: u.extent.Start, N: u.usedPages()})
+		sc.hdrs = m.ExecutePlan(sc.runs, all, false, t, sc.hdrs)
 	case TechSLM, TechSLMVector:
 		missing := m.Missing(requested, missBuf[:], t)
 		if len(missing) == 0 {
 			return
 		}
-		l := m.Disk().Params().SLMGapLength()
-		runs := disk.PlanSLM(missing, l)
-		m.ExecutePlan(runs, requested, tech == TechSLMVector, t)
+		sc.runs = disk.PlanSLM(sc.runs[:0], missing, m.Disk().Params().SLMGapLength())
+		sc.hdrs = m.ExecutePlan(sc.runs, requested, tech == TechSLMVector, t, sc.hdrs)
 	case TechPageByPage:
 		missing := m.Missing(requested, missBuf[:], t)
 		if len(missing) == 0 {
 			return
 		}
-		m.ExecutePlan(disk.PlanRequired(missing), requested, false, t)
+		sc.runs = disk.PlanRequired(sc.runs[:0], missing)
+		sc.hdrs = m.ExecutePlan(sc.runs, requested, false, t, sc.hdrs)
 	default:
 		panic(fmt.Sprintf("store: technique %v not applicable to a cluster fetch", tech))
 	}
@@ -238,9 +248,9 @@ func unitView(pageAt func(idx int) []byte, off, size int, spill *[]byte) []byte 
 // but nothing is sliced or assembled.
 func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, tech Technique, sc *scratch, skip func(i int) bool) [][]byte {
 	sc.pages = c.requestedPages(u, ids, sc.pages[:0])
-	c.fetchPlan(u, sc.pages, m, tech, &sc.tally)
-	pinned := m.PinPages(sc.pages)
-	defer m.UnpinPages(pinned)
+	c.fetchPlan(u, m, tech, sc)
+	sc.pinned = m.PinPages(sc.pinned[:0], sc.pages)
+	defer m.UnpinPages(sc.pinned)
 	pageAt := func(idx int) []byte {
 		if idx == u.tailIdx && u.tailBuf != nil {
 			return u.tailBuf
@@ -249,7 +259,7 @@ func (c *Cluster) capture(u *clusterUnit, ids []object.ID, m *buffer.Manager, te
 		if pg, ok := m.Touch(pid); ok {
 			return pg
 		}
-		return m.GetTallied(pid, &sc.tally) // evicted mid-capture (buffer smaller than object)
+		return m.GetTallied(pid, &sc.tally, sc.hdrs) // evicted mid-capture (buffer smaller than object)
 	}
 	sc.views, sc.spill = sc.views[:0], sc.spill[:0]
 	for i, id := range ids {

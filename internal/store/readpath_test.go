@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -101,8 +102,8 @@ func refFetch(org Organization, leaf disk.PageID, entries []rtree.Entry, tech Te
 				}
 			}
 		}
-		o.fetchPlan(u, requested, m, tech, nil)
-		pinned := m.PinPages(requested)
+		o.fetchPlan(u, m, tech, &scratch{pages: requested})
+		pinned := m.PinPages(nil, requested)
 		for _, uo := range uos {
 			raw := make([]byte, 0, uo.size)
 			in := uo.off % disk.PageSize
@@ -609,94 +610,195 @@ func raceEnabled() bool {
 	return false
 }
 
-// warmCluster builds a cluster organization whose buffer holds the whole
-// store, so that queries never allocate a frame.
-func warmCluster(t *testing.T, ds *datagen.Dataset, smax int) *Cluster {
+// allocStore builds organization kind over ds — a cluster store with units of
+// smax bytes — behind a buffer of bufPages, and faults in what fits: a buffer
+// larger than the store holds all of it, a small one its last pages.
+func allocStore(t *testing.T, ds *datagen.Dataset, kind string, smax, bufPages int) Organization {
 	t.Helper()
-	c := NewCluster(NewEnv(1<<16), ClusterConfig{SmaxBytes: smax})
-	for i, o := range ds.Objects {
-		c.Insert(o, ds.MBRs[i])
+	env := NewEnv(bufPages)
+	var org Organization
+	switch kind {
+	case "cluster":
+		org = NewCluster(env, ClusterConfig{SmaxBytes: smax})
+	case "primary":
+		org = NewPrimary(env)
+	case "secondary":
+		org = NewSecondary(env)
 	}
-	c.Flush()
-	c.WindowQuery(geom.R(0, 0, 1, 1), TechComplete) // fault everything in
-	return c
+	for i, o := range ds.Objects {
+		if err := org.Insert(o, ds.MBRs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	org.Flush()
+	org.WindowQuery(geom.R(0, 0, 1, 1), TechComplete)
+	return org
 }
 
-// TestQueryAllocs pins what a warm cluster query allocates: its result, its
-// closures and — for k-NN — the browse's queue, but nothing per data page,
-// per candidate, per entry scanned or per answer. Ceilings sit above what the
-// code measured when they were set (window 1 — the answer, allocated once at
-// its final size — point 1, 10-NN 8).
+// queryAllocs returns what a window read complete, a point and a 10-NN query
+// allocate on average on org over the query lists, each query measured on
+// its own after one unmeasured pass over the lists. On a cold store a scan
+// of the whole space runs before each query, unmeasured: the buffer is full
+// of other pages, not even the root is resident, and a query that met no
+// miss fails the test.
+func queryAllocs(t *testing.T, org Organization, ws []geom.Rect, pts []geom.Point, cold bool) (window, point, knn float64) {
+	t.Helper()
+	measure := func(kind string, query func(i int) disk.Tally) float64 {
+		for i := range ws {
+			query(i)
+		}
+		var before, after runtime.MemStats
+		var mallocs uint64
+		for i := range ws {
+			if cold {
+				org.WindowQuery(geom.R(0, 0, 1, 1), TechComplete)
+			}
+			runtime.ReadMemStats(&before)
+			tl := query(i)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			if cold && tl.Misses == 0 {
+				t.Errorf("%s %s query %d met no buffer miss on the cold store", org.Name(), kind, i)
+			}
+		}
+		return float64(mallocs) / float64(len(ws))
+	}
+	return measure("window", func(i int) disk.Tally { return org.WindowQuery(ws[i], TechComplete).Tally }),
+		measure("point", func(i int) disk.Tally { return org.PointQuery(pts[i]).Tally }),
+		measure("10-NN", func(i int) disk.Tally { return org.NearestQuery(pts[i], 10).Tally })
+}
+
+// TestQueryAllocs pins what a query allocates, on a warm buffer that holds the
+// whole store and on a cold one that holds a twentieth of it, where every
+// query misses. A cluster query allocates its answer and nothing else — no
+// term per data page, per candidate, per entry scanned, per answer or per
+// buffer miss: a window or point query its ID slice, allocated once at its
+// final size, a 10-NN query its IDs and Dists. The primary organization,
+// whose objects here all lie inline in its data pages, allocates the same;
+// an overflow object would add a per-candidate term. The secondary is held
+// at the counts measured when its ceilings were set (window 121.55, point
+// 2.12, 10-NN 86.32), a per-candidate term: pagefile.ReadDirect reads every
+// candidate into a fresh page slice and copies one that straddles pages.
+// Counts are averages over a list of windows, each with answers, and of
+// points on those answers. They are taken with the collector off and on one
+// P, as testing.AllocsPerRun takes them, so that a pooled scratch is never
+// dropped or left behind on another P.
 func TestQueryAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 64, Seed: 61})
-	sparse := warmCluster(t, ds, ds.Spec.SmaxBytes()/4)
-	dense := warmCluster(t, ds, ds.Spec.SmaxBytes())
-	perPage := func(c *Cluster) float64 { return float64(c.objects) / float64(c.tree.LeafPages()) }
-	if perPage(dense) < 2*perPage(sparse) {
-		t.Fatalf("dense store holds %.1f objects per data page, sparse %.1f: want twice as many", perPage(dense), perPage(sparse))
-	}
-
-	w := ds.Windows(0.01, 1, 62)[0]
-	res := dense.WindowQuery(w, TechComplete)
-	if res.Candidates < 30 || len(res.IDs) == 0 {
-		t.Fatalf("window has %d candidates and %d answers: too few to show a per-candidate term", res.Candidates, len(res.IDs))
-	}
-	var pt geom.Point // on an answer's geometry, so that the point query has an answer too
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pools hand back what they were given
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 32, Seed: 61})
+	const coldPages = 24
+	smax := ds.Spec.SmaxBytes()
+	dense := allocStore(t, ds, "cluster", smax, 1<<16)
+	byID := make(map[object.ID]*object.Object, len(ds.Objects))
 	for _, o := range ds.Objects {
-		if l, ok := o.Geom.(*geom.Polyline); ok && o.ID == res.IDs[0] {
-			pt = l.Vertices[0]
+		byID[o.ID] = o
+	}
+	// Windows of 1 % of the space with answers, and a point on a polyline
+	// answer of each, so that the point query has an answer too.
+	var ws []geom.Rect
+	var pts []geom.Point
+	candidates := 0
+	for _, w := range ds.Windows(0.01, 60, 62) {
+		res := dense.WindowQuery(w, TechComplete)
+		for _, id := range res.IDs {
+			if l, ok := byID[id].Geom.(*geom.Polyline); ok {
+				ws, pts = append(ws, w), append(pts, l.Vertices[0])
+				candidates += res.Candidates
+				break
+			}
 		}
 	}
-	if len(dense.PointQuery(pt).IDs) == 0 {
-		t.Fatal("the point query has no answer")
+	if len(ws) < 40 || candidates < 30*len(ws) {
+		t.Fatalf("%d windows with answers, %d candidates: too few to show a per-candidate term", len(ws), candidates)
 	}
-	measure := func(c *Cluster) (window, point, knn float64) {
-		return testing.AllocsPerRun(100, func() { c.WindowQuery(w, TechComplete) }),
-			testing.AllocsPerRun(100, func() { c.PointQuery(pt) }),
-			testing.AllocsPerRun(100, func() { c.NearestQuery(pt, 10) })
-	}
-	window, point, knn := measure(dense)
-	t.Logf("dense: window %v (%d candidates, %d answers), point %v, 10-NN %v allocations", window, res.Candidates, len(res.IDs), point, knn)
-	for _, c := range []struct {
-		name       string
-		got, limit float64
-	}{{"window", window, 3}, {"point", point, 1}, {"10-NN", knn, 12}} {
-		if c.got > c.limit {
-			t.Errorf("%s query allocates %v times, ceiling %v", c.name, c.got, c.limit)
+	for i, pt := range pts {
+		if len(dense.PointQuery(pt).IDs) == 0 {
+			t.Fatalf("point %d has no answer", i)
 		}
 	}
-	// The same window over half the objects per data page: twice the pages
-	// scanned, the same candidates and answers — and the same count, since
-	// only the answer slice grows.
-	if sparseWindow, _, _ := measure(sparse); sparseWindow != window {
-		t.Errorf("window query allocates %v times at %.1f objects per data page and %v at %.1f: a per-page or per-entry term",
-			window, perPage(dense), sparseWindow, perPage(sparse))
-	}
-	if got, want := sparse.WindowQuery(w, TechComplete), res; !reflect.DeepEqual(sortedIDs(got.IDs), sortedIDs(want.IDs)) {
-		t.Fatal("the two stores answer the window differently")
-	}
-	// The whole space, at least ten times the answers: still one allocation.
-	wide := geom.R(0, 0, 1, 1)
-	if n := len(dense.WindowQuery(wide, TechComplete).IDs); n < 10*len(res.IDs) {
-		t.Fatalf("the wide window answers %d, want at least ten times %d", n, len(res.IDs))
-	}
-	if got := testing.AllocsPerRun(100, func() { dense.WindowQuery(wide, TechComplete) }); got != window {
-		t.Errorf("a window of %d answers allocates %v times, one of ten times as many %v: a per-answer term",
-			len(res.IDs), window, got)
+	wide := geom.R(0, 0, 1, 1) // at least ten times the answers of any window
+	for _, cold := range []bool{false, true} {
+		arm, bufPages := "warm", 1<<16
+		if cold {
+			arm, bufPages = "cold", coldPages
+		}
+		for _, c := range []struct {
+			kind               string
+			window, point, knn float64 // ceilings
+		}{{"cluster", 1, 1, 2}, {"primary", 1, 1, 2}, {"secondary", 121.6, 2.12, 86.32}} {
+			org := allocStore(t, ds, c.kind, smax, bufPages)
+			if occ := org.Stats().OccupiedPages; occ < 20*coldPages {
+				t.Fatalf("%s store of %d pages is not 20 times its %d-page buffer", c.kind, occ, coldPages)
+			}
+			window, point, knn := queryAllocs(t, org, ws, pts, cold)
+			t.Logf("%s %s: window %v, point %v, 10-NN %v allocations", arm, c.kind, window, point, knn)
+			for _, q := range []struct {
+				name       string
+				got, limit float64
+			}{{"window", window, c.window}, {"point", point, c.point}, {"10-NN", knn, c.knn}} {
+				if q.got > q.limit {
+					t.Errorf("%s %s: a %s query allocates %v times, ceiling %v", arm, c.kind, q.name, q.got, q.limit)
+				}
+			}
+			if c.kind != "cluster" {
+				continue
+			}
+			// The same windows over a quarter of the unit size: more pages
+			// scanned, the same candidates and answers — and the same
+			// count, since only the answer slice grows.
+			sparse := allocStore(t, ds, "cluster", smax/4, bufPages)
+			perPage := func(o Organization) float64 { return float64(len(ds.Objects)) / float64(o.Stats().LeafPages) }
+			if perPage(dense) < 2*perPage(sparse) {
+				t.Fatalf("dense store holds %.1f objects per data page, sparse %.1f: want twice as many", perPage(dense), perPage(sparse))
+			}
+			if sparseWindow, _, _ := queryAllocs(t, sparse, ws, pts, cold); sparseWindow != window {
+				t.Errorf("%s: a window query allocates %v times at %.1f objects per data page and %v at %.1f: a per-page or per-entry term",
+					arm, window, perPage(dense), sparseWindow, perPage(sparse))
+			}
+			// Both stores of this arm answer every window, the wide one too,
+			// as the warm dense store does.
+			for i, w := range append(ws[:len(ws):len(ws)], wide) {
+				want := sortedIDs(dense.WindowQuery(w, TechComplete).IDs)
+				for _, s := range []struct {
+					name string
+					org  Organization
+				}{{"dense", org}, {"sparse", sparse}} {
+					if got := sortedIDs(s.org.WindowQuery(w, TechComplete).IDs); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s store answers window %d with %d IDs, the warm dense store with %d", arm, s.name, i, len(got), len(want))
+					}
+				}
+			}
+			// The whole space, ten times the answers: still one allocation.
+			if n := len(org.WindowQuery(wide, TechComplete).IDs); n < 10*len(dense.WindowQuery(ws[0], TechComplete).IDs) {
+				t.Fatalf("the wide window answers only %d", n)
+			}
+			var tl disk.Tally
+			if got := testing.AllocsPerRun(10, func() { tl = org.WindowQuery(wide, TechComplete).Tally }); got != window || cold && tl.Misses == 0 {
+				t.Errorf("%s: a window of ten times the answers allocates %v times (%d misses), the others %v: a per-answer term",
+					arm, got, tl.Misses, window)
+			}
+		}
 	}
 }
 
 // TestReleasedScratchKeepsNoHugeAnswer: a scratch that collected a huge
-// answer goes back to the pool without it.
+// answer or k-NN accumulator goes back to the pool without it, and without a
+// page in its page headers.
 func TestReleasedScratchKeepsNoHugeAnswer(t *testing.T) {
 	sc := getScratch()
 	sc.answer = make([]object.ID, 0, 2*maxPooledAnswer)
+	sc.knn = make([]knnCand, 0, 2*maxPooledAnswer)
+	sc.hdrs = [][]byte{make([]byte, disk.PageSize)}[:0]
 	sc.release()
-	if sc.answer != nil {
-		t.Fatalf("a released scratch keeps an answer slice of %d IDs", cap(sc.answer))
+	if sc.answer != nil || sc.knn != nil {
+		t.Fatalf("a released scratch keeps an answer slice of %d IDs and %d k-NN candidates", cap(sc.answer), cap(sc.knn))
+	}
+	if sc.hdrs[:1][0] != nil {
+		t.Fatal("a released scratch keeps a page in its page headers")
 	}
 }
 

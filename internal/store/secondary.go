@@ -38,6 +38,9 @@ func NewSecondary(env *Env) *Secondary {
 // Name implements Organization.
 func (s *Secondary) Name() string { return "sec. org." }
 
+// admit implements layout: every object fits the sequential file.
+func (s *Secondary) admit(*object.Object) error { return nil }
+
 // insertLocked implements layout: the object is appended to the sequential
 // file. An Update re-appends the new version at the file's append position,
 // so updates scatter the storage — the old bytes stay dead in place.

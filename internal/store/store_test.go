@@ -502,6 +502,27 @@ func TestClusterRejectsOversizeObject(t *testing.T) {
 	c := NewCluster(NewEnv(64), ClusterConfig{SmaxBytes: 2 * disk.PageSize})
 	huge := object.New(1, geom.NewPolyline([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}), 3*disk.PageSize)
 	refusedUnchanged(t, "cluster", c, huge, ErrObjectTooLarge)
+
+	// An update to that size panics before the old version goes.
+	small := object.New(1, huge.Geom, 100)
+	if err := c.Insert(small, small.Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	stats := c.Stats()
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrObjectTooLarge) {
+				t.Errorf("Update to an oversize object panics with %v, want %v", err, ErrObjectTooLarge)
+			}
+		}()
+		c.Update(huge, huge.Bounds())
+	}()
+	if got := c.Stats(); got != stats {
+		t.Errorf("a refused update changed Stats: %+v, was %+v", got, stats)
+	}
+	if ids := c.PointQuery(geom.Pt(0.5, 0.5)).IDs; len(ids) != 1 || ids[0] != 1 {
+		t.Errorf("after a refused update the point query answers %v, want [1]", ids)
+	}
 }
 
 func TestTechniqueString(t *testing.T) {

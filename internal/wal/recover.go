@@ -300,10 +300,10 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 		if rec.LSN != res.next {
 			return res, fmt.Errorf("wal: %s: record LSN %d leaves a gap after %d", path, rec.LSN, res.next-1)
 		}
-		// An insert's error is the store's refusal, and part of the history:
-		// the live store logged the record, refused the object and carried
-		// on; so does replay.
-		if _, err := ApplyRecord(org, &rec); err != nil && rec.Kind != KindInsert {
+		// An insert's or update's error is the store's refusal, and part of
+		// the history: the live store logged the record, refused the object
+		// and carried on; so does replay.
+		if _, err := ApplyRecord(org, &rec); err != nil && rec.Kind != KindInsert && rec.Kind != KindUpdate {
 			return res, fmt.Errorf("wal: %s: replaying record %d: %w", path, rec.LSN, err)
 		}
 		res.next++
@@ -315,8 +315,11 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 // record: of a commit just logged (Store.Apply), of the log at recovery, and
 // of a mutation on a store that has no log (the server's dispatcher).
 // existed is the verdict of a delete or update. err is the store's refusal
-// of an insert — nothing was applied — or, for the kinds only a log holds,
-// a policy or kind this build does not know.
+// of an insert or update — nothing was applied — or, for the kinds only a
+// log holds, a policy or kind this build does not know. An update whose
+// object no cluster unit can hold is refused here, before Update, which
+// would panic on it: the test repeats the store's own admission rule
+// (Cluster.admit) until Update can return the store's refusal.
 func ApplyRecord(org store.Organization, rec *Record) (existed bool, err error) {
 	switch rec.Kind {
 	case KindInsert:
@@ -324,6 +327,10 @@ func ApplyRecord(org store.Organization, rec *Record) (existed bool, err error) 
 	case KindDelete:
 		return org.Delete(rec.ID), nil
 	case KindUpdate:
+		if c, ok := store.Unwrap(org).(*store.Cluster); ok && rec.Obj.Size() > c.Config().SmaxBytes {
+			return false, fmt.Errorf("%w: object %d has %d bytes, Smax is %d",
+				store.ErrObjectTooLarge, rec.Obj.ID, rec.Obj.Size(), c.Config().SmaxBytes)
+		}
 		return org.Update(rec.Obj, rec.Key), nil
 	case KindRecluster:
 		pol, err := recluster.ByName(rec.Policy)

@@ -48,12 +48,12 @@ func (s *Store) Log() *Log { return s.log }
 
 // Apply logs recs — insert, delete and update records — as one commit, every
 // record sharing one fsync, and then applies them in order, reporting for
-// each delete/update whether the object existed and for each insert the
-// store's refusal, if any (refused is nil when every insert was taken). A
-// refused insert stays in the log: replay meets the same store state,
-// refuses it again and moves on. On error nothing is applied, nothing is
-// acknowledged, and the log stays poisoned: later Apply calls fail too, so
-// the acknowledged prefix is exactly what recovery replays. The log assigns
+// each delete/update whether the object existed and for each insert and
+// update the store's refusal, if any (refused is nil when every record was
+// taken). A refused record stays in the log: replay meets the same store
+// state, refuses it again and moves on. On error nothing is applied,
+// nothing is acknowledged, and the log stays poisoned: later Apply calls
+// fail too, so the acknowledged prefix is exactly what recovery replays. The log assigns
 // the records' LSNs in place.
 func (s *Store) Apply(recs []Record) (existed []bool, refused []error, err error) {
 	if len(recs) == 0 {
@@ -233,9 +233,13 @@ func (s *Store) Delete(id object.ID) bool {
 }
 
 // Update implements store.Organization. It panics when the record cannot be
-// logged; use Apply for an error return.
+// logged, and — as the plain store does — when the store refuses the object;
+// use Apply for an error return.
 func (s *Store) Update(o *object.Object, key geom.Rect) bool {
-	existed, _ := s.logged(Record{Kind: KindUpdate, Obj: o, Key: key})
+	existed, err := s.logged(Record{Kind: KindUpdate, Obj: o, Key: key})
+	if err != nil {
+		panic(err)
+	}
 	return existed
 }
 
