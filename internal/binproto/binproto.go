@@ -11,7 +11,7 @@
 //	window  0x01: tech u8 | x1 y1 x2 y2 f64        (34 bytes; tech 0xff: the server's default)
 //	point   0x02: x y f64                          (17 bytes)
 //	knn     0x03: x y f64 | k u32                  (21 bytes)
-//	insert  0x04: hasKey u8 | [x1 y1 x2 y2 f64] | object.Marshal bytes
+//	insert  0x04: hasKey u8 | [x1 y1 x2 y2 f64] | object.Append bytes
 //	update  0x05: same layout as insert
 //	delete  0x06: id u64                           (9 bytes)
 //
@@ -290,7 +290,7 @@ func AppendMutateReq(dst []byte, kind byte, o *object.Object, key *[4]float64) [
 	} else {
 		dst = append(dst, 0)
 	}
-	return append(dst, object.Marshal(o)...)
+	return object.Append(dst, o)
 }
 
 // DecodeMutateReq decodes an insert or update request. The kind byte selects

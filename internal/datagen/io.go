@@ -31,8 +31,9 @@ func (d *Dataset) Write(w io.Writer) error {
 			return fmt.Errorf("datagen: write header: %w", err)
 		}
 	}
+	var buf []byte
 	for _, o := range d.Objects {
-		buf := object.Marshal(o)
+		buf = object.Append(buf[:0], o)
 		if err := binary.Write(bw, binary.LittleEndian, uint32(len(buf))); err != nil {
 			return fmt.Errorf("datagen: write object length: %w", err)
 		}

@@ -6,7 +6,7 @@
 // the exact serialized size distribution — the paper's test series A, B and
 // C differ only in average object size (Table 1).
 //
-// The serialization (Marshal/Unmarshal) is the on-disk format everywhere an
+// The serialization (Append/Unmarshal) is the on-disk format everywhere an
 // exact representation is stored: the secondary organization's sequential
 // file, the primary organization's data pages and overflow file, and the
 // cluster organization's cluster units.

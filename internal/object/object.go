@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialcluster/internal/geom"
 )
@@ -56,8 +57,9 @@ func SizeFor(nVertices, pad int) int {
 	return HeaderSize + VertexSize*nVertices + pad
 }
 
-// Marshal serializes the object.
-func Marshal(o *Object) []byte {
+// Append appends the object's serialization, Size() bytes, to dst and
+// returns the extended slice, so a caller encodes into memory it owns.
+func Append(dst []byte, o *Object) []byte {
 	var typ byte
 	var verts []geom.Point
 	switch g := o.Geom.(type) {
@@ -68,7 +70,10 @@ func Marshal(o *Object) []byte {
 	default:
 		panic(fmt.Sprintf("object: unsupported geometry %T", o.Geom))
 	}
-	buf := make([]byte, o.Size())
+	start := len(dst)
+	dst = slices.Grow(dst, o.Size())[:start+o.Size()]
+	buf := dst[start:]
+	clear(buf) // reserved header bytes and padding are zero
 	binary.LittleEndian.PutUint64(buf[0:], uint64(o.ID))
 	buf[8] = typ
 	binary.LittleEndian.PutUint32(buf[12:], uint32(len(verts)))
@@ -79,7 +84,7 @@ func Marshal(o *Object) []byte {
 		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(v.Y))
 		off += VertexSize
 	}
-	return buf
+	return dst
 }
 
 // View is a serialization decoded for inspection rather than kept: Vertices
@@ -92,7 +97,7 @@ type View struct {
 	Pad      int
 }
 
-// Decode checks a serialization produced by Marshal and decodes its vertices
+// Decode checks a serialization produced by Append and decodes its vertices
 // into verts (reusing its capacity, growing it when too small). Query
 // refinement decodes into per-query scratch and tests a stack geometry, so a
 // candidate costs no allocation; Unmarshal builds the heap form from the
@@ -131,7 +136,7 @@ func Decode(buf []byte, verts []geom.Point) (View, error) {
 	return View{ID: id, Polygon: typ == typePolygon, Vertices: verts, Pad: pad}, nil
 }
 
-// Unmarshal deserializes an object previously produced by Marshal.
+// Unmarshal deserializes an object previously produced by Append.
 func Unmarshal(buf []byte) (*Object, error) {
 	v, err := Decode(buf, nil)
 	if err != nil {

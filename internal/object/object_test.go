@@ -12,9 +12,9 @@ import (
 func TestMarshalRoundTripPolyline(t *testing.T) {
 	g := geom.NewPolyline([]geom.Point{geom.Pt(0.1, 0.2), geom.Pt(0.3, 0.4), geom.Pt(0.5, 0.6)})
 	o := New(42, g, 100)
-	buf := Marshal(o)
+	buf := Append(nil, o)
 	if len(buf) != o.Size() {
-		t.Fatalf("Marshal length %d != Size %d", len(buf), o.Size())
+		t.Fatalf("Append length %d != Size %d", len(buf), o.Size())
 	}
 	got, err := Unmarshal(buf)
 	if err != nil {
@@ -35,7 +35,7 @@ func TestMarshalRoundTripPolyline(t *testing.T) {
 func TestMarshalRoundTripPolygon(t *testing.T) {
 	g := geom.NewPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1)})
 	o := New(7, g, 0)
-	got, err := Unmarshal(Marshal(o))
+	got, err := Unmarshal(Append(nil, o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Fatal("short buffer must error")
 	}
 	o := New(1, geom.NewPolyline([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}), 5)
-	buf := Marshal(o)
+	buf := Append(nil, o)
 	if _, err := Unmarshal(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated buffer must error")
 	}
@@ -89,7 +89,8 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-// Property: Marshal/Unmarshal round-trips arbitrary polylines bit-exactly.
+// Property: Append/Unmarshal round-trips arbitrary polylines bit-exactly, and
+// Append's bytes do not depend on the memory it appends into.
 func TestQuickRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f := func(idRaw uint64, nRaw, padRaw uint8) bool {
@@ -100,7 +101,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			verts[i] = geom.Pt(rng.Float64(), rng.Float64())
 		}
 		o := New(ID(idRaw), geom.NewPolyline(verts), pad)
-		buf := Marshal(o)
+		buf := Append(nil, o)
 		got, err := Unmarshal(buf)
 		if err != nil {
 			return false
@@ -108,7 +109,14 @@ func TestQuickRoundTrip(t *testing.T) {
 		if got.ID != o.ID || got.Pad != o.Pad {
 			return false
 		}
-		return bytes.Equal(Marshal(got), buf)
+		if !bytes.Equal(Append(nil, got), buf) {
+			return false
+		}
+		// Appended behind other bytes, into spare capacity full of garbage,
+		// the encoding is the same and the prefix is kept.
+		dirty := bytes.Repeat([]byte{0xAB}, 3+len(buf)+int(nRaw))[:3]
+		out := Append(dirty, o)
+		return bytes.Equal(out[:3], []byte{0xAB, 0xAB, 0xAB}) && bytes.Equal(out[3:], buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

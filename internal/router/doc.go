@@ -38,7 +38,11 @@
 // (or the shard's own 429) to the caller. Every shard exchange carries the
 // inbound request's context and, when it is traced, its trace identity: a
 // caller that went away or ran out of time aborts its scatter (answered 499
-// or 408, counted against no shard) — except the delete and re-insert of a
+// or 408, counted against no shard) — except the insert and delete of a
 // cross-shard update, which once begun run to completion whatever becomes of
-// the caller, so that only a shard failure can split a move.
+// the caller. The insert at the target goes first, so a refused or failed
+// insert leaves the old version where it was; while both copies exist (and
+// for good if a shard fails between the two writes) a query that reaches both
+// shards sees the ID twice, and the merges already answer it once: mergeQuery
+// compacts the IDs it merges and shard.KNNMerger keeps the closer entry.
 package router

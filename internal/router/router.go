@@ -274,9 +274,9 @@ func (rt *Router) routeSize() int {
 }
 
 // mergeQuery combines per-shard window/point answers: IDs ascending for a
-// deterministic wire answer, each once (shards own disjoint sets, so the
-// dedup is belt-and-braces), [] rather than null when there are none,
-// candidates summed.
+// deterministic wire answer, each once (a cross-shard move holds an ID on two
+// shards between its insert and its delete), [] rather than null when there
+// are none, candidates summed.
 func mergeQuery(resps []server.QueryResponse) store.QueryResult {
 	n := 0
 	for _, r := range resps {
@@ -440,76 +440,65 @@ func (rt *Router) Insert(rq *server.Request, o *object.Object, key geom.Rect) er
 }
 
 // Update implements server.Service: it replaces an object wherever it lives.
-// An update is a no-op when the object exists nowhere (shard stores do not
-// upsert), so a cross-shard move must first prove the object alive by
-// deleting its old copy — only then is it re-created at the target. Those
-// are two writes on two shards, and a caller that goes away between them
-// would leave the object on neither: a request still live when its move
-// begins runs the move on mv, its context with the cancellation taken off,
-// so that only a shard failure can split one. The single-shard update stays
-// cancellable.
+// Shard stores do not upsert, so an update of an object that exists nowhere
+// is a no-op. An object that stays on its shard takes one cancellable call.
+// A move to another shard inserts the new version at the target first and
+// deletes the old copy second, so a target that refuses the object (413) or
+// fails leaves the old version answering where it was. The old copy is
+// deleted at the cached route's shard or, with no route cached, broadcast to
+// every shard but the target, which was asked to update in place first; if no
+// shard held it, the object was not alive and the insert is undone. A move
+// runs on mv, its request's context with the cancellation taken off, so a
+// caller that goes away cannot split it: only a shard failure between the
+// insert and the delete can, and that leaves two copies, not none.
 func (rt *Router) Update(rq *server.Request, o *object.Object, key geom.Rect) (bool, error) {
 	rt.pmap.Observe(key)
 	target := rt.pmap.ShardOfKey(key)
 	id := uint64(o.ID)
 	prev, known := rt.getRoute(id)
-	if !known || prev != target {
-		mv := rq
-		if rq.Ctx != nil {
-			if err := rq.Ctx.Err(); err != nil {
-				return false, err
-			}
-			mv = &server.Request{Ctx: context.WithoutCancel(rq.Ctx), Trace: rq.Trace}
-		}
-		if known {
-			existed, err := rt.deleteAt(mv, prev, o.ID)
-			if err != nil {
-				return false, rt.shardError(mv.Ctx, prev, err)
-			}
-			if existed {
-				return true, rt.insertAt(mv, target, o, key)
-			}
-			// The cache was stale; fall through to the cold path.
-		}
-		// Never routed through us (bulk-built shard-side, or the cache is
-		// cold): the live copy may sit on any shard. Delete everywhere but
-		// the target; a hit means the object moved — re-create it there.
-		others := make([]int, 0, rt.pmap.N()-1)
-		for i := 0; i < rt.pmap.N(); i++ {
-			if i != target {
-				others = append(others, i)
-			}
-		}
-		moved := false
-		if len(others) > 0 {
-			dels := make([]bool, len(others))
-			if err := rt.scatter(mv.Ctx, others, func(i, s int) error {
-				var err error
-				dels[i], err = rt.deleteAt(mv, s, o.ID)
-				return err
-			}); err != nil {
-				return false, err
-			}
-			for _, d := range dels {
-				moved = moved || d
-			}
-		}
-		if moved {
-			return true, rt.insertAt(mv, target, o, key)
-		}
-	}
-	// The object lives at the target or nowhere; the shard decides which.
-	start := time.Now()
-	existed, err := rt.via(rq, target).Update(o, key)
-	if err = rt.shardCall(rq, target, start, err); err != nil {
-		return false, rt.shardError(rq.Ctx, target, err)
-	}
-	if existed {
-		rt.setRoute(id, target)
+	var others []int // the shards the old copy of a move may sit on
+	if known && prev != target {
+		others = []int{prev}
 	} else {
-		rt.delRoute(id)
+		start := time.Now()
+		existed, err := rt.via(rq, target).Update(o, key)
+		if err = rt.shardCall(rq, target, start, err); err != nil {
+			return false, rt.shardError(rq.Ctx, target, err)
+		}
+		if existed {
+			rt.setRoute(id, target)
+			return true, nil
+		}
+		if known || rt.pmap.N() == 1 { // no other shard can hold it
+			rt.delRoute(id)
+			return false, nil
+		}
+		others = slices.DeleteFunc(rt.allShards(), func(s int) bool { return s == target })
 	}
-	return existed, nil
+	mv := rq
+	if rq.Ctx != nil {
+		if err := rq.Ctx.Err(); err != nil {
+			return false, err
+		}
+		mv = &server.Request{Ctx: context.WithoutCancel(rq.Ctx), Trace: rq.Trace}
+	}
+	if err := rt.insertAt(mv, target, o, key); err != nil {
+		return false, err
+	}
+	dels := make([]bool, len(others))
+	if err := rt.scatter(mv.Ctx, others, func(i, s int) error {
+		var err error
+		dels[i], err = rt.deleteAt(mv, s, o.ID)
+		return err
+	}); err != nil {
+		return false, err
+	}
+	if slices.Contains(dels, true) {
+		return true, nil
+	}
+	rt.delRoute(id)
+	_, err := rt.deleteAt(mv, target, o.ID)
+	return false, rt.shardError(mv.Ctx, target, err)
 }
 
 // Delete implements server.Service: one call when the route cache knows the

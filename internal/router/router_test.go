@@ -473,9 +473,11 @@ func TestRouterPassesInsertRefusals(t *testing.T) {
 // TestOversizeUpdateRefused: an update whose object no cluster unit can hold
 // answers 413 and changes nothing — on a plain and on a WAL-attached store,
 // over JSON and over the binary protocol, asked directly and through a
-// router. The old version keeps answering, and a log that holds the refused
-// updates recovers to the same store. (Updating deleted the old version and
-// then panicked on the new one, killing the daemon.)
+// router, and through a 2-shard router that would move the object to the
+// other shard, with its route cached and cold. The old version keeps
+// answering, and a log that holds the refused updates recovers to the same
+// store. (Updating deleted the old version and then panicked on the new one,
+// killing the daemon; a refused move deleted the object.)
 func TestOversizeUpdateRefused(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 5})
 	old, key := ds.Objects[0], ds.MBRs[0]
@@ -527,6 +529,65 @@ func TestOversizeUpdateRefused(t *testing.T) {
 			t.Fatalf("recovery replayed %d records into %+v, want 4 and %+v", rst.Replayed, rec.Stats(), stats)
 		}
 		rec.Close()
+	}
+
+	// The move: the object lives on shard 0, the new key belongs to shard 1.
+	pmap := shard.FromKeys(ds.MBRs, 2)
+	from, to := -1, -1
+	for i, k := range ds.MBRs {
+		if s := pmap.ShardOfKey(k); s == 0 && from < 0 {
+			from = i
+		} else if s == 1 && to < 0 {
+			to = i
+		}
+	}
+	old, key = ds.Objects[from], ds.MBRs[from]
+	huge = object.New(old.ID, ds.Objects[to].Geom, ds.Spec.SmaxBytes()+1) // the shape, and key, of one across the boundary
+	for _, cached := range []bool{true, false} {
+		for _, binary := range []bool{false, true} {
+			name := fmt.Sprintf("move cached=%v binary=%v", cached, binary)
+			orgs := make([]store.Organization, 2)
+			var before, after [2]store.StorageStats
+			for s := range orgs {
+				objs, keys := shardSubset(ds, pmap, s)
+				orgs[s] = buildOrg(ds.Spec.SmaxBytes(), objs, keys)
+			}
+			tc := startCluster(t, pmap, orgs)
+			c := *tc.client
+			c.Binary = binary
+			if cached { // a same-shard update teaches the router where the object lives
+				if existed, err := c.Update(old, key); err != nil || !existed {
+					t.Fatalf("%s: warming update answered %v, %v", name, existed, err)
+				}
+			}
+			for s := range orgs {
+				before[s] = orgs[s].Stats()
+			}
+			existed, err := c.Update(huge, ds.MBRs[to])
+			var se *server.StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: oversize update answered %v, %v, want status 413", name, existed, err)
+			}
+			for s := range orgs {
+				after[s] = orgs[s].Stats()
+			}
+			if after != before {
+				t.Fatalf("%s: the refused move changed the shards: %+v, were %+v", name, after, before)
+			}
+			r, err := c.Window(key, "")
+			if err != nil || !slices.Contains(r.IDs, uint64(old.ID)) {
+				t.Fatalf("%s: after the refusal a window on the old version answers %v, %v", name, r.IDs, err)
+			}
+			// A move of an object that lives nowhere inserts it at the
+			// target, finds no old copy and takes the insert back.
+			ghost := object.New(old.ID+1_000_000, ds.Objects[to].Geom, 0)
+			if existed, err := c.Update(ghost, ds.MBRs[to]); existed || err != nil {
+				t.Fatalf("%s: update of an absent object answered %v, %v", name, existed, err)
+			}
+			if r, err := c.Window(ds.MBRs[to], ""); err != nil || slices.Contains(r.IDs, uint64(ghost.ID)) {
+				t.Fatalf("%s: the update of an absent object left it answering: %v, %v", name, r.IDs, err)
+			}
+		}
 	}
 }
 

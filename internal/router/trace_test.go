@@ -527,12 +527,12 @@ func TestRouterAbortsScatterOnCancel(t *testing.T) {
 	}
 }
 
-// TestRouterMoveOutlivesCaller: a cross-shard update is a delete on one shard
-// and an insert on another, and a caller that hangs up between the two must
-// not split it. The target shard holds the insert of a move back until the
-// caller has cancelled; the move still completes, and the object ends up on
-// the target shard and nowhere else — with the route cache warm (one delete
-// at the known owner) and cold (a delete broadcast).
+// TestRouterMoveOutlivesCaller: a cross-shard update is an insert on one
+// shard and a delete on another, and a caller that hangs up once the move has
+// begun must not split it. The target shard holds the insert of a move back
+// until the caller has cancelled; the move still completes, and the object
+// ends up on the target shard and nowhere else — with the route cache warm
+// (one delete at the known owner) and cold (a delete broadcast).
 func TestRouterMoveOutlivesCaller(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 43})
 	pmap := shard.FromKeys(ds.MBRs, 2)
@@ -590,7 +590,7 @@ func TestRouterMoveOutlivesCaller(t *testing.T) {
 			existed, err := rt.Update(&server.Request{Ctx: ctx}, moved, dest)
 			answered <- verdict{existed, err}
 		}()
-		<-entered // the delete has committed; the insert is at the target's door
+		<-entered // the move has begun: its insert is at the target's door
 		cancel()
 		select {
 		case v := <-answered:

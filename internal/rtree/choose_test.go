@@ -557,25 +557,52 @@ func FuzzChooseSubtree(f *testing.F) {
 	})
 }
 
-// TestInsertAllocs: inserting into a warm tree allocates the nodes it decodes
-// and the path it descends — not a sorted copy of the node per split order.
-func TestInsertAllocs(t *testing.T) {
+// TestMutationAllocs: on a warm tree a mutation allocates only the pages it
+// changes. Descents decode into the tree's scratch and an unchanged node is
+// re-buffered as its own page, so an Insert pays for its leaf and, when its
+// MBR grows, the parent (splits and reinserts are rare), and a Delete for
+// its leaf alone.
+func TestMutationAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	tr := newTestTree(t, Config{DisableLeafReinsert: true})
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 20000; i++ {
-		tr.Insert(randRect(rng), payloadFor(uint64(i)))
-	}
-	i := 20000
-	if a := testing.AllocsPerRun(2000, func() {
-		tr.Insert(randRect(rng), payloadFor(uint64(i)))
-		i++
-	}); a > 12 {
-		t.Errorf("Insert allocates %v times per call, want <= 12", a)
-	} else {
-		t.Logf("Insert: %v allocations per call", a)
+	const n, runs = 20000, 2000
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"rstar", Config{}},
+		{"cluster", Config{DisableLeafReinsert: true, DisableLeafCondense: true}},
+	} {
+		tr := newTestTree(t, c.cfg)
+		rng := rand.New(rand.NewSource(6))
+		rects := make([]geom.Rect, n+runs+1)
+		payloads := make([][]byte, len(rects))
+		for i := range rects {
+			rects[i], payloads[i] = randRect(rng), payloadFor(uint64(i))
+		}
+		for i := 0; i < n; i++ {
+			tr.Insert(rects[i], payloads[i])
+		}
+		i := n
+		ins := testing.AllocsPerRun(runs, func() {
+			tr.Insert(rects[i], payloads[i])
+			i++
+		})
+		i = 0
+		del := testing.AllocsPerRun(runs, func() {
+			if !tr.Delete(rects[i], nil) {
+				t.Fatalf("%s: entry %d not found", c.name, i)
+			}
+			i++
+		})
+		if ins > 3 {
+			t.Errorf("%s: Insert allocates %v times per call, want <= 3", c.name, ins)
+		}
+		if del > 2 {
+			t.Errorf("%s: Delete allocates %v times per call, want <= 2", c.name, del)
+		}
+		t.Logf("%s: Insert %v, Delete %v allocations per call", c.name, ins, del)
 	}
 }
 
@@ -619,6 +646,39 @@ func BenchmarkInsert(b *testing.B) {
 					b.StartTimer()
 				}
 				tr.Insert(keys[i%len(keys)], payloadFor(uint64(len(keys)+i)))
+			}
+		})
+	}
+}
+
+// BenchmarkDelete times deletes in steady state: from a tree prefilled with
+// the scale-8 data set, deleting its keys in a shuffled order (a fresh
+// prefilled tree, off the clock, every 8,216 deletes, so the tree never
+// shrinks below half its size), as plain R* and in the cluster
+// organization's configuration.
+func BenchmarkDelete(b *testing.B) {
+	keys := scale8Keys(b)
+	order := rand.New(rand.NewSource(1)).Perm(len(keys))[:len(keys)/2]
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"rstar", Config{}},
+		{"cluster", Config{DisableLeafReinsert: true, DisableLeafCondense: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tr := prefilledTree(c.cfg, keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%len(order) == 0 {
+					b.StopTimer()
+					tr = prefilledTree(c.cfg, keys)
+					b.StartTimer()
+				}
+				if !tr.Delete(keys[order[i%len(order)]], nil) {
+					b.Fatal("key not found")
+				}
 			}
 		})
 	}

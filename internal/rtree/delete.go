@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"bytes"
-
 	"spatialcluster/internal/disk"
 	"spatialcluster/internal/geom"
 )
@@ -15,10 +13,12 @@ func (t *Tree) Delete(r geom.Rect, match func(payload []byte) bool) bool {
 	if match == nil {
 		match = func([]byte) bool { return true }
 	}
-	path, idx := t.findEntry(t.root, -1, r, match)
-	if path == nil {
+	idx, found := t.findEntry(t.root, 0, r, match)
+	if !found {
 		return false
 	}
+	path := t.path
+	path[0].entryIdx = -1
 	leaf := path[len(path)-1].node
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
 	t.writeNode(leaf)
@@ -54,7 +54,7 @@ func (t *Tree) Delete(r geom.Rect, match func(payload []byte) bool) bool {
 
 	// Shrink the root while it is a directory node with a single child.
 	for t.height > 1 {
-		root := t.ReadNode(t.root)
+		root := t.readScratch(0, t.root)
 		if len(root.Entries) != 1 || root.Level == 0 {
 			break
 		}
@@ -62,6 +62,10 @@ func (t *Tree) Delete(r geom.Rect, match func(payload []byte) bool) bool {
 		t.freePage(root.ID, root.Level)
 		t.root = child
 		t.height--
+		if len(t.nodes) > t.height {
+			clear(t.nodes[t.height:])
+			t.nodes = t.nodes[:t.height]
+		}
 	}
 
 	// Re-insert orphans at their original levels.
@@ -90,7 +94,7 @@ func (t *Tree) reinsertEntry(e Entry, level int) {
 	// exists: this grafts the orphan's whole subtree without relocating any
 	// of its entries (relocations would move objects between cluster units).
 	for level >= t.height {
-		oldRoot := t.ReadNode(t.root)
+		oldRoot := t.readScratch(0, t.root)
 		newRoot := &Node{
 			ID:      t.allocPage(oldRoot.Level + 1),
 			Level:   oldRoot.Level + 1,
@@ -101,44 +105,42 @@ func (t *Tree) reinsertEntry(e Entry, level int) {
 		t.writeNode(newRoot)
 	}
 	reinserted := map[int]bool{0: true, level: true}
-	var removed []Entry
-	var removedLevel int
-	t.insertOne(e, level, false, reinserted, &removed, &removedLevel)
+	var removed []pending
+	t.insertOne(e, level, false, reinserted, &removed)
 	for _, re := range removed {
-		t.reinsertEntry(re, removedLevel)
+		t.reinsertEntry(re.e, re.level)
 	}
 }
 
-// findEntry locates the leaf containing the entry to delete and returns the
-// root-to-leaf path (with entryIdx being each node's index within its
-// parent) plus the entry index in the leaf, or nil if not found.
-func (t *Tree) findEntry(id disk.PageID, entryIdx int, r geom.Rect,
-	match func([]byte) bool) ([]pathElem, int) {
+// findEntry looks for the entry to delete in the subtree of node id, at
+// depth depth, scanning pages in place as Search does and following every
+// directory entry that contains r. On success it decodes the root-to-leaf
+// path, from the pages it already holds, into the tree's scratch path (with
+// entryIdx each node's index within its parent; the caller sets the root's)
+// and returns the entry's index in the leaf.
+func (t *Tree) findEntry(id disk.PageID, depth int, r geom.Rect,
+	match func([]byte) bool) (idx int, found bool) {
 
-	n := t.ReadNode(id)
-	self := pathElem{node: n, entryIdx: entryIdx}
-	if n.Level == 0 {
-		for i := range n.Entries {
-			if n.Entries[i].Rect == r && match(n.Entries[i].Payload) {
-				return []pathElem{self}, i
+	page := t.buf.Get(id)
+	c := t.cursor(id, page)
+	for er, ok := c.next(); ok; er, ok = c.next() {
+		if c.level == 0 {
+			if er != r || !match(c.payload()) {
+				continue
 			}
+			idx = c.i - 1
+			t.path = resize(t.path, depth+1)
+		} else {
+			if !er.ContainsRect(r) {
+				continue
+			}
+			if idx, found = t.findEntry(c.child(), depth+1, r, match); !found {
+				continue
+			}
+			t.path[depth+1].entryIdx = c.i - 1
 		}
-		return nil, 0
+		t.path[depth].node = t.scratchNode(depth, id, page)
+		return idx, true
 	}
-	for i := range n.Entries {
-		if !n.Entries[i].Rect.ContainsRect(r) {
-			continue
-		}
-		sub, idx := t.findEntry(n.Entries[i].Child, i, r, match)
-		if sub != nil {
-			return append([]pathElem{self}, sub...), idx
-		}
-	}
-	return nil, 0
-}
-
-// DeleteByPayload removes the first leaf entry whose rectangle equals r and
-// whose payload equals payload byte-wise.
-func (t *Tree) DeleteByPayload(r geom.Rect, payload []byte) bool {
-	return t.Delete(r, func(p []byte) bool { return bytes.Equal(p, payload) })
+	return 0, false
 }

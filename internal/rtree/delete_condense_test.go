@@ -39,7 +39,7 @@ func TestDeleteLeafCondenseDisabled(t *testing.T) {
 	perm := rng.Perm(len(all))
 	deleted := map[uint64]bool{}
 	for _, i := range perm[:2300] {
-		if !tr.DeleteByPayload(all[i].r, payloadFor(all[i].id)) {
+		if !deleteByPayload(tr, all[i].r, payloadFor(all[i].id)) {
 			t.Fatalf("delete of %d failed", all[i].id)
 		}
 		deleted[all[i].id] = true
@@ -128,7 +128,7 @@ func buildShrinkScenario(t *testing.T) (*Tree, geom.Rect, []uint64) {
 // between pages).
 func TestDeleteGraftsOrphanAboveShrunkRoot(t *testing.T) {
 	tr, victim, survivors := buildShrinkScenario(t)
-	if !tr.DeleteByPayload(victim, payloadFor(1)) {
+	if !deleteByPayload(tr, victim, payloadFor(1)) {
 		t.Fatal("delete failed")
 	}
 	if n, err := tr.CheckInvariants(); err != nil || n != len(survivors) {
@@ -164,7 +164,7 @@ func TestDeleteGraftKeepsLeafEntriesInPlace(t *testing.T) {
 		}
 		return true
 	})
-	if !tr.DeleteByPayload(victim, payloadFor(1)) {
+	if !deleteByPayload(tr, victim, payloadFor(1)) {
 		t.Fatal("delete failed")
 	}
 	if _, err := tr.CheckInvariants(); err != nil {
@@ -201,7 +201,7 @@ func TestDeleteCondenseSoak(t *testing.T) {
 			}
 			perm := rng.Perm(len(all))
 			for k, i := range perm {
-				if !tr.DeleteByPayload(all[i].r, payloadFor(all[i].id)) {
+				if !deleteByPayload(tr, all[i].r, payloadFor(all[i].id)) {
 					t.Fatalf("disable=%v seed=%d: delete %d failed", disable, seed, all[i].id)
 				}
 				if k%97 == 0 {

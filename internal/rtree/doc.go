@@ -43,11 +43,11 @@
 // static global clustering and full rebuilds.
 //
 // The read path scans pages in place: one entry cursor (node.go) is the only
-// reader of the page layout marshalNode writes, Search, SearchLeaves and the
+// reader of the page layout marshalInto writes, Search, SearchLeaves and the
 // directory levels of NearestLeaves run the rectangle test on the encoded
 // entry and surface only what qualifies, and every Entry.Payload handed out
-// — by the scans and by ReadNode/DecodeNode, the decoded form the mutation
-// path and the join edit — is a capacity-capped sub-slice of the page, valid
+// — by the scans and by ReadNode/DecodeNode, the decoded form the join and
+// the organizations read — is a capacity-capped sub-slice of the page, valid
 // for as long as it is held (pages are immutable once buffered, see
 // internal/buffer). NearestLeaves decodes the data pages it surfaces into one
 // pooled node per browse, pooled with the browse's priority queue; a search
@@ -56,6 +56,18 @@
 // the page's MBR, which CheckInvariants asserts). So neither allocates per
 // node read or data page, nor unions per data page. A page whose count or length
 // prefix overruns it panics naming the page.
+//
+// The write path allocates only the pages it changes. Insert and Delete
+// decode into nodes the Tree owns, one per depth of a descent and recycled
+// by the next descent, so there are never more than levels; each has room
+// for the entry an overflow appends. Delete finds its entry by scanning pages
+// in place, as Search does, and decodes only the root-to-leaf path it found,
+// from the pages it already holds, so its buffer reads are a fresh decode's.
+// writeNode marshals into a page the Tree owns: a node whose bytes equal the
+// page it was decoded from re-buffers that same page — the same Put, dirty
+// mark and LRU touch, so the same modelled cost — and only a node that
+// changed is copied into a fresh page. Buffered pages therefore stay
+// immutable, and ReadNode and DecodeNode still return fresh nodes.
 //
 // A built tree's in-memory state (root, shape counters, page levels) can be
 // captured with Image and revived with Restore over a disk whose pages were

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"spatialcluster/internal/disk"
@@ -28,37 +27,32 @@ func (t *Tree) Insert(r geom.Rect, payload []byte) disk.PageID {
 		panic(fmt.Sprintf("rtree: payload of %d bytes exceeds one page", len(payload)))
 	}
 
-	type pending struct {
-		e     Entry
-		level int
-	}
-	queue := []pending{{e: Entry{Rect: r, Payload: payload}, level: 0}}
+	queue := append(t.queue[:0], pending{e: Entry{Rect: r, Payload: payload}, level: 0})
 	reinserted := make(map[int]bool)
-	first := true
 	var landed disk.PageID
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		var removed []Entry
-		var removedLevel int
-		id := t.insertOne(p.e, p.level, first, reinserted, &removed, &removedLevel)
-		if first {
+	for k := 0; k < len(queue); k++ {
+		id := t.insertOne(queue[k].e, queue[k].level, k == 0, reinserted, &queue)
+		if k == 0 {
 			landed = id
-			first = false
-		}
-		for _, e := range removed {
-			queue = append(queue, pending{e: e, level: removedLevel})
 		}
 	}
+	clear(queue) // the tree's queue must not keep pages alive
+	t.queue = queue[:0]
 	t.size++
 	return landed
+}
+
+// pending is an entry waiting to be inserted at a level.
+type pending struct {
+	e     Entry
+	level int
 }
 
 // insertOne performs a full root-to-level descent, places e, and resolves
 // overflow bottom-up along the descent path. Entries evicted by a forced
 // reinsert are appended to *removed for the caller to re-insert.
 func (t *Tree) insertOne(e Entry, level int, fresh bool, reinserted map[int]bool,
-	removed *[]Entry, removedLevel *int) disk.PageID {
+	removed *[]pending) disk.PageID {
 
 	path := t.choosePath(e.Rect, level)
 	leafIdx := len(path) - 1
@@ -88,11 +82,9 @@ func (t *Tree) insertOne(e Entry, level int, fresh bool, reinserted map[int]bool
 			!reinserted[n.Level]
 		if allowReinsert {
 			reinserted[n.Level] = true
-			evicted := t.evictForReinsert(n)
+			*removed = t.evictForReinsert(n, *removed)
 			t.writeNode(n)
 			t.adjustPathRects(path[:i+1])
-			*removed = append(*removed, evicted...)
-			*removedLevel = n.Level
 			break // node no longer overfull; nothing propagates up
 		}
 		t.splitAt(path, i)
@@ -116,37 +108,28 @@ func (t *Tree) adjustPathRects(path []pathElem) {
 
 // evictForReinsert removes the reinsertFraction of entries whose rectangle
 // centers lie farthest from the center of the node's MBR ([BKSS90] forced
-// reinsert) and returns them, farthest first.
-func (t *Tree) evictForReinsert(n *Node) []Entry {
+// reinsert) and appends them to removed, farthest first, at the node's level.
+// The node keeps the rest in the same stable order by descending distance.
+func (t *Tree) evictForReinsert(n *Node, removed []pending) []pending {
 	p := int(reinsertFraction * float64(len(n.Entries)))
 	if p < 1 {
 		p = 1
 	}
 	center := n.Rect().Center()
-	type distEntry struct {
-		d float64
-		e Entry
+	slices.SortStableFunc(n.Entries, func(a, b Entry) int {
+		return cmp.Compare(b.Rect.Center().Dist2(center), a.Rect.Center().Dist2(center))
+	})
+	for _, e := range n.Entries[:p] {
+		removed = append(removed, pending{e: e, level: n.Level})
 	}
-	des := make([]distEntry, len(n.Entries))
-	for i, e := range n.Entries {
-		des[i] = distEntry{d: e.Rect.Center().Dist2(center), e: e}
-	}
-	sort.SliceStable(des, func(i, j int) bool { return des[i].d > des[j].d })
-	evicted := make([]Entry, p)
-	for i := 0; i < p; i++ {
-		evicted[i] = des[i].e
-	}
-	n.Entries = n.Entries[:0]
-	for _, de := range des[p:] {
-		n.Entries = append(n.Entries, de.e)
-	}
+	n.Entries = slices.Delete(n.Entries, 0, p)
 	// Variable leaves: the count-based fraction may not free enough bytes;
 	// keep evicting the farthest entries until the node fits.
 	for t.overfull(n) && len(n.Entries) > 1 {
-		evicted = append(evicted, n.Entries[0])
-		n.Entries = n.Entries[1:]
+		removed = append(removed, pending{e: n.Entries[0], level: n.Level})
+		n.Entries = slices.Delete(n.Entries, 0, 1)
 	}
-	return evicted
+	return removed
 }
 
 // splitAt splits path[i].node and installs the new siblings in the parent

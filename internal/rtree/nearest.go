@@ -94,6 +94,7 @@ func (t *Tree) NearestLeavesTallied(pt geom.Point, tl *disk.Tally, stop func(min
 	b := leafPool.Get().(*browse)
 	t.nearestLeaves(pt, tl, stop, fn, b)
 	clear(b.leaf.Entries[:cap(b.leaf.Entries)]) // a pooled node must not keep pages alive
+	b.leaf.page = nil
 	leafPool.Put(b)
 }
 

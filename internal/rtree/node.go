@@ -35,6 +35,11 @@ type Node struct {
 	ID      disk.PageID
 	Level   int
 	Entries []Entry
+
+	// page is the buffered page the node was decoded from or last written
+	// as; writeNode hands it back to the buffer when the node still
+	// marshals to exactly these bytes. Never written to.
+	page []byte
 }
 
 // IsLeaf reports whether the node is a data page.
@@ -67,12 +72,13 @@ func getRect(buf []byte) geom.Rect {
 	}
 }
 
-// marshalNode serializes n into a page-sized buffer according to cfg.
-func (t *Tree) marshalNode(n *Node) []byte {
+// marshalInto serializes n into buf, a page-sized buffer, zeroing every
+// byte no entry fills (reserved bytes, short payloads, the tail).
+func (t *Tree) marshalInto(buf []byte, n *Node) {
 	if len(n.Entries) > 255 {
 		panic(fmt.Sprintf("rtree: node %d with %d entries exceeds count byte", n.ID, len(n.Entries)))
 	}
-	buf := make([]byte, disk.PageSize)
+	clear(buf)
 	buf[0] = byte(n.Level)
 	buf[1] = byte(len(n.Entries))
 	off := nodeHeaderSize
@@ -98,11 +104,10 @@ func (t *Tree) marshalNode(n *Node) []byte {
 	if off > disk.PageSize {
 		panic(fmt.Sprintf("rtree: node %d serialization of %d bytes overflows the page", n.ID, off))
 	}
-	return buf
 }
 
 // cursor walks the entries of one encoded node page in place — the only
-// reader of the layout marshalNode writes. A nil or empty buffer is the zero
+// reader of the layout marshalInto writes. A nil or empty buffer is the zero
 // page — unallocated backends and snapshot restores both elide all-zero
 // pages — and a zero page is exactly how an empty leaf node (level 0, no
 // entries) marshals, so it reads as one.
@@ -183,7 +188,7 @@ func (t *Tree) unmarshalNode(id disk.PageID, buf []byte) *Node {
 // room.
 func (t *Tree) decodeInto(n *Node, id disk.PageID, buf []byte) {
 	c := t.cursor(id, buf)
-	n.ID, n.Level, n.Entries = id, c.level, n.Entries[:0]
+	n.ID, n.Level, n.Entries, n.page = id, c.level, n.Entries[:0], buf
 	if n.Entries == nil || cap(n.Entries) < c.count {
 		n.Entries = make([]Entry, 0, c.count)
 	}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -29,6 +30,19 @@ func payloadFor(id uint64) []byte {
 	return p
 }
 
+// marshalNode serializes n into a fresh page.
+func (t *Tree) marshalNode(n *Node) []byte {
+	buf := make([]byte, disk.PageSize)
+	t.marshalInto(buf, n)
+	return buf
+}
+
+// deleteByPayload removes the first leaf entry whose rectangle equals r and
+// whose payload equals payload byte-wise.
+func deleteByPayload(tr *Tree, r geom.Rect, payload []byte) bool {
+	return tr.Delete(r, func(p []byte) bool { return bytes.Equal(p, payload) })
+}
+
 func payloadID(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
 
 func randRect(rng *rand.Rand) geom.Rect {
@@ -42,11 +56,11 @@ func TestPaperCapacity(t *testing.T) {
 	if tr.MaxEntries() != 89 {
 		t.Fatalf("M = %d, want 89", tr.MaxEntries())
 	}
-	if tr.MinEntries() != 35 {
-		t.Fatalf("m = %d, want 35 (40%% of M)", tr.MinEntries())
+	if minEntries != 35 {
+		t.Fatalf("m = %d, want 35 (40%% of M)", minEntries)
 	}
-	if tr.PayloadSize() != 14 {
-		t.Fatalf("payload size = %d, want 14", tr.PayloadSize())
+	if payloadSize != 14 {
+		t.Fatalf("payload size = %d, want 14", payloadSize)
 	}
 }
 
@@ -312,13 +326,13 @@ func TestDeleteBasic(t *testing.T) {
 	r1 := geom.R(0, 0, 0.1, 0.1)
 	tr.Insert(r1, payloadFor(1))
 	tr.Insert(geom.R(0.5, 0.5, 0.6, 0.6), payloadFor(2))
-	if !tr.DeleteByPayload(r1, payloadFor(1)) {
+	if !deleteByPayload(tr, r1, payloadFor(1)) {
 		t.Fatal("delete failed")
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if tr.DeleteByPayload(r1, payloadFor(1)) {
+	if deleteByPayload(tr, r1, payloadFor(1)) {
 		t.Fatal("double delete succeeded")
 	}
 	count := 0
@@ -345,7 +359,7 @@ func TestDeleteManyWithCondense(t *testing.T) {
 	// Delete 90% in random order.
 	perm := rng.Perm(len(all))
 	for _, i := range perm[:2700] {
-		if !tr.DeleteByPayload(all[i].r, payloadFor(all[i].id)) {
+		if !deleteByPayload(tr, all[i].r, payloadFor(all[i].id)) {
 			t.Fatalf("delete of %d failed", all[i].id)
 		}
 	}
@@ -571,7 +585,7 @@ func TestQuickInsertDelete(t *testing.T) {
 					}
 					k--
 				}
-				if !tr.DeleteByPayload(ref[id], payloadFor(id)) {
+				if !deleteByPayload(tr, ref[id], payloadFor(id)) {
 					return false
 				}
 				delete(ref, id)

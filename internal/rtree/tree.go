@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"math"
 
 	"spatialcluster/internal/buffer"
@@ -76,6 +77,16 @@ type Tree struct {
 	// distinguish directory from data pages (e.g. for selective buffer
 	// eviction) without reading them.
 	pageLevels map[disk.PageID]int
+
+	// The mutation path's scratch, owned by the tree so a mutation allocates
+	// only the pages it changes. nodes[k] holds the node at depth k of the
+	// current descent, and path the descent; both are overwritten by the
+	// next descent, and nodes never outgrows the height. queue holds an
+	// Insert's entries still to place, page is what writeNode marshals into.
+	nodes []*Node
+	path  []pathElem
+	queue []pending
+	page  []byte
 }
 
 // newShell builds a tree with no nodes yet. New allocates a fresh root into
@@ -95,14 +106,8 @@ func New(buf *buffer.Manager, alloc *pagefile.Allocator, cfg Config) *Tree {
 	return t
 }
 
-// PayloadSize returns the fixed payload capacity of leaf entries, 14 bytes.
-func (t *Tree) PayloadSize() int { return payloadSize }
-
 // MaxEntries returns M, the node capacity in entries.
 func (t *Tree) MaxEntries() int { return maxEntries }
-
-// MinEntries returns m, the minimum node fill.
-func (t *Tree) MinEntries() int { return minEntries }
 
 // Len returns the number of stored leaf entries.
 func (t *Tree) Len() int { return t.size }
@@ -169,8 +174,35 @@ func (t *Tree) DecodeNode(id disk.PageID, page []byte) *Node {
 	return t.unmarshalNode(id, page)
 }
 
+// writeNode buffers n's page. It marshals into the tree's own page, and when
+// the bytes equal the page n was decoded from it hands that same slice back
+// to Put — the same dirty mark and LRU touch a fresh page gets, for no
+// allocation. Only a node that changed is cloned into a fresh page, so a
+// buffered page is never written to.
 func (t *Tree) writeNode(n *Node) {
-	t.buf.Put(n.ID, t.marshalNode(n))
+	if t.page == nil {
+		t.page = make([]byte, disk.PageSize)
+	}
+	t.marshalInto(t.page, n)
+	if !bytes.Equal(t.page, n.page) {
+		n.page = bytes.Clone(t.page)
+	}
+	t.buf.Put(n.ID, n.page)
+}
+
+// scratchNode decodes page, the content of node id, into the tree-owned node
+// of depth k. The node is valid until the next descent reaches depth k.
+func (t *Tree) scratchNode(k int, id disk.PageID, page []byte) *Node {
+	for len(t.nodes) <= k {
+		t.nodes = append(t.nodes, &Node{Entries: make([]Entry, 0, maxEntries+1)})
+	}
+	t.decodeInto(t.nodes[k], id, page)
+	return t.nodes[k]
+}
+
+// readScratch reads node id into the tree-owned node of depth k.
+func (t *Tree) readScratch(k int, id disk.PageID) *Node {
+	return t.scratchNode(k, id, t.buf.Get(id))
 }
 
 // writeNodeIfFits persists n unless it is transiently overfull; overfull
@@ -210,17 +242,18 @@ type pathElem struct {
 
 // choosePath descends from the root to the given level, always following the
 // subtree chosen by the R* ChooseSubtree criterion for rectangle r, and
-// returns the nodes along the way (path[0] is the root).
+// returns the nodes along the way (path[0] is the root): the tree's scratch,
+// valid until the next descent.
 func (t *Tree) choosePath(r geom.Rect, level int) []pathElem {
-	path := make([]pathElem, 1, t.height)
-	path[0] = pathElem{node: t.ReadNode(t.root), entryIdx: -1}
+	path := append(t.path[:0], pathElem{node: t.readScratch(0, t.root), entryIdx: -1})
 	for {
 		cur := path[len(path)-1].node
 		if cur.Level == level {
+			t.path = path
 			return path
 		}
 		idx := t.chooseSubtree(cur, r)
-		child := t.ReadNode(cur.Entries[idx].Child)
+		child := t.readScratch(len(path), cur.Entries[idx].Child)
 		path = append(path, pathElem{node: child, entryIdx: idx})
 	}
 }

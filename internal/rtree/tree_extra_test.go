@@ -99,7 +99,7 @@ func TestDeleteDownToEmpty(t *testing.T) {
 		all = append(all, stored{r, uint64(i)})
 	}
 	for _, s := range all {
-		if !tr.DeleteByPayload(s.r, payloadFor(s.id)) {
+		if !deleteByPayload(tr, s.r, payloadFor(s.id)) {
 			t.Fatalf("delete %d failed", s.id)
 		}
 	}
@@ -125,7 +125,7 @@ func TestDeleteMismatchedPayload(t *testing.T) {
 	tr := newTestTree(t, Config{})
 	r := geom.R(0, 0, 0.1, 0.1)
 	tr.Insert(r, payloadFor(1))
-	if tr.DeleteByPayload(r, payloadFor(2)) {
+	if deleteByPayload(tr, r, payloadFor(2)) {
 		t.Fatal("delete with wrong payload must fail")
 	}
 	if tr.Len() != 1 {

@@ -33,9 +33,9 @@ func NewKNNMerger(k int) *KNNMerger {
 	return &KNNMerger{k: k}
 }
 
-// Add offers one neighbor. Shards own disjoint objects, so a duplicate ID is
-// a routing bug upstream; the merger still keeps only the closer entry
-// rather than answering with a duplicate.
+// Add offers one neighbor. Shards own disjoint objects except while a
+// cross-shard move holds an ID on two of them; the merger keeps only the
+// closer entry rather than answering with a duplicate.
 func (m *KNNMerger) Add(id uint64, dist float64) {
 	if m.k == 0 {
 		return

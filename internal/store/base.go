@@ -24,6 +24,10 @@ type base struct {
 
 	objects     int
 	objectBytes int64
+
+	// enc is the scratch an inserted object is encoded into before the
+	// layout copies its bytes onto pages.
+	enc []byte
 }
 
 // layout is what an organization adds to base. insertLocked and deleteLocked

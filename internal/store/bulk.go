@@ -100,7 +100,7 @@ func (c *Cluster) bulkLoadHilbertLocked(objs []*object.Object, keys []geom.Rect,
 		for _, idx := range g.idxs {
 			o := objs[idx]
 			unitObjs = append(unitObjs, unitObject{id: o.ID, off: len(blob), size: o.Size()})
-			blob = append(blob, object.Marshal(o)...)
+			blob = object.Append(blob, o)
 			c.homes[o.ID] = leaf
 			c.keys[o.ID] = keys[idx]
 		}

@@ -245,7 +245,8 @@ func (c *Cluster) appendObject(u *clusterUnit, leaf disk.PageID, o *object.Objec
 	if need > u.extent.Pages*disk.PageSize {
 		c.growUnit(u, need)
 	}
-	c.writeBytes(u, u.used, object.Marshal(o))
+	c.enc = object.Append(c.enc[:0], o)
+	c.writeBytes(u, u.used, c.enc)
 	u.objects = append(u.objects, unitObject{id: o.ID, off: u.used, size: o.Size()})
 	u.index[o.ID] = len(u.objects) - 1
 	u.used = need

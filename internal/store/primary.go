@@ -60,14 +60,12 @@ func (p *Primary) insertLocked(o *object.Object, key geom.Rect) error {
 	if _, dup := p.keys[o.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
-	data := object.Marshal(o)
-	if len(data) <= p.maxInline {
-		payload := make([]byte, 1+len(data))
-		payload[0] = primInline
-		copy(payload[1:], data)
+	if o.Size() <= p.maxInline {
+		payload := object.Append(append(make([]byte, 0, 1+o.Size()), primInline), o)
 		p.tree.Insert(key, payload)
 	} else {
-		p.refs[o.ID] = p.overflow.Append(data)
+		p.enc = object.Append(p.enc[:0], o)
+		p.refs[o.ID] = p.overflow.Append(p.enc)
 		payload := make([]byte, 13)
 		payload[0] = primOverflow
 		copy(payload[1:], encodePayload(o.ID, o.Size())[:12])

@@ -48,7 +48,8 @@ func (s *Secondary) insertLocked(o *object.Object, key geom.Rect) error {
 	if _, dup := s.keys[o.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicateID, o.ID)
 	}
-	s.refs[o.ID] = s.file.Append(object.Marshal(o))
+	s.enc = object.Append(s.enc[:0], o)
+	s.refs[o.ID] = s.file.Append(s.enc)
 	s.tree.Insert(key, encodePayload(o.ID, o.Size()))
 	return nil
 }

@@ -65,7 +65,7 @@ func (r *Record) encode(dst []byte) []byte {
 		for _, v := range [4]float64{r.Key.MinX, r.Key.MinY, r.Key.MaxX, r.Key.MaxY} {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
-		return append(dst, object.Marshal(r.Obj)...)
+		return object.Append(dst, r.Obj)
 	case KindDelete:
 		return binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
 	case KindRecluster:
