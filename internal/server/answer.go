@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"spatialcluster/internal/binproto"
@@ -72,25 +73,24 @@ func replyAnswer(x *statusRecorder, res store.QueryResult, dists []float64, knn 
 	return ok
 }
 
-// decodeJSON decodes a JSON answer body into resp: the two query answers by
-// the scanner when the body has the canonical form and is no longer than a
-// request body may be; everything else, every body the scanner declines and
-// every body whose read failed is encoding/json's to finish.
-func decodeJSON(body io.Reader, resp any) error {
-	switch resp.(type) {
-	case *QueryResponse, *KNNResponse:
-	default:
+// decodeJSON decodes a JSON answer body of the stated length (-1 when
+// unstated) into resp: a query answer of stated length below the request body
+// cap is read into pooled scratch and, in the canonical form, parsed by the
+// scanner; every other body, every body the scanner declines and every body
+// whose read failed is encoding/json's to finish.
+func decodeJSON(body io.Reader, length int64, resp any) error {
+	_, query := resp.(*QueryResponse)
+	if _, knn := resp.(*KNNResponse); !query && !knn || length < 0 || length >= maxBodyBytes {
 		return json.NewDecoder(body).Decode(resp)
 	}
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
-	read := bytes.NewBuffer((*buf)[:0])
-	_, err := read.ReadFrom(io.LimitReader(body, maxBodyBytes))
-	*buf = read.Bytes()
-	if err == nil && len(*buf) < maxBodyBytes && scanAnswer(*buf, resp) {
+	*buf = slices.Grow((*buf)[:0], int(length))[:length]
+	n, err := io.ReadFull(body, *buf)
+	if err == nil && scanAnswer(*buf, resp) {
 		return nil
 	}
-	return json.NewDecoder(io.MultiReader(read, body)).Decode(resp)
+	return json.NewDecoder(io.MultiReader(bytes.NewReader((*buf)[:n]), body)).Decode(resp)
 }
 
 // scanAnswer parses b as the canonical body of resp's answer and fills resp;

@@ -157,11 +157,14 @@ func FuzzAnswerJSON(f *testing.F) {
 				t.Fatalf("scanner read %q as %+v, json.Unmarshal as %+v (%v)", data, sk, uk, err)
 			}
 		}
-		var dk, jk KNNResponse
-		derr := decodeJSON(bytes.NewReader(data), &dk)
+		var jk KNNResponse
 		jerr := json.NewDecoder(bytes.NewReader(data)).Decode(&jk)
-		if (derr == nil) != (jerr == nil) || derr == nil && !sameAnswer(dk, jk) {
-			t.Fatalf("decodeJSON read %q as %+v (%v), a json.Decoder as %+v (%v)", data, dk, derr, jk, jerr)
+		for _, length := range []int64{-1, int64(len(data))} { // unstated, stated
+			var dk KNNResponse
+			derr := decodeJSON(bytes.NewReader(data), length, &dk)
+			if (derr == nil) != (jerr == nil) || derr == nil && !sameAnswer(dk, jk) {
+				t.Fatalf("decodeJSON (length %d) read %q as %+v (%v), a json.Decoder as %+v (%v)", length, data, dk, derr, jk, jerr)
+			}
 		}
 	})
 }
@@ -178,7 +181,8 @@ func bigAnswer() []object.ID {
 
 // TestAnswerBodyReads drives decodeJSON over readers that deliver the body the
 // ways a socket can: a byte at a time, with the error beside the last bytes,
-// cut short, failing — each must end as a json.Decoder over the same reader.
+// cut short, failing — each must end as a json.Decoder over the same reader,
+// whether the body's length was stated or not.
 func TestAnswerBodyReads(t *testing.T) {
 	answer, _ := appendAnswer(nil, bigAnswer(), nil, false, 1234)
 	body := string(answer)
@@ -192,11 +196,15 @@ func TestAnswerBodyReads(t *testing.T) {
 			return io.MultiReader(strings.NewReader(s[:len(s)/2]), iotest.ErrReader(boom))
 		},
 	} {
-		var got, want QueryResponse
-		gerr := decodeJSON(reader(body), &got)
+		var want QueryResponse
 		werr := json.NewDecoder(reader(body)).Decode(&want)
-		if !errors.Is(gerr, werr) || !sameAnswer(asKNN(got), asKNN(want)) {
-			t.Errorf("%s: decodeJSON answers %d IDs (%v), a json.Decoder %d (%v)", name, len(got.IDs), gerr, len(want.IDs), werr)
+		for _, length := range []int64{-1, int64(len(body))} {
+			var got QueryResponse
+			gerr := decodeJSON(reader(body), length, &got)
+			if !errors.Is(gerr, werr) || !sameAnswer(asKNN(got), asKNN(want)) {
+				t.Errorf("%s, length %d: decodeJSON answers %d IDs (%v), a json.Decoder %d (%v)",
+					name, length, len(got.IDs), gerr, len(want.IDs), werr)
+			}
 		}
 	}
 }
@@ -273,7 +281,7 @@ func BenchmarkAnswerCodec(b *testing.B) {
 		name   string
 		decode func(io.Reader, any) error
 	}{
-		{"decode/fast", decodeJSON},
+		{"decode/fast", func(r io.Reader, v any) error { return decodeJSON(r, int64(len(body)), v) }},
 		{"decode/json", func(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {

@@ -28,10 +28,12 @@ import (
 // JSON (see the README's serving quickstart).
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:8080"
-	// HTTP carries the exchanges: its Transport alone is called, directly
-	// (nil selects one shared by every such client, keeping two idle
-	// connections per host). No redirects, no cookies, no Timeout: the
-	// context of the view (WithContext, WithTrace) bounds each call.
+	// HTTP carries the exchanges: its Transport alone is used (nil selects
+	// one shared by every such client, keeping two idle connections per
+	// host). The package's own, NewClient's, writes and parses HTTP/1.1
+	// itself; any other is handed an *http.Request. No redirects, no
+	// cookies, no Timeout: the context of the view (WithContext, WithTrace)
+	// bounds each call.
 	HTTP *http.Client
 	// Retry enables transparent retry of transient failures (nil disables).
 	Retry *Retry
@@ -255,73 +257,93 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// exchange performs one HTTP exchange: one RoundTrip on the transport,
-// its failure wrapped in a *url.Error as http.Client.Do wraps it. A nonzero
-// traceID travels in TraceIDHeader; no User-Agent travels at all.
+// exchange performs one HTTP exchange, its failure wrapped in a *url.Error as
+// http.Client.Do wraps it. A nonzero traceID travels in traceIDHeader; no
+// User-Agent travels at all.
 func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uint64, resp any) ([]byte, error) {
 	c.Counters.attempt()
-	var body io.Reader
-	if data != nil {
-		body = bytes.NewReader(data)
-	}
 	ctx := c.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
-	if err != nil {
-		return nil, err
-	}
+	rq := request{method: method, path: path, traceID: traceID, body: data}
 	if wr == wireBin {
-		hreq.Header["Content-Type"] = binType
+		rq.ctype = binType
 	} else if data != nil {
-		hreq.Header["Content-Type"] = jsonType
+		rq.ctype = jsonType
 	}
-	if traceID != 0 {
-		hreq.Header.Set(TraceIDHeader, strconv.FormatUint(traceID, 10))
-	}
-	hreq.Header["User-Agent"] = nil
-	var rt http.RoundTripper = sharedTransport
-	if c.HTTP != nil && c.HTTP.Transport != nil {
-		rt = c.HTTP.Transport
-	}
-	hresp, err := rt.RoundTrip(hreq)
+	status, length, rc, err := c.send(ctx, &rq)
 	if err != nil {
-		return nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: hreq.URL.String(), Err: err}
+		return nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: c.Base + path, Err: err}
 	}
 	defer func() {
-		io.Copy(io.Discard, hresp.Body) // drain so the connection is reused
-		hresp.Body.Close()
+		io.Copy(io.Discard, rc) // drain so the connection is reused
+		rc.Close()
 	}()
-	if hresp.StatusCode >= 400 {
+	if status >= 400 {
 		// Every error of the server is an ErrorResponse; anything else was
 		// written by something in between (a proxy) and is passed on as text.
-		raw, _ := io.ReadAll(io.LimitReader(hresp.Body, 4096))
+		raw, _ := io.ReadAll(io.LimitReader(rc, 4096))
 		msg := strings.TrimSpace(string(raw))
 		var er ErrorResponse
 		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return nil, &StatusError{Code: hresp.StatusCode, Message: msg}
+		return nil, &StatusError{Code: status, Message: msg}
 	}
 	var payload []byte
 	switch wr {
 	case wireBin:
 		buf := resp.(*[]byte)
-		if payload, err = framing.ReadRecord(hresp.Body, binproto.MaxMessage, *buf); err == nil {
+		if payload, err = framing.ReadRecord(rc, binproto.MaxMessage, *buf); err == nil {
 			*buf = payload
 		}
 	case wireRaw:
-		return io.ReadAll(hresp.Body)
+		return io.ReadAll(rc)
 	case wireJSON:
 		if resp != nil {
-			err = decodeJSON(hresp.Body, resp)
+			err = decodeJSON(rc, length, resp)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("decoding %s answer: %w", path, err)
 	}
 	return payload, nil
+}
+
+// send runs the exchange of rq and returns the answer's status, length (-1
+// when unstated) and body. The package's own transport writes and reads it
+// with its codec (transport.go); a foreign http.RoundTripper — an in-process
+// handler, a test's fault injector — is handed an *http.Request.
+func (c *Client) send(ctx context.Context, rq *request) (int, int64, io.ReadCloser, error) {
+	var rt http.RoundTripper = sharedTransport
+	if c.HTTP != nil && c.HTTP.Transport != nil {
+		rt = c.HTTP.Transport
+	}
+	if t, ok := rt.(*transport); ok {
+		var b *body
+		var err error
+		if rq.host, rq.prefix, err = splitBase(c.Base); err == nil {
+			b, err = t.exchange(ctx, rq)
+		}
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		return b.status, b.length, b, nil
+	}
+	hreq, err := http.NewRequestWithContext(ctx, rq.method, c.Base+rq.path, bytes.NewReader(rq.body))
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	hreq.Header["Content-Type"], hreq.Header["User-Agent"] = rq.ctype, nil
+	if rq.traceID != 0 {
+		hreq.Header[traceIDHeader] = []string{strconv.FormatUint(rq.traceID, 10)}
+	}
+	hresp, err := rt.RoundTrip(hreq)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return hresp.StatusCode, hresp.ContentLength, hresp.Body, nil
 }
 
 // call sends req as JSON to path and decodes the answer into resp (which may

@@ -31,23 +31,27 @@
 // k-NN form with "dists" — are the hot bodies (a window answers a thousand
 // IDs) and skip encoding/json both ways (answer.go): the Front appends them
 // to pooled scratch byte for byte as encoding/json would write them, and the
-// Client reads a body of exactly that form with a scanner that sizes its
-// slices once. Whatever else the scanner is shown — a trace member, other key
-// order, whitespace, a literal out of range, a body beyond the request body
-// cap — it declines, and encoding/json decodes that body as it always did.
+// Client reads a body of exactly that form, its length stated, into pooled
+// scratch and parses it with a scanner that sizes its slices once. Whatever
+// else it is shown — a trace member, other key order, whitespace, a literal
+// out of range, a body of unstated length or beyond the request body cap —
+// the scanner declines, and encoding/json decodes that body as it always did.
 // Requests, traced answers, errors and the control plane stay on encoding/json.
 //
 // Each hop allocates the answer it hands on once and frames in buffers it
 // reuses. A /bin/* body is one internal/framing record, read into pooled
 // scratch — its length field is a claim, so a frame promising 8 MiB buys at
 // most 64 KiB before its bytes arrive — and a binary answer is framed into
-// pooled scratch and written in one Write, its length stated. The Client
-// calls its transport's RoundTrip directly instead of http.Client.Do — no
-// redirects, no cookies, no Timeout; the call's context bounds it — and that
+// pooled scratch and written in one Write, its length stated. The Client's
 // transport is the package's own (transport.go): keep-alive connections, each
-// exchange run on its caller's goroutine, no request ever resent. The Client
-// frames a binary request into pooled scratch and reads the answer into the
-// message buffer the call already holds.
+// exchange run on its caller's goroutine, no request ever resent, and an
+// HTTP/1.1 codec of its own — the request head is written into the
+// connection's writer, the answer's head parsed in place for its status and
+// framing alone — so an exchange builds no http.Request or http.Response. Only
+// a foreign http.RoundTripper in Client.HTTP (an in-process handler) is handed
+// an *http.Request, and the transport's RoundTrip, for http.Client.Do, adapts
+// one to the same codec. The Client frames a binary request into pooled
+// scratch and reads the answer into the message buffer the call already holds.
 //
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the

@@ -77,9 +77,11 @@ func TestExchangeAllocs(t *testing.T) {
 // TestLoopbackExchangeAllocs pins what a window exchange of 50 answers
 // allocates over a socket — the typed client, its transport, net/http's
 // server and the Front together — in both codecs. Ceilings are 1.25x what the
-// code measured when they were set (JSON 68, binary 53): the client's
-// transport runs the exchange on its caller's goroutine, and a
-// net/http.Transport in its place costs 23 more an exchange, past either.
+// code measured when they were set (JSON 41, binary 28): the client's
+// transport writes the request and parses the answer's head itself, on its
+// caller's goroutine, so the client's share of a binary exchange is its
+// answer; an http.Request and http.ReadResponse in its place cost 25 more an
+// exchange, past either ceiling.
 func TestLoopbackExchangeAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")
@@ -96,7 +98,7 @@ func TestLoopbackExchangeAllocs(t *testing.T) {
 		codec string
 		bin   bool
 		limit float64
-	}{{"JSON", false, 68 * 1.25}, {"binary", true, 53 * 1.25}} {
+	}{{"JSON", false, 41 * 1.25}, {"binary", true, 28 * 1.25}} {
 		cl := NewClient("http://"+ln.Addr().String(), 1)
 		cl.Binary = c.bin
 		if got, _ := windowAllocs(t, cl, 50); got > c.limit {

@@ -378,11 +378,11 @@ func (f *Front) close(ctx context.Context) (release func(), err error) {
 
 // --- trace from request ---
 
-// TraceIDHeader is the JSON protocol's trace-context hop: a gateway (the
+// traceIDHeader is the JSON protocol's trace-context hop: a gateway (the
 // router) forwards its trace ID here alongside ?trace=1, so the shard's
 // sub-trace shares the identity of the distributed trace it belongs to. The
 // binary protocol carries both in the trace envelope of its messages.
-const TraceIDHeader = "X-Sdb-Trace-Id"
+const traceIDHeader = "X-Sdb-Trace-Id"
 
 // traceFor starts the trace of a JSON request that asked for one with
 // ?trace=1 (any non-empty value except "0"); otherwise it returns nil, which
@@ -391,7 +391,7 @@ func traceFor(r *http.Request) *obs.Trace {
 	if v := r.URL.Query().Get("trace"); v == "" || v == "0" {
 		return nil
 	}
-	id, _ := strconv.ParseUint(r.Header.Get(TraceIDHeader), 10, 64)
+	id, _ := strconv.ParseUint(r.Header.Get(traceIDHeader), 10, 64)
 	return newTrace(id)
 }
 

@@ -159,7 +159,7 @@ func TestFrontAnswersBothCodecs(t *testing.T) {
 
 	// Both codecs carry a trace request and a propagated identity.
 	req := httptest.NewRequest(http.MethodPost, "/query/knn?trace=1", strings.NewReader(ops[2].jsonBody))
-	req.Header.Set(TraceIDHeader, "77")
+	req.Header.Set(traceIDHeader, "77")
 	rec := httptest.NewRecorder()
 	f.Handler().ServeHTTP(rec, req)
 	var kr KNNResponse

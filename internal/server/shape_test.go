@@ -75,14 +75,15 @@ func TestQueriesBypassTheDispatcher(t *testing.T) {
 // TestOneTransport: the package's exchanges go through its own transport
 // alone. Its non-test code names neither http.Transport nor
 // http.DefaultTransport, so no second pool of connections, with a read and a
-// write goroutine for each, comes back beside it.
+// write goroutine for each, comes back beside it; nor http.ReadResponse, so
+// the transport's codec stays the package's one parser of an answer's head.
 func TestOneTransport(t *testing.T) {
 	fset, files := nonTestFiles(t)
+	named := []string{"Transport", "DefaultTransport", "ReadResponse"}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "http" &&
-					(sel.Sel.Name == "Transport" || sel.Sel.Name == "DefaultTransport") {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "http" && slices.Contains(named, sel.Sel.Name) {
 					t.Errorf("%s names http.%s", fset.Position(sel.Pos()), sel.Sel.Name)
 				}
 			}
