@@ -530,8 +530,8 @@ func (rt *Router) Delete(rq *server.Request, id object.ID) (bool, error) {
 
 func (rt *Router) handleRecluster(w http.ResponseWriter, r *http.Request) {
 	var req server.ReclusterRequest
-	if err := server.ReadJSON(r, &req); err != nil {
-		server.Reply(w, nil, err)
+	if err := server.ReadJSON(r.Body, r.ContentLength, binproto.MaxMessage, &req); err != nil {
+		server.Reply(w, nil, &server.StatusError{Code: http.StatusBadRequest, Message: err.Error()})
 		return
 	}
 	outs := make([]server.ReclusterResponse, rt.pmap.N())

@@ -50,25 +50,6 @@ func (j ObjectJSON) toObject() (*object.Object, error) {
 	return object.New(object.ID(j.ID), g, j.Pad), nil
 }
 
-// FromObject converts an engine object to its wire form.
-func FromObject(o *object.Object) (ObjectJSON, error) {
-	j := ObjectJSON{ID: uint64(o.ID), Pad: o.Pad}
-	var pts []geom.Point
-	switch g := o.Geom.(type) {
-	case *geom.Polyline:
-		j.Kind, pts = "polyline", g.Vertices
-	case *geom.Polygon:
-		j.Kind, pts = "polygon", g.Vertices
-	default:
-		return ObjectJSON{}, fmt.Errorf("object %d: geometry %T has no wire form", o.ID, o.Geom)
-	}
-	j.Vertices = make([][2]float64, len(pts))
-	for i, p := range pts {
-		j.Vertices[i] = [2]float64{p.X, p.Y}
-	}
-	return j, nil
-}
-
 // WindowRequest asks for the objects intersecting a window.
 type WindowRequest struct {
 	Window [4]float64 `json:"window"` // x1,y1,x2,y2 (any corner order)

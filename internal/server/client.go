@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -302,7 +303,7 @@ func (c *Client) exchange(method, path string, wr wire, data []byte, traceID uin
 		return io.ReadAll(rc)
 	case wireJSON:
 		if resp != nil {
-			err = decodeJSON(rc, length, resp)
+			err = ReadJSON(rc, length, math.MaxInt64, resp)
 		}
 	}
 	if err != nil {
@@ -346,21 +347,24 @@ func (c *Client) send(ctx context.Context, rq *request) (int, int64, io.ReadClos
 	return hresp.StatusCode, hresp.ContentLength, hresp.Body, nil
 }
 
-// call sends req as JSON to path and decodes the answer into resp (which may
-// be nil). GET endpoints pass a nil req.
-func (c *Client) call(method, path string, req, resp any, tc tracing) error {
-	var data []byte
-	if req != nil {
+// call sends a JSON request to path and decodes the answer into resp (which
+// may be nil). The body is what appendReq appends to pooled scratch — nil for
+// none, as a GET sends — and its failure is the call's.
+func (c *Client) call(method, path string, appendReq func([]byte) ([]byte, error), resp any, tc tracing) error {
+	var body []byte
+	if appendReq != nil {
+		buf := binproto.GetBuf()
+		defer binproto.PutBuf(buf)
 		var err error
-		data, err = json.Marshal(req)
-		if err != nil {
+		if body, err = appendReq((*buf)[:0]); err != nil {
 			return fmt.Errorf("encoding %s request: %w", path, err)
 		}
+		*buf = body
 	}
 	if tc.on {
 		path += "?trace=1"
 	}
-	_, err := c.do(method, path, wireJSON, data, tc.id, resp)
+	_, err := c.do(method, path, wireJSON, body, tc.id, resp)
 	return err
 }
 
@@ -368,7 +372,7 @@ func (c *Client) call(method, path string, req, resp any, tc tracing) error {
 // resp — the escape hatch for tests and tooling that need to craft raw
 // bodies past the typed methods' validation.
 func (c *Client) Post(path string, req, resp any) error {
-	return c.call(http.MethodPost, path, req, resp, tracing{})
+	return c.call(http.MethodPost, path, func([]byte) ([]byte, error) { return json.Marshal(req) }, resp, tracing{})
 }
 
 // callBin sends one encoded binproto message, inside the trace envelope when
@@ -399,7 +403,12 @@ func (c *Client) window(w geom.Rect, tech string, tc tracing) (QueryResponse, er
 	win := [4]float64{w.MinX, w.MinY, w.MaxX, w.MaxY}
 	if !c.Binary {
 		var out QueryResponse
-		err := c.call(http.MethodPost, "/query/window", WindowRequest{Window: win, Tech: tech}, &out, tc)
+		err := c.call(http.MethodPost, "/query/window", func(b []byte) ([]byte, error) {
+			if b, err := appendWindowReq(b, win, tech); err != errEscape {
+				return b, err
+			}
+			return json.Marshal(WindowRequest{Window: win, Tech: tech}) // it escapes the name
+		}, &out, tc)
 		return out, err
 	}
 	t := store.TechDefault
@@ -444,7 +453,7 @@ func (c *Client) point(p geom.Point, tc tracing) (QueryResponse, error) {
 	pt := [2]float64{p.X, p.Y}
 	if !c.Binary {
 		var out QueryResponse
-		err := c.call(http.MethodPost, "/query/point", PointRequest{Point: pt}, &out, tc)
+		err := c.call(http.MethodPost, "/query/point", func(b []byte) ([]byte, error) { return appendPointReq(b, pt, false, 0) }, &out, tc)
 		return out, err
 	}
 	buf := binproto.GetBuf()
@@ -466,7 +475,7 @@ func (c *Client) knn(p geom.Point, k int, tc tracing) (KNNResponse, error) {
 	pt := [2]float64{p.X, p.Y}
 	if !c.Binary {
 		var out KNNResponse
-		err := c.call(http.MethodPost, "/query/knn", KNNRequest{Point: pt, K: k}, &out, tc)
+		err := c.call(http.MethodPost, "/query/knn", func(b []byte) ([]byte, error) { return appendPointReq(b, pt, true, k) }, &out, tc)
 		return out, err
 	}
 	buf := binproto.GetBuf()
@@ -494,39 +503,31 @@ func (c *Client) KNNTraced(p geom.Point, k int) (KNNResponse, error) {
 // Insert stores an object under the given spatial key (typically
 // o.Bounds(), possibly enlarged).
 func (c *Client) Insert(o *object.Object, key geom.Rect) error {
-	if c.Binary {
-		_, err := c.binMutate("/bin/insert", binproto.KindInsert, o, key)
-		return err
-	}
-	j, err := FromObject(o)
-	if err != nil {
-		return err
-	}
-	k := [4]float64{key.MinX, key.MinY, key.MaxX, key.MaxY}
-	return c.Post("/insert", InsertRequest{Object: j, Key: &k}, nil)
+	_, err := c.mutate(binproto.KindInsert, o, key)
+	return err
 }
 
 // Update replaces the object of the same ID.
 func (c *Client) Update(o *object.Object, key geom.Rect) (bool, error) {
-	if c.Binary {
-		return c.binMutate("/bin/update", binproto.KindUpdate, o, key)
-	}
-	j, err := FromObject(o)
-	if err != nil {
-		return false, err
-	}
-	k := [4]float64{key.MinX, key.MinY, key.MaxX, key.MaxY}
-	var out MutateResponse
-	err = c.Post("/update", InsertRequest{Object: j, Key: &k}, &out)
-	return out.Existed, err
+	return c.mutate(binproto.KindUpdate, o, key)
 }
 
-func (c *Client) binMutate(path string, kind byte, o *object.Object, key geom.Rect) (bool, error) {
+// mutate is the one insert or update, JSON or binary.
+func (c *Client) mutate(kind byte, o *object.Object, key geom.Rect) (bool, error) {
 	k := [4]float64{key.MinX, key.MinY, key.MaxX, key.MaxY}
+	path, binPath := "/insert", "/bin/insert"
+	if kind == binproto.KindUpdate {
+		path, binPath = "/update", "/bin/update"
+	}
+	if !c.Binary {
+		var out MutateResponse
+		err := c.call(http.MethodPost, path, func(b []byte) ([]byte, error) { return appendObjectReq(b, o, &k) }, &out, tracing{})
+		return out.Existed, err
+	}
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
 	*buf = binproto.AppendMutateReq((*buf)[:0], kind, o, &k)
-	payload, _, err := c.callBin(path, buf, tracing{})
+	payload, _, err := c.callBin(binPath, buf, tracing{})
 	if err != nil {
 		return false, err
 	}
@@ -546,7 +547,7 @@ func (c *Client) Delete(id object.ID) (bool, error) {
 		return binproto.DecodeMutateResp(payload)
 	}
 	var out MutateResponse
-	err := c.Post("/delete", DeleteRequest{ID: uint64(id)}, &out)
+	err := c.call(http.MethodPost, "/delete", func(b []byte) ([]byte, error) { return appendDeleteReq(b, id) }, &out, tracing{})
 	return out.Existed, err
 }
 

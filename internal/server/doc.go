@@ -27,16 +27,19 @@
 // every mutation acknowledged before it arrived. Config.MaxBatch 1 is serial
 // execution of every request.
 //
-// The two untraced JSON query answers — {"ids":[...],"candidates":n} and its
-// k-NN form with "dists" — are the hot bodies (a window answers a thousand
-// IDs) and skip encoding/json both ways (answer.go): the Front appends them
-// to pooled scratch byte for byte as encoding/json would write them, and the
-// Client reads a body of exactly that form, its length stated, into pooled
-// scratch and parses it with a scanner that sizes its slices once. Whatever
-// else it is shown — a trace member, other key order, whitespace, a literal
-// out of range, a body of unstated length or beyond the request body cap —
-// the scanner declines, and encoding/json decodes that body as it always did.
-// Requests, traced answers, errors and the control plane stay on encoding/json.
+// Every untraced data-plane JSON body — the six requests, the two query
+// answers ({"ids":[...],"candidates":n}, with "dists" for k-NN; a window
+// answers a thousand IDs) and {"existed":b} — skips encoding/json both ways
+// (codec.go): its sender appends it to pooled scratch byte for byte as
+// encoding/json would write it (the Client an insert straight from the
+// object), and ReadJSON, the one reader of a JSON body at both ends, reads a
+// body into pooled scratch — a stated length, like a frame's, buys at most
+// 64 KiB before its bytes arrive — and scans it, sizing its slices once. Any
+// other form — a trace member, other key order, whitespace — goes to
+// encoding/json, which takes nothing but whitespace after the value, and a
+// request is held to the same rule: each list its exact length, every
+// required member present. Traced answers, errors and the control plane stay
+// on it.
 //
 // Each hop allocates the answer it hands on once and frames in buffers it
 // reuses. A /bin/* body is one internal/framing record, read into pooled

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
 	"spatialcluster/internal/store"
 )
 
@@ -42,7 +44,7 @@ func windowAllocs(t *testing.T, c *Client, n int) (allocs, bytes float64) {
 
 // TestExchangeAllocs pins what a window exchange allocates end to end —
 // request, framing, Front, answer — over an in-process transport. Ceilings
-// are 1.25x what the code measured when they were set (binary 26, JSON 41,
+// are 1.25x what the code measured when they were set (binary 26, JSON 26,
 // at 500 answers), and the binary count does not grow with the answer: each
 // hop allocates its answer once, whatever its length. In bytes, an answer
 // costs two copies of itself: the transport's body and the client's decoded
@@ -67,7 +69,7 @@ func TestExchangeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		codec      string
 		got, limit float64
-	}{{"binary", bin500, 26 * 1.25}, {"JSON", json500, 41 * 1.25}} {
+	}{{"binary", bin500, 26 * 1.25}, {"JSON", json500, 26 * 1.25}} {
 		if c.got > c.limit {
 			t.Errorf("a %s window exchange allocates %v times, ceiling %v", c.codec, c.got, c.limit)
 		}
@@ -76,12 +78,15 @@ func TestExchangeAllocs(t *testing.T) {
 
 // TestLoopbackExchangeAllocs pins what a window exchange of 50 answers
 // allocates over a socket — the typed client, its transport, net/http's
-// server and the Front together — in both codecs. Ceilings are 1.25x what the
-// code measured when they were set (JSON 41, binary 28): the client's
-// transport writes the request and parses the answer's head itself, on its
-// caller's goroutine, so the client's share of a binary exchange is its
-// answer; an http.Request and http.ReadResponse in its place cost 25 more an
-// exchange, past either ceiling.
+// server and the Front together — in both codecs, and what a JSON insert,
+// update and delete of a 20-vertex polyline allocate. Ceilings are 1.25x what
+// the code measured when they were set (window: JSON 29, binary 28; insert
+// 33, update 33, delete 27): the client's transport writes the request and
+// parses the answer's head itself, on its caller's goroutine, so the client's
+// share of a binary exchange is its answer; an http.Request and
+// http.ReadResponse in its place cost 25 more an exchange, past either
+// ceiling. Neither end of a JSON exchange reaches encoding/json: a body
+// decoded by it instead costs 12 more a window (41), 24 more an insert.
 func TestLoopbackExchangeAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")
@@ -98,13 +103,43 @@ func TestLoopbackExchangeAllocs(t *testing.T) {
 		codec string
 		bin   bool
 		limit float64
-	}{{"JSON", false, 41 * 1.25}, {"binary", true, 28 * 1.25}} {
+	}{{"JSON", false, 29 * 1.25}, {"binary", true, 28 * 1.25}} {
 		cl := NewClient("http://"+ln.Addr().String(), 1)
 		cl.Binary = c.bin
 		if got, _ := windowAllocs(t, cl, 50); got > c.limit {
 			t.Errorf("a %s window exchange over loopback allocates %v times, ceiling %v", c.codec, got, c.limit)
 		} else {
 			t.Logf("a %s window exchange over loopback allocates %v times", c.codec, got)
+		}
+	}
+
+	// The JSON mutations of a 20-vertex polyline: the client appends its
+	// request from the object and scans the answer, the Front scans the
+	// request and appends the answer.
+	pts := make([]geom.Point, 20)
+	for i := range pts {
+		pts[i] = geom.Pt(0.25+float64(i)/1000, 0.5-float64(i)/3000)
+	}
+	obj := object.New(1<<40, geom.NewPolyline(pts), 100)
+	cl := NewClient("http://"+ln.Addr().String(), 1)
+	for _, m := range []struct {
+		op    string
+		call  func() error
+		limit float64
+	}{
+		{"insert", func() error { return cl.Insert(obj, obj.Bounds()) }, 33 * 1.25},
+		{"update", func() error { _, err := cl.Update(obj, obj.Bounds()); return err }, 33 * 1.25},
+		{"delete", func() error { _, err := cl.Delete(obj.ID); return err }, 27 * 1.25},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := m.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > m.limit {
+			t.Errorf("a JSON %s exchange over loopback allocates %v times, ceiling %v", m.op, got, m.limit)
+		} else {
+			t.Logf("a JSON %s exchange over loopback allocates %v times", m.op, got)
 		}
 	}
 }
@@ -166,6 +201,41 @@ func TestServedQueryAllocs(t *testing.T) {
 		own, served := testing.AllocsPerRun(100, q.store), testing.AllocsPerRun(100, q.served)
 		if served > own {
 			t.Errorf("a served %s query allocates %v times, the store's own %v", q.name, served, own)
+		}
+	}
+}
+
+// BenchmarkFrontRequestBodies times the Front reading a JSON request and
+// answering it, with no socket in between: a window and a 1,000-vertex
+// insert, each as the Client writes it and with a space after every colon and
+// comma — the form the scanner declines to encoding/json, as a caller in
+// another language may write it.
+func BenchmarkFrontRequestBodies(b *testing.B) {
+	h := NewFront(&fakeService{}, "sdb", 0, -1, false).Handler()
+	var verts strings.Builder
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			verts.WriteByte(',')
+		}
+		fmt.Fprintf(&verts, "[%g,%g]", 0.25+float64(i)/1e5, 0.5-float64(i)/3e5)
+	}
+	spaced := strings.NewReplacer(":", ": ", ",", ", ")
+	for _, c := range []struct{ name, path, body string }{
+		{"window", "/query/window", `{"window":[0.1,0.2,0.3,0.4]}`},
+		{"insert1000", "/insert", `{"object":{"id":7,"kind":"polyline","vertices":[` + verts.String() + `]}}`},
+	} {
+		for _, form := range []struct{ name, body string }{{"canonical", c.body}, {"spaced", spaced.Replace(c.body)}} {
+			body := form.body
+			b.Run(c.name+"/"+form.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(body)))
+					if rec.Code != http.StatusOK {
+						b.Fatalf("%s: status %d (%s)", body[:20], rec.Code, rec.Body.String())
+					}
+				}
+			})
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -388,6 +387,9 @@ const traceIDHeader = "X-Sdb-Trace-Id"
 // ?trace=1 (any non-empty value except "0"); otherwise it returns nil, which
 // every trace method accepts and ignores.
 func traceFor(r *http.Request) *obs.Trace {
+	if r.URL.RawQuery == "" { // parsing no query would still build its map
+		return nil
+	}
 	if v := r.URL.Query().Get("trace"); v == "" || v == "0" {
 		return nil
 	}
@@ -418,18 +420,6 @@ func traceInfo(tr *obs.Trace) *TraceInfo {
 // client bug, not a request. The binary codec's bound is the same payload
 // plus its frame header.
 const maxBodyBytes = binproto.MaxMessage
-
-// ReadJSON decodes the request body into v, rejecting trailing garbage.
-func ReadJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return badRequest(fmt.Errorf("decoding request body: %w", err))
-	}
-	if dec.More() {
-		return badRequest(errors.New("trailing data after request body"))
-	}
-	return nil
-}
 
 // The Content-Type values of both codecs, shared by every exchange; read only.
 var (
@@ -521,7 +511,7 @@ func (f *Front) window(x *statusRecorder, r *http.Request, bin bool) {
 		})
 	} else {
 		var req WindowRequest
-		if err = ReadJSON(r, &req); err == nil {
+		if err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err == nil {
 			win = req.Window
 			if req.Tech != "" {
 				tech, err = store.TechByName(req.Tech)
@@ -548,7 +538,7 @@ func (f *Front) point(x *statusRecorder, r *http.Request, bin bool) {
 		})
 	} else {
 		var req PointRequest
-		err = ReadJSON(r, &req)
+		err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req)
 		pt = req.Point
 	}
 	if err != nil {
@@ -572,7 +562,7 @@ func (f *Front) knn(x *statusRecorder, r *http.Request, bin bool) {
 		})
 	} else {
 		var req KNNRequest
-		err = ReadJSON(r, &req)
+		err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req)
 		pt, k = req.Point, req.K
 	}
 	// The bound is the binary codec's u32 field: a larger k would be
@@ -662,7 +652,7 @@ func (f *Front) delete(x *statusRecorder, r *http.Request, bin bool) {
 		})
 	} else {
 		var req DeleteRequest
-		err = ReadJSON(r, &req)
+		err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req)
 		id = req.ID
 	}
 	if err != nil {
@@ -691,7 +681,7 @@ func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*objec
 		})
 	} else {
 		var req InsertRequest
-		if err = ReadJSON(r, &req); err == nil {
+		if err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err == nil {
 			o, err = req.Object.toObject()
 			key = req.Key
 		}
@@ -729,6 +719,14 @@ func replyMutate(x *statusRecorder, bin bool, existed bool, err error) {
 		defer binproto.PutBuf(buf)
 		*buf = binproto.AppendMutateResp((*buf)[:0], existed)
 		replyBin(x, buf)
+		return
+	}
+	if x.rq.Trace == nil {
+		buf := binproto.GetBuf()
+		defer binproto.PutBuf(buf)
+		*buf = appendMutate((*buf)[:0], existed)
+		x.setBody(jsonType, len(*buf))
+		x.Write(*buf) // a failed write means the client is gone
 		return
 	}
 	Reply(x, MutateResponse{Existed: existed, Trace: traceInfo(x.rq.Trace)}, nil)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -194,8 +195,10 @@ func TestFrontRejectsBeforeTheService(t *testing.T) {
 	})
 	t.Run("trailing garbage", func(t *testing.T) {
 		eachCodec(t, func(t *testing.T, path string, body []byte) {
-			garbage := append(append([]byte(nil), body...), ` {"x":1}`...)
-			wantError(t, do(f, http.MethodPost, path, garbage), http.StatusBadRequest)
+			for _, tail := range []string{` {"x":1}`, "}", " ]"} {
+				garbage := append(append([]byte(nil), body...), tail...)
+				wantError(t, do(f, http.MethodPost, path, garbage), http.StatusBadRequest)
+			}
 		})
 	})
 	t.Run("oversized body", func(t *testing.T) {
@@ -210,8 +213,68 @@ func TestFrontRejectsBeforeTheService(t *testing.T) {
 		wantError(t, do(f, http.MethodPost, op.binPath, []byte(op.jsonBody)), http.StatusBadRequest)
 		wantError(t, do(f, http.MethodPost, op.jsonPath, op.binBody), http.StatusBadRequest)
 	})
+	// A list of the wrong length or a required member left out: encoding/json
+	// would cut or zero-fill an array and leave an absent member zero — {} on
+	// /delete would delete object 0. Each body goes once as written, which the
+	// scanner reads, and once with a space after every colon, which it
+	// declines to encoding/json.
+	t.Run("malformed or missing argument", func(t *testing.T) {
+		const obj = `"kind":"polyline","vertices":[[0,0],[1,1]]`
+		for _, c := range []struct{ path, body string }{
+			{"/query/window", `{"window":[0.1,0.2,0.3]}`},
+			{"/query/window", `{"window":[0,0,1,1,0.5]}`},
+			{"/query/window", `{"window":null}`},
+			{"/query/window", `{}`},
+			{"/query/window", `{"tech":"SLM"}`},
+			{"/query/point", `{}`},
+			{"/query/point", `{"point":[0.5]}`},
+			{"/query/point", `{"point":[0.5,0.5,0.5]}`},
+			{"/query/knn", `{"point":[0.5,0.5,0.5],"k":3}`},
+			{"/query/knn", `{"point":[0.5],"k":3}`},
+			{"/query/knn", `{"k":3}`},
+			{"/delete", `{}`},
+			{"/delete", `{"id":null}`},
+			{"/insert", `{"object":{` + obj + `}}`},
+			{"/insert", `{"object":{"id":null,` + obj + `}}`},
+			{"/insert", `{"key":[0,0,1,1]}`},
+			{"/insert", `{"object":{"id":1,"kind":"polyline","vertices":[[0,0],[1,1,1]]}}`},
+			{"/insert", `{"object":{"id":1,"kind":"polyline","vertices":[[0,0],[1],[1,1]]}}`},
+			{"/update", `{"object":{"id":1,` + obj + `},"key":[0,0,1]}`},
+			{"/update", `{"object":{"id":1,` + obj + `},"key":[0,0,1,1,1]}`},
+			{"/update", `{"object":{"id":1,` + obj + `},"key":[]}`},
+		} {
+			for _, body := range []string{c.body, strings.ReplaceAll(c.body, ":", ": ")} {
+				if rec := do(f, http.MethodPost, c.path, []byte(body)); rec.Code != http.StatusBadRequest {
+					t.Errorf("%s %s: status %d (%s), want 400", c.path, body, rec.Code, rec.Body.String())
+				}
+			}
+		}
+	})
 	if got := svc.calls.Load(); got != 0 {
 		t.Fatalf("the service saw %d rejected requests", got)
+	}
+}
+
+// TestJSONBodyClaimBounded: a JSON body's stated length buys no memory its
+// bytes do not deliver. Requests that claim one byte under maxBodyBytes and
+// send five cost a read step each, not the claim — the rule binary frames keep
+// too (TestBinaryFrameClaimBounded).
+func TestJSONBodyClaimBounded(t *testing.T) {
+	h := NewFront(&fakeService{}, "test", 0, -1, false).Handler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, op := range frontOps() {
+		for i := 0; i < 4; i++ {
+			r := httptest.NewRequest(http.MethodPost, op.jsonPath, strings.NewReader(op.jsonBody[:5]))
+			r.ContentLength = maxBodyBytes - 1
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			wantError(t, rec, http.StatusBadRequest)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Errorf("24 JSON bodies of 5 bytes claiming %d each allocated %d bytes, want < 4 MiB", maxBodyBytes-1, got)
 	}
 }
 

@@ -230,8 +230,8 @@ func (s *Server) Delete(rq *Request, id object.ID) (bool, error) {
 
 func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 	var req ReclusterRequest
-	if err := ReadJSON(r, &req); err != nil {
-		Reply(w, nil, err)
+	if err := ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err != nil {
+		Reply(w, nil, badRequest(err))
 		return
 	}
 	pol, err := recluster.ByName(req.Policy)
@@ -262,8 +262,8 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	var req PathRequest
-	if err := ReadJSON(r, &req); err != nil {
-		Reply(w, nil, err)
+	if err := ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err != nil {
+		Reply(w, nil, badRequest(err))
 		return
 	}
 	if req.Path == "" {
@@ -284,8 +284,8 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req PathRequest
-	if err := ReadJSON(r, &req); err != nil {
-		Reply(w, nil, err)
+	if err := ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err != nil {
+		Reply(w, nil, badRequest(err))
 		return
 	}
 	if req.Path == "" {

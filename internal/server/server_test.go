@@ -2,9 +2,11 @@ package server_test
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -415,8 +417,15 @@ func TestBadRequests(t *testing.T) {
 	org := buildOrg(t, "cluster", ds)
 	_, c := startServer(t, org, server.Config{})
 
-	if _, err := c.Window(geom.R(0, 0, 1, 1), "psychic"); err == nil {
-		t.Fatal("unknown technique accepted")
+	// A name the client's appender leaves to json.Marshal to escape, and a
+	// window JSON cannot carry, take json.Marshal's way: sent, or refused.
+	for _, tech := range []string{"psychic", "<psychic>"} {
+		if _, err := c.Window(geom.R(0, 0, 1, 1), tech); err == nil {
+			t.Fatalf("unknown technique %q accepted", tech)
+		}
+	}
+	if _, err := c.Window(geom.R(math.NaN(), 0, 1, 1), ""); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("a NaN window: %v, want json.Marshal's refusal", err)
 	}
 	if _, err := c.KNN(geom.Pt(0.5, 0.5), 0); err == nil {
 		t.Fatal("k = 0 accepted")

@@ -93,14 +93,17 @@ func TestOneTransport(t *testing.T) {
 }
 
 // TestRequestPathShape: the dispatcher batches what has arrived, so
-// dispatch.go and server.go start no timer and do not sleep; untraced JSON
-// answers bypass encoding/json, so answer.go names no encoder, and
-// replyQuery and Front.knn call replyAnswer before they can reach Reply with
-// the answer.
+// dispatch.go and server.go start no timer and do not sleep; and the untraced
+// JSON data plane skips encoding/json both ways, so codec.go names no encoder,
+// and each of its paths reaches encoding/json — json.Marshal,
+// json.NewEncoder, json.NewDecoder, a Client call that marshals, or Reply
+// with an answer — only after its appender or scanner has declined: the
+// Front's answers, ReadJSON (every body the Front and the Client read) and
+// the Client's six requests.
 func TestRequestPathShape(t *testing.T) {
 	fset, files := nonTestFiles(t)
 	timers := []string{"time.NewTimer", "time.NewTicker", "time.After", "time.AfterFunc", "time.Sleep", "time.Tick"}
-	for file, names := range map[string][]string{"dispatch.go": timers, "server.go": timers, "answer.go": {"json.NewEncoder", "json.Marshal", "json.MarshalIndent"}} {
+	for file, names := range map[string][]string{"dispatch.go": timers, "server.go": timers, "codec.go": {"json.NewEncoder", "json.Marshal", "json.MarshalIndent"}} {
 		ast.Inspect(files[file], func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(names, fmt.Sprint(sel.X, ".", sel.Sel)) {
 				t.Errorf("%s names %s.%s", fset.Position(sel.Pos()), sel.X, sel.Sel)
@@ -108,23 +111,52 @@ func TestRequestPathShape(t *testing.T) {
 			return true
 		})
 	}
-	answering := 0
-	for _, decl := range files["front.go"].Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "replyQuery" || fd.Name.Name == "knn") {
-			answering++
-			fast := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 1 {
-					fast = fast || fmt.Sprint(call.Fun) == "replyAnswer"
-					if _, lit := call.Args[1].(*ast.CompositeLit); lit && fmt.Sprint(call.Fun) == "Reply" && !fast {
-						t.Errorf("%s: %s reaches Reply with the answer before replyAnswer", fset.Position(call.Pos()), fd.Name)
-					}
-				}
+	slow := []string{"json.Marshal", "json.NewEncoder", "json.NewDecoder", "c.Post"}
+	for _, path := range []struct{ file, fn, fast string }{
+		{"front.go", "replyQuery", "replyAnswer"},
+		{"front.go", "knn", "replyAnswer"},
+		{"front.go", "replyMutate", "appendMutate"},
+		{"codec.go", "ReadJSON", "scanBody"},
+		{"client.go", "window", "appendWindowReq"},
+		{"client.go", "point", "appendPointReq"},
+		{"client.go", "knn", "appendPointReq"},
+		{"client.go", "mutate", "appendObjectReq"},
+		{"client.go", "Delete", "appendDeleteReq"},
+	} {
+		var fd *ast.FuncDecl
+		for _, decl := range files[path.file].Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Name.Name == path.fn {
+				fd = d
+			}
+		}
+		if fd == nil {
+			t.Errorf("%s declares no %s", path.file, path.fn)
+			continue
+		}
+		fast := false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
+			}
+			name := fmt.Sprint(call.Fun)
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				name = fmt.Sprint(sel.X, ".", sel.Sel)
+			}
+			fast = fast || name == path.fast
+			answer := name == "Reply" && len(call.Args) > 1 && !isNil(call.Args[1])
+			if !fast && (answer || slices.Contains(slow, name)) {
+				t.Errorf("%s: %s reaches %s before %s", fset.Position(call.Pos()), path.fn, name, path.fast)
+			}
+			return true
+		})
+		if !fast {
+			t.Errorf("%s: %s does not call %s", path.file, path.fn, path.fast)
 		}
 	}
-	if answering != 2 {
-		t.Errorf("front.go declares %d of replyQuery and Front.knn, want both", answering)
-	}
+}
+
+func isNil(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
 }
