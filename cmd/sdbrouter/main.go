@@ -209,5 +209,8 @@ func main() {
 	if err := hs.Shutdown(shutCtx); err != nil {
 		fail("draining HTTP connections: %v", err)
 	}
+	if err := rt.Shutdown(shutCtx); err != nil {
+		fail("draining kept connections: %v", err)
+	}
 	fmt.Println("sdbrouter: bye")
 }

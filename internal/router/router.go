@@ -39,8 +39,9 @@ type Config struct {
 // server.Service — the six operations as scatter, route and merge over one
 // typed client per shard — behind the same server.Front a single store is
 // served by, plus the cluster's control plane. Create it with New and mount
-// Handler on an http.Server. A Router has no background goroutines and
-// nothing to shut down; the shards it fronts are owned by their own daemons.
+// Handler on an http.Server, and call Shutdown after the http.Server's. A
+// Router has no background goroutines; the shards it fronts are owned by
+// their own daemons.
 type Router struct {
 	pmap   *shard.Map
 	shards []*server.Client
@@ -110,6 +111,11 @@ func New(pmap *shard.Map, shards []*server.Client, cfg Config) (*Router, error) 
 
 // Handler returns the HTTP handler tree — the paths a single server mounts.
 func (rt *Router) Handler() http.Handler { return rt.front.Handler() }
+
+// Shutdown turns new work away and waits for the requests in flight: those on
+// the connections the router's Front keeps, which http.Server.Shutdown does
+// not see, included.
+func (rt *Router) Shutdown(ctx context.Context) error { return rt.front.Shutdown(ctx) }
 
 // shardError converts a failed shard exchange into the router's answer. The
 // shard's verdicts on the request pass through under their own status — 429

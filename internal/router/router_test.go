@@ -1,13 +1,17 @@
 package router_test
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -729,6 +733,115 @@ func TestRouterAggregation(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		if sh.Shards[i].Lo != sh.Shards[i-1].Hi {
 			t.Fatalf("shards endpoint not contiguous at %d: %+v", i, sh.Shards)
+		}
+	}
+}
+
+// TestRouterShutdownDrainsKeptConns: with a query in flight on one kept
+// connection to the router and another idle, sdbrouter's shutdown —
+// http.Server.Shutdown, then Router.Shutdown — answers the query, closes both
+// connections and leaves no goroutine of the router's Front behind.
+func TestRouterShutdownDrainsKeptConns(t *testing.T) {
+	keptGoroutines := func() (n int) {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "internal/server.(*keptConn).") {
+				n++
+			}
+		}
+		return n
+	}
+	before := keptGoroutines()
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 128, Seed: 41})
+	s := server.New(buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs), server.Config{})
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var hold atomic.Bool
+	shardHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hold.Load() && r.URL.Path == "/bin/window" {
+			entered <- struct{}{}
+			<-release
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer shardHS.Close()
+	cl := server.NewClient(shardHS.URL, 4)
+	cl.Binary = true
+	rt, err := router.New(shard.FromKeys(ds.MBRs, 1), []*server.Client{cl}, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := server.HTTPServer(rt.Handler())
+	go hs.Serve(ln)
+	type conn struct {
+		net.Conn
+		br *bufio.Reader
+	}
+	answer := func(c conn, method string) int {
+		resp, err := http.ReadResponse(c.br, &http.Request{Method: method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	kept := func() conn { // a connection the router's Front has taken over
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		c := conn{nc, bufio.NewReader(nc)}
+		io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n")
+		if code := answer(c, http.MethodGet); code != http.StatusOK {
+			t.Fatalf("/healthz answered %d", code)
+		}
+		return c
+	}
+	closed := func(c conn) bool {
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		_, err := c.br.ReadByte()
+		return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
+	}
+	idle, busy := kept(), kept()
+	hold.Store(true)
+	body := `{"window":[0.2,0.2,0.4,0.4]}`
+	fmt.Fprintf(busy, "POST /query/window HTTP/1.1\r\nHost: h\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	<-entered
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		err := hs.Shutdown(ctx)
+		if err == nil {
+			err = rt.Shutdown(ctx)
+		}
+		done <- err
+	}()
+	if !closed(idle) {
+		t.Fatal("an idle kept connection outlived the shutdown")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("shutdown returned (%v) with a query in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if code := answer(busy, http.MethodPost); code != http.StatusOK {
+		t.Fatalf("the query in flight answered %d", code)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !closed(busy) {
+		t.Fatal("a kept connection outlived the shutdown once answered")
+	}
+	for end := time.Now().Add(5 * time.Second); keptGoroutines() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines of kept connections outlive the shutdown", keptGoroutines()-before)
 		}
 	}
 }

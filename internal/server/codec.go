@@ -52,20 +52,25 @@ func ReadJSON(body io.Reader, length, limit int64, v any) error {
 // much memory.
 const growStep = 64 << 10
 
-// readBody reads body into b: the stated length of it in steps of at most
-// growStep, or, when no length at most limit is stated, up to limit bytes
-// with io.ReadAll.
+// readBody reads body into b: the stated length of it or, when no length at
+// most limit is stated, up to limit bytes — in steps of at most growStep, so
+// a claim alone buys no more memory than that.
 func readBody(body io.Reader, length, limit int64, b []byte) ([]byte, error) {
-	if length < 0 || length > limit {
-		return io.ReadAll(io.LimitReader(body, limit))
+	stated := length >= 0 && length <= limit
+	if !stated {
+		length = limit
 	}
 	for len(b) < int(length) {
 		step := min(int(length)-len(b), growStep)
 		b = slices.Grow(b, step)
 		n, err := io.ReadFull(body, b[len(b):len(b)+step])
-		if b = b[:len(b)+n]; err == io.EOF {
+		switch b = b[:len(b)+n]; {
+		case err == nil:
+		case !stated && (err == io.EOF || err == io.ErrUnexpectedEOF):
+			return b, nil
+		case err == io.EOF:
 			return b, io.ErrUnexpectedEOF
-		} else if err != nil {
+		default:
 			return b, err
 		}
 	}

@@ -56,6 +56,27 @@
 // one to the same codec. The Client frames a binary request into pooled
 // scratch and reads the answer into the message buffer the call already holds.
 //
+// The Front reads request heads itself too (kept.go). Served as its
+// http.Server's whole Handler, it hijacks each HTTP/1.1 keep-alive
+// connection while serving its first request, whose head net/http parsed,
+// and reads every later head on it: a canonical one — origin-form target,
+// HTTP/1.1, Host, and at most Content-Length, Content-Type and
+// X-Sdb-Trace-Id — in place, into one request record per connection,
+// dispatched straight to its endpoint; any other by http.ReadRequest,
+// dispatched through the mux. A Front wrapped in another handler, an HTTP/2
+// request and a test's ResponseRecorder take net/http's path. On both paths
+// an admitted request's body is read whole before the request takes its
+// permit, and must arrive within the server's ReadHeaderTimeout (10 s when
+// unset) of its head. On a kept connection the answer is held whole and
+// written with its length, with a Date, as net/http would frame it.
+//
+// Shutdown contract: the http.Server's Close and Shutdown (httptest's Close
+// too) close the idle kept connections at once and a busy one after its
+// answer; the server's Shutdown does not wait for them, so the owner calls
+// Server.Shutdown (Router.Shutdown in sdbrouter; both are Front.Shutdown's
+// drain) after it, which waits for every request already read on a kept
+// connection, GETs included.
+//
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the
 // store, and optionally saving a snapshot. /metrics exposes storage

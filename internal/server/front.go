@@ -126,8 +126,9 @@ type Front struct {
 	inflight    chan struct{} // admission semaphore, capacity maxInFlight
 	exclMu      sync.Mutex    // serializes the holders of every permit
 	closed      atomic.Bool
-	endpoints   map[string]*endpointCounters // fixed once mounting is over
+	endpoints   map[string]*mounted // fixed once mounting is over
 	slow        *obs.SlowLog
+	kept        keptConns
 }
 
 // NewFront builds the handler tree of svc: the six operations under
@@ -150,7 +151,7 @@ func NewFront(svc Service, prefix string, maxInFlight int, slowLogMS float64, wi
 		start:       time.Now(),
 		maxInFlight: maxInFlight,
 		inflight:    make(chan struct{}, maxInFlight),
-		endpoints:   make(map[string]*endpointCounters),
+		endpoints:   make(map[string]*mounted),
 		slow:        obs.NewSlowLog(threshold, 128),
 	}
 	for _, op := range []struct {
@@ -191,14 +192,29 @@ func NewFront(svc Service, prefix string, maxInFlight int, slowLogMS float64, wi
 	return f
 }
 
-// Handler returns the handler tree.
-func (f *Front) Handler() http.Handler { return f.mux }
+// Handler returns the handler tree. Served as an http.Server's whole
+// Handler, it keeps that server's HTTP/1.1 connections (kept.go).
+func (f *Front) Handler() http.Handler { return (*handler)(f) }
 
-// What a daemon's listener grants a connection that sends nothing. There is
-// no whole-request deadline: /save, /load and a CPU profile legitimately run
-// long.
+// Shutdown turns new work away with 503, closes the idle connections the
+// Front keeps, and waits for what is in flight, every request already read on
+// a kept connection included. Call it after the http.Server's Shutdown, which
+// does not see those connections.
+func (f *Front) Shutdown(ctx context.Context) error {
+	release, err := f.close(ctx)
+	if release != nil {
+		release()
+	}
+	return err
+}
+
+// What a daemon's listener grants a connection that sends nothing. A request
+// body must arrive within readHeaderTimeout of its head (the server's
+// ReadHeaderTimeout when set), before the request takes its admission permit;
+// there is no deadline on the rest of a request: /save, /load and a CPU
+// profile legitimately run long.
 const (
-	readHeaderTimeout = 10 * time.Second // to finish the request headers
+	readHeaderTimeout = 10 * time.Second // to finish the request headers, and then its body
 	idleTimeout       = 2 * time.Minute  // between requests of a keep-alive connection
 )
 
@@ -270,6 +286,7 @@ type statusRecorder struct {
 	status int
 	rq     Request
 	length [1]string // the Content-Length header's value (setBody)
+	kept   bool      // read on a kept connection before shutdown began (setBusy)
 }
 
 func (x *statusRecorder) WriteHeader(status int) {
@@ -277,56 +294,82 @@ func (x *statusRecorder) WriteHeader(status int) {
 	x.ResponseWriter.WriteHeader(status)
 }
 
-// mount is the one wrapper every instrumented endpoint runs in.
+// mounted is one instrumented endpoint: its counters, and how it is served.
+type mounted struct {
+	endpointCounters
+	path, method string
+	g            gate
+	serve        func(*statusRecorder, *http.Request)
+}
+
+// mount registers an instrumented endpoint: a kept connection dispatches to
+// it directly, net/http through the mux.
 func (f *Front) mount(method, path string, g gate, serve func(*statusRecorder, *http.Request)) {
-	c := &endpointCounters{}
-	f.endpoints[path] = c
+	m := &mounted{path: path, method: method, g: g, serve: serve}
+	f.endpoints[path] = m
 	f.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			Reply(w, nil, statusErr(http.StatusMethodNotAllowed, "%s needs %s", path, method))
+		f.serveMounted(m, &statusRecorder{ResponseWriter: w}, r)
+	})
+}
+
+// serveMounted is the one wrapper every instrumented endpoint runs in. A
+// gated request's body is read whole before it takes its permit, so a peer
+// that stalls its body holds no permit while it does.
+func (f *Front) serveMounted(m *mounted, x *statusRecorder, r *http.Request) {
+	if r.Method != m.method {
+		Reply(x, nil, statusErr(http.StatusMethodNotAllowed, "%s needs %s", m.path, m.method))
+		return
+	}
+	if m.g != gateOpen && !x.kept && f.closed.Load() {
+		Reply(x, nil, errShuttingDown)
+		return
+	}
+	if _, held := r.Body.(*heldBody); !held && m.g != gateOpen {
+		rc, hb := http.NewResponseController(x.ResponseWriter), &heldBody{}
+		rc.SetReadDeadline(time.Now().Add(bodyTimeout(r.Context())))
+		hb.hold(r.Body, r.ContentLength)
+		defer hb.release()
+		if hb.err == nil { // else the connection ends with the answer: let its reads fail
+			rc.SetReadDeadline(time.Time{})
+		}
+		r.Body = hb
+	}
+	switch m.g {
+	case gateAdmit:
+		// Bounded latency under overload beats an unbounded queue.
+		select {
+		case f.inflight <- struct{}{}:
+		default:
+			m.rejected.Add(1)
+			Reply(x, nil, statusErr(http.StatusTooManyRequests,
+				"overloaded: %d requests in flight", f.maxInFlight))
 			return
 		}
-		if g != gateOpen && f.closed.Load() {
-			Reply(w, nil, errShuttingDown)
+		defer func() { <-f.inflight }()
+	case gateExclusive:
+		f.exclMu.Lock()
+		defer f.exclMu.Unlock()
+		release, err := f.quiesce(r.Context())
+		if err != nil {
+			Reply(x, nil, statusErr(http.StatusServiceUnavailable, "%v", err))
 			return
 		}
-		switch g {
-		case gateAdmit:
-			// Bounded latency under overload beats an unbounded queue.
-			select {
-			case f.inflight <- struct{}{}:
-			default:
-				c.rejected.Add(1)
-				Reply(w, nil, statusErr(http.StatusTooManyRequests,
-					"overloaded: %d requests in flight", f.maxInFlight))
-				return
-			}
-			defer func() { <-f.inflight }()
-		case gateExclusive:
-			f.exclMu.Lock()
-			defer f.exclMu.Unlock()
-			release, err := f.quiesce(r.Context())
-			if err != nil {
-				Reply(w, nil, statusErr(http.StatusServiceUnavailable, "%v", err))
-				return
-			}
-			defer release()
-		}
-		x := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		x.rq.Ctx = r.Context()
-		start := time.Now()
-		serve(x, r)
-		d := time.Since(start)
-		c.observe(d, x.status >= 400)
-		f.slow.Note(obs.SlowEntry{
-			Endpoint: path,
-			Status:   x.status,
-			Time:     start,
-			WallMS:   d.Seconds() * 1000,
-			QueueMS:  float64(x.rq.QueueNS) / 1e6,
-			ExecMS:   float64(x.rq.ExecNS) / 1e6,
-			Shard:    x.rq.Shard,
-		})
+		defer release()
+	}
+	x.status = http.StatusOK
+	x.rq.Ctx = r.Context()
+	start := time.Now()
+	m.serve(x, r)
+	d := time.Since(start)
+	m.observe(d, x.status >= 400)
+	f.slow.Note(obs.SlowEntry{
+		Endpoint: m.path,
+		Status:   x.status,
+		Time:     start,
+		WallMS:   d.Seconds() * 1000,
+		QueueMS:  float64(x.rq.QueueNS) / 1e6,
+		ExecMS:   float64(x.rq.ExecNS) / 1e6,
+		Shard:    x.rq.Shard,
 	})
 }
 
@@ -365,6 +408,9 @@ func (f *Front) quiesce(ctx context.Context) (release func(), err error) {
 func (f *Front) close(ctx context.Context) (release func(), err error) {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil, nil
+	}
+	if err := f.kept.drain(ctx); err != nil {
+		return nil, err
 	}
 	f.exclMu.Lock()
 	permits, err := f.quiesce(ctx)
@@ -457,16 +503,12 @@ func Reply(w http.ResponseWriter, v any, err error) {
 func readBinRecord(x *statusRecorder, r *http.Request, decode func(msg []byte) error) error {
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
-	body := http.MaxBytesReader(x, r.Body, int64(framing.RecordSize(maxBodyBytes)))
+	body := r.Body.(*heldBody) // as every admitted request's (serveMounted)
 	payload, err := framing.ReadRecord(body, maxBodyBytes, *buf)
 	if err != nil {
 		return badRequest(fmt.Errorf("bad binary frame: %w", err))
 	}
-	*buf = payload
-	scratch := binproto.GetBuf() // one byte to read into, without allocating it
-	n, _ := body.Read((*scratch)[:1])
-	binproto.PutBuf(scratch)
-	if n > 0 {
+	if *buf = payload; len(body.b) > 0 || body.more {
 		return badRequest(errors.New("trailing data after request body"))
 	}
 	msg, traceID, traced, err := binproto.UntraceReq(payload)

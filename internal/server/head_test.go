@@ -82,3 +82,49 @@ func FuzzResponseHead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRequestHead holds parseRequestHead, the Front's in-place reader of a
+// canonical request head, to http.ReadRequest over the same bytes. Any head
+// it accepts, ReadRequest accepts too, with the same method, path, raw query,
+// Host, Content-Length, trace ID and close flag; so it never accepts what
+// ReadRequest refuses. It accepts no head with a transfer coding, a second
+// Content-Length or a folded line, which ReadRequest reads with rules of its
+// own.
+func FuzzRequestHead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		n := headEnd(in)
+		if n <= 0 {
+			return
+		}
+		h, ok := parseRequestHead(in[:n])
+		if !ok {
+			return
+		}
+		head := strings.ToLower(string(in[:n]))
+		if strings.Contains(head, "transfer-encoding") || strings.Count(head, "content-length") > 1 ||
+			strings.Contains(head, "\n ") || strings.Contains(head, "\n\t") {
+			t.Fatalf("parseRequestHead accepts %q", in[:n])
+		}
+		r, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(in)))
+		if err != nil {
+			t.Fatalf("parseRequestHead accepts %q, which http.ReadRequest refuses: %v", in[:n], err)
+		}
+		path, query, _ := strings.Cut(string(h.target), "?")
+		for _, d := range []struct {
+			what      string
+			got, want any
+		}{
+			{"method", string(h.method), r.Method},
+			{"path", path, r.URL.Path},
+			{"raw query", query, r.URL.RawQuery},
+			{"Host", string(h.host), r.Host},
+			{"Content-Length", h.length, r.ContentLength},
+			{"trace ID", string(h.traceID), r.Header.Get(traceIDHeader)},
+			{"close", false, r.Close},
+		} {
+			if d.got != d.want {
+				t.Fatalf("%q: %s %v, http.ReadRequest reads %v", in[:n], d.what, d.got, d.want)
+			}
+		}
+	})
+}

@@ -104,7 +104,7 @@ func (f *Front) each(fn func(path string, c *endpointCounters)) {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		fn(path, f.endpoints[path])
+		fn(path, &f.endpoints[path].endpointCounters)
 	}
 }
 
