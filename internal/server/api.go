@@ -68,24 +68,16 @@ type KNNRequest struct {
 }
 
 // QueryResponse answers a window or point query.
-type QueryResponse = queryResponse[uint64]
-
-// KNNResponse answers a k-NN query: IDs in ascending exact-distance order
-// (ties by ID) with the matching distances.
-type KNNResponse = knnResponse[uint64]
-
-// The two answer bodies are declared once over the spelling of an ID: the
-// client decodes plain integers, the Front encodes an engine answer's
-// []object.ID as it stands — object.ID marshals as the same JSON integer, so
-// no answer is copied to change its element type.
-type queryResponse[ID ~uint64] struct {
-	IDs        []ID       `json:"ids"`
+type QueryResponse struct {
+	IDs        []uint64   `json:"ids"`
 	Candidates int        `json:"candidates"`
 	Trace      *TraceInfo `json:"trace,omitempty"` // set by ?trace=1
 }
 
-type knnResponse[ID ~uint64] struct {
-	IDs        []ID       `json:"ids"`
+// KNNResponse answers a k-NN query: IDs in ascending exact-distance order
+// (ties by ID) with the matching distances.
+type KNNResponse struct {
+	IDs        []uint64   `json:"ids"`
 	Dists      []float64  `json:"dists"`
 	Candidates int        `json:"candidates"`
 	Trace      *TraceInfo `json:"trace,omitempty"` // set by ?trace=1
@@ -120,9 +112,9 @@ type MutateResponse struct {
 	Trace   *TraceInfo `json:"trace,omitempty"`
 }
 
-// SlowLogResponse is the body of GET /debug/slowlog: the retained slow-query
+// slowLogResponse is the body of GET /debug/slowlog: the retained slow-query
 // ring, newest first.
-type SlowLogResponse struct {
+type slowLogResponse struct {
 	ThresholdMS float64         `json:"threshold_ms"` // negative: recording disabled
 	Total       int64           `json:"total"`        // entries ever recorded, evicted included
 	Entries     []obs.SlowEntry `json:"entries"`

@@ -58,18 +58,17 @@ type Client struct {
 // RetryCounters is a thread-safe tally of a client's transparent retries,
 // split by cause. All methods accept a nil receiver.
 type RetryCounters struct {
-	// Attempts counts HTTP exchanges performed, first tries included.
-	Attempts atomic.Int64
-	// RetriedOverload counts retries caused by a 429 admission rejection;
-	// RetriedConn counts retries caused by connection-level failures (reset,
-	// refused, broken pipe, unexpected EOF).
-	RetriedOverload atomic.Int64
-	RetriedConn     atomic.Int64
+	// attempts counts HTTP exchanges performed, first tries included.
+	attempts atomic.Int64
+	// overload counts retries caused by a 429 admission rejection; conn
+	// counts retries caused by connection-level failures (reset, refused,
+	// broken pipe, unexpected EOF).
+	overload, conn atomic.Int64
 }
 
 func (rc *RetryCounters) attempt() {
 	if rc != nil {
-		rc.Attempts.Add(1)
+		rc.attempts.Add(1)
 	}
 }
 
@@ -78,9 +77,9 @@ func (rc *RetryCounters) retried(err error) {
 		return
 	}
 	if IsOverload(err) {
-		rc.RetriedOverload.Add(1)
+		rc.overload.Add(1)
 	} else {
-		rc.RetriedConn.Add(1)
+		rc.conn.Add(1)
 	}
 }
 
@@ -97,9 +96,9 @@ func (rc *RetryCounters) Stats() RetryStats {
 		return RetryStats{}
 	}
 	return RetryStats{
-		Attempts:        rc.Attempts.Load(),
-		RetriedOverload: rc.RetriedOverload.Load(),
-		RetriedConn:     rc.RetriedConn.Load(),
+		Attempts:        rc.attempts.Load(),
+		RetriedOverload: rc.overload.Load(),
+		RetriedConn:     rc.conn.Load(),
 	}
 }
 
@@ -593,13 +592,6 @@ func (c *Client) Stats() (StatsResponse, error) {
 func (c *Client) Metrics() (Metrics, error) {
 	var out Metrics
 	err := c.get("/metrics", &out)
-	return out, err
-}
-
-// SlowLog fetches the slow-query log.
-func (c *Client) SlowLog() (SlowLogResponse, error) {
-	var out SlowLogResponse
-	err := c.get("/debug/slowlog", &out)
 	return out, err
 }
 

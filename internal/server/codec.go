@@ -14,7 +14,6 @@ import (
 	"spatialcluster/internal/binproto"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/object"
-	"spatialcluster/internal/store"
 )
 
 // ReadJSON decodes a JSON body of the stated length (-1 when unstated) into v;
@@ -298,9 +297,9 @@ func (c *canon) floats(dst []float64) {
 	c.lit("]")
 }
 
-// appendAnswer appends, byte for byte as encoding/json writes it, the body of
-// queryResponse{nonNil(ids), candidates} or, when knn is set, of
-// knnResponse{nonNil(ids), dists, candidates}. It fails as encoding/json does
+// appendAnswer appends, byte for byte as json.Encoder writes it, the body of
+// QueryResponse{ids, candidates} or, when knn is set, of KNNResponse{ids,
+// dists, candidates}, a nil ids written as []. It fails as encoding/json does
 // on a distance JSON cannot carry (NaN, ±Inf).
 func appendAnswer(dst []byte, ids []object.ID, dists []float64, knn bool, candidates int) ([]byte, error) {
 	dst = append(dst, `{"ids":[`...)
@@ -349,19 +348,6 @@ func appendFloats(dst []byte, err *error, nums ...float64) []byte {
 		dst = appendFloat(dst, f)
 	}
 	return append(dst, ']')
-}
-
-// replyAnswer answers an untraced JSON query from pooled scratch. It reports
-// false, nothing sent, when the answer does not encode.
-func replyAnswer(x *statusRecorder, res store.QueryResult, dists []float64, knn bool) bool {
-	buf := binproto.GetBuf()
-	defer binproto.PutBuf(buf)
-	var err error
-	if *buf, err = appendAnswer((*buf)[:0], res.IDs, dists, knn, res.Candidates); err == nil {
-		x.setBody(jsonType, len(*buf))
-		x.Write(*buf) // a failed write means the client is gone; nothing to do
-	}
-	return err == nil
 }
 
 // appendMutate appends json.Encoder's body of MutateResponse{Existed: existed}.

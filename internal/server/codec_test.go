@@ -113,9 +113,9 @@ func FuzzAnswerJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ids, dists, candidates := answerFrom(data)
-		ids = nonNil(ids) // as the Front answers: [] for an empty answer, never null
+		wire := append([]uint64{}, wireIDs(ids)...) // as the Front answers: [] for an empty answer, never null
 		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(queryResponse[object.ID]{IDs: ids, Candidates: candidates}); err != nil {
+		if err := json.NewEncoder(&want).Encode(QueryResponse{IDs: wire, Candidates: candidates}); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := appendAnswer(nil, ids, nil, false, candidates)
@@ -123,12 +123,12 @@ func FuzzAnswerJSON(f *testing.F) {
 			t.Fatalf("query answer encodes as %q, encoding/json writes %q", got, want.Bytes())
 		}
 		var q QueryResponse
-		if !scanBody(got, &q) || !sameAnswer(asKNN(q), KNNResponse{IDs: wireIDs(ids), Candidates: candidates}) {
+		if !scanBody(got, &q) || !sameAnswer(asKNN(q), KNNResponse{IDs: wire, Candidates: candidates}) {
 			t.Fatalf("scanner read %q as %+v", got, q)
 		}
 
 		want.Reset()
-		err := json.NewEncoder(&want).Encode(knnResponse[object.ID]{IDs: ids, Dists: dists, Candidates: candidates})
+		err := json.NewEncoder(&want).Encode(KNNResponse{IDs: wire, Dists: dists, Candidates: candidates})
 		got, aerr := appendAnswer(nil, ids, dists, true, candidates)
 		if (aerr == nil) != (err == nil) {
 			t.Fatalf("k-NN answer %v encodes: %v, encoding/json says %v", dists, aerr, err)
@@ -138,7 +138,7 @@ func FuzzAnswerJSON(f *testing.F) {
 				t.Fatalf("k-NN answer encodes as %q, encoding/json writes %q", got, want.Bytes())
 			}
 			var k KNNResponse
-			if !scanBody(got, &k) || !sameAnswer(k, KNNResponse{IDs: wireIDs(ids), Dists: dists, Candidates: candidates}) {
+			if !scanBody(got, &k) || !sameAnswer(k, KNNResponse{IDs: wire, Dists: dists, Candidates: candidates}) {
 				t.Fatalf("scanner read %q as %+v", got, k)
 			}
 		}
@@ -457,6 +457,7 @@ var benchSink int
 func BenchmarkAnswerCodec(b *testing.B) {
 	ids := bigAnswer()
 	body, _ := appendAnswer(nil, ids, nil, false, 1234)
+	wire := wireIDs(ids)
 	b.Run("encode/fast", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
@@ -470,7 +471,7 @@ func BenchmarkAnswerCodec(b *testing.B) {
 		var buf bytes.Buffer
 		for i := 0; i < b.N; i++ {
 			buf.Reset()
-			json.NewEncoder(&buf).Encode(queryResponse[object.ID]{IDs: ids, Candidates: 1234})
+			json.NewEncoder(&buf).Encode(QueryResponse{IDs: wire, Candidates: 1234})
 		}
 		benchSink += buf.Len()
 	})

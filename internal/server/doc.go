@@ -38,8 +38,8 @@
 // other form — a trace member, other key order, whitespace — goes to
 // encoding/json, which takes nothing but whitespace after the value, and a
 // request is held to the same rule: each list its exact length, every
-// required member present. Traced answers, errors and the control plane stay
-// on it.
+// required member present. A traced answer is the untraced body with a trace
+// member encoding/json writes; errors and the control plane stay on it.
 //
 // Each hop allocates the answer it hands on once and frames in buffers it
 // reuses. A /bin/* body is one internal/framing record, read into pooled
@@ -56,26 +56,26 @@
 // one to the same codec. The Client frames a binary request into pooled
 // scratch and reads the answer into the message buffer the call already holds.
 //
-// The Front reads request heads itself too (kept.go). Served as its
-// http.Server's whole Handler, it hijacks each HTTP/1.1 keep-alive
-// connection while serving its first request, whose head net/http parsed,
-// and reads every later head on it: a canonical one — origin-form target,
-// HTTP/1.1, Host, and at most Content-Length, Content-Type and
-// X-Sdb-Trace-Id — in place, into one request record per connection,
-// dispatched straight to its endpoint; any other by http.ReadRequest,
-// dispatched through the mux. A Front wrapped in another handler, an HTTP/2
-// request and a test's ResponseRecorder take net/http's path. On both paths
-// an admitted request's body is read whole before the request takes its
-// permit, and must arrive within the server's ReadHeaderTimeout (10 s when
-// unset) of its head. On a kept connection the answer is held whole and
-// written with its length, with a Date, as net/http would frame it.
+// The Front serves the data plane's connections itself (kept.go). Served as
+// its http.Server's whole Handler, it hijacks an HTTP/1.1 connection whose
+// request is a canonical data-plane POST — origin-form target, HTTP/1.1,
+// Host, and at most Content-Length, Content-Type and X-Sdb-Trace-Id — and
+// reads each later head on it in place. Given any other, it hands the
+// connection back, with the bytes it read ahead, to its http.Server through
+// a listener beside the server's own: net/http reads and answers that head,
+// and serves the connection until its next data-plane request. A wrapped
+// Front, HTTP/2 and a test's ResponseRecorder take net/http's path alone. On
+// both paths an admitted request's body is read whole before it takes its
+// permit, within the server's ReadHeaderTimeout (10 s when unset) of its
+// head, and a data-plane operation answers with one byte slice: the loop
+// frames it as net/http would, net/http's path writes it, length stated.
 //
 // Shutdown contract: the http.Server's Close and Shutdown (httptest's Close
 // too) close the idle kept connections at once and a busy one after its
-// answer; the server's Shutdown does not wait for them, so the owner calls
-// Server.Shutdown (Router.Shutdown in sdbrouter; both are Front.Shutdown's
-// drain) after it, which waits for every request already read on a kept
-// connection, GETs included.
+// answer, and a request read once they began is answered 503; the server's
+// Shutdown does not wait for them, so the owner calls Server.Shutdown
+// (Router.Shutdown in sdbrouter; both are Front.Shutdown's drain) after it,
+// which waits for every request already read on a kept connection.
 //
 // Beside the data plane a Server mounts its control plane on the Front, and
 // supports graceful shutdown: draining in-flight requests, flushing the

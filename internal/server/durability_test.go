@@ -354,6 +354,8 @@ func TestShutdownRacesMutations(t *testing.T) {
 			const workers = 8
 			acked := make([]([]uint64), workers)
 			var wg sync.WaitGroup
+			var once sync.Once
+			first := make(chan struct{}) // closed at the first acknowledged insert
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
@@ -365,10 +367,14 @@ func TestShutdownRacesMutations(t *testing.T) {
 							return // refused: shutting down (503) or overloaded
 						}
 						acked[w] = append(acked[w], uint64(o.ID))
+						once.Do(func() { close(first) })
 					}
 				}(w)
 			}
-			time.Sleep(20 * time.Millisecond) // let the workers get going
+			select { // let the workers get going: a commit fsyncs on the WAL arm
+			case <-first:
+			case <-time.After(10 * time.Second):
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			if err := s.Shutdown(ctx); err != nil {

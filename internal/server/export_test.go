@@ -12,6 +12,13 @@ import (
 // let the dispatcher pick it up.
 func (s *Server) Queued() int { return len(s.jobs) }
 
+// SlowLog fetches the slow-query log.
+func (c *Client) SlowLog() (slowLogResponse, error) {
+	var out slowLogResponse
+	err := c.get("/debug/slowlog", &out)
+	return out, err
+}
+
 // FromObject converts an engine object to its wire form.
 func FromObject(o *object.Object) (ObjectJSON, error) {
 	j := ObjectJSON{ID: uint64(o.ID), Pad: o.Pad}

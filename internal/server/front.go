@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -156,7 +157,7 @@ func NewFront(svc Service, prefix string, maxInFlight int, slowLogMS float64, wi
 	}
 	for _, op := range []struct {
 		json, bin string
-		serve     func(*Front, *statusRecorder, *http.Request, bool)
+		serve     func(*Front, *statusRecorder, bool)
 	}{
 		{"/query/window", "/bin/window", (*Front).window},
 		{"/query/point", "/bin/point", (*Front).point},
@@ -165,16 +166,16 @@ func NewFront(svc Service, prefix string, maxInFlight int, slowLogMS float64, wi
 		{"/update", "/bin/update", (*Front).update},
 		{"/delete", "/bin/delete", (*Front).delete},
 	} {
-		f.mount(http.MethodPost, op.json, gateAdmit, func(x *statusRecorder, r *http.Request) {
-			x.rq.Trace = traceFor(r)
-			op.serve(f, x, r, false)
-		})
-		f.mount(http.MethodPost, op.bin, gateAdmit, func(x *statusRecorder, r *http.Request) {
-			op.serve(f, x, r, true)
-		})
+		f.mount(&mounted{path: op.json, method: http.MethodPost, g: gateAdmit, op: func(x *statusRecorder) {
+			x.rq.Trace = traceFor(x.query, x.traceID)
+			op.serve(f, x, false)
+		}})
+		f.mount(&mounted{path: op.bin, method: http.MethodPost, g: gateAdmit, op: func(x *statusRecorder) {
+			op.serve(f, x, true)
+		}})
 	}
 	f.Handle(http.MethodGet, "/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, SlowLogResponse{
+		Reply(w, slowLogResponse{
 			ThresholdMS: f.slow.Threshold().Seconds() * 1000,
 			Total:       f.slow.Total(),
 			Entries:     f.slow.Entries(),
@@ -193,7 +194,8 @@ func NewFront(svc Service, prefix string, maxInFlight int, slowLogMS float64, wi
 }
 
 // Handler returns the handler tree. Served as an http.Server's whole
-// Handler, it keeps that server's HTTP/1.1 connections (kept.go).
+// Handler, it serves the data plane of that server's HTTP/1.1 connections
+// itself (kept.go).
 func (f *Front) Handler() http.Handler { return (*handler)(f) }
 
 // Shutdown turns new work away with 503, closes the idle connections the
@@ -238,7 +240,7 @@ func (f *Front) Handle(method, path string, fn http.HandlerFunc) {
 }
 
 func (f *Front) handle(method, path string, g gate, fn http.HandlerFunc) {
-	f.mount(method, path, g, func(x *statusRecorder, r *http.Request) { fn(x, r) })
+	f.mount(&mounted{path: path, method: method, g: g, serve: fn})
 }
 
 // probe answers /healthz and /readyz. Readiness ends when shutdown begins
@@ -278,15 +280,20 @@ const (
 
 var errShuttingDown = statusErr(http.StatusServiceUnavailable, "server is shutting down")
 
-// statusRecorder is one request being served: the response writer with the
-// status it was given (for the counters), and the record the Service reads
-// and fills.
+// statusRecorder is one request being served: the record the Service reads
+// and fills, its held body and where its trace switch came from, and its
+// status — on net/http's path the ResponseWriter's too, while a data-plane
+// answer waits in out until the request is counted (send).
 type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	rq     Request
-	length [1]string // the Content-Length header's value (setBody)
-	kept   bool      // read on a kept connection before shutdown began (setBusy)
+	http.ResponseWriter           // nil on a kept connection
+	kept                *keptConn // nil on net/http's path
+	status              int
+	rq                  Request
+	held                heldBody
+	query, traceID      string    // the raw query and trace header of a data-plane request
+	ctype               []string  // out's Content-Type
+	out                 *[]byte   // a data-plane answer's body, in pooled scratch
+	length              [1]string // the Content-Length header's value (send)
 }
 
 func (x *statusRecorder) WriteHeader(status int) {
@@ -294,46 +301,87 @@ func (x *statusRecorder) WriteHeader(status int) {
 	x.ResponseWriter.WriteHeader(status)
 }
 
-// mounted is one instrumented endpoint: its counters, and how it is served.
+// fail makes err the answer: the ErrorResponse every non-2xx answer of either
+// codec carries, the bytes Reply writes.
+func (x *statusRecorder) fail(err error) {
+	status, msg := statusOf(err)
+	b, _ := json.Marshal(ErrorResponse{Error: msg})
+	b = append(b, '\n')
+	x.status, x.ctype, x.out = status, jsonType, &b
+}
+
+// send writes the answer in out, once the request is counted: framed by the
+// kept loop, or through the ResponseWriter with its length stated, so
+// net/http does not chunk it. A control-plane handler wrote its own.
+func (x *statusRecorder) send() {
+	if x.out == nil {
+		return
+	}
+	if x.kept != nil {
+		x.kept.frame(x.status, x.ctype[0], *x.out)
+	} else {
+		h := x.Header()
+		h["Content-Type"] = x.ctype
+		x.length[0] = strconv.Itoa(len(*x.out))
+		h["Content-Length"] = x.length[:]
+		x.ResponseWriter.WriteHeader(x.status)
+		x.Write(*x.out) // a failed write means the client is gone
+	}
+	binproto.PutBuf(x.out)
+	x.out = nil
+}
+
+// mounted is one instrumented endpoint: its counters, and how it is served —
+// a control-plane handler, or a data-plane operation, which reads the held
+// body and answers once.
 type mounted struct {
 	endpointCounters
 	path, method string
 	g            gate
-	serve        func(*statusRecorder, *http.Request)
+	serve        http.HandlerFunc
+	op           func(*statusRecorder)
 }
 
-// mount registers an instrumented endpoint: a kept connection dispatches to
-// it directly, net/http through the mux.
-func (f *Front) mount(method, path string, g gate, serve func(*statusRecorder, *http.Request)) {
-	m := &mounted{path: path, method: method, g: g, serve: serve}
-	f.endpoints[path] = m
-	f.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+// mount registers an instrumented endpoint: net/http reaches it through the
+// mux, a kept connection a data-plane one directly.
+func (f *Front) mount(m *mounted) {
+	f.endpoints[m.path] = m
+	f.mux.HandleFunc(m.path, func(w http.ResponseWriter, r *http.Request) {
 		f.serveMounted(m, &statusRecorder{ResponseWriter: w}, r)
 	})
 }
 
-// serveMounted is the one wrapper every instrumented endpoint runs in. A
-// gated request's body is read whole before it takes its permit, so a peer
-// that stalls its body holds no permit while it does.
+// serveMounted serves an instrumented endpoint on net/http's path. A gated
+// request's body is read whole before it takes its permit, so a peer that
+// stalls its body holds no permit while it does.
 func (f *Front) serveMounted(m *mounted, x *statusRecorder, r *http.Request) {
+	defer x.send()
 	if r.Method != m.method {
-		Reply(x, nil, statusErr(http.StatusMethodNotAllowed, "%s needs %s", m.path, m.method))
+		x.fail(statusErr(http.StatusMethodNotAllowed, "%s needs %s", m.path, m.method))
 		return
 	}
-	if m.g != gateOpen && !x.kept && f.closed.Load() {
-		Reply(x, nil, errShuttingDown)
+	if m.g != gateOpen && f.closed.Load() {
+		x.fail(errShuttingDown)
 		return
 	}
-	if _, held := r.Body.(*heldBody); !held && m.g != gateOpen {
-		rc, hb := http.NewResponseController(x.ResponseWriter), &heldBody{}
+	if m.g != gateOpen {
+		rc := http.NewResponseController(x.ResponseWriter)
 		rc.SetReadDeadline(time.Now().Add(bodyTimeout(r.Context())))
-		hb.hold(r.Body, r.ContentLength)
-		defer hb.release()
-		if hb.err == nil { // else the connection ends with the answer: let its reads fail
+		x.held.hold(r.Body, r.ContentLength)
+		defer x.held.release()
+		if x.held.err == nil { // else the connection ends with the answer: let its reads fail
 			rc.SetReadDeadline(time.Time{})
 		}
-		r.Body = hb
+		r.Body = &x.held
 	}
+	x.query, x.traceID = r.URL.RawQuery, r.Header.Get(traceIDHeader)
+	f.run(m, x, r.Context(), r)
+}
+
+// run is the one wrapper every instrumented endpoint runs in, on either path:
+// admission, then the endpoint, counted, timed and offered to the slow-query
+// log. r is nil on a kept connection.
+func (f *Front) run(m *mounted, x *statusRecorder, ctx context.Context, r *http.Request) {
 	switch m.g {
 	case gateAdmit:
 		// Bounded latency under overload beats an unbounded queue.
@@ -341,25 +389,28 @@ func (f *Front) serveMounted(m *mounted, x *statusRecorder, r *http.Request) {
 		case f.inflight <- struct{}{}:
 		default:
 			m.rejected.Add(1)
-			Reply(x, nil, statusErr(http.StatusTooManyRequests,
-				"overloaded: %d requests in flight", f.maxInFlight))
+			x.fail(statusErr(http.StatusTooManyRequests, "overloaded: %d requests in flight", f.maxInFlight))
 			return
 		}
 		defer func() { <-f.inflight }()
 	case gateExclusive:
 		f.exclMu.Lock()
 		defer f.exclMu.Unlock()
-		release, err := f.quiesce(r.Context())
+		release, err := f.quiesce(ctx)
 		if err != nil {
-			Reply(x, nil, statusErr(http.StatusServiceUnavailable, "%v", err))
+			x.fail(statusErr(http.StatusServiceUnavailable, "%v", err))
 			return
 		}
 		defer release()
 	}
 	x.status = http.StatusOK
-	x.rq.Ctx = r.Context()
+	x.rq.Ctx = ctx
 	start := time.Now()
-	m.serve(x, r)
+	if m.op != nil {
+		m.op(x)
+	} else {
+		m.serve(x, r)
+	}
 	d := time.Since(start)
 	m.observe(d, x.status >= 400)
 	f.slow.Note(obs.SlowEntry{
@@ -430,16 +481,17 @@ func (f *Front) close(ctx context.Context) (release func(), err error) {
 const traceIDHeader = "X-Sdb-Trace-Id"
 
 // traceFor starts the trace of a JSON request that asked for one with
-// ?trace=1 (any non-empty value except "0"); otherwise it returns nil, which
-// every trace method accepts and ignores.
-func traceFor(r *http.Request) *obs.Trace {
-	if r.URL.RawQuery == "" { // parsing no query would still build its map
+// ?trace=1 (any non-empty value except "0") in its raw query, under the
+// identity in its trace header; otherwise it returns nil, which every trace
+// method accepts and ignores.
+func traceFor(query, traceID string) *obs.Trace {
+	if query == "" { // parsing no query would still build its map
 		return nil
 	}
-	if v := r.URL.Query().Get("trace"); v == "" || v == "0" {
+	if q, _ := url.ParseQuery(query); q.Get("trace") == "" || q.Get("trace") == "0" {
 		return nil
 	}
-	id, _ := strconv.ParseUint(r.Header.Get(traceIDHeader), 10, 64)
+	id, _ := strconv.ParseUint(traceID, 10, 64)
 	return newTrace(id)
 }
 
@@ -473,17 +525,8 @@ var (
 	binType  = []string{binproto.ContentType}
 )
 
-// setBody gives x the headers of a body of n bytes written in one Write: its
-// type, and its length (in x's own slice), so net/http does not chunk it.
-func (x *statusRecorder) setBody(typ []string, n int) {
-	h := x.Header()
-	h["Content-Type"] = typ
-	x.length[0] = strconv.Itoa(n)
-	h["Content-Length"] = x.length[:]
-}
-
-// Reply answers a JSON endpoint: v with 200, or — when err is set — the
-// ErrorResponse every non-2xx answer of either codec carries, under the
+// Reply answers a control-plane endpoint: v with 200, or — when err is set —
+// the ErrorResponse every non-2xx answer of either codec carries, under the
 // status of a *StatusError and 500 for anything else.
 func Reply(w http.ResponseWriter, v any, err error) {
 	status := http.StatusOK
@@ -500,10 +543,10 @@ func Reply(w http.ResponseWriter, v any, err error) {
 // readBinRecord reads the request's single framed record into pooled
 // scratch, starts the trace its envelope asks for, and hands the plain
 // message to decode, which must keep nothing of it.
-func readBinRecord(x *statusRecorder, r *http.Request, decode func(msg []byte) error) error {
+func readBinRecord(x *statusRecorder, decode func(msg []byte) error) error {
 	buf := binproto.GetBuf()
 	defer binproto.PutBuf(buf)
-	body := r.Body.(*heldBody) // as every admitted request's (serveMounted)
+	body := &x.held
 	payload, err := framing.ReadRecord(body, maxBodyBytes, *buf)
 	if err != nil {
 		return badRequest(fmt.Errorf("bad binary frame: %w", err))
@@ -521,18 +564,35 @@ func readBinRecord(x *statusRecorder, r *http.Request, decode func(msg []byte) e
 	return decode(msg)
 }
 
-// replyBin frames an encoded answer, inside the trace envelope when the
-// request was traced, into pooled scratch and writes it as the response body
-// in one Write.
-func replyBin(x *statusRecorder, msg *[]byte) {
-	if tr := x.rq.Trace; tr != nil {
-		*msg = binproto.TraceResp(*msg, tr.ID(), tr.TotalMS(), tr.Spans())
+// reply leaves the answer of a data-plane request: err, or what enc appends
+// to pooled scratch in the request's codec. A binary answer is framed, inside
+// the trace envelope when the request was traced; a traced JSON answer gets
+// its trace member from json.Marshal after the appender, which writes the
+// untraced body, has run — json.Encoder's bytes for the answer struct either
+// way.
+func reply(x *statusRecorder, bin bool, err error, enc func(dst []byte) ([]byte, error)) {
+	buf, ctype, tr := binproto.GetBuf(), jsonType, x.rq.Trace
+	if err == nil {
+		*buf, err = enc((*buf)[:0])
 	}
-	frame := binproto.GetBuf()
-	defer binproto.PutBuf(frame)
-	*frame = framing.AppendRecord((*frame)[:0], *msg)
-	x.setBody(binType, len(*frame))
-	x.Write(*frame) // a failed write means the client is gone
+	switch {
+	case err != nil:
+		binproto.PutBuf(buf)
+		x.fail(err)
+		return
+	case bin:
+		if tr != nil {
+			*buf = binproto.TraceResp(*buf, tr.ID(), tr.TotalMS(), tr.Spans())
+		}
+		frame := binproto.GetBuf()
+		*frame = framing.AppendRecord((*frame)[:0], *buf)
+		binproto.PutBuf(buf)
+		buf, ctype = frame, binType
+	case tr != nil:
+		info, _ := json.Marshal(traceInfo(tr))
+		*buf = append(append(append((*buf)[:len(*buf)-2], `,"trace":`...), info...), "}\n"...)
+	}
+	x.status, x.ctype, x.out = http.StatusOK, ctype, buf
 }
 
 // --- the six operations ---
@@ -540,20 +600,20 @@ func replyBin(x *statusRecorder, msg *[]byte) {
 // Each decodes its arguments from either codec, validates them the same way
 // for both, calls the Service and encodes the answer.
 
-func (f *Front) window(x *statusRecorder, r *http.Request, bin bool) {
+func (f *Front) window(x *statusRecorder, bin bool) {
 	var (
 		win  [4]float64
 		tech = store.TechDefault
 		err  error
 	)
 	if bin {
-		err = readBinRecord(x, r, func(msg []byte) (err error) {
+		err = readBinRecord(x, func(msg []byte) (err error) {
 			win, tech, err = binproto.DecodeWindowReq(msg)
 			return err
 		})
 	} else {
 		var req WindowRequest
-		if err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err == nil {
+		if err = ReadJSON(&x.held, x.held.n, maxBodyBytes, &req); err == nil {
 			win = req.Window
 			if req.Tech != "" {
 				tech, err = store.TechByName(req.Tech)
@@ -561,50 +621,50 @@ func (f *Front) window(x *statusRecorder, r *http.Request, bin bool) {
 		}
 	}
 	if err != nil {
-		Reply(x, nil, badRequest(err))
+		x.fail(badRequest(err))
 		return
 	}
 	res, err := f.svc.Window(&x.rq, geom.R(win[0], win[1], win[2], win[3]), tech)
 	replyQuery(x, bin, res, err)
 }
 
-func (f *Front) point(x *statusRecorder, r *http.Request, bin bool) {
+func (f *Front) point(x *statusRecorder, bin bool) {
 	var (
 		pt  [2]float64
 		err error
 	)
 	if bin {
-		err = readBinRecord(x, r, func(msg []byte) (err error) {
+		err = readBinRecord(x, func(msg []byte) (err error) {
 			pt, err = binproto.DecodePointReq(msg)
 			return err
 		})
 	} else {
 		var req PointRequest
-		err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req)
+		err = ReadJSON(&x.held, x.held.n, maxBodyBytes, &req)
 		pt = req.Point
 	}
 	if err != nil {
-		Reply(x, nil, badRequest(err))
+		x.fail(badRequest(err))
 		return
 	}
 	res, err := f.svc.Point(&x.rq, geom.Pt(pt[0], pt[1]))
 	replyQuery(x, bin, res, err)
 }
 
-func (f *Front) knn(x *statusRecorder, r *http.Request, bin bool) {
+func (f *Front) knn(x *statusRecorder, bin bool) {
 	var (
 		pt  [2]float64
 		k   int
 		err error
 	)
 	if bin {
-		err = readBinRecord(x, r, func(msg []byte) (err error) {
+		err = readBinRecord(x, func(msg []byte) (err error) {
 			pt, k, err = binproto.DecodeKNNReq(msg)
 			return err
 		})
 	} else {
 		var req KNNRequest
-		err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req)
+		err = ReadJSON(&x.held, x.held.n, maxBodyBytes, &req)
 		pt, k = req.Point, req.K
 	}
 	// The bound is the binary codec's u32 field: a larger k would be
@@ -613,68 +673,38 @@ func (f *Front) knn(x *statusRecorder, r *http.Request, bin bool) {
 		err = fmt.Errorf("k must be between 1 and %d, got %d", math.MaxInt32, k)
 	}
 	if err != nil {
-		Reply(x, nil, badRequest(err))
+		x.fail(badRequest(err))
 		return
 	}
 	res, err := f.svc.KNN(&x.rq, geom.Pt(pt[0], pt[1]), k)
-	if err != nil {
-		Reply(x, nil, err)
-		return
-	}
-	if bin {
-		buf := binproto.GetBuf()
-		defer binproto.PutBuf(buf)
-		*buf = binproto.AppendKNNResp((*buf)[:0], res.IDs, res.Dists, res.Candidates)
-		replyBin(x, buf)
-		return
-	}
-	if x.rq.Trace == nil && replyAnswer(x, res.QueryResult, res.Dists, true) {
-		return
-	}
-	Reply(x, knnResponse[object.ID]{
-		IDs: nonNil(res.IDs), Dists: res.Dists, Candidates: res.Candidates, Trace: traceInfo(x.rq.Trace),
-	}, nil)
+	reply(x, bin, err, func(dst []byte) ([]byte, error) {
+		if bin {
+			return binproto.AppendKNNResp(dst, res.IDs, res.Dists, res.Candidates), nil
+		}
+		return appendAnswer(dst, res.IDs, res.Dists, true, res.Candidates)
+	})
 }
 
 // replyQuery answers a window or point query.
 func replyQuery(x *statusRecorder, bin bool, res store.QueryResult, err error) {
-	if err != nil {
-		Reply(x, nil, err)
-		return
-	}
-	if bin {
-		buf := binproto.GetBuf()
-		defer binproto.PutBuf(buf)
-		*buf = binproto.AppendQueryResp((*buf)[:0], res.IDs, res.Candidates)
-		replyBin(x, buf)
-		return
-	}
-	if x.rq.Trace == nil && replyAnswer(x, res, nil, false) {
-		return
-	}
-	Reply(x, queryResponse[object.ID]{
-		IDs: nonNil(res.IDs), Candidates: res.Candidates, Trace: traceInfo(x.rq.Trace),
-	}, nil)
+	reply(x, bin, err, func(dst []byte) ([]byte, error) {
+		if bin {
+			return binproto.AppendQueryResp(dst, res.IDs, res.Candidates), nil
+		}
+		return appendAnswer(dst, res.IDs, nil, false, res.Candidates)
+	})
 }
 
-// nonNil keeps an empty answer encoding as [] rather than null.
-func nonNil(ids []object.ID) []object.ID {
-	if ids == nil {
-		return []object.ID{}
-	}
-	return ids
-}
-
-func (f *Front) insert(x *statusRecorder, r *http.Request, bin bool) {
-	o, key, err := readObject(x, r, bin, binproto.KindInsert)
+func (f *Front) insert(x *statusRecorder, bin bool) {
+	o, key, err := readObject(x, bin, binproto.KindInsert)
 	if err == nil {
 		err = f.svc.Insert(&x.rq, o, key)
 	}
 	replyMutate(x, bin, false, err)
 }
 
-func (f *Front) update(x *statusRecorder, r *http.Request, bin bool) {
-	o, key, err := readObject(x, r, bin, binproto.KindUpdate)
+func (f *Front) update(x *statusRecorder, bin bool) {
+	o, key, err := readObject(x, bin, binproto.KindUpdate)
 	existed := false
 	if err == nil {
 		existed, err = f.svc.Update(&x.rq, o, key)
@@ -682,23 +712,23 @@ func (f *Front) update(x *statusRecorder, r *http.Request, bin bool) {
 	replyMutate(x, bin, existed, err)
 }
 
-func (f *Front) delete(x *statusRecorder, r *http.Request, bin bool) {
+func (f *Front) delete(x *statusRecorder, bin bool) {
 	var (
 		id  uint64
 		err error
 	)
 	if bin {
-		err = readBinRecord(x, r, func(msg []byte) (err error) {
+		err = readBinRecord(x, func(msg []byte) (err error) {
 			id, err = binproto.DecodeDeleteReq(msg)
 			return err
 		})
 	} else {
 		var req DeleteRequest
-		err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req)
+		err = ReadJSON(&x.held, x.held.n, maxBodyBytes, &req)
 		id = req.ID
 	}
 	if err != nil {
-		Reply(x, nil, badRequest(err))
+		x.fail(badRequest(err))
 		return
 	}
 	existed, err := f.svc.Delete(&x.rq, object.ID(id))
@@ -710,20 +740,20 @@ func (f *Front) delete(x *statusRecorder, r *http.Request, bin bool) {
 // check the vertex count against the geometry kind before they build it — the
 // constructors of geom panic on a degenerate chain — and a vertex that is NaN
 // or infinite answers 400 before the Service sees the object.
-func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*object.Object, geom.Rect, error) {
+func readObject(x *statusRecorder, bin bool, kind byte) (*object.Object, geom.Rect, error) {
 	var (
 		o   *object.Object
 		key *[4]float64
 		err error
 	)
 	if bin {
-		err = readBinRecord(x, r, func(msg []byte) (err error) {
+		err = readBinRecord(x, func(msg []byte) (err error) {
 			o, key, err = binproto.DecodeMutateReq(msg, kind)
 			return err
 		})
 	} else {
 		var req InsertRequest
-		if err = ReadJSON(r.Body, r.ContentLength, maxBodyBytes, &req); err == nil {
+		if err = ReadJSON(&x.held, x.held.n, maxBodyBytes, &req); err == nil {
 			o, err = req.Object.toObject()
 			key = req.Key
 		}
@@ -752,24 +782,10 @@ func readObject(x *statusRecorder, r *http.Request, bin bool, kind byte) (*objec
 
 // replyMutate answers insert, update and delete.
 func replyMutate(x *statusRecorder, bin bool, existed bool, err error) {
-	if err != nil {
-		Reply(x, nil, err)
-		return
-	}
-	if bin {
-		buf := binproto.GetBuf()
-		defer binproto.PutBuf(buf)
-		*buf = binproto.AppendMutateResp((*buf)[:0], existed)
-		replyBin(x, buf)
-		return
-	}
-	if x.rq.Trace == nil {
-		buf := binproto.GetBuf()
-		defer binproto.PutBuf(buf)
-		*buf = appendMutate((*buf)[:0], existed)
-		x.setBody(jsonType, len(*buf))
-		x.Write(*buf) // a failed write means the client is gone
-		return
-	}
-	Reply(x, MutateResponse{Existed: existed, Trace: traceInfo(x.rq.Trace)}, nil)
+	reply(x, bin, err, func(dst []byte) ([]byte, error) {
+		if bin {
+			return binproto.AppendMutateResp(dst, existed), nil
+		}
+		return appendMutate(dst, existed), nil
+	})
 }

@@ -177,6 +177,38 @@ func TestFrontAnswersBothCodecs(t *testing.T) {
 	}
 }
 
+// TestTracedJSONAnswerBytes: a traced JSON answer — the untraced appender's
+// body with the trace member json.Marshal writes — is, byte for byte, what
+// json.Encoder writes for the answer struct, on net/http's path and on a kept
+// connection alike.
+func TestTracedJSONAnswerBytes(t *testing.T) {
+	f := NewFront(&fakeService{}, "test", 0, -1, false)
+	hs := httptest.NewServer(f.Handler())
+	defer hs.Close()
+	kc := keptConnTo(t, hs.Listener.Addr().String())
+	for i, op := range frontOps() {
+		path := op.jsonPath + "?trace=1"
+		kc.send(t, post(path, "", op.jsonBody))
+		_, kept := kc.answer(t, http.MethodPost)
+		for _, body := range [][]byte{do(f, http.MethodPost, path, []byte(op.jsonBody)).Body.Bytes(), kept} {
+			var v any = &QueryResponse{}
+			if i == 2 {
+				v = &KNNResponse{}
+			} else if i > 2 {
+				v = &MutateResponse{}
+			}
+			var want bytes.Buffer
+			if err := json.Unmarshal(body, v); err != nil || !strings.Contains(string(body), `"trace":{`) {
+				t.Fatalf("%s: %q is no traced answer (%v)", path, body, err)
+			}
+			json.NewEncoder(&want).Encode(v)
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Errorf("%s answers %q, json.Encoder writes %q", path, body, want.Bytes())
+			}
+		}
+	}
+}
+
 func TestFrontRejectsBeforeTheService(t *testing.T) {
 	svc := &fakeService{}
 	f := NewFront(svc, "test", 0, -1, false)
@@ -342,7 +374,7 @@ func TestFrontObservesEveryRequest(t *testing.T) {
 		}
 		do(f, http.MethodPost, path, body[:len(body)-3]) // a 400 is a request too
 
-		var slow SlowLogResponse
+		var slow slowLogResponse
 		if err := json.Unmarshal(do(f, http.MethodGet, "/debug/slowlog", nil).Body.Bytes(), &slow); err != nil {
 			t.Fatal(err)
 		}

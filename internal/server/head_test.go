@@ -89,8 +89,10 @@ func FuzzResponseHead(f *testing.F) {
 // Host, Content-Length, trace ID and close flag; so it never accepts what
 // ReadRequest refuses. It accepts no head with a transfer coding, a second
 // Content-Length or a folded line, which ReadRequest reads with rules of its
-// own.
+// own. A data-plane head it accepts as a connection's later request, the
+// Front keeps a connection on as its first (canonical).
 func FuzzRequestHead(f *testing.F) {
+	front := NewFront(&fakeService{}, "sdb", 0, -1, false)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		n := headEnd(in)
 		if n <= 0 {
@@ -114,7 +116,7 @@ func FuzzRequestHead(f *testing.F) {
 			what      string
 			got, want any
 		}{
-			{"method", string(h.method), r.Method},
+			{"method", http.MethodPost, r.Method},
 			{"path", path, r.URL.Path},
 			{"raw query", query, r.URL.RawQuery},
 			{"Host", string(h.host), r.Host},
@@ -125,6 +127,9 @@ func FuzzRequestHead(f *testing.F) {
 			if d.got != d.want {
 				t.Fatalf("%q: %s %v, http.ReadRequest reads %v", in[:n], d.what, d.got, d.want)
 			}
+		}
+		if m := front.endpoints[path]; m != nil && m.op != nil && front.canonical(r) != m {
+			t.Fatalf("%q: read in place as a later request, but no first request to keep a connection on", in[:n])
 		}
 	})
 }

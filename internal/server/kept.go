@@ -7,12 +7,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +18,10 @@ import (
 	"spatialcluster/internal/framing"
 )
 
-// Kept connections: the Front serves the HTTP/1.1 connections of its
-// http.Server itself after their first request (doc.go says who reads which
-// head, and how shutdown drains them).
+// Kept connections: the Front serves the data plane of its http.Server's
+// HTTP/1.1 connections itself, and hands every other request back to
+// net/http on its connection (doc.go says who reads which head, and how
+// shutdown drains them).
 
 // handler is the Front as an http.Handler.
 type handler Front
@@ -32,14 +30,31 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f := (*Front)(h)
 	hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	hj, ok := w.(http.Hijacker)
-	if ok && hs != nil && hs.Handler == http.Handler(h) && r.ProtoMajor == 1 && r.ProtoMinor == 1 && !r.Close &&
-		r.TransferEncoding == nil && r.ContentLength >= 0 && len(r.Header["Expect"]) == 0 && !f.closed.Load() {
+	if m := f.canonical(r); ok && m != nil && hs != nil && hs.Handler == http.Handler(h) && !f.closed.Load() {
 		if nc, brw, err := hj.Hijack(); err == nil {
-			f.keep(hs, nc, brw.Reader, r)
+			f.keep(hs, nc, brw.Reader, r, m)
 			return
 		}
 	}
 	f.mux.ServeHTTP(w, r)
+}
+
+// canonical is the data-plane endpoint of r when net/http read a head the
+// kept loop would take (parseRequestHead): a POST with an origin-form target,
+// on HTTP/1.1, with at most one each of Content-Length, Content-Type and the
+// trace header beside its Host.
+func (f *Front) canonical(r *http.Request) *mounted {
+	m := f.endpoints[r.URL.Path]
+	if m == nil || m.op == nil || r.Method != http.MethodPost || r.Proto != "HTTP/1.1" || r.Close ||
+		r.TransferEncoding != nil || r.RequestURI == "" || r.RequestURI[0] != '/' {
+		return nil
+	}
+	for k, v := range r.Header {
+		if len(v) != 1 || k != "Content-Length" && k != "Content-Type" && k != traceIDHeader {
+			return nil
+		}
+	}
+	return m
 }
 
 // keptConns is the Front's record of the connections it keeps.
@@ -54,38 +69,32 @@ type keptConns struct {
 type keptConn struct {
 	f                *Front
 	nc               net.Conn
-	notice           *closeNotice // of the server the connection came from
+	ctx              context.Context // the connection's; ends when its peer hangs up
+	notice           *closeNotice    // of the server the connection came from
 	cr               connReader
 	br               *bufio.Reader
 	bw               *bufio.Writer
 	idle, head, body time.Duration // the server's timeouts
-	maxHead          int64         // bytes a head may take, as net/http counts them
-	tmpl, req        http.Request  // what every canonical request starts from; the one it is
-	url              url.URL
-	hdr              http.Header
-	method, host     string   // the last ones, kept while they do not change
-	ctype            []string // the last Content-Type, likewise
 	lr               io.LimitedReader
-	held             heldBody
-	w                keptWriter
 	x                statusRecorder
+	close            bool        // the connection ends with the answer
+	back             *handedConn // what goes back to net/http, if it does
 }
 
-// keep serves nc, hijacked while net/http served its first request r, until
-// the connection ends.
-func (f *Front) keep(hs *http.Server, nc net.Conn, br *bufio.Reader, r *http.Request) {
-	c := &keptConn{f: f, nc: nc, bw: bufio.NewWriter(nc), hdr: http.Header{}, ctype: []string{""},
-		idle: cmp.Or(hs.IdleTimeout, hs.ReadTimeout), head: cmp.Or(hs.ReadHeaderTimeout, hs.ReadTimeout),
-		body: bodyTimeout(r.Context()), maxHead: int64(cmp.Or(hs.MaxHeaderBytes, http.DefaultMaxHeaderBytes)) + 4096}
+// keep serves nc, hijacked while net/http served its first request r, to the
+// data-plane endpoint m, until the connection ends or goes back to net/http.
+func (f *Front) keep(hs *http.Server, nc net.Conn, br *bufio.Reader, r *http.Request, m *mounted) {
 	ahead, _ := br.Peek(br.Buffered())
-	ctx, cancel := context.WithCancel(context.WithoutCancel(r.Context())) // the connection's
-	c.cr = connReader{nc: nc, ahead: bytes.Clone(ahead), remain: math.MaxInt64,
-		start: make(chan struct{}), done: make(chan struct{}, 1), cancel: cancel}
+	ahead = bytes.Clone(ahead)
+	if hc, ok := nc.(*handedConn); ok { // kept before: the socket, not the wrapper
+		nc, ahead = hc.Conn, append(ahead, hc.ahead...)
+	}
+	ctx, cancel := context.WithCancel(context.WithoutCancel(r.Context()))
+	c := &keptConn{f: f, nc: nc, ctx: ctx, bw: bufio.NewWriter(nc),
+		idle: cmp.Or(hs.IdleTimeout, hs.ReadTimeout), head: cmp.Or(hs.ReadHeaderTimeout, hs.ReadTimeout),
+		body: bodyTimeout(r.Context())}
+	c.cr = connReader{nc: nc, ahead: ahead, start: make(chan struct{}), done: make(chan struct{}, 1), cancel: cancel}
 	c.br = bufio.NewReader(&c.cr)
-	c.w = keptWriter{c: c, header: http.Header{}}
-	first := r.WithContext(ctx)
-	c.tmpl = *first
-	c.tmpl.URL, c.tmpl.Header, c.tmpl.Form, c.tmpl.PostForm = &c.url, c.hdr, nil, nil
 	go c.cr.watch()
 	defer func() { // on a handler's panic too, which net/http reports
 		f.kept.mu.Lock()
@@ -94,126 +103,119 @@ func (f *Front) keep(hs *http.Server, nc net.Conn, br *bufio.Reader, r *http.Req
 		}
 		delete(f.kept.conns, c)
 		f.kept.mu.Unlock()
-		nc.Close()
 		close(c.cr.start)
 		cancel()
-	}()
-	if f.track(hs, c) {
-		c.lr = io.LimitedReader{R: c.br, N: r.ContentLength}
-		for r, src := first, io.Reader(&c.lr); r != nil && c.serve(r, src); r, src = c.next() {
+		if c.back != nil { // no goroutine of the Front reads it any more
+			select {
+			case c.notice.back <- c.back:
+				return
+			case <-c.notice.closed:
+			}
 		}
+		nc.Close()
+	}()
+	f.track(hs, c)
+	h := reqHead{target: []byte(r.RequestURI), traceID: []byte(r.Header.Get(traceIDHeader)), length: r.ContentLength}
+	for m != nil && c.serve(m, h) {
+		m, h = c.next()
 	}
 }
 
-// serve answers r, whose head has been read and whose body src yields, and
-// reports whether the connection carries another request.
-func (c *keptConn) serve(r *http.Request, src io.Reader) bool {
-	if !c.f.setBusy(c, true) {
-		return false
-	}
-	w := &c.w
-	clear(w.header)
-	w.r, w.status = r, 0
-	if r.ContentLength != 0 && strings.EqualFold(r.Header.Get("Expect"), "100-continue") {
-		c.bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
-		c.bw.Flush()
-	}
+// serve answers the request of head h to endpoint m, and reports whether the
+// connection carries another. One read once shutdown has begun is answered
+// 503 and ends the connection.
+func (c *keptConn) serve(m *mounted, h reqHead) bool {
+	busy := c.f.setBusy(c, true)
+	_, query, _ := bytes.Cut(h.target, []byte("?"))
+	x := &c.x
+	*x = statusRecorder{kept: c, query: string(query), traceID: string(h.traceID)}
+	c.lr = io.LimitedReader{R: c.br, N: h.length}
 	c.nc.SetReadDeadline(time.Now().Add(c.body))
-	c.held.hold(src, r.ContentLength)
+	x.held.hold(&c.lr, h.length)
 	c.nc.SetReadDeadline(time.Time{})
-	r.Body, w.close = &c.held, c.held.err != nil || c.held.more
-	if len(c.cr.ahead) == 0 {
-		c.cr.startWatch()
-	}
-	if m := c.f.endpoints[r.URL.Path]; m != nil {
-		c.x = statusRecorder{ResponseWriter: w, kept: true}
-		c.f.serveMounted(m, &c.x, r)
+	c.close = x.held.err != nil || x.held.more
+	if !busy {
+		x.fail(errShuttingDown)
 	} else {
-		c.f.mux.ServeHTTP(w, r)
+		if len(c.cr.ahead) == 0 {
+			c.cr.startWatch()
+		}
+		c.f.run(m, x, c.ctx, nil)
 	}
-	c.held.release()
-	keep := w.finish()
-	return c.f.setBusy(c, false) && keep
+	x.held.release()
+	x.send()
+	return busy && c.f.setBusy(c, false) && !c.close
 }
 
-// next reads the next request's head: a canonical one in place, any other by
-// http.ReadRequest. It returns nil when the connection ends — the peer closed
-// it, it idled out, or its head was bad, which is answered as net/http would.
-func (c *keptConn) next() (*http.Request, io.Reader) {
+// next reads the next request's head and returns its endpoint: nil once the
+// connection ends — its peer closed it, or it idled or stalled out — or goes
+// back to net/http, as it does on any head but a canonical data-plane POST.
+func (c *keptConn) next() (*mounted, reqHead) {
 	c.deadline(c.idle)
 	if _, err := c.br.Peek(1); err != nil {
-		return nil, nil
+		return nil, reqHead{}
 	}
 	c.deadline(c.head)
-	c.cr.remain, c.cr.hit = c.maxHead, false
-	defer func() { c.cr.remain = math.MaxInt64 }()
 	for {
 		buf, _ := c.br.Peek(c.br.Buffered())
-		if n := headEnd(buf); n > 0 {
-			if h, ok := parseRequestHead(buf[:n]); ok {
-				r := c.fill(h)
+		n := headEnd(buf)
+		if n > 0 {
+			h, ok := parseRequestHead(buf[:n])
+			path, _, _ := bytes.Cut(h.target, []byte("?"))
+			if m := c.f.endpoints[string(path)]; ok && m != nil && m.op != nil {
 				c.br.Discard(n)
-				return r, &c.lr
+				return m, h
 			}
-			break
-		} else if n < 0 {
-			break
-		} else if _, err := c.br.Peek(len(buf) + 1); err != nil || len(buf) == c.br.Size() {
-			break
+		}
+		if n != 0 || len(buf) == c.br.Size() { // another head, or one past the buffer
+			c.handBack()
+			return nil, reqHead{}
+		}
+		if _, err := c.br.Peek(len(buf) + 1); err != nil {
+			return nil, reqHead{}
 		}
 	}
-	r, err := http.ReadRequest(c.br)
-	_, netErr := err.(net.Error)
-	switch {
-	case err != nil && c.cr.hit:
-		c.reject(http.StatusRequestHeaderFieldsTooLarge, "")
-	case err != nil && !netErr && err != io.EOF:
-		c.reject(http.StatusBadRequest, "")
-	case err != nil:
-	case r.ProtoMajor != 1:
-		c.reject(http.StatusHTTPVersionNotSupported, ": unsupported protocol version")
-	case r.ProtoMinor > 0 && r.Host == "":
-		c.reject(http.StatusBadRequest, ": missing required Host header")
-	default:
-		return r.WithContext(c.tmpl.Context()), r.Body
-	}
-	return nil, nil
 }
 
-// fill makes the connection's request record the canonical request h.
-func (c *keptConn) fill(h reqHead) *http.Request {
-	r := &c.req
-	*r = c.tmpl
-	if string(h.method) != c.method {
-		c.method = string(h.method)
+// handBack readies the connection, with the bytes read ahead of its next
+// request, for net/http, whose server accepts it from the close notice once
+// keep returns.
+func (c *keptConn) handBack() {
+	cr := &c.cr
+	if cr.watching { // end the pending read, keeping its byte
+		c.nc.SetReadDeadline(time.Unix(1, 0))
+		<-cr.done
+		if cr.watching = false; cr.n == 1 {
+			cr.ahead = append(cr.ahead, cr.one[0])
+		}
 	}
-	if string(h.host) != c.host {
-		c.host = string(h.host)
-	}
-	r.Method, r.Host = c.method, c.host
-	path, query, _ := bytes.Cut(h.target, []byte("?"))
-	c.url = url.URL{}
-	if m := c.f.endpoints[string(path)]; m != nil {
-		c.url.Path = m.path
+	c.nc.SetReadDeadline(time.Time{})
+	buf, _ := c.br.Peek(c.br.Buffered())
+	c.back = &handedConn{Conn: c.nc, ahead: append(bytes.Clone(buf), cr.ahead...)}
+}
+
+// frame writes an answer as net/http's server frames one — its length, type
+// and Date, and Connection: close when the connection ends with it.
+func (c *keptConn) frame(status int, ctype string, body []byte) {
+	c.close = c.close || c.closing()
+	bw := c.bw
+	bw.Write(strconv.AppendInt(append(bw.AvailableBuffer(), "HTTP/1.1 "...), int64(status), 10))
+	if text := http.StatusText(status); text != "" {
+		bw.WriteString(" ")
+		bw.WriteString(text)
 	} else {
-		c.url.Path = string(path)
+		bw.Write(strconv.AppendInt(append(bw.AvailableBuffer(), " status code "...), int64(status), 10))
 	}
-	r.RequestURI = c.url.Path
-	if len(query) > 0 {
-		c.url.RawQuery, r.RequestURI = string(query), string(h.target)
+	bw.Write(strconv.AppendInt(append(bw.AvailableBuffer(), "\r\nContent-Length: "...), int64(len(body)), 10))
+	bw.WriteString("\r\nContent-Type: ")
+	bw.WriteString(ctype)
+	bw.Write(time.Now().UTC().AppendFormat(append(bw.AvailableBuffer(), "\r\nDate: "...), http.TimeFormat))
+	if c.close {
+		bw.WriteString("\r\nConnection: close")
 	}
-	clear(c.hdr)
-	if h.ctype != nil && string(h.ctype) != c.ctype[0] {
-		c.ctype = []string{string(h.ctype)}
-	}
-	if h.ctype != nil {
-		c.hdr["Content-Type"] = c.ctype
-	}
-	if h.traceID != nil {
-		c.hdr[traceIDHeader] = []string{string(h.traceID)}
-	}
-	r.ContentLength, c.lr = h.length, io.LimitedReader{R: c.br, N: h.length}
-	return r
+	bw.WriteString("\r\n\r\n")
+	bw.Write(body)
+	c.close = bw.Flush() != nil || c.close
 }
 
 // deadline bounds the connection's reads by d from now; d ≤ 0 lifts it.
@@ -225,20 +227,8 @@ func (c *keptConn) deadline(d time.Duration) {
 	c.nc.SetReadDeadline(t)
 }
 
-// reject answers a head net/http's server refuses, as it does, and lets the
-// peer read the answer before the connection closes.
-func (c *keptConn) reject(code int, why string) {
-	status := fmt.Sprint(code, " ", http.StatusText(code), why)
-	fmt.Fprintf(c.bw, "HTTP/1.1 %s\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n%s", status, status)
-	if tcp, ok := c.nc.(interface{ CloseWrite() error }); ok && c.bw.Flush() == nil && tcp.CloseWrite() == nil {
-		c.nc.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		io.Copy(io.Discard, c.nc)
-	}
-}
-
-// track records c, served by hs, and reports whether it may serve: neither
-// hs nor the Front is closing.
-func (f *Front) track(hs *http.Server, c *keptConn) bool {
+// track records c, served by hs.
+func (f *Front) track(hs *http.Server, c *keptConn) {
 	k := &f.kept
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -246,12 +236,11 @@ func (f *Front) track(hs *http.Server, c *keptConn) bool {
 		k.conns, k.notices = map[*keptConn]bool{}, map[*http.Server]*closeNotice{}
 	}
 	if c.notice = k.notices[hs]; c.notice == nil {
-		c.notice = &closeNotice{f: f, hs: hs, closed: make(chan struct{})}
+		c.notice = &closeNotice{f: f, hs: hs, back: make(chan net.Conn), closed: make(chan struct{})}
 		k.notices[hs] = c.notice
 		go hs.Serve(c.notice)
 	}
 	k.conns[c] = false
-	return !c.closing()
 }
 
 // setBusy marks c busy with a request whose head has been read, or idle once
@@ -303,15 +292,17 @@ func (k *keptConns) drain(ctx context.Context) error {
 	}
 }
 
-// closeNotice tells the Front that an http.Server is closing. The server
-// serves it as a listener beside its own, so Close and Shutdown close it with
-// them; the one connection it accepts is itself, which sends nothing and so
-// stays new until Close, or httptest.Server's, closes it with the
-// connections net/http tracks.
+// closeNotice tells the Front that an http.Server is closing, and hands that
+// server the connections the Front gives back. The server serves it as a
+// listener beside its own, so Close and Shutdown close it with them; the
+// first connection it accepts is itself, which sends nothing and so stays new
+// until Close, or httptest.Server's, closes it with the connections net/http
+// tracks.
 type closeNotice struct {
 	f        *Front
 	hs       *http.Server
 	accepted atomic.Bool
+	back     chan net.Conn
 	once     sync.Once
 	closed   chan struct{}
 	done     atomic.Bool
@@ -321,8 +312,12 @@ func (n *closeNotice) Accept() (net.Conn, error) {
 	if n.accepted.CompareAndSwap(false, true) {
 		return n, nil
 	}
-	<-n.closed
-	return nil, net.ErrClosed
+	select {
+	case c := <-n.back:
+		return c, nil
+	case <-n.closed:
+		return nil, net.ErrClosed
+	}
 }
 
 func (n *closeNotice) Read([]byte) (int, error) {
@@ -351,17 +346,39 @@ func (n *closeNotice) Close() error {
 	return nil
 }
 
+// handedConn is a kept connection given back to net/http: the bytes the Front
+// read ahead of its next request, then the socket. It keeps the socket's
+// CloseWrite, with which net/http lets the peer read an answer that ends the
+// connection (a 431) before it closes.
+type handedConn struct {
+	net.Conn
+	ahead []byte
+}
+
+func (hc *handedConn) Read(p []byte) (int, error) {
+	if len(hc.ahead) == 0 {
+		return hc.Conn.Read(p)
+	}
+	n := copy(p, hc.ahead)
+	hc.ahead = hc.ahead[n:]
+	return n, nil
+}
+
+func (hc *handedConn) CloseWrite() error {
+	if cw, ok := hc.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return nil
+}
+
 // connReader is what a kept connection's bufio.Reader reads: the bytes
-// net/http had read ahead of the hijack, then the socket — within a budget
-// while a head is read, so an overlong one is found as net/http finds it.
-// While a request is served, a one-byte read (watch) waits on the socket, so
-// a peer that hangs up mid-request ends the connection's context; the byte it
-// reads, the start of the next request, is the next Read's.
+// net/http had read ahead of the hijack, then the socket. While a request is
+// served, a one-byte read (watch) waits on the socket, so a peer that hangs
+// up mid-request ends the connection's context; the byte it reads, the start
+// of the next request, is the next Read's.
 type connReader struct {
 	nc          net.Conn
 	ahead       []byte
-	remain      int64 // of the budget
-	hit         bool  // a Read found the budget spent
 	start, done chan struct{}
 	watching    bool
 	one         [1]byte
@@ -385,13 +402,8 @@ func (cr *connReader) Read(p []byte) (int, error) {
 		n := copy(p, cr.ahead)
 		cr.ahead = cr.ahead[n:]
 		return n, nil
-	case cr.remain <= 0:
-		cr.hit = true
-		return 0, io.EOF
 	}
-	n, err := cr.nc.Read(p[:min(int64(len(p)), cr.remain)])
-	cr.remain -= int64(n)
-	return n, err
+	return cr.nc.Read(p)
 }
 
 func (cr *connReader) startWatch() {
@@ -416,6 +428,7 @@ func (cr *connReader) watch() {
 type heldBody struct {
 	buf  *[]byte
 	b    []byte
+	n    int64 // the stated length, -1 none
 	err  error
 	more bool // bytes past heldLimit remain unread
 }
@@ -427,7 +440,7 @@ var heldLimit = int64(framing.RecordSize(maxBodyBytes)) + 1
 // hold reads the body r of stated length n (-1 none) within the deadline its
 // connection has.
 func (h *heldBody) hold(r io.Reader, n int64) {
-	if *h = (heldBody{}); n != 0 {
+	if *h = (heldBody{n: n}); n != 0 {
 		h.buf = binproto.GetBuf()
 		*h.buf, h.err = readBody(r, n, heldLimit, (*h.buf)[:0])
 		h.b, h.more = *h.buf, n > heldLimit || n < 0 && int64(len(*h.buf)) == heldLimit
@@ -463,8 +476,8 @@ func bodyTimeout(ctx context.Context) time.Duration {
 
 // reqHead is what the Front keeps of a canonical request head, in place.
 type reqHead struct {
-	method, target, host, ctype, traceID, clen []byte // nil: no such field
-	length                                     int64
+	target, host, ctype, traceID, clen []byte // nil: no such field
+	length                             int64
 }
 
 // headEnd is the length of the canonical head at the start of b, through
@@ -480,21 +493,21 @@ func headEnd(b []byte) int {
 }
 
 // parseRequestHead parses head, a request line and header block through its
-// empty line, in place, and accepts it when canonical: an upper-case method,
-// an origin-form target with no escape in its path, HTTP/1.1, CRLF line
-// ends, printable ASCII values, one Host, and at most one each of
-// Content-Length, Content-Type and the trace header — nothing else, so never
-// a coding or a folded line. What it declines is http.ReadRequest's to read.
+// empty line, in place, and accepts it when canonical: a POST to an
+// origin-form target with no escape in its path, HTTP/1.1, CRLF line ends,
+// printable ASCII values, one Host, and at most one each of Content-Length,
+// Content-Type and the trace header — nothing else, so never a coding or a
+// folded line. What it declines goes back to net/http.
 func parseRequestHead(head []byte) (h reqHead, ok bool) {
 	line, rest, _ := bytes.Cut(head, []byte("\r\n"))
 	method, line, _ := bytes.Cut(line, []byte(" "))
 	target, proto, _ := bytes.Cut(line, []byte(" "))
 	path, _, _ := bytes.Cut(target, []byte("?"))
-	if len(method) == 0 || len(bytes.Trim(method, "ABCDEFGHIJKLMNOPQRSTUVWXYZ")) > 0 || string(proto) != "HTTP/1.1" ||
+	if string(method) != http.MethodPost || string(proto) != "HTTP/1.1" ||
 		len(path) == 0 || path[0] != '/' || bytes.ContainsAny(path, "%#") || !printable(target, false) {
 		return h, false
 	}
-	for h.method, h.target = method, target; ; {
+	for h.target = target; ; {
 		if line, rest, ok = bytes.Cut(rest, []byte("\r\n")); !ok {
 			return h, false
 		} else if len(line) == 0 {
@@ -539,84 +552,4 @@ func printable(b []byte, blanks bool) bool {
 		}
 	}
 	return true
-}
-
-// keptWriter is the http.ResponseWriter of a kept connection's requests: it
-// holds the answer whole and sends it, with its length, once the handler
-// returns.
-type keptWriter struct {
-	c      *keptConn
-	r      *http.Request
-	header http.Header
-	status int
-	held   *[]byte // the answer's body
-	close  bool    // the connection ends with the answer
-	date   [len(http.TimeFormat)]byte
-}
-
-func (w *keptWriter) Header() http.Header { return w.header }
-
-func (w *keptWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-}
-
-func (w *keptWriter) Write(p []byte) (int, error) {
-	if w.WriteHeader(http.StatusOK); w.held == nil {
-		w.held = binproto.GetBuf()
-		*w.held = (*w.held)[:0]
-	}
-	*w.held = append(*w.held, p...)
-	return len(p), nil
-}
-
-// finish sends the answer as net/http's server frames it — the handler's
-// fields, the Date, the body's length unless the handler stated it, and what
-// keeps the connection or ends it — and reports whether the connection
-// outlives it.
-func (w *keptWriter) finish() bool {
-	h, r, bw := w.header, w.r, w.c.bw
-	w.WriteHeader(http.StatusOK)
-	w.close = w.close || r.Close || w.c.closing() || h.Get("Connection") == "close"
-	proto, text, body := "HTTP/1.1 ", http.StatusText(w.status), []byte(nil)
-	if r.ProtoMinor == 0 {
-		proto = "HTTP/1.0 "
-	}
-	if text == "" {
-		text = "status code " + strconv.Itoa(w.status)
-	}
-	if w.held != nil {
-		body = *w.held
-	}
-	if cl := h["Content-Length"]; len(cl) > 0 && r.Method != http.MethodHead {
-		if n, err := strconv.ParseInt(cl[0], 10, 64); err != nil || n != int64(len(body)) {
-			delete(h, "Content-Length") // any other length would misframe the next answer
-		}
-	}
-	bw.WriteString(proto)
-	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(w.status), 10))
-	bw.WriteString(" ")
-	bw.WriteString(text)
-	bw.WriteString("\r\n")
-	h.Write(bw)
-	bw.WriteString("Date: ")
-	bw.Write(time.Now().UTC().AppendFormat(w.date[:0], http.TimeFormat))
-	if _, stated := h["Content-Length"]; !stated && (len(body) > 0 || r.Method != http.MethodHead) {
-		bw.Write(strconv.AppendInt(append(bw.AvailableBuffer(), "\r\nContent-Length: "...), int64(len(body)), 10))
-	}
-	switch {
-	case w.close && r.ProtoMinor > 0:
-		bw.WriteString("\r\nConnection: close")
-	case !w.close && r.ProtoMinor == 0:
-		bw.WriteString("\r\nConnection: keep-alive")
-	}
-	if bw.WriteString("\r\n\r\n"); r.Method != http.MethodHead {
-		bw.Write(body)
-	}
-	if w.held != nil {
-		binproto.PutBuf(w.held)
-		w.held = nil
-	}
-	return bw.Flush() == nil && !w.close
 }

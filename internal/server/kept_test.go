@@ -81,14 +81,15 @@ func post(path, extra, body string) string {
 	return fmt.Sprintf("POST %s HTTP/1.1\r\nHost: h\r\n%sContent-Length: %d\r\n\r\n%s", path, extra, len(body), body)
 }
 
-// keptConnTo dials addr and sends a canonical request first, so the
-// connection is kept by the time the caller writes to it.
+// keptConnTo dials addr and sends a canonical data-plane request first, so
+// the connection is kept by the time the caller writes to it. The request
+// lacks its point, so it is answered 400 before it reaches the Service.
 func keptConnTo(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	c := dialRaw(t, addr)
-	c.send(t, "GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n")
-	if resp, _ := c.answer(t, http.MethodGet); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz answered %d", resp.StatusCode)
+	c.send(t, post("/query/point", "", "{}"))
+	if resp, body := c.answer(t, http.MethodPost); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a point query without its point answered %d: %s", resp.StatusCode, body)
 	}
 	return c
 }
@@ -163,20 +164,7 @@ func TestKeptConnAnswersLikeNetHTTP(t *testing.T) {
 					wantBody, gotBody = untimed(t, wantBody), untimed(t, gotBody)
 					want.ContentLength, got.ContentLength = 0, 0
 				}
-				for _, d := range []struct {
-					what      string
-					got, want any
-				}{
-					{"status", got.StatusCode, want.StatusCode},
-					{"Content-Type", got.Header.Get("Content-Type"), want.Header.Get("Content-Type")},
-					{"Content-Length", got.ContentLength, want.ContentLength},
-					{"body", string(gotBody), string(wantBody)},
-					{"connection ends", got.Close, want.Close},
-				} {
-					if !reflect.DeepEqual(d.got, d.want) {
-						t.Errorf("%s: kept connection answers %v, net/http %v", d.what, d.got, d.want)
-					}
-				}
+				likeNetHTTP(t, got, gotBody, want, wantBody)
 			}
 		})
 	}
@@ -186,6 +174,132 @@ func TestKeptConnAnswersLikeNetHTTP(t *testing.T) {
 	// The warm-up requests went to the kept server alone.
 	if wrapped.Load() != handled {
 		t.Errorf("the wrapped Front saw %d requests, want %d", wrapped.Load(), handled)
+	}
+}
+
+// likeNetHTTP holds an answer read on a kept connection to net/http's:
+// status, Content-Type, Content-Length, body and whether the connection ends.
+func likeNetHTTP(t *testing.T, got *http.Response, gotBody []byte, want *http.Response, wantBody []byte) {
+	t.Helper()
+	for _, d := range []struct {
+		what      string
+		got, want any
+	}{
+		{"status", got.StatusCode, want.StatusCode},
+		{"Content-Type", got.Header.Get("Content-Type"), want.Header.Get("Content-Type")},
+		{"Content-Length", got.ContentLength, want.ContentLength},
+		{"body", string(gotBody), string(wantBody)},
+		{"connection ends", got.Close, want.Close},
+	} {
+		if !reflect.DeepEqual(d.got, d.want) {
+			t.Errorf("%s: kept connection answers %v, net/http %v", d.what, d.got, d.want)
+		}
+	}
+}
+
+// TestKeptConnHandsBack pipelines on one kept connection a window, GET
+// /metrics, HEAD /healthz, a window carrying a User-Agent, an Expect:
+// 100-continue point query, a final window and a head with a 16 KiB line.
+// The Front serves the canonical windows and hands every other request back
+// to net/http on the connection, which keeps it again for the final window:
+// each answer equals net/http's on a fresh connection, the 431 included, and
+// once the server closes no goroutine of the Front is left.
+func TestKeptConnHandsBack(t *testing.T) {
+	before := frontGoroutines()
+	f := NewFront(&fakeService{}, "sdb", 0, -1, false)
+	f.Handle(http.MethodGet, "/metrics", func(w http.ResponseWriter, r *http.Request) {
+		Reply(w, map[string]int{"requests": 1}, nil)
+	})
+	var hijacked atomic.Int64
+	ref := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.Handler().ServeHTTP(w, r)
+	}))
+	kept := httptest.NewUnstartedServer(f.Handler())
+	kept.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateHijacked {
+			hijacked.Add(1)
+		}
+	}
+	for _, hs := range []*httptest.Server{ref, kept} {
+		hs.Config.MaxHeaderBytes = 4 << 10
+		hs.Start()
+		defer hs.Close()
+	}
+	window, point := `{"window":[0,0,1,1]}`, `{"point":[0.5,0.5]}`
+	// The first two requests fill the 4 KiB net/http reads ahead of the
+	// hijack, so the hang-up watch reads the first byte of the third, which
+	// the hand-back must keep.
+	metrics := "GET /metrics HTTP/1.1\r\nHost: h\r\nX-Pad: \r\n\r\n"
+	metrics = strings.Replace(metrics, "X-Pad: ", "X-Pad: "+strings.Repeat("a", 4096-len(post("/query/window", "", window))-len(metrics)), 1)
+	reqs := []struct{ method, raw string }{
+		{"POST", post("/query/window", "", window)},
+		{"GET", metrics},
+		{"HEAD", "HEAD /healthz HTTP/1.1\r\nHost: h\r\n\r\n"},
+		{"POST", post("/query/window", "User-Agent: raw\r\n", window)},
+		{"POST", post("/query/point", "Expect: 100-continue\r\n", point)},
+		{"POST", post("/query/window", "", window)},
+		{"GET", "GET /healthz HTTP/1.1\r\nHost: h\r\nX-Pad: " + strings.Repeat("a", 16<<10) + "\r\n\r\n"},
+	}
+	kc := dialRaw(t, kept.Listener.Addr().String())
+	var all strings.Builder
+	for _, rq := range reqs {
+		all.WriteString(rq.raw)
+	}
+	kc.send(t, all.String())
+	for _, rq := range reqs {
+		fresh := dialRaw(t, ref.Listener.Addr().String())
+		fresh.send(t, rq.raw)
+		want, wantBody := fresh.answer(t, rq.method)
+		got, gotBody := kc.answer(t, rq.method)
+		likeNetHTTP(t, got, gotBody, want, wantBody)
+	}
+	if !kc.closed() {
+		t.Error("the connection outlived its 431")
+	}
+	if n := hijacked.Load(); n != 2 {
+		t.Errorf("the connection was hijacked %d times, want 2: by its first window and again by the last", n)
+	}
+	kept.Close()
+	for end := time.Now().Add(5 * time.Second); frontGoroutines() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines of the Front outlive the server", frontGoroutines()-before)
+		}
+	}
+}
+
+// TestKeptConnAnswersWhileClosing: a request read on a kept connection once
+// its server has begun to close — the close notice done, as
+// closeNotice.Close leaves it before it closes the idle connections — is
+// answered 503 and ends the connection, never dropped unanswered; a
+// connection's first request as well as a later one.
+func TestKeptConnAnswersWhileClosing(t *testing.T) {
+	for _, first := range []bool{false, true} {
+		t.Run(fmt.Sprint("first=", first), func(t *testing.T) {
+			f := NewFront(&fakeService{}, "sdb", 0, -1, false)
+			hs := httptest.NewServer(f.Handler())
+			defer hs.Close()
+			c := keptConnTo(t, hs.Listener.Addr().String())
+			for closing := false; !closing; time.Sleep(time.Millisecond) {
+				f.kept.mu.Lock()
+				if closing = f.kept.busy == 0; closing { // the warm-up is answered: c waits for a head
+					for _, n := range f.kept.notices {
+						n.done.Store(true)
+					}
+				}
+				f.kept.mu.Unlock()
+			}
+			if first {
+				c = dialRaw(t, hs.Listener.Addr().String())
+			}
+			c.send(t, post("/query/point", "", `{"point":[0.5,0.5]}`))
+			resp, body := c.answer(t, http.MethodPost)
+			if resp.StatusCode != http.StatusServiceUnavailable || !resp.Close || !strings.Contains(string(body), "server is shutting down") {
+				t.Fatalf("answered %d (connection ends: %v): %s", resp.StatusCode, resp.Close, body)
+			}
+			if !c.closed() {
+				t.Fatal("the connection outlived its 503")
+			}
+		})
 	}
 }
 

@@ -113,9 +113,10 @@ func TestRequestPathShape(t *testing.T) {
 	}
 	slow := []string{"json.Marshal", "json.NewEncoder", "json.NewDecoder", "c.Post"}
 	for _, path := range []struct{ file, fn, fast string }{
-		{"front.go", "replyQuery", "replyAnswer"},
-		{"front.go", "knn", "replyAnswer"},
+		{"front.go", "replyQuery", "appendAnswer"},
+		{"front.go", "knn", "appendAnswer"},
 		{"front.go", "replyMutate", "appendMutate"},
+		{"front.go", "reply", "enc"},
 		{"codec.go", "ReadJSON", "scanBody"},
 		{"client.go", "window", "appendWindowReq"},
 		{"client.go", "point", "appendPointReq"},
