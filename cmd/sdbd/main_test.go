@@ -139,10 +139,11 @@ func TestRuntimeErrorsExitNonZero(t *testing.T) {
 }
 
 // lockedBuffer collects a daemon's output on the goroutine that scans it while
-// the test reads it on its own.
+// the test reads it on its own; eof closes once the scan ends.
 type lockedBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
+	mu  sync.Mutex
+	b   bytes.Buffer
+	eof chan struct{}
 }
 
 func (l *lockedBuffer) WriteString(s string) {
@@ -171,13 +172,14 @@ func launchDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *lockedBuffe
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	buf := &lockedBuffer{}
+	buf := &lockedBuffer{eof: make(chan struct{})}
 	lines := bufio.NewScanner(stdout)
 	listenRe := regexp.MustCompile(`listening on (http://[0-9.:]+)`)
 	base := ""
 	deadline := time.After(60 * time.Second)
 	got := make(chan string, 1)
 	go func() {
+		defer close(buf.eof)
 		for lines.Scan() {
 			line := lines.Text()
 			buf.WriteString(line + "\n")
@@ -209,7 +211,10 @@ func startDaemon(t *testing.T, args ...string) (string, func() string) {
 			stopped = true
 			cmd.Process.Signal(syscall.SIGTERM)
 			done := make(chan error, 1)
-			go func() { done <- cmd.Wait() }()
+			go func() { // Wait closes the pipe, so the output is read to its end first
+				<-buf.eof
+				done <- cmd.Wait()
+			}()
 			select {
 			case err := <-done:
 				if err != nil {

@@ -54,6 +54,9 @@ type Router struct {
 	// of those fall back to a broadcast.
 	routeMu sync.RWMutex
 	route   map[uint64]int
+	// stale holds the shards on which a move whose delete half failed may
+	// have left an old copy of an ID; its next Update or Delete deletes there.
+	stale map[uint64][]int
 
 	shardObs []shardCounters
 
@@ -93,6 +96,7 @@ func New(pmap *shard.Map, shards []*server.Client, cfg Config) (*Router, error) 
 		shards:   shards,
 		addrs:    addrs,
 		route:    make(map[uint64]int),
+		stale:    make(map[uint64][]int),
 		shardObs: make([]shardCounters, len(shards)),
 		fanout:   make([]atomic.Int64, len(shards)+1),
 	}
@@ -254,11 +258,21 @@ func (rt *Router) allShards() []int {
 	return out
 }
 
-func (rt *Router) getRoute(id uint64) (int, bool) {
+// getRoute is id's route, if known, and the shards that may hold a stale copy.
+func (rt *Router) getRoute(id uint64) (int, bool, []int) {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	s, ok := rt.route[id]
-	return s, ok
+	return s, ok, rt.stale[id]
+}
+
+// setStale records the shards that may hold a stale copy of id (nil: none).
+func (rt *Router) setStale(id uint64, shards []int) {
+	rt.routeMu.Lock()
+	if rt.stale[id] = shards; shards == nil {
+		delete(rt.stale, id)
+	}
+	rt.routeMu.Unlock()
 }
 
 func (rt *Router) setRoute(id uint64, s int) {
@@ -270,6 +284,7 @@ func (rt *Router) setRoute(id uint64, s int) {
 func (rt *Router) delRoute(id uint64) {
 	rt.routeMu.Lock()
 	delete(rt.route, id)
+	delete(rt.stale, id)
 	rt.routeMu.Unlock()
 }
 
@@ -456,12 +471,23 @@ func (rt *Router) Insert(rq *server.Request, o *object.Object, key geom.Rect) er
 // shard held it, the object was not alive and the insert is undone. A move
 // runs on mv, its request's context with the cancellation taken off, so a
 // caller that goes away cannot split it: only a shard failure between the
-// insert and the delete can, and that leaves two copies, not none.
+// insert and the delete can, and that leaves two copies, not none. The
+// router records where the old one may be, and deletes it there before the
+// ID's next update or with its delete.
 func (rt *Router) Update(rq *server.Request, o *object.Object, key geom.Rect) (bool, error) {
 	rt.pmap.Observe(key)
 	target := rt.pmap.ShardOfKey(key)
 	id := uint64(o.ID)
-	prev, known := rt.getRoute(id)
+	prev, known, stale := rt.getRoute(id)
+	if stale != nil {
+		if err := rt.scatter(rq.Ctx, stale, func(_, s int) error {
+			_, err := rt.deleteAt(rq, s, o.ID)
+			return err
+		}); err != nil {
+			return false, err
+		}
+		rt.setStale(id, nil)
+	}
 	var others []int // the shards the old copy of a move may sit on
 	if known && prev != target {
 		others = []int{prev}
@@ -497,6 +523,7 @@ func (rt *Router) Update(rq *server.Request, o *object.Object, key geom.Rect) (b
 		dels[i], err = rt.deleteAt(mv, s, o.ID)
 		return err
 	}); err != nil {
+		rt.setStale(id, others)
 		return false, err
 	}
 	if slices.Contains(dels, true) {
@@ -508,30 +535,24 @@ func (rt *Router) Update(rq *server.Request, o *object.Object, key geom.Rect) (b
 }
 
 // Delete implements server.Service: one call when the route cache knows the
-// object's shard, a broadcast when only that can find it (or prove it
-// absent).
+// object's shard (and one per shard a failed move may have left a stale copy
+// on), a broadcast when only that can find it (or prove it absent).
 func (rt *Router) Delete(rq *server.Request, id object.ID) (bool, error) {
-	existed := false
-	if s, ok := rt.getRoute(uint64(id)); ok {
+	s, ok, stale := rt.getRoute(uint64(id))
+	targets := append([]int{s}, stale...)
+	if !ok {
+		targets = rt.allShards()
+	}
+	outs := make([]bool, len(targets))
+	if err := rt.scatter(rq.Ctx, targets, func(i, s int) error {
 		var err error
-		if existed, err = rt.deleteAt(rq, s, id); err != nil {
-			return false, rt.shardError(rq.Ctx, s, err)
-		}
-	} else {
-		outs := make([]bool, rt.pmap.N())
-		if err := rt.scatter(rq.Ctx, rt.allShards(), func(_, s int) error {
-			var err error
-			outs[s], err = rt.deleteAt(rq, s, id)
-			return err
-		}); err != nil {
-			return false, err
-		}
-		for _, ex := range outs {
-			existed = existed || ex
-		}
+		outs[i], err = rt.deleteAt(rq, s, id)
+		return err
+	}); err != nil {
+		return false, err
 	}
 	rt.delRoute(uint64(id))
-	return existed, nil
+	return slices.Contains(outs, true), nil
 }
 
 func (rt *Router) handleRecluster(w http.ResponseWriter, r *http.Request) {

@@ -474,6 +474,36 @@ func TestRouterPassesInsertRefusals(t *testing.T) {
 	}
 }
 
+// TestFailedMoveLeavesNoStaleCopy: a move whose delete half fails leaves the
+// old copy on its shard. Once that shard heals, deleting the object removes
+// the old copy too: a window over the old geometry no longer answers the ID,
+// and an update of it finds nothing to replace. (The delete removed only the
+// new copy, and the old one came back.)
+func TestFailedMoveLeavesNoStaleCopy(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 13})
+	tc := clusterFromDataset(t, ds, 2)
+	old, from := ds.Objects[0], tc.pmap.ShardOfKey(ds.MBRs[0])
+	j := slices.IndexFunc(ds.MBRs, func(k geom.Rect) bool { return tc.pmap.ShardOfKey(k) != from })
+	moved := object.New(old.ID, ds.Objects[j].Geom, old.Pad)
+	healthy := tc.shards[from].HTTP
+	ft := &flakyTransport{inner: healthy.Transport}
+	ft.fails.Store(1 << 20)
+	tc.shards[from].HTTP = &http.Client{Transport: ft}
+	if _, err := tc.client.Update(moved, ds.MBRs[j]); err == nil {
+		t.Fatal("a move whose delete half failed answered no error")
+	}
+	tc.shards[from].HTTP = healthy
+	if existed, err := tc.client.Delete(old.ID); err != nil || !existed {
+		t.Fatalf("the delete after the failed move answered %v, %v", existed, err)
+	}
+	if r, err := tc.client.Window(ds.MBRs[0], ""); err != nil || slices.Contains(r.IDs, uint64(old.ID)) {
+		t.Fatalf("after its delete, a window over the old geometry answers %v, %v", r.IDs, err)
+	}
+	if existed, err := tc.client.Update(old, ds.MBRs[0]); err != nil || existed {
+		t.Fatalf("an update of the deleted object answered %v, %v", existed, err)
+	}
+}
+
 // TestOversizeUpdateRefused: an update whose object no cluster unit can hold
 // answers 413 and changes nothing — on a plain and on a WAL-attached store,
 // over JSON and over the binary protocol, asked directly and through a

@@ -28,15 +28,13 @@
 // execution of every request.
 //
 // Every untraced data-plane JSON body — the six requests, the two query
-// answers ({"ids":[...],"candidates":n}, with "dists" for k-NN; a window
-// answers a thousand IDs) and {"existed":b} — skips encoding/json both ways
-// (codec.go): its sender appends it to pooled scratch byte for byte as
-// encoding/json would write it (the Client an insert straight from the
-// object), and ReadJSON, the one reader of a JSON body at both ends, reads a
-// body into pooled scratch — a stated length, like a frame's, buys at most
-// 64 KiB before its bytes arrive — and scans it, sizing its slices once. Any
-// other form — a trace member, other key order, whitespace — goes to
-// encoding/json, which takes nothing but whitespace after the value, and a
+// answers ({"ids":[...],"candidates":n}, with "dists" for k-NN) and
+// {"existed":b} — skips encoding/json both ways (codec.go): its sender
+// appends it to pooled scratch byte for byte as encoding/json would write it,
+// and ReadJSON, the one reader of a JSON body at both ends, reads a body into
+// pooled scratch as it reads a frame (below) and scans it, sizing its slices
+// once. Any other form — a trace member, other key order, whitespace — goes
+// to encoding/json, which takes nothing but whitespace after the value, and a
 // request is held to the same rule: each list its exact length, every
 // required member present. A traced answer is the untraced body with a trace
 // member encoding/json writes; errors and the control plane stay on it.
@@ -50,25 +48,27 @@
 // exchange run on its caller's goroutine, no request ever resent, and an
 // HTTP/1.1 codec of its own — the request head is written into the
 // connection's writer, the answer's head parsed in place for its status and
-// framing alone — so an exchange builds no http.Request or http.Response. Only
-// a foreign http.RoundTripper in Client.HTTP (an in-process handler) is handed
-// an *http.Request, and the transport's RoundTrip, for http.Client.Do, adapts
-// one to the same codec. The Client frames a binary request into pooled
-// scratch and reads the answer into the message buffer the call already holds.
+// framing alone — so an exchange builds no http.Request or http.Response.
+// Only a foreign RoundTripper in Client.HTTP (an in-process handler) sees an
+// *http.Request; the transport's RoundTrip adapts one to the same codec. The
+// Client frames a binary request into pooled scratch and reads the answer
+// into the message buffer the call already holds.
 //
 // The Front serves the data plane's connections itself (kept.go). Served as
 // its http.Server's whole Handler, it hijacks an HTTP/1.1 connection whose
 // request is a canonical data-plane POST — origin-form target, HTTP/1.1,
 // Host, and at most Content-Length, Content-Type and X-Sdb-Trace-Id — and
-// reads each later head on it in place. Given any other, it hands the
-// connection back, with the bytes it read ahead, to its http.Server through
-// a listener beside the server's own: net/http reads and answers that head,
-// and serves the connection until its next data-plane request. A wrapped
-// Front, HTTP/2 and a test's ResponseRecorder take net/http's path alone. On
-// both paths an admitted request's body is read whole before it takes its
-// permit, within the server's ReadHeaderTimeout (10 s when unset) of its
-// head, and a data-plane operation answers with one byte slice: the loop
-// frames it as net/http would, net/http's path writes it, length stated.
+// reads each later head on it in place, on one goroutine: a request still
+// running after watchDelay (2 ms) starts a one-byte read on a timer's, so a
+// peer's hang-up ends its context within that delay. Given any other head, it
+// hands the connection back, with the bytes read ahead, to its http.Server
+// through a listener beside the server's own: net/http answers that head and
+// serves the connection until its next data-plane request. A wrapped Front,
+// HTTP/2 and a test's ResponseRecorder take net/http's path alone. On both
+// paths an admitted request's body is read whole before it takes its permit,
+// within the server's ReadHeaderTimeout (10 s when unset) of its head, and a
+// data-plane operation answers with one byte slice: the loop frames it as
+// net/http would, net/http's path writes it, length stated.
 //
 // Shutdown contract: the http.Server's Close and Shutdown (httptest's Close
 // too) close the idle kept connections at once and a busy one after its

@@ -149,7 +149,9 @@ func TestLoopbackExchangeAllocs(t *testing.T) {
 
 // BenchmarkExchange times window round trips through the typed client and a
 // Front over a loopback listener, in both codecs, at 50 and at 1,000 answers:
-// the served hop without a store behind it.
+// the served hop without a store behind it. One client at a time waits on
+// every cross-thread wake-up as well as the Front's work, so json-par/50
+// keeps two clients (GOMAXPROCS, when more) busy on one Client.
 func BenchmarkExchange(b *testing.B) {
 	for _, n := range []int{50, 1000} {
 		f := NewFront(&fakeService{window: bigAnswer()[:n]}, "sdb", 0, -1, false)
@@ -168,6 +170,23 @@ func BenchmarkExchange(b *testing.B) {
 						b.Fatalf("window answered %d IDs (%v), want %d", len(r.IDs), err, n)
 					}
 				}
+			})
+		}
+		if n == 50 {
+			c := NewClient(hs.URL, 2)
+			b.Run("json-par/50", func(b *testing.B) {
+				b.ReportAllocs()
+				if runtime.GOMAXPROCS(0) == 1 {
+					b.SetParallelism(2)
+				}
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						if r, err := c.Window(geom.R(0, 0, 1, 1), ""); err != nil || len(r.IDs) != n {
+							b.Errorf("window answered %d IDs (%v), want %d", len(r.IDs), err, n)
+							return
+						}
+					}
+				})
 			})
 		}
 		hs.Close()

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -93,9 +94,9 @@ func (f *Front) keep(hs *http.Server, nc net.Conn, br *bufio.Reader, r *http.Req
 	c := &keptConn{f: f, nc: nc, ctx: ctx, bw: bufio.NewWriter(nc),
 		idle: cmp.Or(hs.IdleTimeout, hs.ReadTimeout), head: cmp.Or(hs.ReadHeaderTimeout, hs.ReadTimeout),
 		body: bodyTimeout(r.Context())}
-	c.cr = connReader{nc: nc, ahead: ahead, start: make(chan struct{}), done: make(chan struct{}, 1), cancel: cancel}
+	c.cr = connReader{nc: nc, ahead: ahead, done: make(chan struct{}, 1), cancel: cancel}
+	c.cr.timer = time.AfterFunc(math.MaxInt64, c.cr.readOne) // due only once serve arms it
 	c.br = bufio.NewReader(&c.cr)
-	go c.cr.watch()
 	defer func() { // on a handler's panic too, which net/http reports
 		f.kept.mu.Lock()
 		if f.kept.conns[c] {
@@ -103,7 +104,7 @@ func (f *Front) keep(hs *http.Server, nc net.Conn, br *bufio.Reader, r *http.Req
 		}
 		delete(f.kept.conns, c)
 		f.kept.mu.Unlock()
-		close(c.cr.start)
+		c.cr.timer.Stop()
 		cancel()
 		if c.back != nil { // no goroutine of the Front reads it any more
 			select {
@@ -137,10 +138,14 @@ func (c *keptConn) serve(m *mounted, h reqHead) bool {
 	if !busy {
 		x.fail(errShuttingDown)
 	} else {
-		if len(c.cr.ahead) == 0 {
-			c.cr.startWatch()
+		armed := !c.cr.watching && len(c.cr.ahead) == 0
+		if armed {
+			c.cr.timer.Reset(watchDelay)
 		}
 		c.f.run(m, x, c.ctx, nil)
+		if armed && !c.cr.timer.Stop() { // the watch began: the next Read takes its byte
+			c.cr.watching = true
+		}
 	}
 	x.held.release()
 	x.send()
@@ -371,20 +376,24 @@ func (hc *handedConn) CloseWrite() error {
 	return nil
 }
 
+const watchDelay = 2 * time.Millisecond // how long a request runs unwatched
+
 // connReader is what a kept connection's bufio.Reader reads: the bytes
-// net/http had read ahead of the hijack, then the socket. While a request is
-// served, a one-byte read (watch) waits on the socket, so a peer that hangs
-// up mid-request ends the connection's context; the byte it reads, the start
-// of the next request, is the next Read's.
+// net/http had read ahead of the hijack, then the socket. A request still
+// served watchDelay after it began starts the watch, a one-byte read
+// (readOne) on the timer's goroutine, so a peer that hangs up mid-request
+// ends the connection's context; the byte it reads, the start of the next
+// request, is the next Read's. A faster request starts none.
 type connReader struct {
-	nc          net.Conn
-	ahead       []byte
-	start, done chan struct{}
-	watching    bool
-	one         [1]byte
-	n           int
-	err         error
-	cancel      func() // of the connection's context
+	nc       net.Conn
+	ahead    []byte
+	timer    *time.Timer // runs readOne
+	done     chan struct{}
+	watching bool // a readOne began and the loop has not taken its byte
+	one      [1]byte
+	n        int
+	err      error
+	cancel   func() // of the connection's context
 }
 
 func (cr *connReader) Read(p []byte) (int, error) {
@@ -406,21 +415,12 @@ func (cr *connReader) Read(p []byte) (int, error) {
 	return cr.nc.Read(p)
 }
 
-func (cr *connReader) startWatch() {
-	if !cr.watching {
-		cr.watching = true
-		cr.start <- struct{}{}
+// readOne is the watch: one read, whose end it signals on done.
+func (cr *connReader) readOne() {
+	if cr.n, cr.err = cr.nc.Read(cr.one[:]); cr.n == 0 {
+		cr.cancel() // the peer hung up, or the connection is ending
 	}
-}
-
-// watch runs for the connection's life, one read per startWatch.
-func (cr *connReader) watch() {
-	for range cr.start {
-		if cr.n, cr.err = cr.nc.Read(cr.one[:]); cr.n == 0 {
-			cr.cancel() // the peer hung up, or the connection is ending
-		}
-		cr.done <- struct{}{}
-	}
+	cr.done <- struct{}{}
 }
 
 // heldBody is a request body read whole, into pooled scratch, before the

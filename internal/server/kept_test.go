@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -197,23 +198,38 @@ func likeNetHTTP(t *testing.T, got *http.Response, gotBody []byte, want *http.Re
 	}
 }
 
-// TestKeptConnHandsBack pipelines on one kept connection a window, GET
-// /metrics, HEAD /healthz, a window carrying a User-Agent, an Expect:
-// 100-continue point query, a final window and a head with a 16 KiB line.
-// The Front serves the canonical windows and hands every other request back
-// to net/http on the connection, which keeps it again for the final window:
-// each answer equals net/http's on a fresh connection, the 431 included, and
-// once the server closes no goroutine of the Front is left.
-func TestKeptConnHandsBack(t *testing.T) {
-	before := frontGoroutines()
-	f := NewFront(&fakeService{}, "sdb", 0, -1, false)
+// metricsFront is a Front over svc that also serves GET /metrics.
+func metricsFront(svc Service) *Front {
+	f := NewFront(svc, "sdb", 0, -1, false)
 	f.Handle(http.MethodGet, "/metrics", func(w http.ResponseWriter, r *http.Request) {
 		Reply(w, map[string]int{"requests": 1}, nil)
 	})
+	return f
+}
+
+// wrapped serves f behind a wrapper, so net/http answers every request.
+func wrapped(f *Front) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { f.Handler().ServeHTTP(w, r) })
+}
+
+// TestKeptConnHandsBack: the Front serves the canonical data-plane requests
+// on a kept connection and hands every other one back to net/http on it, and
+// each answer equals net/http's on a fresh connection.
+func TestKeptConnHandsBack(t *testing.T) {
+	t.Run("pipelined", testHandsBackPipelined)
+	t.Run("after the watch", testHandsBackAfterWatch)
+}
+
+// testHandsBackPipelined pipelines on one kept connection a window, GET
+// /metrics, HEAD /healthz, a window carrying a User-Agent, an Expect:
+// 100-continue point query, a final window and a head with a 16 KiB line.
+// The connection is kept again for the final window, the 431 is net/http's
+// too, and once the server closes no goroutine of the Front is left.
+func testHandsBackPipelined(t *testing.T) {
+	before := frontGoroutines()
+	f := metricsFront(&fakeService{})
 	var hijacked atomic.Int64
-	ref := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f.Handler().ServeHTTP(w, r)
-	}))
+	ref := httptest.NewUnstartedServer(wrapped(f))
 	kept := httptest.NewUnstartedServer(f.Handler())
 	kept.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateHijacked {
@@ -227,8 +243,7 @@ func TestKeptConnHandsBack(t *testing.T) {
 	}
 	window, point := `{"window":[0,0,1,1]}`, `{"point":[0.5,0.5]}`
 	// The first two requests fill the 4 KiB net/http reads ahead of the
-	// hijack, so the hang-up watch reads the first byte of the third, which
-	// the hand-back must keep.
+	// hijack, so the third is on the socket when the GET goes back.
 	metrics := "GET /metrics HTTP/1.1\r\nHost: h\r\nX-Pad: \r\n\r\n"
 	metrics = strings.Replace(metrics, "X-Pad: ", "X-Pad: "+strings.Repeat("a", 4096-len(post("/query/window", "", window))-len(metrics)), 1)
 	reqs := []struct{ method, raw string }{
@@ -265,6 +280,77 @@ func TestKeptConnHandsBack(t *testing.T) {
 			t.Fatalf("%d goroutines of the Front outlive the server", frontGoroutines()-before)
 		}
 	}
+}
+
+// testHandsBackAfterWatch: a window that outlasts watchDelay, with GET
+// /metrics written behind it and HEAD /healthz once its watch has begun. The
+// watch reads the HEAD's first byte, and the GET goes back to net/http with
+// that byte kept.
+func testHandsBackAfterWatch(t *testing.T) {
+	svc := &fakeService{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	kept := httptest.NewServer(metricsFront(svc).Handler())
+	defer kept.Close()
+	ref := httptest.NewServer(wrapped(metricsFront(&fakeService{})))
+	defer ref.Close()
+	reqs := []struct{ method, raw string }{
+		{"POST", post("/query/window", "", `{"window":[0,0,1,1]}`)},
+		{"GET", "GET /metrics HTTP/1.1\r\nHost: h\r\n\r\n"},
+		{"HEAD", "HEAD /healthz HTTP/1.1\r\nHost: h\r\n\r\n"},
+	}
+	kc := keptConnTo(t, kept.Listener.Addr().String())
+	kc.send(t, reqs[0].raw+reqs[1].raw)
+	<-svc.entered
+	waitWatches(t, 1)
+	kc.send(t, reqs[2].raw)
+	waitWatches(t, 0) // the watch read a byte
+	close(svc.release)
+	for _, rq := range reqs {
+		fresh := dialRaw(t, ref.Listener.Addr().String())
+		fresh.send(t, rq.raw)
+		want, wantBody := fresh.answer(t, rq.method)
+		got, gotBody := kc.answer(t, rq.method)
+		likeNetHTTP(t, got, gotBody, want, wantBody)
+	}
+}
+
+// waitWatches waits up to 5 s until n hang-up watches run.
+func waitWatches(t *testing.T, n int) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); goroutinesIn("(*connReader).readOne") != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d hang-up watches run, want %d", goroutinesIn("(*connReader).readOne"), n)
+		}
+	}
+}
+
+// TestKeptConnOneGoroutine: a kept connection idle between requests runs one
+// goroutine of the Front, not a second for the hang-up watch, once a request
+// on it was answered within watchDelay. A request slowed past the delay by
+// the scheduler leaves its watch to the next one, so the test takes a few
+// rounds of requests to see every connection's fast.
+func TestKeptConnOneGoroutine(t *testing.T) {
+	hs := httptest.NewServer(NewFront(&fakeService{}, "sdb", 0, -1, false).Handler())
+	defer hs.Close()
+	keptConnTo(t, hs.Listener.Addr().String()) // the server's close notice runs
+	before := frontGoroutines()
+	const n = 4
+	var conns []*rawConn
+	for i := 0; i < n; i++ {
+		conns = append(conns, keptConnTo(t, hs.Listener.Addr().String()))
+	}
+	got := 0
+	for round := 0; round < 10; round++ {
+		for _, c := range conns {
+			c.send(t, post("/query/window", "", `{"window":[0,0,1,1]}`))
+			if resp, body := c.answer(t, http.MethodPost); resp.StatusCode != http.StatusOK {
+				t.Fatalf("a window answered %d: %s", resp.StatusCode, body)
+			}
+		}
+		if got = frontGoroutines() - before; got == n {
+			return
+		}
+	}
+	t.Fatalf("%d idle kept connections run %d goroutines of the Front, want %d", n, got, n)
 }
 
 // TestKeptConnAnswersWhileClosing: a request read on a kept connection once
@@ -321,36 +407,45 @@ func untimed(t *testing.T, body []byte) []byte {
 }
 
 // ctxService holds each point query until its request's context ends, and
-// reports whether it did within a second.
+// reports when it did: the zero time when that took over a second.
 type ctxService struct {
 	*fakeService
 	entered chan struct{}
-	ended   chan bool
+	ended   chan time.Time
 }
 
 func (s *ctxService) Point(rq *Request, _ geom.Point) (store.QueryResult, error) {
 	s.entered <- struct{}{}
 	select {
 	case <-rq.Ctx.Done():
-		s.ended <- true
+		s.ended <- time.Now()
 	case <-time.After(time.Second):
-		s.ended <- false
+		s.ended <- time.Time{}
 	}
 	return store.QueryResult{}, rq.Ctx.Err()
 }
 
 // TestKeptConnHangUpEndsContext: a peer that hangs up while its request on a
-// kept connection runs ends the request's context within a second.
+// kept connection runs ends the request's context within watchDelay, plus a
+// slack for the scheduler, of the hang-up — before its watch has begun and
+// after.
 func TestKeptConnHangUpEndsContext(t *testing.T) {
-	svc := &ctxService{fakeService: &fakeService{}, entered: make(chan struct{}, 1), ended: make(chan bool, 1)}
-	hs := httptest.NewServer(NewFront(svc, "sdb", 0, -1, false).Handler())
-	defer hs.Close()
-	c := keptConnTo(t, hs.Listener.Addr().String())
-	c.send(t, post("/query/point", "", `{"point":[0.5,0.5]}`))
-	<-svc.entered
-	c.Close()
-	if !<-svc.ended {
-		t.Fatal("the request's context outlived its peer by a second")
+	const slack = 250 * time.Millisecond
+	for _, wait := range []time.Duration{0, 10 * watchDelay} {
+		t.Run(fmt.Sprint("hang-up after ", wait), func(t *testing.T) {
+			svc := &ctxService{fakeService: &fakeService{}, entered: make(chan struct{}, 1), ended: make(chan time.Time, 1)}
+			hs := httptest.NewServer(NewFront(svc, "sdb", 0, -1, false).Handler())
+			defer hs.Close()
+			c := keptConnTo(t, hs.Listener.Addr().String())
+			c.send(t, post("/query/point", "", `{"point":[0.5,0.5]}`))
+			<-svc.entered
+			time.Sleep(wait)
+			hungUp := time.Now()
+			c.Close()
+			if ended := <-svc.ended; ended.IsZero() || ended.Sub(hungUp) > watchDelay+slack {
+				t.Fatalf("the request's context outlived its peer by %v", ended.Sub(hungUp))
+			}
+		})
 	}
 }
 
@@ -444,12 +539,15 @@ func (o *heldOrg) WindowQuery(w geom.Rect, tech store.Technique) store.QueryResu
 
 // frontGoroutines counts the goroutines serving kept connections or waiting
 // for a server to close.
-func frontGoroutines() int {
+func frontGoroutines() int { return goroutinesIn("(*keptConn)", "(*connReader)", "(*closeNotice)") }
+
+// goroutinesIn counts the goroutines running a method of this package that
+// one of the receivers names.
+func goroutinesIn(receivers ...string) int {
 	buf := make([]byte, 1<<20)
 	n := 0
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "internal/server.(*keptConn)") || strings.Contains(g, "internal/server.(*connReader).watch") ||
-			strings.Contains(g, "internal/server.(*closeNotice)") {
+		if slices.ContainsFunc(receivers, func(r string) bool { return strings.Contains(g, "internal/server."+r) }) {
 			n++
 		}
 	}
