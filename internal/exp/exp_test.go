@@ -43,6 +43,7 @@ func TestScaledBuffer(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	r := table1(tinyOpts())
+	pinModelled(t, "table1", r)
 	if len(r.Rows) != 6 {
 		t.Fatalf("Table 1 rows = %d", len(r.Rows))
 	}
@@ -66,6 +67,7 @@ func TestFig5And6Shapes(t *testing.T) {
 		t.Skip("construction sweep is slow")
 	}
 	r := fig5And6(tinyOpts())
+	pinModelled(t, "fig5", r)
 	if len(r.Rows) != 18 {
 		t.Fatalf("rows = %d, want 6 series x 3 orgs", len(r.Rows))
 	}
@@ -105,6 +107,7 @@ func TestFig7Shapes(t *testing.T) {
 		t.Skip("construction sweep is slow")
 	}
 	r := fig7(tinyOpts())
+	pinModelled(t, "fig7", r)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -133,6 +136,7 @@ func TestFig8Shapes(t *testing.T) {
 		t.Skip("query sweep is slow")
 	}
 	r := fig8(tinyOpts())
+	pinModelled(t, "fig8", r)
 	get := func(series, col string, area float64) float64 {
 		for _, c := range r.Cells {
 			if c.Series == series && c.Column == col && c.AreaFrac == area {
@@ -168,6 +172,7 @@ func TestFig10Shapes(t *testing.T) {
 		t.Skip("query sweep is slow")
 	}
 	r := fig10(tinyOpts())
+	pinModelled(t, "fig10", r)
 	get := func(series, col string, area float64) float64 {
 		for _, c := range r.Cells {
 			if c.Series == series && c.Column == col && c.AreaFrac == area {
@@ -206,6 +211,7 @@ func TestFig11Shapes(t *testing.T) {
 		t.Skip("cluster size sweep is slow")
 	}
 	r := fig11(tinyOpts())
+	pinModelled(t, "fig11", r)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -244,6 +250,7 @@ func TestFig12Shapes(t *testing.T) {
 		t.Skip("query sweep is slow")
 	}
 	r := fig12(tinyOpts())
+	pinModelled(t, "fig12", r)
 	get := func(series string, kind orgKind) float64 {
 		for _, c := range r.Cells {
 			if c.Series == series && c.Org == kind {
@@ -275,6 +282,7 @@ func TestFig14Shapes(t *testing.T) {
 		t.Skip("join sweep is slow")
 	}
 	r := fig14(tinyOpts())
+	pinModelled(t, "fig14", r)
 	get := func(v joinVersion, col string, buf int) float64 {
 		for _, c := range r.Cells {
 			if c.Version == v && c.Column == col && c.BufferPages == buf {
@@ -310,6 +318,7 @@ func TestFig16Shapes(t *testing.T) {
 		t.Skip("join sweep is slow")
 	}
 	r := fig16(tinyOpts())
+	pinModelled(t, "fig16", r)
 	get := func(v joinVersion, col string, buf int) joinCell {
 		for _, c := range r.Cells {
 			if c.Version == v && c.Column == col && c.BufferPages == buf {
@@ -352,6 +361,7 @@ func TestFig17Shapes(t *testing.T) {
 		t.Skip("complete join is slow")
 	}
 	r := fig17(tinyOpts())
+	pinModelled(t, "fig17", r)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -3,13 +3,18 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // modelled marshals a result the way WriteJSON does and drops every line
 // holding a "wall field — the one strip rule of the reproducibility
-// contract: what is left must be byte-identical across runs.
+// contract: what is left must be byte-identical across runs and machines.
 func modelled(t *testing.T, v any) []byte {
 	t.Helper()
 	data, err := json.MarshalIndent(v, "", "  ")
@@ -22,14 +27,97 @@ func modelled(t *testing.T, v any) []byte {
 			kept = append(kept, line)
 		}
 	}
-	return bytes.Join(kept, []byte("\n"))
+	return append(bytes.Join(kept, []byte("\n")), '\n')
 }
 
-// sameModelled fails unless two results agree on every modelled column.
-func sameModelled(t *testing.T, a, b any) {
+// pinnedDir holds one file per pinned run: <name>.txt for every registry
+// entry (fig6 shares fig5's) and <name>-seed9.txt for the runs at
+// secondOptions.
+const pinnedDir = "testdata/modelled"
+
+// pinnedTwice names the engine benchmarks that are also pinned at
+// secondOptions, of another scale, query count and seed.
+var (
+	secondOptions = Options{Scale: 256, Queries: 12, Seed: 9}
+	pinnedTwice   = []string{"backend", "dynamic", "knn", "recovery"}
+)
+
+// pinModelled compares v's modelled output with its file under pinnedDir.
+// Paper drivers are pinned at tinyOpts, engine benchmarks at presetOptions.
+func pinModelled(t *testing.T, name string, v any) {
 	t.Helper()
-	if am, bm := modelled(t, a), modelled(t, b); !bytes.Equal(am, bm) {
-		t.Fatalf("modelled columns differ across runs:\n%s\n---\n%s", am, bm)
+	if err := pin(filepath.Join(pinnedDir, name+".txt"), modelled(t, v)); err != nil {
+		t.Error(err)
+	}
+}
+
+// pin compares got with the file at path. A missing or different file is
+// rewritten with got, and the error names it and its first differing line:
+// accept a deliberate change by running the test twice and committing the
+// file, as with TestSurface.
+func pin(path string, got []byte) error {
+	old, err := os.ReadFile(path)
+	if err == nil && bytes.Equal(old, got) {
+		return nil
+	}
+	if werr := os.WriteFile(path, got, 0o644); werr != nil {
+		return fmt.Errorf("%s differed and could not be rewritten: %v", path, werr)
+	}
+	if err != nil {
+		return fmt.Errorf("%s was unreadable (%v) and is written anew; review and commit it", path, err)
+	}
+	was, now := strings.Split(string(old), "\n"), strings.Split(string(got), "\n")
+	i := 0
+	for i < len(was) && i < len(now) && was[i] == now[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "(end of file)"
+	}
+	return fmt.Errorf("%s differed from line %d on and is rewritten; review and commit it:\n- %s\n+ %s",
+		path, i+1, line(was), line(now))
+}
+
+// TestPin holds the pinning helper to its contract: a missing file and a
+// different one each fail, naming the file (and the first differing line),
+// and are left holding the new bytes; an equal file passes and is not
+// rewritten.
+func TestPin(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.txt")
+	got := []byte("{\n  \"a\": 1,\n  \"b\": 2\n}\n")
+	for _, tc := range []struct {
+		old  []byte
+		want string
+	}{
+		{nil, "unreadable"},
+		{[]byte("{\n  \"a\": 1,\n  \"b\": 3\n}\n"), "line 3 on"},
+		{[]byte("{\n  \"a\": 1,\n"), "line 3 on"},
+	} {
+		if tc.old != nil {
+			if err := os.WriteFile(path, tc.old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := pin(path, got)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("pin over %q = %v, want an error naming %s and %q", tc.old, err, path, tc.want)
+		}
+		if data, _ := os.ReadFile(path); !bytes.Equal(data, got) {
+			t.Fatalf("pin over %q left %q, want %q", tc.old, data, got)
+		}
+	}
+	past := time.Unix(1e9, 0)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	if err := pin(path, got); err != nil {
+		t.Fatalf("pin over an equal file = %v", err)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.ModTime().Equal(past) {
+		t.Fatalf("pin rewrote an equal file: %v, %v", fi.ModTime(), err)
 	}
 }
 
@@ -37,9 +125,9 @@ func sameModelled(t *testing.T, a, b any) {
 // tested at.
 var presetOptions = Options{Scale: 512, Queries: 24, Seed: 7}
 
-// presets holds each engine benchmark's first run at presetOptions, so the
-// content checks of the Test*BenchSmoke tests read the run
-// TestExperimentsDeterministic made instead of making their own.
+// presets holds each engine benchmark's one run at presetOptions, shared by
+// TestExperimentsDeterministic and the content checks of the
+// Test*BenchSmoke tests.
 var presets = map[string]result{}
 
 // preset returns the named engine benchmark's smoke run at presetOptions,
@@ -59,50 +147,52 @@ func preset(t *testing.T, name string) result {
 }
 
 // TestExperimentsDeterministic is the reproducibility gate of every
-// artifact: each registered engine benchmark runs twice at its -smoke
-// preset; with the "wall lines stripped the two JSON documents must be
-// byte-identical, and no gating verdict may be false. Backend, dynamic, knn
-// and recovery also run twice on a second Options, of another scale, query
-// count and seed.
+// artifact: each registered engine benchmark runs once at its -smoke preset,
+// and those in pinnedTwice once more at secondOptions. No gating verdict may
+// be false, and with the "wall lines stripped each JSON document must equal
+// its file under pinnedDir — so a run that is not deterministic fails too.
+// The paper drivers are pinned by TestTable1 and the TestFig*Shapes tests.
 func TestExperimentsDeterministic(t *testing.T) {
-	second := Options{Scale: 256, Queries: 12, Seed: 9}
 	for _, e := range Experiments() {
 		if e.Artifact == "" {
 			continue
 		}
 		t.Run(e.Name, func(t *testing.T) {
-			a, b := preset(t, e.Name), e.Run(presetOptions, true, nil)
-			sameRuns(t, a, b)
+			checkRun(t, e.Name, preset(t, e.Name))
 		})
-		switch e.Name {
-		case "backend", "dynamic", "knn", "recovery":
+		if slices.Contains(pinnedTwice, e.Name) {
 			t.Run(e.Name+"-seed9", func(t *testing.T) {
-				sameRuns(t, e.Run(second, true, nil), e.Run(second, true, nil))
+				checkRun(t, e.Name+"-seed9", e.Run(secondOptions, true, nil))
 			})
 		}
 	}
 }
 
-// sameRuns fails unless two runs of one experiment gate true and agree on
-// every modelled column.
-func sameRuns(t *testing.T, a, b result) {
+// checkRun fails unless a run gates true, renders, and matches its pin.
+func checkRun(t *testing.T, name string, r result) {
 	t.Helper()
-	if f := append(a.Failed(), b.Failed()...); len(f) != 0 {
-		t.Fatalf("gating verdicts false: %v", f)
+	if f := r.Failed(); len(f) != 0 {
+		t.Errorf("gating verdicts false: %v", f)
 	}
-	sameModelled(t, a, b)
-	if a.Render() == "" {
-		t.Fatal("empty render")
+	if r.Render() == "" {
+		t.Error("empty render")
 	}
+	pinModelled(t, name, r)
 }
 
 // TestRegistry pins what clusterbench derives from the registry: unique
 // names, one artifact and at most one sweep flag per engine benchmark, the
-// two groups, and an error for names it does not hold.
+// two groups, and an error for names it does not hold. It also holds
+// pinnedDir to the registry: one file per entry and per pinnedTwice run, and
+// no file that pins nothing.
 func TestRegistry(t *testing.T) {
-	seen := map[string]bool{}
+	seen, pins := map[string]bool{}, map[string]bool{}
 	var figures, benches int
 	for _, e := range Experiments() {
+		pins[e.Name+".txt"] = true
+		if slices.Contains(pinnedTwice, e.Name) && e.Artifact != "" {
+			pins[e.Name+"-seed9.txt"] = true
+		}
 		for _, name := range []string{e.Name, e.Alias, e.Artifact} {
 			if name != "" && seen[name] {
 				t.Fatalf("%q appears twice in the registry", name)
@@ -139,5 +229,28 @@ func TestRegistry(t *testing.T) {
 		if _, err := Select([]string{"knn", gone}); err == nil {
 			t.Fatalf("Select accepted %q", gone)
 		}
+	}
+	for _, name := range pinnedTwice {
+		if !pins[name+"-seed9.txt"] {
+			t.Errorf("pinnedTwice names %q, which is no engine benchmark", name)
+		}
+	}
+	files, err := os.ReadDir(pinnedDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !pins[f.Name()] {
+			t.Errorf("%s/%s pins no registry entry: delete it", pinnedDir, f.Name())
+		}
+		delete(pins, f.Name())
+	}
+	var missing []string
+	for name := range pins {
+		missing = append(missing, name)
+	}
+	slices.Sort(missing)
+	for _, name := range missing {
+		t.Errorf("%s/%s is missing: its run is not pinned", pinnedDir, name)
 	}
 }

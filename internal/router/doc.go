@@ -41,8 +41,8 @@
 // or 408, counted against no shard) — except the insert and delete of a
 // cross-shard update, which once begun run to completion whatever becomes of
 // the caller. The insert at the target goes first, so a refused or failed
-// insert leaves the old version where it was; while both copies exist (and
-// for good if a shard fails between the two writes) a query that reaches both
-// shards sees the ID twice, and the merges already answer it once: mergeQuery
-// compacts the IDs it merges and shard.KNNMerger keeps the closer entry.
+// insert leaves the old version where it was. Between the two writes a query
+// reaching both shards sees the ID twice and answers it once (mergeQuery
+// compacts, shard.KNNMerger keeps the closer entry). If the delete fails, the
+// router records the old copy's shards, and queries skip the ID's answers there.
 package router

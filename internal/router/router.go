@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"sync"
@@ -54,9 +55,10 @@ type Router struct {
 	// of those fall back to a broadcast.
 	routeMu sync.RWMutex
 	route   map[uint64]int
-	// stale holds the shards on which a move whose delete half failed may
-	// have left an old copy of an ID; its next Update or Delete deletes there.
-	stale map[uint64][]int
+	// stale holds the shards where a move whose delete half failed may have
+	// left an ID's old copy: queries skip it, its next mutation deletes it.
+	stale     map[uint64][]int
+	staleView atomic.Value // a copy of stale stored on each change: a query reads it lock-free
 
 	shardObs []shardCounters
 
@@ -272,6 +274,7 @@ func (rt *Router) setStale(id uint64, shards []int) {
 	if rt.stale[id] = shards; shards == nil {
 		delete(rt.stale, id)
 	}
+	rt.staleView.Store(maps.Clone(rt.stale))
 	rt.routeMu.Unlock()
 }
 
@@ -284,7 +287,10 @@ func (rt *Router) setRoute(id uint64, s int) {
 func (rt *Router) delRoute(id uint64) {
 	rt.routeMu.Lock()
 	delete(rt.route, id)
-	delete(rt.stale, id)
+	if _, ok := rt.stale[id]; ok {
+		delete(rt.stale, id)
+		rt.staleView.Store(maps.Clone(rt.stale))
+	}
 	rt.routeMu.Unlock()
 }
 
@@ -350,9 +356,13 @@ func (rt *Router) scatterQuery(rq *server.Request, target geom.Rect,
 	scatterID := rq.Trace.NewSpanID()
 	scatterStart := time.Now()
 	defer rt.finish(qo, rq)
+	stale, _ := rt.staleView.Load().(map[uint64][]int)
 	if err := rt.scatter(rq.Ctx, targets, func(i, s int) error {
 		start := time.Now()
 		resp, err := call(rt.via(rq, s))
+		if len(stale) != 0 {
+			resp.IDs = slices.DeleteFunc(resp.IDs, func(id uint64) bool { return slices.Contains(stale[id], s) })
+		}
 		resps[i] = resp
 		return rt.shardAnswered(qo, rq, s, scatterID, start, resp.Trace, err)
 	}); err != nil {
@@ -380,6 +390,8 @@ func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestRes
 	bounds := rt.pmap.ShardDists(p)
 	queried := make([]bool, rt.pmap.N())
 	merger := shard.NewKNNMerger(k)
+	stale, _ := rt.staleView.Load().(map[uint64][]int)
+	extra := min(len(stale), 1<<31-1-k) // room for stale copies; k+extra stays a valid k
 	qo := &queryObs{}
 	defer rt.finish(qo, rq)
 	var out store.NearestResult
@@ -397,16 +409,18 @@ func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestRes
 		}
 		if err := rt.scatter(rq.Ctx, wave, func(i, s int) error {
 			start := time.Now()
-			resp, err := rt.via(rq, s).KNN(p, k)
+			resp, err := rt.via(rq, s).KNN(p, k+extra)
 			resps[i] = resp
 			return rt.shardAnswered(qo, rq, s, waveID, start, resp.Trace, err)
 		}); err != nil {
 			return store.NearestResult{}, err
 		}
-		for _, resp := range resps {
+		for w, resp := range resps {
 			out.Candidates += resp.Candidates
-			for i := range resp.IDs {
-				merger.Add(resp.IDs[i], resp.Dists[i])
+			for i, id := range resp.IDs {
+				if len(stale) == 0 || !slices.Contains(stale[id], wave[w]) {
+					merger.Add(id, resp.Dists[i])
+				}
 			}
 		}
 		if rq.Trace != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -474,17 +476,16 @@ func TestRouterPassesInsertRefusals(t *testing.T) {
 	}
 }
 
-// TestFailedMoveLeavesNoStaleCopy: a move whose delete half fails leaves the
-// old copy on its shard. Once that shard heals, deleting the object removes
-// the old copy too: a window over the old geometry no longer answers the ID,
-// and an update of it finds nothing to replace. (The delete removed only the
-// new copy, and the old one came back.)
-func TestFailedMoveLeavesNoStaleCopy(t *testing.T) {
-	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 13})
-	tc := clusterFromDataset(t, ds, 2)
+// failMove shards ds across two stores and moves ds.Objects[0] to the other
+// shard, taking the geometry and key of ds.Objects[j], while its old shard
+// resets every connection: the insert half lands and the delete half fails,
+// so the old copy stays. The old shard is healed before failMove returns.
+func failMove(t *testing.T, ds *datagen.Dataset) (tc *testCluster, moved *object.Object, j int) {
+	t.Helper()
+	tc = clusterFromDataset(t, ds, 2)
 	old, from := ds.Objects[0], tc.pmap.ShardOfKey(ds.MBRs[0])
-	j := slices.IndexFunc(ds.MBRs, func(k geom.Rect) bool { return tc.pmap.ShardOfKey(k) != from })
-	moved := object.New(old.ID, ds.Objects[j].Geom, old.Pad)
+	j = slices.IndexFunc(ds.MBRs, func(k geom.Rect) bool { return tc.pmap.ShardOfKey(k) != from })
+	moved = object.New(old.ID, ds.Objects[j].Geom, old.Pad)
 	healthy := tc.shards[from].HTTP
 	ft := &flakyTransport{inner: healthy.Transport}
 	ft.fails.Store(1 << 20)
@@ -493,6 +494,18 @@ func TestFailedMoveLeavesNoStaleCopy(t *testing.T) {
 		t.Fatal("a move whose delete half failed answered no error")
 	}
 	tc.shards[from].HTTP = healthy
+	return tc, moved, j
+}
+
+// TestFailedMoveLeavesNoStaleCopy: a move whose delete half fails leaves the
+// old copy on its shard. Once that shard heals, deleting the object removes
+// the old copy too: a window over the old geometry no longer answers the ID,
+// and an update of it finds nothing to replace. (The delete removed only the
+// new copy, and the old one came back.)
+func TestFailedMoveLeavesNoStaleCopy(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 13})
+	tc, _, _ := failMove(t, ds)
+	old := ds.Objects[0]
 	if existed, err := tc.client.Delete(old.ID); err != nil || !existed {
 		t.Fatalf("the delete after the failed move answered %v, %v", existed, err)
 	}
@@ -502,6 +515,67 @@ func TestFailedMoveLeavesNoStaleCopy(t *testing.T) {
 	if existed, err := tc.client.Update(old, ds.MBRs[0]); err != nil || existed {
 		t.Fatalf("an update of the deleted object answered %v, %v", existed, err)
 	}
+}
+
+// TestFailedMoveQueriesSkipStaleCopy: a move whose delete half fails leaves
+// the old copy on its shard, and before the ID's next mutation no query
+// answers from it. A window and a point over the old geometry do not name the
+// ID, a k-NN at the old geometry's centre answers the true k nearest of the
+// live objects, and a window over the new geometry names the ID once; nor do
+// windows that race the delete which removes the copy and its record. (The
+// merges took every shard's answer, the stale copy's included.)
+func TestFailedMoveQueriesSkipStaleCopy(t *testing.T) {
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 13})
+	tc, moved, j := failMove(t, ds)
+	old, id := ds.Objects[0], uint64(ds.Objects[0].ID)
+
+	if r, err := tc.client.Window(ds.MBRs[0], ""); err != nil || slices.Contains(r.IDs, id) {
+		t.Errorf("a window over the old geometry answers %v, %v", r.IDs, err)
+	}
+	if r, err := tc.client.Point(old.Geom.Segments()[0].A); err != nil || slices.Contains(r.IDs, id) {
+		t.Errorf("a point on the old geometry answers %v, %v", r.IDs, err)
+	}
+	w, err := tc.client.Window(ds.MBRs[j], "")
+	if n := len(slices.DeleteFunc(w.IDs, func(x uint64) bool { return x != id })); err != nil || n != 1 {
+		t.Errorf("a window over the new geometry answers the ID %d times, %v; want once", n, err)
+	}
+
+	const k = 5
+	c := ds.MBRs[0].Center()
+	want := make([]float64, len(ds.Objects))
+	for i, o := range ds.Objects {
+		if want[i] = o.Geom.DistToPoint(c); i == 0 {
+			want[i] = moved.Geom.DistToPoint(c)
+		}
+	}
+	slices.Sort(want)
+	r, err := tc.client.KNN(c, k)
+	if err != nil || len(r.Dists) != k {
+		t.Fatalf("a k-NN at the old centre answers %v, %v, want %d neighbours", r.IDs, err, k)
+	}
+	for i, d := range r.Dists {
+		if math.Abs(d-want[i]) > 1e-12 || (r.IDs[i] == id && d != moved.Geom.DistToPoint(c)) {
+			t.Fatalf("a k-NN at the old centre answers %v at %v, want the distances %v of the live objects", r.IDs, r.Dists, want[:k])
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 10; n++ {
+				if r, err := tc.client.Window(ds.MBRs[0], ""); err != nil || slices.Contains(r.IDs, id) {
+					t.Errorf("a window racing the delete answers %v, %v", r.IDs, err)
+					return
+				}
+			}
+		}()
+	}
+	if existed, err := tc.client.Delete(old.ID); err != nil || !existed {
+		t.Errorf("the delete after the failed move answered %v, %v", existed, err)
+	}
+	wg.Wait()
 }
 
 // TestOversizeUpdateRefused: an update whose object no cluster unit can hold
