@@ -45,6 +45,7 @@ func TestFlagMisuse(t *testing.T) {
 		{"retired experiment speed", []string{"-exp", "server,speed"}, "unknown experiment"},
 		{"retired flag batches", []string{"-exp", "dynamic", "-batches", "2"}, "flag provided but not defined"},
 		{"retired flag ops", []string{"-exp", "dynamic", "-ops", "100"}, "flag provided but not defined"},
+		{"retired flag clients", []string{"-exp", "server", "-clients", "1,8"}, "flag provided but not defined"},
 		{"json clobber group", []string{"-exp", exp.GroupBenches, "-json", "x.json"}, "would overwrite"},
 	}
 	benches, err := exp.Select([]string{exp.GroupBenches})

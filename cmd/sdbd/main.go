@@ -108,7 +108,7 @@ func main() {
 		loadPath = flag.String("load", "", "serve the store from a snapshot instead of building")
 		techStr  = flag.String("tech", "complete", "default cluster read technique of /query/window: complete, threshold, SLM, vector, page")
 
-		maxBatch = flag.Int("max-batch", 64, "largest mutation batch, one WAL commit (a batch is what arrived while the previous one applied; 1 = serial execution of every request, the benchmark baseline)")
+		maxBatch = flag.Int("max-batch", 64, "largest mutation batch, one WAL commit (a batch is what arrived while the previous one applied; 1 = serial execution of every request)")
 		inflight = flag.Int("max-inflight", 256, "admitted requests before 429")
 		throttle = flag.Float64("throttle", 0, "wall-clock disk throttle: sleep modelled request time times this factor (0 = off; 1 replays the paper's 1994 disk in real time)")
 		saveExit = flag.String("save-on-exit", "", "write a snapshot here during graceful shutdown")

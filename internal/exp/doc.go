@@ -37,19 +37,19 @@
 //   - backend (BENCH_backend.json) — storage backends: mem, file,
 //     file+fsync, file+compress; modelled cost next to measured I/O, the
 //     Save/Open round trip, what page compression saved.
-//   - server (BENCH_server.json) — closed-loop clients over HTTP: serial
-//     execution vs the default server, traced at the largest count, an
-//     open-loop arm, LRU vs 2Q admission.
-//   - shard (BENCH_shard.json) — shard counts behind the router, plain and
-//     traced.
+//   - server (BENCH_server.json) — the organizations served over HTTP: the
+//     modelled reference of a served stream, every answer checked plain and
+//     traced, LRU vs 2Q admission.
+//   - shard (BENCH_shard.json) — shard counts behind the router: the
+//     partition rows, every answer checked fresh and after a routed churn.
 //   - recovery (BENCH_recovery.json) — group-commit batch size and WAL tail
 //     length at the crash.
 //
 // The two served experiments share one fixture (served.go): one way to start
-// a server or a shard cluster, one serial reference pass, one replay that
-// verifies an arm answer for answer, and the closed- and open-loop drivers
-// behind the one measured run that records its throughput and latencies.
-// All seven are driven by the clusterbench command; the modelled columns of
+// a server or a shard cluster, one serial reference pass and one replay that
+// verifies an arm answer for answer. They measure no wall clock: served
+// throughput and latency are bench/'s served_read, served_write and
+// cluster_scatter workloads. All seven are driven by the clusterbench command; the modelled columns of
 // every artifact — every line without a "wall field — are byte-reproducible,
 // which TestExperimentsDeterministic holds for the whole registry.
 package exp

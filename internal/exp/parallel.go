@@ -220,6 +220,15 @@ func parallelBench(o Options, smoke bool, sweep []int) result {
 	return res
 }
 
+// ratio is a/b for the throughput ratios of the reports, 0 when b measured
+// nothing (JSON has no Inf).
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
 // distinct returns xs without repeats, in first-seen order.
 func distinct(xs []int) []int {
 	var out []int

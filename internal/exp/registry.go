@@ -27,7 +27,7 @@ type Experiment struct {
 	// Empty for the paper's tables and figures, which write nothing.
 	Artifact string
 	// Sweep names the int-list flag that sets the experiment's swept axis:
-	// "workers", "clients", "shards", or empty when it has none.
+	// "workers", "shards", or empty when it has none.
 	Sweep string
 	// Run executes the experiment. smoke selects the CI-sized preset kept
 	// beside the experiment's defaults; a nil sweep keeps the default axis.
@@ -74,7 +74,7 @@ func Experiments() []Experiment {
 		{Name: "dynamic", Artifact: "BENCH_dynamic.json", Run: dynamicBench},
 		{Name: "knn", Artifact: "BENCH_knn.json", Run: knnBench},
 		{Name: "backend", Artifact: "BENCH_backend.json", Run: backendBench},
-		{Name: "server", Artifact: "BENCH_server.json", Sweep: "clients", Run: serverBench},
+		{Name: "server", Artifact: "BENCH_server.json", Run: serverBench},
 		{Name: "shard", Artifact: "BENCH_shard.json", Sweep: "shards", Run: shardBench},
 		{Name: "recovery", Artifact: "BENCH_recovery.json", Run: recoveryBench},
 	}

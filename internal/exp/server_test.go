@@ -5,11 +5,10 @@ import (
 )
 
 // TestServerBenchSmoke checks the structure of the serving benchmark's preset
-// run: HTTP answers agree with in-process execution in
-// every wire form, every arm reports the same deterministic answer count as
-// the modelled reference, and both admission policies served the same
-// answers from different hit counts. (Determinism across runs is the
-// registry test's.)
+// run: HTTP answers agree with in-process execution, plain and traced, every
+// organization has a plausible modelled reference row, and both admission
+// policies served the same answers from different hit counts. (Determinism
+// across runs is the registry test's.)
 func TestServerBenchSmoke(t *testing.T) {
 	r := preset(t, "server").(serverResult)
 
@@ -19,42 +18,10 @@ func TestServerBenchSmoke(t *testing.T) {
 	if len(r.Model) != len(allOrgs) {
 		t.Fatalf("%d model rows, want %d", len(r.Model), len(allOrgs))
 	}
-	// serial+batched sweeps plus one traced and one open arm
-	wantRuns := len(allOrgs) * (2*len(r.Clients) + 2)
-	if len(r.Runs) != wantRuns {
-		t.Fatalf("%d runs, want %d", len(r.Runs), wantRuns)
-	}
-	answersByOrg := map[string]int{}
 	for _, m := range r.Model {
 		if m.Requests != r.Requests || m.Answers == 0 || m.ModelIOSec <= 0 {
 			t.Fatalf("implausible model row %+v", m)
 		}
-		answersByOrg[m.Org] = m.Answers
-	}
-	modes := map[string]int{}
-	for _, run := range r.Runs {
-		modes[run.Mode]++
-		if run.Errors != 0 {
-			t.Fatalf("run %+v reports %d errors", run, run.Errors)
-		}
-		if run.Answers != answersByOrg[run.Org] {
-			t.Fatalf("run %s/%s/%d answers %d, model says %d",
-				run.Org, run.Mode, run.Clients, run.Answers, answersByOrg[run.Org])
-		}
-		if run.WallQPS <= 0 {
-			t.Fatalf("run %s/%s/%d measured no throughput", run.Org, run.Mode, run.Clients)
-		}
-		if run.Mode == "serial" && run.WallMeanBatch > 1 {
-			t.Fatalf("serial run batched %g queries per batch", run.WallMeanBatch)
-		}
-	}
-	for _, mode := range []string{"traced", "open"} {
-		if modes[mode] != len(allOrgs) {
-			t.Fatalf("%d %s runs, want one per organization", modes[mode], mode)
-		}
-	}
-	if r.WallTraceOverheadX <= 0 {
-		t.Fatalf("no tracing ratio: %g", r.WallTraceOverheadX)
 	}
 
 	if len(r.Admission) != 2 {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"spatialcluster/internal/datagen"
@@ -11,14 +10,13 @@ import (
 )
 
 // The shard benchmark answers the question the router tier exists for: does
-// Hilbert-range partitioning scale a cluster out — more shards, more served
-// throughput — without changing a single answer? On the served fixture
-// (served.go), every shard count serves the same deterministic stream
-// through the scatter-gather router; every response — plain and traced —
-// and every mutation verdict of a churn phase routed through the router is
-// compared against one never-sharded reference store. The wall-clock sweep
-// reports queries/sec per shard and scale-out efficiency relative to one
-// shard, with tracing on and off.
+// Hilbert-range partitioning split a cluster without changing a single
+// answer? On the served fixture (served.go), every shard count serves the
+// same deterministic stream through the scatter-gather router; every
+// response — plain and traced — and every mutation verdict of a churn phase
+// routed through the router is compared against one never-sharded reference
+// store, and the partition rows report how the data and the stream split.
+// Scatter-gather wall clock is bench/'s cluster_scatter.
 
 // shardModel is the deterministic row of one shard count: how the partition
 // splits the data and how the stream routes across it.
@@ -34,22 +32,6 @@ type shardModel struct {
 	MeanFanout float64 `json:"mean_fanout"`
 }
 
-// shardRun is one measured arm: shard count × mode, closed loop through the
-// router on the churned cluster.
-type shardRun struct {
-	Shards int `json:"shards"`
-	// Mode is "json" (the public edge's codec; the router → shard hop is
-	// binary) or "traced" (every request asking for the cluster-wide span
-	// tree).
-	Mode    string `json:"mode"`
-	Clients int    `json:"clients"`
-	servedRun
-	WallQPSPerShard float64 `json:"wall_qps_per_shard"`
-	// WallEfficiencyX is qps(n) / (n * qps(1)) within the mode: 1.0 is
-	// perfect scale-out.
-	WallEfficiencyX float64 `json:"wall_efficiency_x"`
-}
-
 // shardResult is the outcome of the sharding benchmark, emitted as
 // BENCH_shard.json.
 type shardResult struct {
@@ -58,11 +40,8 @@ type shardResult struct {
 	ChurnOps   int     `json:"churn_ops"`
 	Seed       int64   `json:"seed"`
 	Counts     []int   `json:"counts"`
-	Clients    int     `json:"clients"`
-	Throttle   float64 `json:"throttle"`
 	WindowArea float64 `json:"window_area"`
 	K          int     `json:"k"`
-	GOMAXPROCS int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 
 	// Reference answer counts of the stream against the single store,
 	// fresh and after churn — the totals every shard count must reproduce.
@@ -72,17 +51,12 @@ type shardResult struct {
 	ChurnCandidates int `json:"churn_candidates"`
 
 	Model []shardModel `json:"model"`
-	Runs  []shardRun   `json:"runs"`
 
 	// Agree: at every shard count, every answer served through the router —
-	// fresh, and churned in every mode — and every mutation verdict of the
+	// fresh, and churned plain and traced — and every mutation verdict of the
 	// churn phase was identical to the single reference store's. Held in go
 	// test by router.TestRouterDifferential and TestRouterTracePropagation.
 	Agree bool `json:"agree"`
-
-	// WallTraceOverheadX is the worst untraced/traced throughput ratio over
-	// all shard counts.
-	WallTraceOverheadX float64 `json:"wall_tracing_overhead_x"`
 }
 
 // Failed implements result.
@@ -118,30 +92,22 @@ func shardModelRow(pmap *shard.Map, ds *datagen.Dataset, stream []datagen.Op) sh
 	return row
 }
 
-// shardModes are the measured arms of every shard count, in row order.
-var shardModes = []struct {
-	name   string
-	traced bool
-}{{"json", false}, {"traced", true}}
-
-// shardBench measures the sharded cluster: for every swept shard count the
+// shardBench checks the sharded cluster: for every swept shard count the
 // dataset is Hilbert-range partitioned, each shard is served over HTTP, and
 // the scatter-gather router in front answers the same deterministic query
 // stream — verified request-by-request against a single never-sharded store,
-// fresh and again, in every mode, after a mutation workload routed through
-// the router. The wall-clock arms then drive a closed loop through the
-// router on throttled disks, per mode, and report throughput per shard and
-// scale-out efficiency against the one-shard run.
+// fresh and again, plain and traced, after a mutation workload routed
+// through the router.
 //
-// The shard counts are 1, 2, 4 and 8, the stream has 240 requests, the
-// churn 400 ops, and 16 clients drive the wall-clock arms; the smoke preset
-// runs 1, 2 and 4 shards, 80 requests, 200 churn ops and 8 clients.
+// The shard counts are 1, 2, 4 and 8, the stream has 240 requests and the
+// churn 400 ops; the smoke preset runs 1, 2 and 4 shards, 80 requests and
+// 200 churn ops.
 func shardBench(o Options, smoke bool, sweep []int) result {
 	o = o.WithDefaults()
-	counts, requests, churnOps, clients := sweep, 240, 400, 16
+	counts, requests, churnOps := sweep, 240, 400
 	if smoke {
 		o = o.smoke(0)
-		requests, churnOps, clients = 80, 200, 8
+		requests, churnOps = 80, 200
 		if len(counts) == 0 {
 			counts = []int{1, 2, 4}
 		}
@@ -163,11 +129,8 @@ func shardBench(o Options, smoke bool, sweep []int) result {
 		ChurnOps:   churnOps,
 		Seed:       o.Seed,
 		Counts:     counts,
-		Clients:    clients,
-		Throttle:   servedThrottle,
 		WindowArea: streamWindowArea,
 		K:          streamK,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Agree:      true,
 	}
 
@@ -182,12 +145,11 @@ func shardBench(o Options, smoke bool, sweep []int) result {
 	o.Progress("shard: reference ready (%d objects, %d answers fresh, %d churned)",
 		len(ds.Objects), res.FreshAnswers, res.ChurnAnswers)
 
-	oneShardQPS := map[string]float64{}
 	for _, n := range counts {
 		m := shardModelRow(shard.FromKeys(ds.MBRs, n), ds, stream)
 		res.Model = append(res.Model, m)
 
-		sc, err := startShardCluster(o, ds, n, clients)
+		client, stop, err := startShardCluster(o, ds, n)
 		if err != nil {
 			// A malformed sweep (shard count the partition cannot express)
 			// is a configuration error, not a measurement.
@@ -196,44 +158,21 @@ func shardBench(o Options, smoke bool, sweep []int) result {
 		o.Progress("shard: n=%d built (%d..%d objects/shard, fanout %.2f)",
 			n, m.MinShardObjects, m.MaxShardObjects, m.MeanFanout)
 
-		if !replay(sc.client, stream, freshRefs) {
+		if !replay(client, stream, freshRefs) {
 			res.Agree = false
 			o.Progress("shard: n=%d fresh answers DIFFER from the reference", n)
 		}
-		if !replay(sc.client, ops, opRefs) {
+		if !replay(client, ops, opRefs) {
 			res.Agree = false
 			o.Progress("shard: n=%d churn verdicts or answers DIFFER from the reference", n)
 		}
-		for _, mode := range shardModes {
-			if !replay(view(sc.client, mode.traced), stream, churnRefs) {
+		for _, traced := range []bool{false, true} {
+			if !replay(view(client, traced), stream, churnRefs) {
 				res.Agree = false
-				o.Progress("shard: n=%d churned %s answers DIFFER from the reference", n, mode.name)
+				o.Progress("shard: n=%d churned answers (traced=%v) DIFFER from the reference", n, traced)
 			}
 		}
-
-		// Wall-clock arms: throttled shard disks, closed loop through the
-		// router, shard-side counters bracketed across all shards.
-		setThrottle(servedThrottle, sc.orgs...)
-		var untraced float64
-		for _, mode := range shardModes {
-			run := shardRun{Shards: n, Mode: mode.name, Clients: clients,
-				servedRun: measure(view(sc.client, mode.traced), sc.shards, closed(stream, clients))}
-			run.WallQPSPerShard = run.WallQPS / float64(n)
-			if n == 1 {
-				oneShardQPS[mode.name] = run.WallQPS
-			}
-			run.WallEfficiencyX = ratio(run.WallQPS, float64(n)*oneShardQPS[mode.name])
-			if mode.traced {
-				res.WallTraceOverheadX = max(res.WallTraceOverheadX, ratio(untraced, run.WallQPS))
-			} else {
-				untraced = run.WallQPS
-			}
-			res.Runs = append(res.Runs, run)
-			o.Progress("shard: n=%d %s %.0f qps (%.0f/shard, efficiency %.2fx) p95=%.2f ms",
-				n, mode.name, run.WallQPS, run.WallQPSPerShard, run.WallEfficiencyX, run.WallP95MS)
-		}
-		setThrottle(0, sc.orgs...)
-		sc.stop()
+		stop()
 	}
 	return res
 }
@@ -241,8 +180,8 @@ func shardBench(o Options, smoke bool, sweep []int) result {
 // Render formats the result as a text report.
 func (r shardResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Sharding benchmark (scale=%d, %d requests/run, %d churn ops, %d clients, throttle %gx, GOMAXPROCS=%d)\n",
-		r.Scale, r.Requests, r.ChurnOps, r.Clients, r.Throttle, r.GOMAXPROCS)
+	fmt.Fprintf(&b, "Sharding benchmark (scale=%d, %d requests/run, %d churn ops)\n",
+		r.Scale, r.Requests, r.ChurnOps)
 	fmt.Fprintf(&b, "\nPartition (deterministic):\n")
 	fmt.Fprintf(&b, "  %6s %9s %11s %11s %7s %8s\n",
 		"shards", "objects", "min/shard", "max/shard", "skew", "fanout")
@@ -250,15 +189,6 @@ func (r shardResult) Render() string {
 		fmt.Fprintf(&b, "  %6d %9d %11d %11d %6.2fx %8.2f\n",
 			m.Shards, m.Objects, m.MinShardObjects, m.MaxShardObjects, m.SkewX, m.MeanFanout)
 	}
-	fmt.Fprintf(&b, "\nScale-out (closed loop through the router):\n")
-	fmt.Fprintf(&b, "  %6s %-14s %8s %9s %11s %11s %9s %9s %9s\n",
-		"shards", "mode", "clients", "qps", "qps/shard", "efficiency", "p50 ms", "p95 ms", "p99 ms")
-	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "  %6d %-14s %8d %9.0f %11.0f %10.2fx %9.2f %9.2f %9.2f\n",
-			run.Shards, run.Mode, run.Clients, run.WallQPS, run.WallQPSPerShard,
-			run.WallEfficiencyX, run.WallP50MS, run.WallP95MS, run.WallP99MS)
-	}
-	fmt.Fprintf(&b, "\nRouter answers identical to the single store (fresh + churned, every mode): %v\n", r.Agree)
-	fmt.Fprintf(&b, "worst tracing overhead through the router: %.2fx\n", r.WallTraceOverheadX)
+	fmt.Fprintf(&b, "\nRouter answers identical to the single store (fresh + churned, plain and traced): %v\n", r.Agree)
 	return b.String()
 }

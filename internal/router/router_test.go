@@ -222,6 +222,75 @@ func TestRouterDifferential(t *testing.T) {
 	}
 }
 
+// TestRouterConcurrentClientsAgree drives a mixed window/point/k-NN stream
+// from twelve concurrent clients through a 3-shard router and compares every
+// answer, request by request, with a single reference store: concurrent
+// scatter-gather must not mix, drop or reorder one request's shard answers
+// into another's.
+func TestRouterConcurrentClientsAgree(t *testing.T) {
+	// Map 2's administrative areas are polygons, so point queries answer too.
+	ds := datagen.Generate(datagen.Spec{Map: datagen.Map2, Series: datagen.SeriesA, Scale: 128, Seed: 9})
+	stream := ds.Stream(datagen.StreamSpec{N: 60, WindowArea: 0.004, K: 9, Seed: 23})
+	tc := clusterFromDataset(t, ds, 3)
+	ref := buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
+
+	// The reference answers, sorted unless ranked (k-NN).
+	want := make([][]uint64, len(stream))
+	for i, rq := range stream {
+		switch rq.Kind {
+		case datagen.OpWindow:
+			want[i] = sortedU64(idsToU64(ref.WindowQuery(rq.Window, store.TechComplete).IDs))
+		case datagen.OpPoint:
+			want[i] = sortedU64(idsToU64(ref.PointQuery(rq.Point).IDs))
+		case datagen.OpKNN:
+			want[i] = idsToU64(ref.NearestQuery(rq.Point, rq.K).IDs)
+		default:
+			t.Fatalf("request %d: stream op %v is not a query", i, rq.Kind)
+		}
+	}
+
+	const clients = 12
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			// Every client sends the whole stream, each from its own offset,
+			// so different request kinds are in flight at once.
+			for j := range stream {
+				i := (cl*5 + j) % len(stream)
+				rq := stream[i]
+				var got []uint64
+				var err error
+				switch rq.Kind {
+				case datagen.OpWindow:
+					r, e := tc.client.Window(rq.Window, "")
+					got, err = sortedU64(r.IDs), e
+				case datagen.OpPoint:
+					r, e := tc.client.Point(rq.Point)
+					got, err = sortedU64(r.IDs), e
+				case datagen.OpKNN:
+					r, e := tc.client.KNN(rq.Point, rq.K)
+					got, err = r.IDs, e
+				}
+				if err == nil && !equalU64(got, want[i]) {
+					err = fmt.Errorf("router %v != reference %v", got, want[i])
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d, request %d (%v): %w", cl, i, rq.Kind, err)
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // tieObj builds a degenerate vertical sliver whose exact distance from a
 // horizontally aligned query point is the horizontal offset — so two of
 // them, mirrored around the query point, tie exactly.

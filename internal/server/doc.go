@@ -100,6 +100,6 @@
 //	GET  /debug/slowlog, /healthz, /readyz
 //
 // The daemon wrapping this package is cmd/sdbd. clusterbench -exp server
-// (BENCH_server.json) drives it with generated op streams, closed and open
-// loop, and compares the default server against serialized execution.
+// (BENCH_server.json) replays generated op streams through it against
+// in-process answers; bench/'s served workloads measure it in wall clock.
 package server
