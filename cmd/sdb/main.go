@@ -13,7 +13,7 @@
 //	sdb -org secondary -series B -scale 32 -point 0.5,0.5
 //	sdb -org cluster -knn 0.5,0.5,10
 //	sdb -org cluster -window 0.4,0.4,0.6,0.6 -mutate 5000 -policy threshold
-//	sdb -org cluster -backend file -dbfile pages.db -fsync -save store.sdb
+//	sdb -org cluster -backend file -dbfile pages.db -save store.sdb
 //	sdb -load store.sdb -window 0.4,0.4,0.6,0.6
 //
 // Misused flags (unknown -org/-tech/-policy/-map/-series/-backend values,
@@ -93,8 +93,7 @@ func main() {
 		buddy    = flag.Int("buddy", 0, "buddy sizes for the cluster organization (0=fixed, 3=restricted)")
 		bufPg    = flag.Int("buf", 256, "buffer pages")
 		backend  = flag.String("backend", "mem", "page-store backend: mem (simulated only) or file (real I/O on -dbfile)")
-		dbfile   = flag.String("dbfile", "", "backing file for -backend file")
-		fsync    = flag.Bool("fsync", false, "fsync the backing file on every flush (-backend file only)")
+		dbfile   = flag.String("dbfile", "", "scratch page file for -backend file: created, or taken if empty; a file holding bytes is refused")
 		savePath = flag.String("save", "", "save the built (and mutated) store to this snapshot file")
 		loadPath = flag.String("load", "", "load the store from a snapshot written by -save instead of building")
 		window   = flag.String("window", "", "window query: x1,y1,x2,y2")
@@ -168,11 +167,10 @@ func main() {
 	}
 
 	cfg := sc.StoreConfig{
-		BufferPages:  *bufPg,
-		BuddySizes:   *buddy,
-		Backend:      *backend,
-		Path:         *dbfile,
-		FsyncOnFlush: *fsync,
+		BufferPages: *bufPg,
+		BuddySizes:  *buddy,
+		Backend:     *backend,
+		Path:        *dbfile,
 	}
 	var org store.Organization
 	var ds *datagen.Dataset
@@ -225,8 +223,8 @@ func main() {
 		env.Buf.Clear()
 		env.Disk.ResetCost()
 		if m := env.Disk.Measured(); m.IOSeconds() > 0 {
-			fmt.Printf("backend %s: %.3f s measured wall-clock I/O (%d reads, %d writes, %d syncs)\n",
-				*backend, m.IOSeconds(), m.Reads, m.Writes, m.Syncs)
+			fmt.Printf("backend %s: %.3f s measured wall-clock I/O (%d reads, %d writes)\n",
+				*backend, m.IOSeconds(), m.Reads, m.Writes)
 		}
 		printStats("storage", org)
 	}

@@ -40,41 +40,44 @@ func run(t *testing.T, args ...string) (string, int) {
 	return string(out), ee.ExitCode()
 }
 
-// TestFlagMisuse is the flag-validation table: every misuse must exit
-// non-zero and print a usage message, before any slow work happens.
+// TestFlagMisuse is the flag-validation table: every misuse must exit 2
+// and print a usage message (a retired flag: that it is not defined), before
+// any slow work happens.
 func TestFlagMisuse(t *testing.T) {
+	const usage = "usage of sdb"
 	cases := []struct {
 		name string
 		args []string
+		want string // in the output
 	}{
-		{"unknown org", []string{"-org", "tertiary"}},
-		{"unknown tech", []string{"-tech", "psychic"}},
-		{"unknown policy", []string{"-policy", "hope"}},
-		{"unknown map", []string{"-map", "3"}},
-		{"unknown series", []string{"-series", "Z"}},
-		{"bad scale", []string{"-scale", "0"}},
-		{"unknown backend", []string{"-backend", "tape"}},
-		{"file backend without dbfile", []string{"-backend", "file"}},
-		{"dbfile without file backend", []string{"-dbfile", "x.db"}},
-		{"fsync without file backend", []string{"-fsync"}},
-		{"malformed window", []string{"-window", "0.1,0.2,0.3"}},
-		{"malformed point", []string{"-point", "zero,zero"}},
-		{"malformed knn", []string{"-knn", "0.5,0.5"}},
-		{"non-integer knn k", []string{"-knn", "0.5,0.5,2.5"}},
-		{"non-positive knn k", []string{"-knn", "0.5,0.5,0"}},
-		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}},
-		{"load with mutate", []string{"-load", "s.sdb", "-mutate", "100"}},
-		{"save equals load", []string{"-save", "s.sdb", "-load", "s.sdb"}},
-		{"stray argument", []string{"-scale", "512", "window", "0.1,0.1,0.2,0.2"}},
+		{"unknown org", []string{"-org", "tertiary"}, usage},
+		{"unknown tech", []string{"-tech", "psychic"}, usage},
+		{"unknown policy", []string{"-policy", "hope"}, usage},
+		{"unknown map", []string{"-map", "3"}, usage},
+		{"unknown series", []string{"-series", "Z"}, usage},
+		{"bad scale", []string{"-scale", "0"}, usage},
+		{"unknown backend", []string{"-backend", "tape"}, usage},
+		{"file backend without dbfile", []string{"-backend", "file"}, usage},
+		{"dbfile without file backend", []string{"-dbfile", "x.db"}, usage},
+		{"retired flag fsync", []string{"-fsync"}, "flag provided but not defined"},
+		{"malformed window", []string{"-window", "0.1,0.2,0.3"}, usage},
+		{"malformed point", []string{"-point", "zero,zero"}, usage},
+		{"malformed knn", []string{"-knn", "0.5,0.5"}, usage},
+		{"non-integer knn k", []string{"-knn", "0.5,0.5,2.5"}, usage},
+		{"non-positive knn k", []string{"-knn", "0.5,0.5,0"}, usage},
+		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}, usage},
+		{"load with mutate", []string{"-load", "s.sdb", "-mutate", "100"}, usage},
+		{"save equals load", []string{"-save", "s.sdb", "-load", "s.sdb"}, usage},
+		{"stray argument", []string{"-scale", "512", "window", "0.1,0.1,0.2,0.2"}, usage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			out, code := run(t, tc.args...)
-			if code == 0 {
-				t.Fatalf("sdb %v exited 0; output:\n%s", tc.args, out)
+			if code != 2 {
+				t.Fatalf("sdb %v exited %d, want 2; output:\n%s", tc.args, code, out)
 			}
-			if !strings.Contains(out, "usage of sdb") {
-				t.Fatalf("sdb %v printed no usage message; output:\n%s", tc.args, out)
+			if !strings.Contains(out, tc.want) {
+				t.Fatalf("sdb %v printed no %q; output:\n%s", tc.args, tc.want, out)
 			}
 		})
 	}
@@ -102,7 +105,7 @@ func TestSaveLoadRoundTripCLI(t *testing.T) {
 	w := "-window=0.3,0.3,0.7,0.7"
 
 	out, code := run(t, "-org", "cluster", "-scale", "512", "-backend", "file",
-		"-dbfile", filepath.Join(dir, "pages.db"), "-fsync", w, "-save", snap)
+		"-dbfile", filepath.Join(dir, "pages.db"), w, "-save", snap)
 	if code != 0 {
 		t.Fatalf("build+save failed (%d):\n%s", code, out)
 	}

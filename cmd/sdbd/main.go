@@ -101,8 +101,7 @@ func main() {
 		buddy    = flag.Int("buddy", 0, "buddy sizes for the cluster organization (0=fixed, 3=restricted)")
 		bufPg    = flag.Int("buf", 256, "buffer pages")
 		backend  = flag.String("backend", "mem", "page-store backend: mem (simulated only) or file (real I/O on -dbfile)")
-		dbfile   = flag.String("dbfile", "", "backing file for -backend file")
-		fsync    = flag.Bool("fsync", false, "fsync the backing file on every flush (-backend file only)")
+		dbfile   = flag.String("dbfile", "", "scratch page file for -backend file: created, or taken if empty; a file holding bytes is refused")
 		compress = flag.Bool("compress", false, "delta+varint compress pages on the backing file (-backend file only; answers and modelled costs unchanged)")
 		bufPol   = flag.String("buffer-policy", "lru", "buffer replacement policy: lru, or 2q (scan-resistant ghost-list admission)")
 		loadPath = flag.String("load", "", "serve the store from a snapshot instead of building")
@@ -183,7 +182,6 @@ func main() {
 		BuddySizes:   *buddy,
 		Backend:      *backend,
 		Path:         *dbfile,
-		FsyncOnFlush: *fsync,
 		Compress:     *compress,
 		WALPath:      *walDir,
 	}

@@ -60,33 +60,36 @@ func run(t *testing.T, args ...string) (string, int) {
 }
 
 // TestFlagMisuse is the flag-validation table: every misuse must exit 2 and
-// print a usage message before any generation or listening happens.
+// print a usage message (a retired flag: that it is not defined) before any
+// generation or listening happens.
 func TestFlagMisuse(t *testing.T) {
+	const usage = "usage of sdbd"
 	cases := []struct {
 		name string
 		args []string
+		want string // in the output
 	}{
-		{"unknown org", []string{"-org", "tertiary"}},
-		{"unknown tech", []string{"-tech", "psychic"}},
-		{"unknown map", []string{"-map", "3"}},
-		{"unknown series", []string{"-series", "Z"}},
-		{"bad scale", []string{"-scale", "0"}},
-		{"unknown backend", []string{"-backend", "tape"}},
-		{"file backend without dbfile", []string{"-backend", "file"}},
-		{"dbfile without file backend", []string{"-dbfile", "x.db"}},
-		{"fsync without file backend", []string{"-fsync"}},
-		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}},
-		{"save-on-exit equals load", []string{"-load", "s.sdb", "-save-on-exit", "s.sdb"}},
-		{"bad max-batch", []string{"-max-batch", "0"}},
-		{"bad max-inflight", []string{"-max-inflight", "0"}},
-		{"negative throttle", []string{"-throttle", "-1"}},
-		{"wal with file backend", []string{"-wal", "w", "-backend", "file", "-dbfile", "x.db"}},
-		{"shard-of without shards", []string{"-shard-of", "0"}},
-		{"bad shards", []string{"-shards", "0", "-shard-of", "0"}},
-		{"shard-of out of range", []string{"-shards", "4", "-shard-of", "4"}},
-		{"negative shard-of", []string{"-shards", "4", "-shard-of", "-2"}},
-		{"shards with load", []string{"-shards", "4", "-shard-of", "0", "-load", "s.sdb"}},
-		{"stray argument", []string{"serve"}},
+		{"unknown org", []string{"-org", "tertiary"}, usage},
+		{"unknown tech", []string{"-tech", "psychic"}, usage},
+		{"unknown map", []string{"-map", "3"}, usage},
+		{"unknown series", []string{"-series", "Z"}, usage},
+		{"bad scale", []string{"-scale", "0"}, usage},
+		{"unknown backend", []string{"-backend", "tape"}, usage},
+		{"file backend without dbfile", []string{"-backend", "file"}, usage},
+		{"dbfile without file backend", []string{"-dbfile", "x.db"}, usage},
+		{"retired flag fsync", []string{"-fsync"}, "flag provided but not defined"},
+		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}, usage},
+		{"save-on-exit equals load", []string{"-load", "s.sdb", "-save-on-exit", "s.sdb"}, usage},
+		{"bad max-batch", []string{"-max-batch", "0"}, usage},
+		{"bad max-inflight", []string{"-max-inflight", "0"}, usage},
+		{"negative throttle", []string{"-throttle", "-1"}, usage},
+		{"wal with file backend", []string{"-wal", "w", "-backend", "file", "-dbfile", "x.db"}, usage},
+		{"shard-of without shards", []string{"-shard-of", "0"}, usage},
+		{"bad shards", []string{"-shards", "0", "-shard-of", "0"}, usage},
+		{"shard-of out of range", []string{"-shards", "4", "-shard-of", "4"}, usage},
+		{"negative shard-of", []string{"-shards", "4", "-shard-of", "-2"}, usage},
+		{"shards with load", []string{"-shards", "4", "-shard-of", "0", "-load", "s.sdb"}, usage},
+		{"stray argument", []string{"serve"}, usage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,8 +97,8 @@ func TestFlagMisuse(t *testing.T) {
 			if code != 2 {
 				t.Fatalf("sdbd %v exited %d, want 2; output:\n%s", tc.args, code, out)
 			}
-			if !strings.Contains(out, "usage of sdbd") {
-				t.Fatalf("sdbd %v printed no usage message; output:\n%s", tc.args, out)
+			if !strings.Contains(out, tc.want) {
+				t.Fatalf("sdbd %v printed no %q; output:\n%s", tc.args, tc.want, out)
 			}
 		})
 	}

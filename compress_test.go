@@ -56,11 +56,11 @@ func TestCompressedBackendDifferential(t *testing.T) {
 	}
 }
 
-// TestCompressedPersistRoundTrip checks a compressed store reopens from its
-// backing file with answers intact.
+// TestCompressedPersistRoundTrip checks that a compressed store's snapshot
+// reopens onto a fresh compressed page file with answers intact.
 func TestCompressedPersistRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "comp.db")
-	cfg := StoreConfig{Backend: BackendFile, Path: path, Compress: true, FsyncOnFlush: true}
+	cfg := StoreConfig{Backend: BackendFile, Path: path, Compress: true}
 	org := buildSmallStore(t, cfg)
 	w := R(0.1, 0.1, 0.6, 0.6)
 	want := queryIDs(org, w)

@@ -19,15 +19,15 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A cluster store whose pages live in a real file. FsyncOnFlush turns
-	// every Flush into a durability barrier; the modelled I/O costs are
-	// identical to the in-memory backend either way.
+	// A cluster store whose pages live in a scratch file: every page
+	// transfer is real I/O, and the modelled I/O costs are identical to the
+	// in-memory backend. The page file is not the store's durable copy —
+	// the snapshot written below is.
 	s := sc.NewClusterStore(sc.StoreConfig{
-		BufferPages:  128,
-		SmaxBytes:    16 * 1024,
-		Backend:      sc.BackendFile,
-		Path:         filepath.Join(dir, "pages.db"),
-		FsyncOnFlush: true,
+		BufferPages: 128,
+		SmaxBytes:   16 * 1024,
+		Backend:     sc.BackendFile,
+		Path:        filepath.Join(dir, "pages.db"),
 	})
 
 	// A small grid of streets.

@@ -5,9 +5,7 @@
 // dirty pages into single write requests — which is exactly how the
 // contiguous cluster units of the cluster organization save write cost
 // during construction. Because all page traffic funnels through the disk
-// layer, the buffer works unchanged on every storage backend; on a
-// fsync-configured file backend the organizations turn their Flush into a
-// durability barrier (see store.Organization.Flush).
+// layer, the buffer works unchanged on every storage backend.
 //
 // The buffer also executes the read schedules planned by the query
 // techniques (see disk.PlanSLM): an execution is one uninterrupted access to

@@ -11,11 +11,14 @@ import "fmt"
 //   - the in-memory MemBackend (the default), which keeps the page array of
 //     the original simulated disk and performs no real I/O, and
 //   - the file-backed store in internal/disk/filebackend, which maps pages
-//     onto an os.File (page id × PageSize), supports fsync-on-flush
-//     durability, and reports measured wall-clock I/O next to the model.
+//     onto a scratch os.File (page id × PageSize) and reports measured
+//     wall-clock I/O next to the model.
+//
+// Neither is durable: a backend starts empty and its pages die with it. A
+// store's durable copies are its snapshot and its write-ahead log.
 //
 // Contract: the Disk serializes all backend calls through its own lock —
-// WriteRun, Alloc, Free and Flush are called with the write lock held,
+// WriteRun, Alloc and Free are called with the write lock held,
 // ReadRun and NumPages with at least the read lock — so a backend needs no
 // internal synchronization for the page data itself. Only the Measured
 // counters must tolerate concurrent ReadRun callers (the parallel query
@@ -42,12 +45,9 @@ type Backend interface {
 	// never written may be returned as nil (all-zero).
 	ReadRun(start PageID, pages [][]byte)
 	// WriteRun stores data[i] into page start+i. Each slice is at most
-	// PageSize bytes and must be copied (or otherwise made durable) before
-	// returning; a nil slice clears the page.
+	// PageSize bytes and must be copied (or written out) before returning;
+	// a nil slice clears the page.
 	WriteRun(start PageID, data [][]byte)
-	// Flush makes all written pages durable (fsync for the file backend
-	// when configured; a no-op in memory).
-	Flush() error
 	// Close releases backend resources. The backend must not be used after.
 	Close() error
 	// Measured reports the wall-clock I/O the backend has really performed,
@@ -61,12 +61,10 @@ type Backend interface {
 type Measured struct {
 	Reads        int64 // read calls issued to the medium
 	Writes       int64 // write calls issued to the medium
-	Syncs        int64 // fsync calls
 	PagesRead    int64 // pages transferred medium -> memory
 	PagesWritten int64 // pages transferred memory -> medium
 	ReadNS       int64 // wall-clock nanoseconds spent reading
 	WriteNS      int64 // wall-clock nanoseconds spent writing
-	SyncNS       int64 // wall-clock nanoseconds spent syncing
 }
 
 // Sub returns the component-wise difference m − o; use it to measure one
@@ -75,18 +73,16 @@ func (m Measured) Sub(o Measured) Measured {
 	return Measured{
 		Reads:        m.Reads - o.Reads,
 		Writes:       m.Writes - o.Writes,
-		Syncs:        m.Syncs - o.Syncs,
 		PagesRead:    m.PagesRead - o.PagesRead,
 		PagesWritten: m.PagesWritten - o.PagesWritten,
 		ReadNS:       m.ReadNS - o.ReadNS,
 		WriteNS:      m.WriteNS - o.WriteNS,
-		SyncNS:       m.SyncNS - o.SyncNS,
 	}
 }
 
 // IOSeconds returns the total wall-clock seconds spent in backend I/O.
 func (m Measured) IOSeconds() float64 {
-	return float64(m.ReadNS+m.WriteNS+m.SyncNS) / 1e9
+	return float64(m.ReadNS+m.WriteNS) / 1e9
 }
 
 // MemBackend is the default Backend: a linear page array in memory, the
@@ -134,9 +130,6 @@ func (b *MemBackend) WriteRun(start PageID, data [][]byte) {
 		b.pages[start+PageID(i)] = cp
 	}
 }
-
-// Flush implements Backend (a no-op: memory is as durable as it gets).
-func (b *MemBackend) Flush() error { return nil }
 
 // Close implements Backend.
 func (b *MemBackend) Close() error { return nil }

@@ -103,15 +103,6 @@ func (d *Disk) FreeRun(start PageID, n int) {
 	d.b.Free(start, n)
 }
 
-// Sync makes all written pages durable (backend Flush; fsync on a
-// fsync-configured file backend). It charges no modelled cost: durability is
-// a property of the real medium, not of the paper's timing model.
-func (d *Disk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.Flush()
-}
-
 // Close releases the backend. The disk must not be used afterwards.
 func (d *Disk) Close() error {
 	d.mu.Lock()

@@ -21,11 +21,12 @@
 // separates the cost accountant (Disk) from the byte store. The default
 // MemBackend keeps everything in memory — the original simulated disk —
 // while the file-backed implementation in the nested package
-// internal/disk/filebackend maps pages onto a real os.File with optional
-// fsync-on-flush durability and wall-clock Measured counters. Modelled costs
-// are charged before the backend runs and are therefore identical for every
-// backend; comparing them with Measured is the job of the backend benchmark
-// in internal/exp.
+// internal/disk/filebackend maps pages onto a scratch os.File with
+// wall-clock Measured counters. Neither keeps pages past the process: a
+// store's durable copies are its snapshot and its write-ahead log. Modelled
+// costs are charged before the backend runs and are therefore identical for
+// every backend; comparing them with Measured is the job of the backend
+// benchmark in internal/exp.
 //
 // The read-schedule planners (PlanSLM, PlanRequired, schedule.go) implement
 // the [SLM93] gap/break-even policy used by the cluster read techniques; the

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"spatialcluster/internal/disk"
@@ -17,8 +16,7 @@ import (
 //	flag u8 | stored length u16 (little-endian) | reserved u8
 //
 // followed by storedLen payload bytes; the rest of the slot is slack that is
-// never written. Slot 0 is the file header (compMagic, then zeros), so a
-// compressed file can never be confused with a raw page image. The flags:
+// never written. The flags:
 //
 //	flagZero (0): an all-zero page, stored in 0 bytes. Truncate-extended
 //	              slots are all zeros, so a fresh Alloc needs no write.
@@ -37,9 +35,6 @@ const (
 	flagRaw  = 1
 	flagComp = 2
 )
-
-// compMagic heads slot 0 of a compressed backing file.
-const compMagic = "SPCLCMP\x01"
 
 // CompStats reports what the compressed page store paid and saved so far:
 // logical page bytes vs bytes put on disk, and the CPU time spent coding.
@@ -125,45 +120,8 @@ func isZeroPage(p []byte) bool {
 	return true
 }
 
-// slotOff returns the file offset of a page's slot (slot 0 is the header).
-func slotOff(id disk.PageID) int64 { return (int64(id) + 1) * slotSize }
-
-// openCompressed validates or initializes the compressed file layout and
-// rebuilds the in-memory stored-length table from the slot headers.
-func (b *FileBackend) openCompressed(st os.FileInfo) error {
-	if st.Size() == 0 {
-		header := make([]byte, slotSize)
-		copy(header, compMagic)
-		if _, err := b.f.WriteAt(header, 0); err != nil {
-			return fmt.Errorf("filebackend: initializing compressed %s: %w", b.f.Name(), err)
-		}
-		b.numPages.Store(0)
-		return nil
-	}
-	if st.Size()%slotSize != 0 {
-		return fmt.Errorf("filebackend: compressed %s holds %d bytes, not a whole number of %d-byte slots",
-			b.f.Name(), st.Size(), slotSize)
-	}
-	buf := make([]byte, st.Size())
-	if _, err := b.f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return fmt.Errorf("filebackend: reading compressed %s: %w", b.f.Name(), err)
-	}
-	if string(buf[:len(compMagic)]) != compMagic {
-		return fmt.Errorf("filebackend: %s is not a compressed page file (bad magic)", b.f.Name())
-	}
-	n := st.Size()/slotSize - 1
-	b.lens = make([]uint16, n)
-	for i := int64(0); i < n; i++ {
-		slot := buf[(i+1)*slotSize:]
-		flag, ln := slot[0], binary.LittleEndian.Uint16(slot[1:])
-		if err := checkSlotHeader(flag, ln); err != nil {
-			return fmt.Errorf("filebackend: %s page %d: %w", b.f.Name(), i, err)
-		}
-		b.lens[i] = ln
-	}
-	b.numPages.Store(n)
-	return nil
-}
+// slotOff returns the file offset of a page's slot.
+func slotOff(id disk.PageID) int64 { return int64(id) * slotSize }
 
 // checkSlotHeader validates a slot header's flag/length combination.
 func checkSlotHeader(flag byte, ln uint16) error {

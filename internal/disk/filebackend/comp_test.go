@@ -134,53 +134,6 @@ func TestCompressedBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompressedReopen checks the slot headers rebuild the length table and
-// the pages survive a close/reopen cycle.
-func TestCompressedReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "comp.db")
-	cb, err := Open(path, Config{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb.Alloc(4)
-	want := coordPage(11)
-	cb.WriteRun(1, [][]byte{want, nil})
-	if err := cb.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cb2, err := Open(path, Config{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cb2.Close()
-	if cb2.NumPages() != 4 {
-		t.Fatalf("reopened with %d pages, want 4", cb2.NumPages())
-	}
-	if got := readRun(cb2, 1, 1)[0]; !bytes.Equal(got, want) {
-		t.Fatal("compressed page content lost across reopen")
-	}
-	if got := readRun(cb2, 3, 1)[0]; !bytes.Equal(got, make([]byte, disk.PageSize)) {
-		t.Fatal("never-written page is not zero after reopen")
-	}
-
-	// A compressed file must not open as raw, nor a raw file as compressed.
-	if _, err := Open(path, Config{}); err == nil {
-		t.Fatal("compressed file opened as raw")
-	}
-	rawPath := filepath.Join(t.TempDir(), "raw.db")
-	fb, err := Open(rawPath, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.Alloc(2)
-	fb.WriteRun(0, [][]byte{coordPage(1)})
-	fb.Close()
-	if _, err := Open(rawPath, Config{Compress: true}); err == nil {
-		t.Fatal("raw file opened as compressed")
-	}
-}
-
 // TestDiskCostInvariantCompressed charges the same modelled costs on the
 // compressed backend as on the memory backend.
 func TestDiskCostInvariantCompressed(t *testing.T) {

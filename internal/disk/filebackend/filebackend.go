@@ -12,16 +12,11 @@ import (
 
 // Config tunes a file backend.
 type Config struct {
-	// Fsync makes every Flush call fsync the backing file, turning the
-	// buffer's flush points into durability barriers. Without it, Flush
-	// only pushes the pages into the OS page cache.
-	Fsync bool
 	// Compress stores every page delta+varint encoded in a fixed slot (see
 	// comp.go for the layout): writes put only the encoded bytes on disk
 	// and CompStats reports the bytes-saved vs CPU-spent tradeoff. Modelled
 	// costs, query answers and storage statistics are unchanged — the
-	// choice is invisible above the backend. A backing file is either raw
-	// or compressed for its whole life; Open rejects a mismatch.
+	// choice is invisible above the backend.
 	Compress bool
 }
 
@@ -35,43 +30,32 @@ type FileBackend struct {
 	// (only touched by the serialized Backend calls, like the file offsets).
 	lens []uint16
 
-	reads, writes, syncs    atomic.Int64
+	reads, writes           atomic.Int64
 	pagesRead, pagesWritten atomic.Int64
-	readNS, writeNS, syncNS atomic.Int64
+	readNS, writeNS         atomic.Int64
 
 	pagesZero, pagesRaw, pagesComp atomic.Int64
 	rawBytes, storedBytes          atomic.Int64
 	compressNS, decompressNS       atomic.Int64
 }
 
-// Open creates or opens the backing file at path. An existing file must have
-// a whole number of pages; its pages become the backend's initial contents
-// (this is how a persisted store's page image is reopened in place).
+// Open creates the backing file at path, or opens it if it exists and is
+// empty. A file that holds bytes is refused and left untouched: the page file
+// is scratch, so no backend ever starts from pages an earlier one wrote.
 func Open(path string, cfg Config) (*FileBackend, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("filebackend: %w", err)
 	}
 	st, err := f.Stat()
+	if err == nil && st.Size() != 0 {
+		err = fmt.Errorf("%s holds %d bytes; a page file must be new or empty", path, st.Size())
+	}
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("filebackend: %w", err)
 	}
-	b := &FileBackend{f: f, cfg: cfg}
-	if cfg.Compress {
-		if err := b.openCompressed(st); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return b, nil
-	}
-	if st.Size()%disk.PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("filebackend: %s holds %d bytes, not a whole number of %d-byte pages",
-			path, st.Size(), disk.PageSize)
-	}
-	b.numPages.Store(st.Size() / disk.PageSize)
-	return b, nil
+	return &FileBackend{f: f, cfg: cfg}, nil
 }
 
 // Path returns the backing file's name.
@@ -155,29 +139,8 @@ func (b *FileBackend) writeAt(buf []byte, off int64) {
 	b.writeNS.Add(time.Since(t0).Nanoseconds())
 }
 
-// Flush implements disk.Backend: an fsync barrier when Config.Fsync is set,
-// otherwise a no-op (the writes already sit in the OS page cache).
-func (b *FileBackend) Flush() error {
-	if !b.cfg.Fsync {
-		return nil
-	}
-	t0 := time.Now()
-	err := b.f.Sync()
-	b.syncNS.Add(time.Since(t0).Nanoseconds())
-	b.syncs.Add(1)
-	if err != nil {
-		return fmt.Errorf("filebackend: fsync %s: %w", b.f.Name(), err)
-	}
-	return nil
-}
-
-// Close implements disk.Backend, syncing once regardless of Config.Fsync so
-// a cleanly closed store is always durable.
+// Close implements disk.Backend.
 func (b *FileBackend) Close() error {
-	if err := b.f.Sync(); err != nil {
-		b.f.Close()
-		return fmt.Errorf("filebackend: fsync %s: %w", b.f.Name(), err)
-	}
 	if err := b.f.Close(); err != nil {
 		return fmt.Errorf("filebackend: close: %w", err)
 	}
@@ -189,12 +152,10 @@ func (b *FileBackend) Measured() disk.Measured {
 	return disk.Measured{
 		Reads:        b.reads.Load(),
 		Writes:       b.writes.Load(),
-		Syncs:        b.syncs.Load(),
 		PagesRead:    b.pagesRead.Load(),
 		PagesWritten: b.pagesWritten.Load(),
 		ReadNS:       b.readNS.Load(),
 		WriteNS:      b.writeNS.Load(),
-		SyncNS:       b.syncNS.Load(),
 	}
 }
 

@@ -79,49 +79,42 @@ func TestMemEquivalence(t *testing.T) {
 	}
 }
 
-// TestReopen checks that a closed backing file reopens with its pages intact.
-func TestReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	fb, err := Open(path, Config{Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.Alloc(4)
-	fb.WriteRun(1, [][]byte{fill('x'), fill('y')})
-	if err := fb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if fb.Measured().Syncs != 1 {
-		t.Fatalf("Flush with Fsync did not sync: %+v", fb.Measured())
-	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestOpenRefusesUsedFile checks that the page file is scratch: Open takes
+// a new or empty file only, and refuses one that holds bytes without
+// changing it, raw or compressed.
+func TestOpenRefusesUsedFile(t *testing.T) {
+	for name, cfg := range map[string]Config{"raw": {}, "compressed": {Compress: true}} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "used.db")
+			used := bytes.Repeat(fill(0xAB), 3)
+			if err := os.WriteFile(path, used, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if fb, err := Open(path, cfg); err == nil {
+				fb.Close()
+				t.Fatal("Open accepted a file holding three pages")
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, used) {
+				t.Fatalf("the refused file changed: %d bytes, was %d", len(got), len(used))
+			}
 
-	fb2, err := Open(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb2.Close()
-	if fb2.NumPages() != 4 {
-		t.Fatalf("reopened with %d pages, want 4", fb2.NumPages())
-	}
-	if got := readRun(fb2, 1, 1)[0]; !bytes.Equal(got, fill('x')) {
-		t.Fatal("page 1 content lost across reopen")
-	}
-	if got := readRun(fb2, 3, 1)[0]; !bytes.Equal(got, make([]byte, disk.PageSize)) {
-		t.Fatal("never-written page 3 is not zero")
-	}
-}
-
-// TestOpenRejectsTornFile checks that a file with a partial page is refused.
-func TestOpenRejectsTornFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.db")
-	if err := os.WriteFile(path, make([]byte, disk.PageSize+17), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path, Config{}); err == nil {
-		t.Fatal("Open accepted a torn file")
+			empty := filepath.Join(t.TempDir(), "empty.db")
+			if err := os.WriteFile(empty, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fb, err := Open(empty, cfg)
+			if err != nil {
+				t.Fatalf("Open of an empty file: %v", err)
+			}
+			defer fb.Close()
+			if fb.NumPages() != 0 {
+				t.Fatalf("an empty file opened with %d pages", fb.NumPages())
+			}
+		})
 	}
 }
 

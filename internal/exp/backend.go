@@ -22,7 +22,7 @@ import (
 // modelled columns are a deterministic function of (scale, queries, seed)
 // and must be byte-identical across runs and backends — the registry test
 // enforces this by diffing two runs with all "wall lines stripped. The wall
-// columns are honest measurements and vary. The fourth backend, the file
+// columns are honest measurements and vary. The third backend, the file
 // backend with page compression, adds what compression saved and cost: the
 // codec lives below the cost model, so its modelled columns must match too.
 
@@ -30,7 +30,6 @@ import (
 const (
 	backendMem          = "mem"
 	backendFile         = "file"
-	backendFileFsync    = "file+fsync"
 	backendFileCompress = "file+compress"
 )
 
@@ -113,9 +112,8 @@ type backendUnderTest struct {
 }
 
 // backendBench builds the three organizations of the Figure 5/6 comparison
-// on the in-memory backend, the file backend, the file backend with
-// fsync-on-flush and the file backend with page compression, runs the
-// Figure 8 window-query workload (cold queries on
+// on the in-memory backend, the file backend and the file backend with page
+// compression, runs the Figure 8 window-query workload (cold queries on
 // A-1) per organization — all four read techniques on the cluster
 // organization — and reports modelled I/O next to measured wall-clock for
 // every build and every query batch. It also proves the persistence path:
@@ -151,7 +149,6 @@ func backendBench(o Options, smoke bool, _ []int) result {
 	backends := []backendUnderTest{
 		{name: backendMem},
 		{backendFile, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile}},
-		{backendFileFsync, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile, FsyncOnFlush: true}},
 		{backendFileCompress, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile, Compress: true}},
 	}
 

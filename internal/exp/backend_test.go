@@ -19,11 +19,11 @@ func TestBackendBenchSmoke(t *testing.T) {
 	if !r.ReopenMatch {
 		t.Error("file-backed store did not reopen bit-identical")
 	}
-	if len(r.Builds) != 12 { // 4 backends x 3 organizations
-		t.Fatalf("builds = %d, want 12", len(r.Builds))
+	if len(r.Builds) != 9 { // 3 backends x 3 organizations
+		t.Fatalf("builds = %d, want 9", len(r.Builds))
 	}
-	if len(r.QueryRuns) != 24 { // per backend: sec + prim + cluster x 4 techniques
-		t.Fatalf("query runs = %d, want 24", len(r.QueryRuns))
+	if len(r.QueryRuns) != 18 { // per backend: sec + prim + cluster x 4 techniques
+		t.Fatalf("query runs = %d, want 18", len(r.QueryRuns))
 	}
 	for _, b := range r.Builds {
 		fileBacked := b.Backend != backendMem

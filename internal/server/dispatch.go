@@ -175,7 +175,7 @@ func (before ioSnap) delta(after ioSnap, p disk.Params) *obs.IO {
 		PagesRead:    c.PagesRead,
 		ReadRequests: c.ReadRequests,
 		ModelMS:      c.TimeMS(p),
-		MeasuredNS:   m.ReadNS + m.WriteNS + m.SyncNS,
+		MeasuredNS:   m.ReadNS + m.WriteNS,
 	}
 	if before.hasWAL {
 		io.WALBytes = after.wal.Bytes - before.wal.Bytes

@@ -237,5 +237,4 @@ func (b *base) Flush() {
 func (b *base) flushLocked() {
 	b.lay.flushObjects()
 	b.tree.Flush()
-	b.env.sync()
 }

@@ -21,8 +21,8 @@
 // comparable, exactly as in the paper's evaluation. Because the backend sits
 // below the cost model, an organization behaves identically on the
 // in-memory backend and on a real file (internal/disk/filebackend); only
-// wall-clock time and durability differ, and Organization.Flush becomes an
-// fsync barrier on a fsync-configured file backend.
+// wall-clock time differs. Neither backend is durable: a store's durable
+// copies are its snapshot and its write-ahead log.
 //
 // The organizations share the R*-tree filter step and differ only in where
 // the exact representations live and how they are transferred, and the code

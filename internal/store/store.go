@@ -224,9 +224,9 @@ func NewEnvWithParams(bufPages int, p disk.Params) *Env {
 // NewEnvOn is the general constructor: an environment whose pages live in the
 // given backend (nil selects the in-memory backend) behind a buffer with the
 // given replacement policy. The modelled costs are identical for every
-// backend — only durability and measured wall-clock I/O differ — and the
-// policy changes which pages stay resident, hit ratios and wall-clock, never
-// answers: every query reads the same pages either way.
+// backend — only measured wall-clock I/O differs — and the policy changes
+// which pages stay resident, hit ratios and wall-clock, never answers: every
+// query reads the same pages either way.
 func NewEnvOn(bufPages int, pol buffer.Policy, p disk.Params, b disk.Backend) *Env {
 	d := disk.NewWithBackend(p, b)
 	return &Env{
@@ -240,21 +240,11 @@ func NewEnvOn(bufPages int, pol buffer.Policy, p disk.Params, b disk.Backend) *E
 func (e *Env) Params() disk.Params { return e.Disk.Params() }
 
 // Close releases the environment's backend (closing the backing file of a
-// file-backed store). The organization must be flushed first and not used
-// afterwards.
+// file-backed store). The organization must not be used afterwards.
 func (e *Env) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.Disk.Close()
-}
-
-// sync makes flushed pages durable on the backend. Organization.Flush calls
-// it after the buffer write-back, so on a fsync-configured file backend every
-// Flush is a durability barrier. Backends without real I/O make it a no-op.
-func (e *Env) sync() {
-	if err := e.Disk.Sync(); err != nil {
-		panic(fmt.Sprintf("store: backend sync failed: %v", err))
-	}
 }
 
 // leafPayloadSize is the fixed leaf payload: object ID (8) + size (4) +

@@ -23,6 +23,13 @@
 // Checkpoints write a fresh snapshot and retire fully-covered segments
 // without stopping the world: mutations pause only for the in-memory
 // capture, not for the snapshot write.
+//
+// Durability is this log plus its checkpoint snapshots, over a store on the
+// in-memory backend: they are the only bytes a restart reads. The file
+// backend (internal/disk/filebackend) is for measuring real I/O next to the
+// modelled cost; its page file is scratch, never reopened, so a store on it
+// cannot carry a log (spatialcluster.StoreConfig refuses WALPath with
+// BackendFile).
 package wal
 
 import (

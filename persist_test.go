@@ -54,7 +54,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 
 	for _, cfg := range []StoreConfig{
 		{},
-		{Backend: BackendFile, Path: filepath.Join(dir, "pages.db"), FsyncOnFlush: true},
+		{Backend: BackendFile, Path: filepath.Join(dir, "pages.db")},
 	} {
 		name := cfg.Backend
 		if name == "" {

@@ -16,7 +16,7 @@
 // every organization plus online reclustering (Recluster) that repairs the
 // clustering decay updates leave behind — and pluggable storage backends
 // with persistence: a store can run on the in-memory simulated disk
-// (BackendMem) or on a real file with fsync-on-flush durability
+// (BackendMem) or on a scratch page file that measures real I/O
 // (BackendFile), and a built store can be saved to a single snapshot file
 // and reopened without a rebuild (Save, Open).
 //
@@ -161,11 +161,12 @@ func DefaultDiskParams() DiskParams { return disk.DefaultParams() }
 // Storage backend selectors for StoreConfig.Backend.
 const (
 	// BackendMem keeps all pages in memory (the default): the paper's
-	// simulated disk, no real I/O, nothing survives the process.
+	// simulated disk, no real I/O.
 	BackendMem = "mem"
-	// BackendFile maps pages onto a real file at StoreConfig.Path: modelled
-	// costs are unchanged, but every page transfer is a real read or write,
-	// measurable with Measured, and the pages survive the process.
+	// BackendFile maps pages onto a scratch file at StoreConfig.Path:
+	// modelled costs are unchanged, but every page transfer is a real read
+	// or write, measurable with Measured. Like BackendMem it keeps nothing
+	// past the process; Save writes the store's durable copy.
 	BackendFile = "file"
 )
 
@@ -183,20 +184,17 @@ type StoreConfig struct {
 	BuddySizes int
 	// Backend selects the physical page store: BackendMem (default) or
 	// BackendFile. The choice never changes modelled costs, storage
-	// statistics or query answers — only durability and wall-clock time.
+	// statistics or query answers — only wall-clock time.
 	Backend string
-	// Path is the backing file for BackendFile (created if missing). The
-	// New*Store constructors panic when it cannot be opened; NewStore and
-	// Open return the error.
+	// Path is the scratch page file for BackendFile: created if missing,
+	// taken if empty, and refused if it holds bytes (a used path is never
+	// reopened, so a second build on one is an error). NewStore and Open
+	// return the error; the New*Store constructors panic on it.
 	Path string
-	// FsyncOnFlush makes every Organization.Flush an fsync barrier on the
-	// file backend, so a flushed store survives a crash of the process.
-	FsyncOnFlush bool
 	// Compress stores the file backend's pages delta+varint encoded (only
 	// meaningful with BackendFile): writes put only the encoded bytes on
 	// disk. Answers, modelled costs and storage statistics are unchanged;
-	// CompressionStats reports the bytes-saved vs CPU-spent tradeoff. A
-	// backing file is raw or compressed for its whole life.
+	// CompressionStats reports the bytes-saved vs CPU-spent tradeoff.
 	Compress bool
 	// BufferPolicy selects the buffer replacement policy: "" or "lru" for
 	// plain LRU, "2q" for the scan-resistant ghost-list admission policy
@@ -206,8 +204,8 @@ type StoreConfig struct {
 	// WALPath attaches a write-ahead log at the given directory: every
 	// mutation is logged and fsynced before it applies, so an acknowledged
 	// mutation survives a crash (recover with RecoverStore). Empty disables
-	// logging. The WAL subsumes the file backend's durability model and is
-	// incompatible with BackendFile.
+	// logging. The WAL checkpoints and replays against the in-memory
+	// backend, so it is incompatible with BackendFile.
 	WALPath string
 }
 
@@ -233,8 +231,8 @@ func (c StoreConfig) check() (buffer.Policy, error) {
 	}
 	switch c.Backend {
 	case "", BackendMem:
-		if c.Path != "" || c.FsyncOnFlush || c.Compress {
-			return pol, configErrorf("Path, FsyncOnFlush and Compress need Backend %q", BackendFile)
+		if c.Path != "" || c.Compress {
+			return pol, configErrorf("Path and Compress need Backend %q", BackendFile)
 		}
 	case BackendFile:
 		if c.Path == "" {
@@ -259,7 +257,7 @@ func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
 	}
 	var b disk.Backend
 	if c.Backend == BackendFile {
-		b, err = filebackend.Open(c.Path, filebackend.Config{Fsync: c.FsyncOnFlush, Compress: c.Compress})
+		b, err = filebackend.Open(c.Path, filebackend.Config{Compress: c.Compress})
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +280,8 @@ func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
 // options on BackendMem, WALPath with BackendFile — is an error matching
 // os.ErrInvalid, reported before anything is created. Any other error is an
 // object the organization refused (see Organization.Insert) or the
-// environment's: the backing file or the log directory could not be set up.
+// environment's: the backing file could not be created or already holds
+// bytes, or the log directory could not be set up.
 func NewStore(kind string, cfg StoreConfig, objs []*Object, keys []Rect) (Organization, error) {
 	if kind != "secondary" && kind != "primary" && kind != "cluster" {
 		return nil, configErrorf("unknown organization %q (want secondary, primary or cluster)", kind)
@@ -327,9 +326,8 @@ func mustStore(kind string, cfg StoreConfig) Organization {
 }
 
 // CloseStore releases the store's backend — for a file-backed store this
-// syncs and closes the backing file, for a WAL-attached store it also syncs
-// and closes the log. Call Flush first if there are unwritten changes; the
-// organization must not be used afterwards.
+// closes the backing file, for a WAL-attached store it also syncs and closes
+// the log. The organization must not be used afterwards.
 func CloseStore(org Organization) error {
 	if ws, ok := org.(*wal.Store); ok {
 		return ws.Close()

@@ -1,6 +1,7 @@
 package spatialcluster_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -332,6 +333,39 @@ func TestNewStoreMatchesExpBuild(t *testing.T) {
 	}
 }
 
+// TestNewStoreRefusesUsedPageFile: the page file is scratch, so a second
+// build on a Path that an earlier store used is an error and leaves the file
+// as it was, rather than growing a second store on top of the first one's
+// pages.
+func TestNewStoreRefusesUsedPageFile(t *testing.T) {
+	ds := sc.GenerateMap(sc.MapSpec{Map: sc.Map1, Series: sc.SeriesA, Scale: 512, Seed: 3})
+	cfg := sc.StoreConfig{
+		Backend: sc.BackendFile, Path: filepath.Join(t.TempDir(), "pages.db"), SmaxBytes: ds.Spec.SmaxBytes(),
+	}
+	org, err := sc.NewStore("cluster", cfg, ds.Objects, ds.MBRs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.CloseStore(org); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(cfg.Path)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("first build left %d bytes (%v)", len(before), err)
+	}
+	if again, err := sc.NewStore("cluster", cfg, ds.Objects, ds.MBRs); err == nil {
+		sc.CloseStore(again)
+		t.Error("NewStore on a used page file succeeded")
+	}
+	after, err := os.ReadFile(cfg.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("the refused build changed the page file: %d bytes, was %d", len(after), len(before))
+	}
+}
+
 // TestNewStoreMisconfiguration: everything the CLIs used to check before
 // building is an error of the builder, marked os.ErrInvalid, raised before
 // any file is created — never a panic.
@@ -346,7 +380,6 @@ func TestNewStoreMisconfiguration(t *testing.T) {
 		"unknown buffer policy": {"cluster", sc.StoreConfig{BufferPolicy: "clock"}},
 		"file without path":     {"cluster", sc.StoreConfig{Backend: sc.BackendFile}},
 		"path on mem":           {"cluster", sc.StoreConfig{Path: path}},
-		"fsync on mem":          {"primary", sc.StoreConfig{Backend: sc.BackendMem, FsyncOnFlush: true}},
 		"compress on mem":       {"secondary", sc.StoreConfig{Compress: true}},
 		"wal with file backend": {"cluster", sc.StoreConfig{Backend: sc.BackendFile, Path: path, WALPath: filepath.Join(t.TempDir(), "wal")}},
 	} {
