@@ -183,6 +183,11 @@ func main() {
 		fmt.Printf("loaded %s from %s\n", org.Name(), *loadPath)
 		printStats("storage", org)
 	} else {
+		// NewStore refuses a used page file only after the dataset is read
+		// or generated: refuse it first.
+		if st, err := os.Stat(*dbfile); *backend == sc.BackendFile && err == nil && st.Size() != 0 {
+			fail("-dbfile %s holds %d bytes; a page file must be new or empty", *dbfile, st.Size())
+		}
 		if *in != "" {
 			f, err := os.Open(*in)
 			if err != nil {

@@ -83,6 +83,22 @@ func TestFlagMisuse(t *testing.T) {
 	}
 }
 
+// TestUsedDBFileRefusedFirst: a -dbfile that holds bytes is refused (exit 1)
+// before the dataset is generated, so no "loaded" line is printed.
+func TestUsedDBFileRefusedFirst(t *testing.T) {
+	used := filepath.Join(t.TempDir(), "pages.db")
+	if err := os.WriteFile(used, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := run(t, "-scale", "256", "-backend", "file", "-dbfile", used)
+	if code != 1 || !strings.Contains(out, "must be new or empty") {
+		t.Fatalf("sdb on a used -dbfile exited %d, want 1 with the refusal; output:\n%s", code, out)
+	}
+	if strings.Contains(out, "loaded") {
+		t.Fatalf("sdb generated the dataset before refusing the used -dbfile; output:\n%s", out)
+	}
+}
+
 // TestRuntimeErrorsExitNonZero covers failures that are not flag misuse (no
 // usage message expected, but the exit code must still be non-zero).
 func TestRuntimeErrorsExitNonZero(t *testing.T) {

@@ -206,6 +206,11 @@ func main() {
 		fmt.Printf("sdbd: loaded %s from %s (%d objects)\n",
 			org.Name(), *loadPath, org.Stats().Objects)
 	} else {
+		// NewStore refuses a used page file only after the dataset is read
+		// or generated: refuse it first.
+		if st, err := os.Stat(*dbfile); *backend == sc.BackendFile && err == nil && st.Size() != 0 {
+			fail("-dbfile %s holds %d bytes; a page file must be new or empty", *dbfile, st.Size())
+		}
 		var ds *datagen.Dataset
 		if *in != "" {
 			f, err := os.Open(*in)

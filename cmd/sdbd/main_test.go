@@ -128,6 +128,22 @@ func TestRetiredFlags(t *testing.T) {
 	}
 }
 
+// TestUsedDBFileRefusedFirst: a -dbfile that holds bytes is refused (exit 1)
+// before the dataset is generated, so a shard daemon prints no shard line.
+func TestUsedDBFileRefusedFirst(t *testing.T) {
+	used := filepath.Join(t.TempDir(), "pages.db")
+	if err := os.WriteFile(used, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := run(t, "-scale", "256", "-backend", "file", "-dbfile", used, "-shards", "2", "-shard-of", "0")
+	if code != 1 || !strings.Contains(out, "must be new or empty") {
+		t.Fatalf("sdbd on a used -dbfile exited %d, want 1 with the refusal; output:\n%s", code, out)
+	}
+	if strings.Contains(out, "sdbd: shard") || strings.Contains(out, "sdbd: built") {
+		t.Fatalf("sdbd generated the dataset before refusing the used -dbfile; output:\n%s", out)
+	}
+}
+
 // TestRuntimeErrorsExitNonZero covers non-flag failures (no usage message,
 // exit 1): a missing snapshot and a missing map file.
 func TestRuntimeErrorsExitNonZero(t *testing.T) {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"spatialcluster"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/disk"
+	"spatialcluster/internal/framing"
 	"spatialcluster/internal/geom"
 	"spatialcluster/internal/store"
 	"spatialcluster/internal/wal"
@@ -130,27 +132,42 @@ func walSegments(dir string) []string {
 	return segs
 }
 
-// tornTail truncates the last bytes off the newest WAL segment in dir,
-// simulating a crash mid-append.
+// segmentEnd returns the logical end of a WAL segment file: its 16-byte
+// header, then framed records (uint32 length, uint32 CRC, payload) up to a
+// zero length — the zero padding of its last block — or the end of the file.
+func segmentEnd(path string) (int64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	end := 16
+	for end+8 <= len(data) && binary.LittleEndian.Uint32(data[end:]) != 0 {
+		end += framing.RecordSize(int(binary.LittleEndian.Uint32(data[end:])))
+	}
+	return int64(min(end, len(data))), nil
+}
+
+// tornTail truncates the last bytes off the final record of the newest WAL
+// segment in dir, with the padding after it, simulating a crash mid-append.
 func tornTail(dir string, bytes int64) error {
 	segs := walSegments(dir)
 	if len(segs) == 0 {
 		return fmt.Errorf("exp: no WAL segment in %s", dir)
 	}
 	path := segs[len(segs)-1]
-	fi, err := os.Stat(path)
+	end, err := segmentEnd(path)
 	if err != nil {
 		return err
 	}
-	return os.Truncate(path, fi.Size()-bytes)
+	return os.Truncate(path, end-bytes)
 }
 
-// walDirBytes sums the segment sizes in a WAL directory.
+// walDirBytes sums the logical sizes of the segments in a WAL directory.
 func walDirBytes(dir string) int64 {
 	var n int64
 	for _, path := range walSegments(dir) {
-		if fi, err := os.Stat(path); err == nil {
-			n += fi.Size()
+		if end, err := segmentEnd(path); err == nil {
+			n += end
 		}
 	}
 	return n

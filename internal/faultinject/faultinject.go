@@ -1,13 +1,13 @@
 // Package faultinject is the scriptable fault layer of the durability
-// tests: a wal.FileSystem whose Nth operation fails, short-writes or flips
-// a bit. The kill-at-N differential suite scripts it to "crash" a store at
-// a chosen write-ahead log operation and then checks that recovery restores
-// exactly the acknowledged prefix.
+// tests: a wal.FileSystem around wal.OS whose Nth operation fails,
+// short-writes or flips a bit. The kill-at-N differential suite scripts it
+// to "crash" a store at a chosen write-ahead log operation and then checks
+// that recovery restores exactly the acknowledged prefix.
 package faultinject
 
 import (
 	"fmt"
-	"os"
+	"maps"
 	"sync"
 
 	"spatialcluster/internal/wal"
@@ -21,30 +21,25 @@ const (
 	// Fail makes the operation return an error without any effect.
 	Fail Kind = iota
 	// ShortWrite persists only the first half of the buffer, then errors —
-	// the torn write a crash mid-write leaves behind. On a sync it degrades
+	// the torn write a crash mid-write leaves behind. On any sync it degrades
 	// to Fail.
 	ShortWrite
 	// BitFlip silently corrupts one bit of the buffer and reports success —
-	// the medium lied. On a sync it is a no-op.
+	// the medium lied. On any sync it is a no-op.
 	BitFlip
 )
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case Fail:
-		return "fail"
-	case ShortWrite:
-		return "short-write"
-	case BitFlip:
-		return "bit-flip"
+	if names := [...]string{Fail: "fail", ShortWrite: "short-write", BitFlip: "bit-flip"}; k >= 0 && int(k) < len(names) {
+		return names[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// FS is a wal.FileSystem that counts every Write and Sync across all files
-// it has opened (1-based, in call order) and injects the scripted fault
-// when the counter hits its operation number.
+// FS is a wal.FileSystem that counts every Write, Sync and SyncDir (1-based,
+// in call order) and injects the scripted fault when the counter hits its
+// operation number.
 type FS struct {
 	mu     sync.Mutex
 	ops    int64
@@ -52,13 +47,9 @@ type FS struct {
 }
 
 // NewFS builds a fault-injecting filesystem. faults maps 1-based operation
-// numbers (Writes and Syncs combined, in call order) to the fault to inject.
+// numbers (Writes, Syncs and SyncDirs, in call order) to the fault to inject.
 func NewFS(faults map[int64]Kind) *FS {
-	m := make(map[int64]Kind, len(faults))
-	for op, k := range faults {
-		m[op] = k
-	}
-	return &FS{faults: m}
+	return &FS{faults: maps.Clone(faults)}
 }
 
 // Ops returns how many operations have been counted so far.
@@ -79,39 +70,54 @@ func (fs *FS) next() (Kind, bool) {
 }
 
 // Create implements wal.FileSystem.
-func (fs *FS) Create(path string) (wal.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &file{fs: fs, f: f}, nil
+func (fs *FS) Create(path string, size int64) (wal.File, error) {
+	return fs.wrap(wal.OS.Create(path, size))
 }
 
 // OpenAppend implements wal.FileSystem.
-func (fs *FS) OpenAppend(path string) (wal.File, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+func (fs *FS) OpenAppend(path string, end int64) (wal.File, error) {
+	return fs.wrap(wal.OS.OpenAppend(path, end))
+}
+
+// SyncDir implements wal.FileSystem.
+func (fs *FS) SyncDir(dir string) error {
+	if err := fs.failSync(); err != nil {
+		return err
+	}
+	return wal.OS.SyncDir(dir)
+}
+
+func (fs *FS) wrap(f wal.File, err error) (wal.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, f: f}, nil
+	return &file{File: f, fs: fs}, nil
 }
 
-// file wraps one real file with the shared fault counter.
+// failSync counts a sync and returns the scripted failure, if any.
+func (fs *FS) failSync() error {
+	if kind, hit := fs.next(); hit && (kind == Fail || kind == ShortWrite) {
+		return fmt.Errorf("faultinject: fsync failed (op %d)", fs.Ops())
+	}
+	return nil
+}
+
+// file wraps one production segment file with the shared fault counter.
 type file struct {
+	wal.File
 	fs *FS
-	f  *os.File
 }
 
 func (w *file) Write(p []byte) (int, error) {
 	kind, hit := w.fs.next()
 	if !hit {
-		return w.f.Write(p)
+		return w.File.Write(p)
 	}
 	switch kind {
 	case Fail:
 		return 0, fmt.Errorf("faultinject: write failed (op %d)", w.fs.Ops())
 	case ShortWrite:
-		n, err := w.f.Write(p[:len(p)/2])
+		n, err := w.File.Write(p[:len(p)/2])
 		if err != nil {
 			return n, err
 		}
@@ -119,17 +125,14 @@ func (w *file) Write(p []byte) (int, error) {
 	case BitFlip:
 		q := append([]byte(nil), p...)
 		q[len(q)/2] ^= 0x10
-		return w.f.Write(q)
+		return w.File.Write(q)
 	}
-	return w.f.Write(p)
+	return w.File.Write(p)
 }
 
 func (w *file) Sync() error {
-	kind, hit := w.fs.next()
-	if hit && (kind == Fail || kind == ShortWrite) {
-		return fmt.Errorf("faultinject: fsync failed (op %d)", w.fs.Ops())
+	if err := w.fs.failSync(); err != nil {
+		return err
 	}
-	return w.f.Sync()
+	return w.File.Sync()
 }
-
-func (w *file) Close() error { return w.f.Close() }

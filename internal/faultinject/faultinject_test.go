@@ -10,7 +10,7 @@ import (
 func TestFSScriptedFaults(t *testing.T) {
 	fs := NewFS(map[int64]Kind{2: Fail, 3: ShortWrite, 4: BitFlip, 5: Fail})
 	path := filepath.Join(t.TempDir(), "f")
-	f, err := fs.Create(path)
+	f, err := fs.Create(path, 6000) // reserved: zero-filled past 6000 bytes, to 8 KiB
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,17 @@ func TestFSScriptedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Clean(16) + short(8) + flipped(16) bytes reached the file.
-	if want := 16 + 8 + 16; len(data) != want {
-		t.Fatalf("file holds %d bytes, want %d", len(data), want)
+	// Clean(16) + short(8) + flipped(16) bytes reached the file, followed by
+	// the zeros of its padded block and of its reservation.
+	if len(data) != 8192 {
+		t.Fatalf("file holds %d bytes, want the two reserved 4096-byte blocks", len(data))
 	}
-	flipped := data[24:]
+	for i, b := range data[40:] {
+		if b != 0 {
+			t.Fatalf("byte %d past the 40 written is %#x, want zero padding", 40+i, b)
+		}
+	}
+	flipped := data[24:40]
 	if flipped[len(flipped)/2] != buf[len(buf)/2]^0x10 {
 		t.Fatal("BitFlip write did not corrupt the middle byte")
 	}

@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,7 +123,9 @@ var allKinds = []string{"secondary", "primary", "cluster"}
 // all three organizations.
 //
 // Operation numbering (SyncEvery=1, one-record commits, no rotation): op 1 is
-// the segment header write, record i's write is op 2i and its fsync op 2i+1.
+// the directory sync of the initial snapshot, op 2 the segment header write,
+// op 3 the segment's directory sync; record i's write is op 2i+2 and its
+// fsync op 2i+3.
 func TestKillAtN(t *testing.T) {
 	const K, M = 60, 20
 	cases := []struct {
@@ -146,18 +149,28 @@ func TestKillAtN(t *testing.T) {
 			wantAcked: K, wantPrefix: K - 1, wantTorn: true,
 		},
 		{
-			// The write of record M persists only half the buffer: the tail
-			// is torn at M and ops M..K were never acknowledged.
+			// The write of record M+1, a delete, persists only half the
+			// buffer: the deleted ID is lost, the tail is torn at M+1 and
+			// ops M+1..K were never acknowledged.
+			name:      "short write at record M+1",
+			faults:    map[int64]faultinject.Kind{2*(M+1) + 2: faultinject.ShortWrite},
+			wantAcked: M, wantPrefix: M, wantTorn: true,
+		},
+		{
+			// Record M is an update whose back half is its object's zero pad
+			// bytes: the half that reaches the disk plus the block's zero
+			// padding is the whole record, which legitimately survives
+			// although it was never acknowledged.
 			name:      "short write at record M",
-			faults:    map[int64]faultinject.Kind{2 * M: faultinject.ShortWrite},
-			wantAcked: M - 1, wantPrefix: M - 1, wantTorn: true,
+			faults:    map[int64]faultinject.Kind{2*M + 2: faultinject.ShortWrite},
+			wantAcked: M - 1, wantPrefix: M, wantTorn: false,
 		},
 		{
 			// The medium lies: record M is acknowledged but corrupt on disk,
 			// so recovery truncates at M-1 — every record after the flip is
 			// sacrificed to keep the replayed history contiguous.
 			name:      "bit flip at record M",
-			faults:    map[int64]faultinject.Kind{2 * M: faultinject.BitFlip},
+			faults:    map[int64]faultinject.Kind{2*M + 2: faultinject.BitFlip},
 			wantAcked: K, wantPrefix: M - 1, wantTorn: true,
 		},
 		{
@@ -165,7 +178,7 @@ func TestKillAtN(t *testing.T) {
 			// its intact record is on disk and legitimately survives — the
 			// durable prefix may exceed the acknowledged one, never trail it.
 			name:      "fsync fail at record M",
-			faults:    map[int64]faultinject.Kind{2*M + 1: faultinject.Fail},
+			faults:    map[int64]faultinject.Kind{2*M + 3: faultinject.Fail},
 			wantAcked: M - 1, wantPrefix: M, wantTorn: false,
 		},
 	}
@@ -218,25 +231,45 @@ func TestKillAtN(t *testing.T) {
 	}
 }
 
-// truncateTail cuts n bytes off the newest WAL segment — the torn final
-// record a power cut mid-write leaves behind.
+// truncateTail cuts the last n bytes off the final record of the newest WAL
+// segment, with the zero padding after it — the torn final record a power
+// cut mid-write leaves behind.
 func truncateTail(n int64) func(t *testing.T, dir string) {
 	return func(t *testing.T, dir string) {
 		t.Helper()
-		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("no segments to truncate: %v (%v)", segs, err)
-		}
-		sort.Strings(segs)
-		last := segs[len(segs)-1]
-		fi, err := os.Stat(last)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(last, fi.Size()-n); err != nil {
+		last := newestSegment(t, dir)
+		if err := os.Truncate(last, segmentEnd(t, last)-n); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// newestSegment returns the path of the newest segment in dir.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s: %v (%v)", dir, segs, err)
+	}
+	sort.Strings(segs)
+	return segs[len(segs)-1]
+}
+
+// segmentEnd returns the logical end of a segment file, read independently of
+// the package: its 16-byte header, then framed records (uint32 length,
+// uint32 CRC, payload) up to a zero length — the block padding — or the end
+// of the file.
+func segmentEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := 16
+	for end+8 <= len(data) && binary.LittleEndian.Uint32(data[end:]) != 0 {
+		end += 8 + int(binary.LittleEndian.Uint32(data[end:]))
+	}
+	return int64(min(end, len(data)))
 }
 
 // TestKillAfterCheckpoint crashes after a mid-stream checkpoint: recovery

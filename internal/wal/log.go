@@ -1,6 +1,6 @@
 // Package wal is the write-ahead log in front of the mutation path: every
 // insert, delete, update and recluster is appended — length-prefixed and
-// CRC-32-framed, the same discipline as the snapshot format — and fsynced
+// CRC-32-framed, the same discipline as the snapshot format — and synced
 // before the in-memory mutation applies, so a crash loses nothing that was
 // acknowledged. Recovery loads the newest checkpoint snapshot and replays
 // the log tail; a torn tail (a truncated or checksum-failing final record)
@@ -14,15 +14,22 @@
 //	wal-%016x.seg   log segments; the hex is the LSN of the first record.
 //	                A segment starts with a 16-byte header (magic +
 //	                first LSN) followed by framed records with contiguous
-//	                ascending LSNs
+//	                ascending LSNs, then zeros: it is created zero-filled to
+//	                SegmentBytes; no record is empty, so a zero header ends it
 //
-// Group commit batches fsyncs two ways: Store.Apply logs a whole batch of
-// mutations behind one fsync (the server's mutation dispatcher rides
+// A commit is one write and one sync: Append frames its records into one
+// buffer, the segment File rewrites the blocks they cover from its partial
+// last block on, around the page cache (O_DIRECT on Linux), and Sync is an
+// fdatasync. Sizes count logical bytes, never the zeros after them.
+//
+// Group commit batches syncs two ways: Store.Apply logs a whole batch of
+// mutations behind one sync (the server's mutation dispatcher rides
 // this), and Options.SyncEvery > 1 additionally lets that many records
-// accumulate before any fsync — relaxed durability for bulk churn.
+// accumulate before any sync — relaxed durability for bulk churn.
 // Checkpoints write a fresh snapshot and retire fully-covered segments
 // without stopping the world: mutations pause only for the in-memory
-// capture, not for the snapshot write.
+// capture, not for the snapshot write. A new segment's and a renamed
+// snapshot's directory entries are synced before anything relies on them.
 //
 // Durability is this log plus its checkpoint snapshots, over a store on the
 // in-memory backend: they are the only bytes a restart reads. The file
@@ -65,15 +72,15 @@ type Options struct {
 	// trade the durability of the last few records for throughput; a batch
 	// appended by Store.Apply always shares one fsync regardless.
 	SyncEvery int
-	// SegmentBytes is the rotation threshold: a segment reaching this size
-	// is closed and a fresh one started (default 4 MB).
+	// SegmentBytes sizes a segment: it is created zero-filled to this size,
+	// and a commit that finds it this full starts a fresh one (default 4 MiB).
 	SegmentBytes int64
 	// CheckpointBytes triggers a background checkpoint (snapshot + segment
 	// retirement) once the live log exceeds this size (default 32 MB;
 	// negative disables automatic checkpoints).
 	CheckpointBytes int64
 	// FS overrides how segment files are created and reopened; nil selects
-	// the real filesystem. The fault-injection tests script failures here.
+	// OS. The fault-injection tests script failures here.
 	FS FileSystem
 }
 
@@ -88,7 +95,7 @@ func (o Options) withDefaults() Options {
 		o.CheckpointBytes = 32 << 20
 	}
 	if o.FS == nil {
-		o.FS = osFS{}
+		o.FS = OS
 	}
 	return o
 }
@@ -119,7 +126,7 @@ type Log struct {
 	unsynced int
 	failed   error
 	rec      []byte // the record being appended, encoded; reused
-	frame    []byte // the same record framed; reused
+	frame    []byte // the commit's records framed; reused
 
 	syncs      atomic.Int64
 	lastSyncNS atomic.Int64
@@ -128,7 +135,7 @@ type Log struct {
 
 // Stats is a point-in-time summary of the log, surfaced by /stats.
 type Stats struct {
-	// Segments and Bytes size the live log (retired segments excluded).
+	// Segments and Bytes size the live log in logical bytes (no padding).
 	Segments int
 	Bytes    int64
 	// LastLSN is the newest assigned LSN (0 = nothing logged yet).
@@ -138,30 +145,21 @@ type Stats struct {
 	LastSyncNanos int64
 }
 
-// openFresh creates a log whose first record will get LSN first.
-func openFresh(dir string, first uint64, opts Options) (*Log, error) {
-	l := &Log{dir: dir, opts: opts, nextLSN: first}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.createSegmentLocked(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// createSegmentLocked opens a fresh segment starting at nextLSN.
+// createSegmentLocked opens a fresh segment starting at nextLSN and makes
+// its directory entry durable.
 func (l *Log) createSegmentLocked() error {
 	path := filepath.Join(l.dir, segName(l.nextLSN))
-	f, err := l.opts.FS.Create(path)
+	f, err := l.opts.FS.Create(path, l.opts.SegmentBytes)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	header := make([]byte, segHeaderSize)
-	copy(header, segMagic)
-	binary.LittleEndian.PutUint64(header[len(segMagic):], l.nextLSN)
-	if _, err := f.Write(header); err != nil {
+	header := binary.LittleEndian.AppendUint64([]byte(segMagic), l.nextLSN)
+	if _, err = f.Write(header); err == nil {
+		err = l.opts.FS.SyncDir(l.dir)
+	}
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("wal: writing segment header: %w", err)
+		return fmt.Errorf("wal: starting segment %d: %w", l.nextLSN, err)
 	}
 	l.f = f
 	l.segs = append(l.segs, segment{path: path, first: l.nextLSN, bytes: int64(segHeaderSize)})
@@ -185,10 +183,11 @@ func (l *Log) rotateLocked() error {
 	return l.createSegmentLocked()
 }
 
-// Append logs the records as one commit: all of them are framed into the
-// open segment (rotating as needed) and share at most one fsync — the group
-// commit. LSNs are assigned in order; recs[i].LSN is filled in. On error
-// nothing is acknowledged and the log is poisoned.
+// Append logs the records as one commit: all of them are framed into one
+// write to the open segment (rotating first if the segment is full) and
+// share at most one sync — the group commit. LSNs are assigned in order;
+// recs[i].LSN is filled in. On error nothing is acknowledged and the log is
+// poisoned.
 func (l *Log) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -198,36 +197,36 @@ func (l *Log) Append(recs ...Record) error {
 	if l.failed != nil {
 		return l.failed
 	}
-	for i := range recs {
-		cur := &l.segs[len(l.segs)-1]
-		if cur.bytes >= l.opts.SegmentBytes {
-			if err := l.rotateLocked(); err != nil {
-				return err
-			}
-			cur = &l.segs[len(l.segs)-1]
+	if l.segs[len(l.segs)-1].bytes >= l.opts.SegmentBytes {
+		if err := l.rotateLocked(); err != nil {
+			return err
 		}
-		recs[i].LSN = l.nextLSN
-		l.rec = recs[i].encode(l.rec[:0])
-		l.frame = framing.AppendRecord(l.frame[:0], l.rec)
-		n, err := l.f.Write(l.frame) // one write per record: faultinject numbers them
-		cur.bytes += int64(n)
-		if err == nil && n != len(l.frame) {
-			err = io.ErrShortWrite
-		}
-		if err != nil {
-			l.failed = fmt.Errorf("wal: appending record %d: %w", recs[i].LSN, err)
-			return l.failed
-		}
-		l.nextLSN++
-		l.unsynced++
 	}
+	l.frame = l.frame[:0]
+	for i := range recs {
+		recs[i].LSN = l.nextLSN + uint64(i)
+		l.rec = recs[i].encode(l.rec[:0])
+		l.frame = framing.AppendRecord(l.frame, l.rec)
+	}
+	cur := &l.segs[len(l.segs)-1]
+	n, err := l.f.Write(l.frame) // one write per commit: faultinject numbers them
+	cur.bytes += int64(n)
+	if err == nil && n != len(l.frame) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		l.failed = fmt.Errorf("wal: appending record %d: %w", l.nextLSN, err)
+		return l.failed
+	}
+	l.nextLSN += uint64(len(recs))
+	l.unsynced += len(recs)
 	if l.unsynced >= l.opts.SyncEvery {
 		return l.syncLocked()
 	}
 	return nil
 }
 
-// Sync forces an fsync of the open segment (a durability barrier).
+// Sync forces a sync of the open segment (a durability barrier).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -280,8 +279,7 @@ func (l *Log) Retire(upTo uint64) {
 	defer l.mu.Unlock()
 	keep := l.segs[:0]
 	for i, s := range l.segs {
-		covered := i+1 < len(l.segs) && l.segs[i+1].first <= upTo+1
-		if covered {
+		if i+1 < len(l.segs) && l.segs[i+1].first <= upTo+1 { // covered
 			os.Remove(s.path)
 			continue
 		}
@@ -298,17 +296,6 @@ func (l *Log) Retire(upTo uint64) {
 			os.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
-}
-
-// TailBytes returns the live log size (the bytes a recovery would read).
-func (l *Log) TailBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, s := range l.segs {
-		total += s.bytes
-	}
-	return total
 }
 
 // Stats summarizes the log.

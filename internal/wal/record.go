@@ -22,15 +22,9 @@ const (
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindInsert:
-		return "insert"
-	case KindDelete:
-		return "delete"
-	case KindUpdate:
-		return "update"
-	case KindRecluster:
-		return "recluster"
+	if names := [...]string{KindInsert: "insert", KindDelete: "delete", KindUpdate: "update",
+		KindRecluster: "recluster"}; k != 0 && int(k) < len(names) {
+		return names[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,10 +52,8 @@ func Exists(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if _, ok := parseSegName(e.Name()); ok {
-			return true
-		}
-		if _, ok := parseSnapName(e.Name()); ok {
+		_, seg := parseSegName(e.Name())
+		if _, snap := parseSnapName(e.Name()); seg || snap {
 			return true
 		}
 	}
@@ -79,31 +78,36 @@ func Create(org store.Organization, dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: initial checkpoint: %w", err)
 	}
-	if err := writeSnapshot(dir, 0, img); err != nil {
+	if err := writeSnapshot(opts.FS, dir, 0, img); err != nil {
 		return nil, err
 	}
-	log, err := openFresh(dir, 1, opts)
+	log, err := openLog(dir, nil, 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{log: log, dir: dir, opts: opts}
+	s := &Store{log: log}
 	s.org.Store(&org)
 	return s, nil
 }
 
 // writeSnapshot writes a checkpoint snapshot atomically: to a temp file
 // first, renamed into place only once fully durable, so a crash mid-write
-// can never leave a half snapshot under a valid name.
-func writeSnapshot(dir string, upTo uint64, img *store.Image) error {
+// can never leave a half snapshot under a valid name. The rename itself is
+// durable once it returns: only then may segments the snapshot covers be
+// retired.
+func writeSnapshot(fs FileSystem, dir string, upTo uint64, img *store.Image) error {
 	final := filepath.Join(dir, snapName(upTo))
 	tmp := final + ".tmp"
-	if err := snapshot.Write(tmp, img); err != nil {
+	err := snapshot.Write(tmp, img)
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
+	if err := fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("wal: syncing the directory of checkpoint snapshot %d: %w", upTo, err)
 	}
 	return nil
 }
@@ -168,27 +172,28 @@ func Recover(dir string, newEnv func(disk.Params) (*store.Env, error), opts Opti
 	}
 
 	next := st.SnapshotLSN + 1
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		res, err := replaySegment(org, filepath.Join(dir, segName(seg)), seg, next, last)
+	var live []segment
+	for i, first := range segs {
+		path := filepath.Join(dir, segName(first))
+		res, err := replaySegment(org, path, first, next, i == len(segs)-1)
 		if err != nil {
 			env.Close()
 			return nil, st, err
 		}
 		next = res.next
 		st.Replayed += res.applied
-		if res.torn {
-			st.TornTail = true
-			break
+		st.TornTail = res.torn
+		if res.end > 0 {
+			live = append(live, segment{path: path, first: first, bytes: res.end})
 		}
 	}
 
-	log, err := reopenLog(dir, segs, next, opts)
+	log, err := openLog(dir, live, next, opts)
 	if err != nil {
 		env.Close()
 		return nil, st, err
 	}
-	s := &Store{log: log, dir: dir, opts: opts}
+	s := &Store{log: log}
 	s.org.Store(&org)
 	return s, st, nil
 }
@@ -224,12 +229,15 @@ type replayResult struct {
 	next    uint64 // LSN the next segment must continue at
 	applied int
 	torn    bool
+	end     int64 // logical end: header plus intact records (0: segment dropped)
 }
 
 // replaySegment applies the records of one segment with LSN > next-1 to
-// org, verifying the LSN chain is contiguous. In the last segment a torn
-// record ends the log: the file is truncated back to its last intact
-// record so appends can resume; anywhere else it is corruption.
+// org, verifying the LSN chain is contiguous. The records end at the end of
+// the file or at an all-zero record header (the padding of the last block).
+// In the last segment a torn record, or a non-zero byte after that header,
+// ends the log: the file is truncated back to its last intact record so
+// appends can resume; anywhere else it is corruption.
 func replaySegment(org store.Organization, path string, first, next uint64, last bool) (replayResult, error) {
 	res := replayResult{next: next}
 	f, err := os.Open(path)
@@ -239,16 +247,17 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 	defer f.Close()
 
 	header := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(f, header); err != nil {
-		if last && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-			// A crash between creating the segment file and completing its
-			// header: the segment holds no records. Drop it; reopenLog will
-			// start a fresh one.
-			f.Close()
-			os.Remove(path)
-			res.torn = true
-			return res, nil
-		}
+	_, err = io.ReadFull(f, header)
+	if last && (err == io.EOF || err == io.ErrUnexpectedEOF || (err == nil && allZero(header))) {
+		// A crash between creating the segment file (and zero-filling it)
+		// and completing its header: the segment holds no records. Drop it;
+		// openLog will start a fresh one.
+		f.Close()
+		os.Remove(path)
+		res.torn = true
+		return res, nil
+	}
+	if err != nil {
 		return res, fmt.Errorf("wal: %s: reading segment header: %w", path, err)
 	}
 	if string(header[:len(segMagic)]) != segMagic {
@@ -263,9 +272,14 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 	expect := first
 	var buf []byte // every record is read into it: a decoded record does not alias its payload
 	for {
-		payload, err := framing.ReadRecord(r, maxRecordLen, buf)
-		if err == io.EOF {
-			return res, nil
+		res.end = offset
+		var payload []byte
+		if hdr, _ := r.Peek(framing.RecordSize(0)); !allZero(hdr) {
+			payload, err = framing.ReadRecord(r, maxRecordLen, buf)
+		} else if rest, rerr := io.ReadAll(r); rerr != nil || allZero(rest) {
+			return res, rerr // the end of the file, or of the zero padding
+		} else {
+			err = &framing.RecordError{Reason: "non-zero bytes after the zero padding"}
 		}
 		if rerr, ok := err.(*framing.RecordError); ok {
 			if !last {
@@ -345,18 +359,14 @@ func ApplyRecord(org store.Organization, rec *Record) (existed bool, err error) 
 	return false, fmt.Errorf("unknown kind %d", byte(rec.Kind))
 }
 
-// reopenLog resumes appending after a replay: the surviving last segment is
-// reopened for append, or a fresh segment is started when none survived.
-func reopenLog(dir string, segs []uint64, next uint64, opts Options) (*Log, error) {
-	l := &Log{dir: dir, opts: opts, nextLSN: next}
-	for _, first := range segs {
-		path := filepath.Join(dir, segName(first))
-		fi, err := os.Stat(path)
-		if err != nil {
-			continue // the dropped header-torn segment
-		}
-		l.segs = append(l.segs, segment{path: path, first: first, bytes: fi.Size()})
-	}
+// allZero reports whether every byte of b is zero (true for an empty b).
+func allZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
+
+// openLog resumes appending where a replay left off: the surviving last
+// segment is reopened for append at its logical end, or a fresh segment is
+// started when none survived (or none existed: a new log).
+func openLog(dir string, segs []segment, next uint64, opts Options) (*Log, error) {
+	l := &Log{dir: dir, opts: opts, nextLSN: next, segs: segs}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.segs) == 0 {
@@ -366,7 +376,7 @@ func reopenLog(dir string, segs []uint64, next uint64, opts Options) (*Log, erro
 		return l, nil
 	}
 	lastSeg := l.segs[len(l.segs)-1]
-	f, err := opts.FS.OpenAppend(lastSeg.path)
+	f, err := opts.FS.OpenAppend(lastSeg.path, lastSeg.bytes)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reopening segment: %w", err)
 	}

@@ -26,11 +26,9 @@ import (
 // the error — the server's dispatcher, the fault-injection tests — use
 // Apply, which also gives a whole batch one fsync (group commit).
 type Store struct {
-	mu   sync.Mutex // serializes mutations: log order == apply order
-	org  atomic.Pointer[store.Organization]
-	log  *Log
-	dir  string
-	opts Options
+	mu  sync.Mutex // serializes mutations: log order == apply order
+	org atomic.Pointer[store.Organization]
+	log *Log // its dir and opts are the store's
 
 	ckptWG      sync.WaitGroup
 	ckptRunning atomic.Bool
@@ -114,19 +112,29 @@ func (s *Store) Recluster(policy string) (recluster.Result, error) {
 // rotates the log and retires fully-covered segments. Mutations are blocked
 // only while the in-memory image is captured; the snapshot write and the
 // retirement happen concurrently with new appends.
-func (s *Store) Checkpoint() error {
+func (s *Store) Checkpoint() error { return s.checkpoint(nil) }
+
+// checkpoint is Checkpoint over the served organization, or — given org —
+// Rebase onto org, which replaces it while the mutation lock is held.
+func (s *Store) checkpoint(org store.Organization) error {
 	s.mu.Lock()
 	boundary, err := s.log.BeginCheckpoint()
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	img, err := store.Snapshot(s.Underlying())
+	if org == nil {
+		org = s.Underlying()
+	}
+	img, err := store.Snapshot(org)
+	if err == nil {
+		s.org.Store(&org)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if err := writeSnapshot(s.dir, boundary, img); err != nil {
+	if err := writeSnapshot(s.log.opts.FS, s.log.dir, boundary, img); err != nil {
 		return err
 	}
 	s.log.Retire(boundary)
@@ -138,7 +146,7 @@ func (s *Store) Checkpoint() error {
 // loses data — the log simply keeps growing — and Close returns its error
 // (the newest, if several failed) so the operator learns of it.
 func (s *Store) maybeCheckpoint() {
-	if s.opts.CheckpointBytes <= 0 || s.log.TailBytes() < s.opts.CheckpointBytes {
+	if c := s.log.opts.CheckpointBytes; c <= 0 || s.log.Stats().Bytes < c {
 		return
 	}
 	if !s.ckptRunning.CompareAndSwap(false, true) {
@@ -164,24 +172,7 @@ func (s *Store) maybeCheckpoint() {
 // mutations around the swap.
 func (s *Store) Rebase(org store.Organization) error {
 	s.ckptWG.Wait()
-	s.mu.Lock()
-	boundary, err := s.log.BeginCheckpoint()
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	img, err := store.Snapshot(org)
-	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("wal: rebase: %w", err)
-	}
-	s.org.Store(&org)
-	s.mu.Unlock()
-	if err := writeSnapshot(s.dir, boundary, img); err != nil {
-		return err
-	}
-	s.log.Retire(boundary)
-	return nil
+	return s.checkpoint(org)
 }
 
 // Close waits for any background checkpoint, syncs and closes the log, and

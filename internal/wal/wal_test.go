@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -191,7 +192,7 @@ func TestRecoverErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)-3] ^= 0x40
+		data[segmentEnd(t, segs[0])-3] ^= 0x40 // inside the last record
 		if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -208,8 +209,9 @@ func TestRecoverErrors(t *testing.T) {
 // than acknowledge an unlogged mutation.
 func TestMutatorPanicsOnLogFailure(t *testing.T) {
 	ds := smallDataset()
-	// Op 1 is the segment header; op 2 is the first record write.
-	fs := faultinject.NewFS(map[int64]faultinject.Kind{2: faultinject.Fail})
+	// Ops 1-3 are the snapshot's directory sync, the segment header and the
+	// segment's directory sync; op 4 is the first record write.
+	fs := faultinject.NewFS(map[int64]faultinject.Kind{4: faultinject.Fail})
 	ws, err := wal.Create(buildOrg("cluster", ds), t.TempDir(), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +231,10 @@ func TestMutatorPanicsOnLogFailure(t *testing.T) {
 // checkpoint's first step — making the log durable — hits the scripted
 // fsync failure.
 func TestCloseReportsFailedBackgroundCheckpoint(t *testing.T) {
-	// Op 1 is the segment header, op 2 the record write, op 3 the
-	// checkpoint's fsync.
-	fs := faultinject.NewFS(map[int64]faultinject.Kind{3: faultinject.Fail})
+	// Ops 1-3 are the snapshot's directory sync, the segment header and the
+	// segment's directory sync, op 4 the record write, op 5 the checkpoint's
+	// fsync.
+	fs := faultinject.NewFS(map[int64]faultinject.Kind{5: faultinject.Fail})
 	ws, err := wal.Create(buildOrg("cluster", smallDataset()), t.TempDir(),
 		wal.Options{SyncEvery: 8, CheckpointBytes: 1, FS: fs})
 	if err != nil {
@@ -241,7 +244,7 @@ func TestCloseReportsFailedBackgroundCheckpoint(t *testing.T) {
 	if err := ws.Insert(o, o.Bounds()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.Close(); err == nil || !strings.Contains(err.Error(), "fsync failed (op 3)") {
+	if err := ws.Close(); err == nil || !strings.Contains(err.Error(), "fsync failed (op 5)") {
 		t.Fatalf("Close = %v, want the background checkpoint's fsync failure", err)
 	}
 }
@@ -308,5 +311,204 @@ func TestUnknownPolicy(t *testing.T) {
 	}
 	if st := ws.Log().Stats(); st.LastLSN != 0 {
 		t.Fatalf("a rejected policy logged %d records", st.LastLSN)
+	}
+}
+
+// TestEndOfSegment holds the rule that ends a segment's records: its end of
+// file, or an all-zero record header — the zero padding of its last block
+// and of the rest of its reservation.
+// Non-zero bytes after that header are a torn tail in the last segment and
+// corruption in an earlier one.
+func TestEndOfSegment(t *testing.T) {
+	const K = 40
+	ds := smallDataset()
+	// crash logs K single-record commits into a fresh log in dir and drops
+	// the store without closing it.
+	crash := func(t *testing.T, dir string, opts wal.Options) {
+		t.Helper()
+		opts.CheckpointBytes = -1
+		ws, err := wal.Create(buildOrg("cluster", ds), dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < K; i++ {
+			o := testObject(uint64(i))
+			if _, _, err := ws.Apply([]wal.Record{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// scribble puts a non-zero byte 8 bytes past the segment's logical end,
+	// behind a zero record header.
+	scribble := func(t *testing.T, path string) int64 {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := segmentEnd(t, path)
+		for int64(len(data)) <= end+8 {
+			data = append(data, 0)
+		}
+		data[end+8] = 0x5a
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return end
+	}
+
+	t.Run("zero padding ends the segment", func(t *testing.T) {
+		dir := t.TempDir()
+		crash(t, dir, wal.Options{})
+		seg := newestSegment(t, dir)
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := segmentEnd(t, seg); fi.Size() != 4<<20 || fi.Size() <= end {
+			t.Fatalf("segment of %d bytes with logical end %d: want it zero-filled to the 4 MiB SegmentBytes", fi.Size(), end)
+		}
+		rec, st, err := wal.Recover(dir, memEnv, wal.Options{CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Replayed != K || st.TornTail {
+			t.Fatalf("recovery replayed %d records (torn %v), want %d clean", st.Replayed, st.TornTail, K)
+		}
+		// Appending resumes inside the padded block, after the last record.
+		o := testObject(K)
+		if _, _, err := rec.Apply([]wal.Record{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
+			t.Fatal(err)
+		}
+		again, st, err := wal.Recover(dir, memEnv, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		if st.Replayed != K+1 || st.TornTail {
+			t.Fatalf("second recovery replayed %d records (torn %v), want %d clean", st.Replayed, st.TornTail, K+1)
+		}
+	})
+	t.Run("non-zero bytes after the padding tear the last segment", func(t *testing.T) {
+		dir := t.TempDir()
+		crash(t, dir, wal.Options{})
+		seg := newestSegment(t, dir)
+		end := scribble(t, seg)
+		rec, st, err := wal.Recover(dir, memEnv, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		if st.Replayed != K || !st.TornTail {
+			t.Fatalf("recovery replayed %d records (torn %v), want %d torn", st.Replayed, st.TornTail, K)
+		}
+		if fi, err := os.Stat(seg); err != nil || fi.Size() != end {
+			t.Fatalf("recovery left the segment at %v bytes (%v), want it truncated to its logical end %d", fi.Size(), err, end)
+		}
+	})
+	t.Run("a zero-filled last segment without its header is dropped", func(t *testing.T) {
+		// A crash after a rotation zero-filled the new segment and before
+		// its header reached the disk.
+		dir := t.TempDir()
+		crash(t, dir, wal.Options{})
+		empty := filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", K+1))
+		if err := os.WriteFile(empty, make([]byte, 64<<10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, st, err := wal.Recover(dir, memEnv, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Replayed != K || !st.TornTail {
+			t.Fatalf("recovery replayed %d records (torn %v), want %d torn", st.Replayed, st.TornTail, K)
+		}
+		o := testObject(K)
+		if _, _, err := rec.Apply([]wal.Record{{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}}); err != nil {
+			t.Fatal(err)
+		}
+		rec.Close()
+		again, st, err := wal.Recover(dir, memEnv, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		if st.Replayed != K+1 || st.TornTail {
+			t.Fatalf("second recovery replayed %d records (torn %v), want %d clean", st.Replayed, st.TornTail, K+1)
+		}
+	})
+	t.Run("non-zero bytes after the padding of an earlier segment are corruption", func(t *testing.T) {
+		dir := t.TempDir()
+		crash(t, dir, wal.Options{SegmentBytes: 4096})
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil || len(segs) < 2 {
+			t.Fatalf("want several segments, got %v (%v)", segs, err)
+		}
+		scribble(t, segs[0])
+		if _, _, err := wal.Recover(dir, memEnv, wal.Options{}); err == nil || !strings.Contains(err.Error(), "mid-history") {
+			t.Fatalf("Recover = %v, want a mid-history corruption error", err)
+		}
+	})
+}
+
+// TestCommitLargerThanBuffer: a commit of several blocks, written after a
+// partial block, grows the segment's write buffer, and every record of it
+// and before it recovers.
+func TestCommitLargerThanBuffer(t *testing.T) {
+	dir := t.TempDir()
+	ws, err := wal.Create(buildOrg("cluster", smallDataset()), dir, wal.Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]wal.Record, 61)
+	for i := range recs {
+		o := testObject(uint64(i))
+		recs[i] = wal.Record{Kind: wal.KindInsert, Obj: o, Key: o.Bounds()}
+	}
+	for _, batch := range [][]wal.Record{recs[:1], recs[1:]} {
+		if _, _, err := ws.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, end := ws.Log().Stats().Bytes, segmentEnd(t, newestSegment(t, dir)); got != end || end < 5*4096 {
+		t.Fatalf("log counts %d bytes, its segment ends at %d: want equal and several blocks", got, end)
+	}
+	rec, st, err := wal.Recover(dir, memEnv, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if st.Replayed != len(recs) || st.TornTail {
+		t.Fatalf("recovery replayed %d records (torn %v), want %d clean", st.Replayed, st.TornTail, len(recs))
+	}
+}
+
+// TestCheckpointDirSyncFailure: a checkpoint whose renamed snapshot cannot be
+// made durable in its directory fails, and retires no segment — the log
+// still holds everything the snapshot would have covered.
+func TestCheckpointDirSyncFailure(t *testing.T) {
+	// Ops 1-3 are the initial snapshot's directory sync, the segment header
+	// and the segment's directory sync; ops 4-5 the record's write and
+	// fsync; the checkpoint's rotation is ops 6-7 (header, directory sync)
+	// and op 8 the directory sync after the snapshot's rename.
+	fs := faultinject.NewFS(map[int64]faultinject.Kind{8: faultinject.Fail})
+	dir := t.TempDir()
+	ws, err := wal.Create(buildOrg("cluster", smallDataset()), dir, wal.Options{CheckpointBytes: -1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	o := testObject(1)
+	if err := ws.Insert(o, o.Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Checkpoint(); err == nil || !strings.Contains(err.Error(), "fsync failed (op 8)") {
+		t.Fatalf("Checkpoint = %v, want the directory sync's failure", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("after the failed checkpoint the directory holds segments %v (%v), want both", segs, err)
+	}
+	if st := ws.Log().Stats(); st.Segments != 2 {
+		t.Fatalf("after the failed checkpoint the log has %d live segments, want 2", st.Segments)
 	}
 }
