@@ -19,12 +19,22 @@
 // leaf payloads, object views), so this is a contract, not an accident:
 // a slice returned by Get, Touch, Peek or admitted by ExecutePlan — and
 // everything aliasing it — stays valid and unchanged for as long as it is
-// referenced, eviction included. Frames are replaced, never written into:
-// Put and ExecutePlan swap the frame's slice, writers marshal or
-// clone into a fresh page before they Put it, and both disk backends return
-// fresh or never-rewritten slices. The one page that is written in place, a
-// cluster unit's in-memory tail, only grows past bytes already handed out.
-// Holders must not write through such a slice either.
+// referenced, eviction included. Holders must not write through such a
+// slice either.
+//
+// A page is written once and never rewritten, from the writer to the disk.
+// The writer copies, once: it marshals or clones a changed page into a fresh
+// slice — an R*-tree node at its used length, which reads as zero-padded —
+// and Puts it. Frames are replaced, never written into: Put and ExecutePlan
+// swap the frame's slice. A write-back hands the frame's slice to the disk
+// as it is, and the backend keeps it (disk.Backend.WriteRun): the memory
+// backend stores it, the file backend writes it out, and both return fresh
+// or never-rewritten slices. So do a cluster unit's completed pages, which
+// go to the disk as sub-slices of the one buffer the unit was built in. The
+// two pages that go on being written in place — a cluster unit's in-memory
+// tail and a pagefile.SequentialFile's tail — are handed over as copies
+// when they are flushed, and only grow past bytes already handed out;
+// disk.Poke, for tests and snapshot restores, stores a copy too.
 //
 // # Concurrency
 //

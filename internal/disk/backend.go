@@ -44,9 +44,11 @@ type Backend interface {
 	// (the immutability contract of internal/buffer rests on it). Pages
 	// never written may be returned as nil (all-zero).
 	ReadRun(start PageID, pages [][]byte)
-	// WriteRun stores data[i] into page start+i. Each slice is at most
-	// PageSize bytes and must be copied (or written out) before returning;
-	// a nil slice clears the page.
+	// WriteRun stores data[i] into page start+i and keeps each slice: the
+	// writer built it as the page's one copy and never writes it again
+	// (internal/buffer, "Page immutability", says who copies). Each slice is
+	// at most PageSize bytes; a shorter one reads as if zero-padded, a nil
+	// one clears the page.
 	WriteRun(start PageID, data [][]byte)
 	// Close releases backend resources. The backend must not be used after.
 	Close() error
@@ -118,17 +120,9 @@ func (b *MemBackend) ReadRun(start PageID, pages [][]byte) {
 	copy(pages, b.pages[start:])
 }
 
-// WriteRun implements Backend, copying each page.
+// WriteRun implements Backend, keeping each page as it is given.
 func (b *MemBackend) WriteRun(start PageID, data [][]byte) {
-	for i, buf := range data {
-		if buf == nil {
-			b.pages[start+PageID(i)] = nil
-			continue
-		}
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		b.pages[start+PageID(i)] = cp
-	}
+	copy(b.pages[start:], data)
 }
 
 // Close implements Backend.

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -257,7 +258,8 @@ func (d *Disk) readRunLocked(start PageID, pages [][]byte, chained bool, t *Tall
 
 // WriteRun issues one write request for n physically consecutive pages.
 // data[i] is written to page start+i; each slice must be at most PageSize
-// bytes and is copied. A nil slice clears the page. The request is also
+// bytes and is handed over to the backend (see Backend.WriteRun): the caller
+// never writes it again. A nil slice clears the page. The request is also
 // charged to t; a nil t charges the global counters alone.
 func (d *Disk) WriteRun(start PageID, data [][]byte, t *Tally) {
 	d.throttleSleep(d.writeRunLocked(start, data, t)) // after unlocking, like reads
@@ -311,14 +313,14 @@ func (d *Disk) PeekRun(start PageID, pages [][]byte) {
 	d.b.ReadRun(start, pages)
 }
 
-// Poke stores page content without charging any I/O cost. It is intended for
+// Poke stores a copy of data as page id without charging any I/O cost. For
 // tests and snapshot restoration; production paths must use WriteRun.
 func (d *Disk) Poke(id PageID, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	checkBackendRun(d.b, id, 1)
 	checkPageSizes([][]byte{data})
-	d.b.WriteRun(id, [][]byte{data})
+	d.b.WriteRun(id, [][]byte{bytes.Clone(data)})
 }
 
 // Head returns the current head position (the page following the last

@@ -60,12 +60,18 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 			t.Fatalf("page %d: got %q want %q", i, got[i], data[i])
 		}
 	}
-	// Writes copy their input.
-	buf := []byte("mutate-me")
+	// A write hands its page over: the memory backend keeps the slice
+	// itself, and only Poke stores a copy.
+	buf := []byte("handed-over")
 	d.WritePage(1, buf)
-	buf[0] = 'X'
-	if got := d.Peek(1); got[0] == 'X' {
-		t.Fatal("WritePage must copy the caller's buffer")
+	if got := d.Peek(1); &got[0] != &buf[0] {
+		t.Fatal("the memory backend must keep the written slice, not a copy")
+	}
+	poked := []byte("poked")
+	d.Poke(2, poked)
+	poked[0] = 'X'
+	if got := d.Peek(2); !bytes.Equal(got, []byte("poked")) {
+		t.Fatalf("Poke must store a copy of the caller's buffer, page reads %q", got)
 	}
 }
 

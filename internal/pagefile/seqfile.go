@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -166,7 +167,7 @@ func (f *SequentialFile) ensurePage() {
 	f.pagesUsed++
 }
 
-// completeCurrentPage writes the in-memory tail page to disk and closes it.
+// completeCurrentPage hands the in-memory tail page to the disk and closes it.
 func (f *SequentialFile) completeCurrentPage() {
 	if !f.havePage {
 		return
@@ -181,7 +182,7 @@ func (f *SequentialFile) completeCurrentPage() {
 
 // Flush writes the unfinished tail page (if any) to disk. The page stays
 // open: further appends keep filling it (and will rewrite it when it
-// completes, as a real file system would).
+// completes, as a real file system would), so the disk gets a copy.
 func (f *SequentialFile) Flush() { f.flush(nil) }
 
 // flush is Flush charging the write to t.
@@ -189,7 +190,7 @@ func (f *SequentialFile) flush(t *disk.Tally) {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
 	if f.havePage && f.tailDirty {
-		f.alloc.Disk().WriteRun(f.curPage, [][]byte{f.curBuf}, t)
+		f.alloc.Disk().WriteRun(f.curPage, [][]byte{bytes.Clone(f.curBuf)}, t)
 		f.tailDirty = false
 	}
 }

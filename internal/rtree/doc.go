@@ -66,8 +66,9 @@
 // writeNode marshals into a page the Tree owns: a node whose bytes equal the
 // page it was decoded from re-buffers that same page — the same Put, dirty
 // mark and LRU touch, so the same modelled cost — and only a node that
-// changed is copied into a fresh page. Buffered pages therefore stay
-// immutable, and ReadNode and DecodeNode still return fresh nodes.
+// changed is copied into a fresh page of its used length (the rest of a page
+// reads as zero). Buffered pages therefore stay immutable, and ReadNode and
+// DecodeNode still return fresh nodes.
 //
 // A built tree's in-memory state (root, shape counters, page levels) can be
 // captured with Image and revived with Restore over a disk whose pages were

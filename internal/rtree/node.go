@@ -72,9 +72,11 @@ func getRect(buf []byte) geom.Rect {
 	}
 }
 
-// marshalInto serializes n into buf, a page-sized buffer, zeroing every
-// byte no entry fills (reserved bytes, short payloads, the tail).
-func (t *Tree) marshalInto(buf []byte, n *Node) {
+// marshalInto serializes n into buf, a page-sized buffer, and returns the
+// bytes it wrote, buf[:used]; every byte of them no entry fills (reserved
+// bytes, short payloads) is zero. A node is stored at that used length: the
+// cursor bounds-checks every entry, and the rest of the page reads as zero.
+func (t *Tree) marshalInto(buf []byte, n *Node) []byte {
 	if len(n.Entries) > 255 {
 		panic(fmt.Sprintf("rtree: node %d with %d entries exceeds count byte", n.ID, len(n.Entries)))
 	}
@@ -104,6 +106,7 @@ func (t *Tree) marshalInto(buf []byte, n *Node) {
 	if off > disk.PageSize {
 		panic(fmt.Sprintf("rtree: node %d serialization of %d bytes overflows the page", n.ID, off))
 	}
+	return buf[:off]
 }
 
 // cursor walks the entries of one encoded node page in place — the only

@@ -30,11 +30,17 @@ func payloadFor(id uint64) []byte {
 	return p
 }
 
-// marshalNode serializes n into a fresh page.
+// marshalNode serializes n into a fresh page, zero-padded to PageSize.
 func (t *Tree) marshalNode(n *Node) []byte {
 	buf := make([]byte, disk.PageSize)
 	t.marshalInto(buf, n)
 	return buf
+}
+
+// padPage returns page zero-padded to PageSize: a node is stored at its used
+// length, and the rest of its page reads as zero.
+func padPage(page []byte) []byte {
+	return append(bytes.Clone(page), make([]byte, disk.PageSize-len(page))...)
 }
 
 // deleteByPayload removes the first leaf entry whose rectangle equals r and

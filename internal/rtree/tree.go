@@ -175,17 +175,17 @@ func (t *Tree) DecodeNode(id disk.PageID, page []byte) *Node {
 }
 
 // writeNode buffers n's page. It marshals into the tree's own page, and when
-// the bytes equal the page n was decoded from it hands that same slice back
-// to Put — the same dirty mark and LRU touch a fresh page gets, for no
-// allocation. Only a node that changed is cloned into a fresh page, so a
-// buffered page is never written to.
+// the bytes equal the page n was decoded from (whose rest is zero) it hands
+// that same slice back to Put — the same dirty mark and LRU touch a fresh
+// page gets, for no allocation. Only a node that changed is cloned into a
+// fresh page of its used length, so a buffered page is never written to.
 func (t *Tree) writeNode(n *Node) {
 	if t.page == nil {
 		t.page = make([]byte, disk.PageSize)
 	}
-	t.marshalInto(t.page, n)
-	if !bytes.Equal(t.page, n.page) {
-		n.page = bytes.Clone(t.page)
+	used := t.marshalInto(t.page, n)
+	if old := n.page; !bytes.HasPrefix(old, used) || len(bytes.TrimRight(old[len(used):], "\x00")) != 0 {
+		n.page = bytes.Clone(used)
 	}
 	t.buf.Put(n.ID, n.page)
 }

@@ -226,7 +226,7 @@ func TestKeptConnHandsBack(t *testing.T) {
 // The connection is kept again for the final window, the 431 is net/http's
 // too, and once the server closes no goroutine of the Front is left.
 func testHandsBackPipelined(t *testing.T) {
-	before := frontGoroutines()
+	before := steadyFront(t, func(int) bool { return true })
 	f := metricsFront(&fakeService{})
 	var hijacked atomic.Int64
 	ref := httptest.NewUnstartedServer(wrapped(f))
@@ -275,11 +275,7 @@ func testHandsBackPipelined(t *testing.T) {
 		t.Errorf("the connection was hijacked %d times, want 2: by its first window and again by the last", n)
 	}
 	kept.Close()
-	for end := time.Now().Add(5 * time.Second); frontGoroutines() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatalf("%d goroutines of the Front outlive the server", frontGoroutines()-before)
-		}
-	}
+	steadyFront(t, func(g int) bool { return g <= before }) // no goroutine of the Front outlives the server
 }
 
 // testHandsBackAfterWatch: a window that outlasts watchDelay, with GET
@@ -325,32 +321,87 @@ func waitWatches(t *testing.T, n int) {
 
 // TestKeptConnOneGoroutine: a kept connection idle between requests runs one
 // goroutine of the Front, not a second for the hang-up watch, once a request
-// on it was answered within watchDelay. A request slowed past the delay by
-// the scheduler leaves its watch to the next one, so the test takes a few
-// rounds of requests to see every connection's fast.
+// on it was answered within watchDelay. Each connection's first window is
+// held past the delay, so each starts a watch that its next request must
+// end. A request slowed past the delay by the scheduler leaves its watch to
+// the next one, so the test sends rounds of requests until one leaves no
+// watch running, and then wants n goroutines on 3 samples in a row.
 func TestKeptConnOneGoroutine(t *testing.T) {
-	hs := httptest.NewServer(NewFront(&fakeService{}, "sdb", 0, -1, false).Handler())
+	svc := &fakeService{entered: make(chan struct{}), release: make(chan struct{})}
+	hs := httptest.NewServer(NewFront(svc, "sdb", 0, -1, false).Handler())
 	defer hs.Close()
 	keptConnTo(t, hs.Listener.Addr().String()) // the server's close notice runs
-	before := frontGoroutines()
+	before := steadyFront(t, func(int) bool { return true })
 	const n = 4
+	window := post("/query/window", "", `{"window":[0,0,1,1]}`)
 	var conns []*rawConn
 	for i := 0; i < n; i++ {
-		conns = append(conns, keptConnTo(t, hs.Listener.Addr().String()))
+		c := keptConnTo(t, hs.Listener.Addr().String())
+		c.send(t, window)
+		<-svc.entered
+		time.Sleep(10 * watchDelay) // the watch begins
+		svc.release <- struct{}{}
+		c.answer(t, http.MethodPost)
+		conns = append(conns, c)
 	}
-	got := 0
-	for round := 0; round < 10; round++ {
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { // from now on every window passes at once
+		for {
+			select {
+			case <-svc.entered:
+				svc.release <- struct{}{}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for end := time.Now().Add(5 * time.Second); ; {
 		for _, c := range conns {
-			c.send(t, post("/query/window", "", `{"window":[0,0,1,1]}`))
+			c.send(t, window)
 			if resp, body := c.answer(t, http.MethodPost); resp.StatusCode != http.StatusOK {
 				t.Fatalf("a window answered %d: %s", resp.StatusCode, body)
 			}
 		}
-		if got = frontGoroutines() - before; got == n {
+		if quietFront(func(g int) bool { return g-before == n }) {
 			return
 		}
+		if time.Now().After(end) {
+			t.Fatalf("%d idle kept connections run %d goroutines of the Front (%d hang-up watches), want %d",
+				n, frontGoroutines()-before, goroutinesIn("(*connReader).readOne"), n)
+		}
 	}
-	t.Fatalf("%d idle kept connections run %d goroutines of the Front, want %d", n, got, n)
+}
+
+// quietFront reports whether, on 3 samples in a row a millisecond apart, no
+// hang-up watch runs and want holds of the count of the Front's goroutines.
+func quietFront(want func(goroutines int) bool) bool {
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if goroutinesIn("(*connReader).readOne") != 0 || !want(frontGoroutines()) {
+			return false
+		}
+	}
+	return true
+}
+
+// steadyFront waits up to 5 s until quietFront holds with want and returns
+// the count of the Front's goroutines then: the same on 3 samples in a row
+// when want takes any count.
+func steadyFront(t *testing.T, want func(goroutines int) bool) int {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		g := frontGoroutines()
+		if quietFront(func(now int) bool { return now == g && want(now) }) {
+			return g
+		}
+		if time.Now().After(end) {
+			t.Fatalf("the Front runs %d goroutines (%d hang-up watches), not settling as wanted",
+				frontGoroutines(), goroutinesIn("(*connReader).readOne"))
+		}
+	}
 }
 
 // TestKeptConnAnswersWhileClosing: a request read on a kept connection once
@@ -559,7 +610,7 @@ func goroutinesIn(receivers ...string) int {
 // Server.Shutdown — answers the query, closes both connections and leaves no
 // goroutine of the Front behind.
 func TestShutdownDrainsKeptConns(t *testing.T) {
-	before := frontGoroutines()
+	before := steadyFront(t, func(int) bool { return true })
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 3})
 	org := &heldOrg{Organization: store.NewCluster(store.NewEnv(64), store.ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes()}),
 		entered: make(chan struct{}, 1), release: make(chan struct{})}
@@ -608,11 +659,7 @@ func TestShutdownDrainsKeptConns(t *testing.T) {
 	if !busy.closed() {
 		t.Fatal("a kept connection outlived the shutdown once answered")
 	}
-	for end := time.Now().Add(5 * time.Second); frontGoroutines() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatalf("%d goroutines of the Front outlive the shutdown", frontGoroutines()-before)
-		}
-	}
+	steadyFront(t, func(g int) bool { return g <= before }) // no goroutine of the Front outlives the shutdown
 }
 
 // panicService panics in every point query, as a damaged page can make a

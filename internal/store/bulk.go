@@ -95,7 +95,7 @@ func (c *Cluster) bulkLoadHilbertLocked(objs []*object.Object, keys []geom.Rect,
 
 	for gi, g := range groups {
 		leaf := leafIDs[gi]
-		var blob []byte
+		blob := unitBlob(g.bytes)
 		unitObjs := make([]unitObject, 0, len(g.idxs))
 		for _, idx := range g.idxs {
 			o := objs[idx]

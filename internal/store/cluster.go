@@ -261,23 +261,30 @@ func (c *Cluster) growUnit(u *clusterUnit, need int) {
 	data := c.readUnitPages(u)
 	c.freeUnitExtent(u)
 	u.extent, u.fromBuddy = c.allocUnitExtent(need)
-	var blob []byte
-	for _, pg := range data {
-		blob = append(blob, pg...)
+	blob := unitBlob(u.used)[:u.used]
+	for i, pg := range data {
+		copy(blob[i*disk.PageSize:], pg)
 	}
-	c.writeUnitDirect(u, blob[:u.used])
+	c.writeUnitDirect(u, blob)
+}
+
+// unitBlob returns an empty buffer for n bytes of unit content whose
+// capacity ends with its last page, as writeUnitDirect needs.
+func unitBlob(n int) []byte {
+	return make([]byte, 0, (n+disk.PageSize-1)/disk.PageSize*disk.PageSize)
 }
 
 // writeUnitDirect writes a unit's whole content to its extent as one write
 // request — the contiguity of cluster units makes moving or rebuilding them
-// cheap (section 5.2). A trailing partial page stays in memory as the tail.
+// cheap (section 5.2). blob, from unitBlob, is not copied: its full pages go
+// to the disk, and its partial last page stays in memory as the tail.
 func (c *Cluster) writeUnitDirect(u *clusterUnit, blob []byte) {
 	full := len(blob) / disk.PageSize
 	rem := len(blob) % disk.PageSize
 	if full > 0 {
 		pages := make([][]byte, full)
 		for i := range pages {
-			pages[i] = blob[i*disk.PageSize : (i+1)*disk.PageSize]
+			pages[i] = blob[i*disk.PageSize : (i+1)*disk.PageSize : (i+1)*disk.PageSize]
 		}
 		// Evict any stale buffered copies before bypassing the buffer.
 		for i := 0; i < full; i++ {
@@ -286,8 +293,7 @@ func (c *Cluster) writeUnitDirect(u *clusterUnit, blob []byte) {
 		c.env.Disk.WriteRun(u.extent.Start, pages, nil)
 	}
 	if rem > 0 {
-		tail := make([]byte, disk.PageSize)
-		copy(tail, blob[full*disk.PageSize:])
+		tail := blob[full*disk.PageSize : (full+1)*disk.PageSize]
 		u.tailIdx, u.tailBuf, u.tailDirty = full, tail, true
 		c.env.Buf.Drop(u.extent.Start + disk.PageID(full))
 	} else {
@@ -299,27 +305,23 @@ func (c *Cluster) writeUnitDirect(u *clusterUnit, blob []byte) {
 // readUnitPages returns the content of the unit's occupied pages. The whole
 // extent is read with one sequential request that bypasses the buffer (a
 // large scan must not evict the hot directory pages); buffered dirty copies
-// and the in-memory tail page take precedence over the disk content.
+// and the in-memory tail page take precedence over the disk content. Nothing
+// is copied: the caller copies what it needs under the write lock.
 func (c *Cluster) readUnitPages(u *clusterUnit) [][]byte {
 	n := u.usedPages()
 	if n == 0 {
 		return nil
 	}
-	raw := make([][]byte, n)
-	c.env.Disk.ReadRun(u.extent.Start, raw, false, nil)
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
+	pages := make([][]byte, n)
+	c.env.Disk.ReadRun(u.extent.Start, pages, false, nil)
+	for i := range pages {
 		if i == u.tailIdx && u.tailBuf != nil {
-			out[i] = clonePage(u.tailBuf)
-			continue
+			pages[i] = u.tailBuf
+		} else if pg, ok := c.env.Buf.Touch(u.extent.Start + disk.PageID(i)); ok {
+			pages[i] = pg
 		}
-		if pg, ok := c.env.Buf.Touch(u.extent.Start + disk.PageID(i)); ok {
-			out[i] = clonePage(pg)
-			continue
-		}
-		out[i] = clonePage(raw[i])
 	}
-	return out
+	return pages
 }
 
 func clonePage(pg []byte) []byte {
@@ -396,8 +398,13 @@ func (c *Cluster) onLeafSplit(left, right disk.PageID, leftEntries, rightEntries
 	oldPages := c.readUnitPages(old)
 
 	rebuild := func(leaf disk.PageID, entries []rtree.Entry) {
-		var blob []byte
-		var objs []unitObject
+		size := 0
+		for _, e := range entries {
+			_, n := decodePayload(e.Payload)
+			size += n
+		}
+		blob := unitBlob(size)
+		objs := make([]unitObject, 0, len(entries))
 		for _, e := range entries {
 			id, _ := decodePayload(e.Payload)
 			pos, ok := old.index[id]

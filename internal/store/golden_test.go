@@ -15,10 +15,11 @@ import (
 // organization is built from a seeded data set by Insert, churned by a seeded
 // insert/update/delete stream and flushed, and then the FNV-64a of every tree
 // page, of every other page (cluster units, the object file, overflow
-// pages), the Stats() line and the disk.Cost line must equal the values the
-// quadratic ChooseSubtree and split produced at the commit before PR 25. A
-// changed tie-break anywhere in insertion, split, forced reinsert or condense
-// moves a page and fails here, long before a figure drifts.
+// pages), each zero-padded to PageSize, the Stats() line and the disk.Cost
+// line must equal the values the quadratic ChooseSubtree and split produced
+// before insertion took its bounded form. A changed tie-break anywhere in
+// insertion, split, forced reinsert or condense moves a page and fails here,
+// long before a figure drifts.
 func TestSameTreeGolden(t *testing.T) {
 	ds := testDataset(16)
 	var churn []datagen.Op
@@ -82,6 +83,7 @@ func TestSameTreeGolden(t *testing.T) {
 				binary.LittleEndian.PutUint64(id[:], uint64(pg.ID))
 				h.Write(id[:])
 				h.Write(pg.Data)
+				h.Write(make([]byte, disk.PageSize-len(pg.Data))) // a node is stored at its used length
 			}
 			t.Logf("height %d, %d leaf and %d directory pages", org.Tree().Height(), org.Tree().LeafPages(), org.Tree().DirPages())
 			if got := tree.Sum64(); got != c.treeSum {

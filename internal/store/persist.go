@@ -288,6 +288,7 @@ func Restore(img *Image, env *Env) (Organization, error) {
 // dumpPages captures all non-empty disk pages without charging I/O, reading
 // the disk in large batches (one backend call per batch, not per page — on
 // the file backend a per-page dump would be one pread syscall per 4 KB).
+// Images alias the pages, which the backend never rewrites.
 func dumpPages(d *disk.Disk) []PageImage {
 	const batch = 1024
 	n := d.NumPages()
@@ -300,7 +301,7 @@ func dumpPages(d *disk.Disk) []PageImage {
 			if isZeroPage(pg) {
 				continue
 			}
-			out = append(out, PageImage{ID: int64(start) + int64(i), Data: append([]byte(nil), pg...)})
+			out = append(out, PageImage{ID: int64(start) + int64(i), Data: pg})
 		}
 	}
 	return out

@@ -143,7 +143,7 @@ func (c *Cluster) repackUnitLocked(leaf disk.PageID) bool {
 	})
 
 	pages := c.readUnitPages(u)
-	blob := make([]byte, 0, u.used-u.dead)
+	blob := unitBlob(u.used - u.dead)
 	objs := make([]unitObject, 0, len(live))
 	for _, uo := range live {
 		objs = append(objs, unitObject{id: uo.id, off: len(blob), size: uo.size})

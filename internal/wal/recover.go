@@ -276,8 +276,8 @@ func replaySegment(org store.Organization, path string, first, next uint64, last
 		var payload []byte
 		if hdr, _ := r.Peek(framing.RecordSize(0)); !allZero(hdr) {
 			payload, err = framing.ReadRecord(r, maxRecordLen, buf)
-		} else if rest, rerr := io.ReadAll(r); rerr != nil || allZero(rest) {
-			return res, rerr // the end of the file, or of the zero padding
+		} else if zero, zerr := zeroToEnd(r); zerr != nil || zero {
+			return res, zerr // the end of the file, or of the zero padding
 		} else {
 			err = &framing.RecordError{Reason: "non-zero bytes after the zero padding"}
 		}
@@ -361,6 +361,25 @@ func ApplyRecord(org store.Organization, rec *Record) (existed bool, err error) 
 
 // allZero reports whether every byte of b is zero (true for an empty b).
 func allZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
+
+// zeroToEnd reports whether r holds nothing but zero bytes up to its end. It
+// scans through one fixed buffer and stops at the first non-zero byte, so the
+// zero padding of a segment is never held in memory whole.
+func zeroToEnd(r io.Reader) (bool, error) {
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := r.Read(buf)
+		if !allZero(buf[:n]) {
+			return false, nil
+		}
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
 
 // openLog resumes appending where a replay left off: the surviving last
 // segment is reopened for append at its logical end, or a fresh segment is
