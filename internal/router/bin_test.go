@@ -85,7 +85,7 @@ func TestRouterBinaryDifferential(t *testing.T) {
 		btc := *tc
 		btc.client = &bc
 
-		agreeStream(t, name+"/fresh-bin", &btc, ref, stream)
+		agreeStream(t, name+"/fresh-bin", &btc, ref, stream, new(coverage))
 		compareRouted(t, name+"/fresh", tc.client, &bc, ws, pts, ks)
 
 		// Churn through the router's binary mutation endpoints, mirrored
@@ -127,7 +127,7 @@ func TestRouterBinaryDifferential(t *testing.T) {
 			}
 		}
 
-		agreeStream(t, name+"/churned-bin", &btc, ref, stream)
+		agreeStream(t, name+"/churned-bin", &btc, ref, stream, new(coverage))
 		compareRouted(t, name+"/churned", tc.client, &bc, ws, pts, ks)
 	})
 }

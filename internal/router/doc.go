@@ -13,8 +13,11 @@
 //     overlaps the (pad-expanded) window and merge the answers: the IDs of
 //     all shards ascending, each once (shards own disjoint sets; the dedup
 //     is belt-and-braces), [] rather than null when there are none, and the
-//     candidates summed. The merged slice is sized once from the shard
-//     answers, then sorted and compacted in place.
+//     candidates summed. A query's state is one pooled fan (its targets,
+//     answer and error slots, shard observations, k-NN bounds and merger),
+//     cleared of every answer when it goes back, and the first target is
+//     asked on the caller's goroutine, each other one on its own: a routed
+//     query allocates only its merged answer and its shard exchanges.
 //   - k-NN queries run the wave protocol of shard.NextWave: shards are
 //     queried in ascending order of their distance lower bound, each for the
 //     full k, and the scatter stops once every unqueried shard's bound

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -76,5 +77,39 @@ func BenchmarkMergeQuery(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPutDropsAnswers: a fan going back to the pool holds no answer, error,
+// request, exchange or stale filter in any slot of its storage, the slots
+// past a later, narrower scatter's included: a pooled fan must not keep one
+// query's answers alive. (Every slot is written before it is read, so a put
+// that kept them would answer correctly and show only here.)
+func TestPutDropsAnswers(t *testing.T) {
+	f := (&Router{}).getFan(&server.Request{})
+	f.resps = append(f.resps[:0], server.QueryResponse{IDs: []uint64{1}, Trace: &server.TraceInfo{}},
+		server.QueryResponse{IDs: []uint64{2}})[:1]
+	f.knn = append(f.knn[:0], server.KNNResponse{IDs: []uint64{3}, Dists: []float64{0.5}})[:0]
+	f.errs = append(f.errs[:0], errors.New("shard down"))[:0]
+	f.stale, f.fn = map[uint64][]int{1: {0}}, func(int, int) error { return nil }
+	f.put()
+	if f.rt != nil || f.rq != nil || f.fn != nil || f.stale != nil {
+		t.Errorf("a pooled fan keeps its router %v, request %v, exchange %v or stale filter %v",
+			f.rt != nil, f.rq != nil, f.fn != nil, f.stale)
+	}
+	for i, r := range f.resps[:cap(f.resps)] {
+		if r.IDs != nil || r.Trace != nil {
+			t.Errorf("a pooled fan keeps window answer %d: %v", i, r)
+		}
+	}
+	for i, r := range f.knn[:cap(f.knn)] {
+		if r.IDs != nil || r.Dists != nil {
+			t.Errorf("a pooled fan keeps k-NN answer %d: %v", i, r)
+		}
+	}
+	for i, err := range f.errs[:cap(f.errs)] {
+		if err != nil {
+			t.Errorf("a pooled fan keeps error %d: %v", i, err)
+		}
 	}
 }

@@ -158,30 +158,13 @@ func callerGone(ctx context.Context, err error) bool {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// scatter runs fn for every listed shard concurrently — i is the shard's
-// position in targets — and returns the lowest-indexed failure
-// (deterministic when several shards fail at once), already a shardError
-// under ctx, the context the exchanges ran on.
+// scatter runs fn for every listed shard — i is the shard's position in
+// targets — as fan.scatter does a query's exchanges.
 func (rt *Router) scatter(ctx context.Context, targets []int, fn func(i, s int) error) error {
-	if len(targets) == 1 {
-		return rt.shardError(ctx, targets[0], fn(0, targets[0]))
-	}
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, s := range targets {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			errs[i] = fn(i, s)
-		}(i, s)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return rt.shardError(ctx, targets[i], err)
-		}
-	}
-	return nil
+	f := rt.getFan(nil)
+	defer f.put()
+	f.fn = fn
+	return f.scatter(ctx, targets)
 }
 
 // via returns the per-exchange view of shard s's client: the request's
@@ -208,33 +191,139 @@ func (rt *Router) shardCall(rq *server.Request, s int, start time.Time, err erro
 	return err
 }
 
-// queryObs is what one routed query learns about its shards: the fan-out
-// width and the slowest shard, for the counters and the slow-query log.
-type queryObs struct {
+// fan is the state of one scatter: the request, the query and its
+// parameters, the targets, one answer and one error slot per target, what
+// the query learns about its shards, and the k-NN wave protocol's bounds,
+// flags and merger. Fans are pooled, so a routed query allocates only its
+// answer and its shard exchanges.
+type fan struct {
+	rt *Router
+	rq *server.Request
+	// fn is a broadcast's exchange; a query's is the client call of kind
+	// (binproto.KindWindow, KindPoint or KindKNN) with the parameters below.
+	fn     func(i, s int) error
+	kind   byte
+	win    geom.Rect
+	tech   string
+	p      geom.Point
+	k      int
+	stale  map[uint64][]int // the stale copies the query skips
+	parent uint32           // the span shard[i] spans hang under
+
+	targets []int
+	resps   []server.QueryResponse // window and point answers
+	knn     []server.KNNResponse   // the current wave's k-NN answers
+	errs    []error
+	wg      sync.WaitGroup
+
+	// What the query learns about its shards: the fan-out width and the
+	// slowest shard, for the counters and the slow-query log.
 	mu           sync.Mutex
 	fanout       int
 	slowestNS    int64
 	slowestShard int
+
+	bounds  []float64 // per-shard k-NN distance lower bounds
+	queried []bool
+	merger  shard.KNNMerger
 }
 
-// shardAnswered accounts one shard's answer to a query that began at start.
-// When the request is traced, the shard's sub-trace ti (nil when the answer
-// carries none) is grafted under a fresh shard[i] span parented to parent,
-// its span starts rebased to the request's clock.
-func (rt *Router) shardAnswered(qo *queryObs, rq *server.Request, s int, parent uint32,
-	start time.Time, ti *server.TraceInfo, err error) error {
-	d := time.Since(start)
-	rt.shardCall(rq, s, start, err)
-	qo.mu.Lock()
-	qo.fanout++
-	if d.Nanoseconds() > qo.slowestNS || qo.fanout == 1 {
-		qo.slowestNS = d.Nanoseconds()
-		qo.slowestShard = s
+var fanPool = sync.Pool{New: func() any { return new(fan) }}
+
+func (rt *Router) getFan(rq *server.Request) *fan {
+	f := fanPool.Get().(*fan)
+	f.rt, f.rq = rt, rq
+	return f
+}
+
+// put returns f to the pool, dropping every answer, error, request and
+// context it holds: a pooled fan must not keep one query's answers alive.
+func (f *fan) put() {
+	clear(f.resps[:cap(f.resps)])
+	clear(f.knn[:cap(f.knn)])
+	clear(f.errs[:cap(f.errs)])
+	f.rt, f.rq, f.fn, f.stale = nil, nil, nil, nil
+	f.fanout, f.slowestNS, f.slowestShard = 0, 0, 0
+	if f.k > 4096 { // keep no large merger, as the store keeps no large answer
+		f.merger = shard.KNNMerger{}
 	}
-	qo.mu.Unlock()
-	if tr := rq.Trace; tr != nil && err == nil {
+	fanPool.Put(f)
+}
+
+// slots returns s resized to n, reusing its storage: each slot is written
+// before it is read.
+func slots[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// scatter runs the exchange with every listed shard — i is the shard's
+// position in targets — the first on the calling goroutine and each other on
+// its own, and returns the lowest-indexed failure (deterministic when several
+// shards fail at once), already a shardError under ctx, the context the
+// exchanges ran on. Every exchange has ended when it returns.
+func (f *fan) scatter(ctx context.Context, targets []int) error {
+	if len(targets) == 0 {
+		return nil
+	}
+	f.errs = slots(f.errs, len(targets))
+	for i := 1; i < len(targets); i++ {
+		f.wg.Add(1)
+		go f.run(i, targets[i])
+	}
+	f.errs[0] = f.exchange(0, targets[0])
+	f.wg.Wait()
+	for i, err := range f.errs {
+		if err != nil {
+			return f.rt.shardError(ctx, targets[i], err)
+		}
+	}
+	return nil
+}
+
+func (f *fan) run(i, s int) {
+	defer f.wg.Done()
+	f.errs[i] = f.exchange(i, s)
+}
+
+// exchange asks shard s, the i-th target, and keeps a query's answer in
+// slot i: a window or point answer without the IDs of stale copies on s.
+func (f *fan) exchange(i, s int) error {
+	if f.fn != nil {
+		return f.fn(i, s)
+	}
+	start := time.Now()
+	c := f.rt.via(f.rq, s)
+	var err error
+	switch f.kind {
+	case binproto.KindKNN:
+		f.knn[i], err = c.KNN(f.p, f.k)
+		return f.answered(s, start, f.knn[i].Trace, err)
+	case binproto.KindWindow:
+		f.resps[i], err = c.Window(f.win, f.tech)
+	default:
+		f.resps[i], err = c.Point(f.p)
+	}
+	if len(f.stale) != 0 {
+		f.resps[i].IDs = slices.DeleteFunc(f.resps[i].IDs, func(id uint64) bool { return slices.Contains(f.stale[id], s) })
+	}
+	return f.answered(s, start, f.resps[i].Trace, err)
+}
+
+// answered accounts one shard's answer to a query exchange that began at
+// start. When the request is traced, the shard's sub-trace ti (nil when the
+// answer carries none) is grafted under a fresh shard[i] span parented to
+// f.parent, its span starts rebased to the request's clock.
+func (f *fan) answered(s int, start time.Time, ti *server.TraceInfo, err error) error {
+	d := time.Since(start)
+	f.rt.shardCall(f.rq, s, start, err)
+	f.mu.Lock()
+	f.fanout++
+	if d.Nanoseconds() > f.slowestNS || f.fanout == 1 {
+		f.slowestNS = d.Nanoseconds()
+		f.slowestShard = s
+	}
+	f.mu.Unlock()
+	if tr := f.rq.Trace; tr != nil && err == nil {
 		id := tr.NewSpanID()
-		tr.ObserveAs(id, parent, fmt.Sprintf("shard[%d]", s), start, d, int64(s), 0, nil)
+		tr.ObserveAs(id, f.parent, fmt.Sprintf("shard[%d]", s), start, d, int64(s), 0, nil)
 		if ti != nil {
 			tr.Graft(id, start.Sub(tr.Start()).Seconds()*1000, ti.Spans)
 		}
@@ -244,11 +333,10 @@ func (rt *Router) shardAnswered(qo *queryObs, rq *server.Request, s int, parent 
 
 // finish records the fan-out width and names the slowest shard in the
 // request record, for the slow-query log.
-func (rt *Router) finish(qo *queryObs, rq *server.Request) {
-	width := min(qo.fanout, len(rt.fanout)-1)
-	rt.fanout[width].Add(1)
-	if qo.fanout > 0 {
-		rq.Shard = rt.addrs[qo.slowestShard]
+func (f *fan) finish() {
+	f.rt.fanout[min(f.fanout, len(f.rt.fanout)-1)].Add(1)
+	if f.fanout > 0 {
+		f.rq.Shard = f.rt.addrs[f.slowestShard]
 	}
 }
 
@@ -333,45 +421,37 @@ func mergeQuery(resps []server.QueryResponse) store.QueryResult {
 // region overlaps the window. An unnamed technique stays unnamed on the way
 // down, so each shard applies its own default.
 func (rt *Router) Window(rq *server.Request, win geom.Rect, tech store.Technique) (store.QueryResult, error) {
-	name := binproto.TechName(tech)
-	return rt.scatterQuery(rq, win, func(c *server.Client) (server.QueryResponse, error) {
-		return c.Window(win, name)
-	})
+	f := rt.getFan(rq)
+	f.kind, f.win, f.tech = binproto.KindWindow, win, binproto.TechName(tech)
+	return f.query(win)
 }
 
 // Point implements server.Service: the query runs on every shard whose
 // region holds p.
 func (rt *Router) Point(rq *server.Request, p geom.Point) (store.QueryResult, error) {
-	return rt.scatterQuery(rq, geom.RectFromPoint(p), func(c *server.Client) (server.QueryResponse, error) {
-		return c.Point(p)
-	})
+	f := rt.getFan(rq)
+	f.kind, f.p = binproto.KindPoint, p
+	return f.query(geom.RectFromPoint(p))
 }
 
-// scatterQuery runs call on every shard overlapping target and merges.
-func (rt *Router) scatterQuery(rq *server.Request, target geom.Rect,
-	call func(*server.Client) (server.QueryResponse, error)) (store.QueryResult, error) {
-	targets := rt.pmap.Overlapping(target)
-	resps := make([]server.QueryResponse, len(targets))
-	qo := &queryObs{}
-	scatterID := rq.Trace.NewSpanID()
+// query runs f's window or point query on every shard overlapping target,
+// merges, and returns f to the pool.
+func (f *fan) query(target geom.Rect) (store.QueryResult, error) {
+	defer f.put()
+	defer f.finish()
+	rt, rq := f.rt, f.rq
+	f.targets = rt.pmap.AppendOverlapping(f.targets[:0], target)
+	f.resps = slots(f.resps, len(f.targets))
+	f.parent = rq.Trace.NewSpanID()
 	scatterStart := time.Now()
-	defer rt.finish(qo, rq)
-	stale, _ := rt.staleView.Load().(map[uint64][]int)
-	if err := rt.scatter(rq.Ctx, targets, func(i, s int) error {
-		start := time.Now()
-		resp, err := call(rt.via(rq, s))
-		if len(stale) != 0 {
-			resp.IDs = slices.DeleteFunc(resp.IDs, func(id uint64) bool { return slices.Contains(stale[id], s) })
-		}
-		resps[i] = resp
-		return rt.shardAnswered(qo, rq, s, scatterID, start, resp.Trace, err)
-	}); err != nil {
+	f.stale, _ = rt.staleView.Load().(map[uint64][]int)
+	if err := f.scatter(rq.Ctx, f.targets); err != nil {
 		return store.QueryResult{}, err
 	}
-	rq.Trace.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
-		int64(len(targets)), 0, nil)
+	rq.Trace.ObserveAs(f.parent, 0, "scatter", scatterStart, time.Since(scatterStart),
+		int64(len(f.targets)), 0, nil)
 	mergeStart := time.Now()
-	out := mergeQuery(resps)
+	out := mergeQuery(f.resps)
 	rq.Trace.Observe("merge", mergeStart, time.Since(mergeStart))
 	return out, nil
 }
@@ -387,39 +467,39 @@ const maxFinite = 1e300
 // wave as Bound.
 func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestResult, error) {
 	rt.knnQueries.Add(1)
-	bounds := rt.pmap.ShardDists(p)
-	queried := make([]bool, rt.pmap.N())
-	merger := shard.NewKNNMerger(k)
-	stale, _ := rt.staleView.Load().(map[uint64][]int)
-	extra := min(len(stale), 1<<31-1-k) // room for stale copies; k+extra stays a valid k
-	qo := &queryObs{}
-	defer rt.finish(qo, rq)
+	f := rt.getFan(rq)
+	defer f.put()
+	defer f.finish()
+	f.bounds = rt.pmap.ShardDists(f.bounds[:0], p)
+	f.queried = append(f.queried[:0], make([]bool, rt.pmap.N())...)
+	f.merger.Reset(k)
+	f.stale, _ = rt.staleView.Load().(map[uint64][]int)
+	extra := min(len(f.stale), 1<<31-1-k) // room for stale copies; k+extra stays a valid k
+	f.kind, f.p, f.k = binproto.KindKNN, p, k+extra
 	var out store.NearestResult
 	scatterID := rq.Trace.NewSpanID()
 	scatterStart := time.Now()
 	touched := 0
-	waveNo := 0
-	for wave := shard.NextWave(bounds, queried, merger); wave != nil; wave = shard.NextWave(bounds, queried, merger) {
+	for waveNo := 0; ; waveNo++ {
+		f.targets = shard.NextWave(f.targets[:0], f.bounds, f.queried, &f.merger)
+		if len(f.targets) == 0 {
+			break
+		}
 		rt.knnWaves.Add(1)
 		waveStart := time.Now()
-		waveID := rq.Trace.NewSpanID()
-		resps := make([]server.KNNResponse, len(wave))
-		for _, s := range wave {
-			queried[s] = true
+		f.parent = rq.Trace.NewSpanID()
+		f.knn = slots(f.knn, len(f.targets))
+		for _, s := range f.targets {
+			f.queried[s] = true
 		}
-		if err := rt.scatter(rq.Ctx, wave, func(i, s int) error {
-			start := time.Now()
-			resp, err := rt.via(rq, s).KNN(p, k+extra)
-			resps[i] = resp
-			return rt.shardAnswered(qo, rq, s, waveID, start, resp.Trace, err)
-		}); err != nil {
+		if err := f.scatter(rq.Ctx, f.targets); err != nil {
 			return store.NearestResult{}, err
 		}
-		for w, resp := range resps {
+		for w, resp := range f.knn {
 			out.Candidates += resp.Candidates
 			for i, id := range resp.IDs {
-				if len(stale) == 0 || !slices.Contains(stale[id], wave[w]) {
-					merger.Add(id, resp.Dists[i])
+				if len(f.stale) == 0 || !slices.Contains(f.stale[id], f.targets[w]) {
+					f.merger.Add(id, resp.Dists[i])
 				}
 			}
 		}
@@ -427,19 +507,18 @@ func (rt *Router) KNN(rq *server.Request, p geom.Point, k int) (store.NearestRes
 			// Bound stays zero until the merger holds k hits — its +Inf
 			// "unbounded" sentinel has no JSON encoding.
 			bound := 0.0
-			if b := merger.Bound(); b < maxFinite {
+			if b := f.merger.Bound(); b < maxFinite {
 				bound = b
 			}
-			rq.Trace.ObserveAs(waveID, scatterID, fmt.Sprintf("wave[%d]", waveNo),
-				waveStart, time.Since(waveStart), int64(len(wave)), bound, nil)
+			rq.Trace.ObserveAs(f.parent, scatterID, fmt.Sprintf("wave[%d]", waveNo),
+				waveStart, time.Since(waveStart), int64(len(f.targets)), bound, nil)
 		}
-		touched += len(wave)
-		waveNo++
+		touched += len(f.targets)
 	}
 	rq.Trace.ObserveAs(scatterID, 0, "scatter", scatterStart, time.Since(scatterStart),
 		int64(touched), 0, nil)
 	mergeStart := time.Now()
-	merged := merger.Neighbors()
+	merged := f.merger.Neighbors()
 	out.IDs = make([]object.ID, len(merged))
 	out.Dists = make([]float64, len(merged))
 	for i, nb := range merged {

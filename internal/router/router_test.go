@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -125,9 +126,28 @@ func equalU64(a, b []uint64) bool {
 	return true
 }
 
+// coverage tallies what agreeStream compared: per query kind, the
+// comparisons and those whose reference answer was non-empty, and the
+// windows that spanned two or more shards.
+type coverage struct {
+	compared, nonEmpty map[datagen.OpKind]int
+	multiShardWindows  int
+}
+
+func (c *coverage) add(kind datagen.OpKind, want int) {
+	if c.compared == nil {
+		c.compared, c.nonEmpty = map[datagen.OpKind]int{}, map[datagen.OpKind]int{}
+	}
+	c.compared[kind]++
+	if want > 0 {
+		c.nonEmpty[kind]++
+	}
+}
+
 // agreeStream replays a query stream against the router and a single
-// reference store, failing on the first divergent answer.
-func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organization, stream []datagen.Op) {
+// reference store, failing on the first divergent answer, and tallies the
+// comparisons into cov.
+func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organization, stream []datagen.Op, cov *coverage) {
 	t.Helper()
 	for i, rq := range stream {
 		switch rq.Kind {
@@ -141,6 +161,10 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 				t.Fatalf("%s req %d: window %v: router %v != reference %v",
 					label, i, rq.Window, got.IDs, want.IDs)
 			}
+			cov.add(rq.Kind, len(want.IDs))
+			if len(tc.pmap.Overlapping(rq.Window)) > 1 {
+				cov.multiShardWindows++
+			}
 		case datagen.OpPoint:
 			got, err := tc.client.Point(rq.Point)
 			if err != nil {
@@ -151,6 +175,7 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 				t.Fatalf("%s req %d: point %v: router %v != reference %v",
 					label, i, rq.Point, got.IDs, want.IDs)
 			}
+			cov.add(rq.Kind, len(want.IDs))
 		case datagen.OpKNN:
 			got, err := tc.client.KNN(rq.Point, rq.K)
 			if err != nil {
@@ -161,14 +186,40 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 				t.Fatalf("%s req %d: knn %v k=%d: router %v != reference %v (rank order)",
 					label, i, rq.Point, rq.K, got.IDs, want.IDs)
 			}
+			cov.add(rq.Kind, len(want.IDs))
 		}
 	}
+}
+
+// vertexPoints returns 2n point queries on vertices of stored objects, which
+// the reference answers with at least that object while it lives: where the
+// partition has boundaries, n of them lie within the pad of one (the point
+// overlaps two or more shards) and n elsewhere.
+func vertexPoints(ds *datagen.Dataset, pmap *shard.Map, n int, seed int64) []datagen.Op {
+	rng := rand.New(rand.NewSource(seed))
+	var inner, boundary []datagen.Op
+	for _, i := range rng.Perm(len(ds.Objects)) {
+		segs := ds.Objects[i].Geom.Segments()
+		op := datagen.Op{Kind: datagen.OpPoint, Point: segs[rng.Intn(len(segs))].B}
+		if len(pmap.Overlapping(geom.RectFromPoint(op.Point))) > 1 {
+			if len(boundary) < n {
+				boundary = append(boundary, op)
+			}
+		} else if len(inner) < 2*n {
+			inner = append(inner, op)
+		}
+	}
+	return append(boundary, inner[:2*n-len(boundary)]...)
 }
 
 // TestRouterDifferential is the acceptance suite: over 1/2/4/8 shards, the
 // router's window/point/k-NN answers are identical to a single reference
 // store — before and after a MixedWorkload churn stream applied through the
 // router's mutation endpoints (with mutation verdicts compared op by op).
+// The stream's own points miss Map 1's polylines, so point queries on their
+// vertices, some within the pad of a shard boundary, join it; at least half
+// of the comparisons of each kind must have a non-empty reference answer,
+// or agreeing answers would prove little.
 func TestRouterDifferential(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 7})
 	stream := ds.Stream(datagen.StreamSpec{N: 48, WindowArea: 0.004, K: 9, Seed: 21})
@@ -179,7 +230,9 @@ func TestRouterDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			tc := clusterFromDataset(t, ds, n)
 			ref := buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
-			agreeStream(t, "fresh", tc, ref, stream)
+			stream := append(slices.Clip(stream), vertexPoints(ds, tc.pmap, 12, 24)...)
+			var cov coverage
+			agreeStream(t, "fresh", tc, ref, stream, &cov)
 
 			for i, op := range ops {
 				switch op.Kind {
@@ -217,7 +270,17 @@ func TestRouterDifferential(t *testing.T) {
 					}
 				}
 			}
-			agreeStream(t, "churned", tc, ref, stream)
+			agreeStream(t, "churned", tc, ref, stream, &cov)
+			for kind, c := range cov.compared {
+				t.Logf("%v: %d of %d comparisons non-empty", kind, cov.nonEmpty[kind], c)
+				if 2*cov.nonEmpty[kind] < c {
+					t.Errorf("%v: only %d of %d comparisons had a non-empty reference answer", kind, cov.nonEmpty[kind], c)
+				}
+			}
+			t.Logf("%d windows spanned two or more shards", cov.multiShardWindows)
+			if n > 1 && cov.multiShardWindows == 0 {
+				t.Error("no window spanned two or more shards")
+			}
 		})
 	}
 }
@@ -414,7 +477,7 @@ func TestRouterEmptyShard(t *testing.T) {
 	tc := startCluster(t, pmap, orgs)
 	ref := buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs)
 	stream := ds.Stream(datagen.StreamSpec{N: 30, WindowArea: 0.01, K: 7, Seed: 31})
-	agreeStream(t, "empty-shard", tc, ref, stream)
+	agreeStream(t, "empty-shard", tc, ref, stream, new(coverage))
 }
 
 // flakyTransport fails the first n round trips at the connection level,
@@ -590,24 +653,15 @@ func TestFailedMoveLeavesNoStaleCopy(t *testing.T) {
 // the old copy on its shard, and before the ID's next mutation no query
 // answers from it. A window and a point over the old geometry do not name the
 // ID, a k-NN at the old geometry's centre answers the true k nearest of the
-// live objects, and a window over the new geometry names the ID once; nor do
+// live objects, and a window over the new geometry names the ID once — asked
+// once and then from 4 goroutines at once, so a pooled scatter state that
+// carried one query's answers or stale filter into another shows; nor do
 // windows that race the delete which removes the copy and its record. (The
 // merges took every shard's answer, the stale copy's included.)
 func TestFailedMoveQueriesSkipStaleCopy(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 512, Seed: 13})
 	tc, moved, j := failMove(t, ds)
 	old, id := ds.Objects[0], uint64(ds.Objects[0].ID)
-
-	if r, err := tc.client.Window(ds.MBRs[0], ""); err != nil || slices.Contains(r.IDs, id) {
-		t.Errorf("a window over the old geometry answers %v, %v", r.IDs, err)
-	}
-	if r, err := tc.client.Point(old.Geom.Segments()[0].A); err != nil || slices.Contains(r.IDs, id) {
-		t.Errorf("a point on the old geometry answers %v, %v", r.IDs, err)
-	}
-	w, err := tc.client.Window(ds.MBRs[j], "")
-	if n := len(slices.DeleteFunc(w.IDs, func(x uint64) bool { return x != id })); err != nil || n != 1 {
-		t.Errorf("a window over the new geometry answers the ID %d times, %v; want once", n, err)
-	}
 
 	const k = 5
 	c := ds.MBRs[0].Center()
@@ -618,17 +672,42 @@ func TestFailedMoveQueriesSkipStaleCopy(t *testing.T) {
 		}
 	}
 	slices.Sort(want)
-	r, err := tc.client.KNN(c, k)
-	if err != nil || len(r.Dists) != k {
-		t.Fatalf("a k-NN at the old centre answers %v, %v, want %d neighbours", r.IDs, err, k)
-	}
-	for i, d := range r.Dists {
-		if math.Abs(d-want[i]) > 1e-12 || (r.IDs[i] == id && d != moved.Geom.DistToPoint(c)) {
-			t.Fatalf("a k-NN at the old centre answers %v at %v, want the distances %v of the live objects", r.IDs, r.Dists, want[:k])
+	check := func() {
+		if r, err := tc.client.Window(ds.MBRs[0], ""); err != nil || slices.Contains(r.IDs, id) {
+			t.Errorf("a window over the old geometry answers %v, %v", r.IDs, err)
+		}
+		if r, err := tc.client.Point(old.Geom.Segments()[0].A); err != nil || slices.Contains(r.IDs, id) {
+			t.Errorf("a point on the old geometry answers %v, %v", r.IDs, err)
+		}
+		w, err := tc.client.Window(ds.MBRs[j], "")
+		if n := len(slices.DeleteFunc(w.IDs, func(x uint64) bool { return x != id })); err != nil || n != 1 {
+			t.Errorf("a window over the new geometry answers the ID %d times, %v; want once", n, err)
+		}
+		r, err := tc.client.KNN(c, k)
+		if err != nil || len(r.Dists) != k {
+			t.Errorf("a k-NN at the old centre answers %v, %v, want %d neighbours", r.IDs, err, k)
+			return
+		}
+		for i, d := range r.Dists {
+			if math.Abs(d-want[i]) > 1e-12 || (r.IDs[i] == id && d != moved.Geom.DistToPoint(c)) {
+				t.Errorf("a k-NN at the old centre answers %v at %v, want the distances %v of the live objects", r.IDs, r.Dists, want[:k])
+				return
+			}
 		}
 	}
-
+	check()
 	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 10; n++ {
+				check()
+			}
+		}()
+	}
+	wg.Wait()
+
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {

@@ -19,18 +19,17 @@ type Neighbor struct {
 }
 
 // KNNMerger accumulates per-shard k-NN answers into the global top k,
-// ordered by (distance, ID) exactly like the single-store answer.
+// ordered by (distance, ID) exactly like the single-store answer. The zero
+// value merges the top 0; Reset readies it for another query.
 type KNNMerger struct {
 	k     int
 	items []Neighbor
 }
 
-// NewKNNMerger returns a merger for the global top k.
-func NewKNNMerger(k int) *KNNMerger {
-	if k < 0 {
-		k = 0
-	}
-	return &KNNMerger{k: k}
+// Reset empties the merger for the global top k, keeping its storage.
+func (m *KNNMerger) Reset(k int) {
+	m.k = max(k, 0)
+	m.items = m.items[:0]
 }
 
 // Add offers one neighbor. Shards own disjoint objects except while a
@@ -90,10 +89,10 @@ func (m *KNNMerger) Neighbors() []Neighbor { return m.items }
 // NextWave plans the next round of shard queries: among the shards not yet
 // queried and not provably incapable (prune only when the merger is full AND
 // the shard's bound strictly exceeds the global bound — ties survive, as in
-// the leaf traversal), it returns those tied at the minimum bound. Querying
-// wave by wave visits shards in best-first bound order and stops as soon as
-// the remaining bounds prove completeness; nil means done.
-func NextWave(dists []float64, queried []bool, m *KNNMerger) []int {
+// the leaf traversal), it appends to dst those tied at the minimum bound.
+// Querying wave by wave visits shards in best-first bound order and stops as
+// soon as the remaining bounds prove completeness: it appends nothing then.
+func NextWave(dst []int, dists []float64, queried []bool, m *KNNMerger) []int {
 	best := math.Inf(1)
 	for i, d := range dists {
 		if queried[i] {
@@ -107,13 +106,12 @@ func NextWave(dists []float64, queried []bool, m *KNNMerger) []int {
 		}
 	}
 	if math.IsInf(best, 1) {
-		return nil
+		return dst
 	}
-	var wave []int
 	for i, d := range dists {
 		if !queried[i] && d == best {
-			wave = append(wave, i)
+			dst = append(dst, i)
 		}
 	}
-	return wave
+	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -219,23 +220,31 @@ func clamp01(v float64) float64 {
 // Overlapping returns, ascending, the shards whose region can own an object
 // intersecting window w: the shards whose Hilbert region intersects w
 // expanded by the pad. An empty w overlaps no shard.
-func (m *Map) Overlapping(w geom.Rect) []int {
+func (m *Map) Overlapping(w geom.Rect) []int { return m.AppendOverlapping(nil, w) }
+
+// AppendOverlapping appends Overlapping(w) to dst, growing it at most once;
+// up to 64 shards it allocates nothing else.
+func (m *Map) AppendOverlapping(dst []int, w geom.Rect) []int {
 	if w.IsEmpty() {
-		return nil
+		return dst
 	}
 	q, ok := m.expand(w)
 	if !ok {
-		return nil
+		return dst
 	}
-	hit := make([]bool, m.N())
+	var onStack [64]bool
+	hit := onStack[:min(m.N(), len(onStack))]
+	if m.N() > len(onStack) {
+		hit = make([]bool, m.N())
+	}
 	m.overlapDescend(0, 0, geom.HilbertSide, q, hit)
-	out := make([]int, 0, len(hit))
+	dst = slices.Grow(dst, m.N())
 	for i, h := range hit {
 		if h {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // overlapDescend marks the shards whose region intersects q, descending the
@@ -267,20 +276,21 @@ func (m *Map) overlapDescend(x, y, size uint32, q geom.Rect, hit []bool) {
 	m.overlapDescend(x+half, y+half, half, q, hit)
 }
 
-// ShardDists lower-bounds, per shard, the exact distance from p to any
-// object the shard owns: the minimum over the shard's Hilbert blocks of
-// MinDist(p, block expanded by the pad). A shard containing p's cell gets 0;
-// an empty shard (zero-width range) keeps +Inf. The k-NN scatter uses these
-// with the same strict comparison as the best-first leaf traversal: a shard
-// is pruned only when its bound strictly exceeds the k-th global distance.
-func (m *Map) ShardDists(p geom.Point) []float64 {
-	dists := make([]float64, m.N())
-	for i := range dists {
-		dists[i] = math.Inf(1)
+// ShardDists appends to dst a lower bound, per shard, of the exact distance
+// from p to any object the shard owns: the minimum over the shard's Hilbert
+// blocks of MinDist(p, block expanded by the pad). A shard containing p's
+// cell gets 0; an empty shard (zero-width range) keeps +Inf. The k-NN scatter
+// uses these with the same strict comparison as the best-first leaf
+// traversal: a shard is pruned only when its bound strictly exceeds the k-th
+// global distance.
+func (m *Map) ShardDists(dst []float64, p geom.Point) []float64 {
+	n := len(dst)
+	for range m.N() {
+		dst = append(dst, math.Inf(1))
 	}
 	px, py := m.Pad()
-	m.distDescend(0, 0, geom.HilbertSide, p, px, py, dists)
-	return dists
+	m.distDescend(0, 0, geom.HilbertSide, p, px, py, dst[n:])
+	return dst
 }
 
 func (m *Map) distDescend(x, y, size uint32, p geom.Point, px, py float64, dists []float64) {

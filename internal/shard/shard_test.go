@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -166,7 +167,7 @@ func TestShardDistsLowerBound(t *testing.T) {
 		m := FromKeys(keys, n)
 		for trial := 0; trial < 100; trial++ {
 			p := geom.Pt(rng.Float64(), rng.Float64())
-			dists := m.ShardDists(p)
+			dists := m.ShardDists(nil, p)
 			if len(dists) != n {
 				t.Fatalf("n=%d: %d bounds", n, len(dists))
 			}
@@ -187,7 +188,7 @@ func TestShardDistsEmptyShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dists := m.ShardDists(geom.Pt(0.5, 0.5))
+	dists := m.ShardDists(nil, geom.Pt(0.5, 0.5))
 	if !math.IsInf(dists[1], 1) {
 		t.Fatalf("empty shard bound = %g, want +Inf", dists[1])
 	}
@@ -207,7 +208,8 @@ func TestKNNMergerOrder(t *testing.T) {
 		// Coarse distances force (dist, ID) ties.
 		objs[i] = obj{id: uint64(i), dist: float64(rng.Intn(10)) / 10}
 	}
-	m := NewKNNMerger(12)
+	var m KNNMerger
+	m.Reset(12)
 	for _, o := range objs {
 		m.Add(o.id, o.dist)
 	}
@@ -233,7 +235,8 @@ func TestKNNMergerOrder(t *testing.T) {
 }
 
 func TestKNNMergerDuplicateID(t *testing.T) {
-	m := NewKNNMerger(3)
+	var m KNNMerger
+	m.Reset(3)
 	m.Add(7, 0.5)
 	m.Add(7, 0.2) // closer duplicate wins
 	m.Add(7, 0.9) // farther duplicate ignored
@@ -245,13 +248,18 @@ func TestKNNMergerDuplicateID(t *testing.T) {
 }
 
 // TestKNNWaveSimulation runs the full scatter-gather protocol in-process
-// against a brute-force global answer, including boundary ties.
+// against a brute-force global answer, including boundary ties. One merger,
+// one bounds slice and one wave slice serve every query, as a pooled router
+// fan-out state does, and k varies so a query follows one with a larger k.
 func TestKNNWaveSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	type obj struct {
 		id uint64
 		pt geom.Point
 	}
+	var merger KNNMerger
+	var bounds []float64
+	var wave []int
 	for _, n := range []int{1, 2, 4, 8} {
 		objs := make([]obj, 300)
 		keys := make([]geom.Rect, len(objs))
@@ -270,7 +278,7 @@ func TestKNNWaveSimulation(t *testing.T) {
 		}
 		for trial := 0; trial < 50; trial++ {
 			p := geom.Pt(float64(rng.Intn(40))/40, float64(rng.Intn(40))/40)
-			const k = 10
+			k := []int{10, 25, 3}[trial%3]
 			// Global brute-force answer.
 			want := append([]obj(nil), objs...)
 			sort.Slice(want, func(a, b int) bool {
@@ -282,11 +290,11 @@ func TestKNNWaveSimulation(t *testing.T) {
 			})
 			want = want[:k]
 			// Scatter-gather protocol.
-			bounds := m.ShardDists(p)
+			bounds = m.ShardDists(bounds[:0], p)
 			queried := make([]bool, n)
-			merger := NewKNNMerger(k)
+			merger.Reset(k)
 			waves := 0
-			for wave := NextWave(bounds, queried, merger); wave != nil; wave = NextWave(bounds, queried, merger) {
+			for wave = NextWave(wave[:0], bounds, queried, &merger); len(wave) > 0; wave = NextWave(wave[:0], bounds, queried, &merger) {
 				waves++
 				if waves > n+1 {
 					t.Fatalf("n=%d: wave loop did not terminate", n)
@@ -320,6 +328,155 @@ func TestKNNWaveSimulation(t *testing.T) {
 						n, trial, i, nb.ID, want[i].id)
 				}
 			}
+		}
+	}
+}
+
+// refOverlapping, refShardDists and refNextWave are the allocating forms
+// the appending ones replaced, kept as their references.
+func refOverlapping(m *Map, w geom.Rect) []int {
+	if w.IsEmpty() {
+		return nil
+	}
+	q, ok := m.expand(w)
+	if !ok {
+		return nil
+	}
+	hit := make([]bool, m.N())
+	m.overlapDescend(0, 0, geom.HilbertSide, q, hit)
+	out := make([]int, 0, len(hit))
+	for i, h := range hit {
+		if h {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func refShardDists(m *Map, p geom.Point) []float64 {
+	dists := make([]float64, m.N())
+	for i := range dists {
+		dists[i] = math.Inf(1)
+	}
+	px, py := m.Pad()
+	m.distDescend(0, 0, geom.HilbertSide, p, px, py, dists)
+	return dists
+}
+
+func refNextWave(dists []float64, queried []bool, m *KNNMerger) []int {
+	best := math.Inf(1)
+	for i, d := range dists {
+		if !queried[i] && !(m.Full() && d > m.Bound()) && d < best {
+			best = d
+		}
+	}
+	if math.IsInf(best, 1) {
+		return nil
+	}
+	var wave []int
+	for i, d := range dists {
+		if !queried[i] && d == best {
+			wave = append(wave, i)
+		}
+	}
+	return wave
+}
+
+// prefixed returns a slice holding a random prefix of marker values with
+// random spare capacity, and the prefix alone.
+func prefixed[T any](rng *rand.Rand, marker T) (dst, prefix []T) {
+	prefix = make([]T, rng.Intn(4))
+	for i := range prefix {
+		prefix[i] = marker
+	}
+	return append(make([]T, 0, rng.Intn(12)), prefix...), prefix
+}
+
+// TestAppendOverlapping: AppendOverlapping(dst, w) equals
+// append(dst, Overlapping(w)...), Overlapping answers what the allocating
+// form did, and dst's prefix is untouched — past 64 shards too, where the hit
+// flags no longer fit on the stack.
+func TestAppendOverlapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 3, 8, 64, 70} {
+		m := FromKeys(randKeys(rng, 900, 0.03), n)
+		for trial := 0; trial < 300; trial++ {
+			w := geom.R(rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1,
+				rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1)
+			if trial%50 == 0 {
+				w = geom.EmptyRect()
+			}
+			ref := refOverlapping(m, w)
+			if got := m.Overlapping(w); !slices.Equal(got, ref) || (got == nil) != (ref == nil) {
+				t.Fatalf("n=%d: Overlapping(%v) = %v, the allocating form %v", n, w, got, ref)
+			}
+			dst, prefix := prefixed(rng, -1)
+			want := append(slices.Clone(dst), ref...)
+			got := m.AppendOverlapping(dst, w)
+			if !slices.Equal(got, want) || !slices.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("n=%d: AppendOverlapping(%v, %v) = %v, want %v", n, prefix, w, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendingShardDistsAndNextWave: ShardDists and NextWave append to dst
+// the values their allocating forms returned, dst's prefix untouched, at
+// every wave of a protocol run.
+func TestAppendingShardDistsAndNextWave(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 3, 8} {
+		m := FromKeys(randKeys(rng, 500, 0.03), n)
+		for trial := 0; trial < 100; trial++ {
+			p := geom.Pt(rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1)
+			ref := refShardDists(m, p)
+			dst, prefix := prefixed(rng, -1.0)
+			bounds := m.ShardDists(dst, p)
+			if !slices.Equal(bounds[:len(prefix)], prefix) || !slices.Equal(bounds[len(prefix):], ref) {
+				t.Fatalf("n=%d: ShardDists(%v, %v) = %v, want the prefix and %v", n, prefix, p, bounds, ref)
+			}
+			queried := make([]bool, n)
+			var merger KNNMerger
+			merger.Reset(1 + rng.Intn(4))
+			for {
+				want := refNextWave(ref, queried, &merger)
+				dst, prefix := prefixed(rng, -1)
+				got := NextWave(dst, ref, queried, &merger)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+					t.Fatalf("n=%d: NextWave(%v) = %v, want the prefix and %v", n, prefix, got, want)
+				}
+				if want == nil {
+					break
+				}
+				for _, s := range want {
+					queried[s] = true
+					merger.Add(uint64(s), ref[s]+rng.Float64()/10)
+				}
+			}
+		}
+	}
+}
+
+// TestKNNMergerReset: a merger Reset after a query with a larger k answers
+// exactly as a fresh one.
+func TestKNNMergerReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var reused KNNMerger
+	for trial := 0; trial < 200; trial++ {
+		k := []int{40, 5, 0, 17, 1}[trial%5]
+		var fresh KNNMerger
+		fresh.Reset(k)
+		reused.Reset(k)
+		for j := 0; j < 60; j++ {
+			// Coarse distances and repeated IDs force ties and duplicates.
+			id, d := uint64(rng.Intn(50)), float64(rng.Intn(10))/10
+			fresh.Add(id, d)
+			reused.Add(id, d)
+		}
+		if !slices.Equal(reused.Neighbors(), fresh.Neighbors()) ||
+			reused.Full() != fresh.Full() || reused.Bound() != fresh.Bound() {
+			t.Fatalf("trial %d, k=%d: reused merger %v (bound %g), fresh %v (bound %g)",
+				trial, k, reused.Neighbors(), reused.Bound(), fresh.Neighbors(), fresh.Bound())
 		}
 	}
 }
