@@ -13,10 +13,10 @@
 //	sdb -org secondary -series B -scale 32 -point 0.5,0.5
 //	sdb -org cluster -knn 0.5,0.5,10
 //	sdb -org cluster -window 0.4,0.4,0.6,0.6 -mutate 5000 -policy threshold
-//	sdb -org cluster -backend file -dbfile pages.db -save store.sdb
+//	sdb -org cluster -dbfile pages.db -save store.sdb
 //	sdb -load store.sdb -window 0.4,0.4,0.6,0.6
 //
-// Misused flags (unknown -org/-tech/-policy/-map/-series/-backend values,
+// Misused flags (unknown -org/-tech/-policy/-map/-series values,
 // malformed -window/-point/-knn, contradictory -load combinations) exit
 // non-zero with a usage message.
 package main
@@ -92,8 +92,7 @@ func main() {
 		orgKind  = flag.String("org", "cluster", "organization: secondary, primary or cluster")
 		buddy    = flag.Int("buddy", 0, "buddy sizes for the cluster organization (0=fixed, 3=restricted)")
 		bufPg    = flag.Int("buf", 256, "buffer pages")
-		backend  = flag.String("backend", "mem", "page-store backend: mem (simulated only) or file (real I/O on -dbfile)")
-		dbfile   = flag.String("dbfile", "", "scratch page file for -backend file: created, or taken if empty; a file holding bytes is refused")
+		dbfile   = flag.String("dbfile", "", "keep pages in this scratch file (real I/O) instead of memory: created, or taken if empty; a file holding bytes is refused")
 		savePath = flag.String("save", "", "save the built (and mutated) store to this snapshot file")
 		loadPath = flag.String("load", "", "load the store from a snapshot written by -save instead of building")
 		window   = flag.String("window", "", "window query: x1,y1,x2,y2")
@@ -169,7 +168,6 @@ func main() {
 	cfg := sc.StoreConfig{
 		BufferPages: *bufPg,
 		BuddySizes:  *buddy,
-		Backend:     *backend,
 		Path:        *dbfile,
 	}
 	var org store.Organization
@@ -185,7 +183,7 @@ func main() {
 	} else {
 		// NewStore refuses a used page file only after the dataset is read
 		// or generated: refuse it first.
-		if st, err := os.Stat(*dbfile); *backend == sc.BackendFile && err == nil && st.Size() != 0 {
+		if st, err := os.Stat(*dbfile); *dbfile != "" && err == nil && st.Size() != 0 {
 			fail("-dbfile %s holds %d bytes; a page file must be new or empty", *dbfile, st.Size())
 		}
 		if *in != "" {
@@ -228,8 +226,8 @@ func main() {
 		env.Buf.Clear()
 		env.Disk.ResetCost()
 		if m := env.Disk.Measured(); m.IOSeconds() > 0 {
-			fmt.Printf("backend %s: %.3f s measured wall-clock I/O (%d reads, %d writes)\n",
-				*backend, m.IOSeconds(), m.Reads, m.Writes)
+			fmt.Printf("page file %s: %.3f s measured wall-clock I/O (%d reads, %d writes)\n",
+				*dbfile, m.IOSeconds(), m.Reads, m.Writes)
 		}
 		printStats("storage", org)
 	}

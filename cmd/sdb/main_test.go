@@ -56,10 +56,8 @@ func TestFlagMisuse(t *testing.T) {
 		{"unknown map", []string{"-map", "3"}, usage},
 		{"unknown series", []string{"-series", "Z"}, usage},
 		{"bad scale", []string{"-scale", "0"}, usage},
-		{"unknown backend", []string{"-backend", "tape"}, usage},
-		{"file backend without dbfile", []string{"-backend", "file"}, usage},
-		{"dbfile without file backend", []string{"-dbfile", "x.db"}, usage},
 		{"retired flag fsync", []string{"-fsync"}, "flag provided but not defined"},
+		{"retired flag backend", []string{"-backend", "file"}, "flag provided but not defined"},
 		{"malformed window", []string{"-window", "0.1,0.2,0.3"}, usage},
 		{"malformed point", []string{"-point", "zero,zero"}, usage},
 		{"malformed knn", []string{"-knn", "0.5,0.5"}, usage},
@@ -90,7 +88,7 @@ func TestUsedDBFileRefusedFirst(t *testing.T) {
 	if err := os.WriteFile(used, make([]byte, 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, code := run(t, "-scale", "256", "-backend", "file", "-dbfile", used)
+	out, code := run(t, "-scale", "256", "-dbfile", used)
 	if code != 1 || !strings.Contains(out, "must be new or empty") {
 		t.Fatalf("sdb on a used -dbfile exited %d, want 1 with the refusal; output:\n%s", code, out)
 	}
@@ -120,7 +118,7 @@ func TestSaveLoadRoundTripCLI(t *testing.T) {
 	snap := filepath.Join(dir, "store.sdb")
 	w := "-window=0.3,0.3,0.7,0.7"
 
-	out, code := run(t, "-org", "cluster", "-scale", "512", "-backend", "file",
+	out, code := run(t, "-org", "cluster", "-scale", "512",
 		"-dbfile", filepath.Join(dir, "pages.db"), w, "-save", snap)
 	if code != 0 {
 		t.Fatalf("build+save failed (%d):\n%s", code, out)

@@ -9,8 +9,8 @@
 //
 //	sdbd -org cluster -scale 32                      # generate, build, serve
 //	sdbd -load store.sdb -addr 127.0.0.1:7072        # serve a snapshot
-//	sdbd -org cluster -backend file -dbfile pages.db -save-on-exit exit.sdb
-//	sdbd -backend file -dbfile pages.db -compress -buffer-policy 2q
+//	sdbd -org cluster -dbfile pages.db -save-on-exit exit.sdb
+//	sdbd -dbfile pages.db -buffer-policy 2q
 //	sdbd -org secondary -max-batch 1                 # baseline: one request at a time
 //	sdbd -shards 4 -shard-of 0 -addr 127.0.0.1:7171  # one shard of a 4-shard cluster
 //
@@ -100,9 +100,7 @@ func main() {
 		orgKind  = flag.String("org", "cluster", "organization: secondary, primary or cluster")
 		buddy    = flag.Int("buddy", 0, "buddy sizes for the cluster organization (0=fixed, 3=restricted)")
 		bufPg    = flag.Int("buf", 256, "buffer pages")
-		backend  = flag.String("backend", "mem", "page-store backend: mem (simulated only) or file (real I/O on -dbfile)")
-		dbfile   = flag.String("dbfile", "", "scratch page file for -backend file: created, or taken if empty; a file holding bytes is refused")
-		compress = flag.Bool("compress", false, "delta+varint compress pages on the backing file (-backend file only; answers and modelled costs unchanged)")
+		dbfile   = flag.String("dbfile", "", "keep pages in this scratch file (real I/O) instead of memory: created, or taken if empty; a file holding bytes is refused")
 		bufPol   = flag.String("buffer-policy", "lru", "buffer replacement policy: lru, or 2q (scan-resistant ghost-list admission)")
 		loadPath = flag.String("load", "", "serve the store from a snapshot instead of building")
 		techStr  = flag.String("tech", "complete", "default cluster read technique of /query/window: complete, threshold, SLM, vector, page")
@@ -180,9 +178,7 @@ func main() {
 		BufferPages:  *bufPg,
 		BufferPolicy: *bufPol,
 		BuddySizes:   *buddy,
-		Backend:      *backend,
 		Path:         *dbfile,
-		Compress:     *compress,
 		WALPath:      *walDir,
 	}
 	var org store.Organization
@@ -208,7 +204,7 @@ func main() {
 	} else {
 		// NewStore refuses a used page file only after the dataset is read
 		// or generated: refuse it first.
-		if st, err := os.Stat(*dbfile); *backend == sc.BackendFile && err == nil && st.Size() != 0 {
+		if st, err := os.Stat(*dbfile); *dbfile != "" && err == nil && st.Size() != 0 {
 			fail("-dbfile %s holds %d bytes; a page file must be new or empty", *dbfile, st.Size())
 		}
 		var ds *datagen.Dataset
@@ -276,7 +272,7 @@ func main() {
 			BufferPolicy: *bufPol,
 		},
 	})
-	if *backend == "file" {
+	if *dbfile != "" {
 		fmt.Println("sdbd: note: POST /load serves the loaded snapshot from memory (-dbfile stays with the store built at startup)")
 	}
 

@@ -74,16 +74,15 @@ func TestFlagMisuse(t *testing.T) {
 		{"unknown map", []string{"-map", "3"}, usage},
 		{"unknown series", []string{"-series", "Z"}, usage},
 		{"bad scale", []string{"-scale", "0"}, usage},
-		{"unknown backend", []string{"-backend", "tape"}, usage},
-		{"file backend without dbfile", []string{"-backend", "file"}, usage},
-		{"dbfile without file backend", []string{"-dbfile", "x.db"}, usage},
 		{"retired flag fsync", []string{"-fsync"}, "flag provided but not defined"},
+		{"retired flag backend", []string{"-backend", "file"}, "flag provided but not defined"},
+		{"retired flag compress", []string{"-dbfile", "x.db", "-compress"}, "flag provided but not defined"},
 		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}, usage},
 		{"save-on-exit equals load", []string{"-load", "s.sdb", "-save-on-exit", "s.sdb"}, usage},
 		{"bad max-batch", []string{"-max-batch", "0"}, usage},
 		{"bad max-inflight", []string{"-max-inflight", "0"}, usage},
 		{"negative throttle", []string{"-throttle", "-1"}, usage},
-		{"wal with file backend", []string{"-wal", "w", "-backend", "file", "-dbfile", "x.db"}, usage},
+		{"wal with file backend", []string{"-wal", "w", "-dbfile", "x.db"}, usage},
 		{"shard-of without shards", []string{"-shard-of", "0"}, usage},
 		{"bad shards", []string{"-shards", "0", "-shard-of", "0"}, usage},
 		{"shard-of out of range", []string{"-shards", "4", "-shard-of", "4"}, usage},
@@ -135,7 +134,7 @@ func TestUsedDBFileRefusedFirst(t *testing.T) {
 	if err := os.WriteFile(used, make([]byte, 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, code := run(t, "-scale", "256", "-backend", "file", "-dbfile", used, "-shards", "2", "-shard-of", "0")
+	out, code := run(t, "-scale", "256", "-dbfile", used, "-shards", "2", "-shard-of", "0")
 	if code != 1 || !strings.Contains(out, "must be new or empty") {
 		t.Fatalf("sdbd on a used -dbfile exited %d, want 1 with the refusal; output:\n%s", code, out)
 	}

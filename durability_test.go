@@ -143,14 +143,14 @@ func TestWALConfigErrors(t *testing.T) {
 	if _, _, err := RecoverStore(StoreConfig{}); err == nil || !strings.Contains(err.Error(), "WALPath") {
 		t.Fatalf("RecoverStore without WALPath: %v", err)
 	}
-	bad := StoreConfig{WALPath: t.TempDir(), Backend: BackendFile, Path: filepath.Join(t.TempDir(), "p.db")}
+	bad := StoreConfig{WALPath: t.TempDir(), Path: filepath.Join(t.TempDir(), "p.db")}
 	if _, _, err := RecoverStore(bad); err == nil || !strings.Contains(err.Error(), "incompatible") {
 		t.Fatalf("RecoverStore with the file backend: %v", err)
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("NewClusterStore with WALPath+BackendFile did not panic")
+				t.Fatal("NewClusterStore with WALPath+Path did not panic")
 			}
 		}()
 		NewClusterStore(bad)

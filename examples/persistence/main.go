@@ -26,7 +26,6 @@ func main() {
 	s := sc.NewClusterStore(sc.StoreConfig{
 		BufferPages: 128,
 		SmaxBytes:   16 * 1024,
-		Backend:     sc.BackendFile,
 		Path:        filepath.Join(dir, "pages.db"),
 	})
 

@@ -224,8 +224,8 @@ func (md *model) pinned(id disk.PageID) bool {
 	return f != nil && f.pins > 0
 }
 
-// samePage compares page contents up to trailing zeros: the file backends
-// return whole zero-padded pages.
+// samePage compares page contents up to trailing zeros: the file backend
+// returns whole zero-padded pages.
 func samePage(a, b []byte) bool {
 	return bytes.Equal(bytes.TrimRight(a, "\x00"), bytes.TrimRight(b, "\x00"))
 }
@@ -272,8 +272,9 @@ func (md *model) check(t *testing.T, m *Manager, d *disk.Disk, step int) {
 
 // runModel decodes a buffer configuration and an op sequence from data and
 // runs both on a Manager and on the model, comparing after every step. The
-// first byte picks the capacity (1–8), the policy and the backend (memory,
-// file, compressed file); each op is three bytes: code, page, argument.
+// first byte picks the capacity (1–8), the policy and the backend (memory
+// when cfg>>4%3 is 0, the file backend otherwise); each op is three bytes:
+// code, page, argument.
 func runModel(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -281,8 +282,8 @@ func runModel(t *testing.T, data []byte) {
 	cfg, ops := data[0], data[1:]
 	capacity, twoQ := 1+int(cfg%8), cfg&8 != 0
 	var backend disk.Backend = disk.NewMemBackend()
-	if kind := cfg >> 4 % 3; kind > 0 {
-		fb, err := filebackend.Open(filepath.Join(t.TempDir(), "pages"), filebackend.Config{Compress: kind == 2})
+	if cfg>>4%3 > 0 {
+		fb, err := filebackend.Open(filepath.Join(t.TempDir(), "pages"))
 		if err != nil {
 			t.Fatal(err)
 		}

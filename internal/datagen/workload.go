@@ -62,6 +62,21 @@ func (d *Dataset) Points(n int, seed int64) []geom.Point {
 	return out
 }
 
+// VertexPoints generates up to n point-query locations on stored objects: for
+// each of n objects taken in a seeded random order, the end vertex of one of
+// its segments, picked at random. Window centers (Points) mostly fall between
+// Map 1's polylines; a vertex always hits the object it came from, so a
+// differential over these points compares non-empty answers.
+func (d *Dataset) VertexPoints(n int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]geom.Point, 0, n)
+	for _, i := range rng.Perm(len(d.Objects))[:min(n, len(d.Objects))] {
+		segs := d.Objects[i].Geom.Segments()
+		out = append(out, segs[rng.Intn(len(segs))].B)
+	}
+	return out
+}
+
 // StreamSpec describes a deterministic query stream over a dataset.
 type StreamSpec struct {
 	N          int     // stream length

@@ -10,39 +10,20 @@ import (
 	"spatialcluster/internal/disk"
 )
 
-// Config tunes a file backend.
-type Config struct {
-	// Compress stores every page delta+varint encoded in a fixed slot (see
-	// comp.go for the layout): writes put only the encoded bytes on disk
-	// and CompStats reports the bytes-saved vs CPU-spent tradeoff. Modelled
-	// costs, query answers and storage statistics are unchanged — the
-	// choice is invisible above the backend.
-	Compress bool
-}
-
 // FileBackend is a disk.Backend over one os.File.
 type FileBackend struct {
 	f        *os.File
-	cfg      Config
 	numPages atomic.Int64
-
-	// lens holds the stored payload length per page slot when compressing
-	// (only touched by the serialized Backend calls, like the file offsets).
-	lens []uint16
 
 	reads, writes           atomic.Int64
 	pagesRead, pagesWritten atomic.Int64
 	readNS, writeNS         atomic.Int64
-
-	pagesZero, pagesRaw, pagesComp atomic.Int64
-	rawBytes, storedBytes          atomic.Int64
-	compressNS, decompressNS       atomic.Int64
 }
 
 // Open creates the backing file at path, or opens it if it exists and is
 // empty. A file that holds bytes is refused and left untouched: the page file
 // is scratch, so no backend ever starts from pages an earlier one wrote.
-func Open(path string, cfg Config) (*FileBackend, error) {
+func Open(path string) (*FileBackend, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("filebackend: %w", err)
@@ -55,11 +36,8 @@ func Open(path string, cfg Config) (*FileBackend, error) {
 		f.Close()
 		return nil, fmt.Errorf("filebackend: %w", err)
 	}
-	return &FileBackend{f: f, cfg: cfg}, nil
+	return &FileBackend{f: f}, nil
 }
-
-// Path returns the backing file's name.
-func (b *FileBackend) Path() string { return b.f.Name() }
 
 // NumPages implements disk.Backend.
 func (b *FileBackend) NumPages() disk.PageID {
@@ -68,9 +46,6 @@ func (b *FileBackend) NumPages() disk.PageID {
 
 // Alloc implements disk.Backend: the file is extended by n zero pages.
 func (b *FileBackend) Alloc(n int) disk.PageID {
-	if b.cfg.Compress {
-		return b.allocCompressed(n)
-	}
 	first := b.numPages.Load()
 	if err := b.f.Truncate((first + int64(n)) * disk.PageSize); err != nil {
 		panic(fmt.Sprintf("filebackend: extending %s: %v", b.f.Name(), err))
@@ -84,10 +59,6 @@ func (b *FileBackend) Alloc(n int) disk.PageID {
 // the same as on the memory backend. The zeroing is a real write and is
 // counted as one in Measured.
 func (b *FileBackend) Free(start disk.PageID, n int) {
-	if b.cfg.Compress {
-		b.freeCompressed(start, n)
-		return
-	}
 	zero := make([]byte, n*disk.PageSize)
 	b.writeAt(zero, int64(start)*disk.PageSize)
 	b.writes.Add(1)
@@ -97,10 +68,6 @@ func (b *FileBackend) Free(start disk.PageID, n int) {
 // ReadRun implements disk.Backend with one positioned read for the whole run
 // into fresh page bytes, the only allocation.
 func (b *FileBackend) ReadRun(start disk.PageID, pages [][]byte) {
-	if b.cfg.Compress {
-		b.readRunCompressed(start, pages)
-		return
-	}
 	n := len(pages)
 	buf := make([]byte, n*disk.PageSize)
 	t0 := time.Now()
@@ -118,10 +85,6 @@ func (b *FileBackend) ReadRun(start disk.PageID, pages [][]byte) {
 // WriteRun implements disk.Backend with one positioned write for the whole
 // run. Short and nil slices are padded with zeroes to a full page.
 func (b *FileBackend) WriteRun(start disk.PageID, data [][]byte) {
-	if b.cfg.Compress {
-		b.writeRunCompressed(start, data)
-		return
-	}
 	buf := make([]byte, len(data)*disk.PageSize)
 	for i, pg := range data {
 		copy(buf[i*disk.PageSize:(i+1)*disk.PageSize], pg)

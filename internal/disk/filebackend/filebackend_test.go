@@ -29,7 +29,7 @@ func readRun(b disk.Backend, start disk.PageID, n int) [][]byte {
 // same operation sequence and checks that every read observes identical
 // bytes (nil pages count as all-zero).
 func TestMemEquivalence(t *testing.T) {
-	fb, err := Open(filepath.Join(t.TempDir(), "pages.db"), Config{})
+	fb, err := Open(filepath.Join(t.TempDir(), "pages.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,47 +81,46 @@ func TestMemEquivalence(t *testing.T) {
 
 // TestOpenRefusesUsedFile checks that the page file is scratch: Open takes
 // a new or empty file only, and refuses one that holds bytes without
-// changing it, raw or compressed.
+// changing it.
 func TestOpenRefusesUsedFile(t *testing.T) {
-	for name, cfg := range map[string]Config{"raw": {}, "compressed": {Compress: true}} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "used.db")
-			used := bytes.Repeat(fill(0xAB), 3)
-			if err := os.WriteFile(path, used, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if fb, err := Open(path, cfg); err == nil {
-				fb.Close()
-				t.Fatal("Open accepted a file holding three pages")
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, used) {
-				t.Fatalf("the refused file changed: %d bytes, was %d", len(got), len(used))
-			}
+	// "raw": the page file stores pages uncompressed.
+	t.Run("raw", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "used.db")
+		used := bytes.Repeat(fill(0xAB), 3)
+		if err := os.WriteFile(path, used, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if fb, err := Open(path); err == nil {
+			fb.Close()
+			t.Fatal("Open accepted a file holding three pages")
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, used) {
+			t.Fatalf("the refused file changed: %d bytes, was %d", len(got), len(used))
+		}
 
-			empty := filepath.Join(t.TempDir(), "empty.db")
-			if err := os.WriteFile(empty, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fb, err := Open(empty, cfg)
-			if err != nil {
-				t.Fatalf("Open of an empty file: %v", err)
-			}
-			defer fb.Close()
-			if fb.NumPages() != 0 {
-				t.Fatalf("an empty file opened with %d pages", fb.NumPages())
-			}
-		})
-	}
+		empty := filepath.Join(t.TempDir(), "empty.db")
+		if err := os.WriteFile(empty, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := Open(empty)
+		if err != nil {
+			t.Fatalf("Open of an empty file: %v", err)
+		}
+		defer fb.Close()
+		if fb.NumPages() != 0 {
+			t.Fatalf("an empty file opened with %d pages", fb.NumPages())
+		}
+	})
 }
 
 // TestDiskOnFileBackend runs the modelled disk over the file backend and
 // checks that modelled costs are charged exactly as on the memory backend.
 func TestDiskOnFileBackend(t *testing.T) {
-	fb, err := Open(filepath.Join(t.TempDir(), "pages.db"), Config{})
+	fb, err := Open(filepath.Join(t.TempDir(), "pages.db"))
 	if err != nil {
 		t.Fatal(err)
 	}

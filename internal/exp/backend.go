@@ -22,15 +22,12 @@ import (
 // modelled columns are a deterministic function of (scale, queries, seed)
 // and must be byte-identical across runs and backends — the registry test
 // enforces this by diffing two runs with all "wall lines stripped. The wall
-// columns are honest measurements and vary. The third backend, the file
-// backend with page compression, adds what compression saved and cost: the
-// codec lives below the cost model, so its modelled columns must match too.
+// columns are honest measurements and vary.
 
 // Backend names used in BENCH_backend.json.
 const (
-	backendMem          = "mem"
-	backendFile         = "file"
-	backendFileCompress = "file+compress"
+	backendMem  = "mem"
+	backendFile = "file"
 )
 
 // backendBuild reports one organization construction on one backend.
@@ -56,23 +53,6 @@ type backendQueryRun struct {
 	WallIOSec      float64 `json:"wall_io_sec"`      // wall-clock inside backend I/O
 }
 
-// backendCompRow states the compression tradeoff of one organization built
-// on the file+compress backend: write bytes avoided vs codec CPU spent. Its
-// modelled cost and answers are the file+compress rows of Builds and
-// QueryRuns, which ModelMatch pins to the other backends.
-type backendCompRow struct {
-	Org         string  `json:"org"`
-	PagesZero   int64   `json:"pages_zero"`
-	PagesRaw    int64   `json:"pages_raw"`
-	PagesComp   int64   `json:"pages_comp"`
-	RawBytes    int64   `json:"raw_bytes"`    // logical page bytes written
-	StoredBytes int64   `json:"stored_bytes"` // bytes that reached the file
-	SavedBytes  int64   `json:"saved_bytes"`
-	SavedFrac   float64 `json:"saved_frac"`
-
-	WallCodecSec float64 `json:"wall_codec_sec"` // CPU spent encoding+decoding
-}
-
 // backendResult is the outcome of the backend benchmark, emitted as
 // BENCH_backend.json.
 type backendResult struct {
@@ -82,15 +62,13 @@ type backendResult struct {
 	WindowArea float64 `json:"window_area"`
 	GOMAXPROCS int     `json:"wall_gomaxprocs"` // env-dependent, stripped like a measurement
 
-	Builds      []backendBuild    `json:"builds"`
-	QueryRuns   []backendQueryRun `json:"query_runs"`
-	Compression []backendCompRow  `json:"compression"`
+	Builds    []backendBuild    `json:"builds"`
+	QueryRuns []backendQueryRun `json:"query_runs"`
 
 	// ModelMatch: every modelled column — cost, answers, candidate bytes —
-	// is identical across the backends: the backend choice, compression
-	// included, is invisible to the cost model. Held in go test by store's
-	// TestBackendsAgree and filebackend's TestCompressedBackendEquivalence
-	// and TestDiskCostInvariantCompressed.
+	// is identical across the backends: the backend choice is invisible to
+	// the cost model. Held in go test by store's TestBackendsAgree and
+	// filebackend's TestDiskOnFileBackend.
 	ModelMatch bool `json:"model_match"`
 	// ReopenMatch: a store built and saved on the file backend reopens
 	// (via Save/Open) with identical StorageStats and identical
@@ -103,24 +81,15 @@ func (r backendResult) Failed() []string {
 	return failed(verdict{"model_match", r.ModelMatch}, verdict{"reopen_match", r.ReopenMatch})
 }
 
-// backendUnderTest describes one storage backend arm of the benchmark: its
-// row name and the backend fields of the store config (Path is set per
-// organization).
-type backendUnderTest struct {
-	name string
-	cfg  spatialcluster.StoreConfig
-}
-
 // backendBench builds the three organizations of the Figure 5/6 comparison
-// on the in-memory backend, the file backend and the file backend with page
-// compression, runs the Figure 8 window-query workload (cold queries on
-// A-1) per organization — all four read techniques on the cluster
-// organization — and reports modelled I/O next to measured wall-clock for
-// every build and every query batch. It also proves the persistence path:
-// the file-backed cluster store is saved with Save, reopened with Open, and
-// compared answer-for-answer against the original. The queries are the 1%
-// windows of Figure 8; the page stores and the snapshot live in a temporary
-// directory that is removed afterwards.
+// on the in-memory backend and on the file backend, runs the Figure 8
+// window-query workload (cold queries on A-1) per organization — all four
+// read techniques on the cluster organization — and reports modelled I/O
+// next to measured wall-clock for every build and every query batch. It also
+// proves the persistence path: the file-backed cluster store is saved with
+// Save, reopened with Open, and compared answer-for-answer against the
+// original. The queries are the 1% windows of Figure 8; the page stores and
+// the snapshot live in a temporary directory that is removed afterwards.
 func backendBench(o Options, smoke bool, _ []int) result {
 	o = o.WithDefaults()
 	if smoke {
@@ -146,32 +115,25 @@ func backendBench(o Options, smoke bool, _ []int) result {
 	ds := datagen.Generate(spec)
 	ws := ds.Windows(windowArea, o.Queries, o.Seed+int64(windowArea*1e7))
 
-	backends := []backendUnderTest{
-		{name: backendMem},
-		{backendFile, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile}},
-		{backendFileCompress, spatialcluster.StoreConfig{Backend: spatialcluster.BackendFile, Compress: true}},
-	}
-
 	var fileCluster store.Organization // the file-backed cluster store, for the reopen check
-	for bi, bk := range backends {
+	for _, backend := range []string{backendMem, backendFile} {
 		for ki, kind := range allOrgs {
-			cfg := bk.cfg
-			cfg.BufferPages = o.storeConfig().BufferPages
-			if cfg.Backend == spatialcluster.BackendFile {
-				cfg.Path = filepath.Join(dir, fmt.Sprintf("pages-%d-%d.db", bi, ki))
+			cfg := spatialcluster.StoreConfig{BufferPages: o.storeConfig().BufferPages}
+			if backend == backendFile {
+				cfg.Path = filepath.Join(dir, fmt.Sprintf("pages-%d.db", ki))
 			}
 			b := build(kind, ds, cfg)
 			env := b.Org.Env()
 			m := env.Disk.Measured()
 			res.Builds = append(res.Builds, backendBuild{
-				Backend:    bk.name,
+				Backend:    backend,
 				Org:        string(kind),
 				ModelIOSec: b.ConstructionSec,
 				WallSec:    b.WallClock.Seconds(),
 				WallIOSec:  m.IOSeconds(),
 			})
 			o.Progress("backend: %s %s built (model %.0f s, wall %.3f s, wall I/O %.3f s)",
-				bk.name, kind, b.ConstructionSec, b.WallClock.Seconds(), m.IOSeconds())
+				backend, kind, b.ConstructionSec, b.WallClock.Seconds(), m.IOSeconds())
 
 			techs := []store.Technique{store.TechComplete}
 			if kind == orgCluster {
@@ -186,7 +148,7 @@ func backendBench(o Options, smoke bool, _ []int) result {
 				wall := time.Since(start)
 				mio := env.Disk.Measured().Sub(before)
 				res.QueryRuns = append(res.QueryRuns, backendQueryRun{
-					Backend:        bk.name,
+					Backend:        backend,
 					Org:            string(kind),
 					Tech:           tech.String(),
 					Queries:        sum.Queries,
@@ -198,13 +160,10 @@ func backendBench(o Options, smoke bool, _ []int) result {
 					WallIOSec:      mio.IOSeconds(),
 				})
 				o.Progress("backend: %s %s %s: model %.1f ms/4KB, wall %.3f s",
-					bk.name, kind, tech, sum.MSPer4KB(), wall.Seconds())
+					backend, kind, tech, sum.MSPer4KB(), wall.Seconds())
 			}
 
-			if bk.name == backendFileCompress {
-				res.Compression = append(res.Compression, compRow(kind, spatialcluster.CompressionIO(b.Org)))
-			}
-			if bk.name == backendFile && kind == orgCluster {
+			if backend == backendFile && kind == orgCluster {
 				fileCluster = b.Org // keep open for the reopen check below
 			} else {
 				env.Close()
@@ -216,24 +175,6 @@ func backendBench(o Options, smoke bool, _ []int) result {
 	res.ReopenMatch = checkReopen(o, fileCluster, ds, ws, filepath.Join(dir, "cluster.sdb"))
 	fileCluster.Env().Close()
 	return res
-}
-
-// compRow reports what page compression did to one organization's writes.
-func compRow(kind orgKind, st spatialcluster.CompressionStats) backendCompRow {
-	row := backendCompRow{
-		Org:          string(kind),
-		PagesZero:    st.PagesZero,
-		PagesRaw:     st.PagesRaw,
-		PagesComp:    st.PagesComp,
-		RawBytes:     st.RawBytes,
-		StoredBytes:  st.StoredBytes,
-		SavedBytes:   st.Saved(),
-		WallCodecSec: st.CodecSeconds(),
-	}
-	if st.RawBytes > 0 {
-		row.SavedFrac = float64(st.Saved()) / float64(st.RawBytes)
-	}
-	return row
 }
 
 // checkModelMatch verifies that every modelled column is identical across
@@ -316,12 +257,6 @@ func (r backendResult) Render() string {
 	for _, q := range r.QueryRuns {
 		fmt.Fprintf(&b, "  %-11s %-14s %-12s %14.1f %12.1f %10.3f %12.3f\n",
 			q.Backend, q.Org, q.Tech, q.ModelMSPer4KB, q.ModelIOSec, q.WallSec, q.WallIOSec)
-	}
-	fmt.Fprintf(&b, "\nPage compression (file+compress, delta+varint):\n")
-	fmt.Fprintf(&b, "  %-14s %12s %12s %8s %12s\n", "org", "written B", "stored B", "saved", "codec CPU s")
-	for _, row := range r.Compression {
-		fmt.Fprintf(&b, "  %-14s %12d %12d %7.1f%% %12.3f\n",
-			row.Org, row.RawBytes, row.StoredBytes, row.SavedFrac*100, row.WallCodecSec)
 	}
 	fmt.Fprintf(&b, "\nmodelled columns identical across backends: %v\n", r.ModelMatch)
 	fmt.Fprintf(&b, "file-backed store reopens bit-identical:     %v\n", r.ReopenMatch)

@@ -34,9 +34,8 @@
 //     query-cost decay and its repair by the reclustering policies.
 //   - knn (BENCH_knn.json) — k: distance browsing across the organizations,
 //     fresh and after churn.
-//   - backend (BENCH_backend.json) — storage backends: mem, file,
-//     file+compress; modelled cost next to measured I/O, the Save/Open
-//     round trip, what page compression saved.
+//   - backend (BENCH_backend.json) — storage backends: mem and file;
+//     modelled cost next to measured I/O, the Save/Open round trip.
 //   - server (BENCH_server.json) — the organizations served over HTTP: the
 //     modelled reference of a served stream, every answer checked plain and
 //     traced, LRU vs 2Q admission.

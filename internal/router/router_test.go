@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -196,11 +195,9 @@ func agreeStream(t *testing.T, label string, tc *testCluster, ref store.Organiza
 // partition has boundaries, n of them lie within the pad of one (the point
 // overlaps two or more shards) and n elsewhere.
 func vertexPoints(ds *datagen.Dataset, pmap *shard.Map, n int, seed int64) []datagen.Op {
-	rng := rand.New(rand.NewSource(seed))
 	var inner, boundary []datagen.Op
-	for _, i := range rng.Perm(len(ds.Objects)) {
-		segs := ds.Objects[i].Geom.Segments()
-		op := datagen.Op{Kind: datagen.OpPoint, Point: segs[rng.Intn(len(segs))].B}
+	for _, p := range ds.VertexPoints(len(ds.Objects), seed) {
+		op := datagen.Op{Kind: datagen.OpPoint, Point: p}
 		if len(pmap.Overlapping(geom.RectFromPoint(op.Point))) > 1 {
 			if len(boundary) < n {
 				boundary = append(boundary, op)

@@ -2,16 +2,19 @@ package server_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spatialcluster/internal/binproto"
 	"spatialcluster/internal/datagen"
 	"spatialcluster/internal/geom"
+	"spatialcluster/internal/object"
 	"spatialcluster/internal/router"
 	"spatialcluster/internal/server"
 	"spatialcluster/internal/shard"
@@ -74,7 +77,10 @@ func compareClients(t *testing.T, phase string, jc, bc *server.Client,
 // every organization kind, every typed call over /bin/* must match both the
 // JSON endpoints (same server, two encodings) and an in-process reference —
 // on the fresh store, and again after a deterministic churn stream applied
-// through the binary mutation endpoints.
+// through the binary mutation endpoints. Window centers mostly miss Map 1's
+// polylines, so each phase adds point queries on vertices of the objects
+// stored at the time; at least half of the point comparisons must have a
+// non-empty answer, or agreeing answers would prove little.
 func TestBinaryDifferential(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{
 		Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 42,
@@ -83,6 +89,8 @@ func TestBinaryDifferential(t *testing.T) {
 	pts := ds.Points(6, 7)
 	ks := []int{1, 10}
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 300, HotspotFrac: 0.5, Seed: 91})
+	freshPts := append(slices.Clip(pts), ds.VertexPoints(12, 8)...)
+	churnedPts := append(slices.Clip(pts), storedAfter(ds, ops).VertexPoints(12, 8)...)
 
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
 		t.Run(kind, func(t *testing.T) {
@@ -92,8 +100,8 @@ func TestBinaryDifferential(t *testing.T) {
 			bc := *jc
 			bc.Binary = true
 
-			checkAgainstInProcess(t, "fresh-bin", &bc, ref, ws, pts, ks)
-			compareClients(t, "fresh", jc, &bc, ws, pts, ks)
+			nonEmpty := checkAgainstInProcess(t, "fresh-bin", &bc, ref, ws, freshPts, ks)
+			compareClients(t, "fresh", jc, &bc, ws, freshPts, ks)
 
 			// Churn through the binary mutation endpoints, mirrored on the
 			// in-process reference — existed answers must agree op by op.
@@ -127,10 +135,39 @@ func TestBinaryDifferential(t *testing.T) {
 				t.Fatalf("flush: %v", err)
 			}
 
-			checkAgainstInProcess(t, "churned-bin", &bc, ref, ws, pts, ks)
-			compareClients(t, "churned", jc, &bc, ws, pts, ks)
+			nonEmpty += checkAgainstInProcess(t, "churned-bin", &bc, ref, ws, churnedPts, ks)
+			compareClients(t, "churned", jc, &bc, ws, churnedPts, ks)
+
+			compared := len(freshPts) + len(churnedPts)
+			t.Logf("point: %d of %d comparisons non-empty", nonEmpty, compared)
+			if 2*nonEmpty < compared {
+				t.Errorf("point: only %d of %d comparisons had a non-empty answer", nonEmpty, compared)
+			}
 		})
 	}
+}
+
+// storedAfter returns the objects stored once ops has run on a store holding
+// ds, in ascending ID order.
+func storedAfter(ds *datagen.Dataset, ops []datagen.Op) *datagen.Dataset {
+	live := make(map[object.ID]*object.Object, len(ds.Objects))
+	for _, o := range ds.Objects {
+		live[o.ID] = o
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case datagen.OpInsert, datagen.OpUpdate:
+			live[op.Obj.ID] = op.Obj
+		case datagen.OpDelete:
+			delete(live, op.ID)
+		}
+	}
+	out := &datagen.Dataset{Objects: make([]*object.Object, 0, len(live))}
+	for _, o := range live {
+		out.Objects = append(out.Objects, o)
+	}
+	slices.SortFunc(out.Objects, func(a, b *object.Object) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // TestBinaryErrors checks the binary endpoints' failure discipline: malformed

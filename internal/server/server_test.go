@@ -85,9 +85,10 @@ func equalU64(a, b []uint64) bool {
 }
 
 // checkAgainstInProcess compares every query answer served over HTTP with
-// the same query executed in-process on the reference organization.
+// the same query executed in-process on the reference organization, and
+// returns how many of the point queries had a non-empty answer.
 func checkAgainstInProcess(t *testing.T, phase string, c *server.Client, ref store.Organization,
-	ws []geom.Rect, pts []geom.Point, ks []int) {
+	ws []geom.Rect, pts []geom.Point, ks []int) (nonEmptyPoints int) {
 	t.Helper()
 	for wi, w := range ws {
 		got, err := c.Window(w, "")
@@ -113,6 +114,9 @@ func checkAgainstInProcess(t *testing.T, phase string, c *server.Client, ref sto
 		if !equalU64(sortedWire(got.IDs), sortedIDs(want.IDs)) {
 			t.Fatalf("%s: point %d: served answers differ from in-process", phase, pi)
 		}
+		if len(want.IDs) > 0 {
+			nonEmptyPoints++
+		}
 	}
 	for _, k := range ks {
 		for pi, pt := range pts {
@@ -133,6 +137,7 @@ func checkAgainstInProcess(t *testing.T, phase string, c *server.Client, ref sto
 			}
 		}
 	}
+	return nonEmptyPoints
 }
 
 // TestServedAnswersMatchInProcess is the serving layer's differential suite:

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,9 +36,26 @@ func TestObservedWindowQueriesMatchUnobserved(t *testing.T) {
 	env.mu.Lock()
 	behind := make(chan QueryResult)
 	go func() { behind <- c.WindowQuery(ws[0], TechSLM) }()
-	time.Sleep(20 * time.Millisecond)
+	for end := time.Now().Add(5 * time.Second); !parkedInWindowRLock(); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			env.mu.Unlock()
+			t.Fatal("the window query never blocked on the held write lock")
+		}
+	}
 	env.mu.Unlock()
 	if res := <-behind; res.LockWaitNS <= 0 {
 		t.Fatalf("a window behind a held write lock tallied a wait of %d ns", res.LockWaitNS)
 	}
+}
+
+// parkedInWindowRLock reports whether a goroutine is blocked in a read lock
+// under WindowQuery.
+func parkedInWindowRLock() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*RWMutex).RLock") && strings.Contains(g, ").WindowQuery(") {
+			return true
+		}
+	}
+	return false
 }

@@ -217,7 +217,7 @@ func TestBackendsAgree(t *testing.T) {
 	})
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
 		t.Run(kind, func(t *testing.T) {
-			fb, err := filebackend.Open(filepath.Join(t.TempDir(), "pages.db"), filebackend.Config{})
+			fb, err := filebackend.Open(filepath.Join(t.TempDir(), "pages.db"))
 			if err != nil {
 				t.Fatal(err)
 			}

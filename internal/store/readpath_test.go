@@ -428,25 +428,21 @@ func probe(org Organization, w geom.Rect, tech Technique, h *handedOut) {
 }
 
 // contractEnvs builds the environments the contract is held on: the memory
-// backend under both replacement policies and the file backend with raw and
-// compressed pages, each behind a buffer small enough to evict constantly.
+// backend under both replacement policies and the file backend, each behind
+// a buffer small enough to evict constantly.
 func contractEnvs(t *testing.T) map[string]func() *Env {
-	file := func(name string, cfg filebackend.Config) func() *Env {
-		return func() *Env {
-			b, err := filebackend.Open(filepath.Join(t.TempDir(), name), cfg)
+	return map[string]func() *Env{
+		"mem":    func() *Env { return NewEnv(16) },
+		"mem-2q": func() *Env { return NewEnvOn(16, buffer.Policy2Q, disk.DefaultParams(), nil) },
+		"file": func() *Env {
+			b, err := filebackend.Open(filepath.Join(t.TempDir(), "raw.db"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			env := NewEnvOn(16, buffer.PolicyLRU, disk.DefaultParams(), b)
 			t.Cleanup(func() { env.Close() })
 			return env
-		}
-	}
-	return map[string]func() *Env{
-		"mem":       func() *Env { return NewEnv(16) },
-		"mem-2q":    func() *Env { return NewEnvOn(16, buffer.Policy2Q, disk.DefaultParams(), nil) },
-		"file":      file("raw.db", filebackend.Config{}),
-		"file-comp": file("comp.db", filebackend.Config{Compress: true}),
+		},
 	}
 }
 
@@ -465,8 +461,8 @@ func contractOrgs(ds *datagen.Dataset) map[string]func(*Env) Organization {
 // flushes and buffer wipes — all behind a 16-page buffer — is interleaved
 // with probes, and no slice a probe was handed may differ afterwards. Every
 // environment sees the same sequence, so the run doubles as the differential
-// between them: replacement policy, backend and page compression may move
-// cost, never an answer.
+// between them: replacement policy and backend may move cost, never an
+// answer.
 func TestHandedOutSlicesNeverChange(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 256, Seed: 41})
 	ops := ds.MixedWorkload(datagen.MixSpec{Ops: 500, InsertFrac: 0.3, UpdateFrac: 0.4, DeleteFrac: 0.3, HotspotFrac: 0.5, Seed: 42})

@@ -35,8 +35,8 @@
 // in-memory backend: they are the only bytes a restart reads. The file
 // backend (internal/disk/filebackend) is for measuring real I/O next to the
 // modelled cost; its page file is scratch, never reopened, so a store on it
-// cannot carry a log (spatialcluster.StoreConfig refuses WALPath with
-// BackendFile).
+// cannot carry a log (spatialcluster.StoreConfig refuses WALPath with a
+// page file Path).
 package wal
 
 import (

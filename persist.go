@@ -47,8 +47,8 @@ func Save(org Organization, path string) error {
 // without re-running construction and without charging modelled I/O. The
 // organization kind, cluster configuration and disk timing parameters come
 // from the snapshot; cfg supplies the runtime environment — buffer size and
-// policy, and the storage backend the restored pages are placed on
-// (BackendMem by default, or BackendFile with a fresh Path). cfg.SmaxBytes
+// policy, and where the restored pages are placed (memory by default, or a
+// fresh scratch page file at cfg.Path). cfg.SmaxBytes
 // and cfg.BuddySizes are ignored: those are properties of the saved store. With cfg.WALPath a fresh write-ahead log attaches to the
 // reopened store, its initial checkpoint being the snapshot's state; to
 // reopen an existing WAL directory, which replays mutations past its

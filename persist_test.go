@@ -54,11 +54,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 
 	for _, cfg := range []StoreConfig{
 		{},
-		{Backend: BackendFile, Path: filepath.Join(dir, "pages.db")},
+		{Path: filepath.Join(dir, "pages.db")},
 	} {
-		name := cfg.Backend
-		if name == "" {
-			name = BackendMem
+		name := "mem"
+		if cfg.Path != "" {
+			name = "file"
 		}
 		reopened, err := Open(save, cfg)
 		if err != nil {
@@ -176,18 +176,18 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	used := filepath.Join(dir, "used.db")
-	first, err := Open(save, StoreConfig{Backend: BackendFile, Path: used})
+	first, err := Open(save, StoreConfig{Path: used})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := CloseStore(first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(save, StoreConfig{Backend: BackendFile, Path: used}); err == nil {
+	if _, err := Open(save, StoreConfig{Path: used}); err == nil {
 		t.Fatal("Open onto a non-empty backing file succeeded")
 	}
 
-	if _, err := Open(save, StoreConfig{Backend: "tape"}); err == nil {
-		t.Fatal("Open with an unknown backend succeeded")
+	if _, err := Open(save, StoreConfig{BufferPolicy: "fifo"}); err == nil {
+		t.Fatal("Open with an unknown buffer policy succeeded")
 	}
 }

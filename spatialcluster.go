@@ -15,10 +15,10 @@
 // exact-distance refinement), a dynamic update engine — Delete/Update on
 // every organization plus online reclustering (Recluster) that repairs the
 // clustering decay updates leave behind — and pluggable storage backends
-// with persistence: a store can run on the in-memory simulated disk
-// (BackendMem) or on a scratch page file that measures real I/O
-// (BackendFile), and a built store can be saved to a single snapshot file
-// and reopened without a rebuild (Save, Open).
+// with persistence: a store can run on the in-memory simulated disk (the
+// default) or on a scratch page file that measures real I/O
+// (StoreConfig.Path), and a built store can be saved to a single snapshot
+// file and reopened without a rebuild (Save, Open).
 //
 // # Quick start
 //
@@ -107,7 +107,7 @@ type (
 	// DiskParams holds seek/latency/transfer times.
 	DiskParams = disk.Params
 	// Measured tallies the real wall-clock I/O a storage backend performed
-	// (always zero on BackendMem); compare it with the modelled Cost.
+	// (always zero in memory); compare it with the modelled Cost.
 	Measured = disk.Measured
 )
 
@@ -158,18 +158,6 @@ const ExactTestMS = join.ExactTestMS
 // (ts = 9 ms, tl = 6 ms, tt = 1 ms per 4 KB page).
 func DefaultDiskParams() DiskParams { return disk.DefaultParams() }
 
-// Storage backend selectors for StoreConfig.Backend.
-const (
-	// BackendMem keeps all pages in memory (the default): the paper's
-	// simulated disk, no real I/O.
-	BackendMem = "mem"
-	// BackendFile maps pages onto a scratch file at StoreConfig.Path:
-	// modelled costs are unchanged, but every page transfer is a real read
-	// or write, measurable with Measured. Like BackendMem it keeps nothing
-	// past the process; Save writes the store's durable copy.
-	BackendFile = "file"
-)
-
 // StoreConfig configures a storage organization instance.
 type StoreConfig struct {
 	// BufferPages is the size of the write-back page buffer (default 256).
@@ -182,30 +170,27 @@ type StoreConfig struct {
 	// BuddySizes enables the buddy system for cluster unit allocation:
 	// 0 or 1 = fixed Smax units, 3 = the paper's restricted buddy system.
 	BuddySizes int
-	// Backend selects the physical page store: BackendMem (default) or
-	// BackendFile. The choice never changes modelled costs, storage
-	// statistics or query answers — only wall-clock time.
-	Backend string
-	// Path is the scratch page file for BackendFile: created if missing,
-	// taken if empty, and refused if it holds bytes (a used path is never
-	// reopened, so a second build on one is an error). NewStore and Open
-	// return the error; the New*Store constructors panic on it.
+	// Path, when set, puts the pages in a scratch file instead of memory
+	// (the paper's simulated disk, the default): every page transfer is then
+	// a real read or write, measurable with MeasuredIO, while modelled costs,
+	// storage statistics and query answers stay the same. The file is
+	// created if missing, taken if empty, and refused if it holds bytes (a
+	// used path is never reopened, so a second build on one is an error).
+	// NewStore and Open return the error; the New*Store constructors panic
+	// on it. Like memory it keeps nothing past the process; Save writes the
+	// store's durable copy.
 	Path string
-	// Compress stores the file backend's pages delta+varint encoded (only
-	// meaningful with BackendFile): writes put only the encoded bytes on
-	// disk. Answers, modelled costs and storage statistics are unchanged;
-	// CompressionStats reports the bytes-saved vs CPU-spent tradeoff.
-	Compress bool
 	// BufferPolicy selects the buffer replacement policy: "" or "lru" for
 	// plain LRU, "2q" for the scan-resistant ghost-list admission policy
 	// (one-touch pages stay probationary and cannot wash out the hot set).
-	// The policy changes hit ratios, never answers or modelled query costs.
+	// The policy changes hit ratios, and with them the modelled I/O of the
+	// misses, never answers.
 	BufferPolicy string
 	// WALPath attaches a write-ahead log at the given directory: every
 	// mutation is logged and fsynced before it applies, so an acknowledged
 	// mutation survives a crash (recover with RecoverStore). Empty disables
 	// logging. The WAL checkpoints and replays against the in-memory
-	// backend, so it is incompatible with BackendFile.
+	// backend, so it is incompatible with Path.
 	WALPath string
 }
 
@@ -229,21 +214,9 @@ func (c StoreConfig) check() (buffer.Policy, error) {
 	if err != nil {
 		return pol, configError(err.Error())
 	}
-	switch c.Backend {
-	case "", BackendMem:
-		if c.Path != "" || c.Compress {
-			return pol, configErrorf("Path and Compress need Backend %q", BackendFile)
-		}
-	case BackendFile:
-		if c.Path == "" {
-			return pol, configErrorf("Backend %q needs a Path", c.Backend)
-		}
-		if c.WALPath != "" {
-			return pol, configErrorf("WALPath is incompatible with Backend %q "+
-				"(the WAL checkpoints and replays against the in-memory backend)", c.Backend)
-		}
-	default:
-		return pol, configErrorf("unknown backend %q (want %q or %q)", c.Backend, BackendMem, BackendFile)
+	if c.Path != "" && c.WALPath != "" {
+		return pol, configError("WALPath is incompatible with a page file Path " +
+			"(the WAL checkpoints and replays against the in-memory backend)")
 	}
 	return pol, nil
 }
@@ -256,8 +229,8 @@ func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
 		return nil, err
 	}
 	var b disk.Backend
-	if c.Backend == BackendFile {
-		b, err = filebackend.Open(c.Path, filebackend.Config{Compress: c.Compress})
+	if c.Path != "" {
+		b, err = filebackend.Open(c.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -275,9 +248,8 @@ func (c StoreConfig) env(p disk.Params) (*store.Env, error) {
 // store), charged on the paper's disk (DefaultDiskParams). The objects are
 // inserted in the given order and flushed before the write-ahead log of
 // cfg.WALPath attaches, so a bulk load is the log's initial checkpoint, not
-// one fsynced record per object. A misconfiguration
-// — unknown kind, backend or buffer policy, BackendFile without a Path, file
-// options on BackendMem, WALPath with BackendFile — is an error matching
+// one fsynced record per object. A misconfiguration — unknown kind or buffer
+// policy, WALPath with a page file Path — is an error matching
 // os.ErrInvalid, reported before anything is created. Any other error is an
 // object the organization refused (see Organization.Insert) or the
 // environment's: the backing file could not be created or already holds
@@ -336,25 +308,10 @@ func CloseStore(org Organization) error {
 }
 
 // MeasuredIO reports the real wall-clock I/O the store's backend has
-// performed so far (always zero for BackendMem). Putting it next to the
+// performed so far (always zero in memory). Putting it next to the
 // modelled Cost of the same workload is the point of the file backend; see
 // the backend benchmark in internal/exp.
 func MeasuredIO(org Organization) Measured { return org.Env().Disk.Measured() }
-
-// CompressionStats reports the page-compression counters of a store running
-// on a compressed file backend (StoreConfig.Compress): logical vs stored
-// bytes and the CPU time spent coding. The zero value is returned for every
-// other backend.
-type CompressionStats = filebackend.CompStats
-
-// CompressionIO reports the compression counters of org's backend, or the
-// zero value when the store is not on a compressed file backend.
-func CompressionIO(org Organization) CompressionStats {
-	if fb, ok := org.Env().Disk.Backend().(*filebackend.FileBackend); ok {
-		return fb.CompStats()
-	}
-	return CompressionStats{}
-}
 
 // NewSecondaryStore creates an empty secondary organization (R*-tree over
 // MBRs, exact objects in a sequential file). Like NewPrimaryStore and

@@ -296,16 +296,13 @@ func TestNewStoreMatchesExpBuild(t *testing.T) {
 		refStats, want := ref.Stats(), probeAnswers(ref, ws, pts)
 		for _, pol := range []string{"lru", "2q"} {
 			polCost := refCost // what the policy's first backend charged; LRU's must be the reference's
-			for i, b := range []sc.StoreConfig{
-				{},
-				{Backend: sc.BackendFile},
-				{Backend: sc.BackendFile, Compress: true},
-			} {
-				name := fmt.Sprintf("%s(buddy %d)/%s/%s", o.kind, o.buddy, pol, b.Backend)
-				cfg := b
-				cfg.BufferPages, cfg.BufferPolicy = buf, pol
-				cfg.SmaxBytes, cfg.BuddySizes = ds.Spec.SmaxBytes(), o.buddy
-				if cfg.Backend == sc.BackendFile {
+			for i, backend := range []string{"mem", "file"} {
+				name := fmt.Sprintf("%s(buddy %d)/%s/%s", o.kind, o.buddy, pol, backend)
+				cfg := sc.StoreConfig{
+					BufferPages: buf, BufferPolicy: pol,
+					SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: o.buddy,
+				}
+				if backend == "file" {
 					cfg.Path = filepath.Join(t.TempDir(), "pages.db")
 				}
 				org, err := sc.NewStore(o.kind, cfg, ds.Objects, ds.MBRs)
@@ -340,7 +337,7 @@ func TestNewStoreMatchesExpBuild(t *testing.T) {
 func TestNewStoreRefusesUsedPageFile(t *testing.T) {
 	ds := sc.GenerateMap(sc.MapSpec{Map: sc.Map1, Series: sc.SeriesA, Scale: 512, Seed: 3})
 	cfg := sc.StoreConfig{
-		Backend: sc.BackendFile, Path: filepath.Join(t.TempDir(), "pages.db"), SmaxBytes: ds.Spec.SmaxBytes(),
+		Path: filepath.Join(t.TempDir(), "pages.db"), SmaxBytes: ds.Spec.SmaxBytes(),
 	}
 	org, err := sc.NewStore("cluster", cfg, ds.Objects, ds.MBRs)
 	if err != nil {
@@ -376,12 +373,8 @@ func TestNewStoreMisconfiguration(t *testing.T) {
 		cfg  sc.StoreConfig
 	}{
 		"unknown organization":  {"tertiary", sc.StoreConfig{}},
-		"unknown backend":       {"cluster", sc.StoreConfig{Backend: "tape"}},
-		"unknown buffer policy": {"cluster", sc.StoreConfig{BufferPolicy: "clock"}},
-		"file without path":     {"cluster", sc.StoreConfig{Backend: sc.BackendFile}},
-		"path on mem":           {"cluster", sc.StoreConfig{Path: path}},
-		"compress on mem":       {"secondary", sc.StoreConfig{Compress: true}},
-		"wal with file backend": {"cluster", sc.StoreConfig{Backend: sc.BackendFile, Path: path, WALPath: filepath.Join(t.TempDir(), "wal")}},
+		"unknown buffer policy": {"cluster", sc.StoreConfig{BufferPolicy: "clock", Path: path}},
+		"wal with page file":    {"cluster", sc.StoreConfig{Path: path, WALPath: filepath.Join(t.TempDir(), "wal")}},
 	} {
 		org, err := sc.NewStore(c.kind, c.cfg, nil, nil)
 		if org != nil || !errors.Is(err, os.ErrInvalid) {
@@ -392,14 +385,14 @@ func TestNewStoreMisconfiguration(t *testing.T) {
 		}
 	}
 	// Open and RecoverStore check the same config, before they read anything.
-	if _, err := sc.Open(filepath.Join(t.TempDir(), "missing.sdb"), sc.StoreConfig{Backend: "tape"}); !errors.Is(err, os.ErrInvalid) {
-		t.Errorf("Open with an unknown backend: %v", err)
+	if _, err := sc.Open(filepath.Join(t.TempDir(), "missing.sdb"), sc.StoreConfig{BufferPolicy: "clock"}); !errors.Is(err, os.ErrInvalid) {
+		t.Errorf("Open with an unknown buffer policy: %v", err)
 	}
-	if _, _, err := sc.RecoverStore(sc.StoreConfig{WALPath: t.TempDir(), Compress: true}); !errors.Is(err, os.ErrInvalid) {
-		t.Errorf("RecoverStore with compress on mem: %v", err)
+	if _, _, err := sc.RecoverStore(sc.StoreConfig{WALPath: t.TempDir(), Path: path}); !errors.Is(err, os.ErrInvalid) {
+		t.Errorf("RecoverStore with a page file: %v", err)
 	}
 	// A runtime failure is not a misconfiguration.
-	if _, err := sc.NewStore("cluster", sc.StoreConfig{Backend: sc.BackendFile, Path: t.TempDir()}, nil, nil); err == nil || errors.Is(err, os.ErrInvalid) {
+	if _, err := sc.NewStore("cluster", sc.StoreConfig{Path: t.TempDir()}, nil, nil); err == nil || errors.Is(err, os.ErrInvalid) {
 		t.Errorf("NewStore on a directory path: %v, want a runtime error", err)
 	}
 }
