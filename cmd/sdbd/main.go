@@ -20,6 +20,9 @@
 //	curl -s -d '{"window":[0.2,0.2,0.3,0.3],"tech":"SLM"}' localhost:7070/query/window
 //	curl -s -d '{"point":[0.5,0.5],"k":10}' localhost:7070/query/knn
 //
+// A window that names no "tech" reads with vector read, the paper's cheapest
+// single-access plan; there is no flag to change that default.
+//
 // Observe it (docs/OBSERVABILITY.md has the full tour): any query endpoint
 // takes ?trace=1 and returns per-stage spans with I/O counters; GET /metrics
 // answers JSON by default and Prometheus text exposition with
@@ -103,7 +106,6 @@ func main() {
 		dbfile   = flag.String("dbfile", "", "keep pages in this scratch file (real I/O) instead of memory: created, or taken if empty; a file holding bytes is refused")
 		bufPol   = flag.String("buffer-policy", "lru", "buffer replacement policy: lru, or 2q (scan-resistant ghost-list admission)")
 		loadPath = flag.String("load", "", "serve the store from a snapshot instead of building")
-		techStr  = flag.String("tech", "complete", "default cluster read technique of /query/window: complete, threshold, SLM, vector, page")
 
 		maxBatch = flag.Int("max-batch", 64, "largest mutation batch, one WAL commit (a batch is what arrived while the previous one applied; 1 = serial execution of every request)")
 		inflight = flag.Int("max-inflight", 256, "admitted requests before 429")
@@ -121,10 +123,6 @@ func main() {
 	// Validate everything before any (potentially slow) generation.
 	if args := flag.Args(); len(args) > 0 {
 		failUsage("unexpected argument %q", args[0])
-	}
-	tech, err := store.TechByName(*techStr)
-	if err != nil {
-		failUsage("%v", err)
 	}
 	if *loadPath != "" && *in != "" {
 		failUsage("-load and -in are mutually exclusive (the snapshot is the data source)")
@@ -181,7 +179,10 @@ func main() {
 		Path:         *dbfile,
 		WALPath:      *walDir,
 	}
-	var org store.Organization
+	var (
+		org store.Organization
+		err error
+	)
 	if walRecover {
 		rec, info, err := sc.RecoverStore(cfg)
 		if err != nil {
@@ -260,7 +261,6 @@ func main() {
 	srv := server.New(org, server.Config{
 		MaxBatch:     *maxBatch,
 		MaxInFlight:  *inflight,
-		DefaultTech:  tech,
 		SnapshotPath: *saveExit,
 		SlowLogMS:    *slowMS,
 		Pprof:        *pprof,

@@ -70,13 +70,13 @@ func TestFlagMisuse(t *testing.T) {
 		want string // in the output
 	}{
 		{"unknown org", []string{"-org", "tertiary"}, usage},
-		{"unknown tech", []string{"-tech", "psychic"}, usage},
 		{"unknown map", []string{"-map", "3"}, usage},
 		{"unknown series", []string{"-series", "Z"}, usage},
 		{"bad scale", []string{"-scale", "0"}, usage},
 		{"retired flag fsync", []string{"-fsync"}, "flag provided but not defined"},
 		{"retired flag backend", []string{"-backend", "file"}, "flag provided but not defined"},
 		{"retired flag compress", []string{"-dbfile", "x.db", "-compress"}, "flag provided but not defined"},
+		{"retired flag tech", []string{"-tech", "SLM"}, "flag provided but not defined"},
 		{"load with in", []string{"-load", "s.sdb", "-in", "m.map"}, usage},
 		{"save-on-exit equals load", []string{"-load", "s.sdb", "-save-on-exit", "s.sdb"}, usage},
 		{"bad max-batch", []string{"-max-batch", "0"}, usage},

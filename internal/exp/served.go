@@ -36,9 +36,10 @@ const (
 	streamK          = 10
 )
 
-// applyAll executes ops serially in-process against org, windows at the
-// default technique, and returns the per-op outcomes — the reference every
-// served arm is compared with. Server semantics: no page cooling, the buffer
+// applyAll executes ops serially in-process against org, windows read
+// complete, and returns the per-op outcomes — the reference every served arm
+// is compared with (the technique moves no answer, so the served arms' own
+// default, vector read, agrees with it). Server semantics: no page cooling, the buffer
 // stays warm across requests. Against a *wal.Store every mutation is one
 // commit: its mutating methods log one record each and panic when the log
 // fails.

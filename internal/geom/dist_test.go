@@ -47,6 +47,59 @@ func TestRectMinDistIsLowerBound(t *testing.T) {
 	}
 }
 
+func TestRectMaxDist(t *testing.T) {
+	r := R(1, 1, 3, 2)
+	cases := []struct {
+		p    Point
+		want float64
+	}{
+		{Pt(2, 1.5), math.Hypot(1, 0.5)},   // the centre: every corner
+		{Pt(1, 1), math.Hypot(2, 1)},       // a corner: the opposite one
+		{Pt(0, 1.5), math.Hypot(3, 0.5)},   // left of
+		{Pt(0, 0), math.Hypot(3, 2)},       // below left: corner (3,2)
+		{Pt(10, -5), math.Hypot(9, 7)},     // far below right: corner (1,2)
+		{Pt(3, 1.25), math.Hypot(2, 0.75)}, // on an edge
+	}
+	for _, c := range cases {
+		if got := r.MaxDist(c.p); got != c.want {
+			t.Errorf("MaxDist(%v, %v) = %g, want %g", r, c.p, got, c.want)
+		}
+	}
+	if got := R(0.5, 0.5, 0.5, 0.5).MaxDist(Pt(0.5, 0.5)); got != 0 {
+		t.Errorf("MaxDist of a point rect to itself = %g, want 0", got)
+	}
+	if got := EmptyRect().MaxDist(Pt(0, 0)); !math.IsInf(got, 1) {
+		t.Errorf("MaxDist of empty rect = %g, want +Inf", got)
+	}
+}
+
+// TestRectMaxDistIsUpperBound: MaxDist is never below the distance to a
+// point inside the rectangle, its corners included, and equals the distance
+// to one of the corners (the k-NN upper-bound pruning condition).
+func TestRectMaxDistIsUpperBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 2000; i++ {
+		r := randRect(rng)
+		p := Pt(4*rng.Float64()-2, 4*rng.Float64()-2)
+		q := Pt(r.MinX+rng.Float64()*r.Width(), r.MinY+rng.Float64()*r.Height())
+		md := r.MaxDist(p)
+		if md < p.Dist(q) {
+			t.Fatalf("MaxDist(%v, %v) = %g is below dist to inner point %v = %g", r, p, md, q, p.Dist(q))
+		}
+		corner := false
+		for _, c := range []Point{Pt(r.MinX, r.MinY), Pt(r.MinX, r.MaxY), Pt(r.MaxX, r.MinY), Pt(r.MaxX, r.MaxY)} {
+			if d := p.Dist(c); d > md {
+				t.Fatalf("MaxDist(%v, %v) = %g is below dist to corner %v = %g", r, p, md, c, d)
+			} else if d == md {
+				corner = true
+			}
+		}
+		if !corner {
+			t.Fatalf("MaxDist(%v, %v) = %g is the distance to no corner", r, p, md)
+		}
+	}
+}
+
 func TestPolylineDistToPoint(t *testing.T) {
 	l := NewPolyline([]Point{Pt(0, 0), Pt(1, 0), Pt(1, 1)})
 	cases := []struct {

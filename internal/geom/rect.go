@@ -216,6 +216,19 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// MaxDist returns the maximum Euclidean distance between p and any point of
+// r: the distance to r's farthest corner, +Inf for the empty rectangle. It
+// is the pessimistic twin of MinDist: an object inside r is at most MaxDist
+// from p, whatever its shape, so k keys' MaxDist bound the k-th nearest
+// distance from above (Roussopoulos, Kelley and Vincent, "Nearest Neighbor
+// Queries", SIGMOD 1995).
+func (r Rect) MaxDist(p Point) float64 {
+	if r.IsEmpty() {
+		return math.Inf(1)
+	}
+	return math.Hypot(max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX)), max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY)))
+}
+
 // OverlapDegree returns the fraction of r's area covered by s, in [0,1].
 // A degenerate r (zero area) counts as fully covered when the rectangles
 // intersect at all. The geometric-threshold query technique (paper section

@@ -57,19 +57,44 @@ func SizeFor(nVertices, pad int) int {
 	return HeaderSize + VertexSize*nVertices + pad
 }
 
+// encoding returns the geometry's type tag and vertices.
+func (o *Object) encoding() (byte, []geom.Point) {
+	switch g := o.Geom.(type) {
+	case *geom.Polyline:
+		return typePolyline, g.Vertices
+	case *geom.Polygon:
+		return typePolygon, g.Vertices
+	}
+	panic(fmt.Sprintf("object: unsupported geometry %T", o.Geom))
+}
+
+// CheckKey reports why o cannot be stored under the spatial key key, or nil
+// when it can: every vertex must be finite, and the key a finite rectangle
+// that contains the object's bounds, because filter-then-refine decides by
+// the key which queries may reach the object (store.Organization.Insert).
+// The bounds skip a NaN vertex, so they cannot vouch for the vertices. Every
+// path that accepts an object from outside the process checks it here first:
+// the server's decoder, and the write-ahead log before it logs the object.
+func (o *Object) CheckKey(key geom.Rect) error {
+	_, verts := o.encoding()
+	for _, v := range verts {
+		if !geom.RectFromPoint(v).Valid() {
+			return fmt.Errorf("object %d: non-finite vertex", o.ID)
+		}
+	}
+	if !key.Valid() {
+		return fmt.Errorf("object %d: key %v is not a finite rectangle", o.ID, key)
+	}
+	if bounds := o.Bounds(); !key.ContainsRect(bounds) {
+		return fmt.Errorf("object %d: key %v does not contain the object's bounds %v", o.ID, key, bounds)
+	}
+	return nil
+}
+
 // Append appends the object's serialization, Size() bytes, to dst and
 // returns the extended slice, so a caller encodes into memory it owns.
 func Append(dst []byte, o *Object) []byte {
-	var typ byte
-	var verts []geom.Point
-	switch g := o.Geom.(type) {
-	case *geom.Polyline:
-		typ, verts = typePolyline, g.Vertices
-	case *geom.Polygon:
-		typ, verts = typePolygon, g.Vertices
-	default:
-		panic(fmt.Sprintf("object: unsupported geometry %T", o.Geom))
-	}
+	typ, verts := o.encoding()
 	start := len(dst)
 	dst = slices.Grow(dst, o.Size())[:start+o.Size()]
 	buf := dst[start:]

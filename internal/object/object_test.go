@@ -2,7 +2,9 @@ package object
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,5 +122,35 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckKey: a key must be a finite rectangle containing the object's
+// bounds, and every vertex finite; a key equal to the bounds, or larger, is
+// taken.
+func TestCheckKey(t *testing.T) {
+	line := New(7, geom.NewPolyline([]geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.4, 0.3)}), 0)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		o    *Object
+		key  geom.Rect
+		want string // "" when taken
+	}{
+		{"bounds", line, line.Bounds(), ""},
+		{"larger key", line, geom.R(0, 0, 1, 1), ""},
+		{"key short of the object", line, geom.R(0.2, 0.2, 0.3, 0.3), "does not contain"},
+		{"NaN key", line, geom.Rect{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1}, "not a finite rectangle"},
+		{"infinite key", line, geom.Rect{MinX: 0, MinY: 0, MaxX: inf, MaxY: 1}, "not a finite rectangle"},
+		{"NaN vertex", New(8, geom.NewPolyline([]geom.Point{geom.Pt(0.2, 0.2), geom.Pt(nan, 0.3)}), 0), geom.R(0, 0, 1, 1), "non-finite vertex"},
+		{"infinite polygon vertex", New(9, geom.NewPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, inf)}), 0), geom.R(0, 0, 1, 1), "non-finite vertex"},
+	} {
+		err := c.o.CheckKey(c.key)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want an error saying %q", c.name, err, c.want)
+		}
 	}
 }

@@ -144,13 +144,13 @@ func (o *techOrg) WindowQuery(w geom.Rect, tech store.Technique) store.QueryResu
 }
 
 // TestUnnamedTechniqueIsTheShardsDefault: a window query that names no
-// technique runs at the default of the store that executes it — asked in
+// technique runs as vector read on the store that executes it — asked in
 // either codec, directly or through the router's binary hop — and a named
 // technique arrives as named.
 func TestUnnamedTechniqueIsTheShardsDefault(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 1024, Seed: 7})
 	org := &techOrg{Organization: buildOrg(ds.Spec.SmaxBytes(), ds.Objects, ds.MBRs), seen: make(chan store.Technique, 1)}
-	hs := httptest.NewServer(server.New(org, server.Config{DefaultTech: store.TechSLM}).Handler())
+	hs := httptest.NewServer(server.New(org, server.Config{}).Handler())
 	t.Cleanup(hs.Close)
 	direct := server.NewClient(hs.URL, 1)
 	hop := server.NewClient(hs.URL, 1)
@@ -170,7 +170,7 @@ func TestUnnamedTechniqueIsTheShardsDefault(t *testing.T) {
 		for _, binary := range []bool{false, true} {
 			c := *via.c
 			c.Binary = binary
-			for name, want := range map[string]store.Technique{"": store.TechSLM, "page": store.TechPageByPage} {
+			for name, want := range map[string]store.Technique{"": store.TechSLMVector, "complete": store.TechComplete, "page": store.TechPageByPage} {
 				if _, err := c.Window(geom.R(0.2, 0.2, 0.4, 0.4), name); err != nil {
 					t.Fatalf("%s binary=%v tech %q: %v", via.name, binary, name, err)
 				}

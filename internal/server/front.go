@@ -738,8 +738,9 @@ func (f *Front) delete(x *statusRecorder, bin bool) {
 // readObject decodes an insert or update body into an engine object and its
 // spatial key (the object's bounds when the request names none). Both codecs
 // check the vertex count against the geometry kind before they build it — the
-// constructors of geom panic on a degenerate chain — and a vertex that is NaN
-// or infinite answers 400 before the Service sees the object.
+// constructors of geom panic on a degenerate chain — and an object that
+// object.CheckKey refuses, a NaN vertex or a key short of the object, answers
+// 400 before the Service sees it.
 func readObject(x *statusRecorder, bin bool, kind byte) (*object.Object, geom.Rect, error) {
 	var (
 		o   *object.Object
@@ -761,21 +762,12 @@ func readObject(x *statusRecorder, bin bool, kind byte) (*object.Object, geom.Re
 	if err != nil {
 		return nil, geom.Rect{}, badRequest(err)
 	}
-	// The bounds skip a NaN vertex, so they cannot vouch for the vertices.
-	for _, s := range o.Geom.Segments() {
-		if !geom.RectFromPoint(s.A).Valid() || !geom.RectFromPoint(s.B).Valid() {
-			return nil, geom.Rect{}, statusErr(http.StatusBadRequest, "object %d: non-finite vertex", o.ID)
-		}
+	k := o.Bounds()
+	if key != nil {
+		k = geom.R(key[0], key[1], key[2], key[3])
 	}
-	bounds := o.Bounds()
-	if key == nil {
-		return o, bounds, nil
-	}
-	// Filter-then-refine needs a key that covers the object (Organization.Insert).
-	k := geom.R(key[0], key[1], key[2], key[3])
-	if !k.ContainsRect(bounds) {
-		return nil, geom.Rect{}, statusErr(http.StatusBadRequest,
-			"object %d: key %v does not contain the object's bounds %v", o.ID, k, bounds)
+	if err := o.CheckKey(k); err != nil {
+		return nil, geom.Rect{}, badRequest(err)
 	}
 	return o, k, nil
 }

@@ -30,9 +30,6 @@ type Config struct {
 	// MaxInFlight bounds admitted requests; excess requests are answered
 	// with 429 immediately (default 256).
 	MaxInFlight int
-	// DefaultTech is the cluster read technique of queries that do not name
-	// one (default TechComplete).
-	DefaultTech store.Technique
 	// SnapshotPath, when set, makes Shutdown save the store there after
 	// draining and flushing.
 	SnapshotPath string
@@ -169,10 +166,13 @@ func (s *Server) query(rq *Request, run func(org store.Organization) disk.Tally)
 	return nil
 }
 
-// Window implements Service.
+// Window implements Service. A window that names no technique reads with
+// vector read: the cheapest single-access plan of the paper (sections 5.4.2
+// and 6.2), which transfers the requested pages of a unit and buffers only
+// those.
 func (s *Server) Window(rq *Request, win geom.Rect, tech store.Technique) (res store.QueryResult, err error) {
 	if tech == store.TechDefault {
-		tech = s.cfg.DefaultTech
+		tech = store.TechSLMVector
 	}
 	err = s.query(rq, func(org store.Organization) disk.Tally {
 		res = org.WindowQuery(win, tech)

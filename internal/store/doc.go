@@ -92,6 +92,15 @@
 //   - A k-NN browse decodes every data page into one pooled node
 //     (rtree.NearestLeaves), not a fresh node and entry list per page.
 //
+// A k-NN query also reads less than every candidate of a surfacing data page,
+// which does change what it reads but never what it answers. Before the
+// read, the page's entries are bounded by their keys: one whose MinDist
+// exceeds the k-th best exact distance so far, or U — the k-th smallest of
+// those distances and the page's keys' MaxDist, an upper bound of the answer's
+// k-th distance because a key contains its object — is dropped. The rest are
+// read nearest key first, on the cluster organization with one vector-read
+// access to the unit (nearest.go).
+//
 // A query that panics — over a damaged page, say — releases its read lock on
 // Env and its capture's pins on the way out, so a caller that recovers keeps
 // a store its mutations can still lock.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -106,16 +107,19 @@ func TestSameTreeGolden(t *testing.T) {
 // organization is built from a seeded data set, churned and flushed, and then
 // answers small and large windows under all five techniques, point queries
 // and 1-NN and 10-NN queries, one after another on one buffer, so every query
-// starts from the buffer state the previous one left. The FNV-64a of every
-// answer ID list, Candidates, CandidateBytes, disk.Cost and k-NN distance
-// (its bits) must equal what the read path produced at the commit before the
-// organizations shared one query engine. A query that reads a page in another
-// order, or one more or one fewer, moves the cost or the next query's hits and
-// fails here. A second FNV-64a over the buffer's hits, misses and evictions
-// after every query (pinned at the commit before the read path stopped
-// assembling key-decided window candidates) fails a change that drops or adds
-// a buffer touch, even one that moves no disk cost. Each query's own tally
-// must equal the global counter deltas around it, bit for bit.
+// starts from the buffer state the previous one left. A query that reads a
+// page in another order, or one more or one fewer, moves its cost or the next
+// query's hits and fails here. Each query's own tally must equal the global
+// counter deltas around it, bit for bit. Four FNV-64a sums are pinned:
+//
+//   - win: every window's answer IDs, Candidates, CandidateBytes and
+//     disk.Cost, and the buffer's hits, misses and evictions after it. The
+//     windows run first, so no change to the point or k-NN path moves it.
+//   - answers: the point queries' IDs and the k-NN queries' IDs and distance
+//     bits. No read plan may move it.
+//   - cost: the point and k-NN queries' Candidates, CandidateBytes and
+//     disk.Cost, which move with the k-NN read plan and the buffer it leaves.
+//   - buf: the buffer's hits, misses and evictions after each of those.
 func TestReadPathGolden(t *testing.T) {
 	ds := testDataset(16)
 	var churn []datagen.Op
@@ -130,19 +134,21 @@ func TestReadPathGolden(t *testing.T) {
 		pts = append(pts, ds.Objects[i].Geom.Segments()[0].A)
 	}
 	techs := []Technique{TechComplete, TechThreshold, TechSLM, TechSLMVector, TechPageByPage}
+	type sums struct{ win, answers, cost, buf uint64 }
+	const answers = 0xc46f1d136c9087d5 // every organization answers alike
 	for _, c := range []struct {
-		name        string
-		build       func(*Env) Organization
-		sum, bufSum uint64
+		name  string
+		build func(*Env) Organization
+		want  sums
 	}{
-		{"secondary", func(env *Env) Organization { return NewSecondary(env) }, 0xcb16a34cf5dbec83, 0x971113367988f846},
-		{"primary", func(env *Env) Organization { return NewPrimary(env) }, 0x93c5671572c934ef, 0x2f9f493f3e711093},
+		{"secondary", func(env *Env) Organization { return NewSecondary(env) }, sums{0x6e526b788d8288ac, answers, 0x74d9dc9042765758, 0x8423fbf5bd2e610}},
+		{"primary", func(env *Env) Organization { return NewPrimary(env) }, sums{0x3be4c363a66db7a8, answers, 0x1273b1d0ac92b4d3, 0xb70bac855ddbc7a4}},
 		{"cluster", func(env *Env) Organization {
 			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes()})
-		}, 0xdabd0a8b55cd2c0d, 0x685fed73931aa9c1},
+		}, sums{0xd87a49969f0afee1, answers, 0x6bde86e2cd20fc70, 0x4baf9e74bd2833a9}},
 		{"buddy-cluster", func(env *Env) Organization {
 			return NewCluster(env, ClusterConfig{SmaxBytes: ds.Spec.SmaxBytes(), BuddySizes: 3})
-		}, 0xdabd0a8b55cd2c0d, 0x685fed73931aa9c1},
+		}, sums{0xd87a49969f0afee1, answers, 0x6bde86e2cd20fc70, 0x4baf9e74bd2833a9}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := NewEnv(256)
@@ -155,12 +161,14 @@ func TestReadPathGolden(t *testing.T) {
 			mutate(org, churn)
 			org.Flush()
 			env.Buf.ResetStats()
-			h, hb := fnv.New64a(), fnv.New64a()
+			hw, ha, hc, hb := fnv.New64a(), fnv.New64a(), fnv.New64a(), fnv.New64a()
 			prev := countersOf(env)
-			put := func(res QueryResult) {
-				fmt.Fprintf(h, "%v %d %d %+v\n", res.IDs, res.Candidates, res.CandidateBytes, res.Cost)
+			// put hashes a query's cost into cost and the buffer's counters
+			// after it into buf, and checks its tally.
+			put := func(res QueryResult, cost, buf io.Writer) {
+				fmt.Fprintf(cost, "%d %d %+v\n", res.Candidates, res.CandidateBytes, res.Cost)
 				st := env.Buf.Stats()
-				fmt.Fprintf(hb, "%d %d %d\n", st.Hits, st.Misses, st.Evictions)
+				fmt.Fprintf(buf, "%d %d %d\n", st.Hits, st.Misses, st.Evictions)
 				now := countersOf(env)
 				if want := now.since(prev); res.Tally != want {
 					t.Fatalf("a query tallied %+v, the global counters moved %+v", res.Tally, want)
@@ -169,26 +177,29 @@ func TestReadPathGolden(t *testing.T) {
 			}
 			for _, tech := range techs {
 				for _, w := range ws {
-					put(org.WindowQuery(w, tech))
+					res := org.WindowQuery(w, tech)
+					fmt.Fprintf(hw, "%v ", res.IDs)
+					put(res, hw, hw)
 				}
 			}
 			var bits [8]byte
 			for _, pt := range pts {
-				put(org.PointQuery(pt))
+				res := org.PointQuery(pt)
+				fmt.Fprintf(ha, "%v\n", res.IDs)
+				put(res, hc, hb)
 				for _, k := range []int{1, 10} {
 					res := org.NearestQuery(pt, k)
-					put(res.QueryResult)
+					fmt.Fprintf(ha, "%v\n", res.IDs)
+					put(res.QueryResult, hc, hb)
 					for _, d := range res.Dists {
 						binary.LittleEndian.PutUint64(bits[:], math.Float64bits(d))
-						h.Write(bits[:])
+						ha.Write(bits[:])
 					}
 				}
 			}
-			if got := h.Sum64(); got != c.sum {
-				t.Errorf("read path: FNV-64a %#x, want %#x", got, c.sum)
-			}
-			if got := hb.Sum64(); got != c.bufSum {
-				t.Errorf("buffer stats: FNV-64a %#x, want %#x", got, c.bufSum)
+			got := sums{hw.Sum64(), ha.Sum64(), hc.Sum64(), hb.Sum64()}
+			if got != c.want {
+				t.Errorf("FNV-64a sums {win answers cost buf}: %#x, want %#x", got, c.want)
 			}
 		})
 	}

@@ -29,17 +29,19 @@ func (c *Cluster) unitFor(leaf disk.PageID) *clusterUnit {
 // Env's read lock, so a scratch belongs to exactly one query at a time and
 // nothing of it hangs on the organization.
 type scratch struct {
-	ids    []object.ID
-	pages  []disk.PageID // requested unit pages
-	pinned []disk.PageID // the resident subset of pages, pinned during a capture
-	runs   []disk.Run    // the read plan of a unit access
-	hdrs   [][]byte      // page headers a read fills; the buffer leaves them cleared
-	views  [][]byte      // serializations: page sub-slices, or slices of spill
-	spill  []byte        // objects straddling pages, assembled
-	verts  []geom.Point
-	knn    []knnCand   // a k-NN query's best candidates so far
-	answer []object.ID // collected here, copied out once at its final size
-	tally  disk.Tally  // every read, write-back, hit and miss the query causes
+	ids      []object.ID
+	pages    []disk.PageID // requested unit pages
+	pinned   []disk.PageID // the resident subset of pages, pinned during a capture
+	runs     []disk.Run    // the read plan of a unit access
+	hdrs     [][]byte      // page headers a read fills; the buffer leaves them cleared
+	views    [][]byte      // serializations: page sub-slices, or slices of spill
+	spill    []byte        // objects straddling pages, assembled
+	verts    []geom.Point
+	knn      []knnCand   // a k-NN query's best candidates so far
+	near     []nearEntry // a k-NN query's entries of the data page in hand
+	maxDists []float64   // and their keys' MaxDist
+	answer   []object.ID // collected here, copied out once at its final size
+	tally    disk.Tally  // every read, write-back, hit and miss the query causes
 }
 
 // maxPooledAnswer is the largest answer slice a released scratch keeps, 64 KiB
@@ -55,6 +57,7 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func (sc *scratch) release() {
 	clear(sc.views[:cap(sc.views)])
 	clear(sc.hdrs[:cap(sc.hdrs)])
+	clear(sc.near[:cap(sc.near)]) // entry payloads are buffer page sub-slices
 	if cap(sc.answer) > maxPooledAnswer {
 		sc.answer = nil
 	}

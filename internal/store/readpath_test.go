@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,13 +160,16 @@ func refWindow(org Organization, w geom.Rect, tech Technique, pred func(*object.
 	return res
 }
 
-// refNearest is the k-NN browse refining every candidate it fetches. beyond
+// refNearest is the k-NN browse refining every candidate it fetches, after
+// the page's entries are bounded by their keys (the k-th exact distance so
+// far, and the k-th smallest of those distances and the keys' MaxDist) and
+// ordered by MinDist, and reading them with vector read. beyond
 // counts the fetched candidates whose key was already farther than the k-th
 // best distance when their turn came: the ones NearestQuery leaves
-// unrefined.
-func refNearest(org Organization, pt geom.Point, k int) (res NearestResult, beyond int) {
+// unrefined. unread counts the entries the upper bound kept from the read.
+func refNearest(org Organization, pt geom.Point, k int) (res NearestResult, beyond, unread int) {
 	if k <= 0 {
-		return res, 0
+		return res, 0, 0
 	}
 	t := org.Tree()
 	acc := knnAcc{k: k}
@@ -189,17 +193,31 @@ func refNearest(org Organization, pt geom.Point, k int) (res NearestResult, beyo
 			}
 			n := refNode(t, it.page)
 			var keep []rtree.Entry
+			var upper []float64 // what bounds the k-th distance from above
+			for _, c := range acc.cands {
+				upper = append(upper, c.dist)
+			}
 			for _, e := range n.Entries {
 				if n.Level > 0 {
 					queue = append(queue, item{page: e.Child, dist: e.Rect.MinDist(pt)})
 				} else if !acc.full() || !(e.Rect.MinDist(pt) > acc.bound()) {
 					keep = append(keep, e)
+					upper = append(upper, e.Rect.MaxDist(pt))
 				}
+			}
+			if len(upper) >= k {
+				sort.Float64s(upper)
+				u := upper[k-1]
+				u += knnSlack * (u + math.Abs(pt.X) + math.Abs(pt.Y))
+				n := len(keep)
+				keep = slices.DeleteFunc(keep, func(e rtree.Entry) bool { return e.Rect.MinDist(pt) > u })
+				unread += n - len(keep)
 			}
 			if len(keep) == 0 {
 				continue
 			}
-			for i, o := range refFetch(org, n.ID, keep, TechPageByPage) {
+			sort.SliceStable(keep, func(i, j int) bool { return keep[i].Rect.MinDist(pt) < keep[j].Rect.MinDist(pt) })
+			for i, o := range refFetch(org, n.ID, keep, TechSLMVector) {
 				res.Candidates++
 				res.CandidateBytes += int64(o.Size())
 				if acc.full() && keep[i].Rect.MinDist(pt) > acc.bound() {
@@ -213,7 +231,7 @@ func refNearest(org Organization, pt geom.Point, k int) (res NearestResult, beyo
 	for i, c := range acc.cands {
 		res.IDs[i], res.Dists[i] = c.id, c.dist
 	}
-	return res, beyond
+	return res, beyond, unread
 }
 
 // counters is everything a query may move besides its answer.
@@ -277,7 +295,7 @@ func TestReadPathMatchesMaterialisingReference(t *testing.T) {
 					for i, pt := range pts {
 						same(fmt.Sprintf("%s %v point %d", phase, tech, i), got.PointQuery(pt),
 							refWindow(ref, geom.RectFromPoint(pt), TechPageByPage, func(o *object.Object) bool { return o.Geom.ContainsPoint(pt) }))
-						want, _ := refNearest(ref, pt, 1+7*i)
+						want, _, _ := refNearest(ref, pt, 1+7*i)
 						same(fmt.Sprintf("%s %v %d-NN %d", phase, tech, 1+7*i, i), got.NearestQuery(pt, 1+7*i), want)
 					}
 				}
@@ -296,7 +314,8 @@ func TestReadPathMatchesMaterialisingReference(t *testing.T) {
 // turn comes. refNearest refines every candidate it fetches, so for all three
 // organizations, k of 1, 10 and 100, freshly built and churned 30/40/30, the
 // two must agree in IDs, distance bits, Candidates, CandidateBytes and Cost,
-// and move the buffer and disk counters alike — and the rule must have fired.
+// and move the buffer and disk counters alike — and both the rule and the
+// upper bound that keeps entries from the read must have fired.
 func TestNearestMatchesRefiningReference(t *testing.T) {
 	ds := datagen.Generate(datagen.Spec{Map: datagen.Map1, Series: datagen.SeriesA, Scale: 128, Seed: 81})
 	pts := ds.Points(12, 82)
@@ -307,14 +326,14 @@ func TestNearestMatchesRefiningReference(t *testing.T) {
 	for _, kind := range []string{"secondary", "primary", "cluster"} {
 		t.Run(kind, func(t *testing.T) {
 			got, ref := buildOrg(t, kind, ds, 24), buildOrg(t, kind, ds, 24)
-			beyond := 0
+			beyond, unread := 0, 0
 			for _, phase := range []string{"fresh", "churned"} {
 				for _, k := range []int{1, 10, 100} {
 					for i, pt := range pts {
 						label := fmt.Sprintf("%s %d-NN %d", phase, k, i)
 						res := got.NearestQuery(pt, k)
-						want, b := refNearest(ref, pt, k)
-						beyond += b
+						want, b, u := refNearest(ref, pt, k)
+						beyond, unread = beyond+b, unread+u
 						if !reflect.DeepEqual(res.IDs, want.IDs) || res.Candidates != want.Candidates ||
 							res.CandidateBytes != want.CandidateBytes || res.Cost != want.Cost {
 							t.Fatalf("%s:\n  NearestQuery %+v\n  reference    %+v", label, res, want)
@@ -337,7 +356,10 @@ func TestNearestMatchesRefiningReference(t *testing.T) {
 			if beyond == 0 {
 				t.Fatal("no fetched candidate lay beyond the k-th bound: the skip was never exercised")
 			}
-			t.Logf("%d fetched candidates beyond the k-th bound", beyond)
+			if unread == 0 {
+				t.Fatal("the upper bound kept no entry from the read: it was never exercised")
+			}
+			t.Logf("%d fetched candidates beyond the k-th bound, %d entries beyond the upper bound left unread", beyond, unread)
 		})
 	}
 }
@@ -637,7 +659,7 @@ func allocStore(t *testing.T, ds *datagen.Dataset, kind string, smax, bufPages i
 // of the whole space runs before each query, unmeasured: the buffer is full
 // of other pages, not even the root is resident, and a query that met no
 // miss fails the test.
-func queryAllocs(t *testing.T, org Organization, ws []geom.Rect, pts []geom.Point, cold bool) (window, point, knn float64) {
+func queryAllocs(t *testing.T, org Organization, ws []geom.Rect, pts []geom.Point, cold bool) (window, vector, point, knn float64) {
 	t.Helper()
 	measure := func(kind string, query func(i int) disk.Tally) float64 {
 		for i := range ws {
@@ -660,6 +682,7 @@ func queryAllocs(t *testing.T, org Organization, ws []geom.Rect, pts []geom.Poin
 		return float64(mallocs) / float64(len(ws))
 	}
 	return measure("window", func(i int) disk.Tally { return org.WindowQuery(ws[i], TechComplete).Tally }),
+		measure("vector-read window", func(i int) disk.Tally { return org.WindowQuery(ws[i], TechSLMVector).Tally }),
 		measure("point", func(i int) disk.Tally { return org.PointQuery(pts[i]).Tally }),
 		measure("10-NN", func(i int) disk.Tally { return org.NearestQuery(pts[i], 10).Tally })
 }
@@ -669,12 +692,14 @@ func queryAllocs(t *testing.T, org Organization, ws []geom.Rect, pts []geom.Poin
 // query misses. A cluster query allocates its answer and nothing else — no
 // term per data page, per candidate, per entry scanned, per answer or per
 // buffer miss: a window or point query its ID slice, allocated once at its
-// final size, a 10-NN query its IDs and Dists. The primary organization,
-// whose objects here all lie inline in its data pages, allocates the same;
-// an overflow object would add a per-candidate term. The secondary is held
-// at the counts measured when its ceilings were set (window 121.55, point
-// 2.12, 10-NN 86.32), a per-candidate term: pagefile.ReadDirect reads every
-// candidate into a fresh page slice and copies one that straddles pages.
+// final size, a 10-NN query its IDs and Dists. A window read with vector
+// read, the served default, is held to the complete window's ceiling. The
+// primary organization, whose objects here all lie inline in its data pages,
+// allocates the same; an overflow object would add a per-candidate term.
+// The secondary is held at the counts measured when its ceilings were set
+// (window 121.55, point 2.12, 10-NN 86.32), a per-candidate term:
+// pagefile.ReadDirect reads every candidate into a fresh page slice and
+// copies one that straddles pages.
 // Counts are averages over a list of windows, each with answers, and of
 // points on those answers. They are taken with the collector off and on one
 // P, as testing.AllocsPerRun takes them, so that a pooled scratch is never
@@ -730,12 +755,12 @@ func TestQueryAllocs(t *testing.T) {
 			if occ := org.Stats().OccupiedPages; occ < 20*coldPages {
 				t.Fatalf("%s store of %d pages is not 20 times its %d-page buffer", c.kind, occ, coldPages)
 			}
-			window, point, knn := queryAllocs(t, org, ws, pts, cold)
-			t.Logf("%s %s: window %v, point %v, 10-NN %v allocations", arm, c.kind, window, point, knn)
+			window, vector, point, knn := queryAllocs(t, org, ws, pts, cold)
+			t.Logf("%s %s: window %v, vector-read window %v, point %v, 10-NN %v allocations", arm, c.kind, window, vector, point, knn)
 			for _, q := range []struct {
 				name       string
 				got, limit float64
-			}{{"window", window, c.window}, {"point", point, c.point}, {"10-NN", knn, c.knn}} {
+			}{{"window", window, c.window}, {"vector-read window", vector, c.window}, {"point", point, c.point}, {"10-NN", knn, c.knn}} {
 				if q.got > q.limit {
 					t.Errorf("%s %s: a %s query allocates %v times, ceiling %v", arm, c.kind, q.name, q.got, q.limit)
 				}
@@ -751,7 +776,7 @@ func TestQueryAllocs(t *testing.T) {
 			if perPage(dense) < 2*perPage(sparse) {
 				t.Fatalf("dense store holds %.1f objects per data page, sparse %.1f: want twice as many", perPage(dense), perPage(sparse))
 			}
-			if sparseWindow, _, _ := queryAllocs(t, sparse, ws, pts, cold); sparseWindow != window {
+			if sparseWindow, _, _, _ := queryAllocs(t, sparse, ws, pts, cold); sparseWindow != window {
 				t.Errorf("%s: a window query allocates %v times at %.1f objects per data page and %v at %.1f: a per-page or per-entry term",
 					arm, window, perPage(dense), sparseWindow, perPage(sparse))
 			}
@@ -783,18 +808,22 @@ func TestQueryAllocs(t *testing.T) {
 
 // TestReleasedScratchKeepsNoHugeAnswer: a scratch that collected a huge
 // answer or k-NN accumulator goes back to the pool without it, and without a
-// page in its page headers.
+// page in its page headers or its k-NN entries.
 func TestReleasedScratchKeepsNoHugeAnswer(t *testing.T) {
 	sc := getScratch()
 	sc.answer = make([]object.ID, 0, 2*maxPooledAnswer)
 	sc.knn = make([]knnCand, 0, 2*maxPooledAnswer)
 	sc.hdrs = [][]byte{make([]byte, disk.PageSize)}[:0]
+	sc.near = []nearEntry{{e: rtree.Entry{Payload: make([]byte, 16)}}}[:0]
 	sc.release()
 	if sc.answer != nil || sc.knn != nil {
 		t.Fatalf("a released scratch keeps an answer slice of %d IDs and %d k-NN candidates", cap(sc.answer), cap(sc.knn))
 	}
 	if sc.hdrs[:1][0] != nil {
 		t.Fatal("a released scratch keeps a page in its page headers")
+	}
+	if sc.near[:1][0].e.Payload != nil {
+		t.Fatal("a released scratch keeps a page in its k-NN entries")
 	}
 }
 

@@ -44,9 +44,9 @@ const (
 )
 
 // TechDefault is the technique of a served window query that names none:
-// the server that finally executes it applies its own configured default
-// (server.Config.DefaultTech). It exists on the wire only — both codecs can
-// express it — and never reaches an Organization.
+// the server that finally executes it reads with TechSLMVector. It exists on
+// the wire only — both codecs can express it, and the router passes it on to
+// the shards as it came — and never reaches an Organization.
 const TechDefault Technique = -1
 
 // String implements fmt.Stringer.
@@ -68,7 +68,8 @@ func (t Technique) String() string {
 
 // TechByName parses a read technique name as used by the CLIs and the
 // network API: "complete", "threshold", "SLM"/"slm", "vector", "page".
-// The empty string selects TechComplete.
+// The empty string selects TechComplete, the CLIs' default; a served window
+// that names none reads with TechSLMVector instead (TechDefault).
 func TechByName(name string) (Technique, error) {
 	switch strings.ToLower(name) {
 	case "", "complete":

@@ -48,11 +48,13 @@ func (s *Store) Log() *Log { return s.log }
 // record sharing one fsync, and then applies them in order, reporting for
 // each delete/update whether the object existed and for each insert and
 // update the store's refusal, if any (refused is nil when every record was
-// taken). A refused record stays in the log: replay meets the same store
-// state, refuses it again and moves on. On error nothing is applied,
-// nothing is acknowledged, and the log stays poisoned: later Apply calls
-// fail too, so the acknowledged prefix is exactly what recovery replays. The log assigns
-// the records' LSNs in place.
+// taken). A record whose object object.CheckKey refuses is neither logged
+// nor applied: replay could not apply it either. A record the store refuses
+// stays in the log: replay meets the same store state, refuses it again and
+// moves on. On error nothing is applied, nothing is acknowledged, and the
+// log stays poisoned: later Apply calls fail too, so the acknowledged prefix
+// is exactly what recovery replays. When every record is logged, the log
+// assigns their LSNs in place.
 func (s *Store) Apply(recs []Record) (existed []bool, refused []error, err error) {
 	if len(recs) == 0 {
 		return nil, nil, nil
@@ -62,14 +64,34 @@ func (s *Store) Apply(recs []Record) (existed []bool, refused []error, err error
 			return nil, nil, fmt.Errorf("wal: cannot apply mutation of kind %v", k)
 		}
 	}
+	logged := recs
+	for i := range recs {
+		var err error
+		if recs[i].Kind != KindDelete {
+			err = recs[i].Obj.CheckKey(recs[i].Key)
+		}
+		switch {
+		case err != nil:
+			if refused == nil {
+				refused = make([]error, len(recs))
+				logged = append(make([]Record, 0, len(recs)), recs[:i]...)
+			}
+			refused[i] = err
+		case refused != nil:
+			logged = append(logged, recs[i])
+		}
+	}
 	s.mu.Lock()
-	if err := s.log.Append(recs...); err != nil {
+	if err := s.log.Append(logged...); err != nil {
 		s.mu.Unlock()
 		return nil, nil, err
 	}
 	org := s.Underlying()
 	existed = make([]bool, len(recs))
 	for i := range recs {
+		if refused != nil && refused[i] != nil {
+			continue // not logged, so not applied
+		}
 		var refusal error
 		if existed[i], refusal = ApplyRecord(org, &recs[i]); refusal != nil {
 			if refused == nil {

@@ -2,9 +2,11 @@ package wal_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -550,5 +552,133 @@ func TestCheckpointDirSyncFailure(t *testing.T) {
 	}
 	if st := ws.Log().Stats(); st.Segments != 2 {
 		t.Fatalf("after the failed checkpoint the log has %d live segments, want 2", st.Segments)
+	}
+}
+
+// TestRefusedBeforeLogging: an insert or update whose object the store could
+// not hold — a key that is not a rectangle, a key that does not contain the
+// object, a non-finite vertex — is refused before the log sees it. On all
+// three organizations the call returns an error, the log's stats do not move,
+// and recovery rebuilds the store as it was. Each case runs on a fresh store:
+// a store that logged the record and then panicked applying it would hold its
+// mutation lock for good.
+func TestRefusedBeforeLogging(t *testing.T) {
+	ds := smallDataset()
+	nan := math.NaN()
+	live := ds.Objects[0].ID
+	bad := func(id object.ID) []struct {
+		name string
+		obj  *object.Object
+		key  geom.Rect
+	} {
+		o := testObject(1)
+		o.ID = id
+		ray := object.New(id, geom.NewPolyline([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(nan, 0.5)}), 0)
+		return []struct {
+			name string
+			obj  *object.Object
+			key  geom.Rect
+		}{
+			{"NaN key", o, geom.Rect{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1}},
+			{"infinite key", o, geom.Rect{MinX: math.Inf(-1), MinY: 0, MaxX: 1, MaxY: 1}},
+			{"key short of the object", o, geom.R(0, 0, 0.001, 0.001)},
+			{"non-finite vertex", ray, geom.R(0, 0, 1, 1)},
+		}
+	}
+	for _, kind := range allKinds {
+		for _, kindOp := range []wal.Kind{wal.KindInsert, wal.KindUpdate} {
+			id := object.ID(9_000_000)
+			if kindOp == wal.KindUpdate {
+				id = live
+			}
+			for _, c := range bad(id) {
+				t.Run(fmt.Sprintf("%s/%v/%s", kind, kindOp, c.name), func(t *testing.T) {
+					dir := t.TempDir()
+					ws, err := wal.Create(buildOrg(kind, ds), dir, wal.Options{CheckpointBytes: -1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wantStats := answers(ws), ws.Stats()
+					before := ws.Log().Stats()
+					var refusal error
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("the mutation panicked: %v", r)
+							}
+						}()
+						if kindOp == wal.KindInsert {
+							refusal = ws.Insert(c.obj, c.key)
+							return
+						}
+						_, refused, err := ws.Apply([]wal.Record{{Kind: wal.KindUpdate, Obj: c.obj, Key: c.key}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if refused != nil {
+							refusal = refused[0]
+						}
+					}()
+					if refusal == nil {
+						t.Error("the mutation was taken")
+					}
+					if after := ws.Log().Stats(); after != before {
+						t.Errorf("the log moved: %+v, before %+v", after, before)
+					}
+					// Crash: recover from the directory as it stands.
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("recovery panicked: %v", r)
+							}
+						}()
+						rec, _, err := wal.Recover(dir, memEnv, wal.Options{CheckpointBytes: -1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer rec.Close()
+						if err := diffAnswers(want, answers(rec)); err != nil {
+							t.Error(err)
+						}
+						if got := rec.Stats(); got != wantStats {
+							t.Errorf("recovered Stats %+v, want %+v", got, wantStats)
+						}
+					}()
+				})
+			}
+		}
+	}
+}
+
+// TestRefusedRecordLeavesItsBatch: a record refused before logging takes
+// nothing else in its commit with it. The records around it are logged as
+// one commit and applied, a delete after it included.
+func TestRefusedRecordLeavesItsBatch(t *testing.T) {
+	ds := smallDataset()
+	ws, err := wal.Create(buildOrg("cluster", ds), t.TempDir(), wal.Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	good, short := testObject(1), testObject(2)
+	existed, refused, err := ws.Apply([]wal.Record{
+		{Kind: wal.KindInsert, Obj: good, Key: good.Bounds()},
+		{Kind: wal.KindInsert, Obj: short, Key: geom.R(0, 0, 0.001, 0.001)},
+		{Kind: wal.KindDelete, ID: ds.Objects[0].ID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refused == nil || refused[0] != nil || refused[1] == nil || refused[2] != nil {
+		t.Fatalf("refused %v: want the second record alone", refused)
+	}
+	if !existed[2] {
+		t.Error("the delete after the refused record found nothing")
+	}
+	if st := ws.Log().Stats(); st.LastLSN != 2 || st.Syncs != 1 {
+		t.Errorf("log %+v: want two records in one commit", st)
+	}
+	if got := ws.PointQuery(good.Geom.(*geom.Polyline).Vertices[0]).IDs; !slices.Contains(got, good.ID) {
+		t.Errorf("the insert before the refused record is not served: %v", got)
 	}
 }
