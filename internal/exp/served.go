@@ -39,10 +39,10 @@ const (
 // applyAll executes ops serially in-process against org, windows read
 // complete, and returns the per-op outcomes — the reference every served arm
 // is compared with (the technique moves no answer, so the served arms' own
-// default, vector read, agrees with it). Server semantics: no page cooling, the buffer
-// stays warm across requests. Against a *wal.Store every mutation is one
-// commit: its mutating methods log one record each and panic when the log
-// fails.
+// default, vector read, agrees with it). Server semantics: no page cooling,
+// the buffer stays warm across requests. Against a *wal.Store every mutation
+// is one commit: its mutating methods log one record each and panic when the
+// log fails.
 func applyAll(org store.Organization, ops []datagen.Op) []applied {
 	refs := make([]applied, len(ops))
 	for i, op := range ops {

@@ -226,7 +226,9 @@ func (r Rect) MaxDist(p Point) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)
 	}
-	return math.Hypot(max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX)), max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY)))
+	dx := max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
+	dy := max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
+	return math.Hypot(dx, dy)
 }
 
 // OverlapDegree returns the fraction of r's area covered by s, in [0,1].
